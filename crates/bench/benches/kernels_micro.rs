@@ -3,23 +3,51 @@
 //! paths. These are the ablations DESIGN.md calls out for the filter stack.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use datagen::{DataRecord, GeneratorConfig};
 use setsim::{
-    allpairs, naive, ppjoin, FilterConfig, Threshold, TokenOrder, Tokenizer, WordTokenizer,
+    allpairs, intersection_size, naive, overlap_at_least, ppjoin, suffix, FilterConfig, Threshold,
+    TokenOrder, Tokenizer, WordTokenizer,
 };
 
-fn projected_corpus(n: usize) -> Vec<(u64, Vec<u32>)> {
-    let records = datagen::dblp(n, 7);
+/// Tokenise `text(record)` and project it onto the corpus's own token order.
+fn project(records: &[DataRecord], text: impl Fn(&DataRecord) -> String) -> Vec<(u64, Vec<u32>)> {
     let tok = WordTokenizer::new();
-    let lists: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| tok.tokenize(&r.join_attribute()))
-        .collect();
+    let lists: Vec<Vec<String>> = records.iter().map(|r| tok.tokenize(&text(r))).collect();
     let order = TokenOrder::from_corpus(&lists);
     records
         .iter()
         .zip(&lists)
         .map(|(r, l)| (r.rid, order.project(l)))
         .collect()
+}
+
+fn projected_corpus(n: usize) -> Vec<(u64, Vec<u32>)> {
+    project(&datagen::dblp(n, 7), DataRecord::join_attribute)
+}
+
+/// The shape of the benchmark's `zipf-lowtau-self` workload: DBLP-style
+/// records over a Zipf-1.2 vocabulary, joined at τ 0.5, where a hot token's
+/// posting list is most of the index and candidates outnumber pairs ~500:1.
+fn zipf_corpus(n: usize) -> Vec<(u64, Vec<u32>)> {
+    let mut config = GeneratorConfig::dblp(n, 7);
+    config.zipf_exponent = 1.2;
+    project(&datagen::generate(&config), DataRecord::join_attribute)
+}
+
+/// Sets of `lo..=hi` tokens: title, authors and the head of the abstract of
+/// CITESEERX-style records.
+fn long_corpus(n: usize, lo: usize, hi: usize) -> Vec<(u64, Vec<u32>)> {
+    let mut sets = project(&datagen::citeseerx(n, 7), |r| {
+        format!(
+            "{} {}",
+            r.join_attribute(),
+            r.abstract_text.as_deref().unwrap_or("")
+        )
+    });
+    for (rid, tokens) in &mut sets {
+        tokens.truncate(lo + (*rid as usize * 7) % (hi - lo + 1));
+    }
+    sets
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -39,6 +67,129 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| ppjoin::self_join(&sets, &t, FilterConfig::prefix_only()))
     });
     g.finish();
+}
+
+fn bench_zipf_lowtau(c: &mut Criterion) {
+    let sets = zipf_corpus(6000);
+    let t = Threshold::jaccard(0.5);
+    let mut g = c.benchmark_group("zipf12_tau05_selfjoin");
+    g.sample_size(5);
+    g.bench_function("ppjoin", |b| {
+        b.iter(|| ppjoin::self_join(&sets, &t, FilterConfig::ppjoin()))
+    });
+    g.bench_function("ppjoin_plus", |b| {
+        b.iter(|| ppjoin::self_join(&sets, &t, FilterConfig::ppjoin_plus()))
+    });
+    g.finish();
+}
+
+/// What the kernel holds when it reaches the suffix filter: a pair that
+/// passed the length and positional filters, the positions after its last
+/// shared prefix token, the prefix overlap, and α.
+struct Survivor<'a> {
+    x: &'a [u32],
+    y: &'a [u32],
+    seen_x: usize,
+    seen_y: usize,
+    overlap: usize,
+    alpha: usize,
+}
+
+/// Every pair of `sets` that the kernel would hand to the suffix filter.
+fn positional_survivors<'a>(sets: &'a [(u64, Vec<u32>)], t: &Threshold) -> Vec<Survivor<'a>> {
+    let mut out = Vec::new();
+    for (i, (_, x)) in sets.iter().enumerate() {
+        for (_, y) in &sets[..i] {
+            let (x, y) = if x.len() >= y.len() { (x, y) } else { (y, x) };
+            if !t.length_compatible(x.len(), y.len()) {
+                continue;
+            }
+            let alpha = t.overlap_needed(x.len(), y.len());
+            let px = &x[..t.probe_prefix_len(x.len())];
+            let py = &y[..t.index_prefix_len(y.len())];
+            let Some(last) = px.iter().rposition(|tok| py.binary_search(tok).is_ok()) else {
+                continue;
+            };
+            let seen_x = last + 1;
+            let seen_y = py.binary_search(&px[last]).expect("just found") + 1;
+            let overlap = intersection_size(&x[..seen_x], &y[..seen_y]);
+            if overlap + (x.len() - seen_x).min(y.len() - seen_y) < alpha {
+                continue;
+            }
+            out.push(Survivor {
+                x,
+                y,
+                seen_x,
+                seen_y,
+                overlap,
+                alpha,
+            });
+        }
+    }
+    out
+}
+
+fn merge(s: &Survivor<'_>) -> bool {
+    overlap_at_least(s.x, s.y, s.seen_x, s.seen_y, s.overlap, s.alpha).is_some()
+}
+
+fn suffix_probe(s: &Survivor<'_>) -> bool {
+    suffix::suffix_survives(
+        &s.x[s.seen_x..],
+        &s.y[s.seen_y..],
+        s.alpha.saturating_sub(s.overlap),
+    )
+}
+
+/// Suffix filter against the early-terminating merge it is meant to save,
+/// on the pairs the kernel would give it. This is the measurement behind
+/// `setsim::suffix::MIN_PROBE_TOKENS` (the table is in its doc comment):
+/// per pruned pair the probe costs 1.4–2.7× the saved merge on 8–12-token
+/// sets, draws level at 24–48 and is the cheaper one at 64–128, which puts
+/// the gate at 128 combined suffix tokens.
+fn bench_suffix_vs_merge(c: &mut Criterion) {
+    let short: Vec<(u64, Vec<u32>)> = zipf_corpus(3000)
+        .into_iter()
+        .filter(|(_, s)| (8..=12).contains(&s.len()))
+        .collect();
+    let mid = long_corpus(1500, 24, 48);
+    let long = long_corpus(1500, 64, 128);
+    for (name, sets, tau) in [
+        ("short_8_12_tau05", &short, 0.5),
+        ("short_8_12_tau08", &short, 0.8),
+        ("mid_24_48_tau05", &mid, 0.5),
+        ("mid_24_48_tau08", &mid, 0.8),
+        ("long_64_128_tau05", &long, 0.5),
+        ("long_64_128_tau08", &long, 0.8),
+    ] {
+        let t = Threshold::jaccard(tau);
+        let pairs = positional_survivors(sets, &t);
+        let pruned = pairs.iter().filter(|s| !suffix_probe(s)).count();
+        let mut g = c.benchmark_group(format!(
+            "suffix_vs_merge/{name}/{}_pairs_{}_pruned",
+            pairs.len(),
+            pruned
+        ));
+        g.sample_size(20);
+        g.bench_function("merge", |b| {
+            b.iter(|| pairs.iter().filter(|s| merge(s)).count())
+        });
+        g.bench_function("suffix", |b| {
+            b.iter(|| pairs.iter().filter(|s| suffix_probe(s)).count())
+        });
+        g.bench_function("suffix_then_merge", |b| {
+            b.iter(|| pairs.iter().filter(|s| suffix_probe(s) && merge(s)).count())
+        });
+        // The filter can only save the merges of the pairs it prunes.
+        let doomed: Vec<&Survivor<'_>> = pairs.iter().filter(|s| !suffix_probe(s)).collect();
+        g.bench_function("merge_of_pruned", |b| {
+            b.iter(|| doomed.iter().filter(|s| merge(s)).count())
+        });
+        g.bench_function("suffix_of_pruned", |b| {
+            b.iter(|| doomed.iter().filter(|s| suffix_probe(s)).count())
+        });
+        g.finish();
+    }
 }
 
 fn bench_verify(c: &mut Criterion) {
@@ -101,6 +252,8 @@ fn bench_extensions(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
+    bench_zipf_lowtau,
+    bench_suffix_vs_merge,
     bench_verify,
     bench_codec,
     bench_extensions

@@ -20,11 +20,12 @@
 //! resident R block (map-based replicates S per block; reduce-based spills S
 //! once and re-reads it per block).
 
-use mapreduce::{Codec, Emit, Reducer, Result, TaskContext};
+use mapreduce::{Codec, Counter, Emit, Reducer, Result, TaskContext};
 use setsim::{verify_pair, Threshold};
 
 use crate::keys::{Projection, Stage2Key, KIND_LOAD, REL_S};
-use crate::stage2::reducers::{emit_pair, projection_bytes, GroupStats};
+use crate::stage2::reducers::{emit_pair, projection_bytes, GroupStats, KernelCounters};
+use crate::stage2::Named;
 
 /// Reducer for map-based block processing.
 #[derive(Clone)]
@@ -32,12 +33,17 @@ pub struct MapBlocksReducer {
     threshold: Threshold,
     /// R-S mode (false = self-join).
     rs: bool,
+    counters: KernelCounters,
 }
 
 impl MapBlocksReducer {
     /// Build for self-join or R-S mode.
     pub fn new(threshold: Threshold, rs: bool) -> Self {
-        MapBlocksReducer { threshold, rs }
+        MapBlocksReducer {
+            threshold,
+            rs,
+            counters: KernelCounters::new(),
+        }
     }
 }
 
@@ -74,9 +80,9 @@ impl Reducer for MapBlocksReducer {
                     if !self.rs && *o_rid == rid {
                         continue;
                     }
-                    stats.candidate(ctx);
+                    stats.candidate();
                     if let Some(sim) = verify_pair(&self.threshold, o_tokens, &tokens) {
-                        emit_pair(self.rs, *o_rid, rid, sim, out, ctx, &mut stats)?;
+                        emit_pair(self.rs, *o_rid, rid, sim, out, &mut stats)?;
                     }
                 }
             } else {
@@ -88,9 +94,9 @@ impl Reducer for MapBlocksReducer {
                         if *o_rid == rid {
                             continue;
                         }
-                        stats.candidate(ctx);
+                        stats.candidate();
                         if let Some(sim) = verify_pair(&self.threshold, o_tokens, &tokens) {
-                            emit_pair(false, *o_rid, rid, sim, out, ctx, &mut stats)?;
+                            emit_pair(false, *o_rid, rid, sim, out, &mut stats)?;
                         }
                     }
                 }
@@ -101,7 +107,7 @@ impl Reducer for MapBlocksReducer {
             }
         }
         ctx.memory().release(charged);
-        stats.finish(ctx);
+        stats.finish(&mut self.counters, ctx);
         Ok(())
     }
 }
@@ -112,22 +118,27 @@ pub struct ReduceBlocksReducer {
     threshold: Threshold,
     /// R-S mode (false = self-join).
     rs: bool,
+    counters: KernelCounters,
+    local_disk_bytes: Named<Counter>,
 }
 
 impl ReduceBlocksReducer {
     /// Build for self-join or R-S mode.
     pub fn new(threshold: Threshold, rs: bool) -> Self {
-        ReduceBlocksReducer { threshold, rs }
+        ReduceBlocksReducer {
+            threshold,
+            rs,
+            counters: KernelCounters::new(),
+            local_disk_bytes: Named::new("stage2.local_disk_bytes"),
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn join_against(
         &self,
         resident: &[Projection],
         rid: u64,
         tokens: &[u32],
         out: &mut dyn Emit<(u64, u64), f64>,
-        ctx: &TaskContext,
         stats: &mut GroupStats,
     ) -> Result<()> {
         for (o_rid, o_tokens) in resident {
@@ -136,9 +147,9 @@ impl ReduceBlocksReducer {
             if !self.rs && *o_rid == rid {
                 continue;
             }
-            stats.candidate(ctx);
+            stats.candidate();
             if let Some(sim) = verify_pair(&self.threshold, o_tokens, tokens) {
-                emit_pair(self.rs, *o_rid, rid, sim, out, ctx, stats)?;
+                emit_pair(self.rs, *o_rid, rid, sim, out, stats)?;
             }
         }
         Ok(())
@@ -153,12 +164,12 @@ struct SpillFile {
 }
 
 impl SpillFile {
-    fn write(&mut self, p: &Projection, ctx: &TaskContext) {
+    /// Append a projection; returns the bytes it took on disk.
+    fn write(&mut self, p: &Projection) -> u64 {
         let before = self.buf.len();
         p.encode(&mut self.buf);
         self.records += 1;
-        ctx.counter("stage2.local_disk_bytes")
-            .add((self.buf.len() - before) as u64);
+        (self.buf.len() - before) as u64
     }
 
     fn read_all(&self) -> Result<Vec<Projection>> {
@@ -192,12 +203,13 @@ impl Reducer for ReduceBlocksReducer {
         // Spilled R/self blocks by pass, in arrival (ascending) order.
         let mut spilled: Vec<(u32, SpillFile)> = Vec::new();
         let mut s_spill = SpillFile::default();
+        let mut disk_bytes = 0u64;
         for ((_, pass, _, _, rel), (rid, tokens)) in values {
             if self.rs && rel == REL_S {
                 // S streams against the resident block and is spilled for
                 // the later passes.
-                self.join_against(&resident, rid, &tokens, out, ctx, &mut stats)?;
-                s_spill.write(&(rid, tokens), ctx);
+                self.join_against(&resident, rid, &tokens, out, &mut stats)?;
+                disk_bytes += s_spill.write(&(rid, tokens));
                 continue;
             }
             if first_pass.is_none() {
@@ -206,7 +218,7 @@ impl Reducer for ReduceBlocksReducer {
             if Some(pass) == first_pass {
                 // Resident block: incremental self-join (self mode only).
                 if !self.rs {
-                    self.join_against(&resident, rid, &tokens, out, ctx, &mut stats)?;
+                    self.join_against(&resident, rid, &tokens, out, &mut stats)?;
                 }
                 let bytes = projection_bytes(&tokens);
                 ctx.memory().charge(bytes)?;
@@ -216,18 +228,19 @@ impl Reducer for ReduceBlocksReducer {
                 // Later block: join against the resident block (in R-S mode
                 // R records never join each other), then spill.
                 if !self.rs {
-                    self.join_against(&resident, rid, &tokens, out, ctx, &mut stats)?;
+                    self.join_against(&resident, rid, &tokens, out, &mut stats)?;
                 }
                 if spilled.last().map(|(p, _)| *p) != Some(pass) {
                     spilled.push((pass, SpillFile::default()));
                 }
-                spilled
+                disk_bytes += spilled
                     .last_mut()
                     .expect("just pushed")
                     .1
-                    .write(&(rid, tokens), ctx);
+                    .write(&(rid, tokens));
             }
         }
+        self.local_disk_bytes.get(ctx).add(disk_bytes);
         // ---- disk passes ----
         let s_records = if self.rs {
             s_spill.read_all()?
@@ -241,7 +254,7 @@ impl Reducer for ReduceBlocksReducer {
             // Load block i from disk, self-joining while loading.
             for (rid, tokens) in spilled[i].1.read_all()? {
                 if !self.rs {
-                    self.join_against(&resident, rid, &tokens, out, ctx, &mut stats)?;
+                    self.join_against(&resident, rid, &tokens, out, &mut stats)?;
                 }
                 let bytes = projection_bytes(&tokens);
                 ctx.memory().charge(bytes)?;
@@ -251,19 +264,19 @@ impl Reducer for ReduceBlocksReducer {
             if self.rs {
                 // Stream the whole spilled S partition against this block.
                 for (sid, s_tokens) in &s_records {
-                    self.join_against(&resident, *sid, s_tokens, out, ctx, &mut stats)?;
+                    self.join_against(&resident, *sid, s_tokens, out, &mut stats)?;
                 }
             } else {
                 // Stream the later blocks against this block.
                 for (_, file) in &spilled[i + 1..] {
                     for (rid, tokens) in file.read_all()? {
-                        self.join_against(&resident, rid, &tokens, out, ctx, &mut stats)?;
+                        self.join_against(&resident, rid, &tokens, out, &mut stats)?;
                     }
                 }
             }
         }
         ctx.memory().release(charged);
-        stats.finish(ctx);
+        stats.finish(&mut self.counters, ctx);
         Ok(())
     }
 }

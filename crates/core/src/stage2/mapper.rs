@@ -9,12 +9,13 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mapreduce::{stable_hash, Emit, Mapper, Result, TaskContext};
+use mapreduce::{stable_hash, Counter, Emit, Histogram, Mapper, Result, TaskContext};
 use setsim::{Threshold, TokenOrder};
 
 use crate::config::{BadRecordPolicy, RecordFormat, TokenRouting, TokenizerKind};
 use crate::keys::{routing_groups, Projection, Stage2Key, KIND_LOAD, KIND_STREAM, REL_R, REL_S};
 use crate::skew::SkewPlan;
+use crate::stage2::Named;
 use crate::tokenizer_cache::CachedTokenizer;
 
 /// How projections are replicated across block-processing passes.
@@ -52,6 +53,18 @@ pub struct ProjectionMapper {
     bad_records: BadRecordPolicy,
     skew: Arc<SkewPlan>,
     order: Option<Arc<TokenOrder>>,
+    counters: MapCounters,
+}
+
+/// The job counters the mapper bumps per record, held for the task.
+#[derive(Clone)]
+struct MapCounters {
+    projections: Named<Counter>,
+    empty_projections: Named<Counter>,
+    routed_pairs: Named<Counter>,
+    split_records: Named<Counter>,
+    split_emits: Named<Counter>,
+    replication_factor: Named<Histogram>,
 }
 
 impl ProjectionMapper {
@@ -79,6 +92,14 @@ impl ProjectionMapper {
             bad_records: BadRecordPolicy::Strict,
             skew: Arc::new(SkewPlan::empty()),
             order: None,
+            counters: MapCounters {
+                projections: Named::new("stage2.projections"),
+                empty_projections: Named::new("stage2.empty_projections"),
+                routed_pairs: Named::new("stage2.routed_pairs"),
+                split_records: Named::new("skew.split_records"),
+                split_emits: Named::new("skew.split_emits"),
+                replication_factor: Named::new("skew.replication_factor"),
+            },
         }
     }
 
@@ -110,7 +131,7 @@ impl ProjectionMapper {
     /// or length class — so both members of any candidate pair land in the
     /// bucket pair `(min(bx,by), max(bx,by))` and pair completeness holds
     /// in every emit mode, self-join and R-S alike.
-    fn route_groups(&self, ranks: &[u32], rid: u64, ctx: &TaskContext) -> BTreeSet<u32> {
+    fn route_groups(&mut self, ranks: &[u32], rid: u64, ctx: &TaskContext) -> BTreeSet<u32> {
         let base = self.groups_for(ranks);
         if self.skew.is_empty() {
             return base;
@@ -118,11 +139,15 @@ impl ProjectionMapper {
         let before = base.len();
         let (groups, hot) = self.skew.route(base, rid);
         if hot > 0 {
-            ctx.counter("skew.split_records").incr();
-            ctx.counter("skew.split_emits")
+            self.counters.split_records.get(ctx).incr();
+            self.counters
+                .split_emits
+                .get(ctx)
                 .add(groups.len().saturating_sub(before) as u64);
         }
-        ctx.histogram("skew.replication_factor")
+        self.counters
+            .replication_factor
+            .get(ctx)
             .record(groups.len() as f64 / before.max(1) as f64);
         groups
     }
@@ -172,7 +197,7 @@ impl Mapper for ProjectionMapper {
         // by `project`, as in the paper.
         let ranks = order.project(&tokens);
         if ranks.is_empty() {
-            ctx.counter("stage2.empty_projections").incr();
+            self.counters.empty_projections.get(ctx).incr();
             return Ok(());
         }
         let len = ranks.len() as u32;
@@ -185,30 +210,33 @@ impl Mapper for ProjectionMapper {
             len
         };
         let groups = self.route_groups(&ranks, rid, ctx);
-        ctx.counter("stage2.projections").incr();
+        self.counters.projections.get(ctx).incr();
+        // Tallied here and added once: the counter is shared by every map
+        // task of the job.
+        let mut routed = 0u64;
         for g in groups {
             match self.emit_mode {
                 EmitMode::Plain => {
                     out.emit((g, 0, KIND_LOAD, class, rel), (rid, ranks.clone()))?;
-                    ctx.counter("stage2.routed_pairs").incr();
+                    routed += 1;
                 }
                 EmitMode::MapBlocks { blocks } => {
                     let b = (stable_hash(&rid) % u64::from(blocks.max(1))) as u32;
                     if rel == REL_R {
                         out.emit((g, b, KIND_LOAD, class, rel), (rid, ranks.clone()))?;
-                        ctx.counter("stage2.routed_pairs").incr();
+                        routed += 1;
                         if self.s_path.is_none() {
                             // Self-join: stream against every earlier block.
                             for pass in 0..b {
                                 out.emit((g, pass, KIND_STREAM, class, rel), (rid, ranks.clone()))?;
-                                ctx.counter("stage2.routed_pairs").incr();
+                                routed += 1;
                             }
                         }
                     } else {
                         // S records stream against every R block.
                         for pass in 0..blocks.max(1) {
                             out.emit((g, pass, KIND_STREAM, class, rel), (rid, ranks.clone()))?;
-                            ctx.counter("stage2.routed_pairs").incr();
+                            routed += 1;
                         }
                     }
                 }
@@ -220,10 +248,11 @@ impl Mapper for ProjectionMapper {
                         (stable_hash(&rid) % u64::from(blocks.max(1))) as u32
                     };
                     out.emit((g, pass, KIND_LOAD, class, rel), (rid, ranks.clone()))?;
-                    ctx.counter("stage2.routed_pairs").incr();
+                    routed += 1;
                 }
             }
         }
+        self.counters.routed_pairs.get(ctx).add(routed);
         Ok(())
     }
 }

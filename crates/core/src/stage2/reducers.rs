@@ -1,9 +1,10 @@
 //! Stage-2 reducers: the Basic Kernel (BK) and the PPJoin+ Kernel (PK).
 
-use mapreduce::{Emit, Reducer, Result, TaskContext};
-use setsim::{verify_pair, FilterConfig, PpjoinIndex, Threshold};
+use mapreduce::{Counter, Emit, Histogram, Reducer, Result, TaskContext};
+use setsim::{verify_pair, FilterConfig, Funnel, PpjoinIndex, Threshold};
 
 use crate::keys::{Projection, Stage2Key, REL_S};
+use crate::stage2::Named;
 
 /// Histogram: candidate pairs examined per reduce group (after the prefix
 /// filter, before verification). Percentiles expose join-key skew.
@@ -11,13 +12,60 @@ pub const HIST_CANDIDATES_PER_GROUP: &str = "stage2.group.candidates";
 /// Histogram: verified pairs emitted per reduce group.
 pub const HIST_SURVIVORS_PER_GROUP: &str = "stage2.group.survivors";
 
+/// Counters of the PK kernel's filter funnel, in the order of
+/// [`setsim::Funnel`]'s fields. All but `suffix_calls` form a chain, each
+/// at most the one before; `verified` equals `stage2.pairs_emitted`.
+pub const FUNNEL_COUNTERS: [&str; 6] = [
+    "stage2.funnel.postings",
+    "stage2.funnel.candidates",
+    "stage2.funnel.positional",
+    "stage2.funnel.suffix_calls",
+    "stage2.funnel.suffix",
+    "stage2.funnel.verified",
+];
+
+/// A funnel's figures in the order of [`FUNNEL_COUNTERS`].
+fn funnel_steps(f: &Funnel) -> [u64; 6] {
+    [
+        f.postings,
+        f.candidates,
+        f.positional,
+        f.suffix_calls,
+        f.suffix,
+        f.verified,
+    ]
+}
+
 /// Bytes charged for a buffered projection.
 pub(crate) fn projection_bytes(tokens: &[u32]) -> u64 {
     tokens.len() as u64 * 4 + 48
 }
 
-/// Per-reduce-group kernel statistics, recorded into the job histograms at
-/// group end so skewed groups show up in the p95/p99 of the run report.
+/// The job-wide counters and histograms every stage-2 kernel feeds, held by
+/// the reducer for the life of its task.
+#[derive(Clone)]
+pub(crate) struct KernelCounters {
+    candidates: Named<Counter>,
+    pairs_emitted: Named<Counter>,
+    group_candidates: Named<Histogram>,
+    group_survivors: Named<Histogram>,
+}
+
+impl KernelCounters {
+    pub(crate) fn new() -> Self {
+        KernelCounters {
+            candidates: Named::new("stage2.candidates"),
+            pairs_emitted: Named::new("stage2.pairs_emitted"),
+            group_candidates: Named::new(HIST_CANDIDATES_PER_GROUP),
+            group_survivors: Named::new(HIST_SURVIVORS_PER_GROUP),
+        }
+    }
+}
+
+/// Per-reduce-group kernel statistics: plain tallies while the group runs,
+/// added to the job counters and recorded into the job histograms at group
+/// end, so skewed groups show up in the p95/p99 of the run report and the
+/// per-pair loops touch no shared state.
 #[derive(Default)]
 pub(crate) struct GroupStats {
     candidates: u64,
@@ -30,23 +78,27 @@ impl GroupStats {
     }
 
     /// Count one candidate pair reaching verification.
-    pub(crate) fn candidate(&mut self, ctx: &TaskContext) {
+    pub(crate) fn candidate(&mut self) {
         self.candidates += 1;
-        ctx.counter("stage2.candidates").incr();
     }
 
     /// Count candidates accumulated elsewhere (e.g. inside the PPJoin+
     /// index) in one step.
-    pub(crate) fn add_candidates(&mut self, n: u64, ctx: &TaskContext) {
+    pub(crate) fn add_candidates(&mut self, n: u64) {
         self.candidates += n;
-        ctx.counter("stage2.candidates").add(n);
     }
 
-    /// Record this group's totals into the task histograms.
-    pub(crate) fn finish(&self, ctx: &TaskContext) {
-        ctx.histogram(HIST_CANDIDATES_PER_GROUP)
+    /// Add this group's totals to the task's counters and histograms.
+    pub(crate) fn finish(&self, counters: &mut KernelCounters, ctx: &TaskContext) {
+        counters.candidates.get(ctx).add(self.candidates);
+        counters.pairs_emitted.get(ctx).add(self.survivors);
+        counters
+            .group_candidates
+            .get(ctx)
             .record_count(self.candidates);
-        ctx.histogram(HIST_SURVIVORS_PER_GROUP)
+        counters
+            .group_survivors
+            .get(ctx)
             .record_count(self.survivors);
     }
 }
@@ -58,10 +110,8 @@ pub(crate) fn emit_pair(
     b: u64,
     sim: f64,
     out: &mut dyn Emit<(u64, u64), f64>,
-    ctx: &TaskContext,
     stats: &mut GroupStats,
 ) -> Result<()> {
-    ctx.counter("stage2.pairs_emitted").incr();
     stats.survivors += 1;
     if rs {
         out.emit((a, b), sim)
@@ -80,12 +130,17 @@ pub struct BkReducer {
     threshold: Threshold,
     /// R-S mode (false = self-join).
     rs: bool,
+    counters: KernelCounters,
 }
 
 impl BkReducer {
     /// A BK reducer for self-joins or R-S joins.
     pub fn new(threshold: Threshold, rs: bool) -> Self {
-        BkReducer { threshold, rs }
+        BkReducer {
+            threshold,
+            rs,
+            counters: KernelCounters::new(),
+        }
     }
 }
 
@@ -109,9 +164,9 @@ impl Reducer for BkReducer {
             if self.rs && rel == REL_S {
                 // Stream S against the buffered R records.
                 for (r_rid, r_tokens) in &buffer {
-                    stats.candidate(ctx);
+                    stats.candidate();
                     if let Some(sim) = verify_pair(&self.threshold, r_tokens, &tokens) {
-                        emit_pair(true, *r_rid, rid, sim, out, ctx, &mut stats)?;
+                        emit_pair(true, *r_rid, rid, sim, out, &mut stats)?;
                     }
                 }
             } else {
@@ -120,9 +175,9 @@ impl Reducer for BkReducer {
                         if *o_rid == rid {
                             continue;
                         }
-                        stats.candidate(ctx);
+                        stats.candidate();
                         if let Some(sim) = verify_pair(&self.threshold, o_tokens, &tokens) {
-                            emit_pair(false, *o_rid, rid, sim, out, ctx, &mut stats)?;
+                            emit_pair(false, *o_rid, rid, sim, out, &mut stats)?;
                         }
                     }
                 }
@@ -133,7 +188,7 @@ impl Reducer for BkReducer {
             }
         }
         ctx.memory().release(charged);
-        stats.finish(ctx);
+        stats.finish(&mut self.counters, ctx);
         Ok(())
     }
 }
@@ -143,19 +198,28 @@ impl Reducer for BkReducer {
 /// length order, so the index evicts by the length filter as it goes.
 #[derive(Clone)]
 pub struct PkReducer {
-    threshold: Threshold,
-    filters: FilterConfig,
+    /// One index per reduce task, reset at the start of every group.
+    index: PpjoinIndex,
     /// R-S mode (false = self-join).
     rs: bool,
+    counters: KernelCounters,
+    index_peak_bytes: Named<Counter>,
+    funnel: [Named<Counter>; 6],
 }
 
 impl PkReducer {
     /// A PK reducer for self-joins or R-S joins.
     pub fn new(threshold: Threshold, filters: FilterConfig, rs: bool) -> Self {
         PkReducer {
-            threshold,
-            filters,
+            index: if rs {
+                PpjoinIndex::for_rs(threshold, filters)
+            } else {
+                PpjoinIndex::new(threshold, filters)
+            },
             rs,
+            counters: KernelCounters::new(),
+            index_peak_bytes: Named::new("stage2.index_peak_bytes"),
+            funnel: FUNNEL_COUNTERS.map(Named::new),
         }
     }
 }
@@ -173,38 +237,40 @@ impl Reducer for PkReducer {
         out: &mut dyn Emit<(u64, u64), f64>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        let mut index = if self.rs {
-            PpjoinIndex::for_rs(self.threshold, self.filters)
-        } else {
-            PpjoinIndex::new(self.threshold, self.filters)
-        };
+        // At the start rather than the end: a group that failed half way
+        // must not leak its records into the next one.
+        self.index.reset();
         let mut charged = 0u64;
         let mut stats = GroupStats::new();
         for ((_, _, _, _, rel), (rid, tokens)) in values {
             if self.rs && rel == REL_S {
-                for m in index.probe(&tokens) {
-                    emit_pair(true, m.rid, rid, m.sim, out, ctx, &mut stats)?;
+                for m in self.index.probe(&tokens) {
+                    emit_pair(true, m.rid, rid, m.sim, out, &mut stats)?;
                 }
             } else {
                 if !self.rs {
-                    for m in index.probe(&tokens) {
-                        emit_pair(false, m.rid, rid, m.sim, out, ctx, &mut stats)?;
+                    for m in self.index.probe(&tokens) {
+                        emit_pair(false, m.rid, rid, m.sim, out, &mut stats)?;
                     }
                 }
-                index.insert(rid, tokens);
+                self.index.insert(rid, tokens);
                 // Charge the index's footprint growth; eviction shrinks it,
                 // so only charge positive deltas and track the high water.
-                let now = index.approx_bytes();
+                let now = self.index.approx_bytes();
                 if now > charged {
                     ctx.memory().charge(now - charged)?;
                     charged = now;
                 }
             }
         }
-        ctx.counter("stage2.index_peak_bytes").add(charged);
+        self.index_peak_bytes.get(ctx).add(charged);
         ctx.memory().release(charged);
-        stats.add_candidates(index.candidates_examined(), ctx);
-        stats.finish(ctx);
+        let funnel = self.index.funnel();
+        for (counter, n) in self.funnel.iter_mut().zip(funnel_steps(&funnel)) {
+            counter.get(ctx).add(n);
+        }
+        stats.add_candidates(funnel.candidates);
+        stats.finish(&mut self.counters, ctx);
         Ok(())
     }
 }

@@ -357,6 +357,43 @@ fn metrics_expose_stage_breakdown() {
 }
 
 #[test]
+fn pk_funnel_narrows_down_to_the_emitted_pairs() {
+    let lines = corpus(17, 400);
+    for routing in [
+        TokenRouting::Individual,
+        TokenRouting::Grouped { groups: 4 },
+    ] {
+        let c = cluster(3);
+        c.dfs().write_text("/records", &lines).unwrap();
+        let config = JoinConfig {
+            threshold: Threshold::jaccard(0.6),
+            routing,
+            ..JoinConfig::recommended()
+        };
+        let outcome = self_join(&c, "/records", "/work", &config).unwrap();
+        let job = &outcome.stage2.jobs[0];
+        let [postings, candidates, positional, suffix_calls, suffix, verified] =
+            fuzzyjoin::stage2::reducers::FUNNEL_COUNTERS.map(|name| job.counter(name));
+        let chain = [postings, candidates, positional, suffix, verified];
+        assert!(chain.windows(2).all(|w| w[0] >= w[1]), "{chain:?}");
+        assert!(suffix_calls <= positional);
+        assert!(verified > 0 && postings > verified, "{chain:?}");
+        assert_eq!(candidates, job.counter("stage2.candidates"));
+        assert_eq!(verified, job.counter("stage2.pairs_emitted"));
+        assert_eq!(
+            verified,
+            c.dfs().read_text(&outcome.ridpairs_path).unwrap().len() as u64,
+            "one stage-2 output line per verified pair"
+        );
+        // The run report carries them with every other job counter.
+        let report = fuzzyjoin::report::run_report(&outcome, &config, None).to_string();
+        for name in fuzzyjoin::stage2::reducers::FUNNEL_COUNTERS {
+            assert!(report.contains(name), "{name} missing from the report");
+        }
+    }
+}
+
+#[test]
 fn empty_input_produces_empty_output() {
     let c = cluster(2);
     c.dfs()

@@ -59,7 +59,7 @@ pub use edit::{edit_self_join, levenshtein, levenshtein_within};
 pub use measure::{SimFunction, Threshold, TokenSet};
 pub use minhash::{lsh_self_join, LshParams, MinHasher};
 pub use naive::Record;
-pub use ppjoin::{FilterConfig, Match, PpjoinIndex};
+pub use ppjoin::{FilterConfig, Funnel, Match, PpjoinIndex};
 pub use sketch::{Estimate, SpaceSaving};
 pub use tokenize::{DedupMode, QGramTokenizer, Tokenizer, WordTokenizer};
 pub use verify::{intersection_size, overlap_at_least, verify_pair};

@@ -52,7 +52,7 @@ pub fn indexed_rs_join(
         let max_r_len = t.upper_bound(y.len());
         while next_r < r_sorted.len() && r_sorted[next_r].1.len() <= max_r_len {
             let (rid, x) = r_sorted[next_r];
-            index.insert(*rid, x.clone());
+            index.insert(*rid, x);
             next_r += 1;
         }
         for m in index.probe(y) {

@@ -353,3 +353,251 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The PPJoin(+) index against the oracle on a fixed grid
+// ---------------------------------------------------------------------------
+
+mod index_grid {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use setsim::{naive, ppjoin, rs, FilterConfig, Match, PpjoinIndex, Record, Threshold};
+
+    const FILTERS: [fn() -> FilterConfig; 3] = [
+        FilterConfig::prefix_only,
+        FilterConfig::ppjoin,
+        FilterConfig::ppjoin_plus,
+    ];
+
+    /// Every measure at τ ∈ {0.5, 0.6, 0.8, 0.9, 1.0}; the overlap measure
+    /// takes a token count instead.
+    fn thresholds() -> Vec<Threshold> {
+        let mut out = Vec::new();
+        for tau in [0.5, 0.6, 0.8, 0.9, 1.0] {
+            out.push(Threshold::jaccard(tau));
+            out.push(Threshold::cosine(tau));
+            out.push(Threshold::dice(tau));
+        }
+        out.extend([1, 2, 4, 8].map(Threshold::overlap));
+        out
+    }
+
+    /// `n` random sets of `lens` tokens each over `0..universe`, RIDs from
+    /// `first_rid`. A third of them are near-copies of an earlier set, so
+    /// that high thresholds have pairs to find.
+    fn corpus(
+        rng: &mut StdRng,
+        n: usize,
+        lens: std::ops::RangeInclusive<usize>,
+        universe: u32,
+        first_rid: u64,
+    ) -> Vec<Record> {
+        let mut out: Vec<Record> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut set = std::collections::BTreeSet::new();
+            if i > 0 && rng.random_bool(0.33) {
+                set.extend(out[rng.random_range(0..i)].1.iter().copied());
+                for _ in 0..rng.random_range(0..=2usize) {
+                    let victim = *set.iter().nth(rng.random_range(0..set.len())).unwrap();
+                    set.remove(&victim);
+                    set.insert(rng.random_range(0..universe));
+                }
+            } else {
+                let len = rng.random_range(lens.clone());
+                while set.len() < len {
+                    set.insert(rng.random_range(0..universe));
+                }
+            }
+            out.push((first_rid + i as u64, set.into_iter().collect()));
+        }
+        out
+    }
+
+    fn ids(pairs: &[(u64, u64, f64)]) -> Vec<(u64, u64)> {
+        pairs.iter().map(|(a, b, _)| (*a, *b)).collect()
+    }
+
+    fn assert_same(got: &[(u64, u64, f64)], expected: &[(u64, u64, f64)], what: &str) {
+        assert_eq!(ids(got), ids(expected), "{what}");
+        for (g, e) in got.iter().zip(expected) {
+            assert!((g.2 - e.2).abs() < 1e-12, "{what}: similarity of {g:?}");
+        }
+    }
+
+    #[test]
+    fn self_join_equals_naive_on_the_grid() {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(0x5e1f + seed);
+            // Short sets, and sets long enough for the suffix filter to run.
+            let mut records = corpus(&mut rng, 40, 1..=12, 40, 0);
+            records.extend(corpus(&mut rng, 20, 64..=110, 400, 1000));
+            for t in thresholds() {
+                let expected = naive::self_join(&records, &t);
+                for filters in FILTERS {
+                    let got = ppjoin::self_join(&records, &t, filters());
+                    assert_same(
+                        &got,
+                        &expected,
+                        &format!("seed={seed} {t:?} {:?}", filters()),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rs_join_equals_naive_with_shorter_and_longer_probes() {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(0x25 + seed);
+            let short = corpus(&mut rng, 30, 1..=8, 30, 0);
+            let long = corpus(&mut rng, 30, 6..=20, 30, 1000);
+            let mixed = corpus(&mut rng, 30, 1..=20, 30, 2000);
+            // Probes (S) shorter than the indexed side (R), longer, and both.
+            for (r, s) in [
+                (&long, &short),
+                (&short, &long),
+                (&mixed, &long),
+                (&long, &mixed),
+            ] {
+                for t in thresholds() {
+                    let expected = naive::rs_join(r, s, &t);
+                    for filters in FILTERS {
+                        let got = rs::indexed_rs_join(r, s, &t, filters());
+                        assert_same(
+                            &got,
+                            &expected,
+                            &format!("seed={seed} {t:?} {:?}", filters()),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Probe-then-insert `records` in length order, keeping every probe's
+    /// matches.
+    fn stream(index: &mut PpjoinIndex, records: &[Record]) -> Vec<Vec<Match>> {
+        let mut sorted: Vec<&Record> = records.iter().collect();
+        sorted.sort_by_key(|(rid, tokens)| (tokens.len(), *rid));
+        sorted
+            .into_iter()
+            .map(|(rid, tokens)| {
+                let matches = index.probe(tokens);
+                index.insert(*rid, tokens);
+                matches
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reset_index_behaves_like_a_new_one() {
+        let mut rng = StdRng::seed_from_u64(0x7e5e7);
+        let first = corpus(&mut rng, 60, 1..=30, 50, 0);
+        let second = corpus(&mut rng, 60, 1..=12, 40, 500);
+        for t in [
+            Threshold::jaccard(0.5),
+            Threshold::cosine(0.8),
+            Threshold::overlap(2),
+        ] {
+            for filters in FILTERS {
+                let mut reused = PpjoinIndex::new(t, filters());
+                stream(&mut reused, &first);
+                assert!(reused.candidates_examined() > 0);
+                reused.reset();
+                assert_eq!(reused.live_records(), 0);
+                let mut fresh = PpjoinIndex::new(t, filters());
+                assert_eq!(reused.approx_bytes(), fresh.approx_bytes());
+                assert_eq!(stream(&mut reused, &second), stream(&mut fresh, &second));
+                assert_eq!(reused.candidates_examined(), fresh.candidates_examined());
+                assert_eq!(reused.funnel(), fresh.funnel());
+                assert_eq!(reused.approx_bytes(), fresh.approx_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn matches_come_in_insertion_order() {
+        let mut rng = StdRng::seed_from_u64(0x04de4);
+        let records = corpus(&mut rng, 80, 4..=10, 24, 0);
+        let t = Threshold::jaccard(0.5);
+        let mut index = PpjoinIndex::new(t, FilterConfig::ppjoin_plus());
+        let mut sorted: Vec<&Record> = records.iter().collect();
+        // RIDs descend along the stream, so insertion order is not RID order.
+        sorted.sort_by_key(|(rid, tokens)| (tokens.len(), std::cmp::Reverse(*rid)));
+        let mut inserted: Vec<u64> = Vec::new();
+        let mut multi = 0;
+        for (rid, tokens) in sorted {
+            let matches = index.probe(tokens);
+            let position = |m: &Match| inserted.iter().position(|r| *r == m.rid).unwrap();
+            assert!(matches
+                .windows(2)
+                .all(|w| position(&w[0]) < position(&w[1])));
+            multi += usize::from(matches.len() > 1);
+            index.insert(*rid, tokens);
+            inserted.push(*rid);
+        }
+        assert!(multi > 0, "some probe must return several matches");
+    }
+
+    fn funnel_of(records: &[Record], t: &Threshold, filters: FilterConfig) -> setsim::Funnel {
+        let mut index = PpjoinIndex::new(*t, filters);
+        stream(&mut index, records);
+        index.funnel()
+    }
+
+    #[test]
+    fn suffix_filter_runs_on_long_records_only() {
+        let mut rng = StdRng::seed_from_u64(0x50ff1);
+        let t = Threshold::jaccard(0.6);
+
+        let long = corpus(&mut rng, 120, 100..=160, 260, 0);
+        assert!(long.iter().all(|(_, tokens)| tokens.len() >= 64));
+        let with = funnel_of(&long, &t, FilterConfig::ppjoin_plus());
+        let without = funnel_of(&long, &t, FilterConfig::ppjoin());
+        assert!(with.suffix_calls > 0, "the suffix filter must still fire");
+        assert!(with.suffix < with.positional, "and prune: {with:?}");
+        assert_eq!(without.suffix_calls, 0);
+        assert_eq!(without.suffix, without.positional);
+        assert_eq!(with.verified, without.verified);
+        assert_same(
+            &ppjoin::self_join(&long, &t, FilterConfig::ppjoin_plus()),
+            &naive::self_join(&long, &t),
+            "long records",
+        );
+
+        // Short records skip it: switching it on changes nothing at all.
+        let short = corpus(&mut rng, 200, 6..=12, 40, 0);
+        let with = funnel_of(&short, &t, FilterConfig::ppjoin_plus());
+        assert!(
+            with.positional > with.verified,
+            "there was something to prune"
+        );
+        assert_eq!(with.suffix_calls, 0);
+        assert_eq!(with, funnel_of(&short, &t, FilterConfig::ppjoin()));
+        let mut on = PpjoinIndex::new(t, FilterConfig::ppjoin_plus());
+        let mut off = PpjoinIndex::new(t, FilterConfig::ppjoin());
+        assert_eq!(stream(&mut on, &short), stream(&mut off, &short));
+    }
+
+    #[test]
+    fn funnel_narrows_step_by_step() {
+        let mut rng = StdRng::seed_from_u64(0xf0e1);
+        let mut records = corpus(&mut rng, 150, 4..=14, 40, 0);
+        records.extend(corpus(&mut rng, 60, 100..=140, 240, 1000));
+        for t in [
+            Threshold::jaccard(0.5),
+            Threshold::jaccard(0.8),
+            Threshold::dice(0.7),
+        ] {
+            for filters in FILTERS {
+                let f = funnel_of(&records, &t, filters());
+                let chain = [f.postings, f.candidates, f.positional, f.suffix, f.verified];
+                assert!(chain.windows(2).all(|w| w[0] >= w[1]), "{f:?}");
+                assert!(f.suffix_calls <= f.positional, "{f:?}");
+                assert!(f.verified > 0 && f.postings > f.verified, "{f:?}");
+                let pairs = ppjoin::self_join(&records, &t, filters());
+                assert_eq!(f.verified, pairs.len() as u64, "every match is one pair");
+            }
+        }
+    }
+}
