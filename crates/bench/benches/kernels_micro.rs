@@ -1,8 +1,10 @@
 //! Microbenchmarks of the single-node kernels underneath stage 2: naive vs
 //! All-Pairs vs PPJoin vs PPJoin+, plus the verification and codec hot
 //! paths. These are the ablations DESIGN.md calls out for the filter stack.
+//! `dfs_integrity` is the odd one out: the DFS's checksummed write and read
+//! paths, which every byte of every job crosses.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datagen::{DataRecord, GeneratorConfig};
 use setsim::{
     allpairs, intersection_size, naive, overlap_at_least, ppjoin, suffix, FilterConfig, Threshold,
@@ -228,6 +230,41 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+/// What the checksum costs where the pipeline pays it: a 16 MiB text file
+/// written (CRC over every byte), verified (CRC again) and split for the map
+/// phase (CRC again, then one `BlockSplit` per block), all through the
+/// public `Dfs` API on the in-memory store.
+fn bench_dfs_integrity(c: &mut Criterion) {
+    use mapreduce::Dfs;
+    let mut budget = 16usize << 20;
+    let lines: Vec<String> = datagen::to_lines(&datagen::dblp(200_000, 7))
+        .into_iter()
+        .take_while(|line| {
+            budget = budget.saturating_sub(line.len() + 1);
+            budget > 0
+        })
+        .collect();
+    let dfs = Dfs::new(10, 4 << 20);
+    dfs.write_text("/bench/in", &lines).expect("write");
+    let bytes = dfs.file_len("/bench/in").expect("stat");
+    let mut g = c.benchmark_group("dfs_integrity");
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(bytes));
+    g.bench_function("write_text", |b| {
+        b.iter_with_setup(
+            || dfs.delete_prefix("/bench/out"),
+            |_| dfs.write_text("/bench/out", &lines).expect("write"),
+        )
+    });
+    g.bench_function("verify", |b| {
+        b.iter(|| dfs.verify("/bench/in").expect("verify"))
+    });
+    g.bench_function("splits", |b| {
+        b.iter(|| dfs.splits("/bench/in").expect("splits"))
+    });
+    g.finish();
+}
+
 fn bench_extensions(c: &mut Criterion) {
     // Edit-distance join (footnote 1) and the LSH partial-answer
     // alternative (related work), at matched corpus scale.
@@ -256,6 +293,7 @@ criterion_group!(
     bench_suffix_vs_merge,
     bench_verify,
     bench_codec,
+    bench_dfs_integrity,
     bench_extensions
 );
 criterion_main!(benches);

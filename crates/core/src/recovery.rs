@@ -132,9 +132,10 @@ impl Recovery {
 /// Fingerprint of a job's identity: its name, the stage's relevant config
 /// (a caller-built tag), and each input's files by `(path, len, CRC)`.
 ///
-/// Using the *stored* CRC (not a re-read) keeps this cheap, and
-/// [`Dfs`] verifies bytes against that CRC on every read anyway, so a
-/// fingerprint match plus readable inputs implies matching content.
+/// Length and *stored* CRC come from one header-only [`Dfs::stat`] per
+/// file — no payload is read — which keeps this cheap, and [`Dfs`] verifies
+/// bytes against that CRC on every read anyway, so a fingerprint match plus
+/// readable inputs implies matching content.
 pub fn job_fingerprint(dfs: &Dfs, job_name: &str, inputs: &[&str], config_tag: &str) -> u64 {
     let mut fp = Fingerprint::new();
     fp.update(job_name.as_bytes());
@@ -148,8 +149,9 @@ pub fn job_fingerprint(dfs: &Dfs, job_name: &str, inputs: &[&str], config_tag: &
         fp.update_u64(files.len() as u64);
         for f in &files {
             fp.update(f.as_bytes());
-            fp.update_u64(dfs.file_len(f).unwrap_or(0));
-            fp.update_u64(u64::from(dfs.file_crc(f).unwrap_or(0)));
+            let (len, crc) = dfs.stat(f).map_or((0, 0), |s| (s.len, s.crc));
+            fp.update_u64(len);
+            fp.update_u64(u64::from(crc));
         }
     }
     fp.finish()
@@ -275,6 +277,39 @@ mod tests {
         c.dfs().delete("/in/part-00000").unwrap();
         c.dfs().write_text("/in/part-00000", ["a"]).unwrap();
         assert_eq!(base, job_fingerprint(c.dfs(), "j", &["/in"], "cfg"));
+    }
+
+    #[test]
+    fn fingerprint_and_manifest_take_metadata_from_the_header_alone() {
+        use mapreduce::{ManifestCheck, MrError};
+        let dfs = Dfs::new_temp_disk(2, 16).unwrap();
+        let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+        dfs.write_text("/out/part-00000", &lines).unwrap();
+        let fp = job_fingerprint(&dfs, "j", &["/out"], "cfg");
+        let manifest = JobManifest::collect(&dfs, "j", fp, "/out").unwrap();
+        assert_eq!(manifest.validate(&dfs, "/out", fp), ManifestCheck::Valid);
+
+        // Zero the payload in place, same length: neither the fingerprint
+        // nor `collect` reads it, so both still answer from the header.
+        let real = dfs.disk_root().unwrap().join("fs/out/part-00000");
+        let mut bytes = std::fs::read(&real).unwrap();
+        let header = bytes.len() - manifest.parts[0].len as usize;
+        bytes[header..].fill(0);
+        std::fs::write(&real, &bytes).unwrap();
+        assert_eq!(job_fingerprint(&dfs, "j", &["/out"], "cfg"), fp);
+        assert_eq!(
+            JobManifest::collect(&dfs, "j", fp, "/out").unwrap(),
+            manifest
+        );
+        // Everything that returns or vouches for bytes still reads them.
+        assert!(matches!(
+            dfs.verify("/out/part-00000"),
+            Err(MrError::ChecksumMismatch { expected, .. }) if expected == manifest.parts[0].crc
+        ));
+        assert_eq!(
+            manifest.validate(&dfs, "/out", fp),
+            ManifestCheck::ChecksumFailed("/out/part-00000".to_string())
+        );
     }
 
     #[test]

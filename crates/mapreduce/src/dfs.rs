@@ -18,12 +18,15 @@
 //! parts in name order.
 //!
 //! Every file carries a CRC-32 of its contents, computed when the file is
-//! finished and verified on every read (`read_text`, `read_seq`, `splits`)
-//! — the simulated equivalent of HDFS block checksums. A mismatch surfaces
-//! as [`MrError::ChecksumMismatch`]; corrupt data is never returned.
+//! finished and verified on every read (`read_text`, `read_seq`, `splits`,
+//! `verify`) — the simulated equivalent of HDFS block checksums. A mismatch
+//! surfaces as [`MrError::ChecksumMismatch`]; corrupt data is never
+//! returned. Metadata ([`Dfs::stat`] and what is built on it) comes from the
+//! file's header alone and never reads, or vouches for, the payload.
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -63,7 +66,36 @@ struct DfsFile {
     crc: u32,
 }
 
+/// One file's metadata as fixed at write time: what [`Dfs::stat`] reads
+/// from the header without touching the payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileStat {
+    /// What the file contains.
+    pub kind: FileKind,
+    /// File length in bytes.
+    pub len: u64,
+    /// The *stored* CRC-32 of the file's bytes (what commit manifests
+    /// record). Nothing here compares it against the data — every read
+    /// does, and so does [`Dfs::verify`].
+    pub crc: u32,
+    /// `(length, node)` of every block, in file order.
+    blocks: Vec<(u64, usize)>,
+}
+
 impl DfsFile {
+    fn stat(&self) -> FileStat {
+        FileStat {
+            kind: self.kind,
+            len: self.len,
+            crc: self.crc,
+            blocks: self
+                .blocks
+                .iter()
+                .map(|b| (b.data.len() as u64, b.node))
+                .collect(),
+        }
+    }
+
     fn data_crc(&self) -> u32 {
         let mut crc = Crc32::new();
         for b in &self.blocks {
@@ -86,10 +118,45 @@ impl DfsFile {
     }
 }
 
-/// Incremental CRC-32 (IEEE 802.3 polynomial, reflected), the checksum HDFS
-/// uses per block. Bitwise — no table — since files here are small and the
-/// check runs once per read.
+/// Incremental CRC-32 (IEEE 802.3 polynomial `0xEDB88320`, reflected, init
+/// and final XOR `0xFFFFFFFF`), the checksum HDFS uses per block. It runs
+/// over every byte of every DFS write, every DFS read and every spill run
+/// file, so it is table-driven: slicing-by-8 folds eight input bytes per
+/// step through [`CRC_TABLES`]. Values are those of the bit-at-a-time
+/// definition (kept as the test oracle), so stored CRCs never change.
 pub(crate) struct Crc32(u32);
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// eight bit-steps; `CRC_TABLES[k][b]` is the same byte followed by `k` zero
+/// bytes. XOR-ing the eight lookups for eight consecutive bytes is therefore
+/// the register after all eight, by linearity of the CRC over GF(2).
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
 impl Crc32 {
     pub(crate) fn new() -> Self {
@@ -97,13 +164,23 @@ impl Crc32 {
     }
 
     pub(crate) fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
         let mut crc = self.0;
-        for &byte in data {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in words.remainder() {
+            crc = t[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
         }
         self.0 = crc;
     }
@@ -296,6 +373,26 @@ impl DiskStore {
         decode_container(path, &bytes)
     }
 
+    /// Read a container's header only. Its length is known once it parses,
+    /// so start from a prefix that holds any ordinary block table and widen
+    /// it for as long as the parse fails short of the whole file.
+    fn stat(&self, path: &str) -> Result<FileStat> {
+        let mut f = fs::File::open(self.target_path(path)?).map_err(|e| io_fail(path, e))?;
+        let total = f.metadata().map_err(|e| io_fail(path, e))?.len();
+        let mut head = Vec::new();
+        let mut want = 4096u64;
+        loop {
+            f.by_ref()
+                .take(want - head.len() as u64)
+                .read_to_end(&mut head)
+                .map_err(|e| io_fail(path, e))?;
+            match decode_header(path, &head, total) {
+                Err(_) if head.len() as u64 == want && want < total => want *= 8,
+                parsed => return parsed.map(|(stat, _)| stat),
+            }
+        }
+    }
+
     /// Write a container file. Without `overwrite` the create is atomic and
     /// exclusive (temp write + hard link), preserving the in-memory store's
     /// create-or-`FileExists` semantics even across racing processes; with
@@ -396,10 +493,13 @@ fn encode_container(file: &DfsFile) -> Vec<u8> {
     out
 }
 
-/// Parse a container file. Structural damage (bad magic, truncated header,
-/// short payload) is a codec error; *payload* damage is intentionally left
-/// for the CRC check on read, exactly like the in-memory store.
-fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
+/// Parse the front of a container — magic, kind, CRC, length, block table —
+/// from `bytes`, which may be only a prefix of a container `total` bytes
+/// long. Returns the metadata and the header's own length. The header and
+/// the block lengths it lists must account for exactly `total` bytes, so a
+/// truncated or over-long container is structural damage (a codec error)
+/// whether or not anyone goes on to read the payload.
+fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<(FileStat, usize)> {
     let corrupt = |why: &str| MrError::Codec(format!("corrupt DFS container {path}: {why}"));
     if bytes.len() < CONTAINER_MAGIC.len() || &bytes[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
         return Err(corrupt("bad magic"));
@@ -413,40 +513,63 @@ fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
     let crc = u32::decode(&mut r)?;
     let len = u64::decode(&mut r)?;
     let n_blocks = read_varint(&mut r)?;
-    // Bound the table by what the input can hold (2 bytes minimum per
+    // Bound the table by what the container can hold (2 bytes minimum per
     // entry) before any allocation — same discipline as the codec layer.
-    if n_blocks > (r.remaining() as u64) / 2 {
+    let consumed = (CONTAINER_MAGIC.len() + r.position()) as u64;
+    if n_blocks > total.saturating_sub(consumed) / 2 {
         return Err(corrupt("block table longer than file"));
     }
-    let mut table = Vec::with_capacity(n_blocks as usize);
+    let mut blocks = Vec::with_capacity((n_blocks as usize).min(r.remaining() / 2));
+    let mut payload = 0u64;
     for _ in 0..n_blocks {
         let blen = read_varint(&mut r)?;
         let node = read_varint(&mut r)?;
-        table.push((blen, node as usize));
+        payload = payload
+            .checked_add(blen)
+            .ok_or_else(|| corrupt("block length overflow"))?;
+        blocks.push((blen, node as usize));
     }
-    let mut blocks = Vec::with_capacity(table.len());
+    let header_len = CONTAINER_MAGIC.len() + r.position();
+    match (header_len as u64).checked_add(payload) {
+        Some(size) if size == total => {}
+        Some(size) if size < total => return Err(corrupt("trailing bytes after payload")),
+        _ => return Err(corrupt("payload shorter than block table")),
+    }
+    Ok((
+        FileStat {
+            kind,
+            len,
+            crc,
+            blocks,
+        },
+        header_len,
+    ))
+}
+
+/// Parse a container file. Structural damage (bad magic, truncated header,
+/// short payload) is a codec error; *payload* damage is intentionally left
+/// for the CRC check on read, exactly like the in-memory store.
+fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
+    let (stat, header_len) = decode_header(path, bytes, bytes.len() as u64)?;
+    let mut blocks = Vec::with_capacity(stat.blocks.len());
+    let mut payload = &bytes[header_len..];
     let mut offset = 0u64;
-    for (blen, node) in table {
-        let blen = usize::try_from(blen).map_err(|_| corrupt("block length overflow"))?;
-        if blen > r.remaining() {
-            return Err(corrupt("payload shorter than block table"));
-        }
-        let data = r.take(blen)?;
+    for &(blen, node) in &stat.blocks {
+        // The header's size check bounds every block by `payload`.
+        let (data, rest) = payload.split_at(blen as usize);
         blocks.push(Block {
-            data: Bytes::from(data.to_vec()),
+            data: Bytes::copy_from_slice(data),
             node,
             offset,
         });
-        offset += blen as u64;
-    }
-    if !r.is_empty() {
-        return Err(corrupt("trailing bytes after payload"));
+        payload = rest;
+        offset += blen;
     }
     Ok(DfsFile {
-        kind,
+        kind: stat.kind,
         blocks,
-        len,
-        crc,
+        len: stat.len,
+        crc: stat.crc,
     })
 }
 
@@ -642,6 +765,18 @@ impl Dfs {
         self.next_node.fetch_add(1, Ordering::Relaxed) % self.nodes
     }
 
+    /// Draw the injected `eio` fault for a disk read of `path` — payload
+    /// and header-only reads alike.
+    fn read_fault(&self, path: &str) -> Result<()> {
+        match &self.faults {
+            Some(f) if f.eio("read", path) => Err(MrError::StorageIo {
+                path: path.to_string(),
+                op: "read".to_string(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Fetch one file's metadata and bytes, whichever store holds them.
     fn load(&self, path: &str) -> Result<DfsFile> {
         match &*self.store {
@@ -652,15 +787,29 @@ impl Dfs {
                 .cloned()
                 .ok_or_else(|| MrError::FileNotFound(path.to_string())),
             Store::Disk(d) => {
-                if let Some(f) = &self.faults {
-                    if f.eio("read", path) {
-                        return Err(MrError::StorageIo {
-                            path: path.to_string(),
-                            op: "read".to_string(),
-                        });
-                    }
-                }
+                self.read_fault(path)?;
                 d.load(path)
+            }
+        }
+    }
+
+    /// Metadata of a single file: kind, length, stored CRC and block
+    /// table. On the disk store this reads the container's header only —
+    /// never the payload — and checks the header against the on-disk size,
+    /// so a truncated or over-long container still fails as corrupt.
+    /// Payload damage is *not* seen here: that is what every read and
+    /// [`Dfs::verify`] are for.
+    pub fn stat(&self, path: &str) -> Result<FileStat> {
+        match &*self.store {
+            Store::Mem(inner) => inner
+                .read()
+                .files
+                .get(path)
+                .map(DfsFile::stat)
+                .ok_or_else(|| MrError::FileNotFound(path.to_string())),
+            Store::Disk(d) => {
+                self.read_fault(path)?;
+                d.stat(path)
             }
         }
     }
@@ -803,21 +952,23 @@ impl Dfs {
             .collect()
     }
 
-    /// Length of a single file in bytes.
+    /// Length of a single file in bytes, from its header ([`Dfs::stat`]).
     pub fn file_len(&self, path: &str) -> Result<u64> {
-        self.load(path).map(|f| f.len)
+        self.stat(path).map(|s| s.len)
     }
 
-    /// CRC-32 recorded when `path` was written. This is the *stored*
-    /// checksum (what commit manifests record); it does not compare against
-    /// the data — use [`Dfs::verify`] to check the bytes against it.
+    /// CRC-32 recorded when `path` was written, from its header
+    /// ([`Dfs::stat`]): the *stored* checksum, which is what commit
+    /// manifests record. No payload byte is read, so this says nothing
+    /// about the data — use [`Dfs::verify`] to check the bytes against it.
     pub fn file_crc(&self, path: &str) -> Result<u32> {
-        self.load(path).map(|f| f.crc)
+        self.stat(path).map(|s| s.crc)
     }
 
-    /// Re-read `path`'s bytes and compare against the stored CRC, exactly
-    /// as every read does. Returns [`MrError::ChecksumMismatch`] on
-    /// corruption.
+    /// Read every payload byte of `path` and compare its CRC-32 against
+    /// the stored one, exactly as `read_text`, `read_seq` and `splits` do
+    /// before returning data. Returns [`MrError::ChecksumMismatch`] (with
+    /// the stored value as `expected`) on corruption.
     pub fn verify(&self, path: &str) -> Result<()> {
         self.load(path)?.check(path)
     }
@@ -852,8 +1003,8 @@ impl Dfs {
     pub fn len_under(&self, prefix: &str) -> u64 {
         self.list(prefix)
             .iter()
-            .filter_map(|p| self.load(p).ok())
-            .map(|f| f.len)
+            .filter_map(|p| self.stat(p).ok())
+            .map(|s| s.len)
             .sum()
     }
 
@@ -861,9 +1012,9 @@ impl Dfs {
     pub fn node_bytes(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.nodes];
         for path in self.all_keys() {
-            if let Ok(file) = self.load(&path) {
-                for b in &file.blocks {
-                    out[b.node] += b.data.len() as u64;
+            if let Ok(stat) = self.stat(&path) {
+                for (len, node) in stat.blocks {
+                    out[node] += len;
                 }
             }
         }
@@ -1426,18 +1577,77 @@ mod tests {
         assert_eq!(dfs.len_under("/d"), 9);
     }
 
+    fn crc_of(data: &[u8]) -> u32 {
+        let mut c = Crc32::new();
+        c.update(data);
+        c.finish()
+    }
+
+    /// The bit-at-a-time definition of the same CRC — the kernel this crate
+    /// shipped before the tables — kept as the oracle.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE CRC-32 check value.
-        let mut c = Crc32::new();
-        c.update(b"123456789");
-        assert_eq!(c.finish(), 0xCBF4_3926);
+        assert_eq!(crc_of(b"123456789"), 0xCBF4_3926);
         // Incremental updates equal one-shot.
         let mut a = Crc32::new();
         a.update(b"1234");
         a.update(b"56789");
         assert_eq!(a.finish(), 0xCBF4_3926);
         assert_eq!(Crc32::new().finish(), 0);
+        // Four whole 8-byte steps, no tail.
+        assert_eq!(crc_of(&[0x00; 32]), 0x190A_55AD);
+        assert_eq!(crc_of(&[0xFF; 32]), 0xFF6C_AB0B);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_tables_equal_the_bitwise_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_C4C3);
+        // Every short length (all tail sizes, with and without whole
+        // steps before them), then random lengths up to 4 KiB.
+        let lens: Vec<usize> = (0..=64)
+            .chain((0..200).map(|_| rng.random_range(0..=4096usize)))
+            .collect();
+        for len in lens {
+            let backing: Vec<u8> = (0..len + 8).map(|_| rng.random::<u32>() as u8).collect();
+            for align in 0..8 {
+                let data = &backing[align..align + len];
+                let want = crc32_bitwise(data);
+                assert_eq!(crc_of(data), want, "whole, len {len} align {align}");
+                // Fed in 1–5 pieces cut anywhere...
+                let mut cuts: Vec<usize> = (0..rng.random_range(0..=4usize))
+                    .map(|_| rng.random_range(0..=len))
+                    .collect();
+                cuts.sort_unstable();
+                // ...and in pieces that each leave a 1–7-byte tail, the
+                // shape block boundaries give the DFS.
+                let tail = rng.random_range(1..=7usize);
+                let step = 8 * rng.random_range(0..=3usize) + tail;
+                let tails: Vec<usize> = (step..len).step_by(step).take(4).collect();
+                for cuts in [cuts, tails] {
+                    let mut c = Crc32::new();
+                    let mut from = 0;
+                    for &cut in cuts.iter().chain([&len]) {
+                        c.update(&data[from..cut]);
+                        from = cut;
+                    }
+                    assert_eq!(c.finish(), want, "len {len} align {align} cuts {cuts:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1475,6 +1685,78 @@ mod tests {
             dfs2.read_text("/out"),
             Err(MrError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// Flip the low bit of payload byte `at` of `path` behind the store's
+    /// back: the stored CRC, length and block table stay as written.
+    fn flip_payload_bit(dfs: &Dfs, path: &str, at: u64) {
+        match dfs.disk_root() {
+            Some(root) => {
+                let real = root.join("fs").join(path.trim_start_matches('/'));
+                let mut bytes = fs::read(&real).unwrap();
+                let header = bytes.len() - dfs.file_len(path).unwrap() as usize;
+                bytes[header + at as usize] ^= 0x01;
+                fs::write(&real, &bytes).unwrap();
+            }
+            None => {
+                let mut file = dfs.load(path).unwrap();
+                let block = file
+                    .blocks
+                    .iter_mut()
+                    .find(|b| at < b.offset + b.data.len() as u64)
+                    .unwrap();
+                let mut data = block.data.to_vec();
+                data[(at - block.offset) as usize] ^= 0x01;
+                block.data = Bytes::from(data);
+                dfs.insert(path, file, true).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_bit_flip_anywhere_fails_every_read_and_no_metadata_call() {
+        for dfs in [Dfs::new(2, 16), Dfs::new_temp_disk(2, 16).unwrap()] {
+            let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+            dfs.write_text("/t", &lines).unwrap();
+            let pairs: Vec<(u64, String)> = (0..50).map(|i| (i, format!("v{i}"))).collect();
+            dfs.write_seq("/s", &pairs).unwrap();
+            for path in ["/t", "/s"] {
+                let stat = dfs.stat(path).unwrap();
+                assert!(stat.blocks.len() > 1, "{path} must span blocks");
+                // First byte, a middle byte, and each of the last eight —
+                // the bytes the kernel's tail loop and last whole step see.
+                for at in [0, stat.len / 2].into_iter().chain(stat.len - 8..stat.len) {
+                    flip_payload_bit(&dfs, path, at);
+                    let reads = [
+                        dfs.verify(path),
+                        dfs.splits(path).map(drop),
+                        if path == "/t" {
+                            dfs.read_text(path).map(drop)
+                        } else {
+                            dfs.read_seq::<u64, String>(path).map(drop)
+                        },
+                    ];
+                    for read in reads {
+                        match read {
+                            Err(MrError::ChecksumMismatch {
+                                expected, found, ..
+                            }) => {
+                                assert_eq!(expected, stat.crc, "{path} byte {at}");
+                                assert_ne!(found, expected);
+                            }
+                            other => panic!("{path} byte {at}: expected mismatch, got {other:?}"),
+                        }
+                    }
+                    // Metadata is the header's: payload damage does not
+                    // reach it, as it never did.
+                    assert_eq!(dfs.stat(path).unwrap(), stat);
+                    assert_eq!(dfs.file_len(path).unwrap(), stat.len);
+                    assert_eq!(dfs.file_crc(path).unwrap(), stat.crc);
+                    flip_payload_bit(&dfs, path, at);
+                    dfs.verify(path).unwrap();
+                }
+            }
+        }
     }
 
     #[test]
@@ -1636,6 +1918,61 @@ mod tests {
         // Restored bytes read fine again.
         fs::write(&real, &bytes).unwrap();
         assert_eq!(dfs.read_text("/f").unwrap(), vec!["hello"]);
+    }
+
+    #[test]
+    fn stat_reads_the_header_only_and_rejects_a_wrong_sized_container() {
+        let mut dfs = Dfs::new_temp_disk(3, 16).unwrap();
+        // Enough blocks that the header outgrows the first prefix read.
+        let lines: Vec<String> = (0..3000).map(|i| format!("line-{i:012}")).collect();
+        dfs.write_text("/d/f", &lines).unwrap();
+        let real = dfs.disk_root().unwrap().join("fs/d/f");
+        let bytes = fs::read(&real).unwrap();
+        let stat = dfs.stat("/d/f").unwrap();
+        assert_eq!(stat, dfs.load("/d/f").unwrap().stat());
+        let header = bytes.len() - stat.len as usize;
+        assert!(header > 4096, "header of {header} bytes fits one prefix");
+
+        // Payload zeroed in place: every metadata call still answers from
+        // the header; only reads notice.
+        let mut zeroed = bytes.clone();
+        zeroed[header..].fill(0);
+        fs::write(&real, &zeroed).unwrap();
+        assert_eq!(dfs.stat("/d/f").unwrap(), stat);
+        assert_eq!(dfs.len_under("/d"), stat.len);
+        assert_eq!(dfs.node_bytes().iter().sum::<u64>(), stat.len);
+        assert!(matches!(
+            dfs.verify("/d/f"),
+            Err(MrError::ChecksumMismatch { expected, .. }) if expected == stat.crc
+        ));
+
+        // A container of the wrong size is corrupt without reading payload:
+        // one byte short, one byte long, and cut inside the header.
+        let mut long = bytes.clone();
+        long.push(0);
+        for damaged in [&bytes[..bytes.len() - 1], &long, &bytes[..header / 2]] {
+            fs::write(&real, damaged).unwrap();
+            assert!(matches!(dfs.stat("/d/f"), Err(MrError::Codec(_))));
+            assert!(matches!(dfs.file_len("/d/f"), Err(MrError::Codec(_))));
+            assert!(matches!(dfs.file_crc("/d/f"), Err(MrError::Codec(_))));
+            assert_eq!(dfs.len_under("/d"), 0);
+        }
+        fs::write(&real, &bytes).unwrap();
+        assert_eq!(dfs.stat("/d/f").unwrap(), stat);
+        assert!(matches!(
+            dfs.stat("/d/missing"),
+            Err(MrError::FileNotFound(_))
+        ));
+
+        // The header-only path draws the same injected read fault.
+        dfs.install_storage_faults(&plan("seed=3,eio=1.0"));
+        for err in [
+            dfs.stat("/d/f").unwrap_err(),
+            dfs.file_crc("/d/f").unwrap_err(),
+        ] {
+            assert!(matches!(err, MrError::StorageIo { ref op, .. } if op == "read"));
+        }
+        assert!(dfs.storage_fault_injections() >= 2);
     }
 
     // ---- storage faults & durability ------------------------------------

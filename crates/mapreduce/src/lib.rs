@@ -99,7 +99,7 @@ pub use cluster::{
 };
 pub use codec::{ByteReader, Codec};
 pub use counters::{Counter, Counters};
-pub use dfs::{is_hidden, BlockSplit, Dfs, FileKind, SeqWriter, TextWriter};
+pub use dfs::{is_hidden, BlockSplit, Dfs, FileKind, FileStat, SeqWriter, TextWriter};
 pub use engine::Cluster;
 pub use error::{ErrorClass, MrError, Result};
 pub use faults::{Fault, FaultPlan};

@@ -110,10 +110,11 @@ impl JobManifest {
         let mut parts = Vec::new();
         for path in dfs.data_files(dir) {
             let name = path.rsplit('/').next().unwrap_or(path.as_str()).to_string();
+            let stat = dfs.stat(&path)?;
             parts.push(ManifestPart {
                 name,
-                len: dfs.file_len(&path)?,
-                crc: dfs.file_crc(&path)?,
+                len: stat.len,
+                crc: stat.crc,
             });
         }
         Ok(JobManifest {
@@ -253,8 +254,9 @@ impl JobManifest {
         }
         for part in &self.parts {
             let path = format!("{dir}/{}", part.name);
-            let ok = dfs.file_len(&path).is_ok_and(|l| l == part.len)
-                && dfs.file_crc(&path).is_ok_and(|c| c == part.crc);
+            let ok = dfs
+                .stat(&path)
+                .is_ok_and(|s| s.len == part.len && s.crc == part.crc);
             if !ok {
                 return ManifestCheck::PartMismatch(path);
             }

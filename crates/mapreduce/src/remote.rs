@@ -715,7 +715,7 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
         });
     }
     Ok(Run {
-        data: bytes::Bytes::from(payload.to_vec()),
+        data: bytes::Bytes::copy_from_slice(payload),
         records,
     })
 }
@@ -1965,14 +1965,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spill_run_files_round_trip_and_fail_closed_on_corruption() {
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "mr-runfile-test-{}-{}",
+            "mr-runfile-{tag}-{}-{}",
             std::process::id(),
             SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn spill_run_files_round_trip_and_fail_closed_on_corruption() {
+        let dir = scratch_dir("roundtrip");
         let run = Run::encode(&[("a".to_string(), 1u64), ("b".to_string(), 2u64)]);
         let rref = write_run_file(&dir, "t.run", &run).unwrap();
         assert_eq!(rref.records, run.records as u64);
@@ -2007,6 +2012,64 @@ mod tests {
             read_run_file(&dir, &rref),
             Err(MrError::FileNotFound(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_run_detects_a_bit_flip_at_either_end_and_in_the_middle() {
+        let dir = scratch_dir("flip");
+        let pairs: Vec<(String, u64)> = (0..40u64).map(|i| (format!("k{i:03}"), i)).collect();
+        let run = Run::encode(&pairs);
+        let rref = write_run_file(&dir, "t.run", &run).unwrap();
+        let mut stored = Crc32::new();
+        stored.update(&run.data);
+        let stored = stored.finish();
+        let path = dir.join("t.run");
+        let clean = std::fs::read(&path).unwrap();
+        let (len, payload) = (run.data.len(), clean.len() - run.data.len());
+        // First payload byte, a middle one, and each of the last eight.
+        for at in [0, len / 2].into_iter().chain(len - 8..len) {
+            let mut bytes = clean.clone();
+            bytes[payload + at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            match read_run_file(&dir, &rref) {
+                Err(MrError::ChecksumMismatch {
+                    expected, found, ..
+                }) => {
+                    assert_eq!(expected, stored, "byte {at}");
+                    assert_ne!(found, expected);
+                }
+                other => panic!("byte {at}: expected checksum mismatch, got {other:?}"),
+            }
+        }
+        std::fs::write(&path, &clean).unwrap();
+        assert_eq!(read_run_file(&dir, &rref).unwrap().data, run.data);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_run_written_before_the_crc_tables_still_reads() {
+        // `tests/fixtures/pr12/spill.run`: written by `write_run_file` at
+        // the commit before the table-driven CRC. A driver upgraded in the
+        // middle of a job must still accept the runs its workers parked.
+        let dir = scratch_dir("compat");
+        std::fs::write(
+            dir.join("spill.run"),
+            include_bytes!("../tests/fixtures/pr12/spill.run"),
+        )
+        .unwrap();
+        let pairs: Vec<(String, u64)> = (0..40u64)
+            .map(|i| (format!("token-{i:03}"), i * i))
+            .collect();
+        let want = Run::encode(&pairs);
+        let rref = RunRef {
+            file: "spill.run".to_string(),
+            records: 40,
+            len: want.data.len() as u64,
+        };
+        let back = read_run_file(&dir, &rref).unwrap();
+        assert_eq!(back.data, want.data);
+        assert_eq!(back.records, 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -206,3 +206,35 @@ fn injected_corruption_is_detected_never_silent() {
     let check = m.validate(c.dfs(), "/out", 0xabcd);
     assert!(check.is_corruption(), "got {check:?}");
 }
+
+/// Upgrade compatibility: `tests/fixtures/pr12/` holds one `MRDFSv1`
+/// container and its job's `_SUCCESS` manifest exactly as the commit
+/// before the table-driven CRC wrote them (2 nodes, 16-byte blocks). They
+/// must load, verify and validate unchanged — that is what lets a job
+/// interrupted before the upgrade resume after it.
+#[test]
+fn output_committed_before_the_crc_tables_still_validates() {
+    let dfs = mapreduce::Dfs::new_temp_disk(2, 16).unwrap();
+    let dir = dfs.disk_root().unwrap().join("fs/out");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr12");
+    for name in ["part-00000", "_SUCCESS"] {
+        std::fs::copy(fixtures.join(name), dir.join(name)).unwrap();
+    }
+    let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+    assert_eq!(dfs.read_text("/out").unwrap(), lines);
+    assert_eq!(dfs.splits("/out").unwrap().len(), 8);
+    dfs.verify("/out/part-00000").unwrap();
+    let stat = dfs.stat("/out/part-00000").unwrap();
+    assert_eq!((stat.len, stat.crc), (150, 0x041b_3a5c));
+    let manifest = JobManifest::read(&dfs, "/out").unwrap().unwrap();
+    assert_eq!(manifest.job, "pr12-fixture");
+    assert_eq!(
+        manifest.validate(&dfs, "/out", 0x0123_4567_89ab_cdef),
+        ManifestCheck::Valid
+    );
+    assert_eq!(
+        JobManifest::collect(&dfs, "pr12-fixture", 0x0123_4567_89ab_cdef, "/out").unwrap(),
+        manifest
+    );
+}

@@ -4,8 +4,9 @@
 //! subset of the criterion API the workspace's benches use:
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`] /
 //! [`BenchmarkGroup::bench_with_input`] / `sample_size`, [`Bencher::iter`]
-//! / [`Bencher::iter_with_setup`], [`BenchmarkId`], and the
-//! [`criterion_group!`] / [`criterion_main!`] macros.
+//! / [`Bencher::iter_with_setup`], [`BenchmarkId`], [`Throughput`] with
+//! [`BenchmarkGroup::throughput`], and the [`criterion_group!`] /
+//! [`criterion_main!`] macros.
 //!
 //! There is no statistics engine: each routine runs `sample_size`
 //! iterations (default 10) and the mean wall-clock time is printed. That
@@ -54,6 +55,14 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// How much one iteration processes, so a group can report a rate next to
+/// the time per iteration.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Bytes per iteration; reported as MB/s (10^6 bytes).
+    Bytes(u64),
+}
+
 /// Runs the measured closure and accumulates elapsed time.
 pub struct Bencher {
     iterations: u64,
@@ -90,6 +99,7 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -98,6 +108,12 @@ impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         assert!(n > 0, "sample_size must be positive");
         self.sample_size = n;
+        self
+    }
+
+    /// Declare what one iteration of the following benchmarks processes.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -112,8 +128,15 @@ impl BenchmarkGroup<'_> {
         } else {
             Duration::ZERO
         };
+        let secs = per_iter.as_secs_f64();
+        let rate = match self.throughput {
+            Some(Throughput::Bytes(n)) if secs > 0.0 => {
+                format!(", {:.0} MB/s", n as f64 / 1e6 / secs)
+            }
+            _ => String::new(),
+        };
         println!(
-            "{}/{}: {:.3?}/iter over {} iters",
+            "{}/{}: {:.3?}/iter over {} iters{rate}",
             self.name, label, per_iter, b.iterations
         );
     }
@@ -168,6 +191,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size,
+            throughput: None,
             _criterion: self,
         }
     }
