@@ -1,14 +1,15 @@
 //! Microbenchmarks of the single-node kernels underneath stage 2: naive vs
 //! All-Pairs vs PPJoin vs PPJoin+, plus the verification and codec hot
 //! paths. These are the ablations DESIGN.md calls out for the filter stack.
-//! `dfs_integrity` is the odd one out: the DFS's checksummed write and read
-//! paths, which every byte of every job crosses.
+//! `dfs_integrity` and `record_path` are the odd ones out: the DFS's
+//! checksummed write and read paths, which every byte of every job crosses,
+//! and what stages 1 and 2 do to every record before any kernel sees it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datagen::{DataRecord, GeneratorConfig};
 use setsim::{
     allpairs, intersection_size, naive, overlap_at_least, ppjoin, suffix, FilterConfig, Threshold,
-    TokenOrder, Tokenizer, WordTokenizer,
+    TokenBuf, TokenOrder, Tokenizer, WordTokenizer,
 };
 
 /// Tokenise `text(record)` and project it onto the corpus's own token order.
@@ -36,16 +37,19 @@ fn zipf_corpus(n: usize) -> Vec<(u64, Vec<u32>)> {
     project(&datagen::generate(&config), DataRecord::join_attribute)
 }
 
+/// Title, authors and abstract of a CITESEERX-style record.
+fn with_abstract(r: &DataRecord) -> String {
+    format!(
+        "{} {}",
+        r.join_attribute(),
+        r.abstract_text.as_deref().unwrap_or("")
+    )
+}
+
 /// Sets of `lo..=hi` tokens: title, authors and the head of the abstract of
 /// CITESEERX-style records.
 fn long_corpus(n: usize, lo: usize, hi: usize) -> Vec<(u64, Vec<u32>)> {
-    let mut sets = project(&datagen::citeseerx(n, 7), |r| {
-        format!(
-            "{} {}",
-            r.join_attribute(),
-            r.abstract_text.as_deref().unwrap_or("")
-        )
-    });
+    let mut sets = project(&datagen::citeseerx(n, 7), with_abstract);
     for (rid, tokens) in &mut sets {
         tokens.truncate(lo + (*rid as usize * 7) % (hi - lo + 1));
     }
@@ -265,6 +269,87 @@ fn bench_dfs_integrity(c: &mut Criterion) {
     g.finish();
 }
 
+/// The record path: tokenizing through the `Vec<String>` collector against
+/// the reused [`TokenBuf`], on DBLP-like join attributes (≈ 13 tokens, all
+/// found by scanning) and CITESEERX-like ones with their abstracts (≈ 150
+/// tokens, found through the table); projecting into a new vector against a
+/// kept one; and stage 1's count of 50 000 records as one map task runs it.
+fn bench_record_path(c: &mut Criterion) {
+    use fuzzyjoin::{stage1::TokenCountMapper, RecordFormat, TokenizerKind};
+    use mapreduce::{Cache, Counters, Dfs, Mapper, MemoryGauge, Phase, TaskContext, VecEmitter};
+
+    let dblp = datagen::dblp(50_000, 7);
+    let short: Vec<String> = dblp.iter().map(DataRecord::join_attribute).collect();
+    let long: Vec<String> = datagen::citeseerx(5_000, 7)
+        .iter()
+        .map(with_abstract)
+        .collect();
+    let tok = WordTokenizer::new();
+    let mut g = c.benchmark_group("record_path");
+    g.sample_size(5);
+    for (name, texts) in [("dblp", &short), ("citeseerx", &long)] {
+        g.throughput(Throughput::Elements(texts.len() as u64));
+        g.bench_function(format!("tokenize_vec/{name}"), |b| {
+            b.iter(|| texts.iter().map(|t| tok.tokenize(t).len()).sum::<usize>())
+        });
+        g.bench_function(format!("tokenize_buf/{name}"), |b| {
+            let mut buf = TokenBuf::new();
+            b.iter(|| {
+                let mut tokens = 0;
+                for t in texts {
+                    tok.tokenize_into(t, &mut buf);
+                    tokens += buf.len();
+                }
+                tokens
+            })
+        });
+    }
+
+    let lists: Vec<Vec<String>> = short.iter().map(|t| tok.tokenize(t)).collect();
+    let order = TokenOrder::from_corpus(&lists);
+    g.throughput(Throughput::Elements(lists.len() as u64));
+    g.bench_function("project/dblp", |b| {
+        b.iter(|| lists.iter().map(|l| order.project(l).len()).sum::<usize>())
+    });
+    g.bench_function("project_into/dblp", |b| {
+        let mut ranks = Vec::new();
+        b.iter(|| {
+            let mut total = 0;
+            for l in &lists {
+                order.project_into(l.iter().map(String::as_str), &mut ranks);
+                total += ranks.len();
+            }
+            total
+        })
+    });
+
+    let lines = datagen::to_lines(&dblp);
+    let ctx = TaskContext::new(
+        Phase::Map,
+        0,
+        0,
+        1,
+        Counters::new(),
+        MemoryGauge::unlimited("bench"),
+        Cache::new(),
+        Dfs::new(1, 64),
+    );
+    let prototype = TokenCountMapper::new(RecordFormat::bibliographic(), TokenizerKind::Word);
+    g.throughput(Throughput::Elements(lines.len() as u64));
+    g.bench_function("stage1_count/dblp", |b| {
+        b.iter(|| {
+            let mut mapper = prototype.clone();
+            let mut out = VecEmitter::new();
+            for line in &lines {
+                mapper.map(&0, line, &mut out, &ctx).expect("map");
+            }
+            mapper.cleanup(&mut out, &ctx).expect("cleanup");
+            out.pairs.len()
+        })
+    });
+    g.finish();
+}
+
 fn bench_extensions(c: &mut Criterion) {
     // Edit-distance join (footnote 1) and the LSH partial-answer
     // alternative (related work), at matched corpus scale.
@@ -294,6 +379,7 @@ criterion_group!(
     bench_verify,
     bench_codec,
     bench_dfs_integrity,
+    bench_record_path,
     bench_extensions
 );
 criterion_main!(benches);

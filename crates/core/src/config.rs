@@ -114,23 +114,49 @@ impl RecordFormat {
 
     /// Parse a line into `(rid, join attribute)`.
     pub fn parse(&self, line: &str) -> Result<(u64, String)> {
-        let fields: Vec<&str> = line.split('\t').collect();
-        let rid_str = fields.get(self.rid_field).ok_or_else(|| {
-            MrError::TaskFailed(format!("record has no field {}: {line:?}", self.rid_field))
-        })?;
-        let rid = rid_str
-            .parse::<u64>()
-            .map_err(|e| MrError::TaskFailed(format!("bad RID {rid_str:?}: {e}")))?;
         let mut attr = String::new();
+        let rid = self.parse_into(line, &mut attr)?;
+        Ok((rid, attr))
+    }
+
+    /// [`RecordFormat::parse`] into an attribute buffer the caller keeps:
+    /// `attr` is cleared, then filled. Walks the line's fields once when
+    /// the RID comes before the join fields and those are listed in
+    /// ascending order.
+    pub fn parse_into(&self, line: &str, attr: &mut String) -> Result<u64> {
+        attr.clear();
+        let mut fields = line.split('\t');
+        let rid = self.rid_of(line, fields.nth(self.rid_field))?;
+        // Index of the field `fields` yields next.
+        let mut next = self.rid_field + 1;
         for &f in &self.join_fields {
-            if let Some(v) = fields.get(f) {
+            if f < next {
+                fields = line.split('\t');
+                next = 0;
+            }
+            if let Some(v) = fields.nth(f - next) {
                 if !attr.is_empty() {
                     attr.push(' ');
                 }
                 attr.push_str(v);
             }
+            next = f + 1;
         }
-        Ok((rid, attr))
+        Ok(rid)
+    }
+
+    /// The RID of a line, for callers that do not need the join attribute.
+    pub fn rid(&self, line: &str) -> Result<u64> {
+        self.rid_of(line, line.split('\t').nth(self.rid_field))
+    }
+
+    fn rid_of(&self, line: &str, field: Option<&str>) -> Result<u64> {
+        let rid_str = field.ok_or_else(|| {
+            MrError::TaskFailed(format!("record has no field {}: {line:?}", self.rid_field))
+        })?;
+        rid_str
+            .parse::<u64>()
+            .map_err(|e| MrError::TaskFailed(format!("bad RID {rid_str:?}: {e}")))
     }
 }
 
@@ -353,6 +379,51 @@ mod tests {
         let (rid, attr) = f.parse("5\tonly title").unwrap();
         assert_eq!(rid, 5);
         assert_eq!(attr, "only title");
+    }
+
+    #[test]
+    fn record_format_takes_fields_in_the_listed_order() {
+        let line = "x\ttitle\t9\tauthors";
+        let f = |rid_field, join_fields: &[usize]| RecordFormat {
+            rid_field,
+            join_fields: join_fields.to_vec(),
+        };
+        for (format, attr) in [
+            (f(2, &[0, 1]), "x title"),
+            (f(2, &[3, 1]), "authors title"),
+            (f(2, &[1, 1, 7, 3]), "title title authors"),
+            (f(2, &[2]), "9"),
+            (f(2, &[]), ""),
+        ] {
+            assert_eq!(format.parse(line).unwrap(), (9, attr.to_string()));
+            assert_eq!(format.rid(line).unwrap(), 9);
+        }
+        // `parse_into` replaces what the buffer held, also on a short line.
+        let mut buf = "left over".to_string();
+        assert_eq!(f(0, &[1, 2]).parse_into("4\tonly", &mut buf).unwrap(), 4);
+        assert_eq!(buf, "only");
+    }
+
+    #[test]
+    fn rid_reports_what_parse_reports() {
+        let f = RecordFormat {
+            rid_field: 1,
+            join_fields: vec![0],
+        };
+        for line in ["", "no rid field", "a\tb", "a\t-3", "a\t"] {
+            let expected = f.parse(line).unwrap_err().to_string();
+            assert_eq!(f.rid(line).unwrap_err().to_string(), expected, "{line:?}");
+        }
+        assert!(f
+            .parse("")
+            .unwrap_err()
+            .to_string()
+            .contains("record has no field 1: \"\""));
+        assert!(f
+            .parse("a\tb")
+            .unwrap_err()
+            .to_string()
+            .contains("bad RID \"b\""));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 pub mod config;
 pub mod keys;
+mod named;
 pub mod pipeline;
 pub mod recovery;
 pub mod report;

@@ -41,6 +41,7 @@ use setsim::{SpaceSaving, TokenOrder};
 
 use crate::config::{JoinConfig, TokenRouting};
 use crate::keys::routing_groups;
+use crate::tokenizer_cache::CachedTokenizer;
 
 /// Whether the skew control loop is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -274,7 +275,10 @@ pub fn build_plan(
     }
     let order = TokenOrder::from_ordered_tokens(dfs.read_text(tokens_path)?)
         .map_err(MrError::TaskFailed)?;
-    let tokenizer = config.tokenizer.build();
+    let mut tokenizer = CachedTokenizer::new(config.tokenizer);
+    // One record's attribute and projection, reused down the sample.
+    let mut attr = String::new();
+    let mut ranks = Vec::new();
     let stride = sk.sample_stride.max(1);
     let mut sketch: SpaceSaving<u32> = SpaceSaving::new(sk.sketch_capacity.max(16));
     let mut line_no = 0u64;
@@ -286,10 +290,10 @@ pub fn build_plan(
                 if !idx.is_multiple_of(stride) {
                     continue;
                 }
-                let Ok((_, attr)) = config.format.parse(&line) else {
+                if config.format.parse_into(&line, &mut attr).is_err() {
                     continue;
-                };
-                let ranks = order.project(&tokenizer.tokenize(&attr));
+                }
+                order.project_into(tokenizer.tokenize(&attr).iter(), &mut ranks);
                 if ranks.is_empty() {
                     continue;
                 }

@@ -19,24 +19,31 @@
 //!   one total order, removing the single-reducer bottleneck the paper
 //!   measures.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
     range_partitioner, sample_boundaries, seq_input, sum_combiner, text_input, ByteReader, Cluster,
-    Codec, Dfs, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
+    Codec, Counter, Dfs, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
 };
 
 use crate::config::{BadRecordPolicy, JoinConfig, RecordFormat, Stage1Algo, TokenizerKind};
+use crate::named::Named;
 use crate::recovery::{self, Recovery};
 use crate::tokenizer_cache::CachedTokenizer;
 
 /// Mapper shared by BTO job 1 and OPTO: parse the record, tokenize the join
-/// attribute, and emit `(token, 1)`.
-#[derive(Clone)]
+/// attribute, and count its tokens in a table kept for the task — the
+/// in-mapper combine — emitting `(token, count)` when the task ends.
 pub struct TokenCountMapper {
     format: RecordFormat,
     tokenizer: CachedTokenizer,
     bad_records: BadRecordPolicy,
+    /// The record's join attribute, kept for its capacity.
+    attr: String,
+    counts: TokenCounts,
+    records: Named<Counter>,
+    occurrences: Named<Counter>,
 }
 
 impl TokenCountMapper {
@@ -55,7 +62,75 @@ impl TokenCountMapper {
             format,
             tokenizer: CachedTokenizer::new(tokenizer),
             bad_records,
+            attr: String::new(),
+            counts: TokenCounts::default(),
+            records: Named::new("stage1.records"),
+            occurrences: Named::new(TOKEN_OCCURRENCES_COUNTER),
         }
+    }
+}
+
+/// Every attempt clones the job's prototype: a clone starts with an empty
+/// table and nothing charged.
+impl Clone for TokenCountMapper {
+    fn clone(&self) -> Self {
+        Self::with_policy(self.format.clone(), self.tokenizer.kind(), self.bad_records)
+    }
+}
+
+/// Counter of the count job: tokens seen, one per distinct token of each
+/// record. The job's `map_output_records` and `combine_*` only see what the
+/// mappers' tables flush.
+pub const TOKEN_OCCURRENCES_COUNTER: &str = "stage1.token_occurrences";
+
+/// One map task's token counts so far: at most the distinct tokens of its
+/// split, charged to the task's memory budget. A token the budget has no
+/// room for flushes the table through the task's output and starts it
+/// again, and the job's sum combiner merges the flushes.
+#[derive(Default)]
+struct TokenCounts {
+    counts: HashMap<String, u64>,
+    /// Bytes charged to the task's memory gauge for `counts`.
+    charged: u64,
+}
+
+impl TokenCounts {
+    /// Modelled footprint of one entry beside the token's bytes: the
+    /// `String` header, the count, and the table's spare slots.
+    const ENTRY_BYTES: u64 = 48;
+
+    fn add(
+        &mut self,
+        token: &str,
+        out: &mut dyn Emit<String, u64>,
+        ctx: &TaskContext,
+    ) -> Result<()> {
+        if let Some(n) = self.counts.get_mut(token) {
+            *n += 1;
+            return Ok(());
+        }
+        let bytes = token.len() as u64 + Self::ENTRY_BYTES;
+        if ctx.memory().charge(bytes).is_err() {
+            self.flush(out, ctx)?;
+            if ctx.memory().charge(bytes).is_err() {
+                // A budget without room for one entry: count nothing here.
+                return out.emit(token.to_string(), 1);
+            }
+        }
+        self.charged += bytes;
+        self.counts.insert(token.to_string(), 1);
+        Ok(())
+    }
+
+    /// Emit every count and give the memory back. The table's order is
+    /// arbitrary; the engine sorts what a task emits.
+    fn flush(&mut self, out: &mut dyn Emit<String, u64>, ctx: &TaskContext) -> Result<()> {
+        for (token, n) in self.counts.drain() {
+            out.emit(token, n)?;
+        }
+        ctx.memory().release(self.charged);
+        self.charged = 0;
+        Ok(())
     }
 }
 
@@ -72,15 +147,20 @@ impl Mapper for TokenCountMapper {
         out: &mut dyn Emit<String, u64>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        let attr = match self.format.parse(line) {
-            Ok((_rid, attr)) => attr,
-            Err(e) => return self.bad_records.on_bad_record(ctx, e),
-        };
-        ctx.counter("stage1.records").incr();
-        for token in self.tokenizer.tokenize(&attr) {
-            out.emit(token, 1)?;
+        if let Err(e) = self.format.parse_into(line, &mut self.attr) {
+            return self.bad_records.on_bad_record(ctx, e);
+        }
+        self.records.get(ctx).incr();
+        let tokens = self.tokenizer.tokenize(&self.attr);
+        self.occurrences.get(ctx).add(tokens.len() as u64);
+        for token in tokens.iter() {
+            self.counts.add(token, out, ctx)?;
         }
         Ok(())
+    }
+
+    fn cleanup(&mut self, out: &mut dyn Emit<String, u64>, ctx: &TaskContext) -> Result<()> {
+        self.counts.flush(out, ctx)
     }
 }
 
@@ -461,7 +541,7 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce::ClusterConfig;
+    use mapreduce::{Cache, ClusterConfig, Counters, MemoryGauge, Phase, VecEmitter};
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::with_nodes(3), 512).unwrap()
@@ -568,5 +648,146 @@ mod tests {
         write_records(&c);
         let (_, m) = run(&c, "/in", &config(Stage1Algo::Bto), "/work").unwrap();
         assert_eq!(m.jobs[0].counter("stage1.records"), 3);
+        // common mid rare | common mid | common
+        assert_eq!(m.jobs[0].counter(TOKEN_OCCURRENCES_COUNTER), 6);
+    }
+
+    fn map_ctx(budget: u64) -> TaskContext {
+        TaskContext::new(
+            Phase::Map,
+            0,
+            0,
+            1,
+            Counters::new(),
+            MemoryGauge::new("t", budget),
+            Cache::new(),
+            Dfs::new(1, 64),
+        )
+    }
+
+    fn sorted(mut pairs: Vec<(String, u64)>) -> Vec<(String, u64)> {
+        pairs.sort();
+        pairs
+    }
+
+    #[test]
+    fn the_mapper_counts_in_its_table_and_emits_when_the_task_ends() {
+        let ctx = map_ctx(u64::MAX);
+        let mut m = TokenCountMapper::new(RecordFormat::two_column(), TokenizerKind::Word);
+        let mut out = VecEmitter::new();
+        for line in ["1\tb a b", "2\ta C", "3\tÇa c"] {
+            m.map(&0, &line.to_string(), &mut out, &ctx).unwrap();
+        }
+        assert!(out.pairs.is_empty(), "nothing leaves before cleanup");
+        assert!(ctx.memory().used() > 0, "the table is charged");
+
+        // An attempt clones the prototype: the clone owns no counts.
+        let mut fresh = m.clone();
+        fresh.cleanup(&mut out, &ctx).unwrap();
+        assert!(out.pairs.is_empty());
+
+        m.cleanup(&mut out, &ctx).unwrap();
+        let expected = [("a", 2), ("b", 1), ("c", 2), ("ça", 1)].map(|(t, n)| (t.to_string(), n));
+        assert_eq!(sorted(out.pairs), expected);
+        assert_eq!(ctx.memory().used(), 0, "cleanup gives the memory back");
+    }
+
+    #[test]
+    fn a_refused_charge_flushes_the_table_and_never_fails_the_task() {
+        // Room for two entries ("a" and "b" at 49 bytes each), not three.
+        let ctx = map_ctx(100);
+        let mut m = TokenCountMapper::new(RecordFormat::two_column(), TokenizerKind::Word);
+        let mut out = VecEmitter::new();
+        m.map(&0, &"1\ta b".to_string(), &mut out, &ctx).unwrap();
+        m.map(&0, &"2\ta b".to_string(), &mut out, &ctx).unwrap();
+        assert!(out.pairs.is_empty());
+        m.map(&0, &"3\tc a".to_string(), &mut out, &ctx).unwrap();
+        assert_eq!(
+            sorted(std::mem::take(&mut out.pairs)),
+            [("a".to_string(), 2), ("b".to_string(), 2)],
+            "the third token flushed the first two"
+        );
+        m.cleanup(&mut out, &ctx).unwrap();
+        assert_eq!(
+            sorted(out.pairs),
+            [("a".to_string(), 1), ("c".to_string(), 1)]
+        );
+        assert_eq!(ctx.memory().used(), 0);
+
+        // No room for even one entry: every token goes straight out.
+        let ctx = map_ctx(10);
+        let mut m = TokenCountMapper::new(RecordFormat::two_column(), TokenizerKind::Word);
+        let mut out = VecEmitter::new();
+        m.map(&0, &"1\ta b a".to_string(), &mut out, &ctx).unwrap();
+        m.map(&0, &"2\ta".to_string(), &mut out, &ctx).unwrap();
+        m.cleanup(&mut out, &ctx).unwrap();
+        let ones = [("a", 1), ("a", 1), ("b", 1)].map(|(t, n)| (t.to_string(), n));
+        assert_eq!(sorted(out.pairs), ones);
+    }
+
+    /// 6 000 generated records in 64 KiB blocks (≈ 9 map tasks), and the
+    /// order `setsim` computes for them without MapReduce.
+    fn generated_corpus(c: &Cluster) -> Vec<String> {
+        let lines = datagen::to_lines(&datagen::dblp(6_000, 31));
+        c.dfs().write_text("/gen", &lines).unwrap();
+        let format = RecordFormat::bibliographic();
+        let tokenizer = TokenizerKind::Word.build();
+        let lists: Vec<Vec<String>> = lines
+            .iter()
+            .map(|l| tokenizer.tokenize(&format.parse(l).unwrap().1))
+            .collect();
+        setsim::TokenOrder::from_corpus(&lists).tokens().to_vec()
+    }
+
+    #[test]
+    fn every_variant_writes_the_reference_order_of_a_generated_corpus() {
+        for algo in [Stage1Algo::Bto, Stage1Algo::Opto, Stage1Algo::BtoRange] {
+            let c = Cluster::new(ClusterConfig::with_nodes(3), 64 << 10).unwrap();
+            let expected = generated_corpus(&c);
+            let (path, m) = run(&c, "/gen", &config(algo), "/work").unwrap();
+            assert!(m.jobs[0].map.tasks > 4, "{algo:?}: several map tasks");
+            assert_eq!(c.dfs().read_text(&path).unwrap(), expected, "{algo:?}");
+        }
+    }
+
+    #[test]
+    fn a_table_too_large_for_task_memory_flushes_and_commits_the_same_bytes() {
+        let roomy = Cluster::new(ClusterConfig::with_nodes(3), 64 << 10).unwrap();
+        generated_corpus(&roomy);
+        let (_, m_roomy) = run(&roomy, "/gen", &config(Stage1Algo::Bto), "/work").unwrap();
+
+        let mut cc = ClusterConfig::with_nodes(3);
+        cc.task_memory = Some(4096); // ≈ 75 tokens of a split's thousands
+        let tight = Cluster::new(cc, 64 << 10).unwrap();
+        generated_corpus(&tight);
+        let (_, m_tight) = run(&tight, "/gen", &config(Stage1Algo::Bto), "/work").unwrap();
+
+        let parts = |c: &Cluster, dir: &str| -> Vec<(String, u64, u32)> {
+            (c.dfs().data_files(dir).iter())
+                .map(|f| {
+                    let stat = c.dfs().stat(f).unwrap();
+                    (f.clone(), stat.len, stat.crc)
+                })
+                .collect()
+        };
+        for dir in ["/work/token-counts", "/work/tokens"] {
+            assert_eq!(parts(&tight, dir), parts(&roomy, dir), "{dir}");
+        }
+
+        let (roomy_job, tight_job) = (&m_roomy.jobs[0], &m_tight.jobs[0]);
+        assert!(tight_job.map_output_records > roomy_job.map_output_records);
+        assert!(
+            tight_job.combine_input_records > tight_job.combine_output_records,
+            "the combiner merged the flushes"
+        );
+        assert_eq!(
+            roomy_job.combine_input_records, roomy_job.combine_output_records,
+            "one flush per task leaves the combiner nothing to merge"
+        );
+        let counts: Vec<(String, u64)> = tight.dfs().read_seq("/work/token-counts").unwrap();
+        let total: u64 = counts.iter().map(|(_, n)| n).sum();
+        for job in [roomy_job, tight_job] {
+            assert_eq!(job.counter(TOKEN_OCCURRENCES_COUNTER), total);
+        }
     }
 }

@@ -24,8 +24,8 @@ use mapreduce::{Codec, Counter, Emit, Reducer, Result, TaskContext};
 use setsim::{verify_pair, Threshold};
 
 use crate::keys::{Projection, Stage2Key, KIND_LOAD, REL_S};
+use crate::named::Named;
 use crate::stage2::reducers::{emit_pair, projection_bytes, GroupStats, KernelCounters};
-use crate::stage2::Named;
 
 /// Reducer for map-based block processing.
 #[derive(Clone)]

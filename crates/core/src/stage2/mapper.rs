@@ -14,8 +14,8 @@ use setsim::{Threshold, TokenOrder};
 
 use crate::config::{BadRecordPolicy, RecordFormat, TokenRouting, TokenizerKind};
 use crate::keys::{routing_groups, Projection, Stage2Key, KIND_LOAD, KIND_STREAM, REL_R, REL_S};
+use crate::named::Named;
 use crate::skew::SkewPlan;
-use crate::stage2::Named;
 use crate::tokenizer_cache::CachedTokenizer;
 
 /// How projections are replicated across block-processing passes.
@@ -54,6 +54,11 @@ pub struct ProjectionMapper {
     skew: Arc<SkewPlan>,
     order: Option<Arc<TokenOrder>>,
     counters: MapCounters,
+    /// The record's join attribute, projection and routing keys, kept for
+    /// their capacity.
+    attr: String,
+    ranks: Vec<u32>,
+    keys: Vec<Stage2Key>,
 }
 
 /// The job counters the mapper bumps per record, held for the task.
@@ -100,6 +105,9 @@ impl ProjectionMapper {
                 split_emits: Named::new("skew.split_emits"),
                 replication_factor: Named::new("skew.replication_factor"),
             },
+            attr: String::new(),
+            ranks: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -182,8 +190,8 @@ impl Mapper for ProjectionMapper {
         out: &mut dyn Emit<Stage2Key, Projection>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        let (rid, attr) = match self.format.parse(line) {
-            Ok(parsed) => parsed,
+        let rid = match self.format.parse_into(line, &mut self.attr) {
+            Ok(rid) => rid,
             Err(e) => return self.bad_records.on_bad_record(ctx, e),
         };
         let rel = match &self.s_path {
@@ -191,15 +199,18 @@ impl Mapper for ProjectionMapper {
             Some(_) => REL_R,
             None => REL_R,
         };
-        let tokens = self.tokenizer.tokenize(&attr);
+        let tokens = self.tokenizer.tokenize(&self.attr);
         let order = self.order.as_ref().expect("setup ran");
         // Unknown tokens (S tokens absent from R's dictionary) are dropped
-        // by `project`, as in the paper.
-        let ranks = order.project(&tokens);
-        if ranks.is_empty() {
+        // by the projection, as in the paper.
+        order.project_into(tokens.iter(), &mut self.ranks);
+        if self.ranks.is_empty() {
             self.counters.empty_projections.get(ctx).incr();
             return Ok(());
         }
+        // The last key emitted takes the projection itself, so a record
+        // that is routed anywhere gives `self.ranks` away.
+        let ranks = std::mem::take(&mut self.ranks);
         let len = ranks.len() as u32;
         // R records take their lower-bound length as class so they arrive
         // before every S record they can join (Figure 6); self-join and S
@@ -211,33 +222,24 @@ impl Mapper for ProjectionMapper {
         };
         let groups = self.route_groups(&ranks, rid, ctx);
         self.counters.projections.get(ctx).incr();
-        // Tallied here and added once: the counter is shared by every map
-        // task of the job.
-        let mut routed = 0u64;
+        let keys = &mut self.keys;
+        keys.clear();
         for g in groups {
             match self.emit_mode {
-                EmitMode::Plain => {
-                    out.emit((g, 0, KIND_LOAD, class, rel), (rid, ranks.clone()))?;
-                    routed += 1;
-                }
+                EmitMode::Plain => keys.push((g, 0, KIND_LOAD, class, rel)),
                 EmitMode::MapBlocks { blocks } => {
                     let b = (stable_hash(&rid) % u64::from(blocks.max(1))) as u32;
                     if rel == REL_R {
-                        out.emit((g, b, KIND_LOAD, class, rel), (rid, ranks.clone()))?;
-                        routed += 1;
+                        keys.push((g, b, KIND_LOAD, class, rel));
                         if self.s_path.is_none() {
                             // Self-join: stream against every earlier block.
-                            for pass in 0..b {
-                                out.emit((g, pass, KIND_STREAM, class, rel), (rid, ranks.clone()))?;
-                                routed += 1;
-                            }
+                            keys.extend((0..b).map(|pass| (g, pass, KIND_STREAM, class, rel)));
                         }
                     } else {
                         // S records stream against every R block.
-                        for pass in 0..blocks.max(1) {
-                            out.emit((g, pass, KIND_STREAM, class, rel), (rid, ranks.clone()))?;
-                            routed += 1;
-                        }
+                        keys.extend(
+                            (0..blocks.max(1)).map(|pass| (g, pass, KIND_STREAM, class, rel)),
+                        );
                     }
                 }
                 EmitMode::ReduceBlocks { blocks } => {
@@ -247,13 +249,21 @@ impl Mapper for ProjectionMapper {
                     } else {
                         (stable_hash(&rid) % u64::from(blocks.max(1))) as u32
                     };
-                    out.emit((g, pass, KIND_LOAD, class, rel), (rid, ranks.clone()))?;
-                    routed += 1;
+                    keys.push((g, pass, KIND_LOAD, class, rel));
                 }
             }
         }
-        self.counters.routed_pairs.get(ctx).add(routed);
-        Ok(())
+        // Added once per record: the counter is shared by every map task
+        // of the job.
+        self.counters.routed_pairs.get(ctx).add(keys.len() as u64);
+        let last = keys.pop();
+        for key in keys.drain(..) {
+            out.emit(key, (rid, ranks.clone()))?;
+        }
+        match last {
+            Some(key) => out.emit(key, (rid, ranks)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -331,6 +341,59 @@ mod tests {
         m.map(&0, &"2\tzzz qqq".to_string(), &mut out2, &ctx)
             .unwrap();
         assert!(out2.pairs.is_empty());
+    }
+
+    #[test]
+    fn every_emit_carries_what_setsim_projects() {
+        let dictionary = [
+            "rare",
+            "mid",
+            "common",
+            "filler",
+            "a",
+            "b",
+            "c",
+            "d",
+            "e",
+            "f",
+            "g",
+            "h",
+            "οδος",
+            "ça",
+            "i\u{307}stanbul",
+        ];
+        let cluster = setup_cluster_with_tokens(&dictionary);
+        let order = TokenOrder::from_ordered_tokens(dictionary).unwrap();
+        let tokenizer = TokenizerKind::Word.build();
+        let ctx = make_ctx(&cluster, "/in");
+        let mut m = mapper(EmitMode::Plain, None);
+        m.setup(&ctx).unwrap();
+        // One mapper down all the lines, so each record follows another's
+        // buffers: the cases of the tests above, then words that lower-case
+        // by context, by length, and twice over.
+        for (rid, attr) in [
+            "rare mid common filler",
+            "a zzz b",
+            "zzz qqq",
+            "a b c d",
+            "a b",
+            "a b c d e f g h",
+            "ΟΔΟΣ Ça İstanbul rare ÇA — οδοσ, a",
+            "",
+            "h H h",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let expected = order.project(&tokenizer.tokenize(attr));
+            let mut out = VecEmitter::new();
+            m.map(&0, &format!("{rid}\t{attr}"), &mut out, &ctx)
+                .unwrap();
+            assert_eq!(out.pairs.len(), m.groups_for(&expected).len(), "{attr:?}");
+            for (_, projection) in &out.pairs {
+                assert_eq!(projection, &(rid as u64, expected.clone()), "{attr:?}");
+            }
+        }
     }
 
     #[test]

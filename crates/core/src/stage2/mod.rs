@@ -15,8 +15,8 @@ pub mod reducers;
 use std::sync::Arc;
 
 use mapreduce::{
-    text_input, ByteReader, Cluster, Codec, Counter, Dfs, Histogram, Job, KeyLabel, MrError,
-    PipelineMetrics, Reducer, Result, SplitSource, TaskContext,
+    text_input, ByteReader, Cluster, Codec, Dfs, Job, KeyLabel, MrError, PipelineMetrics, Reducer,
+    Result, SplitSource,
 };
 use setsim::{SimFunction, Threshold};
 
@@ -29,35 +29,6 @@ use crate::skew::{self, SkewPlan};
 use crate::stage2::blocks::{MapBlocksReducer, ReduceBlocksReducer};
 use crate::stage2::mapper::{EmitMode, ProjectionMapper};
 use crate::stage2::reducers::{BkReducer, PkReducer};
-
-/// A job counter or histogram a mapper or reducer updates per record:
-/// looked up by name on first use, then kept for the rest of the task.
-/// `TaskContext::counter` / `histogram` take a lock and walk a name map on
-/// every call; resolving on first use rather than in `setup` leaves the set
-/// of counters a job reports exactly what it was.
-#[derive(Clone)]
-pub(crate) struct Named<T> {
-    name: &'static str,
-    handle: Option<T>,
-}
-
-impl<T> Named<T> {
-    pub(crate) const fn new(name: &'static str) -> Self {
-        Named { name, handle: None }
-    }
-}
-
-impl Named<Counter> {
-    pub(crate) fn get(&mut self, ctx: &TaskContext) -> &Counter {
-        self.handle.get_or_insert_with(|| ctx.counter(self.name))
-    }
-}
-
-impl Named<Histogram> {
-    pub(crate) fn get(&mut self, ctx: &TaskContext) -> &Histogram {
-        self.handle.get_or_insert_with(|| ctx.histogram(self.name))
-    }
-}
 
 /// Parse a stage-2 output line back into `(rid1, rid2, sim)`.
 pub fn parse_pair_line(line: &str) -> Result<(u64, u64, f64)> {

@@ -4,7 +4,7 @@ use mapreduce::{Counter, Emit, Histogram, Reducer, Result, TaskContext};
 use setsim::{verify_pair, FilterConfig, Funnel, PpjoinIndex, Threshold};
 
 use crate::keys::{Projection, Stage2Key, REL_S};
-use crate::stage2::Named;
+use crate::named::Named;
 
 /// Histogram: candidate pairs examined per reduce group (after the prefix
 /// filter, before verification). Percentiles expose join-key skew.

@@ -22,11 +22,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    seq_input, text_input, Cluster, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer, Result,
-    TaskContext,
+    seq_input, text_input, Cluster, Counter, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer,
+    Result, TaskContext,
 };
 
 use crate::config::{BadRecordPolicy, JoinConfig, RecordFormat, Stage3Algo};
+use crate::named::Named;
 use crate::recovery::{self, Recovery};
 use crate::stage2::parse_pair_line;
 
@@ -92,8 +93,8 @@ impl Mapper for BrjFillMapper {
                 Some(s) if ctx.input_path.starts_with(s.as_str()) => 1u8,
                 _ => 0,
             };
-            let (rid, _attr) = match self.format.parse(line) {
-                Ok(parsed) => parsed,
+            let rid = match self.format.rid(line) {
+                Ok(rid) => rid,
                 Err(e) => return self.bad_records.on_bad_record(ctx, e),
             };
             out.emit((rid, rel), (TAG_RECORD, 0, 0, 0.0, line.clone()))?;
@@ -105,8 +106,18 @@ impl Mapper for BrjFillMapper {
 /// BRJ job-1 reducer: one record + the pair halves that reference it →
 /// half-filled pairs keyed by the RID pair. Duplicate halves (the same pair
 /// verified by several stage-2 reducers) are dropped here.
-#[derive(Clone, Default)]
-struct BrjFillReducer;
+#[derive(Clone)]
+struct BrjFillReducer {
+    halves: Named<Counter>,
+}
+
+impl Default for BrjFillReducer {
+    fn default() -> Self {
+        BrjFillReducer {
+            halves: Named::new("stage3.halves"),
+        }
+    }
+}
 
 impl Reducer for BrjFillReducer {
     type Key = (u64, u8);
@@ -148,7 +159,7 @@ impl Reducer for BrjFillReducer {
             } else {
                 (other, rid)
             };
-            ctx.counter("stage3.halves").incr();
+            self.halves.get(ctx).incr();
             out.emit(pair_key, (pos, record.clone(), sim))?;
         }
         Ok(())
@@ -161,8 +172,18 @@ impl Reducer for BrjFillReducer {
 
 /// Final reducer: for each RID-pair key, combine the two half-filled pairs
 /// into the output record pair.
-#[derive(Clone, Default)]
-struct AssembleReducer;
+#[derive(Clone)]
+struct AssembleReducer {
+    joined_pairs: Named<Counter>,
+}
+
+impl Default for AssembleReducer {
+    fn default() -> Self {
+        AssembleReducer {
+            joined_pairs: Named::new("stage3.joined_pairs"),
+        }
+    }
+}
 
 impl Reducer for AssembleReducer {
     type Key = PairKey;
@@ -190,7 +211,7 @@ impl Reducer for AssembleReducer {
         }
         match (first, second) {
             (Some(a), Some(b)) => {
-                ctx.counter("stage3.joined_pairs").incr();
+                self.joined_pairs.get(ctx).incr();
                 out.emit(*key, (a, b, sim))
             }
             _ => Err(MrError::TaskFailed(format!(
@@ -292,8 +313,8 @@ impl Mapper for OprjMapper {
         } else {
             self.index_r.as_ref().expect("setup ran")
         };
-        let (rid, _) = match self.format.parse(line) {
-            Ok(parsed) => parsed,
+        let rid = match self.format.rid(line) {
+            Ok(rid) => rid,
             Err(e) => return self.bad_records.on_bad_record(ctx, e),
         };
         if let Some(entries) = index.get(&rid) {
@@ -425,7 +446,7 @@ fn run_impl(
                     inputs.extend(text_input(cluster.dfs(), s)?);
                 }
                 inputs.extend(text_input(cluster.dfs(), pairs_path)?);
-                let job1 = Job::new("stage3-brj-fill", mapper, BrjFillReducer)
+                let job1 = Job::new("stage3-brj-fill", mapper, BrjFillReducer::default())
                     .inputs(inputs)
                     .output_seq(&halves_path)
                     .fingerprint(fp1);
@@ -444,7 +465,7 @@ fn run_impl(
                 let job2 = Job::new(
                     "stage3-brj-assemble",
                     mapreduce::IdentityMapper::<PairKey, (u8, String, f64)>::new(),
-                    AssembleReducer,
+                    AssembleReducer::default(),
                 )
                 .inputs(seq_input::<PairKey, (u8, String, f64)>(
                     cluster.dfs(),
@@ -474,7 +495,7 @@ fn run_impl(
                 if let Some(s) = s_records {
                     inputs.extend(text_input(cluster.dfs(), s)?);
                 }
-                let job = Job::new("stage3-oprj", mapper, AssembleReducer)
+                let job = Job::new("stage3-oprj", mapper, AssembleReducer::default())
                     .inputs(inputs)
                     .output_seq(&joined_path)
                     .fingerprint(fp);
@@ -548,7 +569,7 @@ mod tests {
     #[test]
     fn brj_fill_reducer_dedups_duplicate_halves() {
         let dfs = Dfs::new(1, 64);
-        let mut r = BrjFillReducer;
+        let mut r = BrjFillReducer::default();
         let key = (5u64, 0u8);
         // One record plus the same pair (5, 9) reported twice (two stage-2
         // reducers verified it).
@@ -572,7 +593,7 @@ mod tests {
     #[test]
     fn brj_fill_reducer_errors_on_missing_record() {
         let dfs = Dfs::new(1, 64);
-        let mut r = BrjFillReducer;
+        let mut r = BrjFillReducer::default();
         let key = (5u64, 0u8);
         let vals = vec![(key, (TAG_HALF, 9, POS_FIRST, 0.9, String::new()))];
         let err = r
@@ -589,7 +610,7 @@ mod tests {
     #[test]
     fn assemble_reducer_pairs_halves() {
         let dfs = Dfs::new(1, 64);
-        let mut r = AssembleReducer;
+        let mut r = AssembleReducer::default();
         let key = (1u64, 2u64);
         let vals = vec![
             (key, (POS_FIRST, "rec1".to_string(), 0.88)),
@@ -612,7 +633,7 @@ mod tests {
     #[test]
     fn assemble_reducer_errors_on_lone_half() {
         let dfs = Dfs::new(1, 64);
-        let mut r = AssembleReducer;
+        let mut r = AssembleReducer::default();
         let key = (1u64, 2u64);
         let vals = vec![(key, (POS_FIRST, "rec1".to_string(), 0.88))];
         let err = r

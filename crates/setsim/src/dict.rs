@@ -91,10 +91,24 @@ impl TokenOrder {
     /// in the token list, since they cannot generate candidate pairs").
     /// Returns a strictly increasing rank vector.
     pub fn project(&self, tokens: &[String]) -> Vec<TokenRank> {
-        let mut ranks: Vec<TokenRank> = tokens.iter().filter_map(|t| self.rank(t)).collect();
+        let mut ranks = Vec::new();
+        self.project_into(tokens.iter().map(String::as_str), &mut ranks);
+        ranks
+    }
+
+    /// [`TokenOrder::project`] from borrowed tokens into a vector the
+    /// caller keeps: `ranks` is cleared, then filled.
+    pub fn project_into<'a>(
+        &self,
+        tokens: impl IntoIterator<Item = &'a str>,
+        ranks: &mut Vec<TokenRank>,
+    ) {
+        let tokens = tokens.into_iter();
+        ranks.clear();
+        ranks.reserve(tokens.size_hint().0);
+        ranks.extend(tokens.filter_map(|t| self.rank(t)));
         ranks.sort_unstable();
         ranks.dedup();
-        ranks
     }
 
     /// Approximate heap size in bytes, for broadcast memory accounting.

@@ -61,5 +61,5 @@ pub use minhash::{lsh_self_join, LshParams, MinHasher};
 pub use naive::Record;
 pub use ppjoin::{FilterConfig, Funnel, Match, PpjoinIndex};
 pub use sketch::{Estimate, SpaceSaving};
-pub use tokenize::{DedupMode, QGramTokenizer, Tokenizer, WordTokenizer};
+pub use tokenize::{DedupMode, QGramTokenizer, TokenBuf, Tokenizer, WordTokenizer};
 pub use verify::{intersection_size, overlap_at_least, verify_pair};

@@ -601,3 +601,203 @@ mod index_grid {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The token buffer against the tokenizers it replaced
+// ---------------------------------------------------------------------------
+
+mod token_buffer {
+    use proptest::prelude::*;
+    use setsim::{DedupMode, QGramTokenizer, TokenBuf, Tokenizer, WordTokenizer};
+
+    /// The tokenizers as they were before the token buffer — split, a
+    /// lower-cased `String` per token, duplicates dropped through a map —
+    /// kept here as the oracle.
+    mod oracle {
+        use setsim::DedupMode;
+        use std::collections::HashMap;
+
+        fn dedup_tokens(raw: impl Iterator<Item = String>, mode: DedupMode) -> Vec<String> {
+            let mut seen: HashMap<String, u32> = HashMap::new();
+            let mut out = Vec::new();
+            for tok in raw {
+                let count = seen.entry(tok.clone()).or_insert(0);
+                *count += 1;
+                match (mode, *count) {
+                    (_, 1) => out.push(tok),
+                    (DedupMode::Collapse, _) => {}
+                    (DedupMode::Number, n) => out.push(format!("{tok}#{n}")),
+                }
+            }
+            out
+        }
+
+        pub fn words(text: &str, mode: DedupMode) -> Vec<String> {
+            let raw = text
+                .split(|c: char| !c.is_alphanumeric())
+                .filter(|w| !w.is_empty())
+                .map(str::to_lowercase);
+            dedup_tokens(raw, mode)
+        }
+
+        pub fn qgrams(text: &str, q: usize, mode: DedupMode) -> Vec<String> {
+            let mut cleaned = String::with_capacity(text.len() + 2 * (q - 1));
+            for _ in 0..q - 1 {
+                cleaned.push('#');
+            }
+            let mut last_sep = false;
+            let mut has_content = false;
+            for c in text.chars() {
+                if c.is_alphanumeric() {
+                    cleaned.extend(c.to_lowercase());
+                    last_sep = false;
+                    has_content = true;
+                } else if !last_sep && !cleaned.is_empty() {
+                    cleaned.push(' ');
+                    last_sep = true;
+                }
+            }
+            if !has_content {
+                return Vec::new();
+            }
+            while cleaned.ends_with(' ') {
+                cleaned.pop();
+            }
+            for _ in 0..q - 1 {
+                cleaned.push('#');
+            }
+            let chars: Vec<char> = cleaned.chars().collect();
+            if chars.len() < q {
+                return Vec::new();
+            }
+            let raw = chars.windows(q).map(|w| w.iter().collect::<String>());
+            dedup_tokens(raw, mode)
+        }
+    }
+
+    const MODES: [DedupMode; 2] = [DedupMode::Collapse, DedupMode::Number];
+
+    /// Tokenize every text in turn into ONE buffer per tokenizer and
+    /// compare with the oracle, so a token left over from the previous
+    /// text would show; the `Vec<String>` collector must agree too.
+    fn check(texts: &[String]) -> Result<(), TestCaseError> {
+        for mode in MODES {
+            let word = WordTokenizer { dedup: mode };
+            let mut buf = TokenBuf::new();
+            for text in texts {
+                let expected = oracle::words(text, mode);
+                word.tokenize_into(text, &mut buf);
+                prop_assert_eq!(buf.len(), expected.len());
+                prop_assert_eq!(buf.is_empty(), expected.is_empty());
+                prop_assert_eq!(
+                    buf.iter().collect::<Vec<_>>(),
+                    expected.clone(),
+                    "word {:?} {:?}",
+                    mode,
+                    text
+                );
+                prop_assert_eq!(
+                    word.tokenize(text),
+                    expected,
+                    "word collector {:?} {:?}",
+                    mode,
+                    text
+                );
+            }
+            for q in 1..=4 {
+                let gram = QGramTokenizer { q, dedup: mode };
+                // The word tokenizer's buffer, not a new one: a mapper
+                // never mixes tokenizers, but nothing may depend on that.
+                for text in texts {
+                    let expected = oracle::qgrams(text, q, mode);
+                    gram.tokenize_into(text, &mut buf);
+                    prop_assert_eq!(
+                        buf.iter().collect::<Vec<_>>(),
+                        expected.clone(),
+                        "q={} {:?} {:?}",
+                        q,
+                        mode,
+                        text
+                    );
+                    prop_assert_eq!(
+                        gram.tokenize(text),
+                        expected,
+                        "q={} collector {:?} {:?}",
+                        q,
+                        mode,
+                        text
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Lower-casing that is context-sensitive (`Σ` at the end of a word),
+    /// changes a character's length (`İ`) or its count, title case, words
+    /// mixing ASCII with other scripts, more distinct tokens than the
+    /// duplicate table starts with, and nothing at all.
+    #[test]
+    fn named_cases_match_the_oracle() {
+        let many: String = (0..1000)
+            .map(|i| format!("Tok{} tok{} ", i % 300, i % 7))
+            .collect();
+        let texts = [
+            "ΟΔΟΣ",
+            "İstanbul",
+            "ǅ",
+            "ΟΔΟΣ οδος Οδός ΟΔΟΣ. ΑΣ Σ ΣΑ aΣ Σa",
+            "İstanbul istanbul i̇stanbul ISTANBUL IİI",
+            "ǅ ǆ Ǆ ǅx xǅ",
+            "abcΣ Σabc abΣc ABC abc AbC straße STRASSE ﬁn FIN",
+            "x²y ½ ٣ three३",
+            "The the THE tHe#2 the#2 the",
+            "a-b_c.d,e;f a b c d e f",
+            "",
+            "...!!!",
+            " \t - ",
+            many.as_str(),
+        ]
+        .map(str::to_string);
+        check(&texts).unwrap();
+        // And in the other order, so each text follows a different one.
+        let mut reversed = texts.to_vec();
+        reversed.reverse();
+        check(&reversed).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Short texts over an alphabet where separators, case pairs,
+        /// digits and the awkward Unicode letters are all common.
+        #[test]
+        fn short_texts_match_the_oracle(
+            texts in prop::collection::vec("[abABzZ019 ,.#ΣσςΟοİIıiǅǆßé中²\u{345}-]{0,24}", 1..6),
+        ) {
+            check(&texts)?;
+        }
+
+        /// Long records: up to 200 words from a vocabulary of 90 in mixed
+        /// case, so duplicates are found by the table and the table grows.
+        #[test]
+        fn long_records_match_the_oracle(
+            records in prop::collection::vec(prop::collection::vec(0usize..90, 0..200), 1..4),
+        ) {
+            let texts: Vec<String> = records
+                .iter()
+                .map(|words| {
+                    words
+                        .iter()
+                        .map(|w| match w % 3 {
+                            0 => format!("word{w}, "),
+                            1 => format!("WORD{w} "),
+                            _ => format!("wörd{w}-"),
+                        })
+                        .collect()
+                })
+                .collect();
+            check(&texts)?;
+        }
+    }
+}

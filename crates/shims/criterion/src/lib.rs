@@ -45,7 +45,9 @@ impl BenchmarkId {
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
-        BenchmarkId { label: s.to_string() }
+        BenchmarkId {
+            label: s.to_string(),
+        }
     }
 }
 
@@ -61,6 +63,8 @@ impl From<String> for BenchmarkId {
 pub enum Throughput {
     /// Bytes per iteration; reported as MB/s (10^6 bytes).
     Bytes(u64),
+    /// Items per iteration; reported as thousands per second.
+    Elements(u64),
 }
 
 /// Runs the measured closure and accumulates elapsed time.
@@ -118,6 +122,11 @@ impl BenchmarkGroup<'_> {
     }
 
     fn run<F: FnMut(&mut Bencher)>(&mut self, label: &str, mut f: F) {
+        if let Some(filter) = &self._criterion.filter {
+            if !format!("{}/{label}", self.name).contains(filter.as_str()) {
+                return;
+            }
+        }
         let mut b = Bencher {
             iterations: self.sample_size as u64,
             elapsed: Duration::ZERO,
@@ -132,6 +141,9 @@ impl BenchmarkGroup<'_> {
         let rate = match self.throughput {
             Some(Throughput::Bytes(n)) if secs > 0.0 => {
                 format!(", {:.0} MB/s", n as f64 / 1e6 / secs)
+            }
+            Some(Throughput::Elements(n)) if secs > 0.0 => {
+                format!(", {:.0} K elem/s", n as f64 / 1e3 / secs)
             }
             _ => String::new(),
         };
@@ -174,12 +186,15 @@ impl BenchmarkGroup<'_> {
 /// Entry point mirroring `criterion::Criterion`.
 pub struct Criterion {
     default_sample_size: usize,
+    /// Run only the benchmarks whose `group/label` contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         Criterion {
             default_sample_size: 10,
+            filter: None,
         }
     }
 }
@@ -206,8 +221,12 @@ impl Criterion {
         self
     }
 
-    /// Parse command-line configuration (accepted and ignored).
-    pub fn configure_from_args(self) -> Self {
+    /// Parse command-line configuration: the first argument that is not a
+    /// flag is a filter, as in criterion — only benchmarks whose
+    /// `group/label` contains it run (a group's own setup code still
+    /// does). Flags, such as the `--bench` cargo passes, are ignored.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         self
     }
 }
@@ -257,5 +276,24 @@ mod tests {
         });
         assert_eq!(setups, 3);
         g.finish();
+    }
+
+    #[test]
+    fn a_filter_skips_the_benchmarks_it_does_not_match() {
+        let mut c = Criterion {
+            filter: Some("path/tok".to_string()),
+            ..Criterion::default()
+        };
+        let mut ran = Vec::new();
+        for (group, label) in [
+            ("record_path", "tokenize"),
+            ("record_path", "project"),
+            ("verify", "tok"),
+        ] {
+            c.benchmark_group(group)
+                .sample_size(1)
+                .bench_function(label, |b| b.iter(|| ran.push((group, label))));
+        }
+        assert_eq!(ran, [("record_path", "tokenize")]);
     }
 }
