@@ -1,64 +1,57 @@
-//! Execution backends: how a job's tasks reach physical threads.
+//! Execution backends: one task runner, three shuffle transports.
 //!
-//! [`Cluster::run`](crate::Cluster::run) is split into a backend-neutral
-//! driver (validation, recovery scavenging, the commit protocol, the time
-//! model, metrics) and an [`ExecutionBackend`] that owns only the middle:
-//! *run the map tasks, move their spill runs to the right partitions, run
-//! the reduce tasks*. Two backends implement that contract:
+//! [`Cluster::run`](crate::Cluster::run) is a backend-neutral driver
+//! (validation, recovery scavenging, the commit protocol, the time model,
+//! metrics) around the middle that [`execute`] owns. Every backend runs
+//! that middle through the same function, [`run_phases`]: *run the map
+//! tasks, regroup their spill runs per reduce partition, run the reduce
+//! tasks*, on the same retrying task pool. The only thing that varies is
+//! the [`Transport`] — how a winning map attempt's runs are parked and how
+//! a reduce attempt gets them back:
 //!
-//! * [`BackendKind::Simulated`] — the original deterministic in-process
-//!   executor. Map tasks run on a work-stealing pool (or inline when one
-//!   thread suffices), **all** map output is regrouped by partition in a
-//!   single serial pass, and then reduce tasks run. This is the reference
-//!   semantics: chaos plans, speculation, and the simulated time model are
-//!   all defined against it.
-//! * [`BackendKind::Sharded`] — a real sharded executor: map tasks are
-//!   queued per node shard and executed by a pool of shard-affine workers
-//!   (idle workers steal from other shards), and every finished spill run
-//!   is **streamed** to its reduce partition through a bounded channel
-//!   (see [`crate::shuffle`]) while other map tasks are still running.
-//!   Each partition's merge queue is drained by a dedicated thread that
-//!   runs the reduce task once the channel closes (= the map phase
-//!   finished), gated by a semaphore so at most `physical_threads` reduce
-//!   bodies execute concurrently.
+//! | backend | transport | parked form | where attempts run |
+//! |---|---|---|---|
+//! | [`BackendKind::Simulated`] | [`InMemory`] | the [`Run`] itself | driver threads |
+//! | [`BackendKind::Sharded`] | [`Channel`] | a slot; the run crosses a [`crate::shuffle::bounded`] channel to one collector thread, which fills it | driver threads |
+//! | [`BackendKind::Process`] | [`crate::remote::ProcessTransport`] | a `RunRef` to a checksummed run file | worker processes; driver threads once every worker slot is quarantined |
 //!
 //! # Determinism contract
 //!
-//! Both backends must produce **byte-identical committed output** for the
-//! same job on the same DFS. The engine guarantees this holds regardless
-//! of thread interleaving because
+//! Every backend must produce **byte-identical committed output** for the
+//! same job on the same DFS. That holds regardless of thread interleaving
+//! because
 //!
 //! * task bodies ([`run_map_task`]/[`run_reduce_task`]) derive everything —
 //!   including the node label used for fault injection — from
-//!   `(task_id, attempt)`, never from the executing thread;
-//! * equal keys surface in reduce in *run presentation order*, so the
-//!   sharded backend sorts each partition's collected runs by
-//!   `(map task, spill index)` — exactly the order the simulated backend's
-//!   serial regroup produces — before merging;
-//! * reduce work only starts after every map sender has dropped, so a map
-//!   failure always preempts reduce execution, as in the simulated path.
+//!   `(task_id, attempt)`, never from the executing thread or process;
+//! * equal keys surface in reduce in *run presentation order*, and the
+//!   runner's regroup hands every partition its runs in `(map task, spill)`
+//!   order whatever order the map tasks finished in;
+//! * reduce work only starts after the whole map phase has succeeded, so a
+//!   map failure always preempts reduce execution.
 //!
-//! What the sharded backend does **not** change: the simulated clock.
-//! Makespans are still computed by the driver from per-task durations and
-//! the topology, so speedup/scaleup numbers are backend-independent by
-//! construction (wall-clock, of course, is not).
+//! No backend changes the simulated clock: makespans are computed by the
+//! driver from per-task durations and the topology, so speedup/scaleup
+//! numbers are backend-independent by construction (wall-clock, of course,
+//! is not).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::cluster::ClusterConfig;
 use crate::engine::{
-    run_map_task, run_reduce_task, run_tasks, run_with_retries, MapItem, MapShared, MapTaskOut,
-    ReduceItem, ReduceShared, ReduceTaskOut, RetryPolicy, RetryStats,
+    run_map_task, run_reduce_task, run_tasks, MapItem, MapShared, MapStats, MapTaskOut,
+    ReduceShared, ReduceTaskOut, RetryPolicy, RetryStats,
 };
 use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
 use crate::profile::{self, secs_to_us};
 use crate::reducer::Reducer;
 use crate::run::Run;
-use crate::shuffle::{bounded, Semaphore};
+use crate::shuffle::{bounded, Sender};
+use crate::supervise::Watchdog;
+use crate::task::Phase;
 
 /// Which execution backend a [`ClusterConfig`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,7 +111,7 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Everything a backend needs to execute one job's map and reduce phases.
+/// Everything the runner needs to execute one job's map and reduce phases.
 /// Built by the driver in [`crate::Cluster::run`]; the shared structs
 /// borrow the job and the cluster.
 pub(crate) struct ExecParams<'a, M: Mapper, R: Reducer> {
@@ -135,458 +128,275 @@ pub(crate) struct ExecParams<'a, M: Mapper, R: Reducer> {
     pub(crate) remote: Option<&'a crate::job::RemoteJobSpec>,
 }
 
-/// What a backend hands back to the driver. A top-level `Err` from
-/// [`ExecutionBackend::execute`] means the **map phase** failed (the
-/// driver propagates it without touching the output directory);
-/// `reduce_result` carries the reduce phase's outcome so the driver can
-/// run the job-level commit/abort protocol around it.
+/// What the runner hands back to the driver. A top-level `Err` from
+/// [`execute`] means the **map phase** failed (the driver propagates it
+/// without touching the output directory); `reduce_result` carries the
+/// reduce phase's outcome so the driver can run the job-level commit/abort
+/// protocol around it. Both output lists are in task order.
 pub(crate) struct ExecOutcome {
-    pub(crate) map_outs: Vec<MapTaskOut>,
+    pub(crate) map_outs: Vec<MapStats>,
     pub(crate) map_stats: RetryStats,
-    pub(crate) shuffle_bytes: u64,
-    pub(crate) shuffle_records: u64,
-    pub(crate) spills: u64,
     pub(crate) reduce_result: Result<(Vec<ReduceTaskOut>, RetryStats)>,
 }
 
-/// The backend contract: execute the map tasks, deliver every spill run to
-/// its reduce partition, execute the reduce tasks. See the module docs for
-/// the determinism obligations.
-pub(crate) trait ExecutionBackend {
-    /// Run one job's phases to completion (or classified failure).
-    fn execute<M, R>(&self, params: ExecParams<'_, M, R>) -> Result<ExecOutcome>
-    where
-        M: Mapper,
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>;
-}
+/// How spill runs travel from the map attempt that produced them to the
+/// reduce attempts that merge them — the one thing that differs between
+/// the backends.
+pub(crate) trait Transport: Sync {
+    /// The parked form of one spill run: what a map attempt returns and
+    /// the regroup routes.
+    type Parked: Send + Sync;
 
-/// The original deterministic executor (see [`BackendKind::Simulated`]).
-pub(crate) struct SimulatedBackend;
+    /// Park a winning map attempt's runs (outer index = partition, inner
+    /// = spill order) and return their parked forms in the same shape.
+    fn park(
+        &self,
+        task_id: usize,
+        attempt: usize,
+        runs: Vec<Vec<Run>>,
+    ) -> Result<Vec<Vec<Self::Parked>>>;
 
-impl ExecutionBackend for SimulatedBackend {
-    fn execute<M, R>(&self, params: ExecParams<'_, M, R>) -> Result<ExecOutcome>
-    where
-        M: Mapper,
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-    {
-        let ExecParams {
-            map_items,
-            map_shared,
-            reduce_shared,
-            reducer,
-            policy,
-            threads,
-            num_reducers,
-            ..
-        } = params;
-        // The three phases run strictly back-to-back here, so the map /
-        // regroup / reduce wall windows are exact sequential spans.
-        let exec_start = Instant::now();
-        let counters = map_shared.counters;
-        let (mut map_outs, map_stats): (Vec<MapTaskOut>, RetryStats) =
-            run_tasks(map_items, threads, policy, |item, attempt| {
-                run_map_task(item, attempt, map_shared)
-            })?;
-        map_outs.sort_by_key(|o| o.task_id);
-        let map_done = exec_start.elapsed().as_secs_f64();
+    /// Get parked runs back, in the order given.
+    fn fetch(&self, parked: &[Self::Parked]) -> Result<Vec<Run>>;
 
-        // Shuffle: regroup runs by partition in one serial pass. Map
-        // outputs are visited in task order, runs within a task in spill
-        // order — the canonical run presentation order both backends
-        // reproduce.
-        let mut partition_runs: Vec<Vec<Run>> = (0..num_reducers).map(|_| Vec::new()).collect();
-        let mut shuffle_bytes = 0u64;
-        let mut shuffle_records = 0u64;
-        let mut spills = 0u64;
-        for out in &mut map_outs {
-            spills += out.spills;
-            for (p, runs) in out.runs.drain(..).enumerate() {
-                for run in runs {
-                    shuffle_bytes += run.len_bytes() as u64;
-                    shuffle_records += run.records as u64;
-                    partition_runs[p].push(run);
-                }
-            }
-        }
-        let regroup_done = exec_start.elapsed().as_secs_f64();
+    /// The map phase is over: after this returns, everything parked must
+    /// be fetchable.
+    fn seal(&mut self) {}
 
-        let reduce_items: Vec<ReduceItem<M, R>> = partition_runs
-            .into_iter()
-            .enumerate()
-            .map(|(task_id, runs)| ReduceItem::<M, R>::new(task_id, runs, reducer.clone()))
-            .collect();
-        let reduce_result = run_tasks(reduce_items, threads, policy, |item, attempt| {
-            run_reduce_task(item, attempt, reduce_shared)
-        });
-        counters.get(profile::WALL_MAP_US).add(secs_to_us(map_done));
-        counters
-            .get(profile::WALL_REGROUP_US)
-            .add(secs_to_us(regroup_done - map_done));
-        counters
-            .get(profile::BUSY_REGROUP_US)
-            .add(secs_to_us(regroup_done - map_done));
-        counters.get(profile::WALL_REDUCE_US).add(secs_to_us(
-            exec_start.elapsed().as_secs_f64() - regroup_done,
-        ));
-        Ok(ExecOutcome {
-            map_outs,
-            map_stats,
-            shuffle_bytes,
-            shuffle_records,
-            spills,
-            reduce_result,
-        })
+    /// Run a map attempt somewhere that parks its own output. `Ok(None)`
+    /// (the default) means "run it on this thread".
+    fn remote_map(
+        &self,
+        _task: usize,
+        _attempt: usize,
+    ) -> Result<Option<MapTaskOut<Self::Parked>>> {
+        Ok(None)
+    }
+
+    /// Run a reduce attempt somewhere that fetches its own input.
+    /// `Ok(None)` (the default) means "run it on this thread".
+    fn remote_reduce(
+        &self,
+        _task: usize,
+        _attempt: usize,
+        _parked: &[Self::Parked],
+    ) -> Result<Option<ReduceTaskOut>> {
+        Ok(None)
     }
 }
 
-/// The sharded streaming executor (see [`BackendKind::Sharded`]).
-pub(crate) struct ShardedBackend;
+/// The simulated backend's transport: a run stays where the map attempt
+/// left it (a [`Run`] is reference-counted, so fetching is a pointer copy).
+pub(crate) struct InMemory;
 
-impl ExecutionBackend for ShardedBackend {
-    fn execute<M, R>(&self, params: ExecParams<'_, M, R>) -> Result<ExecOutcome>
-    where
-        M: Mapper,
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-    {
-        let ExecParams {
-            map_items,
-            map_shared,
-            reduce_shared,
-            reducer,
-            policy,
-            threads,
-            num_reducers,
-            config,
-            ..
-        } = params;
-        let nodes = config.nodes;
-        let num_map_tasks = map_items.len();
-        let counters = map_shared.counters;
-        let trace = map_shared.cluster.trace();
-        let job_name = map_shared.job_name;
+impl Transport for InMemory {
+    type Parked = Run;
 
-        // Per-phase profile. Map and reduce overlap in wall time on this
-        // backend (drains collect while maps still run), so the wall split
-        // point is defined as the instant the *last* map worker exits —
-        // its channel senders drop there, which is exactly what unblocks
-        // the reduce bodies. Workers race `fetch_max` with their exit
-        // offset; the max is the split. Transport time is the blocking
-        // portion of bounded-channel sends; regroup is the drain-side
-        // restore of canonical run order.
-        let exec_start = Instant::now();
-        let maps_done_ns = AtomicU64::new(0);
-        let transport_us = counters.get(profile::BUSY_SHUFFLE_TRANSPORT_US);
-        let transport_bytes = counters.get(profile::BUSY_SHUFFLE_TRANSPORT_BYTES);
-        let regroup_ctr = counters.get(profile::BUSY_REGROUP_US);
+    fn park(&self, _task: usize, _attempt: usize, runs: Vec<Vec<Run>>) -> Result<Vec<Vec<Run>>> {
+        Ok(runs)
+    }
 
-        // Wall-clock supervision, sharded flavour: scoped worker threads
-        // cannot be killed, so an expired deadline trips a cooperative
-        // [`CancelToken`] — workers stop picking up tasks and reduce
-        // drains refuse to start bodies — and the job fails fast with a
-        // classified error. A task body that itself never returns is not
-        // recoverable on this backend (use the process backend for that);
-        // supervision here bounds everything cooperative around it.
-        let supervision = config.task_timeout_secs.map(|secs| {
-            let deadline = std::time::Duration::from_secs_f64(secs);
-            (
-                crate::supervise::Supervisor::new(deadline / 4),
-                deadline,
-                crate::supervise::CancelToken::new(),
-            )
+    fn fetch(&self, parked: &[Run]) -> Result<Vec<Run>> {
+        Ok(parked.to_vec())
+    }
+}
+
+/// The sharded backend's transport: every run is handed through one
+/// [`bounded`] channel to one collector thread, which receives eagerly —
+/// a map attempt only ever blocks for the hand-off itself, however small
+/// the channel and however few worker threads there are. The parked form
+/// is the slot the collector delivers the run into.
+pub(crate) struct Channel<'scope> {
+    tx: Option<Sender<(Slot, Run)>>,
+    collector: Option<ScopedJoinHandle<'scope, ()>>,
+}
+
+type Slot = Arc<OnceLock<Run>>;
+
+impl<'scope> Channel<'scope> {
+    fn new<'env>(scope: &'scope Scope<'scope, 'env>, capacity: usize) -> Self {
+        let (tx, rx) = bounded::<(Slot, Run)>(capacity);
+        // The collector ends when the last sender drops: `seal`, or this
+        // transport being dropped on a failed map phase.
+        let collector = scope.spawn(move || {
+            while let Some((slot, run)) = rx.recv() {
+                let _ = slot.set(run);
+            }
         });
-        let cancel = supervision
-            .as_ref()
-            .map(|(_, _, t)| t.clone())
-            .unwrap_or_default();
-        // Registers a deadline watch around one task execution (all its
-        // attempts: retry backoff is charged to sim time, not the wall).
-        let watch_task = |phase: crate::task::Phase, task: usize| {
-            supervision.as_ref().map(|(sup, deadline, token)| {
-                let token = token.clone();
-                let counters = counters.clone();
-                let trace = trace.cloned();
-                let job = job_name.to_string();
-                sup.watch(Some(*deadline), None, move |reason| {
-                    token.cancel();
-                    counters.get("mr.supervise.task_timeout").incr();
-                    if let Some(sink) = &trace {
-                        let mut ev = crate::trace::TraceEvent::new(
-                            crate::trace::EventKind::TaskTimeout,
-                            job.as_str(),
-                        )
-                        .at_task(phase, task, 0, task % nodes);
-                        ev.detail = Some(format!("sharded fail-fast: {}", reason.as_str()));
-                        sink.emit(ev);
-                    }
-                })
+        Channel {
+            tx: Some(tx),
+            collector: Some(collector),
+        }
+    }
+}
+
+impl Transport for Channel<'_> {
+    type Parked = Slot;
+
+    fn park(&self, _task: usize, _attempt: usize, runs: Vec<Vec<Run>>) -> Result<Vec<Vec<Slot>>> {
+        let tx = self.tx.as_ref().expect("map attempts park before seal");
+        let send = |run| {
+            let slot = Slot::default();
+            tx.send((Arc::clone(&slot), run))
+                .map_err(|_| MrError::TaskFailed("shuffle collector is gone".into()))?;
+            Ok(slot)
+        };
+        let park_partition = |part: Vec<Run>| part.into_iter().map(send).collect();
+        runs.into_iter().map(park_partition).collect()
+    }
+
+    fn fetch(&self, parked: &[Slot]) -> Result<Vec<Run>> {
+        let lost = || MrError::TaskFailed("a parked run never reached the collector".into());
+        let deliver = |slot: &Slot| slot.get().cloned().ok_or_else(lost);
+        parked.iter().map(deliver).collect()
+    }
+
+    fn seal(&mut self) {
+        self.tx = None;
+        if let Some(collector) = self.collector.take() {
+            collector.join().expect("shuffle collector panicked");
+        }
+    }
+}
+
+/// Run one job's map and reduce phases on the backend its config selects.
+pub(crate) fn execute<M, R>(mut params: ExecParams<'_, M, R>) -> Result<ExecOutcome>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    let config = params.config;
+    let shared = params.map_shared;
+    let counters = shared.counters;
+    match config.backend {
+        BackendKind::Simulated => run_phases(params, &mut InMemory, None),
+        BackendKind::Sharded => {
+            let watchdog = Watchdog::new(config, counters, shared.cluster.trace(), shared.job_name);
+            std::thread::scope(|scope| {
+                let mut channel = Channel::new(scope, config.shuffle_channel_capacity);
+                run_phases(params, &mut channel, watchdog.as_ref())
             })
-        };
-
-        // Per-shard map queues: a task lands on the shard of the node its
-        // split lives on (the same label `run_map_task` derives), reversed
-        // so `pop` serves ascending task ids.
-        let mut queues: Vec<Vec<MapItem<M>>> = (0..nodes).map(|_| Vec::new()).collect();
-        for item in map_items.into_iter().rev() {
-            let shard = item.split.node_hint.unwrap_or(item.task_id % nodes) % nodes;
-            queues[shard].push(item);
         }
-        let queues: Vec<Mutex<Vec<MapItem<M>>>> = queues.into_iter().map(Mutex::new).collect();
-
-        let workers = threads.clamp(1, num_map_tasks.max(1));
-        let map_outs: Mutex<Vec<MapTaskOut>> = Mutex::new(Vec::with_capacity(num_map_tasks));
-        let map_stats: Mutex<RetryStats> = Mutex::new(RetryStats::default());
-        let map_error: Mutex<Option<MrError>> = Mutex::new(None);
-        let reduce_outs: Mutex<Vec<ReduceTaskOut>> = Mutex::new(Vec::with_capacity(num_reducers));
-        let reduce_stats: Mutex<RetryStats> = Mutex::new(RetryStats::default());
-        let reduce_error: Mutex<Option<MrError>> = Mutex::new(None);
-        let shuffle_bytes = AtomicU64::new(0);
-        let shuffle_records = AtomicU64::new(0);
-        // At most `threads` reduce bodies run at once; the per-partition
-        // drain threads themselves spend their life blocked in `recv`.
-        let reduce_gate = Semaphore::new(threads);
-
-        let mut channels = Vec::with_capacity(num_reducers);
-        let mut receivers = Vec::with_capacity(num_reducers);
-        for _ in 0..num_reducers {
-            let (tx, rx) = bounded::<(usize, usize, Run)>(config.shuffle_channel_capacity);
-            channels.push(tx);
-            receivers.push(rx);
+        // Jobs that carry a `RemoteJobSpec` — and run on a disk-backed DFS
+        // that worker processes can actually open — execute out-of-process.
+        // Everything else (closure-built jobs, an in-memory DFS, a worker
+        // pool that fails to come up) runs like the simulated backend on
+        // the same DFS, counted under `mr.process.fallback_jobs`. Output
+        // bytes are identical either way, so the fallback is a performance
+        // path, never a correctness one.
+        BackendKind::Process => {
+            let spawn_start = Instant::now();
+            let Some(mut workers) = crate::remote::spawn_pool(&params) else {
+                counters.get("mr.process.fallback_jobs").incr();
+                return run_phases(params, &mut InMemory, None);
+            };
+            counters
+                .get(profile::WALL_SPAWN_US)
+                .add(secs_to_us(spawn_start.elapsed().as_secs_f64()));
+            params.threads = workers.size();
+            let result = run_phases(params, &mut workers, None);
+            // Pool shutdown and spill cleanup close the reduce window, so
+            // the windows still tile the backend's whole execution.
+            let teardown_start = Instant::now();
+            workers.shutdown();
+            counters
+                .get(profile::WALL_REDUCE_US)
+                .add(secs_to_us(teardown_start.elapsed().as_secs_f64()));
+            result
         }
-
-        crossbeam::thread::scope(|s| {
-            // -- map worker shards --------------------------------------
-            for w in 0..workers {
-                if num_map_tasks == 0 {
-                    break;
-                }
-                let senders: Vec<_> = channels.clone();
-                let queues = &queues;
-                let map_outs = &map_outs;
-                let map_stats = &map_stats;
-                let map_error = &map_error;
-                let cancel = &cancel;
-                let watch_task = &watch_task;
-                let maps_done_ns = &maps_done_ns;
-                let transport_us = &transport_us;
-                let transport_bytes = &transport_bytes;
-                s.spawn(move |_| {
-                    let home = w % nodes;
-                    loop {
-                        if map_error.lock().is_some() || cancel.is_cancelled() {
-                            break;
-                        }
-                        // Own shard first, then steal round-robin.
-                        let mut item = None;
-                        for i in 0..nodes {
-                            if let Some(it) = queues[(home + i) % nodes].lock().pop() {
-                                item = Some(it);
-                                break;
-                            }
-                        }
-                        let Some(item) = item else { break };
-                        let guard = watch_task(crate::task::Phase::Map, item.task_id);
-                        let attempt_result = run_with_retries(&item, &policy, &|item, attempt| {
-                            run_map_task(item, attempt, map_shared)
-                        });
-                        drop(guard);
-                        match attempt_result {
-                            Ok((mut out, s)) => {
-                                // Stream the winning attempt's spill runs
-                                // to their partitions. A dead receiver
-                                // means another task already failed the
-                                // job — and a tripped cancel token means
-                                // this result arrived past its deadline;
-                                // either way, just bow out.
-                                let mut bailed = false;
-                                'send: for (p, runs) in out.runs.drain(..).enumerate() {
-                                    for (spill, run) in runs.into_iter().enumerate() {
-                                        let len = run.len_bytes() as u64;
-                                        let send_start = Instant::now();
-                                        let sent = !cancel.is_cancelled()
-                                            && senders[p].send((out.task_id, spill, run)).is_ok();
-                                        transport_us
-                                            .add(secs_to_us(send_start.elapsed().as_secs_f64()));
-                                        if !sent {
-                                            bailed = true;
-                                            break 'send;
-                                        }
-                                        transport_bytes.add(len);
-                                    }
-                                }
-                                if bailed {
-                                    break;
-                                }
-                                let mut stats = map_stats.lock();
-                                stats.retries += s.retries;
-                                stats.backoff_secs += s.backoff_secs;
-                                drop(stats);
-                                map_outs.lock().push(out);
-                            }
-                            Err(e) => {
-                                map_error.lock().get_or_insert(e);
-                                break;
-                            }
-                        }
-                    }
-                    // This worker is done; its senders drop when the
-                    // closure returns. The slowest worker's exit time is
-                    // the map→reduce wall split.
-                    maps_done_ns
-                        .fetch_max(exec_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                });
-            }
-            // The workers own the only senders now; every channel closes
-            // exactly when the map phase is over (or has bailed out).
-            drop(channels);
-
-            // -- per-partition merge queues + reduce --------------------
-            for (partition, rx) in receivers.into_iter().enumerate() {
-                let reducer = reducer.clone();
-                let reduce_gate = &reduce_gate;
-                let map_error = &map_error;
-                let reduce_outs = &reduce_outs;
-                let reduce_stats = &reduce_stats;
-                let reduce_error = &reduce_error;
-                let shuffle_bytes = &shuffle_bytes;
-                let shuffle_records = &shuffle_records;
-                let cancel = &cancel;
-                let watch_task = &watch_task;
-                let regroup_ctr = &regroup_ctr;
-                s.spawn(move |_| {
-                    let mut collected: Vec<(usize, usize, Run)> = Vec::new();
-                    while let Some(entry) = rx.recv() {
-                        shuffle_bytes.fetch_add(entry.2.len_bytes() as u64, Ordering::Relaxed);
-                        shuffle_records.fetch_add(entry.2.records as u64, Ordering::Relaxed);
-                        collected.push(entry);
-                    }
-                    // Channel closed: the map phase is complete. A map
-                    // failure preempts reduce, exactly as in the
-                    // simulated backend.
-                    if map_error.lock().is_some()
-                        || reduce_error.lock().is_some()
-                        || cancel.is_cancelled()
-                    {
-                        return;
-                    }
-                    // Restore the canonical run presentation order —
-                    // (map task, spill) — for equal-key determinism.
-                    let regroup_start = Instant::now();
-                    collected.sort_unstable_by_key(|(task, spill, _)| (*task, *spill));
-                    let runs: Vec<Run> = collected.into_iter().map(|(_, _, run)| run).collect();
-                    regroup_ctr.add(secs_to_us(regroup_start.elapsed().as_secs_f64()));
-                    let item = ReduceItem::<M, R>::new(partition, runs, reducer);
-                    let _permit = reduce_gate.acquire();
-                    if map_error.lock().is_some()
-                        || reduce_error.lock().is_some()
-                        || cancel.is_cancelled()
-                    {
-                        return;
-                    }
-                    let guard = watch_task(crate::task::Phase::Reduce, partition);
-                    let attempt_result = run_with_retries(&item, &policy, &|item, attempt| {
-                        run_reduce_task(item, attempt, reduce_shared)
-                    });
-                    drop(guard);
-                    match attempt_result {
-                        Ok((out, s)) => {
-                            let mut stats = reduce_stats.lock();
-                            stats.retries += s.retries;
-                            stats.backoff_secs += s.backoff_secs;
-                            drop(stats);
-                            reduce_outs.lock().push(out);
-                        }
-                        Err(e) => {
-                            reduce_error.lock().get_or_insert(e);
-                        }
-                    }
-                });
-            }
-        })
-        .expect("sharded backend thread panicked");
-
-        // Wall split: [exec start, last map-worker exit] is the map
-        // window, the remainder until here is the reduce window.
-        let exec_us = secs_to_us(exec_start.elapsed().as_secs_f64());
-        let map_us = (maps_done_ns.into_inner() / 1_000).min(exec_us);
-        counters.get(profile::WALL_MAP_US).add(map_us);
-        counters
-            .get(profile::WALL_REDUCE_US)
-            .add(exec_us.saturating_sub(map_us));
-
-        if let Some(e) = map_error.into_inner() {
-            return Err(e);
-        }
-        if cancel.is_cancelled() {
-            // A deadline expired somewhere and nothing else classified it
-            // first: fail the job with an explicit timeout error instead
-            // of committing output that arrived past its deadline.
-            return Err(MrError::TaskFailed(format!(
-                "{job_name}: task wall-clock deadline exceeded (sharded backend fails fast; \
-                 in-process workers cannot be killed)"
-            )));
-        }
-        let mut map_outs = map_outs.into_inner();
-        let spills = map_outs.iter().map(|o| o.spills).sum();
-        // The driver re-sorts, but do it here too so the outcome is
-        // well-formed regardless of completion order.
-        map_outs.sort_by_key(|o| o.task_id);
-        let reduce_result = match reduce_error.into_inner() {
-            Some(e) => Err(e),
-            None => Ok((reduce_outs.into_inner(), reduce_stats.into_inner())),
-        };
-        Ok(ExecOutcome {
-            map_outs,
-            map_stats: map_stats.into_inner(),
-            shuffle_bytes: shuffle_bytes.into_inner(),
-            shuffle_records: shuffle_records.into_inner(),
-            spills,
-            reduce_result,
-        })
     }
 }
 
-/// The process-isolated executor (see [`BackendKind::Process`]).
-///
-/// Jobs that carry a [`crate::RemoteJobSpec`] — and run on a disk-backed
-/// DFS that worker processes can actually open — execute out-of-process
-/// via [`crate::remote`]. Everything else (closure-built jobs, an
-/// in-memory DFS, or a worker pool that fails to come up) falls back to
-/// the in-process [`SimulatedBackend`] on the same DFS, counted under
-/// `mr.process.fallback_jobs`. Output bytes are identical either way, so
-/// the fallback is a performance path, never a correctness one.
-pub(crate) struct ProcessBackend;
+/// The one place a job's phases are sequenced: map tasks → regroup the
+/// parked runs per reduce partition → reduce tasks, with the three wall
+/// windows taken back-to-back around them. An attempt the transport does
+/// not run elsewhere runs on the calling pool thread, under `watchdog`
+/// when the backend supervises in-process attempts.
+fn run_phases<M, R, T>(
+    params: ExecParams<'_, M, R>,
+    transport: &mut T,
+    watchdog: Option<&Watchdog>,
+) -> Result<ExecOutcome>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+    T: Transport,
+{
+    let ExecParams {
+        map_items,
+        map_shared,
+        reduce_shared,
+        reducer,
+        policy,
+        threads,
+        num_reducers,
+        ..
+    } = params;
+    let counters = map_shared.counters;
+    let exec_start = Instant::now();
+    let shuffle = &*transport;
+    let (mut map_outs, map_stats) = run_tasks(map_items, threads, policy, |item, attempt| {
+        if let Some(out) = shuffle.remote_map(item.task_id, attempt)? {
+            return Ok(out);
+        }
+        Watchdog::supervised(watchdog, (Phase::Map, item.task_id, attempt), || {
+            let park = |runs| shuffle.park(item.task_id, attempt, runs);
+            run_map_task(item, attempt, map_shared, park)
+        })
+    })?;
+    let map_done = exec_start.elapsed().as_secs_f64();
 
-impl ExecutionBackend for ProcessBackend {
-    fn execute<M, R>(&self, params: ExecParams<'_, M, R>) -> Result<ExecOutcome>
-    where
-        M: Mapper,
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-    {
-        let counters = params.map_shared.counters;
-        let remote_capable = params.remote.is_some() && params.map_shared.dfs.disk_root().is_some();
-        if !remote_capable {
-            counters.get("mr.process.fallback_jobs").incr();
-            return SimulatedBackend.execute(params);
+    // Regroup: visit map outputs in task order and each task's runs in
+    // spill order — the canonical run presentation order, whichever order
+    // the tasks finished in.
+    transport.seal();
+    map_outs.sort_by_key(|o| o.stats.task_id);
+    let mut partitions: Vec<Vec<T::Parked>> = (0..num_reducers).map(|_| Vec::new()).collect();
+    let mut map_outs_stats = Vec::with_capacity(map_outs.len());
+    for out in map_outs {
+        for (partition, runs) in partitions.iter_mut().zip(out.runs) {
+            partition.extend(runs);
         }
-        let spawn_start = Instant::now();
-        match crate::remote::spawn_pool(&params) {
-            Ok(pool) => {
-                counters
-                    .get(profile::WALL_SPAWN_US)
-                    .add(secs_to_us(spawn_start.elapsed().as_secs_f64()));
-                crate::remote::execute_remote(params, pool)
-            }
-            Err(why) => {
-                // Worker pool never came up (spawn or handshake failure):
-                // run in-process rather than failing a job that the
-                // simulated path can complete on the same DFS.
-                counters.get("mr.process.fallback_jobs").incr();
-                counters.get("mr.process.handshake_failures").incr();
-                eprintln!("[mr] process backend falling back in-process: {why}");
-                SimulatedBackend.execute(params)
-            }
-        }
+        map_outs_stats.push(out.stats);
     }
+    let regroup_done = exec_start.elapsed().as_secs_f64();
+
+    let shuffle = &*transport;
+    // `Reducer` is `Clone + Send` but not `Sync`: each task owns a clone.
+    let reduce_items: Vec<(usize, Vec<T::Parked>, R)> = partitions
+        .into_iter()
+        .enumerate()
+        .map(|(task_id, parked)| (task_id, parked, reducer.clone()))
+        .collect();
+    let reduce_result = run_tasks(reduce_items, threads, policy, |item, attempt| {
+        let (task_id, parked, reducer) = item;
+        if let Some(out) = shuffle.remote_reduce(*task_id, attempt, parked)? {
+            return Ok(out);
+        }
+        Watchdog::supervised(watchdog, (Phase::Reduce, *task_id, attempt), || {
+            let fetch = || shuffle.fetch(parked);
+            run_reduce_task(*task_id, reducer, attempt, reduce_shared, fetch)
+        })
+    })
+    .map(|(mut outs, stats)| {
+        outs.sort_by_key(|o| o.task_id);
+        (outs, stats)
+    });
+    let reduce_done = exec_start.elapsed().as_secs_f64();
+    counters.get(profile::WALL_MAP_US).add(secs_to_us(map_done));
+    for regroup in [profile::WALL_REGROUP_US, profile::BUSY_REGROUP_US] {
+        counters
+            .get(regroup)
+            .add(secs_to_us(regroup_done - map_done));
+    }
+    counters
+        .get(profile::WALL_REDUCE_US)
+        .add(secs_to_us(reduce_done - regroup_done));
+    Ok(ExecOutcome {
+        map_outs: map_outs_stats,
+        map_stats,
+        reduce_result,
+    })
 }
 
 #[cfg(test)]

@@ -100,9 +100,10 @@ pub struct ClusterConfig {
     /// operational symptom of a bad token order. Set above 1.0 to disable.
     pub heavy_hitter_warn_share: f64,
     /// Which execution backend runs the tasks (see [`crate::backend`]).
-    /// Both backends produce byte-identical output; they differ only in
-    /// how tasks are scheduled onto physical threads and how map output
-    /// reaches the reducers.
+    /// All three backends produce byte-identical output from the same task
+    /// runner; they differ only in the shuffle transport — how map output
+    /// reaches the reducers — and, for [`BackendKind::Process`], in which
+    /// process an attempt runs.
     pub backend: BackendKind,
     /// Root directory of a disk-backed DFS. Setting it puts the store on
     /// disk for *any* backend — the in-process backends gain a persistent,
@@ -120,17 +121,21 @@ pub struct ClusterConfig {
     /// *process* still never loses acknowledged commits (the page cache
     /// survives), but power loss can. No effect on the in-memory store.
     pub durable_commits: bool,
-    /// Capacity (in spill runs) of each per-partition shuffle channel used
-    /// by the [`BackendKind::Sharded`] backend. Bounds how far map tasks
-    /// can run ahead of a slow reducer before blocking (backpressure).
+    /// Capacity (in spill runs) of the one shuffle channel between the map
+    /// attempts and the collector thread of the [`BackendKind::Sharded`]
+    /// backend. The collector receives eagerly, so this bounds only how
+    /// many runs can be in hand-off at once — a sender blocks while that
+    /// many are queued — not how far the map phase runs ahead of the
+    /// reducers (reduce starts when the map phase is over).
     pub shuffle_channel_capacity: usize,
     /// Wall-clock deadline for one task attempt on the real backends
     /// ([`BackendKind::Sharded`] and [`BackendKind::Process`]). When an
-    /// attempt exceeds the deadline the supervisor kills the worker
-    /// (process backend) or cancels the shard (sharded backend) and the
-    /// attempt is retried as a transient `NodeLost`. `None` (the default)
-    /// disables wall-clock supervision entirely. Never affects simulated
-    /// time or committed bytes.
+    /// attempt exceeds the deadline the supervisor kills the worker and the
+    /// attempt is retried as a transient `NodeLost` (process backend), or
+    /// trips the cooperative cancel and the job fails fast with a
+    /// classified error (sharded backend: threads cannot be killed). `None`
+    /// (the default) disables wall-clock supervision entirely. Never
+    /// affects simulated time or committed bytes.
     pub task_timeout_secs: Option<f64>,
     /// Interval at which process workers emit heartbeat frames on the
     /// pipe protocol while a task runs. Only meaningful when

@@ -394,6 +394,25 @@ impl_codec_tuple!(
     (A: 0, B: 1, C: 2, D: 3, E: 4)
 );
 
+/// Implement [`Codec`] for a struct (optionally generic over one `Codec`
+/// parameter) by encoding the listed fields in order — how the engine's
+/// own task-result and wire types cross the process backend's pipes. A
+/// trailing `..base` leaves the unlisted fields off the wire: the decoded
+/// value takes them from `base`.
+macro_rules! codec_struct {
+    ($t:ident $(<$p:ident>)? { $($f:ident),+ $(,)? } $(..$base:expr)?) => {
+        impl$(<$p: $crate::codec::Codec>)? $crate::codec::Codec for $t$(<$p>)? {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::codec::Codec::encode(&self.$f, buf);)+
+            }
+            fn decode(r: &mut $crate::codec::ByteReader<'_>) -> $crate::error::Result<Self> {
+                Ok($t { $($f: $crate::codec::Codec::decode(r)?,)+ $(..$base)? })
+            }
+        }
+    };
+}
+pub(crate) use codec_struct;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,15 +7,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::backend::{
-    BackendKind, ExecOutcome, ExecParams, ExecutionBackend, ProcessBackend, ShardedBackend,
-    SimulatedBackend,
-};
+use crate::backend::{self, BackendKind, ExecParams};
 use crate::cache::Cache;
 use crate::cluster::{
     list_schedule_makespan, list_schedule_speculative, schedule_map_tasks, ClusterConfig,
-    MapTaskSpec, SpecOutcome, SpecTask,
+    MapTaskSpec, ScheduleOutcome, SpecOutcome, SpecTask,
 };
+use crate::codec::codec_struct;
 use crate::counters::Counters;
 use crate::dfs::{Dfs, SeqWriter, TextWriter};
 use crate::error::{MrError, Result};
@@ -119,7 +117,10 @@ impl Cluster {
         }
     }
 
-    /// Execute a job.
+    /// Execute a job: setup and scavenge, execute on the configured
+    /// backend, job-level commit or abort, finalize — one function each,
+    /// and with the backend's spawn/map/regroup/reduce the seven wall
+    /// windows of [`crate::profile`].
     pub fn run<M, R>(&self, job: Job<M, R>) -> Result<JobMetrics>
     where
         M: Mapper,
@@ -141,41 +142,10 @@ impl Cluster {
             t.emit(TraceEvent::new(EventKind::JobStart, &job.name));
         }
         let job_seq = self.jobs_run.fetch_add(1, Ordering::Relaxed);
-
-        // ---- recovery: scavenge orphans from a crashed prior run -----------
-        // A driver crash can leave `_attempt-*` files (uncommitted task
-        // output) and a stale `_SUCCESS` manifest in the output directory.
-        // Both are deleted before any task of this run starts, so a stale
-        // attempt file can never be renamed over fresh output and a stale
-        // manifest can never vouch for output this run is about to replace.
-        // Killed or quarantined process workers additionally leak `*.run`
-        // spill files (and driver temps) on the disk store; the DFS-level
-        // scavenger sweeps everything owned by dead pids.
         if let Some(dir) = job.output.dir() {
-            let mut scavenged = 0u64;
-            for path in self.dfs.list(dir) {
-                let base = path.rsplit('/').next().unwrap_or("");
-                if base.starts_with("_attempt-") {
-                    if self.dfs.delete(&path).is_ok() {
-                        scavenged += 1;
-                    }
-                } else if base == SUCCESS_FILE {
-                    let _ = self.dfs.delete(&path);
-                }
-            }
-            scavenged += self.dfs.scavenge_orphans() as u64;
-            if scavenged > 0 {
-                counters.get("mr.recovery.scavenged").add(scavenged);
-                if let Some(t) = &self.trace {
-                    let mut e = TraceEvent::new(EventKind::Scavenge, &job.name);
-                    e.records = Some(scavenged);
-                    e.detail = Some(format!("orphaned attempt/spill file(s) under {dir}"));
-                    t.emit(e);
-                }
-            }
+            self.scavenge(&job.name, dir, &counters);
         }
 
-        // ---- map, shuffle, reduce: delegated to the execution backend -----
         let map_items: Vec<MapItem<M>> = job
             .inputs
             .into_iter()
@@ -186,7 +156,6 @@ impl Cluster {
                 mapper: job.mapper.clone(),
             })
             .collect();
-        let num_map_tasks = map_items.len();
         let shared = MapShared {
             partitioner: &job.partitioner,
             sort_cmp: &job.sort_cmp,
@@ -226,174 +195,221 @@ impl Cluster {
         counters
             .get(profile::WALL_SETUP_US)
             .add(secs_to_us(wall_start.elapsed().as_secs_f64()));
-        // A backend `Err` is a map-phase failure: propagate it without
-        // touching the output directory, exactly like the pre-backend
-        // engine did.
-        let outcome = match self.config.backend {
-            BackendKind::Simulated => SimulatedBackend.execute(params),
-            BackendKind::Sharded => ShardedBackend.execute(params),
-            BackendKind::Process => ProcessBackend.execute(params),
-        }?;
-        let ExecOutcome {
-            mut map_outs,
-            map_stats,
-            shuffle_bytes,
-            shuffle_records,
-            spills,
-            reduce_result,
-        } = outcome;
-        map_outs.sort_by_key(|o| o.task_id);
+        // An `Err` here is a map-phase failure: it propagates without
+        // touching the output directory.
+        let outcome = backend::execute(params)?;
+
         let commit_start = Instant::now();
+        let reduce = self.commit_job(
+            (&job.name, job_seq, job.fingerprint.unwrap_or(0)),
+            job.output.dir(),
+            outcome.reduce_result,
+        )?;
+        counters
+            .get(profile::WALL_COMMIT_US)
+            .add(secs_to_us(commit_start.elapsed().as_secs_f64()));
+        let map = (outcome.map_outs, outcome.map_stats);
+        Ok(self.finalize(job.name, wall_start, &counters, &histograms, map, reduce))
+    }
+
+    /// Recovery before any task starts: a driver crash can leave
+    /// `_attempt-*` files (uncommitted task output) and a stale `_SUCCESS`
+    /// manifest in the output directory. Both are deleted here, so a stale
+    /// attempt file can never be renamed over fresh output and a stale
+    /// manifest can never vouch for output this run is about to replace.
+    /// Killed or quarantined process workers additionally leak `*.run`
+    /// spill files (and driver temps) on the disk store; the DFS-level
+    /// scavenger sweeps everything owned by dead pids.
+    fn scavenge(&self, job_name: &str, dir: &str, counters: &Counters) {
+        let mut scavenged = 0u64;
+        for path in self.dfs.list(dir) {
+            let base = path.rsplit('/').next().unwrap_or("");
+            if base.starts_with("_attempt-") {
+                if self.dfs.delete(&path).is_ok() {
+                    scavenged += 1;
+                }
+            } else if base == SUCCESS_FILE {
+                let _ = self.dfs.delete(&path);
+            }
+        }
+        scavenged += self.dfs.scavenge_orphans() as u64;
+        if scavenged > 0 {
+            counters.get("mr.recovery.scavenged").add(scavenged);
+            if let Some(t) = &self.trace {
+                let mut e = TraceEvent::new(EventKind::Scavenge, job_name);
+                e.records = Some(scavenged);
+                e.detail = Some(format!("orphaned attempt/spill file(s) under {dir}"));
+                t.emit(e);
+            }
+        }
+    }
+
+    /// Job-level commit/abort (Hadoop's OutputCommitter.commitJob /
+    /// abortJob) around the reduce phase's outcome: on success sweep any
+    /// leftover attempt files and write the `_SUCCESS` commit manifest; on
+    /// failure remove the whole output directory so a failed job never
+    /// leaves partial output behind.
+    fn commit_job(
+        &self,
+        (job_name, job_seq, fingerprint): (&str, usize, u64),
+        dir: Option<&str>,
+        reduce_result: Result<(Vec<ReduceTaskOut>, RetryStats)>,
+    ) -> Result<(Vec<ReduceTaskOut>, RetryStats)> {
+        let reduce = match reduce_result {
+            Ok(reduce) => reduce,
+            Err(e) => {
+                if let Some(dir) = dir {
+                    self.dfs.delete_prefix(dir);
+                }
+                return Err(e);
+            }
+        };
         let faults = self.config.faults.as_ref();
         // Injected driver crash *mid-job*: all reduce tasks committed their
         // parts at task level, but the job-level commit (attempt sweep +
         // `_SUCCESS` manifest) never ran. The output directory is left
         // exactly as the crash would leave it — parts present, no manifest —
         // so resume logic must treat the job as uncommitted.
-        if reduce_result.is_ok() {
-            if let Some(plan) = faults {
-                if plan.crash_mid == Some(job_seq) {
-                    return Err(MrError::DriverCrash(format!(
-                        "mid job {job_seq} ({}) before commit",
-                        job.name
-                    )));
+        if faults.is_some_and(|plan| plan.crash_mid == Some(job_seq)) {
+            return Err(MrError::DriverCrash(format!(
+                "mid job {job_seq} ({job_name}) before commit"
+            )));
+        }
+        if let Some(dir) = dir {
+            for path in self.dfs.list(dir) {
+                if path
+                    .rsplit('/')
+                    .next()
+                    .is_some_and(|base| base.starts_with("_attempt-"))
+                {
+                    let _ = self.dfs.delete(&path);
                 }
             }
-        }
-        // Job-level commit/abort (Hadoop's OutputCommitter.commitJob /
-        // abortJob): on success sweep any leftover attempt files and write
-        // the `_SUCCESS` commit manifest; on failure remove the whole output
-        // directory so a failed job never leaves partial output behind.
-        if let Some(dir) = job.output.dir() {
-            match &reduce_result {
-                Ok(_) => {
-                    for path in self.dfs.list(dir) {
-                        if path
-                            .rsplit('/')
-                            .next()
-                            .is_some_and(|base| base.starts_with("_attempt-"))
-                        {
-                            let _ = self.dfs.delete(&path);
-                        }
-                    }
-                    // The commit itself can hit a transient storage fault
-                    // (injected EIO on the manifest write, ENOSPC freed by
-                    // the scavenger): re-issue it a bounded number of times
-                    // rather than failing a job whose parts all committed.
-                    commit_with_retries(|| {
-                        JobManifest::collect(
-                            &self.dfs,
-                            &job.name,
-                            job.fingerprint.unwrap_or(0),
-                            dir,
-                        )?
-                        .write(&self.dfs, dir)
-                    })?;
-                    // Injected post-commit corruption: flip a bit in a
-                    // committed part so the next read (or manifest check)
-                    // of this directory must detect it.
-                    if let Some(target) = faults.and_then(|p| p.corrupt_path.as_deref()) {
-                        if target.starts_with(dir) && self.dfs.exists(target) {
-                            self.dfs.corrupt(target)?;
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.dfs.delete_prefix(dir);
+            // The commit itself can hit a transient storage fault
+            // (injected EIO on the manifest write, ENOSPC freed by the
+            // scavenger): re-issue it a bounded number of times rather
+            // than failing a job whose parts all committed.
+            commit_with_retries(|| {
+                JobManifest::collect(&self.dfs, job_name, fingerprint, dir)?.write(&self.dfs, dir)
+            })?;
+            // Injected post-commit corruption: flip a bit in a committed
+            // part so the next read (or manifest check) of this directory
+            // must detect it.
+            if let Some(target) = faults.and_then(|p| p.corrupt_path.as_deref()) {
+                if target.starts_with(dir) && self.dfs.exists(target) {
+                    self.dfs.corrupt(target)?;
                 }
             }
         }
         // Injected driver crash *after* this job committed: downstream jobs
         // never start. Resume must skip this job (manifest valid) and re-run
         // only what is missing.
-        if reduce_result.is_ok() {
-            if let Some(plan) = faults {
-                if plan.crash_after == Some(job_seq) {
-                    return Err(MrError::DriverCrash(format!(
-                        "after job {job_seq} ({}) committed",
-                        job.name
-                    )));
-                }
-            }
+        if faults.is_some_and(|plan| plan.crash_after == Some(job_seq)) {
+            return Err(MrError::DriverCrash(format!(
+                "after job {job_seq} ({job_name}) committed"
+            )));
         }
-        let (mut reduce_outs, reduce_stats) = reduce_result?;
-        reduce_outs.sort_by_key(|o| o.task_id);
-        counters
-            .get(profile::WALL_COMMIT_US)
-            .add(secs_to_us(commit_start.elapsed().as_secs_f64()));
-        let finalize_start = Instant::now();
+        Ok(reduce)
+    }
 
-        // ---- metrics --------------------------------------------------------
-        let overhead = self.config.network.task_overhead_secs;
+    /// One phase's simulated makespan. When any attempt ran slower than its
+    /// healthy expectation (`slowdown > 0`, i.e. an injected straggler),
+    /// the phase is re-scheduled with backup attempts racing the
+    /// stragglers; without stragglers this is exactly the plain schedule,
+    /// so the fault-free time model is unchanged.
+    fn speculate(
+        &self,
+        costs: &[f64],
+        slowdowns: &[f64],
+        slots: usize,
+        plain_makespan: impl FnOnce() -> f64,
+    ) -> (f64, SpecOutcome) {
+        if !(self.config.speculation && slowdowns.iter().any(|&s| s > 0.0)) {
+            return (plain_makespan(), SpecOutcome::default());
+        }
+        let tasks: Vec<SpecTask> = costs
+            .iter()
+            .zip(slowdowns)
+            .map(|(&cost, &slowdown)| SpecTask {
+                duration: cost,
+                expected: (cost - slowdown).max(0.0),
+            })
+            .collect();
+        let spec = list_schedule_speculative(&tasks, slots);
+        (spec.makespan, spec)
+    }
+
+    /// The cluster time model: measured per-task durations become a
+    /// locality-aware map schedule and a list-scheduled reduce phase on the
+    /// configured topology, each with speculation applied.
+    #[allow(clippy::type_complexity)]
+    fn time_model(
+        &self,
+        map_outs: &[MapStats],
+        reduce_outs: &[ReduceTaskOut],
+    ) -> (ScheduleOutcome, (f64, SpecOutcome), (f64, SpecOutcome)) {
+        let config = &self.config;
+        let overhead = config.network.task_overhead_secs;
         let map_specs: Vec<MapTaskSpec> = map_outs
             .iter()
             .map(|o| MapTaskSpec {
                 duration: o.duration + overhead,
-                node_hint: o.node_hint.map(|n| n % self.config.nodes),
+                node_hint: o.node_hint.map(|n| n % config.nodes),
                 input_bytes: o.input_bytes,
             })
             .collect();
         let map_schedule = schedule_map_tasks(
             &map_specs,
-            self.config.nodes,
-            self.config.map_slots_per_node,
-            &self.config.network,
+            config.nodes,
+            config.map_slots_per_node,
+            &config.network,
         );
-        // Speculative execution: when any attempt ran slower than its
-        // healthy expectation (duration > base_duration, i.e. an injected
-        // straggler), re-schedule the phase with backup attempts racing the
-        // stragglers. Without stragglers this is bit-identical to the plain
-        // schedule, so the fault-free time model is unchanged.
-        let map_straggles = map_outs.iter().any(|o| o.duration > o.base_duration);
-        let (map_makespan, map_spec) = if self.config.speculation && map_straggles {
-            let tasks: Vec<SpecTask> = map_schedule
-                .task_costs
-                .iter()
-                .zip(&map_outs)
-                .map(|(&cost, o)| SpecTask {
-                    duration: cost,
-                    expected: (cost - (o.duration - o.base_duration)).max(0.0),
-                })
-                .collect();
-            let s = list_schedule_speculative(&tasks, self.config.map_slots());
-            (s.makespan, s)
-        } else {
-            (map_schedule.makespan, SpecOutcome::default())
-        };
+        let map_slow: Vec<f64> = map_outs
+            .iter()
+            .map(|o| o.duration - o.base_duration)
+            .collect();
+        let map = self.speculate(
+            &map_schedule.task_costs,
+            &map_slow,
+            config.map_slots(),
+            || map_schedule.makespan,
+        );
         let reduce_sim: Vec<f64> = reduce_outs
             .iter()
-            .map(|o| self.config.network.transfer_secs(o.input_bytes) + o.duration + overhead)
+            .map(|o| config.network.transfer_secs(o.input_bytes) + o.duration + overhead)
             .collect();
-        let reduce_straggles = reduce_outs.iter().any(|o| o.duration > o.base_duration);
-        let (reduce_makespan, reduce_spec) = if self.config.speculation && reduce_straggles {
-            let tasks: Vec<SpecTask> = reduce_sim
-                .iter()
-                .zip(&reduce_outs)
-                .map(|(&sim, o)| SpecTask {
-                    duration: sim,
-                    expected: (sim - (o.duration - o.base_duration)).max(0.0),
-                })
-                .collect();
-            let s = list_schedule_speculative(&tasks, self.config.reduce_slots());
-            (s.makespan, s)
-        } else {
-            (
-                list_schedule_makespan(&reduce_sim, self.config.reduce_slots()),
-                SpecOutcome::default(),
-            )
-        };
+        let reduce_slow: Vec<f64> = reduce_outs
+            .iter()
+            .map(|o| o.duration - o.base_duration)
+            .collect();
+        let reduce = self.speculate(&reduce_sim, &reduce_slow, config.reduce_slots(), || {
+            list_schedule_makespan(&reduce_sim, config.reduce_slots())
+        });
+        (map_schedule, map, reduce)
+    }
 
-        // ---- histograms & heavy hitters ------------------------------------
-        // Built from winning-attempt outputs only, so the distributions are
-        // deterministic even when fault injection retries attempts.
+    /// Histograms and heavy hitters, built from winning-attempt outputs
+    /// only, so the distributions are deterministic even when fault
+    /// injection retries attempts. Warns (stderr, counter, trace event)
+    /// when the heaviest reduce key carries too large a share of the
+    /// shuffle.
+    #[allow(clippy::type_complexity)]
+    fn distributions(
+        &self,
+        job_name: &str,
+        counters: &Counters,
+        histograms: &Histograms,
+        (map_outs, reduce_outs): (&[MapStats], &[ReduceTaskOut]),
+        shuffle_records: u64,
+    ) -> (Vec<(String, HistogramSnapshot)>, Vec<(String, u64)>) {
         let map_secs = Histogram::new();
-        for o in &map_outs {
+        for o in map_outs {
             map_secs.record(o.duration);
         }
         let reduce_secs = Histogram::new();
         let mut group_records = HistogramSnapshot::default();
         let mut key_counts: Option<TopK> = None;
-        for o in &reduce_outs {
+        for o in reduce_outs {
             reduce_secs.record(o.duration);
             group_records.merge(&o.group_records);
             if let Some(tk) = &o.key_counts {
@@ -415,15 +431,14 @@ impl Cluster {
             if shuffle_records > 0 && share > self.config.heavy_hitter_warn_share {
                 counters.get(HEAVY_HITTER_WARNINGS).incr();
                 eprintln!(
-                    "warning: job {}: reduce key {label} carries {count} of {shuffle_records} \
-                     shuffle records ({:.0}% > {:.0}% threshold) — a different token ordering \
-                     or grouped routing would balance reducers better",
-                    job.name,
+                    "warning: job {job_name}: reduce key {label} carries {count} of \
+                     {shuffle_records} shuffle records ({:.0}% > {:.0}% threshold) — a different \
+                     token ordering or grouped routing would balance reducers better",
                     share * 100.0,
                     self.config.heavy_hitter_warn_share * 100.0,
                 );
                 if let Some(t) = &self.trace {
-                    let mut e = TraceEvent::new(EventKind::SkewWarning, &job.name);
+                    let mut e = TraceEvent::new(EventKind::SkewWarning, job_name);
                     e.records = Some(*count);
                     e.detail = Some(format!(
                         "{label} carries {:.1}% of {shuffle_records} shuffle records",
@@ -433,53 +448,81 @@ impl Cluster {
                 }
             }
         }
-        // Speculative races live on the simulated timeline; export them as
-        // synthetic spans in a dedicated trace process.
-        if let Some(t) = &self.trace {
-            for (phase, spec) in [(Phase::Map, &map_spec), (Phase::Reduce, &reduce_spec)] {
-                for race in &spec.races {
-                    let mut e = TraceEvent::new(EventKind::Speculative, &job.name);
-                    e.phase = Some(phase);
-                    e.task = Some(race.task as u64);
-                    e.dur_us = Some((race.backup_duration * 1e6) as u64);
-                    e.detail = Some(if race.backup_won {
-                        format!("backup won; primary needed {:.3}s", race.primary_duration)
-                    } else {
-                        format!(
-                            "backup killed; primary won in {:.3}s",
-                            race.primary_duration
-                        )
-                    });
-                    t.emit_at(e, (race.backup_start * 1e6) as u64);
-                }
-            }
-        }
+        (job_histograms, heavy_hitters)
+    }
 
-        // Per-shard task counts (winning attempts), keyed by the
-        // deterministic node label — identical across backends, and the
-        // observability hook later PRs need to adapt partitioning.
-        let mut map_tasks_per_node = vec![0u64; self.config.nodes];
-        for o in &map_outs {
-            map_tasks_per_node[o.node % self.config.nodes] += 1;
+    /// Speculative races live on the simulated timeline; export them as
+    /// synthetic spans in a dedicated trace process.
+    fn trace_races(&self, job_name: &str, phase: Phase, spec: &SpecOutcome) {
+        let Some(t) = &self.trace else { return };
+        for race in &spec.races {
+            let mut e = TraceEvent::new(EventKind::Speculative, job_name);
+            e.phase = Some(phase);
+            e.task = Some(race.task as u64);
+            e.dur_us = Some((race.backup_duration * 1e6) as u64);
+            e.detail = Some(if race.backup_won {
+                format!("backup won; primary needed {:.3}s", race.primary_duration)
+            } else {
+                format!(
+                    "backup killed; primary won in {:.3}s",
+                    race.primary_duration
+                )
+            });
+            t.emit_at(e, (race.backup_start * 1e6) as u64);
         }
-        let mut reduce_tasks_per_node = vec![0u64; self.config.nodes];
+    }
+
+    /// Turn the winning attempts' outputs into [`JobMetrics`]: the time
+    /// model (locality-aware map schedule, list-scheduled reduces,
+    /// speculation), the distributions, and the closing trace events.
+    fn finalize(
+        &self,
+        name: String,
+        wall_start: Instant,
+        counters: &Counters,
+        histograms: &Histograms,
+        (map_outs, map_stats): (Vec<MapStats>, RetryStats),
+        (reduce_outs, reduce_stats): (Vec<ReduceTaskOut>, RetryStats),
+    ) -> JobMetrics {
+        let finalize_start = Instant::now();
+        let config = &self.config;
+        let (map_schedule, (map_makespan, map_spec), (reduce_makespan, reduce_spec)) =
+            self.time_model(&map_outs, &reduce_outs);
+        let shuffle_bytes = map_outs.iter().map(|o| o.shuffle_bytes).sum();
+        let shuffle_records = map_outs.iter().map(|o| o.shuffle_records).sum();
+        let (job_histograms, heavy_hitters) = self.distributions(
+            &name,
+            counters,
+            histograms,
+            (&map_outs, &reduce_outs),
+            shuffle_records,
+        );
+        self.trace_races(&name, Phase::Map, &map_spec);
+        self.trace_races(&name, Phase::Reduce, &reduce_spec);
+        // Per-shard task counts (winning attempts), keyed by the
+        // deterministic node label — identical across backends.
+        let mut map_tasks_per_node = vec![0u64; config.nodes];
+        for o in &map_outs {
+            map_tasks_per_node[o.node % config.nodes] += 1;
+        }
+        let mut reduce_tasks_per_node = vec![0u64; config.nodes];
         for o in &reduce_outs {
-            reduce_tasks_per_node[o.node % self.config.nodes] += 1;
+            reduce_tasks_per_node[o.node % config.nodes] += 1;
         }
 
         counters
             .get(profile::WALL_FINALIZE_US)
             .add(secs_to_us(finalize_start.elapsed().as_secs_f64()));
         let metrics = JobMetrics {
-            name: job.name,
+            name,
             map: PhaseMetrics {
-                tasks: num_map_tasks,
+                tasks: map_outs.len(),
                 total_task_secs: map_outs.iter().map(|o| o.duration).sum(),
                 max_task_secs: map_outs.iter().map(|o| o.duration).fold(0.0, f64::max),
                 makespan_secs: map_makespan,
             },
             reduce: PhaseMetrics {
-                tasks: num_reducers,
+                tasks: reduce_outs.len(),
                 total_task_secs: reduce_outs.iter().map(|o| o.duration).sum(),
                 max_task_secs: reduce_outs.iter().map(|o| o.duration).fold(0.0, f64::max),
                 makespan_secs: reduce_makespan,
@@ -503,13 +546,13 @@ impl Cluster {
             combine_output_records: map_outs.iter().map(|o| o.combine_out).sum(),
             shuffle_bytes,
             shuffle_records,
-            spills,
+            spills: map_outs.iter().map(|o| o.spills).sum(),
             reduce_input_groups: reduce_outs.iter().map(|o| o.groups).sum(),
             reduce_input_records: reduce_outs.iter().map(|o| o.input_records).sum(),
             reduce_output_records: reduce_outs.iter().map(|o| o.output_records).sum(),
             shuffle_transfer_secs: reduce_outs
                 .iter()
-                .map(|o| self.config.network.transfer_secs(o.input_bytes))
+                .map(|o| config.network.transfer_secs(o.input_bytes))
                 .fold(0.0, f64::max),
             sim_secs: map_makespan + reduce_makespan,
             wall_secs: wall_start.elapsed().as_secs_f64(),
@@ -524,9 +567,7 @@ impl Cluster {
             e.records = Some(shuffle_records);
             e.detail = Some(format!("sim {:.3}s", metrics.sim_secs));
             t.emit(e);
-        }
-        if self.config.profile {
-            if let Some(t) = &self.trace {
+            if config.profile {
                 let prof = JobProfile::from_metrics(&metrics);
                 let mut e = TraceEvent::new(EventKind::Profile, &metrics.name);
                 e.dur_us = Some((prof.covered_secs() * 1e6) as u64);
@@ -535,7 +576,7 @@ impl Cluster {
                 t.emit(e);
             }
         }
-        Ok(metrics)
+        metrics
     }
 }
 
@@ -589,9 +630,16 @@ pub(crate) trait SimCharge {
     fn charge_sim(&mut self, secs: f64);
 }
 
+/// Run a task body, turning a panic in user code into a classified
+/// [`MrError::TaskPanicked`] instead of unwinding into the executor.
+pub(crate) fn catch_task_panic<O>(body: impl FnOnce() -> Result<O>) -> Result<O> {
+    std::panic::catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|payload| Err(MrError::TaskPanicked(panic_message(payload.as_ref()))))
+}
+
 /// Render a caught panic payload as a message (`&str` and `String`
 /// payloads are preserved, anything else is opaque).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -696,9 +744,7 @@ pub(crate) fn run_with_retries<I, O: SimCharge>(
     let max_attempts = policy.max_attempts.max(1);
     let mut stats = RetryStats::default();
     for attempt in 0..max_attempts {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(item, attempt)))
-            .unwrap_or_else(|payload| Err(MrError::TaskPanicked(panic_message(payload.as_ref()))));
-        match result {
+        match catch_task_panic(|| f(item, attempt)) {
             Ok(mut out) => {
                 out.charge_sim(stats.backoff_secs);
                 stats.retries = attempt as u64;
@@ -869,7 +915,9 @@ pub(crate) struct MapShared<'a, M: Mapper> {
     pub(crate) job_name: &'a str,
 }
 
-pub(crate) struct MapTaskOut {
+/// What the driver keeps of a winning map attempt once its runs are
+/// routed: timings, record counts and the shuffle volume it parked.
+pub(crate) struct MapStats {
     pub(crate) task_id: usize,
     /// Simulated task seconds: measured execution, inflated by injected
     /// slow-downs and charged retry backoff.
@@ -885,16 +933,40 @@ pub(crate) struct MapTaskOut {
     pub(crate) spills: u64,
     pub(crate) combine_in: u64,
     pub(crate) combine_out: u64,
-    /// Spill runs per partition.
-    pub(crate) runs: Vec<Vec<Run>>,
+    /// Encoded bytes and records of the spill runs this attempt parked.
+    pub(crate) shuffle_bytes: u64,
+    pub(crate) shuffle_records: u64,
 }
+codec_struct!(MapStats {
+    task_id,
+    duration,
+    base_duration,
+    node_hint,
+    node,
+    input_bytes,
+    input_records,
+    output_records,
+    spills,
+    combine_in,
+    combine_out,
+    shuffle_bytes,
+    shuffle_records,
+});
 
-impl SimCharge for MapTaskOut {
+/// A winning map attempt: its stats plus its spill runs per partition, in
+/// spill order, in whatever form the shuffle transport parked them (`P`).
+pub(crate) struct MapTaskOut<P> {
+    pub(crate) stats: MapStats,
+    pub(crate) runs: Vec<Vec<P>>,
+}
+codec_struct!(MapTaskOut<P> { stats, runs });
+
+impl<P> SimCharge for MapTaskOut<P> {
     fn charge_sim(&mut self, secs: f64) {
         // Backoff delays both the actual and the expected completion time,
         // so it never triggers speculation by itself.
-        self.duration += secs;
-        self.base_duration += secs;
+        self.stats.duration += secs;
+        self.stats.base_duration += secs;
     }
 }
 
@@ -915,8 +987,9 @@ struct MapEmitter<'a, K: Key, V: Value> {
     /// per-phase profile; subtracted from the attempt's elapsed time to
     /// isolate user map execution.
     spill_secs: f64,
-    /// Encoded bytes produced by `spill()`.
+    /// Encoded bytes and records produced by `spill()`.
     spill_bytes: u64,
+    spill_records: u64,
 }
 
 impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
@@ -941,6 +1014,7 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
             combine_out: 0,
             spill_secs: 0.0,
             spill_bytes: 0,
+            spill_records: 0,
         }
     }
 
@@ -962,6 +1036,7 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
             );
             let run = Run::encode(&sorted);
             self.spill_bytes += run.len_bytes() as u64;
+            self.spill_records += run.records as u64;
             self.runs[p].push(run);
         }
         if spilled_any {
@@ -986,11 +1061,16 @@ impl<K: Key, V: Value> Emit<K, V> for MapEmitter<'_, K, V> {
     }
 }
 
-pub(crate) fn run_map_task<M: Mapper>(
+/// Run one map attempt and hand its spill runs to `park` — the shuffle
+/// transport's map side (see [`crate::backend::Transport::park`]). Parking
+/// happens after the attempt's measured window closes, so it is never
+/// charged to simulated time.
+pub(crate) fn run_map_task<M: Mapper, P>(
     item: &MapItem<M>,
     attempt: usize,
     shared: &MapShared<'_, M>,
-) -> Result<MapTaskOut> {
+    park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
+) -> Result<MapTaskOut<P>> {
     let nodes = shared.cluster.config.nodes;
     // Retried attempts rotate to a different node — how a re-execution
     // escapes a dead or unhealthy machine.
@@ -1002,17 +1082,18 @@ pub(crate) fn run_map_task<M: Mapper>(
         item.task_id,
         attempt,
         node,
-        |o: &MapTaskOut| (o.input_bytes, o.output_records),
-        || run_map_attempt(item, attempt, node, shared),
+        |o: &MapTaskOut<P>| (o.stats.input_bytes, o.stats.output_records),
+        || run_map_attempt(item, attempt, node, shared, park),
     )
 }
 
-fn run_map_attempt<M: Mapper>(
+fn run_map_attempt<M: Mapper, P>(
     item: &MapItem<M>,
     attempt: usize,
     node: usize,
     shared: &MapShared<'_, M>,
-) -> Result<MapTaskOut> {
+    park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
+) -> Result<MapTaskOut<P>> {
     let task_id = item.task_id;
     let split = &item.split;
     let mut mapper = item.mapper.clone();
@@ -1086,42 +1167,39 @@ fn run_map_attempt<M: Mapper>(
         Some(Fault::Straggle(factor)) => factor,
         _ => 1.0,
     };
+    // Shuffle transport, map side: the winning attempt's runs go wherever
+    // this backend keeps them until the reduce phase.
+    let park_start = Instant::now();
+    let runs = park(emitter.runs)?;
+    shared
+        .counters
+        .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
+        .add(secs_to_us(park_start.elapsed().as_secs_f64()));
+    shared
+        .counters
+        .get(profile::BUSY_SHUFFLE_TRANSPORT_BYTES)
+        .add(emitter.spill_bytes);
     Ok(MapTaskOut {
-        task_id,
-        duration: elapsed * straggle,
-        base_duration: elapsed,
-        node_hint,
-        node,
-        input_bytes,
-        input_records,
-        output_records: emitter.output_records,
-        spills: emitter.spills,
-        combine_in: emitter.combine_in,
-        combine_out: emitter.combine_out,
-        runs: emitter.runs,
+        stats: MapStats {
+            task_id,
+            duration: elapsed * straggle,
+            base_duration: elapsed,
+            node_hint,
+            node,
+            input_bytes,
+            input_records,
+            output_records: emitter.output_records,
+            spills: emitter.spills,
+            combine_in: emitter.combine_in,
+            combine_out: emitter.combine_out,
+            shuffle_bytes: emitter.spill_bytes,
+            shuffle_records: emitter.spill_records,
+        },
+        runs,
     })
 }
 
 // ---- reduce side -------------------------------------------------------------
-
-pub(crate) struct ReduceItem<M: Mapper, R: Reducer> {
-    task_id: usize,
-    runs: Vec<Run>,
-    reducer: R,
-    // M is only needed to name the key/value types.
-    _m: std::marker::PhantomData<fn(M)>,
-}
-
-impl<M: Mapper, R: Reducer> ReduceItem<M, R> {
-    pub(crate) fn new(task_id: usize, runs: Vec<Run>, reducer: R) -> Self {
-        ReduceItem {
-            task_id,
-            runs,
-            reducer,
-            _m: std::marker::PhantomData,
-        }
-    }
-}
 
 pub(crate) struct ReduceShared<'a, M: Mapper, R: Reducer> {
     pub(crate) sort_cmp: &'a SortCmp<M::OutKey>,
@@ -1156,6 +1234,19 @@ pub(crate) struct ReduceTaskOut {
     /// Shuffle records per labeled reduce key (jobs with a key labeler).
     pub(crate) key_counts: Option<TopK>,
 }
+codec_struct!(ReduceTaskOut {
+    task_id,
+    node,
+    duration,
+    base_duration,
+    input_bytes,
+    groups,
+    input_records,
+    output_records,
+    merge_passes,
+    group_records,
+    key_counts,
+});
 
 impl SimCharge for ReduceTaskOut {
     fn charge_sim(&mut self, secs: f64) {
@@ -1230,16 +1321,20 @@ impl<K: Value, V: Value> Emit<K, V> for ReduceEmitter<K, V> {
     }
 }
 
+/// Run one reduce attempt over the runs `fetch` returns — the shuffle
+/// transport's reduce side (see [`crate::backend::Transport::fetch`]),
+/// called before the attempt's measured window opens.
 pub(crate) fn run_reduce_task<M, R>(
-    item: &ReduceItem<M, R>,
+    task_id: usize,
+    reducer: &R,
     attempt: usize,
     shared: &ReduceShared<'_, M, R>,
+    fetch: impl FnOnce() -> Result<Vec<Run>>,
 ) -> Result<ReduceTaskOut>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    let task_id = item.task_id;
     let nodes = shared.cluster.config.nodes;
     let node = (task_id + attempt) % nodes;
     let result = traced_attempt(
@@ -1250,7 +1345,7 @@ where
         attempt,
         node,
         |o: &ReduceTaskOut| (o.input_bytes, o.output_records),
-        || run_reduce_attempt(item, attempt, node, shared),
+        || run_reduce_attempt(task_id, reducer, attempt, node, shared, fetch),
     );
     if result.is_err() {
         // Task-level abort (Hadoop's OutputCommitter.abortTask): discard
@@ -1272,18 +1367,24 @@ where
 }
 
 fn run_reduce_attempt<M, R>(
-    item: &ReduceItem<M, R>,
+    task_id: usize,
+    reducer: &R,
     attempt: usize,
     node: usize,
     shared: &ReduceShared<'_, M, R>,
+    fetch: impl FnOnce() -> Result<Vec<Run>>,
 ) -> Result<ReduceTaskOut>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    let task_id = item.task_id;
-    let runs = item.runs.clone();
-    let mut reducer = item.reducer.clone();
+    let fetch_start = Instant::now();
+    let runs = fetch()?;
+    shared
+        .counters
+        .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
+        .add(secs_to_us(fetch_start.elapsed().as_secs_f64()));
+    let mut reducer = reducer.clone();
     let start = Instant::now();
     let input_bytes: u64 = runs.iter().map(|r| r.len_bytes() as u64).sum();
     let label = format!("{}/reduce-{task_id}", shared.job_name);

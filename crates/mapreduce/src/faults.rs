@@ -136,6 +136,28 @@ impl Default for FaultPlan {
     }
 }
 
+// What a process worker needs to reach the driver's exact `decide()`
+// outcomes. The storage keys (`enospc`/`eio`/`torn`) stay off the wire by
+// design: the driver's `Dfs` handle injects them, so a worker decodes the
+// quiet defaults and sees a clean disk.
+crate::codec::codec_struct!(
+    FaultPlan {
+        seed,
+        p_transient,
+        p_panic,
+        p_oom,
+        p_late,
+        p_straggler,
+        p_hang,
+        p_slow_heartbeat,
+        straggler_factor,
+        dead_node,
+        crash_after,
+        crash_mid,
+        corrupt_path,
+    }..FaultPlan::default()
+);
+
 impl FaultPlan {
     /// A plan that injects nothing (useful as a parse/merge base).
     pub fn quiet(seed: u64) -> Self {

@@ -63,6 +63,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::too_many_lines)]
 
 pub mod backend;
 pub mod cache;

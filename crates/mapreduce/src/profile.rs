@@ -2,24 +2,24 @@
 //!
 //! The engine and every backend record coarse phase timings into the job's
 //! ordinary [`crate::Counters`] under the `profile.*` names below. Riding on
-//! counters is deliberate: worker processes already snapshot their per-request
-//! counters into `MapResp`/`ReduceResp` frames and the driver already merges
-//! them (`absorb_metrics`), so process-worker phase timings cross the pipe
-//! with **zero wire-protocol changes**.
+//! counters is deliberate: worker processes already send their per-request
+//! counter deltas back with every task reply and the driver already merges
+//! them, so process-worker phase timings cross the pipe with **zero
+//! wire-protocol changes**.
 //!
 //! Two families of counters:
 //!
 //! * **Wall windows** (`profile.wall.*_us`) — non-overlapping driver-side
 //!   spans that partition a job's wall clock: setup, worker-pool spawn, map
-//!   phase, serial regroup (simulated backend only), reduce phase, output
+//!   phase, regroup, reduce phase, output
 //!   commit, and metrics finalization. Because the windows are measured
 //!   back-to-back on the driver thread, their sum approaches the job's wall
 //!   time by construction — that is what makes the ≥95 % coverage contract
 //!   checkable.
 //! * **Busy attribution** (`profile.busy.*`) — time (and bytes) summed
-//!   across task attempts, shard workers, drain threads, and worker
-//!   processes: user map/reduce execution, spill encode, shuffle transport
-//!   (bounded-channel sends or run-file I/O), regroup/merge work. Busy time
+//!   across task attempts and worker processes: user map/reduce execution,
+//!   spill encode, shuffle transport (parking and fetching runs: a pointer
+//!   copy, a bounded-channel send, or run-file I/O), regroup/merge work. Busy time
 //!   may exceed the enclosing wall window when threads overlap; it explains
 //!   *where* a wall window went rather than partitioning it.
 //!
@@ -38,13 +38,11 @@ pub const WALL_SETUP_US: &str = "profile.wall.setup_us";
 /// Wall window: spawning + handshaking the process-backend worker pool.
 /// Microseconds; zero on the in-process backends.
 pub const WALL_SPAWN_US: &str = "profile.wall.spawn_us";
-/// Wall window: the map phase, as seen by the driver. On the sharded backend
-/// this ends when the *last* map worker exits (its channel senders drop).
-/// Microseconds.
+/// Wall window: the map phase, as seen by the driver. Microseconds.
 pub const WALL_MAP_US: &str = "profile.wall.map_us";
-/// Wall window: the serial regroup between map and reduce on the simulated
-/// backend (run routing). Microseconds; zero where regroup overlaps the map
-/// phase (sharded drain threads) or is part of reference routing (process).
+/// Wall window: the serial regroup between map and reduce — sealing the
+/// shuffle transport and routing every parked run to its partition in
+/// `(map task, spill)` order. Microseconds.
 pub const WALL_REGROUP_US: &str = "profile.wall.regroup_us";
 /// Wall window: the reduce phase, as seen by the driver. Microseconds.
 pub const WALL_REDUCE_US: &str = "profile.wall.reduce_us";
@@ -69,8 +67,8 @@ pub const BUSY_SPILL_BYTES: &str = "profile.busy.spill_bytes";
 pub const BUSY_SHUFFLE_TRANSPORT_US: &str = "profile.busy.shuffle_transport_us";
 /// Bytes moved by the shuffle transport (run payload bytes).
 pub const BUSY_SHUFFLE_TRANSPORT_BYTES: &str = "profile.busy.shuffle_transport_bytes";
-/// Busy time routing/ordering collected runs per reduce partition (serial
-/// regroup loop, drain-thread sorts, run-reference routing). Microseconds.
+/// Busy time routing parked runs per reduce partition; the regroup is
+/// serial, so this equals the regroup wall window. Microseconds.
 pub const BUSY_REGROUP_US: &str = "profile.busy.regroup_us";
 /// Busy time in the sorted-run merge feeding each reduce (k-way merge and
 /// merge-factor pre-passes). Microseconds.
@@ -114,7 +112,7 @@ pub struct JobProfile {
     pub wall_spawn_us: u64,
     /// Map-phase window (µs).
     pub wall_map_us: u64,
-    /// Serial regroup window (µs, simulated backend only).
+    /// Serial regroup window (µs).
     pub wall_regroup_us: u64,
     /// Reduce-phase window (µs).
     pub wall_reduce_us: u64,

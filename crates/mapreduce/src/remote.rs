@@ -23,21 +23,27 @@
 //!   |--- handshake frame --------------->|
 //!   |<-- "MR_WORKER_READY" banner line --|   (past the libtest preamble)
 //!   |<-- handshake ok/err frame ---------|
-//!   |--- MapReq{task, attempt} --------->|
-//!   |<-- MapResp{stats, run refs, ...} --|   (spill runs live on disk)
-//!   |--- ReduceReq{task, attempt, refs}->|
-//!   |<-- ReduceResp{stats, ...} ---------|   (part committed worker-side)
+//!   |--- Task{map, task, attempt} ------>|
+//!   |<-- MapTaskOut<RunRef> + metrics ---|   (spill runs live on disk)
+//!   |--- Task{reduce, task, attempt, refs}>|
+//!   |<-- ReduceTaskOut + metrics --------|   (part committed worker-side)
 //!   |--- Shutdown ---------------------->|
 //! ```
 //!
 //! Every frame is a varint length prefix (capped at [`MAX_FRAME`]) plus a
 //! `Codec`-encoded payload; responses are a tag byte (`0` ok / `1` err)
-//! followed by the body or a fully-classified [`MrError`]. Map output
-//! stays out of the pipes: workers write each spill run to a checksummed
-//! `*.run` file under the DFS root's `shuffle/` directory and return
-//! [`RunRef`]s; the reduce request routes those refs back to a worker,
-//! which re-reads them under CRC and commits its part through the shared
-//! DFS — the existing rename/manifest commit protocol, unchanged.
+//! followed by the body or a fully-classified [`MrError`]. The bodies are
+//! the engine's own task results ([`MapTaskOut`], [`ReduceTaskOut`]) plus
+//! the request's counter and histogram deltas — frames are private to one
+//! executable, so no separate wire schema exists. Map output stays out of
+//! the pipes: workers write each spill run to a checksummed `*.run` file
+//! under the DFS root's `shuffle/` directory and return [`RunRef`]s; the
+//! reduce request routes those refs back to a worker, which re-reads them
+//! under CRC and commits its part through the shared DFS — the existing
+//! rename/manifest commit protocol, unchanged. That is the whole
+//! [`Transport`] of this backend: [`park_run_files`] / [`fetch_run_files`],
+//! called by the worker for its own attempts and by the driver for attempts
+//! that run in-process once every worker slot is quarantined.
 //!
 //! # Failure classification
 //!
@@ -52,23 +58,22 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::backend::{ExecOutcome, ExecParams};
+use crate::backend::{ExecParams, Transport};
 use crate::cluster::ClusterConfig;
-use crate::codec::{write_varint, ByteReader, Codec};
+use crate::codec::{codec_struct, write_varint, ByteReader, Codec};
 use crate::counters::Counters;
 use crate::dfs::{Crc32, Dfs};
 use crate::engine::{
-    panic_message, run_map_task, run_reduce_task, run_tasks, Cluster, MapItem, MapShared,
-    MapTaskOut, ReduceItem, ReduceShared, ReduceTaskOut,
+    catch_task_panic, run_map_task, run_reduce_task, Cluster, MapItem, MapShared, MapTaskOut,
+    ReduceShared, ReduceTaskOut,
 };
 use crate::error::{MrError, Result};
 use crate::faults::{Fault, FaultPlan};
@@ -77,9 +82,9 @@ use crate::job::Job;
 use crate::mapper::Mapper;
 use crate::reducer::Reducer;
 use crate::run::Run;
-use crate::supervise::Supervisor;
+use crate::supervise::Watchdog;
 use crate::task::Phase;
-use crate::trace::{EventKind, HistogramSnapshot, Histograms, TopK, TraceEvent, TraceSink};
+use crate::trace::{EventKind, HistogramSnapshot, Histograms, TraceEvent, TraceSink};
 
 /// Environment variable that turns a spawned copy of this executable into
 /// a worker process.
@@ -112,19 +117,6 @@ const RUN_MAGIC: &[u8; 8] = b"MRRUNv1\0";
 // Wire types
 // ---------------------------------------------------------------------------
 
-macro_rules! wire_codec {
-    ($t:ident { $($f:ident),+ $(,)? }) => {
-        impl Codec for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $(self.$f.encode(buf);)+
-            }
-            fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-                Ok($t { $($f: Codec::decode(r)?),+ })
-            }
-        }
-    };
-}
-
 /// Pointer to one spill run parked on disk: file name (relative to the
 /// job's shuffle directory), record count, and payload length in bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,154 +125,7 @@ pub(crate) struct RunRef {
     records: u64,
     len: u64,
 }
-wire_codec!(RunRef { file, records, len });
-
-/// [`FaultPlan`] shipped field-wise — its `Display` form is not
-/// re-parseable, and the worker must reach the *exact* same pure
-/// `decide()` outcomes as the driver would in-process.
-#[derive(Debug, Clone)]
-struct FaultWire {
-    seed: u64,
-    p_transient: f64,
-    p_panic: f64,
-    p_oom: f64,
-    p_late: f64,
-    p_straggler: f64,
-    p_hang: f64,
-    p_slow_heartbeat: f64,
-    straggler_factor: f64,
-    dead_node: Option<u64>,
-    crash_after: Option<u64>,
-    crash_mid: Option<u64>,
-    corrupt_path: Option<String>,
-}
-wire_codec!(FaultWire {
-    seed,
-    p_transient,
-    p_panic,
-    p_oom,
-    p_late,
-    p_straggler,
-    p_hang,
-    p_slow_heartbeat,
-    straggler_factor,
-    dead_node,
-    crash_after,
-    crash_mid,
-    corrupt_path,
-});
-
-impl FaultWire {
-    fn from_plan(p: &FaultPlan) -> Self {
-        FaultWire {
-            seed: p.seed,
-            p_transient: p.p_transient,
-            p_panic: p.p_panic,
-            p_oom: p.p_oom,
-            p_late: p.p_late,
-            p_straggler: p.p_straggler,
-            p_hang: p.p_hang,
-            p_slow_heartbeat: p.p_slow_heartbeat,
-            straggler_factor: p.straggler_factor,
-            dead_node: p.dead_node.map(|n| n as u64),
-            crash_after: p.crash_after.map(|n| n as u64),
-            crash_mid: p.crash_mid.map(|n| n as u64),
-            corrupt_path: p.corrupt_path.clone(),
-        }
-    }
-
-    fn into_plan(self) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed,
-            p_transient: self.p_transient,
-            p_panic: self.p_panic,
-            p_oom: self.p_oom,
-            p_late: self.p_late,
-            p_straggler: self.p_straggler,
-            p_hang: self.p_hang,
-            p_slow_heartbeat: self.p_slow_heartbeat,
-            straggler_factor: self.straggler_factor,
-            dead_node: self.dead_node.map(|n| n as usize),
-            crash_after: self.crash_after.map(|n| n as usize),
-            crash_mid: self.crash_mid.map(|n| n as usize),
-            corrupt_path: self.corrupt_path,
-            // Storage faults (enospc/eio/torn) stay driver-side by design:
-            // the driver's Dfs handle injects them, so worker processes get
-            // the default (quiet) storage keys and a clean disk view.
-            ..FaultPlan::default()
-        }
-    }
-}
-
-/// [`HistogramSnapshot`] on the wire.
-#[derive(Debug, Clone)]
-struct HistWire {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    zeros: u64,
-    buckets: Vec<(i32, u64)>,
-}
-wire_codec!(HistWire {
-    count,
-    sum,
-    min,
-    max,
-    zeros,
-    buckets,
-});
-
-impl HistWire {
-    fn from_snapshot(s: &HistogramSnapshot) -> Self {
-        HistWire {
-            count: s.count,
-            sum: s.sum,
-            min: s.min,
-            max: s.max,
-            zeros: s.zeros,
-            buckets: s.buckets.clone(),
-        }
-    }
-
-    fn into_snapshot(self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-            zeros: self.zeros,
-            buckets: self.buckets,
-        }
-    }
-}
-
-/// [`TopK`] on the wire: capacity plus the raw entries, in insertion
-/// order. `entries.len() <= capacity` always holds, so rebuilding with
-/// `new` + `add` reproduces the original state exactly.
-#[derive(Debug, Clone)]
-struct TopKWire {
-    capacity: u64,
-    entries: Vec<(String, u64)>,
-}
-wire_codec!(TopKWire { capacity, entries });
-
-impl TopKWire {
-    fn from_topk(t: &TopK) -> Self {
-        TopKWire {
-            capacity: t.capacity() as u64,
-            entries: t.entries().to_vec(),
-        }
-    }
-
-    fn into_topk(self) -> TopK {
-        let mut t = TopK::new((self.capacity as usize).max(1));
-        for (label, n) in &self.entries {
-            t.add(label, *n);
-        }
-        t
-    }
-}
+codec_struct!(RunRef { file, records, len });
 
 /// First frame the driver sends: everything a worker needs to rebuild the
 /// job and a matching single-threaded cluster over the shared disk DFS.
@@ -288,17 +133,20 @@ struct HandshakeReq {
     job_name: String,
     factory: String,
     payload: Vec<u8>,
-    nodes: u64,
-    block_size: u64,
+    nodes: usize,
+    block_size: usize,
     dfs_root: String,
-    num_reducers: u64,
-    spill_buffer: u64,
-    merge_factor: u64,
+    num_reducers: usize,
+    spill_buffer: usize,
+    merge_factor: usize,
     task_memory: Option<u64>,
-    heavy_hitter_top_k: u64,
+    heavy_hitter_top_k: usize,
     heavy_hitter_warn_share: f64,
     shuffle_tag: String,
-    faults: Option<FaultWire>,
+    /// The driver's plan minus its storage keys (see [`FaultPlan`]'s
+    /// `Codec`): the worker must reach the *exact* same pure `decide()`
+    /// outcomes as the driver would in-process.
+    faults: Option<FaultPlan>,
     /// Milliseconds between worker heartbeat frames while a task runs;
     /// `0` disables the heartbeat thread entirely (supervision off).
     heartbeat_interval_ms: u64,
@@ -307,7 +155,7 @@ struct HandshakeReq {
     /// or task-level part commits would be weaker than job-level ones.
     durable: bool,
 }
-wire_codec!(HandshakeReq {
+codec_struct!(HandshakeReq {
     job_name,
     factory,
     payload,
@@ -326,116 +174,57 @@ wire_codec!(HandshakeReq {
     durable,
 });
 
-struct MapReq {
-    task_id: u64,
-    attempt: u64,
-}
-wire_codec!(MapReq { task_id, attempt });
-
-struct ReduceReq {
-    task_id: u64,
-    attempt: u64,
-    /// Refs in canonical run presentation order: (map task, spill index).
-    refs: Vec<RunRef>,
-}
-wire_codec!(ReduceReq {
-    task_id,
-    attempt,
-    refs
-});
-
-/// A completed map attempt: the [`MapTaskOut`] stats (runs replaced by
-/// on-disk refs, outer index = partition) plus the worker's counter and
-/// histogram deltas for this request.
-struct MapResp {
-    duration: f64,
-    base_duration: f64,
-    node_hint: Option<u64>,
-    node: u64,
-    input_bytes: u64,
-    input_records: u64,
-    output_records: u64,
-    spills: u64,
-    combine_in: u64,
-    combine_out: u64,
-    refs: Vec<Vec<RunRef>>,
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, HistWire)>,
-}
-wire_codec!(MapResp {
-    duration,
-    base_duration,
-    node_hint,
-    node,
-    input_bytes,
-    input_records,
-    output_records,
-    spills,
-    combine_in,
-    combine_out,
-    refs,
-    counters,
-    histograms,
-});
-
-/// A completed reduce attempt (its part is already committed on the
-/// shared DFS) plus the worker's metric deltas.
-struct ReduceResp {
-    node: u64,
-    duration: f64,
-    base_duration: f64,
-    input_bytes: u64,
-    groups: u64,
-    input_records: u64,
-    output_records: u64,
-    merge_passes: u64,
-    group_records: HistWire,
-    key_counts: Option<TopKWire>,
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, HistWire)>,
-}
-wire_codec!(ReduceResp {
-    node,
-    duration,
-    base_duration,
-    input_bytes,
-    groups,
-    input_records,
-    output_records,
-    merge_passes,
-    group_records,
-    key_counts,
-    counters,
-    histograms,
-});
+/// What a worker answers a task request with: the engine's own task result
+/// plus the counter and histogram deltas the request produced, which the
+/// driver merges into the job's.
+type Reply<T> = (T, Vec<(String, u64)>, Vec<(String, HistogramSnapshot)>);
 
 enum Request {
-    Map(MapReq),
-    Reduce(ReduceReq),
+    /// Run one task attempt. `refs` are a reduce task's parked runs in
+    /// canonical run presentation order, (map task, spill index); a map
+    /// task has none.
+    Task {
+        phase: Phase,
+        task_id: usize,
+        attempt: usize,
+        refs: Vec<RunRef>,
+    },
     Shutdown,
 }
 
 impl Codec for Request {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Map(m) => {
-                buf.push(1);
-                m.encode(buf);
-            }
-            Request::Reduce(r) => {
-                buf.push(2);
-                r.encode(buf);
+            Request::Task {
+                phase,
+                task_id,
+                attempt,
+                refs,
+            } => {
+                buf.push(match phase {
+                    Phase::Map => 1,
+                    Phase::Reduce => 2,
+                });
+                (*task_id, *attempt).encode(buf);
+                refs.encode(buf);
             }
             Request::Shutdown => buf.push(3),
         }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        match r.take_u8()? {
-            1 => Ok(Request::Map(MapReq::decode(r)?)),
-            2 => Ok(Request::Reduce(ReduceReq::decode(r)?)),
-            3 => Ok(Request::Shutdown),
-            t => Err(MrError::Codec(format!("invalid request tag {t}"))),
-        }
+        let phase = match r.take_u8()? {
+            1 => Phase::Map,
+            2 => Phase::Reduce,
+            3 => return Ok(Request::Shutdown),
+            t => return Err(MrError::Codec(format!("invalid request tag {t}"))),
+        };
+        let (task_id, attempt) = Codec::decode(r)?;
+        Ok(Request::Task {
+            phase,
+            task_id,
+            attempt,
+            refs: Codec::decode(r)?,
+        })
     }
 }
 
@@ -626,7 +415,7 @@ fn write_err_frame(w: &mut impl Write, e: &MrError) -> Result<()> {
 /// interleaved heartbeat frame. Outer `Err` is a transport failure (the
 /// worker is unusable); inner `Err` is a task-level error from a healthy
 /// worker.
-fn read_response_with<T: Codec>(
+fn read_response<T: Codec>(
     r: &mut impl Read,
     mut on_heartbeat: impl FnMut(),
 ) -> Result<std::result::Result<T, MrError>> {
@@ -651,10 +440,6 @@ fn read_response_with<T: Codec>(
             t => return Err(MrError::Codec(format!("invalid response tag {t}"))),
         }
     }
-}
-
-fn read_response<T: Codec>(r: &mut impl Read) -> Result<std::result::Result<T, MrError>> {
-    read_response_with(r, || {})
 }
 
 // ---------------------------------------------------------------------------
@@ -720,6 +505,31 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
     })
 }
 
+/// The process backend's [`Transport::park`]: write a winning map attempt's
+/// runs into the job's spill directory under names derived from their
+/// coordinates, and return the refs in the same shape.
+fn park_run_files(
+    dir: &Path,
+    task_id: usize,
+    attempt: usize,
+    runs: Vec<Vec<Run>>,
+) -> Result<Vec<Vec<RunRef>>> {
+    let park_partition = |(p, part): (usize, Vec<Run>)| {
+        let park = |(s, run): (usize, &Run)| {
+            let name = format!("map-{task_id:05}-a{attempt}-p{p:03}-s{s:03}.run");
+            write_run_file(dir, &name, run)
+        };
+        part.iter().enumerate().map(park).collect()
+    };
+    runs.into_iter().enumerate().map(park_partition).collect()
+}
+
+/// The process backend's [`Transport::fetch`]: re-read parked runs under
+/// CRC, in the order given.
+fn fetch_run_files(dir: &Path, refs: &[RunRef]) -> Result<Vec<Run>> {
+    refs.iter().map(|rref| read_run_file(dir, rref)).collect()
+}
+
 // ---------------------------------------------------------------------------
 // Job factory registry (worker side)
 // ---------------------------------------------------------------------------
@@ -728,13 +538,20 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
 /// registry can hold factories for jobs of any key/value types.
 trait WorkerJob: Send {
     fn set_num_reducers(&mut self, n: usize);
-    fn run_map(&mut self, cluster: &Cluster, req: &MapReq, spill_dir: &Path) -> Result<MapResp>;
+    fn run_map(
+        &mut self,
+        cluster: &Cluster,
+        task_id: usize,
+        attempt: usize,
+        spill_dir: &Path,
+    ) -> Result<Reply<MapTaskOut<RunRef>>>;
     fn run_reduce(
         &mut self,
         cluster: &Cluster,
-        req: &ReduceReq,
+        at: (usize, usize),
+        refs: &[RunRef],
         spill_dir: &Path,
-    ) -> Result<ReduceResp>;
+    ) -> Result<Reply<ReduceTaskOut>>;
 }
 
 type FactoryFn = Arc<dyn Fn(&[u8], &Dfs) -> Result<Box<dyn WorkerJob>> + Send + Sync>;
@@ -781,32 +598,6 @@ where
     num_reducers: usize,
 }
 
-impl<M, R> JobWorker<M, R>
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue> + Clone,
-{
-    fn map_shared<'a>(
-        &'a self,
-        cluster: &'a Cluster,
-        counters: &'a Counters,
-        histograms: &'a Histograms,
-    ) -> MapShared<'a, M> {
-        MapShared {
-            partitioner: &self.job.partitioner,
-            sort_cmp: &self.job.sort_cmp,
-            combiner: self.job.combiner.as_ref(),
-            counters,
-            histograms,
-            cache: &self.job.cache,
-            dfs: cluster.dfs(),
-            cluster,
-            num_reducers: self.num_reducers,
-            job_name: &self.job.name,
-        }
-    }
-}
-
 impl<M, R> WorkerJob for JobWorker<M, R>
 where
     M: Mapper,
@@ -817,9 +608,13 @@ where
         self.job.num_reducers = Some(n);
     }
 
-    fn run_map(&mut self, cluster: &Cluster, req: &MapReq, spill_dir: &Path) -> Result<MapResp> {
-        let task_id = req.task_id as usize;
-        let attempt = req.attempt as usize;
+    fn run_map(
+        &mut self,
+        cluster: &Cluster,
+        task_id: usize,
+        attempt: usize,
+        spill_dir: &Path,
+    ) -> Result<Reply<MapTaskOut<RunRef>>> {
         if task_id >= self.job.inputs.len() {
             return Err(MrError::InvalidConfig(format!(
                 "map task {task_id} out of range: job {} has {} input splits",
@@ -842,69 +637,31 @@ where
             split,
             mapper: self.job.mapper.clone(),
         };
-        let shared = self.map_shared(cluster, &counters, &histograms);
-        let result =
-            std::panic::catch_unwind(AssertUnwindSafe(|| run_map_task(&item, attempt, &shared)));
-        // Release the borrows `shared` holds before the split goes back.
-        let _ = shared;
-        self.job.inputs[task_id] = item.split;
-        let mut out = match result {
-            Ok(r) => r?,
-            Err(payload) => return Err(MrError::TaskPanicked(panic_message(&*payload))),
+        let shared = MapShared {
+            partitioner: &self.job.partitioner,
+            sort_cmp: &self.job.sort_cmp,
+            combiner: self.job.combiner.as_ref(),
+            counters: &counters,
+            histograms: &histograms,
+            cache: &self.job.cache,
+            dfs: cluster.dfs(),
+            cluster,
+            num_reducers: self.num_reducers,
+            job_name: &self.job.name,
         };
-        // Shuffle transport, process flavour: spill runs travel between
-        // worker processes as files in the spill directory. Timing the
-        // write loop into the per-request counters rides the existing
-        // counter merge back to the driver's job counters.
-        let transport_start = Instant::now();
-        let mut transport_bytes = 0u64;
-        let mut refs: Vec<Vec<RunRef>> = Vec::with_capacity(out.runs.len());
-        for (p, runs) in out.runs.drain(..).enumerate() {
-            let mut part = Vec::with_capacity(runs.len());
-            for (s, run) in runs.iter().enumerate() {
-                let name = format!("map-{task_id:05}-a{attempt}-p{p:03}-s{s:03}.run");
-                transport_bytes += run.len_bytes() as u64;
-                part.push(write_run_file(spill_dir, &name, run)?);
-            }
-            refs.push(part);
-        }
-        counters
-            .get(crate::profile::BUSY_SHUFFLE_TRANSPORT_US)
-            .add(crate::profile::secs_to_us(
-                transport_start.elapsed().as_secs_f64(),
-            ));
-        counters
-            .get(crate::profile::BUSY_SHUFFLE_TRANSPORT_BYTES)
-            .add(transport_bytes);
-        Ok(MapResp {
-            duration: out.duration,
-            base_duration: out.base_duration,
-            node_hint: out.node_hint.map(|n| n as u64),
-            node: out.node as u64,
-            input_bytes: out.input_bytes,
-            input_records: out.input_records,
-            output_records: out.output_records,
-            spills: out.spills,
-            combine_in: out.combine_in,
-            combine_out: out.combine_out,
-            refs,
-            counters: counters.snapshot(),
-            histograms: histograms
-                .snapshot()
-                .iter()
-                .map(|(n, s)| (n.clone(), HistWire::from_snapshot(s)))
-                .collect(),
-        })
+        let park = |runs| park_run_files(spill_dir, task_id, attempt, runs);
+        let result = catch_task_panic(|| run_map_task(&item, attempt, &shared, park));
+        self.job.inputs[task_id] = item.split;
+        Ok((result?, counters.snapshot(), histograms.snapshot()))
     }
 
     fn run_reduce(
         &mut self,
         cluster: &Cluster,
-        req: &ReduceReq,
+        (task_id, attempt): (usize, usize),
+        refs: &[RunRef],
         spill_dir: &Path,
-    ) -> Result<ReduceResp> {
-        let task_id = req.task_id as usize;
-        let attempt = req.attempt as usize;
+    ) -> Result<Reply<ReduceTaskOut>> {
         if task_id >= self.num_reducers {
             return Err(MrError::InvalidConfig(format!(
                 "reduce task {task_id} out of range: job {} has {} reducers",
@@ -914,18 +671,6 @@ where
         let counters = Counters::new();
         let histograms = Histograms::new();
         counters.get("mr.process.worker_reduce_tasks").incr();
-        // Reduce-side shuffle transport: reading the run files back.
-        let transport_start = Instant::now();
-        let mut runs = Vec::with_capacity(req.refs.len());
-        for rref in &req.refs {
-            runs.push(read_run_file(spill_dir, rref)?);
-        }
-        counters
-            .get(crate::profile::BUSY_SHUFFLE_TRANSPORT_US)
-            .add(crate::profile::secs_to_us(
-                transport_start.elapsed().as_secs_f64(),
-            ));
-        let item = ReduceItem::<M, R>::new(task_id, runs, self.job.reducer.clone());
         let shared = ReduceShared::<M, R> {
             sort_cmp: &self.job.sort_cmp,
             group_eq: &self.job.group_eq,
@@ -939,31 +684,11 @@ where
             job_name: &self.job.name,
             key_label: self.job.key_label.as_ref(),
         };
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_reduce_task(&item, attempt, &shared)
-        }));
-        let out = match result {
-            Ok(r) => r?,
-            Err(payload) => return Err(MrError::TaskPanicked(panic_message(&*payload))),
-        };
-        Ok(ReduceResp {
-            node: out.node as u64,
-            duration: out.duration,
-            base_duration: out.base_duration,
-            input_bytes: out.input_bytes,
-            groups: out.groups,
-            input_records: out.input_records,
-            output_records: out.output_records,
-            merge_passes: out.merge_passes,
-            group_records: HistWire::from_snapshot(&out.group_records),
-            key_counts: out.key_counts.as_ref().map(TopKWire::from_topk),
-            counters: counters.snapshot(),
-            histograms: histograms
-                .snapshot()
-                .iter()
-                .map(|(n, s)| (n.clone(), HistWire::from_snapshot(s)))
-                .collect(),
-        })
+        let fetch = || fetch_run_files(spill_dir, refs);
+        let out = catch_task_panic(|| {
+            run_reduce_task(task_id, &self.job.reducer, attempt, &shared, fetch)
+        })?;
+        Ok((out, counters.snapshot(), histograms.snapshot()))
     }
 }
 
@@ -999,25 +724,16 @@ pub fn process_worker_main() {
 
 /// Shared heartbeat state between the worker's serve loop and its
 /// heartbeat thread.
+#[derive(Default)]
 struct Pulse {
     /// A task is in flight (heartbeats are only meaningful — and only
     /// read — while the driver blocks on a response).
-    busy: std::sync::atomic::AtomicBool,
+    busy: AtomicBool,
     /// Chaos: suppress heartbeats even while busy (the slow-heartbeat
     /// and hang cells).
-    suppress: std::sync::atomic::AtomicBool,
+    suppress: AtomicBool,
     /// Worker is shutting down; the heartbeat thread exits.
-    stop: std::sync::atomic::AtomicBool,
-}
-
-impl Pulse {
-    fn new() -> Arc<Self> {
-        Arc::new(Pulse {
-            busy: std::sync::atomic::AtomicBool::new(false),
-            suppress: std::sync::atomic::AtomicBool::new(false),
-            stop: std::sync::atomic::AtomicBool::new(false),
-        })
-    }
+    stop: AtomicBool,
 }
 
 /// Write one frame to stdout under a fresh lock and flush it. Stdout is a
@@ -1032,26 +748,31 @@ fn send_stdout_frame(payload: &[u8]) -> Result<()> {
     write_frame(&mut out, payload)
 }
 
-fn send_ok<T: Codec>(body: &T) -> Result<()> {
+/// Answer one request: the body, or the classified error of a failed (but
+/// cleanly handled) task.
+fn send_response<T: Codec>(resp: Result<T>) -> Result<()> {
     let stdout = io::stdout();
     let mut out = stdout.lock();
-    write_ok_frame(&mut out, body)
+    match resp {
+        Ok(body) => write_ok_frame(&mut out, &body),
+        Err(e) => write_err_frame(&mut out, &e),
+    }
 }
 
-fn send_err(e: &MrError) -> Result<()> {
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
-    write_err_frame(&mut out, e)
+/// The task is over (the reply was computed before this call): quiet the
+/// pulse, then answer.
+fn answer<T: Codec>(pulse: &Pulse, reply: Result<T>) -> Result<()> {
+    pulse.busy.store(false, Ordering::Relaxed);
+    pulse.suppress.store(false, Ordering::Relaxed);
+    send_response(reply)
 }
 
 /// Stall this worker forever: the driver's supervisor is the only way
 /// out. Heartbeats are suppressed so both expiry paths can catch it.
 fn hang_forever(pulse: &Pulse) -> ! {
-    pulse
-        .suppress
-        .store(true, std::sync::atomic::Ordering::Relaxed);
+    pulse.suppress.store(true, Ordering::Relaxed);
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(60));
+        std::thread::sleep(Duration::from_secs(60));
     }
 }
 
@@ -1071,110 +792,85 @@ fn worker_serve() -> Result<()> {
     let req = HandshakeReq::from_bytes(&frame)?;
     let (cluster, mut job, spill_dir) = match worker_setup(&req) {
         Ok(state) => {
-            send_ok(&())?;
+            send_response(Ok(()))?;
             state
         }
         Err(e) => {
-            send_err(&e)?;
+            send_response::<()>(Err(e))?;
             return Ok(());
         }
     };
     let corrupt_once = std::env::var_os(CORRUPT_FRAME_ENV).is_some();
     let hang_once = std::env::var_os(HANG_ENV).is_some();
     let faults = cluster.config().faults.clone();
-    let job_name = req.job_name.clone();
 
     // Heartbeat thread: while a task runs, emit a bare heartbeat frame
     // every interval so the driver can tell "slow" from "hung". Never
     // spawned when supervision is off — zero protocol overhead.
-    let pulse = Pulse::new();
-    let beat = if req.heartbeat_interval_ms > 0 {
+    let pulse = Arc::new(Pulse::default());
+    let beat = (req.heartbeat_interval_ms > 0).then(|| {
         let pulse = Arc::clone(&pulse);
-        let interval = std::time::Duration::from_millis(req.heartbeat_interval_ms);
-        Some(std::thread::spawn(move || loop {
+        let interval = Duration::from_millis(req.heartbeat_interval_ms);
+        std::thread::spawn(move || loop {
             std::thread::sleep(interval);
-            if pulse.stop.load(std::sync::atomic::Ordering::Relaxed) {
+            if pulse.stop.load(Ordering::Relaxed) {
                 return;
             }
-            if pulse.busy.load(std::sync::atomic::Ordering::Relaxed)
-                && !pulse.suppress.load(std::sync::atomic::Ordering::Relaxed)
+            // A dead driver pipe shows up on the serve loop's next read;
+            // the heartbeat thread just stops trying.
+            if pulse.busy.load(Ordering::Relaxed)
+                && !pulse.suppress.load(Ordering::Relaxed)
+                && send_stdout_frame(&[RESP_HEARTBEAT]).is_err()
             {
-                // A dead driver pipe shows up on the serve loop's next
-                // read; the heartbeat thread just stops trying.
-                if send_stdout_frame(&[RESP_HEARTBEAT]).is_err() {
-                    return;
-                }
+                return;
             }
-        }))
-    } else {
-        None
-    };
-    // Decide the chaos treatment for one request *before* dispatching it:
-    // the same pure `decide()` the engine uses, so hang/slow-heartbeat
-    // cells are reproducible per (job, phase, task, attempt).
-    let chaos = |phase: crate::task::Phase, task: u64, attempt: u64| {
-        faults
-            .as_ref()
-            .and_then(|p| p.decide(&job_name, phase, task as usize, attempt as usize))
-    };
-
-    fn serve<T: Codec>(pulse: &Pulse, resp: Result<T>) -> Result<()> {
-        pulse
-            .busy
-            .store(false, std::sync::atomic::Ordering::Relaxed);
-        pulse
-            .suppress
-            .store(false, std::sync::atomic::Ordering::Relaxed);
-        match resp {
-            Ok(body) => send_ok(&body),
-            Err(e) => send_err(&e),
-        }
-    }
+        })
+    });
 
     let result = (|| -> Result<()> {
         while let Some(frame) = read_frame(&mut inp)? {
-            match Request::from_bytes(&frame)? {
-                Request::Shutdown => break,
-                Request::Map(m) => {
-                    if corrupt_once && m.task_id == 0 && m.attempt == 0 {
-                        // Chaos cell: a response the driver cannot decode.
-                        // Attempt 1 of the same task responds normally.
-                        send_stdout_frame(&[0xEE; 8])?;
-                        continue;
-                    }
-                    if hang_once && m.task_id == 0 && m.attempt == 0 {
-                        hang_forever(&pulse);
-                    }
-                    match chaos(crate::task::Phase::Map, m.task_id, m.attempt) {
-                        Some(Fault::Hang) => hang_forever(&pulse),
-                        Some(Fault::SlowHeartbeat) => {
-                            pulse
-                                .suppress
-                                .store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
-                    pulse.busy.store(true, std::sync::atomic::Ordering::Relaxed);
-                    serve(&pulse, job.run_map(&cluster, &m, &spill_dir))?;
+            let Request::Task {
+                phase,
+                task_id,
+                attempt,
+                refs,
+            } = Request::from_bytes(&frame)?
+            else {
+                break; // shutdown
+            };
+            if (phase, task_id, attempt) == (Phase::Map, 0, 0) {
+                if corrupt_once {
+                    // Chaos cell: a response the driver cannot decode.
+                    // Attempt 1 of the same task responds normally.
+                    send_stdout_frame(&[0xEE; 8])?;
+                    continue;
                 }
-                Request::Reduce(r) => {
-                    match chaos(crate::task::Phase::Reduce, r.task_id, r.attempt) {
-                        Some(Fault::Hang) => hang_forever(&pulse),
-                        Some(Fault::SlowHeartbeat) => {
-                            pulse
-                                .suppress
-                                .store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
-                    pulse.busy.store(true, std::sync::atomic::Ordering::Relaxed);
-                    serve(&pulse, job.run_reduce(&cluster, &r, &spill_dir))?;
+                if hang_once {
+                    hang_forever(&pulse);
+                }
+            }
+            // Decide the chaos treatment for the request *before*
+            // dispatching it: the same pure `decide()` the engine uses, so
+            // hang/slow-heartbeat cells are reproducible per (job, phase,
+            // task, attempt).
+            let plan = faults.as_ref();
+            match plan.and_then(|p| p.decide(&req.job_name, phase, task_id, attempt)) {
+                Some(Fault::Hang) => hang_forever(&pulse),
+                Some(Fault::SlowHeartbeat) => pulse.suppress.store(true, Ordering::Relaxed),
+                _ => {}
+            }
+            pulse.busy.store(true, Ordering::Relaxed);
+            match phase {
+                Phase::Map => answer(&pulse, job.run_map(&cluster, task_id, attempt, &spill_dir))?,
+                Phase::Reduce => {
+                    let at = (task_id, attempt);
+                    answer(&pulse, job.run_reduce(&cluster, at, &refs, &spill_dir))?
                 }
             }
         }
         Ok(())
     })();
-    pulse.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    pulse.stop.store(true, Ordering::Relaxed);
     if let Some(handle) = beat {
         let _ = handle.join();
     }
@@ -1193,25 +889,25 @@ fn worker_setup(req: &HandshakeReq) -> Result<(Cluster, Box<dyn WorkerJob>, Path
             ))
         })?;
     let config = ClusterConfig {
-        nodes: req.nodes as usize,
-        spill_buffer_bytes: req.spill_buffer as usize,
-        merge_factor: req.merge_factor as usize,
+        nodes: req.nodes,
+        spill_buffer_bytes: req.spill_buffer,
+        merge_factor: req.merge_factor,
         task_memory: req.task_memory,
-        heavy_hitter_top_k: req.heavy_hitter_top_k as usize,
+        heavy_hitter_top_k: req.heavy_hitter_top_k,
         heavy_hitter_warn_share: req.heavy_hitter_warn_share,
         // One request at a time; retries, speculation, and the makespan
         // model stay driver-side.
         execution_threads: Some(1),
         max_task_attempts: 1,
         speculation: false,
-        faults: req.faults.clone().map(FaultWire::into_plan),
+        faults: req.faults.clone(),
         durable_commits: req.durable,
         ..ClusterConfig::default()
     };
-    let dfs = Dfs::new_disk(req.nodes as usize, req.block_size as usize, &req.dfs_root)?;
+    let dfs = Dfs::new_disk(req.nodes, req.block_size, &req.dfs_root)?;
     let cluster = Cluster::with_dfs(config, dfs)?;
     let mut job = factory(&req.payload, cluster.dfs())?;
-    job.set_num_reducers((req.num_reducers as usize).max(1));
+    job.set_num_reducers(req.num_reducers.max(1));
     let spill_dir = PathBuf::from(&req.dfs_root)
         .join("shuffle")
         .join(&req.shuffle_tag);
@@ -1239,19 +935,15 @@ struct Worker {
 }
 
 impl Worker {
-    fn request<T: Codec>(&mut self, req: &Request) -> Result<std::result::Result<T, MrError>> {
-        self.request_with(req, || {})
-    }
-
     /// Send one request and read its response, invoking `on_heartbeat`
     /// for every heartbeat frame the worker interleaves while busy.
-    fn request_with<T: Codec>(
+    fn request<T: Codec>(
         &mut self,
         req: &Request,
         on_heartbeat: impl FnMut(),
     ) -> Result<std::result::Result<T, MrError>> {
         write_frame(&mut self.stdin, &req.to_bytes())?;
-        read_response_with(&mut self.stdout, on_heartbeat)
+        read_response(&mut self.stdout, on_heartbeat)
     }
 
     /// A handle an expiry callback can use to kill the child without
@@ -1330,7 +1022,7 @@ impl SpawnSpec {
                 Err(e) => return Err(fail(&mut child, format!("banner read: {e}"))),
             }
         }
-        match read_response::<()>(&mut stdout) {
+        match read_response::<()>(&mut stdout, || {}) {
             Ok(Ok(())) => Ok(Worker {
                 child: Arc::new(Mutex::new(child)),
                 stdin,
@@ -1351,27 +1043,16 @@ impl SpawnSpec {
 struct SlotState {
     in_use: bool,
     quarantined: bool,
-    losses: Vec<std::time::Instant>,
-}
-
-/// What [`WorkerPool::checkout`] hands out.
-enum CheckedOut {
-    /// A live worker process.
-    Worker(Worker),
-    /// Every slot is quarantined (or otherwise unavailable): the caller
-    /// runs this task attempt in-process against the same on-disk DFS,
-    /// producing byte-identical output.
-    Fallback,
+    losses: Vec<Instant>,
 }
 
 /// A checkout/return pool of worker processes. Lost workers are simply
 /// not returned; the next checkout spawns a replacement on a healthy
 /// slot, with bounded, backed-off retries.
-pub(crate) struct WorkerPool {
+struct WorkerPool {
     spec: SpawnSpec,
     idle: Mutex<Vec<Worker>>,
     slots: Mutex<Vec<SlotState>>,
-    size: usize,
     spill_dir: PathBuf,
     /// Total processes spawned over the pool's lifetime, replacements
     /// for lost workers included.
@@ -1379,42 +1060,41 @@ pub(crate) struct WorkerPool {
     /// Transport/timeout losses within the window that quarantine a slot.
     quarantine_losses: usize,
     /// Sliding window for the loss ledger.
-    quarantine_window: std::time::Duration,
+    quarantine_window: Duration,
 }
 
 /// Respawn attempts per checkout before giving up on a slot.
 const RESPAWN_ATTEMPTS: u32 = 3;
 
 impl WorkerPool {
-    fn checkout(&self, counters: &Counters) -> Result<CheckedOut> {
+    /// A live worker process, or `None` when every slot is quarantined (or
+    /// transiently occupied): the caller then runs this task attempt
+    /// in-process against the same on-disk DFS and the same run files,
+    /// producing byte-identical output.
+    fn checkout(&self, counters: &Counters) -> Result<Option<Worker>> {
         if let Some(w) = self.idle.lock().pop() {
-            return Ok(CheckedOut::Worker(w));
+            return Ok(Some(w));
         }
-        // Claim a free, healthy slot for the replacement. None free —
-        // every slot quarantined, or all transiently occupied — means
-        // this attempt runs in-process instead of failing the job.
         let slot = {
             let mut slots = self.slots.lock();
-            match slots.iter().position(|s| !s.in_use && !s.quarantined) {
-                Some(i) => {
-                    slots[i].in_use = true;
-                    i
-                }
-                None => return Ok(CheckedOut::Fallback),
-            }
+            let Some(i) = slots.iter().position(|s| !s.in_use && !s.quarantined) else {
+                return Ok(None);
+            };
+            slots[i].in_use = true;
+            i
         };
-        let mut delay = std::time::Duration::from_millis(50);
+        let mut delay = Duration::from_millis(50);
         let mut last_err = String::new();
         for attempt in 0..RESPAWN_ATTEMPTS {
             if attempt > 0 {
                 counters.get("mr.process.respawn_retries").incr();
                 std::thread::sleep(delay);
-                delay = (delay * 2).min(std::time::Duration::from_secs(1));
+                delay = (delay * 2).min(Duration::from_secs(1));
             }
             match self.spec.spawn(slot) {
                 Ok(w) => {
                     self.spawned.fetch_add(1, Ordering::Relaxed);
-                    return Ok(CheckedOut::Worker(w));
+                    return Ok(Some(w));
                 }
                 Err(e) => last_err = e,
             }
@@ -1436,7 +1116,7 @@ impl WorkerPool {
         let mut slots = self.slots.lock();
         let s = &mut slots[slot];
         s.in_use = false;
-        let now = std::time::Instant::now();
+        let now = Instant::now();
         s.losses
             .retain(|t| now.duration_since(*t) <= self.quarantine_window);
         s.losses.push(now);
@@ -1453,12 +1133,6 @@ impl WorkerPool {
             }
         }
     }
-
-    fn shutdown(&self) {
-        for w in self.idle.lock().drain(..) {
-            w.shutdown();
-        }
-    }
 }
 
 fn sanitize_tag(name: &str) -> String {
@@ -1468,43 +1142,61 @@ fn sanitize_tag(name: &str) -> String {
         .collect()
 }
 
+// ---------------------------------------------------------------------------
+// Driver side: the process backend's shuffle transport
+// ---------------------------------------------------------------------------
+
+/// The process backend's [`Transport`]: runs are parked as checksummed run
+/// files addressed by [`RunRef`], and attempts run as worker conversations
+/// for as long as a healthy worker slot exists.
+pub(crate) struct ProcessTransport<'a> {
+    pool: WorkerPool,
+    /// Wall-clock supervision: one monitor thread for the whole job, one
+    /// watch per in-flight request. Expiry SIGKILLs the child; the owning
+    /// request's blocked read then errors into the transport-failure
+    /// branch of [`ProcessTransport::converse`].
+    watchdog: Option<Watchdog>,
+    counters: &'a Counters,
+    histograms: &'a Histograms,
+    trace: Option<&'a TraceSink>,
+    job_name: &'a str,
+    nodes: usize,
+}
+
 /// Build the handshake from the job parameters and bring up the first
-/// worker. A `Err` here means the pool cannot come up at all (unregistered
-/// factory, unspawnable executable): the caller falls back in-process.
-pub(crate) fn spawn_pool<M, R>(
-    params: &ExecParams<'_, M, R>,
-) -> std::result::Result<WorkerPool, String>
+/// worker. `None` means this job does not run out-of-process: it has no
+/// [`crate::RemoteJobSpec`], its DFS is not on disk, or the pool cannot
+/// come up at all (unregistered factory, unspawnable executable — counted
+/// under `mr.process.handshake_failures`). The caller runs it in-process.
+pub(crate) fn spawn_pool<'a, M, R>(params: &ExecParams<'a, M, R>) -> Option<ProcessTransport<'a>>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    let spec = params.remote.expect("caller checked remote");
-    let dfs = params.map_shared.dfs;
-    let root = dfs.disk_root().expect("caller checked disk root");
+    let shared = params.map_shared;
+    let (spec, root) = (params.remote?, shared.dfs.disk_root()?);
     let config = params.config;
     let tag = format!(
         "{}-{}-{}",
-        sanitize_tag(params.map_shared.job_name),
+        sanitize_tag(shared.job_name),
         std::process::id(),
         SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed)
     );
-    let spill_dir = root.join("shuffle").join(&tag);
-    std::fs::create_dir_all(&spill_dir).map_err(|e| format!("create shuffle dir: {e}"))?;
     let handshake = HandshakeReq {
-        job_name: params.map_shared.job_name.to_string(),
+        job_name: shared.job_name.to_string(),
         factory: spec.factory.clone(),
         payload: spec.payload.clone(),
-        nodes: config.nodes as u64,
-        block_size: dfs.block_size() as u64,
+        nodes: config.nodes,
+        block_size: shared.dfs.block_size(),
         dfs_root: root.display().to_string(),
-        num_reducers: params.num_reducers as u64,
-        spill_buffer: config.spill_buffer_bytes as u64,
-        merge_factor: config.merge_factor as u64,
+        num_reducers: params.num_reducers,
+        spill_buffer: config.spill_buffer_bytes,
+        merge_factor: config.merge_factor,
         task_memory: config.task_memory,
-        heavy_hitter_top_k: config.heavy_hitter_top_k as u64,
+        heavy_hitter_top_k: config.heavy_hitter_top_k,
         heavy_hitter_warn_share: config.heavy_hitter_warn_share,
-        shuffle_tag: tag,
-        faults: config.faults.as_ref().map(FaultWire::from_plan),
+        shuffle_tag: tag.clone(),
+        faults: config.faults.clone(),
         // Workers only emit heartbeats when the driver supervises; an
         // unsupervised job keeps the exact pre-supervision protocol.
         heartbeat_interval_ms: if config.task_timeout_secs.is_some() {
@@ -1514,8 +1206,9 @@ where
         },
         durable: config.durable_commits,
     };
-    let size = params.threads.clamp(1, 8);
-    let mut slots: Vec<SlotState> = (0..size).map(|_| SlotState::default()).collect();
+    let mut slots: Vec<SlotState> = (0..params.threads.clamp(1, 8))
+        .map(|_| SlotState::default())
+        .collect();
     slots[0].in_use = true; // the eager first worker below
     let pool = WorkerPool {
         spec: SpawnSpec {
@@ -1523,343 +1216,152 @@ where
         },
         idle: Mutex::new(Vec::new()),
         slots: Mutex::new(slots),
-        size,
-        spill_dir,
+        spill_dir: root.join("shuffle").join(tag),
         spawned: AtomicU64::new(1),
         quarantine_losses: config.worker_quarantine_losses.max(1),
-        quarantine_window: std::time::Duration::from_secs_f64(config.worker_quarantine_window_secs),
+        quarantine_window: Duration::from_secs_f64(config.worker_quarantine_window_secs),
     };
     // Bring up (and handshake) the first worker eagerly: this validates
     // the factory exists in the worker executable before any task runs.
-    let first = pool.spec.spawn(0)?;
-    pool.idle.lock().push(first);
-    Ok(pool)
-}
-
-// ---------------------------------------------------------------------------
-// Driver side: job execution over the pool
-// ---------------------------------------------------------------------------
-
-fn absorb_metrics(
-    counters: &Counters,
-    histograms: &Histograms,
-    c_delta: &[(String, u64)],
-    h_delta: Vec<(String, HistWire)>,
-) {
-    for (name, v) in c_delta {
-        if *v > 0 {
-            counters.get(name).add(*v);
+    // The owning driver stays alive, so the scavenger would never sweep
+    // a spill directory left behind here: remove it on the way out.
+    let first = std::fs::create_dir_all(&pool.spill_dir)
+        .map_err(|e| format!("create shuffle dir: {e}"))
+        .and_then(|()| pool.spec.spawn(0));
+    match first {
+        Ok(first) => pool.idle.lock().push(first),
+        Err(why) => {
+            let _ = std::fs::remove_dir_all(&pool.spill_dir);
+            shared.counters.get("mr.process.handshake_failures").incr();
+            eprintln!("[mr] process backend falling back in-process: {why}");
+            return None;
         }
     }
-    for (name, wire) in h_delta {
-        histograms.get(&name).absorb(&wire.into_snapshot());
-    }
+    shared.counters.get("mr.process.remote_jobs").incr();
+    let trace = shared.cluster.trace();
+    Some(ProcessTransport {
+        pool,
+        watchdog: Watchdog::new(config, shared.counters, trace, shared.job_name),
+        counters: shared.counters,
+        histograms: shared.histograms,
+        trace,
+        job_name: shared.job_name,
+        nodes: config.nodes,
+    })
 }
 
-/// Run the job's map and reduce phases on the worker pool. Called only
-/// after [`spawn_pool`] proved the pool viable; from here on, errors are
-/// real job errors with their usual classes.
-pub(crate) fn execute_remote<M, R>(
-    params: ExecParams<'_, M, R>,
-    pool: WorkerPool,
-) -> Result<ExecOutcome>
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-{
-    let ExecParams {
-        map_items,
-        map_shared,
-        reduce_shared,
-        reducer,
-        policy,
-        num_reducers,
-        config,
-        ..
-    } = params;
-    let nodes = config.nodes;
-    let threads = pool.size;
-    let counters = map_shared.counters;
-    let histograms = map_shared.histograms;
-    let trace = map_shared.cluster.trace();
-    let job_name = map_shared.job_name.to_string();
-    // `Reducer: Clone + Send` but not `Sync`; the fallback reduce path
-    // clones it from inside worker-thread closures, so park it behind a
-    // lock.
-    let reducer = Mutex::new(reducer);
-    counters.get("mr.process.remote_jobs").incr();
+impl ProcessTransport<'_> {
+    /// Worker slots, i.e. how many conversations can be in flight.
+    pub(crate) fn size(&self) -> usize {
+        self.pool.slots.lock().len()
+    }
 
-    // Per-phase wall attribution: the map window ends when the map
-    // `run_tasks` barrier returns, the refs-routing span is the regroup
-    // window, and everything after it (reduce tasks, pool shutdown, spill
-    // cleanup) lands in the reduce window so the three spans tile the
-    // backend's whole execution. `accounted_us` carries the running total
-    // across the closure boundary.
-    let exec_start = std::time::Instant::now();
-    let accounted_us = std::cell::Cell::new(0u64);
+    /// The job is over: stop the idle workers and delete the spill runs.
+    pub(crate) fn shutdown(self) {
+        for w in self.pool.idle.lock().drain(..) {
+            w.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&self.pool.spill_dir);
+        self.counters
+            .get("mr.process.workers_spawned")
+            .add(self.pool.spawned.load(Ordering::Relaxed));
+    }
 
-    // Wall-clock supervision: one monitor thread for the whole job, one
-    // watch per in-flight request. Expiry SIGKILLs the child; the owning
-    // request's blocked read then errors into the transport-failure
-    // branch below, which classifies it as a transient `NodeLost`.
-    let supervision = config.task_timeout_secs.map(|secs| {
-        let deadline = std::time::Duration::from_secs_f64(secs);
-        let hb_window = std::time::Duration::from_secs_f64(
-            config.heartbeat_interval_secs * config.heartbeat_grace,
-        );
-        let tick = deadline.min(hb_window) / 4;
-        (Supervisor::new(tick), deadline, hb_window)
-    });
-    // Registers a supervision watch for one request; the guard must stay
-    // alive exactly as long as the pipe conversation.
-    let watch_request = |w: &Worker, phase: Phase, task: usize, attempt: usize| {
-        supervision.as_ref().map(|(sup, deadline, hb_window)| {
-            let handle = w.kill_handle();
-            let counters = counters.clone();
-            let trace = trace.cloned();
-            let job = job_name.clone();
-            sup.watch(Some(*deadline), Some(*hb_window), move |reason| {
-                {
-                    let mut child = handle.lock();
-                    let _ = child.kill();
-                }
-                counters.get("mr.supervise.task_timeout").incr();
-                if let Some(sink) = &trace {
-                    let mut ev = TraceEvent::new(EventKind::TaskTimeout, job.as_str()).at_task(
-                        phase,
-                        task,
-                        attempt,
-                        task % nodes,
-                    );
-                    ev.detail = Some(reason.as_str().to_string());
-                    sink.emit(ev);
-                }
+    /// One task attempt as a worker conversation: checkout → watch →
+    /// request → classify. `Ok(None)` means no healthy worker slot is left
+    /// and the attempt runs in-process. A task-level error from a healthy
+    /// worker keeps its class (and the worker); a transport failure — the
+    /// process is gone or garbling, including a supervised timeout kill —
+    /// becomes a lost node, so the retry runs on a fresh worker.
+    fn converse<T: Codec>(
+        &self,
+        (phase, task_id, attempt): (Phase, usize, usize),
+        refs: Vec<RunRef>,
+    ) -> Result<Option<T>> {
+        let Some(mut w) = self.pool.checkout(self.counters)? else {
+            self.counters.get("mr.supervise.fallback_tasks").incr();
+            return Ok(None);
+        };
+        // The watch must stay alive exactly as long as the conversation.
+        let watch = self.watchdog.as_ref().map(|dog| {
+            let child = w.kill_handle();
+            dog.watch((phase, task_id, attempt), true, move || {
+                let _ = child.lock().kill();
             })
-        })
-    };
-
-    // Spill-run refs per completed map task, collected out-of-band from
-    // the fabricated MapTaskOuts (outer index = partition).
-    let refs_table: Mutex<Vec<(usize, Vec<Vec<RunRef>>)>> = Mutex::new(Vec::new());
-
-    let result = (|| {
-        let (mut map_outs, map_stats) = run_tasks(map_items, threads, policy, |item, attempt| {
-            let mut w = match pool.checkout(counters)? {
-                CheckedOut::Worker(w) => w,
-                CheckedOut::Fallback => {
-                    // No healthy worker slot left: run this map attempt
-                    // in-process on the same DFS and park its runs under
-                    // the exact names a worker would have used.
-                    counters.get("mr.supervise.fallback_tasks").incr();
-                    let mut out = run_map_task(item, attempt, map_shared)?;
-                    let task_id = item.task_id;
-                    let transport_start = std::time::Instant::now();
-                    let mut transport_bytes = 0u64;
-                    let mut refs: Vec<Vec<RunRef>> = Vec::with_capacity(out.runs.len());
-                    for (p, runs) in out.runs.drain(..).enumerate() {
-                        let mut part = Vec::with_capacity(runs.len());
-                        for (s, run) in runs.iter().enumerate() {
-                            let name = format!("map-{task_id:05}-a{attempt}-p{p:03}-s{s:03}.run");
-                            transport_bytes += run.len_bytes() as u64;
-                            part.push(write_run_file(&pool.spill_dir, &name, run)?);
-                        }
-                        refs.push(part);
-                    }
-                    counters.get(crate::profile::BUSY_SHUFFLE_TRANSPORT_US).add(
-                        crate::profile::secs_to_us(transport_start.elapsed().as_secs_f64()),
-                    );
-                    counters
-                        .get(crate::profile::BUSY_SHUFFLE_TRANSPORT_BYTES)
-                        .add(transport_bytes);
-                    refs_table.lock().push((task_id, refs));
-                    return Ok(out);
-                }
-            };
-            let req = Request::Map(MapReq {
-                task_id: item.task_id as u64,
-                attempt: attempt as u64,
-            });
-            let guard = watch_request(&w, Phase::Map, item.task_id, attempt);
-            let resp = match &guard {
-                Some(g) => {
-                    let activity = g.activity();
-                    w.request_with::<MapResp>(&req, || activity.touch())
-                }
-                None => w.request::<MapResp>(&req),
-            };
-            drop(guard);
-            match resp {
-                Ok(Ok(resp)) => {
-                    pool.put_back(w);
-                    absorb_metrics(counters, histograms, &resp.counters, resp.histograms);
-                    refs_table.lock().push((item.task_id, resp.refs));
-                    Ok(MapTaskOut {
-                        task_id: item.task_id,
-                        duration: resp.duration,
-                        base_duration: resp.base_duration,
-                        node_hint: resp.node_hint.map(|n| n as usize),
-                        node: resp.node as usize,
-                        input_bytes: resp.input_bytes,
-                        input_records: resp.input_records,
-                        output_records: resp.output_records,
-                        spills: resp.spills,
-                        combine_in: resp.combine_in,
-                        combine_out: resp.combine_out,
-                        runs: Vec::new(), // parked on disk, routed by refs
-                    })
-                }
-                Ok(Err(e)) => {
-                    // Task-level failure from a healthy worker: keep it.
-                    pool.put_back(w);
-                    Err(e)
-                }
-                Err(_) => {
-                    // Transport failure: the worker process is gone or
-                    // corrupt (including a supervised timeout kill).
-                    // Classify as a lost node so the retry runs on a
-                    // fresh worker.
-                    let slot = w.slot;
-                    w.kill();
-                    pool.record_loss(slot, counters, trace, &job_name);
-                    counters.get("mr.process.worker_lost").incr();
-                    Err(MrError::NodeLost {
-                        node: item.task_id % nodes,
-                        task: format!("{job_name}/map-{}", item.task_id),
-                    })
-                }
-            }
-        })?;
-        map_outs.sort_by_key(|o| o.task_id);
-        let spills = map_outs.iter().map(|o| o.spills).sum();
-        let map_us = crate::profile::secs_to_us(exec_start.elapsed().as_secs_f64());
-        counters.get(crate::profile::WALL_MAP_US).add(map_us);
-        accounted_us.set(map_us);
-
-        // Route refs: canonical run presentation order is (map task,
-        // spill index) within each partition, exactly the order the
-        // simulated backend's serial regroup produces.
-        let mut table = std::mem::take(&mut *refs_table.lock());
-        table.sort_by_key(|(task, _)| *task);
-        let mut partition_refs: Vec<Vec<RunRef>> = (0..num_reducers).map(|_| Vec::new()).collect();
-        let mut shuffle_bytes = 0u64;
-        let mut shuffle_records = 0u64;
-        for (_task, per_partition) in table {
-            for (p, refs) in per_partition.into_iter().enumerate() {
-                for rref in refs {
-                    shuffle_bytes += rref.len;
-                    shuffle_records += rref.records;
-                    partition_refs[p].push(rref);
-                }
-            }
-        }
-
-        let regroup_us = crate::profile::secs_to_us(exec_start.elapsed().as_secs_f64())
-            .saturating_sub(accounted_us.get());
-        counters
-            .get(crate::profile::WALL_REGROUP_US)
-            .add(regroup_us);
-        counters
-            .get(crate::profile::BUSY_REGROUP_US)
-            .add(regroup_us);
-        accounted_us.set(accounted_us.get() + regroup_us);
-
-        let reduce_items: Vec<(usize, Vec<RunRef>)> =
-            partition_refs.into_iter().enumerate().collect();
-        let reduce_result = run_tasks(reduce_items, threads, policy, |(p, refs), attempt| {
-            let mut w = match pool.checkout(counters)? {
-                CheckedOut::Worker(w) => w,
-                CheckedOut::Fallback => {
-                    // In-process reduce over the same parked spill runs:
-                    // identical merge order, identical committed bytes.
-                    counters.get("mr.supervise.fallback_tasks").incr();
-                    let transport_start = std::time::Instant::now();
-                    let mut runs = Vec::with_capacity(refs.len());
-                    for rref in refs {
-                        runs.push(read_run_file(&pool.spill_dir, rref)?);
-                    }
-                    counters.get(crate::profile::BUSY_SHUFFLE_TRANSPORT_US).add(
-                        crate::profile::secs_to_us(transport_start.elapsed().as_secs_f64()),
-                    );
-                    let item = ReduceItem::<M, R>::new(*p, runs, reducer.lock().clone());
-                    return run_reduce_task(&item, attempt, reduce_shared);
-                }
-            };
-            let req = Request::Reduce(ReduceReq {
-                task_id: *p as u64,
-                attempt: attempt as u64,
-                refs: refs.clone(),
-            });
-            let guard = watch_request(&w, Phase::Reduce, *p, attempt);
-            let resp = match &guard {
-                Some(g) => {
-                    let activity = g.activity();
-                    w.request_with::<ReduceResp>(&req, || activity.touch())
-                }
-                None => w.request::<ReduceResp>(&req),
-            };
-            drop(guard);
-            match resp {
-                Ok(Ok(resp)) => {
-                    pool.put_back(w);
-                    absorb_metrics(counters, histograms, &resp.counters, resp.histograms);
-                    Ok(ReduceTaskOut {
-                        task_id: *p,
-                        node: resp.node as usize,
-                        duration: resp.duration,
-                        base_duration: resp.base_duration,
-                        input_bytes: resp.input_bytes,
-                        groups: resp.groups,
-                        input_records: resp.input_records,
-                        output_records: resp.output_records,
-                        merge_passes: resp.merge_passes,
-                        group_records: resp.group_records.into_snapshot(),
-                        key_counts: resp.key_counts.map(TopKWire::into_topk),
-                    })
-                }
-                Ok(Err(e)) => {
-                    pool.put_back(w);
-                    Err(e)
-                }
-                Err(_) => {
-                    let slot = w.slot;
-                    w.kill();
-                    pool.record_loss(slot, counters, trace, &job_name);
-                    counters.get("mr.process.worker_lost").incr();
-                    Err(MrError::NodeLost {
-                        node: *p % nodes,
-                        task: format!("{job_name}/reduce-{p}"),
-                    })
-                }
+        });
+        let activity = watch.as_ref().map(|g| g.activity());
+        let req = Request::Task {
+            phase,
+            task_id,
+            attempt,
+            refs,
+        };
+        let resp = w.request::<Reply<T>>(&req, || {
+            if let Some(activity) = &activity {
+                activity.touch();
             }
         });
-        Ok(ExecOutcome {
-            map_outs,
-            map_stats,
-            shuffle_bytes,
-            shuffle_records,
-            spills,
-            reduce_result,
-        })
-    })();
-
-    pool.shutdown();
-    let _ = std::fs::remove_dir_all(&pool.spill_dir);
-    counters
-        .get("mr.process.workers_spawned")
-        .add(pool.spawned.load(Ordering::Relaxed));
-    if result.is_ok() {
-        // Everything since the regroup window closed — reduce tasks, pool
-        // shutdown, spill cleanup — is the reduce wall window.
-        let reduce_us = crate::profile::secs_to_us(exec_start.elapsed().as_secs_f64())
-            .saturating_sub(accounted_us.get());
-        counters.get(crate::profile::WALL_REDUCE_US).add(reduce_us);
+        drop(watch);
+        match resp {
+            Ok(Ok((out, counters, histograms))) => {
+                self.pool.put_back(w);
+                for (name, v) in counters.iter().filter(|(_, v)| *v > 0) {
+                    self.counters.get(name).add(*v);
+                }
+                for (name, snapshot) in histograms {
+                    self.histograms.get(&name).absorb(&snapshot);
+                }
+                Ok(Some(out))
+            }
+            Ok(Err(e)) => {
+                self.pool.put_back(w);
+                Err(e)
+            }
+            Err(_) => {
+                let slot = w.slot;
+                w.kill();
+                self.pool
+                    .record_loss(slot, self.counters, self.trace, self.job_name);
+                self.counters.get("mr.process.worker_lost").incr();
+                Err(MrError::NodeLost {
+                    node: task_id % self.nodes,
+                    task: format!("{}/{}-{task_id}", self.job_name, phase.as_str()),
+                })
+            }
+        }
     }
-    result
+}
+
+impl Transport for ProcessTransport<'_> {
+    type Parked = RunRef;
+
+    fn park(&self, task: usize, attempt: usize, runs: Vec<Vec<Run>>) -> Result<Vec<Vec<RunRef>>> {
+        park_run_files(&self.pool.spill_dir, task, attempt, runs)
+    }
+
+    fn fetch(&self, parked: &[RunRef]) -> Result<Vec<Run>> {
+        fetch_run_files(&self.pool.spill_dir, parked)
+    }
+
+    fn remote_map(&self, task_id: usize, attempt: usize) -> Result<Option<MapTaskOut<RunRef>>> {
+        self.converse((Phase::Map, task_id, attempt), Vec::new())
+    }
+
+    fn remote_reduce(
+        &self,
+        task_id: usize,
+        attempt: usize,
+        parked: &[RunRef],
+    ) -> Result<Option<ReduceTaskOut>> {
+        self.converse((Phase::Reduce, task_id, attempt), parked.to_vec())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MapStats;
+    use crate::trace::TopK;
 
     fn roundtrip_err(e: MrError) {
         let bytes = e.to_bytes();
@@ -1926,9 +1428,9 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
-    #[test]
-    fn mutated_response_frames_never_panic() {
-        let resp = MapResp {
+    fn sample_map_reply() -> Reply<MapTaskOut<RunRef>> {
+        let stats = MapStats {
+            task_id: 3,
             duration: 1.5,
             base_duration: 1.0,
             node_hint: Some(2),
@@ -1939,30 +1441,76 @@ mod tests {
             spills: 1,
             combine_in: 0,
             combine_out: 0,
-            refs: vec![vec![RunRef {
-                file: "map-00000-a0-p000-s000.run".into(),
+            shuffle_bytes: 321,
+            shuffle_records: 20,
+        };
+        let runs = vec![
+            vec![RunRef {
+                file: "map-00003-a0-p000-s000.run".into(),
                 records: 20,
                 len: 321,
-            }]],
-            counters: vec![("mr.x".into(), 3)],
-            histograms: vec![],
+            }],
+            vec![],
+        ];
+        let mut hist = HistogramSnapshot::default();
+        hist.merge(&HistogramSnapshot {
+            count: 2,
+            sum: 3.0,
+            min: 1.0,
+            max: 2.0,
+            zeros: 0,
+            buckets: vec![(0, 1), (16, 1)],
+        });
+        (
+            MapTaskOut { stats, runs },
+            vec![("mr.x".into(), 3)],
+            vec![("h".into(), hist)],
+        )
+    }
+
+    fn sample_reduce_reply() -> Reply<ReduceTaskOut> {
+        let mut key_counts = TopK::new(4);
+        key_counts.add("a", 5);
+        key_counts.add("b", 9);
+        let out = ReduceTaskOut {
+            task_id: 1,
+            node: 2,
+            duration: 0.5,
+            base_duration: 0.25,
+            input_bytes: 321,
+            groups: 7,
+            input_records: 20,
+            output_records: 7,
+            merge_passes: 1,
+            group_records: sample_map_reply().2.remove(0).1,
+            key_counts: Some(key_counts),
         };
-        let mut buf = vec![0u8];
-        resp.encode(&mut buf);
-        // Truncations.
+        (out, vec![("mr.y".into(), 1)], vec![])
+    }
+
+    /// Decode every truncation and single-byte mutation of an ok-response
+    /// frame the way the driver does; none may panic.
+    fn mutate_frame<T: Codec>(body: &T) {
+        let mut buf = vec![RESP_OK];
+        body.encode(&mut buf);
         for cut in 0..buf.len() {
             let mut r = ByteReader::new(&buf[..cut]);
-            let _ = r.take_u8().and_then(|_| MapResp::decode(&mut r));
+            let _ = r.take_u8().and_then(|_| T::decode(&mut r));
         }
-        // Single-byte mutations.
         for i in 0..buf.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut m = buf.clone();
                 m[i] ^= flip;
                 let mut r = ByteReader::new(&m);
-                let _ = r.take_u8().and_then(|_| MapResp::decode(&mut r));
+                let _ = r.take_u8().and_then(|_| T::decode(&mut r));
             }
         }
+    }
+
+    #[test]
+    fn mutated_response_frames_never_panic() {
+        mutate_frame(&sample_map_reply());
+        mutate_frame(&sample_reduce_reply());
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -2089,7 +1637,10 @@ mod tests {
             crash_after: None,
             crash_mid: Some(7),
             corrupt_path: Some("/out/part-00000".into()),
-            ..FaultPlan::default()
+            enospc_after_bytes: Some(4096),
+            enospc_heals: true,
+            p_disk_eio: 0.25,
+            p_torn_write: 0.125,
         };
         let req = HandshakeReq {
             job_name: "stage1".into(),
@@ -2105,7 +1656,7 @@ mod tests {
             heavy_hitter_top_k: 10,
             heavy_hitter_warn_share: 0.5,
             shuffle_tag: "stage1-1-0".into(),
-            faults: Some(FaultWire::from_plan(&plan)),
+            faults: Some(plan.clone()),
             heartbeat_interval_ms: 250,
             durable: false,
         };
@@ -2115,25 +1666,74 @@ mod tests {
         assert_eq!(back.num_reducers, 4);
         assert_eq!(back.heartbeat_interval_ms, 250);
         assert!(!back.durable);
-        let plan_back = back.faults.unwrap().into_plan();
-        assert_eq!(plan_back.seed, plan.seed);
-        assert_eq!(plan_back.p_hang, plan.p_hang);
-        assert_eq!(plan_back.p_slow_heartbeat, plan.p_slow_heartbeat);
-        assert_eq!(plan_back.dead_node, plan.dead_node);
-        assert_eq!(plan_back.crash_mid, plan.crash_mid);
-        assert_eq!(plan_back.corrupt_path, plan.corrupt_path);
-        assert_eq!(plan_back.straggler_factor, plan.straggler_factor);
+        // The plan crosses as itself, every attempt-level and driver-crash
+        // key intact; the storage keys stay driver-side, so the worker sees
+        // the quiet defaults and a clean disk.
+        let plan_back = back.faults.unwrap();
+        assert!(!plan_back.has_storage_faults());
+        assert_eq!(
+            plan_back,
+            FaultPlan {
+                enospc_after_bytes: None,
+                enospc_heals: false,
+                p_disk_eio: 0.0,
+                p_torn_write: 0.0,
+                ..plan.clone()
+            }
+        );
+        for task in 0..50 {
+            assert_eq!(
+                plan_back.decide("stage1", Phase::Map, task, 0),
+                plan.decide("stage1", Phase::Map, task, 0)
+            );
+        }
     }
 
     #[test]
     fn topk_wire_reconstructs_exactly() {
+        // The sketch and the task outputs that carry it cross the pipe as
+        // themselves.
         let mut t = TopK::new(4);
         t.add("a", 5);
         t.add("b", 9);
         t.add("a", 1);
-        let back = TopKWire::from_topk(&t).into_topk();
+        let back = TopK::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(back.capacity(), t.capacity());
         assert_eq!(back.entries(), t.entries());
         assert_eq!(back.top(2), t.top(2));
+        // More entries than capacity is not a sketch `add` could have built.
+        let mut overfull = Vec::new();
+        1usize.encode(&mut overfull);
+        vec![("a".to_string(), 1u64), ("b".to_string(), 2)].encode(&mut overfull);
+        assert!(TopK::from_bytes(&overfull).is_err());
+
+        let reply = sample_reduce_reply();
+        let (out, counters, _) = Reply::<ReduceTaskOut>::from_bytes(&reply.to_bytes()).unwrap();
+        assert_eq!(counters, reply.1);
+        assert_eq!((out.task_id, out.node), (1, 2));
+        assert_eq!((out.duration, out.base_duration), (0.5, 0.25));
+        assert_eq!((out.input_bytes, out.groups), (321, 7));
+        assert_eq!((out.input_records, out.output_records), (20, 7));
+        assert_eq!(out.merge_passes, 1);
+        assert_eq!(out.group_records, reply.0.group_records);
+        let (keys, want) = (out.key_counts.unwrap(), reply.0.key_counts.unwrap());
+        assert_eq!(keys.capacity(), want.capacity());
+        assert_eq!(keys.entries(), want.entries());
+
+        let reply = sample_map_reply();
+        let (out, _, histograms) =
+            Reply::<MapTaskOut<RunRef>>::from_bytes(&reply.to_bytes()).unwrap();
+        assert_eq!(histograms, reply.2);
+        assert_eq!(out.runs, reply.0.runs);
+        let (got, want) = (out.stats, reply.0.stats);
+        assert_eq!((got.task_id, got.node_hint, got.node), (3, Some(2), 2));
+        assert_eq!(got.duration, want.duration);
+        assert_eq!(got.base_duration, want.base_duration);
+        assert_eq!(
+            (got.input_bytes, got.input_records, got.output_records),
+            (100, 10, 20)
+        );
+        assert_eq!((got.spills, got.combine_in, got.combine_out), (1, 0, 0));
+        assert_eq!((got.shuffle_bytes, got.shuffle_records), (321, 20));
     }
 }

@@ -1,13 +1,14 @@
-//! Bounded shuffle channels for the sharded execution backend.
+//! The bounded channel behind the sharded backend's shuffle transport.
 //!
-//! The sharded backend streams map-side spill runs to reducer-side merge
-//! queues instead of materializing all map output before any reduce work
-//! starts. Each reduce partition owns one bounded multi-producer
-//! single-consumer channel: map workers push `(map_task, spill, run)`
-//! triples as spills finish, and block when the queue is full — natural
-//! backpressure against a slow reducer. The channel **closes** when every
-//! sender has been dropped (i.e. every map task finished); the receiver
-//! then drains whatever is buffered and observes end-of-stream.
+//! On the sharded backend every finished spill run is handed from the map
+//! attempt that produced it to one collector thread through one bounded
+//! multi-producer single-consumer channel (see
+//! [`crate::backend`]). A sender blocks while the queue is full; the
+//! collector receives eagerly, so the capacity bounds only how many runs
+//! are in hand-off at once, not how far the map phase runs ahead of the
+//! reducers. The channel **closes** when every sender has been dropped
+//! (the map phase is over); the receiver then drains whatever is buffered
+//! and observes end-of-stream.
 //!
 //! Built directly on [`std::sync::Mutex`] + [`std::sync::Condvar`] so it
 //! works in this dependency-free build; the protocol is the classic
@@ -21,8 +22,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// A task-thread panic is a *classified* failure — the attempt boundary
 /// catches it and the job fails (or retries) with
 /// [`crate::MrError::TaskPanicked`]. If the panicking thread happened to
-/// hold a channel or semaphore lock, the shared state is still a plain
-/// queue/counter that every operation leaves consistent, so the poison flag
+/// hold the channel lock, the shared state is still a plain queue that
+/// every operation leaves consistent, so the poison flag
 /// carries no information here. Propagating it instead turned a classified
 /// task failure into an unclassified driver abort.
 fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -168,52 +169,6 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-/// Counting semaphore gating how many reduce tasks execute concurrently in
-/// the sharded backend. Callers order their acquisitions (heaviest
-/// partition first) before contending, so a plain counting semaphore
-/// suffices — no queue fairness is needed for determinism because task
-/// *outputs* are order-independent.
-pub(crate) struct Semaphore {
-    permits: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Semaphore {
-    pub(crate) fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: Mutex::new(permits.max(1)),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Block until a permit is free; the permit is returned when the guard
-    /// drops.
-    pub(crate) fn acquire(&self) -> SemaphoreGuard<'_> {
-        let mut permits = lock_recovering(&self.permits);
-        while *permits == 0 {
-            permits = self
-                .available
-                .wait(permits)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        *permits -= 1;
-        SemaphoreGuard { semaphore: self }
-    }
-}
-
-pub(crate) struct SemaphoreGuard<'a> {
-    semaphore: &'a Semaphore,
-}
-
-impl Drop for SemaphoreGuard<'_> {
-    fn drop(&mut self) {
-        let mut permits = lock_recovering(&self.semaphore.permits);
-        *permits += 1;
-        drop(permits);
-        self.semaphore.available.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,42 +301,5 @@ mod tests {
         let got: Vec<u32> = std::iter::from_fn(|| rx.recv()).collect();
         assert_eq!(got, vec![1, 2, 3]);
         assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn semaphore_recovers_from_a_poisoned_lock() {
-        let sem = Arc::new(Semaphore::new(1));
-        let poisoner = Arc::clone(&sem);
-        let _ = thread::spawn(move || {
-            let _guard = poisoner.permits.lock().unwrap();
-            panic!("worker died holding the semaphore lock");
-        })
-        .join();
-        assert!(sem.permits.is_poisoned(), "setup: lock must be poisoned");
-        // Acquire and release still work; the permit count is intact.
-        drop(sem.acquire());
-        drop(sem.acquire());
-    }
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        let sem = Arc::new(Semaphore::new(2));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut workers = Vec::new();
-        for _ in 0..8 {
-            let (sem, peak, live) = (Arc::clone(&sem), Arc::clone(&peak), Arc::clone(&live));
-            workers.push(thread::spawn(move || {
-                let _guard = sem.acquire();
-                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                thread::sleep(Duration::from_millis(2));
-                live.fetch_sub(1, Ordering::SeqCst);
-            }));
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2, "semaphore leaked permits");
     }
 }

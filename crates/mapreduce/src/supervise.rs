@@ -2,7 +2,7 @@
 //!
 //! The simulated timeline already survives stragglers and failures —
 //! speculation and retry backoff are charged to *sim* time. But the
-//! [`crate::backend::ShardedBackend`] and process backends execute on the
+//! sharded and process backends execute on the
 //! actual host clock, where a worker that hangs (SIGSTOP, infinite loop, a
 //! never-flushed frame) blocks the driver forever and no amount of
 //! simulated-time machinery notices. This module is the driver-side answer:
@@ -25,6 +25,12 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+use crate::cluster::ClusterConfig;
+use crate::counters::Counters;
+use crate::error::{MrError, Result};
+use crate::task::Phase;
+use crate::trace::{EventKind, TraceEvent, TraceSink};
 
 /// Why a watch expired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,9 +249,9 @@ fn monitor_loop(inner: &Inner, tick: Duration) {
     }
 }
 
-/// Cooperative cancellation for the sharded backend: worker threads check
-/// the token at task boundaries and spill sends, and bail out when the
-/// supervisor trips it. Scoped threads cannot be killed, so this is the
+/// Cooperative cancellation for in-process attempts: the token is checked
+/// at every attempt boundary, so once the supervisor trips it no further
+/// attempt starts or is accepted. Threads cannot be killed, so this is the
 /// strongest "abandon" the sharded executor supports — the job fails fast
 /// with a classified timeout instead of hanging the driver.
 #[derive(Clone, Default)]
@@ -265,6 +271,107 @@ impl CancelToken {
     /// Has the token been tripped?
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
+    }
+}
+
+/// One job's wall-clock supervision: the monitor thread, the per-attempt
+/// deadline and heartbeat window from the [`ClusterConfig`], and what every
+/// expiry reports (the `mr.supervise.task_timeout` counter and a
+/// `task_timeout` trace event). Who is watching says only how to stop the
+/// attempt: the process transport SIGKILLs the worker child, in-process
+/// attempts trip the job's [`CancelToken`].
+pub(crate) struct Watchdog {
+    supervisor: Supervisor,
+    deadline: Duration,
+    heartbeat_window: Duration,
+    cancel: CancelToken,
+    counters: Counters,
+    trace: Option<TraceSink>,
+    job: String,
+    nodes: usize,
+}
+
+impl Watchdog {
+    /// `None` when the config sets no `task_timeout_secs`: supervision is
+    /// off and no monitor thread exists.
+    pub(crate) fn new(
+        config: &ClusterConfig,
+        counters: &Counters,
+        trace: Option<&TraceSink>,
+        job: &str,
+    ) -> Option<Self> {
+        let deadline = Duration::from_secs_f64(config.task_timeout_secs?);
+        let heartbeat_window =
+            Duration::from_secs_f64(config.heartbeat_interval_secs * config.heartbeat_grace);
+        Some(Watchdog {
+            supervisor: Supervisor::new(deadline.min(heartbeat_window) / 4),
+            deadline,
+            heartbeat_window,
+            cancel: CancelToken::new(),
+            counters: counters.clone(),
+            trace: trace.cloned(),
+            job: job.to_string(),
+            nodes: config.nodes,
+        })
+    }
+
+    /// Watch one attempt until the guard drops. `heartbeats` says whether
+    /// its executor emits them (only worker processes do); `stop` is how to
+    /// end the attempt when the watch expires.
+    pub(crate) fn watch(
+        &self,
+        (phase, task, attempt): (Phase, usize, usize),
+        heartbeats: bool,
+        stop: impl FnOnce() + Send + 'static,
+    ) -> WatchGuard {
+        let (counters, trace, job) = (self.counters.clone(), self.trace.clone(), self.job.clone());
+        let node = task % self.nodes;
+        let window = heartbeats.then_some(self.heartbeat_window);
+        self.supervisor
+            .watch(Some(self.deadline), window, move |reason| {
+                stop();
+                counters.get("mr.supervise.task_timeout").incr();
+                if let Some(sink) = &trace {
+                    let mut ev = TraceEvent::new(EventKind::TaskTimeout, job.as_str())
+                        .at_task(phase, task, attempt, node);
+                    ev.detail = Some(reason.as_str().to_string());
+                    sink.emit(ev);
+                }
+            })
+    }
+
+    /// Run one in-process attempt under the job's deadline, when it has a
+    /// watchdog (`None` just runs the body). Threads cannot be
+    /// killed, so expiry trips the job's cancel token: this attempt's
+    /// result is discarded when it eventually returns, no attempt starts
+    /// afterwards, and the job fails fast with a classified error instead
+    /// of committing output that arrived past its deadline. A body that
+    /// never returns is not recoverable in-process (that is what the
+    /// process backend is for).
+    pub(crate) fn supervised<O>(
+        dog: Option<&Self>,
+        at: (Phase, usize, usize),
+        body: impl FnOnce() -> Result<O>,
+    ) -> Result<O> {
+        let Some(dog) = dog else { return body() };
+        let expired = || {
+            Err(MrError::TaskFailed(format!(
+                "{}: task wall-clock deadline exceeded (in-process attempts cannot be killed, \
+                 so the job fails fast)",
+                dog.job
+            )))
+        };
+        if dog.cancel.is_cancelled() {
+            return expired();
+        }
+        let cancel = dog.cancel.clone();
+        let guard = dog.watch(at, false, move || cancel.cancel());
+        let out = body();
+        drop(guard);
+        if dog.cancel.is_cancelled() {
+            return expired();
+        }
+        out
     }
 }
 

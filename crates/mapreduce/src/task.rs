@@ -16,6 +16,16 @@ pub enum Phase {
     Reduce,
 }
 
+impl Phase {
+    /// The phase's name in task labels and trace events.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Phase::Map => "map",
+            Phase::Reduce => "reduce",
+        }
+    }
+}
+
 /// Per-task context handed to map/reduce functions, mirroring Hadoop's
 /// `Mapper.Context` / `Reducer.Context`.
 pub struct TaskContext {

@@ -20,7 +20,8 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::error::Result;
+use crate::codec::{codec_struct, ByteReader, Codec};
+use crate::error::{MrError, Result};
 use crate::json::{escape_into, obj, Json};
 use crate::task::Phase;
 
@@ -247,10 +248,7 @@ impl TraceEvent {
         s.push('"');
         if let Some(p) = self.phase {
             s.push_str(",\"phase\":\"");
-            s.push_str(match p {
-                Phase::Map => "map",
-                Phase::Reduce => "reduce",
-            });
+            s.push_str(p.as_str());
             s.push('"');
         }
         let num = |name: &str, v: Option<u64>, s: &mut String| {
@@ -436,11 +434,7 @@ impl TraceSink {
             let next = tids.len() as u64 + 1;
             *tids.entry(label.to_string()).or_insert(next)
         };
-        let phase_name = |p: Option<Phase>| match p {
-            Some(Phase::Map) => "map",
-            Some(Phase::Reduce) => "reduce",
-            None => "job",
-        };
+        let phase_name = |p: Option<Phase>| p.map_or("job", Phase::as_str);
         let mut out: Vec<Json> = Vec::new();
         for e in events.iter() {
             let track = match e.task {
@@ -769,6 +763,15 @@ impl Histograms {
     }
 }
 
+codec_struct!(HistogramSnapshot {
+    count,
+    sum,
+    min,
+    max,
+    zeros,
+    buckets,
+});
+
 // ---------------------------------------------------------------------------
 // heavy hitters
 // ---------------------------------------------------------------------------
@@ -826,14 +829,13 @@ impl TopK {
         }
     }
 
-    /// Sketch capacity, for wire round-trips.
+    /// Sketch capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Every tracked `(label, count)` in insertion order, for wire
-    /// round-trips; [`TopK::new`] plus [`TopK::add`] over these entries
-    /// reconstructs the sketch exactly (they always fit within capacity).
+    /// Every tracked `(label, count)` in insertion order (never more than
+    /// the capacity).
     pub fn entries(&self) -> &[(String, u64)] {
         &self.items
     }
@@ -845,6 +847,27 @@ impl TopK {
         items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         items.truncate(k);
         items
+    }
+}
+
+/// A sketch crosses the process backend's pipes as itself: capacity plus
+/// the entries in insertion order, which is its whole state.
+impl Codec for TopK {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.capacity.encode(buf);
+        self.items.encode(buf);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let capacity = usize::decode(r)?.max(1);
+        let items = Vec::<(String, u64)>::decode(r)?;
+        if items.len() > capacity {
+            return Err(MrError::Codec(format!(
+                "top-k sketch holds {} entries over its capacity {capacity}",
+                items.len()
+            )));
+        }
+        Ok(TopK { capacity, items })
     }
 }
 

@@ -7,6 +7,10 @@
 //! equal-key runs to the merge (task order, spill order, thread
 //! interleaving) becomes a visible output difference.
 //!
+//! The sharded cells also run with a one-slot shuffle channel: every
+//! partition receives more runs than the channel holds, so a collector
+//! that fell behind a lone worker thread would deadlock here.
+//!
 //! The probe jobs here are closure-built (no registered factory), so the
 //! process backend takes its documented in-process fallback path — which
 //! still swaps the in-memory DFS for the disk-backed store, making this
@@ -97,6 +101,17 @@ fn sharded_output_matches_simulated_across_cluster_shapes() {
             simulated, sharded,
             "order-sensitive output diverged on nodes={nodes} threads={threads}"
         );
+        for threads in [1, 2, 8] {
+            let tight = ClusterConfig {
+                shuffle_channel_capacity: 1,
+                ..config(BackendKind::Sharded, nodes, threads)
+            };
+            assert_eq!(
+                simulated,
+                run_probe(tight, None),
+                "one-slot shuffle channel diverged on nodes={nodes} threads={threads}"
+            );
+        }
         let process = run_probe(config(BackendKind::Process, nodes, threads), None);
         assert_eq!(
             simulated, process,
@@ -163,6 +178,51 @@ fn sharded_map_failure_fails_the_job_with_a_classified_error() {
     assert!(
         matches!(err, MrError::TaskFailed(_) | MrError::TaskPanicked(_)),
         "classified failure, got {err:?}"
+    );
+}
+
+#[test]
+fn sharded_deadline_fails_the_job_fast_and_leaves_no_output() {
+    // In-process workers cannot be killed: a map attempt that outlives
+    // `task_timeout_secs` trips the cooperative cancel, its late result is
+    // discarded, and the job fails with a classified error before any
+    // reduce task could commit a part.
+    let config = ClusterConfig {
+        task_timeout_secs: Some(0.05),
+        max_task_attempts: 2,
+        ..config(BackendKind::Sharded, 3, 4)
+    };
+    let cluster = Cluster::new(config, 256).unwrap();
+    cluster.dfs().write_text("/in", corpus()).unwrap();
+    let mapper = ClosureMapper::new(
+        |off: &u64, line: &String, out: &mut dyn Emit<String, u64>, _: &TaskContext| {
+            // The first record of the first split: one map attempt sleeps.
+            if *off == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(400));
+            }
+            out.emit(line.clone(), 1)
+        },
+    );
+    let reducer = ClosureReducer::new(
+        |k: &String,
+         vs: &mut dyn Iterator<Item = (String, u64)>,
+         out: &mut dyn Emit<String, u64>,
+         _: &TaskContext| out.emit(k.clone(), vs.count() as u64),
+    );
+    let job = Job::new("overdue", mapper, reducer)
+        .inputs(text_input(cluster.dfs(), "/in").unwrap())
+        .output_seq("/out");
+    match cluster.run(job).unwrap_err() {
+        MrError::TaskFailed(msg) => assert!(
+            msg.contains("task wall-clock deadline exceeded"),
+            "unclassified deadline failure: {msg}"
+        ),
+        other => panic!("expected a deadline TaskFailed, got {other:?}"),
+    }
+    assert!(
+        cluster.dfs().list("/out").is_empty(),
+        "a job past its deadline left output behind: {:?}",
+        cluster.dfs().list("/out")
     );
 }
 

@@ -269,6 +269,13 @@ fn unknown_factory_fails_the_handshake_and_falls_back() {
     let output: Vec<(String, String)> = cluster.dfs().read_seq("/out").unwrap();
 
     assert_eq!(local.output, output, "fallback must still commit the job");
+    // The pool never came up, and its owner (this driver) is alive, so no
+    // scavenger would ever sweep a spill directory it left behind.
+    let shuffle = cluster.dfs().disk_root().unwrap().join("shuffle");
+    let leaked: Vec<_> = std::fs::read_dir(&shuffle)
+        .map(|dir| dir.map(|e| e.unwrap().file_name()).collect())
+        .unwrap_or_default();
+    assert!(leaked.is_empty(), "failed handshake leaked {leaked:?}");
     assert_eq!(counter(&metrics, "mr.process.handshake_failures"), 1);
     assert_eq!(counter(&metrics, "mr.process.fallback_jobs"), 1);
     assert_eq!(counter(&metrics, "mr.process.remote_jobs"), 0);
