@@ -43,6 +43,14 @@ fn selfjoin_emits_trace_metrics_and_report() {
     // --report appends the detailed per-job report.
     assert!(msg.contains("stage2-pk"), "{msg}");
     assert!(msg.contains("hot keys"), "{msg}");
+    // ... and says what the exact dataflow saved.
+    for counter in [
+        "stage2.funnel.unowned",
+        "stage3.participants",
+        "stage3.records_filtered",
+    ] {
+        assert!(msg.contains(counter), "{counter} missing from {msg}");
+    }
 
     // The JSONL trace parses back and covers all five jobs of the
     // recommended combo, with every task attempt's span complete.
@@ -112,6 +120,21 @@ fn selfjoin_emits_trace_metrics_and_report() {
         hitters[0].get("token").is_some(),
         "rank labels must resolve to tokens: {hitters:?}"
     );
+    // Exactly once, readable from the artifact alone: stage 2 emits as many
+    // pairs as stage 3 joins, and says how many meetings it left to their
+    // owner; stage 3 says how many records it kept out of its shuffle.
+    let counter = |stage: usize, job: usize, name: &str| -> Option<u64> {
+        stages[stage].get("jobs").and_then(Json::as_arr).unwrap()[job]
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+    };
+    let emitted = counter(1, 0, "stage2.pairs_emitted").unwrap();
+    assert!(emitted > 0);
+    assert_eq!(counter(2, 1, "stage3.joined_pairs"), Some(emitted));
+    assert!(counter(1, 0, "stage2.funnel.unowned").unwrap() > 0);
+    assert!(counter(2, 0, "stage3.participants").unwrap() > 0);
+    assert!(counter(2, 0, "stage3.records_filtered").unwrap() > 0);
     // Totals are internally consistent with the per-stage numbers.
     let totals = report.get("totals").unwrap();
     let sum: f64 = stages

@@ -23,11 +23,13 @@
 //!   S within a length class.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mapreduce::{group_by, partition_by, stable_hash, GroupEq, PartitionFn, SortCmp};
-use setsim::Threshold;
+use setsim::{first_common, Threshold};
 
 use crate::config::TokenRouting;
+use crate::skew::SkewPlan;
 
 /// The composite stage-2 key.
 pub type Stage2Key = (u32, u32, u8, u32, u8);
@@ -101,7 +103,7 @@ pub fn routing_groups(
                 let lo = threshold.lower_bound(len) / width;
                 let hi = len / width;
                 for bucket in lo..=hi {
-                    groups.insert(stable_hash(&(g, bucket as u32)) as u32);
+                    groups.insert(length_bucket_key(g, bucket));
                 }
             }
         }
@@ -109,9 +111,216 @@ pub fn routing_groups(
     groups
 }
 
+/// The routing key of length bucket `bucket` of token group `group`.
+fn length_bucket_key(group: u32, bucket: usize) -> u32 {
+    stable_hash(&(group, bucket as u32)) as u32
+}
+
+/// A record as the ownership rule sees it: what its routing keys depend on
+/// beyond its prefix tokens.
+#[derive(Debug, Clone, Copy)]
+pub struct Member {
+    /// The record id.
+    pub rid: u64,
+    /// [`SkewPlan::rid_hash`] of `rid`, taken once: a record is asked about
+    /// once per partner it meets.
+    rid_hash: u64,
+    /// The record's set size.
+    pub len: usize,
+}
+
+impl Member {
+    /// The record `rid` of `len` tokens.
+    pub fn new(rid: u64, len: usize) -> Self {
+        Member {
+            rid,
+            rid_hash: SkewPlan::rid_hash(rid),
+            len,
+        }
+    }
+}
+
+/// The one reduce key that emits the pair `(x, y)`, given the smallest
+/// token `m` their routing prefixes share: `m` taken through exactly the
+/// mapper's scheme ([`routing_groups`], then [`SkewPlan::route`]). Each
+/// step picks, among the keys both records were sent to, one that depends
+/// on the pair alone:
+///
+/// * the token group of `m` — both prefixes hold `m`;
+/// * under length sub-routing, the bucket of the *shorter* record, which
+///   the longer one's compatible-partner range covers;
+/// * under a skew split, the bucket pair `(min(bx,by), max(bx,by))`. Two
+///   records of one bucket `b` meet in all `B` sub-keys `(min(b,i),
+///   max(b,i))` of their shared row and column; this picks `(b, b)`.
+///
+/// A reducer compares the result with its own key's group component, so
+/// logical keys that collide in the `u32` stay harmless: the pair still has
+/// one owner, and both records are there.
+pub fn owner_key(
+    routing: TokenRouting,
+    length_sub_routing: Option<u32>,
+    plan: &SkewPlan,
+    m: u32,
+    x: Member,
+    y: Member,
+) -> u32 {
+    let group = match length_sub_routing {
+        None => routing.group_of(m),
+        Some(width) => length_bucket_key(
+            routing.group_of(m),
+            x.len.min(y.len) / width.max(1) as usize,
+        ),
+    };
+    match plan.keys_for(group, x.rid_hash) {
+        None => group,
+        Some(keys) => keys[SkewPlan::bucket_of(y.rid_hash, keys.len() as u32) as usize],
+    }
+}
+
+/// What a stage-2 reducer needs to decide whether a pair is its to emit:
+/// the routing scheme its job's mapper used.
+#[derive(Debug, Clone)]
+pub struct Ownership {
+    threshold: Threshold,
+    routing: TokenRouting,
+    length_sub_routing: Option<u32>,
+    skew: Arc<SkewPlan>,
+}
+
+impl Ownership {
+    /// Ownership under the routing of a job whose mapper was built from
+    /// the same four values.
+    pub fn new(
+        threshold: Threshold,
+        routing: TokenRouting,
+        length_sub_routing: Option<u32>,
+        skew: Arc<SkewPlan>,
+    ) -> Self {
+        Ownership {
+            threshold,
+            routing,
+            length_sub_routing,
+            skew,
+        }
+    }
+
+    /// Routing that sends every token to group 0, so a test feeding one
+    /// reduce group under key group 0 sees it own every pair.
+    #[cfg(test)]
+    pub(crate) fn one_group(threshold: Threshold) -> Self {
+        Self::new(
+            threshold,
+            TokenRouting::Grouped { groups: 1 },
+            None,
+            Arc::new(SkewPlan::empty()),
+        )
+    }
+
+    /// The join predicate of the job.
+    pub fn threshold(&self) -> &Threshold {
+        &self.threshold
+    }
+
+    /// Whether the reduce group of `key` emits the pair whose smallest
+    /// shared prefix token is `m`.
+    pub fn owns(&self, key: &Stage2Key, m: u32, x: Member, y: Member) -> bool {
+        owner_key(self.routing, self.length_sub_routing, &self.skew, m, x, y) == key.0
+    }
+
+    /// [`owns`](Self::owns) for one record `x` of `key`'s reduce group
+    /// against many partners, as the indexed kernel asks it: once per
+    /// partner, token by token.
+    pub fn probing<'a>(&'a self, key: &Stage2Key, x: Member) -> ProbeOwnership<'a> {
+        ProbeOwnership {
+            owner: self,
+            key: key.0,
+            x,
+            token: None,
+            partners: Partners::None,
+        }
+    }
+
+    /// [`owns`](Self::owns) for kernels that hold both projections and no
+    /// index: finds `m` by merging the two routing prefixes. A pair whose
+    /// prefixes share no token cannot join (the prefix filter) and has no
+    /// owner.
+    pub fn owns_pair(&self, key: &Stage2Key, x: (u64, &[u32]), y: (u64, &[u32])) -> bool {
+        let prefix = |tokens: &[u32]| self.threshold.probe_prefix_len(tokens.len());
+        first_common(&x.1[..prefix(x.1)], &y.1[..prefix(y.1)]).is_some_and(|m| {
+            let (x, y) = (Member::new(x.0, x.1.len()), Member::new(y.0, y.1.len()));
+            self.owns(key, m, x, y)
+        })
+    }
+}
+
+/// Which partners of one record the reduce group owns the pair with, for
+/// pairs whose smallest shared token is a given one.
+#[derive(Debug, Clone, Copy)]
+enum Partners<'a> {
+    /// The token's group is another reduce key.
+    None,
+    /// The token's group is this reduce key and is not split.
+    All,
+    /// The token's group is split and this reduce key is among the record's
+    /// routing keys in it (entry `b`: the key shared with bucket `b`).
+    InBuckets(&'a [u32]),
+    /// Under length sub-routing the key depends on the partner's length.
+    ByLength,
+}
+
+/// [`Ownership::owns`] with everything that depends only on the reduce key,
+/// the record and the token worked out once per token: a probe asks about
+/// hundreds of partners under each prefix token, and for most tokens the
+/// answer is the same for all of them.
+#[derive(Debug)]
+pub struct ProbeOwnership<'a> {
+    owner: &'a Ownership,
+    key: u32,
+    x: Member,
+    token: Option<u32>,
+    partners: Partners<'a>,
+}
+
+impl<'a> ProbeOwnership<'a> {
+    /// Whether the reduce group emits the pair of the record with partner
+    /// `y`, `m` being the smallest token they share. The partner is looked
+    /// up only when the answer depends on it.
+    pub fn owns(&mut self, m: u32, y: impl FnOnce() -> Member) -> bool {
+        if self.token != Some(m) {
+            self.token = Some(m);
+            self.partners = self.partners_under(m);
+        }
+        match self.partners {
+            Partners::None => false,
+            Partners::All => true,
+            Partners::InBuckets(keys) => {
+                keys[SkewPlan::bucket_of(y().rid_hash, keys.len() as u32) as usize] == self.key
+            }
+            Partners::ByLength => {
+                let o = self.owner;
+                owner_key(o.routing, o.length_sub_routing, &o.skew, m, self.x, y()) == self.key
+            }
+        }
+    }
+
+    fn partners_under(&self, m: u32) -> Partners<'a> {
+        let o = self.owner;
+        if o.length_sub_routing.is_some() {
+            return Partners::ByLength;
+        }
+        let group = o.routing.group_of(m);
+        match o.skew.keys_for(group, self.x.rid_hash) {
+            None if group == self.key => Partners::All,
+            Some(keys) if keys.contains(&self.key) => Partners::InBuckets(keys),
+            _ => Partners::None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skew::split_key;
 
     #[test]
     fn partitioner_ignores_everything_but_group() {
@@ -149,6 +358,85 @@ mod tests {
                 blocked(1, 1, KIND_LOAD, 5, REL_R),
             ]
         );
+    }
+
+    #[test]
+    fn owner_key_follows_the_mapper_scheme_step_by_step() {
+        let none = SkewPlan::empty();
+        let (x, y) = (Member::new(11, 9), Member::new(12, 7));
+        // Token group: the token itself, or its round-robin group.
+        let individual = TokenRouting::Individual;
+        let grouped = TokenRouting::Grouped { groups: 8 };
+        assert_eq!(owner_key(individual, None, &none, 21, x, y), 21);
+        assert_eq!(owner_key(grouped, None, &none, 21, x, y), 5);
+        // Length sub-routing: the bucket of the shorter member (7 / 2 = 3),
+        // whichever side it is named on — not the longer one's (9 / 2 = 4).
+        let shorter = length_bucket_key(5, 3);
+        assert_eq!(owner_key(grouped, Some(2), &none, 21, x, y), shorter);
+        assert_eq!(owner_key(grouped, Some(2), &none, 21, y, x), shorter);
+        assert_ne!(shorter, length_bucket_key(5, 4));
+        // Skew split of that key: the records' bucket pair, ordered.
+        let plan = SkewPlan::from_entries(vec![(shorter, 4)]);
+        let bucket = |m: Member| SkewPlan::bucket_of(m.rid_hash, 4);
+        let (bx, by) = (bucket(x), bucket(y));
+        assert_ne!(bx, by, "pick RIDs in different buckets");
+        assert_eq!(
+            owner_key(grouped, Some(2), &plan, 21, x, y),
+            split_key(shorter, bx.min(by), bx.max(by))
+        );
+        // A group the plan does not split is untouched by it.
+        assert_eq!(
+            owner_key(grouped, Some(2), &plan, 22, x, y),
+            length_bucket_key(6, 3)
+        );
+    }
+
+    #[test]
+    fn same_bucket_pairs_are_owned_by_the_diagonal_sub_key() {
+        let plan = SkewPlan::from_entries(vec![(5, 4)]);
+        let bucket = |m: Member| SkewPlan::bucket_of(m.rid_hash, 4);
+        let x = Member::new(11, 9);
+        // Two records of one bucket `b` meet in every `(min(b,i), max(b,i))`;
+        // the documented owner among them is `(b, b)`.
+        let b = bucket(x);
+        let twin = (12u64..)
+            .map(|rid| Member::new(rid, 9))
+            .find(|&m| bucket(m) == b)
+            .unwrap();
+        let routing = TokenRouting::Grouped { groups: 8 };
+        assert_eq!(
+            plan.keys_for(5, x.rid_hash),
+            plan.keys_for(5, twin.rid_hash),
+            "the pair meets in all four sub-keys"
+        );
+        assert_eq!(
+            owner_key(routing, None, &plan, 21, x, twin),
+            split_key(5, b, b)
+        );
+    }
+
+    #[test]
+    fn owns_pair_goes_by_the_smallest_shared_prefix_token() {
+        // τ = 0.5 over 4 tokens: prefixes of 3. The records share prefix
+        // tokens 3 and 5 (and 9, outside both prefixes).
+        let owner = Ownership::new(
+            Threshold::jaccard(0.5),
+            TokenRouting::Individual,
+            None,
+            Arc::new(SkewPlan::empty()),
+        );
+        let (x, y) = ((1u64, &[2u32, 3, 5, 9][..]), (2u64, &[3u32, 4, 5, 9][..]));
+        assert!(owner.owns_pair(&plain(3, 4, REL_R), x, y));
+        assert!(
+            !owner.owns_pair(&plain(5, 4, REL_R), x, y),
+            "met again, not owned"
+        );
+        assert!(!owner.owns_pair(&plain(9, 4, REL_R), x, y));
+        // No shared prefix token: no owner anywhere (and no join either).
+        let z = (3u64, &[6u32, 7, 8, 9][..]);
+        for g in 2..10 {
+            assert!(!owner.owns_pair(&plain(g, 4, REL_R), x, z));
+        }
     }
 
     #[test]

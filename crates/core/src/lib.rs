@@ -11,9 +11,10 @@
 //! 2. **RID-pair generation** ([`stage2`]) — record projections are routed
 //!    on prefix tokens (individual or grouped, optionally length-bucketed)
 //!    and verified by the BK or PK kernel; Section-5 block processing
-//!    handles groups that exceed the reducer's memory budget.
+//!    handles groups that exceed the reducer's memory budget. Each pair
+//!    is emitted by exactly one reducer ([`keys::owner_key`]).
 //! 3. **Record join** ([`stage3`]) — BRJ or OPRJ materialize the actual
-//!    record pairs, deduplicating stage-2 output.
+//!    record pairs; BRJ shuffles only the records some pair names.
 //!
 //! Self-joins and R-S joins are both supported end to end; see
 //! [`self_join`] and [`rs_join`].
@@ -37,7 +38,7 @@ pub use config::{
     BadRecordPolicy, JoinConfig, RecordFormat, Stage1Algo, Stage2Algo, Stage3Algo, TokenRouting,
     TokenizerKind, BAD_RECORDS_COUNTER,
 };
-pub use keys::{routing_groups, Projection, Stage2Key};
+pub use keys::{owner_key, routing_groups, Projection, Stage2Key};
 pub use pipeline::{
     read_joined, read_rid_pairs, rs_join, rs_join_resume, self_join, self_join_resume, JoinOutcome,
     RecoverySummary,

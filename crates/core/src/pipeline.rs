@@ -155,6 +155,22 @@ impl JoinOutcome {
             self.wall_secs(),
             self.shuffle_bytes()
         );
+        // What exactness saved: meetings of two records that a reducer left
+        // to the pair's owner (counted by the PK kernel), and records stage
+        // 3 kept out of its shuffle because no pair names them.
+        let sum = |stage: &PipelineMetrics, name: &str| -> u64 {
+            stage.jobs.iter().map(|j| j.counter(name)).sum()
+        };
+        let _ = writeln!(
+            s,
+            "exact dataflow: stage 2 emitted {} pairs, left {} first touches to their owner \
+             (stage2.funnel.unowned); stage 3 shuffled {} participating records, filtered {} \
+             (stage3.participants, stage3.records_filtered)",
+            sum(&self.stage2, "stage2.pairs_emitted"),
+            sum(&self.stage2, "stage2.funnel.unowned"),
+            sum(&self.stage3, "stage3.participants"),
+            sum(&self.stage3, "stage3.records_filtered"),
+        );
         let (launched, won, killed) = self.speculative();
         if self.task_retries() + self.output_aborts() + launched > 0 {
             let _ = writeln!(
@@ -284,14 +300,14 @@ pub fn read_joined(cluster: &Cluster, joined_path: &str) -> Result<Vec<(PairKey,
     stage3::read_joined(cluster, joined_path)
 }
 
-/// Read back the stage-2 RID pairs (deduplicated and sorted) — convenient
-/// for tests and for workloads that only need the pair list.
+/// Read back the stage-2 RID pairs, sorted (stage 2 writes each pair
+/// once) — convenient for tests and for workloads that only need the pair
+/// list.
 pub fn read_rid_pairs(cluster: &Cluster, ridpairs_path: &str) -> Result<Vec<(u64, u64, f64)>> {
     let mut pairs = Vec::new();
     for line in cluster.dfs().read_text(ridpairs_path)? {
         pairs.push(stage2::parse_pair_line(&line)?);
     }
     pairs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    pairs.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
     Ok(pairs)
 }

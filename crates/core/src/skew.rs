@@ -21,10 +21,15 @@
 //! Each record of a hot group is replicated `B` times (its row and column
 //! of the bucket-pair triangle), and the group fans out into `B(B+1)/2`
 //! reduce keys whose largest candidate set is ~`2/B` of the original, so
-//! replication buys a per-reducer load bound. Reducers are untouched:
-//! they verify whatever candidate set arrives, and stage 3 deduplicates,
-//! so committed output is **bitwise identical** to an unsplit run — the
-//! differential wall in `tests/differential.rs` enforces exactly that.
+//! replication buys a per-reducer load bound. Two records of *different*
+//! buckets meet in exactly one sub-key, `(min(bx,by), max(bx,by))`; two
+//! records of the *same* bucket `b` share their whole row and column and
+//! meet in all `B` sub-keys `(min(b,i), max(b,i))`. Which of those emits
+//! the pair is the reducers' ownership rule ([`crate::keys::owner_key`]):
+//! the bucket pair itself, so `(b, b)` for a same-bucket pair. Every pair
+//! is therefore still verified and written once, and committed output is
+//! **bitwise identical** to an unsplit run — the differential wall in
+//! `tests/differential.rs` enforces exactly that.
 //!
 //! The plan is a pure function of `(inputs, token order, config)`:
 //! sampling is deterministic (fixed stride over the input lines in DFS
@@ -132,7 +137,7 @@ impl Default for SkewConfig {
 
 /// Salt distinguishing synthesized split keys from each other; collisions
 /// with ordinary group ids (or between split keys) are harmless — they
-/// only co-locate extra candidates, and the kernels verify every pair.
+/// only co-locate extra candidates, and a pair's owner is still one `u32`.
 const SPLIT_KEY_SALT: u32 = 0x534B_4557; // "SKEW"
 
 /// The synthesized routing key for bucket pair `(i, j)` of split group
@@ -141,14 +146,38 @@ pub fn split_key(group: u32, i: u32, j: u32) -> u32 {
     stable_hash(&(SPLIT_KEY_SALT, group, i, j)) as u32
 }
 
+/// One split group: its bucket count and the routing keys of its bucket
+/// pairs, hashed once when the plan is built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Split {
+    buckets: u32,
+    /// `keys[i * buckets + j]` is the key of bucket pair `{i, j}`, so row
+    /// `b` holds the keys a record of bucket `b` is routed to.
+    keys: Vec<u32>,
+}
+
+impl Split {
+    fn new(group: u32, buckets: u32) -> Self {
+        let keys = (0..buckets)
+            .flat_map(|i| (0..buckets).map(move |j| split_key(group, i.min(j), i.max(j))))
+            .collect();
+        Split { buckets, keys }
+    }
+
+    fn row(&self, bucket: u32) -> &[u32] {
+        let b = self.buckets as usize;
+        &self.keys[bucket as usize * b..][..b]
+    }
+}
+
 /// The routing plan: which groups are split, into how many buckets.
 ///
 /// Built once per stage-2 job by [`build_plan`] and shipped to workers in
 /// the remote job payload, so the process backend routes identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SkewPlan {
-    /// `group → bucket count` (every entry ≥ 2).
-    splits: BTreeMap<u32, u32>,
+    /// `group → split` (every bucket count ≥ 2).
+    splits: BTreeMap<u32, Split>,
 }
 
 impl SkewPlan {
@@ -161,13 +190,17 @@ impl SkewPlan {
     /// they would mean "not split").
     pub fn from_entries(entries: Vec<(u32, u32)>) -> Self {
         SkewPlan {
-            splits: entries.into_iter().filter(|&(_, b)| b >= 2).collect(),
+            splits: entries
+                .into_iter()
+                .filter(|&(_, b)| b >= 2)
+                .map(|(g, b)| (g, Split::new(g, b)))
+                .collect(),
         }
     }
 
     /// Plan entries as `(group, buckets)` in group order, for the wire.
     pub fn entries(&self) -> Vec<(u32, u32)> {
-        self.splits.iter().map(|(&g, &b)| (g, b)).collect()
+        self.splits.iter().map(|(&g, s)| (g, s.buckets)).collect()
     }
 
     /// Whether no group is split.
@@ -182,30 +215,44 @@ impl SkewPlan {
 
     /// Bucket count for `group`, if it is split.
     pub fn buckets_for(&self, group: u32) -> Option<u32> {
-        self.splits.get(&group).copied()
+        self.splits.get(&group).map(|s| s.buckets)
     }
 
     /// Largest bucket count in the plan (the worst replication factor).
     pub fn max_buckets(&self) -> u32 {
-        self.splits.values().copied().max().unwrap_or(0)
+        self.splits.values().map(|s| s.buckets).max().unwrap_or(0)
     }
 
     /// Total reduce keys the split groups fan out into: Σ `B(B+1)/2`.
     pub fn total_split_keys(&self) -> u64 {
         self.splits
             .values()
-            .map(|&b| u64::from(b) * u64::from(b + 1) / 2)
+            .map(|s| u64::from(s.buckets) * u64::from(s.buckets + 1) / 2)
             .sum()
     }
 
-    /// Routing keys for `rid` within split group `group` (which must be in
-    /// the plan): its bucket's row and column of the bucket-pair triangle.
-    pub fn keys_for(&self, group: u32, rid: u64) -> Vec<u32> {
-        let b = self.buckets_for(group).unwrap_or(1);
-        let own = (stable_hash(&rid) % u64::from(b)) as u32;
-        (0..b)
-            .map(|i| split_key(group, own.min(i), own.max(i)))
-            .collect()
+    /// What a record's buckets are drawn from: a hash of its RID only —
+    /// never of relation or length — so a record has the same bucket
+    /// wherever it is looked at. Callers that place one record many times
+    /// take it once.
+    pub fn rid_hash(rid: u64) -> u64 {
+        stable_hash(&rid)
+    }
+
+    /// The bucket, in a group split `buckets` ways, of the record whose
+    /// [`rid_hash`](Self::rid_hash) is given.
+    pub fn bucket_of(rid_hash: u64, buckets: u32) -> u32 {
+        (rid_hash % u64::from(buckets)) as u32
+    }
+
+    /// Routing keys of a record (by [`rid_hash`](Self::rid_hash)) within
+    /// split group `group`: its bucket's row and column of the bucket-pair
+    /// triangle, indexed by the other bucket — entry `b` is the key it
+    /// shares with the records of bucket `b`. `None` when the plan does not
+    /// split `group`.
+    pub fn keys_for(&self, group: u32, rid_hash: u64) -> Option<&[u32]> {
+        let split = self.splits.get(&group)?;
+        Some(split.row(Self::bucket_of(rid_hash, split.buckets)))
     }
 
     /// Apply the plan to a record's routing groups: unsplit groups pass
@@ -218,12 +265,16 @@ impl SkewPlan {
         }
         let mut out = BTreeSet::new();
         let mut hot = 0usize;
+        let rid_hash = Self::rid_hash(rid);
         for g in groups {
-            if self.buckets_for(g).is_some() {
-                hot += 1;
-                out.extend(self.keys_for(g, rid));
-            } else {
-                out.insert(g);
+            match self.keys_for(g, rid_hash) {
+                Some(keys) => {
+                    hot += 1;
+                    out.extend(keys);
+                }
+                None => {
+                    out.insert(g);
+                }
             }
         }
         (out, hot)
@@ -238,10 +289,10 @@ impl SkewPlan {
             TokenRouting::Grouped { .. } => "group",
         };
         let mut labels = BTreeMap::new();
-        for (&g, &b) in &self.splits {
-            for i in 0..b {
-                for j in i..b {
-                    labels.insert(split_key(g, i, j), format!("{prefix}:{g}/split:{i}-{j}"));
+        for (&g, split) in &self.splits {
+            for i in 0..split.buckets {
+                for (j, &key) in (i..).zip(&split.row(i)[i as usize..]) {
+                    labels.insert(key, format!("{prefix}:{g}/split:{i}-{j}"));
                 }
             }
         }
@@ -322,7 +373,7 @@ pub fn plan_from_sketch(sketch: &SpaceSaving<u32>, sk: &SkewConfig) -> SkewPlan 
     for (g, lower_bound) in sketch.heavy(sampled_cutoff) {
         let estimated = lower_bound.saturating_mul(stride);
         let buckets = (estimated.div_ceil(hot) as u32).clamp(2, sk.split_max.max(2));
-        splits.insert(g, buckets);
+        splits.insert(g, Split::new(g, buckets));
     }
     SkewPlan { splits }
 }
@@ -356,8 +407,8 @@ mod tests {
         // Any two records must share ≥ 1 key within the split group.
         for x in 0..40u64 {
             for y in 0..40u64 {
-                let kx: BTreeSet<u32> = plan.keys_for(7, x).into_iter().collect();
-                let ky: BTreeSet<u32> = plan.keys_for(7, y).into_iter().collect();
+                let kx: BTreeSet<u32> = plan.keys_for(7, x).unwrap().iter().copied().collect();
+                let ky: BTreeSet<u32> = plan.keys_for(7, y).unwrap().iter().copied().collect();
                 assert!(
                     kx.intersection(&ky).next().is_some(),
                     "records {x} and {y} share no bucket-pair key"
@@ -370,11 +421,9 @@ mod tests {
     fn replication_is_exactly_the_bucket_count() {
         let plan = SkewPlan::from_entries(vec![(7, 4)]);
         for rid in 0..100u64 {
-            // B distinct (i, own) pairs; hash collisions between split keys
-            // could in principle dedup, but are astronomically unlikely and
-            // harmless (fewer emissions, still complete via the shared key).
-            assert!(plan.keys_for(7, rid).len() <= 4);
-            assert!(!plan.keys_for(7, rid).is_empty());
+            // One key per bucket of the group, the record's own included.
+            assert_eq!(plan.keys_for(7, rid).unwrap().len(), 4);
+            assert!(plan.keys_for(8, rid).is_none(), "group 8 is not split");
         }
     }
 

@@ -21,16 +21,15 @@
 //! once and re-reads it per block).
 
 use mapreduce::{Codec, Counter, Emit, Reducer, Result, TaskContext};
-use setsim::{verify_pair, Threshold};
 
-use crate::keys::{Projection, Stage2Key, KIND_LOAD, REL_S};
+use crate::keys::{Ownership, Projection, Stage2Key, KIND_LOAD, REL_S};
 use crate::named::Named;
-use crate::stage2::reducers::{emit_pair, projection_bytes, GroupStats, KernelCounters};
+use crate::stage2::reducers::{join_owned, projection_bytes, GroupStats, KernelCounters};
 
 /// Reducer for map-based block processing.
 #[derive(Clone)]
 pub struct MapBlocksReducer {
-    threshold: Threshold,
+    owner: Ownership,
     /// R-S mode (false = self-join).
     rs: bool,
     counters: KernelCounters,
@@ -38,9 +37,9 @@ pub struct MapBlocksReducer {
 
 impl MapBlocksReducer {
     /// Build for self-join or R-S mode.
-    pub fn new(threshold: Threshold, rs: bool) -> Self {
+    pub fn new(owner: Ownership, rs: bool) -> Self {
         MapBlocksReducer {
-            threshold,
+            owner,
             rs,
             counters: KernelCounters::new(),
         }
@@ -55,7 +54,7 @@ impl Reducer for MapBlocksReducer {
 
     fn reduce(
         &mut self,
-        _key: &Stage2Key,
+        key: &Stage2Key,
         values: &mut dyn Iterator<Item = (Stage2Key, Projection)>,
         out: &mut dyn Emit<(u64, u64), f64>,
         ctx: &TaskContext,
@@ -72,34 +71,23 @@ impl Reducer for MapBlocksReducer {
                 resident.clear();
                 current_pass = Some(pass);
             }
+            // A streamed record joins the resident block, and so does a
+            // self-join record being loaded into it (within-block pairs);
+            // in R-S mode R records never join each other.
             let is_stream = kind != KIND_LOAD || (self.rs && rel == REL_S);
-            if is_stream {
+            if is_stream || !self.rs {
+                let x = (rid, tokens.as_slice());
                 for (o_rid, o_tokens) in &resident {
                     // Same-RID skip applies only within one relation; R and
                     // S RID spaces are independent.
                     if !self.rs && *o_rid == rid {
                         continue;
                     }
-                    stats.candidate();
-                    if let Some(sim) = verify_pair(&self.threshold, o_tokens, &tokens) {
-                        emit_pair(self.rs, *o_rid, rid, sim, out, &mut stats)?;
-                    }
+                    let o = (*o_rid, o_tokens.as_slice());
+                    join_owned(&self.owner, key, self.rs, o, x, out, &mut stats)?;
                 }
-            } else {
-                // Loading the resident block: self-join incrementally
-                // (within-block pairs), except in R-S mode where R records
-                // never join each other.
-                if !self.rs {
-                    for (o_rid, o_tokens) in &resident {
-                        if *o_rid == rid {
-                            continue;
-                        }
-                        stats.candidate();
-                        if let Some(sim) = verify_pair(&self.threshold, o_tokens, &tokens) {
-                            emit_pair(false, *o_rid, rid, sim, out, &mut stats)?;
-                        }
-                    }
-                }
+            }
+            if !is_stream {
                 let bytes = projection_bytes(&tokens);
                 ctx.memory().charge(bytes)?;
                 charged += bytes;
@@ -115,7 +103,7 @@ impl Reducer for MapBlocksReducer {
 /// Reducer for reduce-based block processing.
 #[derive(Clone)]
 pub struct ReduceBlocksReducer {
-    threshold: Threshold,
+    owner: Ownership,
     /// R-S mode (false = self-join).
     rs: bool,
     counters: KernelCounters,
@@ -124,9 +112,9 @@ pub struct ReduceBlocksReducer {
 
 impl ReduceBlocksReducer {
     /// Build for self-join or R-S mode.
-    pub fn new(threshold: Threshold, rs: bool) -> Self {
+    pub fn new(owner: Ownership, rs: bool) -> Self {
         ReduceBlocksReducer {
-            threshold,
+            owner,
             rs,
             counters: KernelCounters::new(),
             local_disk_bytes: Named::new("stage2.local_disk_bytes"),
@@ -135,6 +123,7 @@ impl ReduceBlocksReducer {
 
     fn join_against(
         &self,
+        key: &Stage2Key,
         resident: &[Projection],
         rid: u64,
         tokens: &[u32],
@@ -147,10 +136,8 @@ impl ReduceBlocksReducer {
             if !self.rs && *o_rid == rid {
                 continue;
             }
-            stats.candidate();
-            if let Some(sim) = verify_pair(&self.threshold, o_tokens, tokens) {
-                emit_pair(self.rs, *o_rid, rid, sim, out, stats)?;
-            }
+            let o = (*o_rid, o_tokens.as_slice());
+            join_owned(&self.owner, key, self.rs, o, (rid, tokens), out, stats)?;
         }
         Ok(())
     }
@@ -190,7 +177,7 @@ impl Reducer for ReduceBlocksReducer {
 
     fn reduce(
         &mut self,
-        _key: &Stage2Key,
+        key: &Stage2Key,
         values: &mut dyn Iterator<Item = (Stage2Key, Projection)>,
         out: &mut dyn Emit<(u64, u64), f64>,
         ctx: &TaskContext,
@@ -208,7 +195,7 @@ impl Reducer for ReduceBlocksReducer {
             if self.rs && rel == REL_S {
                 // S streams against the resident block and is spilled for
                 // the later passes.
-                self.join_against(&resident, rid, &tokens, out, &mut stats)?;
+                self.join_against(key, &resident, rid, &tokens, out, &mut stats)?;
                 disk_bytes += s_spill.write(&(rid, tokens));
                 continue;
             }
@@ -218,7 +205,7 @@ impl Reducer for ReduceBlocksReducer {
             if Some(pass) == first_pass {
                 // Resident block: incremental self-join (self mode only).
                 if !self.rs {
-                    self.join_against(&resident, rid, &tokens, out, &mut stats)?;
+                    self.join_against(key, &resident, rid, &tokens, out, &mut stats)?;
                 }
                 let bytes = projection_bytes(&tokens);
                 ctx.memory().charge(bytes)?;
@@ -228,7 +215,7 @@ impl Reducer for ReduceBlocksReducer {
                 // Later block: join against the resident block (in R-S mode
                 // R records never join each other), then spill.
                 if !self.rs {
-                    self.join_against(&resident, rid, &tokens, out, &mut stats)?;
+                    self.join_against(key, &resident, rid, &tokens, out, &mut stats)?;
                 }
                 if spilled.last().map(|(p, _)| *p) != Some(pass) {
                     spilled.push((pass, SpillFile::default()));
@@ -254,7 +241,7 @@ impl Reducer for ReduceBlocksReducer {
             // Load block i from disk, self-joining while loading.
             for (rid, tokens) in spilled[i].1.read_all()? {
                 if !self.rs {
-                    self.join_against(&resident, rid, &tokens, out, &mut stats)?;
+                    self.join_against(key, &resident, rid, &tokens, out, &mut stats)?;
                 }
                 let bytes = projection_bytes(&tokens);
                 ctx.memory().charge(bytes)?;
@@ -264,13 +251,13 @@ impl Reducer for ReduceBlocksReducer {
             if self.rs {
                 // Stream the whole spilled S partition against this block.
                 for (sid, s_tokens) in &s_records {
-                    self.join_against(&resident, *sid, s_tokens, out, &mut stats)?;
+                    self.join_against(key, &resident, *sid, s_tokens, out, &mut stats)?;
                 }
             } else {
                 // Stream the later blocks against this block.
                 for (_, file) in &spilled[i + 1..] {
                     for (rid, tokens) in file.read_all()? {
-                        self.join_against(&resident, rid, &tokens, out, &mut stats)?;
+                        self.join_against(key, &resident, rid, &tokens, out, &mut stats)?;
                     }
                 }
             }
@@ -286,6 +273,7 @@ mod tests {
     use super::*;
     use crate::keys::{blocked, KIND_STREAM, REL_R};
     use mapreduce::{stable_hash, Cache, Counters, Dfs, MemoryGauge, Phase, VecEmitter};
+    use setsim::Threshold;
     use std::collections::BTreeSet;
 
     fn ctx() -> TaskContext {
@@ -330,12 +318,12 @@ mod tests {
         for (rid, tokens) in recs {
             let b = (stable_hash(rid) % u64::from(blocks)) as u32;
             vals.push((
-                blocked(1, b, KIND_LOAD, tokens.len() as u32, REL_R),
+                blocked(0, b, KIND_LOAD, tokens.len() as u32, REL_R),
                 (*rid, tokens.clone()),
             ));
             for pass in 0..b {
                 vals.push((
-                    blocked(1, pass, KIND_STREAM, tokens.len() as u32, REL_R),
+                    blocked(0, pass, KIND_STREAM, tokens.len() as u32, REL_R),
                     (*rid, tokens.clone()),
                 ));
             }
@@ -351,7 +339,7 @@ mod tests {
             .map(|(rid, tokens)| {
                 let b = (stable_hash(rid) % u64::from(blocks)) as u32;
                 (
-                    blocked(1, b, KIND_LOAD, tokens.len() as u32, REL_R),
+                    blocked(0, b, KIND_LOAD, tokens.len() as u32, REL_R),
                     (*rid, tokens.clone()),
                 )
             })
@@ -370,7 +358,7 @@ mod tests {
             let vals = map_blocks_stream(&recs, blocks);
             let key = vals[0].0;
             let mut out = VecEmitter::new();
-            MapBlocksReducer::new(t, false)
+            MapBlocksReducer::new(Ownership::one_group(t), false)
                 .reduce(&key, &mut vals.into_iter(), &mut out, &ctx())
                 .unwrap();
             let got: BTreeSet<(u64, u64)> = out.pairs.iter().map(|(k, _)| *k).collect();
@@ -388,7 +376,7 @@ mod tests {
             let key = vals[0].0;
             let c = ctx();
             let mut out = VecEmitter::new();
-            ReduceBlocksReducer::new(t, false)
+            ReduceBlocksReducer::new(Ownership::one_group(t), false)
                 .reduce(&key, &mut vals.into_iter(), &mut out, &c)
                 .unwrap();
             let got: BTreeSet<(u64, u64)> = out.pairs.iter().map(|(k, _)| *k).collect();
@@ -412,7 +400,7 @@ mod tests {
         let vals = map_blocks_stream(&recs, 6);
         let key = vals[0].0;
         let c = ctx();
-        MapBlocksReducer::new(t, false)
+        MapBlocksReducer::new(Ownership::one_group(t), false)
             .reduce(&key, &mut vals.into_iter(), &mut VecEmitter::new(), &c)
             .unwrap();
         let peak = c.memory().high_water();
@@ -440,18 +428,18 @@ mod tests {
             let mut vals: Vec<(Stage2Key, Projection)> = Vec::new();
             for (rid, tokens) in &r {
                 let b = (stable_hash(rid) % u64::from(blocks)) as u32;
-                vals.push((blocked(1, b, KIND_LOAD, 0, REL_R), (*rid, tokens.clone())));
+                vals.push((blocked(0, b, KIND_LOAD, 0, REL_R), (*rid, tokens.clone())));
             }
             for (sid, tokens) in &s {
                 vals.push((
-                    blocked(1, blocks, KIND_LOAD, tokens.len() as u32, REL_S),
+                    blocked(0, blocks, KIND_LOAD, tokens.len() as u32, REL_S),
                     (*sid, tokens.clone()),
                 ));
             }
             vals.sort_by_key(|a| a.0);
             let key = vals[0].0;
             let mut out = VecEmitter::new();
-            ReduceBlocksReducer::new(t, true)
+            ReduceBlocksReducer::new(Ownership::one_group(t), true)
                 .reduce(&key, &mut vals.into_iter(), &mut out, &ctx())
                 .unwrap();
             let got: BTreeSet<(u64, u64)> = out.pairs.iter().map(|(k, _)| *k).collect();
@@ -475,12 +463,12 @@ mod tests {
         let mut vals: Vec<(Stage2Key, Projection)> = Vec::new();
         for (rid, tokens) in &r {
             let b = (stable_hash(rid) % u64::from(blocks)) as u32;
-            vals.push((blocked(1, b, KIND_LOAD, 0, REL_R), (*rid, tokens.clone())));
+            vals.push((blocked(0, b, KIND_LOAD, 0, REL_R), (*rid, tokens.clone())));
         }
         for (sid, tokens) in &s {
             for pass in 0..blocks {
                 vals.push((
-                    blocked(1, pass, KIND_STREAM, tokens.len() as u32, REL_S),
+                    blocked(0, pass, KIND_STREAM, tokens.len() as u32, REL_S),
                     (*sid, tokens.clone()),
                 ));
             }
@@ -488,7 +476,7 @@ mod tests {
         vals.sort_by_key(|a| a.0);
         let key = vals[0].0;
         let mut out = VecEmitter::new();
-        MapBlocksReducer::new(t, true)
+        MapBlocksReducer::new(Ownership::one_group(t), true)
             .reduce(&key, &mut vals.into_iter(), &mut out, &ctx())
             .unwrap();
         let got: BTreeSet<(u64, u64)> = out.pairs.iter().map(|(k, _)| *k).collect();

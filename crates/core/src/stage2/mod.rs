@@ -3,10 +3,11 @@
 //! The mapper ([`mapper::ProjectionMapper`]) projects records onto
 //! `(RID, token ranks)` and routes them on prefix-token keys; the reducers
 //! verify candidates with the configured kernel (BK nested loops, PK
-//! PPJoin+, or the Section-5 block-processing variants). Output is a text
-//! file of `rid1 \t rid2 \t similarity` lines, possibly with duplicates
-//! (the same pair can be verified at several reducers); stage 3 eliminates
-//! them.
+//! PPJoin+, or the Section-5 block-processing variants). Two similar
+//! records meet in every reduce group their routing keys share, but only
+//! the group that owns the pair ([`crate::keys::owner_key`]) verifies and
+//! emits it, so the output — a text file of `rid1 \t rid2 \t similarity`
+//! lines — holds each pair exactly once.
 
 pub mod blocks;
 pub mod mapper;
@@ -23,7 +24,9 @@ use setsim::{SimFunction, Threshold};
 use crate::config::{
     BadRecordPolicy, JoinConfig, RecordFormat, Stage2Algo, TokenRouting, TokenizerKind,
 };
-use crate::keys::{stage2_grouping, stage2_partitioner, stage2_sort, Projection, Stage2Key};
+use crate::keys::{
+    stage2_grouping, stage2_partitioner, stage2_sort, Ownership, Projection, Stage2Key,
+};
 use crate::recovery::{self, Recovery};
 use crate::skew::{self, SkewPlan};
 use crate::stage2::blocks::{MapBlocksReducer, ReduceBlocksReducer};
@@ -265,7 +268,7 @@ impl BkPayload {
         }
     }
 
-    fn mapper(&self) -> Result<ProjectionMapper> {
+    fn mapper(&self, skew_plan: Arc<SkewPlan>) -> Result<ProjectionMapper> {
         let tokenizer = match self.tokenizer {
             0 => TokenizerKind::Word,
             1 => TokenizerKind::QGram(self.qgram as usize),
@@ -292,7 +295,7 @@ impl BkPayload {
             self.length_sub_routing.map(|w| w as u32),
         )
         .bad_records(bad_records)
-        .skew(Arc::new(self.skew_plan())))
+        .skew(skew_plan))
     }
 
     fn skew_plan(&self) -> SkewPlan {
@@ -304,13 +307,20 @@ impl BkPayload {
         for path in &self.inputs {
             inputs.extend(text_input(dfs, path)?);
         }
+        let skew_plan = Arc::new(self.skew_plan());
+        let owner = Ownership::new(
+            self.threshold()?,
+            self.routing(),
+            self.length_sub_routing.map(|w| w as u32),
+            skew_plan.clone(),
+        );
         Ok(kernel_job(
             "stage2-bk",
             inputs,
-            self.mapper()?,
-            BkReducer::new(self.threshold()?, self.rs != 0),
+            self.mapper(skew_plan.clone())?,
+            BkReducer::new(owner, self.rs != 0),
             self.routing(),
-            &self.skew_plan(),
+            &skew_plan,
             &self.pairs,
         ))
     }
@@ -336,12 +346,19 @@ fn run_kernel(
     config: &JoinConfig,
     rs: bool,
     pairs_path: &str,
-    skew_plan: &SkewPlan,
+    skew_plan: &Arc<SkewPlan>,
     remote_payload: Option<Vec<u8>>,
     rec: &mut Recovery,
 ) -> Result<PipelineMetrics> {
     let tag = recovery::stage2_tag(config, rs);
     let mut metrics = PipelineMetrics::default();
+    // The reducers decide ownership by the scheme the mapper routed with.
+    let owner = Ownership::new(
+        config.threshold,
+        config.routing,
+        config.length_sub_routing,
+        skew_plan.clone(),
+    );
     macro_rules! run_with {
         ($name:expr, $reducer:expr) => {{
             let fp = recovery::job_fingerprint(cluster.dfs(), $name, input_paths, &tag);
@@ -382,17 +399,16 @@ fn run_kernel(
         }};
     }
     match config.stage2 {
-        Stage2Algo::Bk => run_with!("stage2-bk", BkReducer::new(config.threshold, rs)),
+        Stage2Algo::Bk => run_with!("stage2-bk", BkReducer::new(owner, rs)),
         Stage2Algo::Pk { filters } => {
-            run_with!("stage2-pk", PkReducer::new(config.threshold, filters, rs))
+            run_with!("stage2-pk", PkReducer::new(owner, filters, rs))
         }
-        Stage2Algo::BkMapBlocks { .. } => run_with!(
-            "stage2-bk-mapblocks",
-            MapBlocksReducer::new(config.threshold, rs)
-        ),
+        Stage2Algo::BkMapBlocks { .. } => {
+            run_with!("stage2-bk-mapblocks", MapBlocksReducer::new(owner, rs))
+        }
         Stage2Algo::BkReduceBlocks { .. } => run_with!(
             "stage2-bk-reduceblocks",
-            ReduceBlocksReducer::new(config.threshold, rs)
+            ReduceBlocksReducer::new(owner, rs)
         ),
     }
     Ok(metrics)

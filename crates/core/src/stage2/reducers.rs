@@ -1,9 +1,9 @@
 //! Stage-2 reducers: the Basic Kernel (BK) and the PPJoin+ Kernel (PK).
 
 use mapreduce::{Counter, Emit, Histogram, Reducer, Result, TaskContext};
-use setsim::{verify_pair, FilterConfig, Funnel, PpjoinIndex, Threshold};
+use setsim::{verify_pair, FilterConfig, Funnel, PpjoinIndex};
 
-use crate::keys::{Projection, Stage2Key, REL_S};
+use crate::keys::{Member, Ownership, Projection, Stage2Key, REL_S};
 use crate::named::Named;
 
 /// Histogram: candidate pairs examined per reduce group (after the prefix
@@ -13,10 +13,13 @@ pub const HIST_CANDIDATES_PER_GROUP: &str = "stage2.group.candidates";
 pub const HIST_SURVIVORS_PER_GROUP: &str = "stage2.group.survivors";
 
 /// Counters of the PK kernel's filter funnel, in the order of
-/// [`setsim::Funnel`]'s fields. All but `suffix_calls` form a chain, each
-/// at most the one before; `verified` equals `stage2.pairs_emitted`.
-pub const FUNNEL_COUNTERS: [&str; 6] = [
+/// [`setsim::Funnel`]'s fields. All but `unowned` and `suffix_calls` form a
+/// chain, each at most the one before; `unowned` counts the first touches
+/// another reducer owns (`postings ≥ candidates + unowned`), and `verified`
+/// equals `stage2.pairs_emitted`.
+pub const FUNNEL_COUNTERS: [&str; 7] = [
     "stage2.funnel.postings",
+    "stage2.funnel.unowned",
     "stage2.funnel.candidates",
     "stage2.funnel.positional",
     "stage2.funnel.suffix_calls",
@@ -25,9 +28,10 @@ pub const FUNNEL_COUNTERS: [&str; 6] = [
 ];
 
 /// A funnel's figures in the order of [`FUNNEL_COUNTERS`].
-fn funnel_steps(f: &Funnel) -> [u64; 6] {
+fn funnel_steps(f: &Funnel) -> [u64; 7] {
     [
         f.postings,
+        f.unowned,
         f.candidates,
         f.positional,
         f.suffix_calls,
@@ -77,7 +81,7 @@ impl GroupStats {
         GroupStats::default()
     }
 
-    /// Count one candidate pair reaching verification.
+    /// Count one owned candidate pair reaching verification.
     pub(crate) fn candidate(&mut self) {
         self.candidates += 1;
     }
@@ -120,14 +124,14 @@ pub(crate) fn emit_pair(
     }
 }
 
-/// The Basic Kernel: nested loops over the group's projections with the
-/// length filter and exact verification. For R-S joins, only the R side is
+/// The Basic Kernel: nested loops over the group's projections, verifying
+/// exactly the pairs this group owns. For R-S joins, only the R side is
 /// buffered; S records stream against it ("we then store the records from
 /// the first relation (as they arrive first), and stream the records from
 /// the second relation").
 #[derive(Clone)]
 pub struct BkReducer {
-    threshold: Threshold,
+    owner: Ownership,
     /// R-S mode (false = self-join).
     rs: bool,
     counters: KernelCounters,
@@ -135,12 +139,33 @@ pub struct BkReducer {
 
 impl BkReducer {
     /// A BK reducer for self-joins or R-S joins.
-    pub fn new(threshold: Threshold, rs: bool) -> Self {
+    pub fn new(owner: Ownership, rs: bool) -> Self {
         BkReducer {
-            threshold,
+            owner,
             rs,
             counters: KernelCounters::new(),
         }
+    }
+}
+
+/// Verify `(o, x)` if `key`'s group owns it, and emit it if it joins: the
+/// step every nested-loop kernel takes per pair.
+pub(crate) fn join_owned(
+    owner: &Ownership,
+    key: &Stage2Key,
+    rs: bool,
+    o: (u64, &[u32]),
+    x: (u64, &[u32]),
+    out: &mut dyn Emit<(u64, u64), f64>,
+    stats: &mut GroupStats,
+) -> Result<()> {
+    if !owner.owns_pair(key, o, x) {
+        return Ok(());
+    }
+    stats.candidate();
+    match verify_pair(owner.threshold(), o.1, x.1) {
+        Some(sim) => emit_pair(rs, o.0, x.0, sim, out, stats),
+        None => Ok(()),
     }
 }
 
@@ -152,7 +177,7 @@ impl Reducer for BkReducer {
 
     fn reduce(
         &mut self,
-        _key: &Stage2Key,
+        key: &Stage2Key,
         values: &mut dyn Iterator<Item = (Stage2Key, Projection)>,
         out: &mut dyn Emit<(u64, u64), f64>,
         ctx: &TaskContext,
@@ -161,13 +186,12 @@ impl Reducer for BkReducer {
         let mut charged = 0u64;
         let mut stats = GroupStats::new();
         for ((_, _, _, _, rel), (rid, tokens)) in values {
+            let x = (rid, tokens.as_slice());
             if self.rs && rel == REL_S {
                 // Stream S against the buffered R records.
                 for (r_rid, r_tokens) in &buffer {
-                    stats.candidate();
-                    if let Some(sim) = verify_pair(&self.threshold, r_tokens, &tokens) {
-                        emit_pair(true, *r_rid, rid, sim, out, &mut stats)?;
-                    }
+                    let r = (*r_rid, r_tokens.as_slice());
+                    join_owned(&self.owner, key, true, r, x, out, &mut stats)?;
                 }
             } else {
                 if !self.rs {
@@ -175,10 +199,8 @@ impl Reducer for BkReducer {
                         if *o_rid == rid {
                             continue;
                         }
-                        stats.candidate();
-                        if let Some(sim) = verify_pair(&self.threshold, o_tokens, &tokens) {
-                            emit_pair(false, *o_rid, rid, sim, out, &mut stats)?;
-                        }
+                        let o = (*o_rid, o_tokens.as_slice());
+                        join_owned(&self.owner, key, false, o, x, out, &mut stats)?;
                     }
                 }
                 let bytes = projection_bytes(&tokens);
@@ -198,24 +220,31 @@ impl Reducer for BkReducer {
 /// length order, so the index evicts by the length filter as it goes.
 #[derive(Clone)]
 pub struct PkReducer {
-    /// One index per reduce task, reset at the start of every group.
+    /// One index per reduce task, reset at the start of every group. It
+    /// knows a record by its position in `members`.
     index: PpjoinIndex,
+    /// The group's indexed records, in insertion order.
+    members: Vec<Member>,
+    owner: Ownership,
     /// R-S mode (false = self-join).
     rs: bool,
     counters: KernelCounters,
     index_peak_bytes: Named<Counter>,
-    funnel: [Named<Counter>; 6],
+    funnel: [Named<Counter>; 7],
 }
 
 impl PkReducer {
     /// A PK reducer for self-joins or R-S joins.
-    pub fn new(threshold: Threshold, filters: FilterConfig, rs: bool) -> Self {
+    pub fn new(owner: Ownership, filters: FilterConfig, rs: bool) -> Self {
+        let threshold = *owner.threshold();
         PkReducer {
             index: if rs {
                 PpjoinIndex::for_rs(threshold, filters)
             } else {
                 PpjoinIndex::new(threshold, filters)
             },
+            members: Vec::new(),
+            owner,
             rs,
             counters: KernelCounters::new(),
             index_peak_bytes: Named::new("stage2.index_peak_bytes"),
@@ -232,7 +261,7 @@ impl Reducer for PkReducer {
 
     fn reduce(
         &mut self,
-        _key: &Stage2Key,
+        key: &Stage2Key,
         values: &mut dyn Iterator<Item = (Stage2Key, Projection)>,
         out: &mut dyn Emit<(u64, u64), f64>,
         ctx: &TaskContext,
@@ -240,23 +269,31 @@ impl Reducer for PkReducer {
         // At the start rather than the end: a group that failed half way
         // must not leak its records into the next one.
         self.index.reset();
+        self.members.clear();
         let mut charged = 0u64;
         let mut stats = GroupStats::new();
+        let (owner, members) = (&self.owner, &mut self.members);
         for ((_, _, _, _, rel), (rid, tokens)) in values {
-            if self.rs && rel == REL_S {
-                for m in self.index.probe(&tokens) {
-                    emit_pair(true, m.rid, rid, m.sim, out, &mut stats)?;
+            // R records are only indexed, S records only probe, self-join
+            // records do both. The index drops, at first touch, every
+            // partner whose pair another group owns.
+            let x = Member::new(rid, tokens.len());
+            let is_s = self.rs && rel == REL_S;
+            if is_s || !self.rs {
+                let mut owned = owner.probing(key, x);
+                let owned = |m, id, _len| owned.owns(m, || members[id as usize]);
+                for m in self.index.probe_owned(&tokens, owned) {
+                    let partner = members[m.rid as usize].rid;
+                    emit_pair(self.rs, partner, rid, m.sim, out, &mut stats)?;
                 }
-            } else {
-                if !self.rs {
-                    for m in self.index.probe(&tokens) {
-                        emit_pair(false, m.rid, rid, m.sim, out, &mut stats)?;
-                    }
-                }
-                self.index.insert(rid, tokens);
-                // Charge the index's footprint growth; eviction shrinks it,
-                // so only charge positive deltas and track the high water.
-                let now = self.index.approx_bytes();
+            }
+            if !is_s {
+                self.index.insert(members.len() as u64, tokens);
+                members.push(x);
+                // Charge the footprint's growth: the index's, which eviction
+                // shrinks, so only positive deltas count and the high water
+                // is tracked; and the member's, kept to the group's end.
+                let now = self.index.approx_bytes() + size_of_val(members.as_slice()) as u64;
                 if now > charged {
                     ctx.memory().charge(now - charged)?;
                     charged = now;
@@ -280,6 +317,7 @@ mod tests {
     use super::*;
     use crate::keys::{plain, REL_R};
     use mapreduce::{Cache, Counters, Dfs, MemoryGauge, Phase, VecEmitter};
+    use setsim::Threshold;
 
     fn ctx_with_budget(budget: Option<u64>) -> TaskContext {
         let gauge = match budget {
@@ -298,11 +336,11 @@ mod tests {
         )
     }
 
-    /// Group values: projections sharing group 1, in length order.
+    /// Group values: projections sharing group 0, in length order.
     fn group_values(recs: &[(u64, Vec<u32>)], rel: u8) -> Vec<(Stage2Key, Projection)> {
         let mut v: Vec<(Stage2Key, Projection)> = recs
             .iter()
-            .map(|(rid, t)| (plain(1, t.len() as u32, rel), (*rid, t.clone())))
+            .map(|(rid, t)| (plain(0, t.len() as u32, rel), (*rid, t.clone())))
             .collect();
         v.sort_by_key(|a| a.0);
         v
@@ -316,7 +354,7 @@ mod tests {
             (2, vec![1, 2, 3, 5]),
             (3, vec![10, 11, 12]),
         ];
-        let mut r = BkReducer::new(t, false);
+        let mut r = BkReducer::new(Ownership::one_group(t), false);
         let mut out = VecEmitter::new();
         let ctx = ctx_with_budget(None);
         let vals = group_values(&recs, REL_R);
@@ -342,7 +380,7 @@ mod tests {
         let key = vals[0].0;
 
         let mut bk_out = VecEmitter::new();
-        BkReducer::new(t, false)
+        BkReducer::new(Ownership::one_group(t), false)
             .reduce(
                 &key,
                 &mut vals.clone().into_iter(),
@@ -351,7 +389,7 @@ mod tests {
             )
             .unwrap();
         let mut pk_out = VecEmitter::new();
-        PkReducer::new(t, FilterConfig::ppjoin_plus(), false)
+        PkReducer::new(Ownership::one_group(t), FilterConfig::ppjoin_plus(), false)
             .reduce(
                 &key,
                 &mut vals.into_iter(),
@@ -372,14 +410,14 @@ mod tests {
         let t = Threshold::jaccard(0.5);
         // R record len 4 (class 2), S records len 4.
         let mut vals = vec![
-            (plain(1, 2, REL_R), (1u64, vec![1u32, 2, 3, 4])),
-            (plain(1, 4, REL_S), (100, vec![1, 2, 3, 4])),
-            (plain(1, 4, REL_S), (200, vec![7, 8, 9, 10])),
+            (plain(0, 2, REL_R), (1u64, vec![1u32, 2, 3, 4])),
+            (plain(0, 4, REL_S), (100, vec![1, 2, 3, 4])),
+            (plain(0, 4, REL_S), (200, vec![7, 8, 9, 10])),
         ];
         vals.sort_by_key(|a| a.0);
         let key = vals[0].0;
         let mut out = VecEmitter::new();
-        BkReducer::new(t, true)
+        BkReducer::new(Ownership::one_group(t), true)
             .reduce(
                 &key,
                 &mut vals.into_iter(),
@@ -395,15 +433,15 @@ mod tests {
     fn pk_rs_matches_bk_rs() {
         let t = Threshold::jaccard(0.5);
         let mut vals = vec![
-            (plain(1, 2, REL_R), (1u64, vec![1u32, 2, 3, 4])),
-            (plain(1, 3, REL_R), (2, vec![2, 3, 4, 5, 6, 7])),
-            (plain(1, 4, REL_S), (100, vec![1, 2, 3, 4])),
-            (plain(1, 5, REL_S), (200, vec![2, 3, 4, 5, 6])),
+            (plain(0, 2, REL_R), (1u64, vec![1u32, 2, 3, 4])),
+            (plain(0, 3, REL_R), (2, vec![2, 3, 4, 5, 6, 7])),
+            (plain(0, 4, REL_S), (100, vec![1, 2, 3, 4])),
+            (plain(0, 5, REL_S), (200, vec![2, 3, 4, 5, 6])),
         ];
         vals.sort_by_key(|a| a.0);
         let key = vals[0].0;
         let mut bk = VecEmitter::new();
-        BkReducer::new(t, true)
+        BkReducer::new(Ownership::one_group(t), true)
             .reduce(
                 &key,
                 &mut vals.clone().into_iter(),
@@ -412,7 +450,7 @@ mod tests {
             )
             .unwrap();
         let mut pk = VecEmitter::new();
-        PkReducer::new(t, FilterConfig::ppjoin(), true)
+        PkReducer::new(Ownership::one_group(t), FilterConfig::ppjoin(), true)
             .reduce(&key, &mut vals.into_iter(), &mut pk, &ctx_with_budget(None))
             .unwrap();
         let mut a: Vec<(u64, u64)> = bk.pairs.iter().map(|(k, _)| *k).collect();
@@ -437,7 +475,7 @@ mod tests {
         let vals = group_values(&sorted, REL_R);
         let key = vals[0].0;
         let ctx = ctx_with_budget(Some(500));
-        let err = BkReducer::new(t, false)
+        let err = BkReducer::new(Ownership::one_group(t), false)
             .reduce(&key, &mut vals.into_iter(), &mut VecEmitter::new(), &ctx)
             .unwrap_err();
         assert!(err.is_out_of_memory());
@@ -462,7 +500,7 @@ mod tests {
         let key = vals[0].0;
 
         let bk_ctx = ctx_with_budget(None);
-        BkReducer::new(t, false)
+        BkReducer::new(Ownership::one_group(t), false)
             .reduce(
                 &key,
                 &mut vals.clone().into_iter(),
@@ -471,7 +509,7 @@ mod tests {
             )
             .unwrap();
         let pk_ctx = ctx_with_budget(None);
-        PkReducer::new(t, FilterConfig::ppjoin(), false)
+        PkReducer::new(Ownership::one_group(t), FilterConfig::ppjoin(), false)
             .reduce(&key, &mut vals.into_iter(), &mut VecEmitter::new(), &pk_ctx)
             .unwrap();
         let bk_peak = bk_ctx.memory().high_water();

@@ -1,14 +1,19 @@
 //! Stage 3: record join — materializing actual pairs of joined records.
 //!
-//! Stage 2 produced `(rid1, rid2, sim)` triples; this stage brings back the
-//! full records. Duplicate RID pairs from stage 2 are eliminated here, as in
-//! the paper.
+//! Stage 2 produced `(rid1, rid2, sim)` triples, each pair once (the paper
+//! eliminates duplicates here; stage 2's ownership rule leaves none); this
+//! stage brings back the full records.
 //!
 //! * **BRJ** (Basic Record Join) — two jobs. Job 1 consumes *both* the
 //!   original records and the RID-pair list (a multi-input job; the mapper
 //!   dispatches on the input file name) and groups each record with the
-//!   pairs that reference it. Job 2 groups the two half-filled pairs by
-//!   their RID-pair key and outputs the assembled record pair.
+//!   pairs that reference it. Only records some pair names can reach the
+//!   output, so the driver first publishes the set of participating RIDs
+//!   ([`Participants`]) and the mapper drops every other record before the
+//!   shuffle — a semi-join reduction; when the set exceeds a task's memory
+//!   budget the job runs unfiltered, as in the paper. Job 2 groups the two
+//!   half-filled pairs by their RID-pair key and outputs the assembled
+//!   record pair.
 //! * **OPRJ** (One-Phase Record Join) — one job. The RID-pair list is
 //!   broadcast to every map task and indexed in memory (charging the task
 //!   memory budget — this is the variant that dies with out-of-memory on
@@ -22,11 +27,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    seq_input, text_input, Cluster, Counter, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer,
-    Result, TaskContext,
+    seq_input, text_input, Cluster, Counter, Dfs, Emit, Job, Mapper, MrError, PipelineMetrics,
+    Reducer, Result, TaskContext,
 };
 
 use crate::config::{BadRecordPolicy, JoinConfig, RecordFormat, Stage3Algo};
+use crate::keys::{REL_R, REL_S};
 use crate::named::Named;
 use crate::recovery::{self, Recovery};
 use crate::stage2::parse_pair_line;
@@ -52,6 +58,91 @@ const POS_SECOND: u8 = 1;
 /// `(tag, other_rid, pos, sim, payload)`.
 type HalfValue = (u8, u64, u8, f64, String);
 
+/// The RIDs stage 2's pairs name: the only records that can reach the
+/// output. One sorted list per relation, because R and S number their
+/// records independently; a self-join keeps both columns in `r`.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Participants {
+    r: Vec<u64>,
+    s: Vec<u64>,
+}
+
+impl Participants {
+    /// Collect the participating RIDs from stage 2's pair file.
+    fn from_pairs(dfs: &Dfs, pairs_path: &str, rs: bool) -> Result<Self> {
+        let mut p = Participants::default();
+        for line in dfs.read_text(pairs_path)? {
+            let (a, b, _) = parse_pair_line(&line)?;
+            p.r.push(a);
+            if rs { &mut p.s } else { &mut p.r }.push(b);
+        }
+        for list in [&mut p.r, &mut p.s] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Ok(p)
+    }
+
+    fn len(&self) -> usize {
+        self.r.len() + self.s.len()
+    }
+
+    /// What a task holding the set charges its memory gauge.
+    fn bytes(&self) -> u64 {
+        (self.len() * std::mem::size_of::<u64>()) as u64
+    }
+
+    fn contains(&self, rel: u8, rid: u64) -> bool {
+        let list = if rel == REL_S { &self.s } else { &self.r };
+        list.binary_search(&rid).is_ok()
+    }
+
+    /// Publish the set as a seq file of `(relation, rid)` entries.
+    fn write(&self, dfs: &Dfs, path: &str) -> Result<()> {
+        let mut w = dfs.seq_writer(path)?;
+        for (rel, list) in [(REL_R, &self.r), (REL_S, &self.s)] {
+            for rid in list {
+                w.write(&rel, rid);
+            }
+        }
+        w.close()
+    }
+
+    fn read(dfs: &Dfs, path: &str) -> Result<Self> {
+        let mut p = Participants::default();
+        for (rel, rid) in dfs.read_seq::<u8, u64>(path)? {
+            if rel == REL_S { &mut p.s } else { &mut p.r }.push(rid);
+        }
+        Ok(p)
+    }
+
+    /// The driver's half of the semi-join: derive the set from stage 2's
+    /// pair file and publish it under `work` for job 1's mappers, unless it
+    /// exceeds a task's memory budget. Returns the set's size and where it
+    /// was published. Both follow from the pair file and the cluster config
+    /// alone, so a resumed driver decides the same; no manifest covers the
+    /// file, and one a crashed driver left is replaced.
+    fn publish(
+        cluster: &Cluster,
+        pairs_path: &str,
+        rs: bool,
+        work: &str,
+    ) -> Result<(usize, Option<String>)> {
+        let dfs = cluster.dfs();
+        let path = format!("{}/participants", work.trim_end_matches('/'));
+        dfs.delete_prefix(&path);
+        let participants = Participants::from_pairs(dfs, pairs_path, rs)?;
+        let fits = cluster
+            .config()
+            .task_memory
+            .is_none_or(|budget| participants.bytes() <= budget);
+        if fits {
+            participants.write(dfs, &path)?;
+        }
+        Ok((participants.len(), fits.then_some(path)))
+    }
+}
+
 /// BRJ job-1 mapper: records and RID pairs share the job; the input file
 /// name tells them apart.
 #[derive(Clone)]
@@ -64,6 +155,11 @@ struct BrjFillMapper {
     /// strictly: the pipeline wrote them itself, so a malformed pair line
     /// is corruption, not dirty input.
     bad_records: BadRecordPolicy,
+    /// The published [`Participants`] file; `None` when the set does not
+    /// fit a task's memory budget and every record is shuffled.
+    participants_path: Option<String>,
+    participants: Option<Arc<Participants>>,
+    records_filtered: Named<Counter>,
 }
 
 impl Mapper for BrjFillMapper {
@@ -71,6 +167,22 @@ impl Mapper for BrjFillMapper {
     type InValue = String;
     type OutKey = (u64, u8);
     type OutValue = HalfValue;
+
+    fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
+        if let Some(path) = &self.participants_path {
+            let dfs = ctx.dfs();
+            self.participants = Some(ctx.cache().get_or_load::<Participants, _>(
+                "stage3.participants",
+                ctx.memory(),
+                || {
+                    let p = Participants::read(dfs, path)?;
+                    let bytes = p.bytes();
+                    Ok((p, bytes))
+                },
+            )?);
+        }
+        Ok(())
+    }
 
     fn map(
         &mut self,
@@ -81,22 +193,26 @@ impl Mapper for BrjFillMapper {
     ) -> Result<()> {
         if ctx.input_path.starts_with(self.pairs_path.as_str()) {
             let (a, b, sim) = parse_pair_line(line)?;
-            let (rel_a, rel_b) = if self.s_path.is_some() {
-                (0u8, 1u8)
-            } else {
-                (0, 0)
-            };
-            out.emit((a, rel_a), (TAG_HALF, b, POS_FIRST, sim, String::new()))?;
+            let rel_b = if self.s_path.is_some() { REL_S } else { REL_R };
+            out.emit((a, REL_R), (TAG_HALF, b, POS_FIRST, sim, String::new()))?;
             out.emit((b, rel_b), (TAG_HALF, a, POS_SECOND, sim, String::new()))?;
         } else {
             let rel = match &self.s_path {
-                Some(s) if ctx.input_path.starts_with(s.as_str()) => 1u8,
-                _ => 0,
+                Some(s) if ctx.input_path.starts_with(s.as_str()) => REL_S,
+                _ => REL_R,
             };
             let rid = match self.format.rid(line) {
                 Ok(rid) => rid,
                 Err(e) => return self.bad_records.on_bad_record(ctx, e),
             };
+            if self
+                .participants
+                .as_ref()
+                .is_some_and(|p| !p.contains(rel, rid))
+            {
+                self.records_filtered.get(ctx).incr();
+                return Ok(());
+            }
             out.emit((rid, rel), (TAG_RECORD, 0, 0, 0.0, line.clone()))?;
         }
         Ok(())
@@ -104,8 +220,7 @@ impl Mapper for BrjFillMapper {
 }
 
 /// BRJ job-1 reducer: one record + the pair halves that reference it →
-/// half-filled pairs keyed by the RID pair. Duplicate halves (the same pair
-/// verified by several stage-2 reducers) are dropped here.
+/// half-filled pairs keyed by the RID pair, in `(other, pos)` order.
 #[derive(Clone)]
 struct BrjFillReducer {
     halves: Named<Counter>,
@@ -152,7 +267,6 @@ impl Reducer for BrjFillReducer {
             )));
         };
         halves.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        halves.dedup_by_key(|(other, pos, _)| (*other, *pos));
         for (other, pos, sim) in halves {
             let pair_key = if pos == POS_FIRST {
                 (rid, other)
@@ -245,18 +359,17 @@ fn load_pair_index(
         let (a, b, sim) = parse_pair_line(&line)?;
         // In R-S mode each side indexes only its own column; in self-join
         // mode both columns index into the single relation.
-        if !rs || rel == 0 {
+        if !rs || rel == REL_R {
             index.entry(a).or_default().push((b, POS_FIRST, sim));
             bytes += ENTRY_BYTES;
         }
-        if !rs || rel == 1 {
+        if !rs || rel == REL_S {
             index.entry(b).or_default().push((a, POS_SECOND, sim));
             bytes += ENTRY_BYTES;
         }
     }
     for list in index.values_mut() {
         list.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.cmp(&y.1)));
-        list.dedup_by_key(|(other, pos, _)| (*other, *pos));
     }
     Ok((index, bytes))
 }
@@ -286,7 +399,7 @@ impl Mapper for OprjMapper {
         self.index_r = Some(ctx.cache().get_or_load::<PairIndex, _>(
             "stage3.pair-index-r",
             ctx.memory(),
-            || load_pair_index(&dfs, &pairs_path, 0, rs),
+            || load_pair_index(&dfs, &pairs_path, REL_R, rs),
         )?);
         if rs {
             let dfs = ctx.dfs().clone();
@@ -294,7 +407,7 @@ impl Mapper for OprjMapper {
             self.index_s = Some(ctx.cache().get_or_load::<PairIndex, _>(
                 "stage3.pair-index-s",
                 ctx.memory(),
-                || load_pair_index(&dfs, &pairs_path, 1, true),
+                || load_pair_index(&dfs, &pairs_path, REL_S, true),
             )?);
         }
         Ok(())
@@ -435,11 +548,18 @@ fn run_impl(
             if rec.should_skip(cluster, "stage3-brj-fill", &halves_path, fp1) {
                 metrics.push(Recovery::skipped_job_metrics("stage3-brj-fill"));
             } else {
+                // Semi-join reduction: the mappers shuffle only the records
+                // some pair names.
+                let (participants, participants_path) =
+                    Participants::publish(cluster, pairs_path, s_records.is_some(), work)?;
                 let mapper = BrjFillMapper {
                     format: config.format.clone(),
                     pairs_path: pairs_path.to_string(),
                     s_path: s_records.map(str::to_string),
                     bad_records: config.bad_records,
+                    participants_path,
+                    participants: None,
+                    records_filtered: Named::new("stage3.records_filtered"),
                 };
                 let mut inputs = text_input(cluster.dfs(), records)?;
                 if let Some(s) = s_records {
@@ -450,7 +570,10 @@ fn run_impl(
                     .inputs(inputs)
                     .output_seq(&halves_path)
                     .fingerprint(fp1);
-                metrics.push(cluster.run(job1)?);
+                let mut jm = cluster.run(job1)?;
+                jm.counters
+                    .push(("stage3.participants".to_string(), participants as u64));
+                metrics.push(jm);
             }
 
             let fp2 = recovery::job_fingerprint(
@@ -537,15 +660,22 @@ mod tests {
         c
     }
 
+    fn fill_mapper(s_path: Option<&str>, participants_path: Option<&str>) -> BrjFillMapper {
+        BrjFillMapper {
+            format: RecordFormat::bibliographic(),
+            pairs_path: "/work/ridpairs".into(),
+            s_path: s_path.map(str::to_string),
+            bad_records: BadRecordPolicy::Strict,
+            participants_path: participants_path.map(str::to_string),
+            participants: None,
+            records_filtered: Named::new("stage3.records_filtered"),
+        }
+    }
+
     #[test]
     fn brj_fill_mapper_dispatches_on_input_path() {
         let dfs = Dfs::new(1, 64);
-        let mut m = BrjFillMapper {
-            format: RecordFormat::bibliographic(),
-            pairs_path: "/work/ridpairs".into(),
-            s_path: None,
-            bad_records: BadRecordPolicy::Strict,
-        };
+        let mut m = fill_mapper(None, None);
         // A record line.
         let c = map_ctx_with_path(dfs.clone(), "/records");
         let mut out = VecEmitter::new();
@@ -567,27 +697,65 @@ mod tests {
     }
 
     #[test]
-    fn brj_fill_reducer_dedups_duplicate_halves() {
+    fn brj_fill_mapper_drops_records_no_pair_names() {
+        let dfs = Dfs::new(1, 64);
+        // R and S number their records independently: RID 7 joins as an R
+        // record only, RID 3 as an S record only.
+        dfs.write_text("/work/ridpairs/part-00000", ["7\t3\t0.9"])
+            .unwrap();
+        let p = Participants::from_pairs(&dfs, "/work/ridpairs", true).unwrap();
+        assert_eq!((p.r.as_slice(), p.s.as_slice()), (&[7][..], &[3][..]));
+        p.write(&dfs, "/work/participants").unwrap();
+        assert_eq!(Participants::read(&dfs, "/work/participants").unwrap(), p);
+
+        let mut m = fill_mapper(Some("/s"), Some("/work/participants"));
+        let emitted = |m: &mut BrjFillMapper, c: &TaskContext, rid: u64| -> usize {
+            let mut out = VecEmitter::new();
+            m.map(&0, &format!("{rid}\ttitle\tauthor\tmisc"), &mut out, c)
+                .unwrap();
+            out.pairs.len()
+        };
+        let r_ctx = map_ctx_with_path(dfs.clone(), "/r");
+        m.setup(&r_ctx).unwrap();
+        assert_eq!(r_ctx.memory().used(), p.bytes(), "the set is charged");
+        assert_eq!(emitted(&mut m, &r_ctx, 7), 1);
+        assert_eq!(emitted(&mut m, &r_ctx, 3), 0, "3 joins only as an S record");
+        assert_eq!(r_ctx.counter("stage3.records_filtered").get(), 1);
+        let s_ctx = map_ctx_with_path(dfs, "/s/part-00000");
+        assert_eq!(emitted(&mut m, &s_ctx, 3), 1);
+        assert_eq!(emitted(&mut m, &s_ctx, 7), 0, "7 joins only as an R record");
+    }
+
+    #[test]
+    fn participants_of_a_self_join_cover_both_columns() {
+        let dfs = Dfs::new(1, 64);
+        dfs.write_text("/pairs", ["1\t2\t0.9", "1\t3\t0.85", "9\t2\t0.8"])
+            .unwrap();
+        let p = Participants::from_pairs(&dfs, "/pairs", false).unwrap();
+        assert_eq!(p.r, vec![1, 2, 3, 9]);
+        assert!(p.s.is_empty());
+        assert_eq!(p.bytes(), 32);
+        assert!(p.contains(REL_R, 9) && !p.contains(REL_R, 4));
+    }
+
+    #[test]
+    fn brj_fill_reducer_emits_one_half_per_pair_in_partner_order() {
         let dfs = Dfs::new(1, 64);
         let mut r = BrjFillReducer::default();
         let key = (5u64, 0u8);
-        // One record plus the same pair (5, 9) reported twice (two stage-2
-        // reducers verified it).
+        // Record 5 is the first member of (5, 9) and the second of (2, 5);
+        // the halves arrive in shuffle order, not partner order.
         let vals = vec![
+            (key, (TAG_HALF, 9, POS_FIRST, 0.9, String::new())),
             (key, (TAG_RECORD, 0, 0, 0.0, "5\tt\ta\tm".to_string())),
-            (key, (TAG_HALF, 9, POS_FIRST, 0.9, String::new())),
-            (key, (TAG_HALF, 9, POS_FIRST, 0.9, String::new())),
+            (key, (TAG_HALF, 2, POS_SECOND, 0.8, String::new())),
         ];
         let mut out = VecEmitter::new();
-        r.reduce(
-            &key,
-            &mut vals.into_iter(),
-            &mut out,
-            &ctx(Phase::Reduce, dfs),
-        )
-        .unwrap();
-        assert_eq!(out.pairs.len(), 1, "duplicates must collapse");
-        assert_eq!(out.pairs[0].0, (5, 9));
+        let c = ctx(Phase::Reduce, dfs);
+        r.reduce(&key, &mut vals.into_iter(), &mut out, &c).unwrap();
+        let keys: Vec<PairKey> = out.pairs.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![(2, 5), (5, 9)]);
+        assert_eq!(c.counter("stage3.halves").get(), 2, "one half per pair");
     }
 
     #[test]
@@ -648,16 +816,20 @@ mod tests {
     }
 
     #[test]
-    fn pair_index_loads_and_dedups() {
+    fn pair_index_loads_each_column_sorted_by_partner() {
         let dfs = Dfs::new(1, 1024);
-        dfs.write_text("/pairs", ["1\t2\t0.9", "1\t2\t0.9", "1\t3\t0.85"])
+        dfs.write_text("/pairs", ["1\t3\t0.85", "1\t2\t0.9"])
             .unwrap();
         // Self-join mode: both columns indexed.
         let (index, bytes) = load_pair_index(&dfs, "/pairs", 0, false).unwrap();
-        assert_eq!(index[&1].len(), 2, "rid 1 pairs with 2 and 3 (deduped)");
+        assert_eq!(
+            index[&1],
+            vec![(2, POS_FIRST, 0.9), (3, POS_FIRST, 0.85)],
+            "entries sorted by partner, whatever the file order"
+        );
         assert_eq!(index[&2].len(), 1);
         assert_eq!(index[&3].len(), 1);
-        assert!(bytes > 0);
+        assert_eq!(bytes, 4 * 96, "one entry per column per pair");
         // R-S mode: the R side indexes only the first column.
         let (r_index, _) = load_pair_index(&dfs, "/pairs", 0, true).unwrap();
         assert!(r_index.contains_key(&1));

@@ -4,7 +4,7 @@
 //! those bytes must match the simulated backend's. The engine-level
 //! counterpart lives in `crates/mapreduce/tests/backend.rs`; this suite
 //! stresses the same property through stage 1 → 2 → 3 where token
-//! orderings, grouped routing, and stage-3 dedup all depend on committed
+//! orderings, grouped routing, and stage 3's record join all depend on committed
 //! intermediate files.
 
 use fuzzyjoin::{

@@ -6,7 +6,8 @@
 //! bitwise. Every matrix cell additionally runs on **all three execution
 //! backends** (simulated, sharded, and process-isolated workers on a
 //! disk-backed DFS) and asserts the committed pair sets are bitwise
-//! identical.
+//! identical. Every pipeline run also checks stage 2's raw output: each
+//! joined pair on exactly one line of the rid-pairs file, none twice.
 //!
 //! On a divergence the failing corpus is delta-debugged down to a
 //! locally-minimal counterexample (`setsim::oracle::shrink_within`) before
@@ -19,8 +20,8 @@
 
 use fuzzyjoin::{
     build_skew_plan, read_joined, rs_join, self_join, BackendKind, Cluster, ClusterConfig,
-    FilterConfig, JoinConfig, SkewConfig, Stage1Algo, Stage2Algo, Stage3Algo, Threshold,
-    TokenRouting, TokenizerKind,
+    FilterConfig, JoinConfig, JoinOutcome, SkewConfig, Stage1Algo, Stage2Algo, Stage3Algo,
+    Threshold, TokenRouting, TokenizerKind,
 };
 use proptest::prelude::*;
 use setsim::oracle;
@@ -107,6 +108,35 @@ fn measures() -> [Threshold; 4] {
     ]
 }
 
+/// The `(rid1, rid2, sim)` rows of a finished join, after checking the
+/// exactly-once invariant on stage 2's raw output: the rid-pairs file names
+/// no pair twice and holds one line per joined row. A violation is an
+/// `Err`, so the shrinkers minimise it like any other defect.
+fn joined_rows(c: &Cluster, outcome: &JoinOutcome) -> Result<Vec<oracle::ResultRow>, String> {
+    let mut raw =
+        fuzzyjoin::read_rid_pairs(c, &outcome.ridpairs_path).map_err(|e| e.to_string())?;
+    let lines = raw.len();
+    raw.dedup_by_key(|&mut (a, b, _)| (a, b));
+    if raw.len() != lines {
+        return Err(format!(
+            "stage 2 wrote {lines} pair lines for {} distinct pairs",
+            raw.len()
+        ));
+    }
+    let rows: Vec<oracle::ResultRow> = read_joined(c, &outcome.joined_path)
+        .map_err(|e| e.to_string())?
+        .into_iter()
+        .map(|((a, b), (_, _, sim))| (a, b, sim))
+        .collect();
+    if rows.len() != lines {
+        return Err(format!(
+            "stage 2 wrote {lines} pairs but stage 3 joined {}",
+            rows.len()
+        ));
+    }
+    Ok(rows)
+}
+
 /// Run the full 3-stage self-join pipeline, returning `(rid1, rid2, sim)`
 /// rows from the final joined output.
 fn pipeline_self(lines: &[String], config: &JoinConfig) -> Result<Vec<oracle::ResultRow>, String> {
@@ -123,11 +153,7 @@ fn pipeline_self_on(
         .write_text("/records", lines)
         .map_err(|e| e.to_string())?;
     let outcome = self_join(&c, "/records", "/work", config).map_err(|e| e.to_string())?;
-    Ok(read_joined(&c, &outcome.joined_path)
-        .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(|((a, b), (_, _, sim))| (a, b, sim))
-        .collect())
+    joined_rows(&c, &outcome)
 }
 
 /// Run the full 3-stage R-S pipeline.
@@ -145,11 +171,7 @@ fn pipeline_rs_on(
         .write_text("/s", s_lines)
         .map_err(|e| e.to_string())?;
     let outcome = rs_join(&c, "/r", "/s", "/work", config).map_err(|e| e.to_string())?;
-    Ok(read_joined(&c, &outcome.joined_path)
-        .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(|((a, b), (_, _, sim))| (a, b, sim))
-        .collect())
+    joined_rows(&c, &outcome)
 }
 
 /// Oracle result for a self-join corpus under `config`'s preprocessing.
@@ -498,11 +520,7 @@ fn check_skew_self_cell(lines: &[String], config: &JoinConfig, label: &str) -> u
     c.dfs().write_text("/records", lines).unwrap();
     let outcome = self_join(&c, "/records", "/work", config)
         .unwrap_or_else(|e| panic!("{label} [skew on]: pipeline: {e}"));
-    let on: Vec<oracle::ResultRow> = read_joined(&c, &outcome.joined_path)
-        .unwrap()
-        .into_iter()
-        .map(|((a, b), (_, _, sim))| (a, b, sim))
-        .collect();
+    let on = joined_rows(&c, &outcome).unwrap_or_else(|e| panic!("{label} [skew on]: {e}"));
     assert_eq!(
         rows_bits(&off),
         rows_bits(&on),
@@ -549,11 +567,7 @@ fn check_skew_rs_cell(
     c.dfs().write_text("/s", s_lines).unwrap();
     let outcome = rs_join(&c, "/r", "/s", "/work", config)
         .unwrap_or_else(|e| panic!("{label} [skew on]: pipeline: {e}"));
-    let on: Vec<oracle::ResultRow> = read_joined(&c, &outcome.joined_path)
-        .unwrap()
-        .into_iter()
-        .map(|((a, b), (_, _, sim))| (a, b, sim))
-        .collect();
+    let on = joined_rows(&c, &outcome).unwrap_or_else(|e| panic!("{label} [skew on]: {e}"));
     assert_eq!(
         rows_bits(&off),
         rows_bits(&on),
@@ -641,7 +655,7 @@ fn differential_skew_bk_reduce_blocks_is_invisible() {
 }
 
 /// Both stage-3 variants must agree with the oracle too (the matrix above
-/// runs BRJ; OPRJ shares stage 2 but has its own dedup path).
+/// runs BRJ; OPRJ shares stage 2 but indexes the pair list its own way).
 #[test]
 fn differential_oprj_matches_oracle() {
     for stage2 in kernels() {
@@ -872,52 +886,69 @@ fn harness_detects_injected_divergence() {
     );
 }
 
-/// Duplicate-RID-pair elimination, self-join: a pair whose records share
-/// several prefix tokens is verified at several reducers under Individual
-/// routing, so stage 2 emits it repeatedly; after stage 3 it must appear
-/// exactly once, normalized to `(min, max)`.
+/// Each pair from exactly one reducer, self-join: two records sharing
+/// several prefix tokens meet in several reducers under Individual routing,
+/// but only the owner of their smallest shared token emits the pair — one
+/// raw stage-2 line, normalized to `(min, max)`, whatever the kernel and
+/// the stage-3 variant.
 #[test]
 fn duplicate_rid_pairs_eliminated_in_self_join() {
-    // 10 shared tokens at τ=0.8 → probe prefix of 3 → 3 reducers verify
-    // the same pair. RIDs deliberately reversed relative to sort order.
+    // 10 shared tokens at τ=0.8 → probe prefix of 3 → the records meet in
+    // 3 reducers. RIDs deliberately reversed relative to sort order.
     let attr = "alpha beta gamma delta epsilon zeta eta theta iota kappa";
     let lines = vec![
         format!("9\t{attr}\tx\t"),
         format!("2\t{attr}\tx\t"),
         "5\tcompletely different words here nothing shared at all\ty\t".to_string(),
     ];
-    for stage3 in [Stage3Algo::Brj, Stage3Algo::Oprj] {
-        let config = JoinConfig {
-            stage2: Stage2Algo::Bk,
-            stage3,
-            ..JoinConfig::recommended()
-        };
-        let c = cluster(3);
-        c.dfs().write_text("/records", &lines).unwrap();
-        let outcome = self_join(&c, "/records", "/work", &config).unwrap();
-        // Stage 2's raw output must really contain the duplicates this
-        // test is about — otherwise it proves nothing.
-        let raw: Vec<String> = c.dfs().read_text(&outcome.ridpairs_path).unwrap();
-        let dup_count = raw
-            .iter()
-            .filter(|l| l.starts_with("2\t9\t") || l.starts_with("9\t2\t"))
-            .count();
-        assert!(
-            dup_count >= 2,
-            "expected stage 2 to emit the pair from several reducers, got {raw:?}"
-        );
-        let joined = read_joined(&c, &outcome.joined_path).unwrap();
-        let hits: Vec<_> = joined.iter().map(|(k, _)| *k).collect();
-        assert_eq!(
-            hits,
-            vec![(2, 9)],
-            "stage 3 ({stage3:?}) must keep exactly one normalized copy"
-        );
+    // Which reducer owns the pair follows from the two records alone, so
+    // every kernel commits it to the same part file.
+    let mut owner_part: Option<String> = None;
+    for stage2 in kernels() {
+        for stage3 in [Stage3Algo::Brj, Stage3Algo::Oprj] {
+            let config = JoinConfig {
+                stage2,
+                stage3,
+                ..JoinConfig::recommended()
+            };
+            let c = cluster(3);
+            c.dfs().write_text("/records", &lines).unwrap();
+            let outcome = self_join(&c, "/records", "/work", &config).unwrap();
+            let part = c
+                .dfs()
+                .data_files(&outcome.ridpairs_path)
+                .into_iter()
+                .find(|f| !c.dfs().read_text(f).unwrap().is_empty())
+                .expect("some part holds the pair");
+            assert_eq!(
+                owner_part.get_or_insert_with(|| part.clone()),
+                &part,
+                "{stage2:?} emitted the pair from another reducer"
+            );
+            // The records really do meet more than once — otherwise this
+            // test proves nothing about ownership.
+            let job = &outcome.stage2.jobs[0];
+            assert!(
+                job.counter("stage2.routed_pairs") >= 6,
+                "both records must be routed to several reducers"
+            );
+            let raw: Vec<String> = c.dfs().read_text(&outcome.ridpairs_path).unwrap();
+            assert_eq!(
+                raw.iter().filter(|l| l.starts_with("2\t9\t")).count(),
+                1,
+                "{stage2:?}: exactly one reducer emits the pair, got {raw:?}"
+            );
+            assert_eq!(raw.len(), 1, "{stage2:?}: and nothing else: {raw:?}");
+            let joined = read_joined(&c, &outcome.joined_path).unwrap();
+            let hits: Vec<_> = joined.iter().map(|(k, _)| *k).collect();
+            assert_eq!(hits, vec![(2, 9)], "{stage2:?} / {stage3:?}");
+        }
     }
 }
 
-/// Duplicate-RID-pair elimination, R-S: same property, but pairs keep the
-/// `(r, s)` orientation — including when the S RID is numerically smaller.
+/// Each pair from exactly one reducer, R-S: same property, and the pair
+/// keeps the `(r, s)` orientation — including when the S RID is
+/// numerically smaller.
 #[test]
 fn duplicate_rid_pairs_eliminated_in_rs_join() {
     let attr = "alpha beta gamma delta epsilon zeta eta theta iota kappa";
@@ -927,29 +958,28 @@ fn duplicate_rid_pairs_eliminated_in_rs_join() {
     ];
     // S RID 3 < R RID 7: orientation, not normalization, must win.
     let s_lines = vec![format!("3\t{attr}\tz\t")];
-    for stage3 in [Stage3Algo::Brj, Stage3Algo::Oprj] {
-        let config = JoinConfig {
-            stage2: Stage2Algo::Bk,
-            stage3,
-            ..JoinConfig::recommended()
-        };
-        let c = cluster(3);
-        c.dfs().write_text("/r", &r_lines).unwrap();
-        c.dfs().write_text("/s", &s_lines).unwrap();
-        let outcome = rs_join(&c, "/r", "/s", "/work", &config).unwrap();
-        let raw: Vec<String> = c.dfs().read_text(&outcome.ridpairs_path).unwrap();
-        let dup_count = raw.iter().filter(|l| l.starts_with("7\t3\t")).count();
-        assert!(
-            dup_count >= 2,
-            "expected stage 2 to emit the (r, s) pair from several reducers, got {raw:?}"
-        );
-        let joined = read_joined(&c, &outcome.joined_path).unwrap();
-        let hits: Vec<_> = joined.iter().map(|(k, _)| *k).collect();
-        assert_eq!(
-            hits,
-            vec![(7, 3)],
-            "stage 3 ({stage3:?}) must keep exactly one (r, s)-oriented copy"
-        );
+    for stage2 in kernels() {
+        for stage3 in [Stage3Algo::Brj, Stage3Algo::Oprj] {
+            let config = JoinConfig {
+                stage2,
+                stage3,
+                ..JoinConfig::recommended()
+            };
+            let c = cluster(3);
+            c.dfs().write_text("/r", &r_lines).unwrap();
+            c.dfs().write_text("/s", &s_lines).unwrap();
+            let outcome = rs_join(&c, "/r", "/s", "/work", &config).unwrap();
+            let raw: Vec<String> = c.dfs().read_text(&outcome.ridpairs_path).unwrap();
+            assert_eq!(
+                raw.iter().filter(|l| l.starts_with("7\t3\t")).count(),
+                1,
+                "{stage2:?}: exactly one reducer emits the (r, s) pair, got {raw:?}"
+            );
+            assert_eq!(raw.len(), 1, "{stage2:?}: and nothing else: {raw:?}");
+            let joined = read_joined(&c, &outcome.joined_path).unwrap();
+            let hits: Vec<_> = joined.iter().map(|(k, _)| *k).collect();
+            assert_eq!(hits, vec![(7, 3)], "{stage2:?} / {stage3:?}");
+        }
     }
 }
 

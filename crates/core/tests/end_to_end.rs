@@ -372,11 +372,15 @@ fn pk_funnel_narrows_down_to_the_emitted_pairs() {
         };
         let outcome = self_join(&c, "/records", "/work", &config).unwrap();
         let job = &outcome.stage2.jobs[0];
-        let [postings, candidates, positional, suffix_calls, suffix, verified] =
+        let [postings, unowned, candidates, positional, suffix_calls, suffix, verified] =
             fuzzyjoin::stage2::reducers::FUNNEL_COUNTERS.map(|name| job.counter(name));
         let chain = [postings, candidates, positional, suffix, verified];
         assert!(chain.windows(2).all(|w| w[0] >= w[1]), "{chain:?}");
         assert!(suffix_calls <= positional);
+        // Records meet in every reducer their prefixes share; all but one
+        // of those meetings end at the ownership test.
+        assert!(unowned > 0, "replicated records must meet more than once");
+        assert!(postings >= candidates + unowned);
         assert!(verified > 0 && postings > verified, "{chain:?}");
         assert_eq!(candidates, job.counter("stage2.candidates"));
         assert_eq!(verified, job.counter("stage2.pairs_emitted"));
@@ -391,6 +395,129 @@ fn pk_funnel_narrows_down_to_the_emitted_pairs() {
             assert!(report.contains(name), "{name} missing from the report");
         }
     }
+}
+
+/// `(path suffix, len, crc)` of every committed data file under `dir`.
+fn committed_bytes(c: &Cluster, dir: &str) -> Vec<(String, u64, u32)> {
+    c.dfs()
+        .data_files(dir)
+        .into_iter()
+        .map(|f| {
+            let stat = c.dfs().stat(&f).unwrap();
+            (f[dir.len()..].to_string(), stat.len, stat.crc)
+        })
+        .collect()
+}
+
+/// Semi-join edge cell (i): when the participating-RID set does not fit a
+/// task's memory budget, BRJ job 1 runs unfiltered — and commits the same
+/// bytes as the filtered run, on both sides of the boundary.
+#[test]
+fn brj_without_room_for_the_participants_commits_the_same_bytes() {
+    let lines = corpus(101, 150);
+    let config = JoinConfig::recommended();
+    let c = cluster(3);
+    c.dfs().write_text("/records", &lines).unwrap();
+    let outcome = self_join(&c, "/records", "/work", &config).unwrap();
+    let fill = &outcome.stage3.jobs[0];
+    let participants = fill.counter("stage3.participants");
+    assert!(participants > 0 && (participants as usize) < lines.len());
+    assert_eq!(
+        fill.counter("stage3.records_filtered"),
+        lines.len() as u64 - participants,
+        "every record no pair names is dropped before the shuffle"
+    );
+    assert_eq!(
+        fill.counter("stage3.halves"),
+        2 * outcome.stage3.jobs[1].counter("stage3.joined_pairs")
+    );
+
+    // Stage 3 again over the same pair file, on drivers whose tasks have
+    // room for exactly the set, and for one byte less.
+    let run = |budget: u64, work: &str| {
+        let tight = Cluster::with_dfs(
+            ClusterConfig {
+                task_memory: Some(budget),
+                ..c.config().clone()
+            },
+            c.dfs().clone(),
+        )
+        .unwrap();
+        fuzzyjoin::stage3::run_self(&tight, "/records", &outcome.ridpairs_path, &config, work)
+            .unwrap()
+            .1
+    };
+    let fits = run(participants * 8, "/fits");
+    assert_eq!(
+        fits.jobs[0].counter("stage3.records_filtered"),
+        fill.counter("stage3.records_filtered")
+    );
+    assert!(c.dfs().exists("/fits/participants"));
+    let plain = run(participants * 8 - 1, "/plain");
+    assert_eq!(plain.jobs[0].counter("stage3.records_filtered"), 0);
+    assert_eq!(plain.jobs[0].counter("stage3.participants"), participants);
+    assert!(!c.dfs().exists("/plain/participants"), "no side file");
+    assert_eq!(
+        plain.jobs[0].map_output_records,
+        fits.jobs[0].map_output_records + fill.counter("stage3.records_filtered"),
+        "plain BRJ shuffles every record"
+    );
+    for dir in ["halves", "joined"] {
+        let reference = committed_bytes(&c, &format!("/work/{dir}"));
+        assert!(!reference.is_empty());
+        assert_eq!(committed_bytes(&c, &format!("/fits/{dir}")), reference);
+        assert_eq!(committed_bytes(&c, &format!("/plain/{dir}")), reference);
+    }
+}
+
+/// Semi-join edge cell (ii): R and S number their records independently.
+/// RID 1 is an R record that joins and an S record that does not; RID 2 the
+/// other way round. One merged set would shuffle all four; per-relation
+/// sets shuffle exactly the two that a pair names.
+#[test]
+fn participants_are_kept_per_relation() {
+    let joining = "alpha beta gamma delta epsilon zeta eta theta iota kappa";
+    let r = [
+        format!("1\t{joining}\tx\t"),
+        "2\tan r record nothing else resembles\ty\t".to_string(),
+    ];
+    let s = [
+        "1\tsome s record of entirely other words\tz\t".to_string(),
+        format!("2\t{joining}\tx\t"),
+    ];
+    let c = cluster(2);
+    c.dfs().write_text("/r", &r).unwrap();
+    c.dfs().write_text("/s", &s).unwrap();
+    let outcome = rs_join(&c, "/r", "/s", "/work", &JoinConfig::recommended()).unwrap();
+    let joined = read_joined(&c, &outcome.joined_path).unwrap();
+    assert_eq!(joined.len(), 1);
+    assert_eq!(joined[0].0, (1, 2));
+    assert!(joined[0].1 .0.starts_with("1\talpha") && joined[0].1 .1.starts_with("2\talpha"));
+    let fill = &outcome.stage3.jobs[0];
+    assert_eq!(fill.counter("stage3.participants"), 2);
+    assert_eq!(fill.counter("stage3.records_filtered"), 2);
+    assert_eq!(fill.map_output_records, 2 + 2, "two records, two halves");
+}
+
+/// Semi-join edge cell (iii): an empty pair file names no record, so job 1
+/// shuffles nothing and the join commits an empty output.
+#[test]
+fn brj_over_an_empty_pair_file_shuffles_no_record() {
+    let lines: Vec<String> = (0..20)
+        .map(|i| format!("{i}\tonly{i}a only{i}b only{i}c only{i}d\tx\t"))
+        .collect();
+    let c = cluster(2);
+    c.dfs().write_text("/records", &lines).unwrap();
+    let outcome = self_join(&c, "/records", "/work", &JoinConfig::recommended()).unwrap();
+    assert!(read_rid_pairs(&c, &outcome.ridpairs_path)
+        .unwrap()
+        .is_empty());
+    let fill = &outcome.stage3.jobs[0];
+    assert_eq!(fill.counter("stage3.participants"), 0);
+    assert_eq!(fill.counter("stage3.records_filtered"), 20);
+    assert_eq!(fill.shuffle_records, 0);
+    assert_eq!(fill.shuffle_bytes, 0);
+    assert!(read_joined(&c, &outcome.joined_path).unwrap().is_empty());
 }
 
 #[test]

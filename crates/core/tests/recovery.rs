@@ -8,7 +8,9 @@
 //!    before the commit), an injected driver crash followed by a resume over
 //!    the surviving DFS yields output bitwise identical to an uninterrupted
 //!    run, with every committed job provably skipped (per-job metrics and
-//!    trace events) and only the rest re-executed.
+//!    trace events) and only the rest re-executed — and stage 3's side
+//!    file of participating RIDs, which no manifest covers, re-derived to
+//!    the same bytes and the same decision.
 //! 2. **Integrity**: flipping one bit in any committed file is detected on
 //!    the next read as a classified checksum error — never silently wrong
 //!    pairs — it invalidates the producing job's manifest, and a resume
@@ -135,6 +137,18 @@ fn every_crash_point_resumes_bitwise_identical() {
     assert!(!base_out.joined.is_empty(), "vacuous corpus");
     let total_jobs = base.all_jobs().count();
     assert_eq!(total_jobs, 5, "recommended combo runs 5 jobs");
+    // Stage 3's semi-join: the driver publishes the participating RIDs
+    // between stage 2's commit and BRJ job 1.
+    let participants = |c: &Cluster| c.dfs().read_seq::<u8, u64>("/work/participants").unwrap();
+    let filter_counters = |o: &JoinOutcome| {
+        let fill = &o.stage3.jobs[0];
+        (
+            fill.counter("stage3.participants"),
+            fill.counter("stage3.records_filtered"),
+        )
+    };
+    let base_participants = participants(&base_cluster);
+    assert!(!base_participants.is_empty() && filter_counters(&base).1 > 0);
 
     for point in 0..total_jobs {
         for mid in [false, true] {
@@ -147,6 +161,13 @@ fn every_crash_point_resumes_bitwise_identical() {
             write_self_input(&crashed);
             let err = self_join(&crashed, "/records", "/work", &config).unwrap_err();
             assert!(err.is_driver_crash(), "point {point} mid={mid}: {err:?}");
+            // Job 3 is BRJ job 1: a crash in its middle is a crash between
+            // the side file and the job's commit.
+            assert_eq!(
+                crashed.dfs().exists("/work/participants"),
+                point >= 3,
+                "point {point} mid={mid}"
+            );
 
             let mut fresh = resume_cluster(&crashed);
             let sink = TraceSink::new();
@@ -157,6 +178,12 @@ fn every_crash_point_resumes_bitwise_identical() {
                 base_out,
                 "resumed output diverged (point {point}, mid={mid})"
             );
+            // Whichever driver wrote the side file last, it decided as the
+            // uninterrupted run did; a re-run job 1 filtered the same records.
+            assert_eq!(participants(&fresh), base_participants);
+            if outcome.stage3.jobs[0].counter(JOB_SKIPPED_COUNTER) == 0 {
+                assert_eq!(filter_counters(&outcome), filter_counters(&base));
+            }
 
             // A crash *after* job N leaves N+1 committed jobs to skip; a
             // crash *mid* job N leaves N (job N's parts exist but carry no

@@ -1,19 +1,24 @@
 //! Skew-adaptive routing test wall: plan invariants, chaos, and
 //! crash/resume with splitting active.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. **Plan invariants** (proptest): for arbitrary plans and records,
 //!    any two records of a split group share at least one bucket-pair
 //!    key (pair completeness — the property that makes splitting safe),
 //!    replication never exceeds the configured bucket cap, unsplit
-//!    groups pass through routing untouched, and the planner never
-//!    splits a group below the hot threshold.
-//! 2. **Chaos**: the aggressive seeded fault plan composed with forced
+//!    groups pass through routing untouched, the planner never splits a
+//!    group below the hot threshold, and the owner of every similar pair
+//!    is a key both of its records were routed to.
+//! 2. **Exactly once under a split**: similar pairs whose records fall
+//!    in the same bucket of a split group (they meet in every sub-key of
+//!    that bucket's row and column) and in different buckets each leave
+//!    one raw stage-2 line.
+//! 3. **Chaos**: the aggressive seeded fault plan composed with forced
 //!    splitting must still commit output bitwise identical to a
 //!    fault-free *unsplit* run — faults and replication may not
 //!    interact to change pairs. The seed comes from `CHAOS_SEED`.
-//! 3. **Crash/resume**: an injected driver crash at every job index
+//! 4. **Crash/resume**: an injected driver crash at every job index
 //!    (both crash kinds) with splitting active resumes to output
 //!    bitwise identical to the unsplit fault-free baseline, with
 //!    committed jobs skipped via their manifests; and because the skew
@@ -25,15 +30,16 @@
 //! worker processes.
 
 use std::collections::BTreeSet;
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
+use fuzzyjoin::keys::{owner_key, plain, Member, Ownership, REL_R};
 use fuzzyjoin::{
-    build_skew_plan, read_joined, read_rid_pairs, rs_join, self_join, self_join_resume, Cluster,
-    ClusterConfig, FaultPlan, FilterConfig, JoinConfig, JoinOutcome, SkewConfig, SkewPlan,
-    Stage2Algo, TokenRouting,
+    build_skew_plan, read_joined, read_rid_pairs, routing_groups, rs_join, self_join,
+    self_join_resume, Cluster, ClusterConfig, FaultPlan, FilterConfig, JoinConfig, JoinOutcome,
+    SkewConfig, SkewPlan, Stage2Algo, Threshold, TokenRouting,
 };
 use proptest::prelude::*;
-use setsim::SpaceSaving;
+use setsim::{first_common, SpaceSaving};
 
 fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED")
@@ -134,8 +140,15 @@ struct RunOutput {
 }
 
 fn collect(cluster: &Cluster, outcome: &JoinOutcome) -> RunOutput {
+    let rid_pairs = read_rid_pairs(cluster, &outcome.ridpairs_path).unwrap();
+    assert!(
+        rid_pairs
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) != (w[1].0, w[1].1)),
+        "stage 2 wrote a pair twice"
+    );
     RunOutput {
-        rid_pairs: read_rid_pairs(cluster, &outcome.ridpairs_path).unwrap(),
+        rid_pairs,
         joined: read_joined(cluster, &outcome.joined_path)
             .unwrap()
             .into_iter()
@@ -167,14 +180,80 @@ fn kernels() -> [Stage2Algo; 2] {
 }
 
 // ---------------------------------------------------------------------------
+// Exactly once under a split
+// ---------------------------------------------------------------------------
+
+/// One routing group holds every record and is split four ways, so each
+/// record is sent to the four sub-keys of its bucket's row and column. A
+/// similar pair whose records share bucket `b` meets in all four of them,
+/// one whose buckets differ meets only in `(min, max)`; either way stage 2
+/// must write the pair on exactly one raw line.
+#[test]
+fn same_bucket_and_cross_bucket_pairs_leave_one_raw_line_each() {
+    const BUCKETS: u32 = 4;
+    let bucket = |rid: u64| SkewPlan::bucket_of(SkewPlan::rid_hash(rid), BUCKETS);
+    // Twelve pairs of identical records over disjoint vocabularies: pair
+    // `i` is (100 + i, partner), the partner's RID picked so that even
+    // pairs share a bucket and odd pairs do not.
+    let mut lines = Vec::new();
+    let mut expected = Vec::new();
+    let mut next = 1000u64;
+    for i in 0..12u64 {
+        let a = 100 + i;
+        let same = i % 2 == 0;
+        let b = (next..)
+            .find(|&r| (bucket(r) == bucket(a)) == same)
+            .unwrap();
+        next = b + 1;
+        let words: Vec<String> = (0..6).map(|w| format!("p{i}w{w}")).collect();
+        for rid in [a, b] {
+            lines.push(format!("{rid}\t{}\tx\t", words.join(" ")));
+        }
+        expected.push((a, b));
+    }
+    for stage2 in kernels() {
+        let config = JoinConfig {
+            stage2,
+            routing: TokenRouting::Grouped { groups: 1 },
+            skew: SkewConfig::forced(6, BUCKETS),
+            ..JoinConfig::recommended()
+        };
+        let cluster = cluster_with(None);
+        cluster.dfs().write_text("/records", &lines).unwrap();
+        let outcome = self_join(&cluster, "/records", "/work", &config).unwrap();
+        let plan =
+            build_skew_plan(cluster.dfs(), &["/records"], &outcome.tokens_path, &config).unwrap();
+        assert_eq!(plan.entries(), vec![(0, BUCKETS)], "the one group is split");
+        let raw: Vec<(u64, u64)> = cluster
+            .dfs()
+            .read_text(&outcome.ridpairs_path)
+            .unwrap()
+            .iter()
+            .map(|l| {
+                let (a, b, _) = fuzzyjoin::stage2::parse_pair_line(l).unwrap();
+                (a, b)
+            })
+            .collect();
+        for pair in &expected {
+            assert_eq!(
+                raw.iter().filter(|p| *p == pair).count(),
+                1,
+                "{stage2:?}: pair {pair:?} (same bucket: {}) in {raw:?}",
+                bucket(pair.0) == bucket(pair.1)
+            );
+        }
+        assert_eq!(raw.len(), expected.len(), "{stage2:?}: {raw:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Chaos with splitting active
 // ---------------------------------------------------------------------------
 
 /// BK and PK, self-join and R-S: aggressive chaos + forced splitting must
-/// stay bitwise identical to the fault-free unsplit baseline (stage-2 RID
-/// pairs are compared as sets via stage 3's dedup — the raw stage-2
-/// stream may differ in duplicate multiplicity, the joined output and the
-/// deduplicated rid-pairs file may not).
+/// stay bitwise identical to the fault-free unsplit baseline — the joined
+/// output and the sorted stage-2 RID pairs, each pair on one line in both
+/// (which part file a pair lands in follows its owner key and may differ).
 #[test]
 fn chaos_with_forced_splitting_matches_fault_free_unsplit_run() {
     quiet_injected_panics();
@@ -315,12 +394,12 @@ fn toggling_skew_invalidates_the_kernel_but_reuses_the_token_order() {
     assert_eq!(collect(&fresh, &resumed), base_out);
 
     // Skew off: the stage-2 tag changes, so the kernel re-runs; stage 1 is
-    // skew-independent and must be reused. The unsplit kernel emits a
-    // different raw duplicate stream, so stage 3's dedup re-runs off the
-    // changed bytes — but the deduplicated output is identical, so the
-    // final assemble job's fingerprint revalidates and it is skipped:
-    // integrity chains on content, not on what ran. The output cannot
-    // change.
+    // skew-independent and must be reused. The unsplit kernel writes the
+    // same pairs from differently keyed reducers, so stage 3's fill job
+    // re-runs off the changed part files — but the halves it writes are
+    // identical, so the final assemble job's fingerprint revalidates and it
+    // is skipped: integrity chains on content, not on what ran. The output
+    // cannot change.
     let fresh = resume_cluster(&cluster);
     let resumed = self_join_resume(&fresh, "/records", "/work", &off).unwrap();
     assert_eq!(
@@ -375,8 +454,8 @@ proptest! {
     ) {
         let plan = SkewPlan::from_entries(entries.clone());
         for (g, b) in entries {
-            let kx: BTreeSet<u32> = plan.keys_for(g, x).into_iter().collect();
-            let ky: BTreeSet<u32> = plan.keys_for(g, y).into_iter().collect();
+            let kx: BTreeSet<u32> = plan.keys_for(g, x).unwrap().iter().copied().collect();
+            let ky: BTreeSet<u32> = plan.keys_for(g, y).unwrap().iter().copied().collect();
             prop_assert!(
                 kx.intersection(&ky).next().is_some(),
                 "records {x} and {y} of group {g} share no bucket-pair key"
@@ -434,6 +513,88 @@ proptest! {
             if *n >= hot_threshold {
                 prop_assert!(plan.buckets_for(*g).is_some(), "hot group {g} was missed");
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Ownership is sound: for a similar pair, the smallest token the two
+    /// routing prefixes share is the smallest token the records share at
+    /// all (what the indexed kernel's first touch sees), and the key it
+    /// maps to is one **both** records were routed to — whatever the
+    /// routing, the sub-routing width, and the plan — does not depend on
+    /// which record is named first, and is the only routing key whose
+    /// reducer claims the pair.
+    #[test]
+    fn owner_of_a_similar_pair_is_a_key_both_records_were_routed_to(
+        base in prop::collection::btree_set(0u32..60, 3..24),
+        edits in prop::collection::vec((0usize..24, 0u32..60), 0..4),
+        rids in (any::<u64>(), any::<u64>()),
+        scheme in (0usize..4, 0u32..10, 0u32..5),
+        split in (any::<u64>(), 2u32..=8),
+    ) {
+        let threshold = [
+            Threshold::jaccard(0.6),
+            Threshold::cosine(0.7),
+            Threshold::dice(0.7),
+            Threshold::overlap(3),
+        ][scheme.0];
+        let routing = match scheme.1 {
+            0 => TokenRouting::Individual,
+            groups => TokenRouting::Grouped { groups },
+        };
+        let length_sub_routing = (scheme.2 > 0).then_some(scheme.2);
+        // y: x with as many of the drawn token swaps as keep the pair
+        // similar (none, at worst: a record is similar to its copy).
+        let x: Vec<u32> = base.iter().copied().collect();
+        let y = (0..=edits.len())
+            .rev()
+            .map(|kept| {
+                let mut y = base.clone();
+                for (drop, add) in &edits[..kept] {
+                    y.remove(&x[drop % x.len()]);
+                    y.insert(*add);
+                }
+                y.into_iter().collect::<Vec<u32>>()
+            })
+            .find(|y| threshold.matches(&x, y).is_some())
+            .expect("a record joins its own copy");
+        let prefix = |r: &[u32]| r[..threshold.probe_prefix_len(r.len())].to_vec();
+        let m = first_common(&prefix(&x), &prefix(&y));
+        prop_assert!(m.is_some(), "similar records share a prefix token");
+        prop_assert_eq!(m, first_common(&x, &y));
+        let m = m.unwrap();
+
+        let gx = routing_groups(&threshold, routing, length_sub_routing, &x);
+        let gy = routing_groups(&threshold, routing, length_sub_routing, &y);
+        // An arbitrary plan over the groups these records really use.
+        let plan = SkewPlan::from_entries(
+            gx.union(&gy)
+                .enumerate()
+                .filter(|(i, _)| split.0 >> (i % 64) & 1 == 1)
+                .map(|(_, &g)| (g, split.1))
+                .collect(),
+        );
+        let (rx, _) = plan.route(gx, rids.0);
+        let (ry, _) = plan.route(gy, rids.1);
+        let (mx, my) = (Member::new(rids.0, x.len()), Member::new(rids.1, y.len()));
+        let owner = owner_key(routing, length_sub_routing, &plan, m, mx, my);
+        prop_assert!(rx.contains(&owner), "x was not routed to the owner {owner}: {rx:?}");
+        prop_assert!(ry.contains(&owner), "y was not routed to the owner {owner}: {ry:?}");
+        prop_assert_eq!(owner, owner_key(routing, length_sub_routing, &plan, m, my, mx));
+        // What the reducers ask: of the keys the records were routed to,
+        // exactly the owner says yes — the per-pair form and the indexed
+        // kernel's per-token form alike (the latter asked about another
+        // token first, so its memo has to turn over).
+        let ownership = Ownership::new(threshold, routing, length_sub_routing, Arc::new(plan));
+        for &k in rx.union(&ry) {
+            let key = plain(k, 0, REL_R);
+            prop_assert_eq!(ownership.owns(&key, m, mx, my), k == owner);
+            let mut probe = ownership.probing(&key, mx);
+            probe.owns(m + 1, || my);
+            prop_assert_eq!(probe.owns(m, || my), k == owner, "key {}", k);
         }
     }
 }

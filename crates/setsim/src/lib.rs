@@ -62,4 +62,4 @@ pub use naive::Record;
 pub use ppjoin::{FilterConfig, Funnel, Match, PpjoinIndex};
 pub use sketch::{Estimate, SpaceSaving};
 pub use tokenize::{DedupMode, QGramTokenizer, TokenBuf, Tokenizer, WordTokenizer};
-pub use verify::{intersection_size, overlap_at_least, verify_pair};
+pub use verify::{first_common, intersection_size, overlap_at_least, verify_pair};

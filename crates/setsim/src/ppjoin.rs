@@ -129,7 +129,8 @@ impl Hasher for RankHasher {
     }
 }
 
-/// Marks a slot whose candidate the positional filter has pruned.
+/// Marks a slot whose candidate the ownership test or the positional filter
+/// has pruned.
 const PRUNED: u32 = u32::MAX;
 
 /// One stored record: where its tokens sit in the arena, plus its cell of
@@ -179,13 +180,18 @@ fn alpha_for(bounds: &mut [LenBound], t: &Threshold, lx: u32, ly: u32) -> u32 {
 }
 
 /// Work done by the kernel's filter stack, summed over all probes since
-/// construction or the last [`PpjoinIndex::reset`]. Apart from
-/// `suffix_calls` each figure counts what the step before it let through,
-/// so `postings ≥ candidates ≥ positional ≥ suffix ≥ verified`.
+/// construction or the last [`PpjoinIndex::reset`]. Apart from `unowned`
+/// and `suffix_calls` each figure counts what the step before it let
+/// through, so `postings ≥ candidates ≥ positional ≥ suffix ≥ verified`,
+/// and `postings ≥ candidates + unowned`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Funnel {
     /// Live postings scanned under the probe prefixes.
     pub postings: u64,
+    /// Distinct length-compatible records the caller's ownership test
+    /// rejected at first touch ([`PpjoinIndex::probe_owned`]); always 0
+    /// under [`PpjoinIndex::probe`].
+    pub unowned: u64,
     /// Distinct length-compatible records that entered the accumulator.
     pub candidates: u64,
     /// Candidates the positional filter did not prune.
@@ -382,6 +388,27 @@ impl PpjoinIndex {
     /// Probe for all indexed records joining `tokens` (sorted ranks), in
     /// insertion order. Does **not** insert.
     pub fn probe(&mut self, tokens: &[u32]) -> Vec<Match> {
+        self.probe_owned(tokens, |_, _, _| true)
+    }
+
+    /// [`probe`](Self::probe) restricted to the pairs the caller owns.
+    /// `owned(token, rid, len)` is asked once per stored record, at the
+    /// probe-prefix token that first reaches it; a record it rejects is out
+    /// of this probe before any overlap is accumulated for it.
+    ///
+    /// For a pair that joins, that token is the smallest token the two
+    /// records share: `overlap ≥ α` common tokens all sit at or after it, so
+    /// it lies within the first `len − α + 1` tokens of both records, which
+    /// is inside the probe prefix of the one and the indexed prefix of the
+    /// other. The answer for a joining pair therefore does not depend on
+    /// which of the two probes, nor on what else the index holds — the
+    /// property that lets several indexes over overlapping record sets
+    /// split the pairs between them without coordination.
+    pub fn probe_owned(
+        &mut self,
+        tokens: &[u32],
+        mut owned: impl FnMut(u32, u64, usize) -> bool,
+    ) -> Vec<Match> {
         let lx = tokens.len();
         let lx32 = u32::try_from(lx).expect("a record holds fewer than 2^32 tokens");
         // Future probes are at least as long as this one, so any stored
@@ -407,6 +434,11 @@ impl PpjoinIndex {
                 }
                 if slot.epoch != epoch {
                     slot.epoch = epoch;
+                    if !owned(tok, slot.rid, slot.len as usize) {
+                        slot.overlap = PRUNED;
+                        self.funnel.unowned += 1;
+                        continue;
+                    }
                     slot.overlap = 0;
                     self.touched.push(at);
                 } else if slot.overlap == PRUNED {

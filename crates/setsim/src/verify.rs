@@ -19,6 +19,20 @@ pub fn intersection_size(x: &[u32], y: &[u32]) -> usize {
     n
 }
 
+/// The smallest token two strictly-increasing rank vectors share (merge,
+/// stopping at the first hit).
+pub fn first_common(x: &[u32], y: &[u32]) -> Option<u32> {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < x.len() && j < y.len() {
+        match x[i].cmp(&y[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return Some(x[i]),
+        }
+    }
+    None
+}
+
 /// Merge-based overlap test with early termination: returns the exact
 /// overlap if it reaches `needed`, otherwise `None` as soon as the bound
 /// `overlap_so_far + remaining_possible < needed` proves failure.
@@ -72,6 +86,13 @@ pub fn verify_pair(t: &Threshold, x: &[u32], y: &[u32]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_common_is_the_smallest_shared_token() {
+        assert_eq!(first_common(&[1, 3, 5], &[2, 3, 5, 7]), Some(3));
+        assert_eq!(first_common(&[1, 2], &[3, 4]), None);
+        assert_eq!(first_common(&[], &[1]), None);
+    }
 
     #[test]
     fn intersection_basic() {

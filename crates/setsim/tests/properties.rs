@@ -600,6 +600,64 @@ mod index_grid {
             }
         }
     }
+
+    /// Ownership splits a join between indexes without coordination: `k`
+    /// indexes over the same stream, the `i`-th owning the pairs first
+    /// touched at a token `≡ i (mod k)`, find every pair exactly once
+    /// between them — whichever record of a tie is streamed first — because
+    /// for a pair that joins the first touch is at the smallest token the
+    /// two records share. Each index counts what it left to the others.
+    #[test]
+    fn owned_probes_partition_the_matches() {
+        let mut rng = StdRng::seed_from_u64(0x0b5e55);
+        let mut records = corpus(&mut rng, 150, 4..=14, 40, 0);
+        records.extend(corpus(&mut rng, 40, 64..=100, 200, 1000));
+        // Ties in length streamed in the opposite RID order.
+        let mut reversed: Vec<&Record> = records.iter().collect();
+        reversed.sort_by_key(|(rid, tokens)| (tokens.len(), std::cmp::Reverse(*rid)));
+        for t in [
+            Threshold::jaccard(0.5),
+            Threshold::cosine(0.8),
+            Threshold::overlap(3),
+        ] {
+            for filters in FILTERS {
+                let expected = ppjoin::self_join(&records, &t, filters());
+                assert!(!expected.is_empty());
+                let whole = funnel_of(&records, &t, filters());
+                assert_eq!(whole.unowned, 0, "`probe` owns everything");
+                for k in [2u32, 3, 7] {
+                    let mut got = Vec::new();
+                    let mut candidates = 0;
+                    for owner in 0..k {
+                        let order: Vec<&Record> = if owner % 2 == 0 {
+                            let mut sorted: Vec<&Record> = records.iter().collect();
+                            sorted.sort_by_key(|(rid, tokens)| (tokens.len(), *rid));
+                            sorted
+                        } else {
+                            reversed.clone()
+                        };
+                        let mut index = PpjoinIndex::new(t, filters());
+                        for (rid, tokens) in order {
+                            for m in index.probe_owned(tokens, |tok, _, _| tok % k == owner) {
+                                got.push((m.rid.min(*rid), m.rid.max(*rid), m.sim));
+                            }
+                            index.insert(*rid, tokens);
+                        }
+                        let f = index.funnel();
+                        assert!(f.postings >= f.candidates + f.unowned, "{f:?}");
+                        if owner % 2 == 0 {
+                            assert_eq!(f.postings, whole.postings, "same stream, same scan");
+                        }
+                        assert!(f.unowned > 0 && f.candidates < whole.candidates, "{f:?}");
+                        candidates += f.candidates;
+                    }
+                    got.sort_by_key(|p| (p.0, p.1));
+                    assert_same(&got, &expected, &format!("{k} owners at {t:?}"));
+                    assert!(candidates >= expected.len() as u64);
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
