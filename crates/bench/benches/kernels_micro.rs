@@ -350,27 +350,6 @@ fn bench_record_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_extensions(c: &mut Criterion) {
-    // Edit-distance join (footnote 1) and the LSH partial-answer
-    // alternative (related work), at matched corpus scale.
-    let records = datagen::dblp(400, 7);
-    let strings: Vec<String> = records.iter().map(|r| r.title.clone()).collect();
-    let sets = projected_corpus(400);
-    let t = Threshold::jaccard(0.8);
-    let mut g = c.benchmark_group("extensions");
-    g.sample_size(10);
-    g.bench_function("edit_join_d2_q3", |b| {
-        b.iter(|| setsim::edit_self_join(&strings, 3, 2))
-    });
-    g.bench_function("lsh_join_24x3", |b| {
-        b.iter(|| setsim::lsh_self_join(&sets, &t, setsim::LshParams { bands: 24, rows: 3 }, 11))
-    });
-    g.bench_function("exact_ppjoin_plus_same_corpus", |b| {
-        b.iter(|| ppjoin::self_join(&sets, &t, FilterConfig::ppjoin_plus()))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_kernels,
@@ -379,7 +358,6 @@ criterion_group!(
     bench_verify,
     bench_codec,
     bench_dfs_integrity,
-    bench_record_path,
-    bench_extensions
+    bench_record_path
 );
 criterion_main!(benches);

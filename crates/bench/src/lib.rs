@@ -10,9 +10,6 @@
 //! 2 000; the paper's base is 1.2 M — shapes, not absolute seconds, are the
 //! reproduction target) and `REPRO_SEED`.
 
-pub mod perflab;
-pub mod stats;
-
 use datagen::DataRecord;
 use fuzzyjoin::{
     rs_join, run_report_resolved, self_join, Cluster, ClusterConfig, FilterConfig, JoinConfig,
@@ -29,7 +26,7 @@ pub fn base_records() -> usize {
 }
 
 /// Corpus seed.
-pub fn seed() -> u64 {
+fn seed() -> u64 {
     std::env::var("REPRO_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -43,7 +43,7 @@ commands:
             [--rid-field I] [--join-fields 1,2] [--groups G] [--full yes]
             [--backend simulated|sharded|process] [--dfs-root DIR]
             [--task-timeout-secs T] [--heartbeat-interval-secs H]
-            [--heartbeat-grace G] [--fault-seed S] [--fault-plan SPEC]
+            [--fault-seed S] [--fault-plan SPEC]
             [--skew adaptive|off] [--skew-split-max B]
             [--skew-hot-threshold N]
   rsjoin    join two files (stage 1 runs on --r; make it the smaller one)
@@ -110,10 +110,9 @@ supervision (wall-clock watchdog for the real backends):
                               killed). Off by default.
   --heartbeat-interval-secs H process workers send a heartbeat every H
                               seconds while busy (default 0.25; only active
-                              when --task-timeout-secs is set)
-  --heartbeat-grace G         a worker silent for G*H seconds is declared
-                              hung and killed before its deadline
-                              (default 8)
+                              when --task-timeout-secs is set); a worker
+                              silent for 8*H seconds is declared hung and
+                              killed before its deadline
 
 recovery (selfjoin/rsjoin):
   --resume yes          after an injected driver crash or a detected
@@ -177,7 +176,7 @@ fn cmd_gen(args: &Args) -> Result<String, String> {
     let seed: u64 = args.get_parsed("seed", 42)?;
     let out = args.require("out")?;
     // Token-frequency Zipf exponent override: higher values concentrate
-    // mass on the hottest tokens (the skew-bench workload).
+    // mass on the hottest tokens (the benchmark's `zipf-lowtau-self`).
     let skew_exponent: Option<f64> = match args.get("skew-exponent") {
         Some(v) => Some(v.parse().map_err(|e| format!("bad --skew-exponent: {e}"))?),
         None => None,
@@ -240,7 +239,6 @@ const JOIN_FLAGS: &[&str] = &[
     "durable-commits",
     "task-timeout-secs",
     "heartbeat-interval-secs",
-    "heartbeat-grace",
     "fault-seed",
     "fault-plan",
     "skew",
@@ -614,12 +612,6 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
             .map_err(|e| format!("bad --heartbeat-interval-secs: {e}"))?,
         None => defaults.heartbeat_interval_secs,
     };
-    let heartbeat_grace = match args.get("heartbeat-grace") {
-        Some(v) => v
-            .parse::<f64>()
-            .map_err(|e| format!("bad --heartbeat-grace: {e}"))?,
-        None => defaults.heartbeat_grace,
-    };
     let durable_commits = match args.get("durable-commits") {
         None | Some("yes") => true,
         Some("no") => false,
@@ -645,7 +637,6 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
         durable_commits,
         task_timeout_secs,
         heartbeat_interval_secs,
-        heartbeat_grace,
         profile: args.get("profile").is_some(),
         ..ClusterConfig::with_nodes(nodes)
     };
@@ -878,6 +869,23 @@ mod tests {
             .unwrap();
             assert!(join_config(&args).is_ok(), "combo {combo}");
         }
+    }
+
+    #[test]
+    fn usage_and_join_flags_list_the_same_flags() {
+        use std::collections::BTreeSet;
+        let joins = &USAGE[USAGE.find("  selfjoin  ").expect("selfjoin section")..];
+        let documented: BTreeSet<&str> = joins
+            .split("--")
+            .skip(1)
+            .filter_map(|rest| {
+                rest.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .next()
+                    .filter(|flag| !flag.is_empty())
+            })
+            .collect();
+        let accepted: BTreeSet<&str> = JOIN_FLAGS.iter().copied().collect();
+        assert_eq!(documented, accepted);
     }
 }
 

@@ -18,13 +18,20 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().into_owned()
 }
 
+/// The corpus every test joins, written once: the tests run on parallel
+/// threads, and a second `gen` would truncate the file under a running join.
 fn corpus() -> String {
-    let path = tmp("corpus.tsv");
-    run(&argv(&format!(
-        "gen --kind dblp --records 250 --scale 2 --seed 11 --out {path}"
-    )))
-    .unwrap();
-    path
+    static CORPUS: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    CORPUS
+        .get_or_init(|| {
+            let path = tmp("corpus.tsv");
+            run(&argv(&format!(
+                "gen --kind dblp --records 250 --scale 2 --seed 11 --out {path}"
+            )))
+            .unwrap();
+            path
+        })
+        .clone()
 }
 
 #[test]
@@ -238,8 +245,8 @@ fn profile_flag_emits_trace_events_and_covered_metrics() {
         let coverage = detail.get("coverage").and_then(Json::as_f64).unwrap();
         // Per-job sanity only: a millisecond-scale job on a loaded test
         // host can lose a visible fraction to scheduling jitter. The
-        // strict >=95% per-job contract is asserted under controlled
-        // timing by tests/profile.rs and the CI `perf-gate` job.
+        // strict >=95% per-job contract is asserted on a job long enough
+        // to resolve it by `mapreduce/tests/profile.rs`.
         assert!(
             coverage > 0.5,
             "{}: coverage {coverage:.3} implausibly low",

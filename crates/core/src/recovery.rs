@@ -18,7 +18,7 @@
 //! manifests stay valid and are skipped.
 
 use mapreduce::{
-    Cluster, Dfs, EventKind, Fingerprint, JobManifest, JobMetrics, ManifestCheck, MrError,
+    Cluster, Dfs, EventKind, Fingerprint, JobManifest, JobMetrics, ManifestCheck, MrError, Result,
     TraceEvent,
 };
 
@@ -63,11 +63,34 @@ impl Recovery {
         self.resume
     }
 
+    /// Skip or run the job `job_name` that writes to `dir`: fingerprint it
+    /// over `inputs` and `config_tag` ([`job_fingerprint`]), and either
+    /// reuse the committed output, answering with placeholder metrics that
+    /// carry [`JOB_SKIPPED_COUNTER`], or hand the fingerprint to `run`,
+    /// which builds the job, stamps it with [`mapreduce::Job::fingerprint`]
+    /// and returns what `Cluster::run` did.
+    pub fn run_or_skip(
+        &mut self,
+        cluster: &Cluster,
+        job_name: &str,
+        inputs: &[&str],
+        config_tag: &str,
+        dir: &str,
+        run: impl FnOnce(u64) -> Result<JobMetrics>,
+    ) -> Result<JobMetrics> {
+        let fingerprint = job_fingerprint(cluster.dfs(), job_name, inputs, config_tag);
+        if self.should_skip(cluster, job_name, dir, fingerprint) {
+            Ok(Self::skipped_job_metrics(job_name))
+        } else {
+            run(fingerprint)
+        }
+    }
+
     /// Decide whether the job writing to `dir` can be skipped. Returns
     /// `true` when its commit manifest validates against `fingerprint`;
     /// otherwise clears `dir` (stale parts must not survive next to a
     /// re-run's fresh output) and returns `false`.
-    pub fn should_skip(
+    fn should_skip(
         &mut self,
         cluster: &Cluster,
         job_name: &str,
@@ -120,7 +143,7 @@ impl Recovery {
     /// Placeholder metrics for a skipped job, so stage metrics stay
     /// positionally comparable with a fresh run's. Carries the
     /// [`JOB_SKIPPED_COUNTER`] marker and nothing else.
-    pub fn skipped_job_metrics(name: &str) -> JobMetrics {
+    fn skipped_job_metrics(name: &str) -> JobMetrics {
         JobMetrics {
             name: name.to_string(),
             counters: vec![(JOB_SKIPPED_COUNTER.to_string(), 1)],

@@ -456,83 +456,99 @@ pub fn run_with(
     match config.stage1 {
         Stage1Algo::Bto => {
             let counts_path = format!("{}/token-counts", work.trim_end_matches('/'));
-            let fp1 = recovery::job_fingerprint(cluster.dfs(), "stage1-bto-count", &[input], &tag);
-            if rec.should_skip(cluster, "stage1-bto-count", &counts_path, fp1) {
-                metrics.push(Recovery::skipped_job_metrics("stage1-bto-count"));
-            } else {
-                let payload = CountPayload::new(input, &counts_path, config).to_bytes();
-                let job1 = bto_count_job(cluster.dfs(), input, &counts_path, mapper)?
-                    .fingerprint(fp1)
-                    .remote(BTO_COUNT_FACTORY, payload);
-                metrics.push(cluster.run(job1)?);
-            }
-
-            let fp2 =
-                recovery::job_fingerprint(cluster.dfs(), "stage1-bto-sort", &[&counts_path], &tag);
-            if rec.should_skip(cluster, "stage1-bto-sort", &tokens_path, fp2) {
-                metrics.push(Recovery::skipped_job_metrics("stage1-bto-sort"));
-            } else {
-                let payload = (counts_path.clone(), tokens_path.clone()).to_bytes();
-                let job2 = bto_sort_job(cluster.dfs(), &counts_path, &tokens_path)?
-                    .fingerprint(fp2)
-                    .remote(BTO_SORT_FACTORY, payload);
-                metrics.push(cluster.run(job2)?);
-            }
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage1-bto-count",
+                &[input],
+                &tag,
+                &counts_path,
+                |fp| {
+                    let payload = CountPayload::new(input, &counts_path, config).to_bytes();
+                    let job = bto_count_job(cluster.dfs(), input, &counts_path, mapper)?
+                        .fingerprint(fp)
+                        .remote(BTO_COUNT_FACTORY, payload);
+                    cluster.run(job)
+                },
+            )?);
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage1-bto-sort",
+                &[&counts_path],
+                &tag,
+                &tokens_path,
+                |fp| {
+                    let payload = (counts_path.clone(), tokens_path.clone()).to_bytes();
+                    let job = bto_sort_job(cluster.dfs(), &counts_path, &tokens_path)?
+                        .fingerprint(fp)
+                        .remote(BTO_SORT_FACTORY, payload);
+                    cluster.run(job)
+                },
+            )?);
         }
         Stage1Algo::Opto => {
-            let fp = recovery::job_fingerprint(cluster.dfs(), "stage1-opto", &[input], &tag);
-            if rec.should_skip(cluster, "stage1-opto", &tokens_path, fp) {
-                metrics.push(Recovery::skipped_job_metrics("stage1-opto"));
-            } else {
-                let job = Job::new("stage1-opto", mapper, OptoReducer::default())
-                    .inputs(text_input(cluster.dfs(), input)?)
-                    .combiner(sum_combiner())
-                    .reducers(1)
-                    .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
-                    .fingerprint(fp);
-                metrics.push(cluster.run(job)?);
-            }
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage1-opto",
+                &[input],
+                &tag,
+                &tokens_path,
+                |fp| {
+                    let job = Job::new("stage1-opto", mapper, OptoReducer::default())
+                        .inputs(text_input(cluster.dfs(), input)?)
+                        .combiner(sum_combiner())
+                        .reducers(1)
+                        .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
+                        .fingerprint(fp);
+                    cluster.run(job)
+                },
+            )?);
         }
         Stage1Algo::BtoRange => {
             let counts_path = format!("{}/token-counts", work.trim_end_matches('/'));
-            let fp1 = recovery::job_fingerprint(cluster.dfs(), "stage1-btor-count", &[input], &tag);
-            if rec.should_skip(cluster, "stage1-btor-count", &counts_path, fp1) {
-                metrics.push(Recovery::skipped_job_metrics("stage1-btor-count"));
-            } else {
-                let job1 = Job::new("stage1-btor-count", mapper, SumReducer)
-                    .inputs(text_input(cluster.dfs(), input)?)
-                    .combiner(sum_combiner())
-                    .output_seq(&counts_path)
-                    .fingerprint(fp1);
-                metrics.push(cluster.run(job1)?);
-            }
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage1-btor-count",
+                &[input],
+                &tag,
+                &counts_path,
+                |fp| {
+                    let job = Job::new("stage1-btor-count", mapper, SumReducer)
+                        .inputs(text_input(cluster.dfs(), input)?)
+                        .combiner(sum_combiner())
+                        .output_seq(&counts_path)
+                        .fingerprint(fp);
+                    cluster.run(job)
+                },
+            )?);
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage1-btor-sort",
+                &[&counts_path],
+                &tag,
+                &tokens_path,
+                |fp| {
+                    // Driver-side sampling, the equivalent of building Hadoop's
+                    // TotalOrderPartitioner partition file: read the (small) count
+                    // output, sort, and take quantile boundaries.
+                    let mut sample: Vec<(u64, String)> = cluster
+                        .dfs()
+                        .read_seq::<String, u64>(&counts_path)?
+                        .into_iter()
+                        .map(|(t, c)| (c, t))
+                        .collect();
+                    sample.sort();
+                    let reducers = cluster.config().default_reducers();
+                    let boundaries = sample_boundaries(&sample, reducers);
 
-            let fp2 =
-                recovery::job_fingerprint(cluster.dfs(), "stage1-btor-sort", &[&counts_path], &tag);
-            if rec.should_skip(cluster, "stage1-btor-sort", &tokens_path, fp2) {
-                metrics.push(Recovery::skipped_job_metrics("stage1-btor-sort"));
-            } else {
-                // Driver-side sampling, the equivalent of building Hadoop's
-                // TotalOrderPartitioner partition file: read the (small) count
-                // output, sort, and take quantile boundaries.
-                let mut sample: Vec<(u64, String)> = cluster
-                    .dfs()
-                    .read_seq::<String, u64>(&counts_path)?
-                    .into_iter()
-                    .map(|(t, c)| (c, t))
-                    .collect();
-                sample.sort();
-                let reducers = cluster.config().default_reducers();
-                let boundaries = sample_boundaries(&sample, reducers);
-
-                let job2 = Job::new("stage1-btor-sort", SwapForSortMapper, EmitTokenReducer)
-                    .inputs(seq_input::<String, u64>(cluster.dfs(), &counts_path)?)
-                    .partitioner(range_partitioner(boundaries))
-                    .reducers(reducers)
-                    .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
-                    .fingerprint(fp2);
-                metrics.push(cluster.run(job2)?);
-            }
+                    let job = Job::new("stage1-btor-sort", SwapForSortMapper, EmitTokenReducer)
+                        .inputs(seq_input::<String, u64>(cluster.dfs(), &counts_path)?)
+                        .partitioner(range_partitioner(boundaries))
+                        .reducers(reducers)
+                        .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
+                        .fingerprint(fp);
+                    cluster.run(job)
+                },
+            )?);
         }
     }
     Ok((tokens_path, metrics))

@@ -351,7 +351,6 @@ fn run_kernel(
     rec: &mut Recovery,
 ) -> Result<PipelineMetrics> {
     let tag = recovery::stage2_tag(config, rs);
-    let mut metrics = PipelineMetrics::default();
     // The reducers decide ownership by the scheme the mapper routed with.
     let owner = Ownership::new(
         config.threshold,
@@ -360,11 +359,8 @@ fn run_kernel(
         skew_plan.clone(),
     );
     macro_rules! run_with {
-        ($name:expr, $reducer:expr) => {{
-            let fp = recovery::job_fingerprint(cluster.dfs(), $name, input_paths, &tag);
-            if rec.should_skip(cluster, $name, pairs_path, fp) {
-                metrics.push(Recovery::skipped_job_metrics($name));
-            } else {
+        ($name:expr, $reducer:expr) => {
+            rec.run_or_skip(cluster, $name, input_paths, &tag, pairs_path, |fp| {
                 let mut job = kernel_job(
                     $name,
                     inputs,
@@ -394,11 +390,11 @@ fn run_kernel(
                         u64::from(skew_plan.max_buckets()),
                     ));
                 }
-                metrics.push(jm);
-            }
-        }};
+                Ok(jm)
+            })?
+        };
     }
-    match config.stage2 {
+    let job_metrics = match config.stage2 {
         Stage2Algo::Bk => run_with!("stage2-bk", BkReducer::new(owner, rs)),
         Stage2Algo::Pk { filters } => {
             run_with!("stage2-pk", PkReducer::new(owner, filters, rs))
@@ -410,7 +406,9 @@ fn run_kernel(
             "stage2-bk-reduceblocks",
             ReduceBlocksReducer::new(owner, rs)
         ),
-    }
+    };
+    let mut metrics = PipelineMetrics::default();
+    metrics.push(job_metrics);
     Ok(metrics)
 }
 

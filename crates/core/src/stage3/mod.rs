@@ -543,87 +543,92 @@ fn run_impl(
             let halves_path = format!("{}/halves", work.trim_end_matches('/'));
             let mut fill_inputs = record_paths.clone();
             fill_inputs.push(pairs_path);
-            let fp1 =
-                recovery::job_fingerprint(cluster.dfs(), "stage3-brj-fill", &fill_inputs, &tag);
-            if rec.should_skip(cluster, "stage3-brj-fill", &halves_path, fp1) {
-                metrics.push(Recovery::skipped_job_metrics("stage3-brj-fill"));
-            } else {
-                // Semi-join reduction: the mappers shuffle only the records
-                // some pair names.
-                let (participants, participants_path) =
-                    Participants::publish(cluster, pairs_path, s_records.is_some(), work)?;
-                let mapper = BrjFillMapper {
-                    format: config.format.clone(),
-                    pairs_path: pairs_path.to_string(),
-                    s_path: s_records.map(str::to_string),
-                    bad_records: config.bad_records,
-                    participants_path,
-                    participants: None,
-                    records_filtered: Named::new("stage3.records_filtered"),
-                };
-                let mut inputs = text_input(cluster.dfs(), records)?;
-                if let Some(s) = s_records {
-                    inputs.extend(text_input(cluster.dfs(), s)?);
-                }
-                inputs.extend(text_input(cluster.dfs(), pairs_path)?);
-                let job1 = Job::new("stage3-brj-fill", mapper, BrjFillReducer::default())
-                    .inputs(inputs)
-                    .output_seq(&halves_path)
-                    .fingerprint(fp1);
-                let mut jm = cluster.run(job1)?;
-                jm.counters
-                    .push(("stage3.participants".to_string(), participants as u64));
-                metrics.push(jm);
-            }
-
-            let fp2 = recovery::job_fingerprint(
-                cluster.dfs(),
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage3-brj-fill",
+                &fill_inputs,
+                &tag,
+                &halves_path,
+                |fp| {
+                    // Semi-join reduction: the mappers shuffle only the records
+                    // some pair names.
+                    let (participants, participants_path) =
+                        Participants::publish(cluster, pairs_path, s_records.is_some(), work)?;
+                    let mapper = BrjFillMapper {
+                        format: config.format.clone(),
+                        pairs_path: pairs_path.to_string(),
+                        s_path: s_records.map(str::to_string),
+                        bad_records: config.bad_records,
+                        participants_path,
+                        participants: None,
+                        records_filtered: Named::new("stage3.records_filtered"),
+                    };
+                    let mut inputs = text_input(cluster.dfs(), records)?;
+                    if let Some(s) = s_records {
+                        inputs.extend(text_input(cluster.dfs(), s)?);
+                    }
+                    inputs.extend(text_input(cluster.dfs(), pairs_path)?);
+                    let job = Job::new("stage3-brj-fill", mapper, BrjFillReducer::default())
+                        .inputs(inputs)
+                        .output_seq(&halves_path)
+                        .fingerprint(fp);
+                    let mut jm = cluster.run(job)?;
+                    jm.counters
+                        .push(("stage3.participants".to_string(), participants as u64));
+                    Ok(jm)
+                },
+            )?);
+            metrics.push(rec.run_or_skip(
+                cluster,
                 "stage3-brj-assemble",
                 &[&halves_path],
                 &tag,
-            );
-            if rec.should_skip(cluster, "stage3-brj-assemble", &joined_path, fp2) {
-                metrics.push(Recovery::skipped_job_metrics("stage3-brj-assemble"));
-            } else {
-                let job2 = Job::new(
-                    "stage3-brj-assemble",
-                    mapreduce::IdentityMapper::<PairKey, (u8, String, f64)>::new(),
-                    AssembleReducer::default(),
-                )
-                .inputs(seq_input::<PairKey, (u8, String, f64)>(
-                    cluster.dfs(),
-                    &halves_path,
-                )?)
-                .output_seq(&joined_path)
-                .fingerprint(fp2);
-                metrics.push(cluster.run(job2)?);
-            }
+                &joined_path,
+                |fp| {
+                    let job = Job::new(
+                        "stage3-brj-assemble",
+                        mapreduce::IdentityMapper::<PairKey, (u8, String, f64)>::new(),
+                        AssembleReducer::default(),
+                    )
+                    .inputs(seq_input::<PairKey, (u8, String, f64)>(
+                        cluster.dfs(),
+                        &halves_path,
+                    )?)
+                    .output_seq(&joined_path)
+                    .fingerprint(fp);
+                    cluster.run(job)
+                },
+            )?);
         }
         Stage3Algo::Oprj => {
             let mut oprj_inputs = record_paths.clone();
             oprj_inputs.push(pairs_path);
-            let fp = recovery::job_fingerprint(cluster.dfs(), "stage3-oprj", &oprj_inputs, &tag);
-            if rec.should_skip(cluster, "stage3-oprj", &joined_path, fp) {
-                metrics.push(Recovery::skipped_job_metrics("stage3-oprj"));
-            } else {
-                let mapper = OprjMapper {
-                    format: config.format.clone(),
-                    pairs_path: pairs_path.to_string(),
-                    s_path: s_records.map(str::to_string),
-                    bad_records: config.bad_records,
-                    index_r: None,
-                    index_s: None,
-                };
-                let mut inputs = text_input(cluster.dfs(), records)?;
-                if let Some(s) = s_records {
-                    inputs.extend(text_input(cluster.dfs(), s)?);
-                }
-                let job = Job::new("stage3-oprj", mapper, AssembleReducer::default())
-                    .inputs(inputs)
-                    .output_seq(&joined_path)
-                    .fingerprint(fp);
-                metrics.push(cluster.run(job)?);
-            }
+            metrics.push(rec.run_or_skip(
+                cluster,
+                "stage3-oprj",
+                &oprj_inputs,
+                &tag,
+                &joined_path,
+                |fp| {
+                    let mapper = OprjMapper {
+                        format: config.format.clone(),
+                        pairs_path: pairs_path.to_string(),
+                        s_path: s_records.map(str::to_string),
+                        bad_records: config.bad_records,
+                        index_r: None,
+                        index_s: None,
+                    };
+                    let mut inputs = text_input(cluster.dfs(), records)?;
+                    if let Some(s) = s_records {
+                        inputs.extend(text_input(cluster.dfs(), s)?);
+                    }
+                    let job = Job::new("stage3-oprj", mapper, AssembleReducer::default())
+                        .inputs(inputs)
+                        .output_seq(&joined_path)
+                        .fingerprint(fp);
+                    cluster.run(job)
+                },
+            )?);
         }
     }
     Ok((joined_path, metrics))

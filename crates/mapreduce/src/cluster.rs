@@ -81,11 +81,9 @@ pub struct ClusterConfig {
     /// passes first.
     pub merge_factor: usize,
     /// Base simulated backoff before re-executing a failed attempt; doubles
-    /// each retry up to [`ClusterConfig::retry_backoff_cap_secs`]. Charged
-    /// to simulated time only — real execution retries immediately.
+    /// each retry up to a 60 s cap. Charged to simulated time only — real
+    /// execution retries immediately.
     pub retry_backoff_secs: f64,
-    /// Upper bound on a single retry's backoff.
-    pub retry_backoff_cap_secs: f64,
     /// Speculatively re-execute straggler attempts in the makespan model
     /// (Hadoop's speculative execution). Only changes anything when a task
     /// runs slower than its expected duration (i.e. under fault injection).
@@ -138,21 +136,17 @@ pub struct ClusterConfig {
     /// affects simulated time or committed bytes.
     pub task_timeout_secs: Option<f64>,
     /// Interval at which process workers emit heartbeat frames on the
-    /// pipe protocol while a task runs. Only meaningful when
+    /// pipe protocol while a task runs; a worker silent for eight
+    /// intervals is presumed hung and killed, even before its task
+    /// deadline. Only meaningful when
     /// [`ClusterConfig::task_timeout_secs`] is set.
     pub heartbeat_interval_secs: f64,
-    /// Grace multiplier for heartbeat expiry: a worker whose last
-    /// heartbeat is older than `heartbeat_interval_secs * heartbeat_grace`
-    /// is presumed hung and killed, even before its task deadline.
-    pub heartbeat_grace: f64,
     /// A process worker slot that suffers this many transport/timeout
-    /// losses within [`ClusterConfig::worker_quarantine_window_secs`] is
-    /// quarantined: removed from rotation for the rest of the job. When
-    /// every slot is quarantined the remaining tasks run in-process on the
-    /// driver over the same DFS store (byte-identical output).
+    /// losses within a sliding 60 s window is quarantined: removed from
+    /// rotation for the rest of the job. When every slot is quarantined the
+    /// remaining tasks run in-process on the driver over the same DFS store
+    /// (byte-identical output).
     pub worker_quarantine_losses: usize,
-    /// Sliding wall-clock window for the quarantine ledger.
-    pub worker_quarantine_window_secs: f64,
     /// Emit a [`crate::trace::EventKind::Profile`] trace event per job
     /// carrying the per-phase [`crate::JobProfile`] JSON. Phase counters
     /// are collected regardless (they are a handful of clock reads per
@@ -174,7 +168,6 @@ impl Default for ClusterConfig {
             max_task_attempts: 1,
             merge_factor: 64,
             retry_backoff_secs: 1.0,
-            retry_backoff_cap_secs: 60.0,
             speculation: true,
             faults: None,
             heavy_hitter_top_k: 10,
@@ -185,9 +178,7 @@ impl Default for ClusterConfig {
             shuffle_channel_capacity: 256,
             task_timeout_secs: None,
             heartbeat_interval_secs: 0.25,
-            heartbeat_grace: 8.0,
             worker_quarantine_losses: 3,
-            worker_quarantine_window_secs: 60.0,
             profile: false,
         }
     }
@@ -247,12 +238,6 @@ impl ClusterConfig {
                 self.retry_backoff_secs
             ));
         }
-        if !self.retry_backoff_cap_secs.is_finite() || self.retry_backoff_cap_secs < 0.0 {
-            return Err(format!(
-                "retry_backoff_cap_secs {} must be finite and >= 0",
-                self.retry_backoff_cap_secs
-            ));
-        }
         if self.heavy_hitter_top_k == 0 {
             return Err("heavy_hitter_top_k must be at least 1".into());
         }
@@ -278,22 +263,8 @@ impl ClusterConfig {
                 self.heartbeat_interval_secs
             ));
         }
-        if !self.heartbeat_grace.is_finite() || self.heartbeat_grace < 1.0 {
-            return Err(format!(
-                "heartbeat_grace {} must be finite and >= 1",
-                self.heartbeat_grace
-            ));
-        }
         if self.worker_quarantine_losses == 0 {
             return Err("worker_quarantine_losses must be at least 1".into());
-        }
-        if !self.worker_quarantine_window_secs.is_finite()
-            || self.worker_quarantine_window_secs <= 0.0
-        {
-            return Err(format!(
-                "worker_quarantine_window_secs {} must be finite and > 0",
-                self.worker_quarantine_window_secs
-            ));
         }
         if let Some(plan) = &self.faults {
             plan.validate(self.nodes)?;
@@ -677,9 +648,6 @@ mod tests {
         c.retry_backoff_secs = -1.0;
         assert!(c.validate().is_err());
         c.retry_backoff_secs = 1.0;
-        c.retry_backoff_cap_secs = f64::INFINITY;
-        assert!(c.validate().is_err());
-        c.retry_backoff_cap_secs = 60.0;
         c.validate().unwrap();
         let mut plan = FaultPlan::quiet(0);
         plan.dead_node = Some(5);

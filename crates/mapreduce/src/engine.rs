@@ -594,15 +594,16 @@ fn heavy_hitter_capacity(config: &ClusterConfig) -> usize {
 pub(crate) struct RetryPolicy {
     max_attempts: usize,
     backoff_secs: f64,
-    backoff_cap_secs: f64,
 }
+
+/// Upper bound on a single retry's simulated backoff.
+const BACKOFF_CAP_SECS: f64 = 60.0;
 
 impl RetryPolicy {
     pub(crate) fn from_config(config: &ClusterConfig) -> Self {
         RetryPolicy {
             max_attempts: config.max_task_attempts,
             backoff_secs: config.retry_backoff_secs,
-            backoff_cap_secs: config.retry_backoff_cap_secs,
         }
     }
 
@@ -613,7 +614,7 @@ impl RetryPolicy {
             return 0.0;
         }
         let factor = 2f64.powi(failed_attempt.min(62) as i32);
-        (self.backoff_secs * factor).min(self.backoff_cap_secs)
+        (self.backoff_secs * factor).min(BACKOFF_CAP_SECS)
     }
 }
 
@@ -815,9 +816,10 @@ where
     let results: Mutex<Vec<O>> = Mutex::new(Vec::new());
     let stats: Mutex<RetryStats> = Mutex::new(RetryStats::default());
     let error: Mutex<Option<MrError>> = Mutex::new(None);
-    crossbeam::thread::scope(|s| {
+    // A worker that panics makes `scope` panic after joining the rest.
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 if error.lock().is_some() {
                     return;
                 }
@@ -837,8 +839,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
     if let Some(e) = error.into_inner() {
         return Err(e);
     }
@@ -1520,7 +1521,6 @@ mod tests {
         RetryPolicy {
             max_attempts,
             backoff_secs: 1.0,
-            backoff_cap_secs: 60.0,
         }
     }
 
@@ -1631,20 +1631,19 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            backoff_secs: 1.0,
-            backoff_cap_secs: 5.0,
-        };
+        let p = policy(10);
         assert_eq!(p.backoff_after(0), 1.0);
         assert_eq!(p.backoff_after(1), 2.0);
-        assert_eq!(p.backoff_after(2), 4.0);
-        assert_eq!(p.backoff_after(3), 5.0, "capped");
-        assert_eq!(p.backoff_after(100), 5.0, "huge attempt counts saturate");
+        assert_eq!(p.backoff_after(5), 32.0);
+        assert_eq!(p.backoff_after(6), BACKOFF_CAP_SECS, "capped");
+        assert_eq!(
+            p.backoff_after(100),
+            BACKOFF_CAP_SECS,
+            "huge attempt counts saturate"
+        );
         let none = RetryPolicy {
             max_attempts: 10,
             backoff_secs: 0.0,
-            backoff_cap_secs: 5.0,
         };
         assert_eq!(none.backoff_after(3), 0.0);
     }

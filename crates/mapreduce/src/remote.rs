@@ -1059,12 +1059,13 @@ struct WorkerPool {
     spawned: AtomicU64,
     /// Transport/timeout losses within the window that quarantine a slot.
     quarantine_losses: usize,
-    /// Sliding window for the loss ledger.
-    quarantine_window: Duration,
 }
 
 /// Respawn attempts per checkout before giving up on a slot.
 const RESPAWN_ATTEMPTS: u32 = 3;
+
+/// Sliding wall-clock window of a slot's loss ledger.
+const QUARANTINE_WINDOW: Duration = Duration::from_secs(60);
 
 impl WorkerPool {
     /// A live worker process, or `None` when every slot is quarantined (or
@@ -1118,7 +1119,7 @@ impl WorkerPool {
         s.in_use = false;
         let now = Instant::now();
         s.losses
-            .retain(|t| now.duration_since(*t) <= self.quarantine_window);
+            .retain(|t| now.duration_since(*t) <= QUARANTINE_WINDOW);
         s.losses.push(now);
         if !s.quarantined && s.losses.len() >= self.quarantine_losses {
             s.quarantined = true;
@@ -1219,7 +1220,6 @@ where
         spill_dir: root.join("shuffle").join(tag),
         spawned: AtomicU64::new(1),
         quarantine_losses: config.worker_quarantine_losses.max(1),
-        quarantine_window: Duration::from_secs_f64(config.worker_quarantine_window_secs),
     };
     // Bring up (and handshake) the first worker eagerly: this validates
     // the factory exists in the worker executable before any task runs.

@@ -274,6 +274,10 @@ impl CancelToken {
     }
 }
 
+/// A worker whose last heartbeat is older than this many heartbeat
+/// intervals is presumed hung and killed, even before its task deadline.
+const HEARTBEAT_GRACE: f64 = 8.0;
+
 /// One job's wall-clock supervision: the monitor thread, the per-attempt
 /// deadline and heartbeat window from the [`ClusterConfig`], and what every
 /// expiry reports (the `mr.supervise.task_timeout` counter and a
@@ -302,7 +306,7 @@ impl Watchdog {
     ) -> Option<Self> {
         let deadline = Duration::from_secs_f64(config.task_timeout_secs?);
         let heartbeat_window =
-            Duration::from_secs_f64(config.heartbeat_interval_secs * config.heartbeat_grace);
+            Duration::from_secs_f64(config.heartbeat_interval_secs * HEARTBEAT_GRACE);
         Some(Watchdog {
             supervisor: Supervisor::new(deadline.min(heartbeat_window) / 4),
             deadline,

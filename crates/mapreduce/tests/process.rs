@@ -350,7 +350,6 @@ fn injected_hang_is_deadline_killed_retried_and_byte_identical() {
         config.faults = Some(plan);
         config.task_timeout_secs = Some(2.0);
         config.heartbeat_interval_secs = 0.05;
-        config.heartbeat_grace = 6.0;
     });
 
     assert_eq!(
@@ -381,7 +380,6 @@ fn real_hung_worker_is_killed_and_replaced() {
             config.max_task_attempts = 4;
             config.task_timeout_secs = Some(2.0);
             config.heartbeat_interval_secs = 0.05;
-            config.heartbeat_grace = 6.0;
         })
     };
 
@@ -412,7 +410,6 @@ fn quarantined_pool_falls_back_in_process_byte_identically() {
     let quarantined = run_probe_with(true, u64::MAX, |config| {
         config.max_task_attempts = 8;
         config.worker_quarantine_losses = 1;
-        config.worker_quarantine_window_secs = 3600.0;
     });
 
     assert_eq!(

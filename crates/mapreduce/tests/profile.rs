@@ -4,16 +4,34 @@
 //! The profiler rides the ordinary counter channel, so it must hold on
 //! every backend — including the process backend's in-process fallback
 //! path, which these closure-built jobs exercise (no registered factory).
-//! Real out-of-process counter merging is covered by `tests/process.rs`
-//! and the committed `PROFILE_pr8.json` artifact.
+//! Real out-of-process counter merging is covered by `tests/process.rs`.
 
 use mapreduce::{
     text_input, BackendKind, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Emit,
     EventKind, Job, JobMetrics, JobProfile, TaskContext, TraceEvent, TraceSink,
 };
 
-fn corpus() -> Vec<String> {
-    (0..400).map(|i| format!("k{} v{i}", i % 13)).collect()
+fn corpus(records: usize) -> Vec<String> {
+    (0..records).map(|i| format!("k{} v{i}", i % 13)).collect()
+}
+
+/// Enough records for the probe's spills and attribution to show.
+const SHORT: usize = 400;
+
+/// Enough records that a job lasts 50 ms or more (130–180 ms unoptimised on
+/// the 2-vCPU reference host). The coverage contract allows 5 % of the job
+/// wall outside the phase windows; one preemption between two windows is
+/// more than that of a 5 ms job, and not of this one.
+const LONG: usize = 25_000;
+
+/// Held by the tests that assert coverage: libtest runs this file's tests
+/// on parallel threads, and two four-thread jobs on a two-core host stall
+/// each other for longer between windows than either job's 5 % allows.
+static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn timed() -> std::sync::MutexGuard<'static, ()> {
+    // A poisoned lock is another timed test's failed assertion.
+    TIMED.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn config(backend: BackendKind, profile: bool) -> ClusterConfig {
@@ -26,10 +44,11 @@ fn config(backend: BackendKind, profile: bool) -> ClusterConfig {
     }
 }
 
-/// Run the standard probe job; returns (metrics, committed pairs).
-fn run_probe(config: ClusterConfig) -> (JobMetrics, Vec<(String, String)>) {
+/// Run the standard probe job over `records` records; returns (metrics,
+/// committed pairs).
+fn run_probe(config: ClusterConfig, records: usize) -> (JobMetrics, Vec<(String, String)>) {
     let cluster = Cluster::new(config, 256).unwrap();
-    cluster.dfs().write_text("/in", corpus()).unwrap();
+    cluster.dfs().write_text("/in", corpus(records)).unwrap();
     let mapper = ClosureMapper::new(
         |_off: &u64, line: &String, out: &mut dyn Emit<String, String>, _: &TaskContext| {
             let (k, v) = line.split_once(' ').unwrap();
@@ -55,12 +74,13 @@ fn run_probe(config: ClusterConfig) -> (JobMetrics, Vec<(String, String)>) {
 
 #[test]
 fn wall_windows_cover_job_wall_on_every_backend() {
+    let _alone = timed();
     for backend in [
         BackendKind::Simulated,
         BackendKind::Sharded,
         BackendKind::Process,
     ] {
-        let (metrics, _) = run_probe(config(backend, false));
+        let (metrics, _) = run_probe(config(backend, false), LONG);
         let prof = JobProfile::from_metrics(&metrics);
         assert!(!prof.is_empty(), "{backend:?}: no phase counters recorded");
         let coverage = prof.coverage(metrics.wall_secs);
@@ -82,7 +102,7 @@ fn wall_windows_cover_job_wall_on_every_backend() {
 
 #[test]
 fn busy_attribution_is_recorded_and_consistent() {
-    let (metrics, _) = run_probe(config(BackendKind::Sharded, false));
+    let (metrics, _) = run_probe(config(BackendKind::Sharded, false), SHORT);
     let prof = JobProfile::from_metrics(&metrics);
     // The probe spills (1 KiB buffer over 400 records), so spill bytes and
     // map-exec time must both be visible.
@@ -104,8 +124,8 @@ fn profiling_flag_never_changes_committed_output() {
         BackendKind::Sharded,
         BackendKind::Process,
     ] {
-        let (_, off) = run_probe(config(backend, false));
-        let (_, on) = run_probe(config(backend, true));
+        let (_, off) = run_probe(config(backend, false), SHORT);
+        let (_, on) = run_probe(config(backend, true), SHORT);
         assert_eq!(off, on, "{backend:?}: profiling changed committed bytes");
     }
 }
@@ -114,7 +134,8 @@ fn profile_events(profile: bool) -> Vec<TraceEvent> {
     let mut cluster = Cluster::new(config(BackendKind::Sharded, profile), 256).unwrap();
     let sink = TraceSink::new();
     cluster.set_trace(sink.clone());
-    cluster.dfs().write_text("/in", corpus()).unwrap();
+    // The caller asserts coverage, hence the long job.
+    cluster.dfs().write_text("/in", corpus(LONG)).unwrap();
     let mapper = ClosureMapper::new(
         |_off: &u64, line: &String, out: &mut dyn Emit<String, u64>, _: &TaskContext| {
             out.emit(line.split(' ').next().unwrap().to_string(), 1)
@@ -139,6 +160,7 @@ fn profile_events(profile: bool) -> Vec<TraceEvent> {
 
 #[test]
 fn profile_trace_event_is_gated_on_the_config_flag() {
+    let _alone = timed();
     assert!(
         profile_events(false).is_empty(),
         "profile event emitted with the flag off"

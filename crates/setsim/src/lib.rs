@@ -42,9 +42,7 @@
 
 pub mod allpairs;
 pub mod dict;
-pub mod edit;
 pub mod measure;
-pub mod minhash;
 pub mod naive;
 pub mod oracle;
 pub mod ppjoin;
@@ -55,9 +53,7 @@ pub mod tokenize;
 pub mod verify;
 
 pub use dict::{TokenOrder, TokenRank};
-pub use edit::{edit_self_join, levenshtein, levenshtein_within};
 pub use measure::{SimFunction, Threshold, TokenSet};
-pub use minhash::{lsh_self_join, LshParams, MinHasher};
 pub use naive::Record;
 pub use ppjoin::{FilterConfig, Funnel, Match, PpjoinIndex};
 pub use sketch::{Estimate, SpaceSaving};

@@ -186,74 +186,6 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Edit-distance and LSH extensions
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(60))]
-
-    /// Banded Levenshtein agrees with the exact DP.
-    #[test]
-    fn banded_levenshtein_agrees(
-        a in "[a-d]{0,12}",
-        b in "[a-d]{0,12}",
-        k in 0usize..6,
-    ) {
-        let exact = setsim::levenshtein(&a, &b);
-        match setsim::levenshtein_within(&a, &b, k) {
-            Some(d) => {
-                prop_assert_eq!(d, exact);
-                prop_assert!(d <= k);
-            }
-            None => prop_assert!(exact > k),
-        }
-    }
-
-    /// Levenshtein is a metric: symmetric, identity, triangle inequality.
-    #[test]
-    fn levenshtein_is_a_metric(
-        a in "[a-c]{0,8}",
-        b in "[a-c]{0,8}",
-        c in "[a-c]{0,8}",
-    ) {
-        let ab = setsim::levenshtein(&a, &b);
-        prop_assert_eq!(ab, setsim::levenshtein(&b, &a));
-        prop_assert_eq!(setsim::levenshtein(&a, &a), 0);
-        let ac = setsim::levenshtein(&a, &c);
-        let cb = setsim::levenshtein(&c, &b);
-        prop_assert!(ab <= ac + cb, "triangle violated: {} > {} + {}", ab, ac, cb);
-    }
-
-    /// The q-gram edit join equals the naive quadratic join.
-    #[test]
-    fn edit_join_equals_naive(
-        strings in prop::collection::vec("[a-c ]{0,10}", 0..14),
-        d in 0usize..4,
-        q in 2usize..4,
-    ) {
-        let expected = setsim::edit::naive_edit_self_join(&strings, d);
-        let got = setsim::edit_self_join(&strings, q, d);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// LSH verification keeps precision perfect: every returned pair truly
-    /// passes the threshold, and the result is a subset of the exact join.
-    #[test]
-    fn lsh_is_a_subset_of_exact(records in record_collection(20)) {
-        let t = Threshold::jaccard(0.6);
-        let exact: std::collections::HashSet<(u64, u64)> = naive::self_join(&records, &t)
-            .into_iter()
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        let params = setsim::LshParams { bands: 12, rows: 2 };
-        for (a, b, sim) in setsim::lsh_self_join(&records, &t, params, 5) {
-            prop_assert!(exact.contains(&(a, b)));
-            prop_assert!(sim + 1e-9 >= 0.6);
-        }
-    }
-}
-
 /// Deterministic Zipf-like stream: key `k` is drawn with probability
 /// ∝ `1/(k+1)^s` via inverse-CDF sampling over a precomputed weight
 /// table, seeded with `StdRng` — the token-frequency shape the skew
