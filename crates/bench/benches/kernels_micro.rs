@@ -275,7 +275,7 @@ fn bench_dfs_integrity(c: &mut Criterion) {
 /// tokens, found through the table); projecting into a new vector against a
 /// kept one; and stage 1's count of 50 000 records as one map task runs it.
 fn bench_record_path(c: &mut Criterion) {
-    use fuzzyjoin::{stage1::TokenCountMapper, RecordFormat, TokenizerKind};
+    use fuzzyjoin::{stage1::TokenCountMapper, JoinConfig};
     use mapreduce::{Cache, Counters, Dfs, Mapper, MemoryGauge, Phase, TaskContext, VecEmitter};
 
     let dblp = datagen::dblp(50_000, 7);
@@ -334,7 +334,7 @@ fn bench_record_path(c: &mut Criterion) {
         Cache::new(),
         Dfs::new(1, 64),
     );
-    let prototype = TokenCountMapper::new(RecordFormat::bibliographic(), TokenizerKind::Word);
+    let prototype = TokenCountMapper::new(&JoinConfig::recommended());
     g.throughput(Throughput::Elements(lines.len() as u64));
     g.bench_function("stage1_count/dblp", |b| {
         b.iter(|| {

@@ -375,42 +375,34 @@ fn join_config(args: &Args) -> Result<(JoinConfig, usize), String> {
         skew.mode = SkewMode::parse(mode).map_err(|e| format!("bad --skew: {e}"))?;
     }
     if let Some(v) = args.get("skew-split-max") {
-        let b: u32 = v
+        skew.split_max = v
             .parse()
             .map_err(|e| format!("bad --skew-split-max: {e}"))?;
-        if b < 2 {
-            return Err("--skew-split-max must be at least 2".into());
-        }
-        skew.split_max = b;
     }
     if let Some(v) = args.get("skew-hot-threshold") {
-        let t: u64 = v
+        skew.hot_threshold = v
             .parse()
             .map_err(|e| format!("bad --skew-hot-threshold: {e}"))?;
-        if t == 0 {
-            return Err("--skew-hot-threshold must be positive".into());
-        }
-        skew.hot_threshold = t;
     }
 
-    Ok((
-        JoinConfig {
-            threshold,
-            format: RecordFormat {
-                rid_field,
-                join_fields,
-            },
-            tokenizer,
-            stage1,
-            stage2,
-            routing,
-            stage3,
-            length_sub_routing: None,
-            bad_records,
-            skew,
+    let config = JoinConfig {
+        threshold,
+        format: RecordFormat {
+            rid_field,
+            join_fields,
         },
-        nodes,
-    ))
+        tokenizer,
+        stage1,
+        stage2,
+        routing,
+        stage3,
+        length_sub_routing: None,
+        bad_records,
+        skew,
+    };
+    // The library names each rejected value by its flag.
+    config.validate().map_err(|e| format!("bad --{e}"))?;
+    Ok((config, nodes))
 }
 
 /// Parse `--backend` (absent, or a [`BackendKind`] name).
@@ -858,6 +850,22 @@ mod tests {
         assert!(run(&argv("selfjoin --input a --out b --combo nope")).is_err());
         assert!(run(&argv("selfjoin --input a --out b --typo 1")).is_err());
         assert!(run(&argv("gen --kind marsian --out x")).is_err());
+        // Values no job can run with are refused before the input is read.
+        for (flags, message) in [
+            ("--qgram 0", "bad --qgram: q must be at least 1"),
+            ("--groups 0", "bad --groups: must be at least 1"),
+            (
+                "--skew-split-max 1",
+                "bad --skew-split-max: must be at least 2",
+            ),
+            (
+                "--skew-hot-threshold 0",
+                "bad --skew-hot-threshold: must be at least 1",
+            ),
+        ] {
+            let err = run(&argv(&format!("selfjoin --input none --out b {flags}"))).unwrap_err();
+            assert!(err.starts_with(message), "{flags}: {err}");
+        }
     }
 
     #[test]

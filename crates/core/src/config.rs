@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use setsim::{FilterConfig, Threshold};
+use setsim::{FilterConfig, SimFunction, Threshold};
 
-use mapreduce::{MrError, Result, TaskContext};
+use mapreduce::{codec_struct, ByteReader, Codec, MrError, Result, TaskContext};
 
 use crate::skew::SkewConfig;
 
@@ -217,7 +217,7 @@ impl TokenRouting {
     pub fn group_of(&self, rank: u32) -> u32 {
         match self {
             TokenRouting::Individual => rank,
-            TokenRouting::Grouped { groups } => rank % (*groups).max(1),
+            TokenRouting::Grouped { groups } => rank % groups,
         }
     }
 }
@@ -258,7 +258,7 @@ pub enum Stage3Algo {
 }
 
 /// Full configuration of an end-to-end join.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinConfig {
     /// The join predicate.
     pub threshold: Threshold,
@@ -329,6 +329,28 @@ impl JoinConfig {
         self
     }
 
+    /// Reject values no job can run with, each named by the knob that sets
+    /// it. The pipeline entry points check this once, before any job
+    /// starts; a decoded config has passed it.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if self.tokenizer == TokenizerKind::QGram(0) {
+            return Err("qgram: q must be at least 1".into());
+        }
+        if self.routing == (TokenRouting::Grouped { groups: 0 }) {
+            return Err("groups: must be at least 1".into());
+        }
+        if self.format.join_fields.is_empty() {
+            return Err("join-fields: must name at least one field".into());
+        }
+        if self.skew.split_max < 2 {
+            return Err("skew-split-max: must be at least 2".into());
+        }
+        if self.skew.hot_threshold == 0 {
+            return Err("skew-hot-threshold: must be at least 1".into());
+        }
+        Ok(())
+    }
+
     /// Human-readable combination name like `BTO-PK-BRJ`.
     pub fn combo_name(&self) -> String {
         let s1 = match self.stage1 {
@@ -356,9 +378,174 @@ impl Default for JoinConfig {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Wire form
+// ---------------------------------------------------------------------------
+//
+// A join job reaches a worker process as its spec's bytes, and every spec
+// carries the `JoinConfig`. Each enum's tags are listed once, in its impl.
+
+pub(crate) fn unknown_tag(what: &str, tag: u8) -> MrError {
+    MrError::Codec(format!("unknown {what} tag {tag}"))
+}
+
+/// `Codec` for a field-less enum: a variant's tag is its place in the list.
+macro_rules! codec_unit_enum {
+    ($t:ident, $what:literal: $($v:ident),+) => {
+        impl Codec for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let tag = [$($t::$v),+].iter().position(|v| v == self);
+                buf.push(tag.expect("every variant is listed") as u8);
+            }
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+                let tag = r.take_u8()?;
+                let listed = [$($t::$v),+].get(usize::from(tag)).copied();
+                listed.ok_or_else(|| $crate::config::unknown_tag($what, tag))
+            }
+        }
+    };
+}
+pub(crate) use codec_unit_enum;
+
+codec_unit_enum!(Stage1Algo, "stage-1 algorithm": Bto, Opto, BtoRange);
+codec_unit_enum!(Stage3Algo, "stage-3 algorithm": Brj, Oprj);
+codec_struct!(RecordFormat {
+    rid_field,
+    join_fields
+});
+
+impl Codec for BadRecordPolicy {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match *self {
+            BadRecordPolicy::Strict => buf.push(0),
+            BadRecordPolicy::Skip => buf.push(1),
+            BadRecordPolicy::SkipUpTo(n) => (2u8, n).encode(buf),
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.take_u8()? {
+            0 => Ok(BadRecordPolicy::Strict),
+            1 => Ok(BadRecordPolicy::Skip),
+            2 => Ok(BadRecordPolicy::SkipUpTo(Codec::decode(r)?)),
+            t => Err(unknown_tag("bad-record policy", t)),
+        }
+    }
+}
+
+impl Codec for TokenizerKind {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match *self {
+            TokenizerKind::Word => buf.push(0),
+            TokenizerKind::QGram(q) => (1u8, q).encode(buf),
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.take_u8()? {
+            0 => Ok(TokenizerKind::Word),
+            1 => Ok(TokenizerKind::QGram(Codec::decode(r)?)),
+            t => Err(unknown_tag("tokenizer", t)),
+        }
+    }
+}
+
+impl Codec for TokenRouting {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match *self {
+            TokenRouting::Individual => buf.push(0),
+            TokenRouting::Grouped { groups } => (1u8, groups).encode(buf),
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.take_u8()? {
+            0 => Ok(TokenRouting::Individual),
+            1 => Ok(TokenRouting::Grouped {
+                groups: Codec::decode(r)?,
+            }),
+            t => Err(unknown_tag("routing", t)),
+        }
+    }
+}
+
+impl Codec for Stage2Algo {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match *self {
+            Stage2Algo::Bk => buf.push(0),
+            Stage2Algo::Pk { filters } => (1u8, filters.positional, filters.suffix).encode(buf),
+            Stage2Algo::BkMapBlocks { blocks } => (2u8, blocks).encode(buf),
+            Stage2Algo::BkReduceBlocks { blocks } => (3u8, blocks).encode(buf),
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.take_u8()? {
+            0 => Ok(Stage2Algo::Bk),
+            1 => {
+                let (positional, suffix) = Codec::decode(r)?;
+                let filters = FilterConfig { positional, suffix };
+                Ok(Stage2Algo::Pk { filters })
+            }
+            2 => Ok(Stage2Algo::BkMapBlocks {
+                blocks: Codec::decode(r)?,
+            }),
+            3 => Ok(Stage2Algo::BkReduceBlocks {
+                blocks: Codec::decode(r)?,
+            }),
+            t => Err(unknown_tag("stage-2 algorithm", t)),
+        }
+    }
+}
+
+/// Similarity functions by wire tag.
+const SIM_FUNCTIONS: [SimFunction; 4] = [
+    SimFunction::Jaccard,
+    SimFunction::Cosine,
+    SimFunction::Dice,
+    SimFunction::Overlap,
+];
+
+/// The threshold is a foreign type, so it is spelled out here: function tag,
+/// then τ. Decoding hands back only what [`JoinConfig::validate`] accepts.
+impl Codec for JoinConfig {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let func = self.threshold.func();
+        let tag = SIM_FUNCTIONS.iter().position(|f| *f == func);
+        buf.push(tag.expect("every similarity function is listed") as u8);
+        self.threshold.tau().encode(buf);
+        self.format.encode(buf);
+        self.tokenizer.encode(buf);
+        self.stage1.encode(buf);
+        self.stage2.encode(buf);
+        self.routing.encode(buf);
+        self.stage3.encode(buf);
+        self.length_sub_routing.encode(buf);
+        self.bad_records.encode(buf);
+        self.skew.encode(buf);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let tag = r.take_u8()?;
+        let func = SIM_FUNCTIONS.get(usize::from(tag)).copied();
+        let func = func.ok_or_else(|| unknown_tag("similarity function", tag))?;
+        let config = JoinConfig {
+            threshold: Threshold::new(func, Codec::decode(r)?).map_err(MrError::Codec)?,
+            format: Codec::decode(r)?,
+            tokenizer: Codec::decode(r)?,
+            stage1: Codec::decode(r)?,
+            stage2: Codec::decode(r)?,
+            routing: Codec::decode(r)?,
+            stage3: Codec::decode(r)?,
+            length_sub_routing: Codec::decode(r)?,
+            bad_records: Codec::decode(r)?,
+            skew: Codec::decode(r)?,
+        };
+        config.validate().map_err(MrError::Codec)?;
+        Ok(config)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skew::SkewMode;
+    use proptest::prelude::*;
 
     #[test]
     fn record_format_parses_bibliographic_lines() {
@@ -465,6 +652,137 @@ mod tests {
             BadRecordPolicy::SkipUpTo(7),
         ] {
             assert_eq!(BadRecordPolicy::parse(&p.to_string()).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn validate_names_the_knob_it_rejects() {
+        let ok = JoinConfig::recommended();
+        assert_eq!(ok.validate(), Ok(()));
+        let rejected = |config: JoinConfig| config.validate().unwrap_err();
+        let mut c = ok.clone();
+        c.tokenizer = TokenizerKind::QGram(0);
+        assert!(rejected(c).starts_with("qgram: "));
+        let mut c = ok.clone();
+        c.routing = TokenRouting::Grouped { groups: 0 };
+        assert!(rejected(c).starts_with("groups: "));
+        let mut c = ok.clone();
+        c.format.join_fields.clear();
+        assert!(rejected(c).starts_with("join-fields: "));
+        let mut c = ok.clone();
+        c.skew.split_max = 1;
+        assert!(rejected(c).starts_with("skew-split-max: "));
+        let mut c = ok.clone();
+        c.skew.hot_threshold = 0;
+        assert!(rejected(c).starts_with("skew-hot-threshold: "));
+    }
+
+    #[test]
+    fn decode_hands_back_only_valid_configs() {
+        // Encoding does not validate; decoding does.
+        let mut c = JoinConfig::recommended();
+        c.routing = TokenRouting::Grouped { groups: 0 };
+        let err = JoinConfig::from_bytes(&c.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("groups: "), "{err}");
+        // The first byte is the similarity-function tag, the next eight τ.
+        let mut bytes = JoinConfig::recommended().to_bytes();
+        bytes[0] = 9;
+        let err = JoinConfig::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("similarity function tag 9"));
+        let mut bytes = JoinConfig::recommended().to_bytes();
+        bytes[1..9].copy_from_slice(&1.5f64.to_le_bytes());
+        assert!(JoinConfig::from_bytes(&bytes).is_err(), "Jaccard 1.5");
+    }
+
+    /// Every variant of every enum the configuration holds.
+    fn configs() -> impl Strategy<Value = JoinConfig> {
+        let fraction = |t: u32| f64::from(t) / 100.0;
+        let threshold = prop_oneof![
+            (1u32..=100).prop_map(move |t| Threshold::jaccard(fraction(t))),
+            (1u32..=100).prop_map(move |t| Threshold::cosine(fraction(t))),
+            (1u32..=100).prop_map(move |t| Threshold::dice(fraction(t))),
+            (1u32..40).prop_map(|t| Threshold::new(SimFunction::Overlap, f64::from(t)).unwrap()),
+        ];
+        let format = (0usize..4, prop::collection::vec(0usize..6, 1..4)).prop_map(
+            |(rid_field, join_fields)| RecordFormat {
+                rid_field,
+                join_fields,
+            },
+        );
+        let tokenizer = prop_oneof![
+            Just(TokenizerKind::Word),
+            (1usize..9).prop_map(TokenizerKind::QGram)
+        ];
+        let stage1 = prop_oneof![
+            Just(Stage1Algo::Bto),
+            Just(Stage1Algo::Opto),
+            Just(Stage1Algo::BtoRange)
+        ];
+        let stage2 = prop_oneof![
+            Just(Stage2Algo::Bk),
+            (any::<bool>(), any::<bool>()).prop_map(|(positional, suffix)| Stage2Algo::Pk {
+                filters: FilterConfig { positional, suffix },
+            }),
+            (1u32..9).prop_map(|blocks| Stage2Algo::BkMapBlocks { blocks }),
+            (1u32..9).prop_map(|blocks| Stage2Algo::BkReduceBlocks { blocks }),
+        ];
+        let routing = prop_oneof![
+            Just(TokenRouting::Individual),
+            (1u32..500).prop_map(|groups| TokenRouting::Grouped { groups }),
+        ];
+        let stage3 = prop_oneof![Just(Stage3Algo::Brj), Just(Stage3Algo::Oprj)];
+        let length_sub_routing = prop_oneof![Just(None), (1u32..9).prop_map(Some)];
+        let bad_records = prop_oneof![
+            Just(BadRecordPolicy::Strict),
+            Just(BadRecordPolicy::Skip),
+            any::<u64>().prop_map(BadRecordPolicy::SkipUpTo),
+        ];
+        let mode = prop_oneof![Just(SkewMode::Off), Just(SkewMode::Adaptive)];
+        let skew = (mode, 2u32..17, 1u64..100_000, 0u64..64, 0usize..2048).prop_map(
+            |(mode, split_max, hot_threshold, sample_stride, sketch_capacity)| SkewConfig {
+                mode,
+                split_max,
+                hot_threshold,
+                sample_stride,
+                sketch_capacity,
+            },
+        );
+        (
+            (threshold, format, tokenizer, stage1, stage2),
+            (routing, stage3, length_sub_routing, bad_records, skew),
+        )
+            .prop_map(|(a, b)| JoinConfig {
+                threshold: a.0,
+                format: a.1,
+                tokenizer: a.2,
+                stage1: a.3,
+                stage2: a.4,
+                routing: b.0,
+                stage3: b.1,
+                length_sub_routing: b.2,
+                bad_records: b.3,
+                skew: b.4,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The wire form loses nothing, and no damaged encoding panics the
+        /// decoder or gets an invalid configuration past it.
+        #[test]
+        fn configs_round_trip_and_mutated_bytes_never_panic(config in configs()) {
+            let bytes = config.to_bytes();
+            prop_assert_eq!(&JoinConfig::from_bytes(&bytes).unwrap(), &config);
+            for at in 0..bytes.len() {
+                for flip in [0x01, 0x02, 0x80, 0xFF] {
+                    let mut mutated = bytes.clone();
+                    mutated[at] ^= flip;
+                    if let Ok(decoded) = JoinConfig::from_bytes(&mutated) {
+                        prop_assert_eq!(decoded.validate(), Ok(()));
+                    }
+                }
+            }
         }
     }
 

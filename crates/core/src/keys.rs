@@ -25,10 +25,13 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mapreduce::{group_by, partition_by, stable_hash, GroupEq, PartitionFn, SortCmp};
+use mapreduce::{
+    codec_struct, group_by, partition_by, stable_hash, text_input, Dfs, GroupEq, PartitionFn,
+    Result, SortCmp, SplitSource,
+};
 use setsim::{first_common, Threshold};
 
-use crate::config::TokenRouting;
+use crate::config::{JoinConfig, TokenRouting};
 use crate::skew::SkewPlan;
 
 /// The composite stage-2 key.
@@ -38,6 +41,55 @@ pub type Stage2Key = (u32, u32, u8, u32, u8);
 pub const REL_R: u8 = 0;
 /// Relation tag for S.
 pub const REL_S: u8 = 1;
+
+/// What a join reads: R alone for a self-join, R and S for an R-S join —
+/// the self-join plus a relation tag. Both are DFS paths of record files.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Relations {
+    /// The records of R, or of the one relation of a self-join.
+    pub r: String,
+    /// The records of S.
+    pub s: Option<String>,
+}
+codec_struct!(Relations { r, s });
+
+impl Relations {
+    /// The relations at `r` and, for an R-S join, `s`.
+    pub fn new(r: &str, s: Option<&str>) -> Self {
+        Relations {
+            r: r.to_string(),
+            s: s.map(str::to_string),
+        }
+    }
+
+    /// Whether this is an R-S join.
+    pub fn is_rs(&self) -> bool {
+        self.s.is_some()
+    }
+
+    /// The record paths, R first.
+    pub fn paths(&self) -> impl Iterator<Item = &str> {
+        std::iter::once(self.r.as_str()).chain(self.s.as_deref())
+    }
+
+    /// The relation of a record read from `input_path`: [`REL_S`] for files
+    /// under the S path, [`REL_R`] otherwise.
+    pub fn tag_of(&self, input_path: &str) -> u8 {
+        match &self.s {
+            Some(s) if input_path.starts_with(s.as_str()) => REL_S,
+            _ => REL_R,
+        }
+    }
+
+    /// One text split per block of every record file, R's first.
+    pub fn splits(&self, dfs: &Dfs) -> Result<Vec<SplitSource<u64, String>>> {
+        let mut splits = Vec::new();
+        for path in self.paths() {
+            splits.extend(text_input(dfs, path)?);
+        }
+        Ok(splits)
+    }
+}
 
 /// Load-block marker (blocks mode).
 pub const KIND_LOAD: u8 = 0;
@@ -189,17 +241,12 @@ pub struct Ownership {
 
 impl Ownership {
     /// Ownership under the routing of a job whose mapper was built from
-    /// the same four values.
-    pub fn new(
-        threshold: Threshold,
-        routing: TokenRouting,
-        length_sub_routing: Option<u32>,
-        skew: Arc<SkewPlan>,
-    ) -> Self {
+    /// the same configuration and plan.
+    pub fn new(config: &JoinConfig, skew: Arc<SkewPlan>) -> Self {
         Ownership {
-            threshold,
-            routing,
-            length_sub_routing,
+            threshold: config.threshold,
+            routing: config.routing,
+            length_sub_routing: config.length_sub_routing,
             skew,
         }
     }
@@ -208,12 +255,12 @@ impl Ownership {
     /// reduce group under key group 0 sees it own every pair.
     #[cfg(test)]
     pub(crate) fn one_group(threshold: Threshold) -> Self {
-        Self::new(
+        let config = JoinConfig {
             threshold,
-            TokenRouting::Grouped { groups: 1 },
-            None,
-            Arc::new(SkewPlan::empty()),
-        )
+            routing: TokenRouting::Grouped { groups: 1 },
+            ..JoinConfig::recommended()
+        };
+        Self::new(&config, Arc::new(SkewPlan::empty()))
     }
 
     /// The join predicate of the job.
@@ -419,12 +466,8 @@ mod tests {
     fn owns_pair_goes_by_the_smallest_shared_prefix_token() {
         // τ = 0.5 over 4 tokens: prefixes of 3. The records share prefix
         // tokens 3 and 5 (and 9, outside both prefixes).
-        let owner = Ownership::new(
-            Threshold::jaccard(0.5),
-            TokenRouting::Individual,
-            None,
-            Arc::new(SkewPlan::empty()),
-        );
+        let config = JoinConfig::recommended().with_threshold(Threshold::jaccard(0.5));
+        let owner = Ownership::new(&config, Arc::new(SkewPlan::empty()));
         let (x, y) = ((1u64, &[2u32, 3, 5, 9][..]), (2u64, &[3u32, 4, 5, 9][..]));
         assert!(owner.owns_pair(&plain(3, 4, REL_R), x, y));
         assert!(

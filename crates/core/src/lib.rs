@@ -38,7 +38,7 @@ pub use config::{
     BadRecordPolicy, JoinConfig, RecordFormat, Stage1Algo, Stage2Algo, Stage3Algo, TokenRouting,
     TokenizerKind, BAD_RECORDS_COUNTER,
 };
-pub use keys::{owner_key, routing_groups, Projection, Stage2Key};
+pub use keys::{owner_key, routing_groups, Projection, Relations, Stage2Key};
 pub use pipeline::{
     read_joined, read_rid_pairs, rs_join, rs_join_resume, self_join, self_join_resume, JoinOutcome,
     RecoverySummary,
@@ -46,21 +46,20 @@ pub use pipeline::{
 pub use recovery::{job_fingerprint, Recovery, JOB_SKIPPED_COUNTER};
 pub use report::{run_report, run_report_resolved, REPORT_SCHEMA, REPORT_SCHEMA_VERSION};
 pub use skew::{build_plan as build_skew_plan, SkewConfig, SkewMode, SkewPlan};
-pub use stage1::{BTO_COUNT_FACTORY, BTO_SORT_FACTORY};
-pub use stage2::STAGE2_BK_FACTORY;
 pub use stage3::{JoinedPair, PairKey};
 
-/// Register every worker-side job factory this crate provides (the stage-1
-/// BTO jobs and the stage-2 BK kernel), so a binary can execute them in
-/// process-isolated workers. Any binary that should run these jobs remotely
-/// must call this before [`mapreduce::process_worker_main`]. Idempotent.
+/// Register the worker-side factory of every job this crate runs in
+/// worker processes (the stage-1 BTO jobs and the stage-2 BK kernel). A
+/// binary that should run them remotely must call this before
+/// [`mapreduce::process_worker_main`]. Idempotent.
 pub fn register_process_jobs() {
-    stage1::register_process_jobs();
-    stage2::register_process_jobs();
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        stage1::register_process_jobs();
+        stage2::register_process_jobs();
+    });
 }
 
 // Re-export the pieces callers need to drive a join.
-pub use mapreduce::{
-    BackendKind, Cluster, ClusterConfig, FaultPlan, MrError, NetworkModel, Result,
-};
+pub use mapreduce::{BackendKind, Cluster, ClusterConfig, FaultPlan, MrError, Result};
 pub use setsim::{FilterConfig, SimFunction, Threshold};

@@ -1,8 +1,9 @@
 //! End-to-end join drivers: the paper's three stages chained together.
 
-use mapreduce::{Cluster, PipelineMetrics, Result};
+use mapreduce::{Cluster, MrError, PipelineMetrics, Result};
 
 use crate::config::{JoinConfig, BAD_RECORDS_COUNTER};
+use crate::keys::Relations;
 use crate::recovery::Recovery;
 use crate::stage3::{JoinedPair, PairKey};
 use crate::{stage1, stage2, stage3};
@@ -268,22 +269,18 @@ fn join_impl(
     config: &JoinConfig,
     resume: bool,
 ) -> Result<JoinOutcome> {
+    config.validate().map_err(MrError::InvalidConfig)?;
     let mut rec = if resume {
         Recovery::resuming()
     } else {
         Recovery::disabled()
     };
+    let relations = Relations::new(r_input, s_input);
     let (tokens_path, m1) = stage1::run_with(cluster, r_input, config, work, &mut rec)?;
-    let (ridpairs_path, m2) = match s_input {
-        None => stage2::run_self_with(cluster, r_input, &tokens_path, config, work, &mut rec)?,
-        Some(s) => stage2::run_rs_with(cluster, r_input, s, &tokens_path, config, work, &mut rec)?,
-    };
-    let (joined_path, m3) = match s_input {
-        None => stage3::run_self_with(cluster, r_input, &ridpairs_path, config, work, &mut rec)?,
-        Some(s) => {
-            stage3::run_rs_with(cluster, r_input, s, &ridpairs_path, config, work, &mut rec)?
-        }
-    };
+    let (ridpairs_path, m2) =
+        stage2::run_with(cluster, &relations, &tokens_path, config, work, &mut rec)?;
+    let (joined_path, m3) =
+        stage3::run_with(cluster, &relations, &ridpairs_path, config, work, &mut rec)?;
     Ok(JoinOutcome {
         tokens_path,
         ridpairs_path,

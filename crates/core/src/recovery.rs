@@ -18,8 +18,8 @@
 //! manifests stay valid and are skipped.
 
 use mapreduce::{
-    Cluster, Dfs, EventKind, Fingerprint, JobManifest, JobMetrics, ManifestCheck, MrError, Result,
-    TraceEvent,
+    Cluster, Dfs, EventKind, Fingerprint, Job, JobManifest, JobMetrics, JobSpec, ManifestCheck,
+    MrError, Result, TraceEvent,
 };
 
 use crate::config::JoinConfig;
@@ -67,8 +67,7 @@ impl Recovery {
     /// over `inputs` and `config_tag` ([`job_fingerprint`]), and either
     /// reuse the committed output, answering with placeholder metrics that
     /// carry [`JOB_SKIPPED_COUNTER`], or hand the fingerprint to `run`,
-    /// which builds the job, stamps it with [`mapreduce::Job::fingerprint`]
-    /// and returns what `Cluster::run` did.
+    /// which runs the job's spec under it ([`run_spec`]).
     pub fn run_or_skip(
         &mut self,
         cluster: &Cluster,
@@ -152,6 +151,19 @@ impl Recovery {
     }
 }
 
+/// Run the job `spec` describes, stamped with `fingerprint`. Every job of
+/// stages 1–3 is built here and nowhere else, by [`JobSpec::build`] — the
+/// function a worker process calls on the same spec's bytes.
+pub(crate) fn run_spec<S: JobSpec>(
+    cluster: &Cluster,
+    spec: &S,
+    fingerprint: u64,
+) -> Result<JobMetrics> {
+    // A spec is sent to workers when its factory is registered here too.
+    crate::register_process_jobs();
+    cluster.run(Job::from_spec(spec, cluster.dfs())?.fingerprint(fingerprint))
+}
+
 /// Fingerprint of a job's identity: its name, the stage's relevant config
 /// (a caller-built tag), and each input's files by `(path, len, CRC)`.
 ///
@@ -216,12 +228,42 @@ pub fn stage3_tag(config: &JoinConfig) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mapreduce::ClusterConfig;
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::with_nodes(2), 512).unwrap()
+    }
+
+    /// What a worker process does with `spec` — decode the bytes the driver
+    /// sent, build — gives the job the driver built: same name, reducer
+    /// count, output directory and input splits, from a spec that encodes
+    /// to the same bytes again. Returns those four for the caller to pin.
+    pub(crate) fn worker_builds_the_drivers_job<S: JobSpec>(
+        spec: &S,
+        dfs: &Dfs,
+    ) -> (String, Option<usize>, String, usize) {
+        let shape = |spec: &S| {
+            let job = spec.build(dfs).unwrap();
+            let dir = job.output.dir().expect("a stage job has an output");
+            (
+                job.name.clone(),
+                job.num_reducers,
+                dir.to_string(),
+                job.inputs.len(),
+            )
+        };
+        let bytes = spec.to_bytes();
+        let decoded = S::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            decoded.to_bytes(),
+            bytes,
+            "a field did not survive the wire"
+        );
+        let built = shape(spec);
+        assert_eq!(shape(&decoded), built);
+        built
     }
 
     #[test]

@@ -41,10 +41,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use mapreduce::{stable_hash, Dfs, MrError, Result};
+use mapreduce::{codec_struct, stable_hash, ByteReader, Codec, Dfs, MrError, Result};
 use setsim::{SpaceSaving, TokenOrder};
 
-use crate::config::{JoinConfig, TokenRouting};
+use crate::config::{codec_unit_enum, JoinConfig, TokenRouting};
 use crate::keys::routing_groups;
 use crate::tokenizer_cache::CachedTokenizer;
 
@@ -134,6 +134,15 @@ impl Default for SkewConfig {
         Self::off()
     }
 }
+
+codec_unit_enum!(SkewMode, "skew mode": Off, Adaptive);
+codec_struct!(SkewConfig {
+    mode,
+    split_max,
+    hot_threshold,
+    sample_stride,
+    sketch_capacity,
+});
 
 /// Salt distinguishing synthesized split keys from each other; collisions
 /// with ordinary group ids (or between split keys) are harmless — they

@@ -23,22 +23,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    range_partitioner, sample_boundaries, seq_input, sum_combiner, text_input, ByteReader, Cluster,
-    Codec, Counter, Dfs, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
+    codec_struct, range_partitioner, sample_boundaries, seq_input, sum_combiner, text_input,
+    Cluster, Counter, Dfs, Emit, Job, JobSpec, Mapper, PipelineMetrics, Reducer, Result,
+    TaskContext,
 };
 
-use crate::config::{BadRecordPolicy, JoinConfig, RecordFormat, Stage1Algo, TokenizerKind};
+use crate::config::{JoinConfig, Stage1Algo};
 use crate::named::Named;
-use crate::recovery::{self, Recovery};
+use crate::recovery::{self, run_spec, Recovery};
 use crate::tokenizer_cache::CachedTokenizer;
 
 /// Mapper shared by BTO job 1 and OPTO: parse the record, tokenize the join
 /// attribute, and count its tokens in a table kept for the task — the
 /// in-mapper combine — emitting `(token, count)` when the task ends.
 pub struct TokenCountMapper {
-    format: RecordFormat,
+    config: JoinConfig,
     tokenizer: CachedTokenizer,
-    bad_records: BadRecordPolicy,
     /// The record's join attribute, kept for its capacity.
     attr: String,
     counts: TokenCounts,
@@ -47,21 +47,11 @@ pub struct TokenCountMapper {
 }
 
 impl TokenCountMapper {
-    /// Build from the join configuration.
-    pub fn new(format: RecordFormat, tokenizer: TokenizerKind) -> Self {
-        Self::with_policy(format, tokenizer, BadRecordPolicy::Strict)
-    }
-
-    /// Build with an explicit bad-record policy.
-    pub fn with_policy(
-        format: RecordFormat,
-        tokenizer: TokenizerKind,
-        bad_records: BadRecordPolicy,
-    ) -> Self {
+    /// The count mapper of a join under `config`.
+    pub fn new(config: &JoinConfig) -> Self {
         TokenCountMapper {
-            format,
-            tokenizer: CachedTokenizer::new(tokenizer),
-            bad_records,
+            config: config.clone(),
+            tokenizer: CachedTokenizer::new(config.tokenizer),
             attr: String::new(),
             counts: TokenCounts::default(),
             records: Named::new("stage1.records"),
@@ -74,7 +64,7 @@ impl TokenCountMapper {
 /// table and nothing charged.
 impl Clone for TokenCountMapper {
     fn clone(&self) -> Self {
-        Self::with_policy(self.format.clone(), self.tokenizer.kind(), self.bad_records)
+        Self::new(&self.config)
     }
 }
 
@@ -147,8 +137,8 @@ impl Mapper for TokenCountMapper {
         out: &mut dyn Emit<String, u64>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        if let Err(e) = self.format.parse_into(line, &mut self.attr) {
-            return self.bad_records.on_bad_record(ctx, e);
+        if let Err(e) = self.config.format.parse_into(line, &mut self.attr) {
+            return self.config.bad_records.on_bad_record(ctx, e);
         }
         self.records.get(ctx).incr();
         let tokens = self.tokenizer.tokenize(&self.attr);
@@ -275,154 +265,140 @@ impl Reducer for OptoReducer {
 }
 
 // ---------------------------------------------------------------------------
-// Process-isolated execution
+// The jobs, each one encodable value
 // ---------------------------------------------------------------------------
 
-/// Factory name under which the BTO count job is registered for
-/// process-isolated workers (see [`register_process_jobs`]).
-pub const BTO_COUNT_FACTORY: &str = "core.stage1.bto-count";
-
-/// Factory name under which the BTO sort job is registered for
-/// process-isolated workers (see [`register_process_jobs`]).
-pub const BTO_SORT_FACTORY: &str = "core.stage1.bto-sort";
-
-/// Wire form of the count job's parameters: everything the worker-side
-/// factory needs to rebuild the job from scratch.
-struct CountPayload {
-    input: String,
-    output: String,
-    rid_field: u64,
-    join_fields: Vec<u64>,
-    tokenizer: u8,
-    qgram: u64,
-    bad_records: u8,
-    bad_limit: u64,
+/// How every stage-1 job writes a token: the line is the token.
+fn token_line<V>() -> mapreduce::TextFormat<String, V> {
+    Arc::new(|token: &String, _: &V| token.clone())
 }
 
-impl Codec for CountPayload {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.input.encode(buf);
-        self.output.encode(buf);
-        self.rid_field.encode(buf);
-        self.join_fields.encode(buf);
-        self.tokenizer.encode(buf);
-        self.qgram.encode(buf);
-        self.bad_records.encode(buf);
-        self.bad_limit.encode(buf);
+/// The count job of BTO and BTO-R: `(token, total)` pairs, as a seq file.
+struct CountSpec {
+    input: String,
+    counts: String,
+    config: JoinConfig,
+}
+codec_struct!(CountSpec {
+    input,
+    counts,
+    config
+});
+
+impl CountSpec {
+    /// The job's name and its factory's, for BTO or BTO-R.
+    fn names(range: bool) -> (&'static str, &'static str) {
+        match range {
+            false => ("stage1-bto-count", "core.stage1.bto-count"),
+            true => ("stage1-btor-count", "core.stage1.btor-count"),
+        }
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(CountPayload {
-            input: Codec::decode(r)?,
-            output: Codec::decode(r)?,
-            rid_field: Codec::decode(r)?,
-            join_fields: Codec::decode(r)?,
-            tokenizer: Codec::decode(r)?,
-            qgram: Codec::decode(r)?,
-            bad_records: Codec::decode(r)?,
-            bad_limit: Codec::decode(r)?,
+    fn range(&self) -> bool {
+        self.config.stage1 == Stage1Algo::BtoRange
+    }
+}
+
+impl JobSpec for CountSpec {
+    type Mapper = TokenCountMapper;
+    type Reducer = SumReducer;
+
+    fn factory(&self) -> &'static str {
+        Self::names(self.range()).1
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<TokenCountMapper, SumReducer>> {
+        let mapper = TokenCountMapper::new(&self.config);
+        Ok(Job::new(Self::names(self.range()).0, mapper, SumReducer)
+            .inputs(text_input(dfs, &self.input)?)
+            .combiner(sum_combiner())
+            .output_seq(&self.counts))
+    }
+}
+
+/// The sort job of BTO and BTO-R: the counted tokens by ascending
+/// `(count, token)`.
+struct SortSpec {
+    counts: String,
+    tokens: String,
+    /// BTO-R: the reducer count and the sampled upper boundaries of every
+    /// key range but the last; the parts read in order are one total order.
+    /// BTO: one reducer.
+    ranges: Option<(usize, Vec<(u64, String)>)>,
+}
+codec_struct!(SortSpec {
+    counts,
+    tokens,
+    ranges
+});
+
+impl SortSpec {
+    /// The job's name and its factory's, for BTO or BTO-R.
+    fn names(range: bool) -> (&'static str, &'static str) {
+        match range {
+            false => ("stage1-bto-sort", "core.stage1.bto-sort"),
+            true => ("stage1-btor-sort", "core.stage1.btor-sort"),
+        }
+    }
+}
+
+impl JobSpec for SortSpec {
+    type Mapper = SwapForSortMapper;
+    type Reducer = EmitTokenReducer;
+
+    fn factory(&self) -> &'static str {
+        Self::names(self.ranges.is_some()).1
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<SwapForSortMapper, EmitTokenReducer>> {
+        let name = Self::names(self.ranges.is_some()).0;
+        let job = Job::new(name, SwapForSortMapper, EmitTokenReducer)
+            .inputs(seq_input::<String, u64>(dfs, &self.counts)?)
+            .output_text(&self.tokens, token_line());
+        Ok(match &self.ranges {
+            None => job.reducers(1),
+            Some((reducers, boundaries)) => job
+                .reducers(*reducers)
+                .partitioner(range_partitioner(boundaries.clone())),
         })
     }
 }
 
-impl CountPayload {
-    fn new(input: &str, output: &str, config: &JoinConfig) -> Self {
-        let (tokenizer, qgram) = match config.tokenizer {
-            TokenizerKind::Word => (0, 0),
-            TokenizerKind::QGram(q) => (1, q as u64),
-        };
-        let (bad_records, bad_limit) = match config.bad_records {
-            BadRecordPolicy::Strict => (0, 0),
-            BadRecordPolicy::Skip => (1, 0),
-            BadRecordPolicy::SkipUpTo(n) => (2, n),
-        };
-        CountPayload {
-            input: input.to_string(),
-            output: output.to_string(),
-            rid_field: config.format.rid_field as u64,
-            join_fields: config
-                .format
-                .join_fields
-                .iter()
-                .map(|&f| f as u64)
-                .collect(),
-            tokenizer,
-            qgram,
-            bad_records,
-            bad_limit,
-        }
+/// OPTO's one job: count as BTO does, total and sort in the single reducer.
+struct OptoSpec {
+    input: String,
+    tokens: String,
+    config: JoinConfig,
+}
+codec_struct!(OptoSpec {
+    input,
+    tokens,
+    config
+});
+
+impl JobSpec for OptoSpec {
+    type Mapper = TokenCountMapper;
+    type Reducer = OptoReducer;
+
+    fn factory(&self) -> &'static str {
+        "core.stage1.opto"
     }
 
-    fn mapper(&self) -> Result<TokenCountMapper> {
-        let tokenizer = match self.tokenizer {
-            0 => TokenizerKind::Word,
-            1 => TokenizerKind::QGram(self.qgram as usize),
-            t => return Err(MrError::Codec(format!("unknown tokenizer tag {t}"))),
-        };
-        let bad_records = match self.bad_records {
-            0 => BadRecordPolicy::Strict,
-            1 => BadRecordPolicy::Skip,
-            2 => BadRecordPolicy::SkipUpTo(self.bad_limit),
-            t => return Err(MrError::Codec(format!("unknown bad-record tag {t}"))),
-        };
-        let format = RecordFormat {
-            rid_field: self.rid_field as usize,
-            join_fields: self.join_fields.iter().map(|&f| f as usize).collect(),
-        };
-        Ok(TokenCountMapper::with_policy(
-            format,
-            tokenizer,
-            bad_records,
-        ))
-    }
-}
-
-/// BTO job 1, built through one function on both the driver and the
-/// worker-side factory so the two can never diverge.
-fn bto_count_job(
-    dfs: &Dfs,
-    input: &str,
-    output: &str,
-    mapper: TokenCountMapper,
-) -> Result<Job<TokenCountMapper, SumReducer>> {
-    Ok(Job::new("stage1-bto-count", mapper, SumReducer)
-        .inputs(text_input(dfs, input)?)
-        .combiner(sum_combiner())
-        .output_seq(output))
-}
-
-/// BTO job 2, shared the same way. The payload is just the two paths.
-fn bto_sort_job(
-    dfs: &Dfs,
-    counts: &str,
-    tokens: &str,
-) -> Result<Job<SwapForSortMapper, EmitTokenReducer>> {
-    Ok(
-        Job::new("stage1-bto-sort", SwapForSortMapper, EmitTokenReducer)
-            .inputs(seq_input::<String, u64>(dfs, counts)?)
+    fn build(&self, dfs: &Dfs) -> Result<Job<TokenCountMapper, OptoReducer>> {
+        let mapper = TokenCountMapper::new(&self.config);
+        Ok(Job::new("stage1-opto", mapper, OptoReducer::default())
+            .inputs(text_input(dfs, &self.input)?)
+            .combiner(sum_combiner())
             .reducers(1)
-            .output_text(tokens, Arc::new(|k: &String, _v: &()| k.clone())),
-    )
+            .output_text(&self.tokens, token_line()))
+    }
 }
 
-/// Register the worker-side factories for the stage-1 jobs that can run
-/// process-isolated (the two BTO jobs; OPTO and the range-partitioned sort
-/// carry driver-computed closures and take the in-process fallback).
-///
-/// Any binary that should execute these jobs remotely must call this
-/// before [`mapreduce::process_worker_main`]. Idempotent.
-pub fn register_process_jobs() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        mapreduce::register_job_factory(BTO_COUNT_FACTORY, |payload, dfs| {
-            let p = CountPayload::from_bytes(payload)?;
-            bto_count_job(dfs, &p.input, &p.output, p.mapper()?)
-        });
-        mapreduce::register_job_factory(BTO_SORT_FACTORY, |payload, dfs| {
-            let (counts, tokens) = <(String, String)>::from_bytes(payload)?;
-            bto_sort_job(dfs, &counts, &tokens)
-        });
-    });
+/// Register the stage-1 jobs that run in worker processes: the two BTO
+/// jobs. OPTO and BTO-R wait for a measurement (ROADMAP item 1).
+pub(crate) fn register_process_jobs() {
+    mapreduce::register_job_spec::<CountSpec>(CountSpec::names(false).1);
+    mapreduce::register_job_spec::<SortSpec>(SortSpec::names(false).1);
 }
 
 /// Run stage 1 over the records at `input`, writing the ordered token list
@@ -440,123 +416,71 @@ pub fn run(
 
 /// [`run`] with resume support: jobs whose commit manifest validates against
 /// the current inputs and config are skipped (see [`crate::recovery`]).
-pub fn run_with(
+pub(crate) fn run_with(
     cluster: &Cluster,
     input: &str,
     config: &JoinConfig,
     work: &str,
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
-    let tokens_path = format!("{}/tokens", work.trim_end_matches('/'));
+    let work = work.trim_end_matches('/');
+    let (tokens, counts) = (format!("{work}/tokens"), format!("{work}/token-counts"));
     let mut metrics = PipelineMetrics::default();
     let tag = recovery::stage1_tag(config);
-    let mapper =
-        TokenCountMapper::with_policy(config.format.clone(), config.tokenizer, config.bad_records);
-
-    match config.stage1 {
-        Stage1Algo::Bto => {
-            let counts_path = format!("{}/token-counts", work.trim_end_matches('/'));
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage1-bto-count",
-                &[input],
-                &tag,
-                &counts_path,
-                |fp| {
-                    let payload = CountPayload::new(input, &counts_path, config).to_bytes();
-                    let job = bto_count_job(cluster.dfs(), input, &counts_path, mapper)?
-                        .fingerprint(fp)
-                        .remote(BTO_COUNT_FACTORY, payload);
-                    cluster.run(job)
-                },
-            )?);
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage1-bto-sort",
-                &[&counts_path],
-                &tag,
-                &tokens_path,
-                |fp| {
-                    let payload = (counts_path.clone(), tokens_path.clone()).to_bytes();
-                    let job = bto_sort_job(cluster.dfs(), &counts_path, &tokens_path)?
-                        .fingerprint(fp)
-                        .remote(BTO_SORT_FACTORY, payload);
-                    cluster.run(job)
-                },
-            )?);
-        }
-        Stage1Algo::Opto => {
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage1-opto",
-                &[input],
-                &tag,
-                &tokens_path,
-                |fp| {
-                    let job = Job::new("stage1-opto", mapper, OptoReducer::default())
-                        .inputs(text_input(cluster.dfs(), input)?)
-                        .combiner(sum_combiner())
-                        .reducers(1)
-                        .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
-                        .fingerprint(fp);
-                    cluster.run(job)
-                },
-            )?);
-        }
-        Stage1Algo::BtoRange => {
-            let counts_path = format!("{}/token-counts", work.trim_end_matches('/'));
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage1-btor-count",
-                &[input],
-                &tag,
-                &counts_path,
-                |fp| {
-                    let job = Job::new("stage1-btor-count", mapper, SumReducer)
-                        .inputs(text_input(cluster.dfs(), input)?)
-                        .combiner(sum_combiner())
-                        .output_seq(&counts_path)
-                        .fingerprint(fp);
-                    cluster.run(job)
-                },
-            )?);
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage1-btor-sort",
-                &[&counts_path],
-                &tag,
-                &tokens_path,
-                |fp| {
-                    // Driver-side sampling, the equivalent of building Hadoop's
-                    // TotalOrderPartitioner partition file: read the (small) count
-                    // output, sort, and take quantile boundaries.
-                    let mut sample: Vec<(u64, String)> = cluster
-                        .dfs()
-                        .read_seq::<String, u64>(&counts_path)?
-                        .into_iter()
-                        .map(|(t, c)| (c, t))
-                        .collect();
-                    sample.sort();
-                    let reducers = cluster.config().default_reducers();
-                    let boundaries = sample_boundaries(&sample, reducers);
-
-                    let job = Job::new("stage1-btor-sort", SwapForSortMapper, EmitTokenReducer)
-                        .inputs(seq_input::<String, u64>(cluster.dfs(), &counts_path)?)
-                        .partitioner(range_partitioner(boundaries))
-                        .reducers(reducers)
-                        .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
-                        .fingerprint(fp);
-                    cluster.run(job)
-                },
-            )?);
-        }
+    let (input_path, config) = (input.to_string(), config.clone());
+    if config.stage1 == Stage1Algo::Opto {
+        let spec = OptoSpec {
+            input: input_path,
+            tokens: tokens.clone(),
+            config,
+        };
+        let ran = rec.run_or_skip(cluster, "stage1-opto", &[input], &tag, &tokens, |fp| {
+            run_spec(cluster, &spec, fp)
+        });
+        metrics.push(ran?);
+        return Ok((tokens, metrics));
     }
-    Ok((tokens_path, metrics))
+    let count = CountSpec {
+        input: input_path,
+        counts: counts.clone(),
+        config,
+    };
+    let range = count.range();
+    let name = CountSpec::names(range).0;
+    let ran = rec.run_or_skip(cluster, name, &[input], &tag, &counts, |fp| {
+        run_spec(cluster, &count, fp)
+    });
+    metrics.push(ran?);
+    let name = SortSpec::names(range).0;
+    let ran = rec.run_or_skip(cluster, name, &[&counts], &tag, &tokens, |fp| {
+        // Driver-side sampling, the equivalent of building Hadoop's
+        // TotalOrderPartitioner partition file: read the (small) count
+        // output, sort, and take quantile boundaries.
+        let sample = || -> Result<_> {
+            let mut sample: Vec<(u64, String)> = (cluster.dfs())
+                .read_seq::<String, u64>(&counts)?
+                .into_iter()
+                .map(|(t, c)| (c, t))
+                .collect();
+            sample.sort();
+            let reducers = cluster.config().default_reducers();
+            Ok((reducers, sample_boundaries(&sample, reducers)))
+        };
+        let sort = SortSpec {
+            counts: counts.clone(),
+            tokens: tokens.clone(),
+            ranges: range.then(sample).transpose()?,
+        };
+        run_spec(cluster, &sort, fp)
+    });
+    metrics.push(ran?);
+    Ok((tokens, metrics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{RecordFormat, TokenizerKind};
     use mapreduce::{Cache, ClusterConfig, Counters, MemoryGauge, Phase, VecEmitter};
 
     fn cluster() -> Cluster {
@@ -577,6 +501,62 @@ mod tests {
         JoinConfig {
             stage1: algo,
             ..JoinConfig::recommended()
+        }
+    }
+
+    #[test]
+    fn workers_build_every_stage1_job_from_the_bytes_the_driver_encodes() {
+        use crate::recovery::tests::worker_builds_the_drivers_job as rebuilt;
+        let c = Cluster::new(ClusterConfig::with_nodes(3), 16).unwrap();
+        write_records(&c);
+        c.dfs()
+            .write_seq("/work/token-counts", &[("mid".to_string(), 2u64)])
+            .unwrap();
+        let splits = text_input(c.dfs(), "/in").unwrap().len();
+        assert!(splits > 1);
+        let (input, counts, tokens) = ("/in", "/work/token-counts", "/work/tokens");
+        for (algo, name) in [
+            (Stage1Algo::Bto, "stage1-bto-count"),
+            (Stage1Algo::BtoRange, "stage1-btor-count"),
+        ] {
+            let spec = CountSpec {
+                input: input.into(),
+                counts: counts.into(),
+                config: JoinConfig {
+                    tokenizer: TokenizerKind::QGram(3),
+                    ..config(algo)
+                },
+            };
+            let expected = (name.to_string(), None, counts.to_string(), splits);
+            assert_eq!(rebuilt(&spec, c.dfs()), expected);
+        }
+        let opto = OptoSpec {
+            input: input.into(),
+            tokens: tokens.into(),
+            config: config(Stage1Algo::Opto),
+        };
+        let expected = (
+            "stage1-opto".to_string(),
+            Some(1),
+            tokens.to_string(),
+            splits,
+        );
+        assert_eq!(rebuilt(&opto, c.dfs()), expected);
+        for (ranges, name, reducers) in [
+            (None, "stage1-bto-sort", 1),
+            (
+                Some((5, vec![(1, "a".to_string()), (2, "mid".to_string())])),
+                "stage1-btor-sort",
+                5,
+            ),
+        ] {
+            let spec = SortSpec {
+                counts: counts.into(),
+                tokens: tokens.into(),
+                ranges,
+            };
+            let expected = (name.to_string(), Some(reducers), tokens.to_string(), 1);
+            assert_eq!(rebuilt(&spec, c.dfs()), expected);
         }
     }
 
@@ -681,6 +661,13 @@ mod tests {
         )
     }
 
+    fn two_column() -> JoinConfig {
+        JoinConfig {
+            format: RecordFormat::two_column(),
+            ..JoinConfig::recommended()
+        }
+    }
+
     fn sorted(mut pairs: Vec<(String, u64)>) -> Vec<(String, u64)> {
         pairs.sort();
         pairs
@@ -689,7 +676,7 @@ mod tests {
     #[test]
     fn the_mapper_counts_in_its_table_and_emits_when_the_task_ends() {
         let ctx = map_ctx(u64::MAX);
-        let mut m = TokenCountMapper::new(RecordFormat::two_column(), TokenizerKind::Word);
+        let mut m = TokenCountMapper::new(&two_column());
         let mut out = VecEmitter::new();
         for line in ["1\tb a b", "2\ta C", "3\tÇa c"] {
             m.map(&0, &line.to_string(), &mut out, &ctx).unwrap();
@@ -712,7 +699,7 @@ mod tests {
     fn a_refused_charge_flushes_the_table_and_never_fails_the_task() {
         // Room for two entries ("a" and "b" at 49 bytes each), not three.
         let ctx = map_ctx(100);
-        let mut m = TokenCountMapper::new(RecordFormat::two_column(), TokenizerKind::Word);
+        let mut m = TokenCountMapper::new(&two_column());
         let mut out = VecEmitter::new();
         m.map(&0, &"1\ta b".to_string(), &mut out, &ctx).unwrap();
         m.map(&0, &"2\ta b".to_string(), &mut out, &ctx).unwrap();
@@ -732,7 +719,7 @@ mod tests {
 
         // No room for even one entry: every token goes straight out.
         let ctx = map_ctx(10);
-        let mut m = TokenCountMapper::new(RecordFormat::two_column(), TokenizerKind::Word);
+        let mut m = TokenCountMapper::new(&two_column());
         let mut out = VecEmitter::new();
         m.map(&0, &"1\ta b a".to_string(), &mut out, &ctx).unwrap();
         m.map(&0, &"2\ta".to_string(), &mut out, &ctx).unwrap();

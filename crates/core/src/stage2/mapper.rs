@@ -10,47 +10,26 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mapreduce::{stable_hash, Counter, Emit, Histogram, Mapper, Result, TaskContext};
-use setsim::{Threshold, TokenOrder};
+use setsim::TokenOrder;
 
-use crate::config::{BadRecordPolicy, RecordFormat, TokenRouting, TokenizerKind};
-use crate::keys::{routing_groups, Projection, Stage2Key, KIND_LOAD, KIND_STREAM, REL_R, REL_S};
+use crate::config::{JoinConfig, Stage2Algo};
+use crate::keys::{
+    routing_groups, Projection, Relations, Stage2Key, KIND_LOAD, KIND_STREAM, REL_R, REL_S,
+};
 use crate::named::Named;
 use crate::skew::SkewPlan;
 use crate::tokenizer_cache::CachedTokenizer;
 
-/// How projections are replicated across block-processing passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmitMode {
-    /// One key per routing group (all non-blocks kernels).
-    Plain,
-    /// Section 5 map-based block processing: the mapper replicates and
-    /// interleaves blocks via `(pass, kind)` key components.
-    MapBlocks {
-        /// Number of sub-blocks.
-        blocks: u32,
-    },
-    /// Section 5 reduce-based block processing: each record is sent once,
-    /// tagged with its block id; the reducer spills to local disk.
-    ReduceBlocks {
-        /// Number of sub-blocks.
-        blocks: u32,
-    },
-}
-
-/// Stage-2 mapper shared by every kernel variant.
+/// Stage-2 mapper shared by every kernel variant. The kernel decides how
+/// projections are replicated: one key per routing group, or Section 5's
+/// block-processing passes.
 #[derive(Clone)]
 pub struct ProjectionMapper {
-    format: RecordFormat,
+    config: JoinConfig,
     tokenizer: CachedTokenizer,
-    threshold: Threshold,
-    routing: TokenRouting,
     tokens_path: String,
-    /// `Some(s_path)` in R-S mode: inputs whose path starts with `s_path`
-    /// are tagged as S records.
-    s_path: Option<String>,
-    emit_mode: EmitMode,
-    length_sub_routing: Option<u32>,
-    bad_records: BadRecordPolicy,
+    /// Inputs under the S path are tagged as S records.
+    relations: Relations,
     skew: Arc<SkewPlan>,
     order: Option<Arc<TokenOrder>>,
     counters: MapCounters,
@@ -73,29 +52,20 @@ struct MapCounters {
 }
 
 impl ProjectionMapper {
-    /// Build a mapper. `s_path` switches R-S behaviour on.
-    #[allow(clippy::too_many_arguments)]
+    /// The mapper of a join of `relations` under `config`, projecting
+    /// through the token order at `tokens_path` and routing by `skew`.
     pub fn new(
-        format: RecordFormat,
-        tokenizer: TokenizerKind,
-        threshold: Threshold,
-        routing: TokenRouting,
-        tokens_path: String,
-        s_path: Option<String>,
-        emit_mode: EmitMode,
-        length_sub_routing: Option<u32>,
+        config: &JoinConfig,
+        tokens_path: &str,
+        relations: Relations,
+        skew: Arc<SkewPlan>,
     ) -> Self {
         ProjectionMapper {
-            format,
-            tokenizer: CachedTokenizer::new(tokenizer),
-            threshold,
-            routing,
-            tokens_path,
-            s_path,
-            emit_mode,
-            length_sub_routing,
-            bad_records: BadRecordPolicy::Strict,
-            skew: Arc::new(SkewPlan::empty()),
+            config: config.clone(),
+            tokenizer: CachedTokenizer::new(config.tokenizer),
+            tokens_path: tokens_path.to_string(),
+            relations,
+            skew,
             order: None,
             counters: MapCounters {
                 projections: Named::new("stage2.projections"),
@@ -111,27 +81,11 @@ impl ProjectionMapper {
         }
     }
 
-    /// Set the policy for malformed record lines (default: strict).
-    pub fn bad_records(mut self, policy: BadRecordPolicy) -> Self {
-        self.bad_records = policy;
-        self
-    }
-
-    /// Install a skew-splitting plan (default: empty, routing unchanged).
-    pub fn skew(mut self, plan: Arc<SkewPlan>) -> Self {
-        self.skew = plan;
-        self
-    }
-
     /// Routing groups for a record's probe prefix, including the optional
     /// length-bucket sub-routing of Section 5 (pre-skew).
     fn groups_for(&self, ranks: &[u32]) -> BTreeSet<u32> {
-        routing_groups(
-            &self.threshold,
-            self.routing,
-            self.length_sub_routing,
-            ranks,
-        )
+        let c = &self.config;
+        routing_groups(&c.threshold, c.routing, c.length_sub_routing, ranks)
     }
 
     /// Final routing keys for a record: prefix groups, then the skew plan's
@@ -190,15 +144,12 @@ impl Mapper for ProjectionMapper {
         out: &mut dyn Emit<Stage2Key, Projection>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        let rid = match self.format.parse_into(line, &mut self.attr) {
+        let rid = match self.config.format.parse_into(line, &mut self.attr) {
             Ok(rid) => rid,
-            Err(e) => return self.bad_records.on_bad_record(ctx, e),
+            Err(e) => return self.config.bad_records.on_bad_record(ctx, e),
         };
-        let rel = match &self.s_path {
-            Some(s) if ctx.input_path.starts_with(s.as_str()) => REL_S,
-            Some(_) => REL_R,
-            None => REL_R,
-        };
+        let rs = self.relations.is_rs();
+        let rel = self.relations.tag_of(&ctx.input_path);
         let tokens = self.tokenizer.tokenize(&self.attr);
         let order = self.order.as_ref().expect("setup ran");
         // Unknown tokens (S tokens absent from R's dictionary) are dropped
@@ -215,8 +166,8 @@ impl Mapper for ProjectionMapper {
         // R records take their lower-bound length as class so they arrive
         // before every S record they can join (Figure 6); self-join and S
         // records use their actual length.
-        let class = if self.s_path.is_some() && rel == REL_R {
-            self.threshold.lower_bound(ranks.len()) as u32
+        let class = if rs && rel == REL_R {
+            self.config.threshold.lower_bound(ranks.len()) as u32
         } else {
             len
         };
@@ -225,13 +176,13 @@ impl Mapper for ProjectionMapper {
         let keys = &mut self.keys;
         keys.clear();
         for g in groups {
-            match self.emit_mode {
-                EmitMode::Plain => keys.push((g, 0, KIND_LOAD, class, rel)),
-                EmitMode::MapBlocks { blocks } => {
+            match self.config.stage2 {
+                Stage2Algo::Bk | Stage2Algo::Pk { .. } => keys.push((g, 0, KIND_LOAD, class, rel)),
+                Stage2Algo::BkMapBlocks { blocks } => {
                     let b = (stable_hash(&rid) % u64::from(blocks.max(1))) as u32;
                     if rel == REL_R {
                         keys.push((g, b, KIND_LOAD, class, rel));
-                        if self.s_path.is_none() {
+                        if !rs {
                             // Self-join: stream against every earlier block.
                             keys.extend((0..b).map(|pass| (g, pass, KIND_STREAM, class, rel)));
                         }
@@ -242,7 +193,7 @@ impl Mapper for ProjectionMapper {
                         );
                     }
                 }
-                EmitMode::ReduceBlocks { blocks } => {
+                Stage2Algo::BkReduceBlocks { blocks } => {
                     let pass = if rel == REL_S {
                         // S arrives after every R block.
                         blocks.max(1)
@@ -270,7 +221,9 @@ impl Mapper for ProjectionMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{RecordFormat, TokenRouting, TokenizerKind};
     use mapreduce::{Cache, Cluster, ClusterConfig, Counters, MemoryGauge, Phase, VecEmitter};
+    use setsim::Threshold;
 
     fn make_ctx(cluster: &Cluster, input_path: &str) -> TaskContext {
         let mut ctx = TaskContext::new(
@@ -293,24 +246,29 @@ mod tests {
         cluster
     }
 
-    fn mapper(emit_mode: EmitMode, s_path: Option<&str>) -> ProjectionMapper {
-        ProjectionMapper::new(
-            RecordFormat::two_column(),
-            TokenizerKind::Word,
-            Threshold::jaccard(0.5),
-            TokenRouting::Individual,
-            "/tokens".into(),
-            s_path.map(str::to_string),
-            emit_mode,
-            None,
-        )
+    fn config() -> JoinConfig {
+        JoinConfig {
+            threshold: Threshold::jaccard(0.5),
+            format: RecordFormat::two_column(),
+            stage2: Stage2Algo::Bk,
+            ..JoinConfig::recommended()
+        }
+    }
+
+    fn mapper_of(config: &JoinConfig, s_path: Option<&str>) -> ProjectionMapper {
+        let relations = Relations::new("/in", s_path);
+        ProjectionMapper::new(config, "/tokens", relations, Arc::new(SkewPlan::empty()))
+    }
+
+    fn mapper(stage2: Stage2Algo, s_path: Option<&str>) -> ProjectionMapper {
+        mapper_of(&JoinConfig { stage2, ..config() }, s_path)
     }
 
     #[test]
     fn plain_emission_routes_on_prefix_tokens() {
         let cluster = setup_cluster_with_tokens(&["rare", "mid", "common", "filler"]);
         let ctx = make_ctx(&cluster, "/in");
-        let mut m = mapper(EmitMode::Plain, None);
+        let mut m = mapper(Stage2Algo::Bk, None);
         m.setup(&ctx).unwrap();
         let mut out = VecEmitter::new();
         // 4 tokens at tau 0.5: prefix = 4 - 2 + 1 = 3 tokens.
@@ -330,7 +288,7 @@ mod tests {
     fn unknown_tokens_are_dropped() {
         let cluster = setup_cluster_with_tokens(&["a", "b"]);
         let ctx = make_ctx(&cluster, "/in");
-        let mut m = mapper(EmitMode::Plain, None);
+        let mut m = mapper(Stage2Algo::Bk, None);
         m.setup(&ctx).unwrap();
         let mut out = VecEmitter::new();
         m.map(&0, &"1\ta zzz b".to_string(), &mut out, &ctx)
@@ -366,7 +324,7 @@ mod tests {
         let order = TokenOrder::from_ordered_tokens(dictionary).unwrap();
         let tokenizer = TokenizerKind::Word.build();
         let ctx = make_ctx(&cluster, "/in");
-        let mut m = mapper(EmitMode::Plain, None);
+        let mut m = mapper(Stage2Algo::Bk, None);
         m.setup(&ctx).unwrap();
         // One mapper down all the lines, so each record follows another's
         // buffers: the cases of the tests above, then words that lower-case
@@ -399,7 +357,7 @@ mod tests {
     #[test]
     fn rs_mode_tags_relation_and_length_class() {
         let cluster = setup_cluster_with_tokens(&["a", "b", "c", "d"]);
-        let mut m = mapper(EmitMode::Plain, Some("/s"));
+        let mut m = mapper(Stage2Algo::Bk, Some("/s"));
         // R record from /r.
         let ctx_r = make_ctx(&cluster, "/r");
         m.setup(&ctx_r).unwrap();
@@ -425,7 +383,7 @@ mod tests {
     fn map_blocks_replicates_for_earlier_passes() {
         let cluster = setup_cluster_with_tokens(&["a", "b", "c", "d"]);
         let ctx = make_ctx(&cluster, "/in");
-        let mut m = mapper(EmitMode::MapBlocks { blocks: 4 }, None);
+        let mut m = mapper(Stage2Algo::BkMapBlocks { blocks: 4 }, None);
         m.setup(&ctx).unwrap();
         let mut out = VecEmitter::new();
         m.map(&0, &"5\ta b".to_string(), &mut out, &ctx).unwrap();
@@ -450,14 +408,12 @@ mod tests {
     fn grouped_routing_merges_tokens() {
         let cluster = setup_cluster_with_tokens(&["a", "b", "c", "d"]);
         let ctx = make_ctx(&cluster, "/in");
-        let mut m = ProjectionMapper::new(
-            RecordFormat::two_column(),
-            TokenizerKind::Word,
-            Threshold::jaccard(0.5),
-            TokenRouting::Grouped { groups: 1 },
-            "/tokens".into(),
-            None,
-            EmitMode::Plain,
+        let routing = TokenRouting::Grouped { groups: 1 };
+        let mut m = mapper_of(
+            &JoinConfig {
+                routing,
+                ..config()
+            },
             None,
         );
         m.setup(&ctx).unwrap();
@@ -492,15 +448,14 @@ mod tests {
         for t in thresholds {
             for routing in routings {
                 for width in widths {
-                    let m = ProjectionMapper::new(
-                        RecordFormat::two_column(),
-                        TokenizerKind::Word,
-                        t,
-                        routing,
-                        "/tokens".into(),
+                    let m = mapper_of(
+                        &JoinConfig {
+                            threshold: t,
+                            routing,
+                            length_sub_routing: Some(width),
+                            ..config()
+                        },
                         None,
-                        EmitMode::Plain,
-                        Some(width),
                     );
                     let mut checked = 0;
                     let mut attempts = 0;
@@ -545,15 +500,13 @@ mod tests {
     fn length_sub_routing_replicates_into_buckets() {
         let cluster = setup_cluster_with_tokens(&["a", "b", "c", "d", "e", "f", "g", "h"]);
         let ctx = make_ctx(&cluster, "/in");
-        let mut m = ProjectionMapper::new(
-            RecordFormat::two_column(),
-            TokenizerKind::Word,
-            Threshold::jaccard(0.5),
-            TokenRouting::Grouped { groups: 1 },
-            "/tokens".into(),
+        let mut m = mapper_of(
+            &JoinConfig {
+                routing: TokenRouting::Grouped { groups: 1 },
+                length_sub_routing: Some(1),
+                ..config()
+            },
             None,
-            EmitMode::Plain,
-            Some(1),
         );
         m.setup(&ctx).unwrap();
         let mut out = VecEmitter::new();

@@ -16,21 +16,18 @@ pub mod reducers;
 use std::sync::Arc;
 
 use mapreduce::{
-    text_input, ByteReader, Cluster, Codec, Dfs, Job, KeyLabel, MrError, PipelineMetrics, Reducer,
-    Result, SplitSource,
+    codec_struct, Cluster, Dfs, Emit, Job, JobSpec, KeyLabel, MrError, PipelineMetrics, Reducer,
+    Result, TaskContext,
 };
-use setsim::{SimFunction, Threshold};
 
-use crate::config::{
-    BadRecordPolicy, JoinConfig, RecordFormat, Stage2Algo, TokenRouting, TokenizerKind,
-};
+use crate::config::{JoinConfig, Stage2Algo, TokenRouting};
 use crate::keys::{
-    stage2_grouping, stage2_partitioner, stage2_sort, Ownership, Projection, Stage2Key,
+    stage2_grouping, stage2_partitioner, stage2_sort, Ownership, Projection, Relations, Stage2Key,
 };
-use crate::recovery::{self, Recovery};
+use crate::recovery::{self, run_spec, Recovery};
 use crate::skew::{self, SkewPlan};
 use crate::stage2::blocks::{MapBlocksReducer, ReduceBlocksReducer};
-use crate::stage2::mapper::{EmitMode, ProjectionMapper};
+use crate::stage2::mapper::ProjectionMapper;
 use crate::stage2::reducers::{BkReducer, PkReducer};
 
 /// Parse a stage-2 output line back into `(rid1, rid2, sim)`.
@@ -66,350 +63,134 @@ pub fn format_pair_line(k: &(u64, u64), sim: &f64) -> String {
     format!("{}\t{}\t{}", k.0, k.1, sim)
 }
 
-fn emit_mode(algo: &Stage2Algo) -> EmitMode {
-    match algo {
-        Stage2Algo::Bk | Stage2Algo::Pk { .. } => EmitMode::Plain,
-        Stage2Algo::BkMapBlocks { blocks } => EmitMode::MapBlocks { blocks: *blocks },
-        Stage2Algo::BkReduceBlocks { blocks } => EmitMode::ReduceBlocks { blocks: *blocks },
+/// The reducer of a stage-2 job: the kernel [`JoinConfig::stage2`] names.
+#[derive(Clone)]
+enum KernelReducer {
+    /// [`Stage2Algo::Bk`].
+    Bk(BkReducer),
+    /// [`Stage2Algo::Pk`].
+    Pk(Box<PkReducer>),
+    /// [`Stage2Algo::BkMapBlocks`].
+    MapBlocks(MapBlocksReducer),
+    /// [`Stage2Algo::BkReduceBlocks`].
+    ReduceBlocks(ReduceBlocksReducer),
+}
+
+impl KernelReducer {
+    /// The kernel of a join under `config`. The reducers decide ownership
+    /// by the scheme the mapper routed with: the same config and plan.
+    fn new(config: &JoinConfig, skew: Arc<SkewPlan>, rs: bool) -> Self {
+        let owner = Ownership::new(config, skew);
+        match config.stage2 {
+            Stage2Algo::Bk => Self::Bk(BkReducer::new(owner, rs)),
+            Stage2Algo::Pk { filters } => Self::Pk(Box::new(PkReducer::new(owner, filters, rs))),
+            Stage2Algo::BkMapBlocks { .. } => Self::MapBlocks(MapBlocksReducer::new(owner, rs)),
+            Stage2Algo::BkReduceBlocks { .. } => {
+                Self::ReduceBlocks(ReduceBlocksReducer::new(owner, rs))
+            }
+        }
     }
 }
 
-/// Build one stage-2 kernel job: every kernel variant shares this shape
-/// (composite-key partitioner/sort/grouping, heavy-hitter key labels, the
-/// pair-line text output). The driver and the worker-side factory both go
-/// through here, so the two can never diverge.
-fn kernel_job<R>(
-    name: &'static str,
-    inputs: Vec<SplitSource<u64, String>>,
-    mapper: ProjectionMapper,
-    reducer: R,
-    routing: TokenRouting,
-    skew_plan: &SkewPlan,
-    pairs_path: &str,
-) -> Job<ProjectionMapper, R>
-where
-    R: Reducer<Key = Stage2Key, InValue = Projection, OutKey = (u64, u64), OutValue = f64>,
-{
-    // Label routing keys for the heavy-hitter report: with individual-token
-    // routing the group component *is* the prefix-token rank, so the report
-    // names the exact hot token; with grouped routing it names the group.
-    // Synthesized skew split keys get their own `…/split:i-j` labels so the
-    // report shows per-split reduce-key load instead of opaque hashes.
-    let split_labels = skew_plan.split_key_labels(routing);
-    let key_label: KeyLabel<Stage2Key> = match routing {
-        TokenRouting::Individual => Arc::new(move |k: &Stage2Key| {
-            split_labels
-                .get(&k.0)
-                .cloned()
-                .unwrap_or_else(|| format!("rank:{}", k.0))
-        }),
-        TokenRouting::Grouped { .. } => Arc::new(move |k: &Stage2Key| {
-            split_labels
-                .get(&k.0)
-                .cloned()
-                .unwrap_or_else(|| format!("group:{}", k.0))
-        }),
-    };
-    Job::new(name, mapper, reducer)
-        .inputs(inputs)
-        .partitioner(stage2_partitioner())
-        .sort_cmp(stage2_sort())
-        .group_eq(stage2_grouping())
-        .key_label(key_label)
-        .output_text(pairs_path, Arc::new(format_pair_line))
+impl Reducer for KernelReducer {
+    type Key = Stage2Key;
+    type InValue = Projection;
+    type OutKey = (u64, u64);
+    type OutValue = f64;
+
+    fn reduce(
+        &mut self,
+        key: &Stage2Key,
+        values: &mut dyn Iterator<Item = (Stage2Key, Projection)>,
+        out: &mut dyn Emit<(u64, u64), f64>,
+        ctx: &TaskContext,
+    ) -> Result<()> {
+        match self {
+            Self::Bk(r) => r.reduce(key, values, out, ctx),
+            Self::Pk(r) => r.reduce(key, values, out, ctx),
+            Self::MapBlocks(r) => r.reduce(key, values, out, ctx),
+            Self::ReduceBlocks(r) => r.reduce(key, values, out, ctx),
+        }
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Process-isolated execution
-// ---------------------------------------------------------------------------
-
-/// Factory name under which the BK kernel job is registered for
-/// process-isolated workers (see [`crate::register_process_jobs`]). The
-/// other kernels carry the same mapper but are exercised far less by the
-/// process suites; they take the documented in-process fallback.
-pub const STAGE2_BK_FACTORY: &str = "core.stage2.bk";
-
-/// Wire form of the BK kernel job's parameters: everything the worker-side
-/// factory needs to rebuild the job from scratch.
-struct BkPayload {
-    inputs: Vec<String>,
+/// A stage-2 kernel job. Every kernel variant shares this shape:
+/// composite-key partitioner/sort/grouping, heavy-hitter key labels, the
+/// pair-line text output.
+struct KernelSpec {
+    relations: Relations,
+    tokens: String,
     pairs: String,
-    tokens_path: String,
-    s_path: Option<String>,
-    rs: u8,
-    rid_field: u64,
-    join_fields: Vec<u64>,
-    tokenizer: u8,
-    qgram: u64,
-    sim_func: u8,
-    tau: f64,
-    /// `0` encodes individual-token routing, `g > 0` grouped routing.
-    routing_groups: u32,
-    length_sub_routing: Option<u64>,
-    bad_records: u8,
-    bad_limit: u64,
-    /// Skew plan entries (`group → buckets`); empty when splitting is off.
-    /// The plan rides the payload so process-backend workers route records
-    /// exactly as the driver planned.
+    config: JoinConfig,
+    /// The skew plan's `(group, buckets)` entries; empty when splitting is
+    /// off. Workers route records exactly as the driver planned.
     skew_splits: Vec<(u32, u32)>,
 }
+codec_struct!(KernelSpec {
+    relations,
+    tokens,
+    pairs,
+    config,
+    skew_splits,
+});
 
-impl Codec for BkPayload {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.inputs.encode(buf);
-        self.pairs.encode(buf);
-        self.tokens_path.encode(buf);
-        self.s_path.encode(buf);
-        self.rs.encode(buf);
-        self.rid_field.encode(buf);
-        self.join_fields.encode(buf);
-        self.tokenizer.encode(buf);
-        self.qgram.encode(buf);
-        self.sim_func.encode(buf);
-        self.tau.encode(buf);
-        self.routing_groups.encode(buf);
-        self.length_sub_routing.encode(buf);
-        self.bad_records.encode(buf);
-        self.bad_limit.encode(buf);
-        self.skew_splits.encode(buf);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(BkPayload {
-            inputs: Codec::decode(r)?,
-            pairs: Codec::decode(r)?,
-            tokens_path: Codec::decode(r)?,
-            s_path: Codec::decode(r)?,
-            rs: Codec::decode(r)?,
-            rid_field: Codec::decode(r)?,
-            join_fields: Codec::decode(r)?,
-            tokenizer: Codec::decode(r)?,
-            qgram: Codec::decode(r)?,
-            sim_func: Codec::decode(r)?,
-            tau: Codec::decode(r)?,
-            routing_groups: Codec::decode(r)?,
-            length_sub_routing: Codec::decode(r)?,
-            bad_records: Codec::decode(r)?,
-            bad_limit: Codec::decode(r)?,
-            skew_splits: Codec::decode(r)?,
-        })
+impl KernelSpec {
+    /// The job's name and its factory's, for each kernel.
+    fn names(algo: Stage2Algo) -> (&'static str, &'static str) {
+        match algo {
+            Stage2Algo::Bk => ("stage2-bk", "core.stage2.bk"),
+            Stage2Algo::Pk { .. } => ("stage2-pk", "core.stage2.pk"),
+            Stage2Algo::BkMapBlocks { .. } => ("stage2-bk-mapblocks", "core.stage2.bk-mapblocks"),
+            Stage2Algo::BkReduceBlocks { .. } => {
+                ("stage2-bk-reduceblocks", "core.stage2.bk-reduceblocks")
+            }
+        }
     }
 }
 
-impl BkPayload {
-    fn new(
-        inputs: &[&str],
-        pairs: &str,
-        tokens_path: &str,
-        s_path: Option<&str>,
-        rs: bool,
-        config: &JoinConfig,
-        skew_plan: &SkewPlan,
-    ) -> Self {
-        let (tokenizer, qgram) = match config.tokenizer {
-            TokenizerKind::Word => (0, 0),
-            TokenizerKind::QGram(q) => (1, q as u64),
-        };
-        let sim_func = match config.threshold.func() {
-            SimFunction::Jaccard => 0,
-            SimFunction::Cosine => 1,
-            SimFunction::Dice => 2,
-            SimFunction::Overlap => 3,
-        };
-        let routing_groups = match config.routing {
-            TokenRouting::Individual => 0,
-            TokenRouting::Grouped { groups } => groups.max(1),
-        };
-        let (bad_records, bad_limit) = match config.bad_records {
-            BadRecordPolicy::Strict => (0, 0),
-            BadRecordPolicy::Skip => (1, 0),
-            BadRecordPolicy::SkipUpTo(n) => (2, n),
-        };
-        BkPayload {
-            inputs: inputs.iter().map(|s| s.to_string()).collect(),
-            pairs: pairs.to_string(),
-            tokens_path: tokens_path.to_string(),
-            s_path: s_path.map(str::to_string),
-            rs: rs as u8,
-            rid_field: config.format.rid_field as u64,
-            join_fields: config
-                .format
-                .join_fields
-                .iter()
-                .map(|&f| f as u64)
-                .collect(),
-            tokenizer,
-            qgram,
-            sim_func,
-            tau: config.threshold.tau(),
-            routing_groups,
-            length_sub_routing: config.length_sub_routing.map(u64::from),
-            bad_records,
-            bad_limit,
-            skew_splits: skew_plan.entries(),
-        }
+impl JobSpec for KernelSpec {
+    type Mapper = ProjectionMapper;
+    type Reducer = KernelReducer;
+
+    fn factory(&self) -> &'static str {
+        Self::names(self.config.stage2).1
     }
 
-    fn threshold(&self) -> Result<Threshold> {
-        let func = match self.sim_func {
-            0 => SimFunction::Jaccard,
-            1 => SimFunction::Cosine,
-            2 => SimFunction::Dice,
-            3 => SimFunction::Overlap,
-            t => return Err(MrError::Codec(format!("unknown similarity tag {t}"))),
+    fn build(&self, dfs: &Dfs) -> Result<Job<ProjectionMapper, KernelReducer>> {
+        let config = &self.config;
+        let plan = Arc::new(SkewPlan::from_entries(self.skew_splits.clone()));
+        // Label routing keys for the heavy-hitter report: with
+        // individual-token routing the group component *is* the prefix-token
+        // rank, so the report names the exact hot token; with grouped
+        // routing it names the group. Synthesized skew split keys get their
+        // own `…/split:i-j` labels so the report shows per-split reduce-key
+        // load instead of opaque hashes.
+        let split_labels = plan.split_key_labels(config.routing);
+        let prefix = match config.routing {
+            TokenRouting::Individual => "rank",
+            TokenRouting::Grouped { .. } => "group",
         };
-        Threshold::new(func, self.tau).map_err(MrError::Codec)
-    }
-
-    fn routing(&self) -> TokenRouting {
-        match self.routing_groups {
-            0 => TokenRouting::Individual,
-            groups => TokenRouting::Grouped { groups },
-        }
-    }
-
-    fn mapper(&self, skew_plan: Arc<SkewPlan>) -> Result<ProjectionMapper> {
-        let tokenizer = match self.tokenizer {
-            0 => TokenizerKind::Word,
-            1 => TokenizerKind::QGram(self.qgram as usize),
-            t => return Err(MrError::Codec(format!("unknown tokenizer tag {t}"))),
-        };
-        let bad_records = match self.bad_records {
-            0 => BadRecordPolicy::Strict,
-            1 => BadRecordPolicy::Skip,
-            2 => BadRecordPolicy::SkipUpTo(self.bad_limit),
-            t => return Err(MrError::Codec(format!("unknown bad-record tag {t}"))),
-        };
-        let format = RecordFormat {
-            rid_field: self.rid_field as usize,
-            join_fields: self.join_fields.iter().map(|&f| f as usize).collect(),
-        };
-        Ok(ProjectionMapper::new(
-            format,
-            tokenizer,
-            self.threshold()?,
-            self.routing(),
-            self.tokens_path.clone(),
-            self.s_path.clone(),
-            EmitMode::Plain,
-            self.length_sub_routing.map(|w| w as u32),
-        )
-        .bad_records(bad_records)
-        .skew(skew_plan))
-    }
-
-    fn skew_plan(&self) -> SkewPlan {
-        SkewPlan::from_entries(self.skew_splits.clone())
-    }
-
-    fn job(&self, dfs: &Dfs) -> Result<Job<ProjectionMapper, BkReducer>> {
-        let mut inputs = Vec::new();
-        for path in &self.inputs {
-            inputs.extend(text_input(dfs, path)?);
-        }
-        let skew_plan = Arc::new(self.skew_plan());
-        let owner = Ownership::new(
-            self.threshold()?,
-            self.routing(),
-            self.length_sub_routing.map(|w| w as u32),
-            skew_plan.clone(),
-        );
-        Ok(kernel_job(
-            "stage2-bk",
-            inputs,
-            self.mapper(skew_plan.clone())?,
-            BkReducer::new(owner, self.rs != 0),
-            self.routing(),
-            &skew_plan,
-            &self.pairs,
-        ))
-    }
-}
-
-/// Register the worker-side factory for the BK kernel. Idempotent; called
-/// through [`crate::register_process_jobs`].
-pub(crate) fn register_process_jobs() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        mapreduce::register_job_factory(STAGE2_BK_FACTORY, |payload, dfs| {
-            BkPayload::from_bytes(payload)?.job(dfs)
+        let key_label: KeyLabel<Stage2Key> = Arc::new(move |k: &Stage2Key| {
+            let split = split_labels.get(&k.0).cloned();
+            split.unwrap_or_else(|| format!("{prefix}:{}", k.0))
         });
-    });
+        let mapper =
+            ProjectionMapper::new(config, &self.tokens, self.relations.clone(), plan.clone());
+        let reducer = KernelReducer::new(config, plan, self.relations.is_rs());
+        Ok(Job::new(Self::names(config.stage2).0, mapper, reducer)
+            .inputs(self.relations.splits(dfs)?)
+            .partitioner(stage2_partitioner())
+            .sort_cmp(stage2_sort())
+            .group_eq(stage2_grouping())
+            .key_label(key_label)
+            .output_text(&self.pairs, Arc::new(format_pair_line)))
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_kernel(
-    cluster: &Cluster,
-    inputs: Vec<SplitSource<u64, String>>,
-    input_paths: &[&str],
-    mapper: ProjectionMapper,
-    config: &JoinConfig,
-    rs: bool,
-    pairs_path: &str,
-    skew_plan: &Arc<SkewPlan>,
-    remote_payload: Option<Vec<u8>>,
-    rec: &mut Recovery,
-) -> Result<PipelineMetrics> {
-    let tag = recovery::stage2_tag(config, rs);
-    // The reducers decide ownership by the scheme the mapper routed with.
-    let owner = Ownership::new(
-        config.threshold,
-        config.routing,
-        config.length_sub_routing,
-        skew_plan.clone(),
-    );
-    macro_rules! run_with {
-        ($name:expr, $reducer:expr) => {
-            rec.run_or_skip(cluster, $name, input_paths, &tag, pairs_path, |fp| {
-                let mut job = kernel_job(
-                    $name,
-                    inputs,
-                    mapper,
-                    $reducer,
-                    config.routing,
-                    skew_plan,
-                    pairs_path,
-                )
-                .fingerprint(fp);
-                if let Some(payload) = remote_payload {
-                    job = job.remote(STAGE2_BK_FACTORY, payload);
-                }
-                let mut jm = cluster.run(job)?;
-                // Driver-side skew counters: plan size and fan-out, visible
-                // in the run report next to the mapper-side replication
-                // metrics even when no mapper happened to hit a split group.
-                if !skew_plan.is_empty() {
-                    jm.counters
-                        .push(("skew.split_tokens".to_string(), skew_plan.len() as u64));
-                    jm.counters.push((
-                        "skew.split_reduce_keys".to_string(),
-                        skew_plan.total_split_keys(),
-                    ));
-                    jm.counters.push((
-                        "skew.max_buckets".to_string(),
-                        u64::from(skew_plan.max_buckets()),
-                    ));
-                }
-                Ok(jm)
-            })?
-        };
-    }
-    let job_metrics = match config.stage2 {
-        Stage2Algo::Bk => run_with!("stage2-bk", BkReducer::new(owner, rs)),
-        Stage2Algo::Pk { filters } => {
-            run_with!("stage2-pk", PkReducer::new(owner, filters, rs))
-        }
-        Stage2Algo::BkMapBlocks { .. } => {
-            run_with!("stage2-bk-mapblocks", MapBlocksReducer::new(owner, rs))
-        }
-        Stage2Algo::BkReduceBlocks { .. } => run_with!(
-            "stage2-bk-reduceblocks",
-            ReduceBlocksReducer::new(owner, rs)
-        ),
-    };
-    let mut metrics = PipelineMetrics::default();
-    metrics.push(job_metrics);
-    Ok(metrics)
+/// Register the stage-2 job that runs in worker processes: the BK kernel.
+/// The other kernels wait for a measurement (ROADMAP item 1).
+pub(crate) fn register_process_jobs() {
+    mapreduce::register_job_spec::<KernelSpec>(KernelSpec::names(Stage2Algo::Bk).1);
 }
 
 /// Run the self-join kernel over the records at `input`, using the stage-1
@@ -421,76 +202,9 @@ pub fn run_self(
     config: &JoinConfig,
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
-    run_self_with(
-        cluster,
-        input,
-        tokens_path,
-        config,
-        work,
-        &mut Recovery::disabled(),
-    )
-}
-
-/// [`run_self`] with resume support (see [`crate::recovery`]).
-pub fn run_self_with(
-    cluster: &Cluster,
-    input: &str,
-    tokens_path: &str,
-    config: &JoinConfig,
-    work: &str,
-    rec: &mut Recovery,
-) -> Result<(String, PipelineMetrics)> {
-    let pairs_path = format!("{}/ridpairs", work.trim_end_matches('/'));
-    // The skew pre-pass: sample the input, estimate per-group load, decide
-    // which routing groups to split. Deterministic, so a resumed driver
-    // rebuilds the identical plan and committed output stays skippable.
-    let skew_plan = Arc::new(skew::build_plan(
-        cluster.dfs(),
-        &[input],
-        tokens_path,
-        config,
-    )?);
-    let mapper = ProjectionMapper::new(
-        config.format.clone(),
-        config.tokenizer,
-        config.threshold,
-        config.routing,
-        tokens_path.to_string(),
-        None,
-        emit_mode(&config.stage2),
-        config.length_sub_routing,
-    )
-    .bad_records(config.bad_records)
-    .skew(skew_plan.clone());
-    let inputs = text_input(cluster.dfs(), input)?;
-    let remote_payload = match config.stage2 {
-        Stage2Algo::Bk => Some(
-            BkPayload::new(
-                &[input],
-                &pairs_path,
-                tokens_path,
-                None,
-                false,
-                config,
-                &skew_plan,
-            )
-            .to_bytes(),
-        ),
-        _ => None,
-    };
-    let metrics = run_kernel(
-        cluster,
-        inputs,
-        &[input, tokens_path],
-        mapper,
-        config,
-        false,
-        &pairs_path,
-        &skew_plan,
-        remote_payload,
-        rec,
-    )?;
-    Ok((pairs_path, metrics))
+    let relations = Relations::new(input, None);
+    let rec = &mut Recovery::disabled();
+    run_with(cluster, &relations, tokens_path, config, work, rec)
 }
 
 /// Run the R-S kernel: R records at `r_input`, S records at `s_input`.
@@ -504,82 +218,113 @@ pub fn run_rs(
     config: &JoinConfig,
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
-    run_rs_with(
-        cluster,
-        r_input,
-        s_input,
-        tokens_path,
-        config,
-        work,
-        &mut Recovery::disabled(),
-    )
+    let relations = Relations::new(r_input, Some(s_input));
+    let rec = &mut Recovery::disabled();
+    run_with(cluster, &relations, tokens_path, config, work, rec)
 }
 
-/// [`run_rs`] with resume support (see [`crate::recovery`]).
-pub fn run_rs_with(
+/// The stage-2 driver, self-join and R-S alike, with resume support (see
+/// [`crate::recovery`]).
+pub(crate) fn run_with(
     cluster: &Cluster,
-    r_input: &str,
-    s_input: &str,
+    relations: &Relations,
     tokens_path: &str,
     config: &JoinConfig,
     work: &str,
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
-    let pairs_path = format!("{}/ridpairs", work.trim_end_matches('/'));
-    // Sample both relations: a group is hot by its combined R+S load.
-    let skew_plan = Arc::new(skew::build_plan(
-        cluster.dfs(),
-        &[r_input, s_input],
-        tokens_path,
-        config,
-    )?);
-    let mapper = ProjectionMapper::new(
-        config.format.clone(),
-        config.tokenizer,
-        config.threshold,
-        config.routing,
-        tokens_path.to_string(),
-        Some(s_input.to_string()),
-        emit_mode(&config.stage2),
-        config.length_sub_routing,
-    )
-    .bad_records(config.bad_records)
-    .skew(skew_plan.clone());
-    let mut inputs = text_input(cluster.dfs(), r_input)?;
-    inputs.extend(text_input(cluster.dfs(), s_input)?);
-    let remote_payload = match config.stage2 {
-        Stage2Algo::Bk => Some(
-            BkPayload::new(
-                &[r_input, s_input],
-                &pairs_path,
-                tokens_path,
-                Some(s_input),
-                true,
-                config,
-                &skew_plan,
-            )
-            .to_bytes(),
-        ),
-        _ => None,
+    let pairs = format!("{}/ridpairs", work.trim_end_matches('/'));
+    let mut inputs: Vec<&str> = relations.paths().collect();
+    // The skew pre-pass: sample the input (both relations: a group is hot
+    // by its combined R+S load), estimate per-group load, decide which
+    // routing groups to split. Deterministic, so a resumed driver rebuilds
+    // the identical plan and committed output stays skippable.
+    let plan = skew::build_plan(cluster.dfs(), &inputs, tokens_path, config)?;
+    inputs.push(tokens_path);
+    let tag = recovery::stage2_tag(config, relations.is_rs());
+    let spec = KernelSpec {
+        relations: relations.clone(),
+        tokens: tokens_path.to_string(),
+        pairs: pairs.clone(),
+        config: config.clone(),
+        skew_splits: plan.entries(),
     };
-    let metrics = run_kernel(
-        cluster,
-        inputs,
-        &[r_input, s_input, tokens_path],
-        mapper,
-        config,
-        true,
-        &pairs_path,
-        &skew_plan,
-        remote_payload,
-        rec,
-    )?;
-    Ok((pairs_path, metrics))
+    let name = KernelSpec::names(config.stage2).0;
+    let ran = rec.run_or_skip(cluster, name, &inputs, &tag, &pairs, |fp| {
+        let mut jm = run_spec(cluster, &spec, fp)?;
+        // Driver-side skew counters: plan size and fan-out, visible in the
+        // run report next to the mapper-side replication metrics even when
+        // no mapper happened to hit a split group.
+        if !plan.is_empty() {
+            let counters = [
+                ("skew.split_tokens", plan.len() as u64),
+                ("skew.split_reduce_keys", plan.total_split_keys()),
+                ("skew.max_buckets", u64::from(plan.max_buckets())),
+            ];
+            jm.counters
+                .extend(counters.map(|(name, n)| (name.to_string(), n)));
+        }
+        Ok(jm)
+    });
+    let mut metrics = PipelineMetrics::default();
+    metrics.push(ran?);
+    Ok((pairs, metrics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapreduce::Codec;
+
+    #[test]
+    fn workers_build_every_kernel_job_from_the_bytes_the_driver_encodes() {
+        use crate::recovery::tests::worker_builds_the_drivers_job as rebuilt;
+        use setsim::FilterConfig;
+        let dfs = Dfs::new(2, 16);
+        let lines = |n: u64| (0..n).map(|i| format!("{i}\ttitle {i}\tauthor"));
+        dfs.write_text("/r", lines(6)).unwrap();
+        dfs.write_text("/s", lines(9)).unwrap();
+        let (r_splits, s_splits) = (dfs.splits("/r").unwrap(), dfs.splits("/s").unwrap());
+        // The two values the BK payload this spec replaced did not carry: a
+        // group count as given, and a block-processing kernel.
+        let grouped = TokenRouting::Grouped { groups: 7 };
+        let filters = FilterConfig::ppjoin();
+        for (stage2, routing, s, name) in [
+            (Stage2Algo::Bk, grouped, None, "stage2-bk"),
+            (Stage2Algo::Pk { filters }, grouped, Some("/s"), "stage2-pk"),
+            (
+                Stage2Algo::BkMapBlocks { blocks: 3 },
+                TokenRouting::Individual,
+                None,
+                "stage2-bk-mapblocks",
+            ),
+            (
+                Stage2Algo::BkReduceBlocks { blocks: 2 },
+                TokenRouting::Individual,
+                Some("/s"),
+                "stage2-bk-reduceblocks",
+            ),
+        ] {
+            let spec = KernelSpec {
+                relations: Relations::new("/r", s),
+                tokens: "/work/tokens".into(),
+                pairs: "/work/ridpairs".into(),
+                config: JoinConfig {
+                    stage2,
+                    routing,
+                    length_sub_routing: Some(4),
+                    ..JoinConfig::recommended()
+                },
+                skew_splits: vec![(3, 2), (9, 4)],
+            };
+            let splits = r_splits.len() + s.map_or(0, |_| s_splits.len());
+            let expected = (name.to_string(), None, "/work/ridpairs".to_string(), splits);
+            assert_eq!(rebuilt(&spec, &dfs), expected);
+            let decoded = KernelSpec::from_bytes(&spec.to_bytes()).unwrap();
+            assert_eq!(decoded.config, spec.config);
+            assert_eq!(decoded.skew_splits, spec.skew_splits);
+        }
+    }
 
     #[test]
     fn pair_line_roundtrip() {

@@ -27,14 +27,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    seq_input, text_input, Cluster, Counter, Dfs, Emit, Job, Mapper, MrError, PipelineMetrics,
-    Reducer, Result, TaskContext,
+    codec_struct, seq_input, text_input, Cluster, Counter, Dfs, Emit, IdentityMapper, Job, JobSpec,
+    Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
 };
 
-use crate::config::{BadRecordPolicy, JoinConfig, RecordFormat, Stage3Algo};
-use crate::keys::{REL_R, REL_S};
+use crate::config::{JoinConfig, Stage3Algo};
+use crate::keys::{Relations, REL_R, REL_S};
 use crate::named::Named;
-use crate::recovery::{self, Recovery};
+use crate::recovery::{self, run_spec, Recovery};
 use crate::stage2::parse_pair_line;
 
 /// A fully joined output pair: the two record lines and their similarity.
@@ -147,19 +147,30 @@ impl Participants {
 /// name tells them apart.
 #[derive(Clone)]
 struct BrjFillMapper {
-    format: RecordFormat,
+    /// The record format, and the policy for malformed *record* lines. Pair
+    /// lines are always parsed strictly: the pipeline wrote them itself, so
+    /// a malformed pair line is corruption, not dirty input.
+    config: JoinConfig,
+    relations: Relations,
     pairs_path: String,
-    /// `Some(s_path)`: R-S mode; record inputs under this path are S.
-    s_path: Option<String>,
-    /// Policy for malformed *record* lines. Pair lines are always parsed
-    /// strictly: the pipeline wrote them itself, so a malformed pair line
-    /// is corruption, not dirty input.
-    bad_records: BadRecordPolicy,
     /// The published [`Participants`] file; `None` when the set does not
     /// fit a task's memory budget and every record is shuffled.
     participants_path: Option<String>,
     participants: Option<Arc<Participants>>,
     records_filtered: Named<Counter>,
+}
+
+impl BrjFillMapper {
+    fn new(spec: &FillSpec) -> Self {
+        BrjFillMapper {
+            config: spec.config.clone(),
+            relations: spec.relations.clone(),
+            pairs_path: spec.pairs.clone(),
+            participants_path: spec.participants.clone(),
+            participants: None,
+            records_filtered: Named::new("stage3.records_filtered"),
+        }
+    }
 }
 
 impl Mapper for BrjFillMapper {
@@ -193,17 +204,14 @@ impl Mapper for BrjFillMapper {
     ) -> Result<()> {
         if ctx.input_path.starts_with(self.pairs_path.as_str()) {
             let (a, b, sim) = parse_pair_line(line)?;
-            let rel_b = if self.s_path.is_some() { REL_S } else { REL_R };
+            let rel_b = if self.relations.is_rs() { REL_S } else { REL_R };
             out.emit((a, REL_R), (TAG_HALF, b, POS_FIRST, sim, String::new()))?;
             out.emit((b, rel_b), (TAG_HALF, a, POS_SECOND, sim, String::new()))?;
         } else {
-            let rel = match &self.s_path {
-                Some(s) if ctx.input_path.starts_with(s.as_str()) => REL_S,
-                _ => REL_R,
-            };
-            let rid = match self.format.rid(line) {
+            let rel = self.relations.tag_of(&ctx.input_path);
+            let rid = match self.config.format.rid(line) {
                 Ok(rid) => rid,
-                Err(e) => return self.bad_records.on_bad_record(ctx, e),
+                Err(e) => return self.config.bad_records.on_bad_record(ctx, e),
             };
             if self
                 .participants
@@ -378,10 +386,9 @@ fn load_pair_index(
 /// memory budget) and emits half-filled pairs for every referenced record.
 #[derive(Clone)]
 struct OprjMapper {
-    format: RecordFormat,
+    config: JoinConfig,
+    relations: Relations,
     pairs_path: String,
-    s_path: Option<String>,
-    bad_records: BadRecordPolicy,
     index_r: Option<Arc<PairIndex>>,
     index_s: Option<Arc<PairIndex>>,
 }
@@ -393,7 +400,7 @@ impl Mapper for OprjMapper {
     type OutValue = (u8, String, f64);
 
     fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
-        let rs = self.s_path.is_some();
+        let rs = self.relations.is_rs();
         let dfs = ctx.dfs().clone();
         let pairs_path = self.pairs_path.clone();
         self.index_r = Some(ctx.cache().get_or_load::<PairIndex, _>(
@@ -420,15 +427,14 @@ impl Mapper for OprjMapper {
         out: &mut dyn Emit<PairKey, (u8, String, f64)>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        let is_s = matches!(&self.s_path, Some(s) if ctx.input_path.starts_with(s.as_str()));
-        let index = if is_s {
+        let index = if self.relations.tag_of(&ctx.input_path) == REL_S {
             self.index_s.as_ref().expect("setup ran (S index)")
         } else {
             self.index_r.as_ref().expect("setup ran")
         };
-        let rid = match self.format.rid(line) {
+        let rid = match self.config.format.rid(line) {
             Ok(rid) => rid,
-            Err(e) => return self.bad_records.on_bad_record(ctx, e),
+            Err(e) => return self.config.bad_records.on_bad_record(ctx, e),
         };
         if let Some(entries) = index.get(&rid) {
             for (other, pos, sim) in entries {
@@ -441,6 +447,109 @@ impl Mapper for OprjMapper {
             }
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The jobs, each one encodable value
+// ---------------------------------------------------------------------------
+
+/// BRJ job 1: group every participating record with the pair halves that
+/// name it.
+struct FillSpec {
+    relations: Relations,
+    pairs: String,
+    halves: String,
+    /// Where [`Participants::publish`] put the set, if it fits.
+    participants: Option<String>,
+    config: JoinConfig,
+}
+codec_struct!(FillSpec {
+    relations,
+    pairs,
+    halves,
+    participants,
+    config,
+});
+
+impl JobSpec for FillSpec {
+    type Mapper = BrjFillMapper;
+    type Reducer = BrjFillReducer;
+
+    fn factory(&self) -> &'static str {
+        "core.stage3.brj-fill"
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<BrjFillMapper, BrjFillReducer>> {
+        let mut inputs = self.relations.splits(dfs)?;
+        inputs.extend(text_input(dfs, &self.pairs)?);
+        let mapper = BrjFillMapper::new(self);
+        Ok(
+            Job::new("stage3-brj-fill", mapper, BrjFillReducer::default())
+                .inputs(inputs)
+                .output_seq(&self.halves),
+        )
+    }
+}
+
+/// BRJ job 2: put the two halves of every pair together.
+struct AssembleSpec {
+    halves: String,
+    joined: String,
+}
+codec_struct!(AssembleSpec { halves, joined });
+
+impl JobSpec for AssembleSpec {
+    type Mapper = IdentityMapper<PairKey, (u8, String, f64)>;
+    type Reducer = AssembleReducer;
+
+    fn factory(&self) -> &'static str {
+        "core.stage3.brj-assemble"
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<Self::Mapper, AssembleReducer>> {
+        let mapper = IdentityMapper::new();
+        Ok(
+            Job::new("stage3-brj-assemble", mapper, AssembleReducer::default())
+                .inputs(seq_input(dfs, &self.halves)?)
+                .output_seq(&self.joined),
+        )
+    }
+}
+
+/// OPRJ's one job.
+struct OprjSpec {
+    relations: Relations,
+    pairs: String,
+    joined: String,
+    config: JoinConfig,
+}
+codec_struct!(OprjSpec {
+    relations,
+    pairs,
+    joined,
+    config,
+});
+
+impl JobSpec for OprjSpec {
+    type Mapper = OprjMapper;
+    type Reducer = AssembleReducer;
+
+    fn factory(&self) -> &'static str {
+        "core.stage3.oprj"
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<OprjMapper, AssembleReducer>> {
+        let mapper = OprjMapper {
+            config: self.config.clone(),
+            relations: self.relations.clone(),
+            pairs_path: self.pairs.clone(),
+            index_r: None,
+            index_s: None,
+        };
+        Ok(Job::new("stage3-oprj", mapper, AssembleReducer::default())
+            .inputs(self.relations.splits(dfs)?)
+            .output_seq(&self.joined))
     }
 }
 
@@ -458,27 +567,9 @@ pub fn run_self(
     config: &JoinConfig,
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
-    run_impl(
-        cluster,
-        records,
-        None,
-        pairs_path,
-        config,
-        work,
-        &mut Recovery::disabled(),
-    )
-}
-
-/// [`run_self`] with resume support (see [`crate::recovery`]).
-pub fn run_self_with(
-    cluster: &Cluster,
-    records: &str,
-    pairs_path: &str,
-    config: &JoinConfig,
-    work: &str,
-    rec: &mut Recovery,
-) -> Result<(String, PipelineMetrics)> {
-    run_impl(cluster, records, None, pairs_path, config, work, rec)
+    let relations = Relations::new(records, None);
+    let rec = &mut Recovery::disabled();
+    run_with(cluster, &relations, pairs_path, config, work, rec)
 }
 
 /// Run stage 3 for an R-S join.
@@ -490,148 +581,75 @@ pub fn run_rs(
     config: &JoinConfig,
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
-    run_impl(
-        cluster,
-        r_records,
-        Some(s_records),
-        pairs_path,
-        config,
-        work,
-        &mut Recovery::disabled(),
-    )
+    let relations = Relations::new(r_records, Some(s_records));
+    let rec = &mut Recovery::disabled();
+    run_with(cluster, &relations, pairs_path, config, work, rec)
 }
 
-/// [`run_rs`] with resume support (see [`crate::recovery`]).
-pub fn run_rs_with(
+/// The stage-3 driver, self-join and R-S alike, with resume support (see
+/// [`crate::recovery`]).
+pub(crate) fn run_with(
     cluster: &Cluster,
-    r_records: &str,
-    s_records: &str,
+    relations: &Relations,
     pairs_path: &str,
     config: &JoinConfig,
     work: &str,
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
-    run_impl(
-        cluster,
-        r_records,
-        Some(s_records),
-        pairs_path,
-        config,
-        work,
-        rec,
-    )
-}
-
-fn run_impl(
-    cluster: &Cluster,
-    records: &str,
-    s_records: Option<&str>,
-    pairs_path: &str,
-    config: &JoinConfig,
-    work: &str,
-    rec: &mut Recovery,
-) -> Result<(String, PipelineMetrics)> {
-    let joined_path = format!("{}/joined", work.trim_end_matches('/'));
+    let work = work.trim_end_matches('/');
+    let (joined, halves) = (format!("{work}/joined"), format!("{work}/halves"));
     let mut metrics = PipelineMetrics::default();
     let tag = recovery::stage3_tag(config);
-    let mut record_paths = vec![records];
-    if let Some(s) = s_records {
-        record_paths.push(s);
-    }
+    let mut inputs: Vec<&str> = relations.paths().collect();
+    inputs.push(pairs_path);
     match config.stage3 {
         Stage3Algo::Brj => {
-            let halves_path = format!("{}/halves", work.trim_end_matches('/'));
-            let mut fill_inputs = record_paths.clone();
-            fill_inputs.push(pairs_path);
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage3-brj-fill",
-                &fill_inputs,
-                &tag,
-                &halves_path,
-                |fp| {
-                    // Semi-join reduction: the mappers shuffle only the records
-                    // some pair names.
-                    let (participants, participants_path) =
-                        Participants::publish(cluster, pairs_path, s_records.is_some(), work)?;
-                    let mapper = BrjFillMapper {
-                        format: config.format.clone(),
-                        pairs_path: pairs_path.to_string(),
-                        s_path: s_records.map(str::to_string),
-                        bad_records: config.bad_records,
-                        participants_path,
-                        participants: None,
-                        records_filtered: Named::new("stage3.records_filtered"),
-                    };
-                    let mut inputs = text_input(cluster.dfs(), records)?;
-                    if let Some(s) = s_records {
-                        inputs.extend(text_input(cluster.dfs(), s)?);
-                    }
-                    inputs.extend(text_input(cluster.dfs(), pairs_path)?);
-                    let job = Job::new("stage3-brj-fill", mapper, BrjFillReducer::default())
-                        .inputs(inputs)
-                        .output_seq(&halves_path)
-                        .fingerprint(fp);
-                    let mut jm = cluster.run(job)?;
-                    jm.counters
-                        .push(("stage3.participants".to_string(), participants as u64));
-                    Ok(jm)
-                },
-            )?);
-            metrics.push(rec.run_or_skip(
+            let ran = rec.run_or_skip(cluster, "stage3-brj-fill", &inputs, &tag, &halves, |fp| {
+                // Semi-join reduction: the mappers shuffle only the records
+                // some pair names.
+                let (named, participants) =
+                    Participants::publish(cluster, pairs_path, relations.is_rs(), work)?;
+                let spec = FillSpec {
+                    relations: relations.clone(),
+                    pairs: pairs_path.to_string(),
+                    halves: halves.clone(),
+                    participants,
+                    config: config.clone(),
+                };
+                let mut jm = run_spec(cluster, &spec, fp)?;
+                jm.counters
+                    .push(("stage3.participants".to_string(), named as u64));
+                Ok(jm)
+            });
+            metrics.push(ran?);
+            let spec = AssembleSpec {
+                halves: halves.clone(),
+                joined: joined.clone(),
+            };
+            let ran = rec.run_or_skip(
                 cluster,
                 "stage3-brj-assemble",
-                &[&halves_path],
+                &[&halves],
                 &tag,
-                &joined_path,
-                |fp| {
-                    let job = Job::new(
-                        "stage3-brj-assemble",
-                        mapreduce::IdentityMapper::<PairKey, (u8, String, f64)>::new(),
-                        AssembleReducer::default(),
-                    )
-                    .inputs(seq_input::<PairKey, (u8, String, f64)>(
-                        cluster.dfs(),
-                        &halves_path,
-                    )?)
-                    .output_seq(&joined_path)
-                    .fingerprint(fp);
-                    cluster.run(job)
-                },
-            )?);
+                &joined,
+                |fp| run_spec(cluster, &spec, fp),
+            );
+            metrics.push(ran?);
         }
         Stage3Algo::Oprj => {
-            let mut oprj_inputs = record_paths.clone();
-            oprj_inputs.push(pairs_path);
-            metrics.push(rec.run_or_skip(
-                cluster,
-                "stage3-oprj",
-                &oprj_inputs,
-                &tag,
-                &joined_path,
-                |fp| {
-                    let mapper = OprjMapper {
-                        format: config.format.clone(),
-                        pairs_path: pairs_path.to_string(),
-                        s_path: s_records.map(str::to_string),
-                        bad_records: config.bad_records,
-                        index_r: None,
-                        index_s: None,
-                    };
-                    let mut inputs = text_input(cluster.dfs(), records)?;
-                    if let Some(s) = s_records {
-                        inputs.extend(text_input(cluster.dfs(), s)?);
-                    }
-                    let job = Job::new("stage3-oprj", mapper, AssembleReducer::default())
-                        .inputs(inputs)
-                        .output_seq(&joined_path)
-                        .fingerprint(fp);
-                    cluster.run(job)
-                },
-            )?);
+            let spec = OprjSpec {
+                relations: relations.clone(),
+                pairs: pairs_path.to_string(),
+                joined: joined.clone(),
+                config: config.clone(),
+            };
+            let ran = rec.run_or_skip(cluster, "stage3-oprj", &inputs, &tag, &joined, |fp| {
+                run_spec(cluster, &spec, fp)
+            });
+            metrics.push(ran?);
         }
     }
-    Ok((joined_path, metrics))
+    Ok((joined, metrics))
 }
 
 /// Read the final joined pairs from `joined_path`, sorted by RID pair.
@@ -666,15 +684,65 @@ mod tests {
     }
 
     fn fill_mapper(s_path: Option<&str>, participants_path: Option<&str>) -> BrjFillMapper {
-        BrjFillMapper {
-            format: RecordFormat::bibliographic(),
-            pairs_path: "/work/ridpairs".into(),
-            s_path: s_path.map(str::to_string),
-            bad_records: BadRecordPolicy::Strict,
-            participants_path: participants_path.map(str::to_string),
-            participants: None,
-            records_filtered: Named::new("stage3.records_filtered"),
+        BrjFillMapper::new(&FillSpec {
+            relations: Relations::new("/r", s_path),
+            pairs: "/work/ridpairs".into(),
+            halves: "/work/halves".into(),
+            participants: participants_path.map(str::to_string),
+            config: JoinConfig::recommended(),
+        })
+    }
+
+    #[test]
+    fn workers_build_every_stage3_job_from_the_bytes_the_driver_encodes() {
+        use crate::recovery::tests::worker_builds_the_drivers_job as rebuilt;
+        let dfs = Dfs::new(2, 16);
+        let lines = |n: u64| (0..n).map(|i| format!("{i}\ttitle {i}\tauthor"));
+        dfs.write_text("/r", lines(6)).unwrap();
+        dfs.write_text("/s", lines(9)).unwrap();
+        dfs.write_text("/work/ridpairs", ["1\t2\t0.9", "3\t4\t0.8"])
+            .unwrap();
+        let half = ((1u64, 2u64), (POS_FIRST, "1\tt\ta".to_string(), 0.9));
+        dfs.write_seq("/work/halves", &[half]).unwrap();
+        let count = |path: &str| dfs.splits(path).unwrap().len();
+        let (halves, joined) = ("/work/halves".to_string(), "/work/joined".to_string());
+        let config = JoinConfig {
+            bad_records: crate::config::BadRecordPolicy::SkipUpTo(3),
+            ..JoinConfig::recommended()
+        };
+        for s in [None, Some("/s")] {
+            let relations = Relations::new("/r", s);
+            let records = count("/r") + s.map_or(0, count);
+            let fill = FillSpec {
+                relations: relations.clone(),
+                pairs: "/work/ridpairs".into(),
+                halves: halves.clone(),
+                participants: s.map(|_| "/work/participants".to_string()),
+                config: config.clone(),
+            };
+            let splits = records + count("/work/ridpairs");
+            let expected = ("stage3-brj-fill".to_string(), None, halves.clone(), splits);
+            assert_eq!(rebuilt(&fill, &dfs), expected);
+            let oprj = OprjSpec {
+                relations,
+                pairs: "/work/ridpairs".into(),
+                joined: joined.clone(),
+                config: config.clone(),
+            };
+            let expected = ("stage3-oprj".to_string(), None, joined.clone(), records);
+            assert_eq!(rebuilt(&oprj, &dfs), expected);
         }
+        let assemble = AssembleSpec {
+            halves: halves.clone(),
+            joined: joined.clone(),
+        };
+        let expected = (
+            "stage3-brj-assemble".to_string(),
+            None,
+            joined,
+            count("/work/halves"),
+        );
+        assert_eq!(rebuilt(&assemble, &dfs), expected);
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl CachedTokenizer {
         }
     }
 
-    /// The tokenizer kind this holder builds.
-    pub fn kind(&self) -> TokenizerKind {
-        self.kind
-    }
-
     /// Tokenize using the cached instance. The tokens are borrowed from the
     /// holder's buffer, which the next call overwrites.
     pub fn tokenize(&mut self, text: &str) -> &TokenBuf {

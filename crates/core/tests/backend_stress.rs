@@ -61,6 +61,56 @@ fn sharded_join_matches_simulated_at_every_thread_count() {
     }
 }
 
+/// Where each job of a join runs on the process backend: the jobs whose
+/// specs `register_process_jobs` registers — both BTO jobs and the BK kernel
+/// — in worker processes, every other job on the driver through the
+/// in-process fallback (ROADMAP item 1 moves them, under a measured claim).
+#[test]
+fn process_backend_runs_exactly_the_registered_jobs_in_worker_processes() {
+    let run = |join: JoinConfig| {
+        let config = ClusterConfig {
+            backend: BackendKind::Process,
+            execution_threads: Some(2),
+            ..ClusterConfig::with_nodes(3)
+        };
+        let cluster = Cluster::new(config, 2048).unwrap();
+        assert!(cluster.dfs().disk_root().is_some(), "workers share a disk");
+        let lines = datagen::to_lines(&datagen::dblp(80, 0xD5));
+        cluster.dfs().write_text("/records", &lines).unwrap();
+        let outcome = self_join(&cluster, "/records", "/work", &join).unwrap();
+        let jobs: Vec<(String, u64, u64)> = outcome
+            .all_jobs()
+            .map(|j| {
+                let worker_maps = j.counter("mr.process.worker_map_tasks");
+                let fallback = j.counter("mr.process.fallback_jobs");
+                (j.name.clone(), worker_maps, fallback)
+            })
+            .collect();
+        jobs
+    };
+    let bk = run(JoinConfig::basic());
+    let names: Vec<&str> = bk.iter().map(|(name, ..)| name.as_str()).collect();
+    let expected = [
+        "stage1-bto-count",
+        "stage1-bto-sort",
+        "stage2-bk",
+        "stage3-brj-fill",
+        "stage3-brj-assemble",
+    ];
+    assert_eq!(names, expected);
+    for (name, worker_maps, fallback) in &bk[..3] {
+        assert!(*worker_maps > 0, "{name} mapped nothing in a worker");
+        assert_eq!(*fallback, 0, "{name}");
+    }
+    for (name, worker_maps, fallback) in &bk[3..] {
+        assert_eq!((*worker_maps, *fallback), (0, 1), "{name}");
+    }
+    let pk = run(JoinConfig::recommended());
+    assert_eq!(pk[2].0, "stage2-pk");
+    let fallbacks: u64 = pk.iter().map(|(.., fallback)| fallback).sum();
+    assert_eq!(fallbacks, 3, "PK and both BRJ jobs: {pk:?}");
+}
+
 /// Hidden worker entry for `MR_BACKEND=process`: the driver re-spawns this
 /// test binary as worker processes that land here. In a normal test run
 /// the worker env var is unset and this is an instant no-op pass.

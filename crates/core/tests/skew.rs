@@ -588,7 +588,13 @@ proptest! {
         // exactly the owner says yes — the per-pair form and the indexed
         // kernel's per-token form alike (the latter asked about another
         // token first, so its memo has to turn over).
-        let ownership = Ownership::new(threshold, routing, length_sub_routing, Arc::new(plan));
+        let config = JoinConfig {
+            threshold,
+            routing,
+            length_sub_routing,
+            ..JoinConfig::recommended()
+        };
+        let ownership = Ownership::new(&config, Arc::new(plan));
         for &k in rx.union(&ry) {
             let key = plain(k, 0, REL_R);
             prop_assert_eq!(ownership.owns(&key, m, mx, my), k == owner);

@@ -67,8 +67,6 @@ pub struct ClusterConfig {
     /// Map-side sort buffer: encoded output bytes buffered before a spill
     /// (Hadoop's `io.sort.mb`).
     pub spill_buffer_bytes: usize,
-    /// Network model for shuffle-time simulation.
-    pub network: NetworkModel,
     /// Physical threads used to execute tasks. Defaults to the host's
     /// available parallelism; timing fidelity is best when this does not
     /// exceed the physical core count.
@@ -90,13 +88,6 @@ pub struct ClusterConfig {
     pub speculation: bool,
     /// Optional deterministic fault-injection plan (see [`crate::faults`]).
     pub faults: Option<FaultPlan>,
-    /// Heavy-hitter reduce keys reported per job (top-k), for jobs that
-    /// define a key labeler (see [`crate::Job::key_label`]).
-    pub heavy_hitter_top_k: usize,
-    /// Warn (log line, counter, trace event) when the heaviest reduce key
-    /// carries more than this share of a job's shuffle records — the
-    /// operational symptom of a bad token order. Set above 1.0 to disable.
-    pub heavy_hitter_warn_share: f64,
     /// Which execution backend runs the tasks (see [`crate::backend`]).
     /// All three backends produce byte-identical output from the same task
     /// runner; they differ only in the shuffle transport — how map output
@@ -163,15 +154,12 @@ impl Default for ClusterConfig {
             reduce_slots_per_node: 4,
             task_memory: None,
             spill_buffer_bytes: 64 << 20,
-            network: NetworkModel::default(),
             execution_threads: None,
             max_task_attempts: 1,
             merge_factor: 64,
             retry_backoff_secs: 1.0,
             speculation: true,
             faults: None,
-            heavy_hitter_top_k: 10,
-            heavy_hitter_warn_share: 0.5,
             backend: BackendKind::Simulated,
             dfs_root: None,
             durable_commits: true,
@@ -236,15 +224,6 @@ impl ClusterConfig {
             return Err(format!(
                 "retry_backoff_secs {} must be finite and >= 0",
                 self.retry_backoff_secs
-            ));
-        }
-        if self.heavy_hitter_top_k == 0 {
-            return Err("heavy_hitter_top_k must be at least 1".into());
-        }
-        if !self.heavy_hitter_warn_share.is_finite() || self.heavy_hitter_warn_share <= 0.0 {
-            return Err(format!(
-                "heavy_hitter_warn_share {} must be finite and > 0",
-                self.heavy_hitter_warn_share
             ));
         }
         if self.shuffle_channel_capacity == 0 {

@@ -396,9 +396,11 @@ impl_codec_tuple!(
 
 /// Implement [`Codec`] for a struct (optionally generic over one `Codec`
 /// parameter) by encoding the listed fields in order — how the engine's
-/// own task-result and wire types cross the process backend's pipes. A
-/// trailing `..base` leaves the unlisted fields off the wire: the decoded
-/// value takes them from `base`.
+/// own task-result and wire types cross the process backend's pipes, and
+/// how a [`JobSpec`](crate::JobSpec) reaches a worker process. A trailing
+/// `..base` leaves the unlisted fields off the wire: the decoded value
+/// takes them from `base`.
+#[macro_export]
 macro_rules! codec_struct {
     ($t:ident $(<$p:ident>)? { $($f:ident),+ $(,)? } $(..$base:expr)?) => {
         impl$(<$p: $crate::codec::Codec>)? $crate::codec::Codec for $t$(<$p>)? {
@@ -411,7 +413,6 @@ macro_rules! codec_struct {
         }
     };
 }
-pub(crate) use codec_struct;
 
 #[cfg(test)]
 mod tests {

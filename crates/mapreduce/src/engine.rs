@@ -11,9 +11,9 @@ use crate::backend::{self, BackendKind, ExecParams};
 use crate::cache::Cache;
 use crate::cluster::{
     list_schedule_makespan, list_schedule_speculative, schedule_map_tasks, ClusterConfig,
-    MapTaskSpec, ScheduleOutcome, SpecOutcome, SpecTask,
+    MapTaskSpec, NetworkModel, ScheduleOutcome, SpecOutcome, SpecTask,
 };
-use crate::codec::codec_struct;
+use crate::codec_struct;
 use crate::counters::Counters;
 use crate::dfs::{Dfs, SeqWriter, TextWriter};
 use crate::error::{MrError, Result};
@@ -349,7 +349,7 @@ impl Cluster {
         reduce_outs: &[ReduceTaskOut],
     ) -> (ScheduleOutcome, (f64, SpecOutcome), (f64, SpecOutcome)) {
         let config = &self.config;
-        let overhead = config.network.task_overhead_secs;
+        let overhead = NETWORK.task_overhead_secs;
         let map_specs: Vec<MapTaskSpec> = map_outs
             .iter()
             .map(|o| MapTaskSpec {
@@ -362,7 +362,7 @@ impl Cluster {
             &map_specs,
             config.nodes,
             config.map_slots_per_node,
-            &config.network,
+            &NETWORK,
         );
         let map_slow: Vec<f64> = map_outs
             .iter()
@@ -376,7 +376,7 @@ impl Cluster {
         );
         let reduce_sim: Vec<f64> = reduce_outs
             .iter()
-            .map(|o| config.network.transfer_secs(o.input_bytes) + o.duration + overhead)
+            .map(|o| NETWORK.transfer_secs(o.input_bytes) + o.duration + overhead)
             .collect();
         let reduce_slow: Vec<f64> = reduce_outs
             .iter()
@@ -414,7 +414,7 @@ impl Cluster {
             group_records.merge(&o.group_records);
             if let Some(tk) = &o.key_counts {
                 key_counts
-                    .get_or_insert_with(|| TopK::new(heavy_hitter_capacity(&self.config)))
+                    .get_or_insert_with(|| TopK::new(HEAVY_HITTER_CAPACITY))
                     .merge(tk);
             }
         }
@@ -424,18 +424,18 @@ impl Cluster {
         job_histograms.push((HIST_REDUCE_GROUP_RECORDS.to_string(), group_records));
         job_histograms.sort_by(|a, b| a.0.cmp(&b.0));
         let heavy_hitters = key_counts
-            .map(|tk| tk.top(self.config.heavy_hitter_top_k))
+            .map(|tk| tk.top(HEAVY_HITTER_TOP_K))
             .unwrap_or_default();
         if let Some((label, count)) = heavy_hitters.first() {
             let share = *count as f64 / shuffle_records.max(1) as f64;
-            if shuffle_records > 0 && share > self.config.heavy_hitter_warn_share {
+            if shuffle_records > 0 && share > HEAVY_HITTER_WARN_SHARE {
                 counters.get(HEAVY_HITTER_WARNINGS).incr();
                 eprintln!(
                     "warning: job {job_name}: reduce key {label} carries {count} of \
                      {shuffle_records} shuffle records ({:.0}% > {:.0}% threshold) — a different \
                      token ordering or grouped routing would balance reducers better",
                     share * 100.0,
-                    self.config.heavy_hitter_warn_share * 100.0,
+                    HEAVY_HITTER_WARN_SHARE * 100.0,
                 );
                 if let Some(t) = &self.trace {
                     let mut e = TraceEvent::new(EventKind::SkewWarning, job_name);
@@ -552,7 +552,7 @@ impl Cluster {
             reduce_output_records: reduce_outs.iter().map(|o| o.output_records).sum(),
             shuffle_transfer_secs: reduce_outs
                 .iter()
-                .map(|o| config.network.transfer_secs(o.input_bytes))
+                .map(|o| NETWORK.transfer_secs(o.input_bytes))
                 .fold(0.0, f64::max),
             sim_secs: map_makespan + reduce_makespan,
             wall_secs: wall_start.elapsed().as_secs_f64(),
@@ -580,11 +580,25 @@ impl Cluster {
     }
 }
 
+/// The simulated cluster's shuffle network: 1 Gb/s full-duplex links, as on
+/// the paper's IBM x3650 cluster, and no fixed per-task overhead.
+const NETWORK: NetworkModel = NetworkModel {
+    bandwidth_bytes_per_sec: 125.0e6,
+    task_overhead_secs: 0.0,
+};
+
+/// Heavy-hitter reduce keys reported per job, for jobs that define a key
+/// labeler (see [`crate::Job::key_label`]).
+const HEAVY_HITTER_TOP_K: usize = 10;
+
+/// Warn (log line, counter, trace event) when the heaviest reduce key
+/// carries more than this share of a job's shuffle records — the
+/// operational symptom of a bad token order.
+const HEAVY_HITTER_WARN_SHARE: f64 = 0.5;
+
 /// Sketch capacity for per-task heavy-hitter tracking: generously above
 /// the reported top-k so near-ties survive task-level merging.
-fn heavy_hitter_capacity(config: &ClusterConfig) -> usize {
-    (config.heavy_hitter_top_k * 8).max(64)
-}
+const HEAVY_HITTER_CAPACITY: usize = HEAVY_HITTER_TOP_K * 8;
 
 // ---- generic task pool ----------------------------------------------------
 
@@ -1424,9 +1438,7 @@ where
     reducer.setup(&ctx)?;
     let mut groups = 0u64;
     let group_hist = Histogram::new();
-    let mut key_counts = shared
-        .key_label
-        .map(|_| TopK::new(heavy_hitter_capacity(&shared.cluster.config)));
+    let mut key_counts = shared.key_label.map(|_| TopK::new(HEAVY_HITTER_CAPACITY));
     let mut read_before = 0u64;
     while let Some(first_key) = stream.peek_key().cloned() {
         let mut group = GroupValues::new(&mut stream, first_key.clone(), shared.group_eq.clone());

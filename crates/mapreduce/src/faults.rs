@@ -140,7 +140,7 @@ impl Default for FaultPlan {
 // outcomes. The storage keys (`enospc`/`eio`/`torn`) stay off the wire by
 // design: the driver's `Dfs` handle injects them, so a worker decodes the
 // quiet defaults and sees a clean disk.
-crate::codec::codec_struct!(
+crate::codec_struct!(
     FaultPlan {
         seed,
         p_transient,

@@ -3,6 +3,9 @@
 use std::sync::Arc;
 
 use crate::cache::Cache;
+use crate::codec::Codec;
+use crate::dfs::Dfs;
+use crate::error::Result;
 use crate::input::SplitSource;
 use crate::mapper::Mapper;
 use crate::partitioner::{
@@ -78,24 +81,43 @@ pub struct Job<M: Mapper, R: Reducer<Key = M::OutKey, InValue = M::OutValue>> {
     /// resumable-by-fingerprint).
     pub fingerprint: Option<u64>,
     /// How a worker *process* rebuilds this job (see [`crate::backend`]'s
-    /// process backend): the name of a registered job factory plus an
-    /// opaque payload the factory decodes. Jobs without a remote spec run
+    /// process backend), set by [`Job::from_spec`]. Jobs without one run
     /// in-process even under the process backend (documented fallback).
     pub remote: Option<RemoteJobSpec>,
 }
 
-/// Recipe for reconstructing a job inside a worker process.
-///
-/// The driver cannot ship closures over a pipe, so remote-capable jobs
-/// instead register a named factory (see [`crate::register_job_factory`])
-/// that rebuilds the full [`Job`] — mapper, reducer, policies, *and*
-/// inputs — from this payload and the shared disk-backed DFS. Both sides
-/// derive splits from the same DFS state, so task ids line up.
+/// A job as one encodable value: everything [`build`](JobSpec::build) needs
+/// beyond the shared [`Dfs`]. The driver builds the job it runs from a spec
+/// ([`Job::from_spec`]) and ships the spec's own bytes; a worker process
+/// decodes them and calls the same `build`
+/// ([`register_job_spec`](crate::register_job_spec)), so the two cannot
+/// describe different jobs. Both sides derive splits from the same DFS
+/// state, so task ids line up.
+pub trait JobSpec: Codec {
+    /// The job's mapper.
+    type Mapper: Mapper;
+    /// The job's reducer.
+    type Reducer: Reducer<
+        Key = <Self::Mapper as Mapper>::OutKey,
+        InValue = <Self::Mapper as Mapper>::OutValue,
+    >;
+
+    /// Name of the worker-side factory of this job. The job runs in worker
+    /// processes only where that name is registered.
+    fn factory(&self) -> &'static str;
+
+    /// The whole job — mapper, reducer, policies, inputs and output —
+    /// against `dfs`.
+    fn build(&self, dfs: &Dfs) -> Result<Job<Self::Mapper, Self::Reducer>>;
+}
+
+/// What the driver sends a worker process to rebuild a job from: the name
+/// of a registered factory and the encoded [`JobSpec`] it decodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteJobSpec {
     /// Registered factory name (must match on driver and worker).
     pub factory: String,
-    /// Opaque factory input, typically a `Codec`-encoded parameter struct.
+    /// The encoded spec.
     pub payload: Vec<u8>,
 }
 
@@ -125,15 +147,21 @@ where
         }
     }
 
-    /// Declare how a worker process rebuilds this job: a registered factory
-    /// name plus the payload it decodes. Required for a job to execute
-    /// out-of-process under the process backend.
-    pub fn remote(mut self, factory: impl Into<String>, payload: Vec<u8>) -> Self {
-        self.remote = Some(RemoteJobSpec {
-            factory: factory.into(),
-            payload,
-        });
-        self
+    /// The job `spec` describes, as the driver runs it: built by the spec,
+    /// and carrying the spec's bytes for worker processes when its factory
+    /// is registered in this executable.
+    pub fn from_spec<S>(spec: &S, dfs: &Dfs) -> Result<Self>
+    where
+        S: JobSpec<Mapper = M, Reducer = R>,
+    {
+        let mut job = spec.build(dfs)?;
+        if crate::remote::is_registered(spec.factory()) {
+            job.remote = Some(RemoteJobSpec {
+                factory: spec.factory().to_string(),
+                payload: spec.to_bytes(),
+            });
+        }
+        Ok(job)
     }
 
     /// Add input splits.

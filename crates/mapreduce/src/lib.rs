@@ -105,7 +105,7 @@ pub use engine::Cluster;
 pub use error::{ErrorClass, MrError, Result};
 pub use faults::{Fault, FaultPlan};
 pub use input::{mem_input, seq_input, text_input, SplitSource};
-pub use job::{Job, KeyLabel, Output, RemoteJobSpec, TextFormat};
+pub use job::{Job, JobSpec, KeyLabel, Output, RemoteJobSpec, TextFormat};
 pub use json::{obj, Json};
 pub use kv::{Key, Value};
 pub use manifest::{
@@ -121,9 +121,7 @@ pub use partitioner::{
 };
 pub use profile::JobProfile;
 pub use reducer::{sum_combiner, ClosureReducer, CombineFn, IdentityReducer, Reducer};
-pub use remote::{
-    process_worker_main, register_job_factory, CORRUPT_FRAME_ENV, HANG_ENV, WORKER_ENV,
-};
+pub use remote::{process_worker_main, register_job_spec, CORRUPT_FRAME_ENV, HANG_ENV, WORKER_ENV};
 pub use run::{GroupValues, MergeStream, Run};
 pub use supervise::{Activity, CancelToken, ExpireReason, Supervisor, WatchGuard};
 pub use task::{Emit, Phase, TaskContext, VecEmitter};

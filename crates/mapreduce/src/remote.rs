@@ -6,10 +6,11 @@
 //! way Hadoop's TaskTracker forks task JVMs from the same job jar) and
 //! frames task assignments over the workers' stdin/stdout pipes using the
 //! crate's own varint [`Codec`]. Closures cannot cross a process
-//! boundary, so a remote-capable [`Job`](crate::Job) carries a
+//! boundary, so a remote-capable [`Job`](crate::Job) is built from a
+//! [`JobSpec`] and carries its bytes as a
 //! [`RemoteJobSpec`](crate::RemoteJobSpec): the name of a factory
-//! registered on both sides (see [`register_job_factory`]) plus an opaque
-//! payload from which the factory rebuilds the *entire* job — mapper,
+//! registered on both sides (see [`register_job_spec`]) plus the encoded
+//! spec, from which the worker rebuilds the *entire* job — mapper,
 //! reducer, policies, and inputs — against the shared disk-backed
 //! [`Dfs`]. Both sides derive input splits from the same on-disk
 //! filesystem state, so task ids line up by construction and the driver
@@ -68,7 +69,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::backend::{ExecParams, Transport};
 use crate::cluster::ClusterConfig;
-use crate::codec::{codec_struct, write_varint, ByteReader, Codec};
+use crate::codec::{write_varint, ByteReader, Codec};
+use crate::codec_struct;
 use crate::counters::Counters;
 use crate::dfs::{Crc32, Dfs};
 use crate::engine::{
@@ -78,7 +80,7 @@ use crate::engine::{
 use crate::error::{MrError, Result};
 use crate::faults::{Fault, FaultPlan};
 use crate::input::SplitSource;
-use crate::job::Job;
+use crate::job::{Job, JobSpec};
 use crate::mapper::Mapper;
 use crate::reducer::Reducer;
 use crate::run::Run;
@@ -140,8 +142,6 @@ struct HandshakeReq {
     spill_buffer: usize,
     merge_factor: usize,
     task_memory: Option<u64>,
-    heavy_hitter_top_k: usize,
-    heavy_hitter_warn_share: f64,
     shuffle_tag: String,
     /// The driver's plan minus its storage keys (see [`FaultPlan`]'s
     /// `Codec`): the worker must reach the *exact* same pure `decide()`
@@ -166,8 +166,6 @@ codec_struct!(HandshakeReq {
     spill_buffer,
     merge_factor,
     task_memory,
-    heavy_hitter_top_k,
-    heavy_hitter_warn_share,
     shuffle_tag,
     faults,
     heartbeat_interval_ms,
@@ -561,30 +559,29 @@ fn registry() -> &'static RwLock<BTreeMap<String, FactoryFn>> {
     REGISTRY.get_or_init(|| RwLock::new(BTreeMap::new()))
 }
 
-/// Register a job factory under `name`, on both the driver and (crucially)
-/// in the worker entry point of the executable that will be re-spawned.
-///
-/// The factory receives the [`RemoteJobSpec`](crate::RemoteJobSpec)
-/// payload and the shared disk-backed [`Dfs`], and must rebuild the
-/// *same* job the driver is running — including its inputs, typically via
-/// [`text_input`](crate::text_input)/[`seq_input`](crate::seq_input) on
-/// the given DFS. Split derivation is deterministic (sorted file
-/// resolution, blocks in file order), so the worker's task ids match the
-/// driver's. Registering the same name again replaces the old factory.
-pub fn register_job_factory<M, R, F>(name: &str, build: F)
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue> + Clone,
-    F: Fn(&[u8], &Dfs) -> Result<Job<M, R>> + Send + Sync + 'static,
-{
-    let factory: FactoryFn = Arc::new(move |payload, dfs| {
-        let job = build(payload, dfs)?;
+/// Register `S` under the factory name `factory`: a worker handed that
+/// name decodes the payload as an `S` and builds the job with
+/// [`JobSpec::build`], the function the driver built its own copy with
+/// ([`Job::from_spec`]). Call it in every executable that drives or works
+/// for such jobs, before [`process_worker_main`]: the driver sends a job to
+/// worker processes only when its factory is registered. Split derivation is
+/// deterministic (sorted file resolution, blocks in file order), so the
+/// worker's task ids match the driver's. Registering a name again replaces
+/// the old factory.
+pub fn register_job_spec<S: JobSpec>(factory: &str) {
+    let build: FactoryFn = Arc::new(|payload, dfs| {
+        let job = S::from_bytes(payload)?.build(dfs)?;
         Ok(Box::new(JobWorker {
             num_reducers: job.num_reducers.unwrap_or(1),
             job,
         }) as Box<dyn WorkerJob>)
     });
-    registry().write().insert(name.to_string(), factory);
+    registry().write().insert(factory.to_string(), build);
+}
+
+/// Whether [`register_job_spec`] registered `factory` in this executable.
+pub(crate) fn is_registered(factory: &str) -> bool {
+    registry().read().contains_key(factory)
 }
 
 /// A rebuilt job plus the resolved reducer count, executing one request
@@ -893,8 +890,6 @@ fn worker_setup(req: &HandshakeReq) -> Result<(Cluster, Box<dyn WorkerJob>, Path
         spill_buffer_bytes: req.spill_buffer,
         merge_factor: req.merge_factor,
         task_memory: req.task_memory,
-        heavy_hitter_top_k: req.heavy_hitter_top_k,
-        heavy_hitter_warn_share: req.heavy_hitter_warn_share,
         // One request at a time; retries, speculation, and the makespan
         // model stay driver-side.
         execution_threads: Some(1),
@@ -1194,8 +1189,6 @@ where
         spill_buffer: config.spill_buffer_bytes,
         merge_factor: config.merge_factor,
         task_memory: config.task_memory,
-        heavy_hitter_top_k: config.heavy_hitter_top_k,
-        heavy_hitter_warn_share: config.heavy_hitter_warn_share,
         shuffle_tag: tag.clone(),
         faults: config.faults.clone(),
         // Workers only emit heartbeats when the driver supervises; an
@@ -1653,8 +1646,6 @@ mod tests {
             spill_buffer: 1024,
             merge_factor: 8,
             task_memory: Some(1 << 20),
-            heavy_hitter_top_k: 10,
-            heavy_hitter_warn_share: 0.5,
             shuffle_tag: "stage1-1-0".into(),
             faults: Some(plan.clone()),
             heartbeat_interval_ms: 250,

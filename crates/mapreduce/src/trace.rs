@@ -20,7 +20,8 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::codec::{codec_struct, ByteReader, Codec};
+use crate::codec::{ByteReader, Codec};
+use crate::codec_struct;
 use crate::error::{MrError, Result};
 use crate::json::{escape_into, obj, Json};
 use crate::task::Phase;

@@ -1,4 +1,4 @@
-//! Real out-of-process execution: these tests register a job factory and
+//! Real out-of-process execution: these tests register a job spec and
 //! run the probe job through `BackendKind::Process` with *actual worker
 //! processes* — the driver re-executes this test binary with
 //! `MR_PROCESS_WORKER=1`, libtest lands in [`process_worker_entry`], and
@@ -9,8 +9,10 @@
 //!
 //! * committed output is byte-identical to the in-process backends, and
 //!   the worker-side counters prove the remote path really ran;
-//! * a job without a registered factory falls back in-process, correctly;
-//! * an unknown factory name fails the handshake and falls back;
+//! * a job not built from a registered spec falls back in-process,
+//!   correctly;
+//! * a factory name the workers do not know fails the handshake and falls
+//!   back;
 //! * a worker that dies mid-task (`abort()`, i.e. SIGKILL-grade: no
 //!   unwind, no goodbye frame) is classified as a lost node and the task
 //!   is retried on a fresh worker without taking down the driver;
@@ -22,12 +24,12 @@
 use std::sync::{Mutex, MutexGuard, Once};
 
 use mapreduce::{
-    text_input, BackendKind, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Codec, Dfs,
-    Emit, FaultPlan, Job, JobMetrics, Mapper, Reducer, Result, TaskContext, CORRUPT_FRAME_ENV,
-    HANG_ENV, WORKER_ENV,
+    text_input, BackendKind, Cluster, ClusterConfig, Dfs, Emit, FaultPlan, Job, JobMetrics,
+    JobSpec, Mapper, Reducer, Result, TaskContext, CORRUPT_FRAME_ENV, HANG_ENV, WORKER_ENV,
 };
 
 const PROBE_FACTORY: &str = "process-probe";
+const DRIVER_ONLY_FACTORY: &str = "process-probe-driver-only";
 
 /// Hidden worker entry. When the driver spawns this binary with
 /// `MR_PROCESS_WORKER=1` set, this "test" registers the factories and
@@ -69,10 +71,12 @@ impl Drop for EnvGuard {
 fn register_factories() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        mapreduce::register_job_factory(PROBE_FACTORY, |payload, dfs| {
-            let (input, output, kill_attempts) = <(String, String, u64)>::from_bytes(payload)?;
-            build_probe_job(dfs, &input, &output, kill_attempts)
-        });
+        mapreduce::register_job_spec::<ProbeSpec>(PROBE_FACTORY);
+        // A factory the driver knows and its workers do not: a job sent
+        // under it must fail the handshake.
+        if std::env::var_os(WORKER_ENV).is_none() {
+            mapreduce::register_job_spec::<ProbeSpec>(DRIVER_ONLY_FACTORY);
+        }
     });
 }
 
@@ -86,49 +90,108 @@ fn corpus() -> Vec<String> {
 /// concatenates values in arrival order, so any divergence in how the
 /// remote path presents runs to the merge shows up in the output bytes.
 ///
-/// Driver and worker both build the job through this one function (the
-/// worker via the registered factory), so they cannot drift apart.
-#[allow(clippy::type_complexity)]
-fn build_probe_job(
-    dfs: &Dfs,
-    input: &str,
-    output: &str,
+/// Driver and worker both build the job through this spec's `build` (the
+/// worker from the bytes the driver encoded), so they cannot drift apart.
+struct ProbeSpec {
+    input: String,
+    output: String,
     kill_attempts: u64,
-) -> Result<
-    Job<
-        impl Mapper<InKey = u64, InValue = String, OutKey = String, OutValue = String>,
-        impl Reducer<Key = String, InValue = String, OutKey = String, OutValue = String>,
-    >,
-> {
-    let mapper = ClosureMapper::new(
-        move |_off: &u64, line: &String, out: &mut dyn Emit<String, String>, ctx: &TaskContext| {
-            // SIGKILL-grade death: no unwind, no error frame, the pipe
-            // just closes. Guarded on the worker env var so an
-            // in-process fallback run of this mapper never aborts the
-            // driver, and on task 0's first `kill_attempts` attempts so
-            // a retry (or the in-process fallback) eventually succeeds.
-            if ctx.task_id == 0
-                && (ctx.attempt as u64) < kill_attempts
-                && std::env::var_os(WORKER_ENV).is_some()
-            {
-                std::process::abort();
-            }
-            let (k, v) = line.split_once(' ').unwrap();
-            out.emit(k.to_string(), v.to_string())
-        },
-    );
-    let reducer = ClosureReducer::new(
-        |k: &String,
-         vs: &mut dyn Iterator<Item = (String, String)>,
-         out: &mut dyn Emit<String, String>,
-         _: &TaskContext| {
-            let joined: Vec<String> = vs.map(|(_, v)| v).collect();
-            out.emit(k.clone(), joined.join(","))
-        },
-    );
-    Ok(Job::new("process-probe", mapper, reducer)
-        .inputs(text_input(dfs, input)?)
-        .output_seq(output))
+    /// Send the job under [`DRIVER_ONLY_FACTORY`].
+    driver_only: bool,
+}
+mapreduce::codec_struct!(ProbeSpec {
+    input,
+    output,
+    kill_attempts,
+    driver_only,
+});
+
+impl ProbeSpec {
+    fn new(kill_attempts: u64) -> Self {
+        ProbeSpec {
+            input: "/in".into(),
+            output: "/out".into(),
+            kill_attempts,
+            driver_only: false,
+        }
+    }
+}
+
+impl JobSpec for ProbeSpec {
+    type Mapper = ProbeMapper;
+    type Reducer = ProbeReducer;
+
+    fn factory(&self) -> &'static str {
+        if self.driver_only {
+            DRIVER_ONLY_FACTORY
+        } else {
+            PROBE_FACTORY
+        }
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<ProbeMapper, ProbeReducer>> {
+        let mapper = ProbeMapper {
+            kill_attempts: self.kill_attempts,
+        };
+        Ok(Job::new("process-probe", mapper, ProbeReducer)
+            .inputs(text_input(dfs, &self.input)?)
+            .output_seq(&self.output))
+    }
+}
+
+#[derive(Clone)]
+struct ProbeMapper {
+    kill_attempts: u64,
+}
+
+impl Mapper for ProbeMapper {
+    type InKey = u64;
+    type InValue = String;
+    type OutKey = String;
+    type OutValue = String;
+
+    fn map(
+        &mut self,
+        _off: &u64,
+        line: &String,
+        out: &mut dyn Emit<String, String>,
+        ctx: &TaskContext,
+    ) -> Result<()> {
+        // SIGKILL-grade death: no unwind, no error frame, the pipe
+        // just closes. Guarded on the worker env var so an
+        // in-process fallback run of this mapper never aborts the
+        // driver, and on task 0's first `kill_attempts` attempts so
+        // a retry (or the in-process fallback) eventually succeeds.
+        if ctx.task_id == 0
+            && (ctx.attempt as u64) < self.kill_attempts
+            && std::env::var_os(WORKER_ENV).is_some()
+        {
+            std::process::abort();
+        }
+        let (k, v) = line.split_once(' ').unwrap();
+        out.emit(k.to_string(), v.to_string())
+    }
+}
+
+#[derive(Clone)]
+struct ProbeReducer;
+
+impl Reducer for ProbeReducer {
+    type Key = String;
+    type InValue = String;
+    type OutKey = String;
+    type OutValue = String;
+
+    fn reduce(
+        &mut self,
+        k: &String,
+        vs: &mut dyn Iterator<Item = (String, String)>,
+        out: &mut dyn Emit<String, String>,
+        _: &TaskContext,
+    ) -> Result<()> {
+        let joined: Vec<String> = vs.map(|(_, v)| v).collect();
+        out.emit(k.clone(), joined.join(","))
+    }
 }
 
 struct ProbeRun {
@@ -169,11 +232,13 @@ fn run_probe_with(
     tweak(&mut config);
     let cluster = Cluster::new(config, 256).unwrap();
     cluster.dfs().write_text("/in", corpus()).unwrap();
-    let mut job = build_probe_job(cluster.dfs(), "/in", "/out", kill_attempts).unwrap();
-    if remote {
-        let payload = ("/in".to_string(), "/out".to_string(), kill_attempts).to_bytes();
-        job = job.remote(PROBE_FACTORY, payload);
+    let spec = ProbeSpec::new(kill_attempts);
+    let job = if remote {
+        Job::from_spec(&spec, cluster.dfs())
+    } else {
+        spec.build(cluster.dfs())
     }
+    .unwrap();
     let metrics = cluster.run(job).unwrap();
     let output = cluster.dfs().read_seq("/out").unwrap();
     ProbeRun { output, metrics }
@@ -262,9 +327,13 @@ fn unknown_factory_fails_the_handshake_and_falls_back() {
     };
     let cluster = Cluster::new(config, 256).unwrap();
     cluster.dfs().write_text("/in", corpus()).unwrap();
-    let job = build_probe_job(cluster.dfs(), "/in", "/out", 0)
-        .unwrap()
-        .remote("no-such-factory", Vec::new());
+    register_factories();
+    let spec = ProbeSpec {
+        driver_only: true,
+        ..ProbeSpec::new(0)
+    };
+    let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
+    assert!(job.remote.is_some(), "the driver sends it out");
     let metrics = cluster.run(job).unwrap();
     let output: Vec<(String, String)> = cluster.dfs().read_seq("/out").unwrap();
 
