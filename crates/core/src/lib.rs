@@ -48,15 +48,18 @@ pub use report::{run_report, run_report_resolved, REPORT_SCHEMA, REPORT_SCHEMA_V
 pub use skew::{build_plan as build_skew_plan, SkewConfig, SkewMode, SkewPlan};
 pub use stage3::{JoinedPair, PairKey};
 
-/// Register the worker-side factory of every job this crate runs in
-/// worker processes (the stage-1 BTO jobs and the stage-2 BK kernel). A
-/// binary that should run them remotely must call this before
-/// [`mapreduce::process_worker_main`]. Idempotent.
+/// Register the worker-side factory of every job this crate runs — all
+/// twelve: five of stage 1, the four stage-2 kernels, three of stage 3. A
+/// binary whose joins may run on [`BackendKind::Process`] must call this
+/// before [`mapreduce::process_worker_main`]: its workers build every job
+/// they are opened with from these, and a job they cannot build fails.
+/// Idempotent.
 pub fn register_process_jobs() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         stage1::register_process_jobs();
         stage2::register_process_jobs();
+        stage3::register_process_jobs();
     });
 }
 

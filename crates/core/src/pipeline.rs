@@ -1,6 +1,6 @@
 //! End-to-end join drivers: the paper's three stages chained together.
 
-use mapreduce::{Cluster, MrError, PipelineMetrics, Result};
+use mapreduce::{Cluster, PipelineMetrics, Result};
 
 use crate::config::{JoinConfig, BAD_RECORDS_COUNTER};
 use crate::keys::Relations;
@@ -269,7 +269,6 @@ fn join_impl(
     config: &JoinConfig,
     resume: bool,
 ) -> Result<JoinOutcome> {
-    config.validate().map_err(MrError::InvalidConfig)?;
     let mut rec = if resume {
         Recovery::resuming()
     } else {

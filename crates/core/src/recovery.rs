@@ -159,8 +159,6 @@ pub(crate) fn run_spec<S: JobSpec>(
     spec: &S,
     fingerprint: u64,
 ) -> Result<JobMetrics> {
-    // A spec is sent to workers when its factory is registered here too.
-    crate::register_process_jobs();
     cluster.run(Job::from_spec(spec, cluster.dfs())?.fingerprint(fingerprint))
 }
 
@@ -264,6 +262,19 @@ pub(crate) mod tests {
         let built = shape(spec);
         assert_eq!(shape(&decoded), built);
         built
+    }
+
+    /// A stage driver handed a config no job can run with answers
+    /// `InvalidConfig`, naming the knob — not a missing input, a panic, or
+    /// (on worker processes) a spec its workers cannot decode.
+    pub(crate) fn refuses_a_bad_config<T>(run: impl Fn(&Cluster, &JoinConfig) -> Result<T>) {
+        let mut bad = JoinConfig::recommended();
+        bad.routing = crate::config::TokenRouting::Grouped { groups: 0 };
+        // An empty DFS: any other first step fails as `FileNotFound`.
+        match run(&cluster(), &bad).map(|_| ()) {
+            Err(MrError::InvalidConfig(msg)) => assert!(msg.starts_with("groups: "), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use mapreduce::{
     codec_struct, range_partitioner, sample_boundaries, seq_input, sum_combiner, text_input,
-    Cluster, Counter, Dfs, Emit, Job, JobSpec, Mapper, PipelineMetrics, Reducer, Result,
+    Cluster, Counter, Dfs, Emit, Job, JobSpec, Mapper, MrError, PipelineMetrics, Reducer, Result,
     TaskContext,
 };
 
@@ -364,6 +364,8 @@ impl JobSpec for SortSpec {
     }
 }
 
+const OPTO_FACTORY: &str = "core.stage1.opto";
+
 /// OPTO's one job: count as BTO does, total and sort in the single reducer.
 struct OptoSpec {
     input: String,
@@ -381,7 +383,7 @@ impl JobSpec for OptoSpec {
     type Reducer = OptoReducer;
 
     fn factory(&self) -> &'static str {
-        "core.stage1.opto"
+        OPTO_FACTORY
     }
 
     fn build(&self, dfs: &Dfs) -> Result<Job<TokenCountMapper, OptoReducer>> {
@@ -394,11 +396,14 @@ impl JobSpec for OptoSpec {
     }
 }
 
-/// Register the stage-1 jobs that run in worker processes: the two BTO
-/// jobs. OPTO and BTO-R wait for a measurement (ROADMAP item 1).
+/// Register the stage-1 jobs with worker processes: BTO's two, BTO-R's two
+/// and OPTO's one.
 pub(crate) fn register_process_jobs() {
     mapreduce::register_job_spec::<CountSpec>(CountSpec::names(false).1);
     mapreduce::register_job_spec::<SortSpec>(SortSpec::names(false).1);
+    mapreduce::register_job_spec::<CountSpec>(CountSpec::names(true).1);
+    mapreduce::register_job_spec::<SortSpec>(SortSpec::names(true).1);
+    mapreduce::register_job_spec::<OptoSpec>(OPTO_FACTORY);
 }
 
 /// Run stage 1 over the records at `input`, writing the ordered token list
@@ -423,6 +428,7 @@ pub(crate) fn run_with(
     work: &str,
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
+    config.validate().map_err(MrError::InvalidConfig)?;
     let work = work.trim_end_matches('/');
     let (tokens, counts) = (format!("{work}/tokens"), format!("{work}/token-counts"));
     let mut metrics = PipelineMetrics::default();
@@ -502,6 +508,11 @@ mod tests {
             stage1: algo,
             ..JoinConfig::recommended()
         }
+    }
+
+    #[test]
+    fn run_refuses_a_bad_config_before_any_job() {
+        crate::recovery::tests::refuses_a_bad_config(|c, bad| run(c, "/in", bad, "/work"));
     }
 
     #[test]

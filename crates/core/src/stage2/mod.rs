@@ -134,16 +134,21 @@ codec_struct!(KernelSpec {
     skew_splits,
 });
 
+/// A kernel job's name and its factory's.
+type Names = (&'static str, &'static str);
+
 impl KernelSpec {
-    /// The job's name and its factory's, for each kernel.
-    fn names(algo: Stage2Algo) -> (&'static str, &'static str) {
+    const BK: Names = ("stage2-bk", "core.stage2.bk");
+    const PK: Names = ("stage2-pk", "core.stage2.pk");
+    const MAP_BLOCKS: Names = ("stage2-bk-mapblocks", "core.stage2.bk-mapblocks");
+    const REDUCE_BLOCKS: Names = ("stage2-bk-reduceblocks", "core.stage2.bk-reduceblocks");
+
+    fn names(algo: Stage2Algo) -> Names {
         match algo {
-            Stage2Algo::Bk => ("stage2-bk", "core.stage2.bk"),
-            Stage2Algo::Pk { .. } => ("stage2-pk", "core.stage2.pk"),
-            Stage2Algo::BkMapBlocks { .. } => ("stage2-bk-mapblocks", "core.stage2.bk-mapblocks"),
-            Stage2Algo::BkReduceBlocks { .. } => {
-                ("stage2-bk-reduceblocks", "core.stage2.bk-reduceblocks")
-            }
+            Stage2Algo::Bk => Self::BK,
+            Stage2Algo::Pk { .. } => Self::PK,
+            Stage2Algo::BkMapBlocks { .. } => Self::MAP_BLOCKS,
+            Stage2Algo::BkReduceBlocks { .. } => Self::REDUCE_BLOCKS,
         }
     }
 }
@@ -187,10 +192,12 @@ impl JobSpec for KernelSpec {
     }
 }
 
-/// Register the stage-2 job that runs in worker processes: the BK kernel.
-/// The other kernels wait for a measurement (ROADMAP item 1).
+/// Register the stage-2 jobs with worker processes: one per kernel.
 pub(crate) fn register_process_jobs() {
-    mapreduce::register_job_spec::<KernelSpec>(KernelSpec::names(Stage2Algo::Bk).1);
+    mapreduce::register_job_spec::<KernelSpec>(KernelSpec::BK.1);
+    mapreduce::register_job_spec::<KernelSpec>(KernelSpec::PK.1);
+    mapreduce::register_job_spec::<KernelSpec>(KernelSpec::MAP_BLOCKS.1);
+    mapreduce::register_job_spec::<KernelSpec>(KernelSpec::REDUCE_BLOCKS.1);
 }
 
 /// Run the self-join kernel over the records at `input`, using the stage-1
@@ -233,6 +240,7 @@ pub(crate) fn run_with(
     work: &str,
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
+    config.validate().map_err(MrError::InvalidConfig)?;
     let pairs = format!("{}/ridpairs", work.trim_end_matches('/'));
     let mut inputs: Vec<&str> = relations.paths().collect();
     // The skew pre-pass: sample the input (both relations: a group is hot
@@ -275,6 +283,13 @@ pub(crate) fn run_with(
 mod tests {
     use super::*;
     use mapreduce::Codec;
+
+    #[test]
+    fn run_refuses_a_bad_config_before_any_job() {
+        use crate::recovery::tests::refuses_a_bad_config;
+        refuses_a_bad_config(|c, bad| run_self(c, "/in", "/work/tokens", bad, "/work"));
+        refuses_a_bad_config(|c, bad| run_rs(c, "/r", "/s", "/work/tokens", bad, "/work"));
+    }
 
     #[test]
     fn workers_build_every_kernel_job_from_the_bytes_the_driver_encodes() {

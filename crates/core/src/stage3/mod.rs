@@ -454,6 +454,18 @@ impl Mapper for OprjMapper {
 // The jobs, each one encodable value
 // ---------------------------------------------------------------------------
 
+const FILL_FACTORY: &str = "core.stage3.brj-fill";
+const ASSEMBLE_FACTORY: &str = "core.stage3.brj-assemble";
+const OPRJ_FACTORY: &str = "core.stage3.oprj";
+
+/// Register the stage-3 jobs with worker processes: BRJ's two and OPRJ's
+/// one.
+pub(crate) fn register_process_jobs() {
+    mapreduce::register_job_spec::<FillSpec>(FILL_FACTORY);
+    mapreduce::register_job_spec::<AssembleSpec>(ASSEMBLE_FACTORY);
+    mapreduce::register_job_spec::<OprjSpec>(OPRJ_FACTORY);
+}
+
 /// BRJ job 1: group every participating record with the pair halves that
 /// name it.
 struct FillSpec {
@@ -477,7 +489,7 @@ impl JobSpec for FillSpec {
     type Reducer = BrjFillReducer;
 
     fn factory(&self) -> &'static str {
-        "core.stage3.brj-fill"
+        FILL_FACTORY
     }
 
     fn build(&self, dfs: &Dfs) -> Result<Job<BrjFillMapper, BrjFillReducer>> {
@@ -504,7 +516,7 @@ impl JobSpec for AssembleSpec {
     type Reducer = AssembleReducer;
 
     fn factory(&self) -> &'static str {
-        "core.stage3.brj-assemble"
+        ASSEMBLE_FACTORY
     }
 
     fn build(&self, dfs: &Dfs) -> Result<Job<Self::Mapper, AssembleReducer>> {
@@ -536,7 +548,7 @@ impl JobSpec for OprjSpec {
     type Reducer = AssembleReducer;
 
     fn factory(&self) -> &'static str {
-        "core.stage3.oprj"
+        OPRJ_FACTORY
     }
 
     fn build(&self, dfs: &Dfs) -> Result<Job<OprjMapper, AssembleReducer>> {
@@ -596,6 +608,7 @@ pub(crate) fn run_with(
     work: &str,
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
+    config.validate().map_err(MrError::InvalidConfig)?;
     let work = work.trim_end_matches('/');
     let (joined, halves) = (format!("{work}/joined"), format!("{work}/halves"));
     let mut metrics = PipelineMetrics::default();
@@ -691,6 +704,13 @@ mod tests {
             participants: participants_path.map(str::to_string),
             config: JoinConfig::recommended(),
         })
+    }
+
+    #[test]
+    fn run_refuses_a_bad_config_before_any_job() {
+        use crate::recovery::tests::refuses_a_bad_config;
+        refuses_a_bad_config(|c, bad| run_self(c, "/in", "/work/ridpairs", bad, "/work"));
+        refuses_a_bad_config(|c, bad| run_rs(c, "/r", "/s", "/work/ridpairs", bad, "/work"));
     }
 
     #[test]

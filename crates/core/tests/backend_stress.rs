@@ -8,7 +8,8 @@
 //! intermediate files.
 
 use fuzzyjoin::{
-    read_joined, self_join, BackendKind, Cluster, ClusterConfig, JoinConfig, Threshold,
+    read_joined, self_join, BackendKind, Cluster, ClusterConfig, JoinConfig, Stage1Algo,
+    Stage2Algo, Stage3Algo, Threshold,
 };
 
 /// One full self-join; returns the committed outputs verbatim: the raw
@@ -61,54 +62,75 @@ fn sharded_join_matches_simulated_at_every_thread_count() {
     }
 }
 
-/// Where each job of a join runs on the process backend: the jobs whose
-/// specs `register_process_jobs` registers — both BTO jobs and the BK kernel
-/// — in worker processes, every other job on the driver through the
-/// in-process fallback (ROADMAP item 1 moves them, under a measured claim).
+/// Where each job of a join runs on the process backend: every spec of
+/// stages 1–3 is registered, so whatever the stage-1 × stage-2 × stage-3
+/// choice, every winning map and reduce attempt of every job ran in a
+/// worker process — and in the cluster's one pool, which a fault-free
+/// pipeline never has to spawn from twice per slot.
 #[test]
 fn process_backend_runs_exactly_the_registered_jobs_in_worker_processes() {
-    let run = |join: JoinConfig| {
-        let config = ClusterConfig {
-            backend: BackendKind::Process,
-            execution_threads: Some(2),
-            ..ClusterConfig::with_nodes(3)
-        };
-        let cluster = Cluster::new(config, 2048).unwrap();
-        assert!(cluster.dfs().disk_root().is_some(), "workers share a disk");
-        let lines = datagen::to_lines(&datagen::dblp(80, 0xD5));
-        cluster.dfs().write_text("/records", &lines).unwrap();
-        let outcome = self_join(&cluster, "/records", "/work", &join).unwrap();
-        let jobs: Vec<(String, u64, u64)> = outcome
-            .all_jobs()
-            .map(|j| {
-                let worker_maps = j.counter("mr.process.worker_map_tasks");
-                let fallback = j.counter("mr.process.fallback_jobs");
-                (j.name.clone(), worker_maps, fallback)
-            })
-            .collect();
-        jobs
-    };
-    let bk = run(JoinConfig::basic());
-    let names: Vec<&str> = bk.iter().map(|(name, ..)| name.as_str()).collect();
-    let expected = [
-        "stage1-bto-count",
-        "stage1-bto-sort",
-        "stage2-bk",
-        "stage3-brj-fill",
-        "stage3-brj-assemble",
+    const THREADS: u64 = 2;
+    let lines = datagen::to_lines(&datagen::dblp(80, 0xD5));
+    let mut reference: Option<Vec<(u64, u64, u64)>> = None;
+    let mut jobs_seen = std::collections::BTreeSet::new();
+    let stage2s = [
+        Stage2Algo::Bk,
+        JoinConfig::recommended().stage2,
+        Stage2Algo::BkMapBlocks { blocks: 3 },
+        Stage2Algo::BkReduceBlocks { blocks: 3 },
     ];
-    assert_eq!(names, expected);
-    for (name, worker_maps, fallback) in &bk[..3] {
-        assert!(*worker_maps > 0, "{name} mapped nothing in a worker");
-        assert_eq!(*fallback, 0, "{name}");
+    for stage1 in [Stage1Algo::Bto, Stage1Algo::BtoRange, Stage1Algo::Opto] {
+        for stage2 in stage2s {
+            for stage3 in [Stage3Algo::Brj, Stage3Algo::Oprj] {
+                let join = JoinConfig {
+                    stage1,
+                    stage2,
+                    stage3,
+                    ..JoinConfig::recommended().with_threshold(Threshold::jaccard(0.8))
+                };
+                let combo = join.combo_name();
+                let config = ClusterConfig {
+                    backend: BackendKind::Process,
+                    execution_threads: Some(THREADS as usize),
+                    ..ClusterConfig::with_nodes(3)
+                };
+                let cluster = Cluster::new(config, 2048).unwrap();
+                cluster.dfs().write_text("/records", &lines).unwrap();
+                let outcome = self_join(&cluster, "/records", "/work", &join).unwrap();
+                for j in outcome.all_jobs() {
+                    jobs_seen.insert(j.name.clone());
+                    assert_eq!(
+                        j.counter("mr.process.worker_map_tasks"),
+                        j.map.tasks as u64,
+                        "{combo}: {} ran a map attempt outside a worker",
+                        j.name
+                    );
+                    assert_eq!(
+                        j.counter("mr.process.worker_reduce_tasks"),
+                        j.reduce.tasks as u64,
+                        "{combo}: {} ran a reduce attempt outside a worker",
+                        j.name
+                    );
+                }
+                let spawned: u64 = outcome
+                    .all_jobs()
+                    .map(|j| j.counter("mr.process.workers_spawned"))
+                    .sum();
+                assert!(
+                    (1..=THREADS).contains(&spawned),
+                    "{combo}: {spawned} workers spawned for a pool of {THREADS}"
+                );
+                let joined: Vec<(u64, u64, u64)> = read_joined(&cluster, &outcome.joined_path)
+                    .unwrap()
+                    .into_iter()
+                    .map(|((a, b), (_, _, sim))| (a, b, sim.to_bits()))
+                    .collect();
+                assert!(!joined.is_empty(), "stress corpus must produce pairs");
+                assert_eq!(reference.get_or_insert(joined.clone()), &joined, "{combo}");
+            }
+        }
     }
-    for (name, worker_maps, fallback) in &bk[3..] {
-        assert_eq!((*worker_maps, *fallback), (0, 1), "{name}");
-    }
-    let pk = run(JoinConfig::recommended());
-    assert_eq!(pk[2].0, "stage2-pk");
-    let fallbacks: u64 = pk.iter().map(|(.., fallback)| fallback).sum();
-    assert_eq!(fallbacks, 3, "PK and both BRJ jobs: {pk:?}");
+    assert_eq!(jobs_seen.len(), 12, "all twelve jobs ran: {jobs_seen:?}");
 }
 
 /// Hidden worker entry for `MR_BACKEND=process`: the driver re-spawns this

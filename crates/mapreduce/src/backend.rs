@@ -13,7 +13,7 @@
 //! |---|---|---|---|
 //! | [`BackendKind::Simulated`] | [`InMemory`] | the [`Run`] itself | driver threads |
 //! | [`BackendKind::Sharded`] | [`Channel`] | a slot; the run crosses a [`crate::shuffle::bounded`] channel to one collector thread, which fills it | driver threads |
-//! | [`BackendKind::Process`] | [`crate::remote::ProcessTransport`] | a `RunRef` to a checksummed run file | worker processes; driver threads once every worker slot is quarantined |
+//! | [`BackendKind::Process`] | [`crate::remote::ProcessTransport`] | a `RunRef` to a checksummed frame of the map attempt's run file | the cluster's worker processes; driver threads for a closure-built job, and for an attempt that finds every worker slot quarantined |
 //!
 //! # Determinism contract
 //!
@@ -48,6 +48,7 @@ use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
 use crate::profile::{self, secs_to_us};
 use crate::reducer::Reducer;
+use crate::remote::ProcessTransport;
 use crate::run::Run;
 use crate::shuffle::{bounded, Sender};
 use crate::supervise::Watchdog;
@@ -63,10 +64,11 @@ pub enum BackendKind {
     /// Per-node worker shards with a streaming bounded-channel shuffle.
     Sharded,
     /// Process-isolated workers over a disk-backed DFS: the driver
-    /// re-spawns its own executable as worker processes and frames task
-    /// assignments over stdin/stdout pipes (see [`crate::remote`]). Jobs
-    /// without a [`crate::RemoteJobSpec`] run in-process on the same disk
-    /// DFS (the documented fallback, like Hadoop's `LocalJobRunner`).
+    /// re-spawns its own executable as one pool of worker processes per
+    /// [`crate::Cluster`] and frames task assignments over stdin/stdout
+    /// pipes (see [`crate::remote`]). Only a job no worker can rebuild —
+    /// one without a [`crate::RemoteJobSpec`] — runs on the driver's
+    /// threads, over the same run files.
     Process,
 }
 
@@ -277,28 +279,21 @@ where
                 run_phases(params, &mut channel, watchdog.as_ref())
             })
         }
-        // Jobs that carry a `RemoteJobSpec` — and run on a disk-backed DFS
-        // that worker processes can actually open — execute out-of-process.
-        // Everything else (closure-built jobs, an in-memory DFS, a worker
-        // pool that fails to come up) runs like the simulated backend on
-        // the same DFS, counted under `mr.process.fallback_jobs`. Output
-        // bytes are identical either way, so the fallback is a performance
-        // path, never a correctness one.
         BackendKind::Process => {
             let spawn_start = Instant::now();
-            let Some(mut workers) = crate::remote::spawn_pool(&params) else {
-                counters.get("mr.process.fallback_jobs").incr();
-                return run_phases(params, &mut InMemory, None);
-            };
+            // The pool is the cluster's; holding it runs the cluster's jobs
+            // one at a time.
+            let mut pool = shared.cluster.worker_pool().lock();
+            let mut workers = ProcessTransport::begin(&mut pool, &params)?;
             counters
                 .get(profile::WALL_SPAWN_US)
                 .add(secs_to_us(spawn_start.elapsed().as_secs_f64()));
             params.threads = workers.size();
             let result = run_phases(params, &mut workers, None);
-            // Pool shutdown and spill cleanup close the reduce window, so
+            // Closing the job and spill cleanup close the reduce window, so
             // the windows still tile the backend's whole execution.
             let teardown_start = Instant::now();
-            workers.shutdown();
+            workers.end();
             counters
                 .get(profile::WALL_REDUCE_US)
                 .add(secs_to_us(teardown_start.elapsed().as_secs_f64()));

@@ -19,6 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::backend::BackendKind;
+use crate::codec_struct;
 use crate::faults::FaultPlan;
 
 /// Simple network model for the shuffle phase.
@@ -134,8 +135,9 @@ pub struct ClusterConfig {
     pub heartbeat_interval_secs: f64,
     /// A process worker slot that suffers this many transport/timeout
     /// losses within a sliding 60 s window is quarantined: removed from
-    /// rotation for the rest of the job. When every slot is quarantined the
-    /// remaining tasks run in-process on the driver over the same DFS store
+    /// rotation for the rest of the job (the next job starts with a clean
+    /// ledger). When every slot is quarantined the remaining attempts run
+    /// in-process on the driver over the same DFS store and run files
     /// (byte-identical output).
     pub worker_quarantine_losses: usize,
     /// Emit a [`crate::trace::EventKind::Profile`] trace event per job
@@ -145,6 +147,26 @@ pub struct ClusterConfig {
     /// never changes committed output.
     pub profile: bool,
 }
+
+// What a process-backend worker needs of its driver's configuration, as it
+// crosses the pipe in the hello: topology, the task budgets its attempts
+// run under, the fault plan (minus its storage keys, see `FaultPlan`) so
+// that it reaches the driver's own pure `decide()` outcomes, the commit
+// discipline — a task-level part commit must not be weaker than the
+// job-level one — and whether to heartbeat. Everything else decodes to the
+// default, the backend above all: a worker runs its attempts itself.
+codec_struct!(
+    ClusterConfig {
+        nodes,
+        task_memory,
+        spill_buffer_bytes,
+        merge_factor,
+        faults,
+        durable_commits,
+        task_timeout_secs,
+        heartbeat_interval_secs,
+    }..ClusterConfig::default()
+);
 
 impl Default for ClusterConfig {
     fn default() -> Self {

@@ -28,6 +28,7 @@ use crate::metrics::{JobMetrics, PhaseMetrics};
 use crate::partitioner::{GroupEq, PartitionFn, SortCmp};
 use crate::profile::{self, secs_to_us, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
+use crate::remote::WorkerPool;
 use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Run};
 use crate::task::{Emit, Phase, TaskContext};
 use crate::trace::{
@@ -48,6 +49,9 @@ pub struct Cluster {
     /// driver-crash points in [`FaultPlan`] (`crash_after`/`crash_mid`),
     /// so "crash after job 2" means the third `run` call on this engine.
     jobs_run: AtomicUsize,
+    /// The process backend's worker pool: spawned from by this cluster's
+    /// jobs, shut down when the cluster is dropped.
+    workers: Option<Mutex<WorkerPool>>,
 }
 
 impl Cluster {
@@ -72,18 +76,34 @@ impl Cluster {
     /// different topology over the same data, or to resume a crashed
     /// pipeline in a fresh engine). The config's storage policy is applied
     /// to the handle: durable-commit discipline and, when the fault plan
-    /// carries storage keys, driver-side disk fault injection.
+    /// carries storage keys, driver-side disk fault injection. The process
+    /// backend's workers share the store through the filesystem, so it
+    /// takes a disk-backed DFS only.
     pub fn with_dfs(config: ClusterConfig, mut dfs: Dfs) -> Result<Self> {
         config.validate().map_err(MrError::InvalidConfig)?;
         dfs.set_durable(config.durable_commits);
         if let Some(plan) = &config.faults {
             dfs.install_storage_faults(plan);
         }
+        let workers = match (config.backend, dfs.disk_root()) {
+            (BackendKind::Process, Some(root)) => {
+                Some(Mutex::new(WorkerPool::new(&config, &dfs, root)))
+            }
+            (BackendKind::Process, None) => {
+                return Err(MrError::InvalidConfig(
+                    "the process backend needs a disk-backed DFS: worker processes cannot see \
+                     an in-memory one"
+                        .into(),
+                ))
+            }
+            _ => None,
+        };
         Ok(Cluster {
             config,
             dfs,
             trace: None,
             jobs_run: AtomicUsize::new(0),
+            workers,
         })
     }
 
@@ -110,6 +130,13 @@ impl Cluster {
         self.trace.as_ref()
     }
 
+    /// The worker pool of a process-backend cluster.
+    pub(crate) fn worker_pool(&self) -> &Mutex<WorkerPool> {
+        self.workers
+            .as_ref()
+            .expect("with_dfs gives every process-backend cluster a pool")
+    }
+
     fn gauge(&self, label: String) -> MemoryGauge {
         match self.config.task_memory {
             Some(b) => MemoryGauge::new(label, b),
@@ -121,7 +148,7 @@ impl Cluster {
     /// backend, job-level commit or abort, finalize — one function each,
     /// and with the backend's spawn/map/regroup/reduce the seven wall
     /// windows of [`crate::profile`].
-    pub fn run<M, R>(&self, job: Job<M, R>) -> Result<JobMetrics>
+    pub fn run<M, R>(&self, mut job: Job<M, R>) -> Result<JobMetrics>
     where
         M: Mapper,
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
@@ -146,16 +173,7 @@ impl Cluster {
             self.scavenge(&job.name, dir, &counters);
         }
 
-        let map_items: Vec<MapItem<M>> = job
-            .inputs
-            .into_iter()
-            .enumerate()
-            .map(|(task_id, split)| MapItem {
-                task_id,
-                split,
-                mapper: job.mapper.clone(),
-            })
-            .collect();
+        let map_items = MapItem::per_split(&mut job);
         let shared = MapShared {
             partitioner: &job.partitioner,
             sort_cmp: &job.sort_cmp,
@@ -915,6 +933,24 @@ pub(crate) struct MapItem<M: Mapper> {
     pub(crate) task_id: usize,
     pub(crate) split: SplitSource<M::InKey, M::InValue>,
     pub(crate) mapper: M,
+}
+
+impl<M: Mapper> MapItem<M> {
+    /// One map task per input split of `job`, which gives its splits up:
+    /// how the driver and a worker process both lay a job out, so task ids
+    /// agree.
+    pub(crate) fn per_split<R>(job: &mut Job<M, R>) -> Vec<Self>
+    where
+        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+    {
+        let number = |(task_id, split)| MapItem {
+            task_id,
+            split,
+            mapper: job.mapper.clone(),
+        };
+        let inputs = std::mem::take(&mut job.inputs);
+        inputs.into_iter().enumerate().map(number).collect()
+    }
 }
 
 pub(crate) struct MapShared<'a, M: Mapper> {

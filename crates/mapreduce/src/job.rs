@@ -81,8 +81,8 @@ pub struct Job<M: Mapper, R: Reducer<Key = M::OutKey, InValue = M::OutValue>> {
     /// resumable-by-fingerprint).
     pub fingerprint: Option<u64>,
     /// How a worker *process* rebuilds this job (see [`crate::backend`]'s
-    /// process backend), set by [`Job::from_spec`]. Jobs without one run
-    /// in-process even under the process backend (documented fallback).
+    /// process backend), set by [`Job::from_spec`]. A job without one runs
+    /// on the driver's threads even under the process backend.
     pub remote: Option<RemoteJobSpec>,
 }
 
@@ -102,8 +102,8 @@ pub trait JobSpec: Codec {
         InValue = <Self::Mapper as Mapper>::OutValue,
     >;
 
-    /// Name of the worker-side factory of this job. The job runs in worker
-    /// processes only where that name is registered.
+    /// Name of the worker-side factory of this job: the name the worker
+    /// executable registered the spec under.
     fn factory(&self) -> &'static str;
 
     /// The whole job — mapper, reducer, policies, inputs and output —
@@ -148,19 +148,16 @@ where
     }
 
     /// The job `spec` describes, as the driver runs it: built by the spec,
-    /// and carrying the spec's bytes for worker processes when its factory
-    /// is registered in this executable.
+    /// and carrying the spec's bytes for worker processes.
     pub fn from_spec<S>(spec: &S, dfs: &Dfs) -> Result<Self>
     where
         S: JobSpec<Mapper = M, Reducer = R>,
     {
         let mut job = spec.build(dfs)?;
-        if crate::remote::is_registered(spec.factory()) {
-            job.remote = Some(RemoteJobSpec {
-                factory: spec.factory().to_string(),
-                payload: spec.to_bytes(),
-            });
-        }
+        job.remote = Some(RemoteJobSpec {
+            factory: spec.factory().to_string(),
+            payload: spec.to_bytes(),
+        });
         Ok(job)
     }
 

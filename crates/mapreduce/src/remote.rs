@@ -5,13 +5,14 @@
 //! The driver re-spawns **its own executable** as worker processes (the
 //! way Hadoop's TaskTracker forks task JVMs from the same job jar) and
 //! frames task assignments over the workers' stdin/stdout pipes using the
-//! crate's own varint [`Codec`]. Closures cannot cross a process
-//! boundary, so a remote-capable [`Job`](crate::Job) is built from a
-//! [`JobSpec`] and carries its bytes as a
+//! crate's own varint [`Codec`]. The workers are one pool per [`Cluster`]:
+//! its first spec-built job spawns from it, every later job finds the
+//! workers idle, dropping the cluster ends them. Closures cannot cross a
+//! process boundary, so a job reaches a worker as its
 //! [`RemoteJobSpec`](crate::RemoteJobSpec): the name of a factory
-//! registered on both sides (see [`register_job_spec`]) plus the encoded
-//! spec, from which the worker rebuilds the *entire* job — mapper,
-//! reducer, policies, and inputs — against the shared disk-backed
+//! registered in the worker executable (see [`register_job_spec`]) plus the
+//! encoded [`JobSpec`], from which the worker rebuilds the *entire* job —
+//! mapper, reducer, policies, and inputs — against the shared disk-backed
 //! [`Dfs`]. Both sides derive input splits from the same on-disk
 //! filesystem state, so task ids line up by construction and the driver
 //! never ships split data at all.
@@ -21,14 +22,17 @@
 //! ```text
 //! driver                                worker (spawned: current_exe,
 //!   |                                     MR_PROCESS_WORKER=1)
-//!   |--- handshake frame --------------->|
+//!   |--- hello: the cluster ------------>|   once per process
 //!   |<-- "MR_WORKER_READY" banner line --|   (past the libtest preamble)
-//!   |<-- handshake ok/err frame ---------|
+//!   |<-- hello ok/err frame -------------|
+//!   |--- Open{job, factory, spec, ..} -->|   once per (job, worker), sent
+//!   |<-- open ok/err frame --------------|   ahead of the first task
 //!   |--- Task{map, task, attempt} ------>|
 //!   |<-- MapTaskOut<RunRef> + metrics ---|   (spill runs live on disk)
 //!   |--- Task{reduce, task, attempt, refs}>|
 //!   |<-- ReduceTaskOut + metrics --------|   (part committed worker-side)
-//!   |--- Shutdown ---------------------->|
+//!   |--- Close ------------------------->|   job over; not answered
+//!   |--- (stdin closed) ---------------->|   cluster dropped, or driver dead
 //! ```
 //!
 //! Every frame is a varint length prefix (capped at [`MAX_FRAME`]) plus a
@@ -37,28 +41,32 @@
 //! the engine's own task results ([`MapTaskOut`], [`ReduceTaskOut`]) plus
 //! the request's counter and histogram deltas — frames are private to one
 //! executable, so no separate wire schema exists. Map output stays out of
-//! the pipes: workers write each spill run to a checksummed `*.run` file
-//! under the DFS root's `shuffle/` directory and return [`RunRef`]s; the
-//! reduce request routes those refs back to a worker, which re-reads them
-//! under CRC and commits its part through the shared DFS — the existing
+//! the pipes: a winning map attempt writes its spill runs as consecutive
+//! checksummed frames of **one** `*.run` file under the DFS root's
+//! `shuffle/` directory and returns a [`RunRef`] per run; the reduce
+//! request routes those refs back to a worker, which re-reads each frame
+//! under its CRC and commits its part through the shared DFS — the existing
 //! rename/manifest commit protocol, unchanged. That is the whole
 //! [`Transport`] of this backend: [`park_run_files`] / [`fetch_run_files`],
-//! called by the worker for its own attempts and by the driver for attempts
-//! that run in-process once every worker slot is quarantined.
+//! called by the worker for its own attempts and by the driver for the
+//! attempts it runs on its own threads: all of a closure-built job, and any
+//! attempt that finds every worker slot quarantined.
 //!
 //! # Failure classification
 //!
 //! A task-level error frame leaves the worker healthy: it is returned to
 //! the pool and the error propagates with its original class (transient
-//! errors retry through the same machinery as the in-process backends).
-//! A *transport* failure — the pipe breaking, a truncated or undecodable
-//! frame, a worker killed with `SIGKILL` — is classified as
-//! [`MrError::NodeLost`]: the driver kills the handle, the retry runs on
-//! a freshly spawned worker, and the job survives exactly like a lost
-//! node in the simulated fault model.
+//! errors retry through the same machinery as the in-process backends); a
+//! worker that cannot build the job it is opened with fails the job as
+//! [`MrError::InvalidConfig`]. A *transport* failure — the pipe breaking, a
+//! truncated or undecodable frame, a worker killed with `SIGKILL` — is
+//! classified as [`MrError::NodeLost`]: the driver kills the handle, the
+//! retry runs on a freshly spawned worker, and the job survives exactly
+//! like a lost node in the simulated fault model.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,8 +86,7 @@ use crate::engine::{
     ReduceShared, ReduceTaskOut,
 };
 use crate::error::{MrError, Result};
-use crate::faults::{Fault, FaultPlan};
-use crate::input::SplitSource;
+use crate::faults::Fault;
 use crate::job::{Job, JobSpec};
 use crate::mapper::Mapper;
 use crate::reducer::Reducer;
@@ -119,57 +126,55 @@ const RUN_MAGIC: &[u8; 8] = b"MRRUNv1\0";
 // Wire types
 // ---------------------------------------------------------------------------
 
-/// Pointer to one spill run parked on disk: file name (relative to the
-/// job's shuffle directory), record count, and payload length in bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Pointer to one spill run parked on disk: the frame of `len` bytes at
+/// `offset` in the run file of map attempt `(task, attempt)` in the job's
+/// spill directory, holding `records` records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RunRef {
-    file: String,
-    records: u64,
+    task: usize,
+    attempt: usize,
+    offset: u64,
     len: u64,
+    records: u64,
 }
-codec_struct!(RunRef { file, records, len });
+codec_struct!(RunRef {
+    task,
+    attempt,
+    offset,
+    len,
+    records
+});
 
-/// First frame the driver sends: everything a worker needs to rebuild the
-/// job and a matching single-threaded cluster over the shared disk DFS.
-struct HandshakeReq {
+impl RunRef {
+    /// The one run file of a map attempt.
+    fn file(&self, dir: &Path) -> PathBuf {
+        dir.join(format!("map-{:05}-a{}.run", self.task, self.attempt))
+    }
+}
+
+/// First frame the driver sends a worker, everything it needs to stand up
+/// a matching single-threaded cluster over the shared disk DFS: the
+/// driver's configuration (as much of it as [`ClusterConfig`]'s `Codec`
+/// carries), the DFS block size and the DFS root. Nothing in it names a
+/// job — jobs arrive as [`Request::Open`].
+type Hello = (ClusterConfig, usize, String);
+
+/// One job, as a worker rebuilds it: the registered factory and the spec
+/// bytes it decodes, plus what the driver resolved for this run.
+struct OpenReq {
     job_name: String,
     factory: String,
     payload: Vec<u8>,
-    nodes: usize,
-    block_size: usize,
-    dfs_root: String,
     num_reducers: usize,
-    spill_buffer: usize,
-    merge_factor: usize,
-    task_memory: Option<u64>,
+    /// The job's spill directory under the DFS root's `shuffle/`.
     shuffle_tag: String,
-    /// The driver's plan minus its storage keys (see [`FaultPlan`]'s
-    /// `Codec`): the worker must reach the *exact* same pure `decide()`
-    /// outcomes as the driver would in-process.
-    faults: Option<FaultPlan>,
-    /// Milliseconds between worker heartbeat frames while a task runs;
-    /// `0` disables the heartbeat thread entirely (supervision off).
-    heartbeat_interval_ms: u64,
-    /// Mirror of [`crate::ClusterConfig::durable_commits`]: workers must
-    /// follow the same write→sync→rename→dir-sync discipline as the driver
-    /// or task-level part commits would be weaker than job-level ones.
-    durable: bool,
 }
-codec_struct!(HandshakeReq {
+codec_struct!(OpenReq {
     job_name,
     factory,
     payload,
-    nodes,
-    block_size,
-    dfs_root,
     num_reducers,
-    spill_buffer,
-    merge_factor,
-    task_memory,
     shuffle_tag,
-    faults,
-    heartbeat_interval_ms,
-    durable,
 });
 
 /// What a worker answers a task request with: the engine's own task result
@@ -178,16 +183,19 @@ codec_struct!(HandshakeReq {
 type Reply<T> = (T, Vec<(String, u64)>, Vec<(String, HistogramSnapshot)>);
 
 enum Request {
-    /// Run one task attempt. `refs` are a reduce task's parked runs in
-    /// canonical run presentation order, (map task, spill index); a map
-    /// task has none.
+    /// Run one task attempt of the open job. `refs` are a reduce task's
+    /// parked runs in canonical run presentation order, (map task, spill
+    /// index); a map task has none.
     Task {
         phase: Phase,
         task_id: usize,
         attempt: usize,
         refs: Vec<RunRef>,
     },
-    Shutdown,
+    /// Build this job; it replaces whatever job was open.
+    Open(OpenReq),
+    /// The open job is over: drop it. Not answered.
+    Close,
 }
 
 impl Codec for Request {
@@ -206,14 +214,19 @@ impl Codec for Request {
                 (*task_id, *attempt).encode(buf);
                 refs.encode(buf);
             }
-            Request::Shutdown => buf.push(3),
+            Request::Open(open) => {
+                buf.push(3);
+                open.encode(buf);
+            }
+            Request::Close => buf.push(4),
         }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         let phase = match r.take_u8()? {
             1 => Phase::Map,
             2 => Phase::Reduce,
-            3 => return Ok(Request::Shutdown),
+            3 => return Ok(Request::Open(OpenReq::decode(r)?)),
+            4 => return Ok(Request::Close),
             t => return Err(MrError::Codec(format!("invalid request tag {t}"))),
         };
         let (task_id, attempt) = Codec::decode(r)?;
@@ -395,20 +408,6 @@ const RESP_OK: u8 = 0;
 const RESP_ERR: u8 = 1;
 const RESP_HEARTBEAT: u8 = 2;
 
-fn write_ok_frame<T: Codec>(w: &mut impl Write, body: &T) -> Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    buf.push(RESP_OK);
-    body.encode(&mut buf);
-    write_frame(w, &buf)
-}
-
-fn write_err_frame(w: &mut impl Write, e: &MrError) -> Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    buf.push(RESP_ERR);
-    e.encode(&mut buf);
-    write_frame(w, &buf)
-}
-
 /// Driver side: read a response, invoking `on_heartbeat` for every
 /// interleaved heartbeat frame. Outer `Err` is a transport failure (the
 /// worker is unusable); inner `Err` is a task-level error from a healthy
@@ -444,45 +443,60 @@ fn read_response<T: Codec>(
 // Spill-run files
 // ---------------------------------------------------------------------------
 
-/// Write one spill run to `dir/name`: magic, record count, payload CRC,
-/// payload length, payload.
-fn write_run_file(dir: &Path, name: &str, run: &Run) -> Result<RunRef> {
-    let mut buf = Vec::with_capacity(run.data.len() + 32);
-    buf.extend_from_slice(RUN_MAGIC);
-    write_varint(run.records as u64, &mut buf);
+/// Append one spill run to `out` as a frame — magic, record count, payload
+/// CRC, payload length, payload — and return the frame's length.
+fn write_run_frame(out: &mut impl Write, run: &Run) -> io::Result<u64> {
+    let mut head = Vec::with_capacity(32);
+    head.extend_from_slice(RUN_MAGIC);
+    write_varint(run.records as u64, &mut head);
     let mut crc = Crc32::new();
     crc.update(&run.data);
-    crc.finish().encode(&mut buf);
-    write_varint(run.data.len() as u64, &mut buf);
-    buf.extend_from_slice(&run.data);
-    let path = dir.join(name);
-    std::fs::write(&path, &buf)
-        .map_err(|e| MrError::Codec(format!("write spill run {}: {e}", path.display())))?;
-    Ok(RunRef {
-        file: name.to_string(),
-        records: run.records as u64,
-        len: run.data.len() as u64,
-    })
+    crc.finish().encode(&mut head);
+    write_varint(run.data.len() as u64, &mut head);
+    out.write_all(&head)?;
+    out.write_all(&run.data)?;
+    Ok((head.len() + run.data.len()) as u64)
 }
 
-/// Re-read a spill run under CRC. Structural damage decodes to a
+/// Re-read the spill run `rref` addresses, under its frame's CRC. A ref
+/// that does not address exactly one frame (past the end of the file, in
+/// the middle of a frame) and structural damage decode to a
 /// [`MrError::Codec`]; payload damage to [`MrError::ChecksumMismatch`] —
-/// both permanent, so a corrupt shuffle file fails the job cleanly
-/// instead of committing wrong bytes.
+/// both permanent, so a corrupt shuffle file fails the job cleanly instead
+/// of committing wrong bytes.
 fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
-    let path = dir.join(&rref.file);
-    let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
+    let path = rref.file(dir);
+    let io_fail = |e: io::Error| match e.kind() {
         io::ErrorKind::NotFound => MrError::FileNotFound(path.display().to_string()),
         _ => MrError::Codec(format!("read spill run {}: {e}", path.display())),
-    })?;
-    let bad = |why: &str| MrError::Codec(format!("corrupt spill run {}: {why}", path.display()));
+    };
+    let bad = |why: &str| {
+        let (at, len) = (rref.offset, rref.len);
+        MrError::Codec(format!(
+            "corrupt spill run {} at {at}+{len}: {why}",
+            path.display()
+        ))
+    };
+    // The ref came over a pipe: its length is a bound on what is read,
+    // never an allocation.
+    let mut file = File::open(&path).map_err(io_fail)?;
+    let mut bytes = Vec::with_capacity(rref.len.min(1 << 20) as usize);
+    file.seek(SeekFrom::Start(rref.offset))
+        .and_then(|_| file.take(rref.len).read_to_end(&mut bytes))
+        .map_err(io_fail)?;
+    if bytes.len() as u64 != rref.len {
+        return Err(bad("frame runs past the end of the file"));
+    }
     if bytes.len() < RUN_MAGIC.len() || &bytes[..RUN_MAGIC.len()] != RUN_MAGIC {
         return Err(bad("bad magic"));
     }
     let mut r = ByteReader::new(&bytes[RUN_MAGIC.len()..]);
-    let records = usize::decode(&mut r).map_err(|_| bad("bad record count"))?;
+    let records = u64::decode(&mut r).map_err(|_| bad("bad record count"))?;
     let expected = u32::decode(&mut r).map_err(|_| bad("bad crc field"))?;
     let len = usize::decode(&mut r).map_err(|_| bad("bad length field"))?;
+    if records != rref.records {
+        return Err(bad("record count does not match the ref"));
+    }
     if len != r.remaining() {
         return Err(bad("length does not match payload"));
     }
@@ -499,27 +513,42 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
     }
     Ok(Run {
         data: bytes::Bytes::copy_from_slice(payload),
-        records,
+        records: records as usize,
     })
 }
 
 /// The process backend's [`Transport::park`]: write a winning map attempt's
-/// runs into the job's spill directory under names derived from their
-/// coordinates, and return the refs in the same shape.
+/// runs as consecutive frames into the one file of the job's spill
+/// directory named after the attempt, and return each run's ref in the same
+/// shape.
 fn park_run_files(
     dir: &Path,
     task_id: usize,
     attempt: usize,
     runs: Vec<Vec<Run>>,
 ) -> Result<Vec<Vec<RunRef>>> {
-    let park_partition = |(p, part): (usize, Vec<Run>)| {
-        let park = |(s, run): (usize, &Run)| {
-            let name = format!("map-{task_id:05}-a{attempt}-p{p:03}-s{s:03}.run");
-            write_run_file(dir, &name, run)
-        };
-        part.iter().enumerate().map(park).collect()
+    let mut next = RunRef {
+        task: task_id,
+        attempt,
+        offset: 0,
+        len: 0,
+        records: 0,
     };
-    runs.into_iter().enumerate().map(park_partition).collect()
+    let path = next.file(dir);
+    let fail = |e| MrError::Codec(format!("write spill runs {}: {e}", path.display()));
+    let mut out = BufWriter::with_capacity(64 << 10, File::create(&path).map_err(fail)?);
+    let mut park = |run: &Run| {
+        next.offset += next.len;
+        next.len = write_run_frame(&mut out, run).map_err(fail)?;
+        next.records = run.records as u64;
+        Ok(next)
+    };
+    let refs = runs
+        .iter()
+        .map(|part| part.iter().map(&mut park).collect())
+        .collect::<Result<_>>()?;
+    out.flush().map_err(fail)?;
+    Ok(refs)
 }
 
 /// The process backend's [`Transport::fetch`]: re-read parked runs under
@@ -535,16 +564,14 @@ fn fetch_run_files(dir: &Path, refs: &[RunRef]) -> Result<Vec<Run>> {
 /// What the worker loop needs from a rebuilt job, type-erased so the
 /// registry can hold factories for jobs of any key/value types.
 trait WorkerJob: Send {
-    fn set_num_reducers(&mut self, n: usize);
     fn run_map(
-        &mut self,
+        &self,
         cluster: &Cluster,
-        task_id: usize,
-        attempt: usize,
+        at: (usize, usize),
         spill_dir: &Path,
     ) -> Result<Reply<MapTaskOut<RunRef>>>;
     fn run_reduce(
-        &mut self,
+        &self,
         cluster: &Cluster,
         at: (usize, usize),
         refs: &[RunRef],
@@ -552,7 +579,8 @@ trait WorkerJob: Send {
     ) -> Result<Reply<ReduceTaskOut>>;
 }
 
-type FactoryFn = Arc<dyn Fn(&[u8], &Dfs) -> Result<Box<dyn WorkerJob>> + Send + Sync>;
+/// Spec bytes, the shared DFS and the driver's reducer count to a job.
+type FactoryFn = Arc<dyn Fn(&[u8], &Dfs, usize) -> Result<Box<dyn WorkerJob>> + Send + Sync>;
 
 fn registry() -> &'static RwLock<BTreeMap<String, FactoryFn>> {
     static REGISTRY: OnceLock<RwLock<BTreeMap<String, FactoryFn>>> = OnceLock::new();
@@ -562,37 +590,52 @@ fn registry() -> &'static RwLock<BTreeMap<String, FactoryFn>> {
 /// Register `S` under the factory name `factory`: a worker handed that
 /// name decodes the payload as an `S` and builds the job with
 /// [`JobSpec::build`], the function the driver built its own copy with
-/// ([`Job::from_spec`]). Call it in every executable that drives or works
-/// for such jobs, before [`process_worker_main`]: the driver sends a job to
-/// worker processes only when its factory is registered. Split derivation is
+/// ([`Job::from_spec`]). Call it in every executable that works for such
+/// jobs, before [`process_worker_main`]: a worker opened with a name it does
+/// not know fails the job as [`MrError::InvalidConfig`]. Split derivation is
 /// deterministic (sorted file resolution, blocks in file order), so the
 /// worker's task ids match the driver's. Registering a name again replaces
 /// the old factory.
 pub fn register_job_spec<S: JobSpec>(factory: &str) {
-    let build: FactoryFn = Arc::new(|payload, dfs| {
-        let job = S::from_bytes(payload)?.build(dfs)?;
+    let build: FactoryFn = Arc::new(|payload, dfs, num_reducers| {
+        let mut job = S::from_bytes(payload)?.build(dfs)?;
+        let map_items = MapItem::per_split(&mut job);
         Ok(Box::new(JobWorker {
-            num_reducers: job.num_reducers.unwrap_or(1),
             job,
+            map_items,
+            num_reducers,
         }) as Box<dyn WorkerJob>)
     });
     registry().write().insert(factory.to_string(), build);
 }
 
-/// Whether [`register_job_spec`] registered `factory` in this executable.
-pub(crate) fn is_registered(factory: &str) -> bool {
-    registry().read().contains_key(factory)
-}
-
-/// A rebuilt job plus the resolved reducer count, executing one request
-/// at a time against the worker's local single-threaded cluster.
+/// A rebuilt job laid out as the driver lays its own out — one map item
+/// per split, the reducer count the driver resolved — executing one
+/// request at a time against the worker's local single-threaded cluster.
 struct JobWorker<M, R>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
     job: Job<M, R>,
+    map_items: Vec<MapItem<M>>,
     num_reducers: usize,
+}
+
+impl<M, R> JobWorker<M, R>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    fn out_of_range(&self, phase: Phase, task_id: usize) -> MrError {
+        MrError::InvalidConfig(format!(
+            "{} task {task_id} out of range: job {} has {} input splits and {} reducers",
+            phase.as_str(),
+            self.job.name,
+            self.map_items.len(),
+            self.num_reducers
+        ))
+    }
 }
 
 impl<M, R> WorkerJob for JobWorker<M, R>
@@ -600,40 +643,18 @@ where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue> + Clone,
 {
-    fn set_num_reducers(&mut self, n: usize) {
-        self.num_reducers = n;
-        self.job.num_reducers = Some(n);
-    }
-
     fn run_map(
-        &mut self,
+        &self,
         cluster: &Cluster,
-        task_id: usize,
-        attempt: usize,
+        (task_id, attempt): (usize, usize),
         spill_dir: &Path,
     ) -> Result<Reply<MapTaskOut<RunRef>>> {
-        if task_id >= self.job.inputs.len() {
-            return Err(MrError::InvalidConfig(format!(
-                "map task {task_id} out of range: job {} has {} input splits",
-                self.job.name,
-                self.job.inputs.len()
-            )));
-        }
+        let Some(item) = self.map_items.get(task_id) else {
+            return Err(self.out_of_range(Phase::Map, task_id));
+        };
         let counters = Counters::new();
         let histograms = Histograms::new();
         counters.get("mr.process.worker_map_tasks").incr();
-        // Move the split out of the job for the borrow `MapItem` needs,
-        // and put it back even if the attempt panics — the next attempt
-        // of this task may land on this same worker.
-        let split = std::mem::replace(
-            &mut self.job.inputs[task_id],
-            SplitSource::from_records("swapped-out", Vec::new()),
-        );
-        let item = MapItem {
-            task_id,
-            split,
-            mapper: self.job.mapper.clone(),
-        };
         let shared = MapShared {
             partitioner: &self.job.partitioner,
             sort_cmp: &self.job.sort_cmp,
@@ -647,23 +668,19 @@ where
             job_name: &self.job.name,
         };
         let park = |runs| park_run_files(spill_dir, task_id, attempt, runs);
-        let result = catch_task_panic(|| run_map_task(&item, attempt, &shared, park));
-        self.job.inputs[task_id] = item.split;
-        Ok((result?, counters.snapshot(), histograms.snapshot()))
+        let out = catch_task_panic(|| run_map_task(item, attempt, &shared, park))?;
+        Ok((out, counters.snapshot(), histograms.snapshot()))
     }
 
     fn run_reduce(
-        &mut self,
+        &self,
         cluster: &Cluster,
         (task_id, attempt): (usize, usize),
         refs: &[RunRef],
         spill_dir: &Path,
     ) -> Result<Reply<ReduceTaskOut>> {
         if task_id >= self.num_reducers {
-            return Err(MrError::InvalidConfig(format!(
-                "reduce task {task_id} out of range: job {} has {} reducers",
-                self.job.name, self.num_reducers
-            )));
+            return Err(self.out_of_range(Phase::Reduce, task_id));
         }
         let counters = Counters::new();
         let histograms = Histograms::new();
@@ -699,8 +716,8 @@ where
 ///
 /// When [`WORKER_ENV`] is unset this returns immediately (so the test
 /// passes trivially in a normal run); when set, it speaks the worker
-/// protocol on stdin/stdout until shutdown or EOF and then exits the
-/// process.
+/// protocol on stdin/stdout until the driver closes the pipe and then
+/// exits the process.
 pub fn process_worker_main() {
     if std::env::var_os(WORKER_ENV).is_none() {
         return;
@@ -748,12 +765,18 @@ fn send_stdout_frame(payload: &[u8]) -> Result<()> {
 /// Answer one request: the body, or the classified error of a failed (but
 /// cleanly handled) task.
 fn send_response<T: Codec>(resp: Result<T>) -> Result<()> {
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
+    let mut buf = Vec::with_capacity(64);
     match resp {
-        Ok(body) => write_ok_frame(&mut out, &body),
-        Err(e) => write_err_frame(&mut out, &e),
+        Ok(body) => {
+            buf.push(RESP_OK);
+            body.encode(&mut buf);
+        }
+        Err(e) => {
+            buf.push(RESP_ERR);
+            e.encode(&mut buf);
+        }
     }
+    send_stdout_frame(&buf)
 }
 
 /// The task is over (the reply was computed before this call): quiet the
@@ -773,6 +796,30 @@ fn hang_forever(pulse: &Pulse) -> ! {
     }
 }
 
+/// The job a worker has open: rebuilt from an [`OpenReq`], with the spill
+/// directory its runs are parked in and fetched from.
+struct OpenJob {
+    name: String,
+    job: Box<dyn WorkerJob>,
+    spill_dir: PathBuf,
+}
+
+impl OpenJob {
+    fn build(req: OpenReq, cluster: &Cluster, dfs_root: &Path) -> Result<OpenJob> {
+        let Some(factory) = registry().read().get(&req.factory).cloned() else {
+            return Err(MrError::InvalidConfig(format!(
+                "no job factory {:?} registered in worker executable",
+                req.factory
+            )));
+        };
+        Ok(OpenJob {
+            job: factory(&req.payload, cluster.dfs(), req.num_reducers.max(1))?,
+            name: req.job_name,
+            spill_dir: dfs_root.join("shuffle").join(req.shuffle_tag),
+        })
+    }
+}
+
 fn worker_serve() -> Result<()> {
     {
         let stdout = io::stdout();
@@ -784,30 +831,31 @@ fn worker_serve() -> Result<()> {
     let mut inp = stdin.lock();
 
     let Some(frame) = read_frame(&mut inp)? else {
-        return Ok(()); // driver went away before the handshake
+        return Ok(()); // driver went away before the hello
     };
-    let req = HandshakeReq::from_bytes(&frame)?;
-    let (cluster, mut job, spill_dir) = match worker_setup(&req) {
-        Ok(state) => {
+    let (config, block_size, dfs_root) = Hello::from_bytes(&frame)?;
+    // Workers only heartbeat when the driver supervises; an unsupervised
+    // cluster keeps the exact pre-supervision protocol.
+    let heartbeat = config
+        .task_timeout_secs
+        .map(|_| Duration::from_secs_f64(config.heartbeat_interval_secs));
+    let cluster = match worker_cluster(config, block_size, &dfs_root) {
+        Ok(cluster) => {
             send_response(Ok(()))?;
-            state
+            cluster
         }
         Err(e) => {
             send_response::<()>(Err(e))?;
             return Ok(());
         }
     };
-    let corrupt_once = std::env::var_os(CORRUPT_FRAME_ENV).is_some();
-    let hang_once = std::env::var_os(HANG_ENV).is_some();
-    let faults = cluster.config().faults.clone();
 
-    // Heartbeat thread: while a task runs, emit a bare heartbeat frame
+    // Heartbeat thread: while a request runs, emit a bare heartbeat frame
     // every interval so the driver can tell "slow" from "hung". Never
     // spawned when supervision is off — zero protocol overhead.
     let pulse = Arc::new(Pulse::default());
-    let beat = (req.heartbeat_interval_ms > 0).then(|| {
+    let beat = heartbeat.map(|interval| {
         let pulse = Arc::clone(&pulse);
-        let interval = Duration::from_millis(req.heartbeat_interval_ms);
         std::thread::spawn(move || loop {
             std::thread::sleep(interval);
             if pulse.stop.load(Ordering::Relaxed) {
@@ -823,50 +871,7 @@ fn worker_serve() -> Result<()> {
             }
         })
     });
-
-    let result = (|| -> Result<()> {
-        while let Some(frame) = read_frame(&mut inp)? {
-            let Request::Task {
-                phase,
-                task_id,
-                attempt,
-                refs,
-            } = Request::from_bytes(&frame)?
-            else {
-                break; // shutdown
-            };
-            if (phase, task_id, attempt) == (Phase::Map, 0, 0) {
-                if corrupt_once {
-                    // Chaos cell: a response the driver cannot decode.
-                    // Attempt 1 of the same task responds normally.
-                    send_stdout_frame(&[0xEE; 8])?;
-                    continue;
-                }
-                if hang_once {
-                    hang_forever(&pulse);
-                }
-            }
-            // Decide the chaos treatment for the request *before*
-            // dispatching it: the same pure `decide()` the engine uses, so
-            // hang/slow-heartbeat cells are reproducible per (job, phase,
-            // task, attempt).
-            let plan = faults.as_ref();
-            match plan.and_then(|p| p.decide(&req.job_name, phase, task_id, attempt)) {
-                Some(Fault::Hang) => hang_forever(&pulse),
-                Some(Fault::SlowHeartbeat) => pulse.suppress.store(true, Ordering::Relaxed),
-                _ => {}
-            }
-            pulse.busy.store(true, Ordering::Relaxed);
-            match phase {
-                Phase::Map => answer(&pulse, job.run_map(&cluster, task_id, attempt, &spill_dir))?,
-                Phase::Reduce => {
-                    let at = (task_id, attempt);
-                    answer(&pulse, job.run_reduce(&cluster, at, &refs, &spill_dir))?
-                }
-            }
-        }
-        Ok(())
-    })();
+    let result = serve_requests(&mut inp, &cluster, Path::new(&dfs_root), &pulse);
     pulse.stop.store(true, Ordering::Relaxed);
     if let Some(handle) = beat {
         let _ = handle.join();
@@ -874,41 +879,89 @@ fn worker_serve() -> Result<()> {
     result
 }
 
-fn worker_setup(req: &HandshakeReq) -> Result<(Cluster, Box<dyn WorkerJob>, PathBuf)> {
-    let factory = registry()
-        .read()
-        .get(&req.factory)
-        .cloned()
-        .ok_or_else(|| {
-            MrError::InvalidConfig(format!(
-                "no job factory {:?} registered in worker executable",
-                req.factory
-            ))
-        })?;
+/// The worker's request loop, until the driver closes the pipe — by
+/// dropping its cluster, or by being killed.
+fn serve_requests(
+    inp: &mut impl Read,
+    cluster: &Cluster,
+    dfs_root: &Path,
+    pulse: &Pulse,
+) -> Result<()> {
+    let corrupt_once = std::env::var_os(CORRUPT_FRAME_ENV).is_some();
+    let hang_once = std::env::var_os(HANG_ENV).is_some();
+    let mut open: Option<OpenJob> = None;
+    while let Some(frame) = read_frame(inp)? {
+        let (phase, task_id, attempt, refs) = match Request::from_bytes(&frame)? {
+            Request::Close => {
+                open = None;
+                continue;
+            }
+            Request::Open(req) => {
+                pulse.busy.store(true, Ordering::Relaxed);
+                open = None;
+                let built = OpenJob::build(req, cluster, dfs_root);
+                answer(pulse, built.map(|job| open = Some(job)))?;
+                continue;
+            }
+            Request::Task {
+                phase,
+                task_id,
+                attempt,
+                refs,
+            } => (phase, task_id, attempt, refs),
+        };
+        let Some(OpenJob {
+            name,
+            job,
+            spill_dir,
+        }) = &open
+        else {
+            send_response::<()>(Err(MrError::InvalidConfig("no job is open".into())))?;
+            continue;
+        };
+        if (phase, task_id, attempt) == (Phase::Map, 0, 0) {
+            if corrupt_once {
+                // Chaos cell: a response the driver cannot decode.
+                // Attempt 1 of the same task responds normally.
+                send_stdout_frame(&[0xEE; 8])?;
+                continue;
+            }
+            if hang_once {
+                hang_forever(pulse);
+            }
+        }
+        // Decide the chaos treatment for the request *before*
+        // dispatching it: the same pure `decide()` the engine uses, so
+        // hang/slow-heartbeat cells are reproducible per (job, phase,
+        // task, attempt).
+        let plan = cluster.config().faults.as_ref();
+        match plan.and_then(|p| p.decide(name, phase, task_id, attempt)) {
+            Some(Fault::Hang) => hang_forever(pulse),
+            Some(Fault::SlowHeartbeat) => pulse.suppress.store(true, Ordering::Relaxed),
+            _ => {}
+        }
+        pulse.busy.store(true, Ordering::Relaxed);
+        let at = (task_id, attempt);
+        match phase {
+            Phase::Map => answer(pulse, job.run_map(cluster, at, spill_dir))?,
+            Phase::Reduce => answer(pulse, job.run_reduce(cluster, at, &refs, spill_dir))?,
+        }
+    }
+    Ok(())
+}
+
+/// The worker's own cluster: the driver's topology and budgets over the
+/// same disk DFS, running one request at a time.
+fn worker_cluster(config: ClusterConfig, block_size: usize, dfs_root: &str) -> Result<Cluster> {
     let config = ClusterConfig {
-        nodes: req.nodes,
-        spill_buffer_bytes: req.spill_buffer,
-        merge_factor: req.merge_factor,
-        task_memory: req.task_memory,
-        // One request at a time; retries, speculation, and the makespan
-        // model stay driver-side.
+        // Retries, speculation, and the makespan model stay driver-side.
         execution_threads: Some(1),
         max_task_attempts: 1,
         speculation: false,
-        faults: req.faults.clone(),
-        durable_commits: req.durable,
-        ..ClusterConfig::default()
+        ..config
     };
-    let dfs = Dfs::new_disk(req.nodes, req.block_size, &req.dfs_root)?;
-    let cluster = Cluster::with_dfs(config, dfs)?;
-    let mut job = factory(&req.payload, cluster.dfs())?;
-    job.set_num_reducers(req.num_reducers.max(1));
-    let spill_dir = PathBuf::from(&req.dfs_root)
-        .join("shuffle")
-        .join(&req.shuffle_tag);
-    std::fs::create_dir_all(&spill_dir)
-        .map_err(|e| MrError::Codec(format!("create spill dir {}: {e}", spill_dir.display())))?;
-    Ok((cluster, job, spill_dir))
+    let dfs = Dfs::new_disk(config.nodes, block_size, dfs_root)?;
+    Cluster::with_dfs(config, dfs)
 }
 
 // ---------------------------------------------------------------------------
@@ -927,17 +980,20 @@ struct Worker {
     stdout: BufReader<ChildStdout>,
     /// Pool slot this worker occupies (quarantine ledger key).
     slot: usize,
+    /// [`ProcessTransport::seq`] of the job this worker has open; 0 for none.
+    opened: u64,
 }
 
 impl Worker {
-    /// Send one request and read its response, invoking `on_heartbeat`
-    /// for every heartbeat frame the worker interleaves while busy.
+    /// Send one encoded request and read its response, invoking
+    /// `on_heartbeat` for every heartbeat frame the worker interleaves
+    /// while busy.
     fn request<T: Codec>(
         &mut self,
-        req: &Request,
+        req: &[u8],
         on_heartbeat: impl FnMut(),
     ) -> Result<std::result::Result<T, MrError>> {
-        write_frame(&mut self.stdin, &req.to_bytes())?;
+        write_frame(&mut self.stdin, req)?;
         read_response(&mut self.stdout, on_heartbeat)
     }
 
@@ -953,30 +1009,66 @@ impl Worker {
         let _ = child.wait();
     }
 
-    fn shutdown(mut self) {
-        let ok = write_frame(&mut self.stdin, &Request::Shutdown.to_bytes()).is_ok();
-        drop(self.stdin); // EOF backstop if the frame was lost
-        let mut child = self.child.lock();
-        if ok {
-            let _ = child.wait();
-        } else {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+    /// End an idle worker the way a killed driver would: close its stdin,
+    /// and it leaves its request loop.
+    fn shutdown(self) {
+        drop(self.stdin);
+        let _ = self.child.lock().wait();
     }
 }
 
-/// Everything needed to (re)spawn a worker mid-job: the handshake frame
-/// is immutable for the job's lifetime.
-struct SpawnSpec {
-    handshake: Vec<u8>,
+/// Per-slot health ledger. A live worker (idle or checked out) holds its
+/// slot; a worker loss frees the slot and charges it one loss. Enough
+/// losses inside the sliding window quarantine the slot: no replacement
+/// is spawned on it again this job.
+#[derive(Default)]
+struct SlotState {
+    in_use: bool,
+    quarantined: bool,
+    losses: Vec<Instant>,
 }
 
-impl SpawnSpec {
-    /// Spawn `current_exe` as a worker on pool slot `slot` and complete
-    /// the handshake. Errors are strings, not `MrError`s: before the
-    /// first worker is up they mean "fall back in-process", never "fail
-    /// the job".
+/// A [`Cluster`]'s checkout/return pool of worker processes, shared by
+/// every job it runs. Nothing is spawned until a job asks for a worker;
+/// lost workers are simply not returned, and the next checkout spawns a
+/// replacement on a healthy slot, with bounded, backed-off retries.
+/// Dropping the pool (with its cluster) shuts the idle workers down; a
+/// driver that is killed instead closes their stdin, which ends them too.
+pub(crate) struct WorkerPool {
+    /// The encoded [`Hello`] every worker is greeted with.
+    hello: Vec<u8>,
+    shuffle_root: PathBuf,
+    idle: Mutex<Vec<Worker>>,
+    slots: Mutex<Vec<SlotState>>,
+    /// Processes spawned since the current job began, replacements for
+    /// lost workers included.
+    spawned: AtomicU64,
+    /// Transport/timeout losses within the window that quarantine a slot.
+    quarantine_losses: usize,
+}
+
+/// Respawn attempts per checkout before giving up on a slot.
+const RESPAWN_ATTEMPTS: u32 = 3;
+
+/// Sliding wall-clock window of a slot's loss ledger.
+const QUARANTINE_WINDOW: Duration = Duration::from_secs(60);
+
+impl WorkerPool {
+    /// The pool of a process-backend cluster over the disk DFS at `root`.
+    pub(crate) fn new(config: &ClusterConfig, dfs: &Dfs, root: &Path) -> Self {
+        let hello: Hello = (config.clone(), dfs.block_size(), root.display().to_string());
+        let slots = config.physical_threads().clamp(1, 8);
+        WorkerPool {
+            hello: hello.to_bytes(),
+            shuffle_root: root.join("shuffle"),
+            idle: Mutex::new(Vec::new()),
+            slots: Mutex::new((0..slots).map(|_| SlotState::default()).collect()),
+            spawned: AtomicU64::new(0),
+            quarantine_losses: config.worker_quarantine_losses.max(1),
+        }
+    }
+
+    /// Spawn `current_exe` as a worker on pool slot `slot` and greet it.
     fn spawn(&self, slot: usize) -> std::result::Result<Worker, String> {
         let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
         let mut child = Command::new(&exe)
@@ -997,8 +1089,8 @@ impl SpawnSpec {
             let _ = child.wait();
             why
         };
-        if let Err(e) = write_frame(&mut stdin, &self.handshake) {
-            return Err(fail(&mut child, format!("handshake send: {e}")));
+        if let Err(e) = write_frame(&mut stdin, &self.hello) {
+            return Err(fail(&mut child, format!("hello send: {e}")));
         }
         // Scan past the libtest preamble to the worker banner.
         let mut line = String::new();
@@ -1023,46 +1115,13 @@ impl SpawnSpec {
                 stdin,
                 stdout,
                 slot,
+                opened: 0,
             }),
-            Ok(Err(e)) => Err(fail(&mut child, format!("worker rejected handshake: {e}"))),
-            Err(e) => Err(fail(&mut child, format!("handshake response: {e}"))),
+            Ok(Err(e)) => Err(fail(&mut child, format!("worker rejected hello: {e}"))),
+            Err(e) => Err(fail(&mut child, format!("hello response: {e}"))),
         }
     }
-}
 
-/// Per-slot health ledger. A live worker (idle or checked out) holds its
-/// slot; a worker loss frees the slot and charges it one loss. Enough
-/// losses inside the sliding window quarantine the slot: no replacement
-/// is ever spawned on it again this job.
-#[derive(Default)]
-struct SlotState {
-    in_use: bool,
-    quarantined: bool,
-    losses: Vec<Instant>,
-}
-
-/// A checkout/return pool of worker processes. Lost workers are simply
-/// not returned; the next checkout spawns a replacement on a healthy
-/// slot, with bounded, backed-off retries.
-struct WorkerPool {
-    spec: SpawnSpec,
-    idle: Mutex<Vec<Worker>>,
-    slots: Mutex<Vec<SlotState>>,
-    spill_dir: PathBuf,
-    /// Total processes spawned over the pool's lifetime, replacements
-    /// for lost workers included.
-    spawned: AtomicU64,
-    /// Transport/timeout losses within the window that quarantine a slot.
-    quarantine_losses: usize,
-}
-
-/// Respawn attempts per checkout before giving up on a slot.
-const RESPAWN_ATTEMPTS: u32 = 3;
-
-/// Sliding wall-clock window of a slot's loss ledger.
-const QUARANTINE_WINDOW: Duration = Duration::from_secs(60);
-
-impl WorkerPool {
     /// A live worker process, or `None` when every slot is quarantined (or
     /// transiently occupied): the caller then runs this task attempt
     /// in-process against the same on-disk DFS and the same run files,
@@ -1087,7 +1146,7 @@ impl WorkerPool {
                 std::thread::sleep(delay);
                 delay = (delay * 2).min(Duration::from_secs(1));
             }
-            match self.spec.spawn(slot) {
+            match self.spawn(slot) {
                 Ok(w) => {
                     self.spawned.fetch_add(1, Ordering::Relaxed);
                     return Ok(Some(w));
@@ -1131,6 +1190,14 @@ impl WorkerPool {
     }
 }
 
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        for w in self.idle.get_mut().drain(..) {
+            w.shutdown();
+        }
+    }
+}
+
 fn sanitize_tag(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
@@ -1142,11 +1209,18 @@ fn sanitize_tag(name: &str) -> String {
 // Driver side: the process backend's shuffle transport
 // ---------------------------------------------------------------------------
 
-/// The process backend's [`Transport`]: runs are parked as checksummed run
-/// files addressed by [`RunRef`], and attempts run as worker conversations
-/// for as long as a healthy worker slot exists.
+/// The process backend's [`Transport`] for one job: runs are parked as
+/// checksummed frames of run files addressed by [`RunRef`], and attempts
+/// run as worker conversations for as long as a healthy worker slot exists.
 pub(crate) struct ProcessTransport<'a> {
-    pool: WorkerPool,
+    pool: &'a WorkerPool,
+    /// This job's number, from 1: a worker whose [`Worker::opened`] differs
+    /// has yet to be sent `open`.
+    seq: u64,
+    /// The encoded [`Request::Open`]; `None` for a closure-built job, which
+    /// no worker can rebuild: all its attempts run on the runner's threads.
+    open: Option<Vec<u8>>,
+    spill_dir: PathBuf,
     /// Wall-clock supervision: one monitor thread for the whole job, one
     /// watch per in-flight request. Expiry SIGKILLs the child; the owning
     /// request's blocked read then errors into the transport-failure
@@ -1159,118 +1233,125 @@ pub(crate) struct ProcessTransport<'a> {
     nodes: usize,
 }
 
-/// Build the handshake from the job parameters and bring up the first
-/// worker. `None` means this job does not run out-of-process: it has no
-/// [`crate::RemoteJobSpec`], its DFS is not on disk, or the pool cannot
-/// come up at all (unregistered factory, unspawnable executable — counted
-/// under `mr.process.handshake_failures`). The caller runs it in-process.
-pub(crate) fn spawn_pool<'a, M, R>(params: &ExecParams<'a, M, R>) -> Option<ProcessTransport<'a>>
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-{
-    let shared = params.map_shared;
-    let (spec, root) = (params.remote?, shared.dfs.disk_root()?);
-    let config = params.config;
-    let tag = format!(
-        "{}-{}-{}",
-        sanitize_tag(shared.job_name),
-        std::process::id(),
-        SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed)
-    );
-    let handshake = HandshakeReq {
-        job_name: shared.job_name.to_string(),
-        factory: spec.factory.clone(),
-        payload: spec.payload.clone(),
-        nodes: config.nodes,
-        block_size: shared.dfs.block_size(),
-        dfs_root: root.display().to_string(),
-        num_reducers: params.num_reducers,
-        spill_buffer: config.spill_buffer_bytes,
-        merge_factor: config.merge_factor,
-        task_memory: config.task_memory,
-        shuffle_tag: tag.clone(),
-        faults: config.faults.clone(),
-        // Workers only emit heartbeats when the driver supervises; an
-        // unsupervised job keeps the exact pre-supervision protocol.
-        heartbeat_interval_ms: if config.task_timeout_secs.is_some() {
-            ((config.heartbeat_interval_secs * 1000.0).round() as u64).max(1)
-        } else {
-            0
-        },
-        durable: config.durable_commits,
-    };
-    let mut slots: Vec<SlotState> = (0..params.threads.clamp(1, 8))
-        .map(|_| SlotState::default())
-        .collect();
-    slots[0].in_use = true; // the eager first worker below
-    let pool = WorkerPool {
-        spec: SpawnSpec {
-            handshake: handshake.to_bytes(),
-        },
-        idle: Mutex::new(Vec::new()),
-        slots: Mutex::new(slots),
-        spill_dir: root.join("shuffle").join(tag),
-        spawned: AtomicU64::new(1),
-        quarantine_losses: config.worker_quarantine_losses.max(1),
-    };
-    // Bring up (and handshake) the first worker eagerly: this validates
-    // the factory exists in the worker executable before any task runs.
-    // The owning driver stays alive, so the scavenger would never sweep
-    // a spill directory left behind here: remove it on the way out.
-    let first = std::fs::create_dir_all(&pool.spill_dir)
-        .map_err(|e| format!("create shuffle dir: {e}"))
-        .and_then(|()| pool.spec.spawn(0));
-    match first {
-        Ok(first) => pool.idle.lock().push(first),
-        Err(why) => {
-            let _ = std::fs::remove_dir_all(&pool.spill_dir);
-            shared.counters.get("mr.process.handshake_failures").incr();
-            eprintln!("[mr] process backend falling back in-process: {why}");
-            return None;
+impl<'a> ProcessTransport<'a> {
+    /// Begin a job on `pool`: a fresh spill directory, a clean quarantine
+    /// ledger (its verdicts are per job, whatever the pool's age) and, for
+    /// a spec-built job, at least one worker up.
+    pub(crate) fn begin<M, R>(
+        pool: &'a mut WorkerPool,
+        params: &ExecParams<'a, M, R>,
+    ) -> Result<Self>
+    where
+        M: Mapper,
+        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+    {
+        let shared = params.map_shared;
+        let seq = SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
+        // `{job}-{driver pid}-{seq}`: the scavenger sweeps the directories
+        // of dead pids.
+        let name = sanitize_tag(shared.job_name);
+        let tag = format!("{name}-{}-{seq}", std::process::id());
+        for slot in pool.slots.get_mut().iter_mut() {
+            slot.quarantined = false;
+            slot.losses.clear();
         }
+        *pool.spawned.get_mut() = 0;
+        let pool: &WorkerPool = pool;
+        let open = params.remote.map(|spec| {
+            let open = OpenReq {
+                job_name: shared.job_name.to_string(),
+                factory: spec.factory.clone(),
+                payload: spec.payload.clone(),
+                num_reducers: params.num_reducers,
+                shuffle_tag: tag.clone(),
+            };
+            Request::Open(open).to_bytes()
+        });
+        let spill_dir = pool.shuffle_root.join(tag);
+        std::fs::create_dir_all(&spill_dir)
+            .map_err(|e| MrError::Codec(format!("create shuffle dir: {e}")))?;
+        let trace = shared.cluster.trace();
+        let transport = ProcessTransport {
+            pool,
+            seq,
+            open,
+            spill_dir,
+            watchdog: Watchdog::new(params.config, shared.counters, trace, shared.job_name),
+            counters: shared.counters,
+            histograms: shared.histograms,
+            trace,
+            job_name: shared.job_name,
+            nodes: params.config.nodes,
+        };
+        if transport.open.is_some() {
+            shared.counters.get("mr.process.remote_jobs").incr();
+            // Spawning belongs to the spawn window, not to the first map task.
+            match pool.checkout(shared.counters) {
+                Ok(Some(first)) => pool.put_back(first),
+                Ok(None) => {}
+                Err(e) => {
+                    transport.end();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(transport)
     }
-    shared.counters.get("mr.process.remote_jobs").incr();
-    let trace = shared.cluster.trace();
-    Some(ProcessTransport {
-        pool,
-        watchdog: Watchdog::new(config, shared.counters, trace, shared.job_name),
-        counters: shared.counters,
-        histograms: shared.histograms,
-        trace,
-        job_name: shared.job_name,
-        nodes: config.nodes,
-    })
-}
 
-impl ProcessTransport<'_> {
     /// Worker slots, i.e. how many conversations can be in flight.
     pub(crate) fn size(&self) -> usize {
         self.pool.slots.lock().len()
     }
 
-    /// The job is over: stop the idle workers and delete the spill runs.
-    pub(crate) fn shutdown(self) {
-        for w in self.pool.idle.lock().drain(..) {
-            w.shutdown();
+    /// The job is over: tell the idle workers to drop it and delete the
+    /// spill runs. The workers stay up for the cluster's next job.
+    pub(crate) fn end(self) {
+        if self.open.is_some() {
+            let close = Request::Close.to_bytes();
+            for w in self.pool.idle.lock().iter() {
+                // A worker that died idle is found out by its next request.
+                let _ = write_frame(&mut &w.stdin, &close);
+            }
         }
-        let _ = std::fs::remove_dir_all(&self.pool.spill_dir);
+        let _ = std::fs::remove_dir_all(&self.spill_dir);
         self.counters
             .get("mr.process.workers_spawned")
             .add(self.pool.spawned.load(Ordering::Relaxed));
     }
 
-    /// One task attempt as a worker conversation: checkout → watch →
-    /// request → classify. `Ok(None)` means no healthy worker slot is left
-    /// and the attempt runs in-process. A task-level error from a healthy
-    /// worker keeps its class (and the worker); a transport failure — the
-    /// process is gone or garbling, including a supervised timeout kill —
-    /// becomes a lost node, so the retry runs on a fresh worker.
+    /// Make sure `w` has this job open. The inner error is the worker's
+    /// own: it could not build the job, and no other worker will.
+    fn open_on(
+        &self,
+        open: &[u8],
+        w: &mut Worker,
+        on_heartbeat: impl FnMut(),
+    ) -> Result<Result<()>> {
+        if w.opened == self.seq {
+            return Ok(Ok(()));
+        }
+        let opened = w.request::<()>(open, on_heartbeat)?;
+        Ok(opened.map(|()| w.opened = self.seq).map_err(|e| {
+            MrError::InvalidConfig(format!("worker rejected job {}: {e}", self.job_name))
+        }))
+    }
+
+    /// One task attempt as a worker conversation: checkout → watch → open
+    /// if this worker has not seen the job → request → classify. `Ok(None)`
+    /// means the attempt runs on the caller's thread: the job is
+    /// closure-built, or no healthy worker slot is left. A task-level error
+    /// from a healthy worker keeps its class (and the worker); a transport
+    /// failure — the process is gone or garbling, including a supervised
+    /// timeout kill — becomes a lost node, so the retry runs on a fresh
+    /// worker.
     fn converse<T: Codec>(
         &self,
         (phase, task_id, attempt): (Phase, usize, usize),
         refs: Vec<RunRef>,
     ) -> Result<Option<T>> {
+        let Some(open) = &self.open else {
+            return Ok(None);
+        };
         let Some(mut w) = self.pool.checkout(self.counters)? else {
             self.counters.get("mr.supervise.fallback_tasks").incr();
             return Ok(None);
@@ -1283,17 +1364,24 @@ impl ProcessTransport<'_> {
             })
         });
         let activity = watch.as_ref().map(|g| g.activity());
+        let touch = || {
+            if let Some(activity) = &activity {
+                activity.touch();
+            }
+        };
         let req = Request::Task {
             phase,
             task_id,
             attempt,
             refs,
-        };
-        let resp = w.request::<Reply<T>>(&req, || {
-            if let Some(activity) = &activity {
-                activity.touch();
-            }
-        });
+        }
+        .to_bytes();
+        let resp = self
+            .open_on(open, &mut w, touch)
+            .and_then(|opened| match opened {
+                Ok(()) => w.request::<Reply<T>>(&req, touch),
+                Err(e) => Ok(Err(e)),
+            });
         drop(watch);
         match resp {
             Ok(Ok((out, counters, histograms))) => {
@@ -1329,11 +1417,11 @@ impl Transport for ProcessTransport<'_> {
     type Parked = RunRef;
 
     fn park(&self, task: usize, attempt: usize, runs: Vec<Vec<Run>>) -> Result<Vec<Vec<RunRef>>> {
-        park_run_files(&self.pool.spill_dir, task, attempt, runs)
+        park_run_files(&self.spill_dir, task, attempt, runs)
     }
 
     fn fetch(&self, parked: &[RunRef]) -> Result<Vec<Run>> {
-        fetch_run_files(&self.pool.spill_dir, parked)
+        fetch_run_files(&self.spill_dir, parked)
     }
 
     fn remote_map(&self, task_id: usize, attempt: usize) -> Result<Option<MapTaskOut<RunRef>>> {
@@ -1354,6 +1442,7 @@ impl Transport for ProcessTransport<'_> {
 mod tests {
     use super::*;
     use crate::engine::MapStats;
+    use crate::faults::FaultPlan;
     use crate::trace::TopK;
 
     fn roundtrip_err(e: MrError) {
@@ -1439,9 +1528,11 @@ mod tests {
         };
         let runs = vec![
             vec![RunRef {
-                file: "map-00003-a0-p000-s000.run".into(),
-                records: 20,
+                task: 3,
+                attempt: 0,
+                offset: 4096,
                 len: 321,
+                records: 20,
             }],
             vec![],
         ];
@@ -1516,41 +1607,113 @@ mod tests {
         dir
     }
 
+    /// The runs of a three-partition map attempt: two spills for partition
+    /// 0, none for partition 1, one for partition 2.
+    fn sample_runs() -> Vec<Vec<Run>> {
+        let run = |from: u64, n: u64| {
+            let pairs: Vec<(String, u64)> =
+                (from..from + n).map(|i| (format!("k{i:03}"), i)).collect();
+            Run::encode(&pairs)
+        };
+        vec![vec![run(0, 5), run(5, 40)], vec![], vec![run(45, 9)]]
+    }
+
     #[test]
     fn spill_run_files_round_trip_and_fail_closed_on_corruption() {
         let dir = scratch_dir("roundtrip");
-        let run = Run::encode(&[("a".to_string(), 1u64), ("b".to_string(), 2u64)]);
-        let rref = write_run_file(&dir, "t.run", &run).unwrap();
-        assert_eq!(rref.records, run.records as u64);
-        assert_eq!(rref.len, run.data.len() as u64);
-        let back = read_run_file(&dir, &rref).unwrap();
-        assert_eq!(back.data, run.data);
-        assert_eq!(back.records, run.records);
+        let runs = sample_runs();
+        let refs = park_run_files(&dir, 7, 1, runs.clone()).unwrap();
+        // One file per map attempt, the runs consecutive frames in it.
+        let path = dir.join("map-00007-a1.run");
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "one run file for the whole attempt");
+        let clean = std::fs::read(&path).unwrap();
+        let flat: Vec<(&RunRef, &Run)> = refs.iter().flatten().zip(runs.iter().flatten()).collect();
+        assert_eq!(refs.iter().map(Vec::len).collect::<Vec<_>>(), [2, 0, 1]);
+        let mut next = 0;
+        for (rref, run) in &flat {
+            assert_eq!((rref.task, rref.attempt, rref.offset), (7, 1, next));
+            assert_eq!(rref.records, run.records as u64);
+            next += rref.len;
+            let back = read_run_file(&dir, rref).unwrap();
+            assert_eq!(back.data, run.data);
+            assert_eq!(back.records, run.records);
+        }
+        assert_eq!(next, clean.len() as u64, "the frames tile the file");
 
-        // Flip a payload byte: checksum mismatch, never silent data.
-        let path = dir.join("t.run");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
+        // A ref that does not address exactly one frame fails closed.
+        let (middle, last) = (flat[1].0, flat[2].0);
+        let codec_err = |rref: RunRef, why: &str| match read_run_file(&dir, &rref) {
+            Err(MrError::Codec(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("{rref:?}: expected codec error, got {other:?}"),
+        };
+        let off = |by: u64| RunRef {
+            offset: middle.offset + by,
+            ..*middle
+        };
+        codec_err(off(3), "bad magic");
+        codec_err(
+            RunRef {
+                len: middle.len - 1,
+                ..*middle
+            },
+            "length does not match payload",
+        );
+        codec_err(
+            RunRef {
+                len: middle.len + 1,
+                ..*middle
+            },
+            "length does not match payload",
+        );
+        codec_err(
+            RunRef {
+                records: middle.records + 1,
+                ..*middle
+            },
+            "record count",
+        );
+        let past_end = "past the end of the file";
+        codec_err(off(last.offset + last.len), past_end);
+        codec_err(
+            RunRef {
+                len: last.len + 1,
+                ..*last
+            },
+            past_end,
+        );
+        // An offset no file has: the seek itself is refused.
+        codec_err(
+            RunRef {
+                offset: u64::MAX,
+                ..*last
+            },
+            "spill run",
+        );
+
+        // Flip a payload bit in the middle frame: that frame fails its
+        // checksum — never silent data — and its neighbours still read.
+        let mut bytes = clean.clone();
+        bytes[(middle.offset + middle.len - 1) as usize] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        match read_run_file(&dir, &rref) {
-            Err(MrError::ChecksumMismatch { .. }) => {}
-            other => panic!("expected checksum mismatch, got {other:?}"),
+        for (rref, run) in &flat {
+            match read_run_file(&dir, rref) {
+                Err(MrError::ChecksumMismatch { .. }) if *rref == middle => {}
+                Ok(back) if *rref != middle => assert_eq!(back.data, run.data),
+                other => panic!("{rref:?}: got {other:?}"),
+            }
         }
 
-        // Damage the magic: structural decode error.
-        bytes[last] ^= 0x40;
-        bytes[0] ^= 0xFF;
+        // Damage the middle frame's magic: structural decode error.
+        let mut bytes = clean;
+        bytes[middle.offset as usize] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        match read_run_file(&dir, &rref) {
-            Err(MrError::Codec(msg)) => assert!(msg.contains("bad magic"), "{msg}"),
-            other => panic!("expected codec error, got {other:?}"),
-        }
+        codec_err(*middle, "bad magic");
 
         // Missing file: FileNotFound.
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(
-            read_run_file(&dir, &rref),
+            read_run_file(&dir, middle),
             Err(MrError::FileNotFound(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1561,11 +1724,14 @@ mod tests {
         let dir = scratch_dir("flip");
         let pairs: Vec<(String, u64)> = (0..40u64).map(|i| (format!("k{i:03}"), i)).collect();
         let run = Run::encode(&pairs);
-        let rref = write_run_file(&dir, "t.run", &run).unwrap();
+        let rref = park_run_files(&dir, 0, 0, vec![vec![run.clone()]])
+            .unwrap()
+            .remove(0)
+            .remove(0);
         let mut stored = Crc32::new();
         stored.update(&run.data);
         let stored = stored.finish();
-        let path = dir.join("t.run");
+        let path = rref.file(&dir);
         let clean = std::fs::read(&path).unwrap();
         let (len, payload) = (run.data.len(), clean.len() - run.data.len());
         // First payload byte, a middle one, and each of the last eight.
@@ -1590,23 +1756,23 @@ mod tests {
 
     #[test]
     fn spill_run_written_before_the_crc_tables_still_reads() {
-        // `tests/fixtures/pr12/spill.run`: written by `write_run_file` at
-        // the commit before the table-driven CRC. A driver upgraded in the
-        // middle of a job must still accept the runs its workers parked.
+        // `tests/fixtures/pr12/spill.run`: written at the commit before the
+        // table-driven CRC, when a run file held one run — today's layout
+        // with a single frame at offset 0. A driver upgraded in the middle
+        // of a job must still accept the runs its workers parked.
         let dir = scratch_dir("compat");
-        std::fs::write(
-            dir.join("spill.run"),
-            include_bytes!("../tests/fixtures/pr12/spill.run"),
-        )
-        .unwrap();
+        let fixture = include_bytes!("../tests/fixtures/pr12/spill.run");
+        std::fs::write(dir.join("map-00000-a0.run"), fixture).unwrap();
         let pairs: Vec<(String, u64)> = (0..40u64)
             .map(|i| (format!("token-{i:03}"), i * i))
             .collect();
         let want = Run::encode(&pairs);
         let rref = RunRef {
-            file: "spill.run".to_string(),
+            task: 0,
+            attempt: 0,
+            offset: 0,
+            len: fixture.len() as u64,
             records: 40,
-            len: want.data.len() as u64,
         };
         let back = read_run_file(&dir, &rref).unwrap();
         assert_eq!(back.data, want.data);
@@ -1635,28 +1801,53 @@ mod tests {
             p_disk_eio: 0.25,
             p_torn_write: 0.125,
         };
-        let req = HandshakeReq {
+        let config = ClusterConfig {
+            spill_buffer_bytes: 1024,
+            merge_factor: 8,
+            task_memory: Some(1 << 20),
+            faults: Some(plan.clone()),
+            durable_commits: false,
+            task_timeout_secs: Some(2.0),
+            heartbeat_interval_secs: 0.25,
+            // None of these is the worker's business.
+            backend: crate::BackendKind::Process,
+            execution_threads: Some(4),
+            max_task_attempts: 8,
+            ..ClusterConfig::with_nodes(3)
+        };
+        let hello: Hello = (config, 4096, "/tmp/mrdfs".into());
+        let (back, block_size, dfs_root) = Hello::from_bytes(&hello.to_bytes()).unwrap();
+        assert_eq!(
+            (back.nodes, block_size, dfs_root.as_str()),
+            (3, 4096, "/tmp/mrdfs")
+        );
+        assert_eq!((back.spill_buffer_bytes, back.merge_factor), (1024, 8));
+        assert_eq!(back.task_memory, Some(1 << 20));
+        assert_eq!(back.task_timeout_secs, Some(2.0));
+        assert_eq!(back.heartbeat_interval_secs, 0.25);
+        assert!(!back.durable_commits);
+        assert_eq!(back.backend, crate::BackendKind::Simulated);
+        assert_eq!((back.execution_threads, back.max_task_attempts), (None, 1));
+        // What names a job travels in its open.
+        let open = Request::Open(OpenReq {
             job_name: "stage1".into(),
             factory: "probe".into(),
             payload: vec![1, 2, 3],
-            nodes: 3,
-            block_size: 4096,
-            dfs_root: "/tmp/mrdfs".into(),
             num_reducers: 4,
-            spill_buffer: 1024,
-            merge_factor: 8,
-            task_memory: Some(1 << 20),
             shuffle_tag: "stage1-1-0".into(),
-            faults: Some(plan.clone()),
-            heartbeat_interval_ms: 250,
-            durable: false,
+        });
+        let Request::Open(back_open) = Request::from_bytes(&open.to_bytes()).unwrap() else {
+            panic!("an open decodes as an open");
         };
-        let back = HandshakeReq::from_bytes(&req.to_bytes()).unwrap();
-        assert_eq!(back.job_name, "stage1");
-        assert_eq!(back.payload, vec![1, 2, 3]);
-        assert_eq!(back.num_reducers, 4);
-        assert_eq!(back.heartbeat_interval_ms, 250);
-        assert!(!back.durable);
+        assert_eq!(back_open.job_name, "stage1");
+        assert_eq!(back_open.factory, "probe");
+        assert_eq!(back_open.payload, vec![1, 2, 3]);
+        assert_eq!(back_open.num_reducers, 4);
+        assert_eq!(back_open.shuffle_tag, "stage1-1-0");
+        assert!(matches!(
+            Request::from_bytes(&Request::Close.to_bytes()),
+            Ok(Request::Close)
+        ));
         // The plan crosses as itself, every attempt-level and driver-crash
         // key intact; the storage keys stay driver-side, so the worker sees
         // the quiet defaults and a clean disk.

@@ -11,11 +11,12 @@
 //! partition receives more runs than the channel holds, so a collector
 //! that fell behind a lone worker thread would deadlock here.
 //!
-//! The probe jobs here are closure-built (no registered factory), so the
-//! process backend takes its documented in-process fallback path — which
-//! still swaps the in-memory DFS for the disk-backed store, making this
-//! file the parity wall for the on-disk filesystem as well. Real
-//! out-of-process execution is covered by `tests/process.rs`.
+//! The probe jobs here are closure-built, so no worker process could
+//! rebuild them: on the process backend their attempts run on the driver's
+//! threads — over the disk-backed store and through checksummed run files,
+//! making this file the parity wall for the on-disk filesystem and the
+//! run-file shuffle as well. Real out-of-process execution is covered by
+//! `tests/process.rs`.
 
 use std::sync::Once;
 

@@ -4,15 +4,18 @@
 //! `MR_PROCESS_WORKER=1`, libtest lands in [`process_worker_entry`], and
 //! the child hands itself over to the frame loop.
 //!
-//! Covered here (the closure-job fallback path is covered by
-//! `tests/backend.rs`):
+//! Covered here (closure-built jobs on this backend are also what
+//! `tests/backend.rs` runs):
 //!
-//! * committed output is byte-identical to the in-process backends, and
-//!   the worker-side counters prove the remote path really ran;
-//! * a job not built from a registered spec falls back in-process,
-//!   correctly;
-//! * a factory name the workers do not know fails the handshake and falls
-//!   back;
+//! * committed output is byte-identical to the in-process backends, the
+//!   worker-side counters prove the remote path really ran, and a map
+//!   attempt parks one run file, not one per partition;
+//! * one pool of workers serves every job of a cluster, and the quarantine
+//!   ledger starts clean at each of them;
+//! * a job not built from a spec runs on the driver, over the same run
+//!   files, and spawns nothing;
+//! * a factory name the workers do not know fails the job as
+//!   `InvalidConfig`;
 //! * a worker that dies mid-task (`abort()`, i.e. SIGKILL-grade: no
 //!   unwind, no goodbye frame) is classified as a lost node and the task
 //!   is retried on a fresh worker without taking down the driver;
@@ -25,11 +28,14 @@ use std::sync::{Mutex, MutexGuard, Once};
 
 use mapreduce::{
     text_input, BackendKind, Cluster, ClusterConfig, Dfs, Emit, FaultPlan, Job, JobMetrics,
-    JobSpec, Mapper, Reducer, Result, TaskContext, CORRUPT_FRAME_ENV, HANG_ENV, WORKER_ENV,
+    JobSpec, Mapper, MrError, Reducer, Result, TaskContext, CORRUPT_FRAME_ENV, HANG_ENV,
+    WORKER_ENV,
 };
 
 const PROBE_FACTORY: &str = "process-probe";
-const DRIVER_ONLY_FACTORY: &str = "process-probe-driver-only";
+/// A factory name no executable registers: a job sent under it must be
+/// rejected by the worker that is asked to open it.
+const UNKNOWN_FACTORY: &str = "process-probe-unregistered";
 
 /// Hidden worker entry. When the driver spawns this binary with
 /// `MR_PROCESS_WORKER=1` set, this "test" registers the factories and
@@ -72,11 +78,6 @@ fn register_factories() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         mapreduce::register_job_spec::<ProbeSpec>(PROBE_FACTORY);
-        // A factory the driver knows and its workers do not: a job sent
-        // under it must fail the handshake.
-        if std::env::var_os(WORKER_ENV).is_none() {
-            mapreduce::register_job_spec::<ProbeSpec>(DRIVER_ONLY_FACTORY);
-        }
     });
 }
 
@@ -96,14 +97,14 @@ struct ProbeSpec {
     input: String,
     output: String,
     kill_attempts: u64,
-    /// Send the job under [`DRIVER_ONLY_FACTORY`].
-    driver_only: bool,
+    /// Send the job under [`UNKNOWN_FACTORY`].
+    unknown_factory: bool,
 }
 mapreduce::codec_struct!(ProbeSpec {
     input,
     output,
     kill_attempts,
-    driver_only,
+    unknown_factory,
 });
 
 impl ProbeSpec {
@@ -112,7 +113,7 @@ impl ProbeSpec {
             input: "/in".into(),
             output: "/out".into(),
             kill_attempts,
-            driver_only: false,
+            unknown_factory: false,
         }
     }
 }
@@ -122,8 +123,8 @@ impl JobSpec for ProbeSpec {
     type Reducer = ProbeReducer;
 
     fn factory(&self) -> &'static str {
-        if self.driver_only {
-            DRIVER_ONLY_FACTORY
+        if self.unknown_factory {
+            UNKNOWN_FACTORY
         } else {
             PROBE_FACTORY
         }
@@ -158,10 +159,10 @@ impl Mapper for ProbeMapper {
         ctx: &TaskContext,
     ) -> Result<()> {
         // SIGKILL-grade death: no unwind, no error frame, the pipe
-        // just closes. Guarded on the worker env var so an
-        // in-process fallback run of this mapper never aborts the
-        // driver, and on task 0's first `kill_attempts` attempts so
-        // a retry (or the in-process fallback) eventually succeeds.
+        // just closes. Guarded on the worker env var so an attempt the
+        // driver runs itself never aborts the driver, and on task 0's
+        // first `kill_attempts` attempts so a retry (or the driver's own
+        // attempt, once every slot is quarantined) eventually succeeds.
         if ctx.task_id == 0
             && (ctx.attempt as u64) < self.kill_attempts
             && std::env::var_os(WORKER_ENV).is_some()
@@ -181,6 +182,24 @@ impl Reducer for ProbeReducer {
     type InValue = String;
     type OutKey = String;
     type OutValue = String;
+
+    /// Count what the map phase parked for this job: by now every winning
+    /// map attempt's runs are on disk and nothing has been cleaned up.
+    fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
+        let Some(root) = ctx.dfs().disk_root() else {
+            return Ok(()); // the in-memory reference run parks nothing
+        };
+        let shuffle = root.join("shuffle");
+        let spill_dirs: Vec<_> = std::fs::read_dir(shuffle)
+            .unwrap()
+            .map(|dir| dir.unwrap().path())
+            .collect();
+        assert_eq!(spill_dirs.len(), 1, "one spill directory per running job");
+        let run_files = std::fs::read_dir(&spill_dirs[0]).unwrap().count();
+        ctx.counter("probe.reduce_setups").incr();
+        ctx.counter("probe.run_files_seen").add(run_files as u64);
+        Ok(())
+    }
 
     fn reduce(
         &mut self,
@@ -222,16 +241,7 @@ fn run_probe_with(
     kill_attempts: u64,
     tweak: impl FnOnce(&mut ClusterConfig),
 ) -> ProbeRun {
-    register_factories();
-    let mut config = ClusterConfig {
-        backend: BackendKind::Process,
-        execution_threads: Some(4),
-        spill_buffer_bytes: 1024,
-        ..ClusterConfig::with_nodes(3)
-    };
-    tweak(&mut config);
-    let cluster = Cluster::new(config, 256).unwrap();
-    cluster.dfs().write_text("/in", corpus()).unwrap();
+    let cluster = probe_cluster(tweak);
     let spec = ProbeSpec::new(kill_attempts);
     let job = if remote {
         Job::from_spec(&spec, cluster.dfs())
@@ -241,6 +251,18 @@ fn run_probe_with(
     .unwrap();
     let metrics = cluster.run(job).unwrap();
     let output = cluster.dfs().read_seq("/out").unwrap();
+    ProbeRun { output, metrics }
+}
+
+/// One more spec-built probe job on `cluster`, writing to `output`.
+fn run_probe_on(cluster: &Cluster, kill_attempts: u64, output: &str) -> ProbeRun {
+    let spec = ProbeSpec {
+        output: output.into(),
+        ..ProbeSpec::new(kill_attempts)
+    };
+    let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
+    let metrics = cluster.run(job).unwrap();
+    let output = cluster.dfs().read_seq(output).unwrap();
     ProbeRun { output, metrics }
 }
 
@@ -263,7 +285,6 @@ fn remote_output_matches_in_process_and_workers_really_ran() {
     // The worker-side counters only exist if map/reduce work actually
     // happened in a child process.
     assert_eq!(counter(&remote.metrics, "mr.process.remote_jobs"), 1);
-    assert_eq!(counter(&remote.metrics, "mr.process.fallback_jobs"), 0);
     assert!(counter(&remote.metrics, "mr.process.workers_spawned") >= 1);
     assert_eq!(
         counter(&remote.metrics, "mr.process.worker_map_tasks"),
@@ -300,54 +321,148 @@ fn remote_output_matches_in_process_and_workers_really_ran() {
         remote.metrics.output_commits,
         remote.metrics.reduce.tasks as u64
     );
+
+    // One run file per parked map attempt — every map task of this corpus
+    // has output and none was retried — however many partitions it wrote
+    // to: each reduce task saw exactly `map.tasks` files.
+    assert!(remote.metrics.reduce.tasks > 1 && remote.metrics.map.tasks > 1);
+    assert_eq!(
+        counter(&remote.metrics, "probe.reduce_setups"),
+        remote.metrics.reduce.tasks as u64
+    );
+    assert_eq!(
+        counter(&remote.metrics, "probe.run_files_seen"),
+        (remote.metrics.map.tasks * remote.metrics.reduce.tasks) as u64
+    );
 }
 
-#[test]
-fn job_without_remote_spec_falls_back_in_process() {
-    let _env = lock_env();
-    let local = run_probe(BackendKind::Simulated, false, false, None, 1);
-    let fallback = run_probe(BackendKind::Process, false, false, None, 1);
-
-    assert_eq!(local.output, fallback.output);
-    assert_eq!(counter(&fallback.metrics, "mr.process.fallback_jobs"), 1);
-    assert_eq!(counter(&fallback.metrics, "mr.process.remote_jobs"), 0);
-    assert_eq!(counter(&fallback.metrics, "mr.process.worker_map_tasks"), 0);
+/// What a cluster's spill root holds once its jobs are over.
+fn leaked_spill_dirs(cluster: &Cluster) -> Vec<std::ffi::OsString> {
+    let shuffle = cluster.dfs().disk_root().unwrap().join("shuffle");
+    std::fs::read_dir(shuffle)
+        .map(|dir| dir.map(|e| e.unwrap().file_name()).collect())
+        .unwrap_or_default()
 }
 
-#[test]
-fn unknown_factory_fails_the_handshake_and_falls_back() {
-    let _env = lock_env();
-    let local = run_probe(BackendKind::Simulated, false, false, None, 1);
-
-    let config = ClusterConfig {
+fn probe_cluster(tweak: impl FnOnce(&mut ClusterConfig)) -> Cluster {
+    register_factories();
+    let mut config = ClusterConfig {
         backend: BackendKind::Process,
         execution_threads: Some(4),
         spill_buffer_bytes: 1024,
         ..ClusterConfig::with_nodes(3)
     };
+    tweak(&mut config);
     let cluster = Cluster::new(config, 256).unwrap();
     cluster.dfs().write_text("/in", corpus()).unwrap();
-    register_factories();
+    cluster
+}
+
+/// A closure-built job (here: a spec's job with the spec's bytes left off)
+/// is one no worker can rebuild: it runs on the driver's threads over the
+/// process backend's own run files, and spawns nothing.
+#[test]
+fn closure_job_runs_on_the_driver_over_run_files() {
+    let _env = lock_env();
+    let local = run_probe(BackendKind::Simulated, false, false, None, 1);
+    let driver = run_probe(BackendKind::Process, false, false, None, 1);
+
+    assert_eq!(local.output, driver.output);
+    assert_eq!(counter(&driver.metrics, "mr.process.workers_spawned"), 0);
+    assert_eq!(counter(&driver.metrics, "mr.process.remote_jobs"), 0);
+    assert_eq!(counter(&driver.metrics, "mr.process.worker_map_tasks"), 0);
+    assert_eq!(
+        counter(&driver.metrics, "mr.process.worker_reduce_tasks"),
+        0
+    );
+    assert_eq!(
+        counter(&driver.metrics, "probe.run_files_seen"),
+        (driver.metrics.map.tasks * driver.metrics.reduce.tasks) as u64,
+        "the driver's own attempts park and fetch run files too"
+    );
+}
+
+#[test]
+fn unknown_factory_fails_the_job_as_invalid_config() {
+    let _env = lock_env();
+    let cluster = probe_cluster(|_| {});
     let spec = ProbeSpec {
-        driver_only: true,
+        unknown_factory: true,
         ..ProbeSpec::new(0)
     };
     let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
-    assert!(job.remote.is_some(), "the driver sends it out");
-    let metrics = cluster.run(job).unwrap();
-    let output: Vec<(String, String)> = cluster.dfs().read_seq("/out").unwrap();
+    assert!(job.remote.is_some(), "every spec-built job is sent out");
+    match cluster.run(job) {
+        Err(MrError::InvalidConfig(msg)) => {
+            assert!(msg.contains(UNKNOWN_FACTORY), "{msg}");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    assert!(cluster.dfs().list("/out").is_empty(), "no task ever ran");
+    // The driver that owns the spill directory is alive, so no scavenger
+    // would ever sweep one it left behind.
+    assert_eq!(
+        leaked_spill_dirs(&cluster),
+        Vec::<std::ffi::OsString>::new()
+    );
 
-    assert_eq!(local.output, output, "fallback must still commit the job");
-    // The pool never came up, and its owner (this driver) is alive, so no
-    // scavenger would ever sweep a spill directory it left behind.
-    let shuffle = cluster.dfs().disk_root().unwrap().join("shuffle");
-    let leaked: Vec<_> = std::fs::read_dir(&shuffle)
-        .map(|dir| dir.map(|e| e.unwrap().file_name()).collect())
-        .unwrap_or_default();
-    assert!(leaked.is_empty(), "failed handshake leaked {leaked:?}");
-    assert_eq!(counter(&metrics, "mr.process.handshake_failures"), 1);
-    assert_eq!(counter(&metrics, "mr.process.fallback_jobs"), 1);
-    assert_eq!(counter(&metrics, "mr.process.remote_jobs"), 0);
+    // The worker that said no is healthy, and so is the cluster: a job it
+    // can build runs on the same pool.
+    let metrics = run_probe_on(&cluster, 0, "/out").metrics;
+    assert_eq!(
+        counter(&metrics, "mr.process.worker_map_tasks"),
+        metrics.map.tasks as u64
+    );
+}
+
+/// Workers share the store through the filesystem, so a process cluster
+/// over an in-memory DFS is refused, not quietly run in the driver.
+#[test]
+fn process_cluster_over_a_memory_dfs_is_refused() {
+    let config = ClusterConfig {
+        backend: BackendKind::Process,
+        ..ClusterConfig::with_nodes(2)
+    };
+    match Cluster::with_dfs(config, Dfs::new(2, 64)) {
+        Err(MrError::InvalidConfig(msg)) => assert!(msg.contains("disk-backed"), "{msg}"),
+        Ok(_) => panic!("a process cluster came up over an in-memory DFS"),
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+/// The pool is the cluster's: a second job reuses the first job's workers
+/// (total spawns stay within the pool's size), each job gets its own spill
+/// directory and leaves none behind.
+#[test]
+fn one_worker_pool_serves_every_job_of_a_cluster() {
+    let _env = lock_env();
+    let cluster = probe_cluster(|_| {});
+    let first = run_probe_on(&cluster, 0, "/out");
+    let second = run_probe_on(&cluster, 0, "/out2");
+    assert_eq!(first.output, second.output);
+    let (first, second) = (first.metrics, second.metrics);
+    for m in [&first, &second] {
+        assert_eq!(
+            counter(m, "mr.process.worker_map_tasks"),
+            m.map.tasks as u64
+        );
+        assert_eq!(
+            counter(m, "mr.process.worker_reduce_tasks"),
+            m.reduce.tasks as u64
+        );
+    }
+    let spawned = |m: &JobMetrics| counter(m, "mr.process.workers_spawned");
+    assert!(spawned(&first) >= 1);
+    assert!(
+        spawned(&first) + spawned(&second) <= 4,
+        "a fault-free cluster spawns each of its 4 slots at most once: {} + {}",
+        spawned(&first),
+        spawned(&second)
+    );
+    assert_eq!(
+        leaked_spill_dirs(&cluster),
+        Vec::<std::ffi::OsString>::new()
+    );
 }
 
 #[test]
@@ -403,7 +518,7 @@ fn chaos_parity_through_real_workers() {
         "chaos changed remotely committed bytes"
     );
     assert_eq!(counter(&chaos.metrics, "mr.process.remote_jobs"), 1);
-    assert_eq!(counter(&chaos.metrics, "mr.process.fallback_jobs"), 0);
+    assert!(counter(&chaos.metrics, "mr.process.worker_map_tasks") >= 1);
 }
 
 /// `hang=` in the fault plan makes workers stop responding mid-task; the
@@ -468,33 +583,53 @@ fn real_hung_worker_is_killed_and_replaced() {
 
 /// A worker slot that keeps losing workers gets quarantined; once every
 /// slot is quarantined the pool is out of the game and tasks fall back
-/// in-process on the same DFS — completing the job byte-identically.
+/// in-process on the same DFS — completing the job byte-identically. The
+/// verdicts are that job's: the cluster's next job starts from a clean
+/// ledger and runs in workers again.
 #[test]
 fn quarantined_pool_falls_back_in_process_byte_identically() {
     let _env = lock_env();
     let clean = run_probe(BackendKind::Process, true, false, None, 1);
-    // Task 0 aborts the worker on every attempt, so each retry burns a
-    // fresh slot (threshold 1 quarantines on the first loss) until no
-    // healthy slot remains and the in-process fallback finishes the task.
-    let quarantined = run_probe_with(true, u64::MAX, |config| {
+    let cluster = probe_cluster(|config| {
         config.max_task_attempts = 8;
         config.worker_quarantine_losses = 1;
     });
+    // Task 0 aborts the worker on every attempt, so each retry burns a
+    // fresh slot (threshold 1 quarantines on the first loss) until no
+    // healthy slot remains and the in-process fallback finishes the task.
+    let poisoned = run_probe_on(&cluster, u64::MAX, "/out");
 
     assert_eq!(
-        clean.output, quarantined.output,
+        clean.output, poisoned.output,
         "quarantine fallback changed the committed bytes"
     );
+    let poisoned = poisoned.metrics;
     assert!(
-        counter(&quarantined.metrics, "mr.supervise.quarantined") >= 1,
+        counter(&poisoned, "mr.supervise.quarantined") >= 1,
         "no worker slot was ever quarantined"
     );
     assert!(
-        counter(&quarantined.metrics, "mr.supervise.fallback_tasks") >= 1,
+        counter(&poisoned, "mr.supervise.fallback_tasks") >= 1,
         "no task ran through the in-process fallback"
     );
     assert!(
-        counter(&quarantined.metrics, "mr.process.worker_lost") >= 1,
+        counter(&poisoned, "mr.process.worker_lost") >= 1,
         "the aborting workers were never noticed"
+    );
+
+    // Four runner threads on four clean slots never find the pool empty;
+    // on the three the poisoned job left, they would.
+    let healthy = run_probe_on(&cluster, 0, "/out2");
+    assert_eq!(clean.output, healthy.output);
+    let healthy = healthy.metrics;
+    assert_eq!(counter(&healthy, "mr.supervise.fallback_tasks"), 0);
+    assert_eq!(
+        counter(&healthy, "mr.process.worker_map_tasks"),
+        healthy.map.tasks as u64,
+        "one poisoned job must not push the next one in-process"
+    );
+    assert_eq!(
+        counter(&healthy, "mr.process.worker_reduce_tasks"),
+        healthy.reduce.tasks as u64
     );
 }

@@ -2,8 +2,8 @@
 //! gated trace event.
 //!
 //! The profiler rides the ordinary counter channel, so it must hold on
-//! every backend — including the process backend's in-process fallback
-//! path, which these closure-built jobs exercise (no registered factory).
+//! every backend — on the process backend these closure-built jobs, which
+//! no worker could rebuild, run on the driver's threads over run files.
 //! Real out-of-process counter merging is covered by `tests/process.rs`.
 
 use mapreduce::{
