@@ -75,10 +75,10 @@ execution (selfjoin/rsjoin):
                   executor with the cluster time model; sharded: per-node
                   worker shards with a real streaming shuffle over bounded
                   channels; process: process-isolated workers (this binary
-                  re-spawned) over a disk-backed DFS — remote-capable jobs
-                  run in worker processes, the rest fall back in-process on
-                  the same disk store. Join output is byte-identical in
-                  every case.
+                  re-spawned) over a disk-backed DFS — every job of a
+                  join runs its tasks in the workers (the driver's own
+                  threads run only closure-built jobs, which tests alone
+                  make). Join output is byte-identical in every case.
   --dfs-root DIR  put the DFS on disk at DIR for any backend (created if
                   missing and persistent across runs, which is what lets a
                   killed driver --resume); without it the process backend

@@ -26,8 +26,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mapreduce::{
-    codec_struct, group_by, partition_by, stable_hash, text_input, Dfs, GroupEq, PartitionFn,
-    Result, SortCmp, SplitSource,
+    codec_struct, group_by, partition_by, stable_hash, text_input, Dfs, GroupEq, MrError,
+    PartitionFn, Result, SortCmp, SplitSource,
 };
 use setsim::{first_common, Threshold};
 
@@ -72,11 +72,24 @@ impl Relations {
         std::iter::once(self.r.as_str()).chain(self.s.as_deref())
     }
 
+    /// Refuse an R-S join of a path with itself: every record would be
+    /// tagged S and the join would come back empty.
+    pub fn validate(&self) -> Result<()> {
+        match &self.s {
+            Some(s) if s.trim_end_matches('/') == self.r.trim_end_matches('/') => {
+                Err(MrError::InvalidConfig(format!(
+                    "relations: R and S are both {s:?}; join a relation with itself as a self-join"
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The relation of a record read from `input_path`: [`REL_S`] for files
     /// under the S path, [`REL_R`] otherwise.
     pub fn tag_of(&self, input_path: &str) -> u8 {
         match &self.s {
-            Some(s) if input_path.starts_with(s.as_str()) => REL_S,
+            Some(s) if is_under(input_path, s) => REL_S,
             _ => REL_R,
         }
     }
@@ -89,6 +102,15 @@ impl Relations {
         }
         Ok(splits)
     }
+}
+
+/// Whether the split file `input_path` is the input `root` or lies in the
+/// directory `root` — how a multi-input mapper tells its inputs apart. The
+/// match ends on a path boundary: `/in/s2` is not under `/in/s`.
+pub fn is_under(input_path: &str, root: &str) -> bool {
+    input_path
+        .strip_prefix(root.trim_end_matches('/'))
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 /// Load-block marker (blocks mode).
@@ -368,6 +390,24 @@ impl<'a> ProbeOwnership<'a> {
 mod tests {
     use super::*;
     use crate::skew::split_key;
+
+    #[test]
+    fn relations_are_told_apart_on_a_path_boundary() {
+        let rs = Relations::new("/in/s2", Some("/in/s"));
+        for (path, rel) in [
+            ("/in/s2", REL_R),
+            ("/in/s2/part-00000", REL_R),
+            ("/in/s", REL_S),
+            ("/in/s/part-00000", REL_S),
+        ] {
+            assert_eq!(rs.tag_of(path), rel, "{path}");
+        }
+        assert!(is_under("/s/part-00000", "/s/"));
+        assert!(rs.validate().is_ok());
+        assert!(Relations::new("/s", None).validate().is_ok());
+        let same = Relations::new("/s", Some("/s/")).validate();
+        assert!(matches!(same, Err(MrError::InvalidConfig(_))), "{same:?}");
+    }
 
     #[test]
     fn partitioner_ignores_everything_but_group() {

@@ -275,6 +275,7 @@ fn join_impl(
         Recovery::disabled()
     };
     let relations = Relations::new(r_input, s_input);
+    relations.validate()?;
     let (tokens_path, m1) = stage1::run_with(cluster, r_input, config, work, &mut rec)?;
     let (ridpairs_path, m2) =
         stage2::run_with(cluster, &relations, &tokens_path, config, work, &mut rec)?;

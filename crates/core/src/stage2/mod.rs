@@ -241,6 +241,7 @@ pub(crate) fn run_with(
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
     config.validate().map_err(MrError::InvalidConfig)?;
+    relations.validate()?;
     let pairs = format!("{}/ridpairs", work.trim_end_matches('/'));
     let mut inputs: Vec<&str> = relations.paths().collect();
     // The skew pre-pass: sample the input (both relations: a group is hot

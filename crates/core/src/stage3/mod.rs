@@ -4,16 +4,24 @@
 //! eliminates duplicates here; stage 2's ownership rule leaves none); this
 //! stage brings back the full records.
 //!
-//! * **BRJ** (Basic Record Join) — two jobs. Job 1 consumes *both* the
-//!   original records and the RID-pair list (a multi-input job; the mapper
-//!   dispatches on the input file name) and groups each record with the
-//!   pairs that reference it. Only records some pair names can reach the
-//!   output, so the driver first publishes the set of participating RIDs
-//!   ([`Participants`]) and the mapper drops every other record before the
-//!   shuffle — a semi-join reduction; when the set exceeds a task's memory
-//!   budget the job runs unfiltered, as in the paper. Job 2 groups the two
-//!   half-filled pairs by their RID-pair key and outputs the assembled
-//!   record pair.
+//! * **BRJ** (Basic Record Join) — two chained reduce-side joins,
+//!   `(pairs ⋈ column 1) ⋈ column 2`, each a multi-input job whose mapper
+//!   dispatches on the input file name. Job 1 reads the first-column
+//!   relation (R; the one file of a self-join) and the RID-pair list, keys
+//!   both by the first RID and writes, per pair `(a, b, sim)`, one *fill*
+//!   `b → (a, sim, a's line)`. Job 2 reads the second-column relation (S)
+//!   and the fills, keys both by the second RID and outputs the assembled
+//!   record pair. In a self-join job 1 has already read every record job 2
+//!   needs, so it *forwards* them among its fills and job 2 reads no
+//!   relation: the input is scanned once. Every participating record
+//!   crosses each shuffle once and only the first member is copied per
+//!   pair — a deviation from the paper, whose phase 2 regroups two full
+//!   half-pairs by RID pair (DESIGN.md §19c). Only records some pair names
+//!   can reach the output, so the driver first publishes the set of
+//!   participating RIDs per column ([`Participants`]) and the mappers drop
+//!   every other record before the shuffle — a semi-join reduction; when
+//!   the set exceeds a task's memory budget both jobs run unfiltered, as in
+//!   the paper.
 //! * **OPRJ** (One-Phase Record Join) — one job. The RID-pair list is
 //!   broadcast to every map task and indexed in memory (charging the task
 //!   memory budget — this is the variant that dies with out-of-memory on
@@ -27,12 +35,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    codec_struct, seq_input, text_input, Cluster, Counter, Dfs, Emit, IdentityMapper, Job, JobSpec,
+    codec_struct, group_by, partition_by, text_input, Cluster, Counter, Dfs, Emit, Job, JobSpec,
     Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
 };
 
 use crate::config::{JoinConfig, Stage3Algo};
-use crate::keys::{Relations, REL_R, REL_S};
+use crate::keys::{is_under, Relations, REL_R, REL_S};
 use crate::named::Named;
 use crate::recovery::{self, run_spec, Recovery};
 use crate::stage2::parse_pair_line;
@@ -43,129 +51,149 @@ pub type JoinedPair = (String, String, f64);
 /// Key identifying a joined pair.
 pub type PairKey = (u64, u64);
 
-const TAG_RECORD: u8 = 0;
-const TAG_HALF: u8 = 1;
-
-/// Which side of the pair a record fills.
+/// Which side of the pair a record fills — and, for BRJ, which pair column
+/// a job joins its relation on.
 const POS_FIRST: u8 = 0;
 const POS_SECOND: u8 = 1;
 
+/// The pair column of `pos` as an index; a `pos` decoded from a damaged
+/// spec is the second.
+fn column(pos: u8) -> usize {
+    usize::from(pos != POS_FIRST)
+}
+
 // ---------------------------------------------------------------------------
-// BRJ job 1
+// BRJ: one mapper and one reducer, run once per pair column
 // ---------------------------------------------------------------------------
 
-/// Job-1 value: either a record line or a pair-half request.
-/// `(tag, other_rid, pos, sim, payload)`.
-type HalfValue = (u8, u64, u8, f64, String);
+/// Shuffle key of both BRJ jobs: `(rid, tag, partner)`, partitioned and
+/// grouped on the RID alone. The natural sort then delivers a record
+/// ([`TAG_RECORD`], partner 0) ahead of the side entries naming it, and
+/// those in partner order, so the reducer streams.
+type BrjKey = (u64, u8, u64);
+
+/// Shuffle value: `(sim, line)`. A record carries its own line, a pair
+/// line of job 1 none, a fill of job 2 the first member's.
+type BrjValue = (f64, String);
+
+const TAG_RECORD: u8 = 0;
+const TAG_SIDE: u8 = 1;
+
+/// Format job 1's output `((a, b), (a's line, "", sim))` as a fill line: a
+/// pair line turned to lead with `b`, then `a`'s record. A forwarded record
+/// is the fill `(a, a)`: no self-join pair names a record twice.
+fn format_fill_line(k: &PairKey, v: &JoinedPair) -> String {
+    format!("{}\t{}\t{}\t{}", k.1, k.0, v.2, v.0)
+}
 
 /// The RIDs stage 2's pairs name: the only records that can reach the
-/// output. One sorted list per relation, because R and S number their
-/// records independently; a self-join keeps both columns in `r`.
+/// output. One sorted list per pair column ([`POS_FIRST`], [`POS_SECOND`]):
+/// job 1 joins the first column's relation, job 2 the second's. In a
+/// self-join job 1 keeps both columns, to forward the second.
 #[derive(Debug, Default, PartialEq, Eq)]
-struct Participants {
-    r: Vec<u64>,
-    s: Vec<u64>,
-}
+struct Participants([Vec<u64>; 2]);
 
 impl Participants {
     /// Collect the participating RIDs from stage 2's pair file.
-    fn from_pairs(dfs: &Dfs, pairs_path: &str, rs: bool) -> Result<Self> {
+    fn from_pairs(dfs: &Dfs, pairs_path: &str) -> Result<Self> {
         let mut p = Participants::default();
         for line in dfs.read_text(pairs_path)? {
             let (a, b, _) = parse_pair_line(&line)?;
-            p.r.push(a);
-            if rs { &mut p.s } else { &mut p.r }.push(b);
+            p.0[0].push(a);
+            p.0[1].push(b);
         }
-        for list in [&mut p.r, &mut p.s] {
+        for list in &mut p.0 {
             list.sort_unstable();
             list.dedup();
         }
         Ok(p)
     }
 
-    fn len(&self) -> usize {
-        self.r.len() + self.s.len()
-    }
-
-    /// What a task holding the set charges its memory gauge.
-    fn bytes(&self) -> u64 {
-        (self.len() * std::mem::size_of::<u64>()) as u64
-    }
-
-    fn contains(&self, rel: u8, rid: u64) -> bool {
-        let list = if rel == REL_S { &self.s } else { &self.r };
-        list.binary_search(&rid).is_ok()
-    }
-
-    /// Publish the set as a seq file of `(relation, rid)` entries.
+    /// Publish the set as a seq file of `(column, rid)` entries.
     fn write(&self, dfs: &Dfs, path: &str) -> Result<()> {
         let mut w = dfs.seq_writer(path)?;
-        for (rel, list) in [(REL_R, &self.r), (REL_S, &self.s)] {
+        for (pos, list) in [POS_FIRST, POS_SECOND].into_iter().zip(&self.0) {
             for rid in list {
-                w.write(&rel, rid);
+                w.write(&pos, rid);
             }
         }
         w.close()
     }
 
-    fn read(dfs: &Dfs, path: &str) -> Result<Self> {
-        let mut p = Participants::default();
-        for (rel, rid) in dfs.read_seq::<u8, u64>(path)? {
-            if rel == REL_S { &mut p.s } else { &mut p.r }.push(rid);
-        }
-        Ok(p)
+    /// The sorted RIDs of a published set that a mapper of column `pos`
+    /// keeps: its own column, and under `forward` the other one too.
+    fn read_kept(dfs: &Dfs, path: &str, pos: u8, forward: bool) -> Result<Vec<u64>> {
+        let entries = dfs.read_seq::<u8, u64>(path)?;
+        let kept = entries.into_iter().filter(|(p, _)| forward || *p == pos);
+        let mut kept: Vec<u64> = kept.map(|(_, rid)| rid).collect();
+        kept.sort_unstable();
+        kept.dedup();
+        Ok(kept)
     }
 
     /// The driver's half of the semi-join: derive the set from stage 2's
-    /// pair file and publish it under `work` for job 1's mappers, unless it
-    /// exceeds a task's memory budget. Returns the set's size and where it
-    /// was published. Both follow from the pair file and the cluster config
-    /// alone, so a resumed driver decides the same; no manifest covers the
-    /// file, and one a crashed driver left is replaced.
+    /// pair file and publish it under `work` for the mappers of both jobs,
+    /// unless what one of them keeps exceeds a task's memory budget. Returns
+    /// how many RIDs each job's mappers keep (under `forward` job 1 keeps
+    /// both columns) and where the set was published. Both follow from the
+    /// pair file and the cluster config alone, so a resumed driver decides
+    /// the same; no manifest covers the file, and one a crashed driver left
+    /// is replaced.
     fn publish(
         cluster: &Cluster,
         pairs_path: &str,
-        rs: bool,
         work: &str,
-    ) -> Result<(usize, Option<String>)> {
+        forward: bool,
+    ) -> Result<([usize; 2], Option<String>)> {
         let dfs = cluster.dfs();
-        let path = format!("{}/participants", work.trim_end_matches('/'));
+        let path = format!("{work}/participants");
         dfs.delete_prefix(&path);
-        let participants = Participants::from_pairs(dfs, pairs_path, rs)?;
-        let fits = cluster
-            .config()
-            .task_memory
-            .is_none_or(|budget| participants.bytes() <= budget);
+        let participants = Participants::from_pairs(dfs, pairs_path)?;
+        let [first, second] = &participants.0;
+        let second_only = second.iter().filter(|b| first.binary_search(b).is_err());
+        let forwarded = if forward { second_only.count() } else { 0 };
+        let kept = [first.len() + forwarded, second.len()];
+        let fits = cluster.config().task_memory.is_none_or(|budget| {
+            let bytes = |rids: &usize| (rids * std::mem::size_of::<u64>()) as u64;
+            kept.iter().all(|rids| bytes(rids) <= budget)
+        });
         if fits {
             participants.write(dfs, &path)?;
         }
-        Ok((participants.len(), fits.then_some(path)))
+        Ok((kept, fits.then_some(path)))
     }
 }
 
-/// BRJ job-1 mapper: records and RID pairs share the job; the input file
+/// BRJ mapper: one relation's records and the job's side input — the RID
+/// pairs (job 1) or job 1's fills (job 2) — share the job; the input file
 /// name tells them apart.
 #[derive(Clone)]
-struct BrjFillMapper {
-    /// The record format, and the policy for malformed *record* lines. Pair
+struct BrjMapper {
+    /// The record format, and the policy for malformed *record* lines. Side
     /// lines are always parsed strictly: the pipeline wrote them itself, so
-    /// a malformed pair line is corruption, not dirty input.
+    /// a malformed one is corruption, not dirty input.
     config: JoinConfig,
-    relations: Relations,
-    pairs_path: String,
+    pos: u8,
+    /// Keep the other column's participants too, to forward them.
+    forward: bool,
+    /// A fill of a record with itself is the record, forwarded by job 1.
+    forwarded: bool,
+    side_path: String,
     /// The published [`Participants`] file; `None` when the set does not
     /// fit a task's memory budget and every record is shuffled.
     participants_path: Option<String>,
-    participants: Option<Arc<Participants>>,
+    participants: Option<Arc<Vec<u64>>>,
     records_filtered: Named<Counter>,
 }
 
-impl BrjFillMapper {
-    fn new(spec: &FillSpec) -> Self {
-        BrjFillMapper {
+impl BrjMapper {
+    fn new(spec: &BrjSpec) -> Self {
+        BrjMapper {
             config: spec.config.clone(),
-            relations: spec.relations.clone(),
-            pairs_path: spec.pairs.clone(),
+            pos: spec.pos,
+            forward: spec.forward,
+            forwarded: spec.records.is_none(),
+            side_path: spec.side.clone(),
             participants_path: spec.participants.clone(),
             participants: None,
             records_filtered: Named::new("stage3.records_filtered"),
@@ -173,22 +201,22 @@ impl BrjFillMapper {
     }
 }
 
-impl Mapper for BrjFillMapper {
+impl Mapper for BrjMapper {
     type InKey = u64;
     type InValue = String;
-    type OutKey = (u64, u8);
-    type OutValue = HalfValue;
+    type OutKey = BrjKey;
+    type OutValue = BrjValue;
 
     fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
         if let Some(path) = &self.participants_path {
-            let dfs = ctx.dfs();
-            self.participants = Some(ctx.cache().get_or_load::<Participants, _>(
+            let (dfs, pos, forward) = (ctx.dfs(), self.pos, self.forward);
+            self.participants = Some(ctx.cache().get_or_load::<Vec<u64>, _>(
                 "stage3.participants",
                 ctx.memory(),
                 || {
-                    let p = Participants::read(dfs, path)?;
-                    let bytes = p.bytes();
-                    Ok((p, bytes))
+                    let kept = Participants::read_kept(dfs, path, pos, forward)?;
+                    let bytes = std::mem::size_of_val(kept.as_slice()) as u64;
+                    Ok((kept, bytes))
                 },
             )?);
         }
@@ -199,100 +227,106 @@ impl Mapper for BrjFillMapper {
         &mut self,
         _off: &u64,
         line: &String,
-        out: &mut dyn Emit<(u64, u8), HalfValue>,
+        out: &mut dyn Emit<BrjKey, BrjValue>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        if ctx.input_path.starts_with(self.pairs_path.as_str()) {
-            let (a, b, sim) = parse_pair_line(line)?;
-            let rel_b = if self.relations.is_rs() { REL_S } else { REL_R };
-            out.emit((a, REL_R), (TAG_HALF, b, POS_FIRST, sim, String::new()))?;
-            out.emit((b, rel_b), (TAG_HALF, a, POS_SECOND, sim, String::new()))?;
-        } else {
-            let rel = self.relations.tag_of(&ctx.input_path);
-            let rid = match self.config.format.rid(line) {
-                Ok(rid) => rid,
-                Err(e) => return self.config.bad_records.on_bad_record(ctx, e),
+        let (rid, record) = if is_under(&ctx.input_path, &self.side_path) {
+            // `rid \t partner \t sim`, and on a fill the first member's
+            // record after a third tab.
+            let (head, record) = match (self.pos, line.match_indices('\t').nth(2)) {
+                (POS_FIRST, None) => (line.as_str(), ""),
+                (POS_SECOND, Some((at, _))) => (&line[..at], &line[at + 1..]),
+                _ => return Err(MrError::TaskFailed(format!("bad BRJ side line: {line:?}"))),
             };
-            if self
-                .participants
-                .as_ref()
-                .is_some_and(|p| !p.contains(rel, rid))
-            {
-                self.records_filtered.get(ctx).incr();
-                return Ok(());
+            let (rid, partner, sim) = parse_pair_line(head)?;
+            if !(self.forwarded && partner == rid) {
+                return out.emit((rid, TAG_SIDE, partner), (sim, record.to_string()));
             }
-            out.emit((rid, rel), (TAG_RECORD, 0, 0, 0.0, line.clone()))?;
+            (rid, record)
+        } else {
+            match self.config.format.rid(line) {
+                Ok(rid) => (rid, line.as_str()),
+                Err(e) => return self.config.bad_records.on_bad_record(ctx, e),
+            }
+        };
+        if self
+            .participants
+            .as_ref()
+            .is_some_and(|p| p.binary_search(&rid).is_err())
+        {
+            self.records_filtered.get(ctx).incr();
+            return Ok(());
         }
-        Ok(())
+        out.emit((rid, TAG_RECORD, 0), (0.0, record.to_string()))
     }
 }
 
-/// BRJ job-1 reducer: one record + the pair halves that reference it →
-/// half-filled pairs keyed by the RID pair, in `(other, pos)` order.
+/// BRJ reducer: one record, then the side entries naming it in partner
+/// order. Job 1 turns each pair `(rid, b, sim)` into a fill of `b` carrying
+/// this record, and in a self-join forwards the record itself; job 2 turns
+/// each fill `(rid, a, sim, a's line)` into the joined pair.
 #[derive(Clone)]
-struct BrjFillReducer {
-    halves: Named<Counter>,
+struct BrjReducer {
+    pos: u8,
+    forward: bool,
+    emitted: Named<Counter>,
 }
 
-impl Default for BrjFillReducer {
-    fn default() -> Self {
-        BrjFillReducer {
-            halves: Named::new("stage3.halves"),
+impl BrjReducer {
+    fn new(spec: &BrjSpec) -> Self {
+        let counter = ["stage3.fills", "stage3.joined_pairs"][column(spec.pos)];
+        BrjReducer {
+            pos: spec.pos,
+            forward: spec.forward,
+            emitted: Named::new(counter),
         }
     }
 }
 
-impl Reducer for BrjFillReducer {
-    type Key = (u64, u8);
-    type InValue = HalfValue;
+impl Reducer for BrjReducer {
+    type Key = BrjKey;
+    type InValue = BrjValue;
     type OutKey = PairKey;
-    type OutValue = (u8, String, f64);
+    type OutValue = JoinedPair;
 
     fn reduce(
         &mut self,
-        key: &(u64, u8),
-        values: &mut dyn Iterator<Item = ((u64, u8), HalfValue)>,
-        out: &mut dyn Emit<PairKey, (u8, String, f64)>,
+        key: &BrjKey,
+        values: &mut dyn Iterator<Item = (BrjKey, BrjValue)>,
+        out: &mut dyn Emit<PairKey, JoinedPair>,
         ctx: &TaskContext,
     ) -> Result<()> {
         let rid = key.0;
         let mut record: Option<String> = None;
-        let mut halves: Vec<(u64, u8, f64)> = Vec::new();
-        for (_, (tag, other, pos, sim, payload)) in values {
+        for ((_, tag, partner), (sim, line)) in values {
             if tag == TAG_RECORD {
-                record = Some(payload);
-            } else {
-                halves.push((other, pos, sim));
+                if self.forward {
+                    out.emit((rid, rid), (line.clone(), String::new(), 0.0))?;
+                }
+                record = Some(line);
+                continue;
             }
-        }
-        let Some(record) = record else {
-            if halves.is_empty() {
-                return Ok(());
-            }
-            return Err(MrError::TaskFailed(format!(
-                "stage 3: RID {rid} referenced by {} pairs but its record is missing",
-                halves.len()
-            )));
-        };
-        halves.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (other, pos, sim) in halves {
-            let pair_key = if pos == POS_FIRST {
-                (rid, other)
-            } else {
-                (other, rid)
+            let Some(record) = &record else {
+                return Err(MrError::TaskFailed(format!(
+                    "stage 3: RID {rid} is named by a pair but its record is missing"
+                )));
             };
-            self.halves.get(ctx).incr();
-            out.emit(pair_key, (pos, record.clone(), sim))?;
+            self.emitted.get(ctx).incr();
+            if self.pos == POS_FIRST {
+                out.emit((rid, partner), (record.clone(), String::new(), sim))?;
+            } else {
+                out.emit((partner, rid), (line, record.clone(), sim))?;
+            }
         }
         Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Assembly reduce (BRJ job 2 and OPRJ)
+// OPRJ
 // ---------------------------------------------------------------------------
 
-/// Final reducer: for each RID-pair key, combine the two half-filled pairs
+/// OPRJ's reducer: for each RID-pair key, combine the two half-filled pairs
 /// into the output record pair.
 #[derive(Clone)]
 struct AssembleReducer {
@@ -342,10 +376,6 @@ impl Reducer for AssembleReducer {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// OPRJ
-// ---------------------------------------------------------------------------
 
 /// The broadcast RID-pair index: rid → (other, pos, sim) entries.
 type PairIndex = HashMap<u64, Vec<(u64, u8, f64)>>;
@@ -458,74 +488,80 @@ const FILL_FACTORY: &str = "core.stage3.brj-fill";
 const ASSEMBLE_FACTORY: &str = "core.stage3.brj-assemble";
 const OPRJ_FACTORY: &str = "core.stage3.oprj";
 
+/// BRJ's jobs by pair column: `(job name, factory)`.
+const BRJ_JOBS: [(&str, &str); 2] = [
+    ("stage3-brj-fill", FILL_FACTORY),
+    ("stage3-brj-assemble", ASSEMBLE_FACTORY),
+];
+
 /// Register the stage-3 jobs with worker processes: BRJ's two and OPRJ's
 /// one.
 pub(crate) fn register_process_jobs() {
-    mapreduce::register_job_spec::<FillSpec>(FILL_FACTORY);
-    mapreduce::register_job_spec::<AssembleSpec>(ASSEMBLE_FACTORY);
+    mapreduce::register_job_spec::<BrjSpec>(FILL_FACTORY);
+    mapreduce::register_job_spec::<BrjSpec>(ASSEMBLE_FACTORY);
     mapreduce::register_job_spec::<OprjSpec>(OPRJ_FACTORY);
 }
 
-/// BRJ job 1: group every participating record with the pair halves that
-/// name it.
-struct FillSpec {
-    relations: Relations,
-    pairs: String,
-    halves: String,
+/// One BRJ job: join the relation of pair column `pos` with the side input
+/// keyed by that column.
+struct BrjSpec {
+    /// [`POS_FIRST`] for `stage3-brj-fill`, [`POS_SECOND`] for
+    /// `stage3-brj-assemble`.
+    pos: u8,
+    /// The relation of the column; `None` for job 2 of a self-join, which
+    /// finds its records among the fills.
+    records: Option<String>,
+    /// Job 1 of a self-join, the one job that reads its relation: forward
+    /// the second column's records among the fills.
+    forward: bool,
+    /// Stage 2's pairs for job 1, job 1's fills for job 2.
+    side: String,
+    out: String,
     /// Where [`Participants::publish`] put the set, if it fits.
     participants: Option<String>,
     config: JoinConfig,
 }
-codec_struct!(FillSpec {
-    relations,
-    pairs,
-    halves,
+codec_struct!(BrjSpec {
+    pos,
+    records,
+    forward,
+    side,
+    out,
     participants,
     config,
 });
 
-impl JobSpec for FillSpec {
-    type Mapper = BrjFillMapper;
-    type Reducer = BrjFillReducer;
-
-    fn factory(&self) -> &'static str {
-        FILL_FACTORY
-    }
-
-    fn build(&self, dfs: &Dfs) -> Result<Job<BrjFillMapper, BrjFillReducer>> {
-        let mut inputs = self.relations.splits(dfs)?;
-        inputs.extend(text_input(dfs, &self.pairs)?);
-        let mapper = BrjFillMapper::new(self);
-        Ok(
-            Job::new("stage3-brj-fill", mapper, BrjFillReducer::default())
-                .inputs(inputs)
-                .output_seq(&self.halves),
-        )
+impl BrjSpec {
+    /// `(job name, factory)` of the spec's pair column.
+    fn job(&self) -> (&'static str, &'static str) {
+        BRJ_JOBS[column(self.pos)]
     }
 }
 
-/// BRJ job 2: put the two halves of every pair together.
-struct AssembleSpec {
-    halves: String,
-    joined: String,
-}
-codec_struct!(AssembleSpec { halves, joined });
-
-impl JobSpec for AssembleSpec {
-    type Mapper = IdentityMapper<PairKey, (u8, String, f64)>;
-    type Reducer = AssembleReducer;
+impl JobSpec for BrjSpec {
+    type Mapper = BrjMapper;
+    type Reducer = BrjReducer;
 
     fn factory(&self) -> &'static str {
-        ASSEMBLE_FACTORY
+        self.job().1
     }
 
-    fn build(&self, dfs: &Dfs) -> Result<Job<Self::Mapper, AssembleReducer>> {
-        let mapper = IdentityMapper::new();
-        Ok(
-            Job::new("stage3-brj-assemble", mapper, AssembleReducer::default())
-                .inputs(seq_input(dfs, &self.halves)?)
-                .output_seq(&self.joined),
-        )
+    fn build(&self, dfs: &Dfs) -> Result<Job<BrjMapper, BrjReducer>> {
+        // The side input first: without the sort below, its entries would
+        // reach a reducer ahead of the record they name.
+        let mut inputs = text_input(dfs, &self.side)?;
+        if let Some(records) = &self.records {
+            inputs.extend(text_input(dfs, records)?);
+        }
+        let job = Job::new(self.job().0, BrjMapper::new(self), BrjReducer::new(self))
+            .inputs(inputs)
+            .partitioner(partition_by(|k: &BrjKey| k.0))
+            .group_eq(group_by(|k: &BrjKey| k.0));
+        Ok(if self.pos == POS_FIRST {
+            job.output_text(&self.out, Arc::new(format_fill_line))
+        } else {
+            job.output_seq(&self.out)
+        })
     }
 }
 
@@ -609,45 +645,51 @@ pub(crate) fn run_with(
     rec: &mut Recovery,
 ) -> Result<(String, PipelineMetrics)> {
     config.validate().map_err(MrError::InvalidConfig)?;
+    relations.validate()?;
     let work = work.trim_end_matches('/');
-    let (joined, halves) = (format!("{work}/joined"), format!("{work}/halves"));
+    let joined = format!("{work}/joined");
     let mut metrics = PipelineMetrics::default();
     let tag = recovery::stage3_tag(config);
-    let mut inputs: Vec<&str> = relations.paths().collect();
-    inputs.push(pairs_path);
     match config.stage3 {
         Stage3Algo::Brj => {
-            let ran = rec.run_or_skip(cluster, "stage3-brj-fill", &inputs, &tag, &halves, |fp| {
-                // Semi-join reduction: the mappers shuffle only the records
-                // some pair names.
-                let (named, participants) =
-                    Participants::publish(cluster, pairs_path, relations.is_rs(), work)?;
-                let spec = FillSpec {
-                    relations: relations.clone(),
-                    pairs: pairs_path.to_string(),
-                    halves: halves.clone(),
-                    participants,
-                    config: config.clone(),
-                };
-                let mut jm = run_spec(cluster, &spec, fp)?;
-                jm.counters
-                    .push(("stage3.participants".to_string(), named as u64));
-                Ok(jm)
-            });
-            metrics.push(ran?);
-            let spec = AssembleSpec {
-                halves: halves.clone(),
-                joined: joined.clone(),
-            };
-            let ran = rec.run_or_skip(
-                cluster,
-                "stage3-brj-assemble",
-                &[&halves],
-                &tag,
-                &joined,
-                |fp| run_spec(cluster, &spec, fp),
-            );
-            metrics.push(ran?);
+            let fills = format!("{work}/fills");
+            // A self-join scans its relation once: job 1 forwards what job
+            // 2 needs of it, and job 2 has no relation to read.
+            let forward = !relations.is_rs();
+            let jobs = [
+                (Some(relations.r.as_str()), pairs_path, &fills),
+                (relations.s.as_deref(), fills.as_str(), &joined),
+            ];
+            // Semi-join reduction: the mappers shuffle only the records
+            // some pair names. Published by whichever job runs first, so a
+            // resume that skips job 1 still filters job 2.
+            let mut published = None;
+            for (pos, (records, side, out)) in jobs.into_iter().enumerate() {
+                let name = BRJ_JOBS[pos].0;
+                let inputs: Vec<&str> = records.into_iter().chain([side]).collect();
+                let ran = rec.run_or_skip(cluster, name, &inputs, &tag, out, |fp| {
+                    let (kept, participants) = match &mut published {
+                        Some(p) => p,
+                        none => {
+                            none.insert(Participants::publish(cluster, pairs_path, work, forward)?)
+                        }
+                    };
+                    let spec = BrjSpec {
+                        pos: pos as u8,
+                        records: records.map(str::to_string),
+                        forward: forward && pos == 0,
+                        side: side.to_string(),
+                        out: out.clone(),
+                        participants: participants.clone(),
+                        config: config.clone(),
+                    };
+                    let mut jm = run_spec(cluster, &spec, fp)?;
+                    jm.counters
+                        .push(("stage3.participants".to_string(), kept[pos] as u64));
+                    Ok(jm)
+                });
+                metrics.push(ran?);
+            }
         }
         Stage3Algo::Oprj => {
             let spec = OprjSpec {
@@ -656,6 +698,8 @@ pub(crate) fn run_with(
                 joined: joined.clone(),
                 config: config.clone(),
             };
+            let mut inputs: Vec<&str> = relations.paths().collect();
+            inputs.push(pairs_path);
             let ran = rec.run_or_skip(cluster, "stage3-oprj", &inputs, &tag, &joined, |fp| {
                 run_spec(cluster, &spec, fp)
             });
@@ -696,14 +740,21 @@ mod tests {
         c
     }
 
-    fn fill_mapper(s_path: Option<&str>, participants_path: Option<&str>) -> BrjFillMapper {
-        BrjFillMapper::new(&FillSpec {
-            relations: Relations::new("/r", s_path),
-            pairs: "/work/ridpairs".into(),
-            halves: "/work/halves".into(),
+    /// BRJ job 1 ([`POS_FIRST`]) or job 2 ([`POS_SECOND`]) of an R-S join.
+    fn brj_spec(pos: u8, participants_path: Option<&str>) -> BrjSpec {
+        BrjSpec {
+            pos,
+            records: Some("/r".into()),
+            forward: false,
+            side: ["/work/ridpairs", "/work/fills"][usize::from(pos)].into(),
+            out: "/work/out".into(),
             participants: participants_path.map(str::to_string),
             config: JoinConfig::recommended(),
-        })
+        }
+    }
+
+    fn brj_mapper(pos: u8, participants_path: Option<&str>) -> BrjMapper {
+        BrjMapper::new(&brj_spec(pos, participants_path))
     }
 
     #[test]
@@ -722,150 +773,281 @@ mod tests {
         dfs.write_text("/s", lines(9)).unwrap();
         dfs.write_text("/work/ridpairs", ["1\t2\t0.9", "3\t4\t0.8"])
             .unwrap();
-        let half = ((1u64, 2u64), (POS_FIRST, "1\tt\ta".to_string(), 0.9));
-        dfs.write_seq("/work/halves", &[half]).unwrap();
+        dfs.write_text("/work/fills", ["2\t1\t0.9\t1\ttitle 1\tauthor"])
+            .unwrap();
         let count = |path: &str| dfs.splits(path).unwrap().len();
-        let (halves, joined) = ("/work/halves".to_string(), "/work/joined".to_string());
         let config = JoinConfig {
             bad_records: crate::config::BadRecordPolicy::SkipUpTo(3),
             ..JoinConfig::recommended()
         };
         for s in [None, Some("/s")] {
-            let relations = Relations::new("/r", s);
-            let records = count("/r") + s.map_or(0, count);
-            let fill = FillSpec {
-                relations: relations.clone(),
-                pairs: "/work/ridpairs".into(),
-                halves: halves.clone(),
-                participants: s.map(|_| "/work/participants".to_string()),
-                config: config.clone(),
-            };
-            let splits = records + count("/work/ridpairs");
-            let expected = ("stage3-brj-fill".to_string(), None, halves.clone(), splits);
-            assert_eq!(rebuilt(&fill, &dfs), expected);
+            // Job 2 of a self-join finds its records among the fills.
+            for (pos, name, records, side, out) in [
+                (
+                    POS_FIRST,
+                    "stage3-brj-fill",
+                    Some("/r"),
+                    "/work/ridpairs",
+                    "/work/fills",
+                ),
+                (
+                    POS_SECOND,
+                    "stage3-brj-assemble",
+                    s,
+                    "/work/fills",
+                    "/work/joined",
+                ),
+            ] {
+                let brj = BrjSpec {
+                    pos,
+                    records: records.map(str::to_string),
+                    forward: s.is_none() && pos == POS_FIRST,
+                    side: side.into(),
+                    out: out.into(),
+                    participants: s.map(|_| "/work/participants".to_string()),
+                    config: config.clone(),
+                };
+                let splits = count(side) + records.map_or(0, count);
+                assert_eq!(
+                    rebuilt(&brj, &dfs),
+                    (name.to_string(), None, out.to_string(), splits)
+                );
+            }
             let oprj = OprjSpec {
-                relations,
+                relations: Relations::new("/r", s),
                 pairs: "/work/ridpairs".into(),
-                joined: joined.clone(),
+                joined: "/work/joined".into(),
                 config: config.clone(),
             };
-            let expected = ("stage3-oprj".to_string(), None, joined.clone(), records);
+            let records = count("/r") + s.map_or(0, count);
+            let expected = (
+                "stage3-oprj".to_string(),
+                None,
+                "/work/joined".to_string(),
+                records,
+            );
             assert_eq!(rebuilt(&oprj, &dfs), expected);
         }
-        let assemble = AssembleSpec {
-            halves: halves.clone(),
-            joined: joined.clone(),
-        };
-        let expected = (
-            "stage3-brj-assemble".to_string(),
-            None,
-            joined,
-            count("/work/halves"),
+    }
+
+    #[test]
+    fn brj_keys_deliver_a_record_ahead_of_its_entries_in_partner_order() {
+        let dfs = Dfs::new(1, 64);
+        dfs.write_text("/r", ["5\tt\ta"]).unwrap();
+        dfs.write_text("/work/ridpairs", ["5\t9\t0.9"]).unwrap();
+        let job = brj_spec(POS_FIRST, None).build(&dfs).unwrap();
+        let mut keys = vec![
+            (5, TAG_SIDE, 9),
+            (4, TAG_SIDE, 1),
+            (5, TAG_SIDE, 2),
+            (5, TAG_RECORD, 0),
+        ];
+        keys.sort_by(|a, b| (job.sort_cmp)(a, b));
+        let sorted = [
+            (4, TAG_SIDE, 1),
+            (5, TAG_RECORD, 0),
+            (5, TAG_SIDE, 2),
+            (5, TAG_SIDE, 9),
+        ];
+        assert_eq!(keys, sorted);
+        // One reduce call and one reduce task per RID, whatever else the key says.
+        assert!((job.group_eq)(&keys[1], &keys[3]) && !(job.group_eq)(&keys[0], &keys[1]));
+        assert_eq!(
+            (job.partitioner)(&keys[1], 16),
+            (job.partitioner)(&keys[3], 16)
         );
-        assert_eq!(rebuilt(&assemble, &dfs), expected);
     }
 
     #[test]
     fn brj_fill_mapper_dispatches_on_input_path() {
         let dfs = Dfs::new(1, 64);
-        let mut m = fill_mapper(None, None);
-        // A record line.
-        let c = map_ctx_with_path(dfs.clone(), "/records");
-        let mut out = VecEmitter::new();
-        m.map(&0, &"7\ttitle\tauthor\tmisc".to_string(), &mut out, &c)
-            .unwrap();
-        assert_eq!(out.pairs.len(), 1);
-        assert_eq!(out.pairs[0].0, (7, 0));
-        assert_eq!(out.pairs[0].1 .0, TAG_RECORD);
+        let mut m = brj_mapper(POS_FIRST, None);
+        let map = |m: &mut BrjMapper, path: &str, line: &str| {
+            let mut out = VecEmitter::new();
+            let c = map_ctx_with_path(dfs.clone(), path);
+            m.map(&0, &line.to_string(), &mut out, &c)
+                .map(|()| out.pairs)
+        };
+        // A record line — also from a file whose name merely begins with
+        // the pair file's.
+        let record = "7\ttitle\tauthor\tmisc";
+        let keyed = vec![((7, TAG_RECORD, 0), (0.0, record.to_string()))];
+        assert_eq!(map(&mut m, "/records", record).unwrap(), keyed);
+        assert_eq!(
+            map(&mut m, "/work/ridpairs2/part-00000", record).unwrap(),
+            keyed
+        );
+        // A pair line goes to its first member alone, asking for the second.
+        let pairs = "/work/ridpairs/part-00000";
+        let want = vec![((3, TAG_SIDE, 9), (0.9, String::new()))];
+        assert_eq!(map(&mut m, pairs, "3\t9\t0.9").unwrap(), want);
+        assert!(map(&mut m, pairs, "3\t9\t0.9\textra").is_err());
 
-        // A pair line emits both halves.
-        let c = map_ctx_with_path(dfs, "/work/ridpairs/part-00000");
-        let mut out = VecEmitter::new();
-        m.map(&0, &"3\t9\t0.9".to_string(), &mut out, &c).unwrap();
-        assert_eq!(out.pairs.len(), 2);
-        assert_eq!(out.pairs[0].0, (3, 0));
-        assert_eq!(out.pairs[1].0, (9, 0));
-        assert_eq!(out.pairs[0].1 .2, POS_FIRST);
-        assert_eq!(out.pairs[1].1 .2, POS_SECOND);
+        // Job 2: a fill goes to the second member, carrying the first's line.
+        let mut m = brj_mapper(POS_SECOND, None);
+        let fills = "/work/fills/part-00000";
+        let fill = vec![((9, TAG_SIDE, 3), (0.9, "3\tt\ta\t".to_string()))];
+        assert_eq!(map(&mut m, fills, "9\t3\t0.9\t3\tt\ta\t").unwrap(), fill);
+        assert!(
+            map(&mut m, fills, "9\t3\t0.9").is_err(),
+            "a fill without its record"
+        );
+        assert_eq!(
+            map(&mut m, "/work/ridpairs/part-00000", record).unwrap(),
+            keyed
+        );
+        // A fill of a record with itself is a fill like any other in an R-S
+        // join, whose relations number their records independently — and in
+        // a self-join the record, forwarded by job 1.
+        let forwarded = format!("7\t7\t0\t{record}");
+        let own = vec![((7, TAG_SIDE, 7), (0.0, record.to_string()))];
+        assert_eq!(map(&mut m, fills, &forwarded).unwrap(), own);
+        m.forwarded = true;
+        assert_eq!(map(&mut m, fills, &forwarded).unwrap(), keyed);
     }
 
     #[test]
     fn brj_fill_mapper_drops_records_no_pair_names() {
         let dfs = Dfs::new(1, 64);
-        // R and S number their records independently: RID 7 joins as an R
-        // record only, RID 3 as an S record only.
+        // The columns number their records independently: RID 7 joins as a
+        // first member only, RID 3 as a second member only.
         dfs.write_text("/work/ridpairs/part-00000", ["7\t3\t0.9"])
             .unwrap();
-        let p = Participants::from_pairs(&dfs, "/work/ridpairs", true).unwrap();
-        assert_eq!((p.r.as_slice(), p.s.as_slice()), (&[7][..], &[3][..]));
+        let p = Participants::from_pairs(&dfs, "/work/ridpairs").unwrap();
+        assert_eq!(p.0, [vec![7], vec![3]]);
         p.write(&dfs, "/work/participants").unwrap();
-        assert_eq!(Participants::read(&dfs, "/work/participants").unwrap(), p);
 
-        let mut m = fill_mapper(Some("/s"), Some("/work/participants"));
-        let emitted = |m: &mut BrjFillMapper, c: &TaskContext, rid: u64| -> usize {
+        let emitted = |m: &mut BrjMapper, c: &TaskContext, rid: u64| -> usize {
             let mut out = VecEmitter::new();
             m.map(&0, &format!("{rid}\ttitle\tauthor\tmisc"), &mut out, c)
                 .unwrap();
             out.pairs.len()
         };
-        let r_ctx = map_ctx_with_path(dfs.clone(), "/r");
-        m.setup(&r_ctx).unwrap();
-        assert_eq!(r_ctx.memory().used(), p.bytes(), "the set is charged");
-        assert_eq!(emitted(&mut m, &r_ctx, 7), 1);
-        assert_eq!(emitted(&mut m, &r_ctx, 3), 0, "3 joins only as an S record");
-        assert_eq!(r_ctx.counter("stage3.records_filtered").get(), 1);
-        let s_ctx = map_ctx_with_path(dfs, "/s/part-00000");
-        assert_eq!(emitted(&mut m, &s_ctx, 3), 1);
-        assert_eq!(emitted(&mut m, &s_ctx, 7), 0, "7 joins only as an R record");
+        let mut m = brj_mapper(POS_FIRST, Some("/work/participants"));
+        let c = map_ctx_with_path(dfs.clone(), "/r");
+        m.setup(&c).unwrap();
+        assert_eq!(c.memory().used(), 8, "one column is charged");
+        assert_eq!(emitted(&mut m, &c, 7), 1);
+        assert_eq!(emitted(&mut m, &c, 3), 0, "3 joins only as a second member");
+        assert_eq!(c.counter("stage3.records_filtered").get(), 1);
+        let mut m = brj_mapper(POS_SECOND, Some("/work/participants"));
+        let c = map_ctx_with_path(dfs.clone(), "/s/part-00000");
+        m.setup(&c).unwrap();
+        assert_eq!(emitted(&mut m, &c, 3), 1);
+        assert_eq!(emitted(&mut m, &c, 7), 0, "7 joins only as a first member");
+        // Job 1 of a self-join keeps both columns: it forwards the second.
+        let mut m = BrjMapper::new(&BrjSpec {
+            forward: true,
+            ..brj_spec(POS_FIRST, Some("/work/participants"))
+        });
+        let c = map_ctx_with_path(dfs, "/r");
+        m.setup(&c).unwrap();
+        assert_eq!(c.memory().used(), 16, "both columns are charged");
+        assert_eq!((emitted(&mut m, &c, 3), emitted(&mut m, &c, 7)), (1, 1));
+        assert_eq!(emitted(&mut m, &c, 4), 0);
     }
 
     #[test]
     fn participants_of_a_self_join_cover_both_columns() {
         let dfs = Dfs::new(1, 64);
-        dfs.write_text("/pairs", ["1\t2\t0.9", "1\t3\t0.85", "9\t2\t0.8"])
-            .unwrap();
-        let p = Participants::from_pairs(&dfs, "/pairs", false).unwrap();
-        assert_eq!(p.r, vec![1, 2, 3, 9]);
-        assert!(p.s.is_empty());
-        assert_eq!(p.bytes(), 32);
-        assert!(p.contains(REL_R, 9) && !p.contains(REL_R, 4));
+        dfs.write_text(
+            "/pairs",
+            ["1\t2\t0.9", "1\t3\t0.85", "9\t2\t0.8", "2\t9\t0.8"],
+        )
+        .unwrap();
+        let p = Participants::from_pairs(&dfs, "/pairs").unwrap();
+        assert_eq!(p.0, [vec![1, 2, 9], vec![2, 3, 9]]);
+        p.write(&dfs, "/participants").unwrap();
+        for (pos, column) in [POS_FIRST, POS_SECOND].into_iter().zip(&p.0) {
+            let read = Participants::read_kept(&dfs, "/participants", pos, false).unwrap();
+            assert_eq!(&read, column);
+        }
+        let both = Participants::read_kept(&dfs, "/participants", POS_FIRST, true).unwrap();
+        assert_eq!(both, [1, 2, 3, 9]);
+    }
+
+    fn reduce(
+        pos: u8,
+        vals: Vec<(BrjKey, BrjValue)>,
+    ) -> (Result<()>, Vec<(PairKey, JoinedPair)>, TaskContext) {
+        reduce_with(&brj_spec(pos, None), vals)
+    }
+
+    fn reduce_with(
+        spec: &BrjSpec,
+        vals: Vec<(BrjKey, BrjValue)>,
+    ) -> (Result<()>, Vec<(PairKey, JoinedPair)>, TaskContext) {
+        let mut out = VecEmitter::new();
+        let c = ctx(Phase::Reduce, Dfs::new(1, 64));
+        let key = vals[0].0;
+        let ran = BrjReducer::new(spec).reduce(&key, &mut vals.into_iter(), &mut out, &c);
+        (ran, out.pairs, c)
     }
 
     #[test]
-    fn brj_fill_reducer_emits_one_half_per_pair_in_partner_order() {
-        let dfs = Dfs::new(1, 64);
-        let mut r = BrjFillReducer::default();
-        let key = (5u64, 0u8);
-        // Record 5 is the first member of (5, 9) and the second of (2, 5);
-        // the halves arrive in shuffle order, not partner order.
+    fn brj_fill_reducer_emits_one_fill_per_pair_in_partner_order() {
+        // Record 5 is the first member of (5, 7) and (5, 9); the shuffle's
+        // sort delivered the record first, then the pairs by partner.
+        let line = "5\tt\ta\tm".to_string();
         let vals = vec![
-            (key, (TAG_HALF, 9, POS_FIRST, 0.9, String::new())),
-            (key, (TAG_RECORD, 0, 0, 0.0, "5\tt\ta\tm".to_string())),
-            (key, (TAG_HALF, 2, POS_SECOND, 0.8, String::new())),
+            ((5, TAG_RECORD, 0), (0.0, line.clone())),
+            ((5, TAG_SIDE, 7), (0.8, String::new())),
+            ((5, TAG_SIDE, 9), (0.9, String::new())),
         ];
-        let mut out = VecEmitter::new();
-        let c = ctx(Phase::Reduce, dfs);
-        r.reduce(&key, &mut vals.into_iter(), &mut out, &c).unwrap();
-        let keys: Vec<PairKey> = out.pairs.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![(2, 5), (5, 9)]);
-        assert_eq!(c.counter("stage3.halves").get(), 2, "one half per pair");
+        let (ran, fills, c) = reduce(POS_FIRST, vals);
+        ran.unwrap();
+        let expected = vec![
+            ((5, 7), (line.clone(), String::new(), 0.8)),
+            ((5, 9), (line, String::new(), 0.9)),
+        ];
+        assert_eq!(fills, expected);
+        assert_eq!(c.counter("stage3.fills").get(), 2, "one fill per pair");
+        // On the wire a fill leads with the member still to come.
+        assert_eq!(
+            format_fill_line(&fills[0].0, &fills[0].1),
+            "7\t5\t0.8\t5\tt\ta\tm"
+        );
+        // A record no pair names as first member emits nothing — unless a
+        // self-join forwards it to job 2, as a fill of itself and no fill
+        // by the counter.
+        let lone = || vec![((6, TAG_RECORD, 0), (0.0, "6\tt".to_string()))];
+        let (ran, fills, _) = reduce(POS_FIRST, lone());
+        assert!(ran.is_ok() && fills.is_empty());
+        let forwarding = BrjSpec {
+            forward: true,
+            ..brj_spec(POS_FIRST, None)
+        };
+        let (ran, fills, c) = reduce_with(&forwarding, lone());
+        ran.unwrap();
+        assert_eq!(fills, [((6, 6), ("6\tt".to_string(), String::new(), 0.0))]);
+        assert_eq!(format_fill_line(&fills[0].0, &fills[0].1), "6\t6\t0\t6\tt");
+        assert_eq!(c.counter("stage3.fills").get(), 0);
+    }
+
+    #[test]
+    fn brj_assemble_reducer_puts_each_line_on_its_own_side() {
+        // Record 5 is the second member of (2, 5) and (3, 5).
+        let vals = vec![
+            ((5, TAG_RECORD, 0), (0.0, "five".to_string())),
+            ((5, TAG_SIDE, 2), (0.8, "two".to_string())),
+            ((5, TAG_SIDE, 3), (0.9, "three".to_string())),
+        ];
+        let (ran, joined, c) = reduce(POS_SECOND, vals);
+        ran.unwrap();
+        let expected = vec![
+            ((2, 5), ("two".to_string(), "five".to_string(), 0.8)),
+            ((3, 5), ("three".to_string(), "five".to_string(), 0.9)),
+        ];
+        assert_eq!(joined, expected);
+        assert_eq!(c.counter("stage3.joined_pairs").get(), 2);
     }
 
     #[test]
     fn brj_fill_reducer_errors_on_missing_record() {
-        let dfs = Dfs::new(1, 64);
-        let mut r = BrjFillReducer::default();
-        let key = (5u64, 0u8);
-        let vals = vec![(key, (TAG_HALF, 9, POS_FIRST, 0.9, String::new()))];
-        let err = r
-            .reduce(
-                &key,
-                &mut vals.into_iter(),
-                &mut VecEmitter::new(),
-                &ctx(Phase::Reduce, dfs),
-            )
-            .unwrap_err();
-        assert!(matches!(err, MrError::TaskFailed(_)));
+        for pos in [POS_FIRST, POS_SECOND] {
+            let (ran, _, _) = reduce(pos, vec![((5, TAG_SIDE, 9), (0.9, String::new()))]);
+            assert!(matches!(ran.unwrap_err(), MrError::TaskFailed(_)));
+        }
     }
 
     #[test]

@@ -409,9 +409,131 @@ fn committed_bytes(c: &Cluster, dir: &str) -> Vec<(String, u64, u32)> {
         .collect()
 }
 
-/// Semi-join edge cell (i): when the participating-RID set does not fit a
-/// task's memory budget, BRJ job 1 runs unfiltered — and commits the same
-/// bytes as the filtered run, on both sides of the boundary.
+/// How many distinct RIDs stage 2's pairs name as first member, as second
+/// member, and in all: the records BRJ has to move.
+fn column_participants(c: &Cluster, ridpairs_path: &str) -> [u64; 3] {
+    let pairs = read_rid_pairs(c, ridpairs_path).unwrap();
+    let (first, second): (Vec<u64>, Vec<u64>) = pairs.iter().map(|p| (p.0, p.1)).unzip();
+    let all = [first.clone(), second.clone()].concat();
+    [first, second, all].map(|rids| {
+        let distinct: std::collections::BTreeSet<u64> = rids.into_iter().collect();
+        distinct.len() as u64
+    })
+}
+
+/// BRJ's dataflow, as counters: each job shuffles the participating records
+/// it keeps once plus one entry per pair, job 1 writes one fill per pair,
+/// and every record a job is handed is either shuffled or filtered. An R-S
+/// join keeps one pair column per job; a self-join reads its relation once,
+/// so job 1 keeps both columns and job 2 is handed what job 1 forwards.
+#[test]
+fn brj_moves_each_participant_through_each_shuffle_once() {
+    let lines = corpus(101, 150);
+    let (r, s) = overlapping_relations();
+    let config = JoinConfig::recommended();
+    let c = cluster(3);
+    c.dfs().write_text("/records", &lines).unwrap();
+    c.dfs().write_text("/r", &r).unwrap();
+    c.dfs().write_text("/s", &s).unwrap();
+    let own = self_join(&c, "/records", "/work", &config).unwrap();
+    let rs = rs_join(&c, "/r", "/s", "/work-rs", &config).unwrap();
+    for (outcome, is_rs) in [(own, false), (rs, true)] {
+        let pairs = outcome.stage2.jobs[0].counter("stage2.pairs_emitted");
+        assert!(pairs > 0, "vacuous corpus");
+        let [first, second, all] = column_participants(&c, &outcome.ridpairs_path);
+        // Per job: (participants its mappers keep, records it is handed).
+        let expected = if is_rs {
+            [(first, r.len() as u64), (second, s.len() as u64)]
+        } else {
+            assert!(
+                first < all && second < all,
+                "some record is in one column only"
+            );
+            [(all, lines.len() as u64), (second, all)]
+        };
+        let [fill, assemble] = &outcome.stage3.jobs[..] else {
+            panic!("BRJ runs two jobs");
+        };
+        assert_eq!(fill.counter("stage3.fills"), pairs);
+        assert_eq!(assemble.counter("stage3.joined_pairs"), pairs);
+        for (job, (kept, handed)) in [fill, assemble].into_iter().zip(expected) {
+            assert!(kept > 0 && kept < lines.len() as u64);
+            assert_eq!(job.counter("stage3.participants"), kept, "{}", job.name);
+            assert_eq!(job.shuffle_records, kept + pairs, "{}", job.name);
+            assert_eq!(
+                job.counter("stage3.records_filtered"),
+                handed - kept,
+                "{}: every record no pair names is dropped before the shuffle",
+                job.name
+            );
+        }
+    }
+}
+
+/// R with 60 records and S with copies of every fourth of them under RIDs
+/// of its own, among records that join nothing.
+fn overlapping_relations() -> (Vec<String>, Vec<String>) {
+    let r = corpus(11, 60);
+    let mut s = datagen::to_lines(&datagen::citeseerx(40, 1011));
+    for (i, line) in r.iter().enumerate().filter(|(i, _)| i % 4 == 0) {
+        let (_, rest) = line.split_once('\t').unwrap();
+        s.push(format!("{}\t{rest}", 10_000 + i));
+    }
+    (r, s)
+}
+
+/// Hub cells: one S record joined by 40 R records, one R record joined by
+/// 40 S records, and a self-join whose middle record is the second member
+/// of one pair and the first of another. BRJ's output is OPRJ's to the
+/// byte, each line on the side of the pair its record was named on.
+#[test]
+fn brj_hub_records_join_as_oprj_joins_them() {
+    let (many, one) = (
+        "alpha beta gamma delta epsilon zeta",
+        "eta theta iota kappa lambda mu",
+    );
+    let line = |rid: u64, title: &str, rel: &str| format!("{rid}\t{title}\tx\t{rel}-{rid}");
+    // R: RID 0 is the hub of `one`; 1..=40 all join S's lone `many` record.
+    let r: Vec<String> = (0..=40)
+        .map(|rid| line(rid, if rid == 0 { one } else { many }, "r"))
+        .collect();
+    let s: Vec<String> = (0..=40)
+        .map(|rid| line(rid, if rid == 0 { many } else { one }, "s"))
+        .collect();
+    let chain: Vec<String> = (1..=3).map(|rid| line(rid, many, "self")).collect();
+    let run = |stage3: Stage3Algo| {
+        let config = JoinConfig {
+            stage3,
+            ..JoinConfig::recommended()
+        };
+        let c = cluster(3);
+        c.dfs().write_text("/r", &r).unwrap();
+        c.dfs().write_text("/s", &s).unwrap();
+        c.dfs().write_text("/chain", &chain).unwrap();
+        let rs = rs_join(&c, "/r", "/s", "/work-rs", &config).unwrap();
+        let own = self_join(&c, "/chain", "/work", &config).unwrap();
+        let read = |path: &str| read_joined(&c, path).unwrap();
+        (read(&rs.joined_path), read(&own.joined_path))
+    };
+    let (rs, own) = run(Stage3Algo::Brj);
+    assert_eq!((rs.clone(), own.clone()), run(Stage3Algo::Oprj));
+    assert_eq!(rs.len(), 80);
+    for ((a, b), (first, second, _)) in &rs {
+        assert!(*a == 0 || *b == 0, "every pair has a hub");
+        assert_eq!((first, second), (&r[*a as usize], &s[*b as usize]));
+    }
+    let keys: Vec<(u64, u64)> = own.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys, [(1, 2), (1, 3), (2, 3)]);
+    for ((a, b), (first, second, _)) in &own {
+        let expected = (&chain[*a as usize - 1], &chain[*b as usize - 1]);
+        assert_eq!((first, second), expected);
+    }
+}
+
+/// Semi-join edge cell (i): when the participating RIDs a mapper keeps do
+/// not fit a task's memory budget, both BRJ jobs run unfiltered — and
+/// commit the same output as the filtered run, on both sides of the
+/// boundary.
 #[test]
 fn brj_without_room_for_the_participants_commits_the_same_bytes() {
     let lines = corpus(101, 150);
@@ -419,21 +541,17 @@ fn brj_without_room_for_the_participants_commits_the_same_bytes() {
     let c = cluster(3);
     c.dfs().write_text("/records", &lines).unwrap();
     let outcome = self_join(&c, "/records", "/work", &config).unwrap();
-    let fill = &outcome.stage3.jobs[0];
-    let participants = fill.counter("stage3.participants");
-    assert!(participants > 0 && (participants as usize) < lines.len());
-    assert_eq!(
-        fill.counter("stage3.records_filtered"),
-        lines.len() as u64 - participants,
-        "every record no pair names is dropped before the shuffle"
-    );
-    assert_eq!(
-        fill.counter("stage3.halves"),
-        2 * outcome.stage3.jobs[1].counter("stage3.joined_pairs")
-    );
+    let counters = |jobs: &[mapreduce::JobMetrics], name: &str| -> Vec<u64> {
+        jobs.iter().map(|j| j.counter(name)).collect()
+    };
+    let participants = counters(&outcome.stage3.jobs, "stage3.participants");
+    let filtered = counters(&outcome.stage3.jobs, "stage3.records_filtered");
+    let [_, second, all] = column_participants(&c, &outcome.ridpairs_path);
+    assert_eq!(participants, [all, second]);
+    assert!(filtered.iter().all(|&n| n > 0));
 
     // Stage 3 again over the same pair file, on drivers whose tasks have
-    // room for exactly the set, and for one byte less.
+    // room for exactly what job 1's mappers keep, and for one byte less.
     let run = |budget: u64, work: &str| {
         let tight = Cluster::with_dfs(
             ClusterConfig {
@@ -447,35 +565,37 @@ fn brj_without_room_for_the_participants_commits_the_same_bytes() {
             .unwrap()
             .1
     };
-    let fits = run(participants * 8, "/fits");
-    assert_eq!(
-        fits.jobs[0].counter("stage3.records_filtered"),
-        fill.counter("stage3.records_filtered")
-    );
+    let fits = run(all * 8, "/fits");
+    assert_eq!(counters(&fits.jobs, "stage3.records_filtered"), filtered);
     assert!(c.dfs().exists("/fits/participants"));
-    let plain = run(participants * 8 - 1, "/plain");
-    assert_eq!(plain.jobs[0].counter("stage3.records_filtered"), 0);
-    assert_eq!(plain.jobs[0].counter("stage3.participants"), participants);
-    assert!(!c.dfs().exists("/plain/participants"), "no side file");
     assert_eq!(
-        plain.jobs[0].map_output_records,
-        fits.jobs[0].map_output_records + fill.counter("stage3.records_filtered"),
-        "plain BRJ shuffles every record"
+        committed_bytes(&c, "/fits/fills"),
+        committed_bytes(&c, "/work/fills")
     );
-    for dir in ["halves", "joined"] {
-        let reference = committed_bytes(&c, &format!("/work/{dir}"));
-        assert!(!reference.is_empty());
-        assert_eq!(committed_bytes(&c, &format!("/fits/{dir}")), reference);
-        assert_eq!(committed_bytes(&c, &format!("/plain/{dir}")), reference);
+    let plain = run(all * 8 - 1, "/plain");
+    assert_eq!(counters(&plain.jobs, "stage3.records_filtered"), [0, 0]);
+    assert_eq!(counters(&plain.jobs, "stage3.participants"), participants);
+    assert!(!c.dfs().exists("/plain/participants"), "no side file");
+    // Plain BRJ shuffles every record, in both jobs: job 1 forwards all of
+    // them, not knowing which ones job 2 needs.
+    let pairs = outcome.stage2.jobs[0].counter("stage2.pairs_emitted");
+    for job in &plain.jobs {
+        assert_eq!(
+            job.shuffle_records,
+            lines.len() as u64 + pairs,
+            "{}",
+            job.name
+        );
     }
+    let reference = committed_bytes(&c, "/work/joined");
+    assert!(!reference.is_empty());
+    assert_eq!(committed_bytes(&c, "/fits/joined"), reference);
+    assert_eq!(committed_bytes(&c, "/plain/joined"), reference);
 }
 
-/// Semi-join edge cell (ii): R and S number their records independently.
-/// RID 1 is an R record that joins and an S record that does not; RID 2 the
-/// other way round. One merged set would shuffle all four; per-relation
-/// sets shuffle exactly the two that a pair names.
-#[test]
-fn participants_are_kept_per_relation() {
+/// The four records of the per-relation cells: RID 1 is an R record that
+/// joins and an S record that does not; RID 2 the other way round.
+fn crossed_relations() -> ([String; 2], [String; 2]) {
     let joining = "alpha beta gamma delta epsilon zeta eta theta iota kappa";
     let r = [
         format!("1\t{joining}\tx\t"),
@@ -485,6 +605,15 @@ fn participants_are_kept_per_relation() {
         "1\tsome s record of entirely other words\tz\t".to_string(),
         format!("2\t{joining}\tx\t"),
     ];
+    (r, s)
+}
+
+/// Semi-join edge cell (ii): R and S number their records independently.
+/// One merged set would shuffle all four records; a set per pair column
+/// shuffles exactly the two that a pair names, one in each job.
+#[test]
+fn participants_are_kept_per_relation() {
+    let (r, s) = crossed_relations();
     let c = cluster(2);
     c.dfs().write_text("/r", &r).unwrap();
     c.dfs().write_text("/s", &s).unwrap();
@@ -493,14 +622,50 @@ fn participants_are_kept_per_relation() {
     assert_eq!(joined.len(), 1);
     assert_eq!(joined[0].0, (1, 2));
     assert!(joined[0].1 .0.starts_with("1\talpha") && joined[0].1 .1.starts_with("2\talpha"));
-    let fill = &outcome.stage3.jobs[0];
-    assert_eq!(fill.counter("stage3.participants"), 2);
-    assert_eq!(fill.counter("stage3.records_filtered"), 2);
-    assert_eq!(fill.map_output_records, 2 + 2, "two records, two halves");
+    for job in &outcome.stage3.jobs {
+        assert_eq!(job.counter("stage3.participants"), 1, "{}", job.name);
+        assert_eq!(job.counter("stage3.records_filtered"), 1, "{}", job.name);
+        assert_eq!(job.map_output_records, 1 + 1, "one record, one pair");
+    }
 }
 
-/// Semi-join edge cell (iii): an empty pair file names no record, so job 1
-/// shuffles nothing and the join commits an empty output.
+/// Relations are told apart on a path boundary: an R path that merely
+/// begins with the S path is still R (a prefix match tagged every R record
+/// S and came back with no pair, and no error). Joining a path with itself
+/// is refused.
+#[test]
+fn relation_paths_match_on_a_path_boundary() {
+    let (r, s) = crossed_relations();
+    let config = JoinConfig::recommended();
+    for (r_path, s_path) in [("/r", "/s"), ("/s-small", "/s"), ("/in/s2", "/in/s")] {
+        for stage3 in [Stage3Algo::Brj, Stage3Algo::Oprj] {
+            let c = cluster(2);
+            c.dfs().write_text(r_path, &r).unwrap();
+            c.dfs().write_text(s_path, &s).unwrap();
+            let config = JoinConfig {
+                stage3,
+                ..config.clone()
+            };
+            let outcome = rs_join(&c, r_path, s_path, "/work", &config).unwrap();
+            let joined = read_joined(&c, &outcome.joined_path).unwrap();
+            let keys: Vec<(u64, u64)> = joined.iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, [(1, 2)], "R at {r_path}, S at {s_path}, {stage3:?}");
+        }
+    }
+    let c = cluster(2);
+    c.dfs().write_text("/s", &s).unwrap();
+    for s_path in ["/s", "/s/"] {
+        let err = rs_join(&c, "/s", s_path, "/work", &config).unwrap_err();
+        assert!(
+            matches!(err, fuzzyjoin::MrError::InvalidConfig(_)),
+            "{err:?}"
+        );
+    }
+    assert!(c.dfs().list("/work").is_empty(), "refused before any job");
+}
+
+/// Semi-join edge cell (iii): an empty pair file names no record, so neither
+/// job shuffles anything and the join commits an empty output.
 #[test]
 fn brj_over_an_empty_pair_file_shuffles_no_record() {
     let lines: Vec<String> = (0..20)
@@ -512,11 +677,20 @@ fn brj_over_an_empty_pair_file_shuffles_no_record() {
     assert!(read_rid_pairs(&c, &outcome.ridpairs_path)
         .unwrap()
         .is_empty());
-    let fill = &outcome.stage3.jobs[0];
-    assert_eq!(fill.counter("stage3.participants"), 0);
+    let [fill, assemble] = &outcome.stage3.jobs[..] else {
+        panic!("BRJ runs two jobs");
+    };
     assert_eq!(fill.counter("stage3.records_filtered"), 20);
-    assert_eq!(fill.shuffle_records, 0);
-    assert_eq!(fill.shuffle_bytes, 0);
+    assert_eq!(
+        assemble.counter("stage3.records_filtered"),
+        0,
+        "none forwarded"
+    );
+    for job in [fill, assemble] {
+        assert_eq!(job.counter("stage3.participants"), 0);
+        assert_eq!(job.shuffle_records, 0);
+        assert_eq!(job.shuffle_bytes, 0);
+    }
     assert!(read_joined(&c, &outcome.joined_path).unwrap().is_empty());
 }
 

@@ -396,15 +396,16 @@ fn toggling_skew_invalidates_the_kernel_but_reuses_the_token_order() {
     // Skew off: the stage-2 tag changes, so the kernel re-runs; stage 1 is
     // skew-independent and must be reused. The unsplit kernel writes the
     // same pairs from differently keyed reducers, so stage 3's fill job
-    // re-runs off the changed part files — but the halves it writes are
-    // identical, so the final assemble job's fingerprint revalidates and it
-    // is skipped: integrity chains on content, not on what ran. The output
-    // cannot change.
+    // re-runs off the changed part files — but the fills it writes are
+    // identical (their order comes from the shuffle's sort on `(rid, tag,
+    // partner)`, not from the order the pairs arrived in), so the final
+    // assemble job's fingerprint revalidates and it is skipped: integrity
+    // chains on content, not on what ran. The output cannot change.
     let fresh = resume_cluster(&cluster);
     let resumed = self_join_resume(&fresh, "/records", "/work", &off).unwrap();
     assert_eq!(
-        &resumed.recovery.jobs_skipped[..2],
-        ["stage1-bto-count", "stage1-bto-sort"],
+        resumed.recovery.jobs_skipped,
+        ["stage1-bto-count", "stage1-bto-sort", "stage3-brj-assemble"],
         "token order is skew-independent and must be reused: {:?}",
         resumed.recovery
     );
