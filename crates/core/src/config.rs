@@ -738,13 +738,12 @@ mod tests {
             any::<u64>().prop_map(BadRecordPolicy::SkipUpTo),
         ];
         let mode = prop_oneof![Just(SkewMode::Off), Just(SkewMode::Adaptive)];
-        let skew = (mode, 2u32..17, 1u64..100_000, 0u64..64, 0usize..2048).prop_map(
-            |(mode, split_max, hot_threshold, sample_stride, sketch_capacity)| SkewConfig {
+        let skew = (mode, 2u32..17, 1u64..100_000, 0u64..64).prop_map(
+            |(mode, split_max, hot_threshold, sample_stride)| SkewConfig {
                 mode,
                 split_max,
                 hot_threshold,
                 sample_stride,
-                sketch_capacity,
             },
         );
         (

@@ -104,14 +104,9 @@ impl Relations {
     }
 }
 
-/// Whether the split file `input_path` is the input `root` or lies in the
-/// directory `root` — how a multi-input mapper tells its inputs apart. The
-/// match ends on a path boundary: `/in/s2` is not under `/in/s`.
-pub fn is_under(input_path: &str, root: &str) -> bool {
-    input_path
-        .strip_prefix(root.trim_end_matches('/'))
-        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
-}
+/// Whether a split file is an input path or lies in that directory — how a
+/// multi-input mapper tells its inputs apart.
+pub use mapreduce::is_under;
 
 /// Load-block marker (blocks mode).
 pub const KIND_LOAD: u8 = 0;

@@ -92,9 +92,10 @@ pub struct SkewConfig {
     pub hot_threshold: u64,
     /// Sample every `stride`-th input line in the pre-pass (1 = exact).
     pub sample_stride: u64,
-    /// Space-saving sketch capacity (distinct groups tracked).
-    pub sketch_capacity: usize,
 }
+
+/// Distinct groups the pre-pass's space-saving sketch tracks.
+const SKETCH_CAPACITY: usize = 512;
 
 impl SkewConfig {
     /// Splitting disabled (the default).
@@ -104,7 +105,6 @@ impl SkewConfig {
             split_max: 8,
             hot_threshold: 4096,
             sample_stride: 16,
-            sketch_capacity: 512,
         }
     }
 
@@ -124,7 +124,6 @@ impl SkewConfig {
             split_max,
             hot_threshold,
             sample_stride: 1,
-            sketch_capacity: 512,
         }
     }
 }
@@ -141,7 +140,6 @@ codec_struct!(SkewConfig {
     split_max,
     hot_threshold,
     sample_stride,
-    sketch_capacity,
 });
 
 /// Salt distinguishing synthesized split keys from each other; collisions
@@ -340,7 +338,7 @@ pub fn build_plan(
     let mut attr = String::new();
     let mut ranks = Vec::new();
     let stride = sk.sample_stride.max(1);
-    let mut sketch: SpaceSaving<u32> = SpaceSaving::new(sk.sketch_capacity.max(16));
+    let mut sketch: SpaceSaving<u32> = SpaceSaving::new(SKETCH_CAPACITY);
     let mut line_no = 0u64;
     for input in inputs {
         for file in dfs.data_files(input) {

@@ -308,7 +308,6 @@ fn bk_oom_is_rescued_by_block_processing() {
     let make = || {
         let mut cc = ClusterConfig::with_nodes(1);
         cc.task_memory = Some(budget);
-        cc.reduce_slots_per_node = 1;
         Cluster::new(cc, 1 << 20).unwrap()
     };
 

@@ -42,7 +42,7 @@ use std::time::Instant;
 use crate::cluster::ClusterConfig;
 use crate::engine::{
     run_map_task, run_reduce_task, run_tasks, MapItem, MapShared, MapStats, MapTaskOut,
-    ReduceShared, ReduceTaskOut, RetryPolicy, RetryStats,
+    ReduceShared, ReduceTaskOut, RetryStats,
 };
 use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
@@ -121,7 +121,6 @@ pub(crate) struct ExecParams<'a, M: Mapper, R: Reducer> {
     pub(crate) map_shared: &'a MapShared<'a, M>,
     pub(crate) reduce_shared: &'a ReduceShared<'a, M, R>,
     pub(crate) reducer: R,
-    pub(crate) policy: RetryPolicy,
     pub(crate) threads: usize,
     pub(crate) num_reducers: usize,
     pub(crate) config: &'a ClusterConfig,
@@ -322,23 +321,25 @@ where
         map_shared,
         reduce_shared,
         reducer,
-        policy,
         threads,
         num_reducers,
+        config,
         ..
     } = params;
+    let max_attempts = config.max_task_attempts;
     let counters = map_shared.counters;
     let exec_start = Instant::now();
     let shuffle = &*transport;
-    let (mut map_outs, map_stats) = run_tasks(map_items, threads, policy, |item, attempt| {
-        if let Some(out) = shuffle.remote_map(item.task_id, attempt)? {
-            return Ok(out);
-        }
-        Watchdog::supervised(watchdog, (Phase::Map, item.task_id, attempt), || {
-            let park = |runs| shuffle.park(item.task_id, attempt, runs);
-            run_map_task(item, attempt, map_shared, park)
-        })
-    })?;
+    let (mut map_outs, map_stats) =
+        run_tasks(map_items, threads, max_attempts, |item, attempt| {
+            if let Some(out) = shuffle.remote_map(item.task_id, attempt)? {
+                return Ok(out);
+            }
+            Watchdog::supervised(watchdog, (Phase::Map, item.task_id, attempt), || {
+                let park = |runs| shuffle.park(item.task_id, attempt, runs);
+                run_map_task(item, attempt, map_shared, park)
+            })
+        })?;
     let map_done = exec_start.elapsed().as_secs_f64();
 
     // Regroup: visit map outputs in task order and each task's runs in
@@ -363,7 +364,7 @@ where
         .enumerate()
         .map(|(task_id, parked)| (task_id, parked, reducer.clone()))
         .collect();
-    let reduce_result = run_tasks(reduce_items, threads, policy, |item, attempt| {
+    let reduce_result = run_tasks(reduce_items, threads, max_attempts, |item, attempt| {
         let (task_id, parked, reducer) = item;
         if let Some(out) = shuffle.remote_reduce(*task_id, attempt, parked)? {
             return Ok(out);

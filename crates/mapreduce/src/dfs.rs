@@ -945,11 +945,9 @@ impl Dfs {
 
     /// All file paths under `prefix` (or the file itself), name-ordered.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let dir = dir_prefix(prefix);
-        self.all_keys()
-            .into_iter()
-            .filter(|k| k.as_str() == prefix || k.starts_with(&dir))
-            .collect()
+        let mut keys = self.all_keys();
+        keys.retain(|k| is_under(k, prefix));
+        keys
     }
 
     /// Length of a single file in bytes, from its header ([`Dfs::stat`]).
@@ -1038,18 +1036,8 @@ impl Dfs {
     }
 
     /// Streaming text writer (used by reduce tasks for text outputs).
-    pub fn text_writer(&self, path: &str) -> Result<TextWriter> {
-        if self.exists(path) {
-            return Err(MrError::FileExists(path.to_string()));
-        }
-        Ok(TextWriter {
-            dfs: self.clone(),
-            path: path.to_string(),
-            buf: Vec::with_capacity(self.block_size.min(1 << 20)),
-            blocks: Vec::new(),
-            offset: 0,
-            closed: false,
-        })
+    pub fn text_writer(&self, path: &str) -> Result<BlockWriter> {
+        self.writer(path, FileKind::Text)
     }
 
     /// Read all lines of a text file or of every `part-*` under a directory.
@@ -1083,17 +1071,21 @@ impl Dfs {
     }
 
     /// Streaming sequence-file writer.
-    pub fn seq_writer(&self, path: &str) -> Result<SeqWriter> {
+    pub fn seq_writer(&self, path: &str) -> Result<BlockWriter> {
+        self.writer(path, FileKind::Seq)
+    }
+
+    fn writer(&self, path: &str, kind: FileKind) -> Result<BlockWriter> {
         if self.exists(path) {
             return Err(MrError::FileExists(path.to_string()));
         }
-        Ok(SeqWriter {
+        Ok(BlockWriter {
             dfs: self.clone(),
             path: path.to_string(),
+            kind,
             buf: Vec::with_capacity(self.block_size.min(1 << 20)),
             blocks: Vec::new(),
             offset: 0,
-            closed: false,
         })
     }
 
@@ -1158,39 +1150,6 @@ impl Dfs {
             return Err(MrError::FileNotFound(path.to_string()));
         }
         Ok(listed)
-    }
-
-    fn finish_file(
-        &self,
-        path: &str,
-        kind: FileKind,
-        mut blocks: Vec<Block>,
-        buf: Vec<u8>,
-        offset: u64,
-    ) -> Result<()> {
-        let len = offset + buf.len() as u64;
-        if !buf.is_empty() {
-            blocks.push(Block {
-                data: Bytes::from(buf),
-                node: self.place(),
-                offset,
-            });
-        }
-        let mut crc = Crc32::new();
-        for b in &blocks {
-            crc.update(&b.data);
-        }
-        let crc = crc.finish();
-        self.insert(
-            path,
-            DfsFile {
-                kind,
-                blocks,
-                len,
-                crc,
-            },
-            false,
-        )
     }
 }
 
@@ -1309,30 +1268,43 @@ pub fn is_hidden(path: &str) -> bool {
         .is_some_and(|base| base.starts_with('_') || base.starts_with('.'))
 }
 
-fn dir_prefix(prefix: &str) -> String {
-    let mut d = prefix.to_string();
-    if !d.ends_with('/') {
-        d.push('/');
-    }
-    d
+/// Whether `path` is the file `root` or lies in the directory `root`. The
+/// match ends on a path boundary: `/in/s2` is not under `/in/s`.
+pub fn is_under(path: &str, root: &str) -> bool {
+    path.strip_prefix(root.trim_end_matches('/'))
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
-/// Streaming writer for text files; see [`Dfs::text_writer`].
-pub struct TextWriter {
+/// Streaming writer of one text or seq file, from [`Dfs::text_writer`] or
+/// [`Dfs::seq_writer`]: what it is handed accumulates into blocks, cut at
+/// record boundaries once the block size is reached.
+pub struct BlockWriter {
     dfs: Dfs,
     path: String,
+    kind: FileKind,
     buf: Vec<u8>,
     blocks: Vec<Block>,
     offset: u64,
-    closed: bool,
 }
 
-impl TextWriter {
-    /// Append one line (a trailing newline is added).
+impl BlockWriter {
+    /// Append one line to a text file (a trailing newline is added).
     pub fn write_line(&mut self, line: &str) {
-        debug_assert!(!self.closed);
+        debug_assert_eq!(self.kind, FileKind::Text);
         self.buf.extend_from_slice(line.as_bytes());
         self.buf.push(b'\n');
+        self.end_record();
+    }
+
+    /// Append one encoded pair to a seq file.
+    pub fn write<K: Codec, V: Codec>(&mut self, k: &K, v: &V) {
+        debug_assert_eq!(self.kind, FileKind::Seq);
+        k.encode(&mut self.buf);
+        v.encode(&mut self.buf);
+        self.end_record();
+    }
+
+    fn end_record(&mut self) {
         if self.buf.len() >= self.dfs.block_size {
             self.cut_block();
         }
@@ -1349,61 +1321,22 @@ impl TextWriter {
         self.offset += len;
     }
 
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.offset + self.buf.len() as u64
-    }
-
     /// Finish the file and register it in the DFS.
     pub fn close(mut self) -> Result<()> {
-        self.closed = true;
-        let buf = std::mem::take(&mut self.buf);
-        let blocks = std::mem::take(&mut self.blocks);
-        self.dfs
-            .finish_file(&self.path, FileKind::Text, blocks, buf, self.offset)
-    }
-}
-
-/// Streaming writer for seq files; see [`Dfs::seq_writer`].
-pub struct SeqWriter {
-    dfs: Dfs,
-    path: String,
-    buf: Vec<u8>,
-    blocks: Vec<Block>,
-    offset: u64,
-    closed: bool,
-}
-
-impl SeqWriter {
-    /// Append one encoded pair.
-    pub fn write<K: Codec, V: Codec>(&mut self, k: &K, v: &V) {
-        debug_assert!(!self.closed);
-        k.encode(&mut self.buf);
-        v.encode(&mut self.buf);
-        if self.buf.len() >= self.dfs.block_size {
-            let data = std::mem::take(&mut self.buf);
-            let len = data.len() as u64;
-            self.blocks.push(Block {
-                data: Bytes::from(data),
-                node: self.dfs.place(),
-                offset: self.offset,
-            });
-            self.offset += len;
+        if !self.buf.is_empty() {
+            self.cut_block();
         }
-    }
-
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.offset + self.buf.len() as u64
-    }
-
-    /// Finish the file and register it in the DFS.
-    pub fn close(mut self) -> Result<()> {
-        self.closed = true;
-        let buf = std::mem::take(&mut self.buf);
-        let blocks = std::mem::take(&mut self.blocks);
-        self.dfs
-            .finish_file(&self.path, FileKind::Seq, blocks, buf, self.offset)
+        let mut crc = Crc32::new();
+        for b in &self.blocks {
+            crc.update(&b.data);
+        }
+        let file = DfsFile {
+            kind: self.kind,
+            blocks: self.blocks,
+            len: self.offset,
+            crc: crc.finish(),
+        };
+        self.dfs.insert(&self.path, file, false)
     }
 }
 

@@ -9,13 +9,10 @@ use parking_lot::Mutex;
 
 use crate::backend::{self, BackendKind, ExecParams};
 use crate::cache::Cache;
-use crate::cluster::{
-    list_schedule_makespan, list_schedule_speculative, schedule_map_tasks, ClusterConfig,
-    MapTaskSpec, NetworkModel, ScheduleOutcome, SpecOutcome, SpecTask,
-};
+use crate::cluster::{schedule, transfer_secs, ClusterConfig, Schedule, SimTask};
 use crate::codec_struct;
 use crate::counters::Counters;
-use crate::dfs::{Dfs, SeqWriter, TextWriter};
+use crate::dfs::{is_under, BlockWriter, Dfs};
 use crate::error::{MrError, Result};
 use crate::faults::{Fault, FaultPlan};
 use crate::input::SplitSource;
@@ -29,7 +26,7 @@ use crate::partitioner::{GroupEq, PartitionFn, SortCmp};
 use crate::profile::{self, secs_to_us, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
-use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Run};
+use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Run, MERGE_FACTOR};
 use crate::task::{Emit, Phase, TaskContext};
 use crate::trace::{
     EventKind, Histogram, HistogramSnapshot, Histograms, Outcome, TopK, TraceEvent, TraceSink,
@@ -204,7 +201,6 @@ impl Cluster {
             map_shared: &shared,
             reduce_shared: &rshared,
             reducer: job.reducer.clone(),
-            policy: RetryPolicy::from_config(&self.config),
             threads: self.config.physical_threads(),
             num_reducers,
             config: &self.config,
@@ -314,7 +310,7 @@ impl Cluster {
             // part so the next read (or manifest check) of this directory
             // must detect it.
             if let Some(target) = faults.and_then(|p| p.corrupt_path.as_deref()) {
-                if target.starts_with(dir) && self.dfs.exists(target) {
+                if is_under(target, dir) && self.dfs.exists(target) {
                     self.dfs.corrupt(target)?;
                 }
             }
@@ -330,80 +326,33 @@ impl Cluster {
         Ok(reduce)
     }
 
-    /// One phase's simulated makespan. When any attempt ran slower than its
-    /// healthy expectation (`slowdown > 0`, i.e. an injected straggler),
-    /// the phase is re-scheduled with backup attempts racing the
-    /// stragglers; without stragglers this is exactly the plain schedule,
-    /// so the fault-free time model is unchanged.
-    fn speculate(
-        &self,
-        costs: &[f64],
-        slowdowns: &[f64],
-        slots: usize,
-        plain_makespan: impl FnOnce() -> f64,
-    ) -> (f64, SpecOutcome) {
-        if !(self.config.speculation && slowdowns.iter().any(|&s| s > 0.0)) {
-            return (plain_makespan(), SpecOutcome::default());
-        }
-        let tasks: Vec<SpecTask> = costs
+    /// The cluster time model: measured per-task durations, scheduled onto
+    /// the configured topology — map tasks beside their input blocks,
+    /// reduce tasks behind the transfer of their partition.
+    fn time_model(&self, map_outs: &[MapStats], reduce_outs: &[ReduceTaskOut]) -> [Schedule; 2] {
+        let nodes = self.config.nodes;
+        let map_tasks: Vec<SimTask> = map_outs
             .iter()
-            .zip(slowdowns)
-            .map(|(&cost, &slowdown)| SpecTask {
-                duration: cost,
-                expected: (cost - slowdown).max(0.0),
-            })
-            .collect();
-        let spec = list_schedule_speculative(&tasks, slots);
-        (spec.makespan, spec)
-    }
-
-    /// The cluster time model: measured per-task durations become a
-    /// locality-aware map schedule and a list-scheduled reduce phase on the
-    /// configured topology, each with speculation applied.
-    #[allow(clippy::type_complexity)]
-    fn time_model(
-        &self,
-        map_outs: &[MapStats],
-        reduce_outs: &[ReduceTaskOut],
-    ) -> (ScheduleOutcome, (f64, SpecOutcome), (f64, SpecOutcome)) {
-        let config = &self.config;
-        let overhead = NETWORK.task_overhead_secs;
-        let map_specs: Vec<MapTaskSpec> = map_outs
-            .iter()
-            .map(|o| MapTaskSpec {
-                duration: o.duration + overhead,
-                node_hint: o.node_hint.map(|n| n % config.nodes),
+            .map(|o| SimTask {
+                duration: o.duration,
+                expected: o.base_duration,
+                node_hint: o.node_hint.map(|n| n % nodes),
                 input_bytes: o.input_bytes,
             })
             .collect();
-        let map_schedule = schedule_map_tasks(
-            &map_specs,
-            config.nodes,
-            config.map_slots_per_node,
-            &NETWORK,
-        );
-        let map_slow: Vec<f64> = map_outs
+        let reduce_tasks: Vec<SimTask> = reduce_outs
             .iter()
-            .map(|o| o.duration - o.base_duration)
+            .map(|o| {
+                let transfer = transfer_secs(o.input_bytes);
+                SimTask {
+                    duration: transfer + o.duration,
+                    expected: transfer + o.base_duration,
+                    node_hint: None,
+                    input_bytes: 0,
+                }
+            })
             .collect();
-        let map = self.speculate(
-            &map_schedule.task_costs,
-            &map_slow,
-            config.map_slots(),
-            || map_schedule.makespan,
-        );
-        let reduce_sim: Vec<f64> = reduce_outs
-            .iter()
-            .map(|o| NETWORK.transfer_secs(o.input_bytes) + o.duration + overhead)
-            .collect();
-        let reduce_slow: Vec<f64> = reduce_outs
-            .iter()
-            .map(|o| o.duration - o.base_duration)
-            .collect();
-        let reduce = self.speculate(&reduce_sim, &reduce_slow, config.reduce_slots(), || {
-            list_schedule_makespan(&reduce_sim, config.reduce_slots())
-        });
-        (map_schedule, map, reduce)
+        [schedule(&map_tasks, nodes), schedule(&reduce_tasks, nodes)]
     }
 
     /// Histograms and heavy hitters, built from winning-attempt outputs
@@ -471,9 +420,9 @@ impl Cluster {
 
     /// Speculative races live on the simulated timeline; export them as
     /// synthetic spans in a dedicated trace process.
-    fn trace_races(&self, job_name: &str, phase: Phase, spec: &SpecOutcome) {
+    fn trace_races(&self, job_name: &str, phase: Phase, schedule: &Schedule) {
         let Some(t) = &self.trace else { return };
-        for race in &spec.races {
+        for race in &schedule.races {
             let mut e = TraceEvent::new(EventKind::Speculative, job_name);
             e.phase = Some(phase);
             e.task = Some(race.task as u64);
@@ -504,8 +453,7 @@ impl Cluster {
     ) -> JobMetrics {
         let finalize_start = Instant::now();
         let config = &self.config;
-        let (map_schedule, (map_makespan, map_spec), (reduce_makespan, reduce_spec)) =
-            self.time_model(&map_outs, &reduce_outs);
+        let [map_schedule, reduce_schedule] = self.time_model(&map_outs, &reduce_outs);
         let shuffle_bytes = map_outs.iter().map(|o| o.shuffle_bytes).sum();
         let shuffle_records = map_outs.iter().map(|o| o.shuffle_records).sum();
         let (job_histograms, heavy_hitters) = self.distributions(
@@ -515,8 +463,9 @@ impl Cluster {
             (&map_outs, &reduce_outs),
             shuffle_records,
         );
-        self.trace_races(&name, Phase::Map, &map_spec);
-        self.trace_races(&name, Phase::Reduce, &reduce_spec);
+        self.trace_races(&name, Phase::Map, &map_schedule);
+        self.trace_races(&name, Phase::Reduce, &reduce_schedule);
+        let races = (map_schedule.races.len() + reduce_schedule.races.len()) as u64;
         // Per-shard task counts (winning attempts), keyed by the
         // deterministic node label — identical across backends.
         let mut map_tasks_per_node = vec![0u64; config.nodes];
@@ -537,13 +486,13 @@ impl Cluster {
                 tasks: map_outs.len(),
                 total_task_secs: map_outs.iter().map(|o| o.duration).sum(),
                 max_task_secs: map_outs.iter().map(|o| o.duration).fold(0.0, f64::max),
-                makespan_secs: map_makespan,
+                makespan_secs: map_schedule.makespan,
             },
             reduce: PhaseMetrics {
                 tasks: reduce_outs.len(),
                 total_task_secs: reduce_outs.iter().map(|o| o.duration).sum(),
                 max_task_secs: reduce_outs.iter().map(|o| o.duration).fold(0.0, f64::max),
-                makespan_secs: reduce_makespan,
+                makespan_secs: reduce_schedule.makespan,
             },
             map_local_tasks: map_schedule.local_tasks,
             map_remote_tasks: map_schedule.remote_tasks,
@@ -551,9 +500,10 @@ impl Cluster {
             reduce_tasks_per_node,
             task_retries: map_stats.retries + reduce_stats.retries,
             backoff_secs: map_stats.backoff_secs + reduce_stats.backoff_secs,
-            speculative_launched: map_spec.launched + reduce_spec.launched,
-            speculative_won: map_spec.won + reduce_spec.won,
-            speculative_killed: map_spec.killed + reduce_spec.killed,
+            speculative_launched: races,
+            speculative_won: map_schedule.won() + reduce_schedule.won(),
+            // Each race has one loser, and the loser is killed.
+            speculative_killed: races,
             output_commits: counters.value("mr.output.commits"),
             output_aborts: counters.value("mr.output.aborts"),
             scavenged_attempt_files: counters.value("mr.recovery.scavenged"),
@@ -570,9 +520,9 @@ impl Cluster {
             reduce_output_records: reduce_outs.iter().map(|o| o.output_records).sum(),
             shuffle_transfer_secs: reduce_outs
                 .iter()
-                .map(|o| NETWORK.transfer_secs(o.input_bytes))
+                .map(|o| transfer_secs(o.input_bytes))
                 .fold(0.0, f64::max),
-            sim_secs: map_makespan + reduce_makespan,
+            sim_secs: map_schedule.makespan + reduce_schedule.makespan,
             wall_secs: wall_start.elapsed().as_secs_f64(),
             counters: counters.snapshot(),
             histograms: job_histograms,
@@ -598,13 +548,6 @@ impl Cluster {
     }
 }
 
-/// The simulated cluster's shuffle network: 1 Gb/s full-duplex links, as on
-/// the paper's IBM x3650 cluster, and no fixed per-task overhead.
-const NETWORK: NetworkModel = NetworkModel {
-    bandwidth_bytes_per_sec: 125.0e6,
-    task_overhead_secs: 0.0,
-};
-
 /// Heavy-hitter reduce keys reported per job, for jobs that define a key
 /// labeler (see [`crate::Job::key_label`]).
 const HEAVY_HITTER_TOP_K: usize = 10;
@@ -620,34 +563,16 @@ const HEAVY_HITTER_CAPACITY: usize = HEAVY_HITTER_TOP_K * 8;
 
 // ---- generic task pool ----------------------------------------------------
 
-/// Retry behaviour shared by every task of a job: the attempt cap and the
-/// simulated exponential backoff between attempts.
-#[derive(Clone, Copy)]
-pub(crate) struct RetryPolicy {
-    max_attempts: usize,
-    backoff_secs: f64,
-}
-
-/// Upper bound on a single retry's simulated backoff.
+/// Simulated backoff after a task's first failed attempt, and the cap it
+/// doubles up to. Charged to simulated time only: real execution retries
+/// immediately.
+const BACKOFF_BASE_SECS: f64 = 1.0;
 const BACKOFF_CAP_SECS: f64 = 60.0;
 
-impl RetryPolicy {
-    pub(crate) fn from_config(config: &ClusterConfig) -> Self {
-        RetryPolicy {
-            max_attempts: config.max_task_attempts,
-            backoff_secs: config.retry_backoff_secs,
-        }
-    }
-
-    /// Simulated seconds to wait after `failed_attempt` (0-based) fails:
-    /// capped exponential, `min(cap, base * 2^attempt)`.
-    fn backoff_after(&self, failed_attempt: usize) -> f64 {
-        if self.backoff_secs <= 0.0 {
-            return 0.0;
-        }
-        let factor = 2f64.powi(failed_attempt.min(62) as i32);
-        (self.backoff_secs * factor).min(BACKOFF_CAP_SECS)
-    }
+/// Simulated seconds to wait after `failed_attempt` (0-based) fails: capped
+/// exponential, `min(cap, base * 2^attempt)`.
+fn backoff_after(failed_attempt: usize) -> f64 {
+    (BACKOFF_BASE_SECS * 2f64.powi(failed_attempt.min(62) as i32)).min(BACKOFF_CAP_SECS)
 }
 
 /// Accumulated retry accounting for one phase.
@@ -689,8 +614,7 @@ fn pending_backoff_us(config: &ClusterConfig, transient: bool, attempt: usize) -
     if !transient || attempt + 1 >= config.max_task_attempts.max(1) {
         return None;
     }
-    let secs = RetryPolicy::from_config(config).backoff_after(attempt);
-    (secs > 0.0).then_some((secs * 1e6) as u64)
+    Some((backoff_after(attempt) * 1e6) as u64)
 }
 
 /// Run one attempt body bracketed by trace events: a `TaskStart` before it
@@ -771,10 +695,9 @@ fn traced_attempt<O>(
 /// winning attempt's *simulated* time.
 pub(crate) fn run_with_retries<I, O: SimCharge>(
     item: &I,
-    policy: &RetryPolicy,
+    max_attempts: usize,
     f: &(impl Fn(&I, usize) -> Result<O> + Sync),
 ) -> Result<(O, RetryStats)> {
-    let max_attempts = policy.max_attempts.max(1);
     let mut stats = RetryStats::default();
     for attempt in 0..max_attempts {
         match catch_task_panic(|| f(item, attempt)) {
@@ -787,7 +710,7 @@ pub(crate) fn run_with_retries<I, O: SimCharge>(
                 if !e.is_transient() || attempt + 1 == max_attempts {
                     return Err(e);
                 }
-                stats.backoff_secs += policy.backoff_after(attempt);
+                stats.backoff_secs += backoff_after(attempt);
             }
         }
     }
@@ -821,7 +744,7 @@ fn commit_with_retries(mut f: impl FnMut() -> Result<()>) -> Result<()> {
 pub(crate) fn run_tasks<I, O, F>(
     items: Vec<I>,
     threads: usize,
-    policy: RetryPolicy,
+    max_attempts: usize,
     f: F,
 ) -> Result<(Vec<O>, RetryStats)>
 where
@@ -837,7 +760,7 @@ where
         let mut outs = Vec::with_capacity(items.len());
         let mut stats = RetryStats::default();
         for item in &items {
-            let (out, s) = run_with_retries(item, &policy, &f)?;
+            let (out, s) = run_with_retries(item, max_attempts, &f)?;
             outs.push(out);
             stats.retries += s.retries;
             stats.backoff_secs += s.backoff_secs;
@@ -857,7 +780,7 @@ where
                 }
                 let item = queue.lock().pop();
                 let Some(item) = item else { return };
-                match run_with_retries(&item, &policy, &f) {
+                match run_with_retries(&item, max_attempts, &f) {
                     Ok((out, s)) => {
                         let mut stats = stats.lock();
                         stats.retries += s.retries;
@@ -1307,14 +1230,10 @@ impl SimCharge for ReduceTaskOut {
 }
 
 /// Reduce-side output collector writing to the DFS.
-enum Sink<K, V> {
-    Null,
-    Seq(SeqWriter),
-    Text(TextWriter, TextFormat<K, V>),
-}
-
 struct ReduceEmitter<K, V> {
-    sink: Sink<K, V>,
+    /// The attempt's output file and, for text output, how a pair becomes
+    /// a line; `None` for a job without output.
+    sink: Option<(BlockWriter, Option<TextFormat<K, V>>)>,
     records: u64,
 }
 
@@ -1324,25 +1243,23 @@ impl<K: Value, V: Value> ReduceEmitter<K, V> {
     /// A stale file from a retried attempt that died post-close is
     /// replaced.
     fn open(dfs: &Dfs, output: &Output<K, V>, task_id: usize, attempt: usize) -> Result<Self> {
-        if let Some(dir) = output.dir() {
-            let _ = dfs.delete(&attempt_path(dir, task_id, attempt));
+        let path = output.dir().map(|dir| attempt_path(dir, task_id, attempt));
+        if let Some(path) = &path {
+            let _ = dfs.delete(path);
         }
-        let sink = match output {
-            Output::None => Sink::Null,
-            Output::Seq(dir) => Sink::Seq(dfs.seq_writer(&attempt_path(dir, task_id, attempt))?),
-            Output::Text(dir, fmt) => Sink::Text(
-                dfs.text_writer(&attempt_path(dir, task_id, attempt))?,
-                fmt.clone(),
-            ),
+        let sink = match (output, path) {
+            (Output::Seq(_), Some(path)) => Some((dfs.seq_writer(&path)?, None)),
+            (Output::Text(_, fmt), Some(path)) => {
+                Some((dfs.text_writer(&path)?, Some(fmt.clone())))
+            }
+            _ => None,
         };
         Ok(ReduceEmitter { sink, records: 0 })
     }
 
     fn close(self) -> Result<u64> {
-        match self.sink {
-            Sink::Null => {}
-            Sink::Seq(w) => w.close()?,
-            Sink::Text(w, _) => w.close()?,
+        if let Some((writer, _)) = self.sink {
+            writer.close()?;
         }
         Ok(self.records)
     }
@@ -1364,9 +1281,9 @@ impl<K: Value, V: Value> Emit<K, V> for ReduceEmitter<K, V> {
     fn emit(&mut self, key: K, value: V) -> Result<()> {
         self.records += 1;
         match &mut self.sink {
-            Sink::Null => {}
-            Sink::Seq(w) => w.write(&key, &value),
-            Sink::Text(w, fmt) => w.write_line(&fmt(&key, &value)),
+            None => {}
+            Some((w, None)) => w.write(&key, &value),
+            Some((w, Some(fmt))) => w.write_line(&fmt(&key, &value)),
         }
         Ok(())
     }
@@ -1460,14 +1377,11 @@ where
     );
     ctx.attempt = attempt;
     ctx.set_histograms(shared.histograms.clone());
-    // Multi-pass merge when this partition has more runs than the factor
-    // allows in a single pass (Hadoop's io.sort.factor).
+    // Multi-pass merge when this partition has more runs than one pass may
+    // open.
     let merge_start = Instant::now();
-    let (runs, merge_passes) = merge_to_factor::<M::OutKey, M::OutValue>(
-        runs,
-        shared.sort_cmp,
-        shared.cluster.config.merge_factor,
-    )?;
+    let (runs, merge_passes) =
+        merge_to_factor::<M::OutKey, M::OutValue>(runs, shared.sort_cmp, MERGE_FACTOR)?;
     let mut stream = MergeStream::new(runs, shared.sort_cmp.clone())?;
     let merge_secs = merge_start.elapsed().as_secs_f64();
     let mut emitter = ReduceEmitter::open(shared.dfs, shared.output, task_id, attempt)?;
@@ -1565,13 +1479,6 @@ mod tests {
         }
     }
 
-    fn policy(max_attempts: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            backoff_secs: 1.0,
-        }
-    }
-
     fn attempts_until<E>(
         max_attempts: usize,
         fail_with: E,
@@ -1580,7 +1487,7 @@ mod tests {
         E: Fn(usize) -> Option<MrError> + Sync,
     {
         let calls = AtomicUsize::new(0);
-        let result = run_with_retries(&(), &policy(max_attempts), &|_, attempt| {
+        let result = run_with_retries(&(), max_attempts, &|_, attempt| {
             calls.fetch_add(1, Ordering::Relaxed);
             match fail_with(attempt) {
                 Some(e) => Err(e),
@@ -1657,7 +1564,7 @@ mod tests {
     #[test]
     fn panics_become_classified_attempt_failures() {
         let calls = AtomicUsize::new(0);
-        let result = run_with_retries(&(), &policy(1), &|_: &(), _| -> Result<TestOut> {
+        let result = run_with_retries(&(), 1, &|_: &(), _| -> Result<TestOut> {
             calls.fetch_add(1, Ordering::Relaxed);
             panic!("user code exploded");
         });
@@ -1667,7 +1574,7 @@ mod tests {
         }
         // A panicking attempt is retried like any transient failure.
         let calls = AtomicUsize::new(0);
-        let result = run_with_retries(&(), &policy(2), &|_: &(), _| -> Result<TestOut> {
+        let result = run_with_retries(&(), 2, &|_: &(), _| -> Result<TestOut> {
             if calls.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("first attempt dies");
             }
@@ -1679,20 +1586,14 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let p = policy(10);
-        assert_eq!(p.backoff_after(0), 1.0);
-        assert_eq!(p.backoff_after(1), 2.0);
-        assert_eq!(p.backoff_after(5), 32.0);
-        assert_eq!(p.backoff_after(6), BACKOFF_CAP_SECS, "capped");
+        assert_eq!(backoff_after(0), 1.0);
+        assert_eq!(backoff_after(1), 2.0);
+        assert_eq!(backoff_after(5), 32.0);
+        assert_eq!(backoff_after(6), BACKOFF_CAP_SECS, "capped");
         assert_eq!(
-            p.backoff_after(100),
+            backoff_after(100),
             BACKOFF_CAP_SECS,
             "huge attempt counts saturate"
         );
-        let none = RetryPolicy {
-            max_attempts: 10,
-            backoff_secs: 0.0,
-        };
-        assert_eq!(none.backoff_after(3), 0.0);
     }
 }

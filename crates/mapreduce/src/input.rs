@@ -11,6 +11,7 @@ use crate::error::Result;
 use crate::kv::Value;
 
 type ReadFn<K, V> = Box<dyn Fn(&Dfs) -> Result<Vec<(K, V)>> + Send>;
+type DecodeFn<K, V> = fn(&dfs::BlockSplit) -> Result<Vec<(K, V)>>;
 
 /// One map task's input.
 pub struct SplitSource<K, V> {
@@ -25,20 +26,6 @@ pub struct SplitSource<K, V> {
 }
 
 impl<K: Value, V: Value> SplitSource<K, V> {
-    /// A split backed by an arbitrary reader closure.
-    pub fn from_reader(
-        tag: impl Into<String>,
-        node_hint: Option<usize>,
-        reader: ReadFn<K, V>,
-    ) -> Self {
-        SplitSource {
-            tag: tag.into(),
-            node_hint,
-            size_hint: 0,
-            reader,
-        }
-    }
-
     /// A split backed by in-memory records (tests, synthetic inputs).
     pub fn from_records(tag: impl Into<String>, records: Vec<(K, V)>) -> Self {
         SplitSource {
@@ -56,33 +43,31 @@ impl<K: Value, V: Value> SplitSource<K, V> {
     }
 }
 
+/// One split per block of the file (or directory) at `path`, its records
+/// decoded by `records`.
+fn block_input<K: Value, V: Value>(
+    dfs: &Dfs,
+    path: &str,
+    records: DecodeFn<K, V>,
+) -> Result<Vec<SplitSource<K, V>>> {
+    let split = |block: dfs::BlockSplit| SplitSource {
+        tag: block.path.clone(),
+        node_hint: Some(block.node),
+        size_hint: block.data.len() as u64,
+        reader: Box::new(move |_dfs| records(&block)),
+    };
+    Ok(dfs.splits(path)?.into_iter().map(split).collect())
+}
+
 /// One split per block of a text file (or directory): records are
 /// `(byte offset, line)` — Hadoop's `TextInputFormat`.
 pub fn text_input(dfs: &Dfs, path: &str) -> Result<Vec<SplitSource<u64, String>>> {
-    let splits = dfs.splits(path)?;
-    Ok(splits
-        .into_iter()
-        .map(|block| SplitSource {
-            tag: block.path.clone(),
-            node_hint: Some(block.node),
-            size_hint: block.data.len() as u64,
-            reader: Box::new(move |_dfs| dfs::text_records(&block)),
-        })
-        .collect())
+    block_input(dfs, path, dfs::text_records)
 }
 
 /// One split per block of a sequence file (or directory).
 pub fn seq_input<K: Value, V: Value>(dfs: &Dfs, path: &str) -> Result<Vec<SplitSource<K, V>>> {
-    let splits = dfs.splits(path)?;
-    Ok(splits
-        .into_iter()
-        .map(|block| SplitSource {
-            tag: block.path.clone(),
-            node_hint: Some(block.node),
-            size_hint: block.data.len() as u64,
-            reader: Box::new(move |_dfs| dfs::seq_records::<K, V>(&block)),
-        })
-        .collect())
+    block_input(dfs, path, dfs::seq_records::<K, V>)
 }
 
 /// Partition in-memory records into `n` splits round-robin — a convenience

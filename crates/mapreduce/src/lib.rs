@@ -88,19 +88,16 @@ pub mod reducer;
 pub mod remote;
 pub mod run;
 pub mod shuffle;
-pub mod supervise;
+mod supervise;
 pub mod task;
 pub mod trace;
 
 pub use backend::BackendKind;
 pub use cache::Cache;
-pub use cluster::{
-    list_schedule_makespan, list_schedule_speculative, ClusterConfig, NetworkModel, SpecOutcome,
-    SpecRace, SpecTask,
-};
+pub use cluster::{schedule, ClusterConfig, Schedule, SimTask, SpecRace, SLOTS_PER_NODE};
 pub use codec::{ByteReader, Codec};
 pub use counters::{Counter, Counters};
-pub use dfs::{is_hidden, BlockSplit, Dfs, FileKind, FileStat, SeqWriter, TextWriter};
+pub use dfs::{is_hidden, is_under, BlockSplit, BlockWriter, Dfs, FileKind, FileStat};
 pub use engine::Cluster;
 pub use error::{ErrorClass, MrError, Result};
 pub use faults::{Fault, FaultPlan};
@@ -123,7 +120,6 @@ pub use profile::JobProfile;
 pub use reducer::{sum_combiner, ClosureReducer, CombineFn, IdentityReducer, Reducer};
 pub use remote::{process_worker_main, register_job_spec, CORRUPT_FRAME_ENV, HANG_ENV, WORKER_ENV};
 pub use run::{GroupValues, MergeStream, Run};
-pub use supervise::{Activity, CancelToken, ExpireReason, Supervisor, WatchGuard};
 pub use task::{Emit, Phase, TaskContext, VecEmitter};
 pub use trace::{
     EventKind, Histogram, HistogramSnapshot, Histograms, Outcome, TopK, TraceEvent, TraceSink,

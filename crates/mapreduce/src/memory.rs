@@ -62,11 +62,6 @@ impl MemoryGauge {
         Ok(())
     }
 
-    /// Check whether `bytes` more would fit, without charging.
-    pub fn would_fit(&self, bytes: u64) -> bool {
-        self.used.load(Ordering::Relaxed).saturating_add(bytes) <= self.budget
-    }
-
     /// Release previously charged bytes.
     pub fn release(&self, bytes: u64) {
         let prev = self.used.fetch_sub(bytes, Ordering::Relaxed);
@@ -135,18 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn would_fit_does_not_charge() {
-        let g = MemoryGauge::new("t", 10);
-        assert!(g.would_fit(10));
-        assert!(!g.would_fit(11));
-        assert_eq!(g.used(), 0);
-    }
-
-    #[test]
     fn unlimited_gauge_never_fails() {
         let g = MemoryGauge::unlimited("t");
         g.charge(u64::MAX / 2).unwrap();
-        assert!(g.would_fit(u64::MAX / 4));
+        g.charge(u64::MAX / 4).unwrap();
     }
 
     #[test]

@@ -954,10 +954,9 @@ fn serve_requests(
 /// same disk DFS, running one request at a time.
 fn worker_cluster(config: ClusterConfig, block_size: usize, dfs_root: &str) -> Result<Cluster> {
     let config = ClusterConfig {
-        // Retries, speculation, and the makespan model stay driver-side.
+        // Retries and the makespan model stay driver-side.
         execution_threads: Some(1),
         max_task_attempts: 1,
-        speculation: false,
         ..config
     };
     let dfs = Dfs::new_disk(config.nodes, block_size, dfs_root)?;
@@ -1043,12 +1042,14 @@ pub(crate) struct WorkerPool {
     /// Processes spawned since the current job began, replacements for
     /// lost workers included.
     spawned: AtomicU64,
-    /// Transport/timeout losses within the window that quarantine a slot.
-    quarantine_losses: usize,
 }
 
 /// Respawn attempts per checkout before giving up on a slot.
 const RESPAWN_ATTEMPTS: u32 = 3;
+
+/// Transport/timeout losses within [`QUARANTINE_WINDOW`] that quarantine a
+/// slot.
+const QUARANTINE_LOSSES: usize = 3;
 
 /// Sliding wall-clock window of a slot's loss ledger.
 const QUARANTINE_WINDOW: Duration = Duration::from_secs(60);
@@ -1064,7 +1065,6 @@ impl WorkerPool {
             idle: Mutex::new(Vec::new()),
             slots: Mutex::new((0..slots).map(|_| SlotState::default()).collect()),
             spawned: AtomicU64::new(0),
-            quarantine_losses: config.worker_quarantine_losses.max(1),
         }
     }
 
@@ -1175,7 +1175,7 @@ impl WorkerPool {
         s.losses
             .retain(|t| now.duration_since(*t) <= QUARANTINE_WINDOW);
         s.losses.push(now);
-        if !s.quarantined && s.losses.len() >= self.quarantine_losses {
+        if !s.quarantined && s.losses.len() >= QUARANTINE_LOSSES {
             s.quarantined = true;
             counters.get("mr.supervise.quarantined").incr();
             if let Some(sink) = trace {
@@ -1801,33 +1801,58 @@ mod tests {
             p_disk_eio: 0.25,
             p_torn_write: 0.125,
         };
+        // Every field off its default, then destructured without `..`: a
+        // new `ClusterConfig` field does not compile here until it is
+        // classified as crossing the pipe or staying with the driver.
         let config = ClusterConfig {
-            spill_buffer_bytes: 1024,
-            merge_factor: 8,
+            nodes: 3,
             task_memory: Some(1 << 20),
-            faults: Some(plan.clone()),
-            durable_commits: false,
-            task_timeout_secs: Some(2.0),
-            heartbeat_interval_secs: 0.25,
-            // None of these is the worker's business.
-            backend: crate::BackendKind::Process,
+            spill_buffer_bytes: 1024,
             execution_threads: Some(4),
             max_task_attempts: 8,
-            ..ClusterConfig::with_nodes(3)
+            faults: Some(plan.clone()),
+            backend: crate::BackendKind::Process,
+            dfs_root: Some("/tmp/mrdfs".into()),
+            durable_commits: false,
+            shuffle_channel_capacity: 7,
+            task_timeout_secs: Some(2.0),
+            heartbeat_interval_secs: 0.5,
+            profile: true,
         };
         let hello: Hello = (config, 4096, "/tmp/mrdfs".into());
         let (back, block_size, dfs_root) = Hello::from_bytes(&hello.to_bytes()).unwrap();
+        assert_eq!((block_size, dfs_root.as_str()), (4096, "/tmp/mrdfs"));
+        let ClusterConfig {
+            nodes,
+            task_memory,
+            spill_buffer_bytes,
+            execution_threads,
+            max_task_attempts,
+            faults,
+            backend,
+            dfs_root,
+            durable_commits,
+            shuffle_channel_capacity,
+            task_timeout_secs,
+            heartbeat_interval_secs,
+            profile,
+        } = back;
+        // Crosses the pipe: topology, task budgets, the commit discipline,
+        // supervision and (below) the fault plan.
+        assert_eq!((nodes, task_memory), (3, Some(1 << 20)));
+        assert_eq!((spill_buffer_bytes, durable_commits), (1024, false));
         assert_eq!(
-            (back.nodes, block_size, dfs_root.as_str()),
-            (3, 4096, "/tmp/mrdfs")
+            (task_timeout_secs, heartbeat_interval_secs),
+            (Some(2.0), 0.5)
         );
-        assert_eq!((back.spill_buffer_bytes, back.merge_factor), (1024, 8));
-        assert_eq!(back.task_memory, Some(1 << 20));
-        assert_eq!(back.task_timeout_secs, Some(2.0));
-        assert_eq!(back.heartbeat_interval_secs, 0.25);
-        assert!(!back.durable_commits);
-        assert_eq!(back.backend, crate::BackendKind::Simulated);
-        assert_eq!((back.execution_threads, back.max_task_attempts), (None, 1));
+        // Driver-only, so the worker sees the default: where attempts run
+        // and how often, the sharded transport's queue, the store's root
+        // (the hello carries it beside the config) and the profile event.
+        let driver = ClusterConfig::default();
+        assert_eq!(backend, driver.backend);
+        assert_eq!((execution_threads, max_task_attempts), (None, 1));
+        assert_eq!(shuffle_channel_capacity, driver.shuffle_channel_capacity);
+        assert_eq!((dfs_root, profile), (None, false));
         // What names a job travels in its open.
         let open = Request::Open(OpenReq {
             job_name: "stage1".into(),
@@ -1851,7 +1876,7 @@ mod tests {
         // The plan crosses as itself, every attempt-level and driver-crash
         // key intact; the storage keys stay driver-side, so the worker sees
         // the quiet defaults and a clean disk.
-        let plan_back = back.faults.unwrap();
+        let plan_back = faults.unwrap();
         assert!(!plan_back.has_storage_faults());
         assert_eq!(
             plan_back,

@@ -378,6 +378,10 @@ pub fn merge_into_one<K: Key, V: Value>(runs: Vec<Run>, cmp: SortCmp<K>) -> Resu
     })
 }
 
+/// Spill runs a reduce task merges in one pass (Hadoop's `io.sort.factor`);
+/// a partition with more runs gets intermediate passes first.
+pub const MERGE_FACTOR: usize = 64;
+
 /// Reduce the number of runs to at most `factor` using multi-pass merging —
 /// Hadoop's `io.sort.factor` behaviour: while too many runs exist, the
 /// smallest `factor` runs are merged into one. Returns the final runs and

@@ -34,7 +34,7 @@ use crate::trace::{EventKind, TraceEvent, TraceSink};
 
 /// Why a watch expired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExpireReason {
+pub(crate) enum ExpireReason {
     /// The per-task wall-clock deadline passed.
     Deadline,
     /// No heartbeat/progress was recorded for longer than the window.
@@ -43,7 +43,7 @@ pub enum ExpireReason {
 
 impl ExpireReason {
     /// Stable name used in trace event details.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ExpireReason::Deadline => "deadline",
             ExpireReason::Heartbeat => "heartbeat",
@@ -55,7 +55,7 @@ impl ExpireReason {
 /// other sign of life) call [`Activity::touch`] to reset the heartbeat
 /// window. Cheap to clone and safe to touch from any thread.
 #[derive(Clone)]
-pub struct Activity {
+pub(crate) struct Activity {
     epoch: Instant,
     cell: Arc<AtomicU64>,
 }
@@ -67,7 +67,7 @@ impl Activity {
     }
 
     /// Record a sign of life now.
-    pub fn touch(&self) {
+    pub(crate) fn touch(&self) {
         self.cell
             .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
@@ -121,7 +121,7 @@ struct WatchTable {
 /// registered watch at a fixed tick. Dropping the supervisor stops the
 /// thread; dropping a [`WatchGuard`] deregisters its watch (the normal
 /// end of a healthy attempt).
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     inner: Arc<Inner>,
     epoch: Instant,
     monitor: Option<std::thread::JoinHandle<()>>,
@@ -131,7 +131,7 @@ impl Supervisor {
     /// Start a supervisor whose monitor thread scans at `tick` (clamped
     /// to [10ms, 250ms] so expiry latency stays small without busy
     /// spinning).
-    pub fn new(tick: Duration) -> Self {
+    pub(crate) fn new(tick: Duration) -> Self {
         let tick = tick.clamp(Duration::from_millis(10), Duration::from_millis(250));
         let inner = Arc::new(Inner {
             watches: Mutex::new(WatchTable::default()),
@@ -153,7 +153,7 @@ impl Supervisor {
     /// monitor thread, outside the watch lock; it must be fast and must
     /// not block on the supervised work (kill a child, trip a token,
     /// bump counters).
-    pub fn watch(
+    pub(crate) fn watch(
         &self,
         deadline: Option<Duration>,
         heartbeat_window: Option<Duration>,
@@ -191,7 +191,7 @@ impl Drop for Supervisor {
 
 /// Keeps one watch alive; dropping it deregisters the watch, so an
 /// attempt that finishes (however it finishes) can no longer expire.
-pub struct WatchGuard {
+pub(crate) struct WatchGuard {
     inner: Arc<Inner>,
     id: u64,
     activity: Activity,
@@ -199,7 +199,7 @@ pub struct WatchGuard {
 
 impl WatchGuard {
     /// The progress handle for this watch.
-    pub fn activity(&self) -> Activity {
+    pub(crate) fn activity(&self) -> Activity {
         self.activity.clone()
     }
 }
@@ -255,21 +255,21 @@ fn monitor_loop(inner: &Inner, tick: Duration) {
 /// strongest "abandon" the sharded executor supports — the job fails fast
 /// with a classified timeout instead of hanging the driver.
 #[derive(Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub(crate) struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
     /// A fresh, untripped token.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Trip the token: all holders observe cancellation from now on.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         self.0.store(true, Ordering::Release);
     }
 
     /// Has the token been tripped?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }

@@ -481,10 +481,12 @@ fn multithreaded_retries_work() {
 #[test]
 fn tiny_merge_factor_forces_intermediate_passes() {
     let mut config = ClusterConfig::with_nodes(4);
-    config.spill_buffer_bytes = 1024; // many spills -> many runs per partition
-    config.merge_factor = 2; // force multi-pass merging
+    config.spill_buffer_bytes = 1024;
+    // 256-byte blocks of ~22-byte lines: ~170 map tasks, each of which sees
+    // every `i % 5` token, so those tokens' partitions collect ~170 runs —
+    // more than one merge pass opens.
     let cluster = Cluster::new(config, 256).unwrap();
-    let lines: Vec<String> = (0..400)
+    let lines: Vec<String> = (0..2000)
         .map(|i| format!("token{} token{} token{}", i % 29, i % 13, i % 5))
         .collect();
     cluster.dfs().write_text("/in", &lines).unwrap();
@@ -500,11 +502,12 @@ fn tiny_merge_factor_forces_intermediate_passes() {
     let m = cluster.run(job).unwrap();
     assert!(
         m.merge_passes > 0,
-        "expected intermediate merge passes with factor 2 and {} spills",
-        m.spills
+        "expected intermediate merge passes over {} map tasks' runs",
+        m.map.tasks
     );
+    assert!(m.map.tasks > mapreduce::run::MERGE_FACTOR);
     // Results must be unaffected by the merge strategy.
     let counts: Vec<(String, u64)> = cluster.dfs().read_seq("/out").unwrap();
     let total: u64 = counts.iter().map(|(_, n)| n).sum();
-    assert_eq!(total, 1200);
+    assert_eq!(total, 6000);
 }

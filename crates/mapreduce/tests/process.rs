@@ -592,11 +592,12 @@ fn quarantined_pool_falls_back_in_process_byte_identically() {
     let clean = run_probe(BackendKind::Process, true, false, None, 1);
     let cluster = probe_cluster(|config| {
         config.max_task_attempts = 8;
-        config.worker_quarantine_losses = 1;
+        config.execution_threads = Some(2);
     });
-    // Task 0 aborts the worker on every attempt, so each retry burns a
-    // fresh slot (threshold 1 quarantines on the first loss) until no
-    // healthy slot remains and the in-process fallback finishes the task.
+    // Task 0 aborts the worker on every attempt, so each retry costs a slot
+    // one of the three losses that quarantine it: at most six attempts on
+    // the two slots until no healthy slot remains and the in-process
+    // fallback finishes the task.
     let poisoned = run_probe_on(&cluster, u64::MAX, "/out");
 
     assert_eq!(
@@ -617,8 +618,8 @@ fn quarantined_pool_falls_back_in_process_byte_identically() {
         "the aborting workers were never noticed"
     );
 
-    // Four runner threads on four clean slots never find the pool empty;
-    // on the three the poisoned job left, they would.
+    // Two runner threads on two clean slots never find the pool empty; on
+    // what the poisoned job left of it, they would.
     let healthy = run_probe_on(&cluster, 0, "/out2");
     assert_eq!(clean.output, healthy.output);
     let healthy = healthy.metrics;

@@ -207,6 +207,26 @@ fn injected_corruption_is_detected_never_silent() {
     assert!(check.is_corruption(), "got {check:?}");
 }
 
+/// `corrupt=PATH` fires at the commit of the directory holding PATH, not of
+/// one whose name PATH's directory merely extends.
+#[test]
+fn corruption_point_spares_a_sibling_directory() {
+    let victim = "/out-old/part-00000";
+    let c = cluster(Some(FaultPlan {
+        corrupt_path: Some(victim.to_string()),
+        ..FaultPlan::default()
+    }));
+    c.dfs()
+        .write_seq(victim, &[("kept".to_string(), 1u64)])
+        .unwrap();
+    c.run(wc_job(c.dfs())).unwrap();
+    c.dfs()
+        .verify(victim)
+        .expect("/out committed, not /out-old");
+    assert!(c.dfs().list("/out").iter().all(|p| p.starts_with("/out/")));
+    assert_eq!(c.dfs().list("/out-old"), [victim]);
+}
+
 /// Upgrade compatibility: `tests/fixtures/pr12/` holds one `MRDFSv1`
 /// container and its job's `_SUCCESS` manifest exactly as the commit
 /// before the table-driven CRC wrote them (2 nodes, 16-byte blocks). They
