@@ -235,9 +235,10 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 /// What the checksum costs where the pipeline pays it: a 16 MiB text file
-/// written (CRC over every byte), verified (CRC again) and split for the map
-/// phase (CRC again, then one `BlockSplit` per block), all through the
-/// public `Dfs` API on the in-memory store.
+/// written (CRC over every byte, block by block), verified (CRC again), laid
+/// out for the map phase (headers only: one `BlockSplit` per block) and read
+/// the way its map tasks read it (each block under its own CRC), all
+/// through the public `Dfs` API on the in-memory store.
 fn bench_dfs_integrity(c: &mut Criterion) {
     use mapreduce::Dfs;
     let mut budget = 16usize << 20;
@@ -265,6 +266,13 @@ fn bench_dfs_integrity(c: &mut Criterion) {
     });
     g.bench_function("splits", |b| {
         b.iter(|| dfs.splits("/bench/in").expect("splits"))
+    });
+    let blocks = dfs.splits("/bench/in").expect("splits");
+    g.bench_function("read_blocks", |b| {
+        b.iter(|| {
+            let read = |s| dfs.read_block(s).expect("block").len();
+            blocks.iter().map(read).sum::<usize>()
+        })
     });
     g.finish();
 }

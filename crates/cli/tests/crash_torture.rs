@@ -249,6 +249,55 @@ fn kill_anywhere_enospc_heal() {
     torture("simulated", Some("enospc=200000+heal"), "enospc-heal");
 }
 
+/// The window the sync wave opens: a driver that dies with a job's last
+/// part renamed and nothing of it synced — no wave, no manifest. For each of
+/// the join's five jobs, one driver (no `--resume`, so the injected
+/// `crash_mid` ends the process) leaves exactly that behind, and a fresh
+/// driver over the surviving store discards the directory and re-runs the
+/// job to the reference bytes.
+#[test]
+fn a_driver_dead_between_the_last_part_and_the_wave_resumes() {
+    for backend in ["simulated", "sharded", "process"] {
+        let dir = fresh_dir(&format!("wave-{backend}"));
+        let corpus = dir.join("corpus.tsv");
+        write_corpus(&corpus);
+        let ref_out = dir.join("ref.tsv");
+        let reference = spawn_join(&corpus, &ref_out, &dir.join("refdfs"), backend, None);
+        assert!(matches!(reap(reference, None), RunExit::Success));
+        let reference = std::fs::read(&ref_out).unwrap();
+        for job in 0..5 {
+            let out = dir.join(format!("out-{job}.tsv"));
+            let root = dir.join(format!("dfs-{job}"));
+            let crashed = Command::new(BIN)
+                .args(["selfjoin", "--threshold", "0.8", "--nodes", "3"])
+                .args(["--backend", backend])
+                .args(["--fault-plan", &format!("crash_mid={job}")])
+                .arg("--input")
+                .arg(&corpus)
+                .arg("--out")
+                .arg(&out)
+                .arg("--dfs-root")
+                .arg(&root)
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .unwrap();
+            assert!(
+                matches!(reap(crashed, None), RunExit::Failed),
+                "[{backend}] job {job}: the injected crash ends the driver"
+            );
+            let resumed = spawn_join(&corpus, &out, &root, backend, None);
+            assert!(matches!(reap(resumed, None), RunExit::Success));
+            assert_eq!(
+                std::fs::read(&out).unwrap(),
+                reference,
+                "[{backend}] resume after a crash before job {job}'s wave"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Relaxed-durability runs must survive SIGKILL too: the page cache keeps
 /// acknowledged writes alive when only the process dies, so
 /// `--durable-commits no` may only lose data on power loss (which this

@@ -74,12 +74,12 @@ pub struct ClusterConfig {
     /// across engine restarts (crash/resume).
     pub dfs_root: Option<std::path::PathBuf>,
     /// Follow the write→sync→rename→dir-sync durable-commit discipline on
-    /// the disk store: data files are fsynced before being renamed into
-    /// place, and the parent directory is fsynced before a rename (a part
-    /// commit, a `_SUCCESS` manifest) counts as committed. On by default;
-    /// benches opt out to measure the fsync tax — with it off, a killed
-    /// *process* still never loses acknowledged commits (the page cache
-    /// survives), but power loss can. No effect on the in-memory store.
+    /// the disk store: a file is fsynced before it is renamed into place
+    /// and its directory after, and a job's commit syncs every part, then
+    /// their directory, before it publishes `_SUCCESS` that way. On by
+    /// default; benches opt out to measure the fsync tax — with it off, a
+    /// killed *process* still never loses acknowledged commits (the page
+    /// cache survives), but power loss can. No effect on the in-memory store.
     pub durable_commits: bool,
     /// Capacity (in spill runs) of the one shuffle channel between the map
     /// attempts and the collector thread of the [`BackendKind::Sharded`]

@@ -17,16 +17,20 @@
 //! helpers accept either a single file path or a directory and concatenate
 //! parts in name order.
 //!
-//! Every file carries a CRC-32 of its contents, computed when the file is
-//! finished and verified on every read (`read_text`, `read_seq`, `splits`,
-//! `verify`) — the simulated equivalent of HDFS block checksums. A mismatch
-//! surfaces as [`MrError::ChecksumMismatch`]; corrupt data is never
-//! returned. Metadata ([`Dfs::stat`] and what is built on it) comes from the
-//! file's header alone and never reads, or vouches for, the payload.
+//! Every block carries a CRC-32 of its bytes and every file the CRC-32 of
+//! its contents (the combination of its blocks'), computed when the file is
+//! finished — the simulated equivalent of HDFS block checksums. A whole-file
+//! read (`read_text`, `read_seq`, `verify`) checks the file's, a block read
+//! ([`Dfs::read_block`], what a map task does) checks that block's. A
+//! mismatch surfaces as [`MrError::ChecksumMismatch`]; corrupt data is never
+//! returned. Metadata ([`Dfs::stat`] and what is built on it, [`Dfs::splits`]
+//! included) comes from the file's header alone and never reads, or vouches
+//! for, the payload.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,26 +48,17 @@ use crate::faults::FaultPlan;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// Newline-separated UTF-8 text.
-    Text,
+    Text = 0,
     /// Codec-encoded `(key, value)` pairs.
-    Seq,
+    Seq = 1,
 }
 
-#[derive(Debug, Clone)]
-struct Block {
-    data: Bytes,
-    node: usize,
-    /// Byte offset of this block within the file.
-    offset: u64,
-}
-
+/// A file whole: its metadata as fixed at write time, and the bytes of
+/// each block its table lists.
 #[derive(Debug, Clone)]
 struct DfsFile {
-    kind: FileKind,
-    blocks: Vec<Block>,
-    len: u64,
-    /// CRC-32 (IEEE) of the file's bytes, fixed at write time.
-    crc: u32,
+    stat: FileStat,
+    blocks: Vec<Bytes>,
 }
 
 /// One file's metadata as fixed at write time: what [`Dfs::stat`] reads
@@ -78,44 +73,42 @@ pub struct FileStat {
     /// record). Nothing here compares it against the data — every read
     /// does, and so does [`Dfs::verify`].
     pub crc: u32,
-    /// `(length, node)` of every block, in file order.
-    blocks: Vec<(u64, usize)>,
+    /// `(length, node, stored CRC-32)` of every block, in file order. An
+    /// `MRDFSv1` container has no block checksums to list.
+    blocks: Vec<(u64, usize, Option<u32>)>,
+    /// Where the payload starts in the container: the header's own length
+    /// (0 in memory, where there is none).
+    payload_at: u64,
 }
 
 impl DfsFile {
-    fn stat(&self) -> FileStat {
-        FileStat {
-            kind: self.kind,
-            len: self.len,
-            crc: self.crc,
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| (b.data.len() as u64, b.node))
-                .collect(),
-        }
-    }
-
-    fn data_crc(&self) -> u32 {
-        let mut crc = Crc32::new();
-        for b in &self.blocks {
-            crc.update(&b.data);
-        }
-        crc.finish()
-    }
-
-    /// Verify stored bytes against the write-time CRC.
+    /// Verify stored bytes against the file's write-time CRC.
     fn check(&self, path: &str) -> Result<()> {
-        let found = self.data_crc();
-        if found != self.crc {
-            return Err(MrError::ChecksumMismatch {
-                path: path.to_string(),
-                expected: self.crc,
-                found,
-            });
+        let mut crc = Crc32::new();
+        for data in &self.blocks {
+            crc.update(data);
         }
-        Ok(())
+        check_crc(path, self.stat.crc, crc.finish())
     }
+
+    /// The bytes of block `index`, unchecked.
+    fn block(&self, path: &str, index: usize) -> Result<Bytes> {
+        let block = self.blocks.get(index).cloned();
+        block.ok_or_else(|| MrError::Codec(format!("{path} has no block {index}: replaced?")))
+    }
+}
+
+/// `found`, computed over what was read of `path`, against the CRC stored
+/// for those bytes.
+pub(crate) fn check_crc(path: &str, expected: u32, found: u32) -> Result<()> {
+    if found == expected {
+        return Ok(());
+    }
+    Err(MrError::ChecksumMismatch {
+        path: path.to_string(),
+        expected,
+        found,
+    })
 }
 
 /// Incremental CRC-32 (IEEE 802.3 polynomial `0xEDB88320`, reflected, init
@@ -188,17 +181,46 @@ impl Crc32 {
     pub(crate) fn finish(self) -> u32 {
         !self.0
     }
+
+    /// The CRC-32 of `data`.
+    pub(crate) fn of(data: &[u8]) -> u32 {
+        let mut crc = Crc32::new();
+        crc.update(data);
+        crc.finish()
+    }
 }
 
-#[derive(Default)]
-struct DfsInner {
-    files: BTreeMap<String, DfsFile>,
+/// `a · b` modulo the CRC polynomial, bit-reflected like the register
+/// (`1 << 31` is the polynomial 1).
+fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        product ^= b & (a >> bit & 1).wrapping_neg();
+        b = (b >> 1) ^ (0xEDB8_8320 & (b & 1).wrapping_neg());
+    }
+    product
+}
+
+/// The CRC-32 of `A ‖ B` from `crc_a`, `crc_b` and `B`'s length: appending
+/// `len_b` bytes multiplies `A`'s remainder by `x^(8·len_b)`, found by
+/// square-and-multiply from `x^8`. How a file's CRC comes from its blocks'
+/// without a second pass over the data.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
+    let (mut shift, mut power) = (1u32 << 31, 1u32 << 23);
+    while len_b != 0 {
+        if len_b & 1 != 0 {
+            shift = gf2_mul(power, shift);
+        }
+        power = gf2_mul(power, power);
+        len_b >>= 1;
+    }
+    gf2_mul(shift, crc_a) ^ crc_b
 }
 
 /// Where a [`Dfs`] keeps its files.
 enum Store {
     /// The original in-process store: one map behind a lock.
-    Mem(RwLock<DfsInner>),
+    Mem(RwLock<BTreeMap<String, DfsFile>>),
     /// Disk-backed: every DFS file is a real container file under a root
     /// directory, so independent *processes* opening the same root see the
     /// same file system (the process execution backend's storage plane).
@@ -206,7 +228,11 @@ enum Store {
 }
 
 /// Container-file magic: identifies (and versions) the on-disk format.
-const CONTAINER_MAGIC: &[u8; 8] = b"MRDFSv1\0";
+/// `MRDFSv2` is what is written: a CRC per entry of the block table.
+const CONTAINER_MAGIC: &[u8; 8] = b"MRDFSv2\0";
+/// The format before it, still read: the same layout without block CRCs,
+/// so a block of such a file is read by loading and checking the file.
+const CONTAINER_MAGIC_V1: &[u8; 8] = b"MRDFSv1\0";
 
 /// Monotonic discriminator for temp files and temp roots in this process.
 static DISK_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -230,10 +256,15 @@ fn io_fail(path: &str, e: std::io::Error) -> MrError {
     }
 }
 
-/// Fsync a file or directory by path — the directory flavor is what makes
-/// a preceding `rename(2)` itself durable across power loss.
-fn fsync_path(p: &Path) -> std::io::Result<()> {
-    fs::File::open(p)?.sync_all()
+/// The `len` bytes at `pos` of the file at `p`, or as many as it has. The
+/// range may have come from outside (a header read earlier, a pipe): it
+/// bounds what is read and is never an allocation.
+pub(crate) fn read_at(p: &Path, pos: u64, len: u64) -> std::io::Result<Vec<u8>> {
+    let mut f = fs::File::open(p)?;
+    let mut bytes = Vec::with_capacity(len.min(1 << 20) as usize);
+    f.seek(SeekFrom::Start(pos))?;
+    f.take(len).read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Seeded per-operation storage-fault state for the disk store, installed
@@ -243,11 +274,7 @@ fn fsync_path(p: &Path) -> std::io::Result<()> {
 /// their own handles and never install fault state: injection is a
 /// driver-side instrument.
 struct StorageFaults {
-    seed: u64,
-    p_eio: f64,
-    p_torn: f64,
-    enospc_after_bytes: Option<u64>,
-    enospc_heals: bool,
+    plan: FaultPlan,
     /// Payload bytes written through this handle family since the last
     /// healing scavenge.
     bytes_written: AtomicU64,
@@ -265,7 +292,7 @@ impl StorageFaults {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let idx = self.ops.fetch_add(1, Ordering::Relaxed);
-        let mut h = FNV_OFFSET ^ self.seed;
+        let mut h = FNV_OFFSET ^ self.plan.seed;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
                 h ^= u64::from(b);
@@ -279,21 +306,21 @@ impl StorageFaults {
     }
 
     /// Draw the per-operation EIO fault for `op` on `path`.
-    fn eio(&self, op: &str, path: &str) -> bool {
-        if self.p_eio <= 0.0 {
-            return false;
+    fn eio(&self, op: &str, path: &str) -> Result<()> {
+        if self.plan.p_disk_eio <= 0.0 || !self.op_rng(op, path).random_bool(self.plan.p_disk_eio) {
+            return Ok(());
         }
-        let hit = self.op_rng(op, path).random_bool(self.p_eio);
-        if hit {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        Err(MrError::StorageIo {
+            path: path.to_string(),
+            op: op.to_string(),
+        })
     }
 
     /// Charge `len` payload bytes against the ENOSPC budget; true if this
     /// write must fail with [`MrError::StorageFull`].
     fn charge(&self, len: u64) -> bool {
-        let Some(budget) = self.enospc_after_bytes else {
+        let Some(budget) = self.plan.enospc_after_bytes else {
             return false;
         };
         let before = self.bytes_written.fetch_add(len, Ordering::Relaxed);
@@ -308,11 +335,11 @@ impl StorageFaults {
     /// return how many bytes survive (strictly fewer than `total`, so the
     /// CRC wall is guaranteed to notice).
     fn torn_keep(&self, path: &str, total: u64) -> Option<u64> {
-        if self.p_torn <= 0.0 || total == 0 {
+        if self.plan.p_torn_write <= 0.0 || total == 0 {
             return None;
         }
         let mut rng = self.op_rng("torn", path);
-        if !rng.random_bool(self.p_torn) {
+        if !rng.random_bool(self.plan.p_torn_write) {
             return None;
         }
         self.injected.fetch_add(1, Ordering::Relaxed);
@@ -322,7 +349,7 @@ impl StorageFaults {
     /// A scavenger pass freed space: reset the byte budget when the plan
     /// says ENOSPC heals.
     fn heal(&self) {
-        if self.enospc_heals {
+        if self.plan.enospc_heals {
             self.bytes_written.store(0, Ordering::Relaxed);
         }
     }
@@ -335,6 +362,8 @@ struct DiskStore {
     root: PathBuf,
     /// Remove the whole root when the last handle drops (temp roots only).
     cleanup: bool,
+    /// Fsyncs issued through this store, for [`Dfs::syncs`].
+    syncs: AtomicU64,
 }
 
 impl Drop for DiskStore {
@@ -368,9 +397,26 @@ impl DiskStore {
         Ok(out)
     }
 
+    /// Fsync a file or directory by path — the directory flavor is what
+    /// makes a preceding `rename(2)` itself durable across power loss.
+    fn fsync(&self, p: &Path) -> std::io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        fs::File::open(p)?.sync_all()
+    }
+
     fn load(&self, path: &str) -> Result<DfsFile> {
         let bytes = fs::read(self.target_path(path)?).map_err(|e| io_fail(path, e))?;
         decode_container(path, &bytes)
+    }
+
+    /// Read `len` bytes at `pos` of a container: one block's.
+    fn read_range(&self, path: &str, pos: u64, len: u64) -> Result<Bytes> {
+        let bytes = read_at(&self.target_path(path)?, pos, len).map_err(|e| io_fail(path, e))?;
+        if bytes.len() as u64 != len {
+            let why = format!("corrupt DFS container {path}: no {len} bytes at {pos}");
+            return Err(MrError::Codec(why));
+        }
+        Ok(Bytes::from(bytes))
     }
 
     /// Read a container's header only. Its length is known once it parses,
@@ -388,7 +434,7 @@ impl DiskStore {
                 .map_err(|e| io_fail(path, e))?;
             match decode_header(path, &head, total) {
                 Err(_) if head.len() as u64 == want && want < total => want *= 8,
-                parsed => return parsed.map(|(stat, _)| stat),
+                parsed => return parsed,
             }
         }
     }
@@ -398,29 +444,21 @@ impl DiskStore {
     /// create-or-`FileExists` semantics even across racing processes; with
     /// it, an atomic `rename` replaces whatever is there.
     ///
-    /// Commit ordering with `durable` on — **write → sync → rename →
-    /// dir-sync**, the classic crash-consistent publish:
-    ///
-    /// 1. write the whole container to a fresh temp file under `tmp/`;
-    /// 2. `fsync` the temp file, so the payload is on stable storage
-    ///    before any visible name can point at it;
-    /// 3. `rename(2)` / `link(2)` the temp into place — atomic, so a
-    ///    reader sees the old state or the whole new file, never a prefix;
-    /// 4. `fsync` the target's *parent directory*, so the rename itself
-    ///    survives power loss — without this the name can be lost even
-    ///    though the data blocks were synced.
-    ///
-    /// A crash between (1) and (3) leaves only an orphaned temp file (the
-    /// scavenger's prey); a crash after (3) before (4) can lose the name
-    /// but never publishes a torn file. With `durable` off, steps (2) and
-    /// (4) are skipped: process kills stay safe (the page cache survives
-    /// the process), power loss does not — that is the bench opt-out
-    /// ([`crate::ClusterConfig::durable_commits`]).
+    /// With `durable` on this is **write → sync → rename → dir-sync**: the
+    /// temp file under `tmp/` reaches stable storage before a visible name
+    /// can point at it, the `rename(2)` / `link(2)` is atomic (a reader sees
+    /// the old state or the whole new file), and the parent directory's
+    /// sync makes the name itself survive power loss. A crash before the
+    /// rename leaves an orphaned temp file (the scavenger's prey); one after
+    /// it can lose the name but never publishes a torn file. With `durable`
+    /// off both syncs are skipped: process kills stay safe (the page cache
+    /// survives the process), power loss does not — the bench opt-out
+    /// ([`crate::ClusterConfig::durable_commits`]), and what a reduce
+    /// attempt does, its job's commit syncing for it ([`Dfs::sync_under`]).
     fn save(&self, path: &str, file: &DfsFile, overwrite: bool, durable: bool) -> Result<()> {
         let target = self.target_path(path)?;
-        if let Some(parent) = target.parent() {
-            fs::create_dir_all(parent).map_err(|e| io_fail(path, e))?;
-        }
+        let parent = target.parent().expect("a target lies under fs/");
+        fs::create_dir_all(parent).map_err(|e| io_fail(path, e))?;
         let tmp = self.root.join("tmp").join(format!(
             "{}-{}",
             std::process::id(),
@@ -428,7 +466,7 @@ impl DiskStore {
         ));
         fs::write(&tmp, encode_container(file)).map_err(|e| io_fail(path, e))?;
         if durable {
-            fsync_path(&tmp).map_err(|e| io_fail(path, e))?;
+            self.fsync(&tmp).map_err(|e| io_fail(path, e))?;
         }
         if overwrite {
             fs::rename(&tmp, &target).map_err(|e| io_fail(path, e))?;
@@ -438,72 +476,82 @@ impl DiskStore {
             linked?;
         }
         if durable {
-            if let Some(parent) = target.parent() {
-                fsync_path(parent).map_err(|e| io_fail(path, e))?;
-            }
+            self.fsync(parent).map_err(|e| io_fail(path, e))?;
         }
         Ok(())
     }
 
-    /// Every DFS path present on disk, name-ordered.
-    fn all_keys(&self) -> Vec<String> {
-        fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
-            let Ok(entries) = fs::read_dir(dir) else {
-                return;
-            };
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    walk(&p, root, out);
-                } else if let Ok(rel) = p.strip_prefix(root) {
-                    if let Some(rel) = rel.to_str() {
-                        out.push(format!("/{rel}"));
-                    }
-                }
-            }
-        }
+    /// The DFS paths at or under `prefix`, name-ordered, from a walk of
+    /// that subtree alone.
+    fn list(&self, prefix: &str) -> Vec<String> {
+        let root = self.fs_root();
+        let start = match prefix.trim_end_matches('/') {
+            "" => Ok(root.clone()),
+            dir => self.target_path(dir),
+        };
         let mut out = Vec::new();
-        walk(&self.fs_root(), &self.fs_root(), &mut out);
+        if let Ok(start) = start {
+            walk_files(&start, &mut |p| {
+                if let Some(rel) = p.strip_prefix(&root).ok().and_then(Path::to_str) {
+                    out.push(format!("/{rel}"));
+                }
+            });
+        }
         out.sort();
+        out.retain(|k| is_under(k, prefix));
         out
     }
 }
 
-/// Serialize a [`DfsFile`] into the container format: magic, then a
-/// codec-encoded header (kind, CRC, length, block table), then the raw
-/// block payloads back to back.
-fn encode_container(file: &DfsFile) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + file.len as usize);
-    out.extend_from_slice(CONTAINER_MAGIC);
-    let kind: u8 = match file.kind {
-        FileKind::Text => 0,
-        FileKind::Seq => 1,
-    };
-    kind.encode(&mut out);
-    file.crc.encode(&mut out);
-    file.len.encode(&mut out);
-    write_varint(file.blocks.len() as u64, &mut out);
-    for b in &file.blocks {
-        write_varint(b.data.len() as u64, &mut out);
-        write_varint(b.node as u64, &mut out);
+/// Visit every file at or under `p`; a directory entry says what it is.
+fn walk_files(p: &Path, visit: &mut dyn FnMut(&Path)) {
+    match fs::read_dir(p) {
+        Ok(entries) => entries.flatten().for_each(|e| match e.file_type() {
+            Ok(kind) if kind.is_dir() => walk_files(&e.path(), visit),
+            _ => visit(&e.path()),
+        }),
+        Err(_) if p.is_file() => visit(p),
+        Err(_) => {}
     }
-    for b in &file.blocks {
-        out.extend_from_slice(&b.data);
+}
+
+/// Serialize a [`DfsFile`] into the container format: magic, then a
+/// codec-encoded header (kind, CRC, length, and the block table: length,
+/// node and CRC of each block), then the raw block payloads back to back.
+fn encode_container(file: &DfsFile) -> Vec<u8> {
+    let stat = &file.stat;
+    // Room for the whole header: growing past it would copy the payload.
+    let mut out = Vec::with_capacity(64 + 16 * file.blocks.len() + stat.len as usize);
+    out.extend_from_slice(CONTAINER_MAGIC);
+    (stat.kind as u8).encode(&mut out);
+    stat.crc.encode(&mut out);
+    stat.len.encode(&mut out);
+    write_varint(file.blocks.len() as u64, &mut out);
+    for (&(_, node, crc), data) in stat.blocks.iter().zip(&file.blocks) {
+        write_varint(data.len() as u64, &mut out);
+        write_varint(node as u64, &mut out);
+        // A file loaded from an `MRDFSv1` container gets its block CRCs here.
+        crc.unwrap_or_else(|| Crc32::of(data)).encode(&mut out);
+    }
+    for data in &file.blocks {
+        out.extend_from_slice(data);
     }
     out
 }
 
 /// Parse the front of a container — magic, kind, CRC, length, block table —
 /// from `bytes`, which may be only a prefix of a container `total` bytes
-/// long. Returns the metadata and the header's own length. The header and
+/// long. The header and
 /// the block lengths it lists must account for exactly `total` bytes, so a
 /// truncated or over-long container is structural damage (a codec error)
 /// whether or not anyone goes on to read the payload.
-fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<(FileStat, usize)> {
+fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<FileStat> {
     let corrupt = |why: &str| MrError::Codec(format!("corrupt DFS container {path}: {why}"));
-    if bytes.len() < CONTAINER_MAGIC.len() || &bytes[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
+    let block_crcs = match bytes.get(..CONTAINER_MAGIC.len()) {
+        Some(magic) if magic == CONTAINER_MAGIC => true,
+        Some(magic) if magic == CONTAINER_MAGIC_V1 => false,
+        _ => return Err(corrupt("bad magic")),
+    };
     let mut r = ByteReader::new(&bytes[CONTAINER_MAGIC.len()..]);
     let kind = match u8::decode(&mut r)? {
         0 => FileKind::Text,
@@ -524,53 +572,41 @@ fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<(FileStat, usiz
     for _ in 0..n_blocks {
         let blen = read_varint(&mut r)?;
         let node = read_varint(&mut r)?;
+        let crc = block_crcs.then(|| u32::decode(&mut r)).transpose()?;
         payload = payload
             .checked_add(blen)
             .ok_or_else(|| corrupt("block length overflow"))?;
-        blocks.push((blen, node as usize));
+        blocks.push((blen, node as usize, crc));
     }
-    let header_len = CONTAINER_MAGIC.len() + r.position();
-    match (header_len as u64).checked_add(payload) {
+    let payload_at = (CONTAINER_MAGIC.len() + r.position()) as u64;
+    match payload_at.checked_add(payload) {
         Some(size) if size == total => {}
         Some(size) if size < total => return Err(corrupt("trailing bytes after payload")),
         _ => return Err(corrupt("payload shorter than block table")),
     }
-    Ok((
-        FileStat {
-            kind,
-            len,
-            crc,
-            blocks,
-        },
-        header_len,
-    ))
+    Ok(FileStat {
+        kind,
+        len,
+        crc,
+        blocks,
+        payload_at,
+    })
 }
 
 /// Parse a container file. Structural damage (bad magic, truncated header,
 /// short payload) is a codec error; *payload* damage is intentionally left
 /// for the CRC check on read, exactly like the in-memory store.
 fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
-    let (stat, header_len) = decode_header(path, bytes, bytes.len() as u64)?;
-    let mut blocks = Vec::with_capacity(stat.blocks.len());
-    let mut payload = &bytes[header_len..];
-    let mut offset = 0u64;
-    for &(blen, node) in &stat.blocks {
-        // The header's size check bounds every block by `payload`.
-        let (data, rest) = payload.split_at(blen as usize);
-        blocks.push(Block {
-            data: Bytes::copy_from_slice(data),
-            node,
-            offset,
-        });
+    let stat = decode_header(path, bytes, bytes.len() as u64)?;
+    // The header's size check bounds every block by the payload.
+    let mut payload = &bytes[stat.payload_at as usize..];
+    let cut = |&(len, _, _): &(u64, usize, Option<u32>)| {
+        let (data, rest) = payload.split_at(len as usize);
         payload = rest;
-        offset += blen;
-    }
-    Ok(DfsFile {
-        kind: stat.kind,
-        blocks,
-        len: stat.len,
-        crc: stat.crc,
-    })
+        Bytes::copy_from_slice(data)
+    };
+    let blocks = stat.blocks.iter().map(cut).collect();
+    Ok(DfsFile { stat, blocks })
 }
 
 /// Handle to the simulated distributed file system. Cloning is cheap and
@@ -591,6 +627,8 @@ pub struct Dfs {
 }
 
 /// One input split: a single block of a single file, pinned to a node.
+/// It names the block and carries none of its bytes: whoever maps it reads
+/// them with [`Dfs::read_block`].
 #[derive(Debug, Clone)]
 pub struct BlockSplit {
     /// File the split came from.
@@ -599,10 +637,16 @@ pub struct BlockSplit {
     pub node: usize,
     /// Byte offset of the block within the file.
     pub offset: u64,
-    /// Raw block contents.
-    pub data: Bytes,
+    /// Length of the block in bytes.
+    pub len: u64,
     /// File kind, for the record reader.
     pub kind: FileKind,
+    /// The block's place in its file's block table.
+    index: usize,
+    /// The block's stored CRC-32; `None` in an `MRDFSv1` file.
+    crc: Option<u32>,
+    /// Where the block's bytes start in the container (disk store).
+    pos: u64,
 }
 
 impl Dfs {
@@ -610,16 +654,33 @@ impl Dfs {
     /// size in bytes (the paper uses 128 MB; tests use much smaller blocks to
     /// exercise multi-block logic).
     pub fn new(nodes: usize, block_size: usize) -> Self {
+        Self::over(nodes, block_size, Store::Mem(RwLock::default()))
+    }
+
+    fn over(nodes: usize, block_size: usize, store: Store) -> Self {
         assert!(nodes > 0, "DFS needs at least one node");
         assert!(block_size >= 16, "block size too small");
         Dfs {
-            store: Arc::new(Store::Mem(RwLock::new(DfsInner::default()))),
+            store: Arc::new(store),
             block_size,
             nodes,
             next_node: Arc::new(AtomicUsize::new(0)),
             durable: true,
             faults: None,
         }
+    }
+
+    fn over_disk(nodes: usize, block_size: usize, root: &Path, cleanup: bool) -> Result<Self> {
+        for sub in ["fs", "tmp", "shuffle"] {
+            fs::create_dir_all(root.join(sub))
+                .map_err(|e| io_fail(&root.join(sub).to_string_lossy(), e))?;
+        }
+        let store = DiskStore {
+            root: root.to_path_buf(),
+            cleanup,
+            syncs: AtomicU64::new(0),
+        };
+        Ok(Self::over(nodes, block_size, Store::Disk(store)))
     }
 
     /// Open (or create) a disk-backed DFS rooted at `root`. Independent
@@ -631,24 +692,7 @@ impl Dfs {
     /// assignment restarts in every process; placement affects locality
     /// accounting only, never file bytes, so backend parity is unaffected.
     pub fn new_disk(nodes: usize, block_size: usize, root: impl AsRef<Path>) -> Result<Self> {
-        assert!(nodes > 0, "DFS needs at least one node");
-        assert!(block_size >= 16, "block size too small");
-        let root = root.as_ref().to_path_buf();
-        for sub in ["fs", "tmp", "shuffle"] {
-            fs::create_dir_all(root.join(sub))
-                .map_err(|e| io_fail(&root.join(sub).to_string_lossy(), e))?;
-        }
-        Ok(Dfs {
-            store: Arc::new(Store::Disk(DiskStore {
-                root,
-                cleanup: false,
-            })),
-            block_size,
-            nodes,
-            next_node: Arc::new(AtomicUsize::new(0)),
-            durable: true,
-            faults: None,
-        })
+        Self::over_disk(nodes, block_size, root.as_ref(), false)
     }
 
     /// Disk-backed DFS under a fresh unique directory in the system temp
@@ -664,19 +708,7 @@ impl Dfs {
             std::process::id(),
             DISK_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let dfs = Self::new_disk(nodes, block_size, &root)?;
-        if let Store::Disk(_) = &*dfs.store {
-            // Rebuild the Arc with cleanup enabled (no other handle exists
-            // yet, so this cannot race).
-            return Ok(Dfs {
-                store: Arc::new(Store::Disk(DiskStore {
-                    root,
-                    cleanup: true,
-                })),
-                ..dfs
-            });
-        }
-        Ok(dfs)
+        Self::over_disk(nodes, block_size, &root, true)
     }
 
     /// Root directory when disk-backed, `None` for the in-memory store.
@@ -694,12 +726,6 @@ impl Dfs {
         self.durable = durable;
     }
 
-    /// True if disk writes follow the write→sync→rename→dir-sync commit
-    /// discipline.
-    pub fn durable(&self) -> bool {
-        self.durable
-    }
-
     /// Install the storage-fault keys of `plan` (`enospc=` / `eio=` /
     /// `torn=`) on this handle. A no-op for the in-memory store (no disk
     /// to fail) or a plan without storage keys. Fault state is shared with
@@ -711,11 +737,7 @@ impl Dfs {
             return;
         }
         self.faults = Some(Arc::new(StorageFaults {
-            seed: plan.seed,
-            p_eio: plan.p_disk_eio,
-            p_torn: plan.p_torn_write,
-            enospc_after_bytes: plan.enospc_after_bytes,
-            enospc_heals: plan.enospc_heals,
+            plan: plan.clone(),
             bytes_written: AtomicU64::new(0),
             ops: AtomicU64::new(0),
             injected: AtomicU64::new(0),
@@ -728,6 +750,15 @@ impl Dfs {
         self.faults
             .as_ref()
             .map_or(0, |f| f.injected.load(Ordering::Relaxed))
+    }
+
+    /// Fsyncs issued so far by every handle on this store in this process
+    /// (tests count what a commit costs); always 0 in memory.
+    pub fn syncs(&self) -> u64 {
+        match &*self.store {
+            Store::Mem(_) => 0,
+            Store::Disk(d) => d.syncs.load(Ordering::Relaxed),
+        }
     }
 
     /// Sweep storage orphans under a disk root: `tmp/<pid>-<seq>` container
@@ -765,16 +796,10 @@ impl Dfs {
         self.next_node.fetch_add(1, Ordering::Relaxed) % self.nodes
     }
 
-    /// Draw the injected `eio` fault for a disk read of `path` — payload
-    /// and header-only reads alike.
-    fn read_fault(&self, path: &str) -> Result<()> {
-        match &self.faults {
-            Some(f) if f.eio("read", path) => Err(MrError::StorageIo {
-                path: path.to_string(),
-                op: "read".to_string(),
-            }),
-            _ => Ok(()),
-        }
+    /// Draw the injected `eio` fault for a disk `op` on `path` — for reads,
+    /// of a payload, a block or a header alike.
+    fn io_fault(&self, op: &str, path: &str) -> Result<()> {
+        self.faults.as_ref().map_or(Ok(()), |f| f.eio(op, path))
     }
 
     /// Fetch one file's metadata and bytes, whichever store holds them.
@@ -782,12 +807,11 @@ impl Dfs {
         match &*self.store {
             Store::Mem(inner) => inner
                 .read()
-                .files
                 .get(path)
                 .cloned()
                 .ok_or_else(|| MrError::FileNotFound(path.to_string())),
             Store::Disk(d) => {
-                self.read_fault(path)?;
+                self.io_fault("read", path)?;
                 d.load(path)
             }
         }
@@ -803,22 +827,13 @@ impl Dfs {
         match &*self.store {
             Store::Mem(inner) => inner
                 .read()
-                .files
                 .get(path)
-                .map(DfsFile::stat)
+                .map(|file| file.stat.clone())
                 .ok_or_else(|| MrError::FileNotFound(path.to_string())),
             Store::Disk(d) => {
-                self.read_fault(path)?;
+                self.io_fault("read", path)?;
                 d.stat(path)
             }
-        }
-    }
-
-    /// Every file path in the store, name-ordered.
-    fn all_keys(&self) -> Vec<String> {
-        match &*self.store {
-            Store::Mem(inner) => inner.read().files.keys().cloned().collect(),
-            Store::Disk(d) => d.all_keys(),
         }
     }
 
@@ -826,40 +841,29 @@ impl Dfs {
         match &*self.store {
             Store::Mem(inner) => {
                 let mut inner = inner.write();
-                if !overwrite && inner.files.contains_key(path) {
+                if !overwrite && inner.contains_key(path) {
                     return Err(MrError::FileExists(path.to_string()));
                 }
-                inner.files.insert(path.to_string(), file);
+                inner.insert(path.to_string(), file);
                 Ok(())
             }
             Store::Disk(d) => {
-                if let Some(f) = &self.faults {
-                    if f.eio("write", path) {
-                        return Err(MrError::StorageIo {
-                            path: path.to_string(),
-                            op: "write".to_string(),
-                        });
-                    }
-                    if f.charge(file.len) {
-                        // ENOSPC is transient-after-cleanup: sweep dead
-                        // orphans *now* (which also lets a healing budget
-                        // reset), so the attempt retry writes into a disk
-                        // with room again.
-                        self.scavenge_orphans();
-                        return Err(MrError::StorageFull {
-                            path: path.to_string(),
-                        });
-                    }
-                    if let Some(keep) = f.torn_keep(path, file.len) {
-                        // The torn write *reports success*: the damage only
-                        // surfaces at read time, through the CRC wall.
-                        return d.save(path, &torn_copy(&file, keep), overwrite, self.durable);
-                    }
-                }
-                let res = d.save(path, &file, overwrite, self.durable);
+                self.io_fault("write", path)?;
+                let faults = self.faults.as_deref();
+                let res = if faults.is_some_and(|f| f.charge(file.stat.len)) {
+                    let path = path.to_string();
+                    Err(MrError::StorageFull { path })
+                } else if let Some(keep) = faults.and_then(|f| f.torn_keep(path, file.stat.len)) {
+                    // The torn write *reports success*: the damage only
+                    // surfaces at read time, through the CRC wall.
+                    d.save(path, &torn_copy(&file, keep), overwrite, self.durable)
+                } else {
+                    d.save(path, &file, overwrite, self.durable)
+                };
                 if matches!(res, Err(MrError::StorageFull { .. })) {
-                    // A *real* full disk gets the same treatment as an
-                    // injected one: free dead debris before the retry.
+                    // ENOSPC, injected or real, is transient-after-cleanup:
+                    // sweep dead orphans *now* (which also lets a healing
+                    // budget reset), so the retry finds room again.
                     self.scavenge_orphans();
                 }
                 res
@@ -870,7 +874,7 @@ impl Dfs {
     /// True if `path` names an existing file.
     pub fn exists(&self, path: &str) -> bool {
         match &*self.store {
-            Store::Mem(inner) => inner.read().files.contains_key(path),
+            Store::Mem(inner) => inner.read().contains_key(path),
             Store::Disk(d) => d.target_path(path).map(|p| p.is_file()).unwrap_or(false),
         }
     }
@@ -886,34 +890,22 @@ impl Dfs {
             Store::Mem(inner) => {
                 let mut inner = inner.write();
                 let file = inner
-                    .files
                     .remove(from)
                     .ok_or_else(|| MrError::FileNotFound(from.to_string()))?;
-                inner.files.insert(to.to_string(), file);
+                inner.insert(to.to_string(), file);
                 Ok(())
             }
             Store::Disk(d) => {
-                if let Some(f) = &self.faults {
-                    if f.eio("rename", from) {
-                        return Err(MrError::StorageIo {
-                            path: from.to_string(),
-                            op: "rename".to_string(),
-                        });
-                    }
-                }
+                self.io_fault("rename", from)?;
                 let src = d.target_path(from)?;
                 let dst = d.target_path(to)?;
-                if let Some(parent) = dst.parent() {
-                    fs::create_dir_all(parent).map_err(|e| io_fail(to, e))?;
-                }
+                let parent = dst.parent().expect("a target lies under fs/");
+                fs::create_dir_all(parent).map_err(|e| io_fail(to, e))?;
                 fs::rename(&src, &dst).map_err(|e| io_fail(from, e))?;
-                // The commit step of the output protocol: with durability
-                // on, the rename must itself reach stable storage before
-                // the caller treats the part as committed.
+                // With durability on, the rename must itself reach stable
+                // storage before the caller treats `to` as committed.
                 if self.durable {
-                    if let Some(parent) = dst.parent() {
-                        fsync_path(parent).map_err(|e| io_fail(to, e))?;
-                    }
+                    d.fsync(parent).map_err(|e| io_fail(to, e))?;
                 }
                 Ok(())
             }
@@ -925,7 +917,6 @@ impl Dfs {
         match &*self.store {
             Store::Mem(inner) => inner
                 .write()
-                .files
                 .remove(path)
                 .map(|_| ())
                 .ok_or_else(|| MrError::FileNotFound(path.to_string())),
@@ -943,11 +934,34 @@ impl Dfs {
         doomed.len()
     }
 
-    /// All file paths under `prefix` (or the file itself), name-ordered.
+    /// All file paths under `prefix` (or the file itself), name-ordered:
+    /// the paths [`is_under`] it. Costs that subtree, not the store.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut keys = self.all_keys();
-        keys.retain(|k| is_under(k, prefix));
-        keys
+        match &*self.store {
+            Store::Mem(inner) => {
+                // From the prefix on, for as long as keys start with it.
+                let root = prefix.trim_end_matches('/');
+                let files = inner.read();
+                let near = files.range::<str, _>((Bound::Included(root), Bound::Unbounded));
+                let near = near.map(|(k, _)| k).take_while(|k| k.starts_with(root));
+                near.filter(|k| is_under(k, root)).cloned().collect()
+            }
+            Store::Disk(d) => d.list(prefix),
+        }
+    }
+
+    /// Make everything under `dir` durable in one wave — every file, then
+    /// the directory that names them — where each write and rename under a
+    /// relaxed handle skipped its own syncs. Nothing to do in memory, or on
+    /// a handle that is relaxed itself.
+    pub fn sync_under(&self, dir: &str) -> Result<()> {
+        if let (Store::Disk(d), true) = (&*self.store, self.durable) {
+            for path in d.list(dir).iter().map(String::as_str).chain([dir]) {
+                d.fsync(&d.target_path(path)?)
+                    .map_err(|e| io_fail(path, e))?;
+            }
+        }
+        Ok(())
     }
 
     /// Length of a single file in bytes, from its header ([`Dfs::stat`]).
@@ -964,8 +978,8 @@ impl Dfs {
     }
 
     /// Read every payload byte of `path` and compare its CRC-32 against
-    /// the stored one, exactly as `read_text`, `read_seq` and `splits` do
-    /// before returning data. Returns [`MrError::ChecksumMismatch`] (with
+    /// the stored one, exactly as `read_text` and `read_seq` do before
+    /// returning data. Returns [`MrError::ChecksumMismatch`] (with
     /// the stored value as `expected`) on corruption.
     pub fn verify(&self, path: &str) -> Result<()> {
         self.load(path)?.check(path)
@@ -979,11 +993,11 @@ impl Dfs {
         let block = file
             .blocks
             .iter_mut()
-            .find(|b| !b.data.is_empty())
+            .find(|b| !b.is_empty())
             .ok_or_else(|| MrError::InvalidConfig(format!("cannot corrupt empty file {path}")))?;
-        let mut data = block.data.to_vec();
+        let mut data = block.to_vec();
         data[0] ^= 0x01;
-        block.data = Bytes::from(data);
+        *block = Bytes::from(data);
         self.insert(path, file, true)
     }
 
@@ -1009,9 +1023,9 @@ impl Dfs {
     /// Bytes resident on each node, for balance inspection.
     pub fn node_bytes(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.nodes];
-        for path in self.all_keys() {
+        for path in self.list("/") {
             if let Ok(stat) = self.stat(&path) {
-                for (len, node) in stat.blocks {
+                for (len, node, _) in stat.blocks {
                     out[node] += len;
                 }
             }
@@ -1042,18 +1056,30 @@ impl Dfs {
 
     /// Read all lines of a text file or of every `part-*` under a directory.
     pub fn read_text(&self, path: &str) -> Result<Vec<String>> {
-        let paths = self.resolve(path)?;
+        self.read_whole(path, FileKind::Text, |p, data| {
+            let text = std::str::from_utf8(data)
+                .map_err(|e| MrError::Codec(format!("{p}: invalid utf-8: {e}")))?;
+            Ok(text.lines().map(str::to_string).collect())
+        })
+    }
+
+    /// The records of every block of every file `path` resolves to, each
+    /// file loaded whole, held to `kind` and checked against its CRC.
+    fn read_whole<T>(
+        &self,
+        path: &str,
+        kind: FileKind,
+        records: impl Fn(&str, &[u8]) -> Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
         let mut out = Vec::new();
-        for p in &paths {
-            let file = self.load(p)?;
-            if file.kind != FileKind::Text {
-                return Err(MrError::Codec(format!("{p} is not a text file")));
+        for p in self.resolve(path)? {
+            let file = self.load(&p)?;
+            if file.stat.kind != kind {
+                return Err(MrError::Codec(format!("{p} is not a {kind:?} file")));
             }
-            file.check(p)?;
-            for b in &file.blocks {
-                let text = std::str::from_utf8(&b.data)
-                    .map_err(|e| MrError::Codec(format!("{p}: invalid utf-8: {e}")))?;
-                out.extend(text.lines().map(str::to_string));
+            file.check(&p)?;
+            for data in &file.blocks {
+                out.extend(records(&p, data)?);
             }
         }
         Ok(out)
@@ -1082,55 +1108,86 @@ impl Dfs {
         Ok(BlockWriter {
             dfs: self.clone(),
             path: path.to_string(),
-            kind,
             buf: Vec::with_capacity(self.block_size.min(1 << 20)),
-            blocks: Vec::new(),
-            offset: 0,
+            file: DfsFile {
+                stat: FileStat {
+                    kind,
+                    len: 0,
+                    crc: 0,
+                    blocks: Vec::new(),
+                    payload_at: 0,
+                },
+                blocks: Vec::new(),
+            },
         })
     }
 
     /// Read every `(key, value)` pair of a seq file or directory of parts.
     pub fn read_seq<K: Codec, V: Codec>(&self, path: &str) -> Result<Vec<(K, V)>> {
-        let paths = self.resolve(path)?;
+        self.read_whole(path, FileKind::Seq, |_, data| seq_records(data))
+    }
+
+    // ---- splits ----------------------------------------------------------
+
+    /// One split per block for a file or directory, for the map phase:
+    /// files in name order, blocks in file order, from the headers alone.
+    pub fn splits(&self, path: &str) -> Result<Vec<BlockSplit>> {
         let mut out = Vec::new();
-        for p in &paths {
-            let file = self.load(p)?;
-            if file.kind != FileKind::Seq {
-                return Err(MrError::Codec(format!("{p} is not a seq file")));
+        for p in self.resolve(path)? {
+            let stat = self.stat(&p)?;
+            let (mut offset, mut listed) = (0, Some(0));
+            for (index, &(len, node, crc)) in stat.blocks.iter().enumerate() {
+                out.push(BlockSplit {
+                    path: p.clone(),
+                    node,
+                    offset,
+                    len,
+                    kind: stat.kind,
+                    index,
+                    crc,
+                    pos: stat.payload_at + offset,
+                });
+                offset += len;
+                listed = listed.zip(crc).map(|(l, c)| crc32_combine(l, c, len));
             }
-            file.check(p)?;
-            for b in &file.blocks {
-                let mut r = ByteReader::new(&b.data);
-                while !r.is_empty() {
-                    let k = K::decode(&mut r)?;
-                    let v = V::decode(&mut r)?;
-                    out.push((k, v));
-                }
+            // The table must add up to the file it describes. A torn write
+            // cuts whole blocks off it: no task would read them, so the file
+            // fails here, on the lengths and CRCs its table still lists.
+            if offset != stat.len || listed.is_some_and(|l| l != stat.crc) {
+                let (path, expected, found) = (p, stat.crc, listed.unwrap_or(0));
+                return Err(MrError::ChecksumMismatch {
+                    path,
+                    expected,
+                    found,
+                });
             }
         }
         Ok(out)
     }
 
-    // ---- splits ----------------------------------------------------------
-
-    /// One split per block for a file or directory, for the map phase.
-    pub fn splits(&self, path: &str) -> Result<Vec<BlockSplit>> {
-        let paths = self.resolve(path)?;
-        let mut out = Vec::new();
-        for p in &paths {
-            let file = self.load(p)?;
-            file.check(p)?;
-            for b in &file.blocks {
-                out.push(BlockSplit {
-                    path: p.clone(),
-                    node: b.node,
-                    offset: b.offset,
-                    data: b.data.clone(),
-                    kind: file.kind,
-                });
+    /// The bytes of one block, read — one range of the container on disk,
+    /// a shared buffer in memory — and checked against that block's stored
+    /// CRC here, in the caller: the map attempt that was handed the split.
+    pub fn read_block(&self, split: &BlockSplit) -> Result<Bytes> {
+        let path = split.path.as_str();
+        let Some(crc) = split.crc else {
+            // MRDFSv1: the file's CRC is the only one there is.
+            let file = self.load(path)?;
+            file.check(path)?;
+            return file.block(path, split.index);
+        };
+        let data = match &*self.store {
+            Store::Mem(inner) => match inner.read().get(path) {
+                Some(file) => file.block(path, split.index)?,
+                None => return Err(MrError::FileNotFound(path.to_string())),
+            },
+            Store::Disk(d) => {
+                self.io_fault("read", path)?;
+                d.read_range(path, split.pos, split.len)?
             }
-        }
-        Ok(out)
+        };
+        check_crc(path, crc, Crc32::of(&data))?;
+        Ok(data)
     }
 
     /// Resolve a path to itself (if a file) or the sorted list of files under
@@ -1141,11 +1198,7 @@ impl Dfs {
         if self.exists(path) {
             return Ok(vec![path.to_string()]);
         }
-        let listed: Vec<String> = self
-            .list(path)
-            .into_iter()
-            .filter(|p| !is_hidden(p))
-            .collect();
+        let listed = self.data_files(path);
         if listed.is_empty() {
             return Err(MrError::FileNotFound(path.to_string()));
         }
@@ -1160,30 +1213,16 @@ impl Dfs {
 /// [`MrError::ChecksumMismatch`] (never a permanent `Codec` error), which
 /// resume heals by re-running the producing stage.
 fn torn_copy(file: &DfsFile, keep: u64) -> DfsFile {
-    let mut blocks = Vec::new();
+    let mut torn = file.clone();
     let mut left = keep;
-    for b in &file.blocks {
-        if left == 0 {
-            break;
-        }
-        if (b.data.len() as u64) <= left {
-            left -= b.data.len() as u64;
-            blocks.push(b.clone());
-        } else {
-            blocks.push(Block {
-                data: Bytes::from(b.data[..left as usize].to_vec()),
-                node: b.node,
-                offset: b.offset,
-            });
-            left = 0;
-        }
+    for (entry, data) in torn.stat.blocks.iter_mut().zip(&mut torn.blocks) {
+        entry.0 = entry.0.min(left);
+        *data = Bytes::copy_from_slice(&data[..entry.0 as usize]);
+        left -= entry.0;
     }
-    DfsFile {
-        kind: file.kind,
-        blocks,
-        len: file.len,
-        crc: file.crc,
-    }
+    torn.stat.blocks.retain(|entry| entry.0 > 0);
+    torn.blocks.retain(|data| !data.is_empty());
+    torn
 }
 
 /// True when `pid` names a live process. Checked through `/proc`; on a
@@ -1212,24 +1251,6 @@ fn owner_pid(name: &str, is_spill_dir: bool) -> Option<u32> {
     }
 }
 
-/// Files under `dir`, recursively.
-fn count_files(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .map(|e| {
-            let p = e.path();
-            if p.is_dir() {
-                count_files(&p)
-            } else {
-                1
-            }
-        })
-        .sum()
-}
-
 /// Remove every entry of `dir` whose embedded owner pid is dead. Returns
 /// the number of *files* freed (for spill directories, the run files
 /// inside). Entries without a parseable pid are left alone.
@@ -1249,7 +1270,8 @@ fn sweep_dead_owners(dir: &Path, spill_dirs: bool) -> usize {
         }
         let p = entry.path();
         if spill_dirs && p.is_dir() {
-            let files = count_files(&p);
+            let mut files = 0;
+            walk_files(&p, &mut |_| files += 1);
             if fs::remove_dir_all(&p).is_ok() {
                 removed += files;
             }
@@ -1281,16 +1303,15 @@ pub fn is_under(path: &str, root: &str) -> bool {
 pub struct BlockWriter {
     dfs: Dfs,
     path: String,
-    kind: FileKind,
     buf: Vec<u8>,
-    blocks: Vec<Block>,
-    offset: u64,
+    /// The file so far: every block cut, and their length and CRC combined.
+    file: DfsFile,
 }
 
 impl BlockWriter {
     /// Append one line to a text file (a trailing newline is added).
     pub fn write_line(&mut self, line: &str) {
-        debug_assert_eq!(self.kind, FileKind::Text);
+        debug_assert_eq!(self.file.stat.kind, FileKind::Text);
         self.buf.extend_from_slice(line.as_bytes());
         self.buf.push(b'\n');
         self.end_record();
@@ -1298,7 +1319,7 @@ impl BlockWriter {
 
     /// Append one encoded pair to a seq file.
     pub fn write<K: Codec, V: Codec>(&mut self, k: &K, v: &V) {
-        debug_assert_eq!(self.kind, FileKind::Seq);
+        debug_assert_eq!(self.file.stat.kind, FileKind::Seq);
         k.encode(&mut self.buf);
         v.encode(&mut self.buf);
         self.end_record();
@@ -1311,14 +1332,14 @@ impl BlockWriter {
     }
 
     fn cut_block(&mut self) {
+        // The one pass over the data: the file's CRC is its blocks', combined.
         let data = std::mem::take(&mut self.buf);
-        let len = data.len() as u64;
-        self.blocks.push(Block {
-            data: Bytes::from(data),
-            node: self.dfs.place(),
-            offset: self.offset,
-        });
-        self.offset += len;
+        let (len, crc) = (data.len() as u64, Crc32::of(&data));
+        let stat = &mut self.file.stat;
+        stat.blocks.push((len, self.dfs.place(), Some(crc)));
+        stat.len += len;
+        stat.crc = crc32_combine(stat.crc, crc, len);
+        self.file.blocks.push(Bytes::from(data));
     }
 
     /// Finish the file and register it in the DFS.
@@ -1326,23 +1347,14 @@ impl BlockWriter {
         if !self.buf.is_empty() {
             self.cut_block();
         }
-        let mut crc = Crc32::new();
-        for b in &self.blocks {
-            crc.update(&b.data);
-        }
-        let file = DfsFile {
-            kind: self.kind,
-            blocks: self.blocks,
-            len: self.offset,
-            crc: crc.finish(),
-        };
-        self.dfs.insert(&self.path, file, false)
+        self.dfs.insert(&self.path, self.file, false)
     }
 }
 
-/// Decode the records of a text split into `(byte offset, line)` pairs.
-pub fn text_records(split: &BlockSplit) -> Result<Vec<(u64, String)>> {
-    let text = std::str::from_utf8(&split.data)
+/// Decode `data`, the bytes of a text split, into `(byte offset, line)`
+/// pairs.
+pub fn text_records(split: &BlockSplit, data: &[u8]) -> Result<Vec<(u64, String)>> {
+    let text = std::str::from_utf8(data)
         .map_err(|e| MrError::Codec(format!("{}: invalid utf-8: {e}", split.path)))?;
     let mut out = Vec::new();
     let mut offset = split.offset;
@@ -1354,9 +1366,9 @@ pub fn text_records(split: &BlockSplit) -> Result<Vec<(u64, String)>> {
     Ok(out)
 }
 
-/// Decode the records of a seq split.
-pub fn seq_records<K: Codec, V: Codec>(split: &BlockSplit) -> Result<Vec<(K, V)>> {
-    let mut r = ByteReader::new(&split.data);
+/// Decode `data`, the bytes of a seq split.
+pub fn seq_records<K: Codec, V: Codec>(data: &[u8]) -> Result<Vec<(K, V)>> {
+    let mut r = ByteReader::new(data);
     let mut out = Vec::new();
     while !r.is_empty() {
         let k = K::decode(&mut r)?;
@@ -1382,7 +1394,7 @@ mod tests {
         // Splits reassemble to the same records with correct offsets.
         let mut all = Vec::new();
         for s in &splits {
-            all.extend(text_records(s).unwrap());
+            all.extend(text_records(s, &dfs.read_block(s).unwrap()).unwrap());
         }
         assert_eq!(all.len(), 20);
         assert_eq!(all[0], (0, "line-0".to_string()));
@@ -1414,7 +1426,7 @@ mod tests {
         assert!(splits.len() > 1);
         let mut all = Vec::new();
         for s in &splits {
-            all.extend(seq_records::<u64, String>(s).unwrap());
+            all.extend(seq_records::<u64, String>(&dfs.read_block(s).unwrap()).unwrap());
         }
         assert_eq!(all, pairs);
     }
@@ -1596,10 +1608,13 @@ mod tests {
             dfs.read_text("/t"),
             Err(MrError::ChecksumMismatch { .. })
         ));
+        // `corrupt` flips the first block: its read fails, the others' pass.
+        let splits = dfs.splits("/t").unwrap();
         assert!(matches!(
-            dfs.splits("/t"),
+            dfs.read_block(&splits[0]),
             Err(MrError::ChecksumMismatch { .. })
         ));
+        dfs.read_block(&splits[1]).unwrap();
         assert!(matches!(
             dfs.read_seq::<u64, String>("/s"),
             Err(MrError::ChecksumMismatch { .. })
@@ -1633,16 +1648,31 @@ mod tests {
             }
             None => {
                 let mut file = dfs.load(path).unwrap();
-                let block = file
-                    .blocks
-                    .iter_mut()
-                    .find(|b| at < b.offset + b.data.len() as u64)
-                    .unwrap();
-                let mut data = block.data.to_vec();
-                data[(at - block.offset) as usize] ^= 0x01;
-                block.data = Bytes::from(data);
+                let mut start = 0;
+                for block in &mut file.blocks {
+                    if at < start + block.len() as u64 {
+                        let mut data = block.to_vec();
+                        data[(at - start) as usize] ^= 0x01;
+                        *block = Bytes::from(data);
+                        break;
+                    }
+                    start += block.len() as u64;
+                }
                 dfs.insert(path, file, true).unwrap();
             }
+        }
+    }
+
+    /// What a map phase over `path` reads: one count per block, each from
+    /// the split [`text_input`] / [`seq_input`] laid out for it.
+    fn map_reads(dfs: &Dfs, path: &str) -> Vec<Result<usize>> {
+        use crate::input::{seq_input, text_input};
+        if path == "/t" {
+            let splits = text_input(dfs, path).expect("laid out from the header");
+            splits.iter().map(|s| Ok(s.read(dfs)?.len())).collect()
+        } else {
+            let splits = seq_input::<u64, String>(dfs, path).expect("laid out from the header");
+            splits.iter().map(|s| Ok(s.read(dfs)?.len())).collect()
         }
     }
 
@@ -1655,14 +1685,18 @@ mod tests {
             dfs.write_seq("/s", &pairs).unwrap();
             for path in ["/t", "/s"] {
                 let stat = dfs.stat(path).unwrap();
-                assert!(stat.blocks.len() > 1, "{path} must span blocks");
-                // First byte, a middle byte, and each of the last eight —
-                // the bytes the kernel's tail loop and last whole step see.
-                for at in [0, stat.len / 2].into_iter().chain(stat.len - 8..stat.len) {
+                let blocks = dfs.splits(path).unwrap();
+                assert!(blocks.len() > 1, "{path} must span blocks");
+                let records: usize = map_reads(&dfs, path).into_iter().map(Result::unwrap).sum();
+                assert_eq!(records, if path == "/t" { 20 } else { 50 });
+                // The first and last byte of every block, and each of the
+                // file's last eight — the bytes the kernel's tail loop and
+                // last whole step see.
+                let ends = blocks.iter().flat_map(|b| [b.offset, b.offset + b.len - 1]);
+                for at in ends.chain(stat.len - 8..stat.len) {
                     flip_payload_bit(&dfs, path, at);
                     let reads = [
                         dfs.verify(path),
-                        dfs.splits(path).map(drop),
                         if path == "/t" {
                             dfs.read_text(path).map(drop)
                         } else {
@@ -1680,6 +1714,21 @@ mod tests {
                             other => panic!("{path} byte {at}: expected mismatch, got {other:?}"),
                         }
                     }
+                    // The map phase is laid out all the same, and exactly
+                    // the block holding the byte fails, in whoever reads it.
+                    for (b, read) in blocks.iter().zip(map_reads(&dfs, path)) {
+                        let damaged = (b.offset..b.offset + b.len).contains(&at);
+                        match read {
+                            Ok(_) => assert!(!damaged, "{path} byte {at}: block read passed"),
+                            Err(MrError::ChecksumMismatch { path: p, .. }) => {
+                                assert!(
+                                    damaged && p == path,
+                                    "{path} byte {at}: wrong block failed"
+                                );
+                            }
+                            Err(other) => panic!("{path} byte {at}: {other:?}"),
+                        }
+                    }
                     // Metadata is the header's: payload damage does not
                     // reach it, as it never did.
                     assert_eq!(dfs.stat(path).unwrap(), stat);
@@ -1688,7 +1737,152 @@ mod tests {
                     flip_payload_bit(&dfs, path, at);
                     dfs.verify(path).unwrap();
                 }
+                // Not one payload byte left: still laid out, every block
+                // fails where it is read.
+                if let Some(root) = dfs.disk_root() {
+                    let real = root.join("fs").join(&path[1..]);
+                    let mut bytes = fs::read(&real).unwrap();
+                    let header = bytes.len() - stat.len as usize;
+                    bytes[header..].fill(0);
+                    fs::write(&real, &bytes).unwrap();
+                    for read in map_reads(&dfs, path) {
+                        assert!(matches!(read, Err(MrError::ChecksumMismatch { .. })));
+                    }
+                }
             }
+        }
+    }
+
+    /// The table of a torn file lists fewer bytes than the file had: cut
+    /// inside a block, that block fails its read; cut between blocks (or
+    /// before the first), no read would notice, so `splits` does.
+    #[test]
+    fn a_file_torn_at_a_block_boundary_fails_its_splits() {
+        let dfs = Dfs::new(2, 16);
+        let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+        dfs.write_text("/t", &lines).unwrap();
+        let whole = dfs.load("/t").unwrap();
+        let second = whole.blocks[0].len() as u64;
+        for keep in [0, second, second + 3] {
+            dfs.insert("/t", torn_copy(&whole, keep), true).unwrap();
+            let failure = dfs.splits("/t").and_then(|blocks| {
+                assert_eq!(blocks.len(), 2, "cut inside the second block");
+                dfs.read_block(&blocks[0])?;
+                dfs.read_block(&blocks[1])
+            });
+            assert!(
+                matches!(failure, Err(MrError::ChecksumMismatch { ref path, .. }) if path == "/t"),
+                "keep {keep}: {failure:?}"
+            );
+            assert!(matches!(
+                dfs.verify("/t"),
+                Err(MrError::ChecksumMismatch { expected, .. }) if expected == whole.stat.crc
+            ));
+        }
+    }
+
+    /// The `MRDFSv1` reading rule: no block of such a file has a CRC of its
+    /// own, so whoever reads one loads the file and checks it whole; the
+    /// first rewrite (here `corrupt`'s) stores it as `MRDFSv2`.
+    #[test]
+    fn an_mrdfsv1_file_is_laid_out_from_its_header_and_read_under_its_file_crc() {
+        let dfs = Dfs::new_temp_disk(2, 16).unwrap();
+        let real = dfs.disk_root().unwrap().join("fs/old");
+        let fixture = include_bytes!("../tests/fixtures/pr12/part-00000");
+        assert_eq!(&fixture[..8], CONTAINER_MAGIC_V1);
+        fs::write(&real, fixture).unwrap();
+        let stat = dfs.stat("/old").unwrap();
+        assert!(stat.blocks.iter().all(|&(_, _, crc)| crc.is_none()));
+        let blocks = dfs.splits("/old").unwrap();
+        assert_eq!(blocks.len(), 8);
+        let records = |b| text_records(b, &dfs.read_block(b)?).map(|r| r.len());
+        let total: usize = blocks.iter().map(|b| records(b).unwrap()).sum();
+        assert_eq!(total, 20);
+        // Damage in the last block fails the read of the first.
+        flip_payload_bit(&dfs, "/old", stat.len - 1);
+        assert_eq!(dfs.splits("/old").unwrap().len(), 8);
+        assert!(matches!(
+            dfs.read_block(&blocks[0]),
+            Err(MrError::ChecksumMismatch { expected, .. }) if expected == stat.crc
+        ));
+        fs::write(&real, fixture).unwrap();
+        dfs.corrupt("/old").unwrap();
+        assert_eq!(&fs::read(&real).unwrap()[..8], CONTAINER_MAGIC);
+        assert_eq!(dfs.file_crc("/old").unwrap(), stat.crc);
+        // The block CRCs it gained are of the flipped bytes: the table no
+        // longer adds up to the file's.
+        assert!(matches!(
+            dfs.splits("/old"),
+            Err(MrError::ChecksumMismatch { expected, .. }) if expected == stat.crc
+        ));
+    }
+
+    proptest::proptest! {
+        /// The file CRC a writer derives from its blocks' is the CRC of
+        /// the bytes, wherever the blocks were cut, empty ones included.
+        #[test]
+        fn crc32_combine_equals_the_bitwise_oracle_over_the_concatenation(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(0usize..600, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let (mut from, mut combined) = (0, 0);
+            for &cut in cuts.iter().chain([&data.len()]) {
+                let block = &data[from..cut];
+                combined = crc32_combine(combined, crc32_bitwise(block), block.len() as u64);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(combined, crc32_bitwise(&data));
+        }
+    }
+
+    /// `list` walks the prefix's subtree and nothing else, with `is_under`'s
+    /// boundary rule: a sibling whose name extends the prefix is not under
+    /// it, and a prefix that names a file lists that file.
+    #[test]
+    fn list_stops_at_the_path_boundary_on_both_stores() {
+        for dfs in [Dfs::new(1, 64), Dfs::new_temp_disk(1, 64).unwrap()] {
+            // In name order: `-` and `.` sort before `/`.
+            let all = [
+                "/in/s-x",
+                "/in/s.y",
+                "/in/s/a",
+                "/in/s/sub/b",
+                "/in/s2/c",
+                "/in/t",
+                "/o",
+            ];
+            for path in all {
+                dfs.write_text(path, [path]).unwrap();
+            }
+            let under = |prefix: &str| -> Vec<&str> {
+                all.iter()
+                    .copied()
+                    .filter(|p| is_under(p, prefix))
+                    .collect()
+            };
+            for prefix in [
+                "/in/s",
+                "/in/s/",
+                "/in/s-x",
+                "/in/s2",
+                "/in",
+                "/",
+                "/in/s/sub",
+                "/o",
+            ] {
+                assert_eq!(dfs.list(prefix), under(prefix), "list({prefix})");
+                assert!(!under(prefix).is_empty());
+            }
+            assert_eq!(dfs.list("/in/s"), ["/in/s/a", "/in/s/sub/b"]);
+            for prefix in ["/in/", "/in/s/a/deeper", "/missing", "in/s", "/in/../o"] {
+                assert_eq!(dfs.list(prefix), under(prefix), "list({prefix})");
+            }
+            assert!(dfs.list("/missing").is_empty());
+            assert_eq!(dfs.delete_prefix("/in/s"), 2);
+            assert_eq!(dfs.list("/in").len(), 4, "siblings survive");
+            assert_eq!(dfs.node_bytes().iter().sum::<u64>(), dfs.len_under("/"));
         }
     }
 
@@ -1820,7 +2014,7 @@ mod tests {
             Err(MrError::ChecksumMismatch { .. })
         ));
         assert!(matches!(
-            dfs.splits("/t2"),
+            dfs.read_block(&dfs.splits("/t2").unwrap()[0]),
             Err(MrError::ChecksumMismatch { .. })
         ));
     }
@@ -1862,8 +2056,9 @@ mod tests {
         let real = dfs.disk_root().unwrap().join("fs/d/f");
         let bytes = fs::read(&real).unwrap();
         let stat = dfs.stat("/d/f").unwrap();
-        assert_eq!(stat, dfs.load("/d/f").unwrap().stat());
+        assert_eq!(stat, dfs.load("/d/f").unwrap().stat);
         let header = bytes.len() - stat.len as usize;
+        assert_eq!(stat.payload_at, header as u64);
         assert!(header > 4096, "header of {header} bytes fits one prefix");
 
         // Payload zeroed in place: every metadata call still answers from
@@ -1970,6 +2165,12 @@ mod tests {
         assert!(matches!(err, MrError::ChecksumMismatch { .. }), "{err}");
         let err = dfs.verify("/t").unwrap_err();
         assert!(matches!(err, MrError::ChecksumMismatch { .. }), "{err}");
+        // So is a map phase over it: laying it out or one of its reads.
+        let err = dfs
+            .splits("/t")
+            .and_then(|blocks| blocks.iter().try_for_each(|b| dfs.read_block(b).map(drop)))
+            .unwrap_err();
+        assert!(matches!(err, MrError::ChecksumMismatch { .. }), "{err}");
         // The producing stage re-runs (delete + rewrite) and heals it.
         let mut clean = Dfs::new_disk(2, 16, dfs.disk_root().unwrap()).unwrap();
         clean.set_durable(false);
@@ -2042,14 +2243,38 @@ mod tests {
         for durable in [true, false] {
             let mut dfs = Dfs::new_temp_disk(2, 16).unwrap();
             dfs.set_durable(durable);
-            assert_eq!(dfs.durable(), durable);
             let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+            // A single-file publish: temp file and link, then the rename.
             dfs.write_text("/out/_attempt-00000-0", &lines).unwrap();
             dfs.rename("/out/_attempt-00000-0", "/out/part-00000")
                 .unwrap();
-            assert_eq!(dfs.read_text("/out").unwrap(), lines);
+            assert_eq!(dfs.syncs(), if durable { 3 } else { 0 });
+            // The job path: attempts publish through a relaxed clone, the
+            // commit syncs what they left — two parts, then the directory.
+            let mut attempt = dfs.clone();
+            attempt.set_durable(false);
+            attempt.write_text("/out/_attempt-00001-0", &lines).unwrap();
+            attempt
+                .rename("/out/_attempt-00001-0", "/out/part-00001")
+                .unwrap();
+            assert_eq!(
+                dfs.syncs(),
+                if durable { 3 } else { 0 },
+                "attempts sync nothing"
+            );
+            dfs.sync_under("/out").unwrap();
+            assert_eq!(dfs.syncs(), if durable { 6 } else { 0 });
+            assert_eq!(
+                dfs.read_text("/out").unwrap(),
+                [&lines[..], &lines[..]].concat()
+            );
             dfs.verify("/out/part-00000").unwrap();
+            dfs.verify("/out/part-00001").unwrap();
         }
+        let mem = Dfs::new(2, 16);
+        mem.write_text("/out/part-00000", ["x"]).unwrap();
+        mem.sync_under("/out").unwrap();
+        assert_eq!(mem.syncs(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::faults::{Fault, FaultPlan};
 use crate::input::SplitSource;
 use crate::job::{Job, KeyLabel, Output, TextFormat};
 use crate::kv::{Key, Value};
-use crate::manifest::{JobManifest, SUCCESS_FILE};
+use crate::manifest::{success_path, JobManifest};
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics};
@@ -235,17 +235,8 @@ impl Cluster {
     /// spill files (and driver temps) on the disk store; the DFS-level
     /// scavenger sweeps everything owned by dead pids.
     fn scavenge(&self, job_name: &str, dir: &str, counters: &Counters) {
-        let mut scavenged = 0u64;
-        for path in self.dfs.list(dir) {
-            let base = path.rsplit('/').next().unwrap_or("");
-            if base.starts_with("_attempt-") {
-                if self.dfs.delete(&path).is_ok() {
-                    scavenged += 1;
-                }
-            } else if base == SUCCESS_FILE {
-                let _ = self.dfs.delete(&path);
-            }
-        }
+        let mut scavenged = self.sweep_attempts(dir);
+        let _ = self.dfs.delete(&success_path(dir));
         scavenged += self.dfs.scavenge_orphans() as u64;
         if scavenged > 0 {
             counters.get("mr.recovery.scavenged").add(scavenged);
@@ -258,11 +249,22 @@ impl Cluster {
         }
     }
 
+    /// Delete every `_attempt-*` file of `dir`; how many went.
+    fn sweep_attempts(&self, dir: &str) -> u64 {
+        let is_attempt = |p: &String| {
+            p.rsplit('/')
+                .next()
+                .is_some_and(|b| b.starts_with("_attempt-"))
+        };
+        let attempts = self.dfs.list(dir).into_iter().filter(is_attempt);
+        attempts.filter(|p| self.dfs.delete(p).is_ok()).count() as u64
+    }
+
     /// Job-level commit/abort (Hadoop's OutputCommitter.commitJob /
     /// abortJob) around the reduce phase's outcome: on success sweep any
-    /// leftover attempt files and write the `_SUCCESS` commit manifest; on
-    /// failure remove the whole output directory so a failed job never
-    /// leaves partial output behind.
+    /// leftover attempt files, make the parts durable in one wave and write
+    /// the `_SUCCESS` commit manifest; on failure remove the whole output
+    /// directory so a failed job never leaves partial output behind.
     fn commit_job(
         &self,
         (job_name, job_seq, fingerprint): (&str, usize, u64),
@@ -280,8 +282,8 @@ impl Cluster {
         };
         let faults = self.config.faults.as_ref();
         // Injected driver crash *mid-job*: all reduce tasks committed their
-        // parts at task level, but the job-level commit (attempt sweep +
-        // `_SUCCESS` manifest) never ran. The output directory is left
+        // parts at task level, but the job-level commit (attempt sweep, sync
+        // wave, `_SUCCESS` manifest) never ran. The output directory is left
         // exactly as the crash would leave it — parts present, no manifest —
         // so resume logic must treat the job as uncommitted.
         if faults.is_some_and(|plan| plan.crash_mid == Some(job_seq)) {
@@ -290,20 +292,17 @@ impl Cluster {
             )));
         }
         if let Some(dir) = dir {
-            for path in self.dfs.list(dir) {
-                if path
-                    .rsplit('/')
-                    .next()
-                    .is_some_and(|base| base.starts_with("_attempt-"))
-                {
-                    let _ = self.dfs.delete(&path);
-                }
-            }
+            self.sweep_attempts(dir);
             // The commit itself can hit a transient storage fault
             // (injected EIO on the manifest write, ENOSPC freed by the
             // scavenger): re-issue it a bounded number of times rather
-            // than failing a job whose parts all committed.
+            // than failing a job whose parts all committed. Reduce attempts
+            // wrote and renamed their parts without syncing: one wave makes
+            // every part, then the directory, durable before the manifest
+            // that names them is — the only order a resume relies on, since
+            // it discards a directory without a manifest whatever it holds.
             commit_with_retries(|| {
+                self.dfs.sync_under(dir)?;
                 JobManifest::collect(&self.dfs, job_name, fingerprint, dir)?.write(&self.dfs, dir)
             })?;
             // Injected post-commit corruption: flip a bit in a committed
@@ -1384,7 +1383,10 @@ where
         merge_to_factor::<M::OutKey, M::OutValue>(runs, shared.sort_cmp, MERGE_FACTOR)?;
     let mut stream = MergeStream::new(runs, shared.sort_cmp.clone())?;
     let merge_secs = merge_start.elapsed().as_secs_f64();
-    let mut emitter = ReduceEmitter::open(shared.dfs, shared.output, task_id, attempt)?;
+    // A part is made durable by its job's commit, not by its attempt.
+    let mut out_dfs = shared.dfs.clone();
+    out_dfs.set_durable(false);
+    let mut emitter = ReduceEmitter::open(&out_dfs, shared.output, task_id, attempt)?;
     reducer.setup(&ctx)?;
     let mut groups = 0u64;
     let group_hist = Histogram::new();
@@ -1430,7 +1432,7 @@ where
     // Task commit: atomically promote the attempt file to the part file.
     // Exactly one attempt per task ever gets here, so commits == tasks.
     if let Some(dir) = shared.output.dir() {
-        shared.dfs.rename(
+        out_dfs.rename(
             &attempt_path(dir, task_id, attempt),
             &part_path(dir, task_id),
         )?;

@@ -11,7 +11,7 @@ use crate::error::Result;
 use crate::kv::Value;
 
 type ReadFn<K, V> = Box<dyn Fn(&Dfs) -> Result<Vec<(K, V)>> + Send>;
-type DecodeFn<K, V> = fn(&dfs::BlockSplit) -> Result<Vec<(K, V)>>;
+type DecodeFn<K, V> = fn(&dfs::BlockSplit, &[u8]) -> Result<Vec<(K, V)>>;
 
 /// One map task's input.
 pub struct SplitSource<K, V> {
@@ -43,8 +43,9 @@ impl<K: Value, V: Value> SplitSource<K, V> {
     }
 }
 
-/// One split per block of the file (or directory) at `path`, its records
-/// decoded by `records`.
+/// One split per block of the file (or directory) at `path`, laid out from
+/// the file headers; the map attempt that reads a split fetches and checks
+/// that block, and `records` decodes it.
 fn block_input<K: Value, V: Value>(
     dfs: &Dfs,
     path: &str,
@@ -53,8 +54,8 @@ fn block_input<K: Value, V: Value>(
     let split = |block: dfs::BlockSplit| SplitSource {
         tag: block.path.clone(),
         node_hint: Some(block.node),
-        size_hint: block.data.len() as u64,
-        reader: Box::new(move |_dfs| records(&block)),
+        size_hint: block.len,
+        reader: Box::new(move |dfs| records(&block, &dfs.read_block(&block)?)),
     };
     Ok(dfs.splits(path)?.into_iter().map(split).collect())
 }
@@ -67,7 +68,7 @@ pub fn text_input(dfs: &Dfs, path: &str) -> Result<Vec<SplitSource<u64, String>>
 
 /// One split per block of a sequence file (or directory).
 pub fn seq_input<K: Value, V: Value>(dfs: &Dfs, path: &str) -> Result<Vec<SplitSource<K, V>>> {
-    block_input(dfs, path, dfs::seq_records::<K, V>)
+    block_input(dfs, path, |_, data| dfs::seq_records(data))
 }
 
 /// Partition in-memory records into `n` splits round-robin — a convenience

@@ -91,8 +91,8 @@ pub struct Job<M: Mapper, R: Reducer<Key = M::OutKey, InValue = M::OutValue>> {
 /// ([`Job::from_spec`]) and ships the spec's own bytes; a worker process
 /// decodes them and calls the same `build`
 /// ([`register_job_spec`](crate::register_job_spec)), so the two cannot
-/// describe different jobs. Both sides derive splits from the same DFS
-/// state, so task ids line up.
+/// describe different jobs. Both sides lay the input out from the same
+/// file headers, so task ids line up, and neither reads a block to do it.
 pub trait JobSpec: Codec {
     /// The job's mapper.
     type Mapper: Mapper;

@@ -13,9 +13,9 @@
 //! registered in the worker executable (see [`register_job_spec`]) plus the
 //! encoded [`JobSpec`], from which the worker rebuilds the *entire* job —
 //! mapper, reducer, policies, and inputs — against the shared disk-backed
-//! [`Dfs`]. Both sides derive input splits from the same on-disk
-//! filesystem state, so task ids line up by construction and the driver
-//! never ships split data at all.
+//! [`Dfs`]. Both sides lay input splits out from the same file headers,
+//! so task ids line up by construction, the driver never ships split data
+//! at all, and a worker reads the blocks it is sent to map and no others.
 //!
 //! # Protocol
 //!
@@ -66,7 +66,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,7 +80,7 @@ use crate::cluster::ClusterConfig;
 use crate::codec::{write_varint, ByteReader, Codec};
 use crate::codec_struct;
 use crate::counters::Counters;
-use crate::dfs::{Crc32, Dfs};
+use crate::dfs::{check_crc, read_at, Crc32, Dfs};
 use crate::engine::{
     catch_task_panic, run_map_task, run_reduce_task, Cluster, MapItem, MapShared, MapTaskOut,
     ReduceShared, ReduceTaskOut,
@@ -449,9 +449,7 @@ fn write_run_frame(out: &mut impl Write, run: &Run) -> io::Result<u64> {
     let mut head = Vec::with_capacity(32);
     head.extend_from_slice(RUN_MAGIC);
     write_varint(run.records as u64, &mut head);
-    let mut crc = Crc32::new();
-    crc.update(&run.data);
-    crc.finish().encode(&mut head);
+    Crc32::of(&run.data).encode(&mut head);
     write_varint(run.data.len() as u64, &mut head);
     out.write_all(&head)?;
     out.write_all(&run.data)?;
@@ -477,13 +475,7 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
             path.display()
         ))
     };
-    // The ref came over a pipe: its length is a bound on what is read,
-    // never an allocation.
-    let mut file = File::open(&path).map_err(io_fail)?;
-    let mut bytes = Vec::with_capacity(rref.len.min(1 << 20) as usize);
-    file.seek(SeekFrom::Start(rref.offset))
-        .and_then(|_| file.take(rref.len).read_to_end(&mut bytes))
-        .map_err(io_fail)?;
+    let bytes = read_at(&path, rref.offset, rref.len).map_err(io_fail)?;
     if bytes.len() as u64 != rref.len {
         return Err(bad("frame runs past the end of the file"));
     }
@@ -501,16 +493,7 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
         return Err(bad("length does not match payload"));
     }
     let payload = r.take(len)?;
-    let mut crc = Crc32::new();
-    crc.update(payload);
-    let found = crc.finish();
-    if found != expected {
-        return Err(MrError::ChecksumMismatch {
-            path: path.display().to_string(),
-            expected,
-            found,
-        });
-    }
+    check_crc(&path.display().to_string(), expected, Crc32::of(payload))?;
     Ok(Run {
         data: bytes::Bytes::copy_from_slice(payload),
         records: records as usize,
@@ -593,9 +576,10 @@ fn registry() -> &'static RwLock<BTreeMap<String, FactoryFn>> {
 /// ([`Job::from_spec`]). Call it in every executable that works for such
 /// jobs, before [`process_worker_main`]: a worker opened with a name it does
 /// not know fails the job as [`MrError::InvalidConfig`]. Split derivation is
-/// deterministic (sorted file resolution, blocks in file order), so the
-/// worker's task ids match the driver's. Registering a name again replaces
-/// the old factory.
+/// deterministic and reads file headers only (sorted file resolution, blocks
+/// in table order), so the worker's task ids match the driver's and opening
+/// a job costs no input byte. Registering a name again replaces the old
+/// factory.
 pub fn register_job_spec<S: JobSpec>(factory: &str) {
     let build: FactoryFn = Arc::new(|payload, dfs, num_reducers| {
         let mut job = S::from_bytes(payload)?.build(dfs)?;

@@ -12,6 +12,8 @@
 //!   attempt parks one run file, not one per partition;
 //! * one pool of workers serves every job of a cluster, and the quarantine
 //!   ledger starts clean at each of them;
+//! * driver and workers lay a directory of multi-block files out alike from
+//!   the headers, and a worker reads the blocks it maps and no others;
 //! * a job not built from a spec runs on the driver, over the same run
 //!   files, and spawns nothing;
 //! * a factory name the workers do not know fails the job as
@@ -133,6 +135,7 @@ impl JobSpec for ProbeSpec {
     fn build(&self, dfs: &Dfs) -> Result<Job<ProbeMapper, ProbeReducer>> {
         let mapper = ProbeMapper {
             kill_attempts: self.kill_attempts,
+            at_first_record: true,
         };
         Ok(Job::new("process-probe", mapper, ProbeReducer)
             .inputs(text_input(dfs, &self.input)?)
@@ -143,6 +146,8 @@ impl JobSpec for ProbeSpec {
 #[derive(Clone)]
 struct ProbeMapper {
     kill_attempts: u64,
+    /// Cloned per attempt, so true at each attempt's first record.
+    at_first_record: bool,
 }
 
 impl Mapper for ProbeMapper {
@@ -153,11 +158,16 @@ impl Mapper for ProbeMapper {
 
     fn map(
         &mut self,
-        _off: &u64,
+        off: &u64,
         line: &String,
         out: &mut dyn Emit<String, String>,
         ctx: &TaskContext,
     ) -> Result<()> {
+        if std::mem::take(&mut self.at_first_record) {
+            // Which block this task id got, wherever the task ran.
+            let split = format!("probe.split.{}.{}@{off}", ctx.task_id, ctx.input_path);
+            ctx.counter(&split).incr();
+        }
         // SIGKILL-grade death: no unwind, no error frame, the pipe
         // just closes. Guarded on the worker env var so an attempt the
         // driver runs itself never aborts the driver, and on task 0's
@@ -463,6 +473,63 @@ fn one_worker_pool_serves_every_job_of_a_cluster() {
         leaked_spill_dirs(&cluster),
         Vec::<std::ffi::OsString>::new()
     );
+}
+
+/// A worker maps what it is sent. Driver and workers lay a directory of
+/// multi-block files out from the headers alone — files in name order,
+/// blocks in file order — so a task id names the same block everywhere; and
+/// with one block's payload damaged behind the store's back (stored CRCs
+/// untouched), the driver's `from_spec` and every worker's `Open` still
+/// succeed and the job fails with that block's checksum, from the map
+/// attempt that read it.
+#[test]
+fn a_worker_reads_and_verifies_the_blocks_it_maps_and_no_others() {
+    let _env = lock_env();
+    let cluster = probe_cluster(|_| {});
+    let dfs = cluster.dfs();
+    let lines = corpus();
+    for (name, part) in ["c", "a", "b"].iter().zip(lines.chunks(150)) {
+        dfs.write_text(&format!("/ind/{name}"), part).unwrap();
+    }
+    let spec = ProbeSpec {
+        input: "/ind".into(),
+        ..ProbeSpec::new(0)
+    };
+    let metrics = cluster.run(Job::from_spec(&spec, dfs).unwrap()).unwrap();
+    let splits = dfs.splits("/ind").unwrap();
+    assert!(splits.len() > 6, "several blocks per file");
+    assert_eq!(metrics.map.tasks, splits.len());
+    assert_eq!(
+        counter(&metrics, "mr.process.worker_map_tasks"),
+        splits.len() as u64
+    );
+    for (task, split) in splits.iter().enumerate() {
+        let name = format!("probe.split.{task}.{}@{}", split.path, split.offset);
+        assert_eq!(counter(&metrics, &name), 1, "{name}");
+    }
+    let paths: Vec<&str> = splits.iter().map(|s| s.path.as_str()).collect();
+    assert!(paths.is_sorted() && paths[0] == "/ind/a" && paths[paths.len() - 1] == "/ind/c");
+
+    // Damage a middle block of the middle file. Its stored CRC is that of
+    // a file holding the block's lines alone.
+    let victim = splits.iter().filter(|s| s.path == "/ind/b").nth(1).unwrap();
+    let text = dfs.read_text("/ind/b").unwrap().join("\n") + "\n";
+    let block = &text[victim.offset as usize..(victim.offset + victim.len) as usize];
+    dfs.write_text("/block", block.lines()).unwrap();
+    let block_crc = dfs.file_crc("/block").unwrap();
+    let real = dfs.disk_root().unwrap().join("fs/ind/b");
+    let mut bytes = std::fs::read(&real).unwrap();
+    let header = bytes.len() - text.len();
+    bytes[header + victim.offset as usize + 1] ^= 0x01;
+    std::fs::write(&real, &bytes).unwrap();
+
+    let job = Job::from_spec(&spec, dfs).expect("the driver builds from headers");
+    match cluster.run(job) {
+        Err(MrError::ChecksumMismatch { path, expected, .. }) => {
+            assert_eq!((path.as_str(), expected), ("/ind/b", block_crc));
+        }
+        other => panic!("expected the block's ChecksumMismatch, got {other:?}"),
+    }
 }
 
 #[test]

@@ -102,7 +102,7 @@ proptest! {
             .splits("/f")
             .unwrap()
             .iter()
-            .map(|s| mapreduce::dfs::text_records(s).unwrap().len())
+            .map(|s| mapreduce::dfs::text_records(s, &dfs.read_block(s).unwrap()).unwrap().len())
             .sum();
         prop_assert_eq!(total, lines.len());
     }

@@ -153,6 +153,70 @@ fn mid_job_crash_leaves_parts_but_no_manifest() {
     );
 }
 
+/// Durability is paid once per job: reduce attempts write and rename their
+/// parts without a sync, and the job's commit syncs every part, then the
+/// directory, then publishes the manifest (temp file, directory) — N + 3
+/// fsyncs where per-part durability cost 3 N + 2. A crash before the wave
+/// has synced nothing and left no manifest, which is what a re-run replaces.
+#[test]
+fn a_job_syncs_its_parts_in_one_wave_at_its_commit() {
+    const PARTS: usize = 5;
+    let run = |faults: Option<FaultPlan>, durable_commits: bool| {
+        let config = ClusterConfig {
+            faults,
+            durable_commits,
+            backend: BackendKind::from_env(),
+            ..ClusterConfig::with_nodes(2)
+        };
+        let dfs = mapreduce::Dfs::new_temp_disk(2, 1 << 16).unwrap();
+        let c = Cluster::with_dfs(config, dfs).unwrap();
+        c.dfs().write_text("/in", ["a b a", "b c"]).unwrap();
+        let before = c.dfs().syncs();
+        let result = c.run(wc_job(c.dfs()).reducers(PARTS));
+        let syncs = c.dfs().syncs() - before;
+        (c, result, syncs)
+    };
+    let (durable, result, syncs) = run(None, true);
+    result.unwrap();
+    assert_eq!(syncs, PARTS as u64 + 3);
+    let manifest = JobManifest::read(durable.dfs(), "/out").unwrap().unwrap();
+    assert_eq!(manifest.parts.len(), PARTS);
+    assert_eq!(
+        manifest.validate(durable.dfs(), "/out", 0xabcd),
+        ManifestCheck::Valid
+    );
+
+    let (relaxed, result, syncs) = run(None, false);
+    result.unwrap();
+    assert_eq!(syncs, 0, "--durable-commits no syncs nothing, as before");
+    assert_eq!(
+        JobManifest::read(relaxed.dfs(), "/out").unwrap(),
+        Some(manifest.clone()),
+        "same parts, same lengths, same checksums"
+    );
+
+    let crash = FaultPlan {
+        crash_mid: Some(0),
+        ..FaultPlan::default()
+    };
+    let (crashed, result, syncs) = run(Some(crash), true);
+    assert!(result.unwrap_err().is_driver_crash());
+    assert_eq!(syncs, 0, "no attempt syncs; the wave never ran");
+    assert_eq!(crashed.dfs().data_files("/out").len(), PARTS);
+    assert!(JobManifest::read(crashed.dfs(), "/out").unwrap().is_none());
+    // A fresh driver over the surviving store re-runs the job over them.
+    let config = ClusterConfig {
+        backend: BackendKind::from_env(),
+        ..ClusterConfig::with_nodes(2)
+    };
+    let resumed = Cluster::with_dfs(config, crashed.dfs().clone()).unwrap();
+    resumed.run(wc_job(resumed.dfs()).reducers(PARTS)).unwrap();
+    assert_eq!(
+        JobManifest::read(resumed.dfs(), "/out").unwrap(),
+        Some(manifest)
+    );
+}
+
 #[test]
 fn crash_after_commit_leaves_a_valid_manifest() {
     let c = cluster(Some(FaultPlan {
