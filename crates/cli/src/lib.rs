@@ -72,9 +72,10 @@ fault injection (chaos testing; results are unaffected by design):
 
 execution (selfjoin/rsjoin):
   --backend KIND  simulated (default): the deterministic in-process
-                  executor with the cluster time model; sharded: per-node
-                  worker shards with a real streaming shuffle over bounded
-                  channels; process: process-isolated workers (this binary
+                  executor with the cluster time model; sharded: the same
+                  attempts on the driver's thread pool, every spill run
+                  handed through one bounded channel to one collector
+                  thread; process: process-isolated workers (this binary
                   re-spawned) over a disk-backed DFS — every job of a
                   join runs its tasks in the workers (the driver's own
                   threads run only closure-built jobs, which tests alone
@@ -127,18 +128,19 @@ recovery (selfjoin/rsjoin):
 observability (selfjoin/rsjoin):
   --trace-out FILE    write the execution trace: one JSONL span event per
                       task attempt for a .jsonl FILE, else Chrome
-                      trace_event JSON loadable in Perfetto/about:tracing
+                      trace_event JSON loadable in Perfetto/about:tracing;
+                      one \"profile\" event per job carries its phase
+                      profile as JSON
   --metrics-json FILE write the schema-versioned machine-readable run
                       report (fuzzyjoin.run-report v1)
   --report yes        print the detailed per-job report (histogram
-                      percentiles, hot keys, fault statistics)
-  --profile yes       print the per-job phase profile: wall time split into
+                      percentiles, hot keys, fault statistics) and the
+                      per-job phase profile: wall time split into
                       setup/spawn/map/regroup/reduce/commit/finalize
                       windows plus busy attribution (map-exec, spill,
                       shuffle transport, regroup, merge, reduce-exec) —
                       measured on every backend, merged back from worker
-                      processes; with --trace-out, one \"profile\" trace
-                      event per job carries the same data as JSON
+                      processes
 ";
 
 /// Hidden worker entry for `--backend process`: when this binary was
@@ -249,7 +251,6 @@ const JOIN_FLAGS: &[&str] = &[
     "trace-out",
     "metrics-json",
     "report",
-    "profile",
 ];
 
 /// Parse the fault-injection flags: `--fault-plan` gives the rates (and
@@ -572,8 +573,6 @@ fn emit_observability(
     if args.get("report").is_some() {
         text.push('\n');
         text.push_str(&outcome.report());
-    }
-    if args.get("profile").is_some() {
         text.push_str("\nphase profile (wall windows + busy attribution):\n");
         for job in outcome.all_jobs() {
             let profile = mapreduce::JobProfile::from_metrics(job);
@@ -629,7 +628,6 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
         durable_commits,
         task_timeout_secs,
         heartbeat_interval_secs,
-        profile: args.get("profile").is_some(),
         ..ClusterConfig::with_nodes(nodes)
     };
     Cluster::new(config, 4 << 20).map_err(|e| e.to_string())
@@ -1109,7 +1107,7 @@ mod more_tests {
     }
 
     #[test]
-    fn profile_flag_prints_phase_attribution_and_keeps_output_identical() {
+    fn report_prints_phase_attribution_and_keeps_output_identical() {
         let corpus = tmp("pf.tsv");
         run(&argv(&format!(
             "gen --kind dblp --records 200 --seed 13 --out {corpus}"
@@ -1125,8 +1123,8 @@ mod more_tests {
         };
         let (plain_msg, plain) = run_with("", &tmp("pf-plain.tsv"));
         assert!(!plain_msg.contains("phase profile"), "{plain_msg}");
-        let (msg, profiled) = run_with("--profile yes", &tmp("pf-prof.tsv"));
-        assert_eq!(profiled, plain, "profiling must not change the pairs");
+        let (msg, reported) = run_with("--report yes", &tmp("pf-prof.tsv"));
+        assert_eq!(reported, plain, "reporting must not change the pairs");
         assert!(msg.contains("phase profile"), "{msg}");
         assert!(msg.contains("wall attributed"), "{msg}");
         assert!(msg.contains("map "), "{msg}");

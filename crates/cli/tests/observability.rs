@@ -221,14 +221,14 @@ fn tracing_and_chaos_leave_output_bitwise_identical() {
 }
 
 #[test]
-fn profile_flag_emits_trace_events_and_covered_metrics() {
+fn traced_run_emits_profile_events_and_covered_metrics() {
     let corpus = corpus();
     let pairs = tmp("prof-pairs.tsv");
     let trace = tmp("prof-trace.jsonl");
     let metrics = tmp("prof-metrics.json");
     let msg = run(&argv(&format!(
         "selfjoin --input {corpus} --out {pairs} --threshold 0.8 --nodes 3 \
-         --backend sharded --profile yes --trace-out {trace} --metrics-json {metrics}"
+         --backend sharded --report yes --trace-out {trace} --metrics-json {metrics}"
     )))
     .unwrap();
     assert!(msg.contains("phase profile"), "{msg}");
@@ -279,7 +279,7 @@ fn profile_flag_emits_trace_events_and_covered_metrics() {
         covered / wall
     );
 
-    // Profiling must not perturb the join itself.
+    // Tracing and reporting must not perturb the join itself.
     let plain = tmp("prof-plain.tsv");
     run(&argv(&format!(
         "selfjoin --input {corpus} --out {plain} --threshold 0.8 --nodes 3 \
@@ -289,7 +289,7 @@ fn profile_flag_emits_trace_events_and_covered_metrics() {
     assert_eq!(
         fs::read_to_string(&pairs).unwrap(),
         fs::read_to_string(&plain).unwrap(),
-        "profiling changed the committed pairs"
+        "tracing changed the committed pairs"
     );
 }
 

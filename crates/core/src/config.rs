@@ -171,7 +171,7 @@ pub enum TokenizerKind {
 
 impl TokenizerKind {
     /// Instantiate the tokenizer.
-    pub fn build(&self) -> Box<dyn setsim::Tokenizer + Send> {
+    pub fn build(&self) -> Box<dyn setsim::Tokenizer + Send + Sync> {
         match self {
             TokenizerKind::Word => Box::new(setsim::WordTokenizer::new()),
             TokenizerKind::QGram(q) => Box::new(setsim::QGramTokenizer::new(*q)),

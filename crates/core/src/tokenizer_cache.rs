@@ -9,7 +9,7 @@ use crate::config::TokenizerKind;
 /// cloneable.
 pub struct CachedTokenizer {
     kind: TokenizerKind,
-    built: Option<Box<dyn Tokenizer + Send>>,
+    built: Option<Box<dyn Tokenizer + Send + Sync>>,
     buf: TokenBuf,
 }
 

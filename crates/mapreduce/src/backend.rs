@@ -21,7 +21,7 @@
 //! same job on the same DFS. That holds regardless of thread interleaving
 //! because
 //!
-//! * task bodies ([`run_map_task`]/[`run_reduce_task`]) derive everything —
+//! * task bodies (`JobRun::map_task`/`JobRun::reduce_task`) derive everything —
 //!   including the node label used for fault injection — from
 //!   `(task_id, attempt)`, never from the executing thread or process;
 //! * equal keys surface in reduce in *run presentation order*, and the
@@ -39,11 +39,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
-use crate::cluster::ClusterConfig;
-use crate::engine::{
-    run_map_task, run_reduce_task, run_tasks, MapItem, MapShared, MapStats, MapTaskOut,
-    ReduceShared, ReduceTaskOut, RetryStats,
-};
+use crate::engine::{run_tasks, JobRun, MapStats, MapTaskOut, ReduceTaskOut, RetryStats};
 use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
 use crate::profile::{self, secs_to_us};
@@ -61,7 +57,9 @@ pub enum BackendKind {
     /// regroup — the reference semantics.
     #[default]
     Simulated,
-    /// Per-node worker shards with a streaming bounded-channel shuffle.
+    /// Attempts on the driver's thread pool, as on the simulated backend,
+    /// with every spill run handed through one bounded channel to one
+    /// collector thread that receives them.
     Sharded,
     /// Process-isolated workers over a disk-backed DFS: the driver
     /// re-spawns its own executable as one pool of worker processes per
@@ -111,22 +109,6 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// Everything the runner needs to execute one job's map and reduce phases.
-/// Built by the driver in [`crate::Cluster::run`]; the shared structs
-/// borrow the job and the cluster.
-pub(crate) struct ExecParams<'a, M: Mapper, R: Reducer> {
-    pub(crate) map_items: Vec<MapItem<M>>,
-    pub(crate) map_shared: &'a MapShared<'a, M>,
-    pub(crate) reduce_shared: &'a ReduceShared<'a, M, R>,
-    pub(crate) reducer: R,
-    pub(crate) threads: usize,
-    pub(crate) num_reducers: usize,
-    pub(crate) config: &'a ClusterConfig,
-    /// The job's worker-process reconstruction recipe, when it has one.
-    /// Only the process backend looks at this.
-    pub(crate) remote: Option<&'a crate::job::RemoteJobSpec>,
 }
 
 /// What the runner hands back to the driver. A top-level `Err` from
@@ -261,34 +243,33 @@ impl Transport for Channel<'_> {
 }
 
 /// Run one job's map and reduce phases on the backend its config selects.
-pub(crate) fn execute<M, R>(mut params: ExecParams<'_, M, R>) -> Result<ExecOutcome>
+pub(crate) fn execute<M, R>(run: &JobRun<'_, M, R>) -> Result<ExecOutcome>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    let config = params.config;
-    let shared = params.map_shared;
-    let counters = shared.counters;
+    let config = run.cluster.config();
+    let counters = &run.counters;
+    let threads = config.physical_threads();
     match config.backend {
-        BackendKind::Simulated => run_phases(params, &mut InMemory, None),
+        BackendKind::Simulated => run_phases(run, threads, &mut InMemory, None),
         BackendKind::Sharded => {
-            let watchdog = Watchdog::new(config, counters, shared.cluster.trace(), shared.job_name);
+            let watchdog = Watchdog::new(config, counters, run.cluster.trace(), &run.job.name);
             std::thread::scope(|scope| {
                 let mut channel = Channel::new(scope, config.shuffle_channel_capacity);
-                run_phases(params, &mut channel, watchdog.as_ref())
+                run_phases(run, threads, &mut channel, watchdog.as_ref())
             })
         }
         BackendKind::Process => {
             let spawn_start = Instant::now();
             // The pool is the cluster's; holding it runs the cluster's jobs
             // one at a time.
-            let mut pool = shared.cluster.worker_pool().lock();
-            let mut workers = ProcessTransport::begin(&mut pool, &params)?;
+            let mut pool = run.cluster.worker_pool().lock();
+            let mut workers = ProcessTransport::begin(&mut pool, run)?;
             counters
                 .get(profile::WALL_SPAWN_US)
                 .add(secs_to_us(spawn_start.elapsed().as_secs_f64()));
-            params.threads = workers.size();
-            let result = run_phases(params, &mut workers, None);
+            let result = run_phases(run, workers.size(), &mut workers, None);
             // Closing the job and spill cleanup close the reduce window, so
             // the windows still tile the backend's whole execution.
             let teardown_start = Instant::now();
@@ -302,12 +283,15 @@ where
 }
 
 /// The one place a job's phases are sequenced: map tasks → regroup the
-/// parked runs per reduce partition → reduce tasks, with the three wall
-/// windows taken back-to-back around them. An attempt the transport does
-/// not run elsewhere runs on the calling pool thread, under `watchdog`
-/// when the backend supervises in-process attempts.
+/// parked runs per reduce partition → reduce tasks, on up to `threads`
+/// pool threads, with the three wall windows taken back-to-back around
+/// them. A map task is its index into the job's inputs, a reduce task its
+/// partition and the runs parked for it. An attempt the transport does not
+/// run elsewhere runs on the calling pool thread, under `watchdog` when the
+/// backend supervises in-process attempts.
 fn run_phases<M, R, T>(
-    params: ExecParams<'_, M, R>,
+    run: &JobRun<'_, M, R>,
+    threads: usize,
     transport: &mut T,
     watchdog: Option<&Watchdog>,
 ) -> Result<ExecOutcome>
@@ -316,28 +300,17 @@ where
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
     T: Transport,
 {
-    let ExecParams {
-        map_items,
-        map_shared,
-        reduce_shared,
-        reducer,
-        threads,
-        num_reducers,
-        config,
-        ..
-    } = params;
-    let max_attempts = config.max_task_attempts;
-    let counters = map_shared.counters;
+    let max_attempts = run.cluster.config().max_task_attempts;
     let exec_start = Instant::now();
     let shuffle = &*transport;
+    let map_tasks = (0..run.job.inputs.len()).collect();
     let (mut map_outs, map_stats) =
-        run_tasks(map_items, threads, max_attempts, |item, attempt| {
-            if let Some(out) = shuffle.remote_map(item.task_id, attempt)? {
+        run_tasks(map_tasks, threads, max_attempts, |&task, attempt| {
+            if let Some(out) = shuffle.remote_map(task, attempt)? {
                 return Ok(out);
             }
-            Watchdog::supervised(watchdog, (Phase::Map, item.task_id, attempt), || {
-                let park = |runs| shuffle.park(item.task_id, attempt, runs);
-                run_map_task(item, attempt, map_shared, park)
+            Watchdog::supervised(watchdog, (Phase::Map, task, attempt), || {
+                run.map_task(task, attempt, |runs| shuffle.park(task, attempt, runs))
             })
         })?;
     let map_done = exec_start.elapsed().as_secs_f64();
@@ -347,7 +320,7 @@ where
     // the tasks finished in.
     transport.seal();
     map_outs.sort_by_key(|o| o.stats.task_id);
-    let mut partitions: Vec<Vec<T::Parked>> = (0..num_reducers).map(|_| Vec::new()).collect();
+    let mut partitions: Vec<Vec<T::Parked>> = (0..run.num_reducers).map(|_| Vec::new()).collect();
     let mut map_outs_stats = Vec::with_capacity(map_outs.len());
     for out in map_outs {
         for (partition, runs) in partitions.iter_mut().zip(out.runs) {
@@ -358,27 +331,26 @@ where
     let regroup_done = exec_start.elapsed().as_secs_f64();
 
     let shuffle = &*transport;
-    // `Reducer` is `Clone + Send` but not `Sync`: each task owns a clone.
-    let reduce_items: Vec<(usize, Vec<T::Parked>, R)> = partitions
-        .into_iter()
-        .enumerate()
-        .map(|(task_id, parked)| (task_id, parked, reducer.clone()))
-        .collect();
-    let reduce_result = run_tasks(reduce_items, threads, max_attempts, |item, attempt| {
-        let (task_id, parked, reducer) = item;
-        if let Some(out) = shuffle.remote_reduce(*task_id, attempt, parked)? {
-            return Ok(out);
-        }
-        Watchdog::supervised(watchdog, (Phase::Reduce, *task_id, attempt), || {
-            let fetch = || shuffle.fetch(parked);
-            run_reduce_task(*task_id, reducer, attempt, reduce_shared, fetch)
-        })
-    })
+    let reduce_tasks = partitions.into_iter().enumerate().collect();
+    let reduce_result = run_tasks(
+        reduce_tasks,
+        threads,
+        max_attempts,
+        |&(task, ref parked), attempt| {
+            if let Some(out) = shuffle.remote_reduce(task, attempt, parked)? {
+                return Ok(out);
+            }
+            Watchdog::supervised(watchdog, (Phase::Reduce, task, attempt), || {
+                run.reduce_task(task, attempt, || shuffle.fetch(parked))
+            })
+        },
+    )
     .map(|(mut outs, stats)| {
         outs.sort_by_key(|o| o.task_id);
         (outs, stats)
     });
     let reduce_done = exec_start.elapsed().as_secs_f64();
+    let counters = &run.counters;
     counters.get(profile::WALL_MAP_US).add(secs_to_us(map_done));
     for regroup in [profile::WALL_REGROUP_US, profile::BUSY_REGROUP_US] {
         counters

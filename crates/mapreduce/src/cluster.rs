@@ -103,12 +103,6 @@ pub struct ClusterConfig {
     /// deadline. Only meaningful when
     /// [`ClusterConfig::task_timeout_secs`] is set.
     pub heartbeat_interval_secs: f64,
-    /// Emit a [`crate::trace::EventKind::Profile`] trace event per job
-    /// carrying the per-phase [`crate::JobProfile`] JSON. Phase counters
-    /// are collected regardless (they are a handful of clock reads per
-    /// attempt); this flag only controls the extra trace event. Profiling
-    /// never changes committed output.
-    pub profile: bool,
 }
 
 // What a process-backend worker needs of its driver's configuration, as it
@@ -145,7 +139,6 @@ impl Default for ClusterConfig {
             shuffle_channel_capacity: 256,
             task_timeout_secs: None,
             heartbeat_interval_secs: 0.25,
-            profile: false,
         }
     }
 }

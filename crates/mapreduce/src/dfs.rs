@@ -1,4 +1,10 @@
-//! In-memory simulation of a block-based distributed file system.
+//! A block-based distributed file system, kept in memory or on disk.
+//!
+//! [`Dfs::new`] holds every file in one in-process map; [`Dfs::new_disk`]
+//! (and [`Dfs::new_temp_disk`]) keeps each file as a checksummed container
+//! under a root directory, so that independent processes opening the root
+//! share one file system — the process backend's storage plane, and what a
+//! killed driver resumes over. Both stores behave alike through this API.
 //!
 //! Files are sequences of blocks; each block is placed on a simulated node in
 //! round-robin order — the balanced layout the paper establishes before every
@@ -35,7 +41,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +63,7 @@ pub enum FileKind {
 #[derive(Debug, Clone)]
 struct DfsFile {
     stat: FileStat,
-    blocks: Vec<Bytes>,
+    blocks: Vec<Arc<[u8]>>,
 }
 
 /// One file's metadata as fixed at write time: what [`Dfs::stat`] reads
@@ -92,7 +97,7 @@ impl DfsFile {
     }
 
     /// The bytes of block `index`, unchecked.
-    fn block(&self, path: &str, index: usize) -> Result<Bytes> {
+    fn block(&self, path: &str, index: usize) -> Result<Arc<[u8]>> {
         let block = self.blocks.get(index).cloned();
         block.ok_or_else(|| MrError::Codec(format!("{path} has no block {index}: replaced?")))
     }
@@ -410,13 +415,13 @@ impl DiskStore {
     }
 
     /// Read `len` bytes at `pos` of a container: one block's.
-    fn read_range(&self, path: &str, pos: u64, len: u64) -> Result<Bytes> {
+    fn read_range(&self, path: &str, pos: u64, len: u64) -> Result<Arc<[u8]>> {
         let bytes = read_at(&self.target_path(path)?, pos, len).map_err(|e| io_fail(path, e))?;
         if bytes.len() as u64 != len {
             let why = format!("corrupt DFS container {path}: no {len} bytes at {pos}");
             return Err(MrError::Codec(why));
         }
-        Ok(Bytes::from(bytes))
+        Ok(Arc::from(bytes))
     }
 
     /// Read a container's header only. Its length is known once it parses,
@@ -603,7 +608,7 @@ fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
     let cut = |&(len, _, _): &(u64, usize, Option<u32>)| {
         let (data, rest) = payload.split_at(len as usize);
         payload = rest;
-        Bytes::copy_from_slice(data)
+        Arc::from(data)
     };
     let blocks = stat.blocks.iter().map(cut).collect();
     Ok(DfsFile { stat, blocks })
@@ -997,7 +1002,7 @@ impl Dfs {
             .ok_or_else(|| MrError::InvalidConfig(format!("cannot corrupt empty file {path}")))?;
         let mut data = block.to_vec();
         data[0] ^= 0x01;
-        *block = Bytes::from(data);
+        *block = Arc::from(data);
         self.insert(path, file, true)
     }
 
@@ -1168,7 +1173,7 @@ impl Dfs {
     /// The bytes of one block, read — one range of the container on disk,
     /// a shared buffer in memory — and checked against that block's stored
     /// CRC here, in the caller: the map attempt that was handed the split.
-    pub fn read_block(&self, split: &BlockSplit) -> Result<Bytes> {
+    pub fn read_block(&self, split: &BlockSplit) -> Result<Arc<[u8]>> {
         let path = split.path.as_str();
         let Some(crc) = split.crc else {
             // MRDFSv1: the file's CRC is the only one there is.
@@ -1217,7 +1222,7 @@ fn torn_copy(file: &DfsFile, keep: u64) -> DfsFile {
     let mut left = keep;
     for (entry, data) in torn.stat.blocks.iter_mut().zip(&mut torn.blocks) {
         entry.0 = entry.0.min(left);
-        *data = Bytes::copy_from_slice(&data[..entry.0 as usize]);
+        *data = Arc::from(&data[..entry.0 as usize]);
         left -= entry.0;
     }
     torn.stat.blocks.retain(|entry| entry.0 > 0);
@@ -1339,7 +1344,7 @@ impl BlockWriter {
         stat.blocks.push((len, self.dfs.place(), Some(crc)));
         stat.len += len;
         stat.crc = crc32_combine(stat.crc, crc, len);
-        self.file.blocks.push(Bytes::from(data));
+        self.file.blocks.push(Arc::from(data));
     }
 
     /// Finish the file and register it in the DFS.
@@ -1653,7 +1658,7 @@ mod tests {
                     if at < start + block.len() as u64 {
                         let mut data = block.to_vec();
                         data[(at - start) as usize] ^= 0x01;
-                        *block = Bytes::from(data);
+                        *block = Arc::from(data);
                         break;
                     }
                     start += block.len() as u64;

@@ -7,22 +7,21 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::backend::{self, BackendKind, ExecParams};
-use crate::cache::Cache;
+use crate::backend::{self, BackendKind};
 use crate::cluster::{schedule, transfer_secs, ClusterConfig, Schedule, SimTask};
 use crate::codec_struct;
 use crate::counters::Counters;
 use crate::dfs::{is_under, BlockWriter, Dfs};
 use crate::error::{MrError, Result};
-use crate::faults::{Fault, FaultPlan};
+use crate::faults::Fault;
 use crate::input::SplitSource;
-use crate::job::{Job, KeyLabel, Output, TextFormat};
+use crate::job::{Job, Output, TextFormat};
 use crate::kv::{Key, Value};
 use crate::manifest::{success_path, JobManifest};
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics};
-use crate::partitioner::{GroupEq, PartitionFn, SortCmp};
+use crate::partitioner::{PartitionFn, SortCmp};
 use crate::profile::{self, secs_to_us, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
@@ -145,73 +144,27 @@ impl Cluster {
     /// backend, job-level commit or abort, finalize — one function each,
     /// and with the backend's spawn/map/regroup/reduce the seven wall
     /// windows of [`crate::profile`].
-    pub fn run<M, R>(&self, mut job: Job<M, R>) -> Result<JobMetrics>
+    pub fn run<M, R>(&self, job: Job<M, R>) -> Result<JobMetrics>
     where
         M: Mapper,
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
     {
         let wall_start = Instant::now();
-        let num_reducers = job
-            .num_reducers
-            .unwrap_or_else(|| self.config.default_reducers());
-        if num_reducers == 0 {
-            return Err(MrError::InvalidConfig(format!(
-                "job {}: need at least one reducer",
-                job.name
-            )));
-        }
-        let counters = Counters::new();
-        let histograms = Histograms::new();
+        let run = JobRun::new(&job, self)?;
+        let counters = &run.counters;
         if let Some(t) = &self.trace {
             t.emit(TraceEvent::new(EventKind::JobStart, &job.name));
         }
         let job_seq = self.jobs_run.fetch_add(1, Ordering::Relaxed);
         if let Some(dir) = job.output.dir() {
-            self.scavenge(&job.name, dir, &counters);
+            self.scavenge(&job.name, dir, counters);
         }
-
-        let map_items = MapItem::per_split(&mut job);
-        let shared = MapShared {
-            partitioner: &job.partitioner,
-            sort_cmp: &job.sort_cmp,
-            combiner: job.combiner.as_ref(),
-            counters: &counters,
-            histograms: &histograms,
-            cache: &job.cache,
-            dfs: &self.dfs,
-            cluster: self,
-            num_reducers,
-            job_name: &job.name,
-        };
-        let rshared = ReduceShared {
-            sort_cmp: &job.sort_cmp,
-            group_eq: &job.group_eq,
-            counters: &counters,
-            histograms: &histograms,
-            cache: &job.cache,
-            dfs: &self.dfs,
-            cluster: self,
-            num_reducers,
-            output: &job.output,
-            job_name: &job.name,
-            key_label: job.key_label.as_ref(),
-        };
-        let params = ExecParams {
-            map_items,
-            map_shared: &shared,
-            reduce_shared: &rshared,
-            reducer: job.reducer.clone(),
-            threads: self.config.physical_threads(),
-            num_reducers,
-            config: &self.config,
-            remote: job.remote.as_ref(),
-        };
         counters
             .get(profile::WALL_SETUP_US)
             .add(secs_to_us(wall_start.elapsed().as_secs_f64()));
         // An `Err` here is a map-phase failure: it propagates without
         // touching the output directory.
-        let outcome = backend::execute(params)?;
+        let outcome = backend::execute(&run)?;
 
         let commit_start = Instant::now();
         let reduce = self.commit_job(
@@ -223,7 +176,14 @@ impl Cluster {
             .get(profile::WALL_COMMIT_US)
             .add(secs_to_us(commit_start.elapsed().as_secs_f64()));
         let map = (outcome.map_outs, outcome.map_stats);
-        Ok(self.finalize(job.name, wall_start, &counters, &histograms, map, reduce))
+        Ok(self.finalize(
+            &job.name,
+            wall_start,
+            counters,
+            &run.histograms,
+            map,
+            reduce,
+        ))
     }
 
     /// Recovery before any task starts: a driver crash can leave
@@ -443,7 +403,7 @@ impl Cluster {
     /// speculation), the distributions, and the closing trace events.
     fn finalize(
         &self,
-        name: String,
+        name: &str,
         wall_start: Instant,
         counters: &Counters,
         histograms: &Histograms,
@@ -456,14 +416,14 @@ impl Cluster {
         let shuffle_bytes = map_outs.iter().map(|o| o.shuffle_bytes).sum();
         let shuffle_records = map_outs.iter().map(|o| o.shuffle_records).sum();
         let (job_histograms, heavy_hitters) = self.distributions(
-            &name,
+            name,
             counters,
             histograms,
             (&map_outs, &reduce_outs),
             shuffle_records,
         );
-        self.trace_races(&name, Phase::Map, &map_schedule);
-        self.trace_races(&name, Phase::Reduce, &reduce_schedule);
+        self.trace_races(name, Phase::Map, &map_schedule);
+        self.trace_races(name, Phase::Reduce, &reduce_schedule);
         let races = (map_schedule.races.len() + reduce_schedule.races.len()) as u64;
         // Per-shard task counts (winning attempts), keyed by the
         // deterministic node label — identical across backends.
@@ -480,7 +440,7 @@ impl Cluster {
             .get(profile::WALL_FINALIZE_US)
             .add(secs_to_us(finalize_start.elapsed().as_secs_f64()));
         let metrics = JobMetrics {
-            name,
+            name: name.to_string(),
             map: PhaseMetrics {
                 tasks: map_outs.len(),
                 total_task_secs: map_outs.iter().map(|o| o.duration).sum(),
@@ -534,14 +494,12 @@ impl Cluster {
             e.records = Some(shuffle_records);
             e.detail = Some(format!("sim {:.3}s", metrics.sim_secs));
             t.emit(e);
-            if config.profile {
-                let prof = JobProfile::from_metrics(&metrics);
-                let mut e = TraceEvent::new(EventKind::Profile, &metrics.name);
-                e.dur_us = Some((prof.covered_secs() * 1e6) as u64);
-                e.bytes = Some(prof.busy_shuffle_transport_bytes);
-                e.detail = Some(prof.to_json(metrics.wall_secs).to_string());
-                t.emit(e);
-            }
+            let prof = JobProfile::from_metrics(&metrics);
+            let mut e = TraceEvent::new(EventKind::Profile, &metrics.name);
+            e.dur_us = Some((prof.covered_secs() * 1e6) as u64);
+            e.bytes = Some(prof.busy_shuffle_transport_bytes);
+            e.detail = Some(prof.to_json(metrics.wall_secs).to_string());
+            t.emit(e);
         }
         metrics
     }
@@ -587,13 +545,6 @@ pub(crate) trait SimCharge {
     fn charge_sim(&mut self, secs: f64);
 }
 
-/// Run a task body, turning a panic in user code into a classified
-/// [`MrError::TaskPanicked`] instead of unwinding into the executor.
-pub(crate) fn catch_task_panic<O>(body: impl FnOnce() -> Result<O>) -> Result<O> {
-    std::panic::catch_unwind(AssertUnwindSafe(body))
-        .unwrap_or_else(|payload| Err(MrError::TaskPanicked(panic_message(payload.as_ref()))))
-}
-
 /// Render a caught panic payload as a message (`&str` and `String`
 /// payloads are preserved, anything else is opaque).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -616,90 +567,20 @@ fn pending_backoff_us(config: &ClusterConfig, transient: bool, attempt: usize) -
     Some((backoff_after(attempt) * 1e6) as u64)
 }
 
-/// Run one attempt body bracketed by trace events: a `TaskStart` before it
-/// and exactly one `TaskEnd` after it — whether the body returns, errors,
-/// or panics (panics are re-raised for the retry loop to classify). All
-/// emission happens outside the attempt's own timed window, so tracing is
-/// never charged to simulated time. With no sink attached this is exactly
-/// the body.
-#[allow(clippy::too_many_arguments)]
-fn traced_attempt<O>(
-    cluster: &Cluster,
-    job: &str,
-    phase: Phase,
-    task_id: usize,
-    attempt: usize,
-    node: usize,
-    stats: impl Fn(&O) -> (u64, u64),
-    body: impl FnOnce() -> Result<O>,
-) -> Result<O> {
-    let Some(trace) = &cluster.trace else {
-        return body();
-    };
-    // Re-derive the injected fault for labeling: `FaultPlan::decide` is
-    // pure in (job, phase, task, attempt), so this matches what the body
-    // will draw.
-    let fault = cluster.config.faults.as_ref().and_then(|plan| {
-        if plan.node_is_dead(node) {
-            Some("dead_node".to_string())
-        } else {
-            plan.decide(job, phase, task_id, attempt)
-                .map(|f| format!("{f:?}").to_lowercase())
-        }
-    });
-    let mut start =
-        TraceEvent::new(EventKind::TaskStart, job).at_task(phase, task_id, attempt, node);
-    start.fault = fault.clone();
-    trace.emit(start);
-    let t0 = Instant::now();
-    let result = std::panic::catch_unwind(AssertUnwindSafe(body));
-    let wall_us = (t0.elapsed().as_micros() as u64).max(1);
-    let mut end = TraceEvent::new(EventKind::TaskEnd, job).at_task(phase, task_id, attempt, node);
-    end.dur_us = Some(wall_us);
-    end.fault = fault;
-    match result {
-        Ok(Ok(out)) => {
-            end.outcome = Some(Outcome::Ok);
-            let (bytes, records) = stats(&out);
-            end.bytes = Some(bytes);
-            end.records = Some(records);
-            trace.emit(end);
-            Ok(out)
-        }
-        Ok(Err(e)) => {
-            end.outcome = Some(Outcome::Failed);
-            end.error = Some(e.to_string());
-            end.backoff_us = pending_backoff_us(&cluster.config, e.is_transient(), attempt);
-            trace.emit(end);
-            Err(e)
-        }
-        Err(payload) => {
-            end.outcome = Some(Outcome::Panicked);
-            end.error = Some(panic_message(payload.as_ref()));
-            // Panics classify as transient, so a retry follows whenever
-            // attempts remain.
-            end.backoff_us = pending_backoff_us(&cluster.config, true, attempt);
-            trace.emit(end);
-            std::panic::resume_unwind(payload)
-        }
-    }
-}
-
-/// Run one task with retries (Hadoop's task attempts). Each attempt runs
-/// under `catch_unwind`, so a panicking user function becomes a
-/// [`MrError::TaskPanicked`] attempt failure rather than aborting the
-/// process. Failed attempts are re-executed only when the error is
-/// transient ([`MrError::is_transient`]); permanent errors fail
-/// immediately. Every retry charges capped exponential backoff to the
-/// winning attempt's *simulated* time.
-pub(crate) fn run_with_retries<I, O: SimCharge>(
+/// Run one task with retries (Hadoop's task attempts). Failed attempts are
+/// re-executed only when the error is transient ([`MrError::is_transient`]),
+/// as a panicked attempt is — its body's [`JobRun::traced_attempt`] has
+/// already turned the panic into [`MrError::TaskPanicked`]; permanent
+/// errors fail immediately. Every retry charges capped exponential backoff
+/// to the winning attempt's *simulated* time.
+fn run_with_retries<I, O: SimCharge>(
     item: &I,
     max_attempts: usize,
     f: &(impl Fn(&I, usize) -> Result<O> + Sync),
 ) -> Result<(O, RetryStats)> {
     let mut stats = RetryStats::default();
     for attempt in 0..max_attempts {
-        match catch_task_panic(|| f(item, attempt)) {
+        match f(item, attempt) {
             Ok(mut out) => {
                 out.charge_sim(stats.backoff_secs);
                 stats.retries = attempt as u64;
@@ -800,93 +681,189 @@ where
     Ok((results.into_inner(), stats.into_inner()))
 }
 
-/// The fault-injection hook shared by map and reduce attempts: checks the
-/// dead node, then draws this attempt's fault. `Transient`, `Panic`, and
-/// `Oom` fire immediately; `Straggle` and `LateFail` are returned for the
-/// task body to apply.
-fn inject_start_faults(
-    faults: Option<&FaultPlan>,
-    job: &str,
-    phase: Phase,
-    task_id: usize,
-    attempt: usize,
-    node: usize,
-    label: &str,
-) -> Result<Option<Fault>> {
-    let Some(plan) = faults else { return Ok(None) };
-    if plan.node_is_dead(node) {
-        return Err(MrError::NodeLost {
-            node,
-            task: label.to_string(),
-        });
+// ---- one job in flight -----------------------------------------------------
+
+/// One job in flight: the job, the cluster it runs on, the counters and
+/// histograms its attempts record into, and its reducer count — everything
+/// an attempt reads. The driver builds one per job ([`Cluster::run`]) and a
+/// process worker one per request, both with [`JobRun::new`]; running one
+/// attempt of task *i* ([`JobRun::map_task`], [`JobRun::reduce_task`]) is
+/// all it does. Map task *i* reads `job.inputs[i]`, and each attempt clones
+/// the job's mapper or reducer prototype once.
+pub(crate) struct JobRun<'a, M, R>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    pub(crate) job: &'a Job<M, R>,
+    pub(crate) cluster: &'a Cluster,
+    pub(crate) counters: Counters,
+    pub(crate) histograms: Histograms,
+    pub(crate) num_reducers: usize,
+}
+
+/// Where one attempt runs: `(phase, task, attempt, node)`.
+type At = (Phase, usize, usize, usize);
+
+impl<'a, M, R> JobRun<'a, M, R>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    /// `job` on `cluster` with fresh counters and histograms, and the job's
+    /// reducer count or else one wave of the cluster's reduce slots (a
+    /// worker's rebuilt job carries the count the driver resolved).
+    pub(crate) fn new(job: &'a Job<M, R>, cluster: &'a Cluster) -> Result<Self> {
+        let num_reducers = job
+            .num_reducers
+            .unwrap_or_else(|| cluster.config.default_reducers());
+        if num_reducers == 0 {
+            return Err(MrError::InvalidConfig(format!(
+                "job {}: need at least one reducer",
+                job.name
+            )));
+        }
+        Ok(JobRun {
+            job,
+            cluster,
+            counters: Counters::new(),
+            histograms: Histograms::new(),
+            num_reducers,
+        })
     }
-    let fault = plan.decide(job, phase, task_id, attempt);
-    match fault {
-        Some(Fault::Transient) => Err(MrError::TaskFailed(format!(
-            "injected transient fault ({label} attempt {attempt})"
-        ))),
-        Some(Fault::Panic) => panic!("injected user-code panic ({label} attempt {attempt})"),
-        Some(Fault::Oom) => Err(MrError::OutOfMemory {
-            task: label.to_string(),
-            requested: 0,
-            budget: 0,
-            transient: true,
-        }),
-        // In a worker process the serve loop already acted on these two
-        // *before* dispatch (a real sleep / suppressed heartbeats); here
-        // they fall through so the body is not faulted twice. In-process
-        // executors have no wall clock to hang on, so a hang degrades to
-        // an immediate transient loss — same retry decision the process
-        // backend's supervisor reaches, without the wait.
-        Some(Fault::Hang) if std::env::var_os(crate::remote::WORKER_ENV).is_none() => {
-            Err(MrError::NodeLost {
+
+    /// The context an attempt's user code sees, and the label its errors
+    /// carry.
+    fn context(&self, (phase, task_id, attempt, node): At) -> (TaskContext, String) {
+        let label = format!("{}/{}-{task_id}", self.job.name, phase.as_str());
+        let mut ctx = TaskContext::new(
+            phase,
+            task_id,
+            node,
+            self.num_reducers,
+            self.counters.clone(),
+            self.cluster.gauge(label.clone()),
+            self.job.cache.clone(),
+            self.cluster.dfs.clone(),
+        );
+        ctx.attempt = attempt;
+        ctx.set_histograms(self.histograms.clone());
+        (ctx, label)
+    }
+
+    /// Run one attempt's body behind its one panic boundary: a panic in
+    /// user code becomes [`MrError::TaskPanicked`] here, on the driver's
+    /// threads and in a worker process alike. With a trace sink attached
+    /// the body is bracketed by a `TaskStart` and exactly one `TaskEnd` —
+    /// ok, failed or panicked — both emitted outside the attempt's own
+    /// timed window, so tracing is never charged to simulated time.
+    fn traced_attempt<O>(
+        &self,
+        at: At,
+        stats: impl Fn(&O) -> (u64, u64),
+        body: impl FnOnce() -> Result<O>,
+    ) -> Result<O> {
+        let (phase, task_id, attempt, node) = at;
+        let trace = self.cluster.trace.as_ref();
+        // Re-derive the injected fault for labeling: `FaultPlan::decide` is
+        // pure in (job, phase, task, attempt), so this matches what the body
+        // will draw.
+        let plan = trace.and(self.cluster.config.faults.as_ref());
+        let fault = plan.and_then(|plan| {
+            if plan.node_is_dead(node) {
+                Some("dead_node".to_string())
+            } else {
+                plan.decide(&self.job.name, phase, task_id, attempt)
+                    .map(|f| format!("{f:?}").to_lowercase())
+            }
+        });
+        let event = |kind| {
+            let mut e =
+                TraceEvent::new(kind, &self.job.name).at_task(phase, task_id, attempt, node);
+            e.fault = fault.clone();
+            e
+        };
+        if let Some(t) = trace {
+            t.emit(event(EventKind::TaskStart));
+        }
+        let t0 = Instant::now();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(body))
+            .map_err(|payload| panic_message(payload.as_ref()));
+        if let Some(t) = trace {
+            let mut end = event(EventKind::TaskEnd);
+            end.dur_us = Some((t0.elapsed().as_micros() as u64).max(1));
+            let config = &self.cluster.config;
+            match &result {
+                Ok(Ok(out)) => {
+                    end.outcome = Some(Outcome::Ok);
+                    let (bytes, records) = stats(out);
+                    end.bytes = Some(bytes);
+                    end.records = Some(records);
+                }
+                Ok(Err(e)) => {
+                    end.outcome = Some(Outcome::Failed);
+                    end.error = Some(e.to_string());
+                    end.backoff_us = pending_backoff_us(config, e.is_transient(), attempt);
+                }
+                // Panics classify as transient, so a retry follows whenever
+                // attempts remain.
+                Err(message) => {
+                    end.outcome = Some(Outcome::Panicked);
+                    end.error = Some(message.clone());
+                    end.backoff_us = pending_backoff_us(config, true, attempt);
+                }
+            }
+            t.emit(end);
+        }
+        result.unwrap_or_else(|message| Err(MrError::TaskPanicked(message)))
+    }
+
+    /// The fault-injection hook shared by map and reduce attempts: checks
+    /// the dead node, then draws this attempt's fault. `Transient`, `Panic`,
+    /// and `Oom` fire immediately; `Straggle` and `LateFail` are returned for
+    /// the task body to apply.
+    fn inject_start_faults(&self, at: At, label: &str) -> Result<Option<Fault>> {
+        let (phase, task_id, attempt, node) = at;
+        let Some(plan) = &self.cluster.config.faults else {
+            return Ok(None);
+        };
+        if plan.node_is_dead(node) {
+            return Err(MrError::NodeLost {
                 node,
                 task: label.to_string(),
-            })
+            });
         }
-        Some(Fault::Hang) | Some(Fault::SlowHeartbeat) => Ok(None),
-        other => Ok(other),
+        let fault = plan.decide(&self.job.name, phase, task_id, attempt);
+        match fault {
+            Some(Fault::Transient) => Err(MrError::TaskFailed(format!(
+                "injected transient fault ({label} attempt {attempt})"
+            ))),
+            Some(Fault::Panic) => panic!("injected user-code panic ({label} attempt {attempt})"),
+            Some(Fault::Oom) => Err(MrError::OutOfMemory {
+                task: label.to_string(),
+                requested: 0,
+                budget: 0,
+                transient: true,
+            }),
+            // In a worker process the serve loop already acted on these two
+            // *before* dispatch (a real sleep / suppressed heartbeats); here
+            // they fall through so the body is not faulted twice. In-process
+            // executors have no wall clock to hang on, so a hang degrades to
+            // an immediate transient loss — same retry decision the process
+            // backend's supervisor reaches, without the wait.
+            Some(Fault::Hang) if std::env::var_os(crate::remote::WORKER_ENV).is_none() => {
+                Err(MrError::NodeLost {
+                    node,
+                    task: label.to_string(),
+                })
+            }
+            Some(Fault::Hang) | Some(Fault::SlowHeartbeat) => Ok(None),
+            other => Ok(other),
+        }
     }
 }
 
 // ---- map side ---------------------------------------------------------------
-
-pub(crate) struct MapItem<M: Mapper> {
-    pub(crate) task_id: usize,
-    pub(crate) split: SplitSource<M::InKey, M::InValue>,
-    pub(crate) mapper: M,
-}
-
-impl<M: Mapper> MapItem<M> {
-    /// One map task per input split of `job`, which gives its splits up:
-    /// how the driver and a worker process both lay a job out, so task ids
-    /// agree.
-    pub(crate) fn per_split<R>(job: &mut Job<M, R>) -> Vec<Self>
-    where
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-    {
-        let number = |(task_id, split)| MapItem {
-            task_id,
-            split,
-            mapper: job.mapper.clone(),
-        };
-        let inputs = std::mem::take(&mut job.inputs);
-        inputs.into_iter().enumerate().map(number).collect()
-    }
-}
-
-pub(crate) struct MapShared<'a, M: Mapper> {
-    pub(crate) partitioner: &'a PartitionFn<M::OutKey>,
-    pub(crate) sort_cmp: &'a SortCmp<M::OutKey>,
-    pub(crate) combiner: Option<&'a CombineFn<M::OutKey, M::OutValue>>,
-    pub(crate) counters: &'a Counters,
-    pub(crate) histograms: &'a Histograms,
-    pub(crate) cache: &'a Cache,
-    pub(crate) dfs: &'a Dfs,
-    pub(crate) cluster: &'a Cluster,
-    pub(crate) num_reducers: usize,
-    pub(crate) job_name: &'a str,
-}
 
 /// What the driver keeps of a winning map attempt once its runs are
 /// routed: timings, record counts and the shuffle volume it parked.
@@ -1034,159 +1011,122 @@ impl<K: Key, V: Value> Emit<K, V> for MapEmitter<'_, K, V> {
     }
 }
 
-/// Run one map attempt and hand its spill runs to `park` — the shuffle
-/// transport's map side (see [`crate::backend::Transport::park`]). Parking
-/// happens after the attempt's measured window closes, so it is never
-/// charged to simulated time.
-pub(crate) fn run_map_task<M: Mapper, P>(
-    item: &MapItem<M>,
-    attempt: usize,
-    shared: &MapShared<'_, M>,
-    park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
-) -> Result<MapTaskOut<P>> {
-    let nodes = shared.cluster.config.nodes;
-    // Retried attempts rotate to a different node — how a re-execution
-    // escapes a dead or unhealthy machine.
-    let node = (item.split.node_hint.unwrap_or(item.task_id % nodes) + attempt) % nodes;
-    traced_attempt(
-        shared.cluster,
-        shared.job_name,
-        Phase::Map,
-        item.task_id,
-        attempt,
-        node,
-        |o: &MapTaskOut<P>| (o.stats.input_bytes, o.stats.output_records),
-        || run_map_attempt(item, attempt, node, shared, park),
-    )
-}
+impl<M, R> JobRun<'_, M, R>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    /// Run one attempt of map task `task_id` and hand its spill runs to
+    /// `park` — the shuffle transport's map side (see
+    /// [`crate::backend::Transport::park`]). Parking happens after the
+    /// attempt's measured window closes, so it is never charged to
+    /// simulated time.
+    pub(crate) fn map_task<P>(
+        &self,
+        task_id: usize,
+        attempt: usize,
+        park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
+    ) -> Result<MapTaskOut<P>> {
+        let split = &self.job.inputs[task_id];
+        let nodes = self.cluster.config.nodes;
+        // Retried attempts rotate to a different node — how a re-execution
+        // escapes a dead or unhealthy machine.
+        let node = (split.node_hint.unwrap_or(task_id % nodes) + attempt) % nodes;
+        let at = (Phase::Map, task_id, attempt, node);
+        self.traced_attempt(
+            at,
+            |o: &MapTaskOut<P>| (o.stats.input_bytes, o.stats.output_records),
+            || self.map_attempt(split, at, park),
+        )
+    }
 
-fn run_map_attempt<M: Mapper, P>(
-    item: &MapItem<M>,
-    attempt: usize,
-    node: usize,
-    shared: &MapShared<'_, M>,
-    park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
-) -> Result<MapTaskOut<P>> {
-    let task_id = item.task_id;
-    let split = &item.split;
-    let mut mapper = item.mapper.clone();
-    let start = Instant::now();
-    let node_hint = split.node_hint;
-    let input_bytes = split.size_hint;
-    let label = format!("{}/map-{task_id}", shared.job_name);
-    let fault = inject_start_faults(
-        shared.cluster.config.faults.as_ref(),
-        shared.job_name,
-        Phase::Map,
-        task_id,
-        attempt,
-        node,
-        &label,
-    )?;
-    let mut ctx = TaskContext::new(
-        Phase::Map,
-        task_id,
-        node,
-        shared.num_reducers,
-        shared.counters.clone(),
-        shared.cluster.gauge(label.clone()),
-        shared.cache.clone(),
-        shared.dfs.clone(),
-    );
-    ctx.attempt = attempt;
-    ctx.set_histograms(shared.histograms.clone());
-    ctx.set_input_path(&split.tag);
-    let records = split.read(shared.dfs)?;
-    let mut emitter = MapEmitter::new(
-        shared.num_reducers,
-        shared.cluster.config.spill_buffer_bytes,
-        shared.partitioner,
-        shared.sort_cmp,
-        shared.combiner,
-    );
-    mapper.setup(&ctx)?;
-    let mut input_records = 0u64;
-    for (k, v) in &records {
-        mapper.map(k, v, &mut emitter, &ctx)?;
-        input_records += 1;
+    fn map_attempt<P>(
+        &self,
+        split: &SplitSource<M::InKey, M::InValue>,
+        at: At,
+        park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
+    ) -> Result<MapTaskOut<P>> {
+        let (_, task_id, attempt, node) = at;
+        let mut mapper = self.job.mapper.clone();
+        let start = Instant::now();
+        let (mut ctx, label) = self.context(at);
+        let fault = self.inject_start_faults(at, &label)?;
+        ctx.set_input_path(&split.tag);
+        let records = split.read(&self.cluster.dfs)?;
+        let job = self.job;
+        let mut emitter = MapEmitter::new(
+            self.num_reducers,
+            self.cluster.config.spill_buffer_bytes,
+            &job.partitioner,
+            &job.sort_cmp,
+            job.combiner.as_ref(),
+        );
+        mapper.setup(&ctx)?;
+        let mut input_records = 0u64;
+        for (k, v) in &records {
+            mapper.map(k, v, &mut emitter, &ctx)?;
+            input_records += 1;
+        }
+        mapper.cleanup(&mut emitter, &ctx)?;
+        emitter.spill();
+        if matches!(fault, Some(Fault::LateFail)) {
+            // The work finished but the node died before the map output could
+            // be served to reducers; the attempt counts as failed.
+            return Err(MrError::TaskFailed(format!(
+                "injected late fault: map output lost ({label} attempt {attempt})"
+            )));
+        }
+        let elapsed = start.elapsed().as_secs_f64();
+        // Per-phase profile: the attempt's time splits into spill encode and
+        // everything else (read + user map function). Recorded only for
+        // attempts that got this far, so failed attempts never skew the
+        // attribution.
+        let counters = &self.counters;
+        counters
+            .get(profile::BUSY_SPILL_US)
+            .add(secs_to_us(emitter.spill_secs));
+        counters
+            .get(profile::BUSY_SPILL_BYTES)
+            .add(emitter.spill_bytes);
+        counters
+            .get(profile::BUSY_MAP_EXEC_US)
+            .add(secs_to_us((elapsed - emitter.spill_secs).max(0.0)));
+        let straggle = match fault {
+            Some(Fault::Straggle(factor)) => factor,
+            _ => 1.0,
+        };
+        // Shuffle transport, map side: the winning attempt's runs go wherever
+        // this backend keeps them until the reduce phase.
+        let park_start = Instant::now();
+        let runs = park(emitter.runs)?;
+        counters
+            .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
+            .add(secs_to_us(park_start.elapsed().as_secs_f64()));
+        counters
+            .get(profile::BUSY_SHUFFLE_TRANSPORT_BYTES)
+            .add(emitter.spill_bytes);
+        Ok(MapTaskOut {
+            stats: MapStats {
+                task_id,
+                duration: elapsed * straggle,
+                base_duration: elapsed,
+                node_hint: split.node_hint,
+                node,
+                input_bytes: split.size_hint,
+                input_records,
+                output_records: emitter.output_records,
+                spills: emitter.spills,
+                combine_in: emitter.combine_in,
+                combine_out: emitter.combine_out,
+                shuffle_bytes: emitter.spill_bytes,
+                shuffle_records: emitter.spill_records,
+            },
+            runs,
+        })
     }
-    mapper.cleanup(&mut emitter, &ctx)?;
-    emitter.spill();
-    if matches!(fault, Some(Fault::LateFail)) {
-        // The work finished but the node died before the map output could
-        // be served to reducers; the attempt counts as failed.
-        return Err(MrError::TaskFailed(format!(
-            "injected late fault: map output lost ({label} attempt {attempt})"
-        )));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    // Per-phase profile: the attempt's time splits into spill encode and
-    // everything else (read + user map function). Recorded only for
-    // attempts that got this far, so failed attempts never skew the
-    // attribution.
-    shared
-        .counters
-        .get(profile::BUSY_SPILL_US)
-        .add(secs_to_us(emitter.spill_secs));
-    shared
-        .counters
-        .get(profile::BUSY_SPILL_BYTES)
-        .add(emitter.spill_bytes);
-    shared
-        .counters
-        .get(profile::BUSY_MAP_EXEC_US)
-        .add(secs_to_us((elapsed - emitter.spill_secs).max(0.0)));
-    let straggle = match fault {
-        Some(Fault::Straggle(factor)) => factor,
-        _ => 1.0,
-    };
-    // Shuffle transport, map side: the winning attempt's runs go wherever
-    // this backend keeps them until the reduce phase.
-    let park_start = Instant::now();
-    let runs = park(emitter.runs)?;
-    shared
-        .counters
-        .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
-        .add(secs_to_us(park_start.elapsed().as_secs_f64()));
-    shared
-        .counters
-        .get(profile::BUSY_SHUFFLE_TRANSPORT_BYTES)
-        .add(emitter.spill_bytes);
-    Ok(MapTaskOut {
-        stats: MapStats {
-            task_id,
-            duration: elapsed * straggle,
-            base_duration: elapsed,
-            node_hint,
-            node,
-            input_bytes,
-            input_records,
-            output_records: emitter.output_records,
-            spills: emitter.spills,
-            combine_in: emitter.combine_in,
-            combine_out: emitter.combine_out,
-            shuffle_bytes: emitter.spill_bytes,
-            shuffle_records: emitter.spill_records,
-        },
-        runs,
-    })
 }
 
 // ---- reduce side -------------------------------------------------------------
-
-pub(crate) struct ReduceShared<'a, M: Mapper, R: Reducer> {
-    pub(crate) sort_cmp: &'a SortCmp<M::OutKey>,
-    pub(crate) group_eq: &'a GroupEq<M::OutKey>,
-    pub(crate) counters: &'a Counters,
-    pub(crate) histograms: &'a Histograms,
-    pub(crate) cache: &'a Cache,
-    pub(crate) dfs: &'a Dfs,
-    pub(crate) cluster: &'a Cluster,
-    pub(crate) num_reducers: usize,
-    pub(crate) output: &'a Output<R::OutKey, R::OutValue>,
-    pub(crate) job_name: &'a str,
-    pub(crate) key_label: Option<&'a KeyLabel<M::OutKey>>,
-}
 
 pub(crate) struct ReduceTaskOut {
     pub(crate) task_id: usize,
@@ -1288,40 +1228,132 @@ impl<K: Value, V: Value> Emit<K, V> for ReduceEmitter<K, V> {
     }
 }
 
-/// Run one reduce attempt over the runs `fetch` returns — the shuffle
-/// transport's reduce side (see [`crate::backend::Transport::fetch`]),
-/// called before the attempt's measured window opens.
-pub(crate) fn run_reduce_task<M, R>(
-    task_id: usize,
-    reducer: &R,
-    attempt: usize,
-    shared: &ReduceShared<'_, M, R>,
-    fetch: impl FnOnce() -> Result<Vec<Run>>,
-) -> Result<ReduceTaskOut>
+impl<M, R> JobRun<'_, M, R>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    let nodes = shared.cluster.config.nodes;
-    let node = (task_id + attempt) % nodes;
-    let result = traced_attempt(
-        shared.cluster,
-        shared.job_name,
-        Phase::Reduce,
-        task_id,
-        attempt,
-        node,
-        |o: &ReduceTaskOut| (o.input_bytes, o.output_records),
-        || run_reduce_attempt(task_id, reducer, attempt, node, shared, fetch),
-    );
-    if result.is_err() {
-        // Task-level abort (Hadoop's OutputCommitter.abortTask): discard
-        // whatever this attempt wrote so it can never be read as output.
-        if let Some(dir) = shared.output.dir() {
-            let _ = shared.dfs.delete(&attempt_path(dir, task_id, attempt));
-            shared.counters.get("mr.output.aborts").incr();
-            if let Some(t) = &shared.cluster.trace {
-                t.emit(TraceEvent::new(EventKind::Abort, shared.job_name).at_task(
+    /// Run one attempt of reduce task `task_id` over the runs `fetch`
+    /// returns — the shuffle transport's reduce side (see
+    /// [`crate::backend::Transport::fetch`]), called before the attempt's
+    /// measured window opens.
+    pub(crate) fn reduce_task(
+        &self,
+        task_id: usize,
+        attempt: usize,
+        fetch: impl FnOnce() -> Result<Vec<Run>>,
+    ) -> Result<ReduceTaskOut> {
+        let node = (task_id + attempt) % self.cluster.config.nodes;
+        let at = (Phase::Reduce, task_id, attempt, node);
+        let result = self.traced_attempt(
+            at,
+            |o: &ReduceTaskOut| (o.input_bytes, o.output_records),
+            || self.reduce_attempt(at, fetch),
+        );
+        if result.is_err() {
+            // Task-level abort (Hadoop's OutputCommitter.abortTask): discard
+            // whatever this attempt wrote so it can never be read as output.
+            if let Some(dir) = self.job.output.dir() {
+                let _ = self
+                    .cluster
+                    .dfs
+                    .delete(&attempt_path(dir, task_id, attempt));
+                self.counters.get("mr.output.aborts").incr();
+                if let Some(t) = &self.cluster.trace {
+                    t.emit(TraceEvent::new(EventKind::Abort, &self.job.name).at_task(
+                        Phase::Reduce,
+                        task_id,
+                        attempt,
+                        node,
+                    ));
+                }
+            }
+        }
+        result
+    }
+
+    fn reduce_attempt(
+        &self,
+        at: At,
+        fetch: impl FnOnce() -> Result<Vec<Run>>,
+    ) -> Result<ReduceTaskOut> {
+        let (_, task_id, attempt, node) = at;
+        let counters = &self.counters;
+        let fetch_start = Instant::now();
+        let runs = fetch()?;
+        counters
+            .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
+            .add(secs_to_us(fetch_start.elapsed().as_secs_f64()));
+        let mut reducer = self.job.reducer.clone();
+        let start = Instant::now();
+        let input_bytes: u64 = runs.iter().map(|r| r.len_bytes() as u64).sum();
+        let (ctx, label) = self.context(at);
+        let fault = self.inject_start_faults(at, &label)?;
+        // Multi-pass merge when this partition has more runs than one pass may
+        // open.
+        let job = self.job;
+        let merge_start = Instant::now();
+        let (runs, merge_passes) =
+            merge_to_factor::<M::OutKey, M::OutValue>(runs, &job.sort_cmp, MERGE_FACTOR)?;
+        let mut stream = MergeStream::new(runs, job.sort_cmp.clone())?;
+        let merge_secs = merge_start.elapsed().as_secs_f64();
+        // A part is made durable by its job's commit, not by its attempt.
+        let mut out_dfs = self.cluster.dfs.clone();
+        out_dfs.set_durable(false);
+        let mut emitter = ReduceEmitter::open(&out_dfs, &job.output, task_id, attempt)?;
+        reducer.setup(&ctx)?;
+        let mut groups = 0u64;
+        let group_hist = Histogram::new();
+        let mut key_counts = job
+            .key_label
+            .as_ref()
+            .map(|_| TopK::new(HEAVY_HITTER_CAPACITY));
+        let mut read_before = 0u64;
+        while let Some(first_key) = stream.peek_key().cloned() {
+            let mut group = GroupValues::new(&mut stream, first_key.clone(), job.group_eq.clone());
+            reducer.reduce(&first_key, &mut group, &mut emitter, &ctx)?;
+            group.drain()?;
+            let read = stream.records_read();
+            let in_group = read - read_before;
+            read_before = read;
+            group_hist.record_count(in_group);
+            if let (Some(tk), Some(kl)) = (key_counts.as_mut(), &job.key_label) {
+                tk.add(&kl(&first_key), in_group);
+            }
+            groups += 1;
+        }
+        reducer.cleanup(&mut emitter, &ctx)?;
+        let input_records = stream.records_read();
+        let output_records = emitter.close()?;
+        // The measured window ends here: commit bookkeeping and trace emission
+        // below are never charged to simulated time.
+        let elapsed = start.elapsed().as_secs_f64();
+        if matches!(fault, Some(Fault::LateFail)) {
+            // The attempt wrote its full output but died before committing —
+            // the exact window the commit protocol exists for. The uncommitted
+            // `_attempt-*` file is discarded by the abort path.
+            return Err(MrError::TaskFailed(format!(
+                "injected late fault: died before commit ({label} attempt {attempt})"
+            )));
+        }
+        // Per-phase profile: merge vs. user reduce execution, recorded only
+        // for attempts that survived (failed attempts never skew attribution).
+        counters
+            .get(profile::BUSY_MERGE_US)
+            .add(secs_to_us(merge_secs));
+        counters
+            .get(profile::BUSY_REDUCE_EXEC_US)
+            .add(secs_to_us((elapsed - merge_secs).max(0.0)));
+        // Task commit: atomically promote the attempt file to the part file.
+        // Exactly one attempt per task ever gets here, so commits == tasks.
+        if let Some(dir) = job.output.dir() {
+            out_dfs.rename(
+                &attempt_path(dir, task_id, attempt),
+                &part_path(dir, task_id),
+            )?;
+            counters.get("mr.output.commits").incr();
+            if let Some(t) = &self.cluster.trace {
+                t.emit(TraceEvent::new(EventKind::Commit, &job.name).at_task(
                     Phase::Reduce,
                     task_id,
                     attempt,
@@ -1329,146 +1361,31 @@ where
                 ));
             }
         }
+        let straggle = match fault {
+            Some(Fault::Straggle(factor)) => factor,
+            _ => 1.0,
+        };
+        Ok(ReduceTaskOut {
+            task_id,
+            node,
+            duration: elapsed * straggle,
+            base_duration: elapsed,
+            input_bytes,
+            groups,
+            input_records,
+            output_records,
+            merge_passes,
+            group_records: group_hist.snapshot(),
+            key_counts,
+        })
     }
-    result
-}
-
-fn run_reduce_attempt<M, R>(
-    task_id: usize,
-    reducer: &R,
-    attempt: usize,
-    node: usize,
-    shared: &ReduceShared<'_, M, R>,
-    fetch: impl FnOnce() -> Result<Vec<Run>>,
-) -> Result<ReduceTaskOut>
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-{
-    let fetch_start = Instant::now();
-    let runs = fetch()?;
-    shared
-        .counters
-        .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
-        .add(secs_to_us(fetch_start.elapsed().as_secs_f64()));
-    let mut reducer = reducer.clone();
-    let start = Instant::now();
-    let input_bytes: u64 = runs.iter().map(|r| r.len_bytes() as u64).sum();
-    let label = format!("{}/reduce-{task_id}", shared.job_name);
-    let fault = inject_start_faults(
-        shared.cluster.config.faults.as_ref(),
-        shared.job_name,
-        Phase::Reduce,
-        task_id,
-        attempt,
-        node,
-        &label,
-    )?;
-    let mut ctx = TaskContext::new(
-        Phase::Reduce,
-        task_id,
-        node,
-        shared.num_reducers,
-        shared.counters.clone(),
-        shared.cluster.gauge(label.clone()),
-        shared.cache.clone(),
-        shared.dfs.clone(),
-    );
-    ctx.attempt = attempt;
-    ctx.set_histograms(shared.histograms.clone());
-    // Multi-pass merge when this partition has more runs than one pass may
-    // open.
-    let merge_start = Instant::now();
-    let (runs, merge_passes) =
-        merge_to_factor::<M::OutKey, M::OutValue>(runs, shared.sort_cmp, MERGE_FACTOR)?;
-    let mut stream = MergeStream::new(runs, shared.sort_cmp.clone())?;
-    let merge_secs = merge_start.elapsed().as_secs_f64();
-    // A part is made durable by its job's commit, not by its attempt.
-    let mut out_dfs = shared.dfs.clone();
-    out_dfs.set_durable(false);
-    let mut emitter = ReduceEmitter::open(&out_dfs, shared.output, task_id, attempt)?;
-    reducer.setup(&ctx)?;
-    let mut groups = 0u64;
-    let group_hist = Histogram::new();
-    let mut key_counts = shared.key_label.map(|_| TopK::new(HEAVY_HITTER_CAPACITY));
-    let mut read_before = 0u64;
-    while let Some(first_key) = stream.peek_key().cloned() {
-        let mut group = GroupValues::new(&mut stream, first_key.clone(), shared.group_eq.clone());
-        reducer.reduce(&first_key, &mut group, &mut emitter, &ctx)?;
-        group.drain()?;
-        let read = stream.records_read();
-        let in_group = read - read_before;
-        read_before = read;
-        group_hist.record_count(in_group);
-        if let (Some(tk), Some(kl)) = (key_counts.as_mut(), shared.key_label) {
-            tk.add(&kl(&first_key), in_group);
-        }
-        groups += 1;
-    }
-    reducer.cleanup(&mut emitter, &ctx)?;
-    let input_records = stream.records_read();
-    let output_records = emitter.close()?;
-    // The measured window ends here: commit bookkeeping and trace emission
-    // below are never charged to simulated time.
-    let elapsed = start.elapsed().as_secs_f64();
-    if matches!(fault, Some(Fault::LateFail)) {
-        // The attempt wrote its full output but died before committing —
-        // the exact window the commit protocol exists for. The uncommitted
-        // `_attempt-*` file is discarded by the abort path.
-        return Err(MrError::TaskFailed(format!(
-            "injected late fault: died before commit ({label} attempt {attempt})"
-        )));
-    }
-    // Per-phase profile: merge vs. user reduce execution, recorded only
-    // for attempts that survived (failed attempts never skew attribution).
-    shared
-        .counters
-        .get(profile::BUSY_MERGE_US)
-        .add(secs_to_us(merge_secs));
-    shared
-        .counters
-        .get(profile::BUSY_REDUCE_EXEC_US)
-        .add(secs_to_us((elapsed - merge_secs).max(0.0)));
-    // Task commit: atomically promote the attempt file to the part file.
-    // Exactly one attempt per task ever gets here, so commits == tasks.
-    if let Some(dir) = shared.output.dir() {
-        out_dfs.rename(
-            &attempt_path(dir, task_id, attempt),
-            &part_path(dir, task_id),
-        )?;
-        shared.counters.get("mr.output.commits").incr();
-        if let Some(t) = &shared.cluster.trace {
-            t.emit(TraceEvent::new(EventKind::Commit, shared.job_name).at_task(
-                Phase::Reduce,
-                task_id,
-                attempt,
-                node,
-            ));
-        }
-    }
-    let straggle = match fault {
-        Some(Fault::Straggle(factor)) => factor,
-        _ => 1.0,
-    };
-    Ok(ReduceTaskOut {
-        task_id,
-        node,
-        duration: elapsed * straggle,
-        base_duration: elapsed,
-        input_bytes,
-        groups,
-        input_records,
-        output_records,
-        merge_passes,
-        group_records: group_hist.snapshot(),
-        key_counts,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::mapper::IdentityMapper;
+    use crate::reducer::IdentityReducer;
 
     #[derive(Debug)]
     struct TestOut {
@@ -1565,25 +1482,50 @@ mod tests {
 
     #[test]
     fn panics_become_classified_attempt_failures() {
-        let calls = AtomicUsize::new(0);
-        let result = run_with_retries(&(), 1, &|_: &(), _| -> Result<TestOut> {
-            calls.fetch_add(1, Ordering::Relaxed);
-            panic!("user code exploded");
-        });
-        match result {
-            Err(MrError::TaskPanicked(msg)) => assert!(msg.contains("user code exploded")),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
-        // A panicking attempt is retried like any transient failure.
-        let calls = AtomicUsize::new(0);
-        let result = run_with_retries(&(), 2, &|_: &(), _| -> Result<TestOut> {
-            if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("first attempt dies");
+        // The attempt's own boundary turns the panic into a transient error,
+        // with or without a trace sink, and the retry loop takes it from there.
+        let job = Job::new(
+            "t",
+            IdentityMapper::<u32, u32>::new(),
+            IdentityReducer::<u32, u32>::new(),
+        );
+        let mut cluster = Cluster::new(ClusterConfig::with_nodes(1), 64).unwrap();
+        let sink = TraceSink::new();
+        for traced in [false, true] {
+            if traced {
+                cluster.set_trace(sink.clone());
             }
-            Ok(TestOut { sim: 0.0 })
-        });
-        assert!(result.is_ok());
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
+            let run = JobRun::new(&job, &cluster).unwrap();
+            let calls = AtomicUsize::new(0);
+            let attempt = |_: &(), attempt| {
+                run.traced_attempt(
+                    (Phase::Map, 0, attempt, 0),
+                    |_| (0, 0),
+                    || {
+                        if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                            panic!("user code exploded");
+                        }
+                        Ok(TestOut { sim: 0.0 })
+                    },
+                )
+            };
+            match run_with_retries(&(), 1, &attempt) {
+                Err(MrError::TaskPanicked(msg)) => assert!(msg.contains("user code exploded")),
+                other => panic!("expected TaskPanicked, got {other:?}"),
+            }
+            // A panicking attempt is retried like any transient failure.
+            calls.store(0, Ordering::Relaxed);
+            assert!(run_with_retries(&(), 2, &attempt).is_ok());
+            assert_eq!(calls.load(Ordering::Relaxed), 2);
+        }
+        let ends: Vec<Option<Outcome>> = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::TaskEnd)
+            .map(|e| e.outcome)
+            .collect();
+        let panicked = Some(Outcome::Panicked);
+        assert_eq!(ends, [panicked, panicked, Some(Outcome::Ok)]);
     }
 
     #[test]

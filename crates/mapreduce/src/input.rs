@@ -10,7 +10,7 @@ use crate::dfs::{self, Dfs};
 use crate::error::Result;
 use crate::kv::Value;
 
-type ReadFn<K, V> = Box<dyn Fn(&Dfs) -> Result<Vec<(K, V)>> + Send>;
+type ReadFn<K, V> = Box<dyn Fn(&Dfs) -> Result<Vec<(K, V)>> + Send + Sync>;
 type DecodeFn<K, V> = fn(&dfs::BlockSplit, &[u8]) -> Result<Vec<(K, V)>>;
 
 /// One map task's input.

@@ -50,9 +50,9 @@ impl<K, V> Output<K, V> {
 pub struct Job<M: Mapper, R: Reducer<Key = M::OutKey, InValue = M::OutValue>> {
     /// Job name (metrics, error labels).
     pub name: String,
-    /// Mapper prototype; cloned once per map task.
+    /// Mapper prototype; cloned once per map attempt.
     pub mapper: M,
-    /// Reducer prototype; cloned once per reduce task.
+    /// Reducer prototype; cloned once per reduce attempt.
     pub reducer: R,
     /// Optional map-side combiner.
     pub combiner: Option<CombineFn<M::OutKey, M::OutValue>>,

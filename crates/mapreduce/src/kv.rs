@@ -6,9 +6,9 @@ use std::hash::Hash;
 use crate::codec::Codec;
 
 /// A value that can flow through the engine: serializable, clonable, and
-/// movable across task threads.
-pub trait Value: Codec + Clone + Send + Debug + 'static {}
-impl<T: Codec + Clone + Send + Debug + 'static> Value for T {}
+/// movable across and shareable between task threads.
+pub trait Value: Codec + Clone + Send + Sync + Debug + 'static {}
+impl<T: Codec + Clone + Send + Sync + Debug + 'static> Value for T {}
 
 /// A map-output key: a [`Value`] that can additionally be hash-partitioned
 /// and sorted. The default sort order used by the shuffle is `Ord`; jobs can

@@ -8,10 +8,11 @@ use crate::task::{Emit, TaskContext};
 
 /// A map function: `map(k1, v1) -> list(k2, v2)`.
 ///
-/// One instance is cloned per map task; `setup`/`cleanup` bracket the task
-/// exactly as in Hadoop (the paper's stage-2 mappers load the token ordering
-/// in an initialization function; OPTO's reducer emits in tear-down).
-pub trait Mapper: Clone + Send + 'static {
+/// The job's instance is a prototype shared by every attempt, each of which
+/// runs its own clone; `setup`/`cleanup` bracket the attempt exactly as in
+/// Hadoop (the paper's stage-2 mappers load the token ordering in an
+/// initialization function; OPTO's reducer emits in tear-down).
+pub trait Mapper: Clone + Send + Sync + 'static {
     /// Input key type (byte offset for text inputs).
     type InKey: Value;
     /// Input value type (the line for text inputs).
@@ -77,7 +78,11 @@ where
     IV: Value,
     OK: Key,
     OV: Value,
-    F: FnMut(&IK, &IV, &mut dyn Emit<OK, OV>, &TaskContext) -> Result<()> + Clone + Send + 'static,
+    F: FnMut(&IK, &IV, &mut dyn Emit<OK, OV>, &TaskContext) -> Result<()>
+        + Clone
+        + Send
+        + Sync
+        + 'static,
 {
     type InKey = IK;
     type InValue = IV;

@@ -24,10 +24,9 @@
 //!   *where* a wall window went rather than partitioning it.
 //!
 //! Collection is always on — the instrumentation is a handful of
-//! `Instant::elapsed` calls per *attempt*, not per record — but the derived
-//! [`TraceSink`](crate::TraceSink) event is only emitted when
-//! [`ClusterConfig::profile`](crate::ClusterConfig::profile) is set, so
-//! existing traces are unchanged unless profiling is requested.
+//! `Instant::elapsed` calls per *attempt*, not per record — and every job
+//! of a cluster with a [`TraceSink`](crate::TraceSink) attached emits one
+//! derived `profile` event carrying [`JobProfile`]'s JSON.
 
 use crate::json::{obj, Json};
 use crate::metrics::JobMetrics;
@@ -241,7 +240,7 @@ impl JobProfile {
         ])
     }
 
-    /// One-job human-readable rendering, e.g. for `--profile` CLI output.
+    /// One-job human-readable rendering, e.g. for the CLI's `--report` output.
     pub fn render(&self, job: &str, wall_secs: f64) -> String {
         use std::fmt::Write;
         let mut s = String::new();

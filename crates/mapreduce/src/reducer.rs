@@ -14,7 +14,10 @@ use crate::task::{Emit, TaskContext};
 /// sort comparator (Hadoop "secondary sort") every record in the group can
 /// carry a *different* full key — the paper's PK kernel reads the length
 /// component of the composite `(group, length)` key as values stream by.
-pub trait Reducer: Clone + Send + 'static {
+///
+/// Like a [`crate::Mapper`], the job's instance is a prototype every
+/// attempt runs its own clone of.
+pub trait Reducer: Clone + Send + Sync + 'static {
     /// Intermediate key type (must match the mapper's `OutKey`).
     type Key: Key;
     /// Intermediate value type (must match the mapper's `OutValue`).
@@ -95,6 +98,7 @@ where
         ) -> Result<()>
         + Clone
         + Send
+        + Sync
         + 'static,
 {
     type Key = K;

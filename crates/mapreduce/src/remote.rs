@@ -75,16 +75,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::backend::{ExecParams, Transport};
+use crate::backend::Transport;
 use crate::cluster::ClusterConfig;
 use crate::codec::{write_varint, ByteReader, Codec};
 use crate::codec_struct;
 use crate::counters::Counters;
 use crate::dfs::{check_crc, read_at, Crc32, Dfs};
-use crate::engine::{
-    catch_task_panic, run_map_task, run_reduce_task, Cluster, MapItem, MapShared, MapTaskOut,
-    ReduceShared, ReduceTaskOut,
-};
+use crate::engine::{Cluster, JobRun, MapTaskOut, ReduceTaskOut};
 use crate::error::{MrError, Result};
 use crate::faults::Fault;
 use crate::job::{Job, JobSpec};
@@ -495,7 +492,7 @@ fn read_run_file(dir: &Path, rref: &RunRef) -> Result<Run> {
     let payload = r.take(len)?;
     check_crc(&path.display().to_string(), expected, Crc32::of(payload))?;
     Ok(Run {
-        data: bytes::Bytes::copy_from_slice(payload),
+        data: Arc::from(payload),
         records: records as usize,
     })
 }
@@ -583,49 +580,20 @@ fn registry() -> &'static RwLock<BTreeMap<String, FactoryFn>> {
 pub fn register_job_spec<S: JobSpec>(factory: &str) {
     let build: FactoryFn = Arc::new(|payload, dfs, num_reducers| {
         let mut job = S::from_bytes(payload)?.build(dfs)?;
-        let map_items = MapItem::per_split(&mut job);
-        Ok(Box::new(JobWorker {
-            job,
-            map_items,
-            num_reducers,
-        }) as Box<dyn WorkerJob>)
+        job.num_reducers = Some(num_reducers);
+        Ok(Box::new(job) as Box<dyn WorkerJob>)
     });
     registry().write().insert(factory.to_string(), build);
 }
 
-/// A rebuilt job laid out as the driver lays its own out — one map item
-/// per split, the reducer count the driver resolved — executing one
-/// request at a time against the worker's local single-threaded cluster.
-struct JobWorker<M, R>
+/// A rebuilt job, with the reducer count the driver resolved, runs one
+/// request at a time against the worker's local single-threaded cluster:
+/// each as a [`JobRun`] of its own, laid out as the driver lays its own
+/// out, whose counter and histogram deltas are the reply's.
+impl<M, R> WorkerJob for Job<M, R>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-{
-    job: Job<M, R>,
-    map_items: Vec<MapItem<M>>,
-    num_reducers: usize,
-}
-
-impl<M, R> JobWorker<M, R>
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-{
-    fn out_of_range(&self, phase: Phase, task_id: usize) -> MrError {
-        MrError::InvalidConfig(format!(
-            "{} task {task_id} out of range: job {} has {} input splits and {} reducers",
-            phase.as_str(),
-            self.job.name,
-            self.map_items.len(),
-            self.num_reducers
-        ))
-    }
-}
-
-impl<M, R> WorkerJob for JobWorker<M, R>
-where
-    M: Mapper,
-    R: Reducer<Key = M::OutKey, InValue = M::OutValue> + Clone,
 {
     fn run_map(
         &self,
@@ -633,27 +601,12 @@ where
         (task_id, attempt): (usize, usize),
         spill_dir: &Path,
     ) -> Result<Reply<MapTaskOut<RunRef>>> {
-        let Some(item) = self.map_items.get(task_id) else {
-            return Err(self.out_of_range(Phase::Map, task_id));
-        };
-        let counters = Counters::new();
-        let histograms = Histograms::new();
-        counters.get("mr.process.worker_map_tasks").incr();
-        let shared = MapShared {
-            partitioner: &self.job.partitioner,
-            sort_cmp: &self.job.sort_cmp,
-            combiner: self.job.combiner.as_ref(),
-            counters: &counters,
-            histograms: &histograms,
-            cache: &self.job.cache,
-            dfs: cluster.dfs(),
-            cluster,
-            num_reducers: self.num_reducers,
-            job_name: &self.job.name,
-        };
+        let run = JobRun::new(self, cluster)?;
+        check_task(&run, Phase::Map, task_id)?;
+        run.counters.get("mr.process.worker_map_tasks").incr();
         let park = |runs| park_run_files(spill_dir, task_id, attempt, runs);
-        let out = catch_task_panic(|| run_map_task(item, attempt, &shared, park))?;
-        Ok((out, counters.snapshot(), histograms.snapshot()))
+        let out = run.map_task(task_id, attempt, park)?;
+        Ok((out, run.counters.snapshot(), run.histograms.snapshot()))
     }
 
     fn run_reduce(
@@ -663,31 +616,34 @@ where
         refs: &[RunRef],
         spill_dir: &Path,
     ) -> Result<Reply<ReduceTaskOut>> {
-        if task_id >= self.num_reducers {
-            return Err(self.out_of_range(Phase::Reduce, task_id));
-        }
-        let counters = Counters::new();
-        let histograms = Histograms::new();
-        counters.get("mr.process.worker_reduce_tasks").incr();
-        let shared = ReduceShared::<M, R> {
-            sort_cmp: &self.job.sort_cmp,
-            group_eq: &self.job.group_eq,
-            counters: &counters,
-            histograms: &histograms,
-            cache: &self.job.cache,
-            dfs: cluster.dfs(),
-            cluster,
-            num_reducers: self.num_reducers,
-            output: &self.job.output,
-            job_name: &self.job.name,
-            key_label: self.job.key_label.as_ref(),
-        };
-        let fetch = || fetch_run_files(spill_dir, refs);
-        let out = catch_task_panic(|| {
-            run_reduce_task(task_id, &self.job.reducer, attempt, &shared, fetch)
-        })?;
-        Ok((out, counters.snapshot(), histograms.snapshot()))
+        let run = JobRun::new(self, cluster)?;
+        check_task(&run, Phase::Reduce, task_id)?;
+        run.counters.get("mr.process.worker_reduce_tasks").incr();
+        let out = run.reduce_task(task_id, attempt, || fetch_run_files(spill_dir, refs))?;
+        Ok((out, run.counters.snapshot(), run.histograms.snapshot()))
     }
+}
+
+/// A task id the open job does not have is a driver that disagrees with
+/// this worker about the job: a configuration error, not a retry.
+fn check_task<M, R>(run: &JobRun<'_, M, R>, phase: Phase, task_id: usize) -> Result<()>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    let (maps, reduces) = (run.job.inputs.len(), run.num_reducers);
+    let tasks = match phase {
+        Phase::Map => maps,
+        Phase::Reduce => reduces,
+    };
+    if task_id < tasks {
+        return Ok(());
+    }
+    Err(MrError::InvalidConfig(format!(
+        "{} task {task_id} out of range: job {} has {maps} input splits and {reduces} reducers",
+        phase.as_str(),
+        run.job.name,
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1218,35 +1174,31 @@ pub(crate) struct ProcessTransport<'a> {
 }
 
 impl<'a> ProcessTransport<'a> {
-    /// Begin a job on `pool`: a fresh spill directory, a clean quarantine
+    /// Begin `run` on `pool`: a fresh spill directory, a clean quarantine
     /// ledger (its verdicts are per job, whatever the pool's age) and, for
     /// a spec-built job, at least one worker up.
-    pub(crate) fn begin<M, R>(
-        pool: &'a mut WorkerPool,
-        params: &ExecParams<'a, M, R>,
-    ) -> Result<Self>
+    pub(crate) fn begin<M, R>(pool: &'a mut WorkerPool, run: &'a JobRun<'_, M, R>) -> Result<Self>
     where
         M: Mapper,
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
     {
-        let shared = params.map_shared;
+        let job_name = &run.job.name;
         let seq = SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
         // `{job}-{driver pid}-{seq}`: the scavenger sweeps the directories
         // of dead pids.
-        let name = sanitize_tag(shared.job_name);
-        let tag = format!("{name}-{}-{seq}", std::process::id());
+        let tag = format!("{}-{}-{seq}", sanitize_tag(job_name), std::process::id());
         for slot in pool.slots.get_mut().iter_mut() {
             slot.quarantined = false;
             slot.losses.clear();
         }
         *pool.spawned.get_mut() = 0;
         let pool: &WorkerPool = pool;
-        let open = params.remote.map(|spec| {
+        let open = run.job.remote.as_ref().map(|spec| {
             let open = OpenReq {
-                job_name: shared.job_name.to_string(),
+                job_name: job_name.clone(),
                 factory: spec.factory.clone(),
                 payload: spec.payload.clone(),
-                num_reducers: params.num_reducers,
+                num_reducers: run.num_reducers,
                 shuffle_tag: tag.clone(),
             };
             Request::Open(open).to_bytes()
@@ -1254,23 +1206,23 @@ impl<'a> ProcessTransport<'a> {
         let spill_dir = pool.shuffle_root.join(tag);
         std::fs::create_dir_all(&spill_dir)
             .map_err(|e| MrError::Codec(format!("create shuffle dir: {e}")))?;
-        let trace = shared.cluster.trace();
+        let (config, trace) = (run.cluster.config(), run.cluster.trace());
         let transport = ProcessTransport {
             pool,
             seq,
             open,
             spill_dir,
-            watchdog: Watchdog::new(params.config, shared.counters, trace, shared.job_name),
-            counters: shared.counters,
-            histograms: shared.histograms,
+            watchdog: Watchdog::new(config, &run.counters, trace, job_name),
+            counters: &run.counters,
+            histograms: &run.histograms,
             trace,
-            job_name: shared.job_name,
-            nodes: params.config.nodes,
+            job_name,
+            nodes: config.nodes,
         };
         if transport.open.is_some() {
-            shared.counters.get("mr.process.remote_jobs").incr();
+            run.counters.get("mr.process.remote_jobs").incr();
             // Spawning belongs to the spawn window, not to the first map task.
-            match pool.checkout(shared.counters) {
+            match pool.checkout(&run.counters) {
                 Ok(Some(first)) => pool.put_back(first),
                 Ok(None) => {}
                 Err(e) => {
@@ -1801,7 +1753,6 @@ mod tests {
             shuffle_channel_capacity: 7,
             task_timeout_secs: Some(2.0),
             heartbeat_interval_secs: 0.5,
-            profile: true,
         };
         let hello: Hello = (config, 4096, "/tmp/mrdfs".into());
         let (back, block_size, dfs_root) = Hello::from_bytes(&hello.to_bytes()).unwrap();
@@ -1819,7 +1770,6 @@ mod tests {
             shuffle_channel_capacity,
             task_timeout_secs,
             heartbeat_interval_secs,
-            profile,
         } = back;
         // Crosses the pipe: topology, task budgets, the commit discipline,
         // supervision and (below) the fault plan.
@@ -1830,13 +1780,13 @@ mod tests {
             (Some(2.0), 0.5)
         );
         // Driver-only, so the worker sees the default: where attempts run
-        // and how often, the sharded transport's queue, the store's root
-        // (the hello carries it beside the config) and the profile event.
+        // and how often, the sharded transport's queue and the store's root
+        // (the hello carries it beside the config).
         let driver = ClusterConfig::default();
         assert_eq!(backend, driver.backend);
         assert_eq!((execution_threads, max_task_attempts), (None, 1));
         assert_eq!(shuffle_channel_capacity, driver.shuffle_channel_capacity);
-        assert_eq!((dfs_root, profile), (None, false));
+        assert_eq!(dfs_root, None);
         // What names a job travels in its open.
         let open = Request::Open(OpenReq {
             job_name: "stage1".into(),

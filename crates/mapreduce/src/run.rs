@@ -6,7 +6,7 @@
 //! exactly like Hadoop's sort/merge phase. Keys are decoded for comparison,
 //! which charges the same comparator cost a real shuffle pays.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::codec::{ByteReader, Codec};
 use crate::error::{MrError, Result};
@@ -17,7 +17,7 @@ use crate::partitioner::{GroupEq, SortCmp};
 #[derive(Debug, Clone)]
 pub struct Run {
     /// Encoded pairs, back to back.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
     /// Number of pairs in the run.
     pub records: usize,
 }
@@ -31,7 +31,7 @@ impl Run {
             v.encode(&mut buf);
         }
         Run {
-            data: Bytes::from(buf),
+            data: Arc::from(buf),
             records: pairs.len(),
         }
     }
@@ -43,7 +43,7 @@ impl Run {
 }
 
 struct RunCursor<K, V> {
-    data: Bytes,
+    data: Arc<[u8]>,
     pos: usize,
     remaining: usize,
     head: Option<(K, V)>,
@@ -373,7 +373,7 @@ pub fn merge_into_one<K: Key, V: Value>(runs: Vec<Run>, cmp: SortCmp<K>) -> Resu
         v.encode(&mut buf);
     }
     Ok(Run {
-        data: Bytes::from(buf),
+        data: Arc::from(buf),
         records,
     })
 }

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::codec::{ByteReader, Codec};
 use crate::codec_struct;
 use crate::error::{MrError, Result};
-use crate::json::{escape_into, obj, Json};
+use crate::json::{obj, Json};
 use crate::task::Phase;
 
 /// Version stamped into every JSONL trace event as `"v"`. Consumers must
@@ -86,7 +86,7 @@ pub enum EventKind {
     Quarantine,
     /// A job's per-phase profile (`detail` carries the
     /// [`crate::JobProfile`] JSON). Emitted once per job, after `JobEnd`,
-    /// only when [`crate::ClusterConfig::profile`] is set.
+    /// whenever a trace sink is attached.
     Profile,
 }
 
@@ -235,57 +235,38 @@ impl TraceEvent {
         self
     }
 
+    /// The event as a JSON object: schema version, timestamp, kind and job,
+    /// then every field that is set.
+    fn to_json(&self) -> Json {
+        let num = |v: u64| Json::Num(v as f64);
+        let text = |v: &str| Json::Str(v.to_string());
+        let mut members = vec![
+            ("v", num(TRACE_SCHEMA_VERSION)),
+            ("ts_us", num(self.ts_us)),
+            ("kind", text(self.kind.as_str())),
+            ("job", text(&self.job)),
+        ];
+        let optional = [
+            ("phase", self.phase.map(|p| text(p.as_str()))),
+            ("task", self.task.map(num)),
+            ("attempt", self.attempt.map(num)),
+            ("node", self.node.map(num)),
+            ("dur_us", self.dur_us.map(num)),
+            ("outcome", self.outcome.map(|o| text(o.as_str()))),
+            ("error", self.error.as_deref().map(text)),
+            ("fault", self.fault.as_deref().map(text)),
+            ("bytes", self.bytes.map(num)),
+            ("records", self.records.map(num)),
+            ("backoff_us", self.backoff_us.map(num)),
+            ("detail", self.detail.as_deref().map(text)),
+        ];
+        members.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?))));
+        obj(members)
+    }
+
     /// Encode as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"v\":");
-        s.push_str(&TRACE_SCHEMA_VERSION.to_string());
-        s.push_str(",\"ts_us\":");
-        s.push_str(&self.ts_us.to_string());
-        s.push_str(",\"kind\":\"");
-        s.push_str(self.kind.as_str());
-        s.push_str("\",\"job\":\"");
-        escape_into(&self.job, &mut s);
-        s.push('"');
-        if let Some(p) = self.phase {
-            s.push_str(",\"phase\":\"");
-            s.push_str(p.as_str());
-            s.push('"');
-        }
-        let num = |name: &str, v: Option<u64>, s: &mut String| {
-            if let Some(v) = v {
-                s.push_str(",\"");
-                s.push_str(name);
-                s.push_str("\":");
-                s.push_str(&v.to_string());
-            }
-        };
-        num("task", self.task, &mut s);
-        num("attempt", self.attempt, &mut s);
-        num("node", self.node, &mut s);
-        num("dur_us", self.dur_us, &mut s);
-        if let Some(o) = self.outcome {
-            s.push_str(",\"outcome\":\"");
-            s.push_str(o.as_str());
-            s.push('"');
-        }
-        let text = |name: &str, v: &Option<String>, s: &mut String| {
-            if let Some(v) = v {
-                s.push_str(",\"");
-                s.push_str(name);
-                s.push_str("\":\"");
-                escape_into(v, s);
-                s.push('"');
-            }
-        };
-        text("error", &self.error, &mut s);
-        text("fault", &self.fault, &mut s);
-        num("bytes", self.bytes, &mut s);
-        num("records", self.records, &mut s);
-        num("backoff_us", self.backoff_us, &mut s);
-        text("detail", &self.detail, &mut s);
-        s.push('}');
-        s
+        self.to_json().to_string()
     }
 
     /// Parse one JSONL line back into an event.
@@ -443,34 +424,6 @@ impl TraceSink {
                 None => format!("{}/job", e.job),
             };
             let tid = tid_of(&track);
-            let mut args: Vec<(&str, Json)> = vec![("job", Json::Str(e.job.clone()))];
-            if let Some(a) = e.attempt {
-                args.push(("attempt", Json::Num(a as f64)));
-            }
-            if let Some(n) = e.node {
-                args.push(("node", Json::Num(n as f64)));
-            }
-            if let Some(o) = e.outcome {
-                args.push(("outcome", Json::Str(o.as_str().to_string())));
-            }
-            if let Some(err) = &e.error {
-                args.push(("error", Json::Str(err.clone())));
-            }
-            if let Some(fault) = &e.fault {
-                args.push(("fault", Json::Str(fault.clone())));
-            }
-            if let Some(b) = e.bytes {
-                args.push(("bytes", Json::Num(b as f64)));
-            }
-            if let Some(r) = e.records {
-                args.push(("records", Json::Num(r as f64)));
-            }
-            if let Some(b) = e.backoff_us {
-                args.push(("backoff_us", Json::Num(b as f64)));
-            }
-            if let Some(d) = &e.detail {
-                args.push(("detail", Json::Str(d.clone())));
-            }
             let (ph, pid, ts, dur, name) = match e.kind {
                 // Complete spans: ts is the span start.
                 EventKind::TaskEnd => {
@@ -513,7 +466,7 @@ impl TraceSink {
             if ph == "i" {
                 members.push(("s", Json::Str("t".to_string())));
             }
-            members.push(("args", obj(args)));
+            members.push(("args", e.to_json()));
             out.push(obj(members));
         }
         // Name the tracks so Perfetto shows task labels instead of numbers.

@@ -24,8 +24,12 @@
 //! * a worker that responds with an undecodable frame is killed and
 //!   replaced the same way;
 //! * chaos parity: under an aggressive fault plan the remote path still
-//!   commits exactly the clean bytes.
+//!   commits exactly the clean bytes;
+//! * every attempt clones its mapper or reducer once, retries included, on
+//!   the driver and in workers, and a panicking attempt in a worker comes
+//!   back as one classified error and one retry.
 
+use std::io::Write;
 use std::sync::{Mutex, MutexGuard, Once};
 
 use mapreduce::{
@@ -35,6 +39,7 @@ use mapreduce::{
 };
 
 const PROBE_FACTORY: &str = "process-probe";
+const FLAKY_FACTORY: &str = "process-flaky";
 /// A factory name no executable registers: a job sent under it must be
 /// rejected by the worker that is asked to open it.
 const UNKNOWN_FACTORY: &str = "process-probe-unregistered";
@@ -80,6 +85,7 @@ fn register_factories() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         mapreduce::register_job_spec::<ProbeSpec>(PROBE_FACTORY);
+        mapreduce::register_job_spec::<FlakySpec>(FLAKY_FACTORY);
     });
 }
 
@@ -220,6 +226,150 @@ impl Reducer for ProbeReducer {
     ) -> Result<()> {
         let joined: Vec<String> = vs.map(|(_, v)| v).collect();
         out.emit(k.clone(), joined.join(","))
+    }
+}
+
+/// A job that keeps a ledger of its own clones — every clone of its mapper
+/// or reducer appends one byte to `{ledger}.map` or `{ledger}.reduce`, in
+/// whichever process makes it — and whose task 0 fails its first attempt:
+/// with a transient error in both phases or, with `panic` set, with a
+/// panic in the mapper alone.
+struct FlakySpec {
+    ledger: String,
+    panic: bool,
+}
+mapreduce::codec_struct!(FlakySpec { ledger, panic });
+
+impl FlakySpec {
+    /// A spec whose ledger files are fresh, under the temp directory.
+    fn new(tag: &str, panic: bool) -> Self {
+        let ledger = std::env::temp_dir().join(format!("mr-flaky-{tag}-{}", std::process::id()));
+        let spec = FlakySpec {
+            ledger: ledger.display().to_string(),
+            panic,
+        };
+        spec.remove_ledger();
+        spec
+    }
+
+    /// Clones of the mapper (`"map"`) or the reducer (`"reduce"`) so far.
+    fn clones(&self, phase: &str) -> u64 {
+        let path = format!("{}.{phase}", self.ledger);
+        std::fs::metadata(path).map_or(0, |m| m.len())
+    }
+
+    fn remove_ledger(&self) {
+        for phase in ["map", "reduce"] {
+            let _ = std::fs::remove_file(format!("{}.{phase}", self.ledger));
+        }
+    }
+}
+
+impl JobSpec for FlakySpec {
+    type Mapper = FlakyMapper;
+    type Reducer = FlakyReducer;
+
+    fn factory(&self) -> &'static str {
+        FLAKY_FACTORY
+    }
+
+    fn build(&self, dfs: &Dfs) -> Result<Job<FlakyMapper, FlakyReducer>> {
+        let ledger = |phase| Ledger(format!("{}.{phase}", self.ledger));
+        let mapper = FlakyMapper {
+            _ledger: ledger("map"),
+            panic: self.panic,
+        };
+        let reducer = FlakyReducer {
+            _ledger: ledger("reduce"),
+            fail: !self.panic,
+        };
+        Ok(Job::new("process-flaky", mapper, reducer)
+            .inputs(text_input(dfs, "/in")?)
+            .output_seq("/flaky"))
+    }
+}
+
+/// A file that grows by one byte per clone of its holder.
+struct Ledger(String);
+
+impl Clone for Ledger {
+    fn clone(&self) -> Self {
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.0)
+            .unwrap();
+        file.write_all(b".").unwrap();
+        Ledger(self.0.clone())
+    }
+}
+
+/// Task 0's first attempt, the one [`FlakySpec`] fails.
+fn first_attempt_of_task_0(ctx: &TaskContext) -> bool {
+    (ctx.task_id, ctx.attempt) == (0, 0)
+}
+
+#[derive(Clone)]
+struct FlakyMapper {
+    /// Held for its `Clone`, which writes the ledger.
+    _ledger: Ledger,
+    panic: bool,
+}
+
+impl Mapper for FlakyMapper {
+    type InKey = u64;
+    type InValue = String;
+    type OutKey = String;
+    type OutValue = String;
+
+    fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
+        match (first_attempt_of_task_0(ctx), self.panic) {
+            (true, true) => panic!("deliberate test panic in the flaky mapper"),
+            (true, false) => Err(MrError::TaskFailed("flaky map attempt".into())),
+            (false, _) => Ok(()),
+        }
+    }
+
+    fn map(
+        &mut self,
+        _: &u64,
+        line: &String,
+        out: &mut dyn Emit<String, String>,
+        _: &TaskContext,
+    ) -> Result<()> {
+        let (k, v) = line.split_once(' ').unwrap();
+        out.emit(k.to_string(), v.to_string())
+    }
+}
+
+#[derive(Clone)]
+struct FlakyReducer {
+    /// Held for its `Clone`, which writes the ledger.
+    _ledger: Ledger,
+    fail: bool,
+}
+
+impl Reducer for FlakyReducer {
+    type Key = String;
+    type InValue = String;
+    type OutKey = String;
+    type OutValue = u64;
+
+    fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
+        if self.fail && first_attempt_of_task_0(ctx) {
+            return Err(MrError::TaskFailed("flaky reduce attempt".into()));
+        }
+        Ok(())
+    }
+
+    fn reduce(
+        &mut self,
+        k: &String,
+        vs: &mut dyn Iterator<Item = (String, String)>,
+        out: &mut dyn Emit<String, u64>,
+        _: &TaskContext,
+    ) -> Result<()> {
+        out.emit(k.clone(), vs.count() as u64)
     }
 }
 
@@ -700,4 +850,61 @@ fn quarantined_pool_falls_back_in_process_byte_identically() {
         counter(&healthy, "mr.process.worker_reduce_tasks"),
         healthy.reduce.tasks as u64
     );
+}
+
+/// An attempt clones the job's mapper or reducer prototype once, retries
+/// included, on the driver's threads and in worker processes alike; nothing
+/// else clones them — not a task list, not a worker opening the job.
+#[test]
+fn every_attempt_clones_its_mapper_or_reducer_once() {
+    let _env = lock_env();
+    for backend in [BackendKind::Simulated, BackendKind::Process] {
+        let cluster = probe_cluster(|config| {
+            config.backend = backend;
+            config.max_task_attempts = 2;
+        });
+        let spec = FlakySpec::new(&format!("clones-{backend}"), false);
+        let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
+        let metrics = cluster.run(job).unwrap();
+        // Task 0 of each phase failed its first attempt.
+        assert_eq!(metrics.task_retries, 2, "{backend}");
+        let attempts = |tasks: usize| tasks as u64 + 1;
+        assert_eq!(spec.clones("map"), attempts(metrics.map.tasks), "{backend}");
+        assert_eq!(
+            spec.clones("reduce"),
+            attempts(metrics.reduce.tasks),
+            "{backend}"
+        );
+        if backend == BackendKind::Process {
+            let map_tasks = counter(&metrics, "mr.process.worker_map_tasks");
+            assert_eq!(map_tasks, metrics.map.tasks as u64, "attempts ran remotely");
+        }
+        spec.remove_ledger();
+    }
+}
+
+/// A panic in a worker's attempt is that attempt's failure, not the
+/// worker's: it comes back as one error frame carrying the panic, the
+/// worker stays in the pool, and the one retry commits.
+#[test]
+fn a_panicking_attempt_in_a_worker_is_one_error_frame_and_one_retry() {
+    let _env = lock_env();
+    let spec = FlakySpec::new("panic", true);
+    let cluster = probe_cluster(|config| config.max_task_attempts = 1);
+    match cluster.run(Job::from_spec(&spec, cluster.dfs()).unwrap()) {
+        Err(MrError::TaskPanicked(msg)) => assert!(msg.contains("deliberate test panic"), "{msg}"),
+        other => panic!("expected TaskPanicked, got {other:?}"),
+    }
+
+    let cluster = probe_cluster(|config| config.max_task_attempts = 2);
+    let metrics = cluster
+        .run(Job::from_spec(&spec, cluster.dfs()).unwrap())
+        .unwrap();
+    assert_eq!(metrics.task_retries, 1);
+    assert_eq!(counter(&metrics, "mr.process.worker_lost"), 0);
+    assert_eq!(
+        counter(&metrics, "mr.process.worker_map_tasks"),
+        metrics.map.tasks as u64
+    );
+    spec.remove_ledger();
 }

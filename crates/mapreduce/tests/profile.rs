@@ -1,5 +1,5 @@
 //! Per-phase profiling: wall-window coverage, output neutrality, and the
-//! gated trace event.
+//! profile trace event of every traced job.
 //!
 //! The profiler rides the ordinary counter channel, so it must hold on
 //! every backend — on the process backend these closure-built jobs, which
@@ -34,20 +34,26 @@ fn timed() -> std::sync::MutexGuard<'static, ()> {
     TIMED.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn config(backend: BackendKind, profile: bool) -> ClusterConfig {
+fn config(backend: BackendKind) -> ClusterConfig {
     ClusterConfig {
         backend,
         execution_threads: Some(4),
         spill_buffer_bytes: 1024,
-        profile,
         ..ClusterConfig::with_nodes(3)
     }
 }
 
-/// Run the standard probe job over `records` records; returns (metrics,
-/// committed pairs).
-fn run_probe(config: ClusterConfig, records: usize) -> (JobMetrics, Vec<(String, String)>) {
-    let cluster = Cluster::new(config, 256).unwrap();
+/// Run the standard probe job over `records` records, with a trace sink
+/// attached when `traced`; returns (metrics, committed pairs).
+fn run_probe(
+    config: ClusterConfig,
+    records: usize,
+    traced: bool,
+) -> (JobMetrics, Vec<(String, String)>) {
+    let mut cluster = Cluster::new(config, 256).unwrap();
+    if traced {
+        cluster.set_trace(TraceSink::new());
+    }
     cluster.dfs().write_text("/in", corpus(records)).unwrap();
     let mapper = ClosureMapper::new(
         |_off: &u64, line: &String, out: &mut dyn Emit<String, String>, _: &TaskContext| {
@@ -80,7 +86,7 @@ fn wall_windows_cover_job_wall_on_every_backend() {
         BackendKind::Sharded,
         BackendKind::Process,
     ] {
-        let (metrics, _) = run_probe(config(backend, false), LONG);
+        let (metrics, _) = run_probe(config(backend), LONG, false);
         let prof = JobProfile::from_metrics(&metrics);
         assert!(!prof.is_empty(), "{backend:?}: no phase counters recorded");
         let coverage = prof.coverage(metrics.wall_secs);
@@ -102,7 +108,7 @@ fn wall_windows_cover_job_wall_on_every_backend() {
 
 #[test]
 fn busy_attribution_is_recorded_and_consistent() {
-    let (metrics, _) = run_probe(config(BackendKind::Sharded, false), SHORT);
+    let (metrics, _) = run_probe(config(BackendKind::Sharded), SHORT, false);
     let prof = JobProfile::from_metrics(&metrics);
     // The probe spills (1 KiB buffer over 400 records), so spill bytes and
     // map-exec time must both be visible.
@@ -118,23 +124,24 @@ fn busy_attribution_is_recorded_and_consistent() {
 }
 
 #[test]
-fn profiling_flag_never_changes_committed_output() {
+fn tracing_never_changes_committed_output() {
     for backend in [
         BackendKind::Simulated,
         BackendKind::Sharded,
         BackendKind::Process,
     ] {
-        let (_, off) = run_probe(config(backend, false), SHORT);
-        let (_, on) = run_probe(config(backend, true), SHORT);
-        assert_eq!(off, on, "{backend:?}: profiling changed committed bytes");
+        let (_, off) = run_probe(config(backend), SHORT, false);
+        let (_, on) = run_probe(config(backend), SHORT, true);
+        assert_eq!(off, on, "{backend:?}: tracing changed committed bytes");
     }
 }
 
-fn profile_events(profile: bool) -> Vec<TraceEvent> {
-    let mut cluster = Cluster::new(config(BackendKind::Sharded, profile), 256).unwrap();
+/// The profile events of two traced jobs on one cluster.
+fn profile_events() -> Vec<TraceEvent> {
+    let mut cluster = Cluster::new(config(BackendKind::Sharded), 256).unwrap();
     let sink = TraceSink::new();
     cluster.set_trace(sink.clone());
-    // The caller asserts coverage, hence the long job.
+    // The caller asserts coverage, hence the long jobs.
     cluster.dfs().write_text("/in", corpus(LONG)).unwrap();
     let mapper = ClosureMapper::new(
         |_off: &u64, line: &String, out: &mut dyn Emit<String, u64>, _: &TaskContext| {
@@ -147,10 +154,12 @@ fn profile_events(profile: bool) -> Vec<TraceEvent> {
          out: &mut dyn Emit<String, u64>,
          _: &TaskContext| out.emit(k.clone(), vs.count() as u64),
     );
-    let job = Job::new("traced", mapper, reducer)
-        .inputs(text_input(cluster.dfs(), "/in").unwrap())
-        .output_seq("/out");
-    cluster.run(job).unwrap();
+    for name in ["first", "second"] {
+        let job = Job::new(name, mapper.clone(), reducer.clone())
+            .inputs(text_input(cluster.dfs(), "/in").unwrap())
+            .output_seq(format!("/out-{name}"));
+        cluster.run(job).unwrap();
+    }
     sink.events()
         .iter()
         .filter(|e| e.kind == EventKind::Profile)
@@ -159,18 +168,21 @@ fn profile_events(profile: bool) -> Vec<TraceEvent> {
 }
 
 #[test]
-fn profile_trace_event_is_gated_on_the_config_flag() {
+fn one_profile_event_per_traced_job() {
     let _alone = timed();
-    assert!(
-        profile_events(false).is_empty(),
-        "profile event emitted with the flag off"
+    let events = profile_events();
+    let jobs: Vec<&str> = events.iter().map(|e| e.job.as_str()).collect();
+    assert_eq!(
+        jobs,
+        ["first", "second"],
+        "exactly one profile event per job"
     );
-    let events = profile_events(true);
-    assert_eq!(events.len(), 1, "exactly one profile event per job");
-    let detail = events[0].detail.as_deref().expect("profile detail json");
-    let json = mapreduce::Json::parse(detail).expect("detail parses as json");
-    let coverage = json.get("coverage").and_then(|c| c.as_f64()).unwrap();
-    assert!(coverage >= 0.95, "traced coverage {coverage:.3} below 95%");
-    assert!(json.get("wall_us").is_some());
-    assert!(json.get("busy_us").is_some());
+    for event in &events {
+        let detail = event.detail.as_deref().expect("profile detail json");
+        let json = mapreduce::Json::parse(detail).expect("detail parses as json");
+        let coverage = json.get("coverage").and_then(|c| c.as_f64()).unwrap();
+        assert!(coverage >= 0.95, "traced coverage {coverage:.3} below 95%");
+        assert!(json.get("wall_us").is_some());
+        assert!(json.get("busy_us").is_some());
+    }
 }

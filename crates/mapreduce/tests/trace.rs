@@ -212,6 +212,59 @@ fn tracing_does_not_change_results_or_sim_metrics_inputs() {
     assert_eq!(groups(&m), groups(&base_m), "group sizes are deterministic");
 }
 
+/// A panicking attempt on the driver's threads ends exactly once, as
+/// panicked, and is retried exactly once: its own panic boundary turns the
+/// panic into a classified failure before the retry loop sees it.
+#[test]
+fn a_traced_panicking_attempt_ends_once_as_panicked_and_retries_once() {
+    quiet_injected_panics();
+    let mut cluster = cluster_with(2, 2, None);
+    let sink = TraceSink::new();
+    cluster.set_trace(sink.clone());
+    cluster.dfs().write_text("/in", corpus()).unwrap();
+    let mapper = ClosureMapper::new(
+        |_off: &u64,
+         line: &String,
+         out: &mut dyn Emit<String, u64>,
+         ctx: &TaskContext|
+         -> mapreduce::Result<()> {
+            if (ctx.task_id, ctx.attempt) == (0, 0) {
+                panic!("injected user-code panic (map 0, attempt 0)");
+            }
+            for w in line.split_whitespace() {
+                out.emit(w.to_string(), 1)?;
+            }
+            Ok(())
+        },
+    );
+    let job = Job::new("panicky", mapper, wc_reducer())
+        .inputs(text_input(cluster.dfs(), "/in").unwrap())
+        .output_seq("/out");
+    let m = cluster.run(job).unwrap();
+    assert_eq!(m.task_retries, 1);
+    let events = sink.events();
+    let map0: Vec<(Option<u64>, Option<Outcome>)> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::TaskEnd)
+        .filter(|e| (e.phase, e.task) == (Some(Phase::Map), Some(0)))
+        .map(|e| (e.attempt, e.outcome))
+        .collect();
+    assert_eq!(
+        map0,
+        [
+            (Some(0), Some(Outcome::Panicked)),
+            (Some(1), Some(Outcome::Ok))
+        ]
+    );
+    let panicked: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.outcome == Some(Outcome::Panicked))
+        .collect();
+    assert_eq!(panicked.len(), 1, "one panicked end in the whole job");
+    let error = panicked[0].error.as_deref().unwrap();
+    assert!(error.contains("injected user-code panic"), "{error}");
+}
+
 #[test]
 fn real_event_stream_roundtrips_through_jsonl() {
     quiet_injected_panics();
