@@ -5,7 +5,7 @@
 //! stage 2 on a single reducer. This module closes the loop the
 //! heavy-hitter report only *warns* about: a cheap driver-side sampling
 //! pre-pass estimates per-group load with a space-saving sketch
-//! ([`setsim::SpaceSaving`]), and every group whose **guaranteed** load
+//! ([`mapreduce::SpaceSaving`]), and every group whose **guaranteed** load
 //! clears the hot threshold is split into `B` buckets of candidate
 //! records. Mappers then replicate each record of a hot group to the
 //! bucket *pairs* involving its own bucket — the triangle/cross scheme of
@@ -41,8 +41,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use mapreduce::{codec_struct, stable_hash, ByteReader, Codec, Dfs, MrError, Result};
-use setsim::{SpaceSaving, TokenOrder};
+use mapreduce::{codec_struct, stable_hash, ByteReader, Codec, Dfs, MrError, Result, SpaceSaving};
+use setsim::TokenOrder;
 
 use crate::config::{codec_unit_enum, JoinConfig, TokenRouting};
 use crate::keys::routing_groups;

@@ -38,8 +38,9 @@ use fuzzyjoin::{
     self_join_resume, Cluster, ClusterConfig, FaultPlan, FilterConfig, JoinConfig, JoinOutcome,
     SkewConfig, SkewPlan, Stage2Algo, Threshold, TokenRouting,
 };
+use mapreduce::SpaceSaving;
 use proptest::prelude::*;
-use setsim::{first_common, SpaceSaving};
+use setsim::first_common;
 
 fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED")

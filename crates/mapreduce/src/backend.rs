@@ -251,25 +251,28 @@ where
     let config = run.cluster.config();
     let counters = &run.counters;
     let threads = config.physical_threads();
+    // Supervision runs on the host clock, so the simulated backend has none.
+    let watchdog = match config.backend {
+        BackendKind::Simulated => None,
+        _ => Watchdog::new(config, counters, run.cluster.trace(), &run.job.name),
+    };
+    let watchdog = watchdog.as_ref();
     match config.backend {
         BackendKind::Simulated => run_phases(run, threads, &mut InMemory, None),
-        BackendKind::Sharded => {
-            let watchdog = Watchdog::new(config, counters, run.cluster.trace(), &run.job.name);
-            std::thread::scope(|scope| {
-                let mut channel = Channel::new(scope, config.shuffle_channel_capacity);
-                run_phases(run, threads, &mut channel, watchdog.as_ref())
-            })
-        }
+        BackendKind::Sharded => std::thread::scope(|scope| {
+            let mut channel = Channel::new(scope, config.shuffle_channel_capacity);
+            run_phases(run, threads, &mut channel, watchdog)
+        }),
         BackendKind::Process => {
             let spawn_start = Instant::now();
             // The pool is the cluster's; holding it runs the cluster's jobs
             // one at a time.
             let mut pool = run.cluster.worker_pool().lock();
-            let mut workers = ProcessTransport::begin(&mut pool, run)?;
+            let mut workers = ProcessTransport::begin(&mut pool, run, watchdog)?;
             counters
                 .get(profile::WALL_SPAWN_US)
                 .add(secs_to_us(spawn_start.elapsed().as_secs_f64()));
-            let result = run_phases(run, workers.size(), &mut workers, None);
+            let result = run_phases(run, workers.size(), &mut workers, watchdog);
             // Closing the job and spill cleanup close the reduce window, so
             // the windows still tile the backend's whole execution.
             let teardown_start = Instant::now();
@@ -288,7 +291,7 @@ where
 /// them. A map task is its index into the job's inputs, a reduce task its
 /// partition and the runs parked for it. An attempt the transport does not
 /// run elsewhere runs on the calling pool thread, under `watchdog` when the
-/// backend supervises in-process attempts.
+/// job is supervised.
 fn run_phases<M, R, T>(
     run: &JobRun<'_, M, R>,
     threads: usize,

@@ -90,12 +90,12 @@ pub struct ClusterConfig {
     pub shuffle_channel_capacity: usize,
     /// Wall-clock deadline for one task attempt on the real backends
     /// ([`BackendKind::Sharded`] and [`BackendKind::Process`]). When an
-    /// attempt exceeds the deadline the supervisor kills the worker and the
-    /// attempt is retried as a transient `NodeLost` (process backend), or
-    /// trips the cooperative cancel and the job fails fast with a
-    /// classified error (sharded backend: threads cannot be killed). `None`
-    /// (the default) disables wall-clock supervision entirely. Never
-    /// affects simulated time or committed bytes.
+    /// attempt in a worker process exceeds it, the job's watchdog kills the
+    /// worker and the attempt is retried as a transient `NodeLost`; an
+    /// attempt on the driver's threads cannot be killed, so the job fails
+    /// fast with a classified error. `None` (the default) disables
+    /// wall-clock supervision entirely. Never affects simulated time or
+    /// committed bytes.
     pub task_timeout_secs: Option<f64>,
     /// Interval at which process workers emit heartbeat frames on the
     /// pipe protocol while a task runs; a worker silent for eight

@@ -414,6 +414,40 @@ macro_rules! codec_struct {
     };
 }
 
+/// Implement [`Codec`] for an enum as a tag byte and then the variant's
+/// fields in order, each variant written once as `tag => Variant(a, ..)` or
+/// `tag => Variant { a, .. }`; an unknown tag decodes to a
+/// [`MrError::Codec`] naming `what`.
+macro_rules! codec_enum {
+    ($t:ident ($what:literal) {
+        $($tag:literal => $v:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::codec::Codec for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($t::$v $(($($tf),+))? $({ $($sf),+ })? => {
+                        buf.push($tag);
+                        $($($crate::codec::Codec::encode($tf, buf);)+)?
+                        $($($crate::codec::Codec::encode($sf, buf);)+)?
+                    })+
+                }
+            }
+            fn decode(r: &mut $crate::codec::ByteReader<'_>) -> $crate::error::Result<Self> {
+                Ok(match r.take_u8()? {
+                    $($tag => $t::$v
+                        $(($({
+                            let $tf = $crate::codec::Codec::decode(r)?;
+                            $tf
+                        }),+))?
+                        $({ $($sf: $crate::codec::Codec::decode(r)?),+ })?,)+
+                    t => return Err($crate::error::MrError::Codec(format!("invalid {} tag {t}", $what))),
+                })
+            }
+        }
+    };
+}
+pub(crate) use codec_enum;
+
 #[cfg(test)]
 mod tests {
     use super::*;

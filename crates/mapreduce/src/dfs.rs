@@ -78,9 +78,8 @@ pub struct FileStat {
     /// record). Nothing here compares it against the data — every read
     /// does, and so does [`Dfs::verify`].
     pub crc: u32,
-    /// `(length, node, stored CRC-32)` of every block, in file order. An
-    /// `MRDFSv1` container has no block checksums to list.
-    blocks: Vec<(u64, usize, Option<u32>)>,
+    /// `(length, node, stored CRC-32)` of every block, in file order.
+    blocks: Vec<(u64, usize, u32)>,
     /// Where the payload starts in the container: the header's own length
     /// (0 in memory, where there is none).
     payload_at: u64,
@@ -232,12 +231,9 @@ enum Store {
     Disk(DiskStore),
 }
 
-/// Container-file magic: identifies (and versions) the on-disk format.
-/// `MRDFSv2` is what is written: a CRC per entry of the block table.
+/// Container-file magic: identifies (and versions) the on-disk format,
+/// `MRDFSv2`: a CRC per entry of the block table.
 const CONTAINER_MAGIC: &[u8; 8] = b"MRDFSv2\0";
-/// The format before it, still read: the same layout without block CRCs,
-/// so a block of such a file is read by loading and checking the file.
-const CONTAINER_MAGIC_V1: &[u8; 8] = b"MRDFSv1\0";
 
 /// Monotonic discriminator for temp files and temp roots in this process.
 static DISK_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -535,8 +531,7 @@ fn encode_container(file: &DfsFile) -> Vec<u8> {
     for (&(_, node, crc), data) in stat.blocks.iter().zip(&file.blocks) {
         write_varint(data.len() as u64, &mut out);
         write_varint(node as u64, &mut out);
-        // A file loaded from an `MRDFSv1` container gets its block CRCs here.
-        crc.unwrap_or_else(|| Crc32::of(data)).encode(&mut out);
+        crc.encode(&mut out);
     }
     for data in &file.blocks {
         out.extend_from_slice(data);
@@ -552,11 +547,9 @@ fn encode_container(file: &DfsFile) -> Vec<u8> {
 /// whether or not anyone goes on to read the payload.
 fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<FileStat> {
     let corrupt = |why: &str| MrError::Codec(format!("corrupt DFS container {path}: {why}"));
-    let block_crcs = match bytes.get(..CONTAINER_MAGIC.len()) {
-        Some(magic) if magic == CONTAINER_MAGIC => true,
-        Some(magic) if magic == CONTAINER_MAGIC_V1 => false,
-        _ => return Err(corrupt("bad magic")),
-    };
+    if bytes.get(..CONTAINER_MAGIC.len()) != Some(CONTAINER_MAGIC) {
+        return Err(corrupt("bad magic"));
+    }
     let mut r = ByteReader::new(&bytes[CONTAINER_MAGIC.len()..]);
     let kind = match u8::decode(&mut r)? {
         0 => FileKind::Text,
@@ -577,7 +570,7 @@ fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<FileStat> {
     for _ in 0..n_blocks {
         let blen = read_varint(&mut r)?;
         let node = read_varint(&mut r)?;
-        let crc = block_crcs.then(|| u32::decode(&mut r)).transpose()?;
+        let crc = u32::decode(&mut r)?;
         payload = payload
             .checked_add(blen)
             .ok_or_else(|| corrupt("block length overflow"))?;
@@ -605,7 +598,7 @@ fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
     let stat = decode_header(path, bytes, bytes.len() as u64)?;
     // The header's size check bounds every block by the payload.
     let mut payload = &bytes[stat.payload_at as usize..];
-    let cut = |&(len, _, _): &(u64, usize, Option<u32>)| {
+    let cut = |&(len, _, _): &(u64, usize, u32)| {
         let (data, rest) = payload.split_at(len as usize);
         payload = rest;
         Arc::from(data)
@@ -648,8 +641,8 @@ pub struct BlockSplit {
     pub kind: FileKind,
     /// The block's place in its file's block table.
     index: usize,
-    /// The block's stored CRC-32; `None` in an `MRDFSv1` file.
-    crc: Option<u32>,
+    /// The block's stored CRC-32.
+    crc: u32,
     /// Where the block's bytes start in the container (disk store).
     pos: u64,
 }
@@ -1140,7 +1133,7 @@ impl Dfs {
         let mut out = Vec::new();
         for p in self.resolve(path)? {
             let stat = self.stat(&p)?;
-            let (mut offset, mut listed) = (0, Some(0));
+            let (mut offset, mut listed) = (0, 0);
             for (index, &(len, node, crc)) in stat.blocks.iter().enumerate() {
                 out.push(BlockSplit {
                     path: p.clone(),
@@ -1153,17 +1146,16 @@ impl Dfs {
                     pos: stat.payload_at + offset,
                 });
                 offset += len;
-                listed = listed.zip(crc).map(|(l, c)| crc32_combine(l, c, len));
+                listed = crc32_combine(listed, crc, len);
             }
             // The table must add up to the file it describes. A torn write
             // cuts whole blocks off it: no task would read them, so the file
             // fails here, on the lengths and CRCs its table still lists.
-            if offset != stat.len || listed.is_some_and(|l| l != stat.crc) {
-                let (path, expected, found) = (p, stat.crc, listed.unwrap_or(0));
+            if offset != stat.len || listed != stat.crc {
                 return Err(MrError::ChecksumMismatch {
-                    path,
-                    expected,
-                    found,
+                    path: p,
+                    expected: stat.crc,
+                    found: listed,
                 });
             }
         }
@@ -1175,12 +1167,6 @@ impl Dfs {
     /// CRC here, in the caller: the map attempt that was handed the split.
     pub fn read_block(&self, split: &BlockSplit) -> Result<Arc<[u8]>> {
         let path = split.path.as_str();
-        let Some(crc) = split.crc else {
-            // MRDFSv1: the file's CRC is the only one there is.
-            let file = self.load(path)?;
-            file.check(path)?;
-            return file.block(path, split.index);
-        };
         let data = match &*self.store {
             Store::Mem(inner) => match inner.read().get(path) {
                 Some(file) => file.block(path, split.index)?,
@@ -1191,7 +1177,7 @@ impl Dfs {
                 d.read_range(path, split.pos, split.len)?
             }
         };
-        check_crc(path, crc, Crc32::of(&data))?;
+        check_crc(path, split.crc, Crc32::of(&data))?;
         Ok(data)
     }
 
@@ -1341,7 +1327,7 @@ impl BlockWriter {
         let data = std::mem::take(&mut self.buf);
         let (len, crc) = (data.len() as u64, Crc32::of(&data));
         let stat = &mut self.file.stat;
-        stat.blocks.push((len, self.dfs.place(), Some(crc)));
+        stat.blocks.push((len, self.dfs.place(), crc));
         stat.len += len;
         stat.crc = crc32_combine(stat.crc, crc, len);
         self.file.blocks.push(Arc::from(data));
@@ -1784,42 +1770,6 @@ mod tests {
                 Err(MrError::ChecksumMismatch { expected, .. }) if expected == whole.stat.crc
             ));
         }
-    }
-
-    /// The `MRDFSv1` reading rule: no block of such a file has a CRC of its
-    /// own, so whoever reads one loads the file and checks it whole; the
-    /// first rewrite (here `corrupt`'s) stores it as `MRDFSv2`.
-    #[test]
-    fn an_mrdfsv1_file_is_laid_out_from_its_header_and_read_under_its_file_crc() {
-        let dfs = Dfs::new_temp_disk(2, 16).unwrap();
-        let real = dfs.disk_root().unwrap().join("fs/old");
-        let fixture = include_bytes!("../tests/fixtures/pr12/part-00000");
-        assert_eq!(&fixture[..8], CONTAINER_MAGIC_V1);
-        fs::write(&real, fixture).unwrap();
-        let stat = dfs.stat("/old").unwrap();
-        assert!(stat.blocks.iter().all(|&(_, _, crc)| crc.is_none()));
-        let blocks = dfs.splits("/old").unwrap();
-        assert_eq!(blocks.len(), 8);
-        let records = |b| text_records(b, &dfs.read_block(b)?).map(|r| r.len());
-        let total: usize = blocks.iter().map(|b| records(b).unwrap()).sum();
-        assert_eq!(total, 20);
-        // Damage in the last block fails the read of the first.
-        flip_payload_bit(&dfs, "/old", stat.len - 1);
-        assert_eq!(dfs.splits("/old").unwrap().len(), 8);
-        assert!(matches!(
-            dfs.read_block(&blocks[0]),
-            Err(MrError::ChecksumMismatch { expected, .. }) if expected == stat.crc
-        ));
-        fs::write(&real, fixture).unwrap();
-        dfs.corrupt("/old").unwrap();
-        assert_eq!(&fs::read(&real).unwrap()[..8], CONTAINER_MAGIC);
-        assert_eq!(dfs.file_crc("/old").unwrap(), stat.crc);
-        // The block CRCs it gained are of the flipped bytes: the table no
-        // longer adds up to the file's.
-        assert!(matches!(
-            dfs.splits("/old"),
-            Err(MrError::ChecksumMismatch { expected, .. }) if expected == stat.crc
-        ));
     }
 
     proptest::proptest! {

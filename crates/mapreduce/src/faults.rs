@@ -39,11 +39,11 @@ pub enum Fault {
     Straggle(f64),
     /// The worker stalls forever mid-task without dying — no error frame,
     /// no pipe close, no progress. Only wall-clock supervision (task
-    /// deadlines, heartbeat expiry) can notice it; the supervisor kills
+    /// deadlines, heartbeat expiry) can notice it; the watchdog kills
     /// the worker and the attempt retries as a transient `NodeLost`.
     Hang,
     /// The worker keeps working but stops emitting heartbeat frames for
-    /// longer than the heartbeat window, so the supervisor presumes it
+    /// longer than the heartbeat window, so the watchdog presumes it
     /// hung and kills it mid-task. Exercises heartbeat expiry (as opposed
     /// to the task deadline).
     SlowHeartbeat,
@@ -66,8 +66,8 @@ pub struct FaultPlan {
     /// Probability a surviving attempt is a straggler.
     pub p_straggler: f64,
     /// Probability an attempt hangs forever mid-task (process workers
-    /// stall without dying; in-process attempts model the supervisor's
-    /// kill directly). Needs a task deadline to be survivable.
+    /// stall without dying; in-process attempts model the watchdog's kill
+    /// directly). Needs a task deadline to be survivable.
     pub p_hang: f64,
     /// Probability a process worker suppresses heartbeats long enough to
     /// be presumed hung and killed. Ignored by in-process attempts (no
@@ -183,7 +183,7 @@ impl FaultPlan {
     }
 
     /// Total probability that an attempt fails outright (a hang counts:
-    /// the supervisor turns it into a kill-and-retry).
+    /// the watchdog turns it into a kill-and-retry).
     pub fn failure_probability(&self) -> f64 {
         self.p_transient + self.p_panic + self.p_oom + self.p_late + self.p_hang
     }

@@ -1,29 +1,24 @@
 //! Wall-clock task supervision for the real execution backends.
 //!
-//! The simulated timeline already survives stragglers and failures —
-//! speculation and retry backoff are charged to *sim* time. But the
-//! sharded and process backends execute on the
-//! actual host clock, where a worker that hangs (SIGSTOP, infinite loop, a
-//! never-flushed frame) blocks the driver forever and no amount of
-//! simulated-time machinery notices. This module is the driver-side answer:
-//! a [`Supervisor`] owns one monitor thread that watches every in-flight
-//! task attempt and fires an expiry callback when either
+//! Simulated time survives stragglers by construction, but the sharded and
+//! process backends run on the host clock, where a hung worker (SIGSTOP, an
+//! infinite loop, a never-flushed frame) blocks the driver forever. A job's
+//! [`Watchdog`] gives every attempt it watches a timer of its own, a
+//! [`Watch`], which fires when the attempt's **deadline**
+//! (`task_timeout_secs`) passes or, for a worker process, its **heartbeat
+//! window** passes without a heartbeat ([`Watch::touch`]).
 //!
-//! * the attempt's **deadline** passes (`task_timeout_secs` of wall time
-//!   since the attempt started), or
-//! * the attempt's **heartbeat window** passes without progress (the
-//!   process protocol interleaves heartbeat frames with task execution;
-//!   each one [`Activity::touch`]es the watch).
-//!
-//! The callback kills the worker (SIGKILL the child process, or trip the
-//! sharded backend's [`CancelToken`]); the resulting transport error flows
-//! through the existing classified-retry machinery as a transient
-//! `NodeLost`, so recovery — not this module — decides what happens next.
-//! Supervision never touches simulated time or committed bytes: it only
-//! ever converts "stuck forever" into "failed, retryable".
+//! Firing runs the watcher's `stop` (SIGKILL the worker) on the timer's
+//! thread, and [`Watch::finish`] joins that thread: `stop` has either run
+//! before the attempt's owner resumes or it never runs, and the owner learns
+//! which. A fired attempt is failed whatever it returned — a worker
+//! conversation as a transient `NodeLost` the retry machinery handles, an
+//! in-process attempt by failing the job fast. Supervision never touches
+//! simulated time or committed bytes.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cluster::ClusterConfig;
@@ -32,245 +27,48 @@ use crate::error::{MrError, Result};
 use crate::task::Phase;
 use crate::trace::{EventKind, TraceEvent, TraceSink};
 
-/// Why a watch expired.
+/// Which clock fired a watch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExpireReason {
     /// The per-task wall-clock deadline passed.
     Deadline,
-    /// No heartbeat/progress was recorded for longer than the window.
+    /// No heartbeat arrived for longer than the window.
     Heartbeat,
 }
 
-impl ExpireReason {
-    /// Stable name used in trace event details.
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            ExpireReason::Deadline => "deadline",
-            ExpireReason::Heartbeat => "heartbeat",
-        }
-    }
+/// One watched attempt's timer: a thread waiting on a channel of
+/// heartbeats until the earlier of the deadline and the heartbeat window.
+/// Ending the watch — [`Watch::finish`], or dropping it — closes the
+/// channel and joins the thread.
+pub(crate) struct Watch {
+    beats: Option<Sender<()>>,
+    timer: Option<JoinHandle<Option<ExpireReason>>>,
 }
 
-/// Progress handle for one watched attempt: heartbeat arrivals (or any
-/// other sign of life) call [`Activity::touch`] to reset the heartbeat
-/// window. Cheap to clone and safe to touch from any thread.
-#[derive(Clone)]
-pub(crate) struct Activity {
-    epoch: Instant,
-    cell: Arc<AtomicU64>,
-}
-
-impl Activity {
-    fn new(epoch: Instant) -> Self {
-        let cell = Arc::new(AtomicU64::new(epoch.elapsed().as_millis() as u64));
-        Activity { epoch, cell }
-    }
-
-    /// Record a sign of life now.
+impl Watch {
+    /// A heartbeat: the attempt is alive now.
     pub(crate) fn touch(&self) {
-        self.cell
-            .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-    }
-
-    fn stale_for(&self, now: Instant) -> Duration {
-        let now_ms = now.duration_since(self.epoch).as_millis() as u64;
-        Duration::from_millis(now_ms.saturating_sub(self.cell.load(Ordering::Relaxed)))
-    }
-}
-
-type ExpireFn = Box<dyn FnOnce(ExpireReason) + Send>;
-
-struct WatchState {
-    id: u64,
-    started: Instant,
-    deadline: Option<Duration>,
-    heartbeat_window: Option<Duration>,
-    activity: Activity,
-    on_expire: Option<ExpireFn>,
-}
-
-impl WatchState {
-    fn expiry(&self, now: Instant) -> Option<ExpireReason> {
-        if let Some(d) = self.deadline {
-            if now.duration_since(self.started) > d {
-                return Some(ExpireReason::Deadline);
-            }
-        }
-        if let Some(w) = self.heartbeat_window {
-            if self.activity.stale_for(now) > w {
-                return Some(ExpireReason::Heartbeat);
-            }
-        }
-        None
-    }
-}
-
-struct Inner {
-    watches: Mutex<WatchTable>,
-    wake: Condvar,
-}
-
-#[derive(Default)]
-struct WatchTable {
-    entries: Vec<WatchState>,
-    next_id: u64,
-    stop: bool,
-}
-
-/// The driver-side monitor: one background thread scanning every
-/// registered watch at a fixed tick. Dropping the supervisor stops the
-/// thread; dropping a [`WatchGuard`] deregisters its watch (the normal
-/// end of a healthy attempt).
-pub(crate) struct Supervisor {
-    inner: Arc<Inner>,
-    epoch: Instant,
-    monitor: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Supervisor {
-    /// Start a supervisor whose monitor thread scans at `tick` (clamped
-    /// to [10ms, 250ms] so expiry latency stays small without busy
-    /// spinning).
-    pub(crate) fn new(tick: Duration) -> Self {
-        let tick = tick.clamp(Duration::from_millis(10), Duration::from_millis(250));
-        let inner = Arc::new(Inner {
-            watches: Mutex::new(WatchTable::default()),
-            wake: Condvar::new(),
-        });
-        let monitor_inner = Arc::clone(&inner);
-        let monitor = std::thread::Builder::new()
-            .name("mr-supervisor".into())
-            .spawn(move || monitor_loop(&monitor_inner, tick))
-            .expect("spawn supervisor thread");
-        Supervisor {
-            inner,
-            epoch: Instant::now(),
-            monitor: Some(monitor),
+        if let Some(beats) = &self.beats {
+            let _ = beats.send(());
         }
     }
 
-    /// Register one attempt. `on_expire` runs at most once, on the
-    /// monitor thread, outside the watch lock; it must be fast and must
-    /// not block on the supervised work (kill a child, trip a token,
-    /// bump counters).
-    pub(crate) fn watch(
-        &self,
-        deadline: Option<Duration>,
-        heartbeat_window: Option<Duration>,
-        on_expire: impl FnOnce(ExpireReason) + Send + 'static,
-    ) -> WatchGuard {
-        let activity = Activity::new(self.epoch);
-        let mut table = lock_table(&self.inner.watches);
-        let id = table.next_id;
-        table.next_id += 1;
-        table.entries.push(WatchState {
-            id,
-            started: Instant::now(),
-            deadline,
-            heartbeat_window,
-            activity: activity.clone(),
-            on_expire: Some(Box::new(on_expire)),
-        });
-        WatchGuard {
-            inner: Arc::clone(&self.inner),
-            id,
-            activity,
-        }
+    /// End the watch. `Some` says which clock fired it, and that its `stop`
+    /// has run; `None` that it never will.
+    pub(crate) fn finish(mut self) -> Option<ExpireReason> {
+        self.end()
+    }
+
+    fn end(&mut self) -> Option<ExpireReason> {
+        self.beats = None;
+        // A `stop` that panicked stopped nothing: not fired.
+        self.timer.take()?.join().ok().flatten()
     }
 }
 
-impl Drop for Supervisor {
+impl Drop for Watch {
     fn drop(&mut self) {
-        lock_table(&self.inner.watches).stop = true;
-        self.inner.wake.notify_all();
-        if let Some(handle) = self.monitor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Keeps one watch alive; dropping it deregisters the watch, so an
-/// attempt that finishes (however it finishes) can no longer expire.
-pub(crate) struct WatchGuard {
-    inner: Arc<Inner>,
-    id: u64,
-    activity: Activity,
-}
-
-impl WatchGuard {
-    /// The progress handle for this watch.
-    pub(crate) fn activity(&self) -> Activity {
-        self.activity.clone()
-    }
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        let mut table = lock_table(&self.inner.watches);
-        table.entries.retain(|w| w.id != self.id);
-    }
-}
-
-fn lock_table(m: &Mutex<WatchTable>) -> std::sync::MutexGuard<'_, WatchTable> {
-    // A panic inside an expiry callback must not wedge every later lock.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn monitor_loop(inner: &Inner, tick: Duration) {
-    let mut table = lock_table(&inner.watches);
-    loop {
-        if table.stop {
-            return;
-        }
-        let now = Instant::now();
-        let mut fired: Vec<(ExpireFn, ExpireReason)> = Vec::new();
-        for w in &mut table.entries {
-            if w.on_expire.is_some() {
-                if let Some(reason) = w.expiry(now) {
-                    fired.push((w.on_expire.take().expect("checked"), reason));
-                }
-            }
-        }
-        if !fired.is_empty() {
-            // Run callbacks outside the lock: they may kill children or
-            // take other locks, and new watches must stay registrable.
-            drop(table);
-            for (f, reason) in fired {
-                f(reason);
-            }
-            table = lock_table(&inner.watches);
-            continue;
-        }
-        let (next, _) = inner
-            .wake
-            .wait_timeout(table, tick)
-            .unwrap_or_else(|e| e.into_inner());
-        table = next;
-    }
-}
-
-/// Cooperative cancellation for in-process attempts: the token is checked
-/// at every attempt boundary, so once the supervisor trips it no further
-/// attempt starts or is accepted. Threads cannot be killed, so this is the
-/// strongest "abandon" the sharded executor supports — the job fails fast
-/// with a classified timeout instead of hanging the driver.
-#[derive(Clone, Default)]
-pub(crate) struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, untripped token.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Trip the token: all holders observe cancellation from now on.
-    pub(crate) fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Has the token been tripped?
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.end();
     }
 }
 
@@ -278,17 +76,16 @@ impl CancelToken {
 /// intervals is presumed hung and killed, even before its task deadline.
 const HEARTBEAT_GRACE: f64 = 8.0;
 
-/// One job's wall-clock supervision: the monitor thread, the per-attempt
-/// deadline and heartbeat window from the [`ClusterConfig`], and what every
-/// expiry reports (the `mr.supervise.task_timeout` counter and a
-/// `task_timeout` trace event). Who is watching says only how to stop the
-/// attempt: the process transport SIGKILLs the worker child, in-process
-/// attempts trip the job's [`CancelToken`].
+/// One job's wall-clock supervision, shared by all of its attempts that run
+/// on the host clock: the per-attempt deadline and heartbeat window from
+/// the [`ClusterConfig`], and what every expiry reports (the
+/// `mr.supervise.task_timeout` counter and a `task_timeout` trace event).
 pub(crate) struct Watchdog {
-    supervisor: Supervisor,
     deadline: Duration,
     heartbeat_window: Duration,
-    cancel: CancelToken,
+    /// An in-process attempt overran: no attempt on the driver's threads
+    /// starts or is accepted from now on.
+    cancelled: AtomicBool,
     counters: Counters,
     trace: Option<TraceSink>,
     job: String,
@@ -297,21 +94,18 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     /// `None` when the config sets no `task_timeout_secs`: supervision is
-    /// off and no monitor thread exists.
+    /// off and no timer thread ever exists.
     pub(crate) fn new(
         config: &ClusterConfig,
         counters: &Counters,
         trace: Option<&TraceSink>,
         job: &str,
     ) -> Option<Self> {
-        let deadline = Duration::from_secs_f64(config.task_timeout_secs?);
-        let heartbeat_window =
-            Duration::from_secs_f64(config.heartbeat_interval_secs * HEARTBEAT_GRACE);
+        let interval = config.heartbeat_interval_secs;
         Some(Watchdog {
-            supervisor: Supervisor::new(deadline.min(heartbeat_window) / 4),
-            deadline,
-            heartbeat_window,
-            cancel: CancelToken::new(),
+            deadline: Duration::from_secs_f64(config.task_timeout_secs?),
+            heartbeat_window: Duration::from_secs_f64(interval * HEARTBEAT_GRACE),
+            cancelled: AtomicBool::new(false),
             counters: counters.clone(),
             trace: trace.cloned(),
             job: job.to_string(),
@@ -319,123 +113,178 @@ impl Watchdog {
         })
     }
 
-    /// Watch one attempt until the guard drops. `heartbeats` says whether
-    /// its executor emits them (only worker processes do); `stop` is how to
-    /// end the attempt when the watch expires.
+    /// Watch one attempt from now. `heartbeats` says whether its executor
+    /// emits them (only worker processes do); `stop` is how to end the
+    /// attempt when the watch fires.
     pub(crate) fn watch(
         &self,
         (phase, task, attempt): (Phase, usize, usize),
         heartbeats: bool,
         stop: impl FnOnce() + Send + 'static,
-    ) -> WatchGuard {
+    ) -> Watch {
         let (counters, trace, job) = (self.counters.clone(), self.trace.clone(), self.job.clone());
         let node = task % self.nodes;
         let window = heartbeats.then_some(self.heartbeat_window);
-        self.supervisor
-            .watch(Some(self.deadline), window, move |reason| {
-                stop();
-                counters.get("mr.supervise.task_timeout").incr();
-                if let Some(sink) = &trace {
-                    let mut ev = TraceEvent::new(EventKind::TaskTimeout, job.as_str())
-                        .at_task(phase, task, attempt, node);
-                    ev.detail = Some(reason.as_str().to_string());
-                    sink.emit(ev);
+        let (beats, heard) = mpsc::channel();
+        let mut last = Instant::now();
+        let deadline = last + self.deadline;
+        let timer = std::thread::Builder::new().name("mr-watch".into());
+        let timer = timer.spawn(move || {
+            let reason = loop {
+                let (at, reason) = match window {
+                    Some(w) if last + w < deadline => (last + w, ExpireReason::Heartbeat),
+                    _ => (deadline, ExpireReason::Deadline),
+                };
+                match heard.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                    Ok(()) => last = Instant::now(),
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                    Err(RecvTimeoutError::Timeout) => break reason,
                 }
-            })
+            };
+            stop();
+            counters.get("mr.supervise.task_timeout").incr();
+            if let Some(sink) = &trace {
+                let mut ev = TraceEvent::new(EventKind::TaskTimeout, &job)
+                    .at_task(phase, task, attempt, node);
+                ev.detail = Some(format!("{reason:?}").to_lowercase());
+                sink.emit(ev);
+            }
+            Some(reason)
+        });
+        Watch {
+            beats: Some(beats),
+            timer: Some(timer.expect("spawn watch timer")),
+        }
     }
 
     /// Run one in-process attempt under the job's deadline, when it has a
-    /// watchdog (`None` just runs the body). Threads cannot be
-    /// killed, so expiry trips the job's cancel token: this attempt's
-    /// result is discarded when it eventually returns, no attempt starts
-    /// afterwards, and the job fails fast with a classified error instead
-    /// of committing output that arrived past its deadline. A body that
-    /// never returns is not recoverable in-process (that is what the
-    /// process backend is for).
+    /// watchdog (`None` just runs the body). Threads cannot be killed, so a
+    /// fired watch fails the attempt when it returns, whatever it returned,
+    /// and cancels the job's in-process attempts: none starts afterwards,
+    /// and the job fails fast with a classified error instead of committing
+    /// output that arrived past its deadline. A body that never returns is
+    /// not recoverable in-process (that is what worker processes are for).
     pub(crate) fn supervised<O>(
         dog: Option<&Self>,
         at: (Phase, usize, usize),
         body: impl FnOnce() -> Result<O>,
     ) -> Result<O> {
         let Some(dog) = dog else { return body() };
-        let expired = || {
-            Err(MrError::TaskFailed(format!(
-                "{}: task wall-clock deadline exceeded (in-process attempts cannot be killed, \
-                 so the job fails fast)",
-                dog.job
-            )))
-        };
-        if dog.cancel.is_cancelled() {
-            return expired();
+        if !dog.cancelled.load(Ordering::Acquire) {
+            let watch = dog.watch(at, false, || {});
+            let out = body();
+            if watch.finish().is_none() {
+                return out;
+            }
+            dog.cancelled.store(true, Ordering::Release);
         }
-        let cancel = dog.cancel.clone();
-        let guard = dog.watch(at, false, move || cancel.cancel());
-        let out = body();
-        drop(guard);
-        if dog.cancel.is_cancelled() {
-            return expired();
-        }
-        out
+        Err(MrError::TaskFailed(format!(
+            "{}: task wall-clock deadline exceeded (in-process attempts cannot be killed, \
+             so the job fails fast)",
+            dog.job
+        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+
+    const AT: (Phase, usize, usize) = (Phase::Map, 0, 0);
+
+    /// A watchdog over `timeout` seconds and heartbeats every `interval`.
+    fn dog(timeout: f64, interval: f64) -> Watchdog {
+        let config = ClusterConfig {
+            task_timeout_secs: Some(timeout),
+            heartbeat_interval_secs: interval,
+            ..ClusterConfig::default()
+        };
+        Watchdog::new(&config, &Counters::new(), None, "watched").unwrap()
+    }
+
+    fn timeouts(dog: &Watchdog) -> u64 {
+        dog.counters.value("mr.supervise.task_timeout")
+    }
+
+    /// A `stop` that reports on a channel.
+    fn signal() -> (impl FnOnce() + Send + 'static, mpsc::Receiver<()>) {
+        let (tx, rx) = mpsc::channel();
+        (move || tx.send(()).unwrap(), rx)
+    }
 
     #[test]
     fn deadline_expiry_fires_exactly_once() {
-        let sup = Supervisor::new(Duration::from_millis(10));
-        let (tx, rx) = mpsc::channel();
-        let _watch = sup.watch(Some(Duration::from_millis(30)), None, move |reason| {
-            tx.send(reason).unwrap();
-        });
-        let reason = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(reason, ExpireReason::Deadline);
-        // The callback is FnOnce and taken on fire; nothing arrives again.
-        assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+        let dog = dog(0.03, 10.0);
+        let (stop, stopped) = signal();
+        let watch = dog.watch(AT, true, stop);
+        stopped.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(watch.finish(), Some(ExpireReason::Deadline));
+        // The timer has returned; nothing fires again.
+        assert!(stopped.recv_timeout(Duration::from_millis(100)).is_err());
+        assert_eq!(timeouts(&dog), 1);
     }
 
     #[test]
     fn touch_keeps_a_heartbeat_watch_alive_and_starvation_kills_it() {
-        let sup = Supervisor::new(Duration::from_millis(10));
-        let (tx, rx) = mpsc::channel();
-        let watch = sup.watch(None, Some(Duration::from_millis(80)), move |reason| {
-            tx.send(reason).unwrap();
-        });
-        let activity = watch.activity();
+        // An 80 ms heartbeat window under a 30 s deadline.
+        let dog = dog(30.0, 0.01);
+        let (stop, stopped) = signal();
+        let watch = dog.watch(AT, true, stop);
         // Touch often enough to stay inside the window…
         for _ in 0..5 {
             std::thread::sleep(Duration::from_millis(20));
-            activity.touch();
+            watch.touch();
         }
-        assert!(rx.try_recv().is_err(), "healthy heartbeats must not expire");
-        // …then go silent and expire.
-        let reason = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(reason, ExpireReason::Heartbeat);
-    }
-
-    #[test]
-    fn dropping_the_guard_deregisters_before_expiry() {
-        let sup = Supervisor::new(Duration::from_millis(10));
-        let (tx, rx) = mpsc::channel::<ExpireReason>();
-        let watch = sup.watch(Some(Duration::from_millis(60)), None, move |reason| {
-            let _ = tx.send(reason);
-        });
-        drop(watch);
         assert!(
-            rx.recv_timeout(Duration::from_millis(250)).is_err(),
-            "deregistered watch fired anyway"
+            stopped.try_recv().is_err(),
+            "healthy heartbeats must not expire"
         );
+        // …then go silent and expire, long before the deadline.
+        stopped.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(watch.finish(), Some(ExpireReason::Heartbeat));
+        assert_eq!(timeouts(&dog), 1);
     }
 
     #[test]
-    fn cancel_token_trips_for_all_clones() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        assert!(!clone.is_cancelled());
-        token.cancel();
-        assert!(clone.is_cancelled());
+    fn finishing_before_the_deadline_means_stop_never_runs() {
+        let dog = dog(0.06, 10.0);
+        let (stop, stopped) = signal();
+        assert_eq!(dog.watch(AT, false, stop).finish(), None);
+        let late = stopped.recv_timeout(Duration::from_millis(200));
+        assert!(late.is_err(), "a finished watch fired anyway");
+        assert_eq!(timeouts(&dog), 0);
+    }
+
+    /// The owner's verdict and the timer's action agree even when the body
+    /// ends right at the deadline: `stop` ran exactly when `finish` says the
+    /// watch fired, and never after `finish` returned.
+    #[test]
+    fn a_watch_fires_exactly_when_finish_says_so() {
+        let (mut fired, mut quiet) = (0, 0);
+        for round in 0..240u32 {
+            // Deadlines from 0.5 to 2 ms around a 1.2 ms body.
+            let dog = dog(f64::from(5 + round % 16) * 1e-4, 10.0);
+            let stops = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&stops);
+            let watch = dog.watch(AT, false, move || {
+                counted.fetch_add(1, Ordering::SeqCst);
+            });
+            std::thread::sleep(Duration::from_micros(1_200));
+            let verdict = watch.finish();
+            let seen = stops.load(Ordering::SeqCst);
+            assert_eq!(seen, usize::from(verdict.is_some()), "round {round}");
+            std::thread::sleep(Duration::from_micros(300));
+            let after = stops.load(Ordering::SeqCst);
+            assert_eq!(after, seen, "round {round}: stop ran after finish");
+            if verdict.is_some() {
+                fired += 1;
+            } else {
+                quiet += 1;
+            }
+        }
+        // Both outcomes are exercised: the race is really run.
+        assert!(fired > 0 && quiet > 0, "fired {fired}, quiet {quiet}");
     }
 }

@@ -182,16 +182,15 @@ fn sharded_map_failure_fails_the_job_with_a_classified_error() {
     );
 }
 
-#[test]
-fn sharded_deadline_fails_the_job_fast_and_leaves_no_output() {
-    // In-process workers cannot be killed: a map attempt that outlives
-    // `task_timeout_secs` trips the cooperative cancel, its late result is
-    // discarded, and the job fails with a classified error before any
-    // reduce task could commit a part.
+/// In-process attempts cannot be killed: a map attempt that outlives
+/// `task_timeout_secs` fires its watch, its late result is discarded, and
+/// the job fails with a classified error before any reduce task could
+/// commit a part.
+fn deadline_fails_the_job_fast_and_leaves_no_output(backend: BackendKind) {
     let config = ClusterConfig {
         task_timeout_secs: Some(0.05),
         max_task_attempts: 2,
-        ..config(BackendKind::Sharded, 3, 4)
+        ..config(backend, 3, 4)
     };
     let cluster = Cluster::new(config, 256).unwrap();
     cluster.dfs().write_text("/in", corpus()).unwrap();
@@ -213,18 +212,31 @@ fn sharded_deadline_fails_the_job_fast_and_leaves_no_output() {
     let job = Job::new("overdue", mapper, reducer)
         .inputs(text_input(cluster.dfs(), "/in").unwrap())
         .output_seq("/out");
-    match cluster.run(job).unwrap_err() {
+    let err = cluster.run(job).unwrap_err();
+    match &err {
         MrError::TaskFailed(msg) => assert!(
             msg.contains("task wall-clock deadline exceeded"),
-            "unclassified deadline failure: {msg}"
+            "{backend}: unclassified deadline failure: {msg}"
         ),
-        other => panic!("expected a deadline TaskFailed, got {other:?}"),
+        other => panic!("{backend}: expected a deadline TaskFailed, got {other:?}"),
     }
     assert!(
         cluster.dfs().list("/out").is_empty(),
-        "a job past its deadline left output behind: {:?}",
+        "{backend}: a job past its deadline left output behind: {:?}",
         cluster.dfs().list("/out")
     );
+}
+
+#[test]
+fn sharded_deadline_fails_the_job_fast_and_leaves_no_output() {
+    deadline_fails_the_job_fast_and_leaves_no_output(BackendKind::Sharded);
+}
+
+/// A closure-built job runs on the process backend's driver threads, under
+/// the same watchdog as its worker conversations.
+#[test]
+fn process_deadline_fails_a_closure_built_job_fast_and_leaves_no_output() {
+    deadline_fails_the_job_fast_and_leaves_no_output(BackendKind::Process);
 }
 
 #[test]

@@ -291,13 +291,15 @@ fn corruption_point_spares_a_sibling_directory() {
     assert_eq!(c.dfs().list("/out-old"), [victim]);
 }
 
-/// Upgrade compatibility: `tests/fixtures/pr12/` holds one `MRDFSv1`
-/// container and its job's `_SUCCESS` manifest exactly as the commit
-/// before the table-driven CRC wrote them (2 nodes, 16-byte blocks). They
-/// must load, verify and validate unchanged — that is what lets a job
-/// interrupted before the upgrade resume after it.
+/// The golden files of the on-disk format: `tests/fixtures/pr12/` holds
+/// one committed job output — an `MRDFSv2` container of 20 lines cut into
+/// 16-byte blocks on 2 nodes, and its `_SUCCESS` manifest. Today's writer
+/// must produce the part byte for byte, and today's reader must load,
+/// split, verify and validate both unchanged: a change to either side of
+/// the format fails here before it strands a store written by the last
+/// release.
 #[test]
-fn output_committed_before_the_crc_tables_still_validates() {
+fn committed_output_golden_files_pin_the_on_disk_format() {
     let dfs = mapreduce::Dfs::new_temp_disk(2, 16).unwrap();
     let dir = dfs.disk_root().unwrap().join("fs/out");
     std::fs::create_dir_all(&dir).unwrap();
@@ -305,7 +307,13 @@ fn output_committed_before_the_crc_tables_still_validates() {
     for name in ["part-00000", "_SUCCESS"] {
         std::fs::copy(fixtures.join(name), dir.join(name)).unwrap();
     }
+    let golden = std::fs::read(fixtures.join("part-00000")).unwrap();
+    assert_eq!(&golden[..8], b"MRDFSv2\0");
+    let written = mapreduce::Dfs::new_temp_disk(2, 16).unwrap();
     let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+    written.write_text("/part-00000", &lines).unwrap();
+    let rewritten = written.disk_root().unwrap().join("fs/part-00000");
+    assert_eq!(std::fs::read(rewritten).unwrap(), golden);
     assert_eq!(dfs.read_text("/out").unwrap(), lines);
     assert_eq!(dfs.splits("/out").unwrap().len(), 8);
     dfs.verify("/out/part-00000").unwrap();

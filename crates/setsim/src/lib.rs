@@ -47,7 +47,6 @@ pub mod naive;
 pub mod oracle;
 pub mod ppjoin;
 pub mod rs;
-pub mod sketch;
 pub mod suffix;
 pub mod tokenize;
 pub mod verify;
@@ -56,6 +55,5 @@ pub use dict::{TokenOrder, TokenRank};
 pub use measure::{SimFunction, Threshold, TokenSet};
 pub use naive::Record;
 pub use ppjoin::{FilterConfig, Funnel, Match, PpjoinIndex};
-pub use sketch::{Estimate, SpaceSaving};
 pub use tokenize::{DedupMode, QGramTokenizer, TokenBuf, Tokenizer, WordTokenizer};
 pub use verify::{first_common, intersection_size, overlap_at_least, verify_pair};

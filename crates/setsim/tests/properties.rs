@@ -186,106 +186,6 @@ proptest! {
     }
 }
 
-/// Deterministic Zipf-like stream: key `k` is drawn with probability
-/// ∝ `1/(k+1)^s` via inverse-CDF sampling over a precomputed weight
-/// table, seeded with `StdRng` — the token-frequency shape the skew
-/// router's sketch has to survive.
-fn zipf_stream(seed: u64, universe: usize, exponent: f64, len: usize) -> Vec<u32> {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-    let weights: Vec<f64> = (0..universe)
-        .map(|k| 1.0 / ((k + 1) as f64).powf(exponent))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| {
-            let mut x = rng.random_range(0.0..total);
-            for (k, w) in weights.iter().enumerate() {
-                if x < *w {
-                    return k as u32;
-                }
-                x -= w;
-            }
-            (universe - 1) as u32
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Space-saving sketch vs the exact-count oracle on seeded Zipf
-    /// streams: for every tracked key `count` is an upper bound and
-    /// `count − error` an exact lower bound on the true frequency, the
-    /// inherited error never exceeds `total/capacity`, every key heavier
-    /// than `total/capacity` is tracked, and `heavy()` never overstates a
-    /// guaranteed bound (the exact tail cutoff the skew router splits on).
-    #[test]
-    fn space_saving_bounds_hold_on_zipf_streams(
-        seed in any::<u64>(),
-        capacity in 4usize..48,
-        exp_tenths in 8u32..25,
-        len in 200usize..1200,
-    ) {
-        use std::collections::HashMap;
-        let stream = zipf_stream(seed, 96, f64::from(exp_tenths) / 10.0, len);
-        let mut exact: HashMap<u32, u64> = HashMap::new();
-        let mut sketch = setsim::SpaceSaving::new(capacity);
-        for k in &stream {
-            *exact.entry(*k).or_insert(0) += 1;
-            sketch.add(*k, 1);
-        }
-        prop_assert_eq!(sketch.total(), len as u64);
-        let slack = sketch.total() / sketch.capacity() as u64;
-        for (k, e) in sketch.entries() {
-            let truth = exact.get(k).copied().unwrap_or(0);
-            prop_assert!(e.count >= truth, "upper bound violated for {}", k);
-            prop_assert!(e.at_least() <= truth, "lower bound violated for {}", k);
-            prop_assert!(e.error <= slack, "error {} beyond total/capacity {}", e.error, slack);
-        }
-        // No heavy misses: every key above total/capacity is tracked.
-        for (k, n) in &exact {
-            if *n > slack {
-                prop_assert!(sketch.estimate(k).is_some(), "heavy key {} missed", k);
-            }
-        }
-        // Exact tail cutoff: heavy() bounds are true lower bounds.
-        for (k, lb) in sketch.heavy(slack.max(1)) {
-            prop_assert!(exact[&k] >= lb, "heavy() overstated {}", k);
-        }
-    }
-
-    /// Batching invariance: coalescing consecutive duplicates into one
-    /// weighted `add` yields the identical sketch (same entries, same
-    /// estimates) — the determinism the driver's plan purity relies on.
-    #[test]
-    fn space_saving_is_batching_invariant(
-        seed in any::<u64>(),
-        capacity in 2usize..24,
-        len in 50usize..400,
-    ) {
-        let stream = zipf_stream(seed, 24, 1.3, len);
-        let mut unit = setsim::SpaceSaving::new(capacity);
-        for k in &stream {
-            unit.add(*k, 1);
-        }
-        let mut runs = setsim::SpaceSaving::new(capacity);
-        let mut i = 0;
-        while i < stream.len() {
-            let mut j = i + 1;
-            while j < stream.len() && stream[j] == stream[i] {
-                j += 1;
-            }
-            runs.add(stream[i], (j - i) as u64);
-            i = j;
-        }
-        let a: Vec<(u32, u64, u64)> = unit.entries().map(|(k, e)| (*k, e.count, e.error)).collect();
-        let b: Vec<(u32, u64, u64)> = runs.entries().map(|(k, e)| (*k, e.count, e.error)).collect();
-        prop_assert_eq!(a, b);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The PPJoin(+) index against the oracle on a fixed grid
 // ---------------------------------------------------------------------------
