@@ -152,6 +152,41 @@ fn selfjoin_emits_trace_metrics_and_report() {
     assert!((sum - total).abs() < 1e-9, "{sum} vs {total}");
 }
 
+/// Hidden worker entry: `--backend process` re-spawns this test binary as
+/// its workers, which land here and build the join's jobs.
+#[test]
+fn process_worker_entry() {
+    fuzzyjoin_cli::process_worker_entry();
+}
+
+/// The driver records every attempt, whichever backend runs it: a process
+/// join's trace holds the `task_start`, `task_end` and `commit` events the
+/// simulated join's does, one per attempt and per reduce task.
+#[test]
+fn process_backend_traces_every_attempt_like_the_simulated_backend() {
+    let corpus = corpus();
+    let traced = |backend: &str| {
+        let (pairs, trace) = (
+            tmp(&format!("{backend}.tsv")),
+            tmp(&format!("{backend}.jsonl")),
+        );
+        run(&argv(&format!(
+            "selfjoin --input {corpus} --out {pairs} --threshold 0.8 --nodes 3 \
+             --backend {backend} --trace-out {trace}"
+        )))
+        .unwrap();
+        let events = TraceSink::parse_jsonl(&fs::read_to_string(&trace).unwrap()).unwrap();
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+        let counts = [EventKind::TaskStart, EventKind::TaskEnd, EventKind::Commit].map(count);
+        (fs::read_to_string(&pairs).unwrap(), counts)
+    };
+    let (simulated_pairs, simulated) = traced("simulated");
+    assert!(simulated.iter().all(|&n| n > 0), "{simulated:?}");
+    let (process_pairs, process) = traced("process");
+    assert_eq!(process, simulated, "task_start, task_end, commit");
+    assert_eq!(process_pairs, simulated_pairs);
+}
+
 #[test]
 fn chrome_trace_export_is_loadable_json() {
     let corpus = corpus();

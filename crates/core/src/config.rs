@@ -4,7 +4,7 @@ use std::fmt;
 
 use setsim::{FilterConfig, SimFunction, Threshold};
 
-use mapreduce::{codec_struct, ByteReader, Codec, MrError, Result, TaskContext};
+use mapreduce::{codec_enum, codec_struct, ByteReader, Codec, MrError, Result, TaskContext};
 
 use crate::skew::SkewConfig;
 
@@ -383,88 +383,22 @@ impl Default for JoinConfig {
 // ---------------------------------------------------------------------------
 //
 // A join job reaches a worker process as its spec's bytes, and every spec
-// carries the `JoinConfig`. Each enum's tags are listed once, in its impl.
+// carries the `JoinConfig`. Each enum's tags are listed once: in its
+// `codec_enum!`, or in the impl of an enum holding a `setsim` type.
 
-pub(crate) fn unknown_tag(what: &str, tag: u8) -> MrError {
+fn unknown_tag(what: &str, tag: u8) -> MrError {
     MrError::Codec(format!("unknown {what} tag {tag}"))
 }
 
-/// `Codec` for a field-less enum: a variant's tag is its place in the list.
-macro_rules! codec_unit_enum {
-    ($t:ident, $what:literal: $($v:ident),+) => {
-        impl Codec for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                let tag = [$($t::$v),+].iter().position(|v| v == self);
-                buf.push(tag.expect("every variant is listed") as u8);
-            }
-            fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-                let tag = r.take_u8()?;
-                let listed = [$($t::$v),+].get(usize::from(tag)).copied();
-                listed.ok_or_else(|| $crate::config::unknown_tag($what, tag))
-            }
-        }
-    };
-}
-pub(crate) use codec_unit_enum;
-
-codec_unit_enum!(Stage1Algo, "stage-1 algorithm": Bto, Opto, BtoRange);
-codec_unit_enum!(Stage3Algo, "stage-3 algorithm": Brj, Oprj);
+codec_enum!(Stage1Algo ("stage-1 algorithm") { 0 => Bto, 1 => Opto, 2 => BtoRange });
+codec_enum!(Stage3Algo ("stage-3 algorithm") { 0 => Brj, 1 => Oprj });
+codec_enum!(BadRecordPolicy ("bad-record policy") { 0 => Strict, 1 => Skip, 2 => SkipUpTo(n) });
+codec_enum!(TokenizerKind ("tokenizer") { 0 => Word, 1 => QGram(q) });
+codec_enum!(TokenRouting ("routing") { 0 => Individual, 1 => Grouped { groups } });
 codec_struct!(RecordFormat {
     rid_field,
     join_fields
 });
-
-impl Codec for BadRecordPolicy {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match *self {
-            BadRecordPolicy::Strict => buf.push(0),
-            BadRecordPolicy::Skip => buf.push(1),
-            BadRecordPolicy::SkipUpTo(n) => (2u8, n).encode(buf),
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        match r.take_u8()? {
-            0 => Ok(BadRecordPolicy::Strict),
-            1 => Ok(BadRecordPolicy::Skip),
-            2 => Ok(BadRecordPolicy::SkipUpTo(Codec::decode(r)?)),
-            t => Err(unknown_tag("bad-record policy", t)),
-        }
-    }
-}
-
-impl Codec for TokenizerKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match *self {
-            TokenizerKind::Word => buf.push(0),
-            TokenizerKind::QGram(q) => (1u8, q).encode(buf),
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        match r.take_u8()? {
-            0 => Ok(TokenizerKind::Word),
-            1 => Ok(TokenizerKind::QGram(Codec::decode(r)?)),
-            t => Err(unknown_tag("tokenizer", t)),
-        }
-    }
-}
-
-impl Codec for TokenRouting {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match *self {
-            TokenRouting::Individual => buf.push(0),
-            TokenRouting::Grouped { groups } => (1u8, groups).encode(buf),
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        match r.take_u8()? {
-            0 => Ok(TokenRouting::Individual),
-            1 => Ok(TokenRouting::Grouped {
-                groups: Codec::decode(r)?,
-            }),
-            t => Err(unknown_tag("routing", t)),
-        }
-    }
-}
 
 impl Codec for Stage2Algo {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -675,6 +609,40 @@ mod tests {
         let mut c = ok.clone();
         c.skew.hot_threshold = 0;
         assert!(rejected(c).starts_with("skew-hot-threshold: "));
+    }
+
+    /// Every variant of every `codec_enum!` enum the configuration holds
+    /// encodes to the bytes its hand-written codec wrote: a tag, then the
+    /// variant's fields as varints.
+    #[test]
+    fn enum_wire_bytes_are_pinned() {
+        let pinned: [(Vec<u8>, &[u8]); 16] = [
+            (Stage1Algo::Bto.to_bytes(), &[0]),
+            (Stage1Algo::Opto.to_bytes(), &[1]),
+            (Stage1Algo::BtoRange.to_bytes(), &[2]),
+            (Stage3Algo::Brj.to_bytes(), &[0]),
+            (Stage3Algo::Oprj.to_bytes(), &[1]),
+            (BadRecordPolicy::Strict.to_bytes(), &[0]),
+            (BadRecordPolicy::Skip.to_bytes(), &[1]),
+            (BadRecordPolicy::SkipUpTo(300).to_bytes(), &[2, 0xAC, 0x02]),
+            (TokenizerKind::Word.to_bytes(), &[0]),
+            (TokenizerKind::QGram(3).to_bytes(), &[1, 3]),
+            (TokenRouting::Individual.to_bytes(), &[0]),
+            (
+                TokenRouting::Grouped { groups: 200 }.to_bytes(),
+                &[1, 0xC8, 0x01],
+            ),
+            (SkewMode::Off.to_bytes(), &[0]),
+            (SkewMode::Adaptive.to_bytes(), &[1]),
+            (Stage2Algo::Bk.to_bytes(), &[0]),
+            (Stage2Algo::BkMapBlocks { blocks: 4 }.to_bytes(), &[2, 4]),
+        ];
+        for (i, (got, want)) in pinned.iter().enumerate() {
+            assert_eq!(got.as_slice(), *want, "case {i}");
+        }
+        assert!(Stage1Algo::from_bytes(&[3]).is_err());
+        assert!(SkewMode::from_bytes(&[2]).is_err());
+        assert!(TokenRouting::from_bytes(&[2, 1]).is_err());
     }
 
     #[test]

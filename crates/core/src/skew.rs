@@ -41,10 +41,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use mapreduce::{codec_struct, stable_hash, ByteReader, Codec, Dfs, MrError, Result, SpaceSaving};
+use mapreduce::{codec_enum, codec_struct, stable_hash, Dfs, MrError, Result, SpaceSaving};
 use setsim::TokenOrder;
 
-use crate::config::{codec_unit_enum, JoinConfig, TokenRouting};
+use crate::config::{JoinConfig, TokenRouting};
 use crate::keys::routing_groups;
 use crate::tokenizer_cache::CachedTokenizer;
 
@@ -134,7 +134,7 @@ impl Default for SkewConfig {
     }
 }
 
-codec_unit_enum!(SkewMode, "skew mode": Off, Adaptive);
+codec_enum!(SkewMode ("skew mode") { 0 => Off, 1 => Adaptive });
 codec_struct!(SkewConfig {
     mode,
     split_max,

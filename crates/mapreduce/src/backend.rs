@@ -21,14 +21,18 @@
 //! same job on the same DFS. That holds regardless of thread interleaving
 //! because
 //!
-//! * task bodies (`JobRun::map_task`/`JobRun::reduce_task`) derive everything —
-//!   including the node label used for fault injection — from
+//! * an attempt's coordinates — including the node label used for fault
+//!   injection — come from one function, `JobRun::at`, pure in the job and
 //!   `(task_id, attempt)`, never from the executing thread or process;
 //! * equal keys surface in reduce in *run presentation order*, and the
 //!   runner's regroup hands every partition its runs in `(map task, spill)`
 //!   order whatever order the map tasks finished in;
 //! * reduce work only starts after the whole map phase has succeeded, so a
 //!   map failure always preempts reduce execution.
+//!
+//! The runner runs on the driver on every backend, and it records every
+//! attempt — its trace span and its output commit or abort — so a worker
+//! process's attempts are traced and counted as the driver's own are.
 //!
 //! No backend changes the simulated clock: makespans are computed by the
 //! driver from per-task durations and the topology, so speedup/scaleup
@@ -39,7 +43,9 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
-use crate::engine::{run_tasks, JobRun, MapStats, MapTaskOut, ReduceTaskOut, RetryStats};
+use crate::engine::{
+    backoff_after, run_tasks, At, JobRun, MapStats, MapTaskOut, ReduceTaskOut, RetryStats,
+};
 use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
 use crate::profile::{self, secs_to_us};
@@ -49,6 +55,7 @@ use crate::run::Run;
 use crate::shuffle::{bounded, Sender};
 use crate::supervise::Watchdog;
 use crate::task::Phase;
+use crate::trace::{EventKind, Outcome, TraceEvent};
 
 /// Which execution backend a [`ClusterConfig`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,24 +153,15 @@ pub(crate) trait Transport: Sync {
     /// be fetchable.
     fn seal(&mut self) {}
 
-    /// Run a map attempt somewhere that parks its own output. `Ok(None)`
+    /// Run map attempt `at` somewhere that parks its own output. `Ok(None)`
     /// (the default) means "run it on this thread".
-    fn remote_map(
-        &self,
-        _task: usize,
-        _attempt: usize,
-    ) -> Result<Option<MapTaskOut<Self::Parked>>> {
+    fn remote_map(&self, _at: At) -> Result<Option<MapTaskOut<Self::Parked>>> {
         Ok(None)
     }
 
-    /// Run a reduce attempt somewhere that fetches its own input.
+    /// Run reduce attempt `at` somewhere that fetches its own input.
     /// `Ok(None)` (the default) means "run it on this thread".
-    fn remote_reduce(
-        &self,
-        _task: usize,
-        _attempt: usize,
-        _parked: &[Self::Parked],
-    ) -> Result<Option<ReduceTaskOut>> {
+    fn remote_reduce(&self, _at: At, _parked: &[Self::Parked]) -> Result<Option<ReduceTaskOut>> {
         Ok(None)
     }
 }
@@ -289,9 +287,9 @@ where
 /// parked runs per reduce partition → reduce tasks, on up to `threads`
 /// pool threads, with the three wall windows taken back-to-back around
 /// them. A map task is its index into the job's inputs, a reduce task its
-/// partition and the runs parked for it. An attempt the transport does not
-/// run elsewhere runs on the calling pool thread, under `watchdog` when the
-/// job is supervised.
+/// partition and the runs parked for it. Each attempt is placed by
+/// [`JobRun::at`] and [`recorded`] here; one the transport does not run
+/// elsewhere runs on this pool thread, under `watchdog` if supervised.
 fn run_phases<M, R, T>(
     run: &JobRun<'_, M, R>,
     threads: usize,
@@ -307,13 +305,15 @@ where
     let exec_start = Instant::now();
     let shuffle = &*transport;
     let map_tasks = (0..run.job.inputs.len()).collect();
+    let map_io = |o: &MapTaskOut<T::Parked>| (o.stats.input_bytes, o.stats.output_records);
     let (mut map_outs, map_stats) =
         run_tasks(map_tasks, threads, max_attempts, |&task, attempt| {
-            if let Some(out) = shuffle.remote_map(task, attempt)? {
-                return Ok(out);
-            }
-            Watchdog::supervised(watchdog, (Phase::Map, task, attempt), || {
-                run.map_task(task, attempt, |runs| shuffle.park(task, attempt, runs))
+            let at = run.at(Phase::Map, task, attempt);
+            recorded(run, at, map_io, || match shuffle.remote_map(at)? {
+                Some(out) => Ok(out),
+                None => Watchdog::supervised(watchdog, at, || {
+                    run.map_task(at, |runs| shuffle.park(task, attempt, runs))
+                }),
             })
         })?;
     let map_done = exec_start.elapsed().as_secs_f64();
@@ -340,11 +340,15 @@ where
         threads,
         max_attempts,
         |&(task, ref parked), attempt| {
-            if let Some(out) = shuffle.remote_reduce(task, attempt, parked)? {
-                return Ok(out);
-            }
-            Watchdog::supervised(watchdog, (Phase::Reduce, task, attempt), || {
-                run.reduce_task(task, attempt, || shuffle.fetch(parked))
+            let at = run.at(Phase::Reduce, task, attempt);
+            let reduce_io = |o: &ReduceTaskOut| (o.input_bytes, o.output_records);
+            recorded(run, at, reduce_io, || {
+                match shuffle.remote_reduce(at, parked)? {
+                    Some(out) => Ok(out),
+                    None => Watchdog::supervised(watchdog, at, || {
+                        run.reduce_task(at, || shuffle.fetch(parked))
+                    }),
+                }
             })
         },
     )
@@ -368,6 +372,77 @@ where
         map_stats,
         reduce_result,
     })
+}
+
+/// One attempt as the driver records it, wherever `body` runs it. With a
+/// sink, `body` is bracketed by a `task_start` and exactly one `task_end`
+/// (fault label, outcome, error, pending backoff, the attempt's `io`). A
+/// reduce attempt of a job with output then counts and traces its `commit`
+/// or `abort` (a lost worker's attempt aborts too; the job commit sweeps
+/// its `_attempt-*` file), so events equal counters on every backend.
+fn recorded<M, R, O>(
+    run: &JobRun<'_, M, R>,
+    at: At,
+    io: impl Fn(&O) -> (u64, u64),
+    body: impl FnOnce() -> Result<O>,
+) -> Result<O>
+where
+    M: Mapper,
+    R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
+{
+    let (phase, task, attempt, node) = at;
+    let trace = run.cluster.trace();
+    let event = |kind| TraceEvent::new(kind, &run.job.name).at_task(phase, task, attempt, node);
+    let result = match trace {
+        None => body(),
+        Some(sink) => {
+            let config = run.cluster.config();
+            // `decide` is pure in `(job, phase, task, attempt)`: this is the
+            // fault the attempt draws itself, in whichever process it runs.
+            let fault = config.faults.as_ref().and_then(|plan| {
+                if plan.node_is_dead(node) {
+                    return Some("dead_node".to_string());
+                }
+                let fault = plan.decide(&run.job.name, phase, task, attempt)?;
+                Some(format!("{fault:?}").to_lowercase())
+            });
+            let (mut start, mut end) = (event(EventKind::TaskStart), event(EventKind::TaskEnd));
+            (start.fault, end.fault) = (fault.clone(), fault);
+            sink.emit(start);
+            let t0 = Instant::now();
+            let result = body();
+            end.dur_us = Some((t0.elapsed().as_micros() as u64).max(1));
+            let (outcome, error) = match &result {
+                Ok(out) => {
+                    let (bytes, records) = io(out);
+                    (end.bytes, end.records) = (Some(bytes), Some(records));
+                    (Outcome::Ok, None)
+                }
+                // A panic reaches the runner as its attempt boundary's
+                // `TaskPanicked`, in whichever process it ran.
+                Err(MrError::TaskPanicked(message)) => (Outcome::Panicked, Some(message.clone())),
+                Err(e) => (Outcome::Failed, Some(e.to_string())),
+            };
+            if let Err(e) = &result {
+                let retried = e.is_transient() && attempt + 1 < config.max_task_attempts;
+                end.backoff_us = retried.then(|| (backoff_after(attempt) * 1e6) as u64);
+            }
+            (end.outcome, end.error) = (Some(outcome), error);
+            sink.emit(end);
+            result
+        }
+    };
+    if phase == Phase::Reduce && run.job.output.dir().is_some() {
+        let (counter, kind) = match result {
+            Ok(_) => ("mr.output.commits", EventKind::Commit),
+            Err(_) => ("mr.output.aborts", EventKind::Abort),
+        };
+        run.counters.get(counter).incr();
+        if let Some(sink) = trace {
+            sink.emit(event(kind));
+        }
+    }
+    result
 }
 
 #[cfg(test)]

@@ -167,7 +167,7 @@ macro_rules! impl_codec_uint {
         impl Codec for $t {
             #[inline]
             fn encode(&self, buf: &mut Vec<u8>) {
-                write_varint(u64::from(*self), buf);
+                write_varint(*self as u64, buf);
             }
             #[inline]
             fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
@@ -178,29 +178,13 @@ macro_rules! impl_codec_uint {
             }
             #[inline]
             fn encoded_len(&self) -> usize {
-                varint_len(u64::from(*self))
+                varint_len(*self as u64)
             }
         }
     )*};
 }
 
-impl_codec_uint!(u8, u16, u32, u64);
-
-impl Codec for usize {
-    #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(*self as u64, buf);
-    }
-    #[inline]
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        let v = read_varint(r)?;
-        usize::try_from(v).map_err(|_| MrError::Codec(format!("varint {v} out of range for usize")))
-    }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        varint_len(*self as u64)
-    }
-}
+impl_codec_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_codec_sint {
     ($($t:ty),*) => {$(
@@ -417,7 +401,9 @@ macro_rules! codec_struct {
 /// Implement [`Codec`] for an enum as a tag byte and then the variant's
 /// fields in order, each variant written once as `tag => Variant(a, ..)` or
 /// `tag => Variant { a, .. }`; an unknown tag decodes to a
-/// [`MrError::Codec`] naming `what`.
+/// [`MrError::Codec`] naming `what`. The engine's wire types use it, and so
+/// do the enums a [`JobSpec`](crate::JobSpec) carries.
+#[macro_export]
 macro_rules! codec_enum {
     ($t:ident ($what:literal) {
         $($tag:literal => $v:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),+ $(,)?
@@ -446,7 +432,6 @@ macro_rules! codec_enum {
         }
     };
 }
-pub(crate) use codec_enum;
 
 #[cfg(test)]
 mod tests {

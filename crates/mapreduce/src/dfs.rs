@@ -48,6 +48,7 @@ use rand::{Rng, SeedableRng};
 use crate::codec::{read_varint, write_varint, ByteReader, Codec};
 use crate::error::{MrError, Result};
 use crate::faults::FaultPlan;
+use crate::manifest::Fingerprint;
 
 /// What a file contains, for sanity-checking readers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,23 +288,13 @@ struct StorageFaults {
 
 impl StorageFaults {
     /// Seed one operation's RNG: FNV-1a over `(plan seed, op index,
-    /// op kind, path)`, the same mixing discipline as
-    /// `FaultPlan::attempt_seed`.
+    /// op kind, path)`, the same [`Fingerprint`] as a plan's attempt draws.
     fn op_rng(&self, op: &str, path: &str) -> StdRng {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let idx = self.ops.fetch_add(1, Ordering::Relaxed);
-        let mut h = FNV_OFFSET ^ self.plan.seed;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&idx.to_le_bytes());
-        eat(op.as_bytes());
-        eat(path.as_bytes());
-        StdRng::seed_from_u64(h)
+        let mut h = Fingerprint::seeded(self.plan.seed);
+        h.update_u64(self.ops.fetch_add(1, Ordering::Relaxed));
+        h.update(op.as_bytes());
+        h.update(path.as_bytes());
+        StdRng::seed_from_u64(h.finish())
     }
 
     /// Draw the per-operation EIO fault for `op` on `path`.
@@ -1372,6 +1363,62 @@ pub fn seq_records<K: Codec, V: Codec>(data: &[u8]) -> Result<Vec<(K, V)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Fault;
+    use crate::task::Phase;
+
+    /// FNV-1a as each fault draw once wrote it out by hand: the offset
+    /// basis mixed with the plan seed, then every byte of `parts`.
+    fn fnv_oracle(seed: u64, parts: &[&[u8]]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325 ^ seed;
+        for &b in parts.concat().iter() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every fault draw is keyed by `Fingerprint` now, and draws exactly
+    /// what the hand-written hashes drew: a plan's per-attempt decision and
+    /// the disk store's per-operation generator, over a grid of
+    /// coordinates.
+    #[test]
+    fn fault_draws_keep_their_hand_written_seeds() {
+        for seed in [0, 7, 0x00C0_FFEE, u64::MAX] {
+            let plan = FaultPlan {
+                p_transient: 0.5,
+                ..FaultPlan::quiet(seed)
+            };
+            for (job, phase, tag) in [("a", Phase::Map, 0u8), ("stage2-pk", Phase::Reduce, 1)] {
+                for task in 0..8u64 {
+                    for attempt in 0..3u64 {
+                        let parts: [&[u8]; 4] = [
+                            job.as_bytes(),
+                            &[tag],
+                            &task.to_le_bytes(),
+                            &attempt.to_le_bytes(),
+                        ];
+                        let mut rng = StdRng::seed_from_u64(fnv_oracle(seed, &parts));
+                        let want = (rng.random::<f64>() < 0.5).then_some(Fault::Transient);
+                        let got = plan.decide(job, phase, task as usize, attempt as usize);
+                        assert_eq!(got, want, "{seed} {job} {phase:?} {task} {attempt}");
+                    }
+                }
+            }
+            let faults = StorageFaults {
+                plan,
+                bytes_written: AtomicU64::new(0),
+                ops: AtomicU64::new(0),
+                injected: AtomicU64::new(0),
+            };
+            for idx in 0..24u64 {
+                let (op, path) = (["write", "rename", "torn"][idx as usize % 3], "/out/part-0");
+                let parts: [&[u8]; 3] = [&idx.to_le_bytes(), op.as_bytes(), path.as_bytes()];
+                let mut want = StdRng::seed_from_u64(fnv_oracle(seed, &parts));
+                let mut got = faults.op_rng(op, path);
+                assert_eq!(got.random::<u64>(), want.random::<u64>(), "{seed} op {idx}");
+            }
+        }
+    }
 
     #[test]
     fn text_roundtrip_and_blocks() {

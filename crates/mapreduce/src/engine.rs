@@ -14,7 +14,6 @@ use crate::counters::Counters;
 use crate::dfs::{is_under, BlockWriter, Dfs};
 use crate::error::{MrError, Result};
 use crate::faults::Fault;
-use crate::input::SplitSource;
 use crate::job::{Job, Output, TextFormat};
 use crate::kv::{Key, Value};
 use crate::manifest::{success_path, JobManifest};
@@ -29,7 +28,7 @@ use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Ru
 use crate::sketch::SpaceSaving;
 use crate::task::{Emit, Phase, TaskContext};
 use crate::trace::{
-    EventKind, Histogram, HistogramSnapshot, Histograms, Outcome, TraceEvent, TraceSink,
+    EventKind, Histogram, HistogramSnapshot, Histograms, TraceEvent, TraceSink,
     HEAVY_HITTER_WARNINGS, HIST_MAP_TASK_SECS, HIST_REDUCE_GROUP_RECORDS, HIST_REDUCE_TASK_SECS,
 };
 
@@ -115,9 +114,10 @@ impl Cluster {
     }
 
     /// Attach a trace sink; every subsequent job records span events per
-    /// `(job, phase, task, attempt)` into it. Events are emitted outside
-    /// the timed window of each attempt, so tracing is never charged to
-    /// simulated time and task outputs are unaffected.
+    /// `(job, phase, task, attempt)` into it. The driver emits every event,
+    /// whichever backend ran the attempt, outside the timed window of each
+    /// attempt, so tracing is never charged to simulated time and task
+    /// outputs are unaffected.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.trace = Some(sink);
     }
@@ -529,7 +529,7 @@ const BACKOFF_CAP_SECS: f64 = 60.0;
 
 /// Simulated seconds to wait after `failed_attempt` (0-based) fails: capped
 /// exponential, `min(cap, base * 2^attempt)`.
-fn backoff_after(failed_attempt: usize) -> f64 {
+pub(crate) fn backoff_after(failed_attempt: usize) -> f64 {
     (BACKOFF_BASE_SECS * 2f64.powi(failed_attempt.min(62) as i32)).min(BACKOFF_CAP_SECS)
 }
 
@@ -558,22 +558,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Simulated backoff (µs) that will follow this failed attempt, when the
-/// error is transient and attempts remain — recorded on failed `TaskEnd`
-/// events so a trace shows why the next attempt starts late in sim time.
-fn pending_backoff_us(config: &ClusterConfig, transient: bool, attempt: usize) -> Option<u64> {
-    if !transient || attempt + 1 >= config.max_task_attempts.max(1) {
-        return None;
-    }
-    Some((backoff_after(attempt) * 1e6) as u64)
+/// An attempt's one panic boundary: a panic in `body` becomes
+/// [`MrError::TaskPanicked`] here, on the driver's threads and in a worker
+/// process alike.
+fn panic_boundary<O>(body: impl FnOnce() -> Result<O>) -> Result<O> {
+    std::panic::catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|payload| Err(MrError::TaskPanicked(panic_message(payload.as_ref()))))
 }
 
 /// Run one task with retries (Hadoop's task attempts). Failed attempts are
 /// re-executed only when the error is transient ([`MrError::is_transient`]),
-/// as a panicked attempt is — its body's [`JobRun::traced_attempt`] has
-/// already turned the panic into [`MrError::TaskPanicked`]; permanent
-/// errors fail immediately. Every retry charges capped exponential backoff
-/// to the winning attempt's *simulated* time.
+/// as a panicked attempt is — its [`panic_boundary`] has already turned the
+/// panic into [`MrError::TaskPanicked`]; permanent errors fail immediately.
+/// Every retry charges capped exponential backoff to the winning attempt's
+/// *simulated* time.
 fn run_with_retries<I, O: SimCharge>(
     item: &I,
     max_attempts: usize,
@@ -695,8 +693,9 @@ where
     pub(crate) num_reducers: usize,
 }
 
-/// Where one attempt runs: `(phase, task, attempt, node)`.
-type At = (Phase, usize, usize, usize);
+/// Where one attempt runs: `(phase, task, attempt, node)`, as
+/// [`JobRun::at`] decides it.
+pub(crate) type At = (Phase, usize, usize, usize);
 
 impl<'a, M, R> JobRun<'a, M, R>
 where
@@ -725,6 +724,22 @@ where
         })
     }
 
+    /// Where attempt `attempt` of task `task` runs: the one place an
+    /// attempt's node is decided, whose answer the attempt's body, the
+    /// runner's trace events, a lost worker's `NodeLost` and the watchdog's
+    /// `task_timeout` all carry, on the driver and in a worker alike. A map
+    /// task starts beside its block (else on node `task % nodes`), a reduce
+    /// task on node `task % nodes`, and each retry rotates to the next node
+    /// — how a re-execution escapes a dead or unhealthy machine.
+    pub(crate) fn at(&self, phase: Phase, task: usize, attempt: usize) -> At {
+        let nodes = self.cluster.config.nodes;
+        let home = match phase {
+            Phase::Map => self.job.inputs[task].node_hint.unwrap_or(task % nodes),
+            Phase::Reduce => task,
+        };
+        (phase, task, attempt, (home + attempt) % nodes)
+    }
+
     /// The context an attempt's user code sees, and the label its errors
     /// carry.
     fn context(&self, (phase, task_id, attempt, node): At) -> (TaskContext, String) {
@@ -742,73 +757,6 @@ where
         ctx.attempt = attempt;
         ctx.set_histograms(self.histograms.clone());
         (ctx, label)
-    }
-
-    /// Run one attempt's body behind its one panic boundary: a panic in
-    /// user code becomes [`MrError::TaskPanicked`] here, on the driver's
-    /// threads and in a worker process alike. With a trace sink attached
-    /// the body is bracketed by a `TaskStart` and exactly one `TaskEnd` —
-    /// ok, failed or panicked — both emitted outside the attempt's own
-    /// timed window, so tracing is never charged to simulated time.
-    fn traced_attempt<O>(
-        &self,
-        at: At,
-        stats: impl Fn(&O) -> (u64, u64),
-        body: impl FnOnce() -> Result<O>,
-    ) -> Result<O> {
-        let (phase, task_id, attempt, node) = at;
-        let trace = self.cluster.trace.as_ref();
-        // Re-derive the injected fault for labeling: `FaultPlan::decide` is
-        // pure in (job, phase, task, attempt), so this matches what the body
-        // will draw.
-        let plan = trace.and(self.cluster.config.faults.as_ref());
-        let fault = plan.and_then(|plan| {
-            if plan.node_is_dead(node) {
-                Some("dead_node".to_string())
-            } else {
-                plan.decide(&self.job.name, phase, task_id, attempt)
-                    .map(|f| format!("{f:?}").to_lowercase())
-            }
-        });
-        let event = |kind| {
-            let mut e =
-                TraceEvent::new(kind, &self.job.name).at_task(phase, task_id, attempt, node);
-            e.fault = fault.clone();
-            e
-        };
-        if let Some(t) = trace {
-            t.emit(event(EventKind::TaskStart));
-        }
-        let t0 = Instant::now();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(body))
-            .map_err(|payload| panic_message(payload.as_ref()));
-        if let Some(t) = trace {
-            let mut end = event(EventKind::TaskEnd);
-            end.dur_us = Some((t0.elapsed().as_micros() as u64).max(1));
-            let config = &self.cluster.config;
-            match &result {
-                Ok(Ok(out)) => {
-                    end.outcome = Some(Outcome::Ok);
-                    let (bytes, records) = stats(out);
-                    end.bytes = Some(bytes);
-                    end.records = Some(records);
-                }
-                Ok(Err(e)) => {
-                    end.outcome = Some(Outcome::Failed);
-                    end.error = Some(e.to_string());
-                    end.backoff_us = pending_backoff_us(config, e.is_transient(), attempt);
-                }
-                // Panics classify as transient, so a retry follows whenever
-                // attempts remain.
-                Err(message) => {
-                    end.outcome = Some(Outcome::Panicked);
-                    end.error = Some(message.clone());
-                    end.backoff_us = pending_backoff_us(config, true, attempt);
-                }
-            }
-            t.emit(end);
-        }
-        result.unwrap_or_else(|message| Err(MrError::TaskPanicked(message)))
     }
 
     /// The fault-injection hook shared by map and reduce attempts: checks
@@ -1008,37 +956,26 @@ where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    /// Run one attempt of map task `task_id` and hand its spill runs to
-    /// `park` — the shuffle transport's map side (see
+    /// Run map attempt `at` behind its panic boundary and hand its spill
+    /// runs to `park` — the shuffle transport's map side (see
     /// [`crate::backend::Transport::park`]). Parking happens after the
     /// attempt's measured window closes, so it is never charged to
     /// simulated time.
     pub(crate) fn map_task<P>(
         &self,
-        task_id: usize,
-        attempt: usize,
+        at: At,
         park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
     ) -> Result<MapTaskOut<P>> {
-        let split = &self.job.inputs[task_id];
-        let nodes = self.cluster.config.nodes;
-        // Retried attempts rotate to a different node — how a re-execution
-        // escapes a dead or unhealthy machine.
-        let node = (split.node_hint.unwrap_or(task_id % nodes) + attempt) % nodes;
-        let at = (Phase::Map, task_id, attempt, node);
-        self.traced_attempt(
-            at,
-            |o: &MapTaskOut<P>| (o.stats.input_bytes, o.stats.output_records),
-            || self.map_attempt(split, at, park),
-        )
+        panic_boundary(|| self.map_attempt(at, park))
     }
 
     fn map_attempt<P>(
         &self,
-        split: &SplitSource<M::InKey, M::InValue>,
         at: At,
         park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
     ) -> Result<MapTaskOut<P>> {
         let (_, task_id, attempt, node) = at;
+        let split = &self.job.inputs[task_id];
         let mut mapper = self.job.mapper.clone();
         let start = Instant::now();
         let (mut ctx, label) = self.context(at);
@@ -1225,41 +1162,25 @@ where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    /// Run one attempt of reduce task `task_id` over the runs `fetch`
-    /// returns — the shuffle transport's reduce side (see
+    /// Run reduce attempt `at` behind its panic boundary over the runs
+    /// `fetch` returns — the shuffle transport's reduce side (see
     /// [`crate::backend::Transport::fetch`]), called before the attempt's
-    /// measured window opens.
+    /// measured window opens. The attempt's file operations happen where
+    /// it runs: a winning attempt renames its output to the part file, a
+    /// failed one deletes it (Hadoop's `OutputCommitter.abortTask`), so it
+    /// can never be read as output. The runner counts both.
     pub(crate) fn reduce_task(
         &self,
-        task_id: usize,
-        attempt: usize,
+        at: At,
         fetch: impl FnOnce() -> Result<Vec<Run>>,
     ) -> Result<ReduceTaskOut> {
-        let node = (task_id + attempt) % self.cluster.config.nodes;
-        let at = (Phase::Reduce, task_id, attempt, node);
-        let result = self.traced_attempt(
-            at,
-            |o: &ReduceTaskOut| (o.input_bytes, o.output_records),
-            || self.reduce_attempt(at, fetch),
-        );
-        if result.is_err() {
-            // Task-level abort (Hadoop's OutputCommitter.abortTask): discard
-            // whatever this attempt wrote so it can never be read as output.
-            if let Some(dir) = self.job.output.dir() {
-                let _ = self
-                    .cluster
-                    .dfs
-                    .delete(&attempt_path(dir, task_id, attempt));
-                self.counters.get("mr.output.aborts").incr();
-                if let Some(t) = &self.cluster.trace {
-                    t.emit(TraceEvent::new(EventKind::Abort, &self.job.name).at_task(
-                        Phase::Reduce,
-                        task_id,
-                        attempt,
-                        node,
-                    ));
-                }
-            }
+        let result = panic_boundary(|| self.reduce_attempt(at, fetch));
+        if let (Err(_), Some(dir)) = (&result, self.job.output.dir()) {
+            let (_, task_id, attempt, _) = at;
+            let _ = self
+                .cluster
+                .dfs
+                .delete(&attempt_path(dir, task_id, attempt));
         }
         result
     }
@@ -1343,15 +1264,6 @@ where
                 &attempt_path(dir, task_id, attempt),
                 &part_path(dir, task_id),
             )?;
-            counters.get("mr.output.commits").incr();
-            if let Some(t) = &self.cluster.trace {
-                t.emit(TraceEvent::new(EventKind::Commit, &job.name).at_task(
-                    Phase::Reduce,
-                    task_id,
-                    attempt,
-                    node,
-                ));
-            }
         }
         let straggle = match fault {
             Some(Fault::Straggle(factor)) => factor,
@@ -1376,8 +1288,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::IdentityMapper;
-    use crate::reducer::IdentityReducer;
 
     #[derive(Debug)]
     struct TestOut {
@@ -1475,49 +1385,24 @@ mod tests {
     #[test]
     fn panics_become_classified_attempt_failures() {
         // The attempt's own boundary turns the panic into a transient error,
-        // with or without a trace sink, and the retry loop takes it from there.
-        let job = Job::new(
-            "t",
-            IdentityMapper::<u32, u32>::new(),
-            IdentityReducer::<u32, u32>::new(),
-        );
-        let mut cluster = Cluster::new(ClusterConfig::with_nodes(1), 64).unwrap();
-        let sink = TraceSink::new();
-        for traced in [false, true] {
-            if traced {
-                cluster.set_trace(sink.clone());
-            }
-            let run = JobRun::new(&job, &cluster).unwrap();
-            let calls = AtomicUsize::new(0);
-            let attempt = |_: &(), attempt| {
-                run.traced_attempt(
-                    (Phase::Map, 0, attempt, 0),
-                    |_| (0, 0),
-                    || {
-                        if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                            panic!("user code exploded");
-                        }
-                        Ok(TestOut { sim: 0.0 })
-                    },
-                )
-            };
-            match run_with_retries(&(), 1, &attempt) {
-                Err(MrError::TaskPanicked(msg)) => assert!(msg.contains("user code exploded")),
-                other => panic!("expected TaskPanicked, got {other:?}"),
-            }
-            // A panicking attempt is retried like any transient failure.
-            calls.store(0, Ordering::Relaxed);
-            assert!(run_with_retries(&(), 2, &attempt).is_ok());
-            assert_eq!(calls.load(Ordering::Relaxed), 2);
+        // and the retry loop takes it from there.
+        let calls = AtomicUsize::new(0);
+        let attempt = |_: &(), _| {
+            panic_boundary(|| {
+                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    panic!("user code exploded");
+                }
+                Ok(TestOut { sim: 0.0 })
+            })
+        };
+        match run_with_retries(&(), 1, &attempt) {
+            Err(MrError::TaskPanicked(msg)) => assert!(msg.contains("user code exploded")),
+            other => panic!("expected TaskPanicked, got {other:?}"),
         }
-        let ends: Vec<Option<Outcome>> = sink
-            .events()
-            .iter()
-            .filter(|e| e.kind == EventKind::TaskEnd)
-            .map(|e| e.outcome)
-            .collect();
-        let panicked = Some(Outcome::Panicked);
-        assert_eq!(ends, [panicked, panicked, Some(Outcome::Ok)]);
+        // A panicking attempt is retried like any transient failure.
+        calls.store(0, Ordering::Relaxed);
+        assert!(run_with_retries(&(), 2, &attempt).is_ok());
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

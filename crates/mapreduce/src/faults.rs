@@ -19,6 +19,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::manifest::Fingerprint;
 use crate::task::Phase;
 
 /// The fault injected into one task attempt.
@@ -196,24 +197,19 @@ impl FaultPlan {
 
     /// Validate probabilities and the dead-node index against a topology.
     pub fn validate(&self, nodes: usize) -> Result<(), String> {
-        for (name, p) in [
-            ("transient", self.p_transient),
-            ("panic", self.p_panic),
-            ("oom", self.p_oom),
-            ("late", self.p_late),
-            ("straggler", self.p_straggler),
-            ("hang", self.p_hang),
-            ("slow_heartbeat", self.p_slow_heartbeat),
-            // Per-operation storage draws: probabilities, but not part of
-            // the attempt-level chain sum below (a storage op is not a
-            // task attempt).
-            ("eio", self.p_disk_eio),
-            ("torn", self.p_torn_write),
-        ] {
+        let mut plan = self.clone();
+        for (name, field) in KEYS {
+            let p = match field {
+                Field::Prob(of) => *of(&mut plan),
+                Field::Straggler => plan.p_straggler,
+                _ => continue,
+            };
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
                 return Err(format!("fault probability {name}={p} must be in [0, 1]"));
             }
         }
+        // The storage draws (`eio`, `torn`) are per operation, not part of
+        // the attempt-level chain: a storage op is not a task attempt.
         if self.failure_probability() + self.p_slow_heartbeat > 1.0 {
             return Err(format!(
                 "fault failure probabilities sum to {} (> 1)",
@@ -245,90 +241,15 @@ impl FaultPlan {
     /// Unknown keys are rejected; omitted keys default to "no such fault".
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
+        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault plan entry `{part}` is not key=value"))?;
-            let parse_f64 = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("fault plan: `{key}={v}` is not a number"))
+            let key = key.trim();
+            let Some((_, field)) = KEYS.iter().find(|(k, _)| *k == key) else {
+                return Err(format!("fault plan: unknown key `{key}`"));
             };
-            match key.trim() {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse::<u64>()
-                        .map_err(|_| format!("fault plan: seed `{value}` is not a u64"))?;
-                }
-                "transient" => plan.p_transient = parse_f64(value.trim())?,
-                "panic" => plan.p_panic = parse_f64(value.trim())?,
-                "oom" => plan.p_oom = parse_f64(value.trim())?,
-                "late" => plan.p_late = parse_f64(value.trim())?,
-                "straggler" => {
-                    // `p` or `pxFACTOR`, e.g. `0.1x8`.
-                    let v = value.trim();
-                    match v.split_once('x') {
-                        Some((p, factor)) => {
-                            plan.p_straggler = parse_f64(p)?;
-                            plan.straggler_factor = parse_f64(factor)?;
-                        }
-                        None => {
-                            plan.p_straggler = parse_f64(v)?;
-                            if plan.straggler_factor < 4.0 {
-                                plan.straggler_factor = 4.0;
-                            }
-                        }
-                    }
-                }
-                "node_down" => {
-                    plan.dead_node = Some(value.trim().parse::<usize>().map_err(|_| {
-                        format!("fault plan: node_down `{value}` is not a node index")
-                    })?);
-                }
-                "crash_after" => {
-                    plan.crash_after = Some(value.trim().parse::<usize>().map_err(|_| {
-                        format!("fault plan: crash_after `{value}` is not a job index")
-                    })?);
-                }
-                "crash_mid" => {
-                    plan.crash_mid = Some(value.trim().parse::<usize>().map_err(|_| {
-                        format!("fault plan: crash_mid `{value}` is not a job index")
-                    })?);
-                }
-                "hang" => plan.p_hang = parse_f64(value.trim())?,
-                "slow_heartbeat" => plan.p_slow_heartbeat = parse_f64(value.trim())?,
-                "corrupt" => {
-                    let v = value.trim();
-                    if v.is_empty() {
-                        return Err("fault plan: corrupt needs a DFS path".into());
-                    }
-                    plan.corrupt_path = Some(v.to_string());
-                }
-                "enospc" => {
-                    // `N` (bytes) or `N+heal`, e.g. `enospc=200000+heal`.
-                    let v = value.trim();
-                    let (bytes, heal) = match v.split_once('+') {
-                        Some((bytes, "heal")) => (bytes, true),
-                        Some((_, other)) => {
-                            return Err(format!(
-                                "fault plan: enospc modifier `{other}` (expected `heal`)"
-                            ));
-                        }
-                        None => (v, false),
-                    };
-                    plan.enospc_after_bytes = Some(bytes.parse::<u64>().map_err(|_| {
-                        format!("fault plan: enospc `{bytes}` is not a byte count")
-                    })?);
-                    plan.enospc_heals = heal;
-                }
-                "eio" => plan.p_disk_eio = parse_f64(value.trim())?,
-                "torn" => plan.p_torn_write = parse_f64(value.trim())?,
-                other => return Err(format!("fault plan: unknown key `{other}`")),
-            }
+            field.set(&mut plan, key, value.trim())?;
         }
         Ok(plan)
     }
@@ -386,68 +307,127 @@ impl FaultPlan {
     /// Stable per-attempt seed: FNV-1a over the coordinates, mixed with the
     /// plan seed. Deterministic across platforms and thread schedules.
     fn attempt_seed(&self, job: &str, phase: Phase, task_id: usize, attempt: usize) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET ^ self.seed;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(job.as_bytes());
-        eat(&[match phase {
+        let mut h = Fingerprint::seeded(self.seed);
+        h.update(job.as_bytes());
+        h.update(&[match phase {
             Phase::Map => 0u8,
             Phase::Reduce => 1u8,
         }]);
-        eat(&(task_id as u64).to_le_bytes());
-        eat(&(attempt as u64).to_le_bytes());
-        h
+        h.update_u64(task_id as u64);
+        h.update_u64(attempt as u64);
+        h.finish()
     }
 }
 
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={} transient={} panic={} oom={} late={} straggler={}x{}",
-            self.seed,
-            self.p_transient,
-            self.p_panic,
-            self.p_oom,
-            self.p_late,
-            self.p_straggler,
-            self.straggler_factor,
-        )?;
-        if self.p_hang > 0.0 {
-            write!(f, " hang={}", self.p_hang)?;
-        }
-        if self.p_slow_heartbeat > 0.0 {
-            write!(f, " slow_heartbeat={}", self.p_slow_heartbeat)?;
-        }
-        if let Some(n) = self.dead_node {
-            write!(f, " node_down={n}")?;
-        }
-        if let Some(n) = self.crash_after {
-            write!(f, " crash_after={n}")?;
-        }
-        if let Some(n) = self.crash_mid {
-            write!(f, " crash_mid={n}")?;
-        }
-        if let Some(p) = &self.corrupt_path {
-            write!(f, " corrupt={p}")?;
-        }
-        if let Some(n) = self.enospc_after_bytes {
-            write!(f, " enospc={n}")?;
-            if self.enospc_heals {
-                write!(f, "+heal")?;
+/// How a spec key's value is spelled, and which field(s) of the plan it
+/// sets.
+#[derive(Clone, Copy)]
+enum Field {
+    /// `seed=N`.
+    Seed,
+    /// A probability, `key=P`.
+    Prob(fn(&mut FaultPlan) -> &mut f64),
+    /// A job or node index, `key=N`.
+    Index(fn(&mut FaultPlan) -> &mut Option<usize>),
+    /// `straggler=P` or `straggler=PxFACTOR`.
+    Straggler,
+    /// `corrupt=PATH`.
+    Corrupt,
+    /// `enospc=N` (bytes) or `enospc=N+heal`.
+    Enospc,
+}
+
+/// Every key of a plan spec, in the order [`FaultPlan`]'s `Display` writes
+/// them: the one list that `parse`, `Display` and `validate` read.
+const KEYS: [(&str, Field); 15] = [
+    ("seed", Field::Seed),
+    ("transient", Field::Prob(|p| &mut p.p_transient)),
+    ("panic", Field::Prob(|p| &mut p.p_panic)),
+    ("oom", Field::Prob(|p| &mut p.p_oom)),
+    ("late", Field::Prob(|p| &mut p.p_late)),
+    ("straggler", Field::Straggler),
+    ("hang", Field::Prob(|p| &mut p.p_hang)),
+    ("slow_heartbeat", Field::Prob(|p| &mut p.p_slow_heartbeat)),
+    ("node_down", Field::Index(|p| &mut p.dead_node)),
+    ("crash_after", Field::Index(|p| &mut p.crash_after)),
+    ("crash_mid", Field::Index(|p| &mut p.crash_mid)),
+    ("corrupt", Field::Corrupt),
+    ("enospc", Field::Enospc),
+    ("eio", Field::Prob(|p| &mut p.p_disk_eio)),
+    ("torn", Field::Prob(|p| &mut p.p_torn_write)),
+];
+
+impl Field {
+    /// Set this key's field(s) of `plan` from `value`.
+    fn set(self, plan: &mut FaultPlan, key: &str, value: &str) -> Result<(), String> {
+        let bad = |why: &str| format!("fault plan: `{key}={value}` {why}");
+        let number = |v: &str| v.parse::<f64>().map_err(|_| bad("is not a number"));
+        // `A` or `AxB` for straggler, `A` or `A+B` for enospc.
+        let split = |at| {
+            value
+                .split_once(at)
+                .map_or((value, None), |(a, b)| (a, Some(b)))
+        };
+        match self {
+            Field::Seed => plan.seed = value.parse().map_err(|_| bad("is not a u64"))?,
+            Field::Prob(of) => *of(plan) = number(value)?,
+            Field::Index(of) => {
+                *of(plan) = Some(value.parse().map_err(|_| bad("is not an index"))?)
+            }
+            Field::Straggler => {
+                let (p, factor) = split('x');
+                plan.p_straggler = number(p)?;
+                // A bare probability races stragglers at least 4× slow.
+                plan.straggler_factor = match factor {
+                    Some(factor) => number(factor)?,
+                    None => plan.straggler_factor.max(4.0),
+                };
+            }
+            Field::Corrupt if value.is_empty() => return Err(bad("needs a DFS path")),
+            Field::Corrupt => plan.corrupt_path = Some(value.to_string()),
+            Field::Enospc => {
+                let (bytes, heal) = split('+');
+                if heal.is_some_and(|modifier| modifier != "heal") {
+                    return Err(bad("takes no modifier but `+heal`"));
+                }
+                plan.enospc_after_bytes =
+                    Some(bytes.parse().map_err(|_| bad("is not a byte count"))?);
+                plan.enospc_heals = heal.is_some();
             }
         }
-        if self.p_disk_eio > 0.0 {
-            write!(f, " eio={}", self.p_disk_eio)?;
+        Ok(())
+    }
+
+    /// This key's value in `plan` as `set` reads it, or `None` while its
+    /// field(s) hold their default. (The accessors are `&mut`, so readers
+    /// pass a copy.)
+    fn show(self, plan: &mut FaultPlan) -> Option<String> {
+        match self {
+            Field::Seed => Some(plan.seed.to_string()),
+            Field::Prob(of) => Some(*of(plan)).filter(|p| *p != 0.0).map(|p| p.to_string()),
+            Field::Index(of) => of(plan).map(|n| n.to_string()),
+            Field::Straggler => (plan.p_straggler != 0.0 || plan.straggler_factor != 1.0)
+                .then(|| format!("{}x{}", plan.p_straggler, plan.straggler_factor)),
+            Field::Corrupt => plan.corrupt_path.clone(),
+            Field::Enospc => plan.enospc_after_bytes.map(|bytes| {
+                let heal = if plan.enospc_heals { "+heal" } else { "" };
+                format!("{bytes}{heal}")
+            }),
         }
-        if self.p_torn_write > 0.0 {
-            write!(f, " torn={}", self.p_torn_write)?;
+    }
+}
+
+/// The spec [`FaultPlan::parse`] reads back into this plan: `seed`, then
+/// every key whose field is off its default, comma-separated.
+impl fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut plan = self.clone();
+        let mut sep = "";
+        for (key, field) in KEYS {
+            if let Some(value) = field.show(&mut plan) {
+                write!(f, "{sep}{key}={value}")?;
+                sep = ",";
+            }
         }
         Ok(())
     }
@@ -456,6 +436,7 @@ impl fmt::Display for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn decisions_are_deterministic_and_attempt_scoped() {
@@ -714,6 +695,52 @@ mod tests {
                 with_storage.decide("job", Phase::Map, task, 0),
                 "attempt decision changed at task {task}"
             );
+        }
+    }
+
+    /// Valid plans (on a four-node cluster) with each key on or off.
+    fn plans() -> impl Strategy<Value = FaultPlan> {
+        let p = || prop_oneof![Just(0.0), 0.0..0.15f64];
+        let index = || prop_oneof![Just(None), (0usize..4).prop_map(Some)];
+        let factor = prop_oneof![Just(1.0), 1.0..20.0f64];
+        let attempts = (p(), p(), p(), p(), (p(), p(), p(), factor));
+        let corrupt = prop_oneof![
+            Just(None),
+            "[a-z0-9/_.-]{1,16}".prop_map(|s| Some(format!("/{s}")))
+        ];
+        let driver = (index(), index(), index(), corrupt);
+        let budget = prop_oneof![Just(None), any::<u64>().prop_map(Some)];
+        let storage = (budget, any::<bool>(), p(), p());
+        (any::<u64>(), attempts, driver, storage).prop_map(|(seed, a, d, s)| FaultPlan {
+            seed,
+            p_transient: a.0,
+            p_panic: a.1,
+            p_oom: a.2,
+            p_late: a.3,
+            p_hang: a.4 .0,
+            p_slow_heartbeat: a.4 .1,
+            p_straggler: a.4 .2,
+            straggler_factor: a.4 .3,
+            dead_node: d.0,
+            crash_after: d.1,
+            crash_mid: d.2,
+            corrupt_path: d.3,
+            enospc_after_bytes: s.0,
+            enospc_heals: s.0.is_some() && s.1,
+            p_disk_eio: s.2,
+            p_torn_write: s.3,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A plan prints as the spec that parses back into it.
+        #[test]
+        fn display_prints_the_spec_parse_reads_back(plan in plans()) {
+            prop_assert_eq!(plan.validate(4), Ok(()));
+            let spec = plan.to_string();
+            prop_assert_eq!(FaultPlan::parse(&spec), Ok(plan.clone()), "{spec}");
         }
     }
 

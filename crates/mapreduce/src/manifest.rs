@@ -268,10 +268,11 @@ impl JobManifest {
     }
 }
 
-/// FNV-1a over a byte stream — the workspace's stock fingerprint hash
-/// (also used by [`crate::FaultPlan`] seeding). Fold in each component of
-/// a job's identity (name, config tag, input paths/lengths/CRCs) via
-/// [`Fingerprint::update`].
+/// FNV-1a over a byte stream — the workspace's stock fingerprint hash,
+/// and (seeded) the hash every fault draw is keyed by: a [`crate::FaultPlan`]'s
+/// per-attempt seed and the disk store's per-operation storage faults. Fold
+/// in each component of a job's identity (name, config tag, input
+/// paths/lengths/CRCs) via [`Fingerprint::update`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fingerprint(u64);
 
@@ -284,7 +285,12 @@ impl Default for Fingerprint {
 impl Fingerprint {
     /// Start a fresh fingerprint (FNV-1a offset basis).
     pub fn new() -> Self {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
+        Self::seeded(0)
+    }
+
+    /// Start a fingerprint whose offset basis is mixed with `seed`.
+    pub fn seeded(seed: u64) -> Self {
+        Fingerprint(0xcbf2_9ce4_8422_2325 ^ seed)
     }
 
     /// Fold bytes into the fingerprint. Callers should delimit variable-

@@ -76,29 +76,6 @@ pub const BUSY_MERGE_US: &str = "profile.busy.merge_us";
 /// summed over attempts. Microseconds.
 pub const BUSY_REDUCE_EXEC_US: &str = "profile.busy.reduce_exec_us";
 
-/// Every wall-window counter name, in execution order.
-pub const WALL_COUNTERS: &[&str] = &[
-    WALL_SETUP_US,
-    WALL_SPAWN_US,
-    WALL_MAP_US,
-    WALL_REGROUP_US,
-    WALL_REDUCE_US,
-    WALL_COMMIT_US,
-    WALL_FINALIZE_US,
-];
-
-/// Every busy-attribution counter name (times and bytes).
-pub const BUSY_COUNTERS: &[&str] = &[
-    BUSY_MAP_EXEC_US,
-    BUSY_SPILL_US,
-    BUSY_SPILL_BYTES,
-    BUSY_SHUFFLE_TRANSPORT_US,
-    BUSY_SHUFFLE_TRANSPORT_BYTES,
-    BUSY_REGROUP_US,
-    BUSY_MERGE_US,
-    BUSY_REDUCE_EXEC_US,
-];
-
 /// A job's per-phase profile, extracted from its counters.
 ///
 /// All `wall_*` fields are the non-overlapping driver windows; `busy_*`

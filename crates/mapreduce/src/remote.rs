@@ -77,11 +77,10 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::backend::Transport;
 use crate::cluster::ClusterConfig;
-use crate::codec::{codec_enum, write_varint, ByteReader, Codec};
-use crate::codec_struct;
+use crate::codec::{write_varint, ByteReader, Codec};
 use crate::counters::Counters;
 use crate::dfs::{check_crc, read_at, Crc32, Dfs};
-use crate::engine::{Cluster, JobRun, MapTaskOut, ReduceTaskOut};
+use crate::engine::{At, Cluster, JobRun, MapTaskOut, ReduceTaskOut};
 use crate::error::{MrError, Result};
 use crate::faults::Fault;
 use crate::job::{Job, JobSpec};
@@ -91,6 +90,7 @@ use crate::run::Run;
 use crate::supervise::{Watch, Watchdog};
 use crate::task::Phase;
 use crate::trace::{EventKind, HistogramSnapshot, Histograms, TraceEvent, TraceSink};
+use crate::{codec_enum, codec_struct};
 
 /// Environment variable that turns a spawned copy of this executable into
 /// a worker process.
@@ -474,10 +474,10 @@ where
         spill_dir: &Path,
     ) -> Result<Reply<MapTaskOut<RunRef>>> {
         let run = JobRun::new(self, cluster)?;
-        check_task(&run, Phase::Map, task_id)?;
+        let at = checked_at(&run, (Phase::Map, task_id, attempt))?;
         run.counters.get("mr.process.worker_map_tasks").incr();
         let park = |runs| park_run_files(spill_dir, task_id, attempt, runs);
-        let out = run.map_task(task_id, attempt, park)?;
+        let out = run.map_task(at, park)?;
         Ok((out, run.counters.snapshot(), run.histograms.snapshot()))
     }
 
@@ -489,27 +489,27 @@ where
         spill_dir: &Path,
     ) -> Result<Reply<ReduceTaskOut>> {
         let run = JobRun::new(self, cluster)?;
-        check_task(&run, Phase::Reduce, task_id)?;
+        let at = checked_at(&run, (Phase::Reduce, task_id, attempt))?;
         run.counters.get("mr.process.worker_reduce_tasks").incr();
-        let out = run.reduce_task(task_id, attempt, || fetch_run_files(spill_dir, refs))?;
+        let out = run.reduce_task(at, || fetch_run_files(spill_dir, refs))?;
         Ok((out, run.counters.snapshot(), run.histograms.snapshot()))
     }
 }
 
-/// A task id the open job does not have is a driver that disagrees with
-/// this worker about the job: a configuration error, not a retry.
-fn check_task<M, R>(run: &JobRun<'_, M, R>, phase: Phase, task_id: usize) -> Result<()>
+/// The attempt the driver asked for, placed as the driver placed it
+/// ([`JobRun::at`]). A task id the open job does not have is a driver that
+/// disagrees with this worker about the job: a configuration error, not a
+/// retry.
+fn checked_at<M, R>(run: &JobRun<'_, M, R>, asked: (Phase, usize, usize)) -> Result<At>
 where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
+    let (phase, task_id, attempt) = asked;
     let (maps, reduces) = (run.job.inputs.len(), run.num_reducers);
-    let tasks = match phase {
-        Phase::Map => maps,
-        Phase::Reduce => reduces,
-    };
+    let tasks = if phase == Phase::Map { maps } else { reduces };
     if task_id < tasks {
-        return Ok(());
+        return Ok(run.at(phase, task_id, attempt));
     }
     Err(MrError::InvalidConfig(format!(
         "{} task {task_id} out of range: job {} has {maps} input splits and {reduces} reducers",
@@ -1034,7 +1034,6 @@ pub(crate) struct ProcessTransport<'a> {
     histograms: &'a Histograms,
     trace: Option<&'a TraceSink>,
     job_name: &'a str,
-    nodes: usize,
 }
 
 impl<'a> ProcessTransport<'a> {
@@ -1075,7 +1074,6 @@ impl<'a> ProcessTransport<'a> {
         let spill_dir = pool.shuffle_root.join(tag);
         std::fs::create_dir_all(&spill_dir)
             .map_err(|e| MrError::Codec(format!("create shuffle dir: {e}")))?;
-        let (config, trace) = (run.cluster.config(), run.cluster.trace());
         let transport = ProcessTransport {
             pool,
             seq,
@@ -1084,9 +1082,8 @@ impl<'a> ProcessTransport<'a> {
             watchdog,
             counters: &run.counters,
             histograms: &run.histograms,
-            trace,
+            trace: run.cluster.trace(),
             job_name,
-            nodes: config.nodes,
         };
         if transport.open.is_some() {
             run.counters.get("mr.process.remote_jobs").incr();
@@ -1150,11 +1147,7 @@ impl<'a> ProcessTransport<'a> {
     /// whatever the pipe returned, becomes a lost node: the worker is
     /// killed, never returned to the pool, and the retry runs on a fresh
     /// one.
-    fn converse<T: Codec>(
-        &self,
-        (phase, task_id, attempt): (Phase, usize, usize),
-        refs: Vec<RunRef>,
-    ) -> Result<Option<T>> {
+    fn converse<T: Codec>(&self, at: At, refs: Vec<RunRef>) -> Result<Option<T>> {
         let Some(open) = &self.open else {
             return Ok(None);
         };
@@ -1162,9 +1155,10 @@ impl<'a> ProcessTransport<'a> {
             self.counters.get("mr.supervise.fallback_tasks").incr();
             return Ok(None);
         };
+        let (phase, task_id, attempt, node) = at;
         let watch = self.watchdog.map(|dog| {
             let child = w.kill_handle();
-            dog.watch((phase, task_id, attempt), true, move || {
+            dog.watch(at, true, move || {
                 let _ = child.lock().kill();
             })
         });
@@ -1209,7 +1203,7 @@ impl<'a> ProcessTransport<'a> {
                     .record_loss(slot, self.counters, self.trace, self.job_name);
                 self.counters.get("mr.process.worker_lost").incr();
                 Err(MrError::NodeLost {
-                    node: task_id % self.nodes,
+                    node,
                     task: format!("{}/{}-{task_id}", self.job_name, phase.as_str()),
                 })
             }
@@ -1228,17 +1222,12 @@ impl Transport for ProcessTransport<'_> {
         fetch_run_files(&self.spill_dir, parked)
     }
 
-    fn remote_map(&self, task_id: usize, attempt: usize) -> Result<Option<MapTaskOut<RunRef>>> {
-        self.converse((Phase::Map, task_id, attempt), Vec::new())
+    fn remote_map(&self, at: At) -> Result<Option<MapTaskOut<RunRef>>> {
+        self.converse(at, Vec::new())
     }
 
-    fn remote_reduce(
-        &self,
-        task_id: usize,
-        attempt: usize,
-        parked: &[RunRef],
-    ) -> Result<Option<ReduceTaskOut>> {
-        self.converse((Phase::Reduce, task_id, attempt), parked.to_vec())
+    fn remote_reduce(&self, at: At, parked: &[RunRef]) -> Result<Option<ReduceTaskOut>> {
+        self.converse(at, parked.to_vec())
     }
 }
 

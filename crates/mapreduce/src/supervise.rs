@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use crate::cluster::ClusterConfig;
 use crate::counters::Counters;
+use crate::engine::At;
 use crate::error::{MrError, Result};
-use crate::task::Phase;
 use crate::trace::{EventKind, TraceEvent, TraceSink};
 
 /// Which clock fired a watch.
@@ -89,7 +89,6 @@ pub(crate) struct Watchdog {
     counters: Counters,
     trace: Option<TraceSink>,
     job: String,
-    nodes: usize,
 }
 
 impl Watchdog {
@@ -109,21 +108,20 @@ impl Watchdog {
             counters: counters.clone(),
             trace: trace.cloned(),
             job: job.to_string(),
-            nodes: config.nodes,
         })
     }
 
-    /// Watch one attempt from now. `heartbeats` says whether its executor
+    /// Watch attempt `at` from now. `heartbeats` says whether its executor
     /// emits them (only worker processes do); `stop` is how to end the
     /// attempt when the watch fires.
     pub(crate) fn watch(
         &self,
-        (phase, task, attempt): (Phase, usize, usize),
+        at: At,
         heartbeats: bool,
         stop: impl FnOnce() + Send + 'static,
     ) -> Watch {
         let (counters, trace, job) = (self.counters.clone(), self.trace.clone(), self.job.clone());
-        let node = task % self.nodes;
+        let (phase, task, attempt, node) = at;
         let window = heartbeats.then_some(self.heartbeat_window);
         let (beats, heard) = mpsc::channel();
         let mut last = Instant::now();
@@ -166,7 +164,7 @@ impl Watchdog {
     /// not recoverable in-process (that is what worker processes are for).
     pub(crate) fn supervised<O>(
         dog: Option<&Self>,
-        at: (Phase, usize, usize),
+        at: At,
         body: impl FnOnce() -> Result<O>,
     ) -> Result<O> {
         let Some(dog) = dog else { return body() };
@@ -189,10 +187,11 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::Phase;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    const AT: (Phase, usize, usize) = (Phase::Map, 0, 0);
+    const AT: At = (Phase::Map, 0, 0, 0);
 
     /// A watchdog over `timeout` seconds and heartbeats every `interval`.
     fn dog(timeout: f64, interval: f64) -> Watchdog {

@@ -87,46 +87,45 @@ pub enum EventKind {
     Profile,
 }
 
+/// Every kind beside its stable wire name: the one table
+/// [`EventKind::as_str`] and [`EventKind::parse`] read.
+const EVENT_KINDS: [(EventKind, &str); 14] = [
+    (EventKind::JobStart, "job_start"),
+    (EventKind::JobEnd, "job_end"),
+    (EventKind::TaskStart, "task_start"),
+    (EventKind::TaskEnd, "task_end"),
+    (EventKind::Commit, "commit"),
+    (EventKind::Abort, "abort"),
+    (EventKind::Speculative, "speculative"),
+    (EventKind::SkewWarning, "skew_warning"),
+    (EventKind::ResumeSkip, "resume_skip"),
+    (EventKind::Scavenge, "scavenge"),
+    (EventKind::ChecksumFail, "checksum_fail"),
+    (EventKind::TaskTimeout, "task_timeout"),
+    (EventKind::Quarantine, "quarantine"),
+    (EventKind::Profile, "profile"),
+];
+
+/// The name `table` gives `value`; every value is listed.
+fn name_of<T: PartialEq>(table: &[(T, &'static str)], value: &T) -> &'static str {
+    let listed = table.iter().find(|(v, _)| v == value);
+    listed.expect("every value is named").1
+}
+
+/// The value `table` names `name`, if any.
+fn named<T: Copy>(table: &[(T, &str)], name: &str) -> Option<T> {
+    table.iter().find(|(_, n)| *n == name).map(|(v, _)| *v)
+}
+
 impl EventKind {
     /// Stable wire name of the kind.
     pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::JobStart => "job_start",
-            EventKind::JobEnd => "job_end",
-            EventKind::TaskStart => "task_start",
-            EventKind::TaskEnd => "task_end",
-            EventKind::Commit => "commit",
-            EventKind::Abort => "abort",
-            EventKind::Speculative => "speculative",
-            EventKind::SkewWarning => "skew_warning",
-            EventKind::ResumeSkip => "resume_skip",
-            EventKind::Scavenge => "scavenge",
-            EventKind::ChecksumFail => "checksum_fail",
-            EventKind::TaskTimeout => "task_timeout",
-            EventKind::Quarantine => "quarantine",
-            EventKind::Profile => "profile",
-        }
+        name_of(&EVENT_KINDS, &self)
     }
 
     /// Parse a wire name back into a kind.
     pub fn parse(s: &str) -> Option<EventKind> {
-        Some(match s {
-            "job_start" => EventKind::JobStart,
-            "job_end" => EventKind::JobEnd,
-            "task_start" => EventKind::TaskStart,
-            "task_end" => EventKind::TaskEnd,
-            "commit" => EventKind::Commit,
-            "abort" => EventKind::Abort,
-            "speculative" => EventKind::Speculative,
-            "skew_warning" => EventKind::SkewWarning,
-            "resume_skip" => EventKind::ResumeSkip,
-            "scavenge" => EventKind::Scavenge,
-            "checksum_fail" => EventKind::ChecksumFail,
-            "task_timeout" => EventKind::TaskTimeout,
-            "quarantine" => EventKind::Quarantine,
-            "profile" => EventKind::Profile,
-            _ => return None,
-        })
+        named(&EVENT_KINDS, s)
     }
 }
 
@@ -141,24 +140,23 @@ pub enum Outcome {
     Panicked,
 }
 
+/// Every outcome beside its stable wire name: the one table
+/// [`Outcome::as_str`] and [`Outcome::parse`] read.
+const OUTCOMES: [(Outcome, &str); 3] = [
+    (Outcome::Ok, "ok"),
+    (Outcome::Failed, "failed"),
+    (Outcome::Panicked, "panicked"),
+];
+
 impl Outcome {
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Outcome::Ok => "ok",
-            Outcome::Failed => "failed",
-            Outcome::Panicked => "panicked",
-        }
+        name_of(&OUTCOMES, &self)
     }
 
     /// Parse a wire name.
     pub fn parse(s: &str) -> Option<Outcome> {
-        Some(match s {
-            "ok" => Outcome::Ok,
-            "failed" => Outcome::Failed,
-            "panicked" => Outcome::Panicked,
-            _ => return None,
-        })
+        named(&OUTCOMES, s)
     }
 }
 
@@ -280,11 +278,10 @@ impl TraceEvent {
             .and_then(Json::as_str)
             .ok_or_else(|| bad("missing job"))?
             .to_string();
+        let phases = [Phase::Map, Phase::Reduce].map(|p| (p, p.as_str()));
         let phase = match v.get("phase").and_then(Json::as_str) {
             None => None,
-            Some("map") => Some(Phase::Map),
-            Some("reduce") => Some(Phase::Reduce),
-            Some(_) => return Err(bad("unknown phase")),
+            Some(s) => Some(named(&phases, s).ok_or_else(|| bad("unknown phase"))?),
         };
         let outcome = match v.get("outcome").and_then(Json::as_str) {
             None => None,
@@ -753,6 +750,28 @@ mod tests {
         let e = full_event();
         let line = e.to_json_line();
         assert_eq!(TraceEvent::from_json_line(&line).unwrap(), e);
+    }
+
+    #[test]
+    fn every_name_parses_back_to_what_wrote_it() {
+        for (kind, name) in EVENT_KINDS {
+            assert_eq!((kind.as_str(), EventKind::parse(name)), (name, Some(kind)));
+        }
+        for (outcome, name) in OUTCOMES {
+            assert_eq!(
+                (outcome.as_str(), Outcome::parse(name)),
+                (name, Some(outcome))
+            );
+        }
+        assert_eq!(EventKind::parse("task"), None);
+        assert_eq!(Outcome::parse("lost"), None);
+        // A phase reads back through the name `Phase::as_str` writes.
+        for phase in [Phase::Map, Phase::Reduce] {
+            let e = TraceEvent::new(EventKind::TaskStart, "j").at_task(phase, 0, 0, 0);
+            assert_eq!(TraceEvent::from_json_line(&e.to_json_line()).unwrap(), e);
+        }
+        let line = r#"{"v":1,"ts_us":0,"kind":"task_start","job":"j","phase":"merge"}"#;
+        assert!(TraceEvent::from_json_line(line).is_err());
     }
 
     #[test]

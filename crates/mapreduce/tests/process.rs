@@ -27,14 +27,19 @@
 //!   commits exactly the clean bytes;
 //! * every attempt clones its mapper or reducer once, retries included, on
 //!   the driver and in workers, and a panicking attempt in a worker comes
-//!   back as one classified error and one retry.
+//!   back as one classified error and one retry;
+//! * the driver traces and counts every worker attempt as the simulated
+//!   backend does its own, and a lost or timed-out attempt is reported on
+//!   the node its `task_start` names.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::sync::{Mutex, MutexGuard, Once};
 
 use mapreduce::{
-    text_input, BackendKind, Cluster, ClusterConfig, Dfs, Emit, FaultPlan, Job, JobMetrics,
-    JobSpec, Mapper, MrError, Reducer, Result, TaskContext, CORRUPT_FRAME_ENV, WORKER_ENV,
+    text_input, BackendKind, Cluster, ClusterConfig, Dfs, Emit, EventKind, FaultPlan, Job,
+    JobMetrics, JobSpec, Mapper, MrError, Outcome, Phase, Reducer, Result, TaskContext, TraceEvent,
+    TraceSink, CORRUPT_FRAME_ENV, WORKER_ENV,
 };
 
 const PROBE_FACTORY: &str = "process-probe";
@@ -104,7 +109,8 @@ struct ProbeSpec {
     input: String,
     output: String,
     kill_attempts: u64,
-    /// Map task 0's first attempt in a worker sleeps forever.
+    /// Map task 0's first attempt in a worker that is not killed sleeps
+    /// forever.
     hang: bool,
     /// Send the job under [`UNKNOWN_FACTORY`].
     unknown_factory: bool,
@@ -190,7 +196,7 @@ impl Mapper for ProbeMapper {
             }
             // A genuine hang in user code: the worker's heartbeat thread
             // keeps beating, so only the task deadline can end the attempt.
-            if self.hang && ctx.attempt == 0 {
+            if self.hang && ctx.attempt as u64 == self.kill_attempts {
                 loop {
                     std::thread::sleep(std::time::Duration::from_secs(60));
                 }
@@ -817,6 +823,130 @@ fn real_hung_worker_is_killed_and_replaced() {
         counter(&metrics, "mr.process.workers_spawned") >= 2,
         "no replacement worker was spawned"
     );
+}
+
+/// `(phase, task, attempt)` of every event of `kind`.
+fn attempts_of(events: &[TraceEvent], kind: EventKind) -> Vec<(&'static str, u64, u64)> {
+    let of = |e: &TraceEvent| {
+        (
+            e.phase.unwrap().as_str(),
+            e.task.unwrap(),
+            e.attempt.unwrap(),
+        )
+    };
+    events.iter().filter(|e| e.kind == kind).map(of).collect()
+}
+
+/// The driver records every attempt, wherever it ran. A traced spec-built
+/// job under an aggressive plan has, on the process backend, one
+/// `task_start` and one `task_end` per attempt, one `commit` per reduce
+/// task and one `abort` per counted abort — and each count is the
+/// simulated run's, since fault draws are pure in `(job, phase, task,
+/// attempt)`.
+#[test]
+fn worker_attempts_are_traced_and_counted_as_the_simulated_backend_does() {
+    let _env = lock_env();
+    // A seed under which first attempts fail in both phases.
+    let plan = FaultPlan::aggressive(26);
+    let traced = |backend| {
+        let mut cluster = probe_cluster(|config| {
+            config.backend = backend;
+            config.max_task_attempts = 8;
+            config.faults = Some(plan.clone());
+        });
+        let sink = TraceSink::new();
+        cluster.set_trace(sink.clone());
+        let m = run_probe_on(&cluster, 0, "/out").metrics;
+        let events = sink.events();
+        let starts = attempts_of(&events, EventKind::TaskStart);
+        let ends = attempts_of(&events, EventKind::TaskEnd);
+        let distinct: BTreeSet<_> = starts.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            starts.len(),
+            "{backend}: an attempt started twice"
+        );
+        assert_eq!(
+            distinct,
+            ends.iter().collect(),
+            "{backend}: starts and ends differ"
+        );
+        let attempts = (m.map.tasks + m.reduce.tasks) as u64 + m.task_retries;
+        assert_eq!(starts.len() as u64, attempts, "{backend}");
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+        let (commits, aborts) = (count(EventKind::Commit), count(EventKind::Abort));
+        assert_eq!(commits, m.reduce.tasks as u64, "{backend}");
+        assert_eq!(commits, m.output_commits, "{backend}");
+        assert_eq!(aborts, m.output_aborts, "{backend}");
+        if backend == BackendKind::Process {
+            let in_workers = counter(&m, "mr.process.worker_map_tasks");
+            assert_eq!(
+                in_workers, m.map.tasks as u64,
+                "the winning maps ran in workers"
+            );
+        }
+        (starts.len(), ends.len(), commits, aborts, m.task_retries)
+    };
+    let simulated = traced(BackendKind::Simulated);
+    assert!(
+        simulated.3 > 0,
+        "the plan aborts some reduce attempt: {simulated:?}"
+    );
+    assert_eq!(traced(BackendKind::Process), simulated);
+}
+
+/// An attempt's node is decided once, and every report of the attempt
+/// names it. Map task 0, whose split has a node hint, loses its worker on
+/// attempt 0 and hangs on attempt 1 until the watchdog kills it: both
+/// `NodeLost` errors and the `task_timeout` event name the node their
+/// attempt's `task_start` names.
+#[test]
+fn a_lost_or_timed_out_attempt_names_the_node_it_started_on() {
+    let _env = lock_env();
+    let mut cluster = probe_cluster(|config| {
+        config.max_task_attempts = 4;
+        config.task_timeout_secs = Some(2.0);
+        config.heartbeat_interval_secs = 0.05;
+    });
+    let sink = TraceSink::new();
+    cluster.set_trace(sink.clone());
+    let spec = ProbeSpec {
+        hang: true,
+        ..ProbeSpec::new(1)
+    };
+    let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
+    assert!(
+        job.inputs[0].node_hint.is_some(),
+        "a block split has a node hint"
+    );
+    cluster.run(job).unwrap();
+
+    let events = sink.events();
+    let map0 = |kind| {
+        let at_map0 = move |e: &&TraceEvent| {
+            e.kind == kind && (e.phase, e.task) == (Some(Phase::Map), Some(0))
+        };
+        events.iter().filter(at_map0).cloned().collect::<Vec<_>>()
+    };
+    let started_on: BTreeMap<u64, u64> = map0(EventKind::TaskStart)
+        .iter()
+        .map(|e| (e.attempt.unwrap(), e.node.unwrap()))
+        .collect();
+    let lost: Vec<_> = map0(EventKind::TaskEnd)
+        .into_iter()
+        .filter(|e| e.outcome == Some(Outcome::Failed))
+        .collect();
+    let lost_attempts: Vec<_> = lost.iter().map(|e| e.attempt.unwrap()).collect();
+    assert_eq!(lost_attempts, [0, 1], "killed, then timed out");
+    for e in &lost {
+        let node = started_on[&e.attempt.unwrap()];
+        let error = e.error.as_deref().unwrap();
+        assert!(error.starts_with(&format!("node {node} lost ")), "{error}");
+    }
+    let timeouts = map0(EventKind::TaskTimeout);
+    assert_eq!(timeouts.len(), 1);
+    assert_eq!(timeouts[0].attempt, Some(1));
+    assert_eq!(timeouts[0].node, Some(started_on[&1]));
 }
 
 /// A worker slot that keeps losing workers gets quarantined; once every
