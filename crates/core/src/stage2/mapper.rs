@@ -33,10 +33,10 @@ pub struct ProjectionMapper {
     skew: Arc<SkewPlan>,
     order: Option<Arc<TokenOrder>>,
     counters: MapCounters,
-    /// The record's join attribute, projection and routing keys, kept for
-    /// their capacity.
+    /// The record's join attribute, `(rid, ranks)` and routing keys, kept
+    /// for their capacity; the one projection is emitted under every key.
     attr: String,
-    ranks: Vec<u32>,
+    record: Projection,
     keys: Vec<Stage2Key>,
 }
 
@@ -76,7 +76,7 @@ impl ProjectionMapper {
                 replication_factor: Named::new("skew.replication_factor"),
             },
             attr: String::new(),
-            ranks: Vec::new(),
+            record: (0, Vec::new()),
             keys: Vec::new(),
         }
     }
@@ -93,8 +93,8 @@ impl ProjectionMapper {
     /// or length class — so both members of any candidate pair land in the
     /// bucket pair `(min(bx,by), max(bx,by))` and pair completeness holds
     /// in every emit mode, self-join and R-S alike.
-    fn route_groups(&mut self, ranks: &[u32], rid: u64, ctx: &TaskContext) -> BTreeSet<u32> {
-        let base = self.groups_for(ranks);
+    fn route_groups(&mut self, rid: u64, ctx: &TaskContext) -> BTreeSet<u32> {
+        let base = self.groups_for(&self.record.1);
         if self.skew.is_empty() {
             return base;
         }
@@ -154,24 +154,22 @@ impl Mapper for ProjectionMapper {
         let order = self.order.as_ref().expect("setup ran");
         // Unknown tokens (S tokens absent from R's dictionary) are dropped
         // by the projection, as in the paper.
-        order.project_into(tokens.iter(), &mut self.ranks);
-        if self.ranks.is_empty() {
+        order.project_into(tokens.iter(), &mut self.record.1);
+        if self.record.1.is_empty() {
             self.counters.empty_projections.get(ctx).incr();
             return Ok(());
         }
-        // The last key emitted takes the projection itself, so a record
-        // that is routed anywhere gives `self.ranks` away.
-        let ranks = std::mem::take(&mut self.ranks);
-        let len = ranks.len() as u32;
+        self.record.0 = rid;
+        let len = self.record.1.len() as u32;
         // R records take their lower-bound length as class so they arrive
         // before every S record they can join (Figure 6); self-join and S
         // records use their actual length.
         let class = if rs && rel == REL_R {
-            self.config.threshold.lower_bound(ranks.len()) as u32
+            self.config.threshold.lower_bound(len as usize) as u32
         } else {
             len
         };
-        let groups = self.route_groups(&ranks, rid, ctx);
+        let groups = self.route_groups(rid, ctx);
         self.counters.projections.get(ctx).incr();
         let keys = &mut self.keys;
         keys.clear();
@@ -207,14 +205,10 @@ impl Mapper for ProjectionMapper {
         // Added once per record: the counter is shared by every map task
         // of the job.
         self.counters.routed_pairs.get(ctx).add(keys.len() as u64);
-        let last = keys.pop();
-        for key in keys.drain(..) {
-            out.emit(key, (rid, ranks.clone()))?;
+        for key in keys.iter() {
+            out.emit_ref(key, &self.record)?;
         }
-        match last {
-            Some(key) => out.emit(key, (rid, ranks)),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 

@@ -184,6 +184,8 @@ struct BrjMapper {
     participants_path: Option<String>,
     participants: Option<Arc<Vec<u64>>>,
     records_filtered: Named<Counter>,
+    /// The value being emitted, kept for its capacity.
+    value: BrjValue,
 }
 
 impl BrjMapper {
@@ -197,7 +199,22 @@ impl BrjMapper {
             participants_path: spec.participants.clone(),
             participants: None,
             records_filtered: Named::new("stage3.records_filtered"),
+            value: (0.0, String::new()),
         }
+    }
+
+    /// Emit `(sim, record)` under `key` through the kept value.
+    fn emit(
+        &mut self,
+        out: &mut dyn Emit<BrjKey, BrjValue>,
+        key: BrjKey,
+        sim: f64,
+        record: &str,
+    ) -> Result<()> {
+        self.value.0 = sim;
+        self.value.1.clear();
+        self.value.1.push_str(record);
+        out.emit_ref(&key, &self.value)
     }
 }
 
@@ -240,7 +257,7 @@ impl Mapper for BrjMapper {
             };
             let (rid, partner, sim) = parse_pair_line(head)?;
             if !(self.forwarded && partner == rid) {
-                return out.emit((rid, TAG_SIDE, partner), (sim, record.to_string()));
+                return self.emit(out, (rid, TAG_SIDE, partner), sim, record);
             }
             (rid, record)
         } else {
@@ -257,7 +274,7 @@ impl Mapper for BrjMapper {
             self.records_filtered.get(ctx).incr();
             return Ok(());
         }
-        out.emit((rid, TAG_RECORD, 0), (0.0, record.to_string()))
+        self.emit(out, (rid, TAG_RECORD, 0), 0.0, record)
     }
 }
 

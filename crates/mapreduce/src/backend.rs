@@ -48,7 +48,7 @@ use crate::engine::{
 };
 use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
-use crate::profile::{self, secs_to_us};
+use crate::profile;
 use crate::reducer::Reducer;
 use crate::remote::ProcessTransport;
 use crate::run::Run;
@@ -267,17 +267,13 @@ where
             // one at a time.
             let mut pool = run.cluster.worker_pool().lock();
             let mut workers = ProcessTransport::begin(&mut pool, run, watchdog)?;
-            counters
-                .get(profile::WALL_SPAWN_US)
-                .add(secs_to_us(spawn_start.elapsed().as_secs_f64()));
+            counters.add_since(profile::WALL_SPAWN_US, spawn_start);
             let result = run_phases(run, workers.size(), &mut workers, watchdog);
             // Closing the job and spill cleanup close the reduce window, so
             // the windows still tile the backend's whole execution.
             let teardown_start = Instant::now();
             workers.end();
-            counters
-                .get(profile::WALL_REDUCE_US)
-                .add(secs_to_us(teardown_start.elapsed().as_secs_f64()));
+            counters.add_since(profile::WALL_REDUCE_US, teardown_start);
             result
         }
     }
@@ -358,15 +354,11 @@ where
     });
     let reduce_done = exec_start.elapsed().as_secs_f64();
     let counters = &run.counters;
-    counters.get(profile::WALL_MAP_US).add(secs_to_us(map_done));
+    counters.add_secs(profile::WALL_MAP_US, map_done);
     for regroup in [profile::WALL_REGROUP_US, profile::BUSY_REGROUP_US] {
-        counters
-            .get(regroup)
-            .add(secs_to_us(regroup_done - map_done));
+        counters.add_secs(regroup, regroup_done - map_done);
     }
-    counters
-        .get(profile::WALL_REDUCE_US)
-        .add(secs_to_us(reduce_done - regroup_done));
+    counters.add_secs(profile::WALL_REDUCE_US, reduce_done - regroup_done);
     Ok(ExecOutcome {
         map_outs: map_outs_stats,
         map_stats,

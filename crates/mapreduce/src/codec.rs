@@ -125,14 +125,6 @@ pub trait Codec: Sized {
     /// Decode one value from the front of `r`.
     fn decode(r: &mut ByteReader<'_>) -> Result<Self>;
 
-    /// Encoded size in bytes. The default encodes into a scratch buffer;
-    /// hot types should override with a direct computation.
-    fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
-
     /// Convenience: encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -154,14 +146,6 @@ pub trait Codec: Sized {
     }
 }
 
-fn varint_len(v: u64) -> usize {
-    if v == 0 {
-        1
-    } else {
-        (64 - v.leading_zeros() as usize).div_ceil(7)
-    }
-}
-
 macro_rules! impl_codec_uint {
     ($($t:ty),*) => {$(
         impl Codec for $t {
@@ -175,10 +159,6 @@ macro_rules! impl_codec_uint {
                 <$t>::try_from(v).map_err(|_| {
                     MrError::Codec(format!("varint {v} out of range for {}", stringify!($t)))
                 })
-            }
-            #[inline]
-            fn encoded_len(&self) -> usize {
-                varint_len(*self as u64)
             }
         }
     )*};
@@ -200,10 +180,6 @@ macro_rules! impl_codec_sint {
                     MrError::Codec(format!("value {v} out of range for {}", stringify!($t)))
                 })
             }
-            #[inline]
-            fn encoded_len(&self) -> usize {
-                varint_len(zigzag(i64::from(*self)))
-            }
         }
     )*};
 }
@@ -223,10 +199,6 @@ impl Codec for bool {
             b => Err(MrError::Codec(format!("invalid bool byte {b}"))),
         }
     }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Codec for f64 {
@@ -238,10 +210,6 @@ impl Codec for f64 {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         let b = r.take(8)?;
         Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        8
     }
 }
 
@@ -255,10 +223,6 @@ impl Codec for f32 {
         let b = r.take(4)?;
         Ok(f32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        4
-    }
 }
 
 impl Codec for () {
@@ -267,10 +231,6 @@ impl Codec for () {
     #[inline]
     fn decode(_r: &mut ByteReader<'_>) -> Result<Self> {
         Ok(())
-    }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        0
     }
 }
 
@@ -303,9 +263,6 @@ impl Codec for String {
         String::from_utf8(bytes.to_vec())
             .map_err(|e| MrError::Codec(format!("invalid utf-8 string: {e}")))
     }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
-    }
 }
 
 impl<T: Codec> Codec for Vec<T> {
@@ -327,9 +284,6 @@ impl<T: Codec> Codec for Vec<T> {
         }
         Ok(out)
     }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(Codec::encoded_len).sum::<usize>()
-    }
 }
 
 impl<T: Codec> Codec for Option<T> {
@@ -349,9 +303,6 @@ impl<T: Codec> Codec for Option<T> {
             b => Err(MrError::Codec(format!("invalid Option tag {b}"))),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Codec::encoded_len)
-    }
 }
 
 macro_rules! impl_codec_tuple {
@@ -362,9 +313,6 @@ macro_rules! impl_codec_tuple {
             }
             fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
                 Ok(($($name::decode(r)?,)+))
-            }
-            fn encoded_len(&self) -> usize {
-                0 $(+ self.$idx.encoded_len())+
             }
         }
     )+};
@@ -439,7 +387,6 @@ mod tests {
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
-        assert_eq!(bytes.len(), v.encoded_len(), "encoded_len for {v:?}");
         let back = T::from_bytes(&bytes).expect("decode");
         assert_eq!(back, v);
     }
@@ -457,10 +404,18 @@ mod tests {
 
     #[test]
     fn varint_len_matches_encoding() {
-        for v in [0u64, 1, 127, 128, 1 << 14, 1 << 21, 1 << 35, u64::MAX] {
+        let lens = [
+            (0u64, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (1 << 14, 3),
+            (1 << 21, 4),
+        ];
+        for (v, len) in lens.into_iter().chain([(1 << 35, 6), (u64::MAX, 10)]) {
             let mut buf = Vec::new();
             write_varint(v, &mut buf);
-            assert_eq!(buf.len(), varint_len(v), "v={v}");
+            assert_eq!(buf.len(), len, "v={v}");
         }
     }
 

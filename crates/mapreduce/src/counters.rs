@@ -54,6 +54,17 @@ impl Counters {
         map.entry(name.to_string()).or_default().clone()
     }
 
+    /// Add `secs` to the profile counter `name`, in whole microseconds (a
+    /// negative span adds nothing).
+    pub fn add_secs(&self, name: &str, secs: f64) {
+        self.get(name).add(crate::profile::secs_to_us(secs));
+    }
+
+    /// Add the seconds since `start` to the profile counter `name`.
+    pub fn add_since(&self, name: &str, start: std::time::Instant) {
+        self.add_secs(name, start.elapsed().as_secs_f64());
+    }
+
     /// Snapshot all counters as `(name, value)` pairs in name order.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         self.inner

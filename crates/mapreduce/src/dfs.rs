@@ -1045,10 +1045,11 @@ impl Dfs {
 
     /// Read all lines of a text file or of every `part-*` under a directory.
     pub fn read_text(&self, path: &str) -> Result<Vec<String>> {
-        self.read_whole(path, FileKind::Text, |p, data| {
-            let text = std::str::from_utf8(data)
-                .map_err(|e| MrError::Codec(format!("{p}: invalid utf-8: {e}")))?;
-            Ok(text.lines().map(str::to_string).collect())
+        self.read_whole(path, FileKind::Text, |p, data, out| {
+            text_lines(p, 0, data, |_, line| {
+                out.push(line.clone());
+                Ok(())
+            })
         })
     }
 
@@ -1058,7 +1059,7 @@ impl Dfs {
         &self,
         path: &str,
         kind: FileKind,
-        records: impl Fn(&str, &[u8]) -> Result<Vec<T>>,
+        records: impl Fn(&str, &[u8], &mut Vec<T>) -> Result<()>,
     ) -> Result<Vec<T>> {
         let mut out = Vec::new();
         for p in self.resolve(path)? {
@@ -1068,7 +1069,7 @@ impl Dfs {
             }
             file.check(&p)?;
             for data in &file.blocks {
-                out.extend(records(&p, data)?);
+                records(&p, data, &mut out)?;
             }
         }
         Ok(out)
@@ -1113,7 +1114,12 @@ impl Dfs {
 
     /// Read every `(key, value)` pair of a seq file or directory of parts.
     pub fn read_seq<K: Codec, V: Codec>(&self, path: &str) -> Result<Vec<(K, V)>> {
-        self.read_whole(path, FileKind::Seq, |_, data| seq_records(data))
+        self.read_whole(path, FileKind::Seq, |_, data, out| {
+            seq_records(data, |k, v| {
+                out.push((k, v));
+                Ok(())
+            })
+        })
     }
 
     // ---- splits ----------------------------------------------------------
@@ -1333,31 +1339,42 @@ impl BlockWriter {
     }
 }
 
-/// Decode `data`, the bytes of a text split, into `(byte offset, line)`
-/// pairs.
-pub fn text_records(split: &BlockSplit, data: &[u8]) -> Result<Vec<(u64, String)>> {
+/// The one text-line decoder ([`Dfs::read_text`], text splits): hand each
+/// line of `data`, the text at byte `offset` of `path`, to `visit` from one
+/// reused `String`. `\n` or `\r\n` ends a line; offsets count raw bytes.
+pub fn text_lines(
+    path: &str,
+    mut offset: u64,
+    data: &[u8],
+    mut visit: impl FnMut(u64, &String) -> Result<()>,
+) -> Result<()> {
     let text = std::str::from_utf8(data)
-        .map_err(|e| MrError::Codec(format!("{}: invalid utf-8: {e}", split.path)))?;
-    let mut out = Vec::new();
-    let mut offset = split.offset;
-    for line in text.split_inclusive('\n') {
-        let trimmed = line.strip_suffix('\n').unwrap_or(line);
-        out.push((offset, trimmed.to_string()));
-        offset += line.len() as u64;
+        .map_err(|e| MrError::Codec(format!("{path}: invalid utf-8: {e}")))?;
+    let mut line = String::new();
+    for raw in text.split_inclusive('\n') {
+        let body = raw
+            .strip_suffix('\n')
+            .map(|l| l.strip_suffix('\r').unwrap_or(l));
+        line.clear();
+        line.push_str(body.unwrap_or(raw));
+        visit(offset, &line)?;
+        offset += raw.len() as u64;
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Decode `data`, the bytes of a seq split.
-pub fn seq_records<K: Codec, V: Codec>(data: &[u8]) -> Result<Vec<(K, V)>> {
+/// Decode `data`, the bytes of a seq split, handing each pair to `visit`.
+pub fn seq_records<K: Codec, V: Codec>(
+    data: &[u8],
+    mut visit: impl FnMut(K, V) -> Result<()>,
+) -> Result<()> {
     let mut r = ByteReader::new(data);
-    let mut out = Vec::new();
     while !r.is_empty() {
         let k = K::decode(&mut r)?;
         let v = V::decode(&mut r)?;
-        out.push((k, v));
+        visit(k, v)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1432,12 +1449,58 @@ mod tests {
         // Splits reassemble to the same records with correct offsets.
         let mut all = Vec::new();
         for s in &splits {
-            all.extend(text_records(s, &dfs.read_block(s).unwrap()).unwrap());
+            let data = dfs.read_block(s).unwrap();
+            text_lines(&s.path, s.offset, &data, |at, line| {
+                all.push((at, line.clone()));
+                Ok(())
+            })
+            .unwrap();
         }
         assert_eq!(all.len(), 20);
         assert_eq!(all[0], (0, "line-0".to_string()));
         for w in all.windows(2) {
             assert!(w[0].0 < w[1].0, "offsets must increase");
+        }
+    }
+
+    /// The map-side reader splits streamed from, kept as the oracle: one
+    /// `String` per line, split after each `\n`, which is stripped, with
+    /// offsets counting raw bytes.
+    fn collected_lines(offset: u64, data: &[u8]) -> Vec<(u64, String)> {
+        let mut out = Vec::new();
+        let mut offset = offset;
+        for line in std::str::from_utf8(data).unwrap().split_inclusive('\n') {
+            out.push((offset, line.strip_suffix('\n').unwrap_or(line).to_string()));
+            offset += line.len() as u64;
+        }
+        out
+    }
+
+    /// Text with empty lines, multi-byte characters and a last line
+    /// without `\n` is visited as the collecting reader returned it, from
+    /// any starting offset; and every split of a file of those lines
+    /// visits what that reader returned for its block.
+    #[test]
+    fn text_lines_visit_what_the_collecting_reader_returned() {
+        let text = "alpha\n\n\u{e9}t\u{e9} \u{4e2d}\u{1f980}\n\n\nb\ngamma delta epsilon\n\
+                    \u{e9}\n\nzeta eta theta iota\nlast without newline";
+        for start in [0, 7, 4096] {
+            let mut visited = Vec::new();
+            text_lines("/t", start, text.as_bytes(), |at, line| {
+                visited.push((at, line.clone()));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(visited, collected_lines(start, text.as_bytes()));
+        }
+        let dfs = Dfs::new(2, 16);
+        dfs.write_text("/t", text.split('\n')).unwrap();
+        let blocks = dfs.splits("/t").unwrap();
+        let splits = crate::input::text_input(&dfs, "/t").unwrap();
+        assert!(blocks.len() > 2);
+        for (block, split) in blocks.iter().zip(&splits) {
+            let expected = collected_lines(block.offset, &dfs.read_block(block).unwrap());
+            assert_eq!(split.read(&dfs).unwrap(), expected);
         }
     }
 
@@ -1464,7 +1527,11 @@ mod tests {
         assert!(splits.len() > 1);
         let mut all = Vec::new();
         for s in &splits {
-            all.extend(seq_records::<u64, String>(&dfs.read_block(s).unwrap()).unwrap());
+            seq_records(&dfs.read_block(s).unwrap(), |k, v| {
+                all.push((k, v));
+                Ok(())
+            })
+            .unwrap();
         }
         assert_eq!(all, pairs);
     }
@@ -1794,6 +1861,61 @@ mod tests {
     /// The table of a torn file lists fewer bytes than the file had: cut
     /// inside a block, that block fails its read; cut between blocks (or
     /// before the first), no read would notice, so `splits` does.
+    /// Counts its `setup` calls; maps each line to `(line, 1)`.
+    #[derive(Clone)]
+    struct SetupProbe(Arc<AtomicUsize>);
+
+    impl crate::Mapper for SetupProbe {
+        type InKey = u64;
+        type InValue = String;
+        type OutKey = String;
+        type OutValue = u64;
+
+        fn setup(&mut self, _: &crate::TaskContext) -> Result<()> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+
+        fn map(
+            &mut self,
+            _: &u64,
+            line: &String,
+            out: &mut dyn crate::Emit<String, u64>,
+            _: &crate::TaskContext,
+        ) -> Result<()> {
+            out.emit(line.clone(), 1)
+        }
+    }
+
+    /// A map attempt fetches its block and checks its CRC before its
+    /// mapper's `setup` runs: over a damaged block every attempt fails
+    /// with the block's checksum and no mapper is ever set up.
+    #[test]
+    fn a_map_attempt_checks_its_block_before_its_mapper_sets_up() {
+        let cluster = crate::Cluster::new(crate::ClusterConfig::with_nodes(2), 1 << 10).unwrap();
+        let dfs = cluster.dfs();
+        dfs.write_text("/t", ["one", "two", "three"]).unwrap();
+        let setups = Arc::new(AtomicUsize::new(0));
+        let job = || {
+            let reducer = crate::IdentityReducer::<String, u64>::new();
+            crate::Job::new("probe", SetupProbe(setups.clone()), reducer)
+                .inputs(crate::input::text_input(dfs, "/t").unwrap())
+                .reducers(1)
+        };
+        cluster.run(job()).unwrap();
+        assert_eq!(
+            setups.swap(0, Ordering::Relaxed),
+            1,
+            "one block, one attempt"
+        );
+        flip_payload_bit(dfs, "/t", 5);
+        match cluster.run(job()) {
+            Err(MrError::ChecksumMismatch { path, .. }) => assert_eq!(path, "/t"),
+            other => panic!("expected the block's ChecksumMismatch, got {other:?}"),
+        }
+        assert_eq!(setups.load(Ordering::Relaxed), 0, "no mapper set up");
+    }
+
     #[test]
     fn a_file_torn_at_a_block_boundary_fails_its_splits() {
         let dfs = Dfs::new(2, 16);

@@ -9,6 +9,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{self, BackendKind};
 use crate::cluster::{schedule, transfer_secs, ClusterConfig, Schedule, SimTask};
+use crate::codec::ByteReader;
 use crate::codec_struct;
 use crate::counters::Counters;
 use crate::dfs::{is_under, BlockWriter, Dfs};
@@ -21,7 +22,7 @@ use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics};
 use crate::partitioner::{PartitionFn, SortCmp};
-use crate::profile::{self, secs_to_us, JobProfile};
+use crate::profile::{self, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
 use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Run, MERGE_FACTOR};
@@ -160,9 +161,7 @@ impl Cluster {
         if let Some(dir) = job.output.dir() {
             self.scavenge(&job.name, dir, counters);
         }
-        counters
-            .get(profile::WALL_SETUP_US)
-            .add(secs_to_us(wall_start.elapsed().as_secs_f64()));
+        counters.add_since(profile::WALL_SETUP_US, wall_start);
         // An `Err` here is a map-phase failure: it propagates without
         // touching the output directory.
         let outcome = backend::execute(&run)?;
@@ -173,9 +172,7 @@ impl Cluster {
             job.output.dir(),
             outcome.reduce_result,
         )?;
-        counters
-            .get(profile::WALL_COMMIT_US)
-            .add(secs_to_us(commit_start.elapsed().as_secs_f64()));
+        counters.add_since(profile::WALL_COMMIT_US, commit_start);
         let map = (outcome.map_outs, outcome.map_stats);
         Ok(self.finalize(
             &job.name,
@@ -437,9 +434,7 @@ impl Cluster {
             reduce_tasks_per_node[o.node % config.nodes] += 1;
         }
 
-        counters
-            .get(profile::WALL_FINALIZE_US)
-            .add(secs_to_us(finalize_start.elapsed().as_secs_f64()));
+        counters.add_since(profile::WALL_FINALIZE_US, finalize_start);
         let metrics = JobMetrics {
             name: name.to_string(),
             map: PhaseMetrics {
@@ -860,9 +855,14 @@ impl<P> SimCharge for MapTaskOut<P> {
     }
 }
 
-/// Map-side output collector with spill-and-combine behaviour.
+/// A partition's pairs since the last spill, back to back, and each one's
+/// `(key, offset, len)` in emission order (Hadoop's map output buffer).
+type Part<K> = (Vec<u8>, Vec<(K, usize, usize)>);
+
+/// Map-side output collector with spill-and-combine behaviour; each pair is
+/// encoded into its partition's [`Part`] at emit.
 struct MapEmitter<'a, K: Key, V: Value> {
-    parts: Vec<Vec<(K, V)>>,
+    parts: Vec<Part<K>>,
     buffered_bytes: usize,
     threshold: usize,
     partitioner: &'a PartitionFn<K>,
@@ -873,9 +873,9 @@ struct MapEmitter<'a, K: Key, V: Value> {
     spills: u64,
     combine_in: u64,
     combine_out: u64,
-    /// Seconds spent in `spill()` (sort + combine + encode), for the
-    /// per-phase profile; subtracted from the attempt's elapsed time to
-    /// isolate user map execution.
+    /// Seconds spent in `spill()` (sort + copy), for the per-phase profile;
+    /// subtracted from the attempt's elapsed time to isolate user map
+    /// execution, which includes encoding at emit.
     spill_secs: f64,
     /// Encoded bytes and records produced by `spill()`.
     spill_bytes: u64,
@@ -891,7 +891,7 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
         combiner: Option<&'a CombineFn<K, V>>,
     ) -> Self {
         MapEmitter {
-            parts: (0..num_partitions).map(|_| Vec::new()).collect(),
+            parts: (0..num_partitions).map(|_| Default::default()).collect(),
             buffered_bytes: 0,
             threshold,
             partitioner,
@@ -908,23 +908,61 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
         }
     }
 
-    fn spill(&mut self) {
+    /// Encode a pair into its partition's buffer and index it under `key`.
+    fn put(&mut self, key: K, value: &V) -> Result<()> {
+        self.output_records += 1;
+        let p = (self.partitioner)(&key, self.parts.len() as u32) as usize;
+        debug_assert!(p < self.parts.len(), "partitioner out of range");
+        let (bytes, index) = &mut self.parts[p];
+        let at = bytes.len();
+        key.encode(bytes);
+        value.encode(bytes);
+        let len = bytes.len() - at;
+        index.push((key, at, len));
+        self.buffered_bytes += len;
+        if self.buffered_bytes >= self.threshold {
+            self.spill()?;
+        }
+        Ok(())
+    }
+
+    /// Park each partition's buffered pairs as one sorted run. The index is
+    /// sorted stably, so equal keys keep emission order, and each pair's
+    /// bytes are copied; with a combiner the pairs are decoded and go
+    /// through [`sort_and_combine`] instead.
+    fn spill(&mut self) -> Result<()> {
         let spill_start = Instant::now();
         let mut spilled_any = false;
-        for p in 0..self.parts.len() {
-            if self.parts[p].is_empty() {
+        for (p, (bytes, index)) in self.parts.iter_mut().enumerate() {
+            if index.is_empty() {
                 continue;
             }
             spilled_any = true;
-            let pairs = std::mem::take(&mut self.parts[p]);
-            let sorted = sort_and_combine(
-                pairs,
-                self.sort_cmp,
-                self.combiner,
-                &mut self.combine_in,
-                &mut self.combine_out,
-            );
-            let run = Run::encode(&sorted);
+            let run = match self.combiner {
+                None => {
+                    index.sort_by(|a, b| (self.sort_cmp)(&a.0, &b.0));
+                    let mut data = Vec::with_capacity(bytes.len());
+                    for &(_, at, len) in index.iter() {
+                        data.extend_from_slice(&bytes[at..at + len]);
+                    }
+                    Run {
+                        data: data.into(),
+                        records: index.len(),
+                    }
+                }
+                Some(combiner) => {
+                    let mut pairs = Vec::with_capacity(index.len());
+                    for &(_, at, len) in index.iter() {
+                        let mut r = ByteReader::new(&bytes[at..at + len]);
+                        pairs.push((K::decode(&mut r)?, V::decode(&mut r)?));
+                    }
+                    let (cin, cout) = (&mut self.combine_in, &mut self.combine_out);
+                    let sorted = sort_and_combine(pairs, self.sort_cmp, Some(combiner), cin, cout);
+                    Run::encode(&sorted)
+                }
+            };
+            bytes.clear();
+            index.clear();
             self.spill_bytes += run.len_bytes() as u64;
             self.spill_records += run.records as u64;
             self.runs[p].push(run);
@@ -934,20 +972,17 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
         }
         self.buffered_bytes = 0;
         self.spill_secs += spill_start.elapsed().as_secs_f64();
+        Ok(())
     }
 }
 
 impl<K: Key, V: Value> Emit<K, V> for MapEmitter<'_, K, V> {
     fn emit(&mut self, key: K, value: V) -> Result<()> {
-        self.output_records += 1;
-        self.buffered_bytes += key.encoded_len() + value.encoded_len();
-        let p = (self.partitioner)(&key, self.parts.len() as u32) as usize;
-        debug_assert!(p < self.parts.len(), "partitioner out of range");
-        self.parts[p].push((key, value));
-        if self.buffered_bytes >= self.threshold {
-            self.spill();
-        }
-        Ok(())
+        self.put(key, &value)
+    }
+
+    fn emit_ref(&mut self, key: &K, value: &V) -> Result<()> {
+        self.put(key.clone(), value)
     }
 }
 
@@ -981,7 +1016,7 @@ where
         let (mut ctx, label) = self.context(at);
         let fault = self.inject_start_faults(at, &label)?;
         ctx.set_input_path(&split.tag);
-        let records = split.read(&self.cluster.dfs)?;
+        let records = split.open(&self.cluster.dfs)?;
         let job = self.job;
         let mut emitter = MapEmitter::new(
             self.num_reducers,
@@ -992,12 +1027,12 @@ where
         );
         mapper.setup(&ctx)?;
         let mut input_records = 0u64;
-        for (k, v) in &records {
-            mapper.map(k, v, &mut emitter, &ctx)?;
+        records(&mut |k, v| {
             input_records += 1;
-        }
+            mapper.map(k, v, &mut emitter, &ctx)
+        })?;
         mapper.cleanup(&mut emitter, &ctx)?;
-        emitter.spill();
+        emitter.spill()?;
         if matches!(fault, Some(Fault::LateFail)) {
             // The work finished but the node died before the map output could
             // be served to reducers; the attempt counts as failed.
@@ -1006,20 +1041,17 @@ where
             )));
         }
         let elapsed = start.elapsed().as_secs_f64();
-        // Per-phase profile: the attempt's time splits into spill encode and
-        // everything else (read + user map function). Recorded only for
+        // Per-phase profile: the attempt's time splits into spill (sort +
+        // copy) and everything else (read, user map function and encoding
+        // at emit). Recorded only for
         // attempts that got this far, so failed attempts never skew the
         // attribution.
         let counters = &self.counters;
-        counters
-            .get(profile::BUSY_SPILL_US)
-            .add(secs_to_us(emitter.spill_secs));
+        counters.add_secs(profile::BUSY_SPILL_US, emitter.spill_secs);
         counters
             .get(profile::BUSY_SPILL_BYTES)
             .add(emitter.spill_bytes);
-        counters
-            .get(profile::BUSY_MAP_EXEC_US)
-            .add(secs_to_us((elapsed - emitter.spill_secs).max(0.0)));
+        counters.add_secs(profile::BUSY_MAP_EXEC_US, elapsed - emitter.spill_secs);
         let straggle = match fault {
             Some(Fault::Straggle(factor)) => factor,
             _ => 1.0,
@@ -1028,9 +1060,7 @@ where
         // this backend keeps them until the reduce phase.
         let park_start = Instant::now();
         let runs = park(emitter.runs)?;
-        counters
-            .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
-            .add(secs_to_us(park_start.elapsed().as_secs_f64()));
+        counters.add_since(profile::BUSY_SHUFFLE_TRANSPORT_US, park_start);
         counters
             .get(profile::BUSY_SHUFFLE_TRANSPORT_BYTES)
             .add(emitter.spill_bytes);
@@ -1147,11 +1177,15 @@ fn attempt_path(dir: &str, task_id: usize, attempt: usize) -> String {
 
 impl<K: Value, V: Value> Emit<K, V> for ReduceEmitter<K, V> {
     fn emit(&mut self, key: K, value: V) -> Result<()> {
+        self.emit_ref(&key, &value)
+    }
+
+    fn emit_ref(&mut self, key: &K, value: &V) -> Result<()> {
         self.records += 1;
         match &mut self.sink {
             None => {}
-            Some((w, None)) => w.write(&key, &value),
-            Some((w, Some(fmt))) => w.write_line(&fmt(&key, &value)),
+            Some((w, None)) => w.write(key, value),
+            Some((w, Some(fmt))) => w.write_line(&fmt(key, value)),
         }
         Ok(())
     }
@@ -1194,9 +1228,7 @@ where
         let counters = &self.counters;
         let fetch_start = Instant::now();
         let runs = fetch()?;
-        counters
-            .get(profile::BUSY_SHUFFLE_TRANSPORT_US)
-            .add(secs_to_us(fetch_start.elapsed().as_secs_f64()));
+        counters.add_since(profile::BUSY_SHUFFLE_TRANSPORT_US, fetch_start);
         let mut reducer = self.job.reducer.clone();
         let start = Instant::now();
         let input_bytes: u64 = runs.iter().map(|r| r.len_bytes() as u64).sum();
@@ -1251,12 +1283,8 @@ where
         }
         // Per-phase profile: merge vs. user reduce execution, recorded only
         // for attempts that survived (failed attempts never skew attribution).
-        counters
-            .get(profile::BUSY_MERGE_US)
-            .add(secs_to_us(merge_secs));
-        counters
-            .get(profile::BUSY_REDUCE_EXEC_US)
-            .add(secs_to_us((elapsed - merge_secs).max(0.0)));
+        counters.add_secs(profile::BUSY_MERGE_US, merge_secs);
+        counters.add_secs(profile::BUSY_REDUCE_EXEC_US, elapsed - merge_secs);
         // Task commit: atomically promote the attempt file to the part file.
         // Exactly one attempt per task ever gets here, so commits == tasks.
         if let Some(dir) = job.output.dir() {
@@ -1416,5 +1444,121 @@ mod tests {
             BACKOFF_CAP_SECS,
             "huge attempt counts saturate"
         );
+    }
+
+    use crate::codec::Codec;
+
+    /// What a spill sequence looks like from outside: each partition's runs
+    /// as `(bytes, records)`, then spills, combine in/out, spilled records
+    /// and spilled bytes.
+    type Spills = (Vec<Vec<(Vec<u8>, usize)>>, [u64; 5]);
+
+    fn as_bytes(runs: &[Vec<Run>]) -> Vec<Vec<(Vec<u8>, usize)>> {
+        let run = |r: &Run| (r.data.to_vec(), r.records);
+        runs.iter()
+            .map(|part| part.iter().map(run).collect())
+            .collect()
+    }
+
+    /// The map side before pairs were encoded at emit, kept as the oracle:
+    /// typed pairs per partition, counted by their encoded sizes, spilled
+    /// through `sort_and_combine` and `Run::encode` once the count reaches
+    /// the threshold, and once more when the task ends.
+    fn typed_spills<V: Value>(
+        pairs: &[(String, V)],
+        (parts, threshold): (usize, usize),
+        cmp: &SortCmp<String>,
+        combiner: Option<&CombineFn<String, V>>,
+    ) -> Spills {
+        let partitioner = crate::partitioner::hash_partitioner::<String>();
+        let mut buffers: Vec<Vec<(String, V)>> = vec![Vec::new(); parts];
+        let mut runs: Vec<Vec<Run>> = vec![Vec::new(); parts];
+        let (mut buffered, mut spills, mut cin, mut cout) = (0, 0, 0, 0);
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            buffered += k.to_bytes().len() + v.to_bytes().len();
+            let p = partitioner(k, parts as u32) as usize;
+            buffers[p].push((k.clone(), v.clone()));
+            if buffered < threshold && i + 1 < pairs.len() {
+                continue;
+            }
+            for (p, buffer) in buffers.iter_mut().enumerate() {
+                let pairs = std::mem::take(buffer);
+                if !pairs.is_empty() {
+                    let sorted = sort_and_combine(pairs, cmp, combiner, &mut cin, &mut cout);
+                    runs[p].push(Run::encode(&sorted));
+                }
+            }
+            spills += 1;
+            buffered = 0;
+        }
+        let records = runs.iter().flatten().map(|r| r.records as u64).sum();
+        let bytes = runs.iter().flatten().map(|r| r.len_bytes() as u64).sum();
+        (as_bytes(&runs), [spills, cin, cout, records, bytes])
+    }
+
+    /// The same pairs through [`MapEmitter`], by value or by reference.
+    fn emitted_spills<V: Value>(
+        pairs: &[(String, V)],
+        (parts, threshold): (usize, usize),
+        cmp: &SortCmp<String>,
+        combiner: Option<&CombineFn<String, V>>,
+        by_ref: bool,
+    ) -> Spills {
+        let partitioner = crate::partitioner::hash_partitioner::<String>();
+        let mut e = MapEmitter::new(parts, threshold, &partitioner, cmp, combiner);
+        for (k, v) in pairs {
+            match by_ref {
+                true => e.emit_ref(k, v).unwrap(),
+                false => e.emit(k.clone(), v.clone()).unwrap(),
+            }
+        }
+        e.spill().unwrap();
+        let totals = [
+            e.spills,
+            e.combine_in,
+            e.combine_out,
+            e.spill_records,
+            e.spill_bytes,
+        ];
+        (as_bytes(&e.runs), totals)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every run the emitter parks, and every spill point and counter,
+        /// is what the typed path made of the same pairs: with and without a
+        /// combiner, under a total and a coarse comparator (which ties
+        /// unequal keys, so a sort that is not stable shows), by value and
+        /// by reference, with spill buffers that force many spills or few.
+        /// Each value carries its emission index.
+        #[test]
+        fn the_emitter_spills_what_the_typed_path_spilled(
+            keys in proptest::collection::vec(("[a-d]{0,3}", ".{0,6}"), 0..300),
+            parts in 1usize..5,
+            threshold in proptest::prop_oneof![1usize..160, 160usize..4000],
+            coarse in proptest::prelude::any::<bool>(),
+            by_ref in proptest::prelude::any::<bool>(),
+        ) {
+            let cmp: SortCmp<String> = if coarse {
+                std::sync::Arc::new(|a: &String, b: &String| a.len().cmp(&b.len()))
+            } else {
+                crate::partitioner::natural_sort()
+            };
+            let shape = (parts, threshold);
+            let tagged: Vec<(String, (u64, String))> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, (k, payload))| (k.clone(), (i as u64, payload.clone())))
+                .collect();
+            let typed = typed_spills(&tagged, shape, &cmp, None);
+            proptest::prop_assert_eq!(emitted_spills(&tagged, shape, &cmp, None, by_ref), typed);
+            let counted: Vec<(String, u64)> =
+                keys.iter().enumerate().map(|(i, (k, _))| (k.clone(), i as u64)).collect();
+            let sum = crate::reducer::sum_combiner::<String>();
+            let typed = typed_spills(&counted, shape, &cmp, Some(&sum));
+            let emitted = emitted_spills(&counted, shape, &cmp, Some(&sum), by_ref);
+            proptest::prop_assert_eq!(emitted, typed);
+        }
     }
 }

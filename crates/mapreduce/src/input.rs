@@ -6,12 +6,22 @@
 //! any number of files with compatible record types — that is how the
 //! engine models Hadoop's `MultipleInputs`.
 
-use crate::dfs::{self, Dfs};
+use crate::dfs::{self, BlockSplit, Dfs};
 use crate::error::Result;
 use crate::kv::Value;
 
-type ReadFn<K, V> = Box<dyn Fn(&Dfs) -> Result<Vec<(K, V)>> + Send + Sync>;
-type DecodeFn<K, V> = fn(&dfs::BlockSplit, &[u8]) -> Result<Vec<(K, V)>>;
+/// What a split hands each record to, in order; an error ends the visit.
+type Visit<'a, K, V> = &'a mut dyn FnMut(&K, &V) -> Result<()>;
+/// An opened split: visits its records once.
+pub(crate) type OpenSplit<'s, K, V> = Box<dyn FnOnce(Visit<'_, K, V>) -> Result<()> + 's>;
+type DecodeFn<K, V> = fn(&BlockSplit, &[u8], Visit<'_, K, V>) -> Result<()>;
+
+enum Records<K, V> {
+    /// In-memory records (tests, synthetic inputs).
+    Mem(Vec<(K, V)>),
+    /// One DFS block, and how to decode its bytes.
+    Block(BlockSplit, DecodeFn<K, V>),
+}
 
 /// One map task's input.
 pub struct SplitSource<K, V> {
@@ -22,7 +32,7 @@ pub struct SplitSource<K, V> {
     /// Input size in bytes, for the locality model's remote-read penalty
     /// (0 when unknown).
     pub size_hint: u64,
-    reader: ReadFn<K, V>,
+    records: Records<K, V>,
 }
 
 impl<K: Value, V: Value> SplitSource<K, V> {
@@ -32,30 +42,49 @@ impl<K: Value, V: Value> SplitSource<K, V> {
             tag: tag.into(),
             node_hint: None,
             size_hint: 0,
-            reader: Box::new(move |_dfs| Ok(records.clone())),
+            records: Records::Mem(records),
         }
     }
 
-    /// Materialize the split's records. Readable repeatedly, so failed task
-    /// attempts can be retried.
+    /// Fetch the split's data — a block split reads its block and checks
+    /// it against its CRC here — ready to be visited. Openable repeatedly,
+    /// so failed task attempts can be retried.
+    pub(crate) fn open(&self, dfs: &Dfs) -> Result<OpenSplit<'_, K, V>> {
+        Ok(match &self.records {
+            Records::Mem(records) => {
+                Box::new(|visit| records.iter().try_for_each(|(k, v)| visit(k, v)))
+            }
+            Records::Block(block, decode) => {
+                let data = dfs.read_block(block)?;
+                Box::new(move |visit| decode(block, &data, visit))
+            }
+        })
+    }
+
+    /// Collect the split's records (tests and tools; map attempts visit).
     pub fn read(&self, dfs: &Dfs) -> Result<Vec<(K, V)>> {
-        (self.reader)(dfs)
+        let mut out = Vec::new();
+        self.open(dfs)?(&mut |k, v| {
+            out.push((k.clone(), v.clone()));
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 
 /// One split per block of the file (or directory) at `path`, laid out from
-/// the file headers; the map attempt that reads a split fetches and checks
-/// that block, and `records` decodes it.
+/// the file headers; the map attempt that opens a split fetches and checks
+/// that block, and `decode` visits its records.
 fn block_input<K: Value, V: Value>(
     dfs: &Dfs,
     path: &str,
-    records: DecodeFn<K, V>,
+    decode: DecodeFn<K, V>,
 ) -> Result<Vec<SplitSource<K, V>>> {
-    let split = |block: dfs::BlockSplit| SplitSource {
+    let split = |block: BlockSplit| SplitSource {
         tag: block.path.clone(),
         node_hint: Some(block.node),
         size_hint: block.len,
-        reader: Box::new(move |dfs| records(&block, &dfs.read_block(&block)?)),
+        records: Records::Block(block, decode),
     };
     Ok(dfs.splits(path)?.into_iter().map(split).collect())
 }
@@ -63,12 +92,16 @@ fn block_input<K: Value, V: Value>(
 /// One split per block of a text file (or directory): records are
 /// `(byte offset, line)` — Hadoop's `TextInputFormat`.
 pub fn text_input(dfs: &Dfs, path: &str) -> Result<Vec<SplitSource<u64, String>>> {
-    block_input(dfs, path, dfs::text_records)
+    block_input(dfs, path, |block, data, visit| {
+        dfs::text_lines(&block.path, block.offset, data, |at, line| visit(&at, line))
+    })
 }
 
 /// One split per block of a sequence file (or directory).
 pub fn seq_input<K: Value, V: Value>(dfs: &Dfs, path: &str) -> Result<Vec<SplitSource<K, V>>> {
-    block_input(dfs, path, |_, data| dfs::seq_records(data))
+    block_input(dfs, path, |_, data, visit| {
+        dfs::seq_records(data, |k, v| visit(&k, &v))
+    })
 }
 
 /// Partition in-memory records into `n` splits round-robin — a convenience
@@ -124,6 +157,23 @@ mod tests {
             .map(|s| s.read(&dfs).unwrap().len())
             .sum();
         assert_eq!(total, 10);
+    }
+
+    /// `\n` or `\r\n` ends a line for every text reader: the driver's
+    /// `read_text` and the map side's splits read the same lines, and no
+    /// `\r` reaches a mapper.
+    #[test]
+    fn read_text_and_text_splits_read_crlf_lines_alike() {
+        let dfs = Dfs::new(2, 16);
+        let lines = ["7\tx\r", "", "8\ty\r", "\r", "9\tz"];
+        dfs.write_text("/crlf", lines).unwrap();
+        let split_lines: Vec<String> = text_input(&dfs, "/crlf")
+            .unwrap()
+            .iter()
+            .flat_map(|s| s.read(&dfs).unwrap().into_iter().map(|(_, line)| line))
+            .collect();
+        assert_eq!(split_lines, ["7\tx", "", "8\ty", "", "9\tz"]);
+        assert_eq!(dfs.read_text("/crlf").unwrap(), split_lines);
     }
 
     #[test]

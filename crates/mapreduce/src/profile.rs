@@ -18,7 +18,7 @@
 //!   checkable.
 //! * **Busy attribution** (`profile.busy.*`) — time (and bytes) summed
 //!   across task attempts and worker processes: user map/reduce execution,
-//!   spill encode, shuffle transport (parking and fetching runs: a pointer
+//!   spill sort, shuffle transport (parking and fetching runs: a pointer
 //!   copy, a bounded-channel send, or run-file I/O), regroup/merge work. Busy time
 //!   may exceed the enclosing wall window when threads overlap; it explains
 //!   *where* a wall window went rather than partitioning it.
@@ -52,11 +52,11 @@ pub const WALL_COMMIT_US: &str = "profile.wall.commit_us";
 /// merging) after the reduce outputs are committed. Microseconds.
 pub const WALL_FINALIZE_US: &str = "profile.wall.finalize_us";
 
-/// Busy time inside user map functions (attempt execution minus spill
-/// encode), summed over attempts. Microseconds.
+/// Busy time inside user map functions and encoding their output at emit
+/// (attempt execution minus spill), summed over attempts. Microseconds.
 pub const BUSY_MAP_EXEC_US: &str = "profile.busy.map_exec_us";
-/// Busy time sorting/combining/encoding map output into spill runs, summed
-/// over attempts. Microseconds.
+/// Busy time sorting buffered map output and copying it into spill runs
+/// (decoding and combining it too, with a combiner). Microseconds.
 pub const BUSY_SPILL_US: &str = "profile.busy.spill_us";
 /// Encoded bytes written into spill runs, summed over attempts.
 pub const BUSY_SPILL_BYTES: &str = "profile.busy.spill_bytes";

@@ -77,7 +77,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::backend::Transport;
 use crate::cluster::ClusterConfig;
-use crate::codec::{write_varint, ByteReader, Codec};
+use crate::codec::{read_varint, write_varint, ByteReader, Codec};
 use crate::counters::Counters;
 use crate::dfs::{check_crc, read_at, Crc32, Dfs};
 use crate::engine::{At, Cluster, JobRun, MapTaskOut, ReduceTaskOut};
@@ -235,29 +235,22 @@ fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// overflowing varint, a length beyond [`MAX_FRAME`], a mid-frame EOF —
 /// is a transport error.
 fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
+    let mut head = Vec::with_capacity(10);
     loop {
         let mut byte = [0u8; 1];
         match r.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && shift == 0 => return Ok(None),
+            Ok(()) => head.push(byte[0]),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && head.is_empty() => {
+                return Ok(None)
+            }
             Err(e) => return Err(pipe_err("read length", &e)),
         }
-        let b = byte[0];
-        let bits = u64::from(b & 0x7F);
-        if shift == 63 && bits > 1 {
-            return Err(MrError::Codec("frame length varint overflows u64".into()));
-        }
-        len |= bits << shift;
-        if b & 0x80 == 0 {
+        // Past ten bytes the varint is overlong, and `read_varint` says so.
+        if byte[0] & 0x80 == 0 || head.len() > 10 {
             break;
         }
-        shift += 7;
-        if shift > 63 {
-            return Err(MrError::Codec("frame length varint too long".into()));
-        }
     }
+    let len = read_varint(&mut ByteReader::new(&head))?;
     if len > MAX_FRAME {
         return Err(MrError::Codec(format!(
             "frame length {len} exceeds cap {MAX_FRAME}"

@@ -63,25 +63,31 @@ impl<K: Value, V: Value> RunCursor<K, V> {
 
     /// Decode the next pair into `head` (or leave `None` at end).
     fn advance(&mut self) -> Result<()> {
-        if self.remaining == 0 {
-            self.head = None;
-            return Ok(());
+        self.head = None;
+        if self.remaining > 0 {
+            let mut r = ByteReader::new(&self.data[self.pos..]);
+            self.head = Some((K::decode(&mut r)?, V::decode(&mut r)?));
+            self.pos += r.position();
+            self.remaining -= 1;
         }
-        let slice = &self.data[self.pos..];
-        let mut r = ByteReader::new(slice);
-        let k = K::decode(&mut r)?;
-        let v = V::decode(&mut r)?;
-        self.pos += r.position();
-        self.remaining -= 1;
-        self.head = Some((k, v));
         Ok(())
     }
+}
+
+/// The first cursor holding the smallest head key.
+fn min_index<K, V>(cursors: &[RunCursor<K, V>], cmp: &SortCmp<K>) -> Option<usize> {
+    let heads = cursors.iter().enumerate();
+    let heads = heads.filter_map(|(i, c)| Some((i, &c.head.as_ref()?.0)));
+    heads.min_by(|a, b| cmp(a.1, b.1)).map(|(i, _)| i)
 }
 
 /// K-way merge over sorted runs, with one-pair lookahead for grouping.
 pub struct MergeStream<K: Value, V: Value> {
     cursors: Vec<RunCursor<K, V>>,
     cmp: SortCmp<K>,
+    /// The cursor holding the smallest key (the lowest such cursor among
+    /// equal keys); `None` once every run is consumed.
+    min: Option<usize>,
     /// Pairs handed out so far.
     records_read: u64,
 }
@@ -89,50 +95,31 @@ pub struct MergeStream<K: Value, V: Value> {
 impl<K: Key, V: Value> MergeStream<K, V> {
     /// Build a merge over the given runs using the job's sort comparator.
     pub fn new(runs: Vec<Run>, cmp: SortCmp<K>) -> Result<Self> {
-        let mut cursors = Vec::with_capacity(runs.len());
-        for run in runs {
-            let c = RunCursor::new(run)?;
-            if c.head.is_some() {
-                cursors.push(c);
-            }
-        }
+        let cursors: Result<Vec<_>> = runs.into_iter().map(RunCursor::new).collect();
+        let cursors = cursors?;
         Ok(MergeStream {
+            min: min_index(&cursors, &cmp),
             cursors,
             cmp,
             records_read: 0,
         })
     }
 
-    fn min_index(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, c) in self.cursors.iter().enumerate() {
-            let Some((k, _)) = &c.head else { continue };
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let (bk, _) = self.cursors[b].head.as_ref().expect("head");
-                    if (self.cmp)(k, bk) == std::cmp::Ordering::Less {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// The smallest key not yet consumed.
     pub fn peek_key(&self) -> Option<&K> {
-        self.min_index()
+        self.min
             .map(|i| &self.cursors[i].head.as_ref().expect("head").0)
     }
 
-    /// Pop the smallest pair.
+    /// Pop the smallest pair; the one scan of the cursors finds the next.
     pub fn next_pair(&mut self) -> Result<Option<(K, V)>> {
-        let Some(i) = self.min_index() else {
+        let Some(i) = self.min else {
             return Ok(None);
         };
         let pair = self.cursors[i].head.take().expect("head");
-        self.cursors[i].advance()?;
+        let advanced = self.cursors[i].advance();
+        self.min = min_index(&self.cursors, &self.cmp);
+        advanced?;
         self.records_read += 1;
         Ok(Some(pair))
     }
@@ -169,14 +156,8 @@ impl<'s, K: Key, V: Value> GroupValues<'s, K, V> {
     /// Consume any records the reducer left unread, so the engine can move
     /// to the next group. Returns a decode error if one occurred.
     pub fn drain(mut self) -> Result<u64> {
-        let mut skipped = 0;
-        while self.next().is_some() {
-            skipped += 1;
-        }
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(skipped),
-        }
+        let skipped = self.by_ref().count() as u64;
+        self.error.take().map_or(Ok(skipped), Err)
     }
 }
 
@@ -184,25 +165,16 @@ impl<K: Key, V: Value> Iterator for GroupValues<'_, K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        if self.done {
-            return None;
-        }
-        let belongs = match self.stream.peek_key() {
-            Some(k) => (self.group_eq)(&self.group_key, k),
-            None => false,
-        };
-        if !belongs {
+        let next_key = self.stream.peek_key().filter(|_| !self.done);
+        if !next_key.is_some_and(|k| (self.group_eq)(&self.group_key, k)) {
             self.done = true;
             return None;
         }
-        match self.stream.next_pair() {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.error = Some(e);
-                self.done = true;
-                None
-            }
-        }
+        self.stream.next_pair().unwrap_or_else(|e| {
+            self.error = Some(e);
+            self.done = true;
+            None
+        })
     }
 }
 
@@ -223,12 +195,8 @@ pub fn sort_and_combine<K: Key, V: Value>(
     let mut iter = pairs.into_iter().peekable();
     while let Some((key, first)) = iter.next() {
         let mut group = vec![first];
-        while let Some((k, _)) = iter.peek() {
-            if cmp(&key, k) == std::cmp::Ordering::Equal {
-                group.push(iter.next().expect("peeked").1);
-            } else {
-                break;
-            }
+        while let Some((_, v)) = iter.next_if(|(k, _)| cmp(&key, k).is_eq()) {
+            group.push(v);
         }
         *combine_in += group.len() as u64;
         let combined = combine(&key, group);

@@ -134,6 +134,16 @@ impl TaskContext {
 pub trait Emit<K, V> {
     /// Emit one pair.
     fn emit(&mut self, key: K, value: V) -> Result<()>;
+
+    /// Emit a pair the caller keeps (one value under many keys, say). The
+    /// engine's collectors encode it from the references; the default clones.
+    fn emit_ref(&mut self, key: &K, value: &V) -> Result<()>
+    where
+        K: Clone,
+        V: Clone,
+    {
+        self.emit(key.clone(), value.clone())
+    }
 }
 
 /// An [`Emit`] implementation that collects pairs into a vector — useful in

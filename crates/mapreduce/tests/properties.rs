@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use mapreduce::{
-    mem_input, schedule, text_input, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Codec,
-    Dfs, Emit, Job, JobManifest, ManifestCheck, SimTask, SpaceSaving, TaskContext, SLOTS_PER_NODE,
+    mem_input, natural_sort, schedule, text_input, ClosureMapper, ClosureReducer, Cluster,
+    ClusterConfig, Codec, Dfs, Emit, Job, JobManifest, ManifestCheck, MergeStream, Run, SimTask,
+    SpaceSaving, TaskContext, SLOTS_PER_NODE,
 };
 
 // ---------------------------------------------------------------------------
@@ -15,7 +16,6 @@ use mapreduce::{
 
 fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: &T) -> Result<(), TestCaseError> {
     let bytes = v.to_bytes();
-    prop_assert_eq!(bytes.len(), v.encoded_len());
     let back = T::from_bytes(&bytes).expect("decode");
     prop_assert_eq!(&back, v);
     Ok(())
@@ -82,6 +82,49 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// merge
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Over sorted runs that share keys, the merge yields exactly a stable
+    /// sort of the runs' concatenation (equal keys in run order, the
+    /// `(map task, spill)` order the reduce side relies on), and `peek_key`
+    /// always names the key the next `next_pair` returns.
+    #[test]
+    fn merge_is_a_stable_sort_of_its_runs(
+        runs in prop::collection::vec(prop::collection::vec(0u32..6, 0..12), 0..7),
+    ) {
+        let runs: Vec<Vec<(u32, (u32, u32))>> = runs
+            .into_iter()
+            .enumerate()
+            .map(|(r, mut keys)| {
+                keys.sort_unstable();
+                let tag = |(i, k)| (k, (r as u32, i as u32));
+                keys.into_iter().enumerate().map(tag).collect()
+            })
+            .collect();
+        let mut expected = runs.concat();
+        expected.sort_by_key(|(k, _)| *k);
+        let encoded = runs.iter().map(|run| Run::encode(run)).collect();
+        let mut merge = MergeStream::<u32, (u32, u32)>::new(encoded, natural_sort()).unwrap();
+        let mut merged = Vec::new();
+        loop {
+            let peeked = merge.peek_key().copied();
+            let next = merge.next_pair().unwrap();
+            prop_assert_eq!(peeked, next.as_ref().map(|(k, _)| *k));
+            match next {
+                Some(pair) => merged.push(pair),
+                None => break,
+            }
+        }
+        prop_assert_eq!(merge.records_read(), expected.len() as u64);
+        prop_assert_eq!(merged, expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // DFS
 // ---------------------------------------------------------------------------
 
@@ -99,11 +142,10 @@ proptest! {
         let dfs = Dfs::new(nodes, block_size);
         dfs.write_text("/f", &lines).unwrap();
         prop_assert_eq!(dfs.read_text("/f").unwrap(), lines.clone());
-        let total: usize = dfs
-            .splits("/f")
+        let total: usize = text_input(&dfs, "/f")
             .unwrap()
             .iter()
-            .map(|s| mapreduce::dfs::text_records(s, &dfs.read_block(s).unwrap()).unwrap().len())
+            .map(|s| s.read(&dfs).unwrap().len())
             .sum();
         prop_assert_eq!(total, lines.len());
     }
