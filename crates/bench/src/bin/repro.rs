@@ -7,11 +7,12 @@
 //! REPRO_BASE=5000 cargo run --release -p fuzzyjoin-bench --bin repro -- fig8
 //! ```
 //!
-//! Reported times are simulated cluster seconds (see `mapreduce::cluster`);
+//! Reported times are modelled cluster seconds (see `fuzzyjoin::model`);
 //! the paper's absolute numbers came from a 10-node hardware cluster, so
 //! only the *shapes* — which algorithm wins, how curves bend — are
 //! comparable.
 
+use fuzzyjoin::model::sim_secs;
 use fuzzyjoin::{
     stage1, stage2, stage3, JoinConfig, JoinOutcome, Stage1Algo, Stage2Algo, Stage3Algo, Threshold,
     TokenRouting,
@@ -164,17 +165,17 @@ fn table1() {
         // Stage 1 alternatives.
         let cfg = mk(Stage1Algo::Bto, Stage2Algo::Bk, Stage3Algo::Brj);
         let (tokens, m) = stage1::run(&cluster, "/dblp", &cfg, "/w-bto").expect("bto");
-        bto.push(m.sim_secs());
+        bto.push(sim_secs(&m));
         let cfg_o = JoinConfig {
             stage1: Stage1Algo::Opto,
             ..cfg.clone()
         };
         let (_, m) = stage1::run(&cluster, "/dblp", &cfg_o, "/w-opto").expect("opto");
-        opto.push(m.sim_secs());
+        opto.push(sim_secs(&m));
 
         // Stage 2 alternatives (over BTO's token list).
         let (_, m) = stage2::run_self(&cluster, "/dblp", &tokens, &cfg, "/w-bk").expect("bk");
-        bk.push(m.sim_secs());
+        bk.push(sim_secs(&m));
         let cfg_pk = mk(
             Stage1Algo::Bto,
             Stage2Algo::Pk {
@@ -184,18 +185,18 @@ fn table1() {
         );
         let (pairs, m) =
             stage2::run_self(&cluster, "/dblp", &tokens, &cfg_pk, "/w-pk").expect("pk");
-        pk.push(m.sim_secs());
+        pk.push(sim_secs(&m));
 
         // Stage 3 alternatives (over PK's RID pairs).
         let (_, m) = stage3::run_self(&cluster, "/dblp", &pairs, &cfg_pk, "/w-brj").expect("brj");
-        brj.push(m.sim_secs());
+        brj.push(sim_secs(&m));
         let cfg_oprj = JoinConfig {
             stage3: Stage3Algo::Oprj,
             ..cfg_pk
         };
         let (_, m) =
             stage3::run_self(&cluster, "/dblp", &pairs, &cfg_oprj, "/w-oprj").expect("oprj");
-        oprj.push(m.sim_secs());
+        oprj.push(sim_secs(&m));
     }
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut push_row = |stage: &str, alg: &str, times: &[f64]| {
@@ -365,7 +366,7 @@ fn groups() {
             let (tokens, _) = stage1::run(&cluster, "/dblp", &config, "/w").expect("stage1");
             let (_, m) =
                 stage2::run_self(&cluster, "/dblp", &tokens, &config, "/w2").expect("stage2");
-            if best.as_ref().is_none_or(|b| m.sim_secs() < b.sim_secs()) {
+            if best.as_ref().is_none_or(|b| sim_secs(&m) < sim_secs(b)) {
                 best = Some(m);
             }
         }
@@ -373,7 +374,7 @@ fn groups() {
         let job = &m.jobs[0];
         rows.push(vec![
             label,
-            secs(m.sim_secs()),
+            secs(sim_secs(&m)),
             job.shuffle_records.to_string(),
             job.reduce_input_groups.to_string(),
         ]);
@@ -549,7 +550,7 @@ fn blocks() {
                 let job = &m.jobs[0];
                 rows.push(vec![
                     name.to_string(),
-                    secs(m.sim_secs()),
+                    secs(sim_secs(&m)),
                     job.shuffle_bytes.to_string(),
                     job.counter("stage2.local_disk_bytes").to_string(),
                 ]);

@@ -3,8 +3,8 @@
 //! Every experiment follows the paper's protocol: generate the base
 //! corpora, increase them ×n with the token-shift technique, balance them
 //! across the simulated DFS, run the chosen algorithm combination, and
-//! report **simulated cluster seconds** (per-task measured durations
-//! list-scheduled onto the configured topology — see `mapreduce::cluster`).
+//! report **modelled cluster seconds** (per-task measured durations
+//! list-scheduled onto the configured topology — see `fuzzyjoin::model`).
 //!
 //! Scale is controlled by `REPRO_BASE` (base DBLP record count, default
 //! 2 000; the paper's base is 1.2 M — shapes, not absolute seconds, are the

@@ -22,8 +22,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod cluster;
 pub mod config;
 pub mod keys;
+pub mod model;
 mod named;
 pub mod pipeline;
 pub mod recovery;

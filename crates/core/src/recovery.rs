@@ -79,7 +79,7 @@ impl Recovery {
     ) -> Result<JobMetrics> {
         let fingerprint = job_fingerprint(cluster.dfs(), job_name, inputs, config_tag);
         if self.should_skip(cluster, job_name, dir, fingerprint) {
-            Ok(Self::skipped_job_metrics(job_name))
+            Ok(Self::skipped_job_metrics(job_name, cluster.config().nodes))
         } else {
             run(fingerprint)
         }
@@ -140,11 +140,12 @@ impl Recovery {
     }
 
     /// Placeholder metrics for a skipped job, so stage metrics stay
-    /// positionally comparable with a fresh run's. Carries the
-    /// [`JOB_SKIPPED_COUNTER`] marker and nothing else.
-    fn skipped_job_metrics(name: &str) -> JobMetrics {
+    /// positionally comparable with a fresh run's. Carries the topology,
+    /// the [`JOB_SKIPPED_COUNTER`] marker and nothing else.
+    fn skipped_job_metrics(name: &str, nodes: usize) -> JobMetrics {
         JobMetrics {
             name: name.to_string(),
+            nodes,
             counters: vec![(JOB_SKIPPED_COUNTER.to_string(), 1)],
             ..JobMetrics::default()
         }

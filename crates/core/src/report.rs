@@ -1,10 +1,10 @@
 //! Machine-readable run reports.
 //!
 //! A run report is a single JSON document summarizing an end-to-end join:
-//! per-stage, per-job simulated/wall time, shuffle volume, task and fault
-//! statistics, user counters, histogram percentiles, and the reduce-key
-//! heavy hitters (with `rank:N` labels resolved back to the actual prefix
-//! token via the stage-1 token list). It is what `--report`/`--metrics-json`
+//! per-stage, per-job modelled/wall time ([`crate::model`]), shuffle
+//! volume, task and fault statistics, user counters, histogram percentiles,
+//! and the reduce-key heavy hitters (with `rank:N` labels resolved back to
+//! the actual prefix token via the stage-1 token list). It is what `--report`/`--metrics-json`
 //! print and what the bench harness embeds in `BENCH_*.json` files.
 //!
 //! # Schema compatibility
@@ -19,6 +19,7 @@ use mapreduce::{
 };
 
 use crate::config::JoinConfig;
+use crate::model::{self, Schedule};
 use crate::pipeline::JoinOutcome;
 
 /// Identifies the document type (the `schema` field of every report).
@@ -30,6 +31,14 @@ pub const REPORT_SCHEMA_VERSION: u64 = 1;
 
 fn num(v: u64) -> Json {
     Json::Num(v as f64)
+}
+
+fn speculative_json((launched, won, killed): (u64, u64, u64)) -> Json {
+    obj(vec![
+        ("launched", num(launched)),
+        ("won", num(won)),
+        ("killed", num(killed)),
+    ])
 }
 
 fn histogram_json(h: &HistogramSnapshot) -> Json {
@@ -57,17 +66,18 @@ fn resolve_label(label: &str, tokens: Option<&[String]>) -> Option<String> {
 
 fn job_json(job: &JobMetrics, tokens: Option<&[String]>) -> Json {
     // Additive (no `v` bump): phase objects carry the *measured* wall
-    // window alongside the modeled makespan. `makespan_secs` is simulated
-    // schedule time, which on the sharded/process backends says nothing
-    // about how long the phase really took on this host; `wall_secs` is
-    // the driver-observed window from the per-phase profiler.
+    // window alongside the modelled makespan. `makespan_secs` is the
+    // model's schedule time, which says nothing about how long the phase
+    // really took on this host; `wall_secs` is the driver-observed window
+    // from the per-phase profiler. Task seconds are measured.
     let profile = JobProfile::from_metrics(job);
-    let phase = |p: &mapreduce::PhaseMetrics, wall_us: u64| {
+    let model = model::job(job);
+    let phase = |p: &mapreduce::PhaseMetrics, schedule: &Schedule, wall_us: u64| {
         obj(vec![
             ("tasks", num(p.tasks as u64)),
             ("total_task_secs", Json::Num(p.total_task_secs)),
             ("max_task_secs", Json::Num(p.max_task_secs)),
-            ("makespan_secs", Json::Num(p.makespan_secs)),
+            ("makespan_secs", Json::Num(schedule.makespan)),
             ("wall_secs", Json::Num(wall_us as f64 / 1e6)),
             ("skew", Json::Num(p.skew())),
         ])
@@ -101,24 +111,20 @@ fn job_json(job: &JobMetrics, tokens: Option<&[String]>) -> Json {
     );
     obj(vec![
         ("name", Json::Str(job.name.clone())),
-        ("sim_secs", Json::Num(job.sim_secs)),
+        ("sim_secs", Json::Num(model.sim_secs)),
         ("wall_secs", Json::Num(job.wall_secs)),
         ("shuffle_bytes", num(job.shuffle_bytes)),
         ("shuffle_records", num(job.shuffle_records)),
-        ("map", phase(&job.map, profile.wall_map_us)),
-        ("reduce", phase(&job.reduce, profile.wall_reduce_us)),
+        ("map", phase(&job.map, &model.map, profile.wall_map_us)),
+        (
+            "reduce",
+            phase(&job.reduce, &model.reduce, profile.wall_reduce_us),
+        ),
         ("reduce_input_groups", num(job.reduce_input_groups)),
         ("reduce_output_records", num(job.reduce_output_records)),
         ("task_retries", num(job.task_retries)),
-        ("backoff_secs", Json::Num(job.backoff_secs)),
-        (
-            "speculative",
-            obj(vec![
-                ("launched", num(job.speculative_launched)),
-                ("won", num(job.speculative_won)),
-                ("killed", num(job.speculative_killed)),
-            ]),
-        ),
+        ("backoff_secs", Json::Num(model.backoff_secs)),
+        ("speculative", speculative_json(model.speculative())),
         ("output_commits", num(job.output_commits)),
         ("output_aborts", num(job.output_aborts)),
         ("counters", counters),
@@ -132,7 +138,7 @@ fn job_json(job: &JobMetrics, tokens: Option<&[String]>) -> Json {
 fn stage_json(stage: u64, metrics: &PipelineMetrics, tokens: Option<&[String]>) -> Json {
     obj(vec![
         ("stage", num(stage)),
-        ("sim_secs", Json::Num(metrics.sim_secs())),
+        ("sim_secs", Json::Num(model::sim_secs(metrics))),
         ("wall_secs", Json::Num(metrics.wall_secs())),
         ("shuffle_bytes", num(metrics.shuffle_bytes())),
         (
@@ -149,7 +155,6 @@ fn stage_json(stage: u64, metrics: &PipelineMetrics, tokens: Option<&[String]>) 
 /// pass `None` to skip resolution. See [`run_report_resolved`] for the
 /// variant that reads the list from the DFS itself.
 pub fn run_report(outcome: &JoinOutcome, config: &JoinConfig, tokens: Option<&[String]>) -> Json {
-    let (launched, won, killed) = outcome.speculative();
     let config_json = obj(vec![
         ("threshold", Json::Str(format!("{:?}", config.threshold))),
         ("tokenizer", Json::Str(format!("{:?}", config.tokenizer))),
@@ -171,14 +176,7 @@ pub fn run_report(outcome: &JoinOutcome, config: &JoinConfig, tokens: Option<&[S
         ("task_retries", num(outcome.task_retries())),
         ("output_commits", num(outcome.output_commits())),
         ("output_aborts", num(outcome.output_aborts())),
-        (
-            "speculative",
-            obj(vec![
-                ("launched", num(launched)),
-                ("won", num(won)),
-                ("killed", num(killed)),
-            ]),
-        ),
+        ("speculative", speculative_json(outcome.speculative())),
     ]);
     // Additive (no `v` bump): resume decisions and data-integrity counters.
     let recovery = obj(vec![
@@ -256,7 +254,7 @@ mod tests {
         let mut stage2 = PipelineMetrics::default();
         stage2.push(JobMetrics {
             name: "stage2-pk".into(),
-            sim_secs: 2.0,
+            nodes: 1,
             shuffle_bytes: 640,
             shuffle_records: 40,
             task_retries: 1,

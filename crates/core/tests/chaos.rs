@@ -6,13 +6,19 @@
 //! injected across every job of every stage must leave the stage-2 RID
 //! pairs and the stage-3 joined output **bitwise identical** to a
 //! fault-free run, for both the BK and PK kernels in both self-join and
-//! R-S mode. The seed comes from `CHAOS_SEED` (CI sweeps several).
+//! R-S mode. The seed comes from `CHAOS_SEED` (CI sweeps several). A word
+//! count under stragglers and retries checks what the modelled cluster
+//! (`fuzzyjoin::model`) makes of them.
 
 use std::sync::Once;
 
 use fuzzyjoin::{
-    read_joined, read_rid_pairs, rs_join, self_join, BackendKind, Cluster, ClusterConfig,
+    model, read_joined, read_rid_pairs, rs_join, self_join, BackendKind, Cluster, ClusterConfig,
     FaultPlan, FilterConfig, JoinConfig, JoinOutcome, MrError, Stage2Algo,
+};
+use mapreduce::{
+    text_input, ClosureMapper, ClosureReducer, Emit, Job, JobMetrics, Phase, TaskContext,
+    HIST_MAP_TASK_SECS,
 };
 use setsim::oracle;
 
@@ -283,6 +289,101 @@ fn chaos_pipeline_survives_storage_storm_bitwise_identical() {
     let out = finished.expect("join never completed under the storage storm");
     assert_eq!(out, baseline, "storage storm changed the join result");
     assert!(injections > 0, "storm plan never fired");
+}
+
+/// A word-count cluster: `nodes` nodes, `attempts` attempts per task, and
+/// 256-byte blocks, so 400 lines make dozens of map tasks.
+fn wc_cluster(nodes: usize, attempts: usize, faults: Option<FaultPlan>) -> Cluster {
+    let config = ClusterConfig {
+        max_task_attempts: attempts,
+        faults,
+        backend: BackendKind::from_env(),
+        ..ClusterConfig::with_nodes(nodes)
+    };
+    Cluster::new(config, 256).unwrap()
+}
+
+/// Word count of `lines` whose map attempts below `flaky` fail: the sorted
+/// counts and the job's metrics.
+fn word_count(
+    cluster: &Cluster,
+    lines: &[String],
+    flaky: usize,
+) -> (Vec<(String, u64)>, JobMetrics) {
+    cluster.dfs().write_text("/in", lines).unwrap();
+    let mapper = ClosureMapper::new(
+        move |_: &u64, line: &String, out: &mut dyn Emit<String, u64>, ctx: &TaskContext| {
+            if ctx.attempt < flaky {
+                return Err(MrError::TaskFailed("a flaky first attempt".into()));
+            }
+            line.split_whitespace()
+                .try_for_each(|w| out.emit(w.to_string(), 1))
+        },
+    );
+    let reducer = ClosureReducer::new(
+        |k: &String,
+         vs: &mut dyn Iterator<Item = (String, u64)>,
+         out: &mut dyn Emit<String, u64>,
+         _: &TaskContext| out.emit(k.clone(), vs.map(|(_, n)| n).sum()),
+    );
+    let job = Job::new("wc", mapper, reducer)
+        .inputs(text_input(cluster.dfs(), "/in").unwrap())
+        .output_seq("/out");
+    let m = cluster.run(job).unwrap();
+    let mut counts: Vec<(String, u64)> = cluster.dfs().read_seq("/out").unwrap();
+    counts.sort();
+    (counts, m)
+}
+
+#[test]
+fn stragglers_are_speculated_and_speculation_pays() {
+    quiet_injected_panics();
+    let plan = FaultPlan {
+        p_straggler: 1.0,
+        straggler_factor: 200.0,
+        ..FaultPlan::quiet(chaos_seed())
+    };
+    let lines: Vec<String> = (0..400)
+        .map(|i| format!("alpha w{} w{} gamma", i % 23, i % 7))
+        .collect();
+    let (baseline, _) = word_count(&wc_cluster(3, 1, None), &lines, 0);
+
+    let (counts, m_spec) = word_count(&wc_cluster(3, 1, Some(plan)), &lines, 0);
+    let sim = model::job(&m_spec);
+    let (launched, won, killed) = sim.speculative();
+    assert_eq!(counts, baseline, "stragglers must not change output");
+    assert!(launched > 0, "every task straggles");
+    assert!(won > 0, "200x stragglers lose the race");
+    assert_eq!(killed, launched, "every race kills exactly one attempt");
+    // The engine never runs a backup: still one commit per task.
+    assert_eq!(m_spec.output_commits, m_spec.reduce.tasks as u64);
+    // Left to finish, each phase's slowest 200x primary alone would outlast
+    // the job the backups completed.
+    let primary = |phase| {
+        let tasks = m_spec.tasks.iter().filter(|t| t.phase == phase);
+        tasks.map(|t| t.secs * t.straggle).fold(0.0, f64::max)
+    };
+    assert!(
+        sim.sim_secs < primary(Phase::Map) + primary(Phase::Reduce),
+        "speculation must beat 200x stragglers: {sim:?}"
+    );
+}
+
+#[test]
+fn backoff_is_charged_to_simulated_time_only() {
+    quiet_injected_panics();
+    let start = std::time::Instant::now();
+    let (_, m) = word_count(&wc_cluster(2, 3, None), &["a b c".to_string()], 2);
+    let wall = start.elapsed().as_secs_f64();
+    let sim = model::job(&m);
+    assert_eq!(m.task_retries, 2);
+    assert!((sim.backoff_secs - 3.0).abs() < 1e-9, "1s, then 2s");
+    assert!(sim.sim_secs >= 3.0, "backoff lands in simulated time");
+    assert!(wall < 3.0, "…but never in real time");
+    // …nor in measured task seconds.
+    let map_secs = m.histogram(HIST_MAP_TASK_SECS).unwrap();
+    assert!(m.map.max_task_secs < 1.0, "{:?}", m.map);
+    assert!(map_secs.max < 1.0, "{map_secs:?}");
 }
 
 /// Hidden worker entry for `MR_BACKEND=process`: the driver re-spawns this

@@ -1,13 +1,13 @@
 //! Execution backends: one task runner, three shuffle transports.
 //!
 //! [`Cluster::run`](crate::Cluster::run) is a backend-neutral driver
-//! (validation, recovery scavenging, the commit protocol, the time model,
-//! metrics) around the middle that [`execute`] owns. Every backend runs
-//! that middle through the same function, [`run_phases`]: *run the map
-//! tasks, regroup their spill runs per reduce partition, run the reduce
-//! tasks*, on the same retrying task pool. The only thing that varies is
-//! the [`Transport`] — how a winning map attempt's runs are parked and how
-//! a reduce attempt gets them back:
+//! (validation, recovery scavenging, the commit protocol, metrics) around
+//! the middle that [`execute`] owns. Every backend runs that middle through
+//! the same function, [`run_phases`]: *run the map tasks, regroup their
+//! spill runs per reduce partition, run the reduce tasks*, on the same
+//! retrying task pool. The only thing that varies is the [`Transport`] —
+//! how a winning map attempt's runs are parked and how a reduce attempt
+//! gets them back:
 //!
 //! | backend | transport | parked form | where attempts run |
 //! |---|---|---|---|
@@ -34,18 +34,16 @@
 //! attempt — its trace span and its output commit or abort — so a worker
 //! process's attempts are traced and counted as the driver's own are.
 //!
-//! No backend changes the simulated clock: makespans are computed by the
-//! driver from per-task durations and the topology, so speedup/scaleup
-//! numbers are backend-independent by construction (wall-clock, of course,
-//! is not).
+//! Every backend reports the same [`crate::TaskRecord`]s but their measured
+//! seconds: the winning attempt, its node and its injected slow-down come
+//! from the same pure decisions everywhere. What a modelled cluster makes
+//! of the records is computed outside the engine (`fuzzyjoin::model`).
 
 use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
-use crate::engine::{
-    backoff_after, run_tasks, At, JobRun, MapStats, MapTaskOut, ReduceTaskOut, RetryStats,
-};
+use crate::engine::{run_tasks, At, JobRun, MapStats, MapTaskOut, ReduceTaskOut};
 use crate::error::{MrError, Result};
 use crate::mapper::Mapper;
 use crate::profile;
@@ -125,8 +123,7 @@ impl std::fmt::Display for BackendKind {
 /// protocol around it. Both output lists are in task order.
 pub(crate) struct ExecOutcome {
     pub(crate) map_outs: Vec<MapStats>,
-    pub(crate) map_stats: RetryStats,
-    pub(crate) reduce_result: Result<(Vec<ReduceTaskOut>, RetryStats)>,
+    pub(crate) reduce_result: Result<Vec<ReduceTaskOut>>,
 }
 
 /// How spill runs travel from the map attempt that produced them to the
@@ -301,24 +298,23 @@ where
     let exec_start = Instant::now();
     let shuffle = &*transport;
     let map_tasks = (0..run.job.inputs.len()).collect();
-    let map_io = |o: &MapTaskOut<T::Parked>| (o.stats.input_bytes, o.stats.output_records);
-    let (mut map_outs, map_stats) =
-        run_tasks(map_tasks, threads, max_attempts, |&task, attempt| {
-            let at = run.at(Phase::Map, task, attempt);
-            recorded(run, at, map_io, || match shuffle.remote_map(at)? {
-                Some(out) => Ok(out),
-                None => Watchdog::supervised(watchdog, at, || {
-                    run.map_task(at, |runs| shuffle.park(task, attempt, runs))
-                }),
-            })
-        })?;
+    let map_io = |o: &MapTaskOut<T::Parked>| (o.stats.record.input_bytes, o.stats.output_records);
+    let mut map_outs = run_tasks(map_tasks, threads, max_attempts, |&task, attempt| {
+        let at = run.at(Phase::Map, task, attempt);
+        recorded(run, at, map_io, || match shuffle.remote_map(at)? {
+            Some(out) => Ok(out),
+            None => Watchdog::supervised(watchdog, at, || {
+                run.map_task(at, |runs| shuffle.park(task, attempt, runs))
+            }),
+        })
+    })?;
     let map_done = exec_start.elapsed().as_secs_f64();
 
     // Regroup: visit map outputs in task order and each task's runs in
     // spill order — the canonical run presentation order, whichever order
     // the tasks finished in.
     transport.seal();
-    map_outs.sort_by_key(|o| o.stats.task_id);
+    map_outs.sort_by_key(|o| o.stats.record.task);
     let mut partitions: Vec<Vec<T::Parked>> = (0..run.num_reducers).map(|_| Vec::new()).collect();
     let mut map_outs_stats = Vec::with_capacity(map_outs.len());
     for out in map_outs {
@@ -337,7 +333,7 @@ where
         max_attempts,
         |&(task, ref parked), attempt| {
             let at = run.at(Phase::Reduce, task, attempt);
-            let reduce_io = |o: &ReduceTaskOut| (o.input_bytes, o.output_records);
+            let reduce_io = |o: &ReduceTaskOut| (o.record.input_bytes, o.output_records);
             recorded(run, at, reduce_io, || {
                 match shuffle.remote_reduce(at, parked)? {
                     Some(out) => Ok(out),
@@ -348,9 +344,9 @@ where
             })
         },
     )
-    .map(|(mut outs, stats)| {
-        outs.sort_by_key(|o| o.task_id);
-        (outs, stats)
+    .map(|mut outs| {
+        outs.sort_by_key(|o| o.record.task);
+        outs
     });
     let reduce_done = exec_start.elapsed().as_secs_f64();
     let counters = &run.counters;
@@ -361,17 +357,16 @@ where
     counters.add_secs(profile::WALL_REDUCE_US, reduce_done - regroup_done);
     Ok(ExecOutcome {
         map_outs: map_outs_stats,
-        map_stats,
         reduce_result,
     })
 }
 
 /// One attempt as the driver records it, wherever `body` runs it. With a
 /// sink, `body` is bracketed by a `task_start` and exactly one `task_end`
-/// (fault label, outcome, error, pending backoff, the attempt's `io`). A
-/// reduce attempt of a job with output then counts and traces its `commit`
-/// or `abort` (a lost worker's attempt aborts too; the job commit sweeps
-/// its `_attempt-*` file), so events equal counters on every backend.
+/// (fault label, outcome, error, the attempt's `io`). A reduce attempt of a
+/// job with output then counts and traces its `commit` or `abort` (a lost
+/// worker's attempt aborts too; the job commit sweeps its `_attempt-*`
+/// file), so events equal counters on every backend.
 fn recorded<M, R, O>(
     run: &JobRun<'_, M, R>,
     at: At,
@@ -415,10 +410,6 @@ where
                 Err(MrError::TaskPanicked(message)) => (Outcome::Panicked, Some(message.clone())),
                 Err(e) => (Outcome::Failed, Some(e.to_string())),
             };
-            if let Err(e) = &result {
-                let retried = e.is_transient() && attempt + 1 < config.max_task_attempts;
-                end.backoff_us = retried.then(|| (backoff_after(attempt) * 1e6) as u64);
-            }
             (end.outcome, end.error) = (Some(outcome), error);
             sink.emit(end);
             result

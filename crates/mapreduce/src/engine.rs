@@ -1,5 +1,5 @@
 //! The job executor: map phase, spill/combine, shuffle, merge, reduce phase,
-//! and the cluster time model.
+//! and the record of what ran — one [`TaskRecord`] per committed task.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -8,7 +8,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::backend::{self, BackendKind};
-use crate::cluster::{schedule, transfer_secs, ClusterConfig, Schedule, SimTask};
+use crate::cluster::ClusterConfig;
 use crate::codec::ByteReader;
 use crate::codec_struct;
 use crate::counters::Counters;
@@ -20,7 +20,7 @@ use crate::kv::{Key, Value};
 use crate::manifest::{success_path, JobManifest};
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
-use crate::metrics::{JobMetrics, PhaseMetrics};
+use crate::metrics::{JobMetrics, PhaseMetrics, TaskRecord};
 use crate::partitioner::{PartitionFn, SortCmp};
 use crate::profile::{self, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
@@ -36,8 +36,7 @@ use crate::trace::{
 /// A simulated shared-nothing cluster: a topology plus a DFS.
 ///
 /// `Cluster::run` executes a [`Job`] to completion and returns its
-/// [`JobMetrics`], including the simulated time the job would take on the
-/// configured topology (see [`crate::cluster`] for the model).
+/// [`JobMetrics`], with one [`TaskRecord`] per committed task.
 pub struct Cluster {
     config: ClusterConfig,
     dfs: Dfs,
@@ -117,8 +116,8 @@ impl Cluster {
     /// Attach a trace sink; every subsequent job records span events per
     /// `(job, phase, task, attempt)` into it. The driver emits every event,
     /// whichever backend ran the attempt, outside the timed window of each
-    /// attempt, so tracing is never charged to simulated time and task
-    /// outputs are unaffected.
+    /// attempt, so tracing is never charged to measured task seconds and
+    /// task outputs are unaffected.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.trace = Some(sink);
     }
@@ -173,14 +172,12 @@ impl Cluster {
             outcome.reduce_result,
         )?;
         counters.add_since(profile::WALL_COMMIT_US, commit_start);
-        let map = (outcome.map_outs, outcome.map_stats);
         Ok(self.finalize(
             &job.name,
             wall_start,
             counters,
             &run.histograms,
-            map,
-            reduce,
+            (&outcome.map_outs, &reduce),
         ))
     }
 
@@ -227,8 +224,8 @@ impl Cluster {
         &self,
         (job_name, job_seq, fingerprint): (&str, usize, u64),
         dir: Option<&str>,
-        reduce_result: Result<(Vec<ReduceTaskOut>, RetryStats)>,
-    ) -> Result<(Vec<ReduceTaskOut>, RetryStats)> {
+        reduce_result: Result<Vec<ReduceTaskOut>>,
+    ) -> Result<Vec<ReduceTaskOut>> {
         let reduce = match reduce_result {
             Ok(reduce) => reduce,
             Err(e) => {
@@ -283,35 +280,6 @@ impl Cluster {
         Ok(reduce)
     }
 
-    /// The cluster time model: measured per-task durations, scheduled onto
-    /// the configured topology — map tasks beside their input blocks,
-    /// reduce tasks behind the transfer of their partition.
-    fn time_model(&self, map_outs: &[MapStats], reduce_outs: &[ReduceTaskOut]) -> [Schedule; 2] {
-        let nodes = self.config.nodes;
-        let map_tasks: Vec<SimTask> = map_outs
-            .iter()
-            .map(|o| SimTask {
-                duration: o.duration,
-                expected: o.base_duration,
-                node_hint: o.node_hint.map(|n| n % nodes),
-                input_bytes: o.input_bytes,
-            })
-            .collect();
-        let reduce_tasks: Vec<SimTask> = reduce_outs
-            .iter()
-            .map(|o| {
-                let transfer = transfer_secs(o.input_bytes);
-                SimTask {
-                    duration: transfer + o.duration,
-                    expected: transfer + o.base_duration,
-                    node_hint: None,
-                    input_bytes: 0,
-                }
-            })
-            .collect();
-        [schedule(&map_tasks, nodes), schedule(&reduce_tasks, nodes)]
-    }
-
     /// Histograms and heavy hitters, built from winning-attempt outputs
     /// only, so the distributions are deterministic even when fault
     /// injection retries attempts. Warns (stderr, counter, trace event)
@@ -328,13 +296,13 @@ impl Cluster {
     ) -> (Vec<(String, HistogramSnapshot)>, Vec<(String, u64)>) {
         let map_secs = Histogram::new();
         for o in map_outs {
-            map_secs.record(o.duration);
+            map_secs.record(o.record.secs);
         }
         let reduce_secs = Histogram::new();
         let mut group_records = HistogramSnapshot::default();
         let mut key_counts: Option<SpaceSaving<String>> = None;
         for o in reduce_outs {
-            reduce_secs.record(o.duration);
+            reduce_secs.record(o.record.secs);
             group_records.merge(&o.group_records);
             if let Some(tk) = &o.key_counts {
                 key_counts
@@ -375,90 +343,38 @@ impl Cluster {
         (job_histograms, heavy_hitters)
     }
 
-    /// Speculative races live on the simulated timeline; export them as
-    /// synthetic spans in a dedicated trace process.
-    fn trace_races(&self, job_name: &str, phase: Phase, schedule: &Schedule) {
-        let Some(t) = &self.trace else { return };
-        for race in &schedule.races {
-            let mut e = TraceEvent::new(EventKind::Speculative, job_name);
-            e.phase = Some(phase);
-            e.task = Some(race.task as u64);
-            e.dur_us = Some((race.backup_duration * 1e6) as u64);
-            e.detail = Some(if race.backup_won {
-                format!("backup won; primary needed {:.3}s", race.primary_duration)
-            } else {
-                format!(
-                    "backup killed; primary won in {:.3}s",
-                    race.primary_duration
-                )
-            });
-            t.emit_at(e, (race.backup_start * 1e6) as u64);
-        }
-    }
-
-    /// Turn the winning attempts' outputs into [`JobMetrics`]: the time
-    /// model (locality-aware map schedule, list-scheduled reduces,
-    /// speculation), the distributions, and the closing trace events.
+    /// Turn the winning attempts' outputs into [`JobMetrics`]: the task
+    /// records, the distributions, and the closing trace events.
     fn finalize(
         &self,
         name: &str,
         wall_start: Instant,
         counters: &Counters,
         histograms: &Histograms,
-        (map_outs, map_stats): (Vec<MapStats>, RetryStats),
-        (reduce_outs, reduce_stats): (Vec<ReduceTaskOut>, RetryStats),
+        (map_outs, reduce_outs): (&[MapStats], &[ReduceTaskOut]),
     ) -> JobMetrics {
         let finalize_start = Instant::now();
-        let config = &self.config;
-        let [map_schedule, reduce_schedule] = self.time_model(&map_outs, &reduce_outs);
         let shuffle_bytes = map_outs.iter().map(|o| o.shuffle_bytes).sum();
         let shuffle_records = map_outs.iter().map(|o| o.shuffle_records).sum();
         let (job_histograms, heavy_hitters) = self.distributions(
             name,
             counters,
             histograms,
-            (&map_outs, &reduce_outs),
+            (map_outs, reduce_outs),
             shuffle_records,
         );
-        self.trace_races(name, Phase::Map, &map_schedule);
-        self.trace_races(name, Phase::Reduce, &reduce_schedule);
-        let races = (map_schedule.races.len() + reduce_schedule.races.len()) as u64;
-        // Per-shard task counts (winning attempts), keyed by the
-        // deterministic node label — identical across backends.
-        let mut map_tasks_per_node = vec![0u64; config.nodes];
-        for o in &map_outs {
-            map_tasks_per_node[o.node % config.nodes] += 1;
-        }
-        let mut reduce_tasks_per_node = vec![0u64; config.nodes];
-        for o in &reduce_outs {
-            reduce_tasks_per_node[o.node % config.nodes] += 1;
-        }
-
+        let records = map_outs.iter().map(|o| o.record);
+        let tasks: Vec<TaskRecord> = records
+            .chain(reduce_outs.iter().map(|o| o.record))
+            .collect();
+        let (map_tasks, reduce_tasks) = tasks.split_at(map_outs.len());
         counters.add_since(profile::WALL_FINALIZE_US, finalize_start);
         let metrics = JobMetrics {
             name: name.to_string(),
-            map: PhaseMetrics {
-                tasks: map_outs.len(),
-                total_task_secs: map_outs.iter().map(|o| o.duration).sum(),
-                max_task_secs: map_outs.iter().map(|o| o.duration).fold(0.0, f64::max),
-                makespan_secs: map_schedule.makespan,
-            },
-            reduce: PhaseMetrics {
-                tasks: reduce_outs.len(),
-                total_task_secs: reduce_outs.iter().map(|o| o.duration).sum(),
-                max_task_secs: reduce_outs.iter().map(|o| o.duration).fold(0.0, f64::max),
-                makespan_secs: reduce_schedule.makespan,
-            },
-            map_local_tasks: map_schedule.local_tasks,
-            map_remote_tasks: map_schedule.remote_tasks,
-            map_tasks_per_node,
-            reduce_tasks_per_node,
-            task_retries: map_stats.retries + reduce_stats.retries,
-            backoff_secs: map_stats.backoff_secs + reduce_stats.backoff_secs,
-            speculative_launched: races,
-            speculative_won: map_schedule.won() + reduce_schedule.won(),
-            // Each race has one loser, and the loser is killed.
-            speculative_killed: races,
+            nodes: self.config.nodes,
+            map: PhaseMetrics::of(map_tasks),
+            reduce: PhaseMetrics::of(reduce_tasks),
+            task_retries: tasks.iter().map(|t| t.attempt as u64).sum(),
             output_commits: counters.value("mr.output.commits"),
             output_aborts: counters.value("mr.output.aborts"),
             scavenged_attempt_files: counters.value("mr.recovery.scavenged"),
@@ -473,22 +389,17 @@ impl Cluster {
             reduce_input_groups: reduce_outs.iter().map(|o| o.groups).sum(),
             reduce_input_records: reduce_outs.iter().map(|o| o.input_records).sum(),
             reduce_output_records: reduce_outs.iter().map(|o| o.output_records).sum(),
-            shuffle_transfer_secs: reduce_outs
-                .iter()
-                .map(|o| transfer_secs(o.input_bytes))
-                .fold(0.0, f64::max),
-            sim_secs: map_schedule.makespan + reduce_schedule.makespan,
             wall_secs: wall_start.elapsed().as_secs_f64(),
             counters: counters.snapshot(),
             histograms: job_histograms,
             reduce_key_heavy_hitters: heavy_hitters,
+            tasks,
         };
         if let Some(t) = &self.trace {
             let mut e = TraceEvent::new(EventKind::JobEnd, &metrics.name);
             e.dur_us = Some((metrics.wall_secs * 1e6) as u64);
             e.bytes = Some(shuffle_bytes);
             e.records = Some(shuffle_records);
-            e.detail = Some(format!("sim {:.3}s", metrics.sim_secs));
             t.emit(e);
             let prof = JobProfile::from_metrics(&metrics);
             let mut e = TraceEvent::new(EventKind::Profile, &metrics.name);
@@ -516,31 +427,6 @@ const HEAVY_HITTER_CAPACITY: usize = HEAVY_HITTER_TOP_K * 8;
 
 // ---- generic task pool ----------------------------------------------------
 
-/// Simulated backoff after a task's first failed attempt, and the cap it
-/// doubles up to. Charged to simulated time only: real execution retries
-/// immediately.
-const BACKOFF_BASE_SECS: f64 = 1.0;
-const BACKOFF_CAP_SECS: f64 = 60.0;
-
-/// Simulated seconds to wait after `failed_attempt` (0-based) fails: capped
-/// exponential, `min(cap, base * 2^attempt)`.
-pub(crate) fn backoff_after(failed_attempt: usize) -> f64 {
-    (BACKOFF_BASE_SECS * 2f64.powi(failed_attempt.min(62) as i32)).min(BACKOFF_CAP_SECS)
-}
-
-/// Accumulated retry accounting for one phase.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct RetryStats {
-    pub(crate) retries: u64,
-    pub(crate) backoff_secs: f64,
-}
-
-/// Task outputs that can absorb simulated time penalties (retry backoff).
-pub(crate) trait SimCharge {
-    /// Add `secs` of simulated delay to this task's completion time.
-    fn charge_sim(&mut self, secs: f64);
-}
-
 /// Render a caught panic payload as a message (`&str` and `String`
 /// payloads are preserved, anything else is opaque).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -565,27 +451,17 @@ fn panic_boundary<O>(body: impl FnOnce() -> Result<O>) -> Result<O> {
 /// re-executed only when the error is transient ([`MrError::is_transient`]),
 /// as a panicked attempt is — its [`panic_boundary`] has already turned the
 /// panic into [`MrError::TaskPanicked`]; permanent errors fail immediately.
-/// Every retry charges capped exponential backoff to the winning attempt's
-/// *simulated* time.
-fn run_with_retries<I, O: SimCharge>(
+/// A retry runs at once: there is no backoff to wait out on one host.
+fn run_with_retries<I, O>(
     item: &I,
     max_attempts: usize,
     f: &(impl Fn(&I, usize) -> Result<O> + Sync),
-) -> Result<(O, RetryStats)> {
-    let mut stats = RetryStats::default();
+) -> Result<O> {
     for attempt in 0..max_attempts {
         match f(item, attempt) {
-            Ok(mut out) => {
-                out.charge_sim(stats.backoff_secs);
-                stats.retries = attempt as u64;
-                return Ok((out, stats));
-            }
-            Err(e) => {
-                if !e.is_transient() || attempt + 1 == max_attempts {
-                    return Err(e);
-                }
-                stats.backoff_secs += backoff_after(attempt);
-            }
+            Ok(out) => return Ok(out),
+            Err(e) if !e.is_transient() || attempt + 1 == max_attempts => return Err(e),
+            Err(_) => {}
         }
     }
     unreachable!("retry loop always returns")
@@ -614,25 +490,24 @@ fn commit_with_retries(mut f: impl FnMut() -> Result<()>) -> Result<()> {
 
 /// Run `items` through `f` on up to `threads` worker threads with per-task
 /// retries, failing fast on the first exhausted task. Returns the outputs
-/// and the accumulated retry statistics.
+/// in completion order.
 pub(crate) fn run_tasks<I, O, F>(
     items: Vec<I>,
     threads: usize,
     max_attempts: usize,
     f: F,
-) -> Result<(Vec<O>, RetryStats)>
+) -> Result<Vec<O>>
 where
     I: Send,
-    O: Send + SimCharge,
+    O: Send,
     F: Fn(&I, usize) -> Result<O> + Sync,
 {
     if items.is_empty() {
-        return Ok((Vec::new(), RetryStats::default()));
+        return Ok(Vec::new());
     }
     let workers = threads.clamp(1, items.len());
     let queue: Mutex<Vec<I>> = Mutex::new(items.into_iter().rev().collect());
     let results: Mutex<Vec<O>> = Mutex::new(Vec::new());
-    let stats: Mutex<RetryStats> = Mutex::new(RetryStats::default());
     let error: Mutex<Option<MrError>> = Mutex::new(None);
     let work = || loop {
         if error.lock().is_some() {
@@ -641,12 +516,7 @@ where
         let item = queue.lock().pop();
         let Some(item) = item else { return };
         match run_with_retries(&item, max_attempts, &f) {
-            Ok((out, s)) => {
-                let mut stats = stats.lock();
-                stats.retries += s.retries;
-                stats.backoff_secs += s.backoff_secs;
-                results.lock().push(out);
-            }
+            Ok(out) => results.lock().push(out),
             Err(e) => {
                 error.lock().get_or_insert(e);
                 return;
@@ -664,7 +534,7 @@ where
     if let Some(e) = error.into_inner() {
         return Err(e);
     }
-    Ok((results.into_inner(), stats.into_inner()))
+    Ok(results.into_inner())
 }
 
 // ---- one job in flight -----------------------------------------------------
@@ -798,21 +668,37 @@ where
     }
 }
 
+/// The record of the winning attempt at `at`: it drew `fault`, read
+/// `input` (its node hint and bytes) and ran `secs`.
+fn task_record(
+    at: At,
+    fault: Option<Fault>,
+    (node_hint, input_bytes): (Option<usize>, u64),
+    secs: f64,
+) -> TaskRecord {
+    let (phase, task, attempt, node) = at;
+    let straggle = match fault {
+        Some(Fault::Straggle(factor)) => factor,
+        _ => 1.0,
+    };
+    TaskRecord {
+        phase,
+        task,
+        attempt,
+        node,
+        node_hint,
+        input_bytes,
+        secs,
+        straggle,
+    }
+}
+
 // ---- map side ---------------------------------------------------------------
 
 /// What the driver keeps of a winning map attempt once its runs are
-/// routed: timings, record counts and the shuffle volume it parked.
+/// routed: its task record, record counts and the shuffle volume it parked.
 pub(crate) struct MapStats {
-    pub(crate) task_id: usize,
-    /// Simulated task seconds: measured execution, inflated by injected
-    /// slow-downs and charged retry backoff.
-    pub(crate) duration: f64,
-    /// What a healthy attempt would have taken (speculation baseline).
-    pub(crate) base_duration: f64,
-    pub(crate) node_hint: Option<usize>,
-    /// Node label of the winning attempt (per-shard load accounting).
-    pub(crate) node: usize,
-    pub(crate) input_bytes: u64,
+    pub(crate) record: TaskRecord,
     pub(crate) input_records: u64,
     pub(crate) output_records: u64,
     pub(crate) spills: u64,
@@ -823,12 +709,7 @@ pub(crate) struct MapStats {
     pub(crate) shuffle_records: u64,
 }
 codec_struct!(MapStats {
-    task_id,
-    duration,
-    base_duration,
-    node_hint,
-    node,
-    input_bytes,
+    record,
     input_records,
     output_records,
     spills,
@@ -845,15 +726,6 @@ pub(crate) struct MapTaskOut<P> {
     pub(crate) runs: Vec<Vec<P>>,
 }
 codec_struct!(MapTaskOut<P> { stats, runs });
-
-impl<P> SimCharge for MapTaskOut<P> {
-    fn charge_sim(&mut self, secs: f64) {
-        // Backoff delays both the actual and the expected completion time,
-        // so it never triggers speculation by itself.
-        self.stats.duration += secs;
-        self.stats.base_duration += secs;
-    }
-}
 
 /// A partition's pairs since the last spill, back to back, and each one's
 /// `(key, offset, len)` in emission order (Hadoop's map output buffer).
@@ -994,8 +866,8 @@ where
     /// Run map attempt `at` behind its panic boundary and hand its spill
     /// runs to `park` — the shuffle transport's map side (see
     /// [`crate::backend::Transport::park`]). Parking happens after the
-    /// attempt's measured window closes, so it is never charged to
-    /// simulated time.
+    /// attempt's measured window closes, so it is never charged to the
+    /// attempt's measured seconds.
     pub(crate) fn map_task<P>(
         &self,
         at: At,
@@ -1009,7 +881,7 @@ where
         at: At,
         park: impl FnOnce(Vec<Vec<Run>>) -> Result<Vec<Vec<P>>>,
     ) -> Result<MapTaskOut<P>> {
-        let (_, task_id, attempt, node) = at;
+        let (_, task_id, attempt, _) = at;
         let split = &self.job.inputs[task_id];
         let mut mapper = self.job.mapper.clone();
         let start = Instant::now();
@@ -1052,10 +924,6 @@ where
             .get(profile::BUSY_SPILL_BYTES)
             .add(emitter.spill_bytes);
         counters.add_secs(profile::BUSY_MAP_EXEC_US, elapsed - emitter.spill_secs);
-        let straggle = match fault {
-            Some(Fault::Straggle(factor)) => factor,
-            _ => 1.0,
-        };
         // Shuffle transport, map side: the winning attempt's runs go wherever
         // this backend keeps them until the reduce phase.
         let park_start = Instant::now();
@@ -1066,12 +934,7 @@ where
             .add(emitter.spill_bytes);
         Ok(MapTaskOut {
             stats: MapStats {
-                task_id,
-                duration: elapsed * straggle,
-                base_duration: elapsed,
-                node_hint: split.node_hint,
-                node,
-                input_bytes: split.size_hint,
+                record: task_record(at, fault, (split.node_hint, split.size_hint), elapsed),
                 input_records,
                 output_records: emitter.output_records,
                 spills: emitter.spills,
@@ -1088,15 +951,7 @@ where
 // ---- reduce side -------------------------------------------------------------
 
 pub(crate) struct ReduceTaskOut {
-    pub(crate) task_id: usize,
-    /// Node label of the winning attempt (per-shard load accounting).
-    pub(crate) node: usize,
-    /// Simulated task seconds (measured, plus straggle inflation and
-    /// retry backoff).
-    pub(crate) duration: f64,
-    /// What a healthy attempt would have taken (speculation baseline).
-    pub(crate) base_duration: f64,
-    pub(crate) input_bytes: u64,
+    pub(crate) record: TaskRecord,
     pub(crate) groups: u64,
     pub(crate) input_records: u64,
     pub(crate) output_records: u64,
@@ -1107,11 +962,7 @@ pub(crate) struct ReduceTaskOut {
     pub(crate) key_counts: Option<SpaceSaving<String>>,
 }
 codec_struct!(ReduceTaskOut {
-    task_id,
-    node,
-    duration,
-    base_duration,
-    input_bytes,
+    record,
     groups,
     input_records,
     output_records,
@@ -1119,13 +970,6 @@ codec_struct!(ReduceTaskOut {
     group_records,
     key_counts,
 });
-
-impl SimCharge for ReduceTaskOut {
-    fn charge_sim(&mut self, secs: f64) {
-        self.duration += secs;
-        self.base_duration += secs;
-    }
-}
 
 /// Reduce-side output collector writing to the DFS.
 struct ReduceEmitter<K, V> {
@@ -1224,7 +1068,7 @@ where
         at: At,
         fetch: impl FnOnce() -> Result<Vec<Run>>,
     ) -> Result<ReduceTaskOut> {
-        let (_, task_id, attempt, node) = at;
+        let (_, task_id, attempt, _) = at;
         let counters = &self.counters;
         let fetch_start = Instant::now();
         let runs = fetch()?;
@@ -1271,7 +1115,7 @@ where
         let input_records = stream.records_read();
         let output_records = emitter.close()?;
         // The measured window ends here: commit bookkeeping and trace emission
-        // below are never charged to simulated time.
+        // below are never charged to the attempt's measured seconds.
         let elapsed = start.elapsed().as_secs_f64();
         if matches!(fault, Some(Fault::LateFail)) {
             // The attempt wrote its full output but died before committing —
@@ -1293,16 +1137,8 @@ where
                 &part_path(dir, task_id),
             )?;
         }
-        let straggle = match fault {
-            Some(Fault::Straggle(factor)) => factor,
-            _ => 1.0,
-        };
         Ok(ReduceTaskOut {
-            task_id,
-            node,
-            duration: elapsed * straggle,
-            base_duration: elapsed,
-            input_bytes,
+            record: task_record(at, fault, (None, input_bytes), elapsed),
             groups,
             input_records,
             output_records,
@@ -1317,21 +1153,13 @@ where
 mod tests {
     use super::*;
 
+    /// The attempt that succeeded.
     #[derive(Debug)]
     struct TestOut {
-        sim: f64,
+        attempt: usize,
     }
 
-    impl SimCharge for TestOut {
-        fn charge_sim(&mut self, secs: f64) {
-            self.sim += secs;
-        }
-    }
-
-    fn attempts_until<E>(
-        max_attempts: usize,
-        fail_with: E,
-    ) -> (Result<(TestOut, RetryStats)>, usize)
+    fn attempts_until<E>(max_attempts: usize, fail_with: E) -> (Result<TestOut>, usize)
     where
         E: Fn(usize) -> Option<MrError> + Sync,
     {
@@ -1340,7 +1168,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             match fail_with(attempt) {
                 Some(e) => Err(e),
-                None => Ok(TestOut { sim: 0.0 }),
+                None => Ok(TestOut { attempt }),
             }
         });
         (result, calls.load(Ordering::Relaxed))
@@ -1351,12 +1179,9 @@ mod tests {
         let (result, calls) = attempts_until(5, |attempt| {
             (attempt < 2).then(|| MrError::TaskFailed("flaky".into()))
         });
-        let (out, stats) = result.unwrap();
+        let out = result.unwrap();
         assert_eq!(calls, 3);
-        assert_eq!(stats.retries, 2);
-        // Exponential backoff charged to simulated time: 1s + 2s.
-        assert!((out.sim - 3.0).abs() < 1e-12);
-        assert!((stats.backoff_secs - 3.0).abs() < 1e-12);
+        assert_eq!(out.attempt, 2);
     }
 
     #[test]
@@ -1415,12 +1240,12 @@ mod tests {
         // The attempt's own boundary turns the panic into a transient error,
         // and the retry loop takes it from there.
         let calls = AtomicUsize::new(0);
-        let attempt = |_: &(), _| {
+        let attempt = |_: &(), attempt| {
             panic_boundary(|| {
                 if calls.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("user code exploded");
                 }
-                Ok(TestOut { sim: 0.0 })
+                Ok(TestOut { attempt })
             })
         };
         match run_with_retries(&(), 1, &attempt) {
@@ -1431,19 +1256,6 @@ mod tests {
         calls.store(0, Ordering::Relaxed);
         assert!(run_with_retries(&(), 2, &attempt).is_ok());
         assert_eq!(calls.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        assert_eq!(backoff_after(0), 1.0);
-        assert_eq!(backoff_after(1), 2.0);
-        assert_eq!(backoff_after(5), 32.0);
-        assert_eq!(backoff_after(6), BACKOFF_CAP_SECS, "capped");
-        assert_eq!(
-            backoff_after(100),
-            BACKOFF_CAP_SECS,
-            "huge attempt counts saturate"
-        );
     }
 
     use crate::codec::Codec;

@@ -39,7 +39,7 @@ pub enum MrError {
     /// attempt boundary and the payload message preserved.
     TaskPanicked(String),
     /// The simulated node running the task went down mid-attempt (fault
-    /// injection); the attempt is lost and re-scheduled elsewhere.
+    /// injection); the attempt is lost and retried elsewhere.
     NodeLost {
         /// The node that failed.
         node: usize,

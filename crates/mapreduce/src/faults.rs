@@ -35,8 +35,9 @@ pub enum Fault {
     /// but *before* committing it — the case the output-commit protocol
     /// exists for.
     LateFail,
-    /// The attempt succeeds but its simulated duration is multiplied by the
-    /// given factor (a straggler; speculative execution's prey).
+    /// The attempt succeeds but straggles: its task record carries the
+    /// factor, by which the modelled cluster stretches the attempt
+    /// (speculative execution's prey).
     Straggle(f64),
     /// The worker stalls forever mid-task without dying — no error frame,
     /// no pipe close, no progress. Only wall-clock supervision (task
@@ -74,9 +75,9 @@ pub struct FaultPlan {
     /// be presumed hung and killed. Ignored by in-process attempts (no
     /// heartbeat protocol to starve).
     pub p_slow_heartbeat: f64,
-    /// Simulated-duration multiplier for stragglers (≥ 1).
+    /// Slow-down factor recorded for stragglers (≥ 1).
     pub straggler_factor: f64,
-    /// A node that is down for the whole job: every attempt scheduled on it
+    /// A node that is down for the whole job: every attempt placed on it
     /// fails with [`crate::MrError::NodeLost`].
     pub dead_node: Option<usize>,
     /// Driver crash point: "crash" (return [`crate::MrError::DriverCrash`])
@@ -305,7 +306,7 @@ impl FaultPlan {
     }
 
     /// Stable per-attempt seed: FNV-1a over the coordinates, mixed with the
-    /// plan seed. Deterministic across platforms and thread schedules.
+    /// plan seed. Deterministic across platforms and thread interleavings.
     fn attempt_seed(&self, job: &str, phase: Phase, task_id: usize, attempt: usize) -> u64 {
         let mut h = Fingerprint::seeded(self.seed);
         h.update(job.as_bytes());

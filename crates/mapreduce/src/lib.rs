@@ -21,9 +21,10 @@
 //!   a channel shuffle, and worker processes — committing identical bytes;
 //! * broadcast side data ([`Cache`]) with per-task memory accounting
 //!   ([`MemoryGauge`]) that reproduces the paper's out-of-memory behaviour;
-//! * a cluster time model ([`ClusterConfig`], [`cluster`]) that turns
-//!   measured per-task durations into a simulated makespan on an N-node
-//!   topology, enabling speedup/scaleup experiments on a single host.
+//! * per-job metrics ([`JobMetrics`]) holding one [`TaskRecord`] per
+//!   committed task — phase, node, input bytes, measured seconds and any
+//!   injected slow-down — from which `fuzzyjoin::model` computes what the
+//!   paper's 10-node cluster would have made of the job.
 //!
 //! # Example
 //!
@@ -99,7 +100,7 @@ pub mod trace;
 
 pub use backend::BackendKind;
 pub use cache::Cache;
-pub use cluster::{schedule, ClusterConfig, Schedule, SimTask, SpecRace, SLOTS_PER_NODE};
+pub use cluster::{ClusterConfig, SLOTS_PER_NODE};
 pub use codec::{ByteReader, Codec};
 pub use counters::{Counter, Counters};
 pub use dfs::{is_hidden, is_under, BlockSplit, BlockWriter, Dfs, FileKind, FileStat};
@@ -116,7 +117,7 @@ pub use manifest::{
 };
 pub use mapper::{ClosureMapper, IdentityMapper, Mapper, SwapMapper};
 pub use memory::MemoryGauge;
-pub use metrics::{JobMetrics, PhaseMetrics, PipelineMetrics};
+pub use metrics::{JobMetrics, PhaseMetrics, PipelineMetrics, TaskRecord};
 pub use partitioner::{
     group_by, hash_partitioner, natural_grouping, natural_sort, partition_by, range_partitioner,
     sample_boundaries, stable_hash, GroupEq, PartitionFn, SortCmp,

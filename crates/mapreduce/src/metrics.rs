@@ -2,14 +2,16 @@
 //!
 //! Each job reports real wall-clock time, per-phase task statistics, shuffle
 //! byte counts (measured on the encoded representation that actually crossed
-//! the map→reduce boundary), and the simulated cluster time described in
-//! [`crate::cluster`].
+//! the map→reduce boundary), and one [`TaskRecord`] per committed task —
+//! what ran, where, and for how long. What a modelled cluster would have
+//! made of those records is the caller's to compute (`fuzzyjoin::model`).
 
-use std::fmt;
-
+use crate::codec_struct;
+use crate::task::Phase;
 use crate::trace::HistogramSnapshot;
 
-/// Statistics for one phase (map or reduce) of a job.
+/// Statistics for one phase (map or reduce) of a job, over the measured
+/// seconds of its committed tasks.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseMetrics {
     /// Number of tasks executed.
@@ -18,11 +20,18 @@ pub struct PhaseMetrics {
     pub total_task_secs: f64,
     /// Longest single task.
     pub max_task_secs: f64,
-    /// Simulated makespan of the phase on the configured topology.
-    pub makespan_secs: f64,
 }
 
 impl PhaseMetrics {
+    /// The statistics of one phase's task records.
+    pub(crate) fn of(tasks: &[TaskRecord]) -> Self {
+        PhaseMetrics {
+            tasks: tasks.len(),
+            total_task_secs: tasks.iter().map(|t| t.secs).sum(),
+            max_task_secs: tasks.iter().map(|t| t.secs).fold(0.0, f64::max),
+        }
+    }
+
     /// Mean task duration; 0 for an empty phase.
     pub fn mean_task_secs(&self) -> f64 {
         if self.tasks == 0 {
@@ -43,38 +52,60 @@ impl PhaseMetrics {
     }
 }
 
+/// One committed task, as it ran: the winning attempt's coordinates, its
+/// input, and its measured seconds. Identical across backends except for
+/// `secs`, because attempts are placed by `(task, attempt)`, not by the
+/// executing thread or process.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskRecord {
+    /// Map or reduce.
+    pub phase: Phase,
+    /// Task index within its phase.
+    pub task: usize,
+    /// Zero-based index of the winning attempt (the retries before it).
+    pub attempt: usize,
+    /// Node label of the winning attempt.
+    pub node: usize,
+    /// DFS node holding a map task's input block, if it has one.
+    pub node_hint: Option<usize>,
+    /// Input bytes: a map task's split, a reduce task's partition.
+    pub input_bytes: u64,
+    /// Measured seconds of the winning attempt.
+    pub secs: f64,
+    /// Slow-down factor an injected straggle fault put on the winning
+    /// attempt; 1.0 when none did.
+    pub straggle: f64,
+}
+codec_struct!(TaskRecord {
+    phase,
+    task,
+    attempt,
+    node,
+    node_hint,
+    input_bytes,
+    secs,
+    straggle,
+});
+
 /// Metrics for a single MapReduce job execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobMetrics {
     /// Job name as given in the spec.
     pub name: String,
+    /// Nodes of the topology the job ran on.
+    pub nodes: usize,
+    /// One record per committed task: map tasks, then reduce tasks, each
+    /// in task order.
+    pub tasks: Vec<TaskRecord>,
     /// Map-phase task statistics.
     pub map: PhaseMetrics,
     /// Reduce-phase task statistics (includes merge + reduce function time).
     pub reduce: PhaseMetrics,
-    /// Map tasks scheduled on the node holding their input block.
-    pub map_local_tasks: u64,
-    /// Map tasks that read their input across the simulated network.
-    pub map_remote_tasks: u64,
-    /// Map tasks executed per node shard (winning attempts), indexed by
-    /// node id. Identical across execution backends because node labels
-    /// are derived from `(task, attempt)`, not from the executing thread.
-    pub map_tasks_per_node: Vec<u64>,
-    /// Reduce tasks executed per node shard, indexed by node id.
-    pub reduce_tasks_per_node: Vec<u64>,
     /// Failed task attempts that were retried (across both phases).
     pub task_retries: u64,
-    /// Simulated seconds of retry backoff charged to this job.
-    pub backoff_secs: f64,
-    /// Speculative attempts launched in the makespan model (both phases).
-    pub speculative_launched: u64,
-    /// Speculative attempts that beat their primary.
-    pub speculative_won: u64,
-    /// Attempts killed when the other copy of their task committed first.
-    pub speculative_killed: u64,
     /// Reduce outputs committed (attempt files renamed into place). Exactly
-    /// one commit per reduce task on jobs with an output directory — killed
-    /// speculative copies and failed attempts never commit.
+    /// one commit per reduce task on jobs with an output directory — failed
+    /// attempts never commit.
     pub output_commits: u64,
     /// Failed reduce attempts whose partial output was discarded.
     pub output_aborts: u64,
@@ -104,10 +135,6 @@ pub struct JobMetrics {
     pub reduce_input_records: u64,
     /// Records emitted by reduce functions.
     pub reduce_output_records: u64,
-    /// Simulated shuffle transfer seconds (max over reducers).
-    pub shuffle_transfer_secs: f64,
-    /// End-to-end simulated job time on the configured topology.
-    pub sim_secs: f64,
     /// Real wall-clock seconds the in-process execution took.
     pub wall_secs: f64,
     /// User counters `(name, value)`, name-ordered.
@@ -140,82 +167,14 @@ impl JobMetrics {
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
     }
-}
 
-impl fmt::Display for JobMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "job {:<28} sim {:>8.3}s  wall {:>8.3}s",
-            self.name, self.sim_secs, self.wall_secs
-        )?;
-        writeln!(
-            f,
-            "  map    tasks {:>5}  in {:>10} rec  out {:>10} rec  makespan {:>8.3}s (skew {:.2}, {} local/{} remote)",
-            self.map.tasks,
-            self.map_input_records,
-            self.map_output_records,
-            self.map.makespan_secs,
-            self.map.skew(),
-            self.map_local_tasks,
-            self.map_remote_tasks,
-        )?;
-        writeln!(
-            f,
-            "  shuffle {:>12} bytes  {:>10} rec  {} spills  transfer {:>7.3}s",
-            self.shuffle_bytes, self.shuffle_records, self.spills, self.shuffle_transfer_secs
-        )?;
-        write!(
-            f,
-            "  reduce tasks {:>5}  groups {:>9}  in {:>10} rec  out {:>9} rec  makespan {:>8.3}s (skew {:.2}, {} merge passes, {} retries)",
-            self.reduce.tasks,
-            self.reduce_input_groups,
-            self.reduce_input_records,
-            self.reduce_output_records,
-            self.reduce.makespan_secs,
-            self.reduce.skew(),
-            self.merge_passes,
-            self.task_retries,
-        )?;
-        if self.task_retries + self.speculative_launched + self.output_aborts > 0 {
-            write!(
-                f,
-                "\n  faults retries {:>3} (backoff {:>6.1}s)  speculative {} launched/{} won/{} killed  commits {} aborts {}",
-                self.task_retries,
-                self.backoff_secs,
-                self.speculative_launched,
-                self.speculative_won,
-                self.speculative_killed,
-                self.output_commits,
-                self.output_aborts,
-            )?;
+    /// Committed tasks of `phase` per node label, indexed by node.
+    pub fn tasks_per_node(&self, phase: Phase) -> Vec<u64> {
+        let mut per_node = vec![0u64; self.nodes];
+        for t in self.tasks.iter().filter(|t| t.phase == phase) {
+            per_node[t.node % self.nodes] += 1;
         }
-        if self.scavenged_attempt_files > 0 {
-            write!(
-                f,
-                "\n  recovery scavenged {} orphaned attempt file(s)",
-                self.scavenged_attempt_files,
-            )?;
-        }
-        if let Some(h) = self.histogram(crate::trace::HIST_REDUCE_GROUP_RECORDS) {
-            if !h.is_empty() {
-                write!(
-                    f,
-                    "\n  groups per-group records p50 {:.0}  p95 {:.0}  p99 {:.0}  max {:.0}",
-                    h.percentile(50.0),
-                    h.percentile(95.0),
-                    h.percentile(99.0),
-                    h.max,
-                )?;
-            }
-        }
-        if !self.reduce_key_heavy_hitters.is_empty() {
-            write!(f, "\n  hot keys")?;
-            for (label, count) in self.reduce_key_heavy_hitters.iter().take(5) {
-                write!(f, "  {label}={count}")?;
-            }
-        }
-        Ok(())
+        per_node
     }
 }
 
@@ -238,11 +197,6 @@ impl PipelineMetrics {
         self.jobs.extend(other.jobs);
     }
 
-    /// Total simulated seconds across all jobs (jobs run back-to-back).
-    pub fn sim_secs(&self) -> f64 {
-        self.jobs.iter().map(|j| j.sim_secs).sum()
-    }
-
     /// Total real wall-clock seconds.
     pub fn wall_secs(&self) -> f64 {
         self.jobs.iter().map(|j| j.wall_secs).sum()
@@ -251,23 +205,6 @@ impl PipelineMetrics {
     /// Total bytes shuffled across all jobs.
     pub fn shuffle_bytes(&self) -> u64 {
         self.jobs.iter().map(|j| j.shuffle_bytes).sum()
-    }
-}
-
-impl fmt::Display for PipelineMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for job in &self.jobs {
-            writeln!(f, "{job}")?;
-        }
-        write!(
-            f,
-            "total  {} job{}  sim {:>8.3}s  wall {:>8.3}s  shuffle {:>12} bytes",
-            self.jobs.len(),
-            if self.jobs.len() == 1 { "" } else { "s" },
-            self.sim_secs(),
-            self.wall_secs(),
-            self.shuffle_bytes(),
-        )
     }
 }
 
@@ -281,7 +218,6 @@ mod tests {
             tasks: 4,
             total_task_secs: 8.0,
             max_task_secs: 5.0,
-            makespan_secs: 5.0,
         };
         assert!((p.mean_task_secs() - 2.0).abs() < 1e-12);
         assert!((p.skew() - 2.5).abs() < 1e-12);
@@ -304,76 +240,19 @@ mod tests {
     fn pipeline_accumulates() {
         let mut p = PipelineMetrics::default();
         p.push(JobMetrics {
-            sim_secs: 1.5,
             wall_secs: 0.5,
             shuffle_bytes: 100,
             ..Default::default()
         });
         p.push(JobMetrics {
-            sim_secs: 2.5,
             wall_secs: 1.0,
             shuffle_bytes: 50,
             ..Default::default()
         });
-        assert!((p.sim_secs() - 4.0).abs() < 1e-12);
         assert!((p.wall_secs() - 1.5).abs() < 1e-12);
         assert_eq!(p.shuffle_bytes(), 150);
         let mut q = PipelineMetrics::default();
         q.extend(p);
         assert_eq!(q.jobs.len(), 2);
-    }
-
-    #[test]
-    fn display_contains_key_fields() {
-        let m = JobMetrics {
-            name: "stage2-kernel".into(),
-            ..Default::default()
-        };
-        let s = m.to_string();
-        assert!(s.contains("stage2-kernel"));
-        assert!(s.contains("shuffle"));
-    }
-
-    #[test]
-    fn display_shows_heavy_hitters_and_group_percentiles() {
-        let group_hist = crate::trace::Histogram::new();
-        for n in [1u64, 2, 3, 100] {
-            group_hist.record_count(n);
-        }
-        let m = JobMetrics {
-            name: "stage2-bk".into(),
-            histograms: vec![(
-                crate::trace::HIST_REDUCE_GROUP_RECORDS.to_string(),
-                group_hist.snapshot(),
-            )],
-            reduce_key_heavy_hitters: vec![("rank:0".into(), 100), ("rank:7".into(), 3)],
-            ..Default::default()
-        };
-        let s = m.to_string();
-        assert!(s.contains("hot keys"), "{s}");
-        assert!(s.contains("rank:0=100"), "{s}");
-        assert!(s.contains("p95"), "{s}");
-    }
-
-    #[test]
-    fn pipeline_display_lists_jobs_and_totals() {
-        let mut p = PipelineMetrics::default();
-        p.push(JobMetrics {
-            name: "stage1-a".into(),
-            sim_secs: 1.0,
-            shuffle_bytes: 10,
-            ..Default::default()
-        });
-        p.push(JobMetrics {
-            name: "stage2-b".into(),
-            sim_secs: 2.0,
-            shuffle_bytes: 30,
-            ..Default::default()
-        });
-        let s = p.to_string();
-        assert!(s.contains("stage1-a"), "{s}");
-        assert!(s.contains("stage2-b"), "{s}");
-        assert!(s.contains("total  2 jobs"), "{s}");
-        assert!(s.contains("40 bytes"), "{s}");
     }
 }

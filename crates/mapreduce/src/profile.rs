@@ -48,8 +48,8 @@ pub const WALL_REDUCE_US: &str = "profile.wall.reduce_us";
 /// Wall window: the atomic output-commit protocol (rename of `_attempt-*`
 /// files, manifest write). Microseconds.
 pub const WALL_COMMIT_US: &str = "profile.wall.commit_us";
-/// Wall window: building `JobMetrics` (schedule simulation, histogram
-/// merging) after the reduce outputs are committed. Microseconds.
+/// Wall window: building `JobMetrics` (task records, histogram merging)
+/// after the reduce outputs are committed. Microseconds.
 pub const WALL_FINALIZE_US: &str = "profile.wall.finalize_us";
 
 /// Busy time inside user map functions and encoding their output at emit

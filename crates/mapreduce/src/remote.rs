@@ -753,7 +753,7 @@ fn serve_requests(
 /// same disk DFS, running one request at a time.
 fn worker_cluster(config: ClusterConfig, block_size: usize, dfs_root: &str) -> Result<Cluster> {
     let config = ClusterConfig {
-        // Retries and the makespan model stay driver-side.
+        // Retries stay driver-side: a worker runs the one attempt it is sent.
         execution_threads: Some(1),
         max_task_attempts: 1,
         ..config
@@ -1229,6 +1229,7 @@ mod tests {
     use super::*;
     use crate::engine::MapStats;
     use crate::faults::FaultPlan;
+    use crate::metrics::TaskRecord;
     use crate::sketch::{Estimate, SpaceSaving};
 
     fn roundtrip_err(e: MrError) {
@@ -1298,12 +1299,16 @@ mod tests {
 
     fn sample_map_reply() -> Reply<MapTaskOut<RunRef>> {
         let stats = MapStats {
-            task_id: 3,
-            duration: 1.5,
-            base_duration: 1.0,
-            node_hint: Some(2),
-            node: 2,
-            input_bytes: 100,
+            record: TaskRecord {
+                phase: Phase::Map,
+                task: 3,
+                attempt: 1,
+                node: 2,
+                node_hint: Some(2),
+                input_bytes: 100,
+                secs: 1.0,
+                straggle: 1.5,
+            },
             input_records: 10,
             output_records: 20,
             spills: 1,
@@ -1343,11 +1348,16 @@ mod tests {
         key_counts.add("a".to_string(), 5);
         key_counts.add("b".to_string(), 9);
         let out = ReduceTaskOut {
-            task_id: 1,
-            node: 2,
-            duration: 0.5,
-            base_duration: 0.25,
-            input_bytes: 321,
+            record: TaskRecord {
+                phase: Phase::Reduce,
+                task: 1,
+                attempt: 0,
+                node: 2,
+                node_hint: None,
+                input_bytes: 321,
+                secs: 0.25,
+                straggle: 2.0,
+            },
             groups: 7,
             input_records: 20,
             output_records: 7,
@@ -1713,9 +1723,8 @@ mod tests {
         let reply = sample_reduce_reply();
         let (out, counters, _) = Reply::<ReduceTaskOut>::from_bytes(&reply.to_bytes()).unwrap();
         assert_eq!(counters, reply.1);
-        assert_eq!((out.task_id, out.node), (1, 2));
-        assert_eq!((out.duration, out.base_duration), (0.5, 0.25));
-        assert_eq!((out.input_bytes, out.groups), (321, 7));
+        assert_eq!(out.record, reply.0.record);
+        assert_eq!(out.groups, 7);
         assert_eq!((out.input_records, out.output_records), (20, 7));
         assert_eq!(out.merge_passes, 1);
         assert_eq!(out.group_records, reply.0.group_records);
@@ -1729,13 +1738,8 @@ mod tests {
         assert_eq!(histograms, reply.2);
         assert_eq!(out.runs, reply.0.runs);
         let (got, want) = (out.stats, reply.0.stats);
-        assert_eq!((got.task_id, got.node_hint, got.node), (3, Some(2), 2));
-        assert_eq!(got.duration, want.duration);
-        assert_eq!(got.base_duration, want.base_duration);
-        assert_eq!(
-            (got.input_bytes, got.input_records, got.output_records),
-            (100, 10, 20)
-        );
+        assert_eq!(got.record, want.record);
+        assert_eq!((got.input_records, got.output_records), (10, 20));
         assert_eq!((got.spills, got.combine_in, got.combine_out), (1, 0, 0));
         assert_eq!((got.shuffle_bytes, got.shuffle_records), (321, 20));
     }

@@ -9,7 +9,7 @@
 //! that, a new key takes the minimum count's place, ties broken by the
 //! **greatest** key — the order [`SpaceSaving::top`] and
 //! [`SpaceSaving::heavy`] report ties in — so which key goes never depends
-//! on where equal counts sit, on any backend or retry schedule.
+//! on where equal counts sit, on any backend or retry pattern.
 
 use std::collections::BTreeMap;
 

@@ -1,8 +1,8 @@
 //! Wall-clock task supervision for the real execution backends.
 //!
-//! Simulated time survives stragglers by construction, but the sharded and
-//! process backends run on the host clock, where a hung worker (SIGSTOP, an
-//! infinite loop, a never-flushed frame) blocks the driver forever. A job's
+//! The sharded and process backends are supervised on the host clock, where
+//! a hung worker (SIGSTOP, an infinite loop, a never-flushed frame) blocks
+//! the driver forever; the simulated backend, the reference, is not. A job's
 //! [`Watchdog`] gives every attempt it watches a timer of its own, a
 //! [`Watch`], which fires when the attempt's **deadline**
 //! (`task_timeout_secs`) passes or, for a worker process, its **heartbeat
@@ -13,8 +13,8 @@
 //! before the attempt's owner resumes or it never runs, and the owner learns
 //! which. A fired attempt is failed whatever it returned — a worker
 //! conversation as a transient `NodeLost` the retry machinery handles, an
-//! in-process attempt by failing the job fast. Supervision never touches
-//! simulated time or committed bytes.
+//! in-process attempt by failing the job fast. Supervision never changes
+//! committed bytes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};

@@ -1,12 +1,12 @@
 //! Structured tracing, log-bucketed histograms, and heavy-hitter tracking.
 //!
 //! The engine can record a span event stream per `(job, phase, task,
-//! attempt)` — start/end, bytes, records, retries/backoff, speculative
-//! races, commits/aborts — into a [`TraceSink`]. The stream exports as
-//! JSONL (one event per line, schema-versioned) and as Chrome
-//! `trace_event` JSON loadable in Perfetto. Event recording happens
+//! attempt)` — start/end, bytes, records, outcomes and injected faults,
+//! commits/aborts — into a [`TraceSink`]: what ran, on the wall clock. The
+//! stream exports as JSONL (one event per line, schema-versioned) and as
+//! Chrome `trace_event` JSON loadable in Perfetto. Event recording happens
 //! *outside* the timed sections of every task attempt, so tracing never
-//! perturbs simulated time.
+//! perturbs measured task seconds.
 //!
 //! [`Histogram`] provides log-bucketed value distributions (p50/p95/p99/max)
 //! for task durations, reduce-group sizes, and any per-task quantity user
@@ -24,13 +24,15 @@ use crate::json::{obj, Json};
 use crate::task::Phase;
 
 /// Version stamped into every JSONL trace event as `"v"`. Consumers must
-/// ignore unknown fields; this number only changes when a field is removed
-/// or retyped.
+/// ignore unknown fields and kinds, and read every field but `v`, `ts_us`,
+/// `kind` and `job` as optional (absent where it does not apply); this
+/// number only changes when one of those four is removed or a field is
+/// retyped.
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
-/// Histogram of map-task durations (simulated seconds), recorded per job.
+/// Histogram of map-task measured seconds, recorded per job.
 pub const HIST_MAP_TASK_SECS: &str = "task.map.secs";
-/// Histogram of reduce-task durations (simulated seconds), recorded per job.
+/// Histogram of reduce-task measured seconds, recorded per job.
 pub const HIST_REDUCE_TASK_SECS: &str = "task.reduce.secs";
 /// Histogram of records per reduce group, recorded per job.
 pub const HIST_REDUCE_GROUP_RECORDS: &str = "reduce.group.records";
@@ -58,9 +60,6 @@ pub enum EventKind {
     Commit,
     /// A failed reduce attempt's partial output was discarded.
     Abort,
-    /// A speculative backup attempt from the makespan model. Timestamps of
-    /// these events are on the *simulated* timeline, not the wall clock.
-    Speculative,
     /// The job's top reduce key exceeded the configured share of shuffle
     /// records — the operational symptom of a bad token order.
     SkewWarning,
@@ -89,14 +88,13 @@ pub enum EventKind {
 
 /// Every kind beside its stable wire name: the one table
 /// [`EventKind::as_str`] and [`EventKind::parse`] read.
-const EVENT_KINDS: [(EventKind, &str); 14] = [
+const EVENT_KINDS: [(EventKind, &str); 13] = [
     (EventKind::JobStart, "job_start"),
     (EventKind::JobEnd, "job_end"),
     (EventKind::TaskStart, "task_start"),
     (EventKind::TaskEnd, "task_end"),
     (EventKind::Commit, "commit"),
     (EventKind::Abort, "abort"),
-    (EventKind::Speculative, "speculative"),
     (EventKind::SkewWarning, "skew_warning"),
     (EventKind::ResumeSkip, "resume_skip"),
     (EventKind::Scavenge, "scavenge"),
@@ -164,9 +162,7 @@ impl Outcome {
 /// kind are `None` and omitted from the JSONL encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Microseconds since the sink was created (wall clock), except for
-    /// [`EventKind::Speculative`] events, which sit on the simulated
-    /// timeline.
+    /// Microseconds since the sink was created (wall clock).
     pub ts_us: u64,
     /// What this event marks.
     pub kind: EventKind,
@@ -180,7 +176,7 @@ pub struct TraceEvent {
     pub attempt: Option<u64>,
     /// Simulated node the attempt ran on.
     pub node: Option<u64>,
-    /// Span duration in microseconds (`TaskEnd`, `JobEnd`, `Speculative`).
+    /// Span duration in microseconds (`TaskEnd`, `JobEnd`).
     pub dur_us: Option<u64>,
     /// How the attempt ended (`TaskEnd` only).
     pub outcome: Option<Outcome>,
@@ -192,9 +188,7 @@ pub struct TraceEvent {
     pub bytes: Option<u64>,
     /// Records processed.
     pub records: Option<u64>,
-    /// Simulated retry backoff charged after this failed attempt.
-    pub backoff_us: Option<u64>,
-    /// Free-form detail (warning text, speculative race resolution, …).
+    /// Free-form detail (warning text, profile JSON, …).
     pub detail: Option<String>,
 }
 
@@ -216,7 +210,6 @@ impl TraceEvent {
             fault: None,
             bytes: None,
             records: None,
-            backoff_us: None,
             detail: None,
         }
     }
@@ -252,7 +245,6 @@ impl TraceEvent {
             ("fault", self.fault.as_deref().map(text)),
             ("bytes", self.bytes.map(num)),
             ("records", self.records.map(num)),
-            ("backoff_us", self.backoff_us.map(num)),
             ("detail", self.detail.as_deref().map(text)),
         ];
         members.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?))));
@@ -303,7 +295,6 @@ impl TraceEvent {
             fault: text("fault"),
             bytes: num("bytes"),
             records: num("records"),
-            backoff_us: num("backoff_us"),
             detail: text("detail"),
         })
     }
@@ -354,13 +345,6 @@ impl TraceSink {
         self.inner.events.lock().push(event);
     }
 
-    /// Record `event` with an explicit timestamp (used for events on the
-    /// simulated timeline, e.g. speculative races).
-    pub fn emit_at(&self, mut event: TraceEvent, ts_us: u64) {
-        event.ts_us = ts_us;
-        self.inner.events.lock().push(event);
-    }
-
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
         self.inner.events.lock().len()
@@ -396,12 +380,9 @@ impl TraceSink {
     }
 
     /// Serialize as Chrome `trace_event` JSON (loadable in Perfetto or
-    /// `chrome://tracing`). Real execution spans live in process
-    /// "execution (wall clock)"; speculative-model spans live in
-    /// "speculation (simulated)" because their timestamps are simulated.
+    /// `chrome://tracing`), every span in process "execution (wall clock)".
     pub fn to_chrome_trace(&self) -> String {
-        const PID_WALL: u64 = 1;
-        const PID_SIM: u64 = 2;
+        let pid = Json::Num(1.0);
         let events = self.inner.events.lock();
         // Stable tid per (job, phase, task) so all attempts of a task share
         // a track; tid 0 is the job-level track.
@@ -418,7 +399,7 @@ impl TraceSink {
                 None => format!("{}/job", e.job),
             };
             let tid = tid_of(&track);
-            let (ph, pid, ts, dur, name) = match e.kind {
+            let (ph, ts, dur, name) = match e.kind {
                 // Complete spans: ts is the span start.
                 EventKind::TaskEnd => {
                     let dur = e.dur_us.unwrap_or(0);
@@ -428,29 +409,19 @@ impl TraceSink {
                         e.task.unwrap_or(0),
                         e.attempt.unwrap_or(0)
                     );
-                    ("X", PID_WALL, e.ts_us.saturating_sub(dur), Some(dur), name)
+                    ("X", e.ts_us.saturating_sub(dur), Some(dur), name)
                 }
                 EventKind::JobEnd => {
                     let dur = e.dur_us.unwrap_or(0);
-                    (
-                        "X",
-                        PID_WALL,
-                        e.ts_us.saturating_sub(dur),
-                        Some(dur),
-                        e.job.clone(),
-                    )
-                }
-                EventKind::Speculative => {
-                    let name = format!("spec-{}-{}", phase_name(e.phase), e.task.unwrap_or(0));
-                    ("X", PID_SIM, e.ts_us, Some(e.dur_us.unwrap_or(0)), name)
+                    ("X", e.ts_us.saturating_sub(dur), Some(dur), e.job.clone())
                 }
                 // Instants.
-                kind => ("i", PID_WALL, e.ts_us, None, kind.as_str().to_string()),
+                kind => ("i", e.ts_us, None, kind.as_str().to_string()),
             };
             let mut members: Vec<(&str, Json)> = vec![
                 ("name", Json::Str(name)),
                 ("ph", Json::Str(ph.to_string())),
-                ("pid", Json::Num(pid as f64)),
+                ("pid", pid.clone()),
                 ("tid", Json::Num(tid as f64)),
                 ("ts", Json::Num(ts as f64)),
             ];
@@ -468,22 +439,20 @@ impl TraceSink {
             out.push(obj(vec![
                 ("name", Json::Str("thread_name".to_string())),
                 ("ph", Json::Str("M".to_string())),
-                ("pid", Json::Num(1.0)),
+                ("pid", pid.clone()),
                 ("tid", Json::Num(*tid as f64)),
                 ("args", obj(vec![("name", Json::Str(label.clone()))])),
             ]));
         }
-        for (pid, name) in [
-            (PID_WALL, "execution (wall clock)"),
-            (PID_SIM, "speculation (simulated)"),
-        ] {
-            out.push(obj(vec![
-                ("name", Json::Str("process_name".to_string())),
-                ("ph", Json::Str("M".to_string())),
-                ("pid", Json::Num(pid as f64)),
-                ("args", obj(vec![("name", Json::Str(name.to_string()))])),
-            ]));
-        }
+        out.push(obj(vec![
+            ("name", Json::Str("process_name".to_string())),
+            ("ph", Json::Str("M".to_string())),
+            ("pid", pid),
+            (
+                "args",
+                obj(vec![("name", Json::Str("execution (wall clock)".into()))]),
+            ),
+        ]));
         obj(vec![
             ("traceEvents", Json::Arr(out)),
             ("displayTimeUnit", Json::Str("ms".to_string())),
@@ -740,7 +709,6 @@ mod tests {
             fault: Some("straggle(8)".into()),
             bytes: Some(1024),
             records: Some(99),
-            backoff_us: Some(2_000_000),
             detail: Some("unicode é 漢".into()),
         }
     }
@@ -802,9 +770,6 @@ mod tests {
         end.dur_us = Some(10);
         end.outcome = Some(Outcome::Ok);
         sink.emit(end);
-        let mut spec = TraceEvent::new(EventKind::Speculative, "j").at_task(Phase::Reduce, 3, 1, 0);
-        spec.dur_us = Some(50);
-        sink.emit_at(spec, 100);
         let chrome = sink.to_chrome_trace();
         let v = Json::parse(&chrome).unwrap();
         let events = v.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -812,7 +777,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
             .collect();
-        assert_eq!(complete.len(), 2, "one wall span + one speculative span");
+        assert_eq!(complete.len(), 1, "one wall span");
         for e in complete {
             assert!(e.get("dur").is_some());
             assert!(e.get("ts").is_some());
@@ -966,7 +931,7 @@ mod tests {
 
     /// Regression: eviction on tied counts used to pick the positionally
     /// first minimum, so merging the same per-attempt sketches in a
-    /// different order (speculative races, backend scheduling) evicted
+    /// different order (retries, backend scheduling) evicted
     /// different labels and heavy-hitter reports drifted. Ties must break
     /// by label, deterministically, matching `top()`.
     #[test]

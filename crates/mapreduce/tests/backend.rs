@@ -22,7 +22,7 @@ use std::sync::Once;
 
 use mapreduce::{
     text_input, BackendKind, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Emit,
-    FaultPlan, Job, MrError, TaskContext,
+    FaultPlan, Job, JobMetrics, MrError, Phase, TaskContext, TaskRecord,
 };
 
 fn quiet_injected_panics() {
@@ -271,8 +271,13 @@ fn sharded_handles_empty_input_and_reports_identical_metrics() {
 
 #[test]
 fn deterministic_metrics_agree_between_backends() {
+    quiet_injected_panics();
     let run = |backend| {
-        let config = config(backend, 3, 4);
+        let config = ClusterConfig {
+            max_task_attempts: 8,
+            faults: Some(FaultPlan::aggressive(11)),
+            ..config(backend, 3, 4)
+        };
         let cluster = Cluster::new(config, 256).unwrap();
         cluster.dfs().write_text("/in", corpus()).unwrap();
         let mapper = ClosureMapper::new(
@@ -291,7 +296,19 @@ fn deterministic_metrics_agree_between_backends() {
             .output_seq("/out");
         cluster.run(job).unwrap()
     };
+    // Every field of every task record but the measured seconds.
+    let records = |m: &JobMetrics| -> Vec<TaskRecord> {
+        m.tasks
+            .iter()
+            .map(|&t| TaskRecord { secs: 0.0, ..t })
+            .collect()
+    };
     let a = run(BackendKind::Simulated);
+    assert!(a.tasks.iter().any(|t| t.attempt > 0), "the plan retries");
+    assert!(
+        a.tasks.iter().any(|t| t.straggle > 1.0),
+        "the plan straggles"
+    );
     for b in [run(BackendKind::Sharded), run(BackendKind::Process)] {
         // Everything not derived from wall-clock must agree exactly.
         assert_eq!(a.map.tasks, b.map.tasks);
@@ -304,9 +321,11 @@ fn deterministic_metrics_agree_between_backends() {
         assert_eq!(a.reduce_input_groups, b.reduce_input_groups);
         assert_eq!(a.reduce_input_records, b.reduce_input_records);
         assert_eq!(a.reduce_output_records, b.reduce_output_records);
-        assert_eq!(a.map_tasks_per_node, b.map_tasks_per_node);
-        assert_eq!(a.reduce_tasks_per_node, b.reduce_tasks_per_node);
+        assert_eq!(records(&a), records(&b));
+        assert_eq!(a.task_retries, b.task_retries);
         assert_eq!(a.output_commits, b.output_commits);
     }
-    assert!(a.map_tasks_per_node.iter().sum::<u64>() == a.map.tasks as u64);
+    let per_node = |phase| a.tasks_per_node(phase).iter().sum::<u64>();
+    assert_eq!(per_node(Phase::Map), a.map.tasks as u64);
+    assert_eq!(per_node(Phase::Reduce), a.reduce.tasks as u64);
 }

@@ -136,7 +136,10 @@ fn chaos_wordcount_is_bitwise_equal_to_fault_free_run() {
 
     assert_eq!(counts, baseline, "faults must never change the output");
     assert!(m.task_retries > 0, "aggressive plan must force retries");
-    assert!(m.backoff_secs > 0.0, "retries charge simulated backoff");
+    assert!(
+        m.tasks.iter().any(|t| t.attempt > 0),
+        "retried tasks are recorded"
+    );
     // Exactly one commit per reduce task — failed and killed attempts never
     // commit, so commits cannot exceed tasks even under heavy retries.
     assert_eq!(m.output_commits, m.reduce.tasks as u64);
@@ -366,69 +369,4 @@ fn injected_oom_is_transient_and_survivable() {
     let (counts, m) = run_wordcount(&chaos);
     assert_eq!(counts, baseline);
     assert!(m.task_retries > 0, "30% OOM rate must force retries");
-}
-
-#[test]
-fn stragglers_are_speculated_and_speculation_pays() {
-    quiet_injected_panics();
-    let plan = FaultPlan {
-        p_straggler: 1.0,
-        straggler_factor: 200.0,
-        ..FaultPlan::quiet(chaos_seed())
-    };
-    let (baseline, _) = run_wordcount(&cluster_with(3, 1, None));
-
-    let (counts, m_spec) = run_wordcount(&cluster_with(3, 1, Some(plan)));
-    assert_eq!(counts, baseline, "stragglers must not change output");
-    assert!(m_spec.speculative_launched > 0, "every task straggles");
-    assert!(m_spec.speculative_won > 0, "200x stragglers lose the race");
-    assert_eq!(
-        m_spec.speculative_killed, m_spec.speculative_launched,
-        "every race kills exactly one attempt"
-    );
-    // Killed speculative copies never commit: still one commit per task.
-    assert_eq!(m_spec.output_commits, m_spec.reduce.tasks as u64);
-    // Left to finish, each phase's slowest 200x primary alone would outlast
-    // the job the backups completed.
-    assert!(
-        m_spec.sim_secs < m_spec.map.max_task_secs + m_spec.reduce.max_task_secs,
-        "speculation must beat 200x stragglers: {m_spec:?}"
-    );
-}
-
-#[test]
-fn backoff_is_charged_to_simulated_time_only() {
-    quiet_injected_panics();
-    let config = ClusterConfig {
-        max_task_attempts: 3,
-        backend: BackendKind::from_env(),
-        ..ClusterConfig::with_nodes(2)
-    };
-    let cluster = Cluster::new(config, 1 << 16).unwrap();
-    cluster.dfs().write_text("/in", ["a b c"]).unwrap();
-    let mapper = ClosureMapper::new(
-        |_off: &u64,
-         line: &String,
-         out: &mut dyn Emit<String, u64>,
-         ctx: &TaskContext|
-         -> mapreduce::Result<()> {
-            if ctx.attempt < 2 {
-                return Err(MrError::TaskFailed("first two attempts flake".into()));
-            }
-            for w in line.split_whitespace() {
-                out.emit(w.to_string(), 1)?;
-            }
-            Ok(())
-        },
-    );
-    let start = std::time::Instant::now();
-    let job = Job::new("backoffy", mapper, wc_reducer())
-        .inputs(text_input(cluster.dfs(), "/in").unwrap())
-        .output_seq("/out");
-    let m = cluster.run(job).unwrap();
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(m.task_retries, 2);
-    assert!((m.backoff_secs - 3.0).abs() < 1e-9, "1s, then 2s");
-    assert!(m.sim_secs >= 3.0, "backoff lands in simulated time");
-    assert!(wall < 3.0, "…but never in real time");
 }

@@ -67,7 +67,7 @@ fn word_count_end_to_end() {
     assert!(m.shuffle_bytes > 0);
     assert_eq!(m.reduce_output_records, 7);
     assert_eq!(m.reduce_input_groups, 7);
-    assert!(m.sim_secs > 0.0);
+    assert_eq!(m.tasks.len(), m.map.tasks + m.reduce.tasks);
     assert!(m.wall_secs > 0.0);
 }
 
@@ -244,42 +244,6 @@ fn memory_budget_fails_tasks_with_oom() {
         .inputs(mem_input("mem", records, 1));
     let err = cluster.run(job).unwrap_err();
     assert!(err.is_out_of_memory(), "got {err:?}");
-}
-
-#[test]
-fn more_nodes_never_increase_simulated_time() {
-    // Build a deliberately skewed workload; sim time must be monotonically
-    // non-increasing in node count, and far from linear when skewed.
-    // Sim time is built from measured task durations, and these tasks take
-    // microseconds: one preemption on a busy host outweighs the whole job.
-    // The best of three runs per node count is what the time model gives.
-    let mut sims = Vec::new();
-    for nodes in [1usize, 2, 4] {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let cluster = small_cluster(nodes);
-            let lines: Vec<String> = (0..400)
-                .map(|i| format!("line {i} data token{}", i % 23))
-                .collect();
-            cluster.dfs().write_text("/in", &lines).unwrap();
-            let reducer = ClosureReducer::new(
-                |k: &String,
-                 vs: &mut dyn Iterator<Item = (String, u64)>,
-                 out: &mut dyn Emit<String, u64>,
-                 _ctx: &TaskContext| out.emit(k.clone(), vs.map(|(_, n)| n).sum()),
-            );
-            let job = Job::new("wc", wc_mapper(), reducer)
-                .inputs(text_input(cluster.dfs(), "/in").unwrap())
-                .output_seq("/out");
-            let m = cluster.run(job).unwrap();
-            best = best.min(m.sim_secs);
-        }
-        sims.push(best);
-    }
-    assert!(
-        sims.windows(2).all(|w| w[1] <= w[0] * 1.5),
-        "sim times should not grow substantially with nodes: {sims:?}"
-    );
 }
 
 #[test]

@@ -36,18 +36,10 @@ fn main() {
 
     let outcome = self_join(&cluster, "/data/records", "/tmp/join", &config).expect("join");
 
-    println!(
-        "stage 1 (token ordering):  {:.4}s simulated",
-        outcome.stage1.sim_secs()
-    );
-    println!(
-        "stage 2 (RID-pair kernel): {:.4}s simulated",
-        outcome.stage2.sim_secs()
-    );
-    println!(
-        "stage 3 (record join):     {:.4}s simulated",
-        outcome.stage3.sim_secs()
-    );
+    let (s1, s2, s3) = outcome.stage_sim_secs();
+    println!("stage 1 (token ordering):  {s1:.4}s simulated");
+    println!("stage 2 (RID-pair kernel): {s2:.4}s simulated");
+    println!("stage 3 (record join):     {s3:.4}s simulated");
     println!("shuffled {} bytes total\n", outcome.shuffle_bytes());
 
     let joined = read_joined(&cluster, &outcome.joined_path).expect("read output");

@@ -54,11 +54,11 @@ fn main() {
     );
     let outcome = rs_join(&cluster, "/dblp", "/citeseerx", "/work", &config).expect("join");
 
-    println!("stage 1: {:.4}s simulated", outcome.stage1.sim_secs());
-    println!("stage 2: {:.4}s simulated", outcome.stage2.sim_secs());
+    let (s1, s2, s3) = outcome.stage_sim_secs();
+    println!("stage 1: {s1:.4}s simulated");
+    println!("stage 2: {s2:.4}s simulated");
     println!(
-        "stage 3: {:.4}s simulated  (carries S's large records; at paper scale this stage grows into a major share)",
-        outcome.stage3.sim_secs()
+        "stage 3: {s3:.4}s simulated  (carries S's large records; at paper scale this stage grows into a major share)"
     );
 
     let joined = read_joined(&cluster, &outcome.joined_path).expect("read output");
