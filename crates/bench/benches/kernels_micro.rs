@@ -238,7 +238,7 @@ fn bench_codec(c: &mut Criterion) {
 /// written (CRC over every byte, block by block), verified (CRC again), laid
 /// out for the map phase (headers only: one `BlockSplit` per block) and read
 /// the way its map tasks read it (each block under its own CRC), all
-/// through the public `Dfs` API on the in-memory store.
+/// through the public `Dfs` API, in a [`Dfs::new`] temp root.
 fn bench_dfs_integrity(c: &mut Criterion) {
     use mapreduce::Dfs;
     let mut budget = 16usize << 20;
@@ -249,7 +249,7 @@ fn bench_dfs_integrity(c: &mut Criterion) {
             budget > 0
         })
         .collect();
-    let dfs = Dfs::new(10, 4 << 20);
+    let dfs = Dfs::new(10, 4 << 20).unwrap();
     dfs.write_text("/bench/in", &lines).expect("write");
     let bytes = dfs.file_len("/bench/in").expect("stat");
     let mut g = c.benchmark_group("dfs_integrity");
@@ -340,7 +340,7 @@ fn bench_record_path(c: &mut Criterion) {
         Counters::new(),
         MemoryGauge::unlimited("bench"),
         Cache::new(),
-        Dfs::new(1, 64),
+        Dfs::new(1, 64).unwrap(),
     );
     let prototype = TokenCountMapper::new(&JoinConfig::recommended());
     g.throughput(Throughput::Elements(lines.len() as u64));

@@ -62,7 +62,7 @@ fault injection (chaos testing; results are unaffected by design):
                      N-th job; pair with --resume yes) and corrupt=/dfs/path
                      (flip a bit in a committed file; the CRC layer must
                      catch it on the next read)
-                     storage faults (need --dfs-root or --backend process):
+                     storage faults, on every backend:
                      enospc=N (disk full after N bytes; enospc=N+heal lets a
                      scavenger pass reset the budget), eio=P (seeded
                      read/write/rename I/O errors, retried as transient) and
@@ -76,17 +76,16 @@ execution (selfjoin/rsjoin):
                   attempts on the driver's thread pool, every spill run
                   handed through one bounded channel to one collector
                   thread; process: process-isolated workers (this binary
-                  re-spawned) over a disk-backed DFS — every job of a
+                  re-spawned) sharing the driver's DFS — every job of a
                   join runs its tasks in the workers (the driver's own
                   threads run only closure-built jobs, which tests alone
                   make). Join output is byte-identical in every case.
-  --dfs-root DIR  put the DFS on disk at DIR for any backend (created if
-                  missing and persistent across runs, which is what lets a
-                  killed driver --resume); without it the process backend
-                  uses a self-cleaning temporary directory and the others
-                  stay in memory
+  --dfs-root DIR  keep the DFS at DIR (created if missing and persistent
+                  across runs, which is what lets a killed driver
+                  --resume); without it every backend uses a self-cleaning
+                  temporary directory (under /dev/shm where there is one)
   --durable-commits no  skip the write->sync->rename->dir-sync fsync
-                  discipline on the disk store (default yes). A killed
+                  discipline of the DFS (default yes). A killed
                   process never loses acknowledged commits either way (the
                   page cache survives); only power loss can, so benches opt
                   out to skip the fsync tax

@@ -359,7 +359,7 @@ pub(crate) mod tests {
     #[test]
     fn fingerprint_and_manifest_take_metadata_from_the_header_alone() {
         use mapreduce::{ManifestCheck, MrError};
-        let dfs = Dfs::new_temp_disk(2, 16).unwrap();
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
         dfs.write_text("/out/part-00000", &lines).unwrap();
         let fp = job_fingerprint(&dfs, "j", &["/out"], "cfg");
@@ -368,7 +368,7 @@ pub(crate) mod tests {
 
         // Zero the payload in place, same length: neither the fingerprint
         // nor `collect` reads it, so both still answer from the header.
-        let real = dfs.disk_root().unwrap().join("fs/out/part-00000");
+        let real = dfs.root().join("fs/out/part-00000");
         let mut bytes = std::fs::read(&real).unwrap();
         let header = bytes.len() - manifest.parts[0].len as usize;
         bytes[header..].fill(0);

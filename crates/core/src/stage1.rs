@@ -668,7 +668,7 @@ mod tests {
             Counters::new(),
             MemoryGauge::new("t", budget),
             Cache::new(),
-            Dfs::new(1, 64),
+            Dfs::new(1, 64).unwrap(),
         )
     }
 

@@ -285,7 +285,7 @@ mod tests {
             Counters::new(),
             MemoryGauge::unlimited("t"),
             Cache::new(),
-            Dfs::new(1, 64),
+            Dfs::new(1, 64).unwrap(),
         )
     }
 

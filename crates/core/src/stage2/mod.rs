@@ -296,7 +296,7 @@ mod tests {
     fn workers_build_every_kernel_job_from_the_bytes_the_driver_encodes() {
         use crate::recovery::tests::worker_builds_the_drivers_job as rebuilt;
         use setsim::FilterConfig;
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines = |n: u64| (0..n).map(|i| format!("{i}\ttitle {i}\tauthor"));
         dfs.write_text("/r", lines(6)).unwrap();
         dfs.write_text("/s", lines(9)).unwrap();

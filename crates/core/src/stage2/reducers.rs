@@ -332,7 +332,7 @@ mod tests {
             Counters::new(),
             gauge,
             Cache::new(),
-            Dfs::new(1, 64),
+            Dfs::new(1, 64).unwrap(),
         )
     }
 

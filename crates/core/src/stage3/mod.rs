@@ -784,7 +784,7 @@ mod tests {
     #[test]
     fn workers_build_every_stage3_job_from_the_bytes_the_driver_encodes() {
         use crate::recovery::tests::worker_builds_the_drivers_job as rebuilt;
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines = |n: u64| (0..n).map(|i| format!("{i}\ttitle {i}\tauthor"));
         dfs.write_text("/r", lines(6)).unwrap();
         dfs.write_text("/s", lines(9)).unwrap();
@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn brj_keys_deliver_a_record_ahead_of_its_entries_in_partner_order() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text("/r", ["5\tt\ta"]).unwrap();
         dfs.write_text("/work/ridpairs", ["5\t9\t0.9"]).unwrap();
         let job = brj_spec(POS_FIRST, None).build(&dfs).unwrap();
@@ -877,7 +877,7 @@ mod tests {
 
     #[test]
     fn brj_fill_mapper_dispatches_on_input_path() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         let mut m = brj_mapper(POS_FIRST, None);
         let map = |m: &mut BrjMapper, path: &str, line: &str| {
             let mut out = VecEmitter::new();
@@ -925,7 +925,7 @@ mod tests {
 
     #[test]
     fn brj_fill_mapper_drops_records_no_pair_names() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         // The columns number their records independently: RID 7 joins as a
         // first member only, RID 3 as a second member only.
         dfs.write_text("/work/ridpairs/part-00000", ["7\t3\t0.9"])
@@ -966,7 +966,7 @@ mod tests {
 
     #[test]
     fn participants_of_a_self_join_cover_both_columns() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text(
             "/pairs",
             ["1\t2\t0.9", "1\t3\t0.85", "9\t2\t0.8", "2\t9\t0.8"],
@@ -995,7 +995,7 @@ mod tests {
         vals: Vec<(BrjKey, BrjValue)>,
     ) -> (Result<()>, Vec<(PairKey, JoinedPair)>, TaskContext) {
         let mut out = VecEmitter::new();
-        let c = ctx(Phase::Reduce, Dfs::new(1, 64));
+        let c = ctx(Phase::Reduce, Dfs::new(1, 64).unwrap());
         let key = vals[0].0;
         let ran = BrjReducer::new(spec).reduce(&key, &mut vals.into_iter(), &mut out, &c);
         (ran, out.pairs, c)
@@ -1069,7 +1069,7 @@ mod tests {
 
     #[test]
     fn assemble_reducer_pairs_halves() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         let mut r = AssembleReducer::default();
         let key = (1u64, 2u64);
         let vals = vec![
@@ -1092,7 +1092,7 @@ mod tests {
 
     #[test]
     fn assemble_reducer_errors_on_lone_half() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         let mut r = AssembleReducer::default();
         let key = (1u64, 2u64);
         let vals = vec![(key, (POS_FIRST, "rec1".to_string(), 0.88))];
@@ -1109,7 +1109,7 @@ mod tests {
 
     #[test]
     fn pair_index_loads_each_column_sorted_by_partner() {
-        let dfs = Dfs::new(1, 1024);
+        let dfs = Dfs::new(1, 1024).unwrap();
         dfs.write_text("/pairs", ["1\t3\t0.85", "1\t2\t0.9"])
             .unwrap();
         // Self-join mode: both columns indexed.

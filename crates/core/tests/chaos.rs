@@ -200,72 +200,104 @@ fn chaos_pipeline_exhausting_attempts_fails_clean() {
     assert!(leftovers.is_empty(), "attempt files leaked: {leftovers:?}");
 }
 
-/// Storage-storm cell: seeded EIO and torn-write injection on a
-/// disk-backed store. Worker-side hits are retried inside the engine; an
-/// unlucky driver-side read can still surface as a classified error, so
-/// the test does what a real operator does — resume a fresh driver over
-/// the surviving DFS, with a re-rolled fault seed each launch (draws are
-/// keyed on (seed, op, path), so a fixed seed would replay the identical
-/// fault forever) — until the join completes. The result must be bitwise
-/// identical to the fault-free run, with the injector demonstrably fired.
+/// Storage-storm cell: seeded EIO and torn-write injection into the
+/// store. Worker-side hits are retried inside the engine; an unlucky
+/// driver-side read can still surface as a classified error, so the test
+/// does what a real operator does — resume a fresh driver over the
+/// surviving DFS, with a re-rolled fault seed each launch (draws are keyed
+/// on (seed, op, path), so a fixed seed would replay the identical fault
+/// forever) — until the join completes. The result must be bitwise
+/// identical to the fault-free run, with the injector demonstrably fired:
+/// on a store the test makes and hands its clusters, and on the one a
+/// simulated `Cluster::new` without a `dfs_root` makes itself.
 #[test]
 fn chaos_pipeline_survives_storage_storm_bitwise_identical() {
     quiet_injected_panics();
     let config = JoinConfig::recommended();
     let (baseline, _) = self_outputs(&cluster_with(None), &config);
-
-    // Input goes through a fault-free handle; faults are installed on the
-    // per-cluster handles below, so only pipeline traffic sees the storm.
-    let dfs = mapreduce::Dfs::new_temp_disk(3, 2048).unwrap();
-    let lines = datagen::to_lines(&datagen::dblp(80, 11));
-    dfs.write_text("/records", &lines).unwrap();
-
-    let mut injections = 0u64;
-    let mut finished = None;
-    for launch in 0..24u64 {
-        let plan = FaultPlan {
+    let storm = |launch: u64, backend| ClusterConfig {
+        max_task_attempts: 8,
+        faults: Some(FaultPlan {
             p_disk_eio: 0.01,
             p_torn_write: 0.03,
             ..FaultPlan::quiet(chaos_seed().wrapping_add(launch))
-        };
-        let cluster_config = ClusterConfig {
-            max_task_attempts: 8,
-            faults: Some(plan),
+        }),
+        backend,
+        ..ClusterConfig::with_nodes(3)
+    };
+
+    // Input goes through a fault-free handle; faults are installed on the
+    // per-cluster handles below, so only pipeline traffic sees the storm.
+    let dfs = mapreduce::Dfs::new(3, 2048).unwrap();
+    let backend = BackendKind::from_env();
+    let (out, injections) = survive_storm(&dfs, &config, |launch| {
+        Cluster::with_dfs(storm(launch, backend), dfs.clone()).unwrap()
+    });
+    assert_eq!(out, baseline, "storage storm changed the join result");
+    assert!(injections > 0, "storm plan never fired");
+
+    // Launch 0 runs under `eio=1.0`, so the store takes a fault whatever
+    // the later launches draw; they resume under the storm to completion.
+    let own = Cluster::new(storm(0, BackendKind::Simulated), 2048).unwrap();
+    assert!(own.config().dfs_root.is_none());
+    let calm = mapreduce::Dfs::new_disk(3, 2048, own.dfs().root()).unwrap();
+    let (out, injections) = survive_storm(&calm, &config, |launch| {
+        let mut config = storm(launch, BackendKind::Simulated);
+        if launch == 0 {
+            config.faults = Some(FaultPlan {
+                p_disk_eio: 1.0,
+                ..FaultPlan::quiet(chaos_seed())
+            });
+        }
+        Cluster::with_dfs(config, own.dfs().clone()).unwrap()
+    });
+    assert_eq!(out, baseline, "storage storm changed the join result");
+    assert!(injections > 0, "a store without a dfs_root took no fault");
+}
+
+/// Self-join `/records`, written through the fault-free handle `calm`, on
+/// `launch(n)` for launch n = 0, 1, … until a launch completes and its
+/// committed output reads back through `calm`; the output, and the storage
+/// faults injected on the way.
+fn survive_storm(
+    calm: &mapreduce::Dfs,
+    config: &JoinConfig,
+    launch: impl Fn(u64) -> Cluster,
+) -> (RunOutput, u64) {
+    let lines = datagen::to_lines(&datagen::dblp(80, 11));
+    calm.write_text("/records", &lines).unwrap();
+    let calm = Cluster::with_dfs(
+        ClusterConfig {
             backend: BackendKind::from_env(),
             ..ClusterConfig::with_nodes(3)
-        };
-        let cluster = Cluster::with_dfs(cluster_config, dfs.clone()).unwrap();
-        let result = fuzzyjoin::self_join_resume(&cluster, "/records", "/work", &config);
+        },
+        calm.clone(),
+    )
+    .unwrap();
+    let mut injections = 0u64;
+    for n in 0..24u64 {
+        let cluster = launch(n);
+        let result = fuzzyjoin::self_join_resume(&cluster, "/records", "/work", config);
         injections += cluster.dfs().storage_fault_injections();
         match result {
             Ok(outcome) => {
-                // Read the committed output back through a calm cluster so
-                // a read-side EIO cannot fire while checking the result. A
-                // torn write on the *final* stage commits successfully (the
-                // damage is only visible to readers, via the CRC wall), so
-                // a checksum error here sends the loop around again — the
-                // next resume invalidates that manifest and re-runs the
-                // producer, just as the CLI's resume path does.
-                let calm = Cluster::with_dfs(
-                    ClusterConfig {
-                        backend: BackendKind::from_env(),
-                        ..ClusterConfig::with_nodes(3)
-                    },
-                    dfs.clone(),
-                )
-                .unwrap();
+                // Read the committed output back through the calm cluster
+                // so a read-side EIO cannot fire while checking the result.
+                // A torn write on the *final* stage commits successfully
+                // (the damage is only visible to readers, via the CRC
+                // wall), so a checksum error here sends the loop around
+                // again — the next resume invalidates that manifest and
+                // re-runs the producer, just as the CLI's resume path does.
                 let rid_pairs = read_rid_pairs(&calm, &outcome.ridpairs_path);
                 let joined = read_joined(&calm, &outcome.joined_path);
                 match (rid_pairs, joined) {
                     (Ok(rid_pairs), Ok(joined)) => {
-                        finished = Some(RunOutput {
+                        let joined = joined.into_iter();
+                        let out = RunOutput {
                             rid_pairs,
-                            joined: joined
-                                .into_iter()
-                                .map(|((a, b), (_, _, sim))| (a, b, sim))
-                                .collect(),
-                        });
-                        break;
+                            joined: joined.map(|((a, b), (_, _, sim))| (a, b, sim)).collect(),
+                        };
+                        return (out, injections);
                     }
                     (r, j) => {
                         for e in [r.err(), j.err()].into_iter().flatten() {
@@ -286,9 +318,7 @@ fn chaos_pipeline_survives_storage_storm_bitwise_identical() {
             ),
         }
     }
-    let out = finished.expect("join never completed under the storage storm");
-    assert_eq!(out, baseline, "storage storm changed the join result");
-    assert!(injections > 0, "storm plan never fired");
+    panic!("join never completed under the storage storm");
 }
 
 /// A word-count cluster: `nodes` nodes, `attempts` attempts per task, and

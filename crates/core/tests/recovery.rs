@@ -449,7 +449,7 @@ fn enospc_with_healing_scavenger_resumes_to_completion() {
     let base = self_join(&base_cluster, "/records", "/work", &config).unwrap();
     let baseline = collect(&base_cluster, &base);
 
-    let dfs = mapreduce::Dfs::new_temp_disk(3, 2048).unwrap();
+    let dfs = mapreduce::Dfs::new(3, 2048).unwrap();
     let lines = datagen::to_lines(&datagen::dblp(80, 11));
     dfs.write_text("/records", &lines).unwrap();
 

@@ -44,21 +44,19 @@ pub struct ClusterConfig {
     /// reaches the reducers — and, for [`BackendKind::Process`], in which
     /// process an attempt runs.
     pub backend: BackendKind,
-    /// Root directory of a disk-backed DFS. Setting it puts the store on
-    /// disk for *any* backend — the in-process backends gain a persistent,
-    /// kill-survivable store, and the [`BackendKind::Process`] backend
-    /// uses it as its storage plane. `None` keeps the in-memory store for
-    /// the in-process backends and gives the process backend a
-    /// self-cleaning temp directory. Set it to keep the filesystem around
-    /// across engine restarts (crash/resume).
+    /// Where the DFS lives, for every backend (the
+    /// [`BackendKind::Process`] backend's workers open it too). `None`
+    /// gives the cluster a self-cleaning temp root ([`crate::Dfs::new`]).
+    /// Set it to keep the filesystem around across engine restarts
+    /// (crash/resume).
     pub dfs_root: Option<std::path::PathBuf>,
-    /// Follow the write→sync→rename→dir-sync durable-commit discipline on
-    /// the disk store: a file is fsynced before it is renamed into place
+    /// Follow the write→sync→rename→dir-sync durable-commit discipline in
+    /// the DFS: a file is fsynced before it is renamed into place
     /// and its directory after, and a job's commit syncs every part, then
     /// their directory, before it publishes `_SUCCESS` that way. On by
     /// default; benches opt out to measure the fsync tax — with it off, a
     /// killed *process* still never loses acknowledged commits (the page
-    /// cache survives), but power loss can. No effect on the in-memory store.
+    /// cache survives), but power loss can.
     pub durable_commits: bool,
     /// Capacity (in spill runs) of the one shuffle channel between the map
     /// attempts and the collector thread of the [`BackendKind::Sharded`]

@@ -1,10 +1,11 @@
-//! A block-based distributed file system, kept in memory or on disk.
+//! A block-based distributed file system on disk.
 //!
-//! [`Dfs::new`] holds every file in one in-process map; [`Dfs::new_disk`]
-//! (and [`Dfs::new_temp_disk`]) keeps each file as a checksummed container
-//! under a root directory, so that independent processes opening the root
-//! share one file system — the process backend's storage plane, and what a
-//! killed driver resumes over. Both stores behave alike through this API.
+//! Each file is a checksummed container under a root directory, so
+//! independent processes opening the root share one file system: the
+//! driver and its worker processes, and a killed driver and the one that
+//! resumes over what it left. [`Dfs::new_disk`] opens a caller's root;
+//! [`Dfs::new`] makes a self-cleaning one under `/dev/shm` (or the system
+//! temp dir where there is none).
 //!
 //! Files are sequences of blocks; each block is placed on a simulated node in
 //! round-robin order — the balanced layout the paper establishes before every
@@ -33,15 +34,12 @@
 //! included) comes from the file's header alone and never reads, or vouches
 //! for, the payload.
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
-use std::ops::Bound;
+use std::io::{BufWriter, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,7 +62,7 @@ pub enum FileKind {
 #[derive(Debug, Clone)]
 struct DfsFile {
     stat: FileStat,
-    blocks: Vec<Arc<[u8]>>,
+    blocks: Vec<Vec<u8>>,
 }
 
 /// One file's metadata as fixed at write time: what [`Dfs::stat`] reads
@@ -81,8 +79,7 @@ pub struct FileStat {
     pub crc: u32,
     /// `(length, node, stored CRC-32)` of every block, in file order.
     blocks: Vec<(u64, usize, u32)>,
-    /// Where the payload starts in the container: the header's own length
-    /// (0 in memory, where there is none).
+    /// Where the payload starts in the container: the header's own length.
     payload_at: u64,
 }
 
@@ -94,12 +91,6 @@ impl DfsFile {
             crc.update(data);
         }
         check_crc(path, self.stat.crc, crc.finish())
-    }
-
-    /// The bytes of block `index`, unchecked.
-    fn block(&self, path: &str, index: usize) -> Result<Arc<[u8]>> {
-        let block = self.blocks.get(index).cloned();
-        block.ok_or_else(|| MrError::Codec(format!("{path} has no block {index}: replaced?")))
     }
 }
 
@@ -222,22 +213,15 @@ pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
     gf2_mul(shift, crc_a) ^ crc_b
 }
 
-/// Where a [`Dfs`] keeps its files.
-enum Store {
-    /// The original in-process store: one map behind a lock.
-    Mem(RwLock<BTreeMap<String, DfsFile>>),
-    /// Disk-backed: every DFS file is a real container file under a root
-    /// directory, so independent *processes* opening the same root see the
-    /// same file system (the process execution backend's storage plane).
-    Disk(DiskStore),
-}
-
 /// Container-file magic: identifies (and versions) the on-disk format,
 /// `MRDFSv2`: a CRC per entry of the block table.
 const CONTAINER_MAGIC: &[u8; 8] = b"MRDFSv2\0";
 
 /// Monotonic discriminator for temp files and temp roots in this process.
 static DISK_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// What the name of a [`Dfs::new`] root starts with, before its owner's pid.
+const TEMP_ROOT_PREFIX: &str = "mrdfs-";
 
 /// Map an OS error on a DFS path to the closest classified [`MrError`].
 /// `StorageFull` (ENOSPC) and `Interrupted` (EINTR) from the real disk are
@@ -269,7 +253,7 @@ pub(crate) fn read_at(p: &Path, pos: u64, len: u64) -> std::io::Result<Vec<u8>> 
     Ok(bytes)
 }
 
-/// Seeded per-operation storage-fault state for the disk store, installed
+/// Seeded per-operation storage-fault state for the store, installed
 /// from a [`FaultPlan`]'s `enospc=` / `eio=` / `torn=` keys and shared by
 /// every clone of the handle — the operation counter and the ENOSPC byte
 /// budget are global to the installing process. Worker processes open
@@ -347,7 +331,7 @@ impl StorageFaults {
     }
 }
 
-/// The disk-backed store: DFS files live under `<root>/fs/`, atomic-create
+/// The store: DFS files live under `<root>/fs/`, atomic-create
 /// temporaries under `<root>/tmp/`, and worker spill runs (owned by the
 /// process backend, not by this module) under `<root>/shuffle/`.
 struct DiskStore {
@@ -402,13 +386,13 @@ impl DiskStore {
     }
 
     /// Read `len` bytes at `pos` of a container: one block's.
-    fn read_range(&self, path: &str, pos: u64, len: u64) -> Result<Arc<[u8]>> {
+    fn read_range(&self, path: &str, pos: u64, len: u64) -> Result<Vec<u8>> {
         let bytes = read_at(&self.target_path(path)?, pos, len).map_err(|e| io_fail(path, e))?;
         if bytes.len() as u64 != len {
             let why = format!("corrupt DFS container {path}: no {len} bytes at {pos}");
             return Err(MrError::Codec(why));
         }
-        Ok(Arc::from(bytes))
+        Ok(bytes)
     }
 
     /// Read a container's header only. Its length is known once it parses,
@@ -432,9 +416,9 @@ impl DiskStore {
     }
 
     /// Write a container file. Without `overwrite` the create is atomic and
-    /// exclusive (temp write + hard link), preserving the in-memory store's
-    /// create-or-`FileExists` semantics even across racing processes; with
-    /// it, an atomic `rename` replaces whatever is there.
+    /// exclusive (temp write + hard link): create-or-`FileExists`, even
+    /// across racing processes; with it, an atomic `rename` replaces
+    /// whatever is there.
     ///
     /// With `durable` on this is **write → sync → rename → dir-sync**: the
     /// temp file under `tmp/` reaches stable storage before a visible name
@@ -456,7 +440,7 @@ impl DiskStore {
             std::process::id(),
             DISK_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, encode_container(file)).map_err(|e| io_fail(path, e))?;
+        write_container(&tmp, file).map_err(|e| io_fail(path, e))?;
         if durable {
             self.fsync(&tmp).map_err(|e| io_fail(path, e))?;
         }
@@ -507,27 +491,32 @@ fn walk_files(p: &Path, visit: &mut dyn FnMut(&Path)) {
     }
 }
 
-/// Serialize a [`DfsFile`] into the container format: magic, then a
+/// Write a [`DfsFile`] to `p` in the container format: magic, then a
 /// codec-encoded header (kind, CRC, length, and the block table: length,
-/// node and CRC of each block), then the raw block payloads back to back.
-fn encode_container(file: &DfsFile) -> Vec<u8> {
+/// node and CRC of each block), then the raw block payloads back to back,
+/// each written from its own buffer (the writer batches only blocks
+/// smaller than its own).
+fn write_container(p: &Path, file: &DfsFile) -> std::io::Result<()> {
+    use std::io::Write;
     let stat = &file.stat;
-    // Room for the whole header: growing past it would copy the payload.
-    let mut out = Vec::with_capacity(64 + 16 * file.blocks.len() + stat.len as usize);
-    out.extend_from_slice(CONTAINER_MAGIC);
-    (stat.kind as u8).encode(&mut out);
-    stat.crc.encode(&mut out);
-    stat.len.encode(&mut out);
-    write_varint(file.blocks.len() as u64, &mut out);
+    let mut head = Vec::with_capacity(64 + 16 * file.blocks.len());
+    head.extend_from_slice(CONTAINER_MAGIC);
+    (stat.kind as u8).encode(&mut head);
+    stat.crc.encode(&mut head);
+    stat.len.encode(&mut head);
+    write_varint(file.blocks.len() as u64, &mut head);
     for (&(_, node, crc), data) in stat.blocks.iter().zip(&file.blocks) {
-        write_varint(data.len() as u64, &mut out);
-        write_varint(node as u64, &mut out);
-        crc.encode(&mut out);
+        write_varint(data.len() as u64, &mut head);
+        write_varint(node as u64, &mut head);
+        crc.encode(&mut head);
     }
+    let mut out = BufWriter::with_capacity(64 << 10, fs::File::create(p)?);
+    out.write_all(&head)?;
     for data in &file.blocks {
-        out.extend_from_slice(data);
+        out.write_all(data)?;
     }
-    out
+    out.into_inner().map_err(|e| e.into_error())?;
+    Ok(())
 }
 
 /// Parse the front of a container — magic, kind, CRC, length, block table —
@@ -584,7 +573,7 @@ fn decode_header(path: &str, bytes: &[u8], total: u64) -> Result<FileStat> {
 
 /// Parse a container file. Structural damage (bad magic, truncated header,
 /// short payload) is a codec error; *payload* damage is intentionally left
-/// for the CRC check on read, exactly like the in-memory store.
+/// for the CRC check on read.
 fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
     let stat = decode_header(path, bytes, bytes.len() as u64)?;
     // The header's size check bounds every block by the payload.
@@ -592,7 +581,7 @@ fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
     let cut = |&(len, _, _): &(u64, usize, u32)| {
         let (data, rest) = payload.split_at(len as usize);
         payload = rest;
-        Arc::from(data)
+        data.to_vec()
     };
     let blocks = stat.blocks.iter().map(cut).collect();
     Ok(DfsFile { stat, blocks })
@@ -602,16 +591,16 @@ fn decode_container(path: &str, bytes: &[u8]) -> Result<DfsFile> {
 /// shares the underlying store.
 #[derive(Clone)]
 pub struct Dfs {
-    store: Arc<Store>,
+    store: Arc<DiskStore>,
     block_size: usize,
     nodes: usize,
     next_node: Arc<AtomicUsize>,
-    /// Follow the write→sync→rename→dir-sync commit discipline on the disk
-    /// store (see [`DiskStore::save`]); no effect in-memory. Copied into
-    /// clones, so set it before sharing the handle.
+    /// Follow the write→sync→rename→dir-sync commit discipline (see
+    /// [`DiskStore::save`]). Copied into clones, so set it before sharing
+    /// the handle.
     durable: bool,
-    /// Injected storage faults (disk store only); shared across clones so
-    /// the operation counter and ENOSPC budget are process-global.
+    /// Injected storage faults; shared across clones so the operation
+    /// counter and ENOSPC budget are process-global.
     faults: Option<Arc<StorageFaults>>,
 }
 
@@ -630,36 +619,49 @@ pub struct BlockSplit {
     pub len: u64,
     /// File kind, for the record reader.
     pub kind: FileKind,
-    /// The block's place in its file's block table.
-    index: usize,
     /// The block's stored CRC-32.
     crc: u32,
-    /// Where the block's bytes start in the container (disk store).
+    /// Where the block's bytes start in the container.
     pos: u64,
 }
 
 impl Dfs {
     /// Create a DFS spanning `nodes` simulated nodes with the given block
     /// size in bytes (the paper uses 128 MB; tests use much smaller blocks to
-    /// exercise multi-block logic).
-    pub fn new(nodes: usize, block_size: usize) -> Self {
-        Self::over(nodes, block_size, Store::Mem(RwLock::default()))
+    /// exercise multi-block logic), under a fresh directory removed when the
+    /// last handle drops: in `/dev/shm` where that is a directory, in the
+    /// system temp dir otherwise. The roots that killed processes left
+    /// beside it (no handle of theirs ever dropped) are swept first.
+    pub fn new(nodes: usize, block_size: usize) -> Result<Self> {
+        let parent = temp_parent();
+        sweep_dead_owners(&parent, Debris::TempRoot);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.subsec_nanos())
+            .unwrap_or(0);
+        let root = parent.join(format!(
+            "{TEMP_ROOT_PREFIX}{}-{nanos}-{}",
+            std::process::id(),
+            DISK_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        Self::over(nodes, block_size, &root, true)
     }
 
-    fn over(nodes: usize, block_size: usize, store: Store) -> Self {
+    /// Open (or create) a DFS rooted at `root`. Independent process handles
+    /// opening the same root share the file system — this is the storage
+    /// plane of the process execution backend. The root is left in place
+    /// when the handle drops.
+    ///
+    /// Block *placement* counters are per-handle, so round-robin node
+    /// assignment restarts in every process; placement affects locality
+    /// accounting only, never file bytes, so backend parity is unaffected.
+    pub fn new_disk(nodes: usize, block_size: usize, root: impl AsRef<Path>) -> Result<Self> {
+        Self::over(nodes, block_size, root.as_ref(), false)
+    }
+
+    fn over(nodes: usize, block_size: usize, root: &Path, cleanup: bool) -> Result<Self> {
         assert!(nodes > 0, "DFS needs at least one node");
         assert!(block_size >= 16, "block size too small");
-        Dfs {
-            store: Arc::new(store),
-            block_size,
-            nodes,
-            next_node: Arc::new(AtomicUsize::new(0)),
-            durable: true,
-            faults: None,
-        }
-    }
-
-    fn over_disk(nodes: usize, block_size: usize, root: &Path, cleanup: bool) -> Result<Self> {
         for sub in ["fs", "tmp", "shuffle"] {
             fs::create_dir_all(root.join(sub))
                 .map_err(|e| io_fail(&root.join(sub).to_string_lossy(), e))?;
@@ -669,43 +671,19 @@ impl Dfs {
             cleanup,
             syncs: AtomicU64::new(0),
         };
-        Ok(Self::over(nodes, block_size, Store::Disk(store)))
+        Ok(Dfs {
+            store: Arc::new(store),
+            block_size,
+            nodes,
+            next_node: Arc::new(AtomicUsize::new(0)),
+            durable: true,
+            faults: None,
+        })
     }
 
-    /// Open (or create) a disk-backed DFS rooted at `root`. Independent
-    /// process handles opening the same root share the file system — this
-    /// is the storage plane of the process execution backend. The root is
-    /// left in place when the handle drops.
-    ///
-    /// Block *placement* counters are per-handle, so round-robin node
-    /// assignment restarts in every process; placement affects locality
-    /// accounting only, never file bytes, so backend parity is unaffected.
-    pub fn new_disk(nodes: usize, block_size: usize, root: impl AsRef<Path>) -> Result<Self> {
-        Self::over_disk(nodes, block_size, root.as_ref(), false)
-    }
-
-    /// Disk-backed DFS under a fresh unique directory in the system temp
-    /// dir, removed when the last handle drops. Used when the process
-    /// backend runs without an explicit `--dfs-root`.
-    pub fn new_temp_disk(nodes: usize, block_size: usize) -> Result<Self> {
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos())
-            .unwrap_or(0);
-        let root = std::env::temp_dir().join(format!(
-            "mrdfs-{}-{nanos}-{}",
-            std::process::id(),
-            DISK_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        Self::over_disk(nodes, block_size, &root, true)
-    }
-
-    /// Root directory when disk-backed, `None` for the in-memory store.
-    pub fn disk_root(&self) -> Option<&Path> {
-        match &*self.store {
-            Store::Mem(_) => None,
-            Store::Disk(d) => Some(&d.root),
-        }
+    /// The directory the store lives under.
+    pub fn root(&self) -> &Path {
+        &self.store.root
     }
 
     /// Toggle the durable-commit discipline (see [`DiskStore::save`] and
@@ -716,13 +694,12 @@ impl Dfs {
     }
 
     /// Install the storage-fault keys of `plan` (`enospc=` / `eio=` /
-    /// `torn=`) on this handle. A no-op for the in-memory store (no disk
-    /// to fail) or a plan without storage keys. Fault state is shared with
-    /// every clone taken afterwards; worker processes open fresh handles
-    /// and never install it — storage injection is a driver-side
-    /// instrument.
+    /// `torn=`) on this handle, whatever backend it serves. A no-op for a
+    /// plan without storage keys. Fault state is shared with every clone
+    /// taken afterwards; worker processes open fresh handles and never
+    /// install it — storage injection is a driver-side instrument.
     pub fn install_storage_faults(&mut self, plan: &FaultPlan) {
-        if !plan.has_storage_faults() || self.disk_root().is_none() {
+        if !plan.has_storage_faults() {
             return;
         }
         self.faults = Some(Arc::new(StorageFaults {
@@ -742,15 +719,12 @@ impl Dfs {
     }
 
     /// Fsyncs issued so far by every handle on this store in this process
-    /// (tests count what a commit costs); always 0 in memory.
+    /// (tests count what a commit costs).
     pub fn syncs(&self) -> u64 {
-        match &*self.store {
-            Store::Mem(_) => 0,
-            Store::Disk(d) => d.syncs.load(Ordering::Relaxed),
-        }
+        self.store.syncs.load(Ordering::Relaxed)
     }
 
-    /// Sweep storage orphans under a disk root: `tmp/<pid>-<seq>` container
+    /// Sweep storage orphans under the root: `tmp/<pid>-<seq>` container
     /// temporaries and `shuffle/<job>-<pid>-<seq>/` spill directories (the
     /// `*.run` files inside) whose owning process is dead — the debris a
     /// SIGKILLed driver or a quarantined worker leaves behind. Live
@@ -760,11 +734,9 @@ impl Dfs {
     /// the engine runs this pass at job start and on every
     /// [`MrError::StorageFull`] before the retry.
     pub fn scavenge_orphans(&self) -> usize {
-        let mut removed = 0;
-        if let Store::Disk(d) = &*self.store {
-            removed += sweep_dead_owners(&d.root.join("tmp"), false);
-            removed += sweep_dead_owners(&d.root.join("shuffle"), true);
-        }
+        let root = &self.store.root;
+        let removed = sweep_dead_owners(&root.join("tmp"), Debris::TempFile)
+            + sweep_dead_owners(&root.join("shuffle"), Debris::SpillDir);
         if let Some(f) = &self.faults {
             f.heal();
         }
@@ -785,132 +757,79 @@ impl Dfs {
         self.next_node.fetch_add(1, Ordering::Relaxed) % self.nodes
     }
 
-    /// Draw the injected `eio` fault for a disk `op` on `path` — for reads,
+    /// Draw the injected `eio` fault for an `op` on `path` — for reads,
     /// of a payload, a block or a header alike.
     fn io_fault(&self, op: &str, path: &str) -> Result<()> {
         self.faults.as_ref().map_or(Ok(()), |f| f.eio(op, path))
     }
 
-    /// Fetch one file's metadata and bytes, whichever store holds them.
+    /// Fetch one file's metadata and bytes.
     fn load(&self, path: &str) -> Result<DfsFile> {
-        match &*self.store {
-            Store::Mem(inner) => inner
-                .read()
-                .get(path)
-                .cloned()
-                .ok_or_else(|| MrError::FileNotFound(path.to_string())),
-            Store::Disk(d) => {
-                self.io_fault("read", path)?;
-                d.load(path)
-            }
-        }
+        self.io_fault("read", path)?;
+        self.store.load(path)
     }
 
     /// Metadata of a single file: kind, length, stored CRC and block
-    /// table. On the disk store this reads the container's header only —
-    /// never the payload — and checks the header against the on-disk size,
-    /// so a truncated or over-long container still fails as corrupt.
-    /// Payload damage is *not* seen here: that is what every read and
-    /// [`Dfs::verify`] are for.
+    /// table. This reads the container's header only — never the payload —
+    /// and checks the header against the on-disk size, so a truncated or
+    /// over-long container still fails as corrupt. Payload damage is *not*
+    /// seen here: that is what every read and [`Dfs::verify`] are for.
     pub fn stat(&self, path: &str) -> Result<FileStat> {
-        match &*self.store {
-            Store::Mem(inner) => inner
-                .read()
-                .get(path)
-                .map(|file| file.stat.clone())
-                .ok_or_else(|| MrError::FileNotFound(path.to_string())),
-            Store::Disk(d) => {
-                self.io_fault("read", path)?;
-                d.stat(path)
-            }
-        }
+        self.io_fault("read", path)?;
+        self.store.stat(path)
     }
 
     fn insert(&self, path: &str, file: DfsFile, overwrite: bool) -> Result<()> {
-        match &*self.store {
-            Store::Mem(inner) => {
-                let mut inner = inner.write();
-                if !overwrite && inner.contains_key(path) {
-                    return Err(MrError::FileExists(path.to_string()));
-                }
-                inner.insert(path.to_string(), file);
-                Ok(())
-            }
-            Store::Disk(d) => {
-                self.io_fault("write", path)?;
-                let faults = self.faults.as_deref();
-                let res = if faults.is_some_and(|f| f.charge(file.stat.len)) {
-                    let path = path.to_string();
-                    Err(MrError::StorageFull { path })
-                } else if let Some(keep) = faults.and_then(|f| f.torn_keep(path, file.stat.len)) {
-                    // The torn write *reports success*: the damage only
-                    // surfaces at read time, through the CRC wall.
-                    d.save(path, &torn_copy(&file, keep), overwrite, self.durable)
-                } else {
-                    d.save(path, &file, overwrite, self.durable)
-                };
-                if matches!(res, Err(MrError::StorageFull { .. })) {
-                    // ENOSPC, injected or real, is transient-after-cleanup:
-                    // sweep dead orphans *now* (which also lets a healing
-                    // budget reset), so the retry finds room again.
-                    self.scavenge_orphans();
-                }
-                res
-            }
+        self.io_fault("write", path)?;
+        let faults = self.faults.as_deref();
+        let res = if faults.is_some_and(|f| f.charge(file.stat.len)) {
+            let path = path.to_string();
+            Err(MrError::StorageFull { path })
+        } else if let Some(keep) = faults.and_then(|f| f.torn_keep(path, file.stat.len)) {
+            // The torn write *reports success*: the damage only surfaces at
+            // read time, through the CRC wall.
+            let torn = torn_copy(&file, keep);
+            self.store.save(path, &torn, overwrite, self.durable)
+        } else {
+            self.store.save(path, &file, overwrite, self.durable)
+        };
+        if matches!(res, Err(MrError::StorageFull { .. })) {
+            // ENOSPC, injected or real, is transient-after-cleanup: sweep
+            // dead orphans *now* (which also lets a healing budget reset),
+            // so the retry finds room again.
+            self.scavenge_orphans();
         }
+        res
     }
 
     /// True if `path` names an existing file.
     pub fn exists(&self, path: &str) -> bool {
-        match &*self.store {
-            Store::Mem(inner) => inner.read().contains_key(path),
-            Store::Disk(d) => d.target_path(path).map(|p| p.is_file()).unwrap_or(false),
-        }
+        let target = self.store.target_path(path);
+        target.is_ok_and(|p| p.is_file())
     }
 
     /// Atomically rename `from` to `to`, replacing any existing `to`. This
     /// is the commit step of the engine's output-commit protocol (Hadoop's
-    /// `OutputCommitter` renaming an attempt path into place): in-memory the
-    /// removal of `from` and the appearance of `to` happen under one write
-    /// lock; on disk it is a single `rename(2)` — either way no reader ever
-    /// observes a half-committed output.
+    /// `OutputCommitter` renaming an attempt path into place): a single
+    /// `rename(2)`, so no reader ever observes a half-committed output.
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
-        match &*self.store {
-            Store::Mem(inner) => {
-                let mut inner = inner.write();
-                let file = inner
-                    .remove(from)
-                    .ok_or_else(|| MrError::FileNotFound(from.to_string()))?;
-                inner.insert(to.to_string(), file);
-                Ok(())
-            }
-            Store::Disk(d) => {
-                self.io_fault("rename", from)?;
-                let src = d.target_path(from)?;
-                let dst = d.target_path(to)?;
-                let parent = dst.parent().expect("a target lies under fs/");
-                fs::create_dir_all(parent).map_err(|e| io_fail(to, e))?;
-                fs::rename(&src, &dst).map_err(|e| io_fail(from, e))?;
-                // With durability on, the rename must itself reach stable
-                // storage before the caller treats `to` as committed.
-                if self.durable {
-                    d.fsync(parent).map_err(|e| io_fail(to, e))?;
-                }
-                Ok(())
-            }
+        self.io_fault("rename", from)?;
+        let src = self.store.target_path(from)?;
+        let dst = self.store.target_path(to)?;
+        let parent = dst.parent().expect("a target lies under fs/");
+        fs::create_dir_all(parent).map_err(|e| io_fail(to, e))?;
+        fs::rename(&src, &dst).map_err(|e| io_fail(from, e))?;
+        // With durability on, the rename must itself reach stable storage
+        // before the caller treats `to` as committed.
+        if self.durable {
+            self.store.fsync(parent).map_err(|e| io_fail(to, e))?;
         }
+        Ok(())
     }
 
     /// Delete one file. Missing files are an error.
     pub fn delete(&self, path: &str) -> Result<()> {
-        match &*self.store {
-            Store::Mem(inner) => inner
-                .write()
-                .remove(path)
-                .map(|_| ())
-                .ok_or_else(|| MrError::FileNotFound(path.to_string())),
-            Store::Disk(d) => fs::remove_file(d.target_path(path)?).map_err(|e| io_fail(path, e)),
-        }
+        fs::remove_file(self.store.target_path(path)?).map_err(|e| io_fail(path, e))
     }
 
     /// Delete every file under `prefix` (treated as a directory). Returns the
@@ -926,25 +845,16 @@ impl Dfs {
     /// All file paths under `prefix` (or the file itself), name-ordered:
     /// the paths [`is_under`] it. Costs that subtree, not the store.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        match &*self.store {
-            Store::Mem(inner) => {
-                // From the prefix on, for as long as keys start with it.
-                let root = prefix.trim_end_matches('/');
-                let files = inner.read();
-                let near = files.range::<str, _>((Bound::Included(root), Bound::Unbounded));
-                let near = near.map(|(k, _)| k).take_while(|k| k.starts_with(root));
-                near.filter(|k| is_under(k, root)).cloned().collect()
-            }
-            Store::Disk(d) => d.list(prefix),
-        }
+        self.store.list(prefix)
     }
 
     /// Make everything under `dir` durable in one wave — every file, then
     /// the directory that names them — where each write and rename under a
-    /// relaxed handle skipped its own syncs. Nothing to do in memory, or on
-    /// a handle that is relaxed itself.
+    /// relaxed handle skipped its own syncs. Nothing to do on a handle that
+    /// is relaxed itself.
     pub fn sync_under(&self, dir: &str) -> Result<()> {
-        if let (Store::Disk(d), true) = (&*self.store, self.durable) {
+        if self.durable {
+            let d = &self.store;
             for path in d.list(dir).iter().map(String::as_str).chain([dir]) {
                 d.fsync(&d.target_path(path)?)
                     .map_err(|e| io_fail(path, e))?;
@@ -984,9 +894,7 @@ impl Dfs {
             .iter_mut()
             .find(|b| !b.is_empty())
             .ok_or_else(|| MrError::InvalidConfig(format!("cannot corrupt empty file {path}")))?;
-        let mut data = block.to_vec();
-        data[0] ^= 0x01;
-        *block = Arc::from(data);
+        block[0] ^= 0x01;
         self.insert(path, file, true)
     }
 
@@ -1131,14 +1039,13 @@ impl Dfs {
         for p in self.resolve(path)? {
             let stat = self.stat(&p)?;
             let (mut offset, mut listed) = (0, 0);
-            for (index, &(len, node, crc)) in stat.blocks.iter().enumerate() {
+            for &(len, node, crc) in &stat.blocks {
                 out.push(BlockSplit {
                     path: p.clone(),
                     node,
                     offset,
                     len,
                     kind: stat.kind,
-                    index,
                     crc,
                     pos: stat.payload_at + offset,
                 });
@@ -1159,21 +1066,13 @@ impl Dfs {
         Ok(out)
     }
 
-    /// The bytes of one block, read — one range of the container on disk,
-    /// a shared buffer in memory — and checked against that block's stored
-    /// CRC here, in the caller: the map attempt that was handed the split.
-    pub fn read_block(&self, split: &BlockSplit) -> Result<Arc<[u8]>> {
+    /// The bytes of one block, read — one range of the container — and
+    /// checked against that block's stored CRC here, in the caller: the map
+    /// attempt that was handed the split.
+    pub fn read_block(&self, split: &BlockSplit) -> Result<Vec<u8>> {
         let path = split.path.as_str();
-        let data = match &*self.store {
-            Store::Mem(inner) => match inner.read().get(path) {
-                Some(file) => file.block(path, split.index)?,
-                None => return Err(MrError::FileNotFound(path.to_string())),
-            },
-            Store::Disk(d) => {
-                self.io_fault("read", path)?;
-                d.read_range(path, split.pos, split.len)?
-            }
-        };
+        self.io_fault("read", path)?;
+        let data = self.store.read_range(path, split.pos, split.len)?;
         check_crc(path, split.crc, Crc32::of(&data))?;
         Ok(data)
     }
@@ -1205,12 +1104,23 @@ fn torn_copy(file: &DfsFile, keep: u64) -> DfsFile {
     let mut left = keep;
     for (entry, data) in torn.stat.blocks.iter_mut().zip(&mut torn.blocks) {
         entry.0 = entry.0.min(left);
-        *data = Arc::from(&data[..entry.0 as usize]);
+        data.truncate(entry.0 as usize);
         left -= entry.0;
     }
     torn.stat.blocks.retain(|entry| entry.0 > 0);
     torn.blocks.retain(|data| !data.is_empty());
     torn
+}
+
+/// Where [`Dfs::new`] roots go: `/dev/shm` where that is a directory (the
+/// store then lives in memory), the system temp dir otherwise.
+fn temp_parent() -> PathBuf {
+    let shm = Path::new("/dev/shm");
+    if shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    }
 }
 
 /// True when `pid` names a live process. Checked through `/proc`; on a
@@ -1227,22 +1137,38 @@ fn pid_is_live(pid: u32) -> bool {
     proc_root.join(pid.to_string()).exists()
 }
 
-/// Owner pid embedded in an orphan candidate's name: `<pid>-<seq>` for
-/// temp files, `<job>-<pid>-<seq>` for shuffle spill directories.
-fn owner_pid(name: &str, is_spill_dir: bool) -> Option<u32> {
-    if is_spill_dir {
-        let mut it = name.rsplit('-');
-        let _seq = it.next()?;
-        it.next()?.parse().ok()
-    } else {
-        name.split('-').next()?.parse().ok()
+/// What an orphan sweep looks for, each kind named after its owner's pid.
+#[derive(Clone, Copy, PartialEq)]
+enum Debris {
+    /// `tmp/<pid>-<seq>`: a container temporary.
+    TempFile,
+    /// `shuffle/<job>-<pid>-<seq>/`: a spill directory.
+    SpillDir,
+    /// `mrdfs-<pid>-<nanos>-<seq>/`: a [`Dfs::new`] root.
+    TempRoot,
+}
+
+/// Owner pid embedded in the name of an orphan candidate of `kind`; `None`
+/// for a name of any other shape.
+fn owner_pid(name: &str, kind: Debris) -> Option<u32> {
+    match kind {
+        Debris::TempFile => name.split('-').next()?.parse().ok(),
+        Debris::SpillDir => {
+            let mut it = name.rsplit('-');
+            let _seq = it.next()?;
+            it.next()?.parse().ok()
+        }
+        Debris::TempRoot => {
+            let rest = name.strip_prefix(TEMP_ROOT_PREFIX)?;
+            rest.split('-').next()?.parse().ok()
+        }
     }
 }
 
-/// Remove every entry of `dir` whose embedded owner pid is dead. Returns
-/// the number of *files* freed (for spill directories, the run files
-/// inside). Entries without a parseable pid are left alone.
-fn sweep_dead_owners(dir: &Path, spill_dirs: bool) -> usize {
+/// Remove every entry of `dir` of `kind` whose embedded owner pid is dead.
+/// Returns the number of *files* freed (for directories, the files inside).
+/// Entries without a parseable pid are left alone.
+fn sweep_dead_owners(dir: &Path, kind: Debris) -> usize {
     let Ok(entries) = fs::read_dir(dir) else {
         return 0;
     };
@@ -1250,14 +1176,14 @@ fn sweep_dead_owners(dir: &Path, spill_dirs: bool) -> usize {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let Some(pid) = owner_pid(name, spill_dirs) else {
+        let Some(pid) = owner_pid(name, kind) else {
             continue;
         };
         if pid_is_live(pid) {
             continue;
         }
         let p = entry.path();
-        if spill_dirs && p.is_dir() {
+        if kind != Debris::TempFile && p.is_dir() {
             let mut files = 0;
             walk_files(&p, &mut |_| files += 1);
             if fs::remove_dir_all(&p).is_ok() {
@@ -1327,7 +1253,7 @@ impl BlockWriter {
         stat.blocks.push((len, self.dfs.place(), crc));
         stat.len += len;
         stat.crc = crc32_combine(stat.crc, crc, len);
-        self.file.blocks.push(Arc::from(data));
+        self.file.blocks.push(data);
     }
 
     /// Finish the file and register it in the DFS.
@@ -1439,7 +1365,7 @@ mod tests {
 
     #[test]
     fn text_roundtrip_and_blocks() {
-        let dfs = Dfs::new(4, 16);
+        let dfs = Dfs::new(4, 16).unwrap();
         let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
         dfs.write_text("/data/a.txt", &lines).unwrap();
         assert_eq!(dfs.read_text("/data/a.txt").unwrap(), lines);
@@ -1493,7 +1419,7 @@ mod tests {
             .unwrap();
             assert_eq!(visited, collected_lines(start, text.as_bytes()));
         }
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         dfs.write_text("/t", text.split('\n')).unwrap();
         let blocks = dfs.splits("/t").unwrap();
         let splits = crate::input::text_input(&dfs, "/t").unwrap();
@@ -1506,7 +1432,7 @@ mod tests {
 
     #[test]
     fn blocks_are_round_robin_balanced() {
-        let dfs = Dfs::new(3, 16);
+        let dfs = Dfs::new(3, 16).unwrap();
         let lines: Vec<String> = (0..30).map(|i| format!("record-{i:04}")).collect();
         dfs.write_text("/balanced", &lines).unwrap();
         let per_node = dfs.node_bytes();
@@ -1518,7 +1444,7 @@ mod tests {
 
     #[test]
     fn seq_roundtrip() {
-        let dfs = Dfs::new(2, 32);
+        let dfs = Dfs::new(2, 32).unwrap();
         let pairs: Vec<(u64, String)> = (0..50).map(|i| (i, format!("v{i}"))).collect();
         dfs.write_seq("/seq", &pairs).unwrap();
         let back: Vec<(u64, String)> = dfs.read_seq("/seq").unwrap();
@@ -1538,7 +1464,7 @@ mod tests {
 
     #[test]
     fn directory_reads_concatenate_parts() {
-        let dfs = Dfs::new(2, 1024);
+        let dfs = Dfs::new(2, 1024).unwrap();
         dfs.write_text("/out/part-00001", ["b"]).unwrap();
         dfs.write_text("/out/part-00000", ["a"]).unwrap();
         assert_eq!(dfs.read_text("/out").unwrap(), vec!["a", "b"]);
@@ -1549,7 +1475,7 @@ mod tests {
 
     #[test]
     fn rename_is_atomic_replace() {
-        let dfs = Dfs::new(2, 1024);
+        let dfs = Dfs::new(2, 1024).unwrap();
         dfs.write_text("/out/_attempt-00000-1", ["new"]).unwrap();
         dfs.write_text("/out/part-00000", ["stale"]).unwrap();
         dfs.rename("/out/_attempt-00000-1", "/out/part-00000")
@@ -1564,7 +1490,7 @@ mod tests {
 
     #[test]
     fn hidden_files_are_invisible_to_directory_reads() {
-        let dfs = Dfs::new(2, 1024);
+        let dfs = Dfs::new(2, 1024).unwrap();
         dfs.write_text("/out/part-00000", ["data"]).unwrap();
         dfs.write_text("/out/_attempt-00001-0", ["partial"])
             .unwrap();
@@ -1583,7 +1509,7 @@ mod tests {
 
     #[test]
     fn directory_of_only_hidden_files_reads_as_missing() {
-        let dfs = Dfs::new(1, 1024);
+        let dfs = Dfs::new(1, 1024).unwrap();
         dfs.write_text("/out/_attempt-00000-0", ["x"]).unwrap();
         assert!(matches!(
             dfs.read_text("/out"),
@@ -1593,7 +1519,7 @@ mod tests {
 
     #[test]
     fn exists_delete_and_errors() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text("/f", ["x"]).unwrap();
         assert!(dfs.exists("/f"));
         assert!(matches!(
@@ -1611,7 +1537,7 @@ mod tests {
 
     #[test]
     fn kind_mismatch_is_rejected() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text("/t", ["x"]).unwrap();
         assert!(dfs.read_seq::<u64, u64>("/t").is_err());
         dfs.write_seq("/s", &[(1u64, 2u64)]).unwrap();
@@ -1620,7 +1546,7 @@ mod tests {
 
     #[test]
     fn file_len_and_len_under() {
-        let dfs = Dfs::new(2, 1024);
+        let dfs = Dfs::new(2, 1024).unwrap();
         dfs.write_text("/d/p1", ["ab", "cd"]).unwrap(); // 6 bytes with newlines
         dfs.write_text("/d/p2", ["ef"]).unwrap(); // 3 bytes
         assert_eq!(dfs.file_len("/d/p1").unwrap(), 6);
@@ -1702,7 +1628,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected_on_every_read_path() {
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
         dfs.write_text("/t", &lines).unwrap();
         dfs.write_seq("/s", &[(1u64, "v".to_string())]).unwrap();
@@ -1730,7 +1656,7 @@ mod tests {
             other => panic!("expected checksum mismatch, got {other}"),
         }
         // Directory reads fail too when a member part is corrupt.
-        let dfs2 = Dfs::new(2, 1024);
+        let dfs2 = Dfs::new(2, 1024).unwrap();
         dfs2.write_text("/out/part-00000", ["a"]).unwrap();
         dfs2.write_text("/out/part-00001", ["b"]).unwrap();
         dfs2.corrupt("/out/part-00001").unwrap();
@@ -1743,29 +1669,11 @@ mod tests {
     /// Flip the low bit of payload byte `at` of `path` behind the store's
     /// back: the stored CRC, length and block table stay as written.
     fn flip_payload_bit(dfs: &Dfs, path: &str, at: u64) {
-        match dfs.disk_root() {
-            Some(root) => {
-                let real = root.join("fs").join(path.trim_start_matches('/'));
-                let mut bytes = fs::read(&real).unwrap();
-                let header = bytes.len() - dfs.file_len(path).unwrap() as usize;
-                bytes[header + at as usize] ^= 0x01;
-                fs::write(&real, &bytes).unwrap();
-            }
-            None => {
-                let mut file = dfs.load(path).unwrap();
-                let mut start = 0;
-                for block in &mut file.blocks {
-                    if at < start + block.len() as u64 {
-                        let mut data = block.to_vec();
-                        data[(at - start) as usize] ^= 0x01;
-                        *block = Arc::from(data);
-                        break;
-                    }
-                    start += block.len() as u64;
-                }
-                dfs.insert(path, file, true).unwrap();
-            }
-        }
+        let real = dfs.root().join("fs").join(path.trim_start_matches('/'));
+        let mut bytes = fs::read(&real).unwrap();
+        let header = bytes.len() - dfs.file_len(path).unwrap() as usize;
+        bytes[header + at as usize] ^= 0x01;
+        fs::write(&real, &bytes).unwrap();
     }
 
     /// What a map phase over `path` reads: one count per block, each from
@@ -1783,77 +1691,71 @@ mod tests {
 
     #[test]
     fn a_bit_flip_anywhere_fails_every_read_and_no_metadata_call() {
-        for dfs in [Dfs::new(2, 16), Dfs::new_temp_disk(2, 16).unwrap()] {
-            let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
-            dfs.write_text("/t", &lines).unwrap();
-            let pairs: Vec<(u64, String)> = (0..50).map(|i| (i, format!("v{i}"))).collect();
-            dfs.write_seq("/s", &pairs).unwrap();
-            for path in ["/t", "/s"] {
-                let stat = dfs.stat(path).unwrap();
-                let blocks = dfs.splits(path).unwrap();
-                assert!(blocks.len() > 1, "{path} must span blocks");
-                let records: usize = map_reads(&dfs, path).into_iter().map(Result::unwrap).sum();
-                assert_eq!(records, if path == "/t" { 20 } else { 50 });
-                // The first and last byte of every block, and each of the
-                // file's last eight — the bytes the kernel's tail loop and
-                // last whole step see.
-                let ends = blocks.iter().flat_map(|b| [b.offset, b.offset + b.len - 1]);
-                for at in ends.chain(stat.len - 8..stat.len) {
-                    flip_payload_bit(&dfs, path, at);
-                    let reads = [
-                        dfs.verify(path),
-                        if path == "/t" {
-                            dfs.read_text(path).map(drop)
-                        } else {
-                            dfs.read_seq::<u64, String>(path).map(drop)
-                        },
-                    ];
-                    for read in reads {
-                        match read {
-                            Err(MrError::ChecksumMismatch {
-                                expected, found, ..
-                            }) => {
-                                assert_eq!(expected, stat.crc, "{path} byte {at}");
-                                assert_ne!(found, expected);
-                            }
-                            other => panic!("{path} byte {at}: expected mismatch, got {other:?}"),
+        let dfs = Dfs::new(2, 16).unwrap();
+        let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
+        dfs.write_text("/t", &lines).unwrap();
+        let pairs: Vec<(u64, String)> = (0..50).map(|i| (i, format!("v{i}"))).collect();
+        dfs.write_seq("/s", &pairs).unwrap();
+        for path in ["/t", "/s"] {
+            let stat = dfs.stat(path).unwrap();
+            let blocks = dfs.splits(path).unwrap();
+            assert!(blocks.len() > 1, "{path} must span blocks");
+            let records: usize = map_reads(&dfs, path).into_iter().map(Result::unwrap).sum();
+            assert_eq!(records, if path == "/t" { 20 } else { 50 });
+            // The first and last byte of every block, and each of the
+            // file's last eight — the bytes the kernel's tail loop and
+            // last whole step see.
+            let ends = blocks.iter().flat_map(|b| [b.offset, b.offset + b.len - 1]);
+            for at in ends.chain(stat.len - 8..stat.len) {
+                flip_payload_bit(&dfs, path, at);
+                let reads = [
+                    dfs.verify(path),
+                    if path == "/t" {
+                        dfs.read_text(path).map(drop)
+                    } else {
+                        dfs.read_seq::<u64, String>(path).map(drop)
+                    },
+                ];
+                for read in reads {
+                    match read {
+                        Err(MrError::ChecksumMismatch {
+                            expected, found, ..
+                        }) => {
+                            assert_eq!(expected, stat.crc, "{path} byte {at}");
+                            assert_ne!(found, expected);
                         }
-                    }
-                    // The map phase is laid out all the same, and exactly
-                    // the block holding the byte fails, in whoever reads it.
-                    for (b, read) in blocks.iter().zip(map_reads(&dfs, path)) {
-                        let damaged = (b.offset..b.offset + b.len).contains(&at);
-                        match read {
-                            Ok(_) => assert!(!damaged, "{path} byte {at}: block read passed"),
-                            Err(MrError::ChecksumMismatch { path: p, .. }) => {
-                                assert!(
-                                    damaged && p == path,
-                                    "{path} byte {at}: wrong block failed"
-                                );
-                            }
-                            Err(other) => panic!("{path} byte {at}: {other:?}"),
-                        }
-                    }
-                    // Metadata is the header's: payload damage does not
-                    // reach it, as it never did.
-                    assert_eq!(dfs.stat(path).unwrap(), stat);
-                    assert_eq!(dfs.file_len(path).unwrap(), stat.len);
-                    assert_eq!(dfs.file_crc(path).unwrap(), stat.crc);
-                    flip_payload_bit(&dfs, path, at);
-                    dfs.verify(path).unwrap();
-                }
-                // Not one payload byte left: still laid out, every block
-                // fails where it is read.
-                if let Some(root) = dfs.disk_root() {
-                    let real = root.join("fs").join(&path[1..]);
-                    let mut bytes = fs::read(&real).unwrap();
-                    let header = bytes.len() - stat.len as usize;
-                    bytes[header..].fill(0);
-                    fs::write(&real, &bytes).unwrap();
-                    for read in map_reads(&dfs, path) {
-                        assert!(matches!(read, Err(MrError::ChecksumMismatch { .. })));
+                        other => panic!("{path} byte {at}: expected mismatch, got {other:?}"),
                     }
                 }
+                // The map phase is laid out all the same, and exactly
+                // the block holding the byte fails, in whoever reads it.
+                for (b, read) in blocks.iter().zip(map_reads(&dfs, path)) {
+                    let damaged = (b.offset..b.offset + b.len).contains(&at);
+                    match read {
+                        Ok(_) => assert!(!damaged, "{path} byte {at}: block read passed"),
+                        Err(MrError::ChecksumMismatch { path: p, .. }) => {
+                            assert!(damaged && p == path, "{path} byte {at}: wrong block failed");
+                        }
+                        Err(other) => panic!("{path} byte {at}: {other:?}"),
+                    }
+                }
+                // Metadata is the header's: payload damage does not
+                // reach it, as it never did.
+                assert_eq!(dfs.stat(path).unwrap(), stat);
+                assert_eq!(dfs.file_len(path).unwrap(), stat.len);
+                assert_eq!(dfs.file_crc(path).unwrap(), stat.crc);
+                flip_payload_bit(&dfs, path, at);
+                dfs.verify(path).unwrap();
+            }
+            // Not one payload byte left: still laid out, every block
+            // fails where it is read.
+            let real = dfs.root().join("fs").join(&path[1..]);
+            let mut bytes = fs::read(&real).unwrap();
+            let header = bytes.len() - stat.len as usize;
+            bytes[header..].fill(0);
+            fs::write(&real, &bytes).unwrap();
+            for read in map_reads(&dfs, path) {
+                assert!(matches!(read, Err(MrError::ChecksumMismatch { .. })));
             }
         }
     }
@@ -1918,7 +1820,7 @@ mod tests {
 
     #[test]
     fn a_file_torn_at_a_block_boundary_fails_its_splits() {
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
         dfs.write_text("/t", &lines).unwrap();
         let whole = dfs.load("/t").unwrap();
@@ -1965,54 +1867,53 @@ mod tests {
     /// boundary rule: a sibling whose name extends the prefix is not under
     /// it, and a prefix that names a file lists that file.
     #[test]
-    fn list_stops_at_the_path_boundary_on_both_stores() {
-        for dfs in [Dfs::new(1, 64), Dfs::new_temp_disk(1, 64).unwrap()] {
-            // In name order: `-` and `.` sort before `/`.
-            let all = [
-                "/in/s-x",
-                "/in/s.y",
-                "/in/s/a",
-                "/in/s/sub/b",
-                "/in/s2/c",
-                "/in/t",
-                "/o",
-            ];
-            for path in all {
-                dfs.write_text(path, [path]).unwrap();
-            }
-            let under = |prefix: &str| -> Vec<&str> {
-                all.iter()
-                    .copied()
-                    .filter(|p| is_under(p, prefix))
-                    .collect()
-            };
-            for prefix in [
-                "/in/s",
-                "/in/s/",
-                "/in/s-x",
-                "/in/s2",
-                "/in",
-                "/",
-                "/in/s/sub",
-                "/o",
-            ] {
-                assert_eq!(dfs.list(prefix), under(prefix), "list({prefix})");
-                assert!(!under(prefix).is_empty());
-            }
-            assert_eq!(dfs.list("/in/s"), ["/in/s/a", "/in/s/sub/b"]);
-            for prefix in ["/in/", "/in/s/a/deeper", "/missing", "in/s", "/in/../o"] {
-                assert_eq!(dfs.list(prefix), under(prefix), "list({prefix})");
-            }
-            assert!(dfs.list("/missing").is_empty());
-            assert_eq!(dfs.delete_prefix("/in/s"), 2);
-            assert_eq!(dfs.list("/in").len(), 4, "siblings survive");
-            assert_eq!(dfs.node_bytes().iter().sum::<u64>(), dfs.len_under("/"));
+    fn list_stops_at_the_path_boundary() {
+        let dfs = Dfs::new(1, 64).unwrap();
+        // In name order: `-` and `.` sort before `/`.
+        let all = [
+            "/in/s-x",
+            "/in/s.y",
+            "/in/s/a",
+            "/in/s/sub/b",
+            "/in/s2/c",
+            "/in/t",
+            "/o",
+        ];
+        for path in all {
+            dfs.write_text(path, [path]).unwrap();
         }
+        let under = |prefix: &str| -> Vec<&str> {
+            all.iter()
+                .copied()
+                .filter(|p| is_under(p, prefix))
+                .collect()
+        };
+        for prefix in [
+            "/in/s",
+            "/in/s/",
+            "/in/s-x",
+            "/in/s2",
+            "/in",
+            "/",
+            "/in/s/sub",
+            "/o",
+        ] {
+            assert_eq!(dfs.list(prefix), under(prefix), "list({prefix})");
+            assert!(!under(prefix).is_empty());
+        }
+        assert_eq!(dfs.list("/in/s"), ["/in/s/a", "/in/s/sub/b"]);
+        for prefix in ["/in/", "/in/s/a/deeper", "/missing", "in/s", "/in/../o"] {
+            assert_eq!(dfs.list(prefix), under(prefix), "list({prefix})");
+        }
+        assert!(dfs.list("/missing").is_empty());
+        assert_eq!(dfs.delete_prefix("/in/s"), 2);
+        assert_eq!(dfs.list("/in").len(), 4, "siblings survive");
+        assert_eq!(dfs.node_bytes().iter().sum::<u64>(), dfs.len_under("/"));
     }
 
     #[test]
     fn rename_carries_the_checksum() {
-        let dfs = Dfs::new(2, 1024);
+        let dfs = Dfs::new(2, 1024).unwrap();
         dfs.write_text("/out/_attempt-00000-0", ["data"]).unwrap();
         let crc = dfs.file_crc("/out/_attempt-00000-0").unwrap();
         dfs.rename("/out/_attempt-00000-0", "/out/part-00000")
@@ -2027,7 +1928,7 @@ mod tests {
 
     #[test]
     fn corrupt_rejects_missing_and_empty_files() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         assert!(matches!(
             dfs.corrupt("/missing"),
             Err(MrError::FileNotFound(_))
@@ -2042,7 +1943,7 @@ mod tests {
 
     #[test]
     fn data_files_skips_hidden() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text("/out/part-00000", ["a"]).unwrap();
         dfs.write_text("/out/_SUCCESS", ["m"]).unwrap();
         dfs.write_text("/out/_attempt-00000-1", ["x"]).unwrap();
@@ -2055,18 +1956,17 @@ mod tests {
 
     #[test]
     fn empty_text_file_round_trips() {
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text("/empty", Vec::<String>::new()).unwrap();
         assert_eq!(dfs.read_text("/empty").unwrap(), Vec::<String>::new());
         assert_eq!(dfs.splits("/empty").unwrap().len(), 0);
     }
 
-    // ---- disk-backed store ----------------------------------------------
+    // ---- the container on disk ------------------------------------------
 
     #[test]
     fn disk_store_round_trips_text_seq_and_splits() {
-        let dfs = Dfs::new_temp_disk(3, 16).unwrap();
-        assert!(dfs.disk_root().is_some());
+        let dfs = Dfs::new(3, 16).unwrap();
         let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
         dfs.write_text("/data/a.txt", &lines).unwrap();
         assert_eq!(dfs.read_text("/data/a.txt").unwrap(), lines);
@@ -2083,8 +1983,8 @@ mod tests {
     fn disk_store_is_shared_between_independent_handles() {
         // Two handles on the same root simulate the driver and a worker
         // process: a write through one is visible through the other.
-        let a = Dfs::new_temp_disk(2, 1024).unwrap();
-        let root = a.disk_root().unwrap().to_path_buf();
+        let a = Dfs::new(2, 1024).unwrap();
+        let root = a.root().to_path_buf();
         let b = Dfs::new_disk(2, 1024, &root).unwrap();
         a.write_text("/out/part-00000", ["from-a"]).unwrap();
         assert_eq!(b.read_text("/out").unwrap(), vec!["from-a"]);
@@ -2098,8 +1998,8 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_matches_mem_semantics_for_errors_and_hidden_files() {
-        let dfs = Dfs::new_temp_disk(1, 64).unwrap();
+    fn disk_store_errors_hidden_files_and_path_traversal() {
+        let dfs = Dfs::new(1, 64).unwrap();
         dfs.write_text("/f", ["x"]).unwrap();
         assert!(matches!(
             dfs.write_text("/f", ["y"]),
@@ -2125,7 +2025,7 @@ mod tests {
 
     #[test]
     fn disk_store_detects_corruption_and_keeps_crcs_across_rename() {
-        let dfs = Dfs::new_temp_disk(2, 16).unwrap();
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
         dfs.write_text("/t", &lines).unwrap();
         dfs.verify("/t").unwrap();
@@ -2145,9 +2045,9 @@ mod tests {
 
     #[test]
     fn disk_container_rejects_structural_damage() {
-        let dfs = Dfs::new_temp_disk(1, 1024).unwrap();
+        let dfs = Dfs::new(1, 1024).unwrap();
         dfs.write_text("/f", ["hello"]).unwrap();
-        let real = dfs.disk_root().unwrap().join("fs/f");
+        let real = dfs.root().join("fs/f");
         let bytes = fs::read(&real).unwrap();
 
         // Bad magic.
@@ -2173,11 +2073,11 @@ mod tests {
 
     #[test]
     fn stat_reads_the_header_only_and_rejects_a_wrong_sized_container() {
-        let mut dfs = Dfs::new_temp_disk(3, 16).unwrap();
+        let mut dfs = Dfs::new(3, 16).unwrap();
         // Enough blocks that the header outgrows the first prefix read.
         let lines: Vec<String> = (0..3000).map(|i| format!("line-{i:012}")).collect();
         dfs.write_text("/d/f", &lines).unwrap();
-        let real = dfs.disk_root().unwrap().join("fs/d/f");
+        let real = dfs.root().join("fs/d/f");
         let bytes = fs::read(&real).unwrap();
         let stat = dfs.stat("/d/f").unwrap();
         assert_eq!(stat, dfs.load("/d/f").unwrap().stat);
@@ -2234,17 +2134,8 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_ignores_storage_faults() {
-        let mut dfs = Dfs::new(1, 64);
-        dfs.install_storage_faults(&plan("seed=1,eio=1.0,torn=1.0,enospc=0"));
-        dfs.write_text("/f", ["x"]).unwrap();
-        assert_eq!(dfs.read_text("/f").unwrap(), vec!["x"]);
-        assert_eq!(dfs.storage_fault_injections(), 0);
-    }
-
-    #[test]
     fn injected_eio_is_transient_and_seeded() {
-        let mut dfs = Dfs::new_temp_disk(1, 1024).unwrap();
+        let mut dfs = Dfs::new(1, 1024).unwrap();
         dfs.install_storage_faults(&plan("seed=1,eio=1.0"));
         let err = dfs.write_text("/f", ["x"]).unwrap_err();
         assert!(matches!(err, MrError::StorageIo { .. }), "{err}");
@@ -2252,7 +2143,7 @@ mod tests {
         assert!(dfs.storage_fault_injections() > 0);
         // At p=0.4 some operations must survive and some must fail —
         // the draws are per-op, not sticky.
-        let mut dfs = Dfs::new_temp_disk(1, 1024).unwrap();
+        let mut dfs = Dfs::new(1, 1024).unwrap();
         dfs.install_storage_faults(&plan("seed=2,eio=0.4"));
         let (mut ok, mut fail) = (0, 0);
         for i in 0..60 {
@@ -2265,7 +2156,7 @@ mod tests {
         assert!(ok > 5, "some writes survive: {ok}");
         assert!(fail > 5, "some writes fail: {fail}");
         // Reads draw too.
-        let mut dfs = Dfs::new_temp_disk(1, 1024).unwrap();
+        let mut dfs = Dfs::new(1, 1024).unwrap();
         dfs.write_text("/r", ["x"]).unwrap();
         dfs.install_storage_faults(&plan("seed=3,eio=1.0"));
         let err = dfs.read_text("/r").unwrap_err();
@@ -2277,7 +2168,7 @@ mod tests {
 
     #[test]
     fn torn_write_reports_success_and_fails_the_crc_wall() {
-        let mut dfs = Dfs::new_temp_disk(2, 16).unwrap();
+        let mut dfs = Dfs::new(2, 16).unwrap();
         dfs.install_storage_faults(&plan("seed=5,torn=1.0"));
         let lines: Vec<String> = (0..40).map(|i| format!("line-{i}")).collect();
         // The write itself succeeds — that is the point of a torn write.
@@ -2296,7 +2187,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MrError::ChecksumMismatch { .. }), "{err}");
         // The producing stage re-runs (delete + rewrite) and heals it.
-        let mut clean = Dfs::new_disk(2, 16, dfs.disk_root().unwrap()).unwrap();
+        let mut clean = Dfs::new_disk(2, 16, dfs.root()).unwrap();
         clean.set_durable(false);
         clean.delete("/t").unwrap();
         clean.write_text("/t", &lines).unwrap();
@@ -2305,7 +2196,7 @@ mod tests {
 
     #[test]
     fn enospc_budget_fires_and_heals_on_scavenge() {
-        let mut dfs = Dfs::new_temp_disk(1, 1024).unwrap();
+        let mut dfs = Dfs::new(1, 1024).unwrap();
         dfs.install_storage_faults(&plan("seed=7,enospc=64+heal"));
         dfs.write_text("/a", ["small"]).unwrap();
         // The budget runs out mid-stream; the error is transient.
@@ -2324,7 +2215,7 @@ mod tests {
 
         // Without `+heal`, neither the automatic pass nor an explicit one
         // resets the budget: once dry, always dry.
-        let mut dfs = Dfs::new_temp_disk(1, 1024).unwrap();
+        let mut dfs = Dfs::new(1, 1024).unwrap();
         dfs.install_storage_faults(&plan("seed=7,enospc=4"));
         assert!(dfs.write_text("/a", &big).is_err());
         assert!(dfs.write_text("/b", ["y"]).is_err());
@@ -2334,8 +2225,8 @@ mod tests {
 
     #[test]
     fn scavenger_sweeps_dead_owners_and_spares_live_ones() {
-        let dfs = Dfs::new_temp_disk(1, 1024).unwrap();
-        let root = dfs.disk_root().unwrap().to_path_buf();
+        let dfs = Dfs::new(1, 1024).unwrap();
+        let root = dfs.root().to_path_buf();
         // A pid far above any real pid_max: parseable, definitely dead.
         let dead = 4_000_000_000u32;
         let live = std::process::id();
@@ -2365,7 +2256,7 @@ mod tests {
     #[test]
     fn durable_and_relaxed_commits_read_back_identically() {
         for durable in [true, false] {
-            let mut dfs = Dfs::new_temp_disk(2, 16).unwrap();
+            let mut dfs = Dfs::new(2, 16).unwrap();
             dfs.set_durable(durable);
             let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
             // A single-file publish: temp file and link, then the rename.
@@ -2395,19 +2286,39 @@ mod tests {
             dfs.verify("/out/part-00000").unwrap();
             dfs.verify("/out/part-00001").unwrap();
         }
-        let mem = Dfs::new(2, 16);
-        mem.write_text("/out/part-00000", ["x"]).unwrap();
-        mem.sync_under("/out").unwrap();
-        assert_eq!(mem.syncs(), 0);
     }
 
     #[test]
     fn temp_disk_root_is_removed_on_drop() {
         let root = {
-            let dfs = Dfs::new_temp_disk(1, 64).unwrap();
+            let dfs = Dfs::new(1, 64).unwrap();
             dfs.write_text("/f", ["x"]).unwrap();
-            dfs.disk_root().unwrap().to_path_buf()
+            dfs.root().to_path_buf()
         };
         assert!(!root.exists(), "temp root should be cleaned up");
+    }
+
+    /// A SIGKILLed process never drops its handle: the next [`Dfs::new`]
+    /// beside its root removes the root, and leaves a live owner's alone.
+    #[test]
+    fn a_new_store_sweeps_the_roots_of_dead_owners() {
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let dead = child.id();
+        child.wait().unwrap();
+        let parent = temp_parent();
+        let dead_root = parent.join(format!("mrdfs-{dead}-0-0"));
+        let live_root = parent.join(format!("mrdfs-{}-0-0", std::process::id()));
+        for root in [&dead_root, &live_root] {
+            fs::create_dir_all(root.join("fs/d")).unwrap();
+            fs::write(root.join("fs/d/part-00000"), b"left behind").unwrap();
+        }
+        let dfs = Dfs::new(1, 64).unwrap();
+        assert!(!dead_root.exists(), "a dead owner's root is swept");
+        assert!(
+            live_root.join("fs/d/part-00000").exists(),
+            "a live one's is not"
+        );
+        assert!(dfs.root().exists());
+        fs::remove_dir_all(&live_root).unwrap();
     }
 }

@@ -51,19 +51,15 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Create a cluster with a fresh DFS using the given block size.
-    ///
-    /// An explicit `config.dfs_root` puts the store on disk for *any*
-    /// backend — that is what lets crash-torture harnesses SIGKILL a
-    /// simulated or sharded driver and resume over the surviving files. The
-    /// process backend additionally needs a DFS its worker processes can
-    /// see, so without a root it still gets a self-cleaning temp directory.
+    /// Create a cluster with a fresh DFS using the given block size: at
+    /// `config.dfs_root` when there is one — what lets crash-torture
+    /// harnesses SIGKILL a driver and resume over the surviving files —
+    /// and in a self-cleaning temp root otherwise.
     pub fn new(config: ClusterConfig, dfs_block_size: usize) -> Result<Self> {
         config.validate().map_err(MrError::InvalidConfig)?;
-        let dfs = match (&config.backend, &config.dfs_root) {
-            (_, Some(root)) => Dfs::new_disk(config.nodes, dfs_block_size, root)?,
-            (BackendKind::Process, None) => Dfs::new_temp_disk(config.nodes, dfs_block_size)?,
-            _ => Dfs::new(config.nodes, dfs_block_size),
+        let dfs = match &config.dfs_root {
+            Some(root) => Dfs::new_disk(config.nodes, dfs_block_size, root)?,
+            None => Dfs::new(config.nodes, dfs_block_size)?,
         };
         Self::with_dfs(config, dfs)
     }
@@ -72,28 +68,16 @@ impl Cluster {
     /// different topology over the same data, or to resume a crashed
     /// pipeline in a fresh engine). The config's storage policy is applied
     /// to the handle: durable-commit discipline and, when the fault plan
-    /// carries storage keys, driver-side disk fault injection. The process
-    /// backend's workers share the store through the filesystem, so it
-    /// takes a disk-backed DFS only.
+    /// carries storage keys, driver-side storage fault injection. The
+    /// process backend's workers open the same root.
     pub fn with_dfs(config: ClusterConfig, mut dfs: Dfs) -> Result<Self> {
         config.validate().map_err(MrError::InvalidConfig)?;
         dfs.set_durable(config.durable_commits);
         if let Some(plan) = &config.faults {
             dfs.install_storage_faults(plan);
         }
-        let workers = match (config.backend, dfs.disk_root()) {
-            (BackendKind::Process, Some(root)) => {
-                Some(Mutex::new(WorkerPool::new(&config, &dfs, root)))
-            }
-            (BackendKind::Process, None) => {
-                return Err(MrError::InvalidConfig(
-                    "the process backend needs a disk-backed DFS: worker processes cannot see \
-                     an in-memory one"
-                        .into(),
-                ))
-            }
-            _ => None,
-        };
+        let workers = (config.backend == BackendKind::Process)
+            .then(|| Mutex::new(WorkerPool::new(&config, &dfs, dfs.root())));
         Ok(Cluster {
             config,
             dfs,
@@ -187,7 +171,7 @@ impl Cluster {
     /// attempt file can never be renamed over fresh output and a stale
     /// manifest can never vouch for output this run is about to replace.
     /// Killed or quarantined process workers additionally leak `*.run`
-    /// spill files (and driver temps) on the disk store; the DFS-level
+    /// spill files (and driver temps) under the DFS root; the DFS-level
     /// scavenger sweeps everything owned by dead pids.
     fn scavenge(&self, job_name: &str, dir: &str, counters: &Counters) {
         let mut scavenged = self.sweep_attempts(dir);

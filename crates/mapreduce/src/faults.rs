@@ -190,7 +190,7 @@ impl FaultPlan {
         self.p_transient + self.p_panic + self.p_oom + self.p_late + self.p_hang
     }
 
-    /// True if the plan injects storage faults on the disk store
+    /// True if the plan injects storage faults into the DFS
     /// (`enospc=` / `eio=` / `torn=`).
     pub fn has_storage_faults(&self) -> bool {
         self.enospc_after_bytes.is_some() || self.p_disk_eio > 0.0 || self.p_torn_write > 0.0

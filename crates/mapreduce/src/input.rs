@@ -133,7 +133,7 @@ mod tests {
         let records: Vec<(u32, u32)> = (0..7).map(|i| (i, i * 10)).collect();
         let splits = mem_input("t", records, 3);
         assert_eq!(splits.len(), 3);
-        let dfs = Dfs::new(1, 64);
+        let dfs = Dfs::new(1, 64).unwrap();
         let lens: Vec<usize> = splits
             .into_iter()
             .map(|s| s.read(&dfs).unwrap().len())
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn text_input_splits_carry_tags_and_hints() {
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         dfs.write_text("/in", (0..10).map(|i| format!("row-{i}")))
             .unwrap();
         let splits = text_input(&dfs, "/in").unwrap();
@@ -164,7 +164,7 @@ mod tests {
     /// `\r` reaches a mapper.
     #[test]
     fn read_text_and_text_splits_read_crlf_lines_alike() {
-        let dfs = Dfs::new(2, 16);
+        let dfs = Dfs::new(2, 16).unwrap();
         let lines = ["7\tx\r", "", "8\ty\r", "\r", "9\tz"];
         dfs.write_text("/crlf", lines).unwrap();
         let split_lines: Vec<String> = text_input(&dfs, "/crlf")
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn seq_input_roundtrip() {
-        let dfs = Dfs::new(1, 32);
+        let dfs = Dfs::new(1, 32).unwrap();
         let pairs: Vec<(u64, u64)> = (0..20).map(|i| (i, i * i)).collect();
         dfs.write_seq("/s", &pairs).unwrap();
         let splits = seq_input::<u64, u64>(&dfs, "/s").unwrap();

@@ -1,6 +1,5 @@
 //! A shared-nothing MapReduce engine over a block-based distributed file
-//! system, in memory or on disk, running its tasks on threads or in worker
-//! processes.
+//! system on disk, running its tasks on threads or in worker processes.
 //!
 //! This crate is the substrate for the SIGMOD 2010 parallel set-similarity
 //! join reproduction: the paper's algorithms are expressed as Hadoop jobs, so
@@ -15,8 +14,8 @@
 //! * a spill-based shuffle that serializes every intermediate pair through a
 //!   binary [`Codec`], so reported shuffle bytes are real;
 //! * a block-based [`Dfs`] with round-robin placement, text and sequence
-//!   files, per-block checksums and one-split-per-block inputs — in memory,
-//!   or on disk where worker processes and a resuming driver share it;
+//!   files, per-block checksums and one-split-per-block inputs, on disk
+//!   where worker processes and a resuming driver share it;
 //! * three execution backends ([`BackendKind`]) — the reference executor,
 //!   a channel shuffle, and worker processes — committing identical bytes;
 //! * broadcast side data ([`Cache`]) with per-task memory accounting

@@ -318,7 +318,7 @@ mod tests {
     use super::*;
 
     fn dfs_with_parts() -> Dfs {
-        let dfs = Dfs::new(2, 1024);
+        let dfs = Dfs::new(2, 1024).unwrap();
         dfs.write_text("/out/part-00000", ["a", "b"]).unwrap();
         dfs.write_text("/out/part-00001", ["c"]).unwrap();
         dfs

@@ -114,6 +114,9 @@ struct ProbeSpec {
     hang: bool,
     /// Send the job under [`UNKNOWN_FACTORY`].
     unknown_factory: bool,
+    /// The job runs on the process backend, whose map attempts park their
+    /// output in run files.
+    parks: bool,
 }
 mapreduce::codec_struct!(ProbeSpec {
     input,
@@ -121,16 +124,18 @@ mapreduce::codec_struct!(ProbeSpec {
     kill_attempts,
     hang,
     unknown_factory,
+    parks,
 });
 
 impl ProbeSpec {
-    fn new(kill_attempts: u64) -> Self {
+    fn new(kill_attempts: u64, on: &Cluster) -> Self {
         ProbeSpec {
             input: "/in".into(),
             output: "/out".into(),
             kill_attempts,
             hang: false,
             unknown_factory: false,
+            parks: on.config().backend == BackendKind::Process,
         }
     }
 }
@@ -153,7 +158,8 @@ impl JobSpec for ProbeSpec {
             hang: self.hang,
             at_first_record: true,
         };
-        Ok(Job::new("process-probe", mapper, ProbeReducer)
+        let reducer = ProbeReducer { parks: self.parks };
+        Ok(Job::new("process-probe", mapper, reducer)
             .inputs(text_input(dfs, &self.input)?)
             .output_seq(&self.output))
     }
@@ -208,7 +214,9 @@ impl Mapper for ProbeMapper {
 }
 
 #[derive(Clone)]
-struct ProbeReducer;
+struct ProbeReducer {
+    parks: bool,
+}
 
 impl Reducer for ProbeReducer {
     type Key = String;
@@ -219,10 +227,10 @@ impl Reducer for ProbeReducer {
     /// Count what the map phase parked for this job: by now every winning
     /// map attempt's runs are on disk and nothing has been cleaned up.
     fn setup(&mut self, ctx: &TaskContext) -> Result<()> {
-        let Some(root) = ctx.dfs().disk_root() else {
-            return Ok(()); // the in-memory reference run parks nothing
-        };
-        let shuffle = root.join("shuffle");
+        if !self.parks {
+            return Ok(()); // the in-process reference run parks nothing
+        }
+        let shuffle = ctx.dfs().root().join("shuffle");
         let spill_dirs: Vec<_> = std::fs::read_dir(shuffle)
             .unwrap()
             .map(|dir| dir.unwrap().path())
@@ -419,7 +427,7 @@ fn run_probe_with(
     tweak: impl FnOnce(&mut ClusterConfig),
 ) -> ProbeRun {
     let cluster = probe_cluster(tweak);
-    let spec = ProbeSpec::new(kill_attempts);
+    let spec = ProbeSpec::new(kill_attempts, &cluster);
     let job = if remote {
         Job::from_spec(&spec, cluster.dfs())
     } else {
@@ -435,7 +443,7 @@ fn run_probe_with(
 fn run_probe_on(cluster: &Cluster, kill_attempts: u64, output: &str) -> ProbeRun {
     let spec = ProbeSpec {
         output: output.into(),
-        ..ProbeSpec::new(kill_attempts)
+        ..ProbeSpec::new(kill_attempts, cluster)
     };
     let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
     let metrics = cluster.run(job).unwrap();
@@ -515,7 +523,7 @@ fn remote_output_matches_in_process_and_workers_really_ran() {
 
 /// What a cluster's spill root holds once its jobs are over.
 fn leaked_spill_dirs(cluster: &Cluster) -> Vec<std::ffi::OsString> {
-    let shuffle = cluster.dfs().disk_root().unwrap().join("shuffle");
+    let shuffle = cluster.dfs().root().join("shuffle");
     std::fs::read_dir(shuffle)
         .map(|dir| dir.map(|e| e.unwrap().file_name()).collect())
         .unwrap_or_default()
@@ -565,7 +573,7 @@ fn unknown_factory_fails_the_job_as_invalid_config() {
     let cluster = probe_cluster(|_| {});
     let spec = ProbeSpec {
         unknown_factory: true,
-        ..ProbeSpec::new(0)
+        ..ProbeSpec::new(0, &cluster)
     };
     let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
     assert!(job.remote.is_some(), "every spec-built job is sent out");
@@ -590,21 +598,6 @@ fn unknown_factory_fails_the_job_as_invalid_config() {
         counter(&metrics, "mr.process.worker_map_tasks"),
         metrics.map.tasks as u64
     );
-}
-
-/// Workers share the store through the filesystem, so a process cluster
-/// over an in-memory DFS is refused, not quietly run in the driver.
-#[test]
-fn process_cluster_over_a_memory_dfs_is_refused() {
-    let config = ClusterConfig {
-        backend: BackendKind::Process,
-        ..ClusterConfig::with_nodes(2)
-    };
-    match Cluster::with_dfs(config, Dfs::new(2, 64)) {
-        Err(MrError::InvalidConfig(msg)) => assert!(msg.contains("disk-backed"), "{msg}"),
-        Ok(_) => panic!("a process cluster came up over an in-memory DFS"),
-        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
-    }
 }
 
 /// The pool is the cluster's: a second job reuses the first job's workers
@@ -660,7 +653,7 @@ fn a_worker_reads_and_verifies_the_blocks_it_maps_and_no_others() {
     }
     let spec = ProbeSpec {
         input: "/ind".into(),
-        ..ProbeSpec::new(0)
+        ..ProbeSpec::new(0, &cluster)
     };
     let metrics = cluster.run(Job::from_spec(&spec, dfs).unwrap()).unwrap();
     let splits = dfs.splits("/ind").unwrap();
@@ -684,7 +677,7 @@ fn a_worker_reads_and_verifies_the_blocks_it_maps_and_no_others() {
     let block = &text[victim.offset as usize..(victim.offset + victim.len) as usize];
     dfs.write_text("/block", block.lines()).unwrap();
     let block_crc = dfs.file_crc("/block").unwrap();
-    let real = dfs.disk_root().unwrap().join("fs/ind/b");
+    let real = dfs.root().join("fs/ind/b");
     let mut bytes = std::fs::read(&real).unwrap();
     let header = bytes.len() - text.len();
     bytes[header + victim.offset as usize + 1] ^= 0x01;
@@ -804,7 +797,7 @@ fn real_hung_worker_is_killed_and_replaced() {
     });
     let spec = ProbeSpec {
         hang: true,
-        ..ProbeSpec::new(0)
+        ..ProbeSpec::new(0, &cluster)
     };
     let metrics = cluster
         .run(Job::from_spec(&spec, cluster.dfs()).unwrap())
@@ -912,7 +905,7 @@ fn a_lost_or_timed_out_attempt_names_the_node_it_started_on() {
     cluster.set_trace(sink.clone());
     let spec = ProbeSpec {
         hang: true,
-        ..ProbeSpec::new(1)
+        ..ProbeSpec::new(1, &cluster)
     };
     let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
     assert!(

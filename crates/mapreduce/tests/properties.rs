@@ -138,7 +138,7 @@ proptest! {
         block_size in 16usize..256,
         nodes in 1usize..6,
     ) {
-        let dfs = Dfs::new(nodes, block_size);
+        let dfs = Dfs::new(nodes, block_size).unwrap();
         dfs.write_text("/f", &lines).unwrap();
         prop_assert_eq!(dfs.read_text("/f").unwrap(), lines.clone());
         let total: usize = text_input(&dfs, "/f")
@@ -155,7 +155,7 @@ proptest! {
         pairs in prop::collection::vec((any::<u64>(), ".{0,16}"), 0..40),
         block_size in 16usize..256,
     ) {
-        let dfs = Dfs::new(3, block_size);
+        let dfs = Dfs::new(3, block_size).unwrap();
         dfs.write_seq("/s", &pairs).unwrap();
         prop_assert_eq!(dfs.read_seq::<u64, String>("/s").unwrap(), pairs);
     }
@@ -166,7 +166,7 @@ proptest! {
         n_lines in 10usize..100,
         nodes in 2usize..6,
     ) {
-        let dfs = Dfs::new(nodes, 64);
+        let dfs = Dfs::new(nodes, 64).unwrap();
         let lines: Vec<String> = (0..n_lines).map(|i| format!("record-{i:06}")).collect();
         dfs.write_text("/f", &lines).unwrap();
         let bytes = dfs.node_bytes();
@@ -296,7 +296,7 @@ proptest! {
     /// the job re-runs.
     #[test]
     fn truncated_manifest_never_validates(frac in 0.0f64..1.0) {
-        let dfs = Dfs::new(1, 32);
+        let dfs = Dfs::new(1, 32).unwrap();
         let text = committed_output(&dfs);
         let cut = ((text.len() as f64) * frac) as usize;
         prop_assert!(cut < text.len());
@@ -323,9 +323,9 @@ proptest! {
         idx in any::<u64>(),
         bit in 0u32..8,
     ) {
-        let dfs = Dfs::new_temp_disk(1, 32).unwrap();
+        let dfs = Dfs::new(1, 32).unwrap();
         let original = committed_output(&dfs);
-        let path = dfs.disk_root().unwrap().join("fs/out/_SUCCESS");
+        let path = dfs.root().join("fs/out/_SUCCESS");
         let mut bytes = std::fs::read(&path).unwrap();
         let i = (idx % bytes.len() as u64) as usize;
         bytes[i] ^= 1 << bit;
@@ -352,7 +352,7 @@ proptest! {
         idx in any::<u64>(),
         bit in 0u32..8,
     ) {
-        let dfs = Dfs::new(1, 32);
+        let dfs = Dfs::new(1, 32).unwrap();
         let text = committed_output(&dfs);
         let i = (idx % text.len() as u64) as usize;
         let mut bytes = text.clone().into_bytes();

@@ -168,7 +168,7 @@ fn a_job_syncs_its_parts_in_one_wave_at_its_commit() {
             backend: BackendKind::from_env(),
             ..ClusterConfig::with_nodes(2)
         };
-        let dfs = mapreduce::Dfs::new_temp_disk(2, 1 << 16).unwrap();
+        let dfs = mapreduce::Dfs::new(2, 1 << 16).unwrap();
         let c = Cluster::with_dfs(config, dfs).unwrap();
         c.dfs().write_text("/in", ["a b a", "b c"]).unwrap();
         let before = c.dfs().syncs();
@@ -300,8 +300,8 @@ fn corruption_point_spares_a_sibling_directory() {
 /// release.
 #[test]
 fn committed_output_golden_files_pin_the_on_disk_format() {
-    let dfs = mapreduce::Dfs::new_temp_disk(2, 16).unwrap();
-    let dir = dfs.disk_root().unwrap().join("fs/out");
+    let dfs = mapreduce::Dfs::new(2, 16).unwrap();
+    let dir = dfs.root().join("fs/out");
     std::fs::create_dir_all(&dir).unwrap();
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr12");
     for name in ["part-00000", "_SUCCESS"] {
@@ -309,10 +309,10 @@ fn committed_output_golden_files_pin_the_on_disk_format() {
     }
     let golden = std::fs::read(fixtures.join("part-00000")).unwrap();
     assert_eq!(&golden[..8], b"MRDFSv2\0");
-    let written = mapreduce::Dfs::new_temp_disk(2, 16).unwrap();
+    let written = mapreduce::Dfs::new(2, 16).unwrap();
     let lines: Vec<String> = (0..20).map(|i| format!("line-{i}")).collect();
     written.write_text("/part-00000", &lines).unwrap();
-    let rewritten = written.disk_root().unwrap().join("fs/part-00000");
+    let rewritten = written.root().join("fs/part-00000");
     assert_eq!(std::fs::read(rewritten).unwrap(), golden);
     assert_eq!(dfs.read_text("/out").unwrap(), lines);
     assert_eq!(dfs.splits("/out").unwrap().len(), 8);
