@@ -330,6 +330,18 @@ fn bench_record_path(c: &mut Criterion) {
             total
         })
     });
+    g.bench_function("tokenize_project_buf/dblp", |b| {
+        let (mut buf, mut ranks) = (TokenBuf::new(), Vec::new());
+        b.iter(|| {
+            let mut total = 0;
+            for t in &short {
+                tok.tokenize_into(t, &mut buf);
+                order.project_buf(&buf, &mut ranks);
+                total += ranks.len();
+            }
+            total
+        })
+    });
 
     let lines = datagen::to_lines(&dblp);
     let ctx = TaskContext::new(

@@ -22,7 +22,6 @@
 //! * `rel` — relation tag: 0 = R (or self), 1 = S. Sorting places R before
 //!   S within a length class.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mapreduce::{
@@ -145,25 +144,25 @@ pub type Projection = (u64, Vec<u32>);
 
 /// Routing groups for a record's probe prefix: one group per prefix token
 /// (individual or round-robin grouped), optionally fanned into the length
-/// buckets of Section 5's sub-routing. This is the *pre-skew* key scheme;
-/// it is shared verbatim between the stage-2 mapper and the skew
-/// estimator's sampling pre-pass ([`crate::skew::build_plan`]) so the
-/// plan's group ids always match what the mapper routes.
+/// buckets of Section 5's sub-routing, written to `groups` (cleared first)
+/// ascending and deduplicated. This is the *pre-skew* key scheme; it is
+/// shared verbatim between the stage-2 mapper and the skew estimator's
+/// sampling pre-pass ([`crate::skew::build_plan`]) so the plan's group ids
+/// always match what the mapper routes.
 pub fn routing_groups(
     threshold: &Threshold,
     routing: TokenRouting,
     length_sub_routing: Option<u32>,
     ranks: &[u32],
-) -> BTreeSet<u32> {
+    groups: &mut Vec<u32>,
+) {
     let len = ranks.len();
     let prefix_len = threshold.probe_prefix_len(len);
-    let mut groups = BTreeSet::new();
+    groups.clear();
     for &rank in &ranks[..prefix_len] {
         let g = routing.group_of(rank);
         match length_sub_routing {
-            None => {
-                groups.insert(g);
-            }
+            None => groups.push(g),
             Some(width) => {
                 // Replicate into every length bucket the record's
                 // compatible-partner range covers, so any similar pair
@@ -171,13 +170,12 @@ pub fn routing_groups(
                 let width = width.max(1) as usize;
                 let lo = threshold.lower_bound(len) / width;
                 let hi = len / width;
-                for bucket in lo..=hi {
-                    groups.insert(length_bucket_key(g, bucket));
-                }
+                groups.extend((lo..=hi).map(|bucket| length_bucket_key(g, bucket)));
             }
         }
     }
-    groups
+    groups.sort_unstable();
+    groups.dedup();
 }
 
 /// The routing key of length bucket `bucket` of token group `group`.

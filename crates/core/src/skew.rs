@@ -38,7 +38,7 @@
 //! crash/resume sees the identical plan and can safely skip committed
 //! stage-2 output.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use mapreduce::{codec_enum, codec_struct, stable_hash, Dfs, MrError, Result, SpaceSaving};
@@ -262,29 +262,36 @@ impl SkewPlan {
         Some(split.row(Self::bucket_of(rid_hash, split.buckets)))
     }
 
-    /// Apply the plan to a record's routing groups: unsplit groups pass
-    /// through, split groups are replaced by the record's bucket-pair
-    /// keys. Returns the rewritten set and how many split groups the
+    /// Apply the plan to a record's routing groups, ascending and
+    /// deduplicated, in place: unsplit groups pass through, split groups
+    /// are replaced by the record's bucket-pair keys, and the result is
+    /// again ascending and deduplicated. Returns how many split groups the
     /// record hit.
-    pub fn route(&self, groups: BTreeSet<u32>, rid: u64) -> (BTreeSet<u32>, usize) {
+    pub fn route(&self, groups: &mut Vec<u32>, rid: u64) -> usize {
         if self.splits.is_empty() {
-            return (groups, 0);
+            return 0;
         }
-        let mut out = BTreeSet::new();
-        let mut hot = 0usize;
         let rid_hash = Self::rid_hash(rid);
-        for g in groups {
-            match self.keys_for(g, rid_hash) {
-                Some(keys) => {
-                    hot += 1;
-                    out.extend(keys);
-                }
-                None => {
-                    out.insert(g);
-                }
+        let base = groups.len();
+        let mut hot = 0usize;
+        for i in 0..base {
+            if let Some(keys) = self.keys_for(groups[i], rid_hash) {
+                hot += 1;
+                groups.extend_from_slice(keys);
             }
         }
-        (out, hot)
+        if hot > 0 {
+            // Drop the split groups themselves; their keys follow the first
+            // `base` entries.
+            let mut i = 0;
+            groups.retain(|g| {
+                i += 1;
+                i > base || !self.splits.contains_key(g)
+            });
+            groups.sort_unstable();
+            groups.dedup();
+        }
+        hot
     }
 
     /// Human labels for every synthesized split key, for the heavy-hitter
@@ -334,9 +341,11 @@ pub fn build_plan(
     let order = TokenOrder::from_ordered_tokens(dfs.read_text(tokens_path)?)
         .map_err(MrError::TaskFailed)?;
     let mut tokenizer = CachedTokenizer::new(config.tokenizer);
-    // One record's attribute and projection, reused down the sample.
+    // One record's attribute, projection and routing groups, reused down
+    // the sample.
     let mut attr = String::new();
     let mut ranks = Vec::new();
+    let mut groups = Vec::new();
     let stride = sk.sample_stride.max(1);
     let mut sketch: SpaceSaving<u32> = SpaceSaving::new(SKETCH_CAPACITY);
     let mut line_no = 0u64;
@@ -351,16 +360,18 @@ pub fn build_plan(
                 if config.format.parse_into(&line, &mut attr).is_err() {
                     continue;
                 }
-                order.project_into(tokenizer.tokenize(&attr).iter(), &mut ranks);
+                order.project_buf(tokenizer.tokenize(&attr), &mut ranks);
                 if ranks.is_empty() {
                     continue;
                 }
-                for g in routing_groups(
+                routing_groups(
                     &config.threshold,
                     config.routing,
                     config.length_sub_routing,
                     &ranks,
-                ) {
+                    &mut groups,
+                );
+                for &g in &groups {
                     sketch.add(g, 1);
                 }
             }
@@ -388,6 +399,7 @@ pub fn plan_from_sketch(sketch: &SpaceSaving<u32>, sk: &SkewConfig) -> SkewPlan 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn mode_parses_and_displays() {
@@ -402,10 +414,9 @@ mod tests {
     #[test]
     fn empty_plan_routes_identically() {
         let plan = SkewPlan::empty();
-        let groups: BTreeSet<u32> = [1, 2, 3].into();
-        let (routed, hot) = plan.route(groups.clone(), 42);
-        assert_eq!(routed, groups);
-        assert_eq!(hot, 0);
+        let mut groups = vec![1, 2, 3];
+        assert_eq!(plan.route(&mut groups, 42), 0);
+        assert_eq!(groups, [1, 2, 3]);
     }
 
     #[test]

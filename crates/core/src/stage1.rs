@@ -19,7 +19,6 @@
 //!   one total order, removing the single-reducer bottleneck the paper
 //!   measures.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
@@ -27,6 +26,7 @@ use mapreduce::{
     Cluster, Counter, Dfs, Emit, Job, JobSpec, Mapper, MrError, PipelineMetrics, Reducer, Result,
     TaskContext,
 };
+use setsim::{HashedToken, TokenTable};
 
 use crate::config::{JoinConfig, Stage1Algo};
 use crate::named::Named;
@@ -79,45 +79,52 @@ pub const TOKEN_OCCURRENCES_COUNTER: &str = "stage1.token_occurrences";
 /// again, and the job's sum combiner merges the flushes.
 #[derive(Default)]
 struct TokenCounts {
-    counts: HashMap<String, u64>,
-    /// Bytes charged to the task's memory gauge for `counts`.
+    /// The tokens, looked up by the hash the tokenizer took of each.
+    tokens: TokenTable,
+    /// Per token of `tokens`, its count.
+    counts: Vec<u64>,
+    /// Bytes charged to the task's memory gauge for the table.
     charged: u64,
 }
 
 impl TokenCounts {
-    /// Modelled footprint of one entry beside the token's bytes: the
-    /// `String` header, the count, and the table's spare slots.
+    /// Modelled footprint of one entry beside the token's bytes: its end
+    /// offset and hash, its count, its index slots, and the vectors' spare
+    /// capacity.
     const ENTRY_BYTES: u64 = 48;
 
     fn add(
         &mut self,
-        token: &str,
+        token: HashedToken<'_>,
         out: &mut dyn Emit<String, u64>,
         ctx: &TaskContext,
     ) -> Result<()> {
-        if let Some(n) = self.counts.get_mut(token) {
-            *n += 1;
+        if let Some(i) = self.tokens.find(token) {
+            self.counts[i] += 1;
             return Ok(());
         }
-        let bytes = token.len() as u64 + Self::ENTRY_BYTES;
+        let bytes = token.as_str().len() as u64 + Self::ENTRY_BYTES;
         if ctx.memory().charge(bytes).is_err() {
             self.flush(out, ctx)?;
             if ctx.memory().charge(bytes).is_err() {
                 // A budget without room for one entry: count nothing here.
-                return out.emit(token.to_string(), 1);
+                return out.emit(token.as_str().to_string(), 1);
             }
         }
         self.charged += bytes;
-        self.counts.insert(token.to_string(), 1);
+        self.tokens.push(token);
+        self.counts.push(1);
         Ok(())
     }
 
-    /// Emit every count and give the memory back. The table's order is
-    /// arbitrary; the engine sorts what a task emits.
+    /// Emit every count, in the order the tokens were first seen, and give
+    /// the memory back. The engine sorts what a task emits.
     fn flush(&mut self, out: &mut dyn Emit<String, u64>, ctx: &TaskContext) -> Result<()> {
-        for (token, n) in self.counts.drain() {
-            out.emit(token, n)?;
+        for (token, &n) in self.tokens.iter().zip(&self.counts) {
+            out.emit(token.to_string(), n)?;
         }
+        self.tokens.clear();
+        self.counts.clear();
         ctx.memory().release(self.charged);
         self.charged = 0;
         Ok(())
@@ -143,7 +150,7 @@ impl Mapper for TokenCountMapper {
         self.records.get(ctx).incr();
         let tokens = self.tokenizer.tokenize(&self.attr);
         self.occurrences.get(ctx).add(tokens.len() as u64);
-        for token in tokens.iter() {
+        for token in tokens.hashed() {
             self.counts.add(token, out, ctx)?;
         }
         Ok(())
@@ -739,6 +746,39 @@ mod tests {
         assert_eq!(sorted(out.pairs), ones);
     }
 
+    #[test]
+    fn a_mapper_that_flushes_many_times_emits_the_counts_of_one_that_does_not() {
+        let lines = datagen::to_lines(&datagen::dblp(400, 5));
+        let config = JoinConfig {
+            tokenizer: TokenizerKind::Word,
+            ..JoinConfig::recommended()
+        };
+        let run = |budget: u64| {
+            let ctx = map_ctx(budget);
+            let mut m = TokenCountMapper::new(&config);
+            let mut out = VecEmitter::new();
+            for line in &lines {
+                m.map(&0, line, &mut out, &ctx).unwrap();
+            }
+            m.cleanup(&mut out, &ctx).unwrap();
+            assert_eq!(ctx.memory().used(), 0);
+            let emitted = out.pairs.len();
+            let mut sums = std::collections::BTreeMap::new();
+            for (token, n) in out.pairs {
+                *sums.entry(token).or_insert(0u64) += n;
+            }
+            (sums, emitted)
+        };
+        let (roomy, roomy_emits) = run(u64::MAX);
+        let (tight, tight_emits) = run(2_000);
+        assert_eq!(roomy_emits, roomy.len(), "one flush: one pair per token");
+        assert!(
+            tight_emits > 2 * roomy_emits,
+            "several flushes: {tight_emits} pairs against {roomy_emits}"
+        );
+        assert_eq!(tight, roomy);
+    }
+
     /// 6 000 generated records in 64 KiB blocks (≈ 9 map tasks), and the
     /// order `setsim` computes for them without MapReduce.
     fn generated_corpus(c: &Cluster) -> Vec<String> {
@@ -750,7 +790,9 @@ mod tests {
             .iter()
             .map(|l| tokenizer.tokenize(&format.parse(l).unwrap().1))
             .collect();
-        setsim::TokenOrder::from_corpus(&lists).tokens().to_vec()
+        (setsim::TokenOrder::from_corpus(&lists).tokens())
+            .map(str::to_string)
+            .collect()
     }
 
     #[test]

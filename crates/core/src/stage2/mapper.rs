@@ -6,7 +6,6 @@
 //! distributed cache), computes the probe prefix, and emits one projection
 //! per routing key derived from the prefix tokens.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mapreduce::{stable_hash, Counter, Emit, Histogram, Mapper, Result, TaskContext};
@@ -33,10 +32,12 @@ pub struct ProjectionMapper {
     skew: Arc<SkewPlan>,
     order: Option<Arc<TokenOrder>>,
     counters: MapCounters,
-    /// The record's join attribute, `(rid, ranks)` and routing keys, kept
-    /// for their capacity; the one projection is emitted under every key.
+    /// The record's join attribute, `(rid, ranks)`, routing groups and
+    /// routing keys, kept for their capacity; the one projection is emitted
+    /// under every key.
     attr: String,
     record: Projection,
+    groups: Vec<u32>,
     keys: Vec<Stage2Key>,
 }
 
@@ -77,29 +78,32 @@ impl ProjectionMapper {
             },
             attr: String::new(),
             record: (0, Vec::new()),
+            groups: Vec::new(),
             keys: Vec::new(),
         }
     }
 
-    /// Routing groups for a record's probe prefix, including the optional
-    /// length-bucket sub-routing of Section 5 (pre-skew).
-    fn groups_for(&self, ranks: &[u32]) -> BTreeSet<u32> {
-        let c = &self.config;
-        routing_groups(&c.threshold, c.routing, c.length_sub_routing, ranks)
-    }
-
-    /// Final routing keys for a record: prefix groups, then the skew plan's
-    /// bucket-pair splitting. Bucketing is by RID only — never by relation
-    /// or length class — so both members of any candidate pair land in the
-    /// bucket pair `(min(bx,by), max(bx,by))` and pair completeness holds
-    /// in every emit mode, self-join and R-S alike.
-    fn route_groups(&mut self, rid: u64, ctx: &TaskContext) -> BTreeSet<u32> {
-        let base = self.groups_for(&self.record.1);
+    /// Final routing keys for the record in `self.record`, into
+    /// `self.groups`: prefix groups (with the optional length-bucket
+    /// sub-routing of Section 5), then the skew plan's bucket-pair
+    /// splitting. Bucketing is by RID only — never by relation or length
+    /// class — so both members of any candidate pair land in the bucket
+    /// pair `(min(bx,by), max(bx,by))` and pair completeness holds in every
+    /// emit mode, self-join and R-S alike.
+    fn route_groups(&mut self, ctx: &TaskContext) {
+        let (c, groups) = (&self.config, &mut self.groups);
+        routing_groups(
+            &c.threshold,
+            c.routing,
+            c.length_sub_routing,
+            &self.record.1,
+            groups,
+        );
         if self.skew.is_empty() {
-            return base;
+            return;
         }
-        let before = base.len();
-        let (groups, hot) = self.skew.route(base, rid);
+        let before = groups.len();
+        let hot = self.skew.route(groups, self.record.0);
         if hot > 0 {
             self.counters.split_records.get(ctx).incr();
             self.counters
@@ -111,7 +115,6 @@ impl ProjectionMapper {
             .replication_factor
             .get(ctx)
             .record(groups.len() as f64 / before.max(1) as f64);
-        groups
     }
 }
 
@@ -154,7 +157,7 @@ impl Mapper for ProjectionMapper {
         let order = self.order.as_ref().expect("setup ran");
         // Unknown tokens (S tokens absent from R's dictionary) are dropped
         // by the projection, as in the paper.
-        order.project_into(tokens.iter(), &mut self.record.1);
+        order.project_buf(tokens, &mut self.record.1);
         if self.record.1.is_empty() {
             self.counters.empty_projections.get(ctx).incr();
             return Ok(());
@@ -169,11 +172,11 @@ impl Mapper for ProjectionMapper {
         } else {
             len
         };
-        let groups = self.route_groups(rid, ctx);
+        self.route_groups(ctx);
         self.counters.projections.get(ctx).incr();
         let keys = &mut self.keys;
         keys.clear();
-        for g in groups {
+        for &g in &self.groups {
             match self.config.stage2 {
                 Stage2Algo::Bk | Stage2Algo::Pk { .. } => keys.push((g, 0, KIND_LOAD, class, rel)),
                 Stage2Algo::BkMapBlocks { blocks } => {
@@ -218,6 +221,21 @@ mod tests {
     use crate::config::{RecordFormat, TokenRouting, TokenizerKind};
     use mapreduce::{Cache, Cluster, ClusterConfig, Counters, MemoryGauge, Phase, VecEmitter};
     use setsim::Threshold;
+    use std::collections::BTreeSet;
+
+    /// The pre-skew routing groups of `ranks` under `m`'s config.
+    fn groups_for(m: &ProjectionMapper, ranks: &[u32]) -> BTreeSet<u32> {
+        let c = &m.config;
+        let mut groups = Vec::new();
+        routing_groups(
+            &c.threshold,
+            c.routing,
+            c.length_sub_routing,
+            ranks,
+            &mut groups,
+        );
+        groups.into_iter().collect()
+    }
 
     fn make_ctx(cluster: &Cluster, input_path: &str) -> TaskContext {
         let mut ctx = TaskContext::new(
@@ -341,7 +359,7 @@ mod tests {
             let mut out = VecEmitter::new();
             m.map(&0, &format!("{rid}\t{attr}"), &mut out, &ctx)
                 .unwrap();
-            assert_eq!(out.pairs.len(), m.groups_for(&expected).len(), "{attr:?}");
+            assert_eq!(out.pairs.len(), groups_for(&m, &expected).len(), "{attr:?}");
             for (_, projection) in &out.pairs {
                 assert_eq!(projection, &(rid as u64, expected.clone()), "{attr:?}");
             }
@@ -475,8 +493,8 @@ mod tests {
                             continue;
                         }
                         checked += 1;
-                        let gx = m.groups_for(&x);
-                        let gy = m.groups_for(&y);
+                        let gx = groups_for(&m, &x);
+                        let gy = groups_for(&m, &y);
                         assert!(
                             gx.intersection(&gy).next().is_some(),
                             "similar pair shares no routing key \

@@ -225,30 +225,35 @@ fn chaos_pipeline_survives_storage_storm_bitwise_identical() {
         backend,
         ..ClusterConfig::with_nodes(3)
     };
-
-    // Input goes through a fault-free handle; faults are installed on the
-    // per-cluster handles below, so only pipeline traffic sees the storm.
-    let dfs = mapreduce::Dfs::new(3, 2048).unwrap();
-    let backend = BackendKind::from_env();
-    let (out, injections) = survive_storm(&dfs, &config, |launch| {
-        Cluster::with_dfs(storm(launch, backend), dfs.clone()).unwrap()
-    });
-    assert_eq!(out, baseline, "storage storm changed the join result");
-    assert!(injections > 0, "storm plan never fired");
-
     // Launch 0 runs under `eio=1.0`, so the store takes a fault whatever
     // the later launches draw; they resume under the storm to completion.
-    let own = Cluster::new(storm(0, BackendKind::Simulated), 2048).unwrap();
-    assert!(own.config().dfs_root.is_none());
-    let calm = mapreduce::Dfs::new_disk(3, 2048, own.dfs().root()).unwrap();
-    let (out, injections) = survive_storm(&calm, &config, |launch| {
-        let mut config = storm(launch, BackendKind::Simulated);
+    let launch_config = |launch: u64, backend| {
+        let mut config = storm(launch, backend);
         if launch == 0 {
             config.faults = Some(FaultPlan {
                 p_disk_eio: 1.0,
                 ..FaultPlan::quiet(chaos_seed())
             });
         }
+        config
+    };
+
+    // Input goes through a fault-free handle; faults are installed on the
+    // per-cluster handles below, so only pipeline traffic sees the storm.
+    let dfs = mapreduce::Dfs::new(3, 2048).unwrap();
+    let backend = BackendKind::from_env();
+    let (out, injections) = survive_storm(&dfs, &config, |launch| {
+        Cluster::with_dfs(launch_config(launch, backend), dfs.clone()).unwrap()
+    });
+    assert_eq!(out, baseline, "storage storm changed the join result");
+    assert!(injections > 0, "storm plan never fired");
+
+    // The same on a cluster that made its own store.
+    let own = Cluster::new(storm(0, BackendKind::Simulated), 2048).unwrap();
+    assert!(own.config().dfs_root.is_none());
+    let calm = mapreduce::Dfs::new_disk(3, 2048, own.dfs().root()).unwrap();
+    let (out, injections) = survive_storm(&calm, &config, |launch| {
+        let config = launch_config(launch, BackendKind::Simulated);
         Cluster::with_dfs(config, own.dfs().clone()).unwrap()
     });
     assert_eq!(out, baseline, "storage storm changed the join result");

@@ -477,7 +477,19 @@ proptest! {
         rid in any::<u64>(),
     ) {
         let plan = SkewPlan::from_entries(entries);
-        let (routed, hot) = plan.route(groups.clone(), rid);
+        let mut routed: Vec<u32> = groups.iter().copied().collect();
+        let hot = plan.route(&mut routed, rid);
+        // The set the routing used to build, ascending as a set iterates.
+        let mut expected = BTreeSet::new();
+        for &g in &groups {
+            match plan.keys_for(g, SkewPlan::rid_hash(rid)) {
+                Some(keys) => expected.extend(keys),
+                None => {
+                    expected.insert(g);
+                }
+            }
+        }
+        prop_assert_eq!(&routed, &expected.into_iter().collect::<Vec<u32>>());
         prop_assert!(
             routed.len() <= groups.len() * plan.max_buckets().max(1) as usize,
             "replication exceeded the configured max"
@@ -569,8 +581,12 @@ proptest! {
         prop_assert_eq!(m, first_common(&x, &y));
         let m = m.unwrap();
 
-        let gx = routing_groups(&threshold, routing, length_sub_routing, &x);
-        let gy = routing_groups(&threshold, routing, length_sub_routing, &y);
+        let groups = |ranks: &[u32]| {
+            let mut groups = Vec::new();
+            routing_groups(&threshold, routing, length_sub_routing, ranks, &mut groups);
+            groups.into_iter().collect::<BTreeSet<u32>>()
+        };
+        let (gx, gy) = (groups(&x), groups(&y));
         // An arbitrary plan over the groups these records really use.
         let plan = SkewPlan::from_entries(
             gx.union(&gy)
@@ -579,8 +595,12 @@ proptest! {
                 .map(|(_, &g)| (g, split.1))
                 .collect(),
         );
-        let (rx, _) = plan.route(gx, rids.0);
-        let (ry, _) = plan.route(gy, rids.1);
+        let route = |groups: BTreeSet<u32>, rid| {
+            let mut routed = groups.into_iter().collect();
+            plan.route(&mut routed, rid);
+            routed.into_iter().collect::<BTreeSet<u32>>()
+        };
+        let (rx, ry) = (route(gx, rids.0), route(gy, rids.1));
         let (mx, my) = (Member::new(rids.0, x.len()), Member::new(rids.1, y.len()));
         let owner = owner_key(routing, length_sub_routing, &plan, m, mx, my);
         prop_assert!(rx.contains(&owner), "x was not routed to the owner {owner}: {rx:?}");

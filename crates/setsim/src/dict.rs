@@ -7,16 +7,16 @@
 //! token, so a record projected onto ranks and sorted ascending is exactly
 //! the frequency-ordered token set, and its prefix is a slice of its head.
 
-use std::collections::HashMap;
+use crate::tokenize::{HashedToken, TokenBuf, TokenTable};
 
 /// A token's rank in the global frequency order (0 = least frequent).
 pub type TokenRank = u32;
 
-/// The global token ordering produced by stage 1.
+/// The global token ordering produced by stage 1: one [`TokenTable`] whose
+/// entry number is the rank, so each token is stored once.
 #[derive(Debug, Clone, Default)]
 pub struct TokenOrder {
-    rank_of: HashMap<String, TokenRank>,
-    tokens: Vec<String>,
+    table: TokenTable,
 }
 
 impl TokenOrder {
@@ -25,19 +25,18 @@ impl TokenOrder {
     pub fn from_ordered_tokens<I, S>(ordered: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        let mut rank_of = HashMap::new();
-        let mut tokens = Vec::new();
-        for (i, tok) in ordered.into_iter().enumerate() {
-            let tok: String = tok.into();
-            let rank = TokenRank::try_from(i).map_err(|_| "too many tokens".to_string())?;
-            if rank_of.insert(tok.clone(), rank).is_some() {
-                return Err(format!("duplicate token in ordering: {tok}"));
+        let mut table = TokenTable::new();
+        for tok in ordered {
+            let tok = HashedToken::new(tok.as_ref());
+            TokenRank::try_from(table.len()).map_err(|_| "too many tokens".to_string())?;
+            if table.find(tok).is_some() {
+                return Err(format!("duplicate token in ordering: {}", tok.as_str()));
             }
-            tokens.push(tok);
+            table.push(tok);
         }
-        Ok(TokenOrder { rank_of, tokens })
+        Ok(TokenOrder { table })
     }
 
     /// Build by counting token frequencies over a corpus of token lists and
@@ -48,41 +47,57 @@ impl TokenOrder {
     where
         I: IntoIterator<Item = &'a Vec<String>>,
     {
-        let mut freq: HashMap<&'a str, u64> = HashMap::new();
+        let mut seen = TokenTable::new();
+        let mut freq: Vec<u64> = Vec::new();
         for rec in corpus {
             for tok in rec {
-                *freq.entry(tok.as_str()).or_insert(0) += 1;
+                let tok = HashedToken::new(tok);
+                match seen.find(tok) {
+                    Some(i) => freq[i] += 1,
+                    None => {
+                        seen.push(tok);
+                        freq.push(1);
+                    }
+                }
             }
         }
-        let mut pairs: Vec<(&str, u64)> = freq.into_iter().collect();
-        pairs.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-        Self::from_ordered_tokens(pairs.into_iter().map(|(t, _)| t.to_string()))
-            .expect("counted tokens are distinct")
+        let mut order: Vec<(u64, HashedToken<'_>)> = freq.into_iter().zip(seen.hashed()).collect();
+        order.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.as_str().cmp(b.1.as_str())));
+        let mut table = TokenTable::new();
+        for (_, tok) in order {
+            table.push(tok);
+        }
+        TokenOrder { table }
     }
 
     /// Number of known tokens.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.table.len()
     }
 
     /// True when no tokens are known.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.table.is_empty()
     }
 
     /// Rank of a token, if known.
     pub fn rank(&self, token: &str) -> Option<TokenRank> {
-        self.rank_of.get(token).copied()
+        self.rank_of(HashedToken::new(token))
+    }
+
+    fn rank_of(&self, token: HashedToken<'_>) -> Option<TokenRank> {
+        // Every entry number fits: a table numbers its entries in `u32`.
+        self.table.find(token).map(|i| i as TokenRank)
     }
 
     /// Token with the given rank.
     pub fn token(&self, rank: TokenRank) -> Option<&str> {
-        self.tokens.get(rank as usize).map(String::as_str)
+        self.table.get(rank as usize)
     }
 
     /// The full ordering, rarest first.
-    pub fn tokens(&self) -> &[String] {
-        &self.tokens
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.table.iter()
     }
 
     /// Project a record's tokens onto sorted ranks. Unknown tokens are
@@ -103,19 +118,32 @@ impl TokenOrder {
         tokens: impl IntoIterator<Item = &'a str>,
         ranks: &mut Vec<TokenRank>,
     ) {
-        let tokens = tokens.into_iter();
+        self.project_hashed(tokens.into_iter().map(HashedToken::new), ranks);
+    }
+
+    /// [`TokenOrder::project_into`] of a tokenized record, looked up by the
+    /// hashes the buffer already took: no token is hashed again.
+    pub fn project_buf(&self, buf: &TokenBuf, ranks: &mut Vec<TokenRank>) {
+        self.project_hashed(buf.hashed(), ranks);
+    }
+
+    fn project_hashed<'a>(
+        &self,
+        tokens: impl Iterator<Item = HashedToken<'a>>,
+        ranks: &mut Vec<TokenRank>,
+    ) {
         ranks.clear();
         ranks.reserve(tokens.size_hint().0);
-        ranks.extend(tokens.filter_map(|t| self.rank(t)));
+        ranks.extend(tokens.filter_map(|t| self.rank_of(t)));
         ranks.sort_unstable();
         ranks.dedup();
     }
 
-    /// Approximate heap size in bytes, for broadcast memory accounting.
+    /// Approximate heap size in bytes, for broadcast memory accounting:
+    /// each token's bytes once, its entry (end offset and hash) and the
+    /// index slots of the one table.
     pub fn approx_bytes(&self) -> u64 {
-        let strings: u64 = self.tokens.iter().map(|t| t.len() as u64 + 24).sum::<u64>();
-        // Each token is stored twice (map key + vec) plus map overhead.
-        strings * 2 + self.tokens.len() as u64 * 16
+        self.table.approx_bytes()
     }
 }
 
@@ -165,6 +193,12 @@ mod tests {
     #[test]
     fn duplicate_ordering_rejected() {
         assert!(TokenOrder::from_ordered_tokens(["a", "a"]).is_err());
+        // Past the scan limit too, where the index finds the duplicate.
+        let many: Vec<String> = (0..100).map(|i| format!("t{i}")).collect();
+        let with_dup = many.iter().chain([&many[42]]);
+        let err = TokenOrder::from_ordered_tokens(with_dup).unwrap_err();
+        assert!(err.contains("t42"), "{err}");
+        assert_eq!(TokenOrder::from_ordered_tokens(&many).unwrap().len(), 100);
     }
 
     #[test]

@@ -55,5 +55,8 @@ pub use dict::{TokenOrder, TokenRank};
 pub use measure::{SimFunction, Threshold, TokenSet};
 pub use naive::Record;
 pub use ppjoin::{FilterConfig, Funnel, Match, PpjoinIndex};
-pub use tokenize::{DedupMode, QGramTokenizer, TokenBuf, Tokenizer, WordTokenizer};
+pub use tokenize::{
+    token_hash, DedupMode, HashedToken, QGramTokenizer, TokenBuf, TokenTable, Tokenizer,
+    WordTokenizer,
+};
 pub use verify::{first_common, intersection_size, overlap_at_least, verify_pair};

@@ -498,7 +498,7 @@ mod index_grid {
 
 mod token_buffer {
     use proptest::prelude::*;
-    use setsim::{DedupMode, QGramTokenizer, TokenBuf, Tokenizer, WordTokenizer};
+    use setsim::{DedupMode, QGramTokenizer, TokenBuf, TokenOrder, Tokenizer, WordTokenizer};
 
     /// The tokenizers as they were before the token buffer — split, a
     /// lower-cased `String` per token, duplicates dropped through a map —
@@ -563,6 +563,37 @@ mod token_buffer {
             let raw = chars.windows(q).map(|w| w.iter().collect::<String>());
             dedup_tokens(raw, mode)
         }
+
+        /// The global order of a corpus as `TokenOrder::from_corpus` built
+        /// it before the token table: counted in a map, sorted by count,
+        /// then token.
+        pub fn corpus_order(corpus: &[Vec<String>]) -> Vec<String> {
+            let mut freq: HashMap<&str, u64> = HashMap::new();
+            for rec in corpus {
+                for tok in rec {
+                    *freq.entry(tok.as_str()).or_insert(0) += 1;
+                }
+            }
+            let mut pairs: Vec<(&str, u64)> = freq.into_iter().collect();
+            pairs.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+            pairs.into_iter().map(|(t, _)| t.to_string()).collect()
+        }
+
+        /// `TokenOrder`'s rank map before the token table.
+        pub fn rank_of(ordered: &[String]) -> HashMap<String, u32> {
+            (ordered.iter().cloned()).zip(0..).collect()
+        }
+
+        /// `TokenOrder::project_into` before the token table.
+        pub fn project(rank_of: &HashMap<String, u32>, tokens: &[String]) -> Vec<u32> {
+            let mut ranks: Vec<u32> = tokens
+                .iter()
+                .filter_map(|t| rank_of.get(t.as_str()).copied())
+                .collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            ranks
+        }
     }
 
     const MODES: [DedupMode; 2] = [DedupMode::Collapse, DedupMode::Number];
@@ -623,6 +654,54 @@ mod token_buffer {
         Ok(())
     }
 
+    /// Every projection of every text — from a [`TokenBuf`] by its hashes,
+    /// from borrowed tokens, from owned ones — equals the map projection
+    /// it replaced, through a dictionary that lacks some of the corpus's
+    /// tokens; and the corpus order equals the map-counted one. One buffer
+    /// and one rank vector serve every tokenizer, mode and text.
+    fn check_projection(texts: &[String]) -> Result<(), TestCaseError> {
+        let mut buf = TokenBuf::new();
+        let mut ranks = Vec::new();
+        for mode in MODES {
+            for q in [None, Some(2), Some(3)] {
+                let tokenizer: Box<dyn Tokenizer> = match q {
+                    None => Box::new(WordTokenizer { dedup: mode }),
+                    Some(q) => Box::new(QGramTokenizer { q, dedup: mode }),
+                };
+                let tokens_of = |text: &str| match q {
+                    None => oracle::words(text, mode),
+                    Some(q) => oracle::qgrams(text, q, mode),
+                };
+                let lists: Vec<Vec<String>> = texts.iter().map(|t| tokens_of(t)).collect();
+                let corpus = oracle::corpus_order(&lists);
+                let from_corpus = TokenOrder::from_corpus(&lists);
+                prop_assert_eq!(from_corpus.tokens().collect::<Vec<_>>(), corpus.clone());
+                let known: Vec<String> = (corpus.iter().enumerate())
+                    .filter(|(i, _)| i % 3 != 1)
+                    .map(|(_, t)| t.clone())
+                    .collect();
+                let order = TokenOrder::from_ordered_tokens(&known).unwrap();
+                let rank_of = oracle::rank_of(&known);
+                for (text, list) in texts.iter().zip(&lists) {
+                    let expected = oracle::project(&rank_of, list);
+                    tokenizer.tokenize_into(text, &mut buf);
+                    order.project_buf(&buf, &mut ranks);
+                    prop_assert_eq!(&ranks, &expected, "project_buf {:?} {:?}", mode, text);
+                    order.project_into(buf.iter(), &mut ranks);
+                    prop_assert_eq!(&ranks, &expected, "project_into {:?} {:?}", mode, text);
+                    prop_assert_eq!(
+                        order.project(list),
+                        expected,
+                        "project {:?} {:?}",
+                        mode,
+                        text
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Lower-casing that is context-sensitive (`Σ` at the end of a word),
     /// changes a character's length (`İ`) or its count, title case, words
     /// mixing ASCII with other scripts, more distinct tokens than the
@@ -666,6 +745,14 @@ mod token_buffer {
             texts in prop::collection::vec("[abABzZ019 ,.#ΣσςΟοİIıiǅǆßé中²\u{345}-]{0,24}", 1..6),
         ) {
             check(&texts)?;
+        }
+
+        /// Short texts over the same alphabet, projected every way.
+        #[test]
+        fn projections_match_the_map_projection(
+            texts in prop::collection::vec("[abABzZ019 ,.#ΣσςΟοİIıiǅǆßé中²\u{345}-]{0,24}", 1..8),
+        ) {
+            check_projection(&texts)?;
         }
 
         /// Long records: up to 200 words from a vocabulary of 90 in mixed
