@@ -396,7 +396,6 @@ fn join_config(args: &Args) -> Result<(JoinConfig, usize), String> {
         stage2,
         routing,
         stage3,
-        length_sub_routing: None,
         bad_records,
         skew,
     };

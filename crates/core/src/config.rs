@@ -274,10 +274,6 @@ pub struct JoinConfig {
     pub routing: TokenRouting,
     /// Stage-3 variant.
     pub stage3: Stage3Algo,
-    /// Optional length-based secondary routing (Section 5): prefix keys are
-    /// additionally split into length buckets of this width, partitioning
-    /// reduce groups further at the cost of more replication.
-    pub length_sub_routing: Option<u32>,
     /// Policy for malformed input records (stages parsing original dataset
     /// lines).
     pub bad_records: BadRecordPolicy,
@@ -301,7 +297,6 @@ impl JoinConfig {
             },
             routing: TokenRouting::Individual,
             stage3: Stage3Algo::Brj,
-            length_sub_routing: None,
             bad_records: BadRecordPolicy::Strict,
             skew: SkewConfig::off(),
         }
@@ -450,7 +445,6 @@ impl Codec for JoinConfig {
         self.stage2.encode(buf);
         self.routing.encode(buf);
         self.stage3.encode(buf);
-        self.length_sub_routing.encode(buf);
         self.bad_records.encode(buf);
         self.skew.encode(buf);
     }
@@ -466,7 +460,6 @@ impl Codec for JoinConfig {
             stage2: Codec::decode(r)?,
             routing: Codec::decode(r)?,
             stage3: Codec::decode(r)?,
-            length_sub_routing: Codec::decode(r)?,
             bad_records: Codec::decode(r)?,
             skew: Codec::decode(r)?,
         };
@@ -699,7 +692,6 @@ mod tests {
             (1u32..500).prop_map(|groups| TokenRouting::Grouped { groups }),
         ];
         let stage3 = prop_oneof![Just(Stage3Algo::Brj), Just(Stage3Algo::Oprj)];
-        let length_sub_routing = prop_oneof![Just(None), (1u32..9).prop_map(Some)];
         let bad_records = prop_oneof![
             Just(BadRecordPolicy::Strict),
             Just(BadRecordPolicy::Skip),
@@ -716,7 +708,7 @@ mod tests {
         );
         (
             (threshold, format, tokenizer, stage1, stage2),
-            (routing, stage3, length_sub_routing, bad_records, skew),
+            (routing, stage3, bad_records, skew),
         )
             .prop_map(|(a, b)| JoinConfig {
                 threshold: a.0,
@@ -726,9 +718,8 @@ mod tests {
                 stage2: a.4,
                 routing: b.0,
                 stage3: b.1,
-                length_sub_routing: b.2,
-                bad_records: b.3,
-                skew: b.4,
+                bad_records: b.2,
+                skew: b.3,
             })
     }
 

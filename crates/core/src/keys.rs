@@ -25,8 +25,8 @@
 use std::sync::Arc;
 
 use mapreduce::{
-    codec_struct, group_by, partition_by, stable_hash, text_input, Dfs, GroupEq, MrError,
-    PartitionFn, Result, SortCmp, SplitSource,
+    codec_struct, group_by, partition_by, text_input, Dfs, GroupEq, MrError, PartitionFn, Result,
+    SplitSource,
 };
 use setsim::{first_common, Threshold};
 
@@ -127,15 +127,11 @@ pub fn stage2_partitioner() -> PartitionFn<Stage2Key> {
     partition_by(|k: &Stage2Key| k.0)
 }
 
-/// Group reduce calls on the group component only; the natural tuple sort
-/// then delivers `(pass, kind, class, rel)` order inside each group.
+/// Group reduce calls on the group component only; the key's own tuple
+/// order, which the engine sorts by, then delivers `(pass, kind, class,
+/// rel)` order inside each group.
 pub fn stage2_grouping() -> GroupEq<Stage2Key> {
     group_by(|k: &Stage2Key| k.0)
-}
-
-/// The sort comparator: natural tuple ordering (explicit for clarity).
-pub fn stage2_sort() -> SortCmp<Stage2Key> {
-    mapreduce::natural_sort::<Stage2Key>()
 }
 
 /// The value routed with each key: a record projection (RID + sorted token
@@ -143,8 +139,7 @@ pub fn stage2_sort() -> SortCmp<Stage2Key> {
 pub type Projection = (u64, Vec<u32>);
 
 /// Routing groups for a record's probe prefix: one group per prefix token
-/// (individual or round-robin grouped), optionally fanned into the length
-/// buckets of Section 5's sub-routing, written to `groups` (cleared first)
+/// (individual or round-robin grouped), written to `groups` (cleared first)
 /// ascending and deduplicated. This is the *pre-skew* key scheme; it is
 /// shared verbatim between the stage-2 mapper and the skew estimator's
 /// sampling pre-pass ([`crate::skew::build_plan`]) so the plan's group ids
@@ -152,35 +147,18 @@ pub type Projection = (u64, Vec<u32>);
 pub fn routing_groups(
     threshold: &Threshold,
     routing: TokenRouting,
-    length_sub_routing: Option<u32>,
     ranks: &[u32],
     groups: &mut Vec<u32>,
 ) {
-    let len = ranks.len();
-    let prefix_len = threshold.probe_prefix_len(len);
+    let prefix_len = threshold.probe_prefix_len(ranks.len());
     groups.clear();
-    for &rank in &ranks[..prefix_len] {
-        let g = routing.group_of(rank);
-        match length_sub_routing {
-            None => groups.push(g),
-            Some(width) => {
-                // Replicate into every length bucket the record's
-                // compatible-partner range covers, so any similar pair
-                // shares the bucket of its shorter member.
-                let width = width.max(1) as usize;
-                let lo = threshold.lower_bound(len) / width;
-                let hi = len / width;
-                groups.extend((lo..=hi).map(|bucket| length_bucket_key(g, bucket)));
-            }
-        }
-    }
+    groups.extend(
+        ranks[..prefix_len]
+            .iter()
+            .map(|&rank| routing.group_of(rank)),
+    );
     groups.sort_unstable();
     groups.dedup();
-}
-
-/// The routing key of length bucket `bucket` of token group `group`.
-fn length_bucket_key(group: u32, bucket: usize) -> u32 {
-    stable_hash(&(group, bucket as u32)) as u32
 }
 
 /// A record as the ownership rule sees it: what its routing keys depend on
@@ -192,17 +170,14 @@ pub struct Member {
     /// [`SkewPlan::rid_hash`] of `rid`, taken once: a record is asked about
     /// once per partner it meets.
     rid_hash: u64,
-    /// The record's set size.
-    pub len: usize,
 }
 
 impl Member {
-    /// The record `rid` of `len` tokens.
-    pub fn new(rid: u64, len: usize) -> Self {
+    /// The record `rid`.
+    pub fn new(rid: u64) -> Self {
         Member {
             rid,
             rid_hash: SkewPlan::rid_hash(rid),
-            len,
         }
     }
 }
@@ -214,8 +189,6 @@ impl Member {
 /// on the pair alone:
 ///
 /// * the token group of `m` — both prefixes hold `m`;
-/// * under length sub-routing, the bucket of the *shorter* record, which
-///   the longer one's compatible-partner range covers;
 /// * under a skew split, the bucket pair `(min(bx,by), max(bx,by))`. Two
 ///   records of one bucket `b` meet in all `B` sub-keys `(min(b,i),
 ///   max(b,i))` of their shared row and column; this picks `(b, b)`.
@@ -223,21 +196,8 @@ impl Member {
 /// A reducer compares the result with its own key's group component, so
 /// logical keys that collide in the `u32` stay harmless: the pair still has
 /// one owner, and both records are there.
-pub fn owner_key(
-    routing: TokenRouting,
-    length_sub_routing: Option<u32>,
-    plan: &SkewPlan,
-    m: u32,
-    x: Member,
-    y: Member,
-) -> u32 {
-    let group = match length_sub_routing {
-        None => routing.group_of(m),
-        Some(width) => length_bucket_key(
-            routing.group_of(m),
-            x.len.min(y.len) / width.max(1) as usize,
-        ),
-    };
+pub fn owner_key(routing: TokenRouting, plan: &SkewPlan, m: u32, x: Member, y: Member) -> u32 {
+    let group = routing.group_of(m);
     match plan.keys_for(group, x.rid_hash) {
         None => group,
         Some(keys) => keys[SkewPlan::bucket_of(y.rid_hash, keys.len() as u32) as usize],
@@ -250,7 +210,6 @@ pub fn owner_key(
 pub struct Ownership {
     threshold: Threshold,
     routing: TokenRouting,
-    length_sub_routing: Option<u32>,
     skew: Arc<SkewPlan>,
 }
 
@@ -261,7 +220,6 @@ impl Ownership {
         Ownership {
             threshold: config.threshold,
             routing: config.routing,
-            length_sub_routing: config.length_sub_routing,
             skew,
         }
     }
@@ -286,7 +244,7 @@ impl Ownership {
     /// Whether the reduce group of `key` emits the pair whose smallest
     /// shared prefix token is `m`.
     pub fn owns(&self, key: &Stage2Key, m: u32, x: Member, y: Member) -> bool {
-        owner_key(self.routing, self.length_sub_routing, &self.skew, m, x, y) == key.0
+        owner_key(self.routing, &self.skew, m, x, y) == key.0
     }
 
     /// [`owns`](Self::owns) for one record `x` of `key`'s reduce group
@@ -309,7 +267,7 @@ impl Ownership {
     pub fn owns_pair(&self, key: &Stage2Key, x: (u64, &[u32]), y: (u64, &[u32])) -> bool {
         let prefix = |tokens: &[u32]| self.threshold.probe_prefix_len(tokens.len());
         first_common(&x.1[..prefix(x.1)], &y.1[..prefix(y.1)]).is_some_and(|m| {
-            let (x, y) = (Member::new(x.0, x.1.len()), Member::new(y.0, y.1.len()));
+            let (x, y) = (Member::new(x.0), Member::new(y.0));
             self.owns(key, m, x, y)
         })
     }
@@ -326,8 +284,6 @@ enum Partners<'a> {
     /// The token's group is split and this reduce key is among the record's
     /// routing keys in it (entry `b`: the key shared with bucket `b`).
     InBuckets(&'a [u32]),
-    /// Under length sub-routing the key depends on the partner's length.
-    ByLength,
 }
 
 /// [`Ownership::owns`] with everything that depends only on the reduce key,
@@ -358,18 +314,11 @@ impl<'a> ProbeOwnership<'a> {
             Partners::InBuckets(keys) => {
                 keys[SkewPlan::bucket_of(y().rid_hash, keys.len() as u32) as usize] == self.key
             }
-            Partners::ByLength => {
-                let o = self.owner;
-                owner_key(o.routing, o.length_sub_routing, &o.skew, m, self.x, y()) == self.key
-            }
         }
     }
 
     fn partners_under(&self, m: u32) -> Partners<'a> {
         let o = self.owner;
-        if o.length_sub_routing.is_some() {
-            return Partners::ByLength;
-        }
         let group = o.routing.group_of(m);
         match o.skew.keys_for(group, self.x.rid_hash) {
             None if group == self.key => Partners::All,
@@ -443,44 +392,35 @@ mod tests {
     #[test]
     fn owner_key_follows_the_mapper_scheme_step_by_step() {
         let none = SkewPlan::empty();
-        let (x, y) = (Member::new(11, 9), Member::new(12, 7));
+        let (x, y) = (Member::new(11), Member::new(12));
         // Token group: the token itself, or its round-robin group.
         let individual = TokenRouting::Individual;
         let grouped = TokenRouting::Grouped { groups: 8 };
-        assert_eq!(owner_key(individual, None, &none, 21, x, y), 21);
-        assert_eq!(owner_key(grouped, None, &none, 21, x, y), 5);
-        // Length sub-routing: the bucket of the shorter member (7 / 2 = 3),
-        // whichever side it is named on — not the longer one's (9 / 2 = 4).
-        let shorter = length_bucket_key(5, 3);
-        assert_eq!(owner_key(grouped, Some(2), &none, 21, x, y), shorter);
-        assert_eq!(owner_key(grouped, Some(2), &none, 21, y, x), shorter);
-        assert_ne!(shorter, length_bucket_key(5, 4));
+        assert_eq!(owner_key(individual, &none, 21, x, y), 21);
+        assert_eq!(owner_key(grouped, &none, 21, x, y), 5);
         // Skew split of that key: the records' bucket pair, ordered.
-        let plan = SkewPlan::from_entries(vec![(shorter, 4)]);
+        let plan = SkewPlan::from_entries(vec![(5, 4)]);
         let bucket = |m: Member| SkewPlan::bucket_of(m.rid_hash, 4);
         let (bx, by) = (bucket(x), bucket(y));
         assert_ne!(bx, by, "pick RIDs in different buckets");
         assert_eq!(
-            owner_key(grouped, Some(2), &plan, 21, x, y),
-            split_key(shorter, bx.min(by), bx.max(by))
+            owner_key(grouped, &plan, 21, x, y),
+            split_key(5, bx.min(by), bx.max(by))
         );
         // A group the plan does not split is untouched by it.
-        assert_eq!(
-            owner_key(grouped, Some(2), &plan, 22, x, y),
-            length_bucket_key(6, 3)
-        );
+        assert_eq!(owner_key(grouped, &plan, 22, x, y), 6);
     }
 
     #[test]
     fn same_bucket_pairs_are_owned_by_the_diagonal_sub_key() {
         let plan = SkewPlan::from_entries(vec![(5, 4)]);
         let bucket = |m: Member| SkewPlan::bucket_of(m.rid_hash, 4);
-        let x = Member::new(11, 9);
+        let x = Member::new(11);
         // Two records of one bucket `b` meet in every `(min(b,i), max(b,i))`;
         // the documented owner among them is `(b, b)`.
         let b = bucket(x);
         let twin = (12u64..)
-            .map(|rid| Member::new(rid, 9))
+            .map(Member::new)
             .find(|&m| bucket(m) == b)
             .unwrap();
         let routing = TokenRouting::Grouped { groups: 8 };
@@ -489,10 +429,7 @@ mod tests {
             plan.keys_for(5, twin.rid_hash),
             "the pair meets in all four sub-keys"
         );
-        assert_eq!(
-            owner_key(routing, None, &plan, 21, x, twin),
-            split_key(5, b, b)
-        );
+        assert_eq!(owner_key(routing, &plan, 21, x, twin), split_key(5, b, b));
     }
 
     #[test]

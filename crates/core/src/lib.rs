@@ -9,8 +9,8 @@
 //! 1. **Token ordering** ([`stage1`]) — BTO or OPTO compute the global
 //!    token order by ascending frequency.
 //! 2. **RID-pair generation** ([`stage2`]) — record projections are routed
-//!    on prefix tokens (individual or grouped, optionally length-bucketed)
-//!    and verified by the BK or PK kernel; Section-5 block processing
+//!    on prefix tokens (individual or grouped) under composite keys sorted
+//!    by length, and verified by the BK or PK kernel; Section-5 block processing
 //!    handles groups that exceed the reducer's memory budget. Each pair
 //!    is emitted by exactly one reducer ([`keys::owner_key`]).
 //! 3. **Record join** ([`stage3`]) — BRJ or OPRJ materialize the actual

@@ -206,11 +206,10 @@ pub fn stage1_tag(config: &JoinConfig) -> String {
 /// fingerprinting) and this config, so tagging the config pins the plan.
 pub fn stage2_tag(config: &JoinConfig, rs: bool) -> String {
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|skew={:?}|rs={rs}",
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|skew={:?}|rs={rs}",
         config.threshold,
         config.stage2,
         config.routing,
-        config.length_sub_routing,
         config.tokenizer,
         config.format,
         config.bad_records,

@@ -157,6 +157,9 @@ fn stage_json(stage: u64, metrics: &PipelineMetrics, tokens: Option<&[String]>) 
 pub fn run_report(outcome: &JoinOutcome, config: &JoinConfig, tokens: Option<&[String]>) -> Json {
     let config_json = obj(vec![
         ("threshold", Json::Str(format!("{:?}", config.threshold))),
+        // Additive (no `v` bump): the input format and the bad-record
+        // policy, which change what is read and so what is joined.
+        ("format", Json::Str(format!("{:?}", config.format))),
         ("tokenizer", Json::Str(format!("{:?}", config.tokenizer))),
         ("stage1", Json::Str(format!("{:?}", config.stage1))),
         ("stage2", Json::Str(format!("{:?}", config.stage2))),
@@ -168,6 +171,10 @@ pub fn run_report(outcome: &JoinOutcome, config: &JoinConfig, tokens: Option<&[S
         // sections; split reduce keys appear in `reduce_key_heavy_hitters`
         // under `…/split:i-j` labels.
         ("skew", Json::Str(format!("{:?}", config.skew))),
+        (
+            "bad_records",
+            Json::Str(format!("{:?}", config.bad_records)),
+        ),
     ]);
     let totals = obj(vec![
         ("sim_secs", Json::Num(outcome.sim_secs())),
@@ -301,6 +308,54 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(2)
         );
+    }
+
+    #[test]
+    fn report_config_names_every_field_of_the_join_config() {
+        use crate::config::{BadRecordPolicy, RecordFormat};
+        let config = JoinConfig {
+            format: RecordFormat::two_column(),
+            bad_records: BadRecordPolicy::Skip,
+            ..JoinConfig::recommended()
+        };
+        // Spelled out without `..`, so a new field fails to compile here.
+        let JoinConfig {
+            threshold: _,
+            format,
+            tokenizer: _,
+            stage1: _,
+            stage2: _,
+            routing: _,
+            stage3: _,
+            bad_records,
+            skew: _,
+        } = &config;
+        let mut fields = [
+            "threshold",
+            "format",
+            "tokenizer",
+            "stage1",
+            "stage2",
+            "routing",
+            "stage3",
+            "bad_records",
+            "skew",
+        ];
+        fields.sort_unstable();
+        let report = run_report(&outcome_with_hitters(), &config, None);
+        let members = report.get("config").and_then(Json::as_obj).unwrap();
+        let mut names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, fields);
+        let member = |name| report.get("config")?.get(name)?.as_str();
+        assert_eq!(member("format"), Some(format!("{format:?}").as_str()));
+        assert_eq!(
+            member("bad_records"),
+            Some(format!("{bad_records:?}").as_str())
+        );
+        // What the bug hid: this run's config read as a strict bibliographic one.
+        let strict = run_report(&outcome_with_hitters(), &JoinConfig::recommended(), None);
+        assert_ne!(strict.get("config"), report.get("config"));
     }
 
     #[test]

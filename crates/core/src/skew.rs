@@ -317,7 +317,7 @@ impl SkewPlan {
 /// Build the routing plan for a stage-2 job: stride-sample the record
 /// inputs, project each sampled record through the stage-1 token order,
 /// feed its routing groups (the *same* [`routing_groups`] the mapper
-/// uses, length sub-routing included) into a space-saving sketch, and
+/// uses) into a space-saving sketch, and
 /// split every group whose guaranteed load clears the hot threshold.
 ///
 /// The cutoff uses the sketch's exact lower bound (`count − error`), so a
@@ -364,13 +364,7 @@ pub fn build_plan(
                 if ranks.is_empty() {
                     continue;
                 }
-                routing_groups(
-                    &config.threshold,
-                    config.routing,
-                    config.length_sub_routing,
-                    &ranks,
-                    &mut groups,
-                );
+                routing_groups(&config.threshold, config.routing, &ranks, &mut groups);
                 for &g in &groups {
                     sketch.add(g, 1);
                 }

@@ -84,21 +84,14 @@ impl ProjectionMapper {
     }
 
     /// Final routing keys for the record in `self.record`, into
-    /// `self.groups`: prefix groups (with the optional length-bucket
-    /// sub-routing of Section 5), then the skew plan's bucket-pair
+    /// `self.groups`: prefix groups, then the skew plan's bucket-pair
     /// splitting. Bucketing is by RID only — never by relation or length
     /// class — so both members of any candidate pair land in the bucket
     /// pair `(min(bx,by), max(bx,by))` and pair completeness holds in every
     /// emit mode, self-join and R-S alike.
     fn route_groups(&mut self, ctx: &TaskContext) {
         let (c, groups) = (&self.config, &mut self.groups);
-        routing_groups(
-            &c.threshold,
-            c.routing,
-            c.length_sub_routing,
-            &self.record.1,
-            groups,
-        );
+        routing_groups(&c.threshold, c.routing, &self.record.1, groups);
         if self.skew.is_empty() {
             return;
         }
@@ -227,13 +220,7 @@ mod tests {
     fn groups_for(m: &ProjectionMapper, ranks: &[u32]) -> BTreeSet<u32> {
         let c = &m.config;
         let mut groups = Vec::new();
-        routing_groups(
-            &c.threshold,
-            c.routing,
-            c.length_sub_routing,
-            ranks,
-            &mut groups,
-        );
+        routing_groups(&c.threshold, c.routing, ranks, &mut groups);
         groups.into_iter().collect()
     }
 
@@ -434,97 +421,5 @@ mod tests {
             .unwrap();
         assert_eq!(out.pairs.len(), 1, "all prefix tokens share group 0");
         assert_eq!(out.pairs[0].0 .0, 0);
-    }
-
-    /// Completeness of length sub-routing: for ANY τ-similar pair, the two
-    /// records' routing-key sets must intersect, whatever the bucket width.
-    /// The shorter record emits its own bucket `len/width` for every prefix
-    /// group; the longer one covers `lower_bound(len)/width ..= len/width`,
-    /// which contains the shorter's bucket precisely because the pair passes
-    /// the length filter — this test exercises that argument empirically
-    /// across measures, routings, and widths on randomized similar pairs.
-    #[test]
-    fn length_sub_routing_preserves_pair_completeness() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let thresholds = [
-            Threshold::jaccard(0.8),
-            Threshold::cosine(0.85),
-            Threshold::dice(0.85),
-        ];
-        let routings = [
-            TokenRouting::Individual,
-            TokenRouting::Grouped { groups: 8 },
-        ];
-        let widths = [1u32, 2, 3, 7];
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        for t in thresholds {
-            for routing in routings {
-                for width in widths {
-                    let m = mapper_of(
-                        &JoinConfig {
-                            threshold: t,
-                            routing,
-                            length_sub_routing: Some(width),
-                            ..config()
-                        },
-                        None,
-                    );
-                    let mut checked = 0;
-                    let mut attempts = 0;
-                    while checked < 100 && attempts < 100_000 {
-                        attempts += 1;
-                        let len = rng.random_range(2usize..=40);
-                        let mut set = BTreeSet::new();
-                        while set.len() < len {
-                            set.insert(rng.random_range(0u32..60));
-                        }
-                        let x: Vec<u32> = set.iter().copied().collect();
-                        // Mutate x a little to get a candidate partner.
-                        let mut yset = set.clone();
-                        for _ in 0..rng.random_range(0usize..=2) {
-                            let victim = x[rng.random_range(0..x.len())];
-                            yset.remove(&victim);
-                        }
-                        for _ in 0..rng.random_range(0usize..=2) {
-                            yset.insert(rng.random_range(0u32..60));
-                        }
-                        let y: Vec<u32> = yset.iter().copied().collect();
-                        if y.is_empty() || t.matches(&x, &y).is_none() {
-                            continue;
-                        }
-                        checked += 1;
-                        let gx = groups_for(&m, &x);
-                        let gy = groups_for(&m, &y);
-                        assert!(
-                            gx.intersection(&gy).next().is_some(),
-                            "similar pair shares no routing key \
-                             (t={t:?} routing={routing:?} width={width}):\n  \
-                             x={x:?}\n  y={y:?}\n  gx={gx:?}\n  gy={gy:?}"
-                        );
-                    }
-                    assert!(checked >= 100, "generator starved: {checked} pairs");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn length_sub_routing_replicates_into_buckets() {
-        let cluster = setup_cluster_with_tokens(&["a", "b", "c", "d", "e", "f", "g", "h"]);
-        let ctx = make_ctx(&cluster, "/in");
-        let mut m = mapper_of(
-            &JoinConfig {
-                routing: TokenRouting::Grouped { groups: 1 },
-                length_sub_routing: Some(1),
-                ..config()
-            },
-            None,
-        );
-        m.setup(&ctx).unwrap();
-        let mut out = VecEmitter::new();
-        // len 8, lower bound 4: buckets 4..=8 -> 5 synthetic groups.
-        m.map(&0, &"3\ta b c d e f g h".to_string(), &mut out, &ctx)
-            .unwrap();
-        assert_eq!(out.pairs.len(), 5);
     }
 }

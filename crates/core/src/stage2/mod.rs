@@ -22,7 +22,7 @@ use mapreduce::{
 
 use crate::config::{JoinConfig, Stage2Algo, TokenRouting};
 use crate::keys::{
-    stage2_grouping, stage2_partitioner, stage2_sort, Ownership, Projection, Relations, Stage2Key,
+    stage2_grouping, stage2_partitioner, Ownership, Projection, Relations, Stage2Key,
 };
 use crate::recovery::{self, run_spec, Recovery};
 use crate::skew::{self, SkewPlan};
@@ -185,7 +185,6 @@ impl JobSpec for KernelSpec {
         Ok(Job::new(Self::names(config.stage2).0, mapper, reducer)
             .inputs(self.relations.splits(dfs)?)
             .partitioner(stage2_partitioner())
-            .sort_cmp(stage2_sort())
             .group_eq(stage2_grouping())
             .key_label(key_label)
             .output_text(&self.pairs, Arc::new(format_pair_line)))
@@ -328,7 +327,6 @@ mod tests {
                 config: JoinConfig {
                     stage2,
                     routing,
-                    length_sub_routing: Some(4),
                     ..JoinConfig::recommended()
                 },
                 skew_splits: vec![(3, 2), (9, 4)],

@@ -277,11 +277,11 @@ impl Reducer for PkReducer {
             // R records are only indexed, S records only probe, self-join
             // records do both. The index drops, at first touch, every
             // partner whose pair another group owns.
-            let x = Member::new(rid, tokens.len());
+            let x = Member::new(rid);
             let is_s = self.rs && rel == REL_S;
             if is_s || !self.rs {
                 let mut owned = owner.probing(key, x);
-                let owned = |m, id, _len| owned.owns(m, || members[id as usize]);
+                let owned = |m, id| owned.owns(m, || members[id as usize]);
                 for m in self.index.probe_owned(&tokens, owned) {
                     let partner = members[m.rid as usize].rid;
                     emit_pair(self.rs, partner, rid, m.sim, out, &mut stats)?;

@@ -859,7 +859,7 @@ mod tests {
             (5, TAG_SIDE, 2),
             (5, TAG_RECORD, 0),
         ];
-        keys.sort_by(|a, b| (job.sort_cmp)(a, b));
+        keys.sort();
         let sorted = [
             (4, TAG_SIDE, 1),
             (5, TAG_RECORD, 0),

@@ -1,5 +1,5 @@
 //! Differential correctness harness: every stage-1 ordering × stage-2
-//! kernel × routing × length-sub-routing × similarity-measure combination,
+//! kernel × routing × similarity-measure combination,
 //! in both self-join and R-S mode, must produce **exactly** the
 //! `(rid1, rid2, sim)` set of the naive O(n²) oracle (`setsim::naive` via
 //! `setsim::oracle`) on the same corpus — similarity values compared
@@ -442,34 +442,31 @@ fn rs_corpora(seed: u64) -> (Vec<String>, Vec<String>) {
     (datagen::to_lines(&r), datagen::to_lines(&s))
 }
 
-/// The full matrix for one kernel: stage-1 ordering × routing ×
-/// length-sub-routing × measure × {self-join, R-S} × 3 seeded corpora
-/// each — and every cell on all three execution backends, bitwise.
+/// The full matrix for one kernel: stage-1 ordering × routing × measure
+/// × {self-join, R-S} × 3 seeded corpora each — and every cell on all
+/// three execution backends, bitwise.
 fn kernel_matrix(stage2: Stage2Algo) {
     for stage1 in STAGE1S {
         for routing in ROUTINGS {
-            for length_sub_routing in [None, Some(2)] {
-                for threshold in measures() {
-                    let config = JoinConfig {
-                        stage1,
-                        stage2,
-                        routing,
-                        length_sub_routing,
-                        threshold,
-                        ..JoinConfig::recommended()
-                    };
-                    let label_base = format!(
-                        "{} routing={routing:?} lsr={length_sub_routing:?} t={threshold:?}",
-                        config.combo_name()
-                    );
-                    for seed in SEEDS {
-                        let lines = datagen::to_lines(&datagen::dblp(80, seed));
-                        check_self_cell(&lines, &config, &format!("{label_base} self seed={seed}"));
-                    }
-                    for seed in SEEDS {
-                        let (r, s) = rs_corpora(seed);
-                        check_rs_cell(&r, &s, &config, &format!("{label_base} rs seed={seed}"));
-                    }
+            for threshold in measures() {
+                let config = JoinConfig {
+                    stage1,
+                    stage2,
+                    routing,
+                    threshold,
+                    ..JoinConfig::recommended()
+                };
+                let label_base = format!(
+                    "{} routing={routing:?} t={threshold:?}",
+                    config.combo_name()
+                );
+                for seed in SEEDS {
+                    let lines = datagen::to_lines(&datagen::dblp(80, seed));
+                    check_self_cell(&lines, &config, &format!("{label_base} self seed={seed}"));
+                }
+                for seed in SEEDS {
+                    let (r, s) = rs_corpora(seed);
+                    check_rs_cell(&r, &s, &config, &format!("{label_base} rs seed={seed}"));
                 }
             }
         }
@@ -592,40 +589,37 @@ fn check_skew_rs_cell(
         .len()
 }
 
-/// The skew matrix for one kernel: routing × length-sub-routing ×
-/// measure × seeds, each cell run skew-off vs forced-low-threshold
-/// adaptive (stride-1 sample, hot at 6 routed records, ≤ 4 buckets) on
-/// all three backends. The aggregate non-vacuity assert proves the forced
-/// plan really split groups somewhere in the matrix — a threshold so low
-/// it never triggers would make every cell trivially pass.
+/// The skew matrix for one kernel: routing × measure × seeds, each cell
+/// run skew-off vs forced-low-threshold adaptive (stride-1 sample, hot at
+/// 6 routed records, ≤ 4 buckets) on all three backends. The aggregate
+/// non-vacuity assert proves the forced plan really split groups somewhere
+/// in the matrix — a threshold so low it never triggers would make every
+/// cell trivially pass.
 fn skew_matrix(stage2: Stage2Algo) {
     let mut split_groups = 0usize;
     for routing in ROUTINGS {
-        for length_sub_routing in [None, Some(2)] {
-            for threshold in [Threshold::jaccard(0.8), Threshold::overlap(4)] {
-                let config = JoinConfig {
-                    stage2,
-                    routing,
-                    length_sub_routing,
-                    threshold,
-                    skew: SkewConfig::forced(6, 4),
-                    ..JoinConfig::recommended()
-                };
-                let label_base = format!(
-                    "skew {} routing={routing:?} lsr={length_sub_routing:?} t={threshold:?}",
-                    config.combo_name()
+        for threshold in [Threshold::jaccard(0.8), Threshold::overlap(4)] {
+            let config = JoinConfig {
+                stage2,
+                routing,
+                threshold,
+                skew: SkewConfig::forced(6, 4),
+                ..JoinConfig::recommended()
+            };
+            let label_base = format!(
+                "skew {} routing={routing:?} t={threshold:?}",
+                config.combo_name()
+            );
+            for seed in SEEDS {
+                let lines = datagen::to_lines(&datagen::dblp(80, seed));
+                split_groups += check_skew_self_cell(
+                    &lines,
+                    &config,
+                    &format!("{label_base} self seed={seed}"),
                 );
-                for seed in SEEDS {
-                    let lines = datagen::to_lines(&datagen::dblp(80, seed));
-                    split_groups += check_skew_self_cell(
-                        &lines,
-                        &config,
-                        &format!("{label_base} self seed={seed}"),
-                    );
-                }
-                let (r, s) = rs_corpora(SEEDS[0]);
-                split_groups += check_skew_rs_cell(&r, &s, &config, &format!("{label_base} rs"));
             }
+            let (r, s) = rs_corpora(SEEDS[0]);
+            split_groups += check_skew_rs_cell(&r, &s, &config, &format!("{label_base} rs"));
         }
     }
     assert!(
@@ -983,16 +977,14 @@ fn duplicate_rid_pairs_eliminated_in_rs_join() {
     }
 }
 
-/// Decode a flat index into a (kernel, routing, lsr) cell — lets the
-/// property test draw a uniform config without nested strategies.
+/// Decode a flat index into a (kernel, routing) cell — lets the property
+/// test draw a uniform config without nested strategies.
 fn config_cell(index: usize, threshold: Threshold) -> JoinConfig {
     let stage2 = kernels()[index % 4];
     let routing = ROUTINGS[(index / 4) % 2];
-    let length_sub_routing = [None, Some(2)][(index / 8) % 2];
     JoinConfig {
         stage2,
         routing,
-        length_sub_routing,
         threshold,
         ..JoinConfig::recommended()
     }
@@ -1008,7 +1000,7 @@ proptest! {
     #[test]
     fn random_corpora_match_oracle(
         sets in prop::collection::vec(prop::collection::vec(0u8..12, 0..8), 2..28),
-        cell in 0usize..16,
+        cell in 0usize..8,
         measure in 0usize..4,
         split in 1usize..27,
     ) {

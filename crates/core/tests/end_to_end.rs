@@ -116,27 +116,6 @@ fn routing_strategies_agree() {
 }
 
 #[test]
-fn length_sub_routing_is_lossless() {
-    let lines = corpus(31, 120);
-    let t = Threshold::jaccard(0.8);
-    let expected = naive_pairs(&lines, &t);
-    let config = JoinConfig {
-        stage2: Stage2Algo::Bk,
-        length_sub_routing: Some(2),
-        ..JoinConfig::recommended()
-    };
-    let c = cluster(2);
-    c.dfs().write_text("/records", &lines).unwrap();
-    let outcome = self_join(&c, "/records", "/work", &config).unwrap();
-    let got: Vec<(u64, u64)> = read_joined(&c, &outcome.joined_path)
-        .unwrap()
-        .iter()
-        .map(|(k, _)| *k)
-        .collect();
-    assert_eq!(got, expected);
-}
-
-#[test]
 fn joined_output_carries_full_records_and_similarity() {
     let lines = vec![
         "1\tparallel set similarity joins using mapreduce\tvernica carey li\tsigmod".to_string(),

@@ -538,7 +538,7 @@ proptest! {
     /// routing prefixes share is the smallest token the records share at
     /// all (what the indexed kernel's first touch sees), and the key it
     /// maps to is one **both** records were routed to — whatever the
-    /// routing, the sub-routing width, and the plan — does not depend on
+    /// routing and the plan — does not depend on
     /// which record is named first, and is the only routing key whose
     /// reducer claims the pair.
     #[test]
@@ -546,7 +546,7 @@ proptest! {
         base in prop::collection::btree_set(0u32..60, 3..24),
         edits in prop::collection::vec((0usize..24, 0u32..60), 0..4),
         rids in (any::<u64>(), any::<u64>()),
-        scheme in (0usize..4, 0u32..10, 0u32..5),
+        scheme in (0usize..4, 0u32..10),
         split in (any::<u64>(), 2u32..=8),
     ) {
         let threshold = [
@@ -559,7 +559,6 @@ proptest! {
             0 => TokenRouting::Individual,
             groups => TokenRouting::Grouped { groups },
         };
-        let length_sub_routing = (scheme.2 > 0).then_some(scheme.2);
         // y: x with as many of the drawn token swaps as keep the pair
         // similar (none, at worst: a record is similar to its copy).
         let x: Vec<u32> = base.iter().copied().collect();
@@ -583,7 +582,7 @@ proptest! {
 
         let groups = |ranks: &[u32]| {
             let mut groups = Vec::new();
-            routing_groups(&threshold, routing, length_sub_routing, ranks, &mut groups);
+            routing_groups(&threshold, routing, ranks, &mut groups);
             groups.into_iter().collect::<BTreeSet<u32>>()
         };
         let (gx, gy) = (groups(&x), groups(&y));
@@ -601,11 +600,11 @@ proptest! {
             routed.into_iter().collect::<BTreeSet<u32>>()
         };
         let (rx, ry) = (route(gx, rids.0), route(gy, rids.1));
-        let (mx, my) = (Member::new(rids.0, x.len()), Member::new(rids.1, y.len()));
-        let owner = owner_key(routing, length_sub_routing, &plan, m, mx, my);
+        let (mx, my) = (Member::new(rids.0), Member::new(rids.1));
+        let owner = owner_key(routing, &plan, m, mx, my);
         prop_assert!(rx.contains(&owner), "x was not routed to the owner {owner}: {rx:?}");
         prop_assert!(ry.contains(&owner), "y was not routed to the owner {owner}: {ry:?}");
-        prop_assert_eq!(owner, owner_key(routing, length_sub_routing, &plan, m, my, mx));
+        prop_assert_eq!(owner, owner_key(routing, &plan, m, my, mx));
         // What the reducers ask: of the keys the records were routed to,
         // exactly the owner says yes — the per-pair form and the indexed
         // kernel's per-token form alike (the latter asked about another
@@ -613,7 +612,6 @@ proptest! {
         let config = JoinConfig {
             threshold,
             routing,
-            length_sub_routing,
             ..JoinConfig::recommended()
         };
         let ownership = Ownership::new(&config, Arc::new(plan));

@@ -21,7 +21,7 @@ use crate::manifest::{success_path, JobManifest};
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics, TaskRecord};
-use crate::partitioner::{PartitionFn, SortCmp};
+use crate::partitioner::{natural_sort, PartitionFn};
 use crate::profile::{self, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
@@ -722,7 +722,6 @@ struct MapEmitter<'a, K: Key, V: Value> {
     buffered_bytes: usize,
     threshold: usize,
     partitioner: &'a PartitionFn<K>,
-    sort_cmp: &'a SortCmp<K>,
     combiner: Option<&'a CombineFn<K, V>>,
     runs: Vec<Vec<Run>>,
     output_records: u64,
@@ -743,7 +742,6 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
         num_partitions: usize,
         threshold: usize,
         partitioner: &'a PartitionFn<K>,
-        sort_cmp: &'a SortCmp<K>,
         combiner: Option<&'a CombineFn<K, V>>,
     ) -> Self {
         MapEmitter {
@@ -751,7 +749,6 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
             buffered_bytes: 0,
             threshold,
             partitioner,
-            sort_cmp,
             combiner,
             runs: (0..num_partitions).map(|_| Vec::new()).collect(),
             output_records: 0,
@@ -783,9 +780,9 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
     }
 
     /// Park each partition's buffered pairs as one sorted run. The index is
-    /// sorted stably, so equal keys keep emission order, and each pair's
-    /// bytes are copied; with a combiner the pairs are decoded and go
-    /// through [`sort_and_combine`] instead.
+    /// sorted stably by the key's `Ord`, so equal keys keep emission order,
+    /// and each pair's bytes are copied; with a combiner the pairs are
+    /// decoded and go through [`sort_and_combine`] instead.
     fn spill(&mut self) -> Result<()> {
         let spill_start = Instant::now();
         let mut spilled_any = false;
@@ -796,7 +793,7 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
             spilled_any = true;
             let run = match self.combiner {
                 None => {
-                    index.sort_by(|a, b| (self.sort_cmp)(&a.0, &b.0));
+                    index.sort_by(|a, b| a.0.cmp(&b.0));
                     let mut data = Vec::with_capacity(bytes.len());
                     for &(_, at, len) in index.iter() {
                         data.extend_from_slice(&bytes[at..at + len]);
@@ -813,7 +810,8 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
                         pairs.push((K::decode(&mut r)?, V::decode(&mut r)?));
                     }
                     let (cin, cout) = (&mut self.combine_in, &mut self.combine_out);
-                    let sorted = sort_and_combine(pairs, self.sort_cmp, Some(combiner), cin, cout);
+                    let sort = natural_sort();
+                    let sorted = sort_and_combine(pairs, &sort, Some(combiner), cin, cout);
                     Run::encode(&sorted)
                 }
             };
@@ -878,7 +876,6 @@ where
             self.num_reducers,
             self.cluster.config.spill_buffer_bytes,
             &job.partitioner,
-            &job.sort_cmp,
             job.combiner.as_ref(),
         );
         mapper.setup(&ctx)?;
@@ -1066,9 +1063,8 @@ where
         // open.
         let job = self.job;
         let merge_start = Instant::now();
-        let (runs, merge_passes) =
-            merge_to_factor::<M::OutKey, M::OutValue>(runs, &job.sort_cmp, MERGE_FACTOR)?;
-        let mut stream = MergeStream::new(runs, job.sort_cmp.clone())?;
+        let (runs, merge_passes) = merge_to_factor::<M::OutKey, M::OutValue>(runs, MERGE_FACTOR)?;
+        let mut stream = MergeStream::<M::OutKey, M::OutValue>::new(runs, natural_sort())?;
         let merge_secs = merge_start.elapsed().as_secs_f64();
         // A part is made durable by its job's commit, not by its attempt.
         let mut out_dfs = self.cluster.dfs.clone();
@@ -1263,10 +1259,10 @@ mod tests {
     fn typed_spills<V: Value>(
         pairs: &[(String, V)],
         (parts, threshold): (usize, usize),
-        cmp: &SortCmp<String>,
         combiner: Option<&CombineFn<String, V>>,
     ) -> Spills {
         let partitioner = crate::partitioner::hash_partitioner::<String>();
+        let cmp = natural_sort();
         let mut buffers: Vec<Vec<(String, V)>> = vec![Vec::new(); parts];
         let mut runs: Vec<Vec<Run>> = vec![Vec::new(); parts];
         let (mut buffered, mut spills, mut cin, mut cout) = (0, 0, 0, 0);
@@ -1280,7 +1276,7 @@ mod tests {
             for (p, buffer) in buffers.iter_mut().enumerate() {
                 let pairs = std::mem::take(buffer);
                 if !pairs.is_empty() {
-                    let sorted = sort_and_combine(pairs, cmp, combiner, &mut cin, &mut cout);
+                    let sorted = sort_and_combine(pairs, &cmp, combiner, &mut cin, &mut cout);
                     runs[p].push(Run::encode(&sorted));
                 }
             }
@@ -1296,12 +1292,11 @@ mod tests {
     fn emitted_spills<V: Value>(
         pairs: &[(String, V)],
         (parts, threshold): (usize, usize),
-        cmp: &SortCmp<String>,
         combiner: Option<&CombineFn<String, V>>,
         by_ref: bool,
     ) -> Spills {
         let partitioner = crate::partitioner::hash_partitioner::<String>();
-        let mut e = MapEmitter::new(parts, threshold, &partitioner, cmp, combiner);
+        let mut e = MapEmitter::new(parts, threshold, &partitioner, combiner);
         for (k, v) in pairs {
             match by_ref {
                 true => e.emit_ref(k, v).unwrap(),
@@ -1324,36 +1319,29 @@ mod tests {
 
         /// Every run the emitter parks, and every spill point and counter,
         /// is what the typed path made of the same pairs: with and without a
-        /// combiner, under a total and a coarse comparator (which ties
-        /// unequal keys, so a sort that is not stable shows), by value and
-        /// by reference, with spill buffers that force many spills or few.
-        /// Each value carries its emission index.
+        /// combiner, by value and by reference, with spill buffers that force
+        /// many spills or few. Keys repeat and each value carries its
+        /// emission index, so a sort that is not stable shows.
         #[test]
         fn the_emitter_spills_what_the_typed_path_spilled(
             keys in proptest::collection::vec(("[a-d]{0,3}", ".{0,6}"), 0..300),
             parts in 1usize..5,
             threshold in proptest::prop_oneof![1usize..160, 160usize..4000],
-            coarse in proptest::prelude::any::<bool>(),
             by_ref in proptest::prelude::any::<bool>(),
         ) {
-            let cmp: SortCmp<String> = if coarse {
-                std::sync::Arc::new(|a: &String, b: &String| a.len().cmp(&b.len()))
-            } else {
-                crate::partitioner::natural_sort()
-            };
             let shape = (parts, threshold);
             let tagged: Vec<(String, (u64, String))> = keys
                 .iter()
                 .enumerate()
                 .map(|(i, (k, payload))| (k.clone(), (i as u64, payload.clone())))
                 .collect();
-            let typed = typed_spills(&tagged, shape, &cmp, None);
-            proptest::prop_assert_eq!(emitted_spills(&tagged, shape, &cmp, None, by_ref), typed);
+            let typed = typed_spills(&tagged, shape, None);
+            proptest::prop_assert_eq!(emitted_spills(&tagged, shape, None, by_ref), typed);
             let counted: Vec<(String, u64)> =
                 keys.iter().enumerate().map(|(i, (k, _))| (k.clone(), i as u64)).collect();
             let sum = crate::reducer::sum_combiner::<String>();
-            let typed = typed_spills(&counted, shape, &cmp, Some(&sum));
-            let emitted = emitted_spills(&counted, shape, &cmp, Some(&sum), by_ref);
+            let typed = typed_spills(&counted, shape, Some(&sum));
+            let emitted = emitted_spills(&counted, shape, Some(&sum), by_ref);
             proptest::prop_assert_eq!(emitted, typed);
         }
     }

@@ -8,9 +8,7 @@ use crate::dfs::Dfs;
 use crate::error::Result;
 use crate::input::SplitSource;
 use crate::mapper::Mapper;
-use crate::partitioner::{
-    hash_partitioner, natural_grouping, natural_sort, GroupEq, PartitionFn, SortCmp,
-};
+use crate::partitioner::{hash_partitioner, natural_grouping, GroupEq, PartitionFn};
 use crate::reducer::{CombineFn, Reducer};
 
 /// Formats one output pair as a text line.
@@ -56,10 +54,9 @@ pub struct Job<M: Mapper, R: Reducer<Key = M::OutKey, InValue = M::OutValue>> {
     pub reducer: R,
     /// Optional map-side combiner.
     pub combiner: Option<CombineFn<M::OutKey, M::OutValue>>,
-    /// Partition policy for intermediate keys.
+    /// Partition policy for intermediate keys. Within a partition keys are
+    /// sorted by their own `Ord`.
     pub partitioner: PartitionFn<M::OutKey>,
-    /// Sort order for intermediate keys.
-    pub sort_cmp: SortCmp<M::OutKey>,
     /// Grouping policy delimiting reduce calls.
     pub group_eq: GroupEq<M::OutKey>,
     /// Number of reduce tasks; defaults to one wave of the cluster's reduce
@@ -126,8 +123,8 @@ where
     M: Mapper,
     R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
 {
-    /// A job with default policies: hash partitioning, natural sort, full-key
-    /// grouping, no combiner, discarded output.
+    /// A job with default policies: hash partitioning, full-key grouping, no
+    /// combiner, discarded output.
     pub fn new(name: impl Into<String>, mapper: M, reducer: R) -> Self {
         Job {
             name: name.into(),
@@ -135,7 +132,6 @@ where
             reducer,
             combiner: None,
             partitioner: hash_partitioner::<M::OutKey>(),
-            sort_cmp: natural_sort::<M::OutKey>(),
             group_eq: natural_grouping::<M::OutKey>(),
             num_reducers: None,
             inputs: Vec::new(),
@@ -176,12 +172,6 @@ where
     /// Set a custom partitioner.
     pub fn partitioner(mut self, p: PartitionFn<M::OutKey>) -> Self {
         self.partitioner = p;
-        self
-    }
-
-    /// Set a custom sort comparator.
-    pub fn sort_cmp(mut self, c: SortCmp<M::OutKey>) -> Self {
-        self.sort_cmp = c;
         self
     }
 

@@ -11,8 +11,9 @@ pub trait Value: Codec + Clone + Send + Sync + Debug + 'static {}
 impl<T: Codec + Clone + Send + Sync + Debug + 'static> Value for T {}
 
 /// A map-output key: a [`Value`] that can additionally be hash-partitioned
-/// and sorted. The default sort order used by the shuffle is `Ord`; jobs can
-/// override it with a custom comparator (Hadoop's `setSortComparatorClass`).
+/// and sorted. The shuffle sorts keys by their `Ord`; a job that needs
+/// another order (Hadoop's `setSortComparatorClass`) picks a key type whose
+/// `Ord` is that order.
 pub trait Key: Value + Ord + Hash {}
 impl<T: Value + Ord + Hash> Key for T {}
 

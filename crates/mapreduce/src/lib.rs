@@ -8,8 +8,8 @@
 //! * `map(k1, v1) -> list(k2, v2)` and `reduce(k2, list(v2)) -> list(k3, v3)`
 //!   user functions with `setup`/`cleanup` hooks ([`Mapper`], [`Reducer`]);
 //! * optional map-side **combiners** ([`CombineFn`]);
-//! * hash **partitioning** with user-replaceable partitioners, **sort
-//!   comparators**, and **grouping comparators** (secondary sort) —
+//! * hash **partitioning** with user-replaceable partitioners, keys sorted
+//!   by their own `Ord`, and **grouping comparators** (secondary sort) —
 //!   the key-manipulation toolbox the paper's kernels rely on;
 //! * a spill-based shuffle that serializes every intermediate pair through a
 //!   binary [`Codec`], so reported shuffle bytes are real;

@@ -1,14 +1,17 @@
-//! Key partitioning, sorting, and grouping policies.
+//! Key partitioning and grouping policies.
 //!
-//! Hadoop lets a job customize three things about intermediate keys and the
-//! paper leans on all of them:
+//! The paper leans on three things about intermediate keys; a job customizes
+//! two of them:
 //!
 //! * the **partitioner** (PK kernels partition composite `(group, length)`
 //!   keys on the group component only),
-//! * the **sort comparator** (keys sorted on the full composite key so
-//!   record projections arrive in increasing length order),
 //! * the **grouping comparator** (all lengths of one group form a single
 //!   reduce call).
+//!
+//! The third, the sort on the full composite key that delivers record
+//! projections in increasing length order, is the key type's own `Ord`: the
+//! engine sorts by nothing else. [`natural_sort`] is that order as a value,
+//! for callers of [`crate::run`] that take one.
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};

@@ -11,7 +11,7 @@ use crate::task::{Emit, TaskContext};
 ///
 /// `values` streams the group's records as `(key, value)` pairs. The key is
 /// repeated per record because with a grouping comparator coarser than the
-/// sort comparator (Hadoop "secondary sort") every record in the group can
+/// key's sort order (Hadoop "secondary sort") every record in the group can
 /// carry a *different* full key — the paper's PK kernel reads the length
 /// component of the composite `(group, length)` key as values stream by.
 ///

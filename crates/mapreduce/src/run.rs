@@ -11,7 +11,7 @@ use std::sync::Arc;
 use crate::codec::{ByteReader, Codec};
 use crate::error::{MrError, Result};
 use crate::kv::{Key, Value};
-use crate::partitioner::{GroupEq, SortCmp};
+use crate::partitioner::{natural_sort, GroupEq, SortCmp};
 
 /// A sorted, encoded sequence of `(key, value)` pairs.
 #[derive(Debug, Clone)]
@@ -93,7 +93,7 @@ pub struct MergeStream<K: Value, V: Value> {
 }
 
 impl<K: Key, V: Value> MergeStream<K, V> {
-    /// Build a merge over the given runs using the job's sort comparator.
+    /// Build a merge over the given runs, each sorted by `cmp`.
     pub fn new(runs: Vec<Run>, cmp: SortCmp<K>) -> Result<Self> {
         let cursors: Result<Vec<_>> = runs.into_iter().map(RunCursor::new).collect();
         let cursors = cursors?;
@@ -178,8 +178,8 @@ impl<K: Key, V: Value> Iterator for GroupValues<'_, K, V> {
     }
 }
 
-/// Sort a buffer of pairs by the job's comparator (stable, so equal keys keep
-/// emission order) and apply the combiner to each equal-key group.
+/// Sort a buffer of pairs by `cmp` (stable, so equal keys keep emission
+/// order) and apply the combiner to each equal-key group.
 pub fn sort_and_combine<K: Key, V: Value>(
     mut pairs: Vec<(K, V)>,
     cmp: &SortCmp<K>,
@@ -331,10 +331,10 @@ mod tests {
 
 /// Merge several sorted runs into a single run (one Hadoop merge pass):
 /// streams the k-way merge and re-encodes, preserving order and duplicates.
-pub fn merge_into_one<K: Key, V: Value>(runs: Vec<Run>, cmp: SortCmp<K>) -> Result<Run> {
+pub fn merge_into_one<K: Key, V: Value>(runs: Vec<Run>) -> Result<Run> {
     let records: usize = runs.iter().map(|r| r.records).sum();
     let bytes: usize = runs.iter().map(Run::len_bytes).sum();
-    let mut stream: MergeStream<K, V> = MergeStream::new(runs, cmp)?;
+    let mut stream: MergeStream<K, V> = MergeStream::new(runs, natural_sort())?;
     let mut buf = Vec::with_capacity(bytes);
     while let Some((k, v)) = stream.next_pair()? {
         k.encode(&mut buf);
@@ -356,7 +356,6 @@ pub const MERGE_FACTOR: usize = 64;
 /// the number of intermediate merge passes performed.
 pub fn merge_to_factor<K: Key, V: Value>(
     mut runs: Vec<Run>,
-    cmp: &SortCmp<K>,
     factor: usize,
 ) -> Result<(Vec<Run>, u64)> {
     let factor = factor.max(2);
@@ -366,7 +365,7 @@ pub fn merge_to_factor<K: Key, V: Value>(
         runs.sort_by_key(|r| std::cmp::Reverse(r.len_bytes()));
         let take = factor.min(runs.len() - factor + 1);
         let batch: Vec<Run> = (0..take).map(|_| runs.pop().expect("non-empty")).collect();
-        runs.push(merge_into_one::<K, V>(batch, cmp.clone())?);
+        runs.push(merge_into_one::<K, V>(batch)?);
         passes += 1;
     }
     Ok((runs, passes))
@@ -375,7 +374,6 @@ pub fn merge_to_factor<K: Key, V: Value>(
 #[cfg(test)]
 mod merge_tests {
     use super::*;
-    use crate::partitioner::natural_sort;
 
     fn sorted_run(start: u32, step: u32, n: u32) -> Run {
         let pairs: Vec<(u32, u32)> = (0..n).map(|i| (start + i * step, i)).collect();
@@ -398,7 +396,7 @@ mod merge_tests {
             sorted_run(1, 3, 10),
             sorted_run(2, 3, 10),
         ];
-        let merged = merge_into_one::<u32, u32>(runs, natural_sort::<u32>()).unwrap();
+        let merged = merge_into_one::<u32, u32>(runs).unwrap();
         assert_eq!(merged.records, 30);
         let keys = drain(vec![merged]);
         assert_eq!(keys, (0..30).collect::<Vec<u32>>());
@@ -408,8 +406,7 @@ mod merge_tests {
     fn merge_to_factor_bounds_run_count() {
         let runs: Vec<Run> = (0..20).map(|i| sorted_run(i, 20, 15)).collect();
         let expected = drain(runs.clone());
-        let (merged, passes) =
-            merge_to_factor::<u32, u32>(runs, &natural_sort::<u32>(), 4).unwrap();
+        let (merged, passes) = merge_to_factor::<u32, u32>(runs, 4).unwrap();
         assert!(merged.len() <= 4, "got {} runs", merged.len());
         assert!(passes > 0);
         assert_eq!(drain(merged), expected, "multi-pass merge must not reorder");
@@ -418,16 +415,14 @@ mod merge_tests {
     #[test]
     fn merge_to_factor_noop_when_few_runs() {
         let runs = vec![sorted_run(0, 1, 5), sorted_run(100, 1, 5)];
-        let (merged, passes) =
-            merge_to_factor::<u32, u32>(runs, &natural_sort::<u32>(), 8).unwrap();
+        let (merged, passes) = merge_to_factor::<u32, u32>(runs, 8).unwrap();
         assert_eq!(merged.len(), 2);
         assert_eq!(passes, 0);
     }
 
     #[test]
     fn merge_to_factor_handles_empty() {
-        let (merged, passes) =
-            merge_to_factor::<u32, u32>(Vec::new(), &natural_sort::<u32>(), 4).unwrap();
+        let (merged, passes) = merge_to_factor::<u32, u32>(Vec::new(), 4).unwrap();
         assert!(merged.is_empty());
         assert_eq!(passes, 0);
     }

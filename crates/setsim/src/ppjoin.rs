@@ -388,11 +388,11 @@ impl PpjoinIndex {
     /// Probe for all indexed records joining `tokens` (sorted ranks), in
     /// insertion order. Does **not** insert.
     pub fn probe(&mut self, tokens: &[u32]) -> Vec<Match> {
-        self.probe_owned(tokens, |_, _, _| true)
+        self.probe_owned(tokens, |_, _| true)
     }
 
     /// [`probe`](Self::probe) restricted to the pairs the caller owns.
-    /// `owned(token, rid, len)` is asked once per stored record, at the
+    /// `owned(token, rid)` is asked once per stored record, at the
     /// probe-prefix token that first reaches it; a record it rejects is out
     /// of this probe before any overlap is accumulated for it.
     ///
@@ -407,7 +407,7 @@ impl PpjoinIndex {
     pub fn probe_owned(
         &mut self,
         tokens: &[u32],
-        mut owned: impl FnMut(u32, u64, usize) -> bool,
+        mut owned: impl FnMut(u32, u64) -> bool,
     ) -> Vec<Match> {
         let lx = tokens.len();
         let lx32 = u32::try_from(lx).expect("a record holds fewer than 2^32 tokens");
@@ -434,7 +434,7 @@ impl PpjoinIndex {
                 }
                 if slot.epoch != epoch {
                     slot.epoch = epoch;
-                    if !owned(tok, slot.rid, slot.len as usize) {
+                    if !owned(tok, slot.rid) {
                         slot.overlap = PRUNED;
                         self.funnel.unowned += 1;
                         continue;

@@ -470,7 +470,7 @@ mod index_grid {
                         };
                         let mut index = PpjoinIndex::new(t, filters());
                         for (rid, tokens) in order {
-                            for m in index.probe_owned(tokens, |tok, _, _| tok % k == owner) {
+                            for m in index.probe_owned(tokens, |tok, _| tok % k == owner) {
                                 got.push((m.rid.min(*rid), m.rid.max(*rid), m.sim));
                             }
                             index.insert(*rid, tokens);
