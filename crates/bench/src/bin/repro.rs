@@ -176,13 +176,7 @@ fn table1() {
         // Stage 2 alternatives (over BTO's token list).
         let (_, m) = stage2::run_self(&cluster, "/dblp", &tokens, &cfg, "/w-bk").expect("bk");
         bk.push(sim_secs(&m));
-        let cfg_pk = mk(
-            Stage1Algo::Bto,
-            Stage2Algo::Pk {
-                filters: fuzzyjoin::FilterConfig::ppjoin_plus(),
-            },
-            Stage3Algo::Brj,
-        );
+        let cfg_pk = mk(Stage1Algo::Bto, Stage2Algo::Pk, Stage3Algo::Brj);
         let (pairs, m) =
             stage2::run_self(&cluster, "/dblp", &tokens, &cfg_pk, "/w-pk").expect("pk");
         pk.push(sim_secs(&m));

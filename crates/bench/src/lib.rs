@@ -12,8 +12,8 @@
 
 use datagen::DataRecord;
 use fuzzyjoin::{
-    rs_join, run_report_resolved, self_join, Cluster, ClusterConfig, FilterConfig, JoinConfig,
-    JoinOutcome, Result, Stage1Algo, Stage2Algo, Stage3Algo, Threshold,
+    rs_join, run_report_resolved, self_join, Cluster, ClusterConfig, JoinConfig, JoinOutcome,
+    Result, Stage1Algo, Stage2Algo, Stage3Algo, Threshold,
 };
 use mapreduce::Json;
 
@@ -79,9 +79,7 @@ pub fn combos() -> Vec<(&'static str, JoinConfig)> {
             "BTO-PK-BRJ",
             JoinConfig {
                 stage1: Stage1Algo::Bto,
-                stage2: Stage2Algo::Pk {
-                    filters: FilterConfig::ppjoin_plus(),
-                },
+                stage2: Stage2Algo::Pk,
                 stage3: Stage3Algo::Brj,
                 ..JoinConfig::recommended()
             }
@@ -91,9 +89,7 @@ pub fn combos() -> Vec<(&'static str, JoinConfig)> {
             "BTO-PK-OPRJ",
             JoinConfig {
                 stage1: Stage1Algo::Bto,
-                stage2: Stage2Algo::Pk {
-                    filters: FilterConfig::ppjoin_plus(),
-                },
+                stage2: Stage2Algo::Pk,
                 stage3: Stage3Algo::Oprj,
                 ..JoinConfig::recommended()
             }

@@ -1,8 +1,8 @@
 //! `fuzzyjoin-cli` — parallel set-similarity joins over local text files.
 //!
 //! Wraps the [`fuzzyjoin`] pipeline for command-line use: input files are
-//! loaded into the simulated DFS, the three-stage join runs on a simulated
-//! cluster, and results are written back to local files.
+//! loaded into the cluster's on-disk DFS, the three-stage join runs on the
+//! chosen backend, and results are written back to local files.
 //!
 //! ```text
 //! fuzzyjoin-cli gen      --kind dblp --records 10000 --scale 5 --out dblp.tsv
@@ -22,9 +22,9 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use args::Args;
 use fuzzyjoin::{
     read_joined, rs_join, rs_join_resume, run_report_resolved, self_join, self_join_resume,
-    BadRecordPolicy, Cluster, ClusterConfig, FaultPlan, FilterConfig, JoinConfig, JoinOutcome,
-    RecordFormat, SimFunction, SkewConfig, SkewMode, Stage1Algo, Stage2Algo, Stage3Algo, Threshold,
-    TokenRouting, TokenizerKind,
+    BadRecordPolicy, Cluster, ClusterConfig, FaultPlan, JoinConfig, JoinOutcome, RecordFormat,
+    SimFunction, SkewConfig, SkewMode, Stage1Algo, Stage2Algo, Stage3Algo, Threshold, TokenRouting,
+    TokenizerKind,
 };
 use mapreduce::{BackendKind, TraceSink};
 
@@ -42,7 +42,7 @@ commands:
             [--combo bto-pk-brj] [--nodes N] [--qgram Q]
             [--rid-field I] [--join-fields 1,2] [--groups G] [--full yes]
             [--backend simulated|sharded|process] [--dfs-root DIR]
-            [--task-timeout-secs T] [--heartbeat-interval-secs H]
+            [--task-timeout-secs T]
             [--fault-seed S] [--fault-plan SPEC]
             [--skew adaptive|off] [--skew-split-max B]
             [--skew-hot-threshold N]
@@ -72,14 +72,15 @@ fault injection (chaos testing; results are unaffected by design):
 
 execution (selfjoin/rsjoin):
   --backend KIND  simulated (default): the deterministic in-process
-                  executor with the cluster time model; sharded: the same
-                  attempts on the driver's thread pool, every spill run
-                  handed through one bounded channel to one collector
-                  thread; process: process-isolated workers (this binary
-                  re-spawned) sharing the driver's DFS — every job of a
-                  join runs its tasks in the workers (the driver's own
-                  threads run only closure-built jobs, which tests alone
-                  make). Join output is byte-identical in every case.
+                  executor, each spill run handed to its reducer as it is;
+                  sharded: the same attempts on the driver's thread pool,
+                  every spill run handed through one bounded channel to
+                  one collector thread; process: process-isolated
+                  workers (this binary re-spawned) sharing the driver's
+                  DFS — every job of a join runs its tasks in the
+                  workers (the driver's own threads run only
+                  closure-built jobs, which tests alone make). Join
+                  output is byte-identical in every case.
   --dfs-root DIR  keep the DFS at DIR (created if missing and persistent
                   across runs, which is what lets a killed driver
                   --resume); without it every backend uses a self-cleaning
@@ -107,12 +108,10 @@ supervision (wall-clock watchdog for the real backends):
                               retried as a transient node loss (process
                               backend kills the worker process; sharded
                               fails fast since in-process workers cannot be
-                              killed). Off by default.
-  --heartbeat-interval-secs H process workers send a heartbeat every H
-                              seconds while busy (default 0.25; only active
-                              when --task-timeout-secs is set); a worker
-                              silent for 8*H seconds is declared hung and
-                              killed before its deadline
+                              killed). Off by default. While busy, process
+                              workers send a heartbeat every T/20 seconds;
+                              a worker silent for 0.4*T seconds is declared
+                              hung and killed before its deadline
 
 recovery (selfjoin/rsjoin):
   --resume yes          after an injected driver crash or a detected
@@ -239,7 +238,6 @@ const JOIN_FLAGS: &[&str] = &[
     "dfs-root",
     "durable-commits",
     "task-timeout-secs",
-    "heartbeat-interval-secs",
     "fault-seed",
     "fault-plan",
     "skew",
@@ -323,9 +321,7 @@ fn join_config(args: &Args) -> Result<(JoinConfig, usize), String> {
     };
     let stage2 = match s2.as_str() {
         "bk" => Stage2Algo::Bk,
-        "pk" => Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin_plus(),
-        },
+        "pk" => Stage2Algo::Pk,
         other => return Err(format!("unknown stage-2 algorithm {other:?}")),
     };
     let stage3 = match s3.as_str() {
@@ -587,19 +583,14 @@ fn emit_observability(
 fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
     let faults = fault_plan(args)?;
     let backend = backend_flag(args)?;
-    let defaults = ClusterConfig::default();
     let task_timeout_secs = match args.get("task-timeout-secs") {
         Some(v) => Some(
             v.parse::<f64>()
+                .map_err(|e| e.to_string())
+                .and_then(|secs| mapreduce::task_deadline(secs).map(|_| secs))
                 .map_err(|e| format!("bad --task-timeout-secs: {e}"))?,
         ),
         None => None,
-    };
-    let heartbeat_interval_secs = match args.get("heartbeat-interval-secs") {
-        Some(v) => v
-            .parse::<f64>()
-            .map_err(|e| format!("bad --heartbeat-interval-secs: {e}"))?,
-        None => defaults.heartbeat_interval_secs,
     };
     let durable_commits = match args.get("durable-commits") {
         None | Some("yes") => true,
@@ -625,7 +616,6 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
         dfs_root: args.get("dfs-root").map(std::path::PathBuf::from),
         durable_commits,
         task_timeout_secs,
-        heartbeat_interval_secs,
         ..ClusterConfig::with_nodes(nodes)
     };
     Cluster::new(config, 4 << 20).map_err(|e| e.to_string())
@@ -858,6 +848,9 @@ mod tests {
                 "--skew-hot-threshold 0",
                 "bad --skew-hot-threshold: must be at least 1",
             ),
+            ("--task-timeout-secs 0", "bad --task-timeout-secs: "),
+            // A deadline past what the host's clock can hold.
+            ("--task-timeout-secs 1e20", "bad --task-timeout-secs: "),
         ] {
             let err = run(&argv(&format!("selfjoin --input none --out b {flags}"))).unwrap_err();
             assert!(err.starts_with(message), "{flags}: {err}");

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use setsim::{FilterConfig, SimFunction, Threshold};
+use setsim::{SimFunction, Threshold};
 
 use mapreduce::{codec_enum, codec_struct, ByteReader, Codec, MrError, Result, TaskContext};
 
@@ -227,12 +227,10 @@ impl TokenRouting {
 pub enum Stage2Algo {
     /// Basic Kernel: in-memory nested loops with the length filter.
     Bk,
-    /// PPJoin+ Kernel: streaming indexed kernel with the configured filters,
-    /// exploiting the `(group, length)` composite-key sort.
-    Pk {
-        /// Which optional filters the kernel applies.
-        filters: FilterConfig,
-    },
+    /// PPJoin+ Kernel: streaming indexed kernel with PPJoin+'s positional
+    /// and suffix filters, exploiting the `(group, length)` composite-key
+    /// sort.
+    Pk,
     /// Section 5, map-based block processing: the map function replicates
     /// and interleaves sub-blocks so the reducer holds one block at a time.
     BkMapBlocks {
@@ -292,9 +290,7 @@ impl JoinConfig {
             format: RecordFormat::bibliographic(),
             tokenizer: TokenizerKind::Word,
             stage1: Stage1Algo::Bto,
-            stage2: Stage2Algo::Pk {
-                filters: FilterConfig::ppjoin_plus(),
-            },
+            stage2: Stage2Algo::Pk,
             routing: TokenRouting::Individual,
             stage3: Stage3Algo::Brj,
             bad_records: BadRecordPolicy::Strict,
@@ -355,7 +351,7 @@ impl JoinConfig {
         };
         let s2 = match self.stage2 {
             Stage2Algo::Bk => "BK",
-            Stage2Algo::Pk { .. } => "PK",
+            Stage2Algo::Pk => "PK",
             Stage2Algo::BkMapBlocks { .. } => "BK(mapblocks)",
             Stage2Algo::BkReduceBlocks { .. } => "BK(redblocks)",
         };
@@ -399,7 +395,7 @@ impl Codec for Stage2Algo {
     fn encode(&self, buf: &mut Vec<u8>) {
         match *self {
             Stage2Algo::Bk => buf.push(0),
-            Stage2Algo::Pk { filters } => (1u8, filters.positional, filters.suffix).encode(buf),
+            Stage2Algo::Pk => buf.push(1),
             Stage2Algo::BkMapBlocks { blocks } => (2u8, blocks).encode(buf),
             Stage2Algo::BkReduceBlocks { blocks } => (3u8, blocks).encode(buf),
         }
@@ -407,11 +403,7 @@ impl Codec for Stage2Algo {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         match r.take_u8()? {
             0 => Ok(Stage2Algo::Bk),
-            1 => {
-                let (positional, suffix) = Codec::decode(r)?;
-                let filters = FilterConfig { positional, suffix };
-                Ok(Stage2Algo::Pk { filters })
-            }
+            1 => Ok(Stage2Algo::Pk),
             2 => Ok(Stage2Algo::BkMapBlocks {
                 blocks: Codec::decode(r)?,
             }),
@@ -609,7 +601,7 @@ mod tests {
     /// variant's fields as varints.
     #[test]
     fn enum_wire_bytes_are_pinned() {
-        let pinned: [(Vec<u8>, &[u8]); 16] = [
+        let pinned: [(Vec<u8>, &[u8]); 17] = [
             (Stage1Algo::Bto.to_bytes(), &[0]),
             (Stage1Algo::Opto.to_bytes(), &[1]),
             (Stage1Algo::BtoRange.to_bytes(), &[2]),
@@ -628,6 +620,7 @@ mod tests {
             (SkewMode::Off.to_bytes(), &[0]),
             (SkewMode::Adaptive.to_bytes(), &[1]),
             (Stage2Algo::Bk.to_bytes(), &[0]),
+            (Stage2Algo::Pk.to_bytes(), &[1]),
             (Stage2Algo::BkMapBlocks { blocks: 4 }.to_bytes(), &[2, 4]),
         ];
         for (i, (got, want)) in pinned.iter().enumerate() {
@@ -681,9 +674,7 @@ mod tests {
         ];
         let stage2 = prop_oneof![
             Just(Stage2Algo::Bk),
-            (any::<bool>(), any::<bool>()).prop_map(|(positional, suffix)| Stage2Algo::Pk {
-                filters: FilterConfig { positional, suffix },
-            }),
+            Just(Stage2Algo::Pk),
             (1u32..9).prop_map(|blocks| Stage2Algo::BkMapBlocks { blocks }),
             (1u32..9).prop_map(|blocks| Stage2Algo::BkReduceBlocks { blocks }),
         ];
@@ -698,14 +689,13 @@ mod tests {
             any::<u64>().prop_map(BadRecordPolicy::SkipUpTo),
         ];
         let mode = prop_oneof![Just(SkewMode::Off), Just(SkewMode::Adaptive)];
-        let skew = (mode, 2u32..17, 1u64..100_000, 0u64..64).prop_map(
-            |(mode, split_max, hot_threshold, sample_stride)| SkewConfig {
+        let skew = (mode, 2u32..17, 1u64..100_000).prop_map(|(mode, split_max, hot_threshold)| {
+            SkewConfig {
                 mode,
                 split_max,
                 hot_threshold,
-                sample_stride,
-            },
-        );
+            }
+        });
         (
             (threshold, format, tokenizer, stage1, stage2),
             (routing, stage3, bad_records, skew),

@@ -89,13 +89,20 @@ pub struct SkewConfig {
     pub split_max: u32,
     /// A group is hot when its estimated routed-record count reaches this;
     /// the bucket count targets ~`hot_threshold` records per bucket pair.
+    /// The pre-pass's sample rate follows from it (`pre_pass_stride`).
     pub hot_threshold: u64,
-    /// Sample every `stride`-th input line in the pre-pass (1 = exact).
-    pub sample_stride: u64,
 }
 
 /// Distinct groups the pre-pass's space-saving sketch tracks.
 const SKETCH_CAPACITY: usize = 512;
+
+/// The pre-pass samples every `stride`-th input line, with the stride
+/// derived from the hot threshold so that a group at the threshold gets
+/// about 256 sampled hits: `(hot_threshold / 256).clamp(1, 16)`. Thresholds
+/// under 512 are sampled exactly; the default 4096 samples at 16.
+fn pre_pass_stride(hot_threshold: u64) -> u64 {
+    (hot_threshold / 256).clamp(1, 16)
+}
 
 impl SkewConfig {
     /// Splitting disabled (the default).
@@ -104,7 +111,6 @@ impl SkewConfig {
             mode: SkewMode::Off,
             split_max: 8,
             hot_threshold: 4096,
-            sample_stride: 16,
         }
     }
 
@@ -116,14 +122,14 @@ impl SkewConfig {
         }
     }
 
-    /// Adaptive splitting with an exact (stride-1) sample and a forced-low
-    /// hot threshold, so splitting triggers even on small test corpora.
+    /// Adaptive splitting with a forced-low hot threshold, so splitting
+    /// triggers even on small test corpora (and, under 512, the sample is
+    /// exact).
     pub fn forced(hot_threshold: u64, split_max: u32) -> Self {
         SkewConfig {
             mode: SkewMode::Adaptive,
             split_max,
             hot_threshold,
-            sample_stride: 1,
         }
     }
 }
@@ -139,7 +145,6 @@ codec_struct!(SkewConfig {
     mode,
     split_max,
     hot_threshold,
-    sample_stride,
 });
 
 /// Salt distinguishing synthesized split keys from each other; collisions
@@ -346,7 +351,7 @@ pub fn build_plan(
     let mut attr = String::new();
     let mut ranks = Vec::new();
     let mut groups = Vec::new();
-    let stride = sk.sample_stride.max(1);
+    let stride = pre_pass_stride(sk.hot_threshold);
     let mut sketch: SpaceSaving<u32> = SpaceSaving::new(SKETCH_CAPACITY);
     let mut line_no = 0u64;
     for input in inputs {
@@ -376,7 +381,7 @@ pub fn build_plan(
 
 /// Turn sketch estimates into a plan (factored out for property tests).
 pub fn plan_from_sketch(sketch: &SpaceSaving<u32>, sk: &SkewConfig) -> SkewPlan {
-    let stride = sk.sample_stride.max(1);
+    let stride = pre_pass_stride(sk.hot_threshold);
     let hot = sk.hot_threshold.max(1);
     // A group is hot when its guaranteed full-input load (sampled lower
     // bound × stride) reaches the threshold.
@@ -459,14 +464,21 @@ mod tests {
     }
 
     #[test]
+    fn the_pre_pass_stride_follows_the_hot_threshold() {
+        for (hot_threshold, stride) in [(4096, 16), (511, 1), (2048, 8), (1 << 20, 16)] {
+            assert_eq!(pre_pass_stride(hot_threshold), stride, "{hot_threshold}");
+        }
+        assert_eq!(pre_pass_stride(SkewConfig::adaptive().hot_threshold), 16);
+        assert_eq!(pre_pass_stride(0), 1);
+    }
+
+    #[test]
     fn sampled_cutoff_scales_with_stride() {
-        let sk = SkewConfig {
-            sample_stride: 8,
-            ..SkewConfig::forced(64, 8)
-        };
+        // Hot threshold 2048 samples every 8th line.
+        let sk = SkewConfig::forced(2048, 8);
         let mut sketch = SpaceSaving::new(64);
-        sketch.add(1u32, 8); // ≥ 64/8 sampled → estimated 64 → 2 buckets
-        sketch.add(2u32, 7); // below the sampled cutoff
+        sketch.add(1u32, 256); // ≥ 2048/8 sampled → estimated 2048 → 2 buckets
+        sketch.add(2u32, 255); // below the sampled cutoff
         let plan = plan_from_sketch(&sketch, &sk);
         assert_eq!(plan.entries(), vec![(1, 2)]);
     }

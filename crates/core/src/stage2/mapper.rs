@@ -171,7 +171,7 @@ impl Mapper for ProjectionMapper {
         keys.clear();
         for &g in &self.groups {
             match self.config.stage2 {
-                Stage2Algo::Bk | Stage2Algo::Pk { .. } => keys.push((g, 0, KIND_LOAD, class, rel)),
+                Stage2Algo::Bk | Stage2Algo::Pk => keys.push((g, 0, KIND_LOAD, class, rel)),
                 Stage2Algo::BkMapBlocks { blocks } => {
                     let b = (stable_hash(&rid) % u64::from(blocks.max(1))) as u32;
                     if rel == REL_R {

@@ -83,7 +83,7 @@ impl KernelReducer {
         let owner = Ownership::new(config, skew);
         match config.stage2 {
             Stage2Algo::Bk => Self::Bk(BkReducer::new(owner, rs)),
-            Stage2Algo::Pk { filters } => Self::Pk(Box::new(PkReducer::new(owner, filters, rs))),
+            Stage2Algo::Pk => Self::Pk(Box::new(PkReducer::new(owner, rs))),
             Stage2Algo::BkMapBlocks { .. } => Self::MapBlocks(MapBlocksReducer::new(owner, rs)),
             Stage2Algo::BkReduceBlocks { .. } => {
                 Self::ReduceBlocks(ReduceBlocksReducer::new(owner, rs))
@@ -146,7 +146,7 @@ impl KernelSpec {
     fn names(algo: Stage2Algo) -> Names {
         match algo {
             Stage2Algo::Bk => Self::BK,
-            Stage2Algo::Pk { .. } => Self::PK,
+            Stage2Algo::Pk => Self::PK,
             Stage2Algo::BkMapBlocks { .. } => Self::MAP_BLOCKS,
             Stage2Algo::BkReduceBlocks { .. } => Self::REDUCE_BLOCKS,
         }
@@ -294,7 +294,6 @@ mod tests {
     #[test]
     fn workers_build_every_kernel_job_from_the_bytes_the_driver_encodes() {
         use crate::recovery::tests::worker_builds_the_drivers_job as rebuilt;
-        use setsim::FilterConfig;
         let dfs = Dfs::new(2, 16).unwrap();
         let lines = |n: u64| (0..n).map(|i| format!("{i}\ttitle {i}\tauthor"));
         dfs.write_text("/r", lines(6)).unwrap();
@@ -303,10 +302,9 @@ mod tests {
         // The two values the BK payload this spec replaced did not carry: a
         // group count as given, and a block-processing kernel.
         let grouped = TokenRouting::Grouped { groups: 7 };
-        let filters = FilterConfig::ppjoin();
         for (stage2, routing, s, name) in [
             (Stage2Algo::Bk, grouped, None, "stage2-bk"),
-            (Stage2Algo::Pk { filters }, grouped, Some("/s"), "stage2-pk"),
+            (Stage2Algo::Pk, grouped, Some("/s"), "stage2-pk"),
             (
                 Stage2Algo::BkMapBlocks { blocks: 3 },
                 TokenRouting::Individual,

@@ -234,9 +234,10 @@ pub struct PkReducer {
 }
 
 impl PkReducer {
-    /// A PK reducer for self-joins or R-S joins.
-    pub fn new(owner: Ownership, filters: FilterConfig, rs: bool) -> Self {
+    /// A PK reducer for self-joins or R-S joins, with PPJoin+'s filters.
+    pub fn new(owner: Ownership, rs: bool) -> Self {
         let threshold = *owner.threshold();
+        let filters = FilterConfig::ppjoin_plus();
         PkReducer {
             index: if rs {
                 PpjoinIndex::for_rs(threshold, filters)
@@ -389,7 +390,7 @@ mod tests {
             )
             .unwrap();
         let mut pk_out = VecEmitter::new();
-        PkReducer::new(Ownership::one_group(t), FilterConfig::ppjoin_plus(), false)
+        PkReducer::new(Ownership::one_group(t), false)
             .reduce(
                 &key,
                 &mut vals.into_iter(),
@@ -450,7 +451,7 @@ mod tests {
             )
             .unwrap();
         let mut pk = VecEmitter::new();
-        PkReducer::new(Ownership::one_group(t), FilterConfig::ppjoin(), true)
+        PkReducer::new(Ownership::one_group(t), true)
             .reduce(&key, &mut vals.into_iter(), &mut pk, &ctx_with_budget(None))
             .unwrap();
         let mut a: Vec<(u64, u64)> = bk.pairs.iter().map(|(k, _)| *k).collect();
@@ -509,7 +510,7 @@ mod tests {
             )
             .unwrap();
         let pk_ctx = ctx_with_budget(None);
-        PkReducer::new(Ownership::one_group(t), FilterConfig::ppjoin(), false)
+        PkReducer::new(Ownership::one_group(t), false)
             .reduce(&key, &mut vals.into_iter(), &mut VecEmitter::new(), &pk_ctx)
             .unwrap();
         let bk_peak = bk_ctx.memory().high_water();

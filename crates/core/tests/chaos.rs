@@ -14,7 +14,7 @@ use std::sync::Once;
 
 use fuzzyjoin::{
     model, read_joined, read_rid_pairs, rs_join, self_join, BackendKind, Cluster, ClusterConfig,
-    FaultPlan, FilterConfig, JoinConfig, JoinOutcome, MrError, Stage2Algo,
+    FaultPlan, JoinConfig, JoinOutcome, MrError, Stage2Algo,
 };
 use mapreduce::{
     text_input, ClosureMapper, ClosureReducer, Emit, Job, JobMetrics, Phase, TaskContext,
@@ -62,12 +62,7 @@ fn cluster_with(faults: Option<FaultPlan>) -> Cluster {
 }
 
 fn kernels() -> [Stage2Algo; 2] {
-    [
-        Stage2Algo::Bk,
-        Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin_plus(),
-        },
-    ]
+    [Stage2Algo::Bk, Stage2Algo::Pk]
 }
 
 /// Everything a run produces that faults must not be able to change.

@@ -20,8 +20,8 @@
 
 use fuzzyjoin::{
     build_skew_plan, read_joined, rs_join, self_join, BackendKind, Cluster, ClusterConfig,
-    FilterConfig, JoinConfig, JoinOutcome, SkewConfig, Stage1Algo, Stage2Algo, Stage3Algo,
-    Threshold, TokenRouting, TokenizerKind,
+    JoinConfig, JoinOutcome, SkewConfig, Stage1Algo, Stage2Algo, Stage3Algo, Threshold,
+    TokenRouting, TokenizerKind,
 };
 use proptest::prelude::*;
 use setsim::oracle;
@@ -78,9 +78,7 @@ fn cluster(nodes: usize) -> Cluster {
 fn kernels() -> [Stage2Algo; 4] {
     [
         Stage2Algo::Bk,
-        Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin_plus(),
-        },
+        Stage2Algo::Pk,
         Stage2Algo::BkMapBlocks { blocks: 3 },
         Stage2Algo::BkReduceBlocks { blocks: 3 },
     ]
@@ -740,12 +738,7 @@ fn synth_lines(n: usize, rid_base: u64, prefix: &str, vocab: usize) -> Vec<Strin
 ///    return exactly zero pairs — not an error, and not spurious pairs.
 #[test]
 fn differential_pathological_rs_corpora() {
-    let kernels2 = [
-        Stage2Algo::Bk,
-        Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin_plus(),
-        },
-    ];
+    let kernels2 = [Stage2Algo::Bk, Stage2Algo::Pk];
     // Shape 1: S an order of magnitude larger than R, with guaranteed
     // overlap (S carries a copy of every R record under fresh RIDs).
     for seed in SEEDS {

@@ -2,8 +2,8 @@
 //! exactly the pairs a naive single-node join of the same data produces.
 
 use fuzzyjoin::{
-    read_joined, read_rid_pairs, rs_join, self_join, Cluster, ClusterConfig, FilterConfig,
-    JoinConfig, Stage1Algo, Stage2Algo, Stage3Algo, Threshold, TokenRouting,
+    read_joined, read_rid_pairs, rs_join, self_join, Cluster, ClusterConfig, JoinConfig,
+    Stage1Algo, Stage2Algo, Stage3Algo, Threshold, TokenRouting,
 };
 use setsim::{naive, TokenOrder, Tokenizer, WordTokenizer};
 
@@ -55,9 +55,7 @@ fn all_combinations_match_naive_self_join() {
     let stage1s = [Stage1Algo::Bto, Stage1Algo::Opto, Stage1Algo::BtoRange];
     let stage2s = [
         Stage2Algo::Bk,
-        Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin_plus(),
-        },
+        Stage2Algo::Pk,
         Stage2Algo::BkMapBlocks { blocks: 3 },
         Stage2Algo::BkReduceBlocks { blocks: 3 },
     ];
@@ -181,9 +179,7 @@ fn rs_join_matches_naive() {
 
     for s2 in [
         Stage2Algo::Bk,
-        Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin(),
-        },
+        Stage2Algo::Pk,
         Stage2Algo::BkMapBlocks { blocks: 2 },
         Stage2Algo::BkReduceBlocks { blocks: 2 },
     ] {

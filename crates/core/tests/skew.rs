@@ -35,8 +35,8 @@ use std::sync::{Arc, Once};
 use fuzzyjoin::keys::{owner_key, plain, Member, Ownership, REL_R};
 use fuzzyjoin::{
     build_skew_plan, read_joined, read_rid_pairs, routing_groups, rs_join, self_join,
-    self_join_resume, Cluster, ClusterConfig, FaultPlan, FilterConfig, JoinConfig, JoinOutcome,
-    SkewConfig, SkewPlan, Stage2Algo, Threshold, TokenRouting,
+    self_join_resume, Cluster, ClusterConfig, FaultPlan, JoinConfig, JoinOutcome, SkewConfig,
+    SkewPlan, Stage2Algo, Threshold, TokenRouting,
 };
 use mapreduce::SpaceSaving;
 use proptest::prelude::*;
@@ -172,12 +172,7 @@ fn assert_plan_engaged(
 }
 
 fn kernels() -> [Stage2Algo; 2] {
-    [
-        Stage2Algo::Bk,
-        Stage2Algo::Pk {
-            filters: FilterConfig::ppjoin_plus(),
-        },
-    ]
+    [Stage2Algo::Bk, Stage2Algo::Pk]
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 //! ([`crate::TaskRecord`]), and `fuzzyjoin::model` computes what a modelled
 //! cluster of this many nodes would have made of it.
 
+use std::time::{Duration, Instant};
+
 use crate::backend::BackendKind;
 use crate::codec_struct;
 use crate::faults::FaultPlan;
@@ -15,6 +17,18 @@ use crate::faults::FaultPlan;
 /// Concurrent map tasks per node, and concurrent reduce tasks per node
 /// (paper §6: 4 and 4).
 pub const SLOTS_PER_NODE: usize = 4;
+
+/// Heartbeats a supervised worker sends per task deadline.
+const HEARTBEATS_PER_DEADLINE: u32 = 20;
+
+/// `secs` as one task attempt's wall-clock deadline: finite, positive and
+/// short enough that the instant it ends at exists on this host's clock.
+pub fn task_deadline(secs: f64) -> Result<Duration, String> {
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| secs > 0.0 && Instant::now().checked_add(*d).is_some())
+        .ok_or_else(|| format!("{secs} must be finite, > 0 and a representable deadline"))
+}
 
 /// What a caller decides about the shared-nothing cluster a job runs on;
 /// DESIGN.md §20 lists who sets each field.
@@ -70,15 +84,10 @@ pub struct ClusterConfig {
     /// attempt in a worker process exceeds it, the job's watchdog kills the
     /// worker and the attempt is retried as a transient `NodeLost`; an
     /// attempt on the driver's threads cannot be killed, so the job fails
-    /// fast with a classified error. `None` (the default) disables
-    /// wall-clock supervision entirely. Never affects committed bytes.
+    /// fast with a classified error. A supervised worker also heartbeats,
+    /// every twentieth of this. `None` (the default) disables wall-clock
+    /// supervision entirely. Never affects committed bytes.
     pub task_timeout_secs: Option<f64>,
-    /// Interval at which process workers emit heartbeat frames on the
-    /// pipe protocol while a task runs; a worker silent for eight
-    /// intervals is presumed hung and killed, even before its task
-    /// deadline. Only meaningful when
-    /// [`ClusterConfig::task_timeout_secs`] is set.
-    pub heartbeat_interval_secs: f64,
 }
 
 // What a process-backend worker needs of its driver's configuration, as it
@@ -86,8 +95,9 @@ pub struct ClusterConfig {
 // run under, the fault plan (minus its storage keys, see `FaultPlan`) so
 // that it reaches the driver's own pure `decide()` outcomes, the commit
 // discipline — a task-level part commit must not be weaker than the
-// job-level one — and whether to heartbeat. Everything else decodes to the
-// default, the backend above all: a worker runs its attempts itself.
+// job-level one — and the task deadline, which says whether and how often
+// to heartbeat. Everything else decodes to the default, the backend above
+// all: a worker runs its attempts itself.
 codec_struct!(
     ClusterConfig {
         nodes,
@@ -96,7 +106,6 @@ codec_struct!(
         faults,
         durable_commits,
         task_timeout_secs,
-        heartbeat_interval_secs,
     }..ClusterConfig::default()
 );
 
@@ -114,7 +123,6 @@ impl Default for ClusterConfig {
             durable_commits: true,
             shuffle_channel_capacity: 256,
             task_timeout_secs: None,
-            heartbeat_interval_secs: 0.25,
         }
     }
 }
@@ -140,6 +148,16 @@ impl ClusterConfig {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
+    /// How often a supervised worker heartbeats while it runs a task: the
+    /// task deadline / 20, so the watchdog's eight-beat window is 40 % of
+    /// the deadline. The driver's watchdog and the worker's heartbeat
+    /// thread both take it from here. `None` when the cluster is not
+    /// supervised.
+    pub(crate) fn heartbeat_interval(&self) -> Option<Duration> {
+        let deadline = Duration::from_secs_f64(self.task_timeout_secs?);
+        Some(deadline / HEARTBEATS_PER_DEADLINE)
+    }
+
     /// Validate the topology.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
@@ -154,18 +172,8 @@ impl ClusterConfig {
         if self.shuffle_channel_capacity == 0 {
             return Err("shuffle_channel_capacity must be at least 1".into());
         }
-        if let Some(timeout) = self.task_timeout_secs {
-            if !timeout.is_finite() || timeout <= 0.0 {
-                return Err(format!(
-                    "task_timeout_secs {timeout} must be finite and > 0"
-                ));
-            }
-        }
-        if !self.heartbeat_interval_secs.is_finite() || self.heartbeat_interval_secs <= 0.0 {
-            return Err(format!(
-                "heartbeat_interval_secs {} must be finite and > 0",
-                self.heartbeat_interval_secs
-            ));
+        if let Some(secs) = self.task_timeout_secs {
+            task_deadline(secs).map_err(|e| format!("task_timeout_secs {e}"))?;
         }
         if let Some(plan) = &self.faults {
             plan.validate(self.nodes)?;
@@ -207,6 +215,23 @@ mod tests {
         c.validate().unwrap();
         c.spill_buffer_bytes = 10;
         assert!(c.validate().is_err());
+    }
+
+    /// A timeout is accepted only when its deadline exists: the watchdog
+    /// turns it into a `Duration` and an `Instant`, and neither may panic.
+    #[test]
+    fn validation_rejects_deadlines_the_clock_cannot_hold() {
+        let timeout = |secs| ClusterConfig {
+            task_timeout_secs: Some(secs),
+            ..ClusterConfig::default()
+        };
+        for secs in [1e-3, 5.0, 1e9] {
+            timeout(secs).validate().unwrap();
+        }
+        for secs in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e19, 1e20, f64::MAX] {
+            let err = timeout(secs).validate().unwrap_err();
+            assert!(err.starts_with("task_timeout_secs "), "{secs}: {err}");
+        }
     }
 
     #[test]

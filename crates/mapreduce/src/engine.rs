@@ -577,13 +577,13 @@ where
     /// attempt's node is decided, whose answer the attempt's body, the
     /// runner's trace events, a lost worker's `NodeLost` and the watchdog's
     /// `task_timeout` all carry, on the driver and in a worker alike. A map
-    /// task starts beside its block (else on node `task % nodes`), a reduce
-    /// task on node `task % nodes`, and each retry rotates to the next node
-    /// — how a re-execution escapes a dead or unhealthy machine.
+    /// task starts beside its block, a reduce task on node `task % nodes`,
+    /// and each retry rotates to the next node — how a re-execution escapes
+    /// a dead or unhealthy machine.
     pub(crate) fn at(&self, phase: Phase, task: usize, attempt: usize) -> At {
         let nodes = self.cluster.config.nodes;
         let home = match phase {
-            Phase::Map => self.job.inputs[task].node_hint.unwrap_or(task % nodes),
+            Phase::Map => self.job.inputs[task].node(),
             Phase::Reduce => task,
         };
         (phase, task, attempt, (home + attempt) % nodes)
@@ -869,7 +869,7 @@ where
         let start = Instant::now();
         let (mut ctx, label) = self.context(at);
         let fault = self.inject_start_faults(at, &label)?;
-        ctx.set_input_path(&split.tag);
+        ctx.set_input_path(split.tag());
         let records = split.open(&self.cluster.dfs)?;
         let job = self.job;
         let mut emitter = MapEmitter::new(
@@ -915,7 +915,7 @@ where
             .add(emitter.spill_bytes);
         Ok(MapTaskOut {
             stats: MapStats {
-                record: task_record(at, fault, (split.node_hint, split.size_hint), elapsed),
+                record: task_record(at, fault, (Some(split.node()), split.size()), elapsed),
                 input_records,
                 output_records: emitter.output_records,
                 spills: emitter.spills,

@@ -1,8 +1,9 @@
-//! Input splits: the units of work handed to map tasks.
+//! Input splits: the units of work handed to map tasks, one DFS block each
+//! (Hadoop's `InputSplit`).
 //!
-//! Each split carries a `tag` (the originating file path — the paper's BRJ
-//! mapper dispatches on it) and a `node_hint` (the DFS node holding the
-//! block). A job whose mapper consumes `(K, V)` records can mix splits from
+//! Each split carries its block, whose file path is the split's tag (the
+//! paper's BRJ mapper dispatches on it) and whose node is where its map task
+//! starts. A job whose mapper consumes `(K, V)` records can mix splits from
 //! any number of files with compatible record types — that is how the
 //! engine models Hadoop's `MultipleInputs`.
 
@@ -12,53 +13,38 @@ use crate::kv::Value;
 
 /// What a split hands each record to, in order; an error ends the visit.
 type Visit<'a, K, V> = &'a mut dyn FnMut(&K, &V) -> Result<()>;
-/// An opened split: visits its records once.
-pub(crate) type OpenSplit<'s, K, V> = Box<dyn FnOnce(Visit<'_, K, V>) -> Result<()> + 's>;
 type DecodeFn<K, V> = fn(&BlockSplit, &[u8], Visit<'_, K, V>) -> Result<()>;
 
-enum Records<K, V> {
-    /// In-memory records (tests, synthetic inputs).
-    Mem(Vec<(K, V)>),
-    /// One DFS block, and how to decode its bytes.
-    Block(BlockSplit, DecodeFn<K, V>),
-}
-
-/// One map task's input.
+/// One map task's input: a DFS block, and how to decode its bytes.
 pub struct SplitSource<K, V> {
-    /// Originating file path (exposed as [`crate::TaskContext::input_path`]).
-    pub tag: String,
-    /// DFS node holding the data, when known.
-    pub node_hint: Option<usize>,
-    /// Input size in bytes, for the locality model's remote-read penalty
-    /// (0 when unknown).
-    pub size_hint: u64,
-    records: Records<K, V>,
+    block: BlockSplit,
+    decode: DecodeFn<K, V>,
 }
 
 impl<K: Value, V: Value> SplitSource<K, V> {
-    /// A split backed by in-memory records (tests, synthetic inputs).
-    pub fn from_records(tag: impl Into<String>, records: Vec<(K, V)>) -> Self {
-        SplitSource {
-            tag: tag.into(),
-            node_hint: None,
-            size_hint: 0,
-            records: Records::Mem(records),
-        }
+    /// Originating file path (exposed as [`crate::TaskContext::input_path`]).
+    pub(crate) fn tag(&self) -> &str {
+        &self.block.path
     }
 
-    /// Fetch the split's data — a block split reads its block and checks
-    /// it against its CRC here — ready to be visited. Openable repeatedly,
-    /// so failed task attempts can be retried.
-    pub(crate) fn open(&self, dfs: &Dfs) -> Result<OpenSplit<'_, K, V>> {
-        Ok(match &self.records {
-            Records::Mem(records) => {
-                Box::new(|visit| records.iter().try_for_each(|(k, v)| visit(k, v)))
-            }
-            Records::Block(block, decode) => {
-                let data = dfs.read_block(block)?;
-                Box::new(move |visit| decode(block, &data, visit))
-            }
-        })
+    /// DFS node holding the block: where the split's map task starts.
+    pub(crate) fn node(&self) -> usize {
+        self.block.node
+    }
+
+    /// The block's size in bytes.
+    pub(crate) fn size(&self) -> u64 {
+        self.block.len
+    }
+
+    /// Fetch the split's block and check it against its CRC, ready to be
+    /// visited. Openable repeatedly, so failed task attempts can be retried.
+    pub(crate) fn open(
+        &self,
+        dfs: &Dfs,
+    ) -> Result<impl FnOnce(Visit<'_, K, V>) -> Result<()> + '_> {
+        let data = dfs.read_block(&self.block)?;
+        Ok(move |visit: Visit<'_, K, V>| (self.decode)(&self.block, &data, visit))
     }
 
     /// Collect the split's records (tests and tools; map attempts visit).
@@ -80,12 +66,7 @@ fn block_input<K: Value, V: Value>(
     path: &str,
     decode: DecodeFn<K, V>,
 ) -> Result<Vec<SplitSource<K, V>>> {
-    let split = |block: BlockSplit| SplitSource {
-        tag: block.path.clone(),
-        node_hint: Some(block.node),
-        size_hint: block.len,
-        records: Records::Block(block, decode),
-    };
+    let split = |block| SplitSource { block, decode };
     Ok(dfs.splits(path)?.into_iter().map(split).collect())
 }
 
@@ -104,42 +85,9 @@ pub fn seq_input<K: Value, V: Value>(dfs: &Dfs, path: &str) -> Result<Vec<SplitS
     })
 }
 
-/// Partition in-memory records into `n` splits round-robin — a convenience
-/// for engine tests that do not involve the DFS.
-pub fn mem_input<K: Value, V: Value>(
-    tag: &str,
-    records: Vec<(K, V)>,
-    n: usize,
-) -> Vec<SplitSource<K, V>> {
-    assert!(n > 0);
-    let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, kv) in records.into_iter().enumerate() {
-        buckets[i % n].push(kv);
-    }
-    buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .map(|(i, b)| SplitSource::from_records(format!("{tag}#{i}"), b))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mem_input_round_robins() {
-        let records: Vec<(u32, u32)> = (0..7).map(|i| (i, i * 10)).collect();
-        let splits = mem_input("t", records, 3);
-        assert_eq!(splits.len(), 3);
-        let dfs = Dfs::new(1, 64).unwrap();
-        let lens: Vec<usize> = splits
-            .into_iter()
-            .map(|s| s.read(&dfs).unwrap().len())
-            .collect();
-        assert_eq!(lens, vec![3, 2, 2]);
-    }
 
     #[test]
     fn text_input_splits_carry_tags_and_hints() {
@@ -149,8 +97,8 @@ mod tests {
         let splits = text_input(&dfs, "/in").unwrap();
         assert!(splits.len() > 1);
         for s in &splits {
-            assert_eq!(s.tag, "/in");
-            assert!(s.node_hint.is_some());
+            assert_eq!(s.tag(), "/in");
+            assert!(s.node() < 2);
         }
         let total: usize = splits
             .into_iter()

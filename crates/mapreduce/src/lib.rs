@@ -99,14 +99,14 @@ pub mod trace;
 
 pub use backend::BackendKind;
 pub use cache::Cache;
-pub use cluster::{ClusterConfig, SLOTS_PER_NODE};
+pub use cluster::{task_deadline, ClusterConfig, SLOTS_PER_NODE};
 pub use codec::{ByteReader, Codec};
 pub use counters::{Counter, Counters};
 pub use dfs::{is_hidden, is_under, BlockSplit, BlockWriter, Dfs, FileKind, FileStat};
 pub use engine::Cluster;
 pub use error::{ErrorClass, MrError, Result};
 pub use faults::{Fault, FaultPlan};
-pub use input::{mem_input, seq_input, text_input, SplitSource};
+pub use input::{seq_input, text_input, SplitSource};
 pub use job::{Job, JobSpec, KeyLabel, Output, RemoteJobSpec, TextFormat};
 pub use json::{obj, Json};
 pub use kv::{Key, Value};

@@ -641,9 +641,7 @@ fn worker_serve() -> Result<()> {
     let (config, block_size, dfs_root) = Hello::from_bytes(&frame)?;
     // Workers only heartbeat when the driver supervises; an unsupervised
     // cluster keeps the exact pre-supervision protocol.
-    let heartbeat = config
-        .task_timeout_secs
-        .map(|_| Duration::from_secs_f64(config.heartbeat_interval_secs));
+    let heartbeat = config.heartbeat_interval();
     let cluster = match worker_cluster(config, block_size, &dfs_root) {
         Ok(cluster) => {
             send_response(Ok(()))?;
@@ -1612,11 +1610,15 @@ mod tests {
             durable_commits: false,
             shuffle_channel_capacity: 7,
             task_timeout_secs: Some(2.0),
-            heartbeat_interval_secs: 0.5,
         };
         let hello: Hello = (config, 4096, "/tmp/mrdfs".into());
         let (back, block_size, dfs_root) = Hello::from_bytes(&hello.to_bytes()).unwrap();
         assert_eq!((block_size, dfs_root.as_str()), (4096, "/tmp/mrdfs"));
+        // The worker derives its heartbeat from the deadline it was sent,
+        // with the function the driver's watchdog derives its window from.
+        let interval = back.heartbeat_interval();
+        assert_eq!(interval, hello.0.heartbeat_interval());
+        assert_eq!(interval, Some(Duration::from_millis(100)));
         let ClusterConfig {
             nodes,
             task_memory,
@@ -1629,16 +1631,12 @@ mod tests {
             durable_commits,
             shuffle_channel_capacity,
             task_timeout_secs,
-            heartbeat_interval_secs,
         } = back;
         // Crosses the pipe: topology, task budgets, the commit discipline,
         // supervision and (below) the fault plan.
         assert_eq!((nodes, task_memory), (3, Some(1 << 20)));
         assert_eq!((spill_buffer_bytes, durable_commits), (1024, false));
-        assert_eq!(
-            (task_timeout_secs, heartbeat_interval_secs),
-            (Some(2.0), 0.5)
-        );
+        assert_eq!(task_timeout_secs, Some(2.0));
         // Driver-only, so the worker sees the default: where attempts run
         // and how often, the sharded transport's queue and the store's root
         // (the hello carries it beside the config).

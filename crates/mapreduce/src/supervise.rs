@@ -6,7 +6,8 @@
 //! [`Watchdog`] gives every attempt it watches a timer of its own, a
 //! [`Watch`], which fires when the attempt's **deadline**
 //! (`task_timeout_secs`) passes or, for a worker process, its **heartbeat
-//! window** passes without a heartbeat ([`Watch::touch`]).
+//! window** — eight of `ClusterConfig::heartbeat_interval`, 40 % of the
+//! deadline — passes without a heartbeat ([`Watch::touch`]).
 //!
 //! Firing runs the watcher's `stop` (SIGKILL the worker) on the timer's
 //! thread, and [`Watch::finish`] joins that thread: `stop` has either run
@@ -74,7 +75,7 @@ impl Drop for Watch {
 
 /// A worker whose last heartbeat is older than this many heartbeat
 /// intervals is presumed hung and killed, even before its task deadline.
-const HEARTBEAT_GRACE: f64 = 8.0;
+const HEARTBEAT_GRACE: u32 = 8;
 
 /// One job's wall-clock supervision, shared by all of its attempts that run
 /// on the host clock: the per-attempt deadline and heartbeat window from
@@ -100,10 +101,9 @@ impl Watchdog {
         trace: Option<&TraceSink>,
         job: &str,
     ) -> Option<Self> {
-        let interval = config.heartbeat_interval_secs;
         Some(Watchdog {
             deadline: Duration::from_secs_f64(config.task_timeout_secs?),
-            heartbeat_window: Duration::from_secs_f64(interval * HEARTBEAT_GRACE),
+            heartbeat_window: config.heartbeat_interval()? * HEARTBEAT_GRACE,
             cancelled: AtomicBool::new(false),
             counters: counters.clone(),
             trace: trace.cloned(),
@@ -193,14 +193,16 @@ mod tests {
 
     const AT: At = (Phase::Map, 0, 0, 0);
 
-    /// A watchdog over `timeout` seconds and heartbeats every `interval`.
-    fn dog(timeout: f64, interval: f64) -> Watchdog {
-        let config = ClusterConfig {
+    fn supervised(timeout: f64) -> ClusterConfig {
+        ClusterConfig {
             task_timeout_secs: Some(timeout),
-            heartbeat_interval_secs: interval,
             ..ClusterConfig::default()
-        };
-        Watchdog::new(&config, &Counters::new(), None, "watched").unwrap()
+        }
+    }
+
+    /// A watchdog over `timeout` seconds, heartbeats every `timeout / 20`.
+    fn dog(timeout: f64) -> Watchdog {
+        Watchdog::new(&supervised(timeout), &Counters::new(), None, "watched").unwrap()
     }
 
     fn timeouts(dog: &Watchdog) -> u64 {
@@ -213,11 +215,24 @@ mod tests {
         (move || tx.send(()).unwrap(), rx)
     }
 
+    /// The heartbeat is derived, not set: a worker beats every deadline /
+    /// 20, and the driver's watchdog waits eight of that same interval.
+    #[test]
+    fn the_heartbeat_window_is_eight_derived_intervals() {
+        assert_eq!(ClusterConfig::default().heartbeat_interval(), None);
+        for (timeout, interval_ms) in [(5.0, 250), (2.0, 100), (30.0, 1_500)] {
+            let interval = supervised(timeout).heartbeat_interval().unwrap();
+            assert_eq!(interval, Duration::from_millis(interval_ms), "{timeout} s");
+            assert_eq!(dog(timeout).heartbeat_window, interval * 8, "{timeout} s");
+            assert_eq!(dog(timeout).deadline, interval * 20, "{timeout} s");
+        }
+    }
+
     #[test]
     fn deadline_expiry_fires_exactly_once() {
-        let dog = dog(0.03, 10.0);
+        let dog = dog(0.03);
         let (stop, stopped) = signal();
-        let watch = dog.watch(AT, true, stop);
+        let watch = dog.watch(AT, false, stop);
         stopped.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(watch.finish(), Some(ExpireReason::Deadline));
         // The timer has returned; nothing fires again.
@@ -227,20 +242,22 @@ mod tests {
 
     #[test]
     fn touch_keeps_a_heartbeat_watch_alive_and_starvation_kills_it() {
-        // An 80 ms heartbeat window under a 30 s deadline.
-        let dog = dog(30.0, 0.01);
+        // An 800 ms heartbeat window under a 2 s deadline.
+        let dog = dog(2.0);
         let (stop, stopped) = signal();
+        let start = Instant::now();
         let watch = dog.watch(AT, true, stop);
-        // Touch often enough to stay inside the window…
-        for _ in 0..5 {
-            std::thread::sleep(Duration::from_millis(20));
+        // Touch often enough to stay inside the window, for longer than
+        // one window…
+        while start.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(50));
             watch.touch();
         }
         assert!(
             stopped.try_recv().is_err(),
             "healthy heartbeats must not expire"
         );
-        // …then go silent and expire, long before the deadline.
+        // …then go silent and expire on the window, before the deadline.
         stopped.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(watch.finish(), Some(ExpireReason::Heartbeat));
         assert_eq!(timeouts(&dog), 1);
@@ -248,7 +265,7 @@ mod tests {
 
     #[test]
     fn finishing_before_the_deadline_means_stop_never_runs() {
-        let dog = dog(0.06, 10.0);
+        let dog = dog(0.06);
         let (stop, stopped) = signal();
         assert_eq!(dog.watch(AT, false, stop).finish(), None);
         let late = stopped.recv_timeout(Duration::from_millis(200));
@@ -264,7 +281,7 @@ mod tests {
         let (mut fired, mut quiet) = (0, 0);
         for round in 0..240u32 {
             // Deadlines from 0.5 to 2 ms around a 1.2 ms body.
-            let dog = dog(f64::from(5 + round % 16) * 1e-4, 10.0);
+            let dog = dog(f64::from(5 + round % 16) * 1e-4);
             let stops = Arc::new(AtomicUsize::new(0));
             let counted = Arc::clone(&stops);
             let watch = dog.watch(AT, false, move || {

@@ -3,10 +3,12 @@
 use std::sync::Arc;
 
 use mapreduce::{
-    group_by, mem_input, partition_by, seq_input, sum_combiner, text_input, ClosureMapper,
-    ClosureReducer, Cluster, ClusterConfig, Emit, IdentityMapper, IdentityReducer, Job, MrError,
-    TaskContext,
+    group_by, partition_by, seq_input, sum_combiner, text_input, ClosureMapper, ClosureReducer,
+    Cluster, ClusterConfig, Emit, IdentityMapper, IdentityReducer, Job, MrError, TaskContext,
 };
+
+mod common;
+use common::seq_splits;
 
 fn small_cluster(nodes: usize) -> Cluster {
     Cluster::new(ClusterConfig::with_nodes(nodes), 256).unwrap()
@@ -123,7 +125,7 @@ fn secondary_sort_streams_values_in_key_order() {
         },
     );
     let job = Job::new("secondary-sort", mapper, reducer)
-        .inputs(mem_input("mem", records, 7))
+        .inputs(seq_splits(cluster.dfs(), "/in", records, 7))
         .partitioner(partition_by(|k: &(u32, u32)| k.0))
         .group_eq(group_by(|k: &(u32, u32)| k.0))
         .output_seq("/groups");
@@ -174,7 +176,7 @@ fn text_output_formats_lines() {
         IdentityMapper::<u32, u32>::new(),
         IdentityReducer::<u32, u32>::new(),
     )
-    .inputs(mem_input("mem", records, 1))
+    .inputs(seq_splits(cluster.dfs(), "/in", records, 1))
     .reducers(1)
     .output_text("/txt", Arc::new(|k: &u32, v: &u32| format!("{k}\t{v}")));
     cluster.run(job).unwrap();
@@ -191,7 +193,7 @@ fn single_reducer_produces_totally_sorted_output() {
         IdentityMapper::<u64, ()>::new(),
         IdentityReducer::<u64, ()>::new(),
     )
-    .inputs(mem_input("mem", records, 13))
+    .inputs(seq_splits(cluster.dfs(), "/in", records, 13))
     .reducers(1)
     .output_seq("/sorted");
     cluster.run(job).unwrap();
@@ -232,6 +234,7 @@ fn memory_budget_fails_tasks_with_oom() {
     config.task_memory = Some(100);
     let cluster = Cluster::new(config, 256).unwrap();
     let records: Vec<(u32, u32)> = (0..10).map(|i| (i, i)).collect();
+    let inputs = seq_splits(cluster.dfs(), "/in", records, 1);
     let mapper = ClosureMapper::new(
         |k: &u32, v: &u32, out: &mut dyn Emit<u32, u32>, ctx: &TaskContext| {
             // Pretend to hold 64 bytes per record: the third record breaks
@@ -240,8 +243,7 @@ fn memory_budget_fails_tasks_with_oom() {
             out.emit(*k, *v)
         },
     );
-    let job = Job::new("oom", mapper, IdentityReducer::<u32, u32>::new())
-        .inputs(mem_input("mem", records, 1));
+    let job = Job::new("oom", mapper, IdentityReducer::<u32, u32>::new()).inputs(inputs);
     let err = cluster.run(job).unwrap_err();
     assert!(err.is_out_of_memory(), "got {err:?}");
 }
@@ -249,15 +251,14 @@ fn memory_budget_fails_tasks_with_oom() {
 #[test]
 fn job_errors_propagate_from_reducers() {
     let cluster = small_cluster(2);
-    let records: Vec<(u32, u32)> = vec![(1, 1)];
+    let inputs = seq_splits(cluster.dfs(), "/in", vec![(1u32, 1u32)], 1);
     let reducer = ClosureReducer::new(
         |_k: &u32,
          _vs: &mut dyn Iterator<Item = (u32, u32)>,
          _out: &mut dyn Emit<u32, u32>,
          _ctx: &TaskContext| Err(MrError::TaskFailed("boom".into())),
     );
-    let job = Job::new("fail", IdentityMapper::<u32, u32>::new(), reducer)
-        .inputs(mem_input("mem", records, 1));
+    let job = Job::new("fail", IdentityMapper::<u32, u32>::new(), reducer).inputs(inputs);
     let err = cluster.run(job).unwrap_err();
     assert!(matches!(err, MrError::TaskFailed(_)));
 }
@@ -337,14 +338,13 @@ fn permanently_failing_task_exhausts_attempts() {
     let mut config = ClusterConfig::with_nodes(1);
     config.max_task_attempts = 3;
     let cluster = Cluster::new(config, 256).unwrap();
-    let records: Vec<(u32, u32)> = vec![(1, 1)];
+    let inputs = seq_splits(cluster.dfs(), "/in", vec![(1u32, 1u32)], 1);
     let mapper = ClosureMapper::new(
         |_k: &u32, _v: &u32, _out: &mut dyn Emit<u32, u32>, _ctx: &TaskContext| {
             Err(MrError::TaskFailed("permanent".into()))
         },
     );
-    let job = Job::new("doomed", mapper, IdentityReducer::<u32, u32>::new())
-        .inputs(mem_input("mem", records, 1));
+    let job = Job::new("doomed", mapper, IdentityReducer::<u32, u32>::new()).inputs(inputs);
     let err = cluster.run(job).unwrap_err();
     assert!(matches!(err, MrError::TaskFailed(_)));
 }
@@ -371,7 +371,7 @@ fn flaky_reducer_retries_and_replaces_partial_output() {
         },
     );
     let job = Job::new("flaky-reduce", IdentityMapper::<u32, u32>::new(), reducer)
-        .inputs(mem_input("mem", records, 2))
+        .inputs(seq_splits(cluster.dfs(), "/in", records, 2))
         .reducers(1)
         .output_seq("/out");
     let m = cluster.run(job).unwrap();

@@ -760,7 +760,6 @@ fn injected_hang_is_deadline_killed_retried_and_byte_identical() {
         config.max_task_attempts = 8;
         config.faults = Some(plan);
         config.task_timeout_secs = Some(2.0);
-        config.heartbeat_interval_secs = 0.05;
     });
 
     assert_eq!(
@@ -793,7 +792,6 @@ fn real_hung_worker_is_killed_and_replaced() {
     let cluster = probe_cluster(|config| {
         config.max_task_attempts = 4;
         config.task_timeout_secs = Some(2.0);
-        config.heartbeat_interval_secs = 0.05;
     });
     let spec = ProbeSpec {
         hang: true,
@@ -889,7 +887,7 @@ fn worker_attempts_are_traced_and_counted_as_the_simulated_backend_does() {
 }
 
 /// An attempt's node is decided once, and every report of the attempt
-/// names it. Map task 0, whose split has a node hint, loses its worker on
+/// names it. Map task 0, which starts on its block's node, loses its worker on
 /// attempt 0 and hangs on attempt 1 until the watchdog kills it: both
 /// `NodeLost` errors and the `task_timeout` event name the node their
 /// attempt's `task_start` names.
@@ -899,7 +897,6 @@ fn a_lost_or_timed_out_attempt_names_the_node_it_started_on() {
     let mut cluster = probe_cluster(|config| {
         config.max_task_attempts = 4;
         config.task_timeout_secs = Some(2.0);
-        config.heartbeat_interval_secs = 0.05;
     });
     let sink = TraceSink::new();
     cluster.set_trace(sink.clone());
@@ -907,12 +904,9 @@ fn a_lost_or_timed_out_attempt_names_the_node_it_started_on() {
         hang: true,
         ..ProbeSpec::new(1, &cluster)
     };
-    let job = Job::from_spec(&spec, cluster.dfs()).unwrap();
-    assert!(
-        job.inputs[0].node_hint.is_some(),
-        "a block split has a node hint"
-    );
-    cluster.run(job).unwrap();
+    cluster
+        .run(Job::from_spec(&spec, cluster.dfs()).unwrap())
+        .unwrap();
 
     let events = sink.events();
     let map0 = |kind| {

@@ -5,9 +5,12 @@
 use proptest::prelude::*;
 
 use mapreduce::{
-    mem_input, natural_sort, text_input, ClosureMapper, ClosureReducer, Cluster, ClusterConfig,
-    Codec, Dfs, Emit, Job, JobManifest, ManifestCheck, MergeStream, Run, SpaceSaving, TaskContext,
+    natural_sort, text_input, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Codec, Dfs,
+    Emit, Job, JobManifest, ManifestCheck, MergeStream, Run, SpaceSaving, TaskContext,
 };
+
+mod common;
+use common::seq_splits;
 
 // ---------------------------------------------------------------------------
 // codec
@@ -230,8 +233,8 @@ proptest! {
         prop_assert_eq!(got, reference_word_count(&lines));
     }
 
-    /// Jobs over in-memory splits behave identically regardless of how the
-    /// records are split.
+    /// Jobs behave identically regardless of how many files and splits
+    /// the records are dealt into.
     #[test]
     fn split_count_does_not_change_results(
         records in prop::collection::vec((any::<u32>(), any::<u32>()), 1..50),
@@ -251,7 +254,7 @@ proptest! {
                     },
                 ),
             )
-            .inputs(mem_input("m", records.clone(), n))
+            .inputs(seq_splits(cluster.dfs(), "/m", records.clone(), n))
             .output_seq("/out");
             cluster.run(job).unwrap();
             let mut out: Vec<(u32, u64)> = cluster.dfs().read_seq("/out").unwrap();

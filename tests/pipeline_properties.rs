@@ -7,7 +7,7 @@ use fuzzyjoin::{
     read_joined, self_join, Cluster, ClusterConfig, JoinConfig, RecordFormat, Stage2Algo,
     Stage3Algo, Threshold,
 };
-use setsim::{naive, FilterConfig, TokenOrder, Tokenizer, WordTokenizer};
+use setsim::{naive, TokenOrder, Tokenizer, WordTokenizer};
 
 /// Random two-column record lines: `rid \t words`, with words drawn from a
 /// small vocabulary so similar pairs are common.
@@ -87,7 +87,7 @@ proptest! {
         let expected = naive_ground_truth(&lines, &t);
         for stage2 in [
             Stage2Algo::Bk,
-            Stage2Algo::Pk { filters: FilterConfig::ppjoin_plus() },
+            Stage2Algo::Pk,
             Stage2Algo::BkMapBlocks { blocks: 2 },
             Stage2Algo::BkReduceBlocks { blocks: 2 },
         ] {
