@@ -39,7 +39,7 @@ commands:
   selfjoin  self-join one file
             --input FILE  --out FILE
             [--threshold T] [--measure jaccard|cosine|dice]
-            [--combo bto-pk-brj] [--nodes N] [--qgram Q]
+            [--combo bto|opto-bk|pk-brj|oprj] [--nodes N] [--qgram Q]
             [--rid-field I] [--join-fields 1,2] [--groups G] [--full yes]
             [--backend simulated|sharded|process] [--dfs-root DIR]
             [--task-timeout-secs T]
@@ -85,11 +85,6 @@ execution (selfjoin/rsjoin):
                   across runs, which is what lets a killed driver
                   --resume); without it every backend uses a self-cleaning
                   temporary directory (under /dev/shm where there is one)
-  --durable-commits no  skip the write->sync->rename->dir-sync fsync
-                  discipline of the DFS (default yes). A killed
-                  process never loses acknowledged commits either way (the
-                  page cache survives); only power loss can, so benches opt
-                  out to skip the fsync tax
 
 skew handling (selfjoin/rsjoin):
   --skew adaptive     sample the input before stage 2 and split hot routing
@@ -236,7 +231,6 @@ const JOIN_FLAGS: &[&str] = &[
     "full",
     "backend",
     "dfs-root",
-    "durable-commits",
     "task-timeout-secs",
     "fault-seed",
     "fault-plan",
@@ -306,25 +300,20 @@ fn join_config(args: &Args) -> Result<(JoinConfig, usize), String> {
     let threshold = Threshold::new(func, tau)?;
 
     let combo = args.get("combo").unwrap_or("bto-pk-brj").to_lowercase();
-    let parts: Vec<&str> = combo.split('-').collect();
-    // Allow the "bto-r" stage-1 spelling, which contains a dash.
-    let (s1, s2, s3) = match parts.as_slice() {
-        [a, b, c] => (a.to_string(), b.to_string(), c.to_string()),
-        [a, r, b, c] if *r == "r" => (format!("{a}-r"), b.to_string(), c.to_string()),
-        _ => return Err(format!("bad --combo {combo:?} (expected like bto-pk-brj)")),
+    let [s1, s2, s3] = combo.split('-').collect::<Vec<_>>()[..] else {
+        return Err(format!("bad --combo {combo:?} (expected like bto-pk-brj)"));
     };
-    let stage1 = match s1.as_str() {
+    let stage1 = match s1 {
         "bto" => Stage1Algo::Bto,
         "opto" => Stage1Algo::Opto,
-        "bto-r" | "btor" => Stage1Algo::BtoRange,
         other => return Err(format!("unknown stage-1 algorithm {other:?}")),
     };
-    let stage2 = match s2.as_str() {
+    let stage2 = match s2 {
         "bk" => Stage2Algo::Bk,
         "pk" => Stage2Algo::Pk,
         other => return Err(format!("unknown stage-2 algorithm {other:?}")),
     };
-    let stage3 = match s3.as_str() {
+    let stage3 = match s3 {
         "brj" => Stage3Algo::Brj,
         "oprj" => Stage3Algo::Oprj,
         other => return Err(format!("unknown stage-3 algorithm {other:?}")),
@@ -592,15 +581,6 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
         ),
         None => None,
     };
-    let durable_commits = match args.get("durable-commits") {
-        None | Some("yes") => true,
-        Some("no") => false,
-        Some(other) => {
-            return Err(format!(
-                "bad --durable-commits {other:?} (expected yes or no)"
-            ));
-        }
-    };
     let config = ClusterConfig {
         // Fault injection needs a retry budget, and so does the process
         // backend (a lost worker process is a retryable NodeLost, not a
@@ -614,7 +594,6 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
         faults,
         backend,
         dfs_root: args.get("dfs-root").map(std::path::PathBuf::from),
-        durable_commits,
         task_timeout_secs,
         ..ClusterConfig::with_nodes(nodes)
     };
@@ -859,7 +838,7 @@ mod tests {
 
     #[test]
     fn combo_variants_parse() {
-        for combo in ["bto-pk-brj", "opto-bk-oprj", "bto-r-pk-brj"] {
+        for combo in ["bto-pk-brj", "opto-bk-oprj"] {
             let args = Args::parse(&argv(&format!(
                 "selfjoin --input a --out b --combo {combo}"
             )))
@@ -908,13 +887,18 @@ mod more_tests {
             "gen --kind dblp --records 250 --seed 9 --out {corpus}"
         )))
         .unwrap();
-        let msg = run(&argv(&format!(
-            "selfjoin --input {corpus} --out {pairs} --threshold 0.9 \
-             --measure cosine --combo bto-r-pk-brj --nodes 3"
-        )))
-        .unwrap();
-        assert!(msg.contains("BTO-R-PK-BRJ"), "{msg}");
+        let join = |combo: &str| {
+            run(&argv(&format!(
+                "selfjoin --input {corpus} --out {pairs} --threshold 0.9 \
+                 --measure cosine --combo {combo} --nodes 3"
+            )))
+        };
+        let msg = join("bto-pk-brj").unwrap();
+        assert!(msg.contains("BTO-PK-BRJ"), "{msg}");
         assert!(msg.contains("Cosine"), "{msg}");
+        // Stage 1 is BTO or OPTO: the range-partitioned BTO-R is no combo.
+        let err = join("bto-r-pk-brj").unwrap_err();
+        assert!(err.starts_with("bad --combo \"bto-r-pk-brj\""), "{err}");
     }
 
     #[test]

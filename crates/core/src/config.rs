@@ -188,14 +188,6 @@ pub enum Stage1Algo {
     /// One-Phase Token Ordering: one job; the single reducer accumulates
     /// counts and sorts in its tear-down.
     Opto,
-    /// Extension (not in the paper): BTO with a **range-partitioned**
-    /// parallel sort. The paper notes both BTO and OPTO bottleneck on a
-    /// single sort reducer ("this step's cost remained constant as the
-    /// number of nodes increased"); this variant samples `(count, token)`
-    /// boundaries from the count job's output and sorts with one reducer
-    /// per range, so reading the parts in order yields the same total
-    /// order without the serial step.
-    BtoRange,
 }
 
 /// How prefix tokens are mapped to routing keys in stage 2.
@@ -347,7 +339,6 @@ impl JoinConfig {
         let s1 = match self.stage1 {
             Stage1Algo::Bto => "BTO",
             Stage1Algo::Opto => "OPTO",
-            Stage1Algo::BtoRange => "BTO-R",
         };
         let s2 = match self.stage2 {
             Stage2Algo::Bk => "BK",
@@ -381,7 +372,7 @@ fn unknown_tag(what: &str, tag: u8) -> MrError {
     MrError::Codec(format!("unknown {what} tag {tag}"))
 }
 
-codec_enum!(Stage1Algo ("stage-1 algorithm") { 0 => Bto, 1 => Opto, 2 => BtoRange });
+codec_enum!(Stage1Algo ("stage-1 algorithm") { 0 => Bto, 1 => Opto });
 codec_enum!(Stage3Algo ("stage-3 algorithm") { 0 => Brj, 1 => Oprj });
 codec_enum!(BadRecordPolicy ("bad-record policy") { 0 => Strict, 1 => Skip, 2 => SkipUpTo(n) });
 codec_enum!(TokenizerKind ("tokenizer") { 0 => Word, 1 => QGram(q) });
@@ -601,10 +592,9 @@ mod tests {
     /// variant's fields as varints.
     #[test]
     fn enum_wire_bytes_are_pinned() {
-        let pinned: [(Vec<u8>, &[u8]); 17] = [
+        let pinned: [(Vec<u8>, &[u8]); 16] = [
             (Stage1Algo::Bto.to_bytes(), &[0]),
             (Stage1Algo::Opto.to_bytes(), &[1]),
-            (Stage1Algo::BtoRange.to_bytes(), &[2]),
             (Stage3Algo::Brj.to_bytes(), &[0]),
             (Stage3Algo::Oprj.to_bytes(), &[1]),
             (BadRecordPolicy::Strict.to_bytes(), &[0]),
@@ -667,11 +657,7 @@ mod tests {
             Just(TokenizerKind::Word),
             (1usize..9).prop_map(TokenizerKind::QGram)
         ];
-        let stage1 = prop_oneof![
-            Just(Stage1Algo::Bto),
-            Just(Stage1Algo::Opto),
-            Just(Stage1Algo::BtoRange)
-        ];
+        let stage1 = prop_oneof![Just(Stage1Algo::Bto), Just(Stage1Algo::Opto)];
         let stage2 = prop_oneof![
             Just(Stage2Algo::Bk),
             Just(Stage2Algo::Pk),

@@ -1,4 +1,5 @@
-//! The composite stage-2 key and its partition/sort/group policies.
+//! The composite stage-2 key, its sort order, and the relations stage 2
+//! reads.
 //!
 //! Stage 2 manipulates MapReduce keys heavily — this is the heart of the
 //! paper's "exploit the framework by manipulating keys" idea. One composite
@@ -24,10 +25,7 @@
 
 use std::sync::Arc;
 
-use mapreduce::{
-    codec_struct, group_by, partition_by, text_input, Dfs, GroupEq, MrError, PartitionFn, Result,
-    SplitSource,
-};
+use mapreduce::{codec_struct, text_input, Dfs, MrError, Result, SplitSource};
 use setsim::{first_common, Threshold};
 
 use crate::config::{JoinConfig, TokenRouting};
@@ -120,18 +118,6 @@ pub fn plain(group: u32, class: u32, rel: u8) -> Stage2Key {
 /// A blocks-mode key.
 pub fn blocked(group: u32, pass: u32, kind: u8, class: u32, rel: u8) -> Stage2Key {
     (group, pass, kind, class, rel)
-}
-
-/// Partition on the group component only.
-pub fn stage2_partitioner() -> PartitionFn<Stage2Key> {
-    partition_by(|k: &Stage2Key| k.0)
-}
-
-/// Group reduce calls on the group component only; the key's own tuple
-/// order, which the engine sorts by, then delivers `(pass, kind, class,
-/// rel)` order inside each group.
-pub fn stage2_grouping() -> GroupEq<Stage2Key> {
-    group_by(|k: &Stage2Key| k.0)
 }
 
 /// The value routed with each key: a record projection (RID + sorted token
@@ -351,20 +337,31 @@ mod tests {
         assert!(matches!(same, Err(MrError::InvalidConfig(_))), "{same:?}");
     }
 
+    use crate::stage2::{mapper::ProjectionMapper, KernelReducer};
+
+    /// The job stage 2 runs, for the routing its kernels share.
+    fn stage2_job() -> mapreduce::Job<ProjectionMapper, KernelReducer> {
+        let dfs = Dfs::new(1, 64).unwrap();
+        dfs.write_text("/r", ["1\ttitle\tauthor"]).unwrap();
+        crate::stage2::tests::kernel_job(&dfs, "/r", &JoinConfig::recommended()).unwrap()
+    }
+
     #[test]
     fn partitioner_ignores_everything_but_group() {
-        let p = stage2_partitioner();
-        assert_eq!(
-            p(&plain(9, 3, REL_R), 16),
-            p(&blocked(9, 7, KIND_STREAM, 99, REL_S), 16)
-        );
+        let job = stage2_job();
+        let (a, b) = (plain(9, 3, REL_R), blocked(9, 7, KIND_STREAM, 99, REL_S));
+        for parts in [3, 16] {
+            assert_eq!(job.partition(&a, parts), job.partition(&b, parts));
+            let hashed = mapreduce::stable_hash(&9u32) % u64::from(parts);
+            assert_eq!(u64::from(job.partition(&a, parts)), hashed);
+        }
     }
 
     #[test]
     fn grouping_matches_on_group_only() {
-        let g = stage2_grouping();
-        assert!(g(&plain(4, 1, REL_R), &plain(4, 9, REL_S)));
-        assert!(!g(&plain(4, 1, REL_R), &plain(5, 1, REL_R)));
+        let job = stage2_job();
+        assert!(job.same_group(&plain(4, 1, REL_R), &plain(4, 9, REL_S)));
+        assert!(!job.same_group(&plain(4, 1, REL_R), &plain(5, 1, REL_R)));
     }
 
     #[test]

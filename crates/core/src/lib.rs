@@ -51,7 +51,7 @@ pub use skew::{build_plan as build_skew_plan, SkewConfig, SkewMode, SkewPlan};
 pub use stage3::{JoinedPair, PairKey};
 
 /// Register the worker-side factory of every job this crate runs — all
-/// twelve: five of stage 1, the four stage-2 kernels, three of stage 3. A
+/// ten: three of stage 1, the four stage-2 kernels, three of stage 3. A
 /// binary whose joins may run on [`BackendKind::Process`] must call this
 /// before [`mapreduce::process_worker_main`]: its workers build every job
 /// they are opened with from these, and a job they cannot build fails.

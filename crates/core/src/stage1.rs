@@ -5,7 +5,7 @@
 //! frequency — the order that makes record prefixes hold their rarest
 //! tokens, balancing stage-2 workload under token-frequency skew.
 //!
-//! The paper's two variants, plus one extension:
+//! The paper's two variants:
 //!
 //! * **BTO** (Basic Token Ordering) — two jobs: (1) classic word-count with
 //!   a combiner; (2) a sort job that swaps `(token, count)` to
@@ -14,17 +14,12 @@
 //! * **OPTO** (One-Phase Token Ordering) — one job: same counting map side,
 //!   but the single reducer keeps `(token, total)` in memory and sorts the
 //!   tokens in its tear-down, trading a second job for reducer memory.
-//! * **BTO-R** ([`Stage1Algo::BtoRange`], extension) — BTO with a sampled
-//!   range partitioner so the sort runs on many reducers yet still yields
-//!   one total order, removing the single-reducer bottleneck the paper
-//!   measures.
 
 use std::sync::Arc;
 
 use mapreduce::{
-    codec_struct, range_partitioner, sample_boundaries, seq_input, sum_combiner, text_input,
-    Cluster, Counter, Dfs, Emit, Job, JobSpec, Mapper, MrError, PipelineMetrics, Reducer, Result,
-    TaskContext,
+    codec_struct, seq_input, sum_combiner, text_input, Cluster, Counter, Dfs, Emit, Job, JobSpec,
+    Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
 };
 use setsim::{HashedToken, TokenTable};
 
@@ -280,7 +275,12 @@ fn token_line<V>() -> mapreduce::TextFormat<String, V> {
     Arc::new(|token: &String, _: &V| token.clone())
 }
 
-/// The count job of BTO and BTO-R: `(token, total)` pairs, as a seq file.
+/// BTO's two jobs, each as its name and its worker-side factory's.
+const COUNT: (&str, &str) = ("stage1-bto-count", "core.stage1.bto-count");
+const SORT: (&str, &str) = ("stage1-bto-sort", "core.stage1.bto-sort");
+const OPTO_FACTORY: &str = "core.stage1.opto";
+
+/// BTO's count job: `(token, total)` pairs, as a seq file.
 struct CountSpec {
     input: String,
     counts: String,
@@ -292,86 +292,46 @@ codec_struct!(CountSpec {
     config
 });
 
-impl CountSpec {
-    /// The job's name and its factory's, for BTO or BTO-R.
-    fn names(range: bool) -> (&'static str, &'static str) {
-        match range {
-            false => ("stage1-bto-count", "core.stage1.bto-count"),
-            true => ("stage1-btor-count", "core.stage1.btor-count"),
-        }
-    }
-
-    fn range(&self) -> bool {
-        self.config.stage1 == Stage1Algo::BtoRange
-    }
-}
-
 impl JobSpec for CountSpec {
     type Mapper = TokenCountMapper;
     type Reducer = SumReducer;
 
     fn factory(&self) -> &'static str {
-        Self::names(self.range()).1
+        COUNT.1
     }
 
     fn build(&self, dfs: &Dfs) -> Result<Job<TokenCountMapper, SumReducer>> {
         let mapper = TokenCountMapper::new(&self.config);
-        Ok(Job::new(Self::names(self.range()).0, mapper, SumReducer)
+        Ok(Job::new(COUNT.0, mapper, SumReducer)
             .inputs(text_input(dfs, &self.input)?)
             .combiner(sum_combiner())
             .output_seq(&self.counts))
     }
 }
 
-/// The sort job of BTO and BTO-R: the counted tokens by ascending
-/// `(count, token)`.
+/// BTO's sort job: the counted tokens by ascending `(count, token)`, on one
+/// reducer, whose part is the total order.
 struct SortSpec {
     counts: String,
     tokens: String,
-    /// BTO-R: the reducer count and the sampled upper boundaries of every
-    /// key range but the last; the parts read in order are one total order.
-    /// BTO: one reducer.
-    ranges: Option<(usize, Vec<(u64, String)>)>,
 }
-codec_struct!(SortSpec {
-    counts,
-    tokens,
-    ranges
-});
-
-impl SortSpec {
-    /// The job's name and its factory's, for BTO or BTO-R.
-    fn names(range: bool) -> (&'static str, &'static str) {
-        match range {
-            false => ("stage1-bto-sort", "core.stage1.bto-sort"),
-            true => ("stage1-btor-sort", "core.stage1.btor-sort"),
-        }
-    }
-}
+codec_struct!(SortSpec { counts, tokens });
 
 impl JobSpec for SortSpec {
     type Mapper = SwapForSortMapper;
     type Reducer = EmitTokenReducer;
 
     fn factory(&self) -> &'static str {
-        Self::names(self.ranges.is_some()).1
+        SORT.1
     }
 
     fn build(&self, dfs: &Dfs) -> Result<Job<SwapForSortMapper, EmitTokenReducer>> {
-        let name = Self::names(self.ranges.is_some()).0;
-        let job = Job::new(name, SwapForSortMapper, EmitTokenReducer)
+        Ok(Job::new(SORT.0, SwapForSortMapper, EmitTokenReducer)
             .inputs(seq_input::<String, u64>(dfs, &self.counts)?)
-            .output_text(&self.tokens, token_line());
-        Ok(match &self.ranges {
-            None => job.reducers(1),
-            Some((reducers, boundaries)) => job
-                .reducers(*reducers)
-                .partitioner(range_partitioner(boundaries.clone())),
-        })
+            .reducers(1)
+            .output_text(&self.tokens, token_line()))
     }
 }
-
-const OPTO_FACTORY: &str = "core.stage1.opto";
 
 /// OPTO's one job: count as BTO does, total and sort in the single reducer.
 struct OptoSpec {
@@ -403,13 +363,11 @@ impl JobSpec for OptoSpec {
     }
 }
 
-/// Register the stage-1 jobs with worker processes: BTO's two, BTO-R's two
-/// and OPTO's one.
+/// Register the stage-1 jobs with worker processes: BTO's two and OPTO's
+/// one.
 pub(crate) fn register_process_jobs() {
-    mapreduce::register_job_spec::<CountSpec>(CountSpec::names(false).1);
-    mapreduce::register_job_spec::<SortSpec>(SortSpec::names(false).1);
-    mapreduce::register_job_spec::<CountSpec>(CountSpec::names(true).1);
-    mapreduce::register_job_spec::<SortSpec>(SortSpec::names(true).1);
+    mapreduce::register_job_spec::<CountSpec>(COUNT.1);
+    mapreduce::register_job_spec::<SortSpec>(SORT.1);
     mapreduce::register_job_spec::<OptoSpec>(OPTO_FACTORY);
 }
 
@@ -458,32 +416,15 @@ pub(crate) fn run_with(
         counts: counts.clone(),
         config,
     };
-    let range = count.range();
-    let name = CountSpec::names(range).0;
-    let ran = rec.run_or_skip(cluster, name, &[input], &tag, &counts, |fp| {
+    let ran = rec.run_or_skip(cluster, COUNT.0, &[input], &tag, &counts, |fp| {
         run_spec(cluster, &count, fp)
     });
     metrics.push(ran?);
-    let name = SortSpec::names(range).0;
-    let ran = rec.run_or_skip(cluster, name, &[&counts], &tag, &tokens, |fp| {
-        // Driver-side sampling, the equivalent of building Hadoop's
-        // TotalOrderPartitioner partition file: read the (small) count
-        // output, sort, and take quantile boundaries.
-        let sample = || -> Result<_> {
-            let mut sample: Vec<(u64, String)> = (cluster.dfs())
-                .read_seq::<String, u64>(&counts)?
-                .into_iter()
-                .map(|(t, c)| (c, t))
-                .collect();
-            sample.sort();
-            let reducers = cluster.config().default_reducers();
-            Ok((reducers, sample_boundaries(&sample, reducers)))
-        };
-        let sort = SortSpec {
-            counts: counts.clone(),
-            tokens: tokens.clone(),
-            ranges: range.then(sample).transpose()?,
-        };
+    let sort = SortSpec {
+        counts: counts.clone(),
+        tokens: tokens.clone(),
+    };
+    let ran = rec.run_or_skip(cluster, SORT.0, &[&counts], &tag, &tokens, |fp| {
         run_spec(cluster, &sort, fp)
     });
     metrics.push(ran?);
@@ -533,21 +474,16 @@ mod tests {
         let splits = text_input(c.dfs(), "/in").unwrap().len();
         assert!(splits > 1);
         let (input, counts, tokens) = ("/in", "/work/token-counts", "/work/tokens");
-        for (algo, name) in [
-            (Stage1Algo::Bto, "stage1-bto-count"),
-            (Stage1Algo::BtoRange, "stage1-btor-count"),
-        ] {
-            let spec = CountSpec {
-                input: input.into(),
-                counts: counts.into(),
-                config: JoinConfig {
-                    tokenizer: TokenizerKind::QGram(3),
-                    ..config(algo)
-                },
-            };
-            let expected = (name.to_string(), None, counts.to_string(), splits);
-            assert_eq!(rebuilt(&spec, c.dfs()), expected);
-        }
+        let spec = CountSpec {
+            input: input.into(),
+            counts: counts.into(),
+            config: JoinConfig {
+                tokenizer: TokenizerKind::QGram(3),
+                ..config(Stage1Algo::Bto)
+            },
+        };
+        let expected = (COUNT.0.to_string(), None, counts.to_string(), splits);
+        assert_eq!(rebuilt(&spec, c.dfs()), expected);
         let opto = OptoSpec {
             input: input.into(),
             tokens: tokens.into(),
@@ -560,22 +496,12 @@ mod tests {
             splits,
         );
         assert_eq!(rebuilt(&opto, c.dfs()), expected);
-        for (ranges, name, reducers) in [
-            (None, "stage1-bto-sort", 1),
-            (
-                Some((5, vec![(1, "a".to_string()), (2, "mid".to_string())])),
-                "stage1-btor-sort",
-                5,
-            ),
-        ] {
-            let spec = SortSpec {
-                counts: counts.into(),
-                tokens: tokens.into(),
-                ranges,
-            };
-            let expected = (name.to_string(), Some(reducers), tokens.to_string(), 1);
-            assert_eq!(rebuilt(&spec, c.dfs()), expected);
-        }
+        let spec = SortSpec {
+            counts: counts.into(),
+            tokens: tokens.into(),
+        };
+        let expected = (SORT.0.to_string(), Some(1), tokens.to_string(), 1);
+        assert_eq!(rebuilt(&spec, c.dfs()), expected);
     }
 
     #[test]
@@ -616,30 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn bto_range_matches_bto_with_many_reducers() {
-        let c1 = cluster();
-        write_records(&c1);
-        let (p1, _) = run(&c1, "/in", &config(Stage1Algo::Bto), "/work").unwrap();
-        let bto = c1.dfs().read_text(&p1).unwrap();
-
-        let c2 = cluster();
-        write_records(&c2);
-        let (p2, m2) = run(&c2, "/in", &config(Stage1Algo::BtoRange), "/work").unwrap();
-        let btor = c2.dfs().read_text(&p2).unwrap();
-        assert_eq!(
-            btor, bto,
-            "range-partitioned sort must preserve the total order"
-        );
-        assert!(
-            m2.jobs[1].reduce.tasks > 1,
-            "sort phase must use multiple reducers"
-        );
-    }
-
-    #[test]
     fn bto_range_on_larger_dictionary() {
         let c = cluster();
-        // 60 tokens with distinct frequencies spread across reducers.
+        // 60 tokens with distinct frequencies, counted on many reducers.
         let mut lines = Vec::new();
         for i in 0..60 {
             for _ in 0..=i {
@@ -647,13 +552,11 @@ mod tests {
             }
         }
         c.dfs().write_text("/big", &lines).unwrap();
-        let (path, _) = run(&c, "/big", &config(Stage1Algo::BtoRange), "/w").unwrap();
+        let (path, _) = run(&c, "/big", &config(Stage1Algo::Bto), "/w").unwrap();
         let tokens = c.dfs().read_text(&path).unwrap();
         let mut expected: Vec<String> = (0..60).map(|i| format!("tok{i:02}")).collect();
         expected.push("x".to_string()); // the author field token, most frequent
         assert_eq!(tokens, expected);
-        // Output spans multiple part files.
-        assert!(c.dfs().data_files(&path).len() > 1);
     }
 
     #[test]
@@ -797,7 +700,7 @@ mod tests {
 
     #[test]
     fn every_variant_writes_the_reference_order_of_a_generated_corpus() {
-        for algo in [Stage1Algo::Bto, Stage1Algo::Opto, Stage1Algo::BtoRange] {
+        for algo in [Stage1Algo::Bto, Stage1Algo::Opto] {
             let c = Cluster::new(ClusterConfig::with_nodes(3), 64 << 10).unwrap();
             let expected = generated_corpus(&c);
             let (path, m) = run(&c, "/gen", &config(algo), "/work").unwrap();

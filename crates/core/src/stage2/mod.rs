@@ -21,9 +21,7 @@ use mapreduce::{
 };
 
 use crate::config::{JoinConfig, Stage2Algo, TokenRouting};
-use crate::keys::{
-    stage2_grouping, stage2_partitioner, Ownership, Projection, Relations, Stage2Key,
-};
+use crate::keys::{Ownership, Projection, Relations, Stage2Key};
 use crate::recovery::{self, run_spec, Recovery};
 use crate::skew::{self, SkewPlan};
 use crate::stage2::blocks::{MapBlocksReducer, ReduceBlocksReducer};
@@ -65,7 +63,7 @@ pub fn format_pair_line(k: &(u64, u64), sim: &f64) -> String {
 
 /// The reducer of a stage-2 job: the kernel [`JoinConfig::stage2`] names.
 #[derive(Clone)]
-enum KernelReducer {
+pub(crate) enum KernelReducer {
     /// [`Stage2Algo::Bk`].
     Bk(BkReducer),
     /// [`Stage2Algo::Pk`].
@@ -114,9 +112,9 @@ impl Reducer for KernelReducer {
     }
 }
 
-/// A stage-2 kernel job. Every kernel variant shares this shape:
-/// composite-key partitioner/sort/grouping, heavy-hitter key labels, the
-/// pair-line text output.
+/// A stage-2 kernel job. Every kernel variant shares this shape: the
+/// composite key partitioned and grouped on its group component and sorted
+/// whole, heavy-hitter key labels, the pair-line text output.
 struct KernelSpec {
     relations: Relations,
     tokens: String,
@@ -184,8 +182,10 @@ impl JobSpec for KernelSpec {
         let reducer = KernelReducer::new(config, plan, self.relations.is_rs());
         Ok(Job::new(Self::names(config.stage2).0, mapper, reducer)
             .inputs(self.relations.splits(dfs)?)
-            .partitioner(stage2_partitioner())
-            .group_eq(stage2_grouping())
+            // The paper's custom partitioner: partition and group on the
+            // group alone; the key's own order then delivers `(pass, kind,
+            // class, rel)` order inside each group.
+            .group_on(|k: &Stage2Key| k.0)
             .key_label(key_label)
             .output_text(&self.pairs, Arc::new(format_pair_line)))
     }
@@ -280,9 +280,26 @@ pub(crate) fn run_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mapreduce::Codec;
+
+    /// The stage-2 job of `config` over the self-join records at `input`,
+    /// as the driver builds it, without a skew plan.
+    pub(crate) fn kernel_job(
+        dfs: &Dfs,
+        input: &str,
+        config: &JoinConfig,
+    ) -> Result<Job<ProjectionMapper, KernelReducer>> {
+        let spec = KernelSpec {
+            relations: Relations::new(input, None),
+            tokens: "/work/tokens".into(),
+            pairs: "/work/ridpairs".into(),
+            config: config.clone(),
+            skew_splits: Vec::new(),
+        };
+        spec.build(dfs)
+    }
 
     #[test]
     fn run_refuses_a_bad_config_before_any_job() {

@@ -35,8 +35,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    codec_struct, group_by, partition_by, text_input, Cluster, Counter, Dfs, Emit, Job, JobSpec,
-    Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
+    codec_struct, text_input, Cluster, Counter, Dfs, Emit, Job, JobSpec, Mapper, MrError,
+    PipelineMetrics, Reducer, Result, TaskContext,
 };
 
 use crate::config::{JoinConfig, Stage3Algo};
@@ -572,8 +572,7 @@ impl JobSpec for BrjSpec {
         }
         let job = Job::new(self.job().0, BrjMapper::new(self), BrjReducer::new(self))
             .inputs(inputs)
-            .partitioner(partition_by(|k: &BrjKey| k.0))
-            .group_eq(group_by(|k: &BrjKey| k.0));
+            .group_on(|k: &BrjKey| k.0);
         Ok(if self.pos == POS_FIRST {
             job.output_text(&self.out, Arc::new(format_fill_line))
         } else {
@@ -868,11 +867,8 @@ mod tests {
         ];
         assert_eq!(keys, sorted);
         // One reduce call and one reduce task per RID, whatever else the key says.
-        assert!((job.group_eq)(&keys[1], &keys[3]) && !(job.group_eq)(&keys[0], &keys[1]));
-        assert_eq!(
-            (job.partitioner)(&keys[1], 16),
-            (job.partitioner)(&keys[3], 16)
-        );
+        assert!(job.same_group(&keys[1], &keys[3]) && !job.same_group(&keys[0], &keys[1]));
+        assert_eq!(job.partition(&keys[1], 16), job.partition(&keys[3], 16));
     }
 
     #[test]

@@ -91,9 +91,8 @@ const ROUTINGS: [TokenRouting; 2] = [
 
 /// Stage-1 token orderings crossed into the matrix. Any total order over
 /// the dictionary yields the same τ-similar pairs, so OPTO's different
-/// tie-breaking and BTO-R's sampled range partitioning must be invisible
-/// in the committed output.
-const STAGE1S: [Stage1Algo; 3] = [Stage1Algo::Bto, Stage1Algo::Opto, Stage1Algo::BtoRange];
+/// tie-breaking must be invisible in the committed output.
+const STAGE1S: [Stage1Algo; 2] = [Stage1Algo::Bto, Stage1Algo::Opto];
 
 fn measures() -> [Threshold; 4] {
     [

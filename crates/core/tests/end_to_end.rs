@@ -52,7 +52,7 @@ fn all_combinations_match_naive_self_join() {
     let expected = naive_pairs(&lines, &t);
     assert!(!expected.is_empty(), "corpus must contain similar pairs");
 
-    let stage1s = [Stage1Algo::Bto, Stage1Algo::Opto, Stage1Algo::BtoRange];
+    let stage1s = [Stage1Algo::Bto, Stage1Algo::Opto];
     let stage2s = [
         Stage2Algo::Bk,
         Stage2Algo::Pk,
@@ -815,22 +815,6 @@ fn qgram_tokenization_end_to_end_matches_naive() {
         .map(|(k, _)| *k)
         .collect();
     assert_eq!(got, expected);
-}
-
-#[test]
-fn bto_range_end_to_end_equals_bto() {
-    let lines = corpus(45, 120);
-    let run_with = |algo: Stage1Algo| {
-        let c = cluster(3);
-        c.dfs().write_text("/records", &lines).unwrap();
-        let config = JoinConfig {
-            stage1: algo,
-            ..JoinConfig::recommended()
-        };
-        let outcome = self_join(&c, "/records", "/work", &config).unwrap();
-        read_joined(&c, &outcome.joined_path).unwrap()
-    };
-    assert_eq!(run_with(Stage1Algo::Bto), run_with(Stage1Algo::BtoRange));
 }
 
 #[test]

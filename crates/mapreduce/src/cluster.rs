@@ -64,14 +64,6 @@ pub struct ClusterConfig {
     /// Set it to keep the filesystem around across engine restarts
     /// (crash/resume).
     pub dfs_root: Option<std::path::PathBuf>,
-    /// Follow the write→sync→rename→dir-sync durable-commit discipline in
-    /// the DFS: a file is fsynced before it is renamed into place
-    /// and its directory after, and a job's commit syncs every part, then
-    /// their directory, before it publishes `_SUCCESS` that way. On by
-    /// default; benches opt out to measure the fsync tax — with it off, a
-    /// killed *process* still never loses acknowledged commits (the page
-    /// cache survives), but power loss can.
-    pub durable_commits: bool,
     /// Capacity (in spill runs) of the one shuffle channel between the map
     /// attempts and the collector thread of the [`BackendKind::Sharded`]
     /// backend. The collector receives eagerly, so this bounds only how
@@ -93,18 +85,16 @@ pub struct ClusterConfig {
 // What a process-backend worker needs of its driver's configuration, as it
 // crosses the pipe in the hello: topology, the task budgets its attempts
 // run under, the fault plan (minus its storage keys, see `FaultPlan`) so
-// that it reaches the driver's own pure `decide()` outcomes, the commit
-// discipline — a task-level part commit must not be weaker than the
-// job-level one — and the task deadline, which says whether and how often
-// to heartbeat. Everything else decodes to the default, the backend above
-// all: a worker runs its attempts itself.
+// that it reaches the driver's own pure `decide()` outcomes, and the task
+// deadline, which says whether and how often to heartbeat. Everything else
+// decodes to the default, the backend above all: a worker runs its attempts
+// itself.
 codec_struct!(
     ClusterConfig {
         nodes,
         task_memory,
         spill_buffer_bytes,
         faults,
-        durable_commits,
         task_timeout_secs,
     }..ClusterConfig::default()
 );
@@ -120,7 +110,6 @@ impl Default for ClusterConfig {
             faults: None,
             backend: BackendKind::Simulated,
             dfs_root: None,
-            durable_commits: true,
             shuffle_channel_capacity: 256,
             task_timeout_secs: None,
         }

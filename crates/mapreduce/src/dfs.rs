@@ -428,9 +428,8 @@ impl DiskStore {
     /// rename leaves an orphaned temp file (the scavenger's prey); one after
     /// it can lose the name but never publishes a torn file. With `durable`
     /// off both syncs are skipped: process kills stay safe (the page cache
-    /// survives the process), power loss does not — the bench opt-out
-    /// ([`crate::ClusterConfig::durable_commits`]), and what a reduce
-    /// attempt does, its job's commit syncing for it ([`Dfs::sync_under`]).
+    /// survives the process), power loss does not — what a reduce attempt
+    /// does, its job's commit syncing for it ([`Dfs::sync_under`]).
     fn save(&self, path: &str, file: &DfsFile, overwrite: bool, durable: bool) -> Result<()> {
         let target = self.target_path(path)?;
         let parent = target.parent().expect("a target lies under fs/");
@@ -686,9 +685,9 @@ impl Dfs {
         &self.store.root
     }
 
-    /// Toggle the durable-commit discipline (see [`DiskStore::save`] and
-    /// [`crate::ClusterConfig::durable_commits`]). Applies to this handle
-    /// and every clone taken afterwards.
+    /// Toggle the durable-commit discipline (see [`DiskStore::save`]); a
+    /// [`crate::Cluster`] always turns it on. Applies to this handle and
+    /// every clone taken afterwards.
     pub fn set_durable(&mut self, durable: bool) {
         self.durable = durable;
     }

@@ -21,7 +21,7 @@ use crate::manifest::{success_path, JobManifest};
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics, TaskRecord};
-use crate::partitioner::{natural_sort, PartitionFn};
+use crate::partitioner::{natural_sort, Grouping};
 use crate::profile::{self, JobProfile};
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
@@ -66,13 +66,13 @@ impl Cluster {
 
     /// Create a cluster around an existing DFS (e.g. to re-run with a
     /// different topology over the same data, or to resume a crashed
-    /// pipeline in a fresh engine). The config's storage policy is applied
-    /// to the handle: durable-commit discipline and, when the fault plan
-    /// carries storage keys, driver-side storage fault injection. The
-    /// process backend's workers open the same root.
+    /// pipeline in a fresh engine). The cluster's storage policy is applied
+    /// to the handle: the durable-commit discipline, always, and, when the
+    /// fault plan carries storage keys, driver-side storage fault
+    /// injection. The process backend's workers open the same root.
     pub fn with_dfs(config: ClusterConfig, mut dfs: Dfs) -> Result<Self> {
         config.validate().map_err(MrError::InvalidConfig)?;
-        dfs.set_durable(config.durable_commits);
+        dfs.set_durable(true);
         if let Some(plan) = &config.faults {
             dfs.install_storage_faults(plan);
         }
@@ -721,7 +721,7 @@ struct MapEmitter<'a, K: Key, V: Value> {
     parts: Vec<Part<K>>,
     buffered_bytes: usize,
     threshold: usize,
-    partitioner: &'a PartitionFn<K>,
+    grouping: &'a Grouping<K>,
     combiner: Option<&'a CombineFn<K, V>>,
     runs: Vec<Vec<Run>>,
     output_records: u64,
@@ -741,14 +741,14 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
     fn new(
         num_partitions: usize,
         threshold: usize,
-        partitioner: &'a PartitionFn<K>,
+        grouping: &'a Grouping<K>,
         combiner: Option<&'a CombineFn<K, V>>,
     ) -> Self {
         MapEmitter {
             parts: (0..num_partitions).map(|_| Default::default()).collect(),
             buffered_bytes: 0,
             threshold,
-            partitioner,
+            grouping,
             combiner,
             runs: (0..num_partitions).map(|_| Vec::new()).collect(),
             output_records: 0,
@@ -764,8 +764,8 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
     /// Encode a pair into its partition's buffer and index it under `key`.
     fn put(&mut self, key: K, value: &V) -> Result<()> {
         self.output_records += 1;
-        let p = (self.partitioner)(&key, self.parts.len() as u32) as usize;
-        debug_assert!(p < self.parts.len(), "partitioner out of range");
+        let p = self.grouping.partition(&key, self.parts.len() as u32) as usize;
+        debug_assert!(p < self.parts.len(), "partition out of range");
         let (bytes, index) = &mut self.parts[p];
         let at = bytes.len();
         key.encode(bytes);
@@ -875,7 +875,7 @@ where
         let mut emitter = MapEmitter::new(
             self.num_reducers,
             self.cluster.config.spill_buffer_bytes,
-            &job.partitioner,
+            &job.grouping,
             job.combiner.as_ref(),
         );
         mapper.setup(&ctx)?;
@@ -1079,7 +1079,7 @@ where
             .map(|_| SpaceSaving::new(HEAVY_HITTER_CAPACITY));
         let mut read_before = 0u64;
         while let Some(first_key) = stream.peek_key().cloned() {
-            let mut group = GroupValues::new(&mut stream, first_key.clone(), job.group_eq.clone());
+            let mut group = GroupValues::new(&mut stream, first_key.clone(), &job.grouping);
             reducer.reduce(&first_key, &mut group, &mut emitter, &ctx)?;
             group.drain()?;
             let read = stream.records_read();
@@ -1261,14 +1261,13 @@ mod tests {
         (parts, threshold): (usize, usize),
         combiner: Option<&CombineFn<String, V>>,
     ) -> Spills {
-        let partitioner = crate::partitioner::hash_partitioner::<String>();
         let cmp = natural_sort();
         let mut buffers: Vec<Vec<(String, V)>> = vec![Vec::new(); parts];
         let mut runs: Vec<Vec<Run>> = vec![Vec::new(); parts];
         let (mut buffered, mut spills, mut cin, mut cout) = (0, 0, 0, 0);
         for (i, (k, v)) in pairs.iter().enumerate() {
             buffered += k.to_bytes().len() + v.to_bytes().len();
-            let p = partitioner(k, parts as u32) as usize;
+            let p = (crate::stable_hash(k) % parts as u64) as usize;
             buffers[p].push((k.clone(), v.clone()));
             if buffered < threshold && i + 1 < pairs.len() {
                 continue;
@@ -1295,8 +1294,8 @@ mod tests {
         combiner: Option<&CombineFn<String, V>>,
         by_ref: bool,
     ) -> Spills {
-        let partitioner = crate::partitioner::hash_partitioner::<String>();
-        let mut e = MapEmitter::new(parts, threshold, &partitioner, combiner);
+        let grouping = Grouping::whole_key();
+        let mut e = MapEmitter::new(parts, threshold, &grouping, combiner);
         for (k, v) in pairs {
             match by_ref {
                 true => e.emit_ref(k, v).unwrap(),

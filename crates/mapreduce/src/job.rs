@@ -8,7 +8,7 @@ use crate::dfs::Dfs;
 use crate::error::Result;
 use crate::input::SplitSource;
 use crate::mapper::Mapper;
-use crate::partitioner::{hash_partitioner, natural_grouping, GroupEq, PartitionFn};
+use crate::partitioner::Grouping;
 use crate::reducer::{CombineFn, Reducer};
 
 /// Formats one output pair as a text line.
@@ -54,11 +54,10 @@ pub struct Job<M: Mapper, R: Reducer<Key = M::OutKey, InValue = M::OutValue>> {
     pub reducer: R,
     /// Optional map-side combiner.
     pub combiner: Option<CombineFn<M::OutKey, M::OutValue>>,
-    /// Partition policy for intermediate keys. Within a partition keys are
-    /// sorted by their own `Ord`.
-    pub partitioner: PartitionFn<M::OutKey>,
-    /// Grouping policy delimiting reduce calls.
-    pub group_eq: GroupEq<M::OutKey>,
+    /// Which reducer and which reduce call each intermediate key goes to
+    /// (see [`Job::group_on`]). Within a partition keys are sorted by their
+    /// own `Ord`.
+    pub(crate) grouping: Grouping<M::OutKey>,
     /// Number of reduce tasks; defaults to one wave of the cluster's reduce
     /// slots.
     pub num_reducers: Option<usize>,
@@ -131,8 +130,7 @@ where
             mapper,
             reducer,
             combiner: None,
-            partitioner: hash_partitioner::<M::OutKey>(),
-            group_eq: natural_grouping::<M::OutKey>(),
+            grouping: Grouping::whole_key(),
             num_reducers: None,
             inputs: Vec::new(),
             output: Output::None,
@@ -169,16 +167,29 @@ where
         self
     }
 
-    /// Set a custom partitioner.
-    pub fn partitioner(mut self, p: PartitionFn<M::OutKey>) -> Self {
-        self.partitioner = p;
+    /// Secondary sort: partition on `stable_hash(&project(key))` and make
+    /// keys with equal projections one reduce call, in which they arrive in
+    /// full-key order. `group_on(|k: &(u32, u32)| k.0)` is the paper's
+    /// "custom partitioning function … on the group value". Routing and
+    /// grouping come from the one projection, so no reduce group is split
+    /// across reducers.
+    pub fn group_on<P, F>(mut self, project: F) -> Self
+    where
+        P: std::hash::Hash + PartialEq,
+        F: Fn(&M::OutKey) -> P + Send + Sync + 'static,
+    {
+        self.grouping = Grouping::on(project);
         self
     }
 
-    /// Set a custom grouping comparator.
-    pub fn group_eq(mut self, g: GroupEq<M::OutKey>) -> Self {
-        self.group_eq = g;
-        self
+    /// The reduce task, of `parts`, that receives `key`.
+    pub fn partition(&self, key: &M::OutKey, parts: u32) -> u32 {
+        self.grouping.partition(key, parts)
+    }
+
+    /// Whether keys `a` and `b` meet in one reduce call.
+    pub fn same_group(&self, a: &M::OutKey, b: &M::OutKey) -> bool {
+        self.grouping.same_group(a, b)
     }
 
     /// Fix the number of reduce tasks (e.g. 1 for global sorts).

@@ -8,9 +8,10 @@
 //! * `map(k1, v1) -> list(k2, v2)` and `reduce(k2, list(v2)) -> list(k3, v3)`
 //!   user functions with `setup`/`cleanup` hooks ([`Mapper`], [`Reducer`]);
 //! * optional map-side **combiners** ([`CombineFn`]);
-//! * hash **partitioning** with user-replaceable partitioners, keys sorted
-//!   by their own `Ord`, and **grouping comparators** (secondary sort) —
-//!   the key-manipulation toolbox the paper's kernels rely on;
+//! * hash **partitioning**, keys sorted by their own `Ord`, and
+//!   **secondary sort**: partition and group on one projection of the key
+//!   ([`Job::group_on`]) — the key-manipulation toolbox the paper's kernels
+//!   rely on;
 //! * a spill-based shuffle that serializes every intermediate pair through a
 //!   binary [`Codec`], so reported shuffle bytes are real;
 //! * a block-based [`Dfs`] with round-robin placement, text and sequence
@@ -117,10 +118,7 @@ pub use manifest::{
 pub use mapper::{ClosureMapper, IdentityMapper, Mapper, SwapMapper};
 pub use memory::MemoryGauge;
 pub use metrics::{JobMetrics, PhaseMetrics, PipelineMetrics, TaskRecord};
-pub use partitioner::{
-    group_by, hash_partitioner, natural_grouping, natural_sort, partition_by, range_partitioner,
-    sample_boundaries, stable_hash, GroupEq, PartitionFn, SortCmp,
-};
+pub use partitioner::{natural_sort, stable_hash, SortCmp};
 pub use profile::JobProfile;
 pub use reducer::{sum_combiner, ClosureReducer, CombineFn, IdentityReducer, Reducer};
 pub use remote::{process_worker_main, register_job_spec, CORRUPT_FRAME_ENV, WORKER_ENV};

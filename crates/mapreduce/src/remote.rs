@@ -1607,7 +1607,6 @@ mod tests {
             faults: Some(plan.clone()),
             backend: crate::BackendKind::Process,
             dfs_root: Some("/tmp/mrdfs".into()),
-            durable_commits: false,
             shuffle_channel_capacity: 7,
             task_timeout_secs: Some(2.0),
         };
@@ -1628,14 +1627,13 @@ mod tests {
             faults,
             backend,
             dfs_root,
-            durable_commits,
             shuffle_channel_capacity,
             task_timeout_secs,
         } = back;
-        // Crosses the pipe: topology, task budgets, the commit discipline,
-        // supervision and (below) the fault plan.
+        // Crosses the pipe: topology, task budgets, supervision and (below)
+        // the fault plan.
         assert_eq!((nodes, task_memory), (3, Some(1 << 20)));
-        assert_eq!((spill_buffer_bytes, durable_commits), (1024, false));
+        assert_eq!(spill_buffer_bytes, 1024);
         assert_eq!(task_timeout_secs, Some(2.0));
         // Driver-only, so the worker sees the default: where attempts run
         // and how often, the sharded transport's queue and the store's root

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use crate::codec::{ByteReader, Codec};
 use crate::error::{MrError, Result};
 use crate::kv::{Key, Value};
-use crate::partitioner::{natural_sort, GroupEq, SortCmp};
+use crate::partitioner::{natural_sort, Grouping, SortCmp};
 
 /// A sorted, encoded sequence of `(key, value)` pairs.
 #[derive(Debug, Clone)]
@@ -131,23 +131,27 @@ impl<K: Key, V: Value> MergeStream<K, V> {
 }
 
 /// Streaming iterator over one reduce group. Yields `(key, value)` pairs
-/// while the stream's next key is group-equal to the group key; never reads
+/// while the stream's next key is in the group key's group; never reads
 /// past the group boundary.
 pub struct GroupValues<'s, K: Value, V: Value> {
     stream: &'s mut MergeStream<K, V>,
     group_key: K,
-    group_eq: GroupEq<K>,
+    grouping: &'s Grouping<K>,
     error: Option<MrError>,
     done: bool,
 }
 
 impl<'s, K: Key, V: Value> GroupValues<'s, K, V> {
     /// Open the group starting at the stream's current position.
-    pub fn new(stream: &'s mut MergeStream<K, V>, group_key: K, group_eq: GroupEq<K>) -> Self {
+    pub(crate) fn new(
+        stream: &'s mut MergeStream<K, V>,
+        group_key: K,
+        grouping: &'s Grouping<K>,
+    ) -> Self {
         GroupValues {
             stream,
             group_key,
-            group_eq,
+            grouping,
             error: None,
             done: false,
         }
@@ -166,7 +170,7 @@ impl<K: Key, V: Value> Iterator for GroupValues<'_, K, V> {
 
     fn next(&mut self) -> Option<(K, V)> {
         let next_key = self.stream.peek_key().filter(|_| !self.done);
-        if !next_key.is_some_and(|k| (self.group_eq)(&self.group_key, k)) {
+        if !next_key.is_some_and(|k| self.grouping.same_group(&self.group_key, k)) {
             self.done = true;
             return None;
         }
@@ -209,7 +213,6 @@ pub fn sort_and_combine<K: Key, V: Value>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::{natural_grouping, natural_sort};
     use crate::reducer::sum_combiner;
 
     fn run_of(pairs: Vec<(u32, String)>) -> Run {
@@ -259,7 +262,8 @@ mod tests {
         let mut m: MergeStream<u32, String> =
             MergeStream::new(vec![r], natural_sort::<u32>()).unwrap();
         let first = m.peek_key().cloned().unwrap();
-        let g = GroupValues::new(&mut m, first, natural_grouping::<u32>());
+        let grouping = Grouping::whole_key();
+        let g = GroupValues::new(&mut m, first, &grouping);
         let vals: Vec<String> = g.map(|(_, v)| v).collect();
         assert_eq!(vals, vec!["a", "b"]);
         // Stream still holds the next group.
@@ -272,7 +276,8 @@ mod tests {
         let mut m: MergeStream<u32, String> =
             MergeStream::new(vec![r], natural_sort::<u32>()).unwrap();
         let first = m.peek_key().cloned().unwrap();
-        let g = GroupValues::new(&mut m, first, natural_grouping::<u32>());
+        let grouping = Grouping::whole_key();
+        let g = GroupValues::new(&mut m, first, &grouping);
         // Reducer reads nothing; drain skips both records of group 1.
         assert_eq!(g.drain().unwrap(), 2);
         assert_eq!(m.peek_key(), Some(&2));
@@ -290,8 +295,8 @@ mod tests {
         let mut m: MergeStream<(u32, u32), String> =
             MergeStream::new(vec![r], natural_sort::<(u32, u32)>()).unwrap();
         let first = m.peek_key().cloned().unwrap();
-        let group_eq = crate::partitioner::group_by(|k: &(u32, u32)| k.0);
-        let g = GroupValues::new(&mut m, first, group_eq);
+        let grouping = Grouping::on(|k: &(u32, u32)| k.0);
+        let g = GroupValues::new(&mut m, first, &grouping);
         let lens: Vec<u32> = g.map(|(k, _)| k.1).collect();
         assert_eq!(lens, vec![3, 5], "values stream in length order");
         assert_eq!(m.peek_key(), Some(&(2, 1)));

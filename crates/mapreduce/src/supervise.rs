@@ -3,19 +3,20 @@
 //! The sharded and process backends are supervised on the host clock, where
 //! a hung worker (SIGSTOP, an infinite loop, a never-flushed frame) blocks
 //! the driver forever; the simulated backend, the reference, is not. A job's
-//! [`Watchdog`] gives every attempt it watches a timer of its own, a
-//! [`Watch`], which fires when the attempt's **deadline**
-//! (`task_timeout_secs`) passes or, for a worker process, its **heartbeat
-//! window** — eight of `ClusterConfig::heartbeat_interval`, 40 % of the
-//! deadline — passes without a heartbeat ([`Watch::touch`]).
+//! [`Watchdog`] gives every worker conversation it watches a timer of its
+//! own, a [`Watch`], which fires when the attempt's **deadline**
+//! (`task_timeout_secs`) passes or its **heartbeat window** — eight of
+//! `ClusterConfig::heartbeat_interval`, 40 % of the deadline — passes
+//! without a heartbeat ([`Watch::touch`]).
 //!
 //! Firing runs the watcher's `stop` (SIGKILL the worker) on the timer's
 //! thread, and [`Watch::finish`] joins that thread: `stop` has either run
 //! before the attempt's owner resumes or it never runs, and the owner learns
-//! which. A fired attempt is failed whatever it returned — a worker
-//! conversation as a transient `NodeLost` the retry machinery handles, an
-//! in-process attempt by failing the job fast. Supervision never changes
-//! committed bytes.
+//! which. A fired attempt is failed whatever it returned, as a transient
+//! `NodeLost` the retry machinery handles. An in-process attempt cannot be
+//! stopped, so it needs no timer: [`Watchdog::supervised`] reads its
+//! elapsed time when it returns and fails the job fast if the deadline has
+//! passed. Supervision never changes committed bytes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
@@ -73,23 +74,41 @@ impl Drop for Watch {
     }
 }
 
+/// What every expiry reports: the `mr.supervise.task_timeout` counter and
+/// a `task_timeout` trace event naming the attempt and the clock.
+#[derive(Clone)]
+struct Expiry {
+    counters: Counters,
+    trace: Option<TraceSink>,
+    job: String,
+}
+
+impl Expiry {
+    fn report(&self, (phase, task, attempt, node): At, reason: ExpireReason) {
+        self.counters.get("mr.supervise.task_timeout").incr();
+        if let Some(sink) = &self.trace {
+            let mut ev = TraceEvent::new(EventKind::TaskTimeout, &self.job)
+                .at_task(phase, task, attempt, node);
+            ev.detail = Some(format!("{reason:?}").to_lowercase());
+            sink.emit(ev);
+        }
+    }
+}
+
 /// A worker whose last heartbeat is older than this many heartbeat
 /// intervals is presumed hung and killed, even before its task deadline.
 const HEARTBEAT_GRACE: u32 = 8;
 
 /// One job's wall-clock supervision, shared by all of its attempts that run
 /// on the host clock: the per-attempt deadline and heartbeat window from
-/// the [`ClusterConfig`], and what every expiry reports (the
-/// `mr.supervise.task_timeout` counter and a `task_timeout` trace event).
+/// the [`ClusterConfig`], and what every expiry reports.
 pub(crate) struct Watchdog {
     deadline: Duration,
     heartbeat_window: Duration,
     /// An in-process attempt overran: no attempt on the driver's threads
     /// starts or is accepted from now on.
     cancelled: AtomicBool,
-    counters: Counters,
-    trace: Option<TraceSink>,
-    job: String,
+    expiry: Expiry,
 }
 
 impl Watchdog {
@@ -105,23 +124,24 @@ impl Watchdog {
             deadline: Duration::from_secs_f64(config.task_timeout_secs?),
             heartbeat_window: config.heartbeat_interval()? * HEARTBEAT_GRACE,
             cancelled: AtomicBool::new(false),
-            counters: counters.clone(),
-            trace: trace.cloned(),
-            job: job.to_string(),
+            expiry: Expiry {
+                counters: counters.clone(),
+                trace: trace.cloned(),
+                job: job.to_string(),
+            },
         })
     }
 
     /// Watch attempt `at` from now. `heartbeats` says whether its executor
-    /// emits them (only worker processes do); `stop` is how to end the
-    /// attempt when the watch fires.
+    /// emits them (worker processes do); `stop` is how to end the attempt
+    /// when the watch fires.
     pub(crate) fn watch(
         &self,
         at: At,
         heartbeats: bool,
         stop: impl FnOnce() + Send + 'static,
     ) -> Watch {
-        let (counters, trace, job) = (self.counters.clone(), self.trace.clone(), self.job.clone());
-        let (phase, task, attempt, node) = at;
+        let expiry = self.expiry.clone();
         let window = heartbeats.then_some(self.heartbeat_window);
         let (beats, heard) = mpsc::channel();
         let mut last = Instant::now();
@@ -129,24 +149,18 @@ impl Watchdog {
         let timer = std::thread::Builder::new().name("mr-watch".into());
         let timer = timer.spawn(move || {
             let reason = loop {
-                let (at, reason) = match window {
+                let (until, reason) = match window {
                     Some(w) if last + w < deadline => (last + w, ExpireReason::Heartbeat),
                     _ => (deadline, ExpireReason::Deadline),
                 };
-                match heard.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                match heard.recv_timeout(until.saturating_duration_since(Instant::now())) {
                     Ok(()) => last = Instant::now(),
                     Err(RecvTimeoutError::Disconnected) => return None,
                     Err(RecvTimeoutError::Timeout) => break reason,
                 }
             };
             stop();
-            counters.get("mr.supervise.task_timeout").incr();
-            if let Some(sink) = &trace {
-                let mut ev = TraceEvent::new(EventKind::TaskTimeout, &job)
-                    .at_task(phase, task, attempt, node);
-                ev.detail = Some(format!("{reason:?}").to_lowercase());
-                sink.emit(ev);
-            }
+            expiry.report(at, reason);
             Some(reason)
         });
         Watch {
@@ -156,12 +170,13 @@ impl Watchdog {
     }
 
     /// Run one in-process attempt under the job's deadline, when it has a
-    /// watchdog (`None` just runs the body). Threads cannot be killed, so a
-    /// fired watch fails the attempt when it returns, whatever it returned,
-    /// and cancels the job's in-process attempts: none starts afterwards,
-    /// and the job fails fast with a classified error instead of committing
-    /// output that arrived past its deadline. A body that never returns is
-    /// not recoverable in-process (that is what worker processes are for).
+    /// watchdog (`None` just runs the body). Threads cannot be killed, so an
+    /// attempt that returns past its deadline is failed, whatever it
+    /// returned, and cancels the job's in-process attempts: none starts
+    /// afterwards, and the job fails fast with a classified error instead
+    /// of committing output that arrived past its deadline. A body that
+    /// never returns is not recoverable in-process (that is what worker
+    /// processes are for).
     pub(crate) fn supervised<O>(
         dog: Option<&Self>,
         at: At,
@@ -169,17 +184,18 @@ impl Watchdog {
     ) -> Result<O> {
         let Some(dog) = dog else { return body() };
         if !dog.cancelled.load(Ordering::Acquire) {
-            let watch = dog.watch(at, false, || {});
+            let start = Instant::now();
             let out = body();
-            if watch.finish().is_none() {
+            if start.elapsed() < dog.deadline {
                 return out;
             }
+            dog.expiry.report(at, ExpireReason::Deadline);
             dog.cancelled.store(true, Ordering::Release);
         }
         Err(MrError::TaskFailed(format!(
             "{}: task wall-clock deadline exceeded (in-process attempts cannot be killed, \
              so the job fails fast)",
-            dog.job
+            dog.expiry.job
         )))
     }
 }
@@ -206,7 +222,7 @@ mod tests {
     }
 
     fn timeouts(dog: &Watchdog) -> u64 {
-        dog.counters.value("mr.supervise.task_timeout")
+        dog.expiry.counters.value("mr.supervise.task_timeout")
     }
 
     /// A `stop` that reports on a channel.
@@ -226,6 +242,30 @@ mod tests {
             assert_eq!(dog(timeout).heartbeat_window, interval * 8, "{timeout} s");
             assert_eq!(dog(timeout).deadline, interval * 20, "{timeout} s");
         }
+    }
+
+    /// An in-process attempt is timed when it returns: one under the
+    /// deadline keeps its result, one past it fails, is counted once and
+    /// cancels every later attempt of the job before it starts.
+    #[test]
+    fn an_in_process_attempt_past_its_deadline_fails_the_rest_of_the_job() {
+        let dog = dog(0.05);
+        let on_time = Watchdog::supervised(Some(&dog), AT, || Ok(7));
+        assert_eq!(on_time.unwrap(), 7);
+        let late = Watchdog::supervised(Some(&dog), AT, || {
+            std::thread::sleep(Duration::from_millis(80));
+            Ok(7)
+        });
+        assert!(matches!(late, Err(MrError::TaskFailed(_))), "{late:?}");
+        let ran = AtomicUsize::new(0);
+        let next = Watchdog::supervised(Some(&dog), AT, || Ok(ran.fetch_add(1, Ordering::SeqCst)));
+        assert!(next.is_err());
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "a cancelled job starts nothing"
+        );
+        assert_eq!(timeouts(&dog), 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use mapreduce::{
-    group_by, partition_by, seq_input, sum_combiner, text_input, ClosureMapper, ClosureReducer,
-    Cluster, ClusterConfig, Emit, IdentityMapper, IdentityReducer, Job, MrError, TaskContext,
+    seq_input, sum_combiner, text_input, ClosureMapper, ClosureReducer, Cluster, ClusterConfig,
+    Emit, IdentityMapper, IdentityReducer, Job, MrError, TaskContext,
 };
 
 mod common;
@@ -126,8 +126,7 @@ fn secondary_sort_streams_values_in_key_order() {
     );
     let job = Job::new("secondary-sort", mapper, reducer)
         .inputs(seq_splits(cluster.dfs(), "/in", records, 7))
-        .partitioner(partition_by(|k: &(u32, u32)| k.0))
-        .group_eq(group_by(|k: &(u32, u32)| k.0))
+        .group_on(|k: &(u32, u32)| k.0)
         .output_seq("/groups");
     let m = cluster.run(job).unwrap();
     assert_eq!(m.reduce_input_groups, 5, "one group per group id");

@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use mapreduce::{
-    natural_sort, text_input, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Codec, Dfs,
-    Emit, Job, JobManifest, ManifestCheck, MergeStream, Run, SpaceSaving, TaskContext,
+    natural_sort, stable_hash, text_input, ClosureMapper, ClosureReducer, Cluster, ClusterConfig,
+    Codec, Dfs, Emit, IdentityMapper, Job, JobManifest, ManifestCheck, MergeStream, Run,
+    SpaceSaving, TaskContext,
 };
 
 mod common;
@@ -262,6 +263,46 @@ proptest! {
             out
         };
         prop_assert_eq!(run(1), run(splits));
+    }
+
+    /// Secondary sort on one projection: a `group_on(|k| k.0)` job hands
+    /// each projection's keys to one reducer, the one `stable_hash(&k.0) %
+    /// n` names, in one reduce call that sees them in key order.
+    #[test]
+    fn group_on_keeps_a_projection_on_the_reducer_its_hash_names(
+        keys in prop::collection::vec((0u32..12, any::<u32>()), 1..80),
+        reducers in 1usize..9,
+    ) {
+        /// One reduce call: the reducer that made it and the keys it saw.
+        type Call = (u32, Vec<(u32, u32)>);
+        let cluster = Cluster::new(ClusterConfig::with_nodes(2), 1024).unwrap();
+        let records: Vec<((u32, u32), ())> = keys.iter().map(|&k| (k, ())).collect();
+        let reducer = ClosureReducer::new(
+            |key: &(u32, u32),
+             vs: &mut dyn Iterator<Item = ((u32, u32), ())>,
+             out: &mut dyn Emit<u32, Call>,
+             ctx: &TaskContext| {
+                out.emit(key.0, (ctx.task_id as u32, vs.map(|(k, _)| k).collect()))
+            },
+        );
+        let job = Job::new("group-on", IdentityMapper::<(u32, u32), ()>::new(), reducer)
+            .inputs(seq_splits(cluster.dfs(), "/keys", records, 3))
+            .reducers(reducers)
+            .group_on(|k: &(u32, u32)| k.0)
+            .output_seq("/groups");
+        cluster.run(job).unwrap();
+        let calls: Vec<(u32, Call)> = cluster.dfs().read_seq("/groups").unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for (group, (reducer, got)) in calls {
+            prop_assert!(seen.insert(group), "group {} reached two reduce calls", group);
+            let n = reducers as u64;
+            prop_assert_eq!(u64::from(reducer), stable_hash(&group) % n);
+            let mut want: Vec<(u32, u32)> = keys.iter().copied().filter(|k| k.0 == group).collect();
+            want.sort();
+            prop_assert_eq!(got, want);
+        }
+        let groups: std::collections::BTreeSet<u32> = keys.iter().map(|k| k.0).collect();
+        prop_assert_eq!(seen, groups);
     }
 }
 

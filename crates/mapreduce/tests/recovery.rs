@@ -161,10 +161,9 @@ fn mid_job_crash_leaves_parts_but_no_manifest() {
 #[test]
 fn a_job_syncs_its_parts_in_one_wave_at_its_commit() {
     const PARTS: usize = 5;
-    let run = |faults: Option<FaultPlan>, durable_commits: bool| {
+    let run = |faults: Option<FaultPlan>| {
         let config = ClusterConfig {
             faults,
-            durable_commits,
             backend: BackendKind::from_env(),
             ..ClusterConfig::with_nodes(2)
         };
@@ -176,7 +175,7 @@ fn a_job_syncs_its_parts_in_one_wave_at_its_commit() {
         let syncs = c.dfs().syncs() - before;
         (c, result, syncs)
     };
-    let (durable, result, syncs) = run(None, true);
+    let (durable, result, syncs) = run(None);
     result.unwrap();
     assert_eq!(syncs, PARTS as u64 + 3);
     let manifest = JobManifest::read(durable.dfs(), "/out").unwrap().unwrap();
@@ -186,20 +185,11 @@ fn a_job_syncs_its_parts_in_one_wave_at_its_commit() {
         ManifestCheck::Valid
     );
 
-    let (relaxed, result, syncs) = run(None, false);
-    result.unwrap();
-    assert_eq!(syncs, 0, "--durable-commits no syncs nothing, as before");
-    assert_eq!(
-        JobManifest::read(relaxed.dfs(), "/out").unwrap(),
-        Some(manifest.clone()),
-        "same parts, same lengths, same checksums"
-    );
-
     let crash = FaultPlan {
         crash_mid: Some(0),
         ..FaultPlan::default()
     };
-    let (crashed, result, syncs) = run(Some(crash), true);
+    let (crashed, result, syncs) = run(Some(crash));
     assert!(result.unwrap_err().is_driver_crash());
     assert_eq!(syncs, 0, "no attempt syncs; the wave never ran");
     assert_eq!(crashed.dfs().data_files("/out").len(), PARTS);
