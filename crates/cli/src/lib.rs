@@ -121,19 +121,15 @@ recovery (selfjoin/rsjoin):
 observability (selfjoin/rsjoin):
   --trace-out FILE    write the execution trace: one JSONL span event per
                       task attempt for a .jsonl FILE, else Chrome
-                      trace_event JSON loadable in Perfetto/about:tracing;
-                      one \"profile\" event per job carries its phase
-                      profile as JSON
+                      trace_event JSON loadable in Perfetto/about:tracing
   --metrics-json FILE write the schema-versioned machine-readable run
-                      report (fuzzyjoin.run-report v1)
-  --report yes        print the detailed per-job report (histogram
-                      percentiles, hot keys, fault statistics) and the
-                      per-job phase profile: wall time split into
-                      setup/spawn/map/regroup/reduce/commit/finalize
-                      windows plus busy attribution (map-exec, spill,
-                      shuffle transport, regroup, merge, reduce-exec) —
-                      measured on every backend, merged back from worker
-                      processes
+                      report (fuzzyjoin.run-report v1): per stage and job,
+                      modelled and wall time, task, record and shuffle
+                      volumes, locality, histogram percentiles, hot keys,
+                      fault statistics and the phase profile (wall time
+                      split into setup/spawn/map/regroup/reduce/commit/
+                      finalize windows plus busy attribution) — measured
+                      on every backend, merged back from worker processes
 ";
 
 /// Hidden worker entry for `--backend process`: when this binary was
@@ -241,7 +237,6 @@ const JOIN_FLAGS: &[&str] = &[
     "bad-records",
     "trace-out",
     "metrics-json",
-    "report",
 ];
 
 /// Parse the fault-injection flags: `--fault-plan` gives the rates (and
@@ -399,11 +394,13 @@ fn backend_flag(args: &Args) -> Result<BackendKind, String> {
     }
 }
 
-fn resume_flag(args: &Args) -> Result<bool, String> {
-    match args.get("resume") {
+/// A switch flag (`--full`, `--resume`): absent is off, `yes` is on, and
+/// any other value is refused.
+fn yes_flag(args: &Args, name: &str) -> Result<bool, String> {
+    match args.get(name) {
         None => Ok(false),
         Some("yes") => Ok(true),
-        Some(other) => Err(format!("bad --resume {other:?} (expected yes)")),
+        Some(other) => Err(format!("bad --{name} {other:?} (expected yes)")),
     }
 }
 
@@ -455,7 +452,8 @@ fn cmd_selfjoin(args: &Args) -> Result<String, String> {
     let out = args.require("out")?;
     let (config, nodes) = join_config(args)?;
 
-    let resume = resume_flag(args)?;
+    let resume = yes_flag(args, "resume")?;
+    let full = yes_flag(args, "full")?;
     let mut cluster = make_cluster(nodes, args)?;
     let sink = attach_trace(&mut cluster, args);
     let n = load_file(&cluster, input, "/input")?;
@@ -467,7 +465,7 @@ fn cmd_selfjoin(args: &Args) -> Result<String, String> {
         }
     };
     let (outcome, recovery_note) = drive_join(&mut cluster, resume, sink.as_ref(), &join)?;
-    let written = write_results(&cluster, &outcome, out, args.get("full").is_some())?;
+    let written = write_results(&cluster, &outcome, out, full)?;
     let mut s = summary(
         &format!("self-join of {n} records from {input}"),
         &config,
@@ -490,7 +488,8 @@ fn cmd_rsjoin(args: &Args) -> Result<String, String> {
     let out = args.require("out")?;
     let (config, nodes) = join_config(args)?;
 
-    let resume = resume_flag(args)?;
+    let resume = yes_flag(args, "resume")?;
+    let full = yes_flag(args, "full")?;
     let mut cluster = make_cluster(nodes, args)?;
     let sink = attach_trace(&mut cluster, args);
     let nr = load_file(&cluster, r, "/r")?;
@@ -503,7 +502,7 @@ fn cmd_rsjoin(args: &Args) -> Result<String, String> {
         }
     };
     let (outcome, recovery_note) = drive_join(&mut cluster, resume, sink.as_ref(), &join)?;
-    let written = write_results(&cluster, &outcome, out, args.get("full").is_some())?;
+    let written = write_results(&cluster, &outcome, out, full)?;
     let mut text = summary(
         &format!("R-S join of {nr} x {ns} records from {r} and {s}"),
         &config,
@@ -528,9 +527,9 @@ fn attach_trace(cluster: &mut Cluster, args: &Args) -> Option<TraceSink> {
     })
 }
 
-/// Write `--trace-out` / `--metrics-json` files and append the `--report`
-/// text after the join completed. Trace and report emission happen outside
-/// the measured task windows, so they never affect simulated times.
+/// Write the `--trace-out` / `--metrics-json` files after the join
+/// completed. Trace and report emission happen outside the measured task
+/// windows, so they never affect simulated times.
 fn emit_observability(
     cluster: &Cluster,
     args: &Args,
@@ -552,15 +551,6 @@ fn emit_observability(
         let report = run_report_resolved(cluster, outcome, config).map_err(|e| e.to_string())?;
         fs::write(path, report.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(text, "run report written to {path}");
-    }
-    if args.get("report").is_some() {
-        text.push('\n');
-        text.push_str(&outcome.report());
-        text.push_str("\nphase profile (wall windows + busy attribution):\n");
-        for job in outcome.all_jobs() {
-            let profile = mapreduce::JobProfile::from_metrics(job);
-            text.push_str(&profile.render(&job.name, job.wall_secs));
-        }
     }
     Ok(())
 }
@@ -830,6 +820,9 @@ mod tests {
             ("--task-timeout-secs 0", "bad --task-timeout-secs: "),
             // A deadline past what the host's clock can hold.
             ("--task-timeout-secs 1e20", "bad --task-timeout-secs: "),
+            // A switch is `yes` or absent; no other value turns it on or off.
+            ("--full no", "bad --full \"no\" (expected yes)"),
+            ("--full 1", "bad --full \"1\" (expected yes)"),
         ] {
             let err = run(&argv(&format!("selfjoin --input none --out b {flags}"))).unwrap_err();
             assert!(err.starts_with(message), "{flags}: {err}");
@@ -1081,28 +1074,12 @@ mod more_tests {
         assert!(err.contains("bad --resume"), "{err}");
     }
 
+    /// The run report (`--metrics-json`) is the one summary a join writes:
+    /// there is no text report to ask for.
     #[test]
     fn report_prints_phase_attribution_and_keeps_output_identical() {
-        let corpus = tmp("pf.tsv");
-        run(&argv(&format!(
-            "gen --kind dblp --records 200 --seed 13 --out {corpus}"
-        )))
-        .unwrap();
-        let run_with = |extra: &str, out: &str| {
-            let msg = run(&argv(&format!(
-                "selfjoin --input {corpus} --out {out} --threshold 0.8 --nodes 2 \
-                 --backend sharded {extra}"
-            )))
-            .unwrap();
-            (msg, fs::read_to_string(out).unwrap())
-        };
-        let (plain_msg, plain) = run_with("", &tmp("pf-plain.tsv"));
-        assert!(!plain_msg.contains("phase profile"), "{plain_msg}");
-        let (msg, reported) = run_with("--report yes", &tmp("pf-prof.tsv"));
-        assert_eq!(reported, plain, "reporting must not change the pairs");
-        assert!(msg.contains("phase profile"), "{msg}");
-        assert!(msg.contains("wall attributed"), "{msg}");
-        assert!(msg.contains("map "), "{msg}");
+        let err = run(&argv("selfjoin --input a --out b --report yes")).unwrap_err();
+        assert_eq!(err, "unknown flag --report");
     }
 
     #[test]

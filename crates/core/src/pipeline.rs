@@ -1,8 +1,6 @@
 //! End-to-end join drivers: the paper's three stages chained together.
 
-use std::fmt;
-
-use mapreduce::{Cluster, JobMetrics, PipelineMetrics, Result, HIST_REDUCE_GROUP_RECORDS};
+use mapreduce::{Cluster, PipelineMetrics, Result};
 
 use crate::config::{JoinConfig, BAD_RECORDS_COUNTER};
 use crate::keys::Relations;
@@ -129,146 +127,6 @@ impl JoinOutcome {
             (l + launched, w + won, k + killed)
         })
     }
-
-    /// A multi-line human-readable report of the join execution: one row per
-    /// MapReduce job with modelled time, shuffle volume, and task counts,
-    /// plus stage totals.
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for (stage, metrics) in [
-            ("1", &self.stage1),
-            ("2", &self.stage2),
-            ("3", &self.stage3),
-        ] {
-            for job in &metrics.jobs {
-                let _ = writeln!(s, "{}", JobText(job));
-            }
-            let _ = writeln!(
-                s,
-                "  stage {stage} total: {:.3}s simulated, {:.3}s wall",
-                model::sim_secs(metrics),
-                metrics.wall_secs()
-            );
-        }
-        let _ = writeln!(
-            s,
-            "end-to-end: {:.3}s simulated, {:.3}s wall, {} bytes shuffled",
-            self.sim_secs(),
-            self.wall_secs(),
-            self.shuffle_bytes()
-        );
-        // What exactness saved: meetings of two records that a reducer left
-        // to the pair's owner (counted by the PK kernel), and records stage
-        // 3 kept out of its shuffle because no pair names them.
-        let sum = |stage: &PipelineMetrics, name: &str| -> u64 {
-            stage.jobs.iter().map(|j| j.counter(name)).sum()
-        };
-        let _ = writeln!(
-            s,
-            "exact dataflow: stage 2 emitted {} pairs, left {} first touches to their owner \
-             (stage2.funnel.unowned); stage 3 shuffled {} participating records, filtered {} \
-             (stage3.participants, stage3.records_filtered)",
-            sum(&self.stage2, "stage2.pairs_emitted"),
-            sum(&self.stage2, "stage2.funnel.unowned"),
-            sum(&self.stage3, "stage3.participants"),
-            sum(&self.stage3, "stage3.records_filtered"),
-        );
-        let (launched, won, killed) = self.speculative();
-        if self.task_retries() + self.output_aborts() + launched > 0 {
-            let _ = writeln!(
-                s,
-                "faults: {} retries, {} commits, {} aborts, speculative {launched} launched/{won} won/{killed} killed",
-                self.task_retries(),
-                self.output_commits(),
-                self.output_aborts(),
-            );
-        }
-        s
-    }
-}
-
-/// One job's rows of [`JoinOutcome::report`]: what it ran beside what the
-/// modelled cluster made of it.
-struct JobText<'a>(&'a JobMetrics);
-
-impl fmt::Display for JobText<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (job, model) = (self.0, model::job(self.0));
-        let (launched, won, killed) = model.speculative();
-        writeln!(
-            f,
-            "job {:<28} sim {:>8.3}s  wall {:>8.3}s",
-            job.name, model.sim_secs, job.wall_secs
-        )?;
-        writeln!(
-            f,
-            "  map    tasks {:>5}  in {:>10} rec  out {:>10} rec  makespan {:>8.3}s (skew {:.2}, {} local/{} remote)",
-            job.map.tasks,
-            job.map_input_records,
-            job.map_output_records,
-            model.map.makespan,
-            job.map.skew(),
-            model.map.local_tasks,
-            model.map.remote_tasks,
-        )?;
-        writeln!(
-            f,
-            "  shuffle {:>12} bytes  {:>10} rec  {} spills  transfer {:>7.3}s",
-            job.shuffle_bytes, job.shuffle_records, job.spills, model.transfer_secs
-        )?;
-        write!(
-            f,
-            "  reduce tasks {:>5}  groups {:>9}  in {:>10} rec  out {:>9} rec  makespan {:>8.3}s (skew {:.2}, {} merge passes, {} retries)",
-            job.reduce.tasks,
-            job.reduce_input_groups,
-            job.reduce_input_records,
-            job.reduce_output_records,
-            model.reduce.makespan,
-            job.reduce.skew(),
-            job.merge_passes,
-            job.task_retries,
-        )?;
-        if job.task_retries + launched + job.output_aborts > 0 {
-            write!(
-                f,
-                "\n  faults retries {:>3} (backoff {:>6.1}s)  speculative {} launched/{} won/{} killed  commits {} aborts {}",
-                job.task_retries,
-                model.backoff_secs,
-                launched,
-                won,
-                killed,
-                job.output_commits,
-                job.output_aborts,
-            )?;
-        }
-        if job.scavenged_attempt_files > 0 {
-            write!(
-                f,
-                "\n  recovery scavenged {} orphaned attempt file(s)",
-                job.scavenged_attempt_files,
-            )?;
-        }
-        if let Some(h) = job.histogram(HIST_REDUCE_GROUP_RECORDS) {
-            if !h.is_empty() {
-                write!(
-                    f,
-                    "\n  groups per-group records p50 {:.0}  p95 {:.0}  p99 {:.0}  max {:.0}",
-                    h.percentile(50.0),
-                    h.percentile(95.0),
-                    h.percentile(99.0),
-                    h.max,
-                )?;
-            }
-        }
-        if !job.reduce_key_heavy_hitters.is_empty() {
-            write!(f, "\n  hot keys")?;
-            for (label, count) in job.reduce_key_heavy_hitters.iter().take(5) {
-                write!(f, "  {label}={count}")?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Run an end-to-end **self-join** of the records at `input`.
@@ -392,64 +250,4 @@ pub fn read_rid_pairs(cluster: &Cluster, ridpairs_path: &str) -> Result<Vec<(u64
     }
     pairs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     Ok(pairs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A job as the engine reports one on a one-node cluster.
-    fn job(name: &str) -> JobMetrics {
-        JobMetrics {
-            name: name.into(),
-            nodes: 1,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn display_contains_key_fields() {
-        let m = job("stage2-kernel");
-        let s = JobText(&m).to_string();
-        assert!(s.contains("stage2-kernel"));
-        assert!(s.contains("shuffle"));
-    }
-
-    #[test]
-    fn display_shows_heavy_hitters_and_group_percentiles() {
-        let group_hist = mapreduce::Histogram::new();
-        for n in [1u64, 2, 3, 100] {
-            group_hist.record_count(n);
-        }
-        let m = JobMetrics {
-            histograms: vec![(HIST_REDUCE_GROUP_RECORDS.to_string(), group_hist.snapshot())],
-            reduce_key_heavy_hitters: vec![("rank:0".into(), 100), ("rank:7".into(), 3)],
-            ..job("stage2-bk")
-        };
-        let s = JobText(&m).to_string();
-        assert!(s.contains("hot keys"), "{s}");
-        assert!(s.contains("rank:0=100"), "{s}");
-        assert!(s.contains("p95"), "{s}");
-    }
-
-    #[test]
-    fn pipeline_display_lists_jobs_and_totals() {
-        let stage = |m: JobMetrics| PipelineMetrics { jobs: vec![m] };
-        let outcome = JoinOutcome {
-            stage1: stage(JobMetrics {
-                shuffle_bytes: 10,
-                ..job("stage1-a")
-            }),
-            stage2: stage(JobMetrics {
-                shuffle_bytes: 30,
-                ..job("stage2-b")
-            }),
-            ..Default::default()
-        };
-        let s = outcome.report();
-        assert!(s.contains("stage1-a"), "{s}");
-        assert!(s.contains("stage2-b"), "{s}");
-        assert!(s.contains("stage 2 total"), "{s}");
-        assert!(s.contains("40 bytes"), "{s}");
-    }
 }

@@ -4,8 +4,9 @@
 //! per-stage, per-job modelled/wall time ([`crate::model`]), shuffle
 //! volume, task and fault statistics, user counters, histogram percentiles,
 //! and the reduce-key heavy hitters (with `rank:N` labels resolved back to
-//! the actual prefix token via the stage-1 token list). It is what `--report`/`--metrics-json`
-//! print and what the bench harness embeds in `BENCH_*.json` files.
+//! the actual prefix token via the stage-1 token list). It is the one
+//! summary a join writes: what `--metrics-json` prints and what the bench
+//! harness embeds in `BENCH_*.json` files.
 //!
 //! # Schema compatibility
 //!
@@ -78,6 +79,9 @@ fn job_json(job: &JobMetrics, tokens: Option<&[String]>) -> Json {
             ("total_task_secs", Json::Num(p.total_task_secs)),
             ("max_task_secs", Json::Num(p.max_task_secs)),
             ("makespan_secs", Json::Num(schedule.makespan)),
+            // Additive (no `v` bump): the model's data locality.
+            ("local_tasks", num(schedule.local_tasks)),
+            ("remote_tasks", num(schedule.remote_tasks)),
             ("wall_secs", Json::Num(wall_us as f64 / 1e6)),
             ("skew", Json::Num(p.skew())),
         ])
@@ -122,6 +126,15 @@ fn job_json(job: &JobMetrics, tokens: Option<&[String]>) -> Json {
         ),
         ("reduce_input_groups", num(job.reduce_input_groups)),
         ("reduce_output_records", num(job.reduce_output_records)),
+        // Additive (no `v` bump): the record path's volumes and the model's
+        // shuffle transfer time.
+        ("map_input_records", num(job.map_input_records)),
+        ("map_output_records", num(job.map_output_records)),
+        ("spills", num(job.spills)),
+        ("merge_passes", num(job.merge_passes)),
+        ("reduce_input_records", num(job.reduce_input_records)),
+        ("scavenged_attempt_files", num(job.scavenged_attempt_files)),
+        ("transfer_secs", Json::Num(model.transfer_secs)),
         ("task_retries", num(job.task_retries)),
         ("backoff_secs", Json::Num(model.backoff_secs)),
         ("speculative", speculative_json(model.speculative())),
@@ -455,6 +468,76 @@ mod tests {
         assert!(profile.get("wall_us").is_some());
         assert!(profile.get("busy_us").is_some());
         assert!(profile.get("coverage").and_then(Json::as_f64).is_some());
+    }
+
+    /// The record-path volumes, the model's locality and its transfer time
+    /// are copied, not recomputed: each field reads what it names.
+    #[test]
+    fn job_objects_copy_record_volumes_locality_and_transfer() {
+        use mapreduce::{Phase, TaskRecord};
+        // Twelve map tasks whose blocks all sit on node 0 of two: more than
+        // its slots, so some read remotely. One reduce task behind a transfer.
+        let map = |task| TaskRecord {
+            phase: Phase::Map,
+            task,
+            attempt: 0,
+            node: 0,
+            node_hint: Some(0),
+            input_bytes: 4096,
+            secs: 1.0,
+            straggle: 1.0,
+        };
+        let reduce = TaskRecord {
+            phase: Phase::Reduce,
+            node_hint: None,
+            input_bytes: 125_000_000,
+            ..map(0)
+        };
+        let job = JobMetrics {
+            name: "stage1-bto-count".into(),
+            nodes: 2,
+            tasks: (0..12).map(map).chain([reduce]).collect(),
+            map_input_records: 11,
+            map_output_records: 12,
+            spills: 13,
+            merge_passes: 14,
+            reduce_input_records: 15,
+            scavenged_attempt_files: 16,
+            ..Default::default()
+        };
+        let model = model::job(&job);
+        assert!(model.map.local_tasks > 0 && model.map.remote_tasks > 0);
+        assert!(model.transfer_secs > 0.0);
+        let mut outcome = outcome_with_hitters();
+        outcome.stage1.push(job.clone());
+        let report = run_report(&outcome, &JoinConfig::recommended(), None);
+        let reported = &report.get("stages").and_then(Json::as_arr).unwrap()[0]
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .unwrap()[0];
+        let count = |name: &str| reported.get(name).and_then(Json::as_u64);
+        assert_eq!(count("map_input_records"), Some(job.map_input_records));
+        assert_eq!(count("map_output_records"), Some(job.map_output_records));
+        assert_eq!(count("spills"), Some(job.spills));
+        assert_eq!(count("merge_passes"), Some(job.merge_passes));
+        assert_eq!(
+            count("reduce_input_records"),
+            Some(job.reduce_input_records)
+        );
+        assert_eq!(
+            count("scavenged_attempt_files"),
+            Some(job.scavenged_attempt_files)
+        );
+        assert_eq!(
+            reported.get("transfer_secs").and_then(Json::as_f64),
+            Some(model.transfer_secs)
+        );
+        for (phase, schedule) in [("map", &model.map), ("reduce", &model.reduce)] {
+            let phase = reported.get(phase).unwrap();
+            let tasks = |name: &str| phase.get(name).and_then(Json::as_u64);
+            assert_eq!(tasks("local_tasks"), Some(schedule.local_tasks));
+            assert_eq!(tasks("remote_tasks"), Some(schedule.remote_tasks));
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use fuzzyjoin::{
     read_joined, read_rid_pairs, rs_join, self_join, Cluster, ClusterConfig, JoinConfig,
     Stage1Algo, Stage2Algo, Stage3Algo, Threshold, TokenRouting,
 };
+use mapreduce::Json;
 use setsim::{naive, TokenOrder, Tokenizer, WordTokenizer};
 
 fn cluster(nodes: usize) -> Cluster {
@@ -709,18 +710,32 @@ fn report_lists_all_jobs() {
     let lines = corpus(3, 60);
     let c = cluster(2);
     c.dfs().write_text("/records", &lines).unwrap();
-    let outcome = self_join(&c, "/records", "/work", &JoinConfig::recommended()).unwrap();
-    let report = outcome.report();
-    for job in [
-        "stage1-bto-count",
-        "stage1-bto-sort",
-        "stage2-pk",
-        "stage3-brj-fill",
-        "stage3-brj-assemble",
-    ] {
-        assert!(report.contains(job), "missing {job} in report:\n{report}");
-    }
-    assert!(report.contains("end-to-end:"));
+    let config = JoinConfig::recommended();
+    let outcome = self_join(&c, "/records", "/work", &config).unwrap();
+    let report = fuzzyjoin::run_report(&outcome, &config, None);
+    let stages = report.get("stages").and_then(Json::as_arr).unwrap();
+    let jobs: Vec<Vec<&str>> = stages
+        .iter()
+        .map(|stage| {
+            let jobs = stage.get("jobs").and_then(Json::as_arr).unwrap();
+            jobs.iter()
+                .map(|job| job.get("name").and_then(Json::as_str).unwrap())
+                .collect()
+        })
+        .collect();
+    assert_eq!(
+        jobs,
+        [
+            vec!["stage1-bto-count", "stage1-bto-sort"],
+            vec!["stage2-pk"],
+            vec!["stage3-brj-fill", "stage3-brj-assemble"],
+        ]
+    );
+    let totals = report.get("totals").unwrap();
+    assert_eq!(
+        totals.get("shuffle_bytes").and_then(Json::as_u64),
+        Some(outcome.shuffle_bytes())
+    );
 }
 
 #[test]

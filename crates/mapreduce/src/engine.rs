@@ -22,7 +22,7 @@ use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics, TaskRecord};
 use crate::partitioner::{natural_sort, Grouping};
-use crate::profile::{self, JobProfile};
+use crate::profile;
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
 use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Run, MERGE_FACTOR};
@@ -384,12 +384,6 @@ impl Cluster {
             e.dur_us = Some((metrics.wall_secs * 1e6) as u64);
             e.bytes = Some(shuffle_bytes);
             e.records = Some(shuffle_records);
-            t.emit(e);
-            let prof = JobProfile::from_metrics(&metrics);
-            let mut e = TraceEvent::new(EventKind::Profile, &metrics.name);
-            e.dur_us = Some((prof.covered_secs() * 1e6) as u64);
-            e.bytes = Some(prof.busy_shuffle_transport_bytes);
-            e.detail = Some(prof.to_json(metrics.wall_secs).to_string());
             t.emit(e);
         }
         metrics

@@ -24,9 +24,9 @@
 //!   *where* a wall window went rather than partitioning it.
 //!
 //! Collection is always on — the instrumentation is a handful of
-//! `Instant::elapsed` calls per *attempt*, not per record — and every job
-//! of a cluster with a [`TraceSink`](crate::TraceSink) attached emits one
-//! derived `profile` event carrying [`JobProfile`]'s JSON.
+//! `Instant::elapsed` calls per *attempt*, not per record — and a job's
+//! [`JobProfile`] is read back from its counters wherever it is wanted (the
+//! run report embeds one per job).
 
 use crate::json::{obj, Json};
 use crate::metrics::JobMetrics;
@@ -216,36 +216,6 @@ impl JobProfile {
             ("coverage", Json::Num(self.coverage(wall_secs))),
         ])
     }
-
-    /// One-job human-readable rendering, e.g. for the CLI's `--report` output.
-    pub fn render(&self, job: &str, wall_secs: f64) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "  {job}: {:.1}% of {wall_secs:.3}s wall attributed",
-            100.0 * self.coverage(wall_secs)
-        );
-        let _ = write!(s, "    wall:");
-        for (name, us) in self.wall_phases() {
-            if us > 0 {
-                let _ = write!(s, " {name} {:.3}s", us as f64 / 1e6);
-            }
-        }
-        let _ = writeln!(s);
-        let _ = write!(s, "    busy:");
-        for (name, us) in self.busy_phases() {
-            if us > 0 {
-                let _ = write!(s, " {name} {:.3}s", us as f64 / 1e6);
-            }
-        }
-        let _ = writeln!(
-            s,
-            " | spill {} B, transport {} B",
-            self.busy_spill_bytes, self.busy_shuffle_transport_bytes
-        );
-        s
-    }
 }
 
 /// Convert a `std::time::Duration`-style seconds value into the integer
@@ -298,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_render_mention_every_phase() {
+    fn json_mentions_every_phase() {
         let m = metrics_with(vec![
             (WALL_MAP_US.into(), 100),
             (BUSY_SHUFFLE_TRANSPORT_BYTES.into(), 7),
@@ -308,9 +278,7 @@ mod tests {
         for key in ["wall_us", "busy_us", "bytes", "covered_secs", "coverage"] {
             assert!(json.contains(key), "{json}");
         }
-        let text = p.render("job", 1.0);
-        assert!(text.contains("wall:"), "{text}");
-        assert!(text.contains("transport 7 B"), "{text}");
+        assert!(json.contains("\"shuffle_transport\":7"), "{json}");
         assert!(!p.is_empty());
         assert!(JobProfile::default().is_empty());
     }

@@ -1149,7 +1149,7 @@ impl<'a> ProcessTransport<'a> {
         let (phase, task_id, attempt, node) = at;
         let watch = self.watchdog.map(|dog| {
             let child = w.kill_handle();
-            dog.watch(at, true, move || {
+            dog.watch(at, move || {
                 let _ = child.lock().kill();
             })
         });

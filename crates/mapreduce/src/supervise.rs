@@ -132,26 +132,22 @@ impl Watchdog {
         })
     }
 
-    /// Watch attempt `at` from now. `heartbeats` says whether its executor
-    /// emits them (worker processes do); `stop` is how to end the attempt
-    /// when the watch fires.
-    pub(crate) fn watch(
-        &self,
-        at: At,
-        heartbeats: bool,
-        stop: impl FnOnce() + Send + 'static,
-    ) -> Watch {
+    /// Watch attempt `at` from now: its executor heartbeats through
+    /// [`Watch::touch`], and `stop` is how to end the attempt when the
+    /// watch fires.
+    pub(crate) fn watch(&self, at: At, stop: impl FnOnce() + Send + 'static) -> Watch {
         let expiry = self.expiry.clone();
-        let window = heartbeats.then_some(self.heartbeat_window);
+        let window = self.heartbeat_window;
         let (beats, heard) = mpsc::channel();
         let mut last = Instant::now();
         let deadline = last + self.deadline;
         let timer = std::thread::Builder::new().name("mr-watch".into());
         let timer = timer.spawn(move || {
             let reason = loop {
-                let (until, reason) = match window {
-                    Some(w) if last + w < deadline => (last + w, ExpireReason::Heartbeat),
-                    _ => (deadline, ExpireReason::Deadline),
+                let (until, reason) = if last + window < deadline {
+                    (last + window, ExpireReason::Heartbeat)
+                } else {
+                    (deadline, ExpireReason::Deadline)
                 };
                 match heard.recv_timeout(until.saturating_duration_since(Instant::now())) {
                     Ok(()) => last = Instant::now(),
@@ -270,10 +266,16 @@ mod tests {
 
     #[test]
     fn deadline_expiry_fires_exactly_once() {
-        let dog = dog(0.03);
+        // A 120 ms heartbeat window under a 300 ms deadline.
+        let dog = dog(0.3);
         let (stop, stopped) = signal();
-        let watch = dog.watch(AT, false, stop);
-        stopped.recv_timeout(Duration::from_secs(5)).unwrap();
+        let start = Instant::now();
+        let watch = dog.watch(AT, stop);
+        // Beat well inside the window until the deadline fires.
+        while stopped.recv_timeout(Duration::from_millis(10)).is_err() {
+            assert!(start.elapsed() < Duration::from_secs(5), "never fired");
+            watch.touch();
+        }
         assert_eq!(watch.finish(), Some(ExpireReason::Deadline));
         // The timer has returned; nothing fires again.
         assert!(stopped.recv_timeout(Duration::from_millis(100)).is_err());
@@ -286,7 +288,7 @@ mod tests {
         let dog = dog(2.0);
         let (stop, stopped) = signal();
         let start = Instant::now();
-        let watch = dog.watch(AT, true, stop);
+        let watch = dog.watch(AT, stop);
         // Touch often enough to stay inside the window, for longer than
         // one window…
         while start.elapsed() < Duration::from_secs(1) {
@@ -307,7 +309,7 @@ mod tests {
     fn finishing_before_the_deadline_means_stop_never_runs() {
         let dog = dog(0.06);
         let (stop, stopped) = signal();
-        assert_eq!(dog.watch(AT, false, stop).finish(), None);
+        assert_eq!(dog.watch(AT, stop).finish(), None);
         let late = stopped.recv_timeout(Duration::from_millis(200));
         assert!(late.is_err(), "a finished watch fired anyway");
         assert_eq!(timeouts(&dog), 0);
@@ -320,11 +322,12 @@ mod tests {
     fn a_watch_fires_exactly_when_finish_says_so() {
         let (mut fired, mut quiet) = (0, 0);
         for round in 0..240u32 {
-            // Deadlines from 0.5 to 2 ms around a 1.2 ms body.
-            let dog = dog(f64::from(5 + round % 16) * 1e-4);
+            // Heartbeat windows (0.4 × the deadline) from 0.5 to 2 ms
+            // around a 1.2 ms body that never beats.
+            let dog = dog(f64::from(5 + round % 16) * 1e-4 / 0.4);
             let stops = Arc::new(AtomicUsize::new(0));
             let counted = Arc::clone(&stops);
-            let watch = dog.watch(AT, false, move || {
+            let watch = dog.watch(AT, move || {
                 counted.fetch_add(1, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_micros(1_200));

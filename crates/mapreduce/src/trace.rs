@@ -80,15 +80,11 @@ pub enum EventKind {
     /// inside the quarantine window and was removed from rotation
     /// (`detail` carries the loss count).
     Quarantine,
-    /// A job's per-phase profile (`detail` carries the
-    /// [`crate::JobProfile`] JSON). Emitted once per job, after `JobEnd`,
-    /// whenever a trace sink is attached.
-    Profile,
 }
 
 /// Every kind beside its stable wire name: the one table
 /// [`EventKind::as_str`] and [`EventKind::parse`] read.
-const EVENT_KINDS: [(EventKind, &str); 13] = [
+const EVENT_KINDS: [(EventKind, &str); 12] = [
     (EventKind::JobStart, "job_start"),
     (EventKind::JobEnd, "job_end"),
     (EventKind::TaskStart, "task_start"),
@@ -101,7 +97,6 @@ const EVENT_KINDS: [(EventKind, &str); 13] = [
     (EventKind::ChecksumFail, "checksum_fail"),
     (EventKind::TaskTimeout, "task_timeout"),
     (EventKind::Quarantine, "quarantine"),
-    (EventKind::Profile, "profile"),
 ];
 
 /// The name `table` gives `value`; every value is listed.
@@ -188,7 +183,7 @@ pub struct TraceEvent {
     pub bytes: Option<u64>,
     /// Records processed.
     pub records: Option<u64>,
-    /// Free-form detail (warning text, profile JSON, …).
+    /// Free-form detail (warning text, timeout clock, …).
     pub detail: Option<String>,
 }
 

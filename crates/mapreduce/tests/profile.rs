@@ -1,5 +1,5 @@
 //! Per-phase profiling: wall-window coverage, output neutrality, and the
-//! profile trace event of every traced job.
+//! profile each job's metrics carry back from a run.
 //!
 //! The profiler rides the ordinary counter channel, so it must hold on
 //! every backend — on the process backend these closure-built jobs, which
@@ -7,8 +7,8 @@
 //! Real out-of-process counter merging is covered by `tests/process.rs`.
 
 use mapreduce::{
-    text_input, BackendKind, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Emit,
-    EventKind, Job, JobMetrics, JobProfile, TaskContext, TraceEvent, TraceSink,
+    text_input, BackendKind, ClosureMapper, ClosureReducer, Cluster, ClusterConfig, Emit, Job,
+    JobMetrics, JobProfile, TaskContext, TraceSink,
 };
 
 fn corpus(records: usize) -> Vec<String> {
@@ -136,11 +136,9 @@ fn tracing_never_changes_committed_output() {
     }
 }
 
-/// The profile events of two traced jobs on one cluster.
-fn profile_events() -> Vec<TraceEvent> {
-    let mut cluster = Cluster::new(config(BackendKind::Sharded), 256).unwrap();
-    let sink = TraceSink::new();
-    cluster.set_trace(sink.clone());
+/// The metrics of two untraced jobs run back to back on one cluster.
+fn two_jobs() -> Vec<JobMetrics> {
+    let cluster = Cluster::new(config(BackendKind::Sharded), 256).unwrap();
     // The caller asserts coverage, hence the long jobs.
     cluster.dfs().write_text("/in", corpus(LONG)).unwrap();
     let mapper = ClosureMapper::new(
@@ -154,34 +152,33 @@ fn profile_events() -> Vec<TraceEvent> {
          out: &mut dyn Emit<String, u64>,
          _: &TaskContext| out.emit(k.clone(), vs.count() as u64),
     );
-    for name in ["first", "second"] {
-        let job = Job::new(name, mapper.clone(), reducer.clone())
-            .inputs(text_input(cluster.dfs(), "/in").unwrap())
-            .output_seq(format!("/out-{name}"));
-        cluster.run(job).unwrap();
-    }
-    sink.events()
-        .iter()
-        .filter(|e| e.kind == EventKind::Profile)
-        .cloned()
-        .collect()
+    ["first", "second"]
+        .map(|name| {
+            let job = Job::new(name, mapper.clone(), reducer.clone())
+                .inputs(text_input(cluster.dfs(), "/in").unwrap())
+                .output_seq(format!("/out-{name}"));
+            cluster.run(job).unwrap()
+        })
+        .into()
 }
 
+/// Every job's metrics carry its own profile, with no trace sink needed to
+/// read it: the windows cover each job's wall.
 #[test]
 fn one_profile_event_per_traced_job() {
     let _alone = timed();
-    let events = profile_events();
-    let jobs: Vec<&str> = events.iter().map(|e| e.job.as_str()).collect();
-    assert_eq!(
-        jobs,
-        ["first", "second"],
-        "exactly one profile event per job"
-    );
-    for event in &events {
-        let detail = event.detail.as_deref().expect("profile detail json");
-        let json = mapreduce::Json::parse(detail).expect("detail parses as json");
-        let coverage = json.get("coverage").and_then(|c| c.as_f64()).unwrap();
-        assert!(coverage >= 0.95, "traced coverage {coverage:.3} below 95%");
+    let jobs = two_jobs();
+    let names: Vec<&str> = jobs.iter().map(|m| m.name.as_str()).collect();
+    assert_eq!(names, ["first", "second"]);
+    for metrics in &jobs {
+        let profile = JobProfile::from_metrics(metrics);
+        let coverage = profile.coverage(metrics.wall_secs);
+        assert!(
+            coverage >= 0.95,
+            "{}: coverage {coverage:.3} below 95%",
+            metrics.name
+        );
+        let json = profile.to_json(metrics.wall_secs);
         assert!(json.get("wall_us").is_some());
         assert!(json.get("busy_us").is_some());
     }
