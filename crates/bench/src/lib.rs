@@ -303,7 +303,7 @@ mod tests {
             report.get("schema").and_then(Json::as_str),
             Some("fuzzyjoin.run-report")
         );
-        assert_eq!(report.get("v").and_then(Json::as_u64), Some(1));
+        assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
         let bench = report.get("bench").unwrap();
         assert_eq!(bench.get("kind").and_then(Json::as_str), Some("selfjoin"));
         assert_eq!(bench.get("nodes").and_then(Json::as_u64), Some(3));

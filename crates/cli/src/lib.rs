@@ -21,10 +21,9 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 
 use args::Args;
 use fuzzyjoin::{
-    read_joined, rs_join, rs_join_resume, run_report_resolved, self_join, self_join_resume,
-    BadRecordPolicy, Cluster, ClusterConfig, FaultPlan, JoinConfig, JoinOutcome, RecordFormat,
-    SimFunction, SkewConfig, SkewMode, Stage1Algo, Stage2Algo, Stage3Algo, Threshold, TokenRouting,
-    TokenizerKind,
+    read_joined, rs_join, run_report_resolved, self_join, BadRecordPolicy, Cluster, ClusterConfig,
+    FaultPlan, JoinConfig, JoinOutcome, RecordFormat, SimFunction, SkewConfig, SkewMode,
+    Stage1Algo, Stage2Algo, Stage3Algo, Threshold, TokenRouting, TokenizerKind,
 };
 use mapreduce::{BackendKind, TraceSink};
 
@@ -58,17 +57,22 @@ fault injection (chaos testing; results are unaffected by design):
                      slow_heartbeat=P (worker suppresses heartbeats but keeps
                      working — exercises the heartbeat detector)
                      (--fault-seed overrides the plan's seed); driver-level
-                     points: crash_after=N / crash_mid=N (crash around the
-                     N-th job; pair with --resume yes) and corrupt=/dfs/path
-                     (flip a bit in a committed file; the CRC layer must
-                     catch it on the next read)
+                     points: crash_after=N / crash_mid=N (the driver dies
+                     after, or mid, job N, counted from 0 over the jobs it
+                     runs: exit 1, driver crashed; relaunch over the same
+                     --dfs-root to resume. A relaunch counts only the jobs
+                     it runs, not those it skips, so the same plan crashes
+                     it again further on) and
+                     corrupt=/dfs/path (flip a bit in a committed file; the
+                     CRC layer catches it on the next read and the join
+                     fails)
                      storage faults, on every backend:
                      enospc=N (disk full after N bytes; enospc=N+heal lets a
                      scavenger pass reset the budget), eio=P (seeded
                      read/write/rename I/O errors, retried as transient) and
                      torn=P (a write persists only a prefix; the CRC wall
-                     catches it on read and --resume yes re-runs the
-                     producing stage)
+                     catches it on read, and a relaunch over the same
+                     --dfs-root re-runs the producing stage)
 
 execution (selfjoin/rsjoin):
   --backend KIND  simulated (default): the deterministic in-process
@@ -82,9 +86,9 @@ execution (selfjoin/rsjoin):
                   closure-built jobs, which tests alone make). Join
                   output is byte-identical in every case.
   --dfs-root DIR  keep the DFS at DIR (created if missing and persistent
-                  across runs, which is what lets a killed driver
-                  --resume); without it every backend uses a self-cleaning
-                  temporary directory (under /dev/shm where there is one)
+                  across runs); without it every backend uses a
+                  self-cleaning temporary directory (under /dev/shm where
+                  there is one)
 
 skew handling (selfjoin/rsjoin):
   --skew adaptive     sample the input before stage 2 and split hot routing
@@ -109,11 +113,11 @@ supervision (wall-clock watchdog for the real backends):
                               hung and killed before its deadline
 
 recovery (selfjoin/rsjoin):
-  --resume yes          after an injected driver crash or a detected
-                        checksum failure, resume over the surviving DFS:
-                        each job's _SUCCESS manifest (input fingerprint +
-                        per-part checksums) is validated and only missing
-                        or invalid stages are re-run
+  every join resumes over what its --dfs-root holds: a job whose _SUCCESS
+  manifest (input fingerprint + per-part checksums) validates is skipped,
+  and every other job re-runs into its cleared output directory, so a
+  join relaunched after a crash, a kill or a detected corruption writes
+  the pairs an uninterrupted join writes
   --bad-records POLICY  malformed input lines: strict (default, fail the
                         job), skip (count and continue), or skip:N (skip at
                         most N per job, then fail)
@@ -123,7 +127,7 @@ observability (selfjoin/rsjoin):
                       task attempt for a .jsonl FILE, else Chrome
                       trace_event JSON loadable in Perfetto/about:tracing
   --metrics-json FILE write the schema-versioned machine-readable run
-                      report (fuzzyjoin.run-report v1): per stage and job,
+                      report (fuzzyjoin.run-report v2): per stage and job,
                       modelled and wall time, task, record and shuffle
                       volumes, locality, histogram percentiles, hot keys,
                       fault statistics and the phase profile (wall time
@@ -233,7 +237,6 @@ const JOIN_FLAGS: &[&str] = &[
     "skew",
     "skew-split-max",
     "skew-hot-threshold",
-    "resume",
     "bad-records",
     "trace-out",
     "metrics-json",
@@ -394,55 +397,13 @@ fn backend_flag(args: &Args) -> Result<BackendKind, String> {
     }
 }
 
-/// A switch flag (`--full`, `--resume`): absent is off, `yes` is on, and
-/// any other value is refused.
+/// A switch flag (`--full`): absent is off, `yes` is on, and any other
+/// value is refused.
 fn yes_flag(args: &Args, name: &str) -> Result<bool, String> {
     match args.get(name) {
         None => Ok(false),
         Some("yes") => Ok(true),
         Some(other) => Err(format!("bad --{name} {other:?} (expected yes)")),
-    }
-}
-
-/// Run the join; with `--resume yes`, an injected driver crash or a
-/// detected checksum failure is survived by rebuilding the driver over the
-/// *same* DFS — crash points and the one-shot corruption cleared from the
-/// fault plan — and resuming, so committed stages are validated against
-/// their manifests, intact ones skipped, and the corrupted producer re-run.
-fn drive_join(
-    cluster: &mut Cluster,
-    resume: bool,
-    sink: Option<&TraceSink>,
-    join: &dyn Fn(&Cluster, bool) -> fuzzyjoin::Result<JoinOutcome>,
-) -> Result<(JoinOutcome, Option<&'static str>), String> {
-    match join(cluster, resume) {
-        Ok(outcome) => Ok((outcome, None)),
-        Err(e) if resume && (e.is_driver_crash() || e.is_checksum_mismatch()) => {
-            let note = if e.is_driver_crash() {
-                "driver crash injected; resumed over the surviving DFS\n"
-            } else {
-                "corruption detected on read; resumed, re-running the producing stage\n"
-            };
-            let mut faults = cluster.config().faults.clone();
-            if let Some(p) = faults.as_mut() {
-                p.crash_after = None;
-                p.crash_mid = None;
-                p.corrupt_path = None;
-            }
-            let config = ClusterConfig {
-                faults,
-                ..cluster.config().clone()
-            };
-            let mut fresh =
-                Cluster::with_dfs(config, cluster.dfs().clone()).map_err(|e| e.to_string())?;
-            if let Some(sink) = sink {
-                fresh.set_trace(sink.clone());
-            }
-            *cluster = fresh;
-            let outcome = join(cluster, true).map_err(|e| format!("resume failed: {e}"))?;
-            Ok((outcome, Some(note)))
-        }
-        Err(e) => Err(format!("join failed: {e}")),
     }
 }
 
@@ -452,19 +413,12 @@ fn cmd_selfjoin(args: &Args) -> Result<String, String> {
     let out = args.require("out")?;
     let (config, nodes) = join_config(args)?;
 
-    let resume = yes_flag(args, "resume")?;
     let full = yes_flag(args, "full")?;
     let mut cluster = make_cluster(nodes, args)?;
     let sink = attach_trace(&mut cluster, args);
     let n = load_file(&cluster, input, "/input")?;
-    let join = |cluster: &Cluster, resume: bool| {
-        if resume {
-            self_join_resume(cluster, "/input", "/work", &config)
-        } else {
-            self_join(cluster, "/input", "/work", &config)
-        }
-    };
-    let (outcome, recovery_note) = drive_join(&mut cluster, resume, sink.as_ref(), &join)?;
+    let outcome =
+        self_join(&cluster, "/input", "/work", &config).map_err(|e| format!("join failed: {e}"))?;
     let written = write_results(&cluster, &outcome, out, full)?;
     let mut s = summary(
         &format!("self-join of {n} records from {input}"),
@@ -474,9 +428,6 @@ fn cmd_selfjoin(args: &Args) -> Result<String, String> {
         written,
         out,
     );
-    if let Some(note) = recovery_note {
-        s.push_str(note);
-    }
     emit_observability(&cluster, args, &outcome, &config, sink.as_ref(), &mut s)?;
     Ok(s)
 }
@@ -488,20 +439,13 @@ fn cmd_rsjoin(args: &Args) -> Result<String, String> {
     let out = args.require("out")?;
     let (config, nodes) = join_config(args)?;
 
-    let resume = yes_flag(args, "resume")?;
     let full = yes_flag(args, "full")?;
     let mut cluster = make_cluster(nodes, args)?;
     let sink = attach_trace(&mut cluster, args);
     let nr = load_file(&cluster, r, "/r")?;
     let ns = load_file(&cluster, s, "/s")?;
-    let join = |cluster: &Cluster, resume: bool| {
-        if resume {
-            rs_join_resume(cluster, "/r", "/s", "/work", &config)
-        } else {
-            rs_join(cluster, "/r", "/s", "/work", &config)
-        }
-    };
-    let (outcome, recovery_note) = drive_join(&mut cluster, resume, sink.as_ref(), &join)?;
+    let outcome =
+        rs_join(&cluster, "/r", "/s", "/work", &config).map_err(|e| format!("join failed: {e}"))?;
     let written = write_results(&cluster, &outcome, out, full)?;
     let mut text = summary(
         &format!("R-S join of {nr} x {ns} records from {r} and {s}"),
@@ -511,9 +455,6 @@ fn cmd_rsjoin(args: &Args) -> Result<String, String> {
         written,
         out,
     );
-    if let Some(note) = recovery_note {
-        text.push_str(note);
-    }
     emit_observability(&cluster, args, &outcome, &config, sink.as_ref(), &mut text)?;
     Ok(text)
 }
@@ -593,7 +534,7 @@ fn make_cluster(nodes: usize, args: &Args) -> Result<Cluster, String> {
 fn load_file(cluster: &Cluster, path: &str, dfs_path: &str) -> Result<usize, String> {
     let file = fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     // A persistent --dfs-root carries the previous run's input across
-    // drivers (the --resume path after a kill). Reload it: identical bytes
+    // drivers (a relaunch after a crash or a kill). Reload it: identical bytes
     // produce identical block CRCs, so manifest fingerprints stay valid
     // and committed stages still skip.
     if cluster.dfs().exists(dfs_path) {
@@ -696,12 +637,13 @@ fn summary(
             outcome.output_aborts(),
         );
     }
-    if outcome.recovery.resume {
+    let rec = &outcome.recovery;
+    if !(rec.jobs_skipped.is_empty() && rec.jobs_rerun.is_empty()) {
         let _ = writeln!(
             s,
             "resume: {} job(s) skipped (committed output reused), {} re-run",
-            outcome.recovery.jobs_skipped.len(),
-            outcome.recovery.jobs_rerun.len(),
+            rec.jobs_skipped.len(),
+            rec.jobs_rerun.len(),
         );
     }
     let bad = outcome.bad_records_skipped();
@@ -952,6 +894,13 @@ mod more_tests {
         assert!(err.contains("bad --fault-seed"), "{err}");
     }
 
+    /// A fresh `--dfs-root` under the test directory.
+    fn dfs_root(name: &str) -> String {
+        let root = tmp(name);
+        let _ = fs::remove_dir_all(&root);
+        root
+    }
+
     #[test]
     fn resume_after_injected_driver_crash_matches_clean_run() {
         let corpus = tmp("rz.tsv");
@@ -966,34 +915,28 @@ mod more_tests {
         .unwrap();
         let clean = fs::read_to_string(&clean_out).unwrap();
 
-        // Without --resume, the injected crash is a clean error.
-        let err = run(&argv(&format!(
-            "selfjoin --input {corpus} --out {} --threshold 0.8 --nodes 3 \
-             --fault-plan crash_after=1",
-            tmp("rz-crash.tsv")
-        )))
-        .unwrap_err();
-        assert!(err.contains("driver crashed"), "{err}");
-
-        // With --resume, both crash kinds recover to identical output and
-        // the committed jobs are reused, not re-run.
-        for (plan, out_name) in [
-            ("crash_after=1", "rz-after.tsv"),
-            ("crash_mid=2", "rz-mid.tsv"),
-        ] {
-            let out = tmp(out_name);
-            let msg = run(&argv(&format!(
-                "selfjoin --input {corpus} --out {out} --threshold 0.8 --nodes 3 \
-                 --fault-plan {plan} --resume yes"
-            )))
-            .unwrap();
-            assert!(msg.contains("driver crash injected"), "{msg}");
+        // The injected crash ends the driver; the next launch over the same
+        // --dfs-root recovers to identical output, and the committed jobs
+        // are reused, not re-run.
+        for (plan, name) in [("crash_after=1", "rz-after"), ("crash_mid=2", "rz-mid")] {
+            let root = dfs_root(&format!("{name}-dfs"));
+            let out = tmp(&format!("{name}.tsv"));
+            let join = |extra: &str| {
+                run(&argv(&format!(
+                    "selfjoin --input {corpus} --out {out} --threshold 0.8 --nodes 3 \
+                     --dfs-root {root} {extra}"
+                )))
+            };
+            let err = join(&format!("--fault-plan {plan}")).unwrap_err();
+            assert!(err.contains("driver crashed"), "{err}");
+            let msg = join("").unwrap();
             assert!(msg.contains("resume:"), "{msg}");
             assert_eq!(
                 fs::read_to_string(&out).unwrap(),
                 clean,
                 "resumed run must match the clean run ({plan})"
             );
+            fs::remove_dir_all(&root).unwrap();
         }
     }
 
@@ -1011,27 +954,55 @@ mod more_tests {
         .unwrap();
         let clean = fs::read_to_string(&clean_out).unwrap();
 
-        // Without --resume, the flipped bit is a classified checksum error,
-        // never silently wrong pairs.
-        let err = run(&argv(&format!(
-            "selfjoin --input {corpus} --out {} --threshold 0.8 --nodes 3 \
-             --fault-plan corrupt=/work/tokens/part-00000",
-            tmp("cz-fail.tsv")
-        )))
-        .unwrap_err();
+        let root = dfs_root("cz-dfs");
+        let out = tmp("cz-heal.tsv");
+        let join = |extra: &str| {
+            run(&argv(&format!(
+                "selfjoin --input {corpus} --out {out} --threshold 0.8 --nodes 3 \
+                 --dfs-root {root} {extra}"
+            )))
+        };
+        // The flipped bit is a classified checksum error, never silently
+        // wrong pairs.
+        let err = join("--fault-plan corrupt=/work/tokens/part-00000").unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
 
-        // With --resume, the invalid manifest forces the producing stage to
-        // re-run and the output matches the clean run.
-        let out = tmp("cz-heal.tsv");
-        let msg = run(&argv(&format!(
-            "selfjoin --input {corpus} --out {out} --threshold 0.8 --nodes 3 \
-             --fault-plan corrupt=/work/tokens/part-00000 --resume yes"
-        )))
-        .unwrap();
-        assert!(msg.contains("corruption detected on read"), "{msg}");
+        // The next launch finds the manifest invalid, re-runs the producing
+        // stage, and the output matches the clean run.
+        let msg = join("").unwrap();
         assert!(msg.contains("resume:"), "{msg}");
         assert_eq!(fs::read_to_string(&out).unwrap(), clean);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A join over the store a 10-node join left behind, on 2 nodes, writes
+    /// what a 2-node join over an empty store writes. No job's output
+    /// depends on the node count, so every committed job is reused.
+    #[test]
+    fn a_join_on_fewer_nodes_over_a_kept_dfs_root_matches_a_fresh_one() {
+        let corpus = tmp("nz.tsv");
+        run(&argv(&format!(
+            "gen --kind dblp --records 200 --seed 11 --out {corpus}"
+        )))
+        .unwrap();
+        let join = |nodes: usize, root: &str, out: &str| {
+            run(&argv(&format!(
+                "selfjoin --input {corpus} --out {out} --threshold 0.8 --nodes {nodes} \
+                 --dfs-root {root}"
+            )))
+        };
+        let (kept, fresh) = (dfs_root("nz-kept-dfs"), dfs_root("nz-fresh-dfs"));
+        join(10, &kept, &tmp("nz-10.tsv")).unwrap();
+        let msg = join(2, &kept, &tmp("nz-2-kept.tsv")).unwrap();
+        assert!(msg.contains("resume: 5 job(s) skipped"), "{msg}");
+        join(2, &fresh, &tmp("nz-2-fresh.tsv")).unwrap();
+        assert_eq!(
+            fs::read(tmp("nz-2-kept.tsv")).unwrap(),
+            fs::read(tmp("nz-2-fresh.tsv")).unwrap()
+        );
+        for root in [kept, fresh] {
+            fs::remove_dir_all(root).unwrap();
+        }
     }
 
     #[test]
@@ -1070,8 +1041,9 @@ mod more_tests {
         // Bad flag values are clean errors.
         let err = run(&argv("selfjoin --input a --out b --bad-records lenient")).unwrap_err();
         assert!(err.contains("bad --bad-records"), "{err}");
-        let err = run(&argv("selfjoin --input a --out b --resume maybe")).unwrap_err();
-        assert!(err.contains("bad --resume"), "{err}");
+        // Every join resumes: there is no mode to ask for.
+        let err = run(&argv("selfjoin --input a --out b --resume yes")).unwrap_err();
+        assert_eq!(err, "unknown flag --resume");
     }
 
     /// The run report (`--metrics-json`) is the one summary a join writes:

@@ -89,8 +89,6 @@ fn spawn_join(corpus: &Path, out: &Path, root: &Path, backend: &str, plan: Optio
         .arg(backend)
         .arg("--dfs-root")
         .arg(root)
-        .arg("--resume")
-        .arg("yes")
         .stdout(Stdio::null())
         .stderr(Stdio::null());
     if let Some(plan) = plan {
@@ -251,8 +249,8 @@ fn kill_anywhere_enospc_heal() {
 
 /// The window the sync wave opens: a driver that dies with a job's last
 /// part renamed and nothing of it synced — no wave, no manifest. For each of
-/// the join's five jobs, one driver (no `--resume`, so the injected
-/// `crash_mid` ends the process) leaves exactly that behind, and a fresh
+/// the join's five jobs, one driver (the injected `crash_mid` ends the
+/// process) leaves exactly that behind, and a fresh
 /// driver over the surviving store discards the directory and re-runs the
 /// job to the reference bytes.
 #[test]

@@ -82,7 +82,7 @@ fn selfjoin_emits_trace_metrics_and_report() {
         report.get("schema").and_then(Json::as_str),
         Some("fuzzyjoin.run-report")
     );
-    assert_eq!(report.get("v").and_then(Json::as_u64), Some(1));
+    assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
     let stages = report.get("stages").and_then(Json::as_arr).unwrap();
     assert_eq!(stages.len(), 3);
     let mut report_jobs = Vec::new();
@@ -322,7 +322,7 @@ fn rsjoin_supports_observability_flags() {
     .unwrap();
     assert!(msg.contains("run report written"), "{msg}");
     let report = Json::parse(&fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert_eq!(report.get("v").and_then(Json::as_u64), Some(1));
+    assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
     let jobs: Vec<&str> = report
         .get("stages")
         .and_then(Json::as_arr)

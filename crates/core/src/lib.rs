@@ -41,14 +41,11 @@ pub use config::{
     TokenizerKind, BAD_RECORDS_COUNTER,
 };
 pub use keys::{owner_key, routing_groups, Projection, Relations, Stage2Key};
-pub use pipeline::{
-    read_joined, read_rid_pairs, rs_join, rs_join_resume, self_join, self_join_resume, JoinOutcome,
-    RecoverySummary,
-};
+pub use pipeline::{read_rid_pairs, rs_join, self_join, JoinOutcome};
 pub use recovery::{job_fingerprint, Recovery, JOB_SKIPPED_COUNTER};
 pub use report::{run_report, run_report_resolved, REPORT_SCHEMA, REPORT_SCHEMA_VERSION};
 pub use skew::{build_plan as build_skew_plan, SkewConfig, SkewMode, SkewPlan};
-pub use stage3::{JoinedPair, PairKey};
+pub use stage3::{read_joined, JoinedPair, PairKey};
 
 /// Register the worker-side factory of every job this crate runs — all
 /// ten: three of stage 1, the four stage-2 kernels, three of stage 3. A

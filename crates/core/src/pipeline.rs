@@ -6,34 +6,7 @@ use crate::config::{JoinConfig, BAD_RECORDS_COUNTER};
 use crate::keys::Relations;
 use crate::model;
 use crate::recovery::Recovery;
-use crate::stage3::{JoinedPair, PairKey};
 use crate::{stage1, stage2, stage3};
-
-/// What a resumed run decided: jobs skipped (committed output reused), jobs
-/// re-run (with the reason their output was not reusable), and detected
-/// checksum failures. Empty/default for non-resume runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoverySummary {
-    /// Whether this run was started in resume mode.
-    pub resume: bool,
-    /// Jobs skipped because their commit manifest validated.
-    pub jobs_skipped: Vec<String>,
-    /// Jobs re-run, as `name: reason` strings.
-    pub jobs_rerun: Vec<String>,
-    /// Committed files whose checksum no longer matched their bytes.
-    pub checksum_failures: u64,
-}
-
-impl From<Recovery> for RecoverySummary {
-    fn from(rec: Recovery) -> Self {
-        RecoverySummary {
-            resume: rec.is_resume(),
-            jobs_skipped: rec.jobs_skipped,
-            jobs_rerun: rec.jobs_rerun,
-            checksum_failures: rec.checksum_failures,
-        }
-    }
-}
 
 /// Result of an end-to-end join: output locations plus per-stage metrics.
 #[derive(Debug, Clone, Default)]
@@ -50,8 +23,10 @@ pub struct JoinOutcome {
     pub stage2: PipelineMetrics,
     /// Metrics of stage 3's job(s).
     pub stage3: PipelineMetrics,
-    /// Resume decisions of this run (default for non-resume runs).
-    pub recovery: RecoverySummary,
+    /// What this run decided about earlier output in its work directory:
+    /// jobs skipped and re-run, checksum failures (empty when there was
+    /// none).
+    pub recovery: Recovery,
 }
 
 impl JoinOutcome {
@@ -131,8 +106,14 @@ impl JoinOutcome {
 
 /// Run an end-to-end **self-join** of the records at `input`.
 ///
-/// `work` is a scratch DFS directory; stage outputs land under it. Returns
-/// the outcome with all three stages' metrics.
+/// `work` is a DFS directory the stage outputs land under. A join over a
+/// `work` an earlier (possibly crashed) run left behind resumes: each job
+/// whose committed output is still trustworthy — its manifest names the
+/// same inputs by content and the same relevant config, and every part
+/// verifies against its checksum — is skipped, and every other job runs
+/// into its cleared output directory ([`crate::recovery`]). The output is
+/// identical to a join over an empty `work`. Returns the outcome with all
+/// three stages' metrics.
 ///
 /// ```
 /// use fuzzyjoin::{self_join, JoinConfig};
@@ -161,28 +142,13 @@ pub fn self_join(
     work: &str,
     config: &JoinConfig,
 ) -> Result<JoinOutcome> {
-    join_impl(cluster, input, None, work, config, false)
-}
-
-/// [`self_join`] in **resume mode**: given a work directory from a previous
-/// (possibly crashed) run over the same `Dfs`, validate each job's commit
-/// manifest and skip jobs whose committed output is still trustworthy —
-/// same inputs by content, same relevant config, every part verifying
-/// against its checksum. Invalid or missing output is cleared and
-/// re-produced. The final output is identical to an uninterrupted run.
-pub fn self_join_resume(
-    cluster: &Cluster,
-    input: &str,
-    work: &str,
-    config: &JoinConfig,
-) -> Result<JoinOutcome> {
-    join_impl(cluster, input, None, work, config, true)
+    join_impl(cluster, input, None, work, config)
 }
 
 /// Run an end-to-end **R-S join** between the records at `r_input` and
 /// `s_input`. Stage 1 (token ordering) runs on R only, so R should be the
 /// smaller relation, as in the paper; S tokens absent from R's dictionary
-/// are discarded in stage 2.
+/// are discarded in stage 2. Resumes over `work` as [`self_join`] does.
 pub fn rs_join(
     cluster: &Cluster,
     r_input: &str,
@@ -190,18 +156,7 @@ pub fn rs_join(
     work: &str,
     config: &JoinConfig,
 ) -> Result<JoinOutcome> {
-    join_impl(cluster, r_input, Some(s_input), work, config, false)
-}
-
-/// [`rs_join`] in resume mode (see [`self_join_resume`]).
-pub fn rs_join_resume(
-    cluster: &Cluster,
-    r_input: &str,
-    s_input: &str,
-    work: &str,
-    config: &JoinConfig,
-) -> Result<JoinOutcome> {
-    join_impl(cluster, r_input, Some(s_input), work, config, true)
+    join_impl(cluster, r_input, Some(s_input), work, config)
 }
 
 fn join_impl(
@@ -210,13 +165,8 @@ fn join_impl(
     s_input: Option<&str>,
     work: &str,
     config: &JoinConfig,
-    resume: bool,
 ) -> Result<JoinOutcome> {
-    let mut rec = if resume {
-        Recovery::resuming()
-    } else {
-        Recovery::disabled()
-    };
+    let mut rec = Recovery::default();
     let relations = Relations::new(r_input, s_input);
     relations.validate()?;
     let (tokens_path, m1) = stage1::run_with(cluster, r_input, config, work, &mut rec)?;
@@ -231,13 +181,8 @@ fn join_impl(
         stage1: m1,
         stage2: m2,
         stage3: m3,
-        recovery: rec.into(),
+        recovery: rec,
     })
-}
-
-/// Read back the final joined record pairs, sorted by RID pair.
-pub fn read_joined(cluster: &Cluster, joined_path: &str) -> Result<Vec<(PairKey, JoinedPair)>> {
-    stage3::read_joined(cluster, joined_path)
 }
 
 /// Read back the stage-2 RID pairs, sorted (stage 2 writes each pair

@@ -1,14 +1,17 @@
-//! Resume-mode bookkeeping: deciding which pipeline jobs can be skipped.
+//! Recovery bookkeeping: deciding which pipeline jobs can be skipped.
 //!
-//! A resumed join ([`crate::pipeline::self_join_resume`]) walks the same job
-//! sequence as a fresh run, but before launching each job it checks the
-//! output directory's `_SUCCESS` commit manifest ([`mapreduce::JobManifest`]):
-//! if the manifest is present, its fingerprint matches what the driver
+//! Every join ([`crate::pipeline::self_join`], [`crate::pipeline::rs_join`])
+//! resumes: before launching each job the driver checks the output
+//! directory's `_SUCCESS` commit manifest ([`mapreduce::JobManifest`]): if
+//! the manifest is present, its fingerprint matches what the driver
 //! computes *now* (same inputs by content, same relevant config), and every
 //! committed part still verifies against its checksum, the job is skipped
 //! and its committed output reused. Anything else — missing manifest,
-//! changed inputs/config, missing or corrupted parts — invalidates the
-//! directory, which is cleared and re-produced by re-running the job.
+//! changed inputs/config, missing or corrupted parts — re-runs the job,
+//! and the engine clears the directory before the job writes to it. A job
+//! whose directory is empty simply runs, unrecorded, until the join has
+//! found earlier output: a fresh join records nothing, and a resumed one
+//! records every job it did not skip as re-run.
 //!
 //! Fingerprints chain integrity through the pipeline: a job's fingerprint
 //! covers its input files' lengths and CRCs, so if an upstream stage re-ran
@@ -24,19 +27,18 @@ use mapreduce::{
 
 use crate::config::JoinConfig;
 
-/// Counter (in [`JobMetrics::counters`]) marking a job that a resumed run
+/// Counter (in [`JobMetrics::counters`]) marking a job that a join
 /// skipped because its committed output was still valid.
 pub const JOB_SKIPPED_COUNTER: &str = "recovery.job_skipped";
 
-/// Per-run recovery state threaded through the stage drivers.
-#[derive(Debug, Default)]
+/// What a join decided about each job's earlier output, threaded through
+/// the stage drivers: empty for a join over a fresh work directory.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Recovery {
-    resume: bool,
     /// Names of jobs skipped because their committed output was valid.
     pub jobs_skipped: Vec<String>,
-    /// Jobs that had to (re-)run, with the reason their output was not
-    /// reusable (`name: reason`). Jobs run by a non-resume driver are not
-    /// recorded here.
+    /// Jobs that ran again once the join had found earlier output, as
+    /// `name: reason`.
     pub jobs_rerun: Vec<String>,
     /// Committed files whose stored checksum no longer matched their bytes —
     /// detected corruption, never silently reused.
@@ -44,25 +46,6 @@ pub struct Recovery {
 }
 
 impl Recovery {
-    /// Recovery for a fresh (non-resume) run: every job runs, nothing is
-    /// recorded.
-    pub fn disabled() -> Self {
-        Recovery::default()
-    }
-
-    /// Recovery for a resumed run over an existing work directory.
-    pub fn resuming() -> Self {
-        Recovery {
-            resume: true,
-            ..Recovery::default()
-        }
-    }
-
-    /// Whether this is a resumed run.
-    pub fn is_resume(&self) -> bool {
-        self.resume
-    }
-
     /// Skip or run the job `job_name` that writes to `dir`: fingerprint it
     /// over `inputs` and `config_tag` ([`job_fingerprint`]), and either
     /// reuse the committed output, answering with placeholder metrics that
@@ -85,10 +68,11 @@ impl Recovery {
         }
     }
 
-    /// Decide whether the job writing to `dir` can be skipped. Returns
-    /// `true` when its commit manifest validates against `fingerprint`;
-    /// otherwise clears `dir` (stale parts must not survive next to a
-    /// re-run's fresh output) and returns `false`.
+    /// Decide whether the job writing to `dir` can be skipped: `true` when
+    /// its commit manifest validates against `fingerprint`. Otherwise the
+    /// job runs, and the engine clears `dir` before it writes there; it is
+    /// recorded as a re-run unless `dir` is empty and the join has found no
+    /// earlier output yet.
     fn should_skip(
         &mut self,
         cluster: &Cluster,
@@ -96,9 +80,6 @@ impl Recovery {
         dir: &str,
         fingerprint: u64,
     ) -> bool {
-        if !self.resume {
-            return false;
-        }
         let dfs = cluster.dfs();
         let reason = match JobManifest::read(dfs, dir) {
             Ok(Some(manifest)) => {
@@ -117,6 +98,7 @@ impl Recovery {
                 }
                 check.reason()
             }
+            Ok(None) if *self == Recovery::default() && dfs.list(dir).is_empty() => return false,
             Ok(None) => "no commit manifest".to_string(),
             Err(e) => {
                 if matches!(e, MrError::ChecksumMismatch { .. }) {
@@ -125,7 +107,6 @@ impl Recovery {
                 format!("unreadable manifest: {e}")
             }
         };
-        dfs.delete_prefix(dir);
         self.jobs_rerun.push(format!("{job_name}: {reason}"));
         false
     }
@@ -278,40 +259,37 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn disabled_recovery_never_skips_or_records() {
+    fn an_empty_directory_is_neither_skipped_nor_rerun() {
         let c = cluster();
-        c.dfs().write_text("/out/part-00000", ["x"]).unwrap();
-        JobManifest::collect(c.dfs(), "j", 1, "/out")
-            .unwrap()
-            .write(c.dfs(), "/out")
-            .unwrap();
-        let mut rec = Recovery::disabled();
+        let mut rec = Recovery::default();
         assert!(!rec.should_skip(&c, "j", "/out", 1));
-        assert!(rec.jobs_rerun.is_empty(), "non-resume runs record nothing");
-        assert!(
-            c.dfs().exists("/out/part-00000"),
-            "non-resume runs never clear directories"
-        );
+        assert_eq!(rec, Recovery::default(), "a fresh job records nothing");
+        // Once the join has found earlier output, the jobs after it run
+        // again.
+        rec.jobs_skipped.push("i".into());
+        assert!(!rec.should_skip(&c, "j", "/out", 1));
+        assert_eq!(rec.jobs_rerun, ["j: no commit manifest"]);
     }
 
     #[test]
-    fn resume_skips_valid_and_clears_invalid() {
+    fn valid_output_is_skipped_and_invalid_output_rerun() {
         let c = cluster();
         c.dfs().write_text("/out/part-00000", ["x"]).unwrap();
         JobManifest::collect(c.dfs(), "j", 1, "/out")
             .unwrap()
             .write(c.dfs(), "/out")
             .unwrap();
-        let mut rec = Recovery::resuming();
+        let mut rec = Recovery::default();
         assert!(rec.should_skip(&c, "j", "/out", 1));
         assert_eq!(rec.jobs_skipped, vec!["j"]);
-        // Fingerprint mismatch: cleared and re-run.
+        // Fingerprint mismatch: re-run. The engine, not the check, clears
+        // the directory, when the job starts.
         assert!(!rec.should_skip(&c, "j", "/out", 2));
         assert_eq!(rec.jobs_rerun.len(), 1);
         assert!(rec.jobs_rerun[0].contains("fingerprint mismatch"));
-        assert!(c.dfs().list("/out").is_empty(), "invalid output is cleared");
-        // Missing manifest: re-run.
-        c.dfs().write_text("/out/part-00000", ["x"]).unwrap();
+        assert!(c.dfs().exists("/out/part-00000"));
+        // Parts without a manifest: re-run.
+        c.dfs().delete(&mapreduce::success_path("/out")).unwrap();
         assert!(!rec.should_skip(&c, "j", "/out", 1));
         assert!(rec.jobs_rerun[1].contains("no commit manifest"));
         assert_eq!(rec.checksum_failures, 0);
@@ -326,11 +304,10 @@ pub(crate) mod tests {
             .write(c.dfs(), "/out")
             .unwrap();
         c.dfs().corrupt("/out/part-00000").unwrap();
-        let mut rec = Recovery::resuming();
+        let mut rec = Recovery::default();
         assert!(!rec.should_skip(&c, "j", "/out", 1));
         assert_eq!(rec.checksum_failures, 1);
         assert!(rec.jobs_rerun[0].contains("checksum failed"));
-        assert!(c.dfs().list("/out").is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! # Schema compatibility
 //!
 //! Every report carries `"schema": "fuzzyjoin.run-report"` and
-//! `"v": 1`. The compatibility rule: consumers must ignore unknown
+//! `"v": 2`. The compatibility rule: consumers must ignore unknown
 //! fields; [`REPORT_SCHEMA_VERSION`] is bumped only when an existing field
 //! is removed or changes meaning, never for additions.
 
@@ -27,8 +27,9 @@ use crate::pipeline::JoinOutcome;
 pub const REPORT_SCHEMA: &str = "fuzzyjoin.run-report";
 
 /// Current report schema version (the `v` field). Additive changes do not
-/// bump this; removals and meaning changes do.
-pub const REPORT_SCHEMA_VERSION: u64 = 1;
+/// bump this; removals and meaning changes do: 2 dropped
+/// `recovery.resume`, since every join resumes.
+pub const REPORT_SCHEMA_VERSION: u64 = 2;
 
 fn num(v: u64) -> Json {
     Json::Num(v as f64)
@@ -198,9 +199,9 @@ pub fn run_report(outcome: &JoinOutcome, config: &JoinConfig, tokens: Option<&[S
         ("output_aborts", num(outcome.output_aborts())),
         ("speculative", speculative_json(outcome.speculative())),
     ]);
-    // Additive (no `v` bump): resume decisions and data-integrity counters.
+    // What the join decided about earlier output, and data-integrity
+    // counters.
     let recovery = obj(vec![
-        ("resume", Json::Bool(outcome.recovery.resume)),
         (
             "jobs_skipped",
             Json::Arr(
@@ -304,7 +305,7 @@ mod tests {
             report.get("schema").and_then(Json::as_str),
             Some(REPORT_SCHEMA)
         );
-        assert_eq!(report.get("v").and_then(Json::as_u64), Some(1));
+        assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
         let totals = report.get("totals").unwrap();
         assert_eq!(
             totals.get("shuffle_bytes").and_then(Json::as_u64),
@@ -374,7 +375,6 @@ mod tests {
     #[test]
     fn report_has_a_recovery_section() {
         let mut outcome = outcome_with_hitters();
-        outcome.recovery.resume = true;
         outcome.recovery.jobs_skipped = vec!["stage1-bto-count".into()];
         outcome
             .recovery
@@ -383,7 +383,7 @@ mod tests {
         outcome.recovery.checksum_failures = 1;
         let report = run_report(&outcome, &JoinConfig::recommended(), None);
         let rec = report.get("recovery").unwrap();
-        assert_eq!(rec.get("resume"), Some(&Json::Bool(true)));
+        assert_eq!(rec.get("resume"), None, "every join resumes");
         let skipped = rec.get("jobs_skipped").and_then(Json::as_arr).unwrap();
         assert_eq!(skipped[0].as_str(), Some("stage1-bto-count"));
         let rerun = rec.get("jobs_rerun").and_then(Json::as_arr).unwrap();
@@ -414,7 +414,7 @@ mod tests {
             reparsed.get("schema").and_then(Json::as_str),
             Some(REPORT_SCHEMA)
         );
-        assert_eq!(reparsed.get("v").and_then(Json::as_u64), Some(1));
+        assert_eq!(reparsed.get("v").and_then(Json::as_u64), Some(2));
         assert!(reparsed.get("recovery").is_some());
         assert_eq!(
             reparsed
@@ -445,7 +445,7 @@ mod tests {
         // the profiler now surface as `wall_secs` without a `v` bump.
         let outcome = outcome_with_hitters();
         let report = run_report(&outcome, &JoinConfig::recommended(), None);
-        assert_eq!(report.get("v").and_then(Json::as_u64), Some(1));
+        assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
         let jobs = report.get("stages").and_then(Json::as_arr).unwrap()[1]
             .get("jobs")
             .and_then(Json::as_arr)

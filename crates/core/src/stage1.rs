@@ -381,11 +381,12 @@ pub fn run(
     config: &JoinConfig,
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
-    run_with(cluster, input, config, work, &mut Recovery::disabled())
+    run_with(cluster, input, config, work, &mut Recovery::default())
 }
 
-/// [`run`] with resume support: jobs whose commit manifest validates against
-/// the current inputs and config are skipped (see [`crate::recovery`]).
+/// [`run`], recording into `rec`: jobs whose commit manifest validates
+/// against the current inputs and config are skipped (see
+/// [`crate::recovery`]).
 pub(crate) fn run_with(
     cluster: &Cluster,
     input: &str,

@@ -209,7 +209,7 @@ pub fn run_self(
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
     let relations = Relations::new(input, None);
-    let rec = &mut Recovery::disabled();
+    let rec = &mut Recovery::default();
     run_with(cluster, &relations, tokens_path, config, work, rec)
 }
 
@@ -225,12 +225,12 @@ pub fn run_rs(
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
     let relations = Relations::new(r_input, Some(s_input));
-    let rec = &mut Recovery::disabled();
+    let rec = &mut Recovery::default();
     run_with(cluster, &relations, tokens_path, config, work, rec)
 }
 
-/// The stage-2 driver, self-join and R-S alike, with resume support (see
-/// [`crate::recovery`]).
+/// The stage-2 driver, self-join and R-S alike, skipping each job whose
+/// committed output is still valid (see [`crate::recovery`]).
 pub(crate) fn run_with(
     cluster: &Cluster,
     relations: &Relations,

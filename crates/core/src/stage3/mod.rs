@@ -632,7 +632,7 @@ pub fn run_self(
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
     let relations = Relations::new(records, None);
-    let rec = &mut Recovery::disabled();
+    let rec = &mut Recovery::default();
     run_with(cluster, &relations, pairs_path, config, work, rec)
 }
 
@@ -646,12 +646,12 @@ pub fn run_rs(
     work: &str,
 ) -> Result<(String, PipelineMetrics)> {
     let relations = Relations::new(r_records, Some(s_records));
-    let rec = &mut Recovery::disabled();
+    let rec = &mut Recovery::default();
     run_with(cluster, &relations, pairs_path, config, work, rec)
 }
 
-/// The stage-3 driver, self-join and R-S alike, with resume support (see
-/// [`crate::recovery`]).
+/// The stage-3 driver, self-join and R-S alike, skipping each job whose
+/// committed output is still valid (see [`crate::recovery`]).
 pub(crate) fn run_with(
     cluster: &Cluster,
     relations: &Relations,

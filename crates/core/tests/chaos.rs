@@ -277,7 +277,7 @@ fn survive_storm(
     let mut injections = 0u64;
     for n in 0..24u64 {
         let cluster = launch(n);
-        let result = fuzzyjoin::self_join_resume(&cluster, "/records", "/work", config);
+        let result = fuzzyjoin::self_join(&cluster, "/records", "/work", config);
         injections += cluster.dfs().storage_fault_injections();
         match result {
             Ok(outcome) => {

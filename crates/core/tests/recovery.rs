@@ -19,10 +19,11 @@
 use std::sync::Once;
 
 use fuzzyjoin::{
-    read_joined, read_rid_pairs, rs_join, rs_join_resume, self_join, self_join_resume, Cluster,
-    ClusterConfig, FaultPlan, JoinConfig, JoinOutcome, MrError, Threshold, JOB_SKIPPED_COUNTER,
+    read_joined, read_rid_pairs, rs_join, self_join, Cluster, ClusterConfig, FaultPlan, JoinConfig,
+    JoinOutcome, MrError, Recovery, Threshold, JOB_SKIPPED_COUNTER,
 };
 use mapreduce::{EventKind, TraceSink};
+use setsim::oracle;
 
 fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED")
@@ -190,7 +191,7 @@ fn every_crash_point_resumes_bitwise_identical() {
             let mut fresh = resume_cluster(&crashed);
             let sink = TraceSink::new();
             fresh.set_trace(sink.clone());
-            let outcome = self_join_resume(&fresh, "/records", "/work", &config).unwrap();
+            let outcome = self_join(&fresh, "/records", "/work", &config).unwrap();
             assert_eq!(
                 collect(&fresh, &outcome),
                 base_out,
@@ -208,7 +209,6 @@ fn every_crash_point_resumes_bitwise_identical() {
             // A crash *after* job N leaves N+1 committed jobs to skip; a
             // crash *mid* job N leaves N (job N's parts exist but carry no
             // manifest, so they are swept and the job re-runs).
-            assert!(outcome.recovery.resume);
             assert_eq!(
                 outcome.recovery.jobs_skipped.len(),
                 committed,
@@ -255,7 +255,7 @@ fn crash_resume_under_aggressive_chaos_stays_bitwise_identical() {
     assert!(err.is_driver_crash(), "{err:?}");
 
     let fresh = resume_cluster(&crashed);
-    let outcome = self_join_resume(&fresh, "/records", "/work", &config).unwrap();
+    let outcome = self_join(&fresh, "/records", "/work", &config).unwrap();
     assert_eq!(collect(&fresh, &outcome), base_out);
     assert_eq!(outcome.recovery.jobs_skipped.len(), 3);
     assert_eq!(outcome.recovery.jobs_rerun.len(), 2);
@@ -272,12 +272,57 @@ fn resume_over_a_completed_run_skips_every_job() {
     let base_out = collect(&cluster, &base);
 
     let fresh = resume_cluster(&cluster);
-    let resumed = self_join_resume(&fresh, "/records", "/work", &config).unwrap();
+    let resumed = self_join(&fresh, "/records", "/work", &config).unwrap();
     assert_eq!(resumed.recovery.jobs_skipped.len(), 5);
     assert!(resumed.recovery.jobs_rerun.is_empty());
     assert_eq!(resumed.recovery.checksum_failures, 0);
     assert_eq!(skipped_in_metrics(&resumed), 5);
     assert_eq!(collect(&fresh, &resumed), base_out);
+}
+
+/// A join owns its work directory. Over the store of a join on 4 nodes —
+/// finished, or dead in its first job with every count part written and no
+/// manifest — a join on 2 nodes equals the oracle: it reuses what
+/// validates, and the 4-node run's extra parts are never read back.
+#[test]
+fn a_join_on_fewer_nodes_over_a_larger_joins_dfs_equals_the_oracle() {
+    let config = JoinConfig::recommended();
+    let lines = datagen::to_lines(&datagen::dblp(80, 11));
+    let corpus: Vec<(u64, String)> = lines
+        .iter()
+        .map(|l| config.format.parse(l).unwrap())
+        .collect();
+    let expected =
+        oracle::expected_self_join(&*config.tokenizer.build(), &corpus, &config.threshold);
+    assert!(!expected.is_empty(), "vacuous corpus");
+    let on = |nodes, faults| ClusterConfig {
+        faults,
+        backend: mapreduce::BackendKind::from_env(),
+        ..ClusterConfig::with_nodes(nodes)
+    };
+    for crash_mid in [None, Some(0)] {
+        let faults = crash_mid.map(|job| FaultPlan {
+            crash_mid: Some(job),
+            ..FaultPlan::quiet(0)
+        });
+        let four = Cluster::new(on(4, faults), 2048).unwrap();
+        four.dfs().write_text("/records", &lines).unwrap();
+        match self_join(&four, "/records", "/work", &config) {
+            Ok(outcome) => {
+                assert!(crash_mid.is_none());
+                assert_eq!(outcome.recovery, Recovery::default(), "a fresh join");
+            }
+            Err(e) => assert!(crash_mid.is_some() && e.is_driver_crash(), "{e}"),
+        }
+
+        let two = Cluster::with_dfs(on(2, None), four.dfs().clone()).unwrap();
+        let outcome = self_join(&two, "/records", "/work", &config).unwrap();
+        let rows: Vec<oracle::ResultRow> = collect(&two, &outcome).joined;
+        let diff = oracle::diff(&expected, &rows);
+        assert!(diff.is_empty(), "crash_mid {crash_mid:?}: {diff}");
+        let reused = if crash_mid.is_some() { 0 } else { 5 };
+        assert_eq!(outcome.recovery.jobs_skipped.len(), reused);
+    }
 }
 
 /// A config change invalidates exactly the stages whose fingerprint covers
@@ -298,7 +343,7 @@ fn resume_with_a_different_threshold_reruns_the_kernel_only() {
     let clean_out = collect(&probe, &clean);
 
     let fresh = resume_cluster(&cluster);
-    let resumed = self_join_resume(&fresh, "/records", "/work", &tight).unwrap();
+    let resumed = self_join(&fresh, "/records", "/work", &tight).unwrap();
     assert_eq!(collect(&fresh, &resumed), clean_out);
     assert_eq!(
         resumed.recovery.jobs_skipped,
@@ -329,7 +374,7 @@ fn corrupting_the_token_file_reruns_only_its_producer() {
     );
 
     let fresh = resume_cluster(&cluster);
-    let resumed = self_join_resume(&fresh, "/records", "/work", &config).unwrap();
+    let resumed = self_join(&fresh, "/records", "/work", &config).unwrap();
     assert_eq!(collect(&fresh, &resumed), base_out);
     assert!(resumed.recovery.checksum_failures >= 1);
     assert_eq!(
@@ -381,7 +426,7 @@ fn injected_corruption_is_detected_then_recovered_never_silent() {
     assert!(cluster.dfs().data_files("/work/joined").is_empty());
 
     let fresh = resume_cluster(&cluster);
-    let resumed = self_join_resume(&fresh, "/records", "/work", &config).unwrap();
+    let resumed = self_join(&fresh, "/records", "/work", &config).unwrap();
     assert_eq!(
         collect(&fresh, &resumed),
         base_out,
@@ -427,7 +472,7 @@ fn rs_join_crash_resume_is_bitwise_identical() {
     assert!(err.is_driver_crash(), "{err:?}");
 
     let fresh = resume_cluster(&crashed);
-    let outcome = rs_join_resume(&fresh, "/r", "/s", "/work", &config).unwrap();
+    let outcome = rs_join(&fresh, "/r", "/s", "/work", &config).unwrap();
     assert_eq!(collect(&fresh, &outcome), base_out);
     assert_eq!(outcome.recovery.jobs_skipped.len(), 2);
     assert_eq!(outcome.recovery.jobs_rerun.len(), total - 2);
@@ -473,7 +518,7 @@ fn enospc_with_healing_scavenger_resumes_to_completion() {
             ..ClusterConfig::with_nodes(3)
         };
         let cluster = Cluster::with_dfs(cluster_config, dfs.clone()).unwrap();
-        let result = self_join_resume(&cluster, "/records", "/work", &config);
+        let result = self_join(&cluster, "/records", "/work", &config);
         injections += cluster.dfs().storage_fault_injections();
         match result {
             Ok(outcome) => {

@@ -34,9 +34,9 @@ use std::sync::{Arc, Once};
 
 use fuzzyjoin::keys::{owner_key, plain, Member, Ownership, REL_R};
 use fuzzyjoin::{
-    build_skew_plan, read_joined, read_rid_pairs, routing_groups, rs_join, self_join,
-    self_join_resume, Cluster, ClusterConfig, FaultPlan, JoinConfig, JoinOutcome, SkewConfig,
-    SkewPlan, Stage2Algo, Threshold, TokenRouting,
+    build_skew_plan, read_joined, read_rid_pairs, routing_groups, rs_join, self_join, Cluster,
+    ClusterConfig, FaultPlan, JoinConfig, JoinOutcome, SkewConfig, SkewPlan, Stage2Algo, Threshold,
+    TokenRouting,
 };
 use mapreduce::SpaceSaving;
 use proptest::prelude::*;
@@ -340,14 +340,13 @@ fn every_crash_point_resumes_bitwise_identical_with_splitting() {
             assert!(err.is_driver_crash(), "point {point} mid={mid}: {err:?}");
 
             let fresh = resume_cluster(&crashed);
-            let outcome = self_join_resume(&fresh, "/records", "/work", &skewed).unwrap();
+            let outcome = self_join(&fresh, "/records", "/work", &skewed).unwrap();
             assert_eq!(
                 collect(&fresh, &outcome),
                 base_out,
                 "resumed split output diverged (point {point}, mid={mid})"
             );
             let committed = if mid { point } else { point + 1 };
-            assert!(outcome.recovery.resume);
             assert_eq!(
                 outcome.recovery.jobs_skipped.len(),
                 committed,
@@ -384,7 +383,7 @@ fn toggling_skew_invalidates_the_kernel_but_reuses_the_token_order() {
 
     // Same config: every manifest validates, nothing re-runs.
     let fresh = resume_cluster(&cluster);
-    let resumed = self_join_resume(&fresh, "/records", "/work", &skewed).unwrap();
+    let resumed = self_join(&fresh, "/records", "/work", &skewed).unwrap();
     assert_eq!(resumed.recovery.jobs_skipped.len(), 5, "no-op resume");
     assert!(resumed.recovery.jobs_rerun.is_empty());
     assert_eq!(collect(&fresh, &resumed), base_out);
@@ -398,7 +397,7 @@ fn toggling_skew_invalidates_the_kernel_but_reuses_the_token_order() {
     // assemble job's fingerprint revalidates and it is skipped: integrity
     // chains on content, not on what ran. The output cannot change.
     let fresh = resume_cluster(&cluster);
-    let resumed = self_join_resume(&fresh, "/records", "/work", &off).unwrap();
+    let resumed = self_join(&fresh, "/records", "/work", &off).unwrap();
     assert_eq!(
         resumed.recovery.jobs_skipped,
         ["stage1-bto-count", "stage1-bto-sort", "stage3-brj-assemble"],

@@ -17,7 +17,7 @@ use crate::error::{MrError, Result};
 use crate::faults::Fault;
 use crate::job::{Job, Output, TextFormat};
 use crate::kv::{Key, Value};
-use crate::manifest::{success_path, JobManifest};
+use crate::manifest::JobManifest;
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics, TaskRecord};
@@ -165,17 +165,16 @@ impl Cluster {
         ))
     }
 
-    /// Recovery before any task starts: a driver crash can leave
-    /// `_attempt-*` files (uncommitted task output) and a stale `_SUCCESS`
-    /// manifest in the output directory. Both are deleted here, so a stale
-    /// attempt file can never be renamed over fresh output and a stale
-    /// manifest can never vouch for output this run is about to replace.
-    /// Killed or quarantined process workers additionally leak `*.run`
-    /// spill files (and driver temps) under the DFS root; the DFS-level
-    /// scavenger sweeps everything owned by dead pids.
+    /// Recovery before any task starts: the job owns its output directory,
+    /// so all of it goes — `_attempt-*` files a crashed driver left, a stale
+    /// `_SUCCESS` manifest, an earlier run's parts however many reducers it
+    /// had — and the manifest this job commits lists only the parts it
+    /// wrote. Killed or quarantined process workers also leak `*.run` spill
+    /// files (and driver temps) under the DFS root; the DFS-level scavenger
+    /// sweeps everything owned by dead pids. Counts attempt and orphan files.
     fn scavenge(&self, job_name: &str, dir: &str, counters: &Counters) {
         let mut scavenged = self.sweep_attempts(dir);
-        let _ = self.dfs.delete(&success_path(dir));
+        self.dfs.delete_prefix(dir);
         scavenged += self.dfs.scavenge_orphans() as u64;
         if scavenged > 0 {
             counters.get("mr.recovery.scavenged").add(scavenged);

@@ -6,7 +6,7 @@
 //! version, a caller-supplied fingerprint of the job's inputs and relevant
 //! configuration, and the name/length/CRC of every committed `part-*` file.
 //!
-//! A resume-mode driver reads the manifest back and decides whether the
+//! Before each job, a driver reads the manifest back and decides whether the
 //! job's output is still trustworthy: the fingerprint must match what the
 //! driver would compute today, every listed part must exist with the listed
 //! length and CRC, the stored bytes must still verify against that CRC, and

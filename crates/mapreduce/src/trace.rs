@@ -63,8 +63,8 @@ pub enum EventKind {
     /// The job's top reduce key exceeded the configured share of shuffle
     /// records — the operational symptom of a bad token order.
     SkewWarning,
-    /// A resume-mode driver skipped a job because its commit manifest
-    /// validated (`detail` carries the decision context).
+    /// A join skipped a job because its commit manifest validated
+    /// (`detail` carries the decision context).
     ResumeSkip,
     /// Orphaned `_attempt-*` files from a crashed prior run were deleted at
     /// job start (`records` carries how many).
@@ -251,15 +251,16 @@ impl TraceEvent {
         self.to_json().to_string()
     }
 
-    /// Parse one JSONL line back into an event.
-    pub fn from_json_line(line: &str) -> Result<TraceEvent> {
+    /// Parse one JSONL line back into an event, or `None` for a kind this
+    /// version does not know (consumers ignore it: [`TRACE_SCHEMA_VERSION`]).
+    pub fn from_json_line(line: &str) -> Result<Option<TraceEvent>> {
         let v = Json::parse(line)?;
         let bad = |what: &str| crate::error::MrError::Codec(format!("trace event: {what}: {line}"));
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(EventKind::parse)
-            .ok_or_else(|| bad("missing or unknown kind"))?;
+        let kind = match v.get("kind").and_then(Json::as_str).map(EventKind::parse) {
+            Some(Some(kind)) => kind,
+            Some(None) => return Ok(None),
+            None => return Err(bad("missing kind")),
+        };
         let job = v
             .get("job")
             .and_then(Json::as_str)
@@ -276,7 +277,7 @@ impl TraceEvent {
         };
         let num = |name: &str| v.get(name).and_then(Json::as_u64);
         let text = |name: &str| v.get(name).and_then(Json::as_str).map(str::to_string);
-        Ok(TraceEvent {
+        Ok(Some(TraceEvent {
             ts_us: num("ts_us").ok_or_else(|| bad("missing ts_us"))?,
             kind,
             job,
@@ -291,7 +292,7 @@ impl TraceEvent {
             bytes: num("bytes"),
             records: num("records"),
             detail: text("detail"),
-        })
+        }))
     }
 }
 
@@ -366,11 +367,11 @@ impl TraceSink {
         s
     }
 
-    /// Parse a JSONL document produced by [`TraceSink::to_jsonl`].
+    /// Parse a JSONL trace, skipping lines of a kind this version does not know.
     pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>> {
         text.lines()
             .filter(|l| !l.trim().is_empty())
-            .map(TraceEvent::from_json_line)
+            .filter_map(|l| TraceEvent::from_json_line(l).transpose())
             .collect()
     }
 
@@ -712,7 +713,7 @@ mod tests {
     fn event_jsonl_roundtrip_all_fields() {
         let e = full_event();
         let line = e.to_json_line();
-        assert_eq!(TraceEvent::from_json_line(&line).unwrap(), e);
+        assert_eq!(TraceEvent::from_json_line(&line).unwrap(), Some(e));
     }
 
     #[test]
@@ -731,7 +732,10 @@ mod tests {
         // A phase reads back through the name `Phase::as_str` writes.
         for phase in [Phase::Map, Phase::Reduce] {
             let e = TraceEvent::new(EventKind::TaskStart, "j").at_task(phase, 0, 0, 0);
-            assert_eq!(TraceEvent::from_json_line(&e.to_json_line()).unwrap(), e);
+            assert_eq!(
+                TraceEvent::from_json_line(&e.to_json_line()).unwrap(),
+                Some(e)
+            );
         }
         let line = r#"{"v":1,"ts_us":0,"kind":"task_start","job":"j","phase":"merge"}"#;
         assert!(TraceEvent::from_json_line(line).is_err());
@@ -742,7 +746,7 @@ mod tests {
         let e = TraceEvent::new(EventKind::JobStart, "wordcount");
         let line = e.to_json_line();
         let parsed = TraceEvent::from_json_line(&line).unwrap();
-        assert_eq!(parsed, e);
+        assert_eq!(parsed, Some(e));
         assert!(line.contains("\"v\":1"));
     }
 
@@ -755,6 +759,30 @@ mod tests {
         let parsed = TraceSink::parse_jsonl(&sink.to_jsonl()).unwrap();
         assert_eq!(parsed, sink.events());
         assert!(parsed[0].ts_us <= parsed[1].ts_us);
+    }
+
+    /// A kind this version does not know — the `profile` events an earlier
+    /// release wrote — is skipped, not fatal; what is malformed still is.
+    #[test]
+    fn parse_jsonl_skips_kinds_it_does_not_know() {
+        let sink = TraceSink::new();
+        sink.emit(TraceEvent::new(EventKind::JobStart, "j"));
+        sink.emit(TraceEvent::new(EventKind::JobEnd, "j"));
+        let known = sink.to_jsonl();
+        let (first, second) = known.split_once('\n').unwrap();
+        let profile = r#"{"v":1,"ts_us":7,"kind":"profile","job":"j","detail":"map 1.0s"}"#;
+        let mixed = format!("{first}\n{profile}\n{second}");
+        assert_eq!(TraceSink::parse_jsonl(&mixed).unwrap(), sink.events());
+        for bad in [
+            r#"{"v":1,"ts_us":7,"job":"j"}"#,
+            r#"{"v":1,"ts_us":7,"kind":"task_end","job":"j","outcome":"lost"}"#,
+            r#"{"v":1,"ts_us":7,"kind":"profile""#,
+        ] {
+            assert!(
+                TraceSink::parse_jsonl(&format!("{first}\n{bad}\n")).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

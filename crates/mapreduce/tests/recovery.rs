@@ -135,6 +135,37 @@ fn rerun_replaces_a_stale_success_manifest() {
     assert_eq!(back.fingerprint, 0x9999, "manifest must be the fresh one");
 }
 
+/// A job owns its output directory, as a Hadoop job does: an earlier job's
+/// parts — here four, of other words — are gone before this job's two are
+/// written, so neither a read of the directory nor the manifest this job
+/// commits can see them.
+#[test]
+fn a_job_with_fewer_reducers_replaces_every_earlier_part() {
+    let c = cluster(None);
+    let words: Vec<String> = (0..64).map(|i| format!("old{i}")).collect();
+    c.dfs().write_text("/old", &words).unwrap();
+    let old = Job::new("wc-old", wc_mapper(), wc_reducer())
+        .inputs(text_input(c.dfs(), "/old").unwrap())
+        .reducers(4)
+        .output_seq("/out");
+    c.run(old).unwrap();
+    let before = JobManifest::read(c.dfs(), "/out").unwrap().unwrap();
+    assert_eq!(before.parts.len(), 4);
+
+    let m = c.run(wc_job(c.dfs()).reducers(2)).unwrap();
+    let mut counts: Vec<(String, u64)> = c.dfs().read_seq("/out").unwrap();
+    counts.sort();
+    assert_eq!(counts, expected_counts(), "only this job's records");
+    let after = JobManifest::read(c.dfs(), "/out").unwrap().unwrap();
+    let parts: Vec<&str> = after.parts.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(parts, ["part-00000", "part-00001"]);
+    assert_eq!(
+        after.validate(c.dfs(), "/out", 0xabcd),
+        ManifestCheck::Valid
+    );
+    assert_eq!(m.scavenged_attempt_files, 0, "parts are not attempt files");
+}
+
 #[test]
 fn mid_job_crash_leaves_parts_but_no_manifest() {
     let c = cluster(Some(FaultPlan {

@@ -84,7 +84,9 @@ impl TestRng {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        TestRng(StdRng::seed_from_u64(h ^ (u64::from(case) << 32) ^ u64::from(case)))
+        TestRng(StdRng::seed_from_u64(
+            h ^ (u64::from(case) << 32) ^ u64::from(case),
+        ))
     }
 
     /// Next 64 random bits.
@@ -112,8 +114,7 @@ where
         let mut rng = TestRng::for_case(name, case);
         let value = generate(&mut rng);
         let described = format!("{value:?}");
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(value)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(value)));
         let failure = match outcome {
             Ok(Ok(())) => continue,
             Ok(Err(e)) => e.to_string(),
@@ -229,7 +230,10 @@ where
                 return v;
             }
         }
-        panic!("prop_filter rejected 1000 consecutive samples: {}", self.reason)
+        panic!(
+            "prop_filter rejected 1000 consecutive samples: {}",
+            self.reason
+        )
     }
 }
 
@@ -396,9 +400,9 @@ fn parse_pattern(pattern: &str) -> Pattern {
     let (atom, rest) = if let Some(rest) = pattern.strip_prefix('.') {
         (dot_alphabet(), rest)
     } else if let Some(after) = pattern.strip_prefix('[') {
-        let close = after.find(']').unwrap_or_else(|| {
-            panic!("unclosed character class in pattern {pattern:?}")
-        });
+        let close = after
+            .find(']')
+            .unwrap_or_else(|| panic!("unclosed character class in pattern {pattern:?}"));
         (parse_class(&after[..close]), &after[close + 1..])
     } else {
         // No regex atom: treat the whole pattern as a literal string.
@@ -411,9 +415,7 @@ fn parse_pattern(pattern: &str) -> Pattern {
     let body = rest
         .strip_prefix('{')
         .and_then(|r| r.strip_suffix('}'))
-        .unwrap_or_else(|| {
-            panic!("unsupported pattern {pattern:?}: expected atom{{m,n}}")
-        });
+        .unwrap_or_else(|| panic!("unsupported pattern {pattern:?}: expected atom{{m,n}}"));
     let (lo, hi) = body
         .split_once(',')
         .unwrap_or_else(|| panic!("unsupported repetition in {pattern:?}"));

@@ -108,8 +108,12 @@ pub trait SampleRange<T> {
 /// e.g. `slice[rng.random_range(0..n)]` infers `usize`.
 pub trait SampleUniform: PartialOrd + Copy {
     /// Uniform value in `lo..hi` (`hi` exclusive unless `inclusive`).
-    fn sample_uniform<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool)
-        -> Self;
+    fn sample_uniform<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 macro_rules! impl_sample_uniform_int {
@@ -132,8 +136,12 @@ macro_rules! impl_sample_uniform_int {
 impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleUniform for f64 {
-    fn sample_uniform<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, _inclusive: bool)
-        -> Self {
+    fn sample_uniform<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        _inclusive: bool,
+    ) -> Self {
         lo + f64::sample(rng) * (hi - lo)
     }
 }
@@ -201,10 +209,7 @@ pub mod rngs {
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
-            let result = s[0]
-                .wrapping_add(s[3])
-                .rotate_left(23)
-                .wrapping_add(s[0]);
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
             let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];
