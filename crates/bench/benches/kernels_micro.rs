@@ -8,8 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datagen::{DataRecord, GeneratorConfig};
 use setsim::{
-    allpairs, intersection_size, naive, overlap_at_least, ppjoin, suffix, FilterConfig, Threshold,
-    TokenBuf, TokenOrder, Tokenizer, WordTokenizer,
+    allpairs, bitmap, intersection_size, naive, overlap_at_least, ppjoin, suffix, FilterConfig,
+    Threshold, TokenBuf, TokenOrder, Tokenizer, WordTokenizer,
 };
 
 /// Tokenise `text(record)` and project it onto the corpus's own token order.
@@ -90,11 +90,13 @@ fn bench_zipf_lowtau(c: &mut Criterion) {
 }
 
 /// What the kernel holds when it reaches the suffix filter: a pair that
-/// passed the length and positional filters, the positions after its last
-/// shared prefix token, the prefix overlap, and α.
+/// passed the length and positional filters, the two records' bitmaps, the
+/// positions after its last shared prefix token, the prefix overlap, and α.
 struct Survivor<'a> {
     x: &'a [u32],
     y: &'a [u32],
+    bx: u64,
+    by: u64,
     seen_x: usize,
     seen_y: usize,
     overlap: usize,
@@ -125,6 +127,8 @@ fn positional_survivors<'a>(sets: &'a [(u64, Vec<u32>)], t: &Threshold) -> Vec<S
             out.push(Survivor {
                 x,
                 y,
+                bx: bitmap::bitmap(x),
+                by: bitmap::bitmap(y),
                 seen_x,
                 seen_y,
                 overlap,
@@ -147,12 +151,21 @@ fn suffix_probe(s: &Survivor<'_>) -> bool {
     )
 }
 
+fn bitmap_probe(s: &Survivor<'_>) -> bool {
+    bitmap::overlap_bound(s.x.len(), s.y.len(), s.bx, s.by) >= s.alpha
+}
+
 /// Suffix filter against the early-terminating merge it is meant to save,
 /// on the pairs the kernel would give it. This is the measurement behind
 /// `setsim::suffix::MIN_PROBE_TOKENS` (the table is in its doc comment):
 /// per pruned pair the probe costs 1.4–2.7× the saved merge on 8–12-token
 /// sets, draws level at 24–48 and is the cheaper one at 64–128, which puts
 /// the gate at 128 combined suffix tokens.
+///
+/// The `bitmap` rows run the kernel's bitmap filter on the same pairs (the
+/// kernel runs it before the positional filter, at first touch); the group
+/// name carries the share of them it prunes, which falls as the sets fill
+/// the 64 bits.
 fn bench_suffix_vs_merge(c: &mut Criterion) {
     let short: Vec<(u64, Vec<u32>)> = zipf_corpus(3000)
         .into_iter()
@@ -171,10 +184,12 @@ fn bench_suffix_vs_merge(c: &mut Criterion) {
         let t = Threshold::jaccard(tau);
         let pairs = positional_survivors(sets, &t);
         let pruned = pairs.iter().filter(|s| !suffix_probe(s)).count();
+        let bitmap_pruned = pairs.iter().filter(|s| !bitmap_probe(s)).count();
         let mut g = c.benchmark_group(format!(
-            "suffix_vs_merge/{name}/{}_pairs_{}_pruned",
+            "suffix_vs_merge/{name}/{}_pairs_{}_pruned_bitmap_{}pct",
             pairs.len(),
-            pruned
+            pruned,
+            100 * bitmap_pruned / pairs.len().max(1)
         ));
         g.sample_size(20);
         g.bench_function("merge", |b| {
@@ -185,6 +200,12 @@ fn bench_suffix_vs_merge(c: &mut Criterion) {
         });
         g.bench_function("suffix_then_merge", |b| {
             b.iter(|| pairs.iter().filter(|s| suffix_probe(s) && merge(s)).count())
+        });
+        g.bench_function("bitmap", |b| {
+            b.iter(|| pairs.iter().filter(|s| bitmap_probe(s)).count())
+        });
+        g.bench_function("bitmap_then_merge", |b| {
+            b.iter(|| pairs.iter().filter(|s| bitmap_probe(s) && merge(s)).count())
         });
         // The filter can only save the merges of the pairs it prunes.
         let doomed: Vec<&Survivor<'_>> = pairs.iter().filter(|s| !suffix_probe(s)).collect();

@@ -1,7 +1,7 @@
 //! Stage-2 reducers: the Basic Kernel (BK) and the PPJoin+ Kernel (PK).
 
 use mapreduce::{Counter, Emit, Histogram, Reducer, Result, TaskContext};
-use setsim::{verify_pair, FilterConfig, Funnel, PpjoinIndex};
+use setsim::{verify_pair, FilterConfig, PpjoinIndex};
 
 use crate::keys::{Member, Ownership, Projection, Stage2Key, REL_S};
 use crate::named::Named;
@@ -13,32 +13,20 @@ pub const HIST_CANDIDATES_PER_GROUP: &str = "stage2.group.candidates";
 pub const HIST_SURVIVORS_PER_GROUP: &str = "stage2.group.survivors";
 
 /// Counters of the PK kernel's filter funnel, in the order of
-/// [`setsim::Funnel`]'s fields. All but `unowned` and `suffix_calls` form a
+/// [`setsim::Funnel::steps`]. All but `unowned` and `suffix_calls` form a
 /// chain, each at most the one before; `unowned` counts the first touches
 /// another reducer owns (`postings ≥ candidates + unowned`), and `verified`
 /// equals `stage2.pairs_emitted`.
-pub const FUNNEL_COUNTERS: [&str; 7] = [
+pub const FUNNEL_COUNTERS: [&str; 8] = [
     "stage2.funnel.postings",
     "stage2.funnel.unowned",
     "stage2.funnel.candidates",
+    "stage2.funnel.bitmap",
     "stage2.funnel.positional",
     "stage2.funnel.suffix_calls",
     "stage2.funnel.suffix",
     "stage2.funnel.verified",
 ];
-
-/// A funnel's figures in the order of [`FUNNEL_COUNTERS`].
-fn funnel_steps(f: &Funnel) -> [u64; 7] {
-    [
-        f.postings,
-        f.unowned,
-        f.candidates,
-        f.positional,
-        f.suffix_calls,
-        f.suffix,
-        f.verified,
-    ]
-}
 
 /// Bytes charged for a buffered projection.
 pub(crate) fn projection_bytes(tokens: &[u32]) -> u64 {
@@ -230,7 +218,7 @@ pub struct PkReducer {
     rs: bool,
     counters: KernelCounters,
     index_peak_bytes: Named<Counter>,
-    funnel: [Named<Counter>; 7],
+    funnel: [Named<Counter>; 8],
 }
 
 impl PkReducer {
@@ -304,7 +292,7 @@ impl Reducer for PkReducer {
         self.index_peak_bytes.get(ctx).add(charged);
         ctx.memory().release(charged);
         let funnel = self.index.funnel();
-        for (counter, n) in self.funnel.iter_mut().zip(funnel_steps(&funnel)) {
+        for (counter, n) in self.funnel.iter_mut().zip(funnel.steps()) {
             counter.get(ctx).add(n);
         }
         stats.add_candidates(funnel.candidates);

@@ -347,9 +347,9 @@ fn pk_funnel_narrows_down_to_the_emitted_pairs() {
         };
         let outcome = self_join(&c, "/records", "/work", &config).unwrap();
         let job = &outcome.stage2.jobs[0];
-        let [postings, unowned, candidates, positional, suffix_calls, suffix, verified] =
+        let [postings, unowned, candidates, bitmap, positional, suffix_calls, suffix, verified] =
             fuzzyjoin::stage2::reducers::FUNNEL_COUNTERS.map(|name| job.counter(name));
-        let chain = [postings, candidates, positional, suffix, verified];
+        let chain = [postings, candidates, bitmap, positional, suffix, verified];
         assert!(chain.windows(2).all(|w| w[0] >= w[1]), "{chain:?}");
         assert!(suffix_calls <= positional);
         // Records meet in every reducer their prefixes share; all but one

@@ -10,8 +10,9 @@
 //! * **similarity measures** — Jaccard, cosine, Dice, overlap, with all the
 //!   filter bounds (length, prefix, index-prefix, α) derived from a
 //!   [`Threshold`] ([`measure`]);
-//! * **filters** — positional filter inside the kernel, suffix filter
-//!   ([`suffix`]), early-terminating verification ([`verify`]);
+//! * **filters** — bitmap ([`bitmap`]) and positional filters inside the
+//!   kernel, suffix filter ([`suffix`]), early-terminating verification
+//!   ([`verify`]);
 //! * **kernels** — streaming [`PpjoinIndex`] (PPJoin / PPJoin+, the paper's
 //!   PK kernel), the All-Pairs baseline ([`allpairs`]), nested-loop and
 //!   indexed R-S kernels ([`rs`]), and the naive oracle ([`naive`]).
@@ -41,6 +42,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod allpairs;
+pub mod bitmap;
 pub mod dict;
 pub mod measure;
 pub mod naive;

@@ -1,9 +1,9 @@
 //! The PPJoin / PPJoin+ indexed kernel.
 //!
 //! This is the "PK" kernel of the paper: an inverted index over *prefix
-//! tokens* combined with the length, positional, and (optionally) suffix
-//! filters. The streaming interface matches how the paper's stage-2 reducers
-//! consume it:
+//! tokens* combined with the length, bitmap, positional, and (optionally)
+//! suffix filters. The streaming interface matches how the paper's stage-2
+//! reducers consume it:
 //!
 //! * records arrive in **non-decreasing set-size order** (the composite
 //!   `(group, length)` key sort guarantees this inside each reduce group);
@@ -22,20 +22,24 @@
 //! posting is what the layout serves: one slot per stored record holds both
 //! the record's header and its cell of the candidate accumulator, validated
 //! by an epoch stamp instead of being cleared; the length filter and α come
-//! from a table by partner length; tokens sit in one arena. A probe looks up
-//! a hash map once per prefix token, never per posting, and allocates only
-//! the matches it returns. DESIGN.md §17 has the measurements behind this.
+//! from a table by partner length; the bitmap filter drops, at first touch,
+//! a candidate whose token bitmap rules out α ([`crate::bitmap`]), so it is
+//! never accumulated; tokens sit in one arena. A probe looks up a hash map
+//! once per prefix token, never per posting, and allocates only the matches
+//! it returns. DESIGN.md §17 has the measurements behind this.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 
+use crate::bitmap::{bitmap, overlap_bound};
 use crate::measure::Threshold;
 use crate::naive::Record;
 use crate::suffix::{suffix_pays_off, suffix_survives};
 use crate::verify::overlap_at_least;
 
-/// Which optional filters the kernel applies (prefix + length are always on).
+/// Which optional filters the kernel applies (prefix, length and bitmap are
+/// always on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterConfig {
     /// Positional filter (PPJoin).
@@ -129,8 +133,8 @@ impl Hasher for RankHasher {
     }
 }
 
-/// Marks a slot whose candidate the ownership test or the positional filter
-/// has pruned.
+/// Marks a slot whose candidate the ownership test, the bitmap filter or the
+/// positional filter has pruned.
 const PRUNED: u32 = u32::MAX;
 
 /// One stored record: where its tokens sit in the arena, plus its cell of
@@ -142,6 +146,8 @@ struct Slot {
     /// Offset of the record's tokens in the arena.
     off: u32,
     len: u32,
+    /// The record's token bitmap ([`crate::bitmap::bitmap`]).
+    bits: u64,
     epoch: u32,
     /// Prefix tokens shared with the probe so far, or [`PRUNED`].
     overlap: u32,
@@ -182,8 +188,8 @@ fn alpha_for(bounds: &mut [LenBound], t: &Threshold, lx: u32, ly: u32) -> u32 {
 /// Work done by the kernel's filter stack, summed over all probes since
 /// construction or the last [`PpjoinIndex::reset`]. Apart from `unowned`
 /// and `suffix_calls` each figure counts what the step before it let
-/// through, so `postings ≥ candidates ≥ positional ≥ suffix ≥ verified`,
-/// and `postings ≥ candidates + unowned`.
+/// through, so `postings ≥ candidates ≥ bitmap ≥ positional ≥ suffix ≥
+/// verified`, and `postings ≥ candidates + unowned`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Funnel {
     /// Live postings scanned under the probe prefixes.
@@ -192,9 +198,11 @@ pub struct Funnel {
     /// rejected at first touch ([`PpjoinIndex::probe_owned`]); always 0
     /// under [`PpjoinIndex::probe`].
     pub unowned: u64,
-    /// Distinct length-compatible records that entered the accumulator.
+    /// Distinct length-compatible records the ownership test kept.
     pub candidates: u64,
-    /// Candidates the positional filter did not prune.
+    /// Candidates the bitmap filter passed: they entered the accumulator.
+    pub bitmap: u64,
+    /// Bitmap survivors the positional filter did not prune.
     pub positional: u64,
     /// Positional survivors handed to the suffix filter (it is skipped for
     /// short suffixes, so this is at most `positional`).
@@ -204,6 +212,23 @@ pub struct Funnel {
     pub suffix: u64,
     /// Verified pairs returned as matches.
     pub verified: u64,
+}
+
+impl Funnel {
+    /// The figures in field order: `postings`, `unowned`, `candidates`,
+    /// `bitmap`, `positional`, `suffix_calls`, `suffix`, `verified`.
+    pub fn steps(&self) -> [u64; 8] {
+        [
+            self.postings,
+            self.unowned,
+            self.candidates,
+            self.bitmap,
+            self.positional,
+            self.suffix_calls,
+            self.suffix,
+            self.verified,
+        ]
+    }
 }
 
 /// `approx_bytes()` of an index holding nothing.
@@ -305,9 +330,9 @@ impl PpjoinIndex {
         self.funnel = Funnel::default();
     }
 
-    /// Total candidates that entered the overlap accumulator across all
-    /// probes so far — the prefix-filter survivor count, before positional
-    /// and suffix pruning. Drives the candidate-count histograms.
+    /// Total candidates across all probes so far — the prefix-filter
+    /// survivor count, before bitmap, positional and suffix pruning. Drives
+    /// the candidate-count histograms.
     pub fn candidates_examined(&self) -> u64 {
         self.funnel.candidates
     }
@@ -418,6 +443,7 @@ impl PpjoinIndex {
         self.touched.clear();
         let (base, live_from, epoch) = (self.base, self.live_from, self.epoch);
         let probe_len = self.t.probe_prefix_len(lx);
+        let bx = bitmap(tokens);
         for (i, &tok) in tokens[..probe_len].iter().enumerate() {
             let Some(list) = self.index.get_mut(&tok) else {
                 continue;
@@ -439,6 +465,11 @@ impl PpjoinIndex {
                         self.funnel.unowned += 1;
                         continue;
                     }
+                    self.funnel.candidates += 1;
+                    if overlap_bound(lx, slot.len as usize, bx, slot.bits) < alpha as usize {
+                        slot.overlap = PRUNED;
+                        continue;
+                    }
                     slot.overlap = 0;
                     self.touched.push(at);
                 } else if slot.overlap == PRUNED {
@@ -455,7 +486,7 @@ impl PpjoinIndex {
                 }
             }
         }
-        self.funnel.candidates += self.touched.len() as u64;
+        self.funnel.bitmap += self.touched.len() as u64;
         for &at in &self.touched {
             let slot = &self.slots[at as usize];
             if slot.overlap == PRUNED {
@@ -533,6 +564,7 @@ impl PpjoinIndex {
             rid,
             off,
             len,
+            bits: bitmap(tokens),
             epoch: 0,
             overlap: 0,
             last_x: 0,

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use setsim::{
-    allpairs, intersection_size, naive, ppjoin, rs, suffix, verify_pair, FilterConfig, SimFunction,
-    Threshold, Tokenizer, WordTokenizer,
+    allpairs, bitmap, intersection_size, naive, ppjoin, rs, suffix, verify_pair, FilterConfig,
+    SimFunction, Threshold, Tokenizer, WordTokenizer,
 };
 
 /// A random sorted token set with ranks drawn from a small universe so that
@@ -25,6 +25,40 @@ fn record_collection(n: usize) -> impl Strategy<Value = Vec<(u64, Vec<u32>)>> {
             .map(|(i, s)| (i as u64, s))
             .collect()
     })
+}
+
+/// How [`rank_shapes`] lays a set's ranks out.
+#[derive(Debug, Clone, Copy)]
+enum RankShape {
+    /// As drawn.
+    Plain,
+    /// `rank · 64 + r`: every rank ≡ r (mod 64), as the ranks one of 64
+    /// routing groups receives.
+    Residue(u32),
+    /// `rank · 2^k`: every rank shares its low `k` bits (all zero).
+    Shifted(u32),
+}
+
+impl RankShape {
+    fn apply(self, set: &[u32]) -> Vec<u32> {
+        set.iter()
+            .map(|&rank| match self {
+                RankShape::Plain => rank,
+                RankShape::Residue(r) => rank * 64 + r,
+                RankShape::Shifted(k) => rank << k,
+            })
+            .collect()
+    }
+}
+
+/// Plain ranks, and the shapes that would crowd a bitmap keyed on a rank's
+/// low bits onto a few of its 64 bits.
+fn rank_shapes() -> impl Strategy<Value = RankShape> {
+    prop_oneof![
+        Just(RankShape::Plain),
+        (0u32..64).prop_map(RankShape::Residue),
+        (1u32..=20).prop_map(RankShape::Shifted),
+    ]
 }
 
 fn thresholds() -> impl Strategy<Value = Threshold> {
@@ -130,6 +164,43 @@ proptest! {
         let exact = suffix::hamming_exact(&x, &y);
         let lb = suffix::hamming_lower_bound(&x, &y, usize::MAX, 1);
         prop_assert!(lb <= exact, "lb {} > exact {}", lb, exact);
+    }
+
+    /// The bitmap filter's bound never falls below the true overlap, on
+    /// plain and adversarial ranks alike.
+    #[test]
+    fn bitmap_bound_is_sound(
+        x in token_set(40, 20),
+        y in token_set(40, 20),
+        shape in rank_shapes(),
+    ) {
+        let (x, y) = (shape.apply(&x), shape.apply(&y));
+        let bound = bitmap::overlap_bound(x.len(), y.len(), bitmap::bitmap(&x), bitmap::bitmap(&y));
+        let overlap = intersection_size(&x, &y);
+        prop_assert!(bound >= overlap, "bound {} < overlap {}: {:?} {:?}", bound, overlap, x, y);
+    }
+
+    /// On the same rank shapes the kernels the bitmap filter runs in still
+    /// return exactly the naive result, under every measure.
+    #[test]
+    fn bitmap_filtered_kernels_equal_naive(
+        records in record_collection(24),
+        s in record_collection(14),
+        shape in rank_shapes(),
+        t in thresholds(),
+    ) {
+        let records: Vec<(u64, Vec<u32>)> =
+            records.into_iter().map(|(i, v)| (i, shape.apply(&v))).collect();
+        let expected = pair_ids(&naive::self_join(&records, &t));
+        for filters in [FilterConfig::prefix_only(), FilterConfig::ppjoin(), FilterConfig::ppjoin_plus()] {
+            let got = pair_ids(&ppjoin::self_join(&records, &t, filters));
+            prop_assert_eq!(&got, &expected, "self-join {:?} {:?} {:?}", shape, filters, t);
+        }
+        let s: Vec<(u64, Vec<u32>)> =
+            s.into_iter().map(|(i, v)| (1000 + i, shape.apply(&v))).collect();
+        let expected = pair_ids(&naive::rs_join(&records, &s, &t));
+        let got = pair_ids(&rs::indexed_rs_join(&records, &s, &t, FilterConfig::ppjoin_plus()));
+        prop_assert_eq!(&got, &expected, "R-S {:?} {:?}", shape, t);
     }
 
     /// `verify_pair` agrees with the exact predicate.
@@ -401,7 +472,7 @@ mod index_grid {
         let short = corpus(&mut rng, 200, 6..=12, 40, 0);
         let with = funnel_of(&short, &t, FilterConfig::ppjoin_plus());
         assert!(
-            with.positional > with.verified,
+            with.candidates > with.verified,
             "there was something to prune"
         );
         assert_eq!(with.suffix_calls, 0);
@@ -423,7 +494,14 @@ mod index_grid {
         ] {
             for filters in FILTERS {
                 let f = funnel_of(&records, &t, filters());
-                let chain = [f.postings, f.candidates, f.positional, f.suffix, f.verified];
+                let chain = [
+                    f.postings,
+                    f.candidates,
+                    f.bitmap,
+                    f.positional,
+                    f.suffix,
+                    f.verified,
+                ];
                 assert!(chain.windows(2).all(|w| w[0] >= w[1]), "{f:?}");
                 assert!(f.suffix_calls <= f.positional, "{f:?}");
                 assert!(f.verified > 0 && f.postings > f.verified, "{f:?}");
