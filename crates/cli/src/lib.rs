@@ -40,7 +40,7 @@ commands:
             [--threshold T] [--measure jaccard|cosine|dice]
             [--combo bto|opto-bk|pk-brj|oprj] [--nodes N] [--qgram Q]
             [--rid-field I] [--join-fields 1,2] [--groups G] [--full yes]
-            [--backend simulated|sharded|process] [--dfs-root DIR]
+            [--backend simulated|process] [--dfs-root DIR]
             [--task-timeout-secs T]
             [--fault-seed S] [--fault-plan SPEC]
             [--skew adaptive|off] [--skew-split-max B]
@@ -76,10 +76,8 @@ fault injection (chaos testing; results are unaffected by design):
 
 execution (selfjoin/rsjoin):
   --backend KIND  simulated (default): the deterministic in-process
-                  executor, each spill run handed to its reducer as it is;
-                  sharded: the same attempts on the driver's thread pool,
-                  every spill run handed through one bounded channel to
-                  one collector thread; process: process-isolated
+                  executor on the driver's thread pool, each spill run
+                  handed to its reducer as it is; process: process-isolated
                   workers (this binary re-spawned) sharing the driver's
                   DFS — every job of a join runs its tasks in the
                   workers (the driver's own threads run only
@@ -101,16 +99,17 @@ skew handling (selfjoin/rsjoin):
   --skew-hot-threshold N  split a group when its estimated routed record
                       count reaches N (default 4096)
 
-supervision (wall-clock watchdog for the real backends):
+supervision (wall-clock watchdog, on every backend):
   --task-timeout-secs T       kill any task attempt still running after T
                               seconds of wall-clock time; the attempt is
                               retried as a transient node loss (process
-                              backend kills the worker process; sharded
-                              fails fast since in-process workers cannot be
-                              killed). Off by default. While busy, process
-                              workers send a heartbeat every T/20 seconds;
-                              a worker silent for 0.4*T seconds is declared
-                              hung and killed before its deadline
+                              backend kills the worker process; simulated
+                              fails the join fast since in-process attempts
+                              cannot be killed). Off by default. While
+                              busy, process workers send a heartbeat every
+                              T/20 seconds; a worker silent for 0.4*T
+                              seconds is declared hung and killed before
+                              its deadline
 
 recovery (selfjoin/rsjoin):
   every join resumes over what its --dfs-root holds: a job whose _SUCCESS
@@ -127,7 +126,7 @@ observability (selfjoin/rsjoin):
                       task attempt for a .jsonl FILE, else Chrome
                       trace_event JSON loadable in Perfetto/about:tracing
   --metrics-json FILE write the schema-versioned machine-readable run
-                      report (fuzzyjoin.run-report v2): per stage and job,
+                      report (fuzzyjoin.run-report v3): per stage and job,
                       modelled and wall time, task, record and shuffle
                       volumes, locality, histogram percentiles, hot keys,
                       fault statistics and the phase profile (wall time
@@ -391,9 +390,8 @@ fn join_config(args: &Args) -> Result<(JoinConfig, usize), String> {
 fn backend_flag(args: &Args) -> Result<BackendKind, String> {
     match args.get("backend") {
         None => Ok(BackendKind::default()),
-        Some(name) => BackendKind::parse(name).ok_or_else(|| {
-            format!("bad --backend {name:?} (expected simulated, sharded, or process)")
-        }),
+        Some(name) => BackendKind::parse(name)
+            .ok_or_else(|| format!("bad --backend {name:?} (expected simulated or process)")),
     }
 }
 

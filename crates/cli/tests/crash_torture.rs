@@ -6,7 +6,7 @@
 //! This is the capstone durability argument: `crash_after`/`crash_mid`
 //! prove recovery works at the two points we thought to test; this suite
 //! proves it works wherever the process actually dies — mid block write,
-//! mid rename, mid manifest commit, mid spill — on all three backends,
+//! mid rename, mid manifest commit, mid spill — on both backends,
 //! with injected storage faults (EIO, torn writes, a healing ENOSPC)
 //! active at the same time.
 //!
@@ -214,11 +214,6 @@ fn kill_anywhere_simulated() {
 }
 
 #[test]
-fn kill_anywhere_sharded() {
-    torture("sharded", None, "shard-clean");
-}
-
-#[test]
 fn kill_anywhere_process() {
     torture("process", None, "proc-clean");
 }
@@ -226,11 +221,6 @@ fn kill_anywhere_process() {
 #[test]
 fn kill_anywhere_simulated_with_storage_faults() {
     torture("simulated", Some(STORM_PLAN), "sim-storm");
-}
-
-#[test]
-fn kill_anywhere_sharded_with_storage_faults() {
-    torture("sharded", Some(STORM_PLAN), "shard-storm");
 }
 
 #[test]
@@ -255,7 +245,7 @@ fn kill_anywhere_enospc_heal() {
 /// job to the reference bytes.
 #[test]
 fn a_driver_dead_between_the_last_part_and_the_wave_resumes() {
-    for backend in ["simulated", "sharded", "process"] {
+    for backend in ["simulated", "process"] {
         let dir = fresh_dir(&format!("wave-{backend}"));
         let corpus = dir.join("corpus.tsv");
         write_corpus(&corpus);
@@ -306,7 +296,7 @@ fn kill_anywhere_survives_every_launch_scheduled_for_a_kill() {
     write_corpus(&corpus);
     let ref_out = dir.join("ref.tsv");
     match reap(
-        spawn_join(&corpus, &ref_out, &dir.join("refdfs"), "sharded", None),
+        spawn_join(&corpus, &ref_out, &dir.join("refdfs"), "simulated", None),
         None,
     ) {
         RunExit::Success => {}
@@ -327,7 +317,7 @@ fn kill_anywhere_survives_every_launch_scheduled_for_a_kill() {
         } else {
             Duration::from_millis(2 + rng.below(700))
         };
-        let child = spawn_join(&corpus, &out, &root, "sharded", None);
+        let child = spawn_join(&corpus, &out, &root, "simulated", None);
         match reap(child, Some(kill)) {
             RunExit::Success => {
                 if kills >= 1 {

@@ -82,7 +82,7 @@ fn selfjoin_emits_trace_metrics_and_report() {
         report.get("schema").and_then(Json::as_str),
         Some("fuzzyjoin.run-report")
     );
-    assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
+    assert_eq!(report.get("v").and_then(Json::as_u64), Some(3));
     let stages = report.get("stages").and_then(Json::as_arr).unwrap();
     assert_eq!(stages.len(), 3);
     let mut report_jobs = Vec::new();
@@ -255,7 +255,7 @@ fn traced_run_emits_profile_events_and_covered_metrics() {
     let metrics = tmp("prof-metrics.json");
     let msg = run(&argv(&format!(
         "selfjoin --input {corpus} --out {pairs} --threshold 0.8 --nodes 3 \
-         --backend sharded --trace-out {trace} --metrics-json {metrics}"
+         --trace-out {trace} --metrics-json {metrics}"
     )))
     .unwrap();
     assert!(msg.contains("run report written"), "{msg}");
@@ -299,8 +299,7 @@ fn traced_run_emits_profile_events_and_covered_metrics() {
     // Tracing and reporting must not perturb the join itself.
     let plain = tmp("prof-plain.tsv");
     run(&argv(&format!(
-        "selfjoin --input {corpus} --out {plain} --threshold 0.8 --nodes 3 \
-         --backend sharded"
+        "selfjoin --input {corpus} --out {plain} --threshold 0.8 --nodes 3"
     )))
     .unwrap();
     assert_eq!(
@@ -322,7 +321,7 @@ fn rsjoin_supports_observability_flags() {
     .unwrap();
     assert!(msg.contains("run report written"), "{msg}");
     let report = Json::parse(&fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
+    assert_eq!(report.get("v").and_then(Json::as_u64), Some(3));
     let jobs: Vec<&str> = report
         .get("stages")
         .and_then(Json::as_arr)

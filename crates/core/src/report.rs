@@ -11,7 +11,7 @@
 //! # Schema compatibility
 //!
 //! Every report carries `"schema": "fuzzyjoin.run-report"` and
-//! `"v": 2`. The compatibility rule: consumers must ignore unknown
+//! `"v": 3`. The compatibility rule: consumers must ignore unknown
 //! fields; [`REPORT_SCHEMA_VERSION`] is bumped only when an existing field
 //! is removed or changes meaning, never for additions.
 
@@ -28,8 +28,10 @@ pub const REPORT_SCHEMA: &str = "fuzzyjoin.run-report";
 
 /// Current report schema version (the `v` field). Additive changes do not
 /// bump this; removals and meaning changes do: 2 dropped
-/// `recovery.resume`, since every join resumes.
-pub const REPORT_SCHEMA_VERSION: u64 = 2;
+/// `recovery.resume`, since every join resumes, and 3 dropped the
+/// `profile.*` names from each job's `counters`, which its `profile`
+/// object holds.
+pub const REPORT_SCHEMA_VERSION: u64 = 3;
 
 fn num(v: u64) -> Json {
     Json::Num(v as f64)
@@ -87,9 +89,11 @@ fn job_json(job: &JobMetrics, tokens: Option<&[String]>) -> Json {
             ("skew", Json::Num(p.skew())),
         ])
     };
+    // The profiler's counters are the `profile` object below, once.
     let counters = Json::Obj(
         job.counters
             .iter()
+            .filter(|(n, _)| !n.starts_with("profile."))
             .map(|(n, v)| (n.clone(), num(*v)))
             .collect(),
     );
@@ -305,7 +309,7 @@ mod tests {
             report.get("schema").and_then(Json::as_str),
             Some(REPORT_SCHEMA)
         );
-        assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
+        assert_eq!(report.get("v").and_then(Json::as_u64), Some(3));
         let totals = report.get("totals").unwrap();
         assert_eq!(
             totals.get("shuffle_bytes").and_then(Json::as_u64),
@@ -414,7 +418,7 @@ mod tests {
             reparsed.get("schema").and_then(Json::as_str),
             Some(REPORT_SCHEMA)
         );
-        assert_eq!(reparsed.get("v").and_then(Json::as_u64), Some(2));
+        assert_eq!(reparsed.get("v").and_then(Json::as_u64), Some(3));
         assert!(reparsed.get("recovery").is_some());
         assert_eq!(
             reparsed
@@ -439,13 +443,13 @@ mod tests {
 
     #[test]
     fn phase_objects_carry_measured_wall_and_a_profile_object() {
-        // The v1 gap this closes: on the sharded/process backends
+        // The v1 gap this closes: on every backend
         // `makespan_secs` is modeled schedule time, so reports carried no
         // *measured* per-phase wall at all. The phase windows recorded by
         // the profiler now surface as `wall_secs` without a `v` bump.
         let outcome = outcome_with_hitters();
         let report = run_report(&outcome, &JoinConfig::recommended(), None);
-        assert_eq!(report.get("v").and_then(Json::as_u64), Some(2));
+        assert_eq!(report.get("v").and_then(Json::as_u64), Some(3));
         let jobs = report.get("stages").and_then(Json::as_arr).unwrap()[1]
             .get("jobs")
             .and_then(Json::as_arr)
@@ -468,6 +472,35 @@ mod tests {
         assert!(profile.get("wall_us").is_some());
         assert!(profile.get("busy_us").is_some());
         assert!(profile.get("coverage").and_then(Json::as_f64).is_some());
+    }
+
+    /// A job prints its profile once: the `profile` object holds the
+    /// profiler's counters, read from the job's metrics, and `counters`
+    /// holds every other counter.
+    #[test]
+    fn job_counters_leave_the_profile_to_its_object() {
+        let outcome = outcome_with_hitters();
+        let report = run_report(&outcome, &JoinConfig::recommended(), None);
+        let job = &report.get("stages").and_then(Json::as_arr).unwrap()[1]
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .unwrap()[0];
+        let counters = job.get("counters").and_then(Json::as_obj).unwrap();
+        let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert!(
+            names.iter().all(|n| !n.starts_with("profile.")),
+            "{names:?}"
+        );
+        assert_eq!(names, ["stage2.candidates"]);
+        let metrics = &outcome.stage2.jobs[0];
+        let expected = JobProfile::from_metrics(metrics).to_json(metrics.wall_secs);
+        let profile = job.get("profile").unwrap();
+        for field in ["wall_us", "busy_us"] {
+            assert_eq!(profile.get(field), expected.get(field), "{field}");
+        }
+        let wall_us = |phase| profile.get("wall_us")?.get(phase)?.as_u64();
+        assert_eq!(wall_us("map"), Some(1_500_000));
+        assert_eq!(wall_us("reduce"), Some(500_000));
     }
 
     /// The record-path volumes, the model's locality and its transfer time

@@ -1,7 +1,7 @@
-//! Concurrency smoke tests for the sharded execution backend at the
-//! pipeline level: the full 3-stage set-similarity join, run repeatedly
-//! with real threads, must commit **identical bytes** every time — and
-//! those bytes must match the simulated backend's. The engine-level
+//! Concurrency smoke tests for the execution backends at the pipeline
+//! level: the full 3-stage set-similarity join, run repeatedly on 1, 2 and
+//! 8 threads, must commit **identical bytes** every time — and those bytes
+//! must match the single-threaded run's. The engine-level
 //! counterpart lives in `crates/mapreduce/tests/backend.rs`; this suite
 //! stresses the same property through stage 1 → 2 → 3 where token
 //! orderings, grouped routing, and stage 3's record join all depend on committed
@@ -35,29 +35,29 @@ fn run_join(backend: BackendKind, threads: usize) -> (Vec<String>, Vec<(u64, u64
     (rid_pairs, joined)
 }
 
-/// Seeded stress: the same join 10× on the sharded backend with 4 worker
-/// threads on a 1-CPU-or-more host — no thread interleaving may leak into
-/// the committed bytes of any stage.
+/// Seeded stress: the same join 10× in process with 8 worker threads on a
+/// 1-CPU-or-more host — no thread interleaving may leak into the committed
+/// bytes of any stage.
 #[test]
-fn sharded_join_is_byte_stable_across_ten_runs() {
-    let baseline = run_join(BackendKind::Sharded, 4);
+fn in_process_join_is_byte_stable_across_ten_runs() {
+    let baseline = run_join(BackendKind::Simulated, 8);
     assert!(!baseline.1.is_empty(), "stress corpus must produce pairs");
     for rep in 0..9 {
-        let again = run_join(BackendKind::Sharded, 4);
-        assert_eq!(baseline, again, "sharded join run {} diverged", rep + 2);
+        let again = run_join(BackendKind::Simulated, 8);
+        assert_eq!(baseline, again, "join run {} diverged", rep + 2);
     }
 }
 
-/// The stable bytes must also be the *right* bytes: simulated and sharded
-/// agree on every stage's committed output, across thread counts.
+/// The stable bytes must also be the *right* bytes: every thread count
+/// agrees with one thread on every stage's committed output.
 #[test]
-fn sharded_join_matches_simulated_at_every_thread_count() {
-    let simulated = run_join(BackendKind::Simulated, 1);
-    for threads in [1, 2, 8] {
-        let sharded = run_join(BackendKind::Sharded, threads);
+fn in_process_join_matches_one_thread_at_every_thread_count() {
+    let one_thread = run_join(BackendKind::Simulated, 1);
+    for threads in [2, 8] {
+        let threaded = run_join(BackendKind::Simulated, threads);
         assert_eq!(
-            simulated, sharded,
-            "sharded({threads} threads) diverged from simulated"
+            one_thread, threaded,
+            "{threads} threads diverged from one thread"
         );
     }
 }

@@ -50,8 +50,8 @@ fn quiet_injected_panics() {
 }
 
 fn cluster_with(faults: Option<FaultPlan>) -> Cluster {
-    // `MR_BACKEND=sharded` (CI backend-parity job) runs the whole chaos
-    // suite on the sharded executor; output must stay bitwise identical.
+    // `MR_BACKEND=process` (CI backend-parity job) runs the whole chaos
+    // suite on the process executor; output must stay bitwise identical.
     let config = ClusterConfig {
         max_task_attempts: 8,
         faults,

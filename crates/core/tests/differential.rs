@@ -3,10 +3,9 @@
 //! in both self-join and R-S mode, must produce **exactly** the
 //! `(rid1, rid2, sim)` set of the naive O(n²) oracle (`setsim::naive` via
 //! `setsim::oracle`) on the same corpus — similarity values compared
-//! bitwise. Every matrix cell additionally runs on **all three execution
-//! backends** (simulated, sharded, and process-isolated workers on a
-//! disk-backed DFS) and asserts the committed pair sets are bitwise
-//! identical. Every pipeline run also checks stage 2's raw output: each
+//! bitwise. Every matrix cell additionally runs **in process on one thread
+//! and on the host's threads, and in worker processes** on a disk-backed
+//! DFS, and asserts the committed pair sets are bitwise identical. Every pipeline run also checks stage 2's raw output: each
 //! joined pair on exactly one line of the rid-pairs file, none twice.
 //!
 //! On a divergence the failing corpus is delta-debugged down to a
@@ -30,10 +29,9 @@ use setsim::oracle;
 const SEEDS: [u64; 3] = [11, 223, 3407];
 
 /// Backend for tests outside the explicit parity cells. The CI
-/// `backend-parity` matrix re-runs this suite with `MR_BACKEND=sharded`
-/// and `MR_BACKEND=process` so the proptest/q-gram/pathological/duplicate
-/// tests get coverage on every executor too; the matrix cells always run
-/// all three backends regardless.
+/// `backend-parity` matrix re-runs this suite with `MR_BACKEND=process` so
+/// the proptest/q-gram/pathological/duplicate tests get coverage on both
+/// executors too; the matrix cells always run both backends regardless.
 fn default_backend() -> BackendKind {
     BackendKind::from_env()
 }
@@ -42,12 +40,14 @@ fn default_backend() -> BackendKind {
 /// the original harness used; the stressed variants cover the degenerate
 /// 1-node topology (every task serialized onto one machine) and a tight
 /// per-task memory budget that exercises the accounting on every charge
-/// site without tipping the seeded corpora into OOM.
+/// site without tipping the seeded corpora into OOM. `threads: None` runs
+/// on the host's parallelism.
 #[derive(Clone, Copy, Debug)]
 struct ClusterSpec {
     nodes: usize,
     task_memory: Option<u64>,
     backend: BackendKind,
+    threads: Option<usize>,
 }
 
 fn default_spec() -> ClusterSpec {
@@ -55,6 +55,7 @@ fn default_spec() -> ClusterSpec {
         nodes: 3,
         task_memory: None,
         backend: default_backend(),
+        threads: None,
     }
 }
 
@@ -62,6 +63,7 @@ fn cluster_on(spec: ClusterSpec) -> Cluster {
     let config = ClusterConfig {
         task_memory: spec.task_memory,
         backend: spec.backend,
+        execution_threads: spec.threads,
         ..ClusterConfig::with_nodes(spec.nodes)
     };
     Cluster::new(config, 2048).unwrap()
@@ -70,9 +72,24 @@ fn cluster_on(spec: ClusterSpec) -> Cluster {
 fn cluster(nodes: usize) -> Cluster {
     cluster_on(ClusterSpec {
         nodes,
-        task_memory: None,
-        backend: default_backend(),
+        ..default_spec()
     })
+}
+
+/// The runs a cell compares with its simulated run on `shape`: the same
+/// backend on one thread, and worker processes.
+fn parity_specs(shape: ClusterSpec) -> [ClusterSpec; 2] {
+    [
+        ClusterSpec {
+            backend: BackendKind::Simulated,
+            threads: Some(1),
+            ..shape
+        },
+        ClusterSpec {
+            backend: BackendKind::Process,
+            ..shape
+        },
+    ]
 }
 
 fn kernels() -> [Stage2Algo; 4] {
@@ -278,9 +295,9 @@ fn report_self_divergence(
     );
 }
 
-/// One matrix cell: run the pipeline under **all three** backends on the
-/// same shape, assert the committed pair sets are bitwise identical, then
-/// check the simulated rows against the oracle.
+/// One matrix cell: run the pipeline on the simulated backend and on each
+/// of [`parity_specs`] of the same shape, assert the committed pair sets
+/// are bitwise identical, then check the simulated rows against the oracle.
 fn check_self_cell_on(shape: ClusterSpec, lines: &[String], config: &JoinConfig, label: &str) {
     let sim_spec = ClusterSpec {
         backend: BackendKind::Simulated,
@@ -288,14 +305,13 @@ fn check_self_cell_on(shape: ClusterSpec, lines: &[String], config: &JoinConfig,
     };
     let simulated = pipeline_self_on(sim_spec, lines, config)
         .unwrap_or_else(|e| panic!("{label} [simulated]: pipeline: {e}"));
-    for backend in [BackendKind::Sharded, BackendKind::Process] {
-        let spec = ClusterSpec { backend, ..shape };
+    for spec in parity_specs(shape) {
         let rows = pipeline_self_on(spec, lines, config)
-            .unwrap_or_else(|e| panic!("{label} [{backend:?}]: pipeline: {e}"));
+            .unwrap_or_else(|e| panic!("{label} [{spec:?}]: pipeline: {e}"));
         assert_eq!(
             rows_bits(&simulated),
             rows_bits(&rows),
-            "{label}: {backend:?} backend diverges from simulated"
+            "{label}: {spec:?} diverges from simulated"
         );
     }
     report_self_divergence(sim_spec, lines, config, label, &simulated);
@@ -383,8 +399,8 @@ fn report_rs_divergence(
     );
 }
 
-/// R-S counterpart of [`check_self_cell_on`]: all three backends, bitwise
-/// parity, then the oracle.
+/// R-S counterpart of [`check_self_cell_on`]: both backends and one thread,
+/// bitwise parity, then the oracle.
 fn check_rs_cell_on(
     shape: ClusterSpec,
     r_lines: &[String],
@@ -398,14 +414,13 @@ fn check_rs_cell_on(
     };
     let simulated = pipeline_rs_on(sim_spec, r_lines, s_lines, config)
         .unwrap_or_else(|e| panic!("{label} [simulated]: pipeline: {e}"));
-    for backend in [BackendKind::Sharded, BackendKind::Process] {
-        let spec = ClusterSpec { backend, ..shape };
+    for spec in parity_specs(shape) {
         let rows = pipeline_rs_on(spec, r_lines, s_lines, config)
-            .unwrap_or_else(|e| panic!("{label} [{backend:?}]: pipeline: {e}"));
+            .unwrap_or_else(|e| panic!("{label} [{spec:?}]: pipeline: {e}"));
         assert_eq!(
             rows_bits(&simulated),
             rows_bits(&rows),
-            "{label}: {backend:?} backend diverges from simulated"
+            "{label}: {spec:?} diverges from simulated"
         );
     }
     report_rs_divergence(sim_spec, r_lines, s_lines, config, label, &simulated);
@@ -440,8 +455,8 @@ fn rs_corpora(seed: u64) -> (Vec<String>, Vec<String>) {
 }
 
 /// The full matrix for one kernel: stage-1 ordering × routing × measure
-/// × {self-join, R-S} × 3 seeded corpora each — and every cell on all
-/// three execution backends, bitwise.
+/// × {self-join, R-S} × 3 seeded corpora each — and every cell on both
+/// execution backends and on one thread, bitwise.
 fn kernel_matrix(stage2: Stage2Algo) {
     for stage1 in STAGE1S {
         for routing in ROUTINGS {
@@ -492,7 +507,8 @@ fn differential_bk_reduce_blocks_matches_oracle() {
 
 /// One skew cell, self-join: the same corpus under skew off and under a
 /// forced-low-threshold adaptive plan must commit **bitwise identical**
-/// rows; the skew-on run additionally holds across all three backends and
+/// rows; the skew-on run additionally holds on one thread, in worker
+/// processes and
 /// against the oracle (with ddmin shrinking on divergence). Returns the
 /// number of groups the plan actually split, so callers can assert the
 /// cell was not vacuous.
@@ -520,17 +536,13 @@ fn check_skew_self_cell(lines: &[String], config: &JoinConfig, label: &str) -> u
         rows_bits(&on),
         "{label}: splitting changed the committed pairs"
     );
-    for backend in [BackendKind::Sharded, BackendKind::Process] {
-        let spec = ClusterSpec {
-            backend,
-            ..default_spec()
-        };
+    for spec in parity_specs(default_spec()) {
         let rows = pipeline_self_on(spec, lines, config)
-            .unwrap_or_else(|e| panic!("{label} [{backend:?}]: pipeline: {e}"));
+            .unwrap_or_else(|e| panic!("{label} [{spec:?}]: pipeline: {e}"));
         assert_eq!(
             rows_bits(&on),
             rows_bits(&rows),
-            "{label}: {backend:?} backend diverges under splitting"
+            "{label}: {spec:?} diverges under splitting"
         );
     }
     report_self_divergence(sim_spec, lines, config, label, &on);
@@ -567,17 +579,13 @@ fn check_skew_rs_cell(
         rows_bits(&on),
         "{label}: splitting changed the committed pairs"
     );
-    for backend in [BackendKind::Sharded, BackendKind::Process] {
-        let spec = ClusterSpec {
-            backend,
-            ..default_spec()
-        };
+    for spec in parity_specs(default_spec()) {
         let rows = pipeline_rs_on(spec, r_lines, s_lines, config)
-            .unwrap_or_else(|e| panic!("{label} [{backend:?}]: pipeline: {e}"));
+            .unwrap_or_else(|e| panic!("{label} [{spec:?}]: pipeline: {e}"));
         assert_eq!(
             rows_bits(&on),
             rows_bits(&rows),
-            "{label}: {backend:?} backend diverges under splitting"
+            "{label}: {spec:?} diverges under splitting"
         );
     }
     report_rs_divergence(sim_spec, r_lines, s_lines, config, label, &on);
@@ -588,7 +596,7 @@ fn check_skew_rs_cell(
 
 /// The skew matrix for one kernel: routing × measure × seeds, each cell
 /// run skew-off vs forced-low-threshold adaptive (stride-1 sample, hot at
-/// 6 routed records, ≤ 4 buckets) on all three backends. The aggregate
+/// 6 routed records, ≤ 4 buckets) on both backends. The aggregate
 /// non-vacuity assert proves the forced plan really split groups somewhere
 /// in the matrix — a threshold so low it never triggers would make every
 /// cell trivially pass.
@@ -800,9 +808,9 @@ fn differential_pathological_rs_corpora() {
 /// cluster (no parallelism, every task on the same machine — a historical
 /// harness gap) and a tight per-task memory budget that makes every
 /// `MemoryGauge` charge site count without pushing the seeded corpora
-/// into OOM. Both shapes run on all three execution backends with bitwise
-/// parity asserted (the `backend` field of the spec is overridden per
-/// backend by the cell check). One routing × one measure × one seed per
+/// into OOM. Both shapes run on both execution backends and on one thread
+/// with bitwise parity asserted (the cell check overrides the spec's
+/// `backend` and `threads`). One routing × one measure × one seed per
 /// cell keeps the runtime proportionate; the full matrix above covers the
 /// algorithmic combinations on the default cluster.
 #[test]
@@ -812,11 +820,13 @@ fn differential_holds_on_one_node_and_tight_memory_clusters() {
             nodes: 1,
             task_memory: None,
             backend: BackendKind::Simulated,
+            threads: None,
         },
         ClusterSpec {
             nodes: 3,
             task_memory: Some(64 * 1024),
             backend: BackendKind::Simulated,
+            threads: None,
         },
     ];
     for shape in shapes {

@@ -53,8 +53,8 @@ fn quiet_injected_panics() {
 }
 
 fn cluster_with(faults: Option<FaultPlan>) -> Cluster {
-    // `MR_BACKEND=sharded` (CI backend-parity job) runs the whole
-    // crash/resume suite on the sharded executor. `resume_cluster` clones
+    // `MR_BACKEND=process` (CI backend-parity job) runs the whole
+    // crash/resume suite on the process executor. `resume_cluster` clones
     // the crashed config, so the backend survives resume automatically.
     let config = ClusterConfig {
         max_task_attempts: 8,

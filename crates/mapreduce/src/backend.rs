@@ -1,4 +1,4 @@
-//! Execution backends: one task runner, three shuffle transports.
+//! Execution backends: one task runner, two shuffle transports.
 //!
 //! [`Cluster::run`](crate::Cluster::run) is a backend-neutral driver
 //! (validation, recovery scavenging, the commit protocol, metrics) around
@@ -12,7 +12,6 @@
 //! | backend | transport | parked form | where attempts run |
 //! |---|---|---|---|
 //! | [`BackendKind::Simulated`] | [`InMemory`] | the [`Run`] itself | driver threads |
-//! | [`BackendKind::Sharded`] | [`Channel`] | a slot; the run crosses a [`crate::shuffle::bounded`] channel to one collector thread, which fills it | driver threads |
 //! | [`BackendKind::Process`] | [`crate::remote::ProcessTransport`] | a `RunRef` to a checksummed frame of the map attempt's run file | the cluster's worker processes; driver threads for a closure-built job, and for an attempt that finds every worker slot quarantined |
 //!
 //! # Determinism contract
@@ -39,8 +38,6 @@
 //! from the same pure decisions everywhere. What a modelled cluster makes
 //! of the records is computed outside the engine (`fuzzyjoin::model`).
 
-use std::sync::{Arc, OnceLock};
-use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 use crate::engine::{run_tasks, At, JobRun, MapStats, MapTaskOut, ReduceTaskOut};
@@ -50,7 +47,6 @@ use crate::profile;
 use crate::reducer::Reducer;
 use crate::remote::ProcessTransport;
 use crate::run::Run;
-use crate::shuffle::{bounded, Sender};
 use crate::supervise::Watchdog;
 use crate::task::Phase;
 use crate::trace::{EventKind, Outcome, TraceEvent};
@@ -58,14 +54,10 @@ use crate::trace::{EventKind, Outcome, TraceEvent};
 /// Which execution backend a [`ClusterConfig`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// The deterministic in-process executor with a serial shuffle
-    /// regroup — the reference semantics.
+    /// The deterministic in-process executor: attempts on the driver's
+    /// thread pool, a serial shuffle regroup — the reference semantics.
     #[default]
     Simulated,
-    /// Attempts on the driver's thread pool, as on the simulated backend,
-    /// with every spill run handed through one bounded channel to one
-    /// collector thread that receives them.
-    Sharded,
     /// Process-isolated workers over a disk-backed DFS: the driver
     /// re-spawns its own executable as one pool of worker processes per
     /// [`crate::Cluster`] and frames task assignments over stdin/stdout
@@ -76,12 +68,10 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Parse a CLI-style backend name (`simulated`, `sharded`, or
-    /// `process`).
+    /// Parse a CLI-style backend name (`simulated` or `process`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "simulated" => Some(BackendKind::Simulated),
-            "sharded" => Some(BackendKind::Sharded),
             "process" => Some(BackendKind::Process),
             _ => None,
         }
@@ -94,7 +84,7 @@ impl BackendKind {
     pub fn from_env() -> Self {
         match std::env::var("MR_BACKEND") {
             Ok(name) => Self::parse(&name).unwrap_or_else(|| {
-                panic!("bad MR_BACKEND={name:?} (expected simulated, sharded, or process)")
+                panic!("bad MR_BACKEND={name:?} (expected simulated or process)")
             }),
             Err(_) => Self::default(),
         }
@@ -104,7 +94,6 @@ impl BackendKind {
     pub fn as_str(self) -> &'static str {
         match self {
             BackendKind::Simulated => "simulated",
-            BackendKind::Sharded => "sharded",
             BackendKind::Process => "process",
         }
     }
@@ -146,10 +135,6 @@ pub(crate) trait Transport: Sync {
     /// Get parked runs back, in the order given.
     fn fetch(&self, parked: &[Self::Parked]) -> Result<Vec<Run>>;
 
-    /// The map phase is over: after this returns, everything parked must
-    /// be fetchable.
-    fn seal(&mut self) {}
-
     /// Run map attempt `at` somewhere that parks its own output. `Ok(None)`
     /// (the default) means "run it on this thread".
     fn remote_map(&self, _at: At) -> Result<Option<MapTaskOut<Self::Parked>>> {
@@ -179,64 +164,6 @@ impl Transport for InMemory {
     }
 }
 
-/// The sharded backend's transport: every run is handed through one
-/// [`bounded`] channel to one collector thread, which receives eagerly —
-/// a map attempt only ever blocks for the hand-off itself, however small
-/// the channel and however few worker threads there are. The parked form
-/// is the slot the collector delivers the run into.
-pub(crate) struct Channel<'scope> {
-    tx: Option<Sender<(Slot, Run)>>,
-    collector: Option<ScopedJoinHandle<'scope, ()>>,
-}
-
-type Slot = Arc<OnceLock<Run>>;
-
-impl<'scope> Channel<'scope> {
-    fn new<'env>(scope: &'scope Scope<'scope, 'env>, capacity: usize) -> Self {
-        let (tx, rx) = bounded::<(Slot, Run)>(capacity);
-        // The collector ends when the last sender drops: `seal`, or this
-        // transport being dropped on a failed map phase.
-        let collector = scope.spawn(move || {
-            while let Some((slot, run)) = rx.recv() {
-                let _ = slot.set(run);
-            }
-        });
-        Channel {
-            tx: Some(tx),
-            collector: Some(collector),
-        }
-    }
-}
-
-impl Transport for Channel<'_> {
-    type Parked = Slot;
-
-    fn park(&self, _task: usize, _attempt: usize, runs: Vec<Vec<Run>>) -> Result<Vec<Vec<Slot>>> {
-        let tx = self.tx.as_ref().expect("map attempts park before seal");
-        let send = |run| {
-            let slot = Slot::default();
-            tx.send((Arc::clone(&slot), run))
-                .map_err(|_| MrError::TaskFailed("shuffle collector is gone".into()))?;
-            Ok(slot)
-        };
-        let park_partition = |part: Vec<Run>| part.into_iter().map(send).collect();
-        runs.into_iter().map(park_partition).collect()
-    }
-
-    fn fetch(&self, parked: &[Slot]) -> Result<Vec<Run>> {
-        let lost = || MrError::TaskFailed("a parked run never reached the collector".into());
-        let deliver = |slot: &Slot| slot.get().cloned().ok_or_else(lost);
-        parked.iter().map(deliver).collect()
-    }
-
-    fn seal(&mut self) {
-        self.tx = None;
-        if let Some(collector) = self.collector.take() {
-            collector.join().expect("shuffle collector panicked");
-        }
-    }
-}
-
 /// Run one job's map and reduce phases on the backend its config selects.
 pub(crate) fn execute<M, R>(run: &JobRun<'_, M, R>) -> Result<ExecOutcome>
 where
@@ -246,26 +173,20 @@ where
     let config = run.cluster.config();
     let counters = &run.counters;
     let threads = config.physical_threads();
-    // Supervision runs on the host clock, so the simulated backend has none.
-    let watchdog = match config.backend {
-        BackendKind::Simulated => None,
-        _ => Watchdog::new(config, counters, run.cluster.trace(), &run.job.name),
-    };
+    // Supervision follows the deadline: `None` without one, on every
+    // backend.
+    let watchdog = Watchdog::new(config, counters, run.cluster.trace(), &run.job.name);
     let watchdog = watchdog.as_ref();
     match config.backend {
-        BackendKind::Simulated => run_phases(run, threads, &mut InMemory, None),
-        BackendKind::Sharded => std::thread::scope(|scope| {
-            let mut channel = Channel::new(scope, config.shuffle_channel_capacity);
-            run_phases(run, threads, &mut channel, watchdog)
-        }),
+        BackendKind::Simulated => run_phases(run, threads, &InMemory, watchdog),
         BackendKind::Process => {
             let spawn_start = Instant::now();
             // The pool is the cluster's; holding it runs the cluster's jobs
             // one at a time.
             let mut pool = run.cluster.worker_pool().lock();
-            let mut workers = ProcessTransport::begin(&mut pool, run, watchdog)?;
+            let workers = ProcessTransport::begin(&mut pool, run, watchdog)?;
             counters.add_since(profile::WALL_SPAWN_US, spawn_start);
-            let result = run_phases(run, workers.size(), &mut workers, watchdog);
+            let result = run_phases(run, workers.size(), &workers, watchdog);
             // Closing the job and spill cleanup close the reduce window, so
             // the windows still tile the backend's whole execution.
             let teardown_start = Instant::now();
@@ -286,7 +207,7 @@ where
 fn run_phases<M, R, T>(
     run: &JobRun<'_, M, R>,
     threads: usize,
-    transport: &mut T,
+    shuffle: &T,
     watchdog: Option<&Watchdog>,
 ) -> Result<ExecOutcome>
 where
@@ -296,7 +217,6 @@ where
 {
     let max_attempts = run.cluster.config().max_task_attempts;
     let exec_start = Instant::now();
-    let shuffle = &*transport;
     let map_tasks = (0..run.job.inputs.len()).collect();
     let map_io = |o: &MapTaskOut<T::Parked>| (o.stats.record.input_bytes, o.stats.output_records);
     let mut map_outs = run_tasks(map_tasks, threads, max_attempts, |&task, attempt| {
@@ -313,7 +233,6 @@ where
     // Regroup: visit map outputs in task order and each task's runs in
     // spill order — the canonical run presentation order, whichever order
     // the tasks finished in.
-    transport.seal();
     map_outs.sort_by_key(|o| o.stats.record.task);
     let mut partitions: Vec<Vec<T::Parked>> = (0..run.num_reducers).map(|_| Vec::new()).collect();
     let mut map_outs_stats = Vec::with_capacity(map_outs.len());
@@ -325,7 +244,6 @@ where
     }
     let regroup_done = exec_start.elapsed().as_secs_f64();
 
-    let shuffle = &*transport;
     let reduce_tasks = partitions.into_iter().enumerate().collect();
     let reduce_result = run_tasks(
         reduce_tasks,
@@ -438,11 +356,11 @@ mod tests {
             BackendKind::parse("simulated"),
             Some(BackendKind::Simulated)
         );
-        assert_eq!(BackendKind::parse("sharded"), Some(BackendKind::Sharded));
         assert_eq!(BackendKind::parse("process"), Some(BackendKind::Process));
         assert_eq!(BackendKind::parse("async"), None);
         assert_eq!(BackendKind::default(), BackendKind::Simulated);
-        assert_eq!(BackendKind::Sharded.to_string(), "sharded");
-        assert_eq!(BackendKind::Process.to_string(), "process");
+        for kind in [BackendKind::Simulated, BackendKind::Process] {
+            assert_eq!(BackendKind::parse(&kind.to_string()), Some(kind));
+        }
     }
 }

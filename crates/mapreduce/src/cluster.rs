@@ -53,10 +53,9 @@ pub struct ClusterConfig {
     /// Optional deterministic fault-injection plan (see [`crate::faults`]).
     pub faults: Option<FaultPlan>,
     /// Which execution backend runs the tasks (see [`crate::backend`]).
-    /// All three backends produce byte-identical output from the same task
-    /// runner; they differ only in the shuffle transport — how map output
-    /// reaches the reducers — and, for [`BackendKind::Process`], in which
-    /// process an attempt runs.
+    /// Both backends produce byte-identical output from the same task
+    /// runner; they differ in the shuffle transport — how map output
+    /// reaches the reducers — and in which process an attempt runs.
     pub backend: BackendKind,
     /// Where the DFS lives, for every backend (the
     /// [`BackendKind::Process`] backend's workers open it too). `None`
@@ -64,21 +63,17 @@ pub struct ClusterConfig {
     /// Set it to keep the filesystem around across engine restarts
     /// (crash/resume).
     pub dfs_root: Option<std::path::PathBuf>,
-    /// Capacity (in spill runs) of the one shuffle channel between the map
-    /// attempts and the collector thread of the [`BackendKind::Sharded`]
-    /// backend. The collector receives eagerly, so this bounds only how
-    /// many runs can be in hand-off at once — a sender blocks while that
-    /// many are queued — not how far the map phase runs ahead of the
-    /// reducers (reduce starts when the map phase is over).
+    /// Capacity of the channel the repo benchmark's shuffle rung measures.
+    /// No engine code reads it: the channel transport it sized is gone.
     pub shuffle_channel_capacity: usize,
-    /// Wall-clock deadline for one task attempt on the real backends
-    /// ([`BackendKind::Sharded`] and [`BackendKind::Process`]). When an
+    /// Wall-clock deadline for one task attempt, on every backend. When an
     /// attempt in a worker process exceeds it, the job's watchdog kills the
     /// worker and the attempt is retried as a transient `NodeLost`; an
-    /// attempt on the driver's threads cannot be killed, so the job fails
-    /// fast with a classified error. A supervised worker also heartbeats,
-    /// every twentieth of this. `None` (the default) disables wall-clock
-    /// supervision entirely. Never affects committed bytes.
+    /// attempt on the driver's threads cannot be killed, so one that
+    /// returns past it fails the job fast with a classified error. A
+    /// supervised worker also heartbeats, every twentieth of this. `None`
+    /// (the default) disables wall-clock supervision entirely. Never
+    /// affects committed bytes.
     pub task_timeout_secs: Option<f64>,
 }
 
@@ -157,9 +152,6 @@ impl ClusterConfig {
         }
         if self.max_task_attempts == 0 {
             return Err("max_task_attempts must be at least 1".into());
-        }
-        if self.shuffle_channel_capacity == 0 {
-            return Err("shuffle_channel_capacity must be at least 1".into());
         }
         if let Some(secs) = self.task_timeout_secs {
             task_deadline(secs).map_err(|e| format!("task_timeout_secs {e}"))?;

@@ -21,11 +21,11 @@ use crate::manifest::JobManifest;
 use crate::mapper::Mapper;
 use crate::memory::MemoryGauge;
 use crate::metrics::{JobMetrics, PhaseMetrics, TaskRecord};
-use crate::partitioner::{natural_sort, Grouping};
+use crate::partitioner::Grouping;
 use crate::profile;
 use crate::reducer::{CombineFn, Reducer};
 use crate::remote::WorkerPool;
-use crate::run::{merge_to_factor, sort_and_combine, GroupValues, MergeStream, Run, MERGE_FACTOR};
+use crate::run::{merge_to_factor, sort_combine, GroupValues, MergeStream, Run, MERGE_FACTOR};
 use crate::sketch::SpaceSaving;
 use crate::task::{Emit, Phase, TaskContext};
 use crate::trace::{
@@ -775,7 +775,7 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
     /// Park each partition's buffered pairs as one sorted run. The index is
     /// sorted stably by the key's `Ord`, so equal keys keep emission order,
     /// and each pair's bytes are copied; with a combiner the pairs are
-    /// decoded and go through [`sort_and_combine`] instead.
+    /// decoded and go through [`sort_combine`] instead.
     fn spill(&mut self) -> Result<()> {
         let spill_start = Instant::now();
         let mut spilled_any = false;
@@ -803,8 +803,7 @@ impl<'a, K: Key, V: Value> MapEmitter<'a, K, V> {
                         pairs.push((K::decode(&mut r)?, V::decode(&mut r)?));
                     }
                     let (cin, cout) = (&mut self.combine_in, &mut self.combine_out);
-                    let sort = natural_sort();
-                    let sorted = sort_and_combine(pairs, &sort, Some(combiner), cin, cout);
+                    let sorted = sort_combine(pairs, Some(combiner), cin, cout);
                     Run::encode(&sorted)
                 }
             };
@@ -1057,7 +1056,7 @@ where
         let job = self.job;
         let merge_start = Instant::now();
         let (runs, merge_passes) = merge_to_factor::<M::OutKey, M::OutValue>(runs, MERGE_FACTOR)?;
-        let mut stream = MergeStream::<M::OutKey, M::OutValue>::new(runs, natural_sort())?;
+        let mut stream = MergeStream::<M::OutKey, M::OutValue>::open(runs)?;
         let merge_secs = merge_start.elapsed().as_secs_f64();
         // A part is made durable by its job's commit, not by its attempt.
         let mut out_dfs = self.cluster.dfs.clone();
@@ -1247,14 +1246,13 @@ mod tests {
 
     /// The map side before pairs were encoded at emit, kept as the oracle:
     /// typed pairs per partition, counted by their encoded sizes, spilled
-    /// through `sort_and_combine` and `Run::encode` once the count reaches
+    /// through `sort_combine` and `Run::encode` once the count reaches
     /// the threshold, and once more when the task ends.
     fn typed_spills<V: Value>(
         pairs: &[(String, V)],
         (parts, threshold): (usize, usize),
         combiner: Option<&CombineFn<String, V>>,
     ) -> Spills {
-        let cmp = natural_sort();
         let mut buffers: Vec<Vec<(String, V)>> = vec![Vec::new(); parts];
         let mut runs: Vec<Vec<Run>> = vec![Vec::new(); parts];
         let (mut buffered, mut spills, mut cin, mut cout) = (0, 0, 0, 0);
@@ -1268,7 +1266,7 @@ mod tests {
             for (p, buffer) in buffers.iter_mut().enumerate() {
                 let pairs = std::mem::take(buffer);
                 if !pairs.is_empty() {
-                    let sorted = sort_and_combine(pairs, &cmp, combiner, &mut cin, &mut cout);
+                    let sorted = sort_combine(pairs, combiner, &mut cin, &mut cout);
                     runs[p].push(Run::encode(&sorted));
                 }
             }

@@ -17,8 +17,8 @@
 //! * a block-based [`Dfs`] with round-robin placement, text and sequence
 //!   files, per-block checksums and one-split-per-block inputs, on disk
 //!   where worker processes and a resuming driver share it;
-//! * three execution backends ([`BackendKind`]) — the reference executor,
-//!   a channel shuffle, and worker processes — committing identical bytes;
+//! * two execution backends ([`BackendKind`]) — tasks on the driver's
+//!   threads and tasks in worker processes — committing identical bytes;
 //! * broadcast side data ([`Cache`]) with per-task memory accounting
 //!   ([`MemoryGauge`]) that reproduces the paper's out-of-memory behaviour;
 //! * per-job metrics ([`JobMetrics`]) holding one [`TaskRecord`] per
@@ -74,6 +74,8 @@ pub mod backend;
 pub mod cache;
 pub mod cluster;
 pub mod codec;
+#[doc(hidden)]
+pub mod compat;
 pub mod counters;
 pub mod dfs;
 pub mod engine;
@@ -92,7 +94,6 @@ pub mod profile;
 pub mod reducer;
 pub mod remote;
 pub mod run;
-pub mod shuffle;
 pub mod sketch;
 mod supervise;
 pub mod task;
@@ -118,7 +119,7 @@ pub use manifest::{
 pub use mapper::{ClosureMapper, IdentityMapper, Mapper, SwapMapper};
 pub use memory::MemoryGauge;
 pub use metrics::{JobMetrics, PhaseMetrics, PipelineMetrics, TaskRecord};
-pub use partitioner::{natural_sort, stable_hash, SortCmp};
+pub use partitioner::stable_hash;
 pub use profile::JobProfile;
 pub use reducer::{sum_combiner, ClosureReducer, CombineFn, IdentityReducer, Reducer};
 pub use remote::{process_worker_main, register_job_spec, CORRUPT_FRAME_ENV, WORKER_ENV};
@@ -130,3 +131,8 @@ pub use trace::{
     HEAVY_HITTER_WARNINGS, HIST_MAP_TASK_SECS, HIST_REDUCE_GROUP_RECORDS, HIST_REDUCE_TASK_SECS,
     TRACE_SCHEMA_VERSION,
 };
+
+// What `benchmark/` imports from the crate root, at its old paths. The
+// crate's own `run` shadows `compat::run`, which `run` re-exports.
+#[doc(hidden)]
+pub use compat::*;

@@ -10,17 +10,12 @@
 //!   call on one reducer;
 //! * the **sort** on the full key, which delivers a group's values in key
 //!   order (secondary sort). It is the key type's own `Ord`: the engine
-//!   sorts by nothing else. [`natural_sort`] is that order as a value, for
-//!   callers of [`crate::run`] that take one.
+//!   sorts by nothing else.
 
-use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::kv::Key;
-
-/// Total order used to sort intermediate keys within each partition.
-pub type SortCmp<K> = Arc<dyn Fn(&K, &K) -> Ordering + Send + Sync>;
 
 /// Deterministic hash for partitioning. `DefaultHasher::new()` uses fixed
 /// SipHash keys, so partition assignment is stable across runs and
@@ -29,11 +24,6 @@ pub fn stable_hash<K: Hash>(key: &K) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
     h.finish()
-}
-
-/// Natural `Ord`-based sort comparator.
-pub fn natural_sort<K: Key>() -> SortCmp<K> {
-    Arc::new(K::cmp)
 }
 
 type RouteFn<K> = Arc<dyn Fn(&K, u32) -> u32 + Send + Sync>;
@@ -125,8 +115,6 @@ mod tests {
 
     #[test]
     fn natural_policies() {
-        let s = natural_sort::<u32>();
-        assert_eq!(s(&1, &2), Ordering::Less);
         let g = Grouping::<u32>::whole_key();
         assert!(g.same_group(&3, &3));
         assert!(!g.same_group(&3, &4));

@@ -19,7 +19,7 @@
 //! * **Busy attribution** (`profile.busy.*`) — time (and bytes) summed
 //!   across task attempts and worker processes: user map/reduce execution,
 //!   spill sort, shuffle transport (parking and fetching runs: a pointer
-//!   copy, a bounded-channel send, or run-file I/O), regroup/merge work. Busy time
+//!   copy or run-file I/O), regroup/merge work. Busy time
 //!   may exceed the enclosing wall window when threads overlap; it explains
 //!   *where* a wall window went rather than partitioning it.
 //!
@@ -35,7 +35,7 @@ use crate::metrics::JobMetrics;
 /// planning, shared-state construction, fault arming). Microseconds.
 pub const WALL_SETUP_US: &str = "profile.wall.setup_us";
 /// Wall window: spawning + handshaking the process-backend worker pool.
-/// Microseconds; zero on the in-process backends.
+/// Microseconds; zero on the in-process backend.
 pub const WALL_SPAWN_US: &str = "profile.wall.spawn_us";
 /// Wall window: the map phase, as seen by the driver. Microseconds.
 pub const WALL_MAP_US: &str = "profile.wall.map_us";
@@ -60,9 +60,8 @@ pub const BUSY_MAP_EXEC_US: &str = "profile.busy.map_exec_us";
 pub const BUSY_SPILL_US: &str = "profile.busy.spill_us";
 /// Encoded bytes written into spill runs, summed over attempts.
 pub const BUSY_SPILL_BYTES: &str = "profile.busy.spill_bytes";
-/// Busy time moving encoded runs between map and reduce sides: blocking
-/// bounded-channel sends (sharded) or run-file write/read I/O (process).
-/// Microseconds.
+/// Busy time moving encoded runs between map and reduce sides: a pointer
+/// copy (simulated) or run-file write/read I/O (process). Microseconds.
 pub const BUSY_SHUFFLE_TRANSPORT_US: &str = "profile.busy.shuffle_transport_us";
 /// Bytes moved by the shuffle transport (run payload bytes).
 pub const BUSY_SHUFFLE_TRANSPORT_BYTES: &str = "profile.busy.shuffle_transport_bytes";

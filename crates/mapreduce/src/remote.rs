@@ -56,7 +56,7 @@
 //!
 //! A task-level error frame leaves the worker healthy: it is returned to
 //! the pool and the error propagates with its original class (transient
-//! errors retry through the same machinery as the in-process backends); a
+//! errors retry through the same machinery as the in-process backend); a
 //! worker that cannot build the job it is opened with fails the job as
 //! [`MrError::InvalidConfig`]. A *transport* failure — the pipe breaking, a
 //! truncated or undecodable frame, a worker killed with `SIGKILL` — is
@@ -1636,8 +1636,8 @@ mod tests {
         assert_eq!(spill_buffer_bytes, 1024);
         assert_eq!(task_timeout_secs, Some(2.0));
         // Driver-only, so the worker sees the default: where attempts run
-        // and how often, the sharded transport's queue and the store's root
-        // (the hello carries it beside the config).
+        // and how often, the harness's channel capacity and the store's
+        // root (the hello carries it beside the config).
         let driver = ClusterConfig::default();
         assert_eq!(backend, driver.backend);
         assert_eq!((execution_threads, max_task_attempts), (None, 1));

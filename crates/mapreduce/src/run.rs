@@ -3,15 +3,20 @@
 //! A *run* is a sorted sequence of encoded `(key, value)` pairs — what a map
 //! task spills for one partition. The reduce side performs a k-way merge of
 //! all runs for its partition and walks the merged stream group by group,
-//! exactly like Hadoop's sort/merge phase. Keys are decoded for comparison,
-//! which charges the same comparator cost a real shuffle pays.
+//! exactly like Hadoop's sort/merge phase. Keys are decoded and compared by
+//! their own `Ord`, which charges the same comparator cost a real shuffle
+//! pays.
 
 use std::sync::Arc;
 
 use crate::codec::{ByteReader, Codec};
 use crate::error::{MrError, Result};
 use crate::kv::{Key, Value};
-use crate::partitioner::{natural_sort, Grouping, SortCmp};
+use crate::partitioner::Grouping;
+
+// The comparator form of this module's functions, at its old path.
+#[doc(hidden)]
+pub use crate::compat::run::*;
 
 /// A sorted, encoded sequence of `(key, value)` pairs.
 #[derive(Debug, Clone)]
@@ -75,16 +80,15 @@ impl<K: Value, V: Value> RunCursor<K, V> {
 }
 
 /// The first cursor holding the smallest head key.
-fn min_index<K, V>(cursors: &[RunCursor<K, V>], cmp: &SortCmp<K>) -> Option<usize> {
+fn min_index<K: Ord, V>(cursors: &[RunCursor<K, V>]) -> Option<usize> {
     let heads = cursors.iter().enumerate();
     let heads = heads.filter_map(|(i, c)| Some((i, &c.head.as_ref()?.0)));
-    heads.min_by(|a, b| cmp(a.1, b.1)).map(|(i, _)| i)
+    heads.min_by(|a, b| a.1.cmp(b.1)).map(|(i, _)| i)
 }
 
 /// K-way merge over sorted runs, with one-pair lookahead for grouping.
 pub struct MergeStream<K: Value, V: Value> {
     cursors: Vec<RunCursor<K, V>>,
-    cmp: SortCmp<K>,
     /// The cursor holding the smallest key (the lowest such cursor among
     /// equal keys); `None` once every run is consumed.
     min: Option<usize>,
@@ -93,14 +97,13 @@ pub struct MergeStream<K: Value, V: Value> {
 }
 
 impl<K: Key, V: Value> MergeStream<K, V> {
-    /// Build a merge over the given runs, each sorted by `cmp`.
-    pub fn new(runs: Vec<Run>, cmp: SortCmp<K>) -> Result<Self> {
+    /// Open a merge over the given runs, each sorted by the key's `Ord`.
+    pub fn open(runs: Vec<Run>) -> Result<Self> {
         let cursors: Result<Vec<_>> = runs.into_iter().map(RunCursor::new).collect();
         let cursors = cursors?;
         Ok(MergeStream {
-            min: min_index(&cursors, &cmp),
+            min: min_index(&cursors),
             cursors,
-            cmp,
             records_read: 0,
         })
     }
@@ -118,7 +121,7 @@ impl<K: Key, V: Value> MergeStream<K, V> {
         };
         let pair = self.cursors[i].head.take().expect("head");
         let advanced = self.cursors[i].advance();
-        self.min = min_index(&self.cursors, &self.cmp);
+        self.min = min_index(&self.cursors);
         advanced?;
         self.records_read += 1;
         Ok(Some(pair))
@@ -182,16 +185,15 @@ impl<K: Key, V: Value> Iterator for GroupValues<'_, K, V> {
     }
 }
 
-/// Sort a buffer of pairs by `cmp` (stable, so equal keys keep emission
+/// Sort a buffer of pairs by key (stable, so equal keys keep emission
 /// order) and apply the combiner to each equal-key group.
-pub fn sort_and_combine<K: Key, V: Value>(
+pub fn sort_combine<K: Key, V: Value>(
     mut pairs: Vec<(K, V)>,
-    cmp: &SortCmp<K>,
     combiner: Option<&crate::reducer::CombineFn<K, V>>,
     combine_in: &mut u64,
     combine_out: &mut u64,
 ) -> Vec<(K, V)> {
-    pairs.sort_by(|a, b| cmp(&a.0, &b.0));
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
     let Some(combine) = combiner else {
         return pairs;
     };
@@ -199,7 +201,7 @@ pub fn sort_and_combine<K: Key, V: Value>(
     let mut iter = pairs.into_iter().peekable();
     while let Some((key, first)) = iter.next() {
         let mut group = vec![first];
-        while let Some((_, v)) = iter.next_if(|(k, _)| cmp(&key, k).is_eq()) {
+        while let Some((_, v)) = iter.next_if(|(k, _)| key.cmp(k).is_eq()) {
             group.push(v);
         }
         *combine_in += group.len() as u64;
@@ -230,8 +232,7 @@ mod tests {
     fn merge_interleaves_sorted_runs() {
         let r1 = run_of(vec![(1, "a".into()), (4, "d".into()), (6, "f".into())]);
         let r2 = run_of(vec![(2, "b".into()), (3, "c".into()), (5, "e".into())]);
-        let mut m: MergeStream<u32, String> =
-            MergeStream::new(vec![r1, r2], natural_sort::<u32>()).unwrap();
+        let mut m: MergeStream<u32, String> = MergeStream::open(vec![r1, r2]).unwrap();
         let mut keys = Vec::new();
         while let Some((k, _)) = m.next_pair().unwrap() {
             keys.push(k);
@@ -245,8 +246,7 @@ mod tests {
         let r1 = run_of(vec![(1, "a".into()), (1, "b".into())]);
         let r2 = run_of(vec![]);
         let r3 = run_of(vec![(1, "c".into()), (2, "d".into())]);
-        let mut m: MergeStream<u32, String> =
-            MergeStream::new(vec![r1, r2, r3], natural_sort::<u32>()).unwrap();
+        let mut m: MergeStream<u32, String> = MergeStream::open(vec![r1, r2, r3]).unwrap();
         let mut pairs = Vec::new();
         while let Some(p) = m.next_pair().unwrap() {
             pairs.push(p);
@@ -259,8 +259,7 @@ mod tests {
     #[test]
     fn group_values_stops_at_boundary() {
         let r = run_of(vec![(1, "a".into()), (1, "b".into()), (2, "c".into())]);
-        let mut m: MergeStream<u32, String> =
-            MergeStream::new(vec![r], natural_sort::<u32>()).unwrap();
+        let mut m: MergeStream<u32, String> = MergeStream::open(vec![r]).unwrap();
         let first = m.peek_key().cloned().unwrap();
         let grouping = Grouping::whole_key();
         let g = GroupValues::new(&mut m, first, &grouping);
@@ -273,8 +272,7 @@ mod tests {
     #[test]
     fn group_values_drain_skips_unread() {
         let r = run_of(vec![(1, "a".into()), (1, "b".into()), (2, "c".into())]);
-        let mut m: MergeStream<u32, String> =
-            MergeStream::new(vec![r], natural_sort::<u32>()).unwrap();
+        let mut m: MergeStream<u32, String> = MergeStream::open(vec![r]).unwrap();
         let first = m.peek_key().cloned().unwrap();
         let grouping = Grouping::whole_key();
         let g = GroupValues::new(&mut m, first, &grouping);
@@ -292,8 +290,7 @@ mod tests {
             ((2, 1), "other".into()),
         ];
         let r = Run::encode(&pairs);
-        let mut m: MergeStream<(u32, u32), String> =
-            MergeStream::new(vec![r], natural_sort::<(u32, u32)>()).unwrap();
+        let mut m: MergeStream<(u32, u32), String> = MergeStream::open(vec![r]).unwrap();
         let first = m.peek_key().cloned().unwrap();
         let grouping = Grouping::on(|k: &(u32, u32)| k.0);
         let g = GroupValues::new(&mut m, first, &grouping);
@@ -303,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_combine_applies_combiner_per_group() {
+    fn sort_combine_applies_combiner_per_group() {
         let pairs = vec![
             ("b".to_string(), 1u64),
             ("a".to_string(), 2),
@@ -311,13 +308,7 @@ mod tests {
         ];
         let mut cin = 0;
         let mut cout = 0;
-        let out = sort_and_combine(
-            pairs,
-            &natural_sort::<String>(),
-            Some(&sum_combiner::<String>()),
-            &mut cin,
-            &mut cout,
-        );
+        let out = sort_combine(pairs, Some(&sum_combiner::<String>()), &mut cin, &mut cout);
         assert_eq!(out, vec![("a".to_string(), 2), ("b".to_string(), 4)]);
         assert_eq!(cin, 3);
         assert_eq!(cout, 2);
@@ -328,7 +319,7 @@ mod tests {
         let pairs = vec![(2u32, 1u64), (1, 2), (2, 3)];
         let mut cin = 0;
         let mut cout = 0;
-        let out = sort_and_combine(pairs, &natural_sort::<u32>(), None, &mut cin, &mut cout);
+        let out = sort_combine(pairs, None, &mut cin, &mut cout);
         assert_eq!(out, vec![(1, 2), (2, 1), (2, 3)]);
         assert_eq!(cin, 0);
     }
@@ -339,7 +330,7 @@ mod tests {
 pub fn merge_into_one<K: Key, V: Value>(runs: Vec<Run>) -> Result<Run> {
     let records: usize = runs.iter().map(|r| r.records).sum();
     let bytes: usize = runs.iter().map(Run::len_bytes).sum();
-    let mut stream: MergeStream<K, V> = MergeStream::new(runs, natural_sort())?;
+    let mut stream: MergeStream<K, V> = MergeStream::open(runs)?;
     let mut buf = Vec::with_capacity(bytes);
     while let Some((k, v)) = stream.next_pair()? {
         k.encode(&mut buf);
@@ -386,7 +377,7 @@ mod merge_tests {
     }
 
     fn drain(runs: Vec<Run>) -> Vec<u32> {
-        let mut m: MergeStream<u32, u32> = MergeStream::new(runs, natural_sort::<u32>()).unwrap();
+        let mut m: MergeStream<u32, u32> = MergeStream::open(runs).unwrap();
         let mut keys = Vec::new();
         while let Some((k, _)) = m.next_pair().unwrap() {
             keys.push(k);

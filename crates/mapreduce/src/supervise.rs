@@ -1,10 +1,10 @@
-//! Wall-clock task supervision for the real execution backends.
+//! Wall-clock task supervision, on every backend once a job has a deadline.
 //!
-//! The sharded and process backends are supervised on the host clock, where
-//! a hung worker (SIGSTOP, an infinite loop, a never-flushed frame) blocks
-//! the driver forever; the simulated backend, the reference, is not. A job's
-//! [`Watchdog`] gives every worker conversation it watches a timer of its
-//! own, a [`Watch`], which fires when the attempt's **deadline**
+//! A hung worker process (SIGSTOP, an infinite loop, a never-flushed frame)
+//! would block the driver forever, and an in-process attempt that overruns
+//! must not commit. Without `task_timeout_secs` there is no watchdog. A
+//! job's [`Watchdog`] gives every worker conversation it watches a timer of
+//! its own, a [`Watch`], which fires when the attempt's **deadline**
 //! (`task_timeout_secs`) passes or its **heartbeat window** — eight of
 //! `ClusterConfig::heartbeat_interval`, 40 % of the deadline — passes
 //! without a heartbeat ([`Watch::touch`]).

@@ -1,15 +1,11 @@
-//! Backend parity: the sharded and process executors must be
-//! byte-for-byte indistinguishable from the simulated one, under every
+//! Backend parity: the in-process executor at every thread count and the
+//! process executor must be byte-for-byte indistinguishable, under every
 //! cluster shape, under chaos, and across repeated runs.
 //!
 //! The probe job is deliberately order-sensitive: the reducer concatenates
 //! values in *arrival order*, so any difference in how a backend presents
 //! equal-key runs to the merge (task order, spill order, thread
 //! interleaving) becomes a visible output difference.
-//!
-//! The sharded cells also run with a one-slot shuffle channel: every
-//! partition receives more runs than the channel holds, so a collector
-//! that fell behind a lone worker thread would deadlock here.
 //!
 //! The probe jobs here are closure-built, so no worker process could
 //! rebuild them: on the process backend their attempts run on the driver's
@@ -93,24 +89,15 @@ fn run_probe(config: ClusterConfig, faults: Option<FaultPlan>) -> Vec<(String, S
 }
 
 #[test]
-fn sharded_output_matches_simulated_across_cluster_shapes() {
+fn output_matches_across_thread_counts_and_cluster_shapes() {
     // (nodes, threads) crosses 1-node and thread-oversubscribed shapes.
     for (nodes, threads) in [(1, 1), (1, 4), (3, 1), (3, 4), (10, 2)] {
         let simulated = run_probe(config(BackendKind::Simulated, nodes, threads), None);
-        let sharded = run_probe(config(BackendKind::Sharded, nodes, threads), None);
-        assert_eq!(
-            simulated, sharded,
-            "order-sensitive output diverged on nodes={nodes} threads={threads}"
-        );
         for threads in [1, 2, 8] {
-            let tight = ClusterConfig {
-                shuffle_channel_capacity: 1,
-                ..config(BackendKind::Sharded, nodes, threads)
-            };
             assert_eq!(
                 simulated,
-                run_probe(tight, None),
-                "one-slot shuffle channel diverged on nodes={nodes} threads={threads}"
+                run_probe(config(BackendKind::Simulated, nodes, threads), None),
+                "order-sensitive output diverged on nodes={nodes} threads={threads}"
             );
         }
         let process = run_probe(config(BackendKind::Process, nodes, threads), None);
@@ -122,33 +109,50 @@ fn sharded_output_matches_simulated_across_cluster_shapes() {
 }
 
 #[test]
-fn sharded_is_deterministic_across_repeated_runs() {
-    // 10x with 4 threads on 3 nodes: no interleaving may leak into the
-    // committed bytes.
-    let baseline = run_probe(config(BackendKind::Sharded, 3, 4), None);
+fn in_process_is_deterministic_across_repeated_runs() {
+    // 10x on 3 nodes, on 1, 2 and 8 threads: no interleaving may leak into
+    // the committed bytes.
+    let baseline = run_probe(config(BackendKind::Simulated, 3, 1), None);
     assert!(!baseline.is_empty());
-    for rep in 0..9 {
-        let again = run_probe(config(BackendKind::Sharded, 3, 4), None);
-        assert_eq!(baseline, again, "sharded run {} diverged", rep + 2);
+    for (rep, threads) in [2, 8].into_iter().cycle().take(9).enumerate() {
+        let again = run_probe(config(BackendKind::Simulated, 3, threads), None);
+        assert_eq!(
+            baseline,
+            again,
+            "run {} ({threads} threads) diverged",
+            rep + 2
+        );
     }
 }
 
 #[test]
-fn sharded_survives_chaos_identically_to_simulated() {
+fn chaos_leaves_output_identical_at_every_thread_count() {
     quiet_injected_panics();
     let plan = FaultPlan::aggressive(0x0BAC_CE2D);
     let clean = run_probe(config(BackendKind::Simulated, 3, 4), None);
-    let simulated = run_probe(config(BackendKind::Simulated, 3, 4), Some(plan.clone()));
-    let sharded = run_probe(config(BackendKind::Sharded, 3, 4), Some(plan.clone()));
+    for threads in [1, 2, 8] {
+        let simulated = run_probe(
+            config(BackendKind::Simulated, 3, threads),
+            Some(plan.clone()),
+        );
+        assert_eq!(
+            clean, simulated,
+            "chaos changed output on {threads} threads"
+        );
+    }
     let process = run_probe(config(BackendKind::Process, 3, 4), Some(plan));
-    assert_eq!(clean, simulated, "chaos changed simulated output");
-    assert_eq!(clean, sharded, "chaos changed sharded output");
     assert_eq!(clean, process, "chaos changed disk-backed output");
 }
 
 #[test]
-fn sharded_map_failure_fails_the_job_with_a_classified_error() {
+fn map_failure_fails_the_job_with_a_classified_error() {
     quiet_injected_panics();
+    for threads in [1, 2, 8] {
+        map_failure_is_classified(threads);
+    }
+}
+
+fn map_failure_is_classified(threads: usize) {
     let plan = FaultPlan {
         p_transient: 1.0,
         ..FaultPlan::quiet(7)
@@ -156,7 +160,7 @@ fn sharded_map_failure_fails_the_job_with_a_classified_error() {
     let config = ClusterConfig {
         max_task_attempts: 2,
         faults: Some(plan),
-        ..config(BackendKind::Sharded, 3, 4)
+        ..config(BackendKind::Simulated, 3, threads)
     };
     let cluster = Cluster::new(config, 256).unwrap();
     cluster.dfs().write_text("/in", corpus()).unwrap();
@@ -178,7 +182,7 @@ fn sharded_map_failure_fails_the_job_with_a_classified_error() {
     assert!(err.is_transient(), "exhausted retries keep their class");
     assert!(
         matches!(err, MrError::TaskFailed(_) | MrError::TaskPanicked(_)),
-        "classified failure, got {err:?}"
+        "{threads} threads: classified failure, got {err:?}"
     );
 }
 
@@ -186,11 +190,11 @@ fn sharded_map_failure_fails_the_job_with_a_classified_error() {
 /// `task_timeout_secs` fires its watch, its late result is discarded, and
 /// the job fails with a classified error before any reduce task could
 /// commit a part.
-fn deadline_fails_the_job_fast_and_leaves_no_output(backend: BackendKind) {
+fn deadline_fails_the_job_fast_and_leaves_no_output(backend: BackendKind, threads: usize) {
     let config = ClusterConfig {
         task_timeout_secs: Some(0.05),
         max_task_attempts: 2,
-        ..config(backend, 3, 4)
+        ..config(backend, 3, threads)
     };
     let cluster = Cluster::new(config, 256).unwrap();
     cluster.dfs().write_text("/in", corpus()).unwrap();
@@ -227,29 +231,33 @@ fn deadline_fails_the_job_fast_and_leaves_no_output(backend: BackendKind) {
     );
 }
 
+/// The default backend honours the deadline too, on any thread count.
 #[test]
-fn sharded_deadline_fails_the_job_fast_and_leaves_no_output() {
-    deadline_fails_the_job_fast_and_leaves_no_output(BackendKind::Sharded);
+fn in_process_deadline_fails_the_job_fast_and_leaves_no_output() {
+    for threads in [1, 2, 8] {
+        deadline_fails_the_job_fast_and_leaves_no_output(BackendKind::Simulated, threads);
+    }
 }
 
 /// A closure-built job runs on the process backend's driver threads, under
 /// the same watchdog as its worker conversations.
 #[test]
 fn process_deadline_fails_a_closure_built_job_fast_and_leaves_no_output() {
-    deadline_fails_the_job_fast_and_leaves_no_output(BackendKind::Process);
+    deadline_fails_the_job_fast_and_leaves_no_output(BackendKind::Process, 4);
 }
 
 #[test]
-fn sharded_handles_empty_input_and_reports_identical_metrics() {
-    // Zero map tasks: channels close immediately, reducers still commit
-    // (empty) parts — matching the simulated backend.
+fn empty_input_commits_identical_empty_parts_at_every_thread_count() {
+    // Zero map tasks: reducers still commit (empty) parts, on every
+    // backend and thread count.
     let mut outputs = Vec::new();
-    for backend in [
-        BackendKind::Simulated,
-        BackendKind::Sharded,
-        BackendKind::Process,
+    for (backend, threads) in [
+        (BackendKind::Simulated, 1),
+        (BackendKind::Simulated, 2),
+        (BackendKind::Simulated, 8),
+        (BackendKind::Process, 2),
     ] {
-        let cluster = Cluster::new(config(backend, 2, 2), 256).unwrap();
+        let cluster = Cluster::new(config(backend, 2, threads), 256).unwrap();
         let mapper = ClosureMapper::new(
             |_: &u64, _: &String, _: &mut dyn Emit<String, u64>, _: &TaskContext| Ok(()),
         );
@@ -265,18 +273,17 @@ fn sharded_handles_empty_input_and_reports_identical_metrics() {
         let pairs: Vec<(String, u64)> = cluster.dfs().read_seq("/out").unwrap();
         outputs.push(pairs);
     }
-    assert_eq!(outputs[0], outputs[1]);
-    assert_eq!(outputs[0], outputs[2]);
+    assert!(outputs.iter().all(|o| *o == outputs[0]));
 }
 
 #[test]
 fn deterministic_metrics_agree_between_backends() {
     quiet_injected_panics();
-    let run = |backend| {
+    let run = |backend, threads| {
         let config = ClusterConfig {
             max_task_attempts: 8,
             faults: Some(FaultPlan::aggressive(11)),
-            ..config(backend, 3, 4)
+            ..config(backend, 3, threads)
         };
         let cluster = Cluster::new(config, 256).unwrap();
         cluster.dfs().write_text("/in", corpus()).unwrap();
@@ -303,13 +310,17 @@ fn deterministic_metrics_agree_between_backends() {
             .map(|&t| TaskRecord { secs: 0.0, ..t })
             .collect()
     };
-    let a = run(BackendKind::Simulated);
+    let a = run(BackendKind::Simulated, 4);
     assert!(a.tasks.iter().any(|t| t.attempt > 0), "the plan retries");
     assert!(
         a.tasks.iter().any(|t| t.straggle > 1.0),
         "the plan straggles"
     );
-    for b in [run(BackendKind::Sharded), run(BackendKind::Process)] {
+    for b in [
+        run(BackendKind::Simulated, 1),
+        run(BackendKind::Simulated, 8),
+        run(BackendKind::Process, 4),
+    ] {
         // Everything not derived from wall-clock must agree exactly.
         assert_eq!(a.map.tasks, b.map.tasks);
         assert_eq!(a.reduce.tasks, b.reduce.tasks);

@@ -45,8 +45,8 @@ fn quiet_injected_panics() {
 }
 
 fn cluster_with(nodes: usize, max_attempts: usize, faults: Option<FaultPlan>) -> Cluster {
-    // `MR_BACKEND=sharded` (CI backend-parity job) re-runs this suite on
-    // the sharded executor; every assertion must hold unchanged.
+    // `MR_BACKEND=process` (CI backend-parity job) re-runs this suite on
+    // the process executor; every assertion must hold unchanged.
     let config = ClusterConfig {
         nodes,
         max_task_attempts: max_attempts,

@@ -7,7 +7,7 @@
 //! Covered here (closure-built jobs on this backend are also what
 //! `tests/backend.rs` runs):
 //!
-//! * committed output is byte-identical to the in-process backends, the
+//! * committed output is byte-identical to the in-process backend, the
 //!   worker-side counters prove the remote path really ran, and a map
 //!   attempt parks one run file, not one per partition;
 //! * one pool of workers serves every job of a cluster, and the quarantine

@@ -81,11 +81,7 @@ fn run_probe(
 #[test]
 fn wall_windows_cover_job_wall_on_every_backend() {
     let _alone = timed();
-    for backend in [
-        BackendKind::Simulated,
-        BackendKind::Sharded,
-        BackendKind::Process,
-    ] {
+    for backend in [BackendKind::Simulated, BackendKind::Process] {
         let (metrics, _) = run_probe(config(backend), LONG, false);
         let prof = JobProfile::from_metrics(&metrics);
         assert!(!prof.is_empty(), "{backend:?}: no phase counters recorded");
@@ -108,7 +104,7 @@ fn wall_windows_cover_job_wall_on_every_backend() {
 
 #[test]
 fn busy_attribution_is_recorded_and_consistent() {
-    let (metrics, _) = run_probe(config(BackendKind::Sharded), SHORT, false);
+    let (metrics, _) = run_probe(config(BackendKind::Simulated), SHORT, false);
     let prof = JobProfile::from_metrics(&metrics);
     // The probe spills (1 KiB buffer over 400 records), so spill bytes and
     // map-exec time must both be visible.
@@ -119,17 +115,13 @@ fn busy_attribution_is_recorded_and_consistent() {
         "no reduce-exec time attributed"
     );
     // Spilled bytes travel the shuffle: transport bytes match spill bytes
-    // on the sharded backend (every run crosses a channel exactly once).
+    // (they are counted where each winning attempt parks its runs).
     assert_eq!(prof.busy_shuffle_transport_bytes, prof.busy_spill_bytes);
 }
 
 #[test]
 fn tracing_never_changes_committed_output() {
-    for backend in [
-        BackendKind::Simulated,
-        BackendKind::Sharded,
-        BackendKind::Process,
-    ] {
+    for backend in [BackendKind::Simulated, BackendKind::Process] {
         let (_, off) = run_probe(config(backend), SHORT, false);
         let (_, on) = run_probe(config(backend), SHORT, true);
         assert_eq!(off, on, "{backend:?}: tracing changed committed bytes");
@@ -138,7 +130,7 @@ fn tracing_never_changes_committed_output() {
 
 /// The metrics of two untraced jobs run back to back on one cluster.
 fn two_jobs() -> Vec<JobMetrics> {
-    let cluster = Cluster::new(config(BackendKind::Sharded), 256).unwrap();
+    let cluster = Cluster::new(config(BackendKind::Simulated), 256).unwrap();
     // The caller asserts coverage, hence the long jobs.
     cluster.dfs().write_text("/in", corpus(LONG)).unwrap();
     let mapper = ClosureMapper::new(

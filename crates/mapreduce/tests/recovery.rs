@@ -51,8 +51,8 @@ fn wc_reducer() -> ClosureReducer<
 }
 
 fn cluster(faults: Option<FaultPlan>) -> Cluster {
-    // `MR_BACKEND=sharded` (CI backend-parity job) re-runs this suite on
-    // the sharded executor; manifests and scavenging must behave the same.
+    // `MR_BACKEND=process` (CI backend-parity job) re-runs this suite on
+    // the process executor; manifests and scavenging must behave the same.
     let config = ClusterConfig {
         faults,
         backend: BackendKind::from_env(),
